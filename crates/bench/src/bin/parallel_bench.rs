@@ -42,13 +42,8 @@ use quill_core::prelude::{
 };
 use quill_engine::aggregate::{AggregateKind, AggregateSpec};
 use quill_engine::operator::{LatePolicy, Operator, WindowAggregateOp, WindowResult};
-use quill_engine::parallel::{
-    run_keyed_parallel_instrumented, run_keyed_parallel_observed, run_keyed_parallel_traced,
-    run_keyed_parallel_with, ParallelConfig,
-};
+use quill_engine::parallel::{run_keyed_parallel_with, ParallelConfig};
 use quill_engine::prelude::{Event, Row, StreamElement, Timestamp, Value, WindowSpec, WindowState};
-use quill_telemetry::trace::FlightRecorder;
-use quill_telemetry::{span, Registry, SpanRecorder};
 use std::path::PathBuf;
 use std::time::Instant;
 
@@ -551,177 +546,8 @@ fn main() -> std::process::ExitCode {
         aq_legacy.median, aq_fiba.median
     );
 
-    // Telemetry overhead: the same 4-shard batched run through the
-    // instrumented entry point, once with the disabled (no-op) registry and
-    // once with a live one. Disabled must stay within noise of the plain
-    // path; enabled quantifies the cost of live counters.
-    let telemetry_cfg = ParallelConfig::new(4).with_batch_size(1024);
-    let disabled = eps(&time_stats(
-        args.repeat,
-        || input.clone(),
-        |inp| {
-            run_keyed_parallel_instrumented(inp, 0, telemetry_cfg, &Registry::disabled(), make_op)
-                .expect("parallel run")
-                .0
-                .len()
-        },
-    ));
-    let enabled = eps(&time_stats(
-        args.repeat,
-        || input.clone(),
-        |inp| {
-            let registry = Registry::new();
-            run_keyed_parallel_instrumented(inp, 0, telemetry_cfg, &registry, make_op)
-                .expect("parallel run")
-                .0
-                .len()
-        },
-    ));
-    let enabled_overhead_pct = (disabled.median / enabled.median - 1.0) * 100.0;
-    println!(
-        "telemetry disabled (4 shards, batch 1024): {:>12.0} events/s",
-        disabled.median
-    );
-    println!(
-        "telemetry enabled  (4 shards, batch 1024): {:>12.0} events/s ({enabled_overhead_pct:+.1}% overhead)",
-        enabled.median
-    );
-
-    // Flight-recorder overhead: the observed entry point with a disabled
-    // recorder (the default production shape — a single branch per would-be
-    // event) and with a live bounded ring. Disabled must stay within noise
-    // of the instrumented path above; enabled quantifies the cost of
-    // recording window finalizations, drops and merge progress.
-    let trace_disabled = eps(&time_stats(
-        args.repeat,
-        || input.clone(),
-        |inp| {
-            let trace = FlightRecorder::disabled();
-            run_keyed_parallel_observed(
-                inp,
-                0,
-                telemetry_cfg,
-                &Registry::disabled(),
-                &trace,
-                |shard| {
-                    let mut op = make_op();
-                    op.attach_trace(&trace, shard as u32);
-                    op
-                },
-            )
-            .expect("parallel run")
-            .0
-            .len()
-        },
-    ));
-    let trace_enabled = eps(&time_stats(
-        args.repeat,
-        || input.clone(),
-        |inp| {
-            let trace = FlightRecorder::with_default_capacity();
-            run_keyed_parallel_observed(
-                inp,
-                0,
-                telemetry_cfg,
-                &Registry::disabled(),
-                &trace,
-                |shard| {
-                    let mut op = make_op();
-                    op.attach_trace(&trace, shard as u32);
-                    op
-                },
-            )
-            .expect("parallel run")
-            .0
-            .len()
-        },
-    ));
-    let trace_disabled_overhead_pct = (disabled.median / trace_disabled.median - 1.0) * 100.0;
-    let trace_enabled_overhead_pct = (trace_disabled.median / trace_enabled.median - 1.0) * 100.0;
-    println!(
-        "recorder disabled  (4 shards, batch 1024): {:>12.0} events/s ({trace_disabled_overhead_pct:+.1}% vs instrumented)",
-        trace_disabled.median
-    );
-    println!(
-        "recorder enabled   (4 shards, batch 1024): {:>12.0} events/s ({trace_enabled_overhead_pct:+.1}% overhead)",
-        trace_enabled.median
-    );
-
-    // Span-recorder overhead: the traced entry point with a disabled
-    // recorder (one branch per batch/drain/finalize hook) and with a live
-    // ring recording Route / WindowFinalize / Merge spans. Disabled must
-    // stay within noise of the observed path above.
-    let run_traced = |inp: Vec<StreamElement>, spans: &SpanRecorder| {
-        run_keyed_parallel_traced(
-            inp,
-            0,
-            telemetry_cfg,
-            &Registry::disabled(),
-            &FlightRecorder::disabled(),
-            spans,
-            |shard| {
-                let mut op = make_op();
-                op.attach_spans(spans, shard as u32);
-                op
-            },
-        )
-        .expect("parallel run")
-        .0
-        .len()
-    };
-    let spans_disabled = eps(&time_stats(
-        args.repeat,
-        || input.clone(),
-        |inp| run_traced(inp, &SpanRecorder::disabled()),
-    ));
-    let spans_enabled = eps(&time_stats(
-        args.repeat,
-        || input.clone(),
-        |inp| run_traced(inp, &SpanRecorder::with_default_capacity()),
-    ));
-    let spans_disabled_overhead_pct = (trace_disabled.median / spans_disabled.median - 1.0) * 100.0;
-    let spans_enabled_overhead_pct = (spans_disabled.median / spans_enabled.median - 1.0) * 100.0;
-    println!(
-        "spans disabled     (4 shards, batch 1024): {:>12.0} events/s ({spans_disabled_overhead_pct:+.1}% vs observed)",
-        spans_disabled.median
-    );
-    println!(
-        "spans enabled      (4 shards, batch 1024): {:>12.0} events/s ({spans_enabled_overhead_pct:+.1}% overhead)",
-        spans_enabled.median
-    );
-
-    // Export one enabled run's spans as a Chrome-trace sample next to the
-    // numbers (loadable in Perfetto; CI uploads it as an artifact).
-    let sample_spans = SpanRecorder::with_default_capacity();
-    run_traced(input.clone(), &sample_spans);
-    let trace_path = args.out.with_file_name("BENCH_parallel_trace.json");
-    if let Some(dir) = trace_path.parent() {
-        let _ = std::fs::create_dir_all(dir);
-    }
-    let chrome = span::to_chrome_trace(&sample_spans.take(), sample_spans.domain());
-    if let Err(e) = std::fs::write(&trace_path, chrome) {
-        eprintln!("error writing {}: {e}", trace_path.display());
-        return std::process::ExitCode::FAILURE;
-    }
-    println!("wrote {}", trace_path.display());
-
-    // Record one instrumented run's final snapshot next to the numbers so
-    // the executor counters are inspectable PR-over-PR.
-    let registry = Registry::new();
-    let (snap_out, _) =
-        run_keyed_parallel_instrumented(input.clone(), 0, telemetry_cfg, &registry, make_op)
-            .expect("parallel run");
-    drop(snap_out);
-    let snapshot = registry.snapshot();
-    let snapshot_path = args.out.with_file_name("BENCH_parallel_telemetry.jsonl");
-    if let Err(e) = quill_telemetry::reporter::write_jsonl(&snapshot_path, &[snapshot]) {
-        eprintln!("error writing {}: {e}", snapshot_path.display());
-        return std::process::ExitCode::FAILURE;
-    }
-    println!("wrote {}", snapshot_path.display());
-
     let json = format!(
-        "{{\n  \"bench\": \"keyed_parallel_batched\",\n  \"host\": {{\"cpus_online\": {cpus_online}}},\n  \"workload\": {{\"events\": {}, \"keys\": {}, \"window\": \"sliding(200,40)\", \"aggregates\": [\"median\", \"q0.9\"], \"repeat\": {}}},\n  \"seed_single_event_4shard\": {{\"events_per_sec\": {:.1}}},\n  \"sequential_inprocess\": {{\"events_per_sec\": {:.1}, \"events_per_sec_min\": {:.1}, \"events_per_sec_max\": {:.1}}},\n  \"parallel\": [\n{}\n  ],\n  \"speedup_4shard_vs_seed\": {speedup_4:.3},\n  \"speedup_8shard_vs_1shard\": {speedup_8v1:.3},\n  \"staging\": {{\"shard_local_events_per_sec\": {:.1}, \"global_events_per_sec\": {:.1}, \"shard_local_speedup\": {staging_speedup:.3}}},\n  \"window_state\": {{\n    \"fold\": {{\"legacy_events_per_sec\": {:.1}, \"fiba_events_per_sec\": {:.1}, \"fiba_speedup\": {:.3}}},\n    \"straggler_workload\": {{\"window\": \"tumbling(75000)\", \"keys\": 1, \"straggler_fraction\": 0.25, \"events\": {straggler_events}}},\n    \"straggler_insert\": [\n{}\n    ],\n    \"aq_k_slack\": {{\"legacy_events_per_sec\": {:.1}, \"fiba_events_per_sec\": {:.1}, \"fiba_speedup\": {aq_speedup:.3}, \"legacy_k\": {aq_legacy_k:.1}, \"fiba_k\": {aq_fiba_k:.1}, \"legacy_completeness\": {aq_legacy_completeness:.4}, \"fiba_completeness\": {aq_fiba_completeness:.4}}}\n  }},\n  \"telemetry\": {{\"disabled_events_per_sec\": {:.1}, \"enabled_events_per_sec\": {:.1}, \"enabled_overhead_pct\": {enabled_overhead_pct:.2}}},\n  \"flight_recorder\": {{\"disabled_events_per_sec\": {:.1}, \"enabled_events_per_sec\": {:.1}, \"disabled_overhead_pct\": {trace_disabled_overhead_pct:.2}, \"enabled_overhead_pct\": {trace_enabled_overhead_pct:.2}}},\n  \"spans\": {{\"disabled_events_per_sec\": {:.1}, \"enabled_events_per_sec\": {:.1}, \"disabled_overhead_pct\": {spans_disabled_overhead_pct:.2}, \"enabled_overhead_pct\": {spans_enabled_overhead_pct:.2}}}\n}}\n",
+        "{{\n  \"bench\": \"keyed_parallel_batched\",\n  \"host\": {{\"cpus_online\": {cpus_online}}},\n  \"workload\": {{\"events\": {}, \"keys\": {}, \"window\": \"sliding(200,40)\", \"aggregates\": [\"median\", \"q0.9\"], \"repeat\": {}}},\n  \"seed_single_event_4shard\": {{\"events_per_sec\": {:.1}}},\n  \"sequential_inprocess\": {{\"events_per_sec\": {:.1}, \"events_per_sec_min\": {:.1}, \"events_per_sec_max\": {:.1}}},\n  \"parallel\": [\n{}\n  ],\n  \"speedup_4shard_vs_seed\": {speedup_4:.3},\n  \"speedup_8shard_vs_1shard\": {speedup_8v1:.3},\n  \"staging\": {{\"shard_local_events_per_sec\": {:.1}, \"global_events_per_sec\": {:.1}, \"shard_local_speedup\": {staging_speedup:.3}}},\n  \"window_state\": {{\n    \"fold\": {{\"legacy_events_per_sec\": {:.1}, \"fiba_events_per_sec\": {:.1}, \"fiba_speedup\": {:.3}}},\n    \"straggler_workload\": {{\"window\": \"tumbling(75000)\", \"keys\": 1, \"straggler_fraction\": 0.25, \"events\": {straggler_events}}},\n    \"straggler_insert\": [\n{}\n    ],\n    \"aq_k_slack\": {{\"legacy_events_per_sec\": {:.1}, \"fiba_events_per_sec\": {:.1}, \"fiba_speedup\": {aq_speedup:.3}, \"legacy_k\": {aq_legacy_k:.1}, \"fiba_k\": {aq_fiba_k:.1}, \"legacy_completeness\": {aq_legacy_completeness:.4}, \"fiba_completeness\": {aq_fiba_completeness:.4}}}\n  }}\n}}\n",
         args.events,
         args.keys,
         args.repeat,
@@ -738,12 +564,6 @@ fn main() -> std::process::ExitCode {
         straggler_rows.join(",\n"),
         aq_legacy.median,
         aq_fiba.median,
-        disabled.median,
-        enabled.median,
-        trace_disabled.median,
-        trace_enabled.median,
-        spans_disabled.median,
-        spans_enabled.median,
     );
     if let Some(dir) = args.out.parent() {
         if let Err(e) = std::fs::create_dir_all(dir) {

@@ -211,13 +211,15 @@ fn main() {
 
     let max_depth = depth_samples.iter().copied().fold(0.0f64, f64::max);
     let max_conns = conn_samples.iter().copied().fold(0.0f64, f64::max);
-    // The gauge counts queued elements plus readers blocked in the
-    // backpressure path (each pre-counts its in-flight element). Reconnect
-    // churn keeps several lingering readers alive per source, so the bound
-    // is capacity + peak concurrent connections (plus sampling slack).
+    // The gauge counts queued frames plus the batch each reader blocked in
+    // the backpressure path has counted in before sending. Reconnect churn
+    // keeps several lingering readers alive per source, so the bound is
+    // capacity + peak concurrent connections × batch cap (plus sampling
+    // slack of one more batch per source).
+    let (batch_cap, _) = quill_serve::server::batch_shape(args.queue_capacity);
     assert!(
-        max_depth <= args.queue_capacity as f64 + max_conns + args.sources as f64,
-        "queue depth {max_depth} not bounded by capacity {} + connections {max_conns}",
+        max_depth <= args.queue_capacity as f64 + (max_conns + args.sources as f64) * batch_cap as f64,
+        "queue depth {max_depth} not bounded by capacity {} + connections {max_conns} x batch cap {batch_cap}",
         args.queue_capacity
     );
     let emitting = ids

@@ -655,6 +655,19 @@ mod tests {
     }
 
     #[test]
+    fn checked_in_trace_fixture_stays_small_and_valid() {
+        // What CI's `quill-inspect timeline --check` step reads: a real
+        // keyed-parallel run's Chrome trace, cut to under a hundred spans.
+        let fixture = include_str!("../fixtures/pipeline_trace.json");
+        let summary = check_chrome_trace(fixture).expect("valid Chrome trace");
+        assert!(summary.contains("(82 spans)"), "{summary}");
+        let report = render_timeline(fixture).expect("renders");
+        for stage in ["route", "window_finalize", "merge"] {
+            assert!(report.contains(stage), "{report}");
+        }
+    }
+
+    #[test]
     fn timeline_errors_name_the_offending_line() {
         let rec = quill_telemetry::SpanRecorder::new(8);
         rec.record(Stage::Route, 0, 10, 0);

@@ -28,7 +28,7 @@
 //! | L6 | `lock-discipline` — no blocking op while a lock guard is live (call-graph aware) | whole workspace |
 //! | L7 | `lock-order` — one consistent acquisition order per lock pair | whole workspace |
 //! | L8 | `wall-clock-taint` — L2 propagated through the call graph, cross-crate | deterministic modules |
-//! | L9 | `hot-path-alloc` — no per-event allocation in data-path loops | operator/, parallel, buffer, session |
+//! | L9 | `hot-path-alloc` — no per-event allocation in data-path loops | operator/, parallel, buffer, session, serve server + wire |
 //!
 //! Deliberate exceptions are annotated in the source:
 //!

@@ -3,11 +3,14 @@
 //!
 //! Scope: the per-event loops of `crates/engine/src/operator/*`,
 //! `crates/engine/src/fiba.rs`, `crates/engine/src/parallel.rs`,
-//! `crates/core/src/buffer.rs`, and
-//! `crates/core/src/session.rs`. Flagged constructs: `Vec::new`,
-//! `Box::new`, `vec!`, `format!`, and `.clone()` — each of these inside a
-//! `for`/`while`/`loop` body allocates (or deep-copies) once per event,
-//! which at the paper's stream rates dominates the operator cost model.
+//! `crates/core/src/buffer.rs`, `crates/core/src/session.rs`, and the serve
+//! data path: the reader and core loops of `crates/serve/src/server.rs` and
+//! the frame decoder of `crates/serve/src/wire.rs`. Flagged constructs:
+//! `Vec::new`, `Box::new`, `vec!`, `format!`, `.clone()`, and a
+//! `.drain(..)` chain ending in `.collect()` (a buffer range copied out
+//! into a fresh allocation) — each of these inside a `for`/`while`/`loop`
+//! body allocates (or deep-copies) once per event, which at the paper's
+//! stream rates dominates the operator cost model.
 //!
 //! Constructor-shaped functions (`new`, `with_*`, `from_*`, `default`) are
 //! exempt: their loops run once per session, not per event. Everything else
@@ -19,7 +22,7 @@
 use super::Workspace;
 use crate::rules::RULE_HOT_PATH_ALLOC;
 use crate::syntax::loop_bodies;
-use crate::tokenizer::TokenKind;
+use crate::tokenizer::{Token, TokenKind};
 use crate::{Diagnostic, Severity};
 
 /// The `hot-path-alloc` pass.
@@ -32,11 +35,25 @@ fn in_scope(rel: &str) -> bool {
         || rel == "crates/engine/src/parallel.rs"
         || rel == "crates/core/src/buffer.rs"
         || rel == "crates/core/src/session.rs"
+        || rel == "crates/serve/src/server.rs"
+        || rel == "crates/serve/src/wire.rs"
 }
 
 /// Constructor-shaped functions run per-session, not per-event.
 fn is_constructor(name: &str) -> bool {
     name == "new" || name == "default" || name.starts_with("with_") || name.starts_with("from_")
+}
+
+/// Whether the method chain ending at token `collect` starts from a
+/// `.drain(` earlier in the same statement.
+fn drains_in_same_statement(toks: &[Token], collect: usize) -> bool {
+    let start = toks[..collect]
+        .iter()
+        .rposition(|t| matches!(t.text.as_str(), ";" | "{" | "}"))
+        .map_or(0, |p| p + 1);
+    toks[start..collect]
+        .windows(2)
+        .any(|w| w[0].text == "." && w[1].text == "drain")
 }
 
 impl super::Pass for HotPathAlloc {
@@ -84,6 +101,13 @@ impl super::Pass for HotPathAlloc {
                                 && text(idx + 2) == Some(")") =>
                         {
                             "`.clone()`"
+                        }
+                        "collect"
+                            if idx > 0
+                                && text(idx - 1) == Some(".")
+                                && drains_in_same_statement(toks, idx) =>
+                        {
+                            "`.drain(..)` into `.collect()`"
                         }
                         _ => continue,
                     };

@@ -316,6 +316,29 @@ fn l9_hot_path_alloc_covers_the_fiba_window_state() {
 }
 
 #[test]
+fn l9_hot_path_alloc_covers_the_serve_data_path() {
+    // The serve shell joined the data-path scope: the per-frame
+    // `drain(..).collect()` of the old reader fires once per wire mode,
+    // the in-place cursor walk with one trailing `drain` does not.
+    for path in ["crates/serve/src/server.rs", "crates/serve/src/wire.rs"] {
+        let diags = lint_source(path, &fixture("hot_alloc_serve.rs"));
+        let hits: Vec<&Diagnostic> = diags
+            .iter()
+            .filter(|d| d.rule == RULE_HOT_PATH_ALLOC)
+            .collect();
+        assert_eq!(hits.len(), 2, "{diags:?}");
+        for (hit, func) in hits.iter().zip(["drain_text", "drain_binary"]) {
+            assert!(
+                hit.message.contains("`.collect()`") && hit.message.contains(func),
+                "{diags:?}"
+            );
+        }
+    }
+    let diags = lint_source("crates/serve/src/http.rs", &fixture("hot_alloc_serve.rs"));
+    assert!(!rules(&diags).contains(&RULE_HOT_PATH_ALLOC), "{diags:?}");
+}
+
+#[test]
 fn l9_hot_path_alloc_is_scope_limited() {
     // The same loops outside the data-path modules are not linted.
     let diags = lint_source(

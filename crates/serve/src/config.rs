@@ -159,9 +159,11 @@ pub struct ServeConfig {
     pub http_addr: String,
     /// The shared disorder-control strategy.
     pub strategy: StrategySpec,
-    /// Bound on the ingest queue between socket readers and the session
-    /// core. A full queue blocks readers, which stalls the TCP receive
-    /// window: backpressure instead of unbounded memory.
+    /// Bound, in events, on the ingest queue between socket readers and the
+    /// session core; the server derives from it how many frames one batch
+    /// may carry and how many batches may wait. A full queue blocks readers,
+    /// which stalls the TCP receive window: backpressure instead of
+    /// unbounded memory.
     pub queue_capacity: usize,
     /// Per-connection transport policy.
     pub conn: ConnConfig,

@@ -113,25 +113,24 @@ fn not_found(stream: &mut TcpStream) {
     );
 }
 
-/// Serve HTTP until an exit is requested. Requests are handled serially:
-/// the control surface is low-traffic by design, and serial handling keeps
-/// the session lock uncontended.
+/// Serve HTTP until an exit is requested; the request wakes the blocking
+/// `accept` with a connection of its own, which is dropped unread. Requests
+/// are handled serially: the control surface is low-traffic by design, and
+/// serial handling keeps the session lock uncontended.
 pub(crate) fn serve(shared: &Arc<Shared>, listener: &TcpListener) {
     // The single wall-clock read in this crate: uptime reported by
     // /healthz. It never influences stream-time decisions.
     // quill-lint: allow(no-wall-clock, reason = "operator-facing uptime in /healthz only")
     let started = std::time::Instant::now();
     while !shared.exit_requested() {
-        match listener.accept() {
-            Ok((mut stream, _)) => {
-                if let Some(req) = read_request(&mut stream) {
-                    dispatch(shared, &mut stream, &req, started);
-                }
-            }
-            Err(e) if e.kind() == std::io::ErrorKind::WouldBlock => {
-                std::thread::sleep(Duration::from_millis(5));
-            }
-            Err(_) => break,
+        let Ok((mut stream, _)) = listener.accept() else {
+            break;
+        };
+        if shared.exit_requested() {
+            break;
+        }
+        if let Some(req) = read_request(&mut stream) {
+            dispatch(shared, &mut stream, &req, started);
         }
     }
 }

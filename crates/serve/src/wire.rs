@@ -32,8 +32,12 @@
 //! ```
 //!
 //! All integers are big-endian. Arrival sequence numbers are assigned by
-//! the server at enqueue time (a global arrival order across connections),
-//! so the wire never carries them.
+//! the server's session core in the order batches are handed to it (a
+//! global arrival order across connections), so the wire never carries them.
+//!
+//! [`Decoder`] turns the bytes of successive socket reads into frames
+//! without touching a socket: the server's reader threads drive it, and so
+//! can a test.
 
 use crate::error::{ServeError, ServeResult};
 use quill_engine::prelude::{Row, Timestamp, Value};
@@ -302,6 +306,145 @@ pub fn decode_payload(payload: &[u8]) -> ServeResult<Frame> {
 /// Build an engine row from frame values.
 pub fn row_from_values(values: Vec<Value>) -> Row {
     Row::new(values)
+}
+
+/// Incremental frame decoder for one ingest connection: bytes in, frames
+/// out, no socket.
+///
+/// [`Decoder::extend`] appends what a read delivered; [`Decoder::decode`]
+/// walks the buffered bytes with a cursor, parses each complete frame where
+/// it lies and removes everything consumed with one `drain` per call. The
+/// wire mode is decided by the first four bytes ([`BINARY_MAGIC`] or text).
+/// How the byte stream was cut into reads never changes the frames or where
+/// an error falls. The one allocation left per data frame is its
+/// `Vec<Value>`, which becomes the event's row without a copy.
+#[derive(Debug)]
+pub struct Decoder {
+    buf: Vec<u8>,
+    /// `None` until four bytes (or the end of the stream) decide the mode.
+    binary: Option<bool>,
+    max_frame_len: usize,
+}
+
+impl Decoder {
+    /// A decoder refusing binary payloads and text lines longer than
+    /// `max_frame_len` bytes.
+    pub fn new(max_frame_len: usize) -> Decoder {
+        Decoder {
+            buf: Vec::with_capacity(8 * 1024),
+            binary: None,
+            max_frame_len,
+        }
+    }
+
+    /// Append the bytes of one read.
+    pub fn extend(&mut self, bytes: &[u8]) {
+        self.buf.extend_from_slice(bytes);
+    }
+
+    /// The stream ended: a connection too short to have shown the magic is
+    /// text, and an unterminated last text line still counts. Call
+    /// [`Decoder::decode`] afterwards to collect what that completes.
+    pub fn close(&mut self) {
+        let binary = *self.binary.get_or_insert(false);
+        if !binary && !self.buf.is_empty() {
+            self.buf.push(b'\n');
+        }
+    }
+
+    /// Whether bytes of an incomplete frame are buffered.
+    pub fn has_partial(&self) -> bool {
+        !self.buf.is_empty()
+    }
+
+    /// Decode up to `limit` complete frames, in wire order. An empty result
+    /// means the next frame needs more bytes.
+    ///
+    /// # Errors
+    /// [`ServeError::Protocol`] when the next frame in the stream is
+    /// malformed: an oversized payload or line, non-UTF-8 text, or whatever
+    /// [`parse_line`] / [`decode_payload`] refuse. Every frame before it has
+    /// been returned by then, and the error repeats on later calls.
+    pub fn decode(&mut self, limit: usize) -> ServeResult<Vec<Frame>> {
+        let mut out = Vec::new();
+        let mut at = 0;
+        if self.binary.is_none() && self.buf.len() >= BINARY_MAGIC.len() {
+            let binary = self.buf.starts_with(BINARY_MAGIC);
+            if binary {
+                at = BINARY_MAGIC.len();
+            }
+            self.binary = Some(binary);
+        }
+        if let Some(binary) = self.binary {
+            while out.len() < limit {
+                let next = if binary {
+                    next_binary(&self.buf[at..], self.max_frame_len)
+                } else {
+                    next_text(&self.buf[at..], self.max_frame_len)
+                };
+                let (used, frame) = match next {
+                    Ok(next) => next,
+                    Err(e) if out.is_empty() => {
+                        self.buf.drain(..at);
+                        return Err(e);
+                    }
+                    // The frames before it go out first; the next call
+                    // meets the bad one again.
+                    Err(_) => break,
+                };
+                at += used;
+                match frame {
+                    Some(frame) => out.push(frame),
+                    None => break,
+                }
+            }
+        }
+        self.buf.drain(..at);
+        Ok(out)
+    }
+}
+
+/// The next text frame of `buf` and the bytes it (and any blank or comment
+/// lines before it) used; `None` when no complete line with a frame is left.
+fn next_text(buf: &[u8], max_len: usize) -> ServeResult<(usize, Option<Frame>)> {
+    let mut at = 0;
+    loop {
+        let rest = &buf[at..];
+        let nl = rest.iter().position(|&b| b == b'\n');
+        if nl.unwrap_or(rest.len()) > max_len {
+            return Err(oversized("text line", max_len));
+        }
+        let Some(nl) = nl else {
+            return Ok((at, None));
+        };
+        let line = std::str::from_utf8(&rest[..nl])
+            .map_err(|_| ServeError::Protocol("non-utf8 text line".into()))?;
+        let frame = parse_line(line)?;
+        at += nl + 1;
+        if frame.is_some() {
+            return Ok((at, frame));
+        }
+    }
+}
+
+/// The next binary frame of `buf` (length prefix + payload) and the bytes it
+/// used; `None` when the frame is not complete yet.
+fn next_binary(buf: &[u8], max_len: usize) -> ServeResult<(usize, Option<Frame>)> {
+    let Some(prefix) = buf.first_chunk::<4>() else {
+        return Ok((0, None));
+    };
+    let len = u32::from_be_bytes(*prefix) as usize;
+    if len > max_len {
+        return Err(oversized("binary frame", max_len));
+    }
+    match buf[4..].get(..len) {
+        Some(payload) => Ok((4 + len, Some(decode_payload(payload)?))),
+        None => Ok((0, None)),
+    }
+}
+
+fn oversized(what: &str, max_len: usize) -> ServeError {
+    ServeError::Protocol(format!("{what} exceeds the {max_len}-byte frame limit"))
 }
 
 #[cfg(test)]

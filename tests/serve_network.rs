@@ -3,11 +3,11 @@
 //! mid-stream reconnect), and prove the served results are
 //! element-identical to the batch `execute` path.
 
-use quill_core::prelude::{execute, ExecOptions, FixedKSlack};
-use quill_engine::prelude::{Event, Row};
+use quill_core::prelude::{execute, ExecOptions, FixedKSlack, Session};
+use quill_engine::prelude::{Event, Key, Row, WindowResult};
 use quill_serve::client::{fixture, IngestClient};
 use quill_serve::config::{parse_query, RetryPolicy};
-use quill_serve::wire::Frame;
+use quill_serve::wire::{self, Frame};
 use quill_serve::{ServeConfig, Server, ServerHandle, StrategySpec};
 use std::io::{Read, Write};
 use std::net::TcpStream;
@@ -420,4 +420,185 @@ fn fast_source_is_backpressured_not_dropped() {
     assert_eq!(handle.stats().events, frames.len() as u64, "nothing shed");
     assert!(!handle.poll(id).expect("poll").is_empty());
     handle.shutdown();
+}
+
+/// The reference the daemon must match element for element: one in-process
+/// session fed `frames` by a per-event push loop.
+fn session_push_loop(
+    strategy: &StrategySpec,
+    dsl: &str,
+    frames: &[Frame],
+) -> (Vec<WindowResult>, u64, u64) {
+    let (spec, cfg) = parse_query(dsl).expect("query parses");
+    let mut session = Session::new(strategy.build());
+    let handle = session.register_with(&spec, cfg).expect("registers");
+    let mut seq = 0;
+    for f in frames {
+        match f {
+            Frame::Data { ts, values } => {
+                session.push(Event::new(*ts, seq, Row::new(values.clone())));
+                seq += 1;
+            }
+            Frame::Heartbeat { ts, source } => session.heartbeat(&Key(source.clone()), *ts),
+        }
+    }
+    session.finish();
+    let stats = session.stats();
+    (handle.poll(), stats.events, stats.heartbeats)
+}
+
+/// Serve `frames` written to the socket in one go, so that one read hands
+/// the core many frames, and return what [`session_push_loop`] returns.
+/// While draining, the queue depth gauge must stay within the configured
+/// bound plus one batch in flight at each end (counted in by the blocked
+/// reader, not yet counted out by the core), and end at 0.
+fn served(
+    strategy: &StrategySpec,
+    queue_capacity: usize,
+    dsl: &str,
+    frames: &[Frame],
+    binary: bool,
+) -> (Vec<WindowResult>, u64, u64) {
+    let config = ServeConfig {
+        strategy: strategy.clone(),
+        queue_capacity,
+        ..ServeConfig::default()
+    };
+    let mut handle = Server::start(config).expect("boot");
+    let id = handle.register(dsl).expect("register");
+    let mut bytes = Vec::new();
+    if binary {
+        bytes.extend_from_slice(wire::BINARY_MAGIC);
+    }
+    for f in frames {
+        if binary {
+            bytes.extend_from_slice(&wire::encode_frame(f));
+        } else {
+            bytes.extend_from_slice(wire::to_line(f).as_bytes());
+            bytes.push(b'\n');
+        }
+    }
+    let mut stream = TcpStream::connect(handle.ingest_addr()).expect("connect");
+    stream.write_all(&bytes).expect("write the whole stream");
+    drop(stream);
+
+    let depth = || {
+        handle
+            .registry()
+            .snapshot()
+            .gauge("quill.executor.queue_depth")
+            .unwrap_or(0.0)
+    };
+    for _ in 0..4000 {
+        let d = depth();
+        assert!(
+            d <= 3.0 * queue_capacity as f64,
+            "queue depth {d} escaped capacity {queue_capacity} (an underflow wraps to ~1.8e19)"
+        );
+        let s = handle.stats();
+        if s.events + s.heartbeats >= frames.len() as u64 {
+            break;
+        }
+        std::thread::sleep(Duration::from_millis(1));
+    }
+    assert_eq!(depth(), 0.0, "queue depth gauge after the drain");
+    handle.finish();
+    let stats = handle.stats();
+    let results = handle.poll(id).expect("poll");
+    handle.shutdown();
+    (results, stats.events, stats.heartbeats)
+}
+
+#[test]
+fn batched_hand_off_matches_a_session_push_loop_at_every_queue_capacity() {
+    let fixed = StrategySpec::Fixed(100);
+    let punctuated = StrategySpec::Punctuated {
+        source_field: 1,
+        expected_sources: 2,
+        slack: 0,
+    };
+    // Under `punctuated` a heartbeat moves the watermark. The fixture's
+    // promises are conservative; moved up by the maximum delay they are
+    // broken by the stragglers behind them, so a data frame is on time or
+    // dropped by whether it is pushed before or after the heartbeat beside
+    // it: the order inside a batch shows in the counts.
+    let broken_promises = |seed| -> Vec<Frame> {
+        let mut frames = fixture(2_000, seed, 50, 7);
+        for f in &mut frames {
+            if let Frame::Heartbeat { ts, .. } = f {
+                ts.0 += 50;
+            }
+        }
+        frames
+    };
+    let cases = [
+        (&fixed, Q_COUNT, fixture(3_000, 21, 300, 0), false),
+        (&fixed, Q_SUM, fixture(3_000, 22, 300, 0), true),
+        (
+            &punctuated,
+            "tumbling:100;count:0:n",
+            broken_promises(13),
+            false,
+        ),
+        (
+            &punctuated,
+            "tumbling:100;count:0:n",
+            broken_promises(14),
+            true,
+        ),
+    ];
+    for (strategy, dsl, frames, binary) in &cases {
+        let expected = session_push_loop(strategy, dsl, frames);
+        assert!(!expected.0.is_empty(), "fixture produced results");
+        assert_eq!(expected.1 + expected.2, frames.len() as u64);
+        for queue_capacity in [1, 8, 4096] {
+            let got = served(strategy, queue_capacity, dsl, frames, *binary);
+            assert_eq!(
+                got, expected,
+                "`{dsl}` under {strategy:?}, binary {binary}, queue_capacity {queue_capacity}"
+            );
+        }
+    }
+}
+
+#[test]
+fn a_short_unterminated_text_line_is_not_lost_at_eof() {
+    // Three bytes never decide text against QBIN; at EOF they are text.
+    let mut handle = start_server();
+    let mut stream = TcpStream::connect(handle.ingest_addr()).expect("connect");
+    stream.write_all(b"7 1").expect("write");
+    drop(stream);
+    wait_events(&handle, 1);
+    handle.finish();
+    assert_eq!(handle.stats().events, 1);
+    handle.shutdown();
+}
+
+#[test]
+fn drain_and_shutdown_return_promptly_with_no_client_connected() {
+    // Both accept loops block; only the wake-up connection ends them.
+    let (done_tx, done_rx) = std::sync::mpsc::channel();
+    let worker = std::thread::spawn(move || {
+        let handle = start_server();
+        let (head, _) = http_request(handle.http_addr(), "POST", "/finish", "");
+        assert!(head.starts_with("HTTP/1.1 200"), "{head}");
+        for _ in 0..2000 {
+            if handle.stats().finished {
+                break;
+            }
+            std::thread::sleep(Duration::from_millis(1));
+        }
+        assert!(
+            handle.stats().finished,
+            "POST /finish drained an idle server"
+        );
+        let idle = start_server();
+        idle.shutdown();
+        handle.shutdown();
+        done_tx.send(()).expect("report");
+    });
+    done_rx
+        .recv_timeout(Duration::from_secs(10))
+        .expect("finish and shutdown complete without a client to wake the accept loops");
+    worker.join().expect("worker");
 }
