@@ -20,10 +20,7 @@
 //!   channels or threads), including the former `shards=1, batch=1`
 //!   pathology; and
 //! * an end-to-end `execute()` pair on a disordered stream: shard-local
-//!   window finalization (the default) against legacy global staging; and
-//! * a window-state backend comparison — legacy pane/stage state vs the
-//!   FiBA finger-tree state — on an in-order fold, straggler streams of
-//!   increasing depth, and an end-to-end AQ-K-slack run.
+//!   window finalization (the default) against the older global staging.
 //!
 //! Every timed section reports **min / median / max events/sec across
 //! `--repeat` runs** (input cloning happens outside the timed region), and
@@ -36,14 +33,13 @@
 //! machine-readable PR-over-PR, and prints a human summary.
 
 use quill_core::prelude::{
-    execute, AggregateKind as CoreAggregateKind, AqKSlack, DisorderControl, Event as CoreEvent,
-    ExecOptions, FixedKSlack, QuerySpec, Row as CoreRow, Value as CoreValue,
-    WindowSpec as CoreWindowSpec,
+    execute, AggregateKind as CoreAggregateKind, Event as CoreEvent, ExecOptions, FixedKSlack,
+    QuerySpec, Row as CoreRow, Value as CoreValue, WindowSpec as CoreWindowSpec,
 };
 use quill_engine::aggregate::{AggregateKind, AggregateSpec};
 use quill_engine::operator::{LatePolicy, Operator, WindowAggregateOp, WindowResult};
 use quill_engine::parallel::{run_keyed_parallel_with, ParallelConfig};
-use quill_engine::prelude::{Event, Row, StreamElement, Timestamp, Value, WindowSpec, WindowState};
+use quill_engine::prelude::{Event, Row, StreamElement, Value, WindowSpec};
 use std::path::PathBuf;
 use std::time::Instant;
 
@@ -98,51 +94,6 @@ fn disordered_events(n: u64, keys: i64) -> Vec<CoreEvent> {
             )
         })
         .collect()
-}
-
-/// Long-window order-statistic op for the straggler leg, driven by a
-/// single hot key: window populations reach the tens of thousands, where
-/// the legacy sorted-`Vec` pays a real `O(m)` shift per insert — and a
-/// deeper straggler lands in an older, *fuller* window, so its shift grows
-/// with depth — while FiBA's rank trees stay `O(log m)` at any depth.
-fn make_straggler_op() -> WindowAggregateOp {
-    WindowAggregateOp::new(
-        WindowSpec::tumbling(75_000u64),
-        vec![
-            AggregateSpec::new(AggregateKind::Median, 1, "med"),
-            AggregateSpec::new(AggregateKind::Quantile(0.9), 1, "q90"),
-        ],
-        Some(0),
-        LatePolicy::Drop,
-    )
-    .expect("valid op")
-}
-
-/// Keyed stream whose spine advances in order but where every fourth event
-/// is a straggler `depth` behind the clock, with a watermark every 64
-/// events lagging `depth + 1` so stragglers land *inside* open windows
-/// (never dropped as late) while windows still finalize progressively.
-fn straggler_stream(n: u64, keys: i64, depth: u64) -> Vec<StreamElement> {
-    let mut v: Vec<StreamElement> = Vec::with_capacity(n as usize + n as usize / 64 + 1);
-    for i in 0..n {
-        let ts = if i % 4 == 3 {
-            i.saturating_sub(depth)
-        } else {
-            i
-        };
-        v.push(StreamElement::Event(Event::new(
-            ts,
-            i,
-            Row::new([Value::Int((i as i64) % keys), Value::Float((i % 97) as f64)]),
-        )));
-        if i % 64 == 63 {
-            v.push(StreamElement::Watermark(Timestamp(
-                i.saturating_sub(depth + 1),
-            )));
-        }
-    }
-    v.push(StreamElement::Flush);
-    v
 }
 
 /// The seed's keyed-parallel executor, reproduced verbatim as the
@@ -415,7 +366,7 @@ fn main() -> std::process::ExitCode {
 
     // End-to-end execute() on a disordered stream: shard-local window
     // finalization (default — control-only strategy + per-shard staging)
-    // against legacy global staging (one SlackBuffer re-orders everything
+    // against the older global staging (one SlackBuffer re-orders everything
     // before routing). Same strategy, query and event set.
     let disordered = disordered_events(args.events, args.keys);
     let staged_query = QuerySpec::builder()
@@ -456,98 +407,8 @@ fn main() -> std::process::ExitCode {
         global_staging.median
     );
 
-    // Window-state backends: the legacy pane/stage state against the FiBA
-    // finger-tree state on the same operator, sequential in-process so the
-    // comparison isolates state-maintenance cost. Three legs: an in-order
-    // fold, straggler-heavy streams at increasing depths (where legacy
-    // re-sorts raw window contents on every finalize that absorbed an
-    // out-of-order insert, while FiBA repairs O(log n) caches), and an
-    // end-to-end execute() under the adaptive AQ-K-slack strategy.
-    let run_state = |state: WindowState, inp: Vec<StreamElement>, mk: fn() -> WindowAggregateOp| {
-        let mut op = mk().with_window_state(state);
-        let mut c = 0usize;
-        for el in inp {
-            op.process(el, &mut |_| c += 1);
-        }
-        c
-    };
-    let fold_legacy = eps(&time_stats(
-        args.repeat,
-        || input.clone(),
-        |inp| run_state(WindowState::Legacy, inp, make_op),
-    ));
-    let fold_fiba = eps(&time_stats(
-        args.repeat,
-        || input.clone(),
-        |inp| run_state(WindowState::Fiba, inp, make_op),
-    ));
-    println!(
-        "window-state fold  legacy: {:>12.0} events/s | fiba: {:>12.0} events/s ({:.2}x)",
-        fold_legacy.median,
-        fold_fiba.median,
-        fold_fiba.median / fold_legacy.median
-    );
-    // The straggler leg keeps its own floor on the event count: the `O(m)`
-    // vs `O(log m)` contrast only shows once window populations leave the
-    // memmove-friendly regime, which `--quick`'s 20k events never reach.
-    let straggler_events = args.events.max(150_000);
-    let seps = |t: &TimeStats| eps_stats(straggler_events, t);
-    let mut straggler_rows = Vec::new();
-    for depth in [10_000u64, 30_000, 60_000] {
-        let stream = straggler_stream(straggler_events, 1, depth);
-        let legacy = seps(&time_stats(
-            args.repeat,
-            || stream.clone(),
-            |inp| run_state(WindowState::Legacy, inp, make_straggler_op),
-        ));
-        let fiba = seps(&time_stats(
-            args.repeat,
-            || stream.clone(),
-            |inp| run_state(WindowState::Fiba, inp, make_straggler_op),
-        ));
-        let speedup = fiba.median / legacy.median;
-        println!(
-            "window-state straggler depth={depth:>3}: legacy {:>12.0} events/s | fiba {:>12.0} events/s ({speedup:.2}x)",
-            legacy.median, fiba.median
-        );
-        straggler_rows.push(format!(
-            "      {{\"depth\": {depth}, \"legacy_events_per_sec\": {:.1}, \"fiba_events_per_sec\": {:.1}, \"fiba_speedup\": {speedup:.3}}}",
-            legacy.median, fiba.median
-        ));
-    }
-    let run_aq = |state: WindowState| {
-        let mut k = 0.0f64;
-        let mut completeness = 0.0f64;
-        let e = eps(&time_stats(
-            args.repeat,
-            || AqKSlack::for_completeness(0.99),
-            |mut strategy| {
-                let n = execute(
-                    &disordered,
-                    &mut strategy,
-                    &staged_query,
-                    &ExecOptions::parallel(staging_cfg).with_window_state(state),
-                )
-                .expect("valid query")
-                .results
-                .len();
-                k = strategy.current_k().as_f64();
-                completeness = strategy.aq_stats().measured_completeness;
-                n
-            },
-        ));
-        (e, k, completeness)
-    };
-    let (aq_legacy, aq_legacy_k, aq_legacy_completeness) = run_aq(WindowState::Legacy);
-    let (aq_fiba, aq_fiba_k, aq_fiba_completeness) = run_aq(WindowState::Fiba);
-    let aq_speedup = aq_fiba.median / aq_legacy.median;
-    println!(
-        "window-state AQ-K-slack (8x256): legacy {:>12.0} events/s (K={aq_legacy_k:.0}, compl {aq_legacy_completeness:.4}) | fiba {:>12.0} events/s (K={aq_fiba_k:.0}, compl {aq_fiba_completeness:.4}) ({aq_speedup:.2}x)",
-        aq_legacy.median, aq_fiba.median
-    );
-
     let json = format!(
-        "{{\n  \"bench\": \"keyed_parallel_batched\",\n  \"host\": {{\"cpus_online\": {cpus_online}}},\n  \"workload\": {{\"events\": {}, \"keys\": {}, \"window\": \"sliding(200,40)\", \"aggregates\": [\"median\", \"q0.9\"], \"repeat\": {}}},\n  \"seed_single_event_4shard\": {{\"events_per_sec\": {:.1}}},\n  \"sequential_inprocess\": {{\"events_per_sec\": {:.1}, \"events_per_sec_min\": {:.1}, \"events_per_sec_max\": {:.1}}},\n  \"parallel\": [\n{}\n  ],\n  \"speedup_4shard_vs_seed\": {speedup_4:.3},\n  \"speedup_8shard_vs_1shard\": {speedup_8v1:.3},\n  \"staging\": {{\"shard_local_events_per_sec\": {:.1}, \"global_events_per_sec\": {:.1}, \"shard_local_speedup\": {staging_speedup:.3}}},\n  \"window_state\": {{\n    \"fold\": {{\"legacy_events_per_sec\": {:.1}, \"fiba_events_per_sec\": {:.1}, \"fiba_speedup\": {:.3}}},\n    \"straggler_workload\": {{\"window\": \"tumbling(75000)\", \"keys\": 1, \"straggler_fraction\": 0.25, \"events\": {straggler_events}}},\n    \"straggler_insert\": [\n{}\n    ],\n    \"aq_k_slack\": {{\"legacy_events_per_sec\": {:.1}, \"fiba_events_per_sec\": {:.1}, \"fiba_speedup\": {aq_speedup:.3}, \"legacy_k\": {aq_legacy_k:.1}, \"fiba_k\": {aq_fiba_k:.1}, \"legacy_completeness\": {aq_legacy_completeness:.4}, \"fiba_completeness\": {aq_fiba_completeness:.4}}}\n  }}\n}}\n",
+        "{{\n  \"bench\": \"keyed_parallel_batched\",\n  \"host\": {{\"cpus_online\": {cpus_online}}},\n  \"workload\": {{\"events\": {}, \"keys\": {}, \"window\": \"sliding(200,40)\", \"aggregates\": [\"median\", \"q0.9\"], \"repeat\": {}}},\n  \"seed_single_event_4shard\": {{\"events_per_sec\": {:.1}}},\n  \"sequential_inprocess\": {{\"events_per_sec\": {:.1}, \"events_per_sec_min\": {:.1}, \"events_per_sec_max\": {:.1}}},\n  \"parallel\": [\n{}\n  ],\n  \"speedup_4shard_vs_seed\": {speedup_4:.3},\n  \"speedup_8shard_vs_1shard\": {speedup_8v1:.3},\n  \"staging\": {{\"shard_local_events_per_sec\": {:.1}, \"global_events_per_sec\": {:.1}, \"shard_local_speedup\": {staging_speedup:.3}}}\n}}\n",
         args.events,
         args.keys,
         args.repeat,
@@ -558,12 +419,6 @@ fn main() -> std::process::ExitCode {
         rows.join(",\n"),
         shard_local.median,
         global_staging.median,
-        fold_legacy.median,
-        fold_fiba.median,
-        fold_fiba.median / fold_legacy.median,
-        straggler_rows.join(",\n"),
-        aq_legacy.median,
-        aq_fiba.median,
     );
     if let Some(dir) = args.out.parent() {
         if let Err(e) = std::fs::create_dir_all(dir) {

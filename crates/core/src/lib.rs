@@ -47,7 +47,6 @@ pub mod aq;
 pub mod buffer;
 pub mod controller;
 pub mod estimator;
-pub mod online;
 pub mod plan;
 pub mod punctuated;
 pub mod quality;
@@ -64,8 +63,6 @@ pub mod prelude {
     pub use crate::buffer::{BufferStats, SlackBuffer};
     pub use crate::controller::PiController;
     pub use crate::estimator::{DelayEstimator, DistEstimator, EstimatorKind, HistogramEstimator};
-    #[allow(deprecated)]
-    pub use crate::online::OnlineQuery;
     pub use crate::plan::{
         analyze_plan, parse_plan_jsonl, DelayProfile, Diagnostic as PlanDiagnostic,
         Severity as PlanSeverity, StrategyKind,

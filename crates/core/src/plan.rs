@@ -12,7 +12,7 @@
 //!   any event is buffered.
 //! * **Warn** — the plan runs but wastes resources or silently cannot do
 //!   what the options suggest (snapshots without telemetry, more shards
-//!   than keys, a pane-ineligible slide).
+//!   than keys, order statistics over heavily overlapping windows).
 //! * **Advice** — a better configuration exists.
 //!
 //! Delay knowledge is opt-in: the analyzer only reasons about feasibility
@@ -244,40 +244,29 @@ pub fn analyze_plan(
     diags
 }
 
-/// Window/slide arithmetic: shared-pane eligibility and per-event fan-out.
+/// Window/slide arithmetic: per-event fan-out. (Whether the slide divides
+/// the length is irrelevant: the window state folds an event once either way.)
 fn check_window(query: &QuerySpec, diags: &mut Vec<Diagnostic>) {
     if let WindowSpec::Sliding { length, slide } = query.window {
         let (length, slide) = (length.raw(), slide.raw());
-        if slide > 0 && length % slide != 0 {
-            diags.push(Diagnostic::new(
-                "plan.window.pane-alignment",
-                Severity::Warn,
-                format!(
-                    "slide {slide} does not divide window length {length}: windows cannot be \
-                     decomposed into shared panes, so every event folds into each of its \
-                     ~{} containing windows",
-                    length.div_ceil(slide.max(1))
-                ),
-                "choose a slide that divides the length to enable the shared-pane fold \
-                 (one aggregate insert per event)",
-            ));
-        } else if slide > 0 && length / slide >= 32 {
+        if slide > 0 && length / slide >= 32 {
             diags.push(Diagnostic::new(
                 "plan.window.fanout",
                 Severity::Advice,
                 format!(
-                    "each event belongs to {} overlapping windows (length {length} / slide \
+                    "each event belongs to up to {} overlapping windows (length {length} / slide \
                      {slide})",
-                    length / slide
+                    length.div_ceil(slide)
                 ),
-                "combinable aggregates use the shared-pane fold automatically; \
-                 non-combinable ones pay the full fan-out — consider a coarser slide",
+                "combinable aggregates still fold once per event (one tree insert), but every \
+                 event registers each of its windows, and Median/Quantile/DistinctCount insert \
+                 it into each of them — consider a coarser slide",
             ));
         }
     }
 }
 
-/// Aggregate combinability vs. the fold path the engine will choose.
+/// Aggregate combinability vs. what the window state does per event.
 fn check_fold_path(query: &QuerySpec, diags: &mut Vec<Diagnostic>) {
     if let WindowSpec::Sliding { length, slide } = query.window {
         if slide < length {
@@ -292,12 +281,15 @@ fn check_fold_path(query: &QuerySpec, diags: &mut Vec<Diagnostic>) {
                     "plan.aggregate.fold-path",
                     Severity::Warn,
                     format!(
-                        "non-combinable aggregate(s) [{}] over sliding windows keep O(window) \
-                         state per window instance and forgo the shared-pane fold",
-                        non_combinable.join(", ")
+                        "non-combinable aggregate(s) [{}] over sliding windows keep a rank tree \
+                         or distinct set per open window: one insert per event per containing \
+                         window (~{}), O(window) state each",
+                        non_combinable.join(", "),
+                        length.raw().div_ceil(slide.raw().max(1))
                     ),
-                    "exact order statistics / distinct counts are not pane-decomposable; \
-                     accept the cost, or use combinable aggregates (sum/mean/min/max/...)",
+                    "exact order statistics / distinct counts cannot be combined from \
+                     per-event partials the way sum/mean/min/max are (one tree insert per \
+                     event); accept the cost, or use combinable aggregates",
                 ));
             }
         }
@@ -541,17 +533,17 @@ mod tests {
 
     #[test]
     fn clean_plan_has_no_findings() {
-        let q = query(WindowSpec::tumbling(100u64), AggregateKind::Sum, None);
-        let diags = analyze_plan(&q, &StrategyKind::FixedK(50), &ExecOptions::sequential());
-        assert!(diags.is_empty(), "{diags:?}");
-    }
-
-    #[test]
-    fn misaligned_slide_warns_about_panes() {
-        let q = query(WindowSpec::sliding(100u64, 30u64), AggregateKind::Sum, None);
-        let diags = analyze_plan(&q, &StrategyKind::FixedK(50), &ExecOptions::sequential());
-        assert!(rules(&diags).contains(&"plan.window.pane-alignment"));
-        assert!(diags.iter().all(|d| d.severity < Severity::Deny));
+        // A slide that does not divide the length is as clean as one that
+        // does: a combinable event is folded once either way.
+        for window in [
+            WindowSpec::tumbling(100u64),
+            WindowSpec::sliding(100u64, 25u64),
+            WindowSpec::sliding(100u64, 30u64),
+        ] {
+            let q = query(window, AggregateKind::Sum, None);
+            let diags = analyze_plan(&q, &StrategyKind::FixedK(50), &ExecOptions::sequential());
+            assert!(diags.is_empty(), "{window}: {diags:?}");
+        }
     }
 
     #[test]

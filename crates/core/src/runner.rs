@@ -15,7 +15,6 @@ use crate::strategy::DisorderControl;
 use quill_engine::aggregate::{AggregateKind, AggregateSpec};
 use quill_engine::error::{EngineError, Result};
 use quill_engine::event::{ClockTracker, Event, StreamElement};
-use quill_engine::fiba::WindowState;
 use quill_engine::operator::{
     LatePolicy, Operator, ShardStage, WindowAggregateOp, WindowOpStats, WindowResult,
 };
@@ -206,7 +205,6 @@ impl QuerySpecBuilder {
 /// | [`with_delay_profile`](ExecOptions::with_delay_profile) | enables quality-feasibility checks | a quality target somewhere (options or strategy) | `plan.options.delay-profile-unused` (advice) |
 /// | [`with_expected_keys`](ExecOptions::with_expected_keys) | shard-saturation check | parallel execution | `plan.options.expected-keys-without-parallel` (warn); `plan.options.expected-keys-zero` (deny) for 0 |
 /// | [`with_global_staging`](ExecOptions::with_global_staging) | pins the legacy global-staging dataflow | parallel execution | `plan.options.global-staging-sequential` (warn) |
-/// | [`with_window_state`](ExecOptions::with_window_state) | selects the window state backend (FiBA is the default; `Legacy` restores per-window/pane state) | — | — |
 /// | [`parallel`](ExecOptions::parallel) | keyed-parallel executor | — | `plan.parallel.*` rules |
 #[derive(Debug, Clone, Default)]
 pub struct ExecOptions {
@@ -256,16 +254,6 @@ pub struct ExecOptions {
     /// [`ShardStage`] — element-identical output with no global reorder on
     /// the hot path. Sequential runs ignore this flag.
     pub global_staging: bool,
-    /// Window state backend for the window operators this run constructs.
-    /// The default, [`WindowState::Fiba`], backs every (key, window) with
-    /// finger B-tree aggregators (`quill_engine::fiba`): out-of-order events
-    /// are absorbed in O(log d) of their disorder distance and window slides
-    /// bulk-evict, so admitting stragglers directly into open windows is
-    /// cheap. [`WindowState::Legacy`] restores the original per-window /
-    /// shared-pane state for differential testing and benchmarks. Results
-    /// are element-identical across backends (float aggregates up to the
-    /// documented non-associativity tolerance).
-    pub window_state: WindowState,
 }
 
 impl ExecOptions {
@@ -335,14 +323,6 @@ impl ExecOptions {
     /// way; this exists for comparison benchmarks and differential tests.
     pub fn with_global_staging(mut self, global: bool) -> ExecOptions {
         self.global_staging = global;
-        self
-    }
-
-    /// Select the window state backend (see [`ExecOptions::window_state`]).
-    /// [`WindowState::Fiba`] is the default; [`WindowState::Legacy`] exists
-    /// for differential testing and comparison benchmarks.
-    pub fn with_window_state(mut self, state: WindowState) -> ExecOptions {
-        self.window_state = state;
         self
     }
 }
@@ -591,8 +571,7 @@ pub fn execute(
                 query.aggregates.clone(),
                 query.key_field,
                 LatePolicy::Drop,
-            )?
-            .with_window_state(opts.window_state);
+            )?;
             op.attach_trace(&opts.trace, 0);
             op.attach_spans(&opts.spans, 0);
             let mut results: Vec<WindowResult> = Vec::new();
@@ -619,8 +598,7 @@ pub fn execute(
                     LatePolicy::Drop,
                 )
                 // quill-lint: allow(no-panic, reason = "the identical WindowAggregateOp::new call was validated at the top of execute()")
-                .expect("query validated above")
-                .with_window_state(opts.window_state);
+                .expect("query validated above");
                 op.attach_trace(&opts.trace, shard as u32);
                 op.attach_spans(&opts.spans, shard as u32);
                 op

@@ -38,7 +38,6 @@ use crate::strategy::DisorderControl;
 use parking_lot::Mutex;
 use quill_engine::error::{EngineError, Result};
 use quill_engine::event::{ClockTracker, Event, StreamElement};
-use quill_engine::fiba::WindowState;
 use quill_engine::operator::{
     LatePolicy, Operator, WindowAggregateOp, WindowOpStats, WindowResult,
 };
@@ -276,7 +275,6 @@ pub(crate) struct MultiQueryCore {
     windows_count: Counter,
     results_total: u64,
     spans: SpanRecorder,
-    window_state: WindowState,
 }
 
 impl MultiQueryCore {
@@ -288,14 +286,7 @@ impl MultiQueryCore {
             windows_count: telemetry.counter("quill.merge.windows"),
             results_total: 0,
             spans: SpanRecorder::disabled(),
-            window_state: WindowState::default(),
         }
-    }
-
-    /// Select the window state backend for operators registered from now on
-    /// (builder-time only; queries already registered keep their backend).
-    pub(crate) fn set_window_state(&mut self, state: WindowState) {
-        self.window_state = state;
     }
 
     /// Re-bind counters to a different registry (builder-time only).
@@ -324,8 +315,7 @@ impl MultiQueryCore {
             spec.aggregates.clone(),
             spec.key_field,
             LatePolicy::Drop,
-        )?
-        .with_window_state(self.window_state);
+        )?;
         let id = QueryId(self.next_id);
         self.next_id += 1;
         let state = Arc::new(Mutex::new(SubState {
@@ -535,15 +525,6 @@ impl Session {
     /// analyzer's quality-feasibility checks at registration time.
     pub fn with_delay_profile(mut self, profile: DelayProfile) -> Session {
         self.delay_profile = Some(profile);
-        self
-    }
-
-    /// Select the window state backend ([`WindowState::Fiba`] is the
-    /// default; [`WindowState::Legacy`] restores the per-window/pane
-    /// state for differential testing). Builder-style; attach before
-    /// registering queries — already-registered operators keep theirs.
-    pub fn with_window_state(mut self, state: WindowState) -> Session {
-        self.core.set_window_state(state);
         self
     }
 

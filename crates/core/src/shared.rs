@@ -114,7 +114,6 @@ pub fn execute_shared(
             // to interleaved execution.
             let mut core = MultiQueryCore::new(&opts.telemetry);
             core.attach_spans(&opts.spans);
-            core.set_window_state(opts.window_state);
             for q in queries {
                 core.register(
                     q,
@@ -160,8 +159,7 @@ pub fn execute_shared(
                             LatePolicy::Drop,
                         )
                         // quill-lint: allow(no-panic, reason = "the identical WindowAggregateOp::new call was validated at the top of execute_shared()")
-                        .expect("query validated above")
-                        .with_window_state(opts.window_state);
+                        .expect("query validated above");
                         op.attach_spans(&opts.spans, shard as u32);
                         op
                     },

@@ -75,10 +75,10 @@ impl AggregateKind {
         )
     }
 
-    /// Whether per-pane partial states of this aggregate can be merged into
-    /// a window result (`AggregateSpec::build_pane` returns `Some`). Exact
-    /// order statistics and distinct counts are not decomposable without
-    /// retaining per-pane value sets, so they stay on the per-window path.
+    /// Whether partial states of this aggregate can be merged into a window
+    /// result (`AggregateSpec::build_pane` returns `Some`). Exact order
+    /// statistics and distinct counts are not decomposable without retaining
+    /// value sets, so the window operator keeps per-window state for them.
     pub fn combinable(&self) -> bool {
         self.constant_space()
     }
@@ -162,9 +162,9 @@ impl AggregateSpec {
         }
     }
 
-    /// Instantiate mergeable per-pane partial state, or `None` for kinds
-    /// whose partials cannot be combined (order statistics, distinct
-    /// counts). Used by the shared-pane sliding-window path; see
+    /// Instantiate mergeable partial state, or `None` for kinds whose
+    /// partials cannot be combined (order statistics, distinct counts). The
+    /// window operator stores one per event in its time tree; see
     /// [`PaneAgg`].
     pub(crate) fn build_pane(&self) -> Option<PaneAgg> {
         Some(match self.kind {
@@ -233,18 +233,16 @@ pub trait Aggregator: Send {
     }
 }
 
-/// Mergeable per-pane partial aggregate state.
+/// Mergeable partial aggregate state over a *pane*: a run of events
+/// contiguous in `(ts, seq)` order, as small as one event.
 ///
-/// The shared-pane sliding-window path (stream slicing) folds each event
-/// into exactly one *pane* — the `[k·slide, (k+1)·slide)` interval owning its
-/// timestamp — and assembles window results by merging pane partials instead
-/// of re-folding raw events into every overlapping window. Each variant
-/// wraps the corresponding incremental aggregator and adds a `merge`
+/// The window operator folds each event into exactly one partial — the item
+/// it inserts into the key's finger B-tree ([`crate::fiba`]) — and assembles
+/// window results by merging the partials the tree caches per subtree,
+/// instead of re-folding raw events into every overlapping window. Each
+/// variant wraps the corresponding incremental aggregator and adds a `merge`
 /// operation combining two disjoint partials; merges always fold the *later*
 /// pane into the *earlier* one, so tie-breaking matches event-time order.
-///
-/// Per-event cost is O(1); per-window cost is O(aggs) amortized through the
-/// two-stacks suffix cache in the window operator.
 #[derive(Clone)]
 pub(crate) enum PaneAgg {
     Count(CountAgg),
@@ -640,9 +638,9 @@ impl EdgeAgg {
         }
     }
 
-    /// Merge a later pane's partial. Equal timestamps cannot occur across
-    /// panes (a timestamp maps to exactly one pane), so the insert-order tie
-    /// rule never fires here.
+    /// Merge a later pane's partial. Panes are merged in `(ts, seq)` order,
+    /// so on equal timestamps the earlier pane holds the earlier arrival and
+    /// keeps the tie, exactly as the insert-order rule would.
     fn merge(&mut self, o: &EdgeAgg) {
         self.seen += o.seen;
         if let Some((ots, ov)) = &o.best {

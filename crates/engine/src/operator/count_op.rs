@@ -9,29 +9,17 @@
 use crate::aggregate::{AggregateSpec, Aggregator};
 use crate::error::{EngineError, Result};
 use crate::event::{Event, StreamElement};
-use crate::fiba::{FibaTree, WindowState};
 use crate::operator::window_op::WindowResult;
 use crate::operator::Operator;
 use crate::time::Timestamp;
-use crate::value::{Key, Row, Value};
+use crate::value::{Key, Value};
 use crate::window::Window;
 use std::collections::HashMap;
 
-/// Per-key open batch.
-///
-/// Legacy layout folds each event into `aggs` eagerly, in release order.
-/// The [`WindowState::Fiba`] layout instead time-indexes the batch rows in a
-/// finger B-tree and folds at emission in `(ts, release)` order — the order
-/// every time-based operator uses. The two layouts emit identical results
-/// except for float accumulation order on out-of-order batches (covered by
-/// the non-associativity tolerance rule, see DESIGN.md §17).
+/// Per-key open batch: each event is folded into `aggs` eagerly, in release
+/// order.
 struct Batch {
     aggs: Vec<Box<dyn Aggregator>>,
-    /// [`WindowState::Fiba`] only: raw rows in release order (bounded by the
-    /// window size `n`).
-    rows: Vec<(Timestamp, Row)>,
-    /// [`WindowState::Fiba`] only: finger B-tree over `(ts, release index)`.
-    index: Option<FibaTree<()>>,
     first_ts: Timestamp,
     last_ts: Timestamp,
     count: u64,
@@ -44,7 +32,6 @@ pub struct CountWindowOp {
     aggs: Vec<AggregateSpec>,
     key_field: Option<usize>,
     state: HashMap<Key, Batch>,
-    mode: WindowState,
     out_seq: u64,
     emitted: u64,
 }
@@ -75,26 +62,9 @@ impl CountWindowOp {
             aggs,
             key_field,
             state: HashMap::new(),
-            mode: WindowState::Legacy,
             out_seq: 0,
             emitted: 0,
         })
-    }
-
-    /// Select the batch layout: [`WindowState::Fiba`] time-indexes batch
-    /// rows in a finger B-tree and folds at emission in `(ts, release)`
-    /// order; [`WindowState::Legacy`] folds eagerly in release order — a
-    /// narrow semantic difference that only order-sensitive aggregates
-    /// (first/last on ties) can observe. Call before processing any
-    /// elements.
-    pub fn with_window_state(mut self, mode: WindowState) -> Self {
-        self.mode = mode;
-        self
-    }
-
-    /// The batch layout in effect.
-    pub fn window_state(&self) -> WindowState {
-        self.mode
     }
 
     /// Windows emitted so far.
@@ -114,24 +84,7 @@ impl CountWindowOp {
             batch.first_ts,
             Timestamp(batch.last_ts.raw().saturating_add(1)),
         );
-        let aggregates: Vec<Value> = match &batch.index {
-            // FiBA layout: fold the batch in `(ts, release)` order via the
-            // time index (emitting a count window bulk-drops the whole tree
-            // with the batch).
-            Some(ix) => {
-                let mut built: Vec<Box<dyn Aggregator>> =
-                    self.aggs.iter().map(|a| a.build()).collect();
-                ix.for_each(&mut |k, _| {
-                    if let Some((t, row)) = batch.rows.get(k.1 as usize) {
-                        for (agg, spec) in built.iter_mut().zip(&self.aggs) {
-                            agg.insert_row(*t, row.get(spec.field), row);
-                        }
-                    }
-                });
-                built.iter().map(|a| a.finalize()).collect()
-            }
-            None => batch.aggs.iter().map(|a| a.finalize()).collect(),
-        };
+        let aggregates: Vec<Value> = batch.aggs.iter().map(|a| a.finalize()).collect();
         let r = WindowResult {
             key: key.0.clone(),
             window,
@@ -159,17 +112,8 @@ impl Operator for CountWindowOp {
             StreamElement::Event(e) => {
                 let key = self.key_of(&e);
                 let specs = &self.aggs;
-                let mode = self.mode;
                 let batch = self.state.entry(key.clone()).or_insert_with(|| Batch {
-                    aggs: match mode {
-                        WindowState::Legacy => specs.iter().map(|a| a.build()).collect(),
-                        WindowState::Fiba => Vec::new(),
-                    },
-                    rows: Vec::new(),
-                    index: match mode {
-                        WindowState::Fiba => Some(FibaTree::new()),
-                        WindowState::Legacy => None,
-                    },
+                    aggs: specs.iter().map(|a| a.build()).collect(),
                     first_ts: e.ts,
                     last_ts: e.ts,
                     count: 0,
@@ -178,16 +122,8 @@ impl Operator for CountWindowOp {
                     batch.first_ts = e.ts;
                     batch.last_ts = e.ts;
                 }
-                match &mut batch.index {
-                    Some(ix) => {
-                        ix.insert((e.ts.raw(), batch.rows.len() as u64), ());
-                        batch.rows.push((e.ts, e.row.clone()));
-                    }
-                    None => {
-                        for (agg, spec) in batch.aggs.iter_mut().zip(specs) {
-                            agg.insert_row(e.ts, e.row.get(spec.field), &e.row);
-                        }
-                    }
+                for (agg, spec) in batch.aggs.iter_mut().zip(specs) {
+                    agg.insert_row(e.ts, e.row.get(spec.field), &e.row);
                 }
                 batch.first_ts = batch.first_ts.min(e.ts);
                 batch.last_ts = batch.last_ts.max(e.ts);
@@ -320,47 +256,6 @@ mod tests {
             outs.push(o)
         });
         assert_eq!(outs, vec![StreamElement::Watermark(Timestamp(7))]);
-    }
-
-    #[test]
-    fn fiba_batches_match_legacy_on_scrambled_streams() {
-        // Mixed aggregate set incl. order statistics and an arg-aggregate;
-        // distinct timestamps and integer-valued floats make the `(ts,
-        // release)`-ordered FiBA fold bit-identical to the release-ordered
-        // legacy fold.
-        let mk = || {
-            CountWindowOp::new(
-                7,
-                vec![
-                    AggregateSpec::new(AggregateKind::Count, 1, "n"),
-                    AggregateSpec::new(AggregateKind::Sum, 1, "s"),
-                    AggregateSpec::new(AggregateKind::Median, 1, "med"),
-                    AggregateSpec::new(AggregateKind::First, 1, "f"),
-                    AggregateSpec::new(AggregateKind::ArgMax(1), 0, "am"),
-                ],
-                Some(0),
-            )
-            .unwrap()
-        };
-        let mut input = Vec::new();
-        for i in 0..200u64 {
-            // Scramble: reverse time inside blocks of 4 → every batch sees
-            // out-of-order rows.
-            let ts = (i / 4) * 40 + (3 - i % 4) * 10 + i % 4;
-            input.push(StreamElement::Event(Event::new(
-                ts,
-                i,
-                Row::new([Value::Int((i % 3) as i64), Value::Float((i % 13) as f64)]),
-            )));
-        }
-        input.push(StreamElement::Flush);
-        let mut fiba = mk().with_window_state(WindowState::Fiba);
-        let mut legacy = mk();
-        assert_eq!(fiba.window_state(), WindowState::Fiba);
-        let rf = run(&mut fiba, input.clone());
-        let rl = run(&mut legacy, input);
-        assert_eq!(rf, rl);
-        assert_eq!(fiba.emitted(), legacy.emitted());
     }
 
     #[test]

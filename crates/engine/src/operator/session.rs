@@ -12,7 +12,6 @@
 use crate::aggregate::AggregateSpec;
 use crate::error::{EngineError, Result};
 use crate::event::{Event, StreamElement};
-use crate::fiba::{FibaTree, WindowState};
 use crate::operator::window_op::WindowResult;
 use crate::operator::Operator;
 use crate::time::{TimeDelta, Timestamp};
@@ -41,28 +40,14 @@ struct Session {
     /// Raw (ts, per-aggregate field values) in arrival order — kept so
     /// merges stay exact.
     contents: Vec<(Timestamp, Vec<Value>)>,
-    /// [`WindowState::Fiba`] only: finger B-tree over `(ts, index into
-    /// contents)`. A straggler lands in O(log d) and in-order traversal at
-    /// emission yields the stable-by-timestamp order directly, replacing the
-    /// legacy per-aggregate clone-and-sort of the raw contents.
-    index: Option<FibaTree<()>>,
 }
 
 impl Session {
-    fn new(ts: Timestamp, values: Vec<Value>, mode: WindowState) -> Session {
-        let index = match mode {
-            WindowState::Fiba => {
-                let mut t = FibaTree::new();
-                t.insert((ts.raw(), 0), ());
-                Some(t)
-            }
-            WindowState::Legacy => None,
-        };
+    fn new(ts: Timestamp, values: Vec<Value>) -> Session {
         Session {
             start: ts,
             end_incl: ts,
             contents: vec![(ts, values)],
-            index,
         }
     }
 }
@@ -75,7 +60,6 @@ pub struct SessionWindowOp {
     key_field: Option<usize>,
     /// Open sessions per key, ordered by start.
     state: BTreeMap<Key, Vec<Session>>,
-    mode: WindowState,
     watermark: Timestamp,
     out_seq: u64,
     stats: SessionOpStats,
@@ -116,27 +100,10 @@ impl SessionWindowOp {
             aggs,
             key_field,
             state: BTreeMap::new(),
-            mode: WindowState::Legacy,
             watermark: Timestamp::MIN,
             out_seq: 0,
             stats: SessionOpStats::default(),
         })
-    }
-
-    /// Select the session content layout: [`WindowState::Fiba`] keeps a
-    /// finger B-tree time index per open session (O(log d) straggler
-    /// inserts, sort-free emission), [`WindowState::Legacy`] the plain
-    /// arrival-order buffer sorted at emission. Outputs are identical —
-    /// both finalize in stable `(ts, arrival)` order. Call before
-    /// processing any elements.
-    pub fn with_window_state(mut self, mode: WindowState) -> Self {
-        self.mode = mode;
-        self
-    }
-
-    /// The content layout in effect.
-    pub fn window_state(&self) -> WindowState {
-        self.mode
     }
 
     /// Counters accumulated so far.
@@ -190,35 +157,24 @@ impl SessionWindowOp {
                     .iter()
                     .position(|s| s.start > e.ts)
                     .unwrap_or(sessions.len());
-                sessions.insert(pos, Session::new(e.ts, values, self.mode));
+                sessions.insert(pos, Session::new(e.ts, values));
             }
             1 => {
                 let s = &mut sessions[touching[0]];
                 s.start = s.start.min(e.ts);
                 s.end_incl = s.end_incl.max(e.ts);
-                if let Some(ix) = &mut s.index {
-                    ix.insert((e.ts.raw(), s.contents.len() as u64), ());
-                }
                 s.contents.push((e.ts, values));
             }
             _ => {
                 // Out-of-order bridge event: merge all touched sessions.
                 self.stats.merges += (touching.len() - 1) as u64;
                 touching.sort_unstable();
-                let mut merged = Session::new(e.ts, values, self.mode);
+                let mut merged = Session::new(e.ts, values);
                 // Remove from the back to keep indices valid.
                 for &i in touching.iter().rev() {
                     let s = sessions.remove(i);
                     merged.start = merged.start.min(s.start);
                     merged.end_incl = merged.end_incl.max(s.end_incl);
-                    // Shift the absorbed session's index entries past the
-                    // contents already merged; equal timestamps cannot occur
-                    // across distinct sessions (extents are > gap apart), so
-                    // this cannot perturb stable-by-ts order.
-                    let off = merged.contents.len() as u64;
-                    if let (Some(mi), Some(si)) = (&mut merged.index, &s.index) {
-                        si.for_each(&mut |k, _| mi.insert((k.0, k.1 + off), ()));
-                    }
                     merged.contents.extend(s.contents);
                 }
                 let pos = sessions
@@ -242,37 +198,20 @@ impl SessionWindowOp {
             while i < sessions.len() {
                 if sessions[i].end_incl + self.gap < wm {
                     let s = sessions.remove(i);
-                    let aggregates: Vec<Value> = match &s.index {
-                        // FiBA layout: the tree already yields stable
-                        // `(ts, arrival)` order, so feed aggregators
-                        // directly — no per-aggregate clone-and-sort.
-                        Some(ix) => {
-                            let mut built: Vec<Box<dyn crate::aggregate::Aggregator>> =
-                                self.aggs.iter().map(|a| a.build()).collect();
-                            ix.for_each(&mut |k, _| {
-                                if let Some((t, vs)) = s.contents.get(k.1 as usize) {
-                                    for (ai, agg) in built.iter_mut().enumerate() {
-                                        agg.insert(*t, &vs[ai]);
-                                    }
-                                }
-                            });
-                            built.iter().map(|a| a.finalize()).collect()
-                        }
-                        None => self
-                            .aggs
-                            .iter()
-                            .enumerate()
-                            .map(|(ai, spec)| {
-                                let vals: Vec<(Timestamp, Value)> = s
-                                    .contents
-                                    .iter()
-                                    // quill-lint: allow(hot-path-alloc, reason = "session-window finalize: copies happen once per closed window, not per event")
-                                    .map(|(t, vs)| (*t, vs[ai].clone()))
-                                    .collect();
-                                spec.compute(&vals)
-                            })
-                            .collect(),
-                    };
+                    let aggregates: Vec<Value> = self
+                        .aggs
+                        .iter()
+                        .enumerate()
+                        .map(|(ai, spec)| {
+                            let vals: Vec<(Timestamp, Value)> = s
+                                .contents
+                                .iter()
+                                // quill-lint: allow(hot-path-alloc, reason = "session-window finalize: copies happen once per closed window, not per event")
+                                .map(|(t, vs)| (*t, vs[ai].clone()))
+                                .collect();
+                            spec.compute(&vals)
+                        })
+                        .collect();
                     let window =
                         Window::new(s.start, Timestamp(s.end_incl.raw().saturating_add(1)));
                     emissions.push((
@@ -493,62 +432,5 @@ mod tests {
         assert_eq!(s.open_sessions(), 2);
         let _ = run(&mut s, vec![StreamElement::Flush]);
         assert_eq!(s.open_sessions(), 0);
-    }
-
-    #[test]
-    fn fiba_contents_match_legacy_across_disorder_and_merges() {
-        // Deterministic scrambled stream with bridge events, equal-timestamp
-        // ties, watermarks, and lates: the FiBA content index must reproduce
-        // the legacy stable-by-ts fold bit-exactly (integer-valued floats
-        // keep Sum/Mean arithmetic identical — same values, same order).
-        let mk = || {
-            SessionWindowOp::new(
-                10u64,
-                vec![
-                    AggregateSpec::new(AggregateKind::Count, 0, "n"),
-                    AggregateSpec::new(AggregateKind::Sum, 0, "s"),
-                    AggregateSpec::new(AggregateKind::Median, 0, "med"),
-                    AggregateSpec::new(AggregateKind::DistinctCount, 0, "d"),
-                    AggregateSpec::new(AggregateKind::First, 0, "f"),
-                    AggregateSpec::new(AggregateKind::Last, 0, "l"),
-                ],
-                None,
-            )
-            .unwrap()
-        };
-        let mut input = Vec::new();
-        let mut x: u64 = 0x5eed_c0de;
-        for i in 0..400u64 {
-            // xorshift: bursts every ~24 units with jitter, occasional deep
-            // stragglers and duplicate timestamps.
-            x ^= x << 13;
-            x ^= x >> 7;
-            x ^= x << 17;
-            let burst = (i / 6) * 24;
-            let ts = match x % 10 {
-                0..=7 => burst + x % 5, // in-burst (duplicate-prone) ts
-                // Bridge: within gap of both the prior burst's tail
-                // (burst−24..burst−20) and this burst's head → merge.
-                8 => burst.saturating_sub(10),
-                _ => burst.saturating_sub(60), // deep straggler (likely late)
-            };
-            input.push(ev(ts, i, (x % 7) as f64));
-            if i % 40 == 39 {
-                input.push(StreamElement::Watermark(Timestamp(
-                    burst.saturating_sub(16),
-                )));
-            }
-        }
-        input.push(StreamElement::Flush);
-        let mut fiba = mk().with_window_state(WindowState::Fiba);
-        let mut legacy = mk();
-        assert_eq!(fiba.window_state(), WindowState::Fiba);
-        assert_eq!(legacy.window_state(), WindowState::Legacy);
-        let rf = run(&mut fiba, input.clone());
-        let rl = run(&mut legacy, input);
-        assert_eq!(rf, rl);
-        assert_eq!(fiba.stats(), legacy.stats());
-        assert!(fiba.stats().merges > 0, "stream must exercise merges");
-        assert!(fiba.stats().late_dropped > 0, "stream must exercise lates");
     }
 }

@@ -12,35 +12,25 @@
 //! events (and therefore where watermarks sit); this operator turns those
 //! watermarks into results whose completeness the metrics crate scores.
 //!
-//! ## Execution paths
+//! ## Window state
 //!
-//! Three state layouts are available:
+//! There is one state layout, FiBA ([`crate::fiba`]; DESIGN.md §17 records
+//! the measurements that retired the per-window and shared-pane layouts).
+//! Per key, one finger B-tree over `(ts, seq)` keys holds a combinable
+//! partial per event, so an event is folded *once* whatever the window
+//! shape ([`WindowOpStats::agg_inserts`] counts it); window finalize is a
+//! range query over cached subtree combines, and the slide bulk-evicts
+//! everything no later window can cover. Aggregates whose partials cannot be
+//! combined (Median/Quantile/DistinctCount) keep a value-indexed tree or a
+//! set per open window; subtree counts answer rank queries in `O(log n)`.
 //!
-//! * **Per-window** (the general path): every `(key, window)` instance holds
-//!   its own aggregate state; an event is folded into each of the
-//!   `ceil(length/slide)` windows containing its timestamp.
-//! * **Shared-pane** (stream slicing): when the window is sliding with
-//!   `slide < length`, `slide | length`, the late policy is `Drop` and every
-//!   aggregate is [combinable](crate::aggregate::AggregateKind::combinable),
-//!   each event is folded *once* into its home pane (`[k·slide,
-//!   (k+1)·slide)`), and window results are assembled by merging pane
-//!   partials with a two-stacks FIFO suffix cache — amortized O(1) pane
-//!   merges per emission. Sliding Sum/Variance therefore no longer recompute
-//!   from raw window contents on emit; [`WindowOpStats::agg_inserts`]
-//!   instruments the difference.
-//! * **FiBA** ([`crate::fiba`], selected via
-//!   [`WindowAggregateOp::with_window_state`] with
-//!   [`WindowState::Fiba`](crate::fiba::WindowState)): per key, one finger
-//!   B-tree over `(ts, seq)` keys holds a combinable partial per event;
-//!   window finalize is a range query over cached subtree combines, and the
-//!   slide bulk-evicts everything no later window can cover. Order-statistic
-//!   aggregates (Median/Quantile) keep a value-indexed FiBA per open window
-//!   whose subtree counts answer rank queries in `O(log n)` — replacing the
-//!   legacy sorted-`Vec`'s `O(n)` shift per out-of-order insert. Applies to
-//!   tumbling and sliding (aligned or not) under the `Drop` policy; `Revise`
-//!   falls back to the per-window path.
+//! Under [`LatePolicy::Revise`] an emitted window stays in its key's window
+//! map, with its emission count, until the watermark passes `end +
+//! allowed_lateness`: a late event re-runs the range query and emits the
+//! next revision, and eviction cuts at the start of the oldest window still
+//! tracked instead of one slide past the emitted one.
 
-use crate::aggregate::{AggregateKind, AggregateSpec, Aggregator, PaneAgg};
+use crate::aggregate::{AggregateKind, AggregateSpec, PaneAgg};
 use crate::error::Result;
 use crate::event::{Event, StreamElement};
 use crate::fiba::{f64_to_ordered, ordered_to_f64, FibaItem, FibaTree, WindowState};
@@ -69,6 +59,19 @@ pub enum LatePolicy {
     },
 }
 
+impl LatePolicy {
+    /// Whether a window ending at `end` still takes events at watermark `wm`:
+    /// an open window always does, a closed one only under `Revise` and only
+    /// until its allowed lateness runs out. Monotone in `end`, and once false
+    /// for a window it stays false (watermarks never regress).
+    fn accepts(self, end: u64, wm: u64) -> bool {
+        match self {
+            LatePolicy::Drop => end > wm,
+            LatePolicy::Revise { allowed_lateness } => end.saturating_add(allowed_lateness) >= wm,
+        }
+    }
+}
+
 /// Counters the operator maintains; read them after a run to account for
 /// every input event.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq, Serialize, Deserialize)]
@@ -82,12 +85,10 @@ pub struct WindowOpStats {
     pub revisions: u64,
     /// Window results emitted (first emissions, not revisions).
     pub windows_emitted: u64,
-    /// Aggregate-state folds performed: one per open window instance the
-    /// event lands in on the per-window path, exactly one per accepted event
-    /// on the shared-pane path, and on the FiBA path one per accepted event
-    /// plus one per open window instance receiving order-statistic values.
-    /// The ratio to `accepted` shows whether sliding windows share state
-    /// (`1`) or recompute per instance (`≈ length/slide`).
+    /// Aggregate-state folds performed: one time-tree insert per accepted
+    /// event, plus one per window instance receiving order-statistic values
+    /// (Median/Quantile/DistinctCount). The ratio to `accepted` is `1` when
+    /// every aggregate is combinable and `≈ 1 + length/slide` otherwise.
     pub agg_inserts: u64,
 }
 
@@ -145,82 +146,11 @@ impl WindowResult {
     }
 }
 
-/// Per-(key, window) incremental state (the general per-window path; not to
-/// be confused with the [`WindowState`] backend selector from [`crate::fiba`]).
-struct PerWindowState {
-    aggs: Vec<Box<dyn Aggregator>>,
-    count: u64,
-    /// How many times this window has been emitted (0 = not yet).
-    emissions: u64,
-}
-
-/// Ordered state key: emission order is by window end, then start, then key,
-/// which makes output deterministic.
-type StateKey = (Timestamp, Timestamp, Key);
-
-/// One pane's mergeable partials plus its event count.
-struct Pane {
-    partials: Vec<PaneAgg>,
-    rows: u64,
-}
-
-/// A combined partial: per-spec pane aggregates plus total event count.
-type Combined = (Vec<PaneAgg>, u64);
-
-/// Two-stacks FIFO combine cache over one key's pane sequence.
-///
-/// Between emissions, `front ∪ back` (front older, oldest on top of the
-/// stack) holds exactly the panes of the last emitted window. Emitting the
-/// next window pushes the newly covered pane onto the back (extending the
-/// running `back_agg`), evicts the expired pane from the front — flipping
-/// the back into suffix-combined front entries when the front runs dry —
-/// and answers with `front.top ⊕ back_agg`. Each pane is merged O(1) times
-/// amortized, so an emission costs O(aggs) instead of O(length/slide).
-struct FifoRun {
-    /// Window end this run can advance to; anything else forces a rebuild.
-    next_end: u64,
-    /// Value of [`KeyPanes::mods`] when the caches were built; any insert
-    /// into the key's panes bumps `mods` and invalidates the run.
-    epoch: u64,
-    /// Newest pane first, so the oldest pane is `last()` (stack top). Each
-    /// entry caches the combine of that pane with every newer front pane.
-    front: Vec<(u64, Combined)>,
-    /// Pane starts in the back, oldest first — dense (empty panes included)
-    /// so eviction stays positionally aligned with window starts.
-    back: Vec<u64>,
-    /// Running combine of the back panes.
-    back_agg: Option<Combined>,
-}
-
-/// Pane state for one grouping key.
-#[derive(Default)]
-struct KeyPanes {
-    /// Pane start → partials. Panes are GC'd once every window covering
-    /// them has been emitted.
-    panes: BTreeMap<u64, Pane>,
-    /// Insert epoch; see [`FifoRun::epoch`].
-    mods: u64,
-    run: Option<FifoRun>,
-}
-
-/// Shared-pane (stream slicing) state; present only when the window shape,
-/// aggregates and late policy allow it.
-struct PanedState {
-    length: u64,
-    slide: u64,
-    /// Fresh (empty) partials, cloned per new pane.
-    template: Vec<PaneAgg>,
-    keys: BTreeMap<Key, KeyPanes>,
-    /// Registered-but-unemitted `(window end, key)` pairs; drained in order
-    /// as the watermark advances, which reproduces the per-window path's
-    /// `(end, start, key)` emission order (equal ends share a start).
-    pending: BTreeSet<(Timestamp, Key)>,
-}
-
 /// One event's combinable partials, stored as the item of the per-key time
-/// tree. Combining in `(ts, seq)` key order reproduces the per-window path's
-/// insertion-order fold exactly (the shard stages deliver equal-timestamp
-/// events in `seq` order), so Edge/Arg tie rules agree between backends.
+/// tree. Combining in `(ts, seq)` key order is a fold in timestamp order with
+/// arrival order breaking ties (the shard stages deliver equal-timestamp
+/// events in `seq` order), which is what the Edge/Arg tie rules are defined
+/// over.
 #[derive(Clone)]
 struct EventSlice(Vec<PaneAgg>);
 
@@ -232,32 +162,42 @@ impl FibaItem for EventSlice {
     }
 }
 
-/// Per-open-window state for aggregates whose partials cannot be combined.
+/// Per-window state for aggregates whose partials cannot be combined.
 enum OrderStat {
     /// Value-indexed finger B-tree: keys are `(total-order f64 bits, uniq)`,
     /// so subtree counts answer `select(k)` in O(log n) and an out-of-order
-    /// value insert costs O(log n) instead of the legacy sorted-`Vec`'s
-    /// O(n) shift. Non-numeric values are skipped, like `QuantileAgg`.
+    /// value insert costs O(log n), not a sorted `Vec`'s O(n) shift.
+    /// Non-numeric values are skipped, like `QuantileAgg`.
     Rank { p: f64, tree: FibaTree<()> },
     /// Distinct non-null keys; identical semantics to `DistinctAgg`.
     Distinct(BTreeSet<Key>),
 }
 
-/// FiBA state for one grouping key.
+/// What a key remembers about one window besides the events in its time tree.
+struct TrackedWindow {
+    /// One [`OrderStat`] per non-combinable spec, in spec order; empty when
+    /// every spec is combinable.
+    order: Vec<OrderStat>,
+    /// How many times the window has been emitted (0 = still pending). Only
+    /// `Revise` keeps a window past its first emission.
+    emissions: u64,
+}
+
+/// Window state for one grouping key.
 struct FibaKeyState {
     /// Finger B-tree over `(ts, seq)` holding one [`EventSlice`] per
     /// accepted event; window finalize is `range_agg` over `[start, end)`.
     time: FibaTree<EventSlice>,
-    /// Per still-open `(end, start)` window: one [`OrderStat`] per
-    /// non-combinable spec, in spec order. Empty when every spec is
-    /// combinable.
-    windows: BTreeMap<(Timestamp, Timestamp), Vec<OrderStat>>,
+    /// Per `(end, start)` window that needs more than the time tree: every
+    /// window with order-statistic specs until it is emitted, and under
+    /// `Revise` every window until its allowed lateness runs out. Stays empty
+    /// under `Drop` when every spec is combinable.
+    windows: BTreeMap<(Timestamp, Timestamp), TrackedWindow>,
     /// Disambiguator for equal value bits in [`OrderStat::Rank`] trees.
     uniq: u64,
 }
 
-/// FiBA-backed window state; present when selected via
-/// [`WindowAggregateOp::with_window_state`] and the late policy is `Drop`.
+/// The operator's window state (see the module docs).
 struct FibaState {
     length: u64,
     slide: u64,
@@ -267,9 +207,32 @@ struct FibaState {
     /// for order-statistic/distinct kinds (served from [`OrderStat`]s).
     slots: Vec<Option<usize>>,
     keys: BTreeMap<Key, FibaKeyState>,
-    /// Registered-but-unemitted `(end, start, key)` windows, drained in the
-    /// per-window path's emission order as the watermark advances.
+    /// Registered-but-unemitted `(end, start, key)` windows, drained in
+    /// emission order as the watermark advances.
     pending: BTreeSet<(Timestamp, Timestamp, Key)>,
+    /// `Revise` only: emitted windows still inside their allowed lateness,
+    /// in the order they expire.
+    retained: BTreeSet<(Timestamp, Timestamp, Key)>,
+}
+
+impl FibaState {
+    /// `Revise`: a window of `key` just left the key's window map. The map
+    /// now holds exactly the key's open or revisable windows, so events
+    /// before the oldest one's start fall in no window that can be asked for
+    /// again — bulk-evict them, and drop the key with its last window.
+    fn evict_untracked(&mut self, key: &Key) {
+        let Some(ks) = self.keys.get_mut(key) else {
+            return;
+        };
+        match ks.windows.first_key_value() {
+            Some((&(_, start), _)) => {
+                ks.time.evict_before((start.raw(), 0));
+            }
+            None => {
+                self.keys.remove(key);
+            }
+        }
+    }
 }
 
 /// Fresh [`OrderStat`] states for every non-combinable spec, in spec order.
@@ -315,6 +278,58 @@ fn rank_quantile(tree: &FibaTree<()>, p: f64) -> Value {
     Value::Float(x_lo + (x_hi - x_lo) * frac)
 }
 
+/// Pop the first `(end, start, key)` of `set` if its window end satisfies
+/// `pred`.
+fn pop_first_if(
+    set: &mut BTreeSet<(Timestamp, Timestamp, Key)>,
+    pred: impl Fn(Timestamp) -> bool,
+) -> Option<(Timestamp, Timestamp, Key)> {
+    if pred(set.first()?.0) {
+        set.pop_first()
+    } else {
+        None
+    }
+}
+
+/// One output per spec, in spec order: combinable kinds from the range
+/// query's combined partials, the rest from the window's [`OrderStat`]s.
+fn finalize_window(
+    aggs: &[AggregateSpec],
+    slots: &[Option<usize>],
+    template: &[PaneAgg],
+    combined: Option<&EventSlice>,
+    order: &[OrderStat],
+) -> Vec<Value> {
+    let mut aggregates = Vec::with_capacity(aggs.len());
+    let mut oi = 0;
+    for (spec, slot) in aggs.iter().zip(slots) {
+        match slot {
+            Some(j) => aggregates.push(match combined {
+                Some(slice) => slice.0[*j].finalize(),
+                // Defensive: a registered window always covers ≥ 1
+                // accepted event, but emit an empty result rather than
+                // lose the window.
+                None => template[*j].finalize(),
+            }),
+            None => {
+                let v = match order.get(oi) {
+                    Some(OrderStat::Rank { p, tree }) => rank_quantile(tree, *p),
+                    Some(OrderStat::Distinct(set)) => Value::Int(set.len() as i64),
+                    // Defensive, as above: match each kind's empty-state
+                    // finalize.
+                    None => match spec.kind {
+                        AggregateKind::DistinctCount => Value::Int(0),
+                        _ => Value::Null,
+                    },
+                };
+                aggregates.push(v);
+                oi += 1;
+            }
+        }
+    }
+    aggregates
+}
+
 /// Keyed sliding/tumbling window aggregation operator.
 pub struct WindowAggregateOp {
     name: String,
@@ -322,9 +337,7 @@ pub struct WindowAggregateOp {
     aggs: Vec<AggregateSpec>,
     key_field: Option<usize>,
     late_policy: LatePolicy,
-    state: BTreeMap<StateKey, PerWindowState>,
-    paned: Option<PanedState>,
-    fiba: Option<FibaState>,
+    fiba: FibaState,
     watermark: Timestamp,
     out_seq: u64,
     stats: WindowOpStats,
@@ -358,16 +371,35 @@ impl WindowAggregateOp {
                 "window aggregation requires at least one aggregate".into(),
             ));
         }
-        let paned = Self::pane_state(&spec, &aggs, late_policy);
+        // Combinable kinds get a slot in the per-event tree item; the rest
+        // are served from per-window `OrderStat`s.
+        let mut template = Vec::new();
+        let mut slots = Vec::with_capacity(aggs.len());
+        for a in &aggs {
+            match a.build_pane() {
+                Some(p) => {
+                    slots.push(Some(template.len()));
+                    template.push(p);
+                }
+                None => slots.push(None),
+            }
+        }
+        let fiba = FibaState {
+            length: spec.length().raw(),
+            slide: spec.slide().raw(),
+            template,
+            slots,
+            keys: BTreeMap::new(),
+            pending: BTreeSet::new(),
+            retained: BTreeSet::new(),
+        };
         Ok(WindowAggregateOp {
             name: format!("window-agg({spec})"),
             spec,
             aggs,
             key_field,
             late_policy,
-            state: BTreeMap::new(),
-            paned,
-            fiba: None,
+            fiba,
             watermark: Timestamp::MIN,
             out_seq: 0,
             stats: WindowOpStats::default(),
@@ -396,121 +428,13 @@ impl WindowAggregateOp {
         self.shard = shard;
     }
 
-    /// Shared-pane state when eligible: overlapping sliding windows whose
-    /// slide divides the length, `Drop` lateness, and only combinable
-    /// aggregates. Everything else uses per-window state.
-    fn pane_state(
-        spec: &WindowSpec,
-        aggs: &[AggregateSpec],
-        late_policy: LatePolicy,
-    ) -> Option<PanedState> {
-        let (length, slide) = match *spec {
-            WindowSpec::Sliding { length, slide } => (length.raw(), slide.raw()),
-            WindowSpec::Tumbling { .. } => return None,
-        };
-        if slide == 0 || slide >= length || length % slide != 0 {
-            return None;
-        }
-        if late_policy != LatePolicy::Drop {
-            return None;
-        }
-        let template: Option<Vec<PaneAgg>> = aggs.iter().map(|a| a.build_pane()).collect();
-        Some(PanedState {
-            length,
-            slide,
-            template: template?,
-            keys: BTreeMap::new(),
-            pending: BTreeSet::new(),
-        })
-    }
-
-    /// Whether this operator runs on the shared-pane path (see module docs).
-    pub fn shares_panes(&self) -> bool {
-        self.paned.is_some()
-    }
-
-    /// Select the window state backend. [`WindowState::Fiba`] routes events
-    /// through per-key finger B-tree aggregators ([`crate::fiba`]) when the
-    /// late policy is `Drop` (under `Revise`, revisions need retained
-    /// per-window state, so the per-window path is kept);
-    /// [`WindowState::Legacy`] restores the per-window / shared-pane layout.
-    ///
-    /// The operator-level default is `Legacy` so the operator behaves
-    /// exactly as before in isolation; `quill-core`'s `ExecOptions` defaults
-    /// every execution to `Fiba`. Call before processing any elements —
-    /// switching discards accumulated state.
-    pub fn with_window_state(mut self, mode: WindowState) -> Self {
-        self.fiba = match mode {
-            WindowState::Fiba => Self::fiba_state(&self.spec, &self.aggs, self.late_policy),
-            WindowState::Legacy => None,
-        };
-        self.paned = if self.fiba.is_some() {
-            None
-        } else {
-            Self::pane_state(&self.spec, &self.aggs, self.late_policy)
-        };
-        self
-    }
-
-    /// The backend actually in effect (`Fiba` only when eligible — see
-    /// [`Self::with_window_state`]).
-    pub fn window_state(&self) -> WindowState {
-        if self.fiba.is_some() {
-            WindowState::Fiba
-        } else {
-            WindowState::Legacy
-        }
-    }
-
-    /// FiBA state when eligible: any tumbling or sliding shape under the
-    /// `Drop` policy, every aggregate kind (non-combinable kinds get
-    /// per-window [`OrderStat`] trees instead of tree partials).
-    fn fiba_state(
-        spec: &WindowSpec,
-        aggs: &[AggregateSpec],
-        late_policy: LatePolicy,
-    ) -> Option<FibaState> {
-        if late_policy != LatePolicy::Drop {
-            return None;
-        }
-        let (length, slide) = match *spec {
-            WindowSpec::Sliding { length, slide } => (length.raw(), slide.raw()),
-            WindowSpec::Tumbling { length } => (length.raw(), length.raw()),
-        };
-        if slide == 0 || length == 0 {
-            return None;
-        }
-        let mut template = Vec::new();
-        let mut slots = Vec::with_capacity(aggs.len());
-        for a in aggs {
-            match a.build_pane() {
-                Some(p) => {
-                    slots.push(Some(template.len()));
-                    template.push(p);
-                }
-                None => slots.push(None),
-            }
-        }
-        Some(FibaState {
-            length,
-            slide,
-            template,
-            slots,
-            keys: BTreeMap::new(),
-            pending: BTreeSet::new(),
-        })
-    }
-
-    /// Force the execution path: `false` pins the per-window layout even
-    /// when pane sharing would apply (for differential testing and
-    /// benchmarking); `true` re-enables it where eligible. Call before
-    /// processing any elements — switching discards accumulated pane state.
-    pub fn with_shared_panes(mut self, enabled: bool) -> Self {
-        self.paned = if enabled {
-            Self::pane_state(&self.spec, &self.aggs, self.late_policy)
-        } else {
-            None
-        };
+    /// Does nothing: FiBA is the only window state. Kept for exactly one
+    /// caller, the `quill-e2e` benchmark (`benchmark/src/layers.rs`, the
+    /// `window.fold_ns_per_event` layer), which passes its freshly built
+    /// operator through here with `WindowState::default()` and may not be
+    /// edited by the changes it judges. Nothing inside the workspace calls
+    /// this.
+    pub fn with_window_state(self, _: WindowState) -> Self {
         self
     }
 
@@ -519,16 +443,11 @@ impl WindowAggregateOp {
         self.stats
     }
 
-    /// Number of (key, window) states currently held (registered pending
-    /// windows on the shared-pane and FiBA paths).
+    /// Number of (key, window) states currently held: registered windows not
+    /// yet emitted, plus — under `Revise` — emitted windows still inside
+    /// their allowed lateness.
     pub fn open_windows(&self) -> usize {
-        if let Some(fs) = &self.fiba {
-            return fs.pending.len();
-        }
-        match &self.paned {
-            Some(ps) => ps.pending.len(),
-            None => self.state.len(),
-        }
+        self.fiba.pending.len() + self.fiba.retained.len()
     }
 
     fn key_of(&self, row: &Row) -> Key {
@@ -538,151 +457,21 @@ impl WindowAggregateOp {
         }
     }
 
-    fn fold_event(&mut self, e: &Event) {
-        let key = self.key_of(&e.row);
-        let windows = self.spec.assign(e.ts);
-        let mut accepted = false;
-        let mut late = false;
-        // Windows this event can no longer contribute to (trace only).
-        let mut missed: Vec<(u64, u64)> = Vec::new();
-        let tracing = self.trace.is_enabled();
-        for w in windows {
-            // A window is "closed" once the watermark passed its end.
-            let closed = w.end <= self.watermark;
-            match (closed, self.late_policy) {
-                (true, LatePolicy::Drop) => {
-                    late = true;
-                    if tracing {
-                        missed.push((w.start.raw(), w.end.raw()));
-                    }
-                    continue;
-                }
-                (true, LatePolicy::Revise { allowed_lateness }) => {
-                    if self.watermark > w.end + crate::time::TimeDelta(allowed_lateness) {
-                        late = true;
-                        if tracing {
-                            missed.push((w.start.raw(), w.end.raw()));
-                        }
-                        continue;
-                    }
-                }
-                (false, _) => {}
-            }
-            // quill-lint: allow(hot-path-alloc, reason = "BTreeMap state needs an owned key per assigned window; a key is one small Value")
-            let state_key: StateKey = (w.end, w.start, key.clone());
-            let st = self
-                .state
-                .entry(state_key)
-                .or_insert_with(|| PerWindowState {
-                    aggs: self.aggs.iter().map(|a| a.build()).collect(),
-                    count: 0,
-                    emissions: 0,
-                });
-            for (agg, spec) in st.aggs.iter_mut().zip(&self.aggs) {
-                agg.insert_row(e.ts, e.row.get(spec.field), &e.row);
-            }
-            st.count += 1;
-            self.stats.agg_inserts += 1;
-            accepted = true;
-        }
-        if accepted {
-            self.stats.accepted += 1;
-        } else if late {
-            self.stats.late_dropped += 1;
-        } else {
-            // No window contained the event (cannot happen for valid specs,
-            // but account for it rather than losing events silently).
-            self.stats.late_dropped += 1;
-        }
-        if !missed.is_empty() {
-            self.trace.record(
-                e.ts.raw(),
-                self.shard,
-                TraceKind::LateDrop {
-                    event_seq: e.seq,
-                    windows: missed,
-                },
-            );
-        }
-    }
-
-    /// Shared-pane ingest: one aggregate fold into the event's home pane,
-    /// plus (for a freshly created pane) registering the pane's still-open
-    /// windows as pending emissions.
-    fn fold_event_paned(&mut self, e: &Event) {
+    /// Ingest: one `(ts, seq)` insert into the key's time tree carrying the
+    /// event's combinable partials, plus — per window that still accepts the
+    /// event — registering it as pending and folding order-statistic values
+    /// into its rank trees / distinct sets. Under `Revise`, a window that was
+    /// already emitted is re-queried and emitted again as the next revision.
+    fn fold_event(&mut self, e: &Event, out: &mut dyn FnMut(StreamElement)) {
         let key = self.key_of(&e.row);
         let wm = self.watermark.raw();
-        // quill-lint: allow(no-panic, reason = "fold_event_paned is only reached via the paned dispatch, which requires paned.is_some()")
-        let ps = self.paned.as_mut().expect("paned path");
-        let t = e.ts.raw();
-        let p = t / ps.slide * ps.slide;
-        // The last window containing `t` ends at `p + length`; if the
-        // watermark passed it, every containing window is closed.
-        if p.saturating_add(ps.length) <= wm {
-            self.stats.late_dropped += 1;
-            if self.trace.is_enabled() {
-                let missed: Vec<(u64, u64)> = self
-                    .spec
-                    .assign(e.ts)
-                    .into_iter()
-                    .map(|w| (w.start.raw(), w.end.raw()))
-                    .collect();
-                self.trace.record(
-                    e.ts.raw(),
-                    self.shard,
-                    TraceKind::LateDrop {
-                        event_seq: e.seq,
-                        windows: missed,
-                    },
-                );
-            }
-            return;
-        }
-        let kp = ps.keys.entry(key.clone()).or_default();
-        kp.mods += 1;
-        let new_pane = !kp.panes.contains_key(&p);
-        let pane = kp.panes.entry(p).or_insert_with(|| Pane {
-            partials: ps.template.clone(),
-            rows: 0,
-        });
-        for (agg, spec) in pane.partials.iter_mut().zip(&self.aggs) {
-            agg.insert_row(e.ts, e.row.get(spec.field), &e.row);
-        }
-        pane.rows += 1;
-        self.stats.agg_inserts += 1;
-        self.stats.accepted += 1;
-        if new_pane {
-            // Register ends {p+slide, …, p+length} that are real windows
-            // (end ≥ length, i.e. start ≥ 0) and still open. Already-emitted
-            // ends stay final (Drop policy), so idempotent registration per
-            // pane creation suffices.
-            let mut end = p.saturating_add(ps.length);
-            let first = p + ps.slide;
-            while end >= first && end >= ps.length && end > wm {
-                // quill-lint: allow(hot-path-alloc, reason = "runs once per created pane, not per event")
-                ps.pending.insert((Timestamp(end), key.clone()));
-                match end.checked_sub(ps.slide) {
-                    Some(prev) => end = prev,
-                    None => break,
-                }
-            }
-        }
-    }
-
-    /// FiBA ingest: one `(ts, seq)` insert into the key's time tree carrying
-    /// the event's combinable partials, plus registering the event's
-    /// still-open windows as pending and folding order-statistic values into
-    /// those windows' rank trees / distinct sets.
-    fn fold_event_fiba(&mut self, e: &Event) {
-        let key = self.key_of(&e.row);
-        let wm = self.watermark.raw();
-        // quill-lint: allow(no-panic, reason = "fold_event_fiba is only reached via the fiba dispatch, which requires fiba.is_some()")
-        let fs = self.fiba.as_mut().expect("fiba path");
+        let policy = self.late_policy;
+        let fs = &mut self.fiba;
         let t = e.ts.raw();
         let home = t / fs.slide * fs.slide;
-        // The last window containing `t` ends at `home + length`; if the
-        // watermark passed it, every containing window is closed.
-        if home.saturating_add(fs.length) <= wm {
+        // The last window containing `t` ends at `home + length`; if that
+        // one no longer accepts the event, none does.
+        if !policy.accepts(home.saturating_add(fs.length), wm) {
             self.stats.late_dropped += 1;
             if self.trace.is_enabled() {
                 let missed: Vec<(u64, u64)> = self
@@ -705,7 +494,6 @@ impl WindowAggregateOp {
         // Build the event's slice of combinable partials and insert it once,
         // keyed `(ts, seq)`: an in-order arrival lands at the right finger in
         // O(1) amortized, a straggler in O(log n) — never an O(n) shift.
-        // quill-lint: allow(hot-path-alloc, reason = "per-event slice of combinable partials: a handful of enum words cloned once per accepted event, the FiBA analogue of the paned path's per-pane template clone")
         let mut partials = fs.template.clone();
         for (slot, spec) in fs.slots.iter().zip(&self.aggs) {
             if let Some(j) = *slot {
@@ -721,26 +509,39 @@ impl WindowAggregateOp {
         self.stats.agg_inserts += 1;
         self.stats.accepted += 1;
         let has_order = fs.slots.iter().any(|s| s.is_none());
+        let revise = policy != LatePolicy::Drop;
+        // Already-emitted windows this event reaches (`Revise` only; never
+        // allocates under `Drop`).
+        let mut revised: Vec<Window> = Vec::new();
         for w in self.spec.assign(e.ts) {
-            if w.end.raw() <= wm {
-                continue; // closed; Drop policy — already emitted, stays final
+            if !policy.accepts(w.end.raw(), wm) {
+                continue; // closed for good: already emitted, stays final
             }
-            // quill-lint: allow(hot-path-alloc, reason = "BTreeSet registration needs an owned key per assigned window; a key is one small Value")
-            fs.pending.insert((w.end, w.start, key.clone()));
-            if !has_order {
+            let tracked = (has_order || revise).then(|| {
+                ks.windows
+                    .entry((w.end, w.start))
+                    .or_insert_with(|| TrackedWindow {
+                        order: build_order_stats(&self.aggs),
+                        emissions: 0,
+                    })
+            });
+            match &tracked {
+                Some(tw) if tw.emissions > 0 => revised.push(w),
+                _ => {
+                    // quill-lint: allow(hot-path-alloc, reason = "BTreeSet registration needs an owned key per assigned window; a key is one small Value")
+                    fs.pending.insert((w.end, w.start, key.clone()));
+                }
+            }
+            let Some(tw) = tracked.filter(|_| has_order) else {
                 continue;
-            }
+            };
             self.stats.agg_inserts += 1;
-            let states = ks
-                .windows
-                .entry((w.end, w.start))
-                .or_insert_with(|| build_order_stats(&self.aggs));
             let mut oi = 0;
             for (slot, spec) in fs.slots.iter().zip(&self.aggs) {
                 if slot.is_some() {
                     continue;
                 }
-                match states.get_mut(oi) {
+                match tw.order.get_mut(oi) {
                     Some(OrderStat::Rank { tree, .. }) => {
                         if let Some(x) = e.row.get(spec.field).as_f64() {
                             let u = ks.uniq;
@@ -763,40 +564,8 @@ impl WindowAggregateOp {
                 oi += 1;
             }
         }
-    }
-
-    /// Emit revisions for closed-but-retained windows that just received a
-    /// late event (Revise policy only).
-    fn emit_revisions(&mut self, e: &Event, out: &mut dyn FnMut(StreamElement)) {
-        if !matches!(self.late_policy, LatePolicy::Revise { .. }) {
-            return;
-        }
-        let key = self.key_of(&e.row);
-        for w in self.spec.assign(e.ts) {
-            if w.end > self.watermark {
-                continue; // still open; normal emission will cover it
-            }
-            // quill-lint: allow(hot-path-alloc, reason = "revision path: one copy per revised window on a late event")
-            let state_key: StateKey = (w.end, w.start, key.clone());
-            // Split borrows: compute the row, then bump counters.
-            let (row, ts) = match self.state.get_mut(&state_key) {
-                Some(st) if st.emissions > 0 => {
-                    st.emissions += 1;
-                    let res = WindowResult {
-                        // quill-lint: allow(hot-path-alloc, reason = "one key copy per emitted revision row")
-                        key: key.0.clone(),
-                        window: w,
-                        count: st.count,
-                        revision: st.emissions - 1,
-                        aggregates: st.aggs.iter().map(|a| a.finalize()).collect(),
-                    };
-                    (res.to_row(), w.end)
-                }
-                _ => continue,
-            };
-            self.stats.revisions += 1;
-            self.out_seq += 1;
-            out(StreamElement::Event(Event::new(ts, self.out_seq, row)));
+        for w in revised {
+            self.emit_window(w.end, w.start, &key, out);
         }
     }
 
@@ -806,386 +575,136 @@ impl WindowAggregateOp {
             return;
         }
         self.watermark = wm;
-        if self.fiba.is_some() {
-            self.drain_pending_fiba(wm, out);
-            out(StreamElement::Watermark(wm));
-            return;
+        // Emit every pending window up to the watermark; the set is already
+        // in emission order.
+        while let Some((end, start, key)) = pop_first_if(&mut self.fiba.pending, |end| end <= wm) {
+            self.emit_window(end, start, &key, out);
         }
-        if self.paned.is_some() {
-            self.drain_pending_paned(wm, out);
-            out(StreamElement::Watermark(wm));
-            return;
-        }
-        // Emit every not-yet-emitted window with end <= wm, in (end, start,
-        // key) order. Under Drop policy the state is removed; under Revise it
-        // is retained until allowed lateness expires.
-        let ends: Vec<StateKey> = self
-            .state
-            .range(..(wm, Timestamp::MAX, Key(Value::Null)))
-            .map(|(k, _)| k.clone())
-            .collect();
-        for sk in ends {
-            let (end, start, ref key) = sk;
-            if end > wm {
-                continue;
+        // `Revise`: forget emitted windows whose allowed lateness just ran
+        // out (the set is empty under `Drop`).
+        let (policy, fs) = (self.late_policy, &mut self.fiba);
+        let expired = |end: Timestamp| !policy.accepts(end.raw(), wm.raw());
+        while let Some((end, start, key)) = pop_first_if(&mut fs.retained, expired) {
+            if let Some(ks) = fs.keys.get_mut(&key) {
+                ks.windows.remove(&(end, start));
             }
-            let retain = match self.late_policy {
-                LatePolicy::Drop => false,
-                LatePolicy::Revise { allowed_lateness } => {
-                    wm <= end + crate::time::TimeDelta(allowed_lateness)
-                }
-            };
-            let emit_row = {
-                let st = match self.state.get_mut(&sk) {
-                    Some(st) => st,
-                    None => continue,
-                };
-                if st.emissions > 0 {
-                    None // already emitted (a revision window awaiting GC)
-                } else {
-                    st.emissions = 1;
-                    let row = WindowResult {
-                        // quill-lint: allow(hot-path-alloc, reason = "one key copy per closed window at watermark advance, not per event")
-                        key: key.0.clone(),
-                        window: Window::new(start, end),
-                        count: st.count,
-                        revision: 0,
-                        aggregates: st.aggs.iter().map(|a| a.finalize()).collect(),
-                    }
-                    .to_row();
-                    Some((row, st.count))
-                }
-            };
-            if let Some((row, count)) = emit_row {
-                self.stats.windows_emitted += 1;
-                self.out_seq += 1;
-                if self.trace.is_enabled() {
-                    self.trace.record(
-                        end.raw(),
-                        self.shard,
-                        TraceKind::WindowFinalize {
-                            start: start.raw(),
-                            end: end.raw(),
-                            key: key.0.to_string(),
-                            count,
-                        },
-                    );
-                }
-                if self.spans.is_enabled() {
-                    // Window complete at `end`, proven complete at `wm`. A
-                    // Flush (wm = MAX) carries no event time: zero lag.
-                    let closed = if wm == Timestamp::MAX { end } else { wm };
-                    self.spans
-                        .record(Stage::WindowFinalize, end.raw(), closed.raw(), self.shard);
-                }
-                out(StreamElement::Event(Event::new(end, self.out_seq, row)));
-            }
-            if !retain {
-                self.state.remove(&sk);
-            }
+            fs.evict_untracked(&key);
         }
         out(StreamElement::Watermark(wm));
     }
 
-    /// Shared-pane emission: pop every pending `(end, key)` up to the
-    /// watermark (already in emission order), combine that window's panes,
-    /// and GC panes no later window can cover.
-    fn drain_pending_paned(&mut self, wm: Timestamp, out: &mut dyn FnMut(StreamElement)) {
-        loop {
-            let (end, key) = {
-                // quill-lint: allow(no-panic, reason = "drain_pending_paned is only reached via the paned dispatch, which requires paned.is_some()")
-                let ps = self.paned.as_mut().expect("paned path");
-                match ps.pending.first() {
-                    Some((e, _)) if *e <= wm => {
-                        // quill-lint: allow(no-panic, reason = "first() just returned Some on this same set")
-                        let (e, k) = ps.pending.pop_first().expect("non-empty");
-                        (e.raw(), k)
-                    }
-                    _ => break,
-                }
-            };
-            let row = self.emit_paned_window(end, &key);
-            self.stats.windows_emitted += 1;
-            self.out_seq += 1;
-            out(StreamElement::Event(Event::new(
-                Timestamp(end),
-                self.out_seq,
-                row,
-            )));
-        }
-    }
-
-    fn emit_paned_window(&mut self, end: u64, key: &Key) -> Row {
-        // quill-lint: allow(no-panic, reason = "emit_paned_window is only called from drain_pending_paned, which already held the paned state")
-        let ps = self.paned.as_mut().expect("paned path");
-        // Registration guarantees `end >= length` (window start ≥ 0).
-        let start = end - ps.length;
-        let combined: Option<Combined> = match ps.keys.get_mut(key) {
-            None => None,
-            Some(kp) => {
-                let c = combine_window(kp, start, end, ps.slide, &ps.template);
-                // Panes before `end + slide − length` can never be covered
-                // by a later window of this key.
-                let min_keep = end.saturating_add(ps.slide).saturating_sub(ps.length);
-                kp.panes = kp.panes.split_off(&min_keep);
-                if kp.panes.is_empty() {
-                    // All of this key's registered windows are emitted (the
-                    // newest pane's last window is the newest pending end).
-                    ps.keys.remove(key);
-                }
-                c
-            }
-        };
-        let (aggregates, count) = match combined {
-            Some((partials, rows)) => (partials.iter().map(|a| a.finalize()).collect(), rows),
-            // Defensive: a registered window always covers ≥ 1 non-empty
-            // pane, but emit an empty result rather than lose the window.
-            None => (ps.template.iter().map(|a| a.finalize()).collect(), 0),
-        };
-        if self.trace.is_enabled() {
-            self.trace.record(
-                end,
-                self.shard,
-                TraceKind::WindowFinalize {
-                    start,
-                    end,
-                    key: key.0.to_string(),
-                    count,
-                },
-            );
-        }
-        if self.spans.is_enabled() {
-            // Same semantics as the per-window path: the watermark that
-            // drained this pending entry is the current one (Flush sets it
-            // to MAX, which carries no event time: zero lag).
-            let closed = if self.watermark == Timestamp::MAX {
-                end
-            } else {
-                self.watermark.raw()
-            };
-            self.spans
-                .record(Stage::WindowFinalize, end, closed, self.shard);
-        }
-        WindowResult {
-            key: key.0.clone(),
-            window: Window::new(Timestamp(start), Timestamp(end)),
-            count,
-            revision: 0,
-            aggregates,
-        }
-        .to_row()
-    }
-
-    /// FiBA emission: pop every pending `(end, start, key)` up to the
-    /// watermark (already in emission order), answer the window with a range
-    /// query, and bulk-evict what no later window of the key can cover.
-    fn drain_pending_fiba(&mut self, wm: Timestamp, out: &mut dyn FnMut(StreamElement)) {
-        loop {
-            let (end, start, key) = {
-                // quill-lint: allow(no-panic, reason = "drain_pending_fiba is only reached via the fiba dispatch, which requires fiba.is_some()")
-                let fs = self.fiba.as_mut().expect("fiba path");
-                match fs.pending.first() {
-                    Some((e, _, _)) if *e <= wm => {
-                        // quill-lint: allow(no-panic, reason = "first() just returned Some on this same set")
-                        fs.pending.pop_first().expect("non-empty")
-                    }
-                    _ => break,
-                }
-            };
-            let row = self.emit_fiba_window(end, start, &key);
-            self.stats.windows_emitted += 1;
-            self.out_seq += 1;
-            out(StreamElement::Event(Event::new(end, self.out_seq, row)));
-        }
-    }
-
-    fn emit_fiba_window(&mut self, end: Timestamp, start: Timestamp, key: &Key) -> Row {
-        // quill-lint: allow(no-panic, reason = "emit_fiba_window is only called from drain_pending_fiba, which already held the fiba state")
-        let fs = self.fiba.as_mut().expect("fiba path");
+    /// Answer window `[start, end)` of `key` with a range query and emit the
+    /// row: the first emission when the watermark closes the window, revision
+    /// *n* when a late event reaches it afterwards. A window that can still
+    /// take events (`Revise`, inside its allowed lateness) stays tracked;
+    /// otherwise it is forgotten and whatever no later window of the key can
+    /// cover is bulk-evicted.
+    fn emit_window(
+        &mut self,
+        end: Timestamp,
+        start: Timestamp,
+        key: &Key,
+        out: &mut dyn FnMut(StreamElement),
+    ) {
+        let policy = self.late_policy;
+        let retain = policy.accepts(end.raw(), self.watermark.raw());
+        let fs = &mut self.fiba;
         let (s, e) = (start.raw(), end.raw());
-        let mut combined: Option<EventSlice> = None;
         let mut count = 0u64;
-        let mut order: Vec<OrderStat> = Vec::new();
-        if let Some(ks) = fs.keys.get_mut(key) {
-            // Registered windows have `end ≥ 1` (start ≥ 0, length ≥ 1), so
-            // the inclusive upper bound `(end − 1, MAX)` cannot underflow.
-            let (agg, n) = ks.time.range_agg((s, 0), (e - 1, u64::MAX));
-            combined = agg;
-            count = n;
-            order = ks.windows.remove(&(end, start)).unwrap_or_default();
-            // Bulk eviction: entries before the next possible window start of
-            // this key (`start + slide`) can never be covered again. Pending
-            // windows of this key all end after `end`, hence start at or
-            // after `start + slide` on the slide grid.
-            ks.time.evict_before((s.saturating_add(fs.slide), 0));
-            if ks.time.is_empty() && ks.windows.is_empty() {
-                fs.keys.remove(key);
-            }
-        }
-        let mut aggregates = Vec::with_capacity(self.aggs.len());
-        let mut oi = 0;
-        for (spec, slot) in self.aggs.iter().zip(&fs.slots) {
-            match slot {
-                Some(j) => aggregates.push(match &combined {
-                    Some(slice) => slice.0[*j].finalize(),
-                    // Defensive: a registered window always covers ≥ 1
-                    // accepted event, but emit an empty result rather than
-                    // lose the window.
-                    None => fs.template[*j].finalize(),
-                }),
-                None => {
-                    let v = match order.get(oi) {
-                        Some(OrderStat::Rank { p, tree }) => rank_quantile(tree, *p),
-                        Some(OrderStat::Distinct(set)) => Value::Int(set.len() as i64),
-                        // Defensive, as above: match each kind's empty-state
-                        // finalize.
-                        None => match spec.kind {
-                            AggregateKind::DistinctCount => Value::Int(0),
-                            _ => Value::Null,
-                        },
-                    };
-                    aggregates.push(v);
-                    oi += 1;
+        let mut revision = 0u64;
+        let aggregates = match fs.keys.get_mut(key) {
+            Some(ks) => {
+                // Registered windows have `end ≥ 1` (start ≥ 0, length ≥ 1),
+                // so the inclusive upper bound `(end − 1, MAX)` cannot
+                // underflow.
+                let (combined, n) = ks.time.range_agg((s, 0), (e - 1, u64::MAX));
+                count = n;
+                let mut forgotten;
+                let tracked = if retain {
+                    ks.windows.get_mut(&(end, start))
+                } else {
+                    forgotten = ks.windows.remove(&(end, start));
+                    forgotten.as_mut()
+                };
+                let order: &[OrderStat] = match tracked {
+                    Some(tw) => {
+                        revision = tw.emissions;
+                        tw.emissions += 1;
+                        &tw.order
+                    }
+                    None => &[],
+                };
+                let aggregates = finalize_window(
+                    &self.aggs,
+                    &fs.slots,
+                    &fs.template,
+                    combined.as_ref(),
+                    order,
+                );
+                match policy {
+                    LatePolicy::Drop => {
+                        // Bulk eviction: entries before the next possible
+                        // window start of this key (`start + slide`) can
+                        // never be covered again. Pending windows of this key
+                        // all end after `end`, hence start at or after
+                        // `start + slide` on the slide grid.
+                        ks.time.evict_before((s.saturating_add(fs.slide), 0));
+                        if ks.time.is_empty() && ks.windows.is_empty() {
+                            fs.keys.remove(key);
+                        }
+                    }
+                    LatePolicy::Revise { .. } if retain => {
+                        if revision == 0 {
+                            fs.retained.insert((end, start, key.clone()));
+                        }
+                    }
+                    LatePolicy::Revise { .. } => fs.evict_untracked(key),
                 }
+                aggregates
+            }
+            // Defensive: a registered window always has its key, but emit an
+            // empty result rather than lose the window.
+            None => finalize_window(&self.aggs, &fs.slots, &fs.template, None, &[]),
+        };
+        self.out_seq += 1;
+        if revision > 0 {
+            self.stats.revisions += 1;
+        } else {
+            self.stats.windows_emitted += 1;
+            if self.trace.is_enabled() {
+                self.trace.record(
+                    e,
+                    self.shard,
+                    TraceKind::WindowFinalize {
+                        start: s,
+                        end: e,
+                        key: key.0.to_string(),
+                        count,
+                    },
+                );
+            }
+            if self.spans.is_enabled() {
+                // Window complete at `end`, proven complete at the watermark
+                // that drained it (Flush sets it to MAX, which carries no
+                // event time: zero lag).
+                let closed = if self.watermark == Timestamp::MAX {
+                    e
+                } else {
+                    self.watermark.raw()
+                };
+                self.spans
+                    .record(Stage::WindowFinalize, e, closed, self.shard);
             }
         }
-        if self.trace.is_enabled() {
-            self.trace.record(
-                e,
-                self.shard,
-                TraceKind::WindowFinalize {
-                    start: s,
-                    end: e,
-                    key: key.0.to_string(),
-                    count,
-                },
-            );
-        }
-        if self.spans.is_enabled() {
-            // Same semantics as the other paths: the watermark that drained
-            // this pending entry closed the window (Flush sets it to MAX,
-            // which carries no event time: zero lag).
-            let closed = if self.watermark == Timestamp::MAX {
-                e
-            } else {
-                self.watermark.raw()
-            };
-            self.spans
-                .record(Stage::WindowFinalize, e, closed, self.shard);
-        }
-        WindowResult {
+        let row = WindowResult {
             key: key.0.clone(),
             window: Window::new(start, end),
             count,
-            revision: 0,
+            revision,
             aggregates,
         }
-        .to_row()
-    }
-}
-
-/// Combine the panes of window `[start, end)` through the key's
-/// [`FifoRun`], rebuilding it when the cache is stale (non-consecutive end,
-/// or inserts since the last combine).
-fn combine_window(
-    kp: &mut KeyPanes,
-    start: u64,
-    end: u64,
-    slide: u64,
-    template: &[PaneAgg],
-) -> Option<Combined> {
-    let valid = kp
-        .run
-        .as_ref()
-        .is_some_and(|r| r.next_end == end && r.epoch == kp.mods);
-    if !valid {
-        // Rebuild: every pane of this window goes to the back, combined
-        // left-to-right (oldest first, preserving merge orientation).
-        let mut back = Vec::with_capacity(((end - start) / slide) as usize);
-        let mut back_agg: Option<Combined> = None;
-        let mut p = start;
-        while p < end {
-            back.push(p);
-            if let Some(pane) = kp.panes.get(&p) {
-                merge_combined(&mut back_agg, &pane.partials, pane.rows);
-            }
-            p += slide;
-        }
-        let result = back_agg.clone();
-        kp.run = Some(FifoRun {
-            next_end: end.saturating_add(slide),
-            epoch: kp.mods,
-            front: Vec::new(),
-            back,
-            back_agg,
-        });
-        return result;
-    }
-    // quill-lint: allow(no-panic, reason = "the rebuild branch above returns early after setting kp.run = Some(...)")
-    let run = kp.run.as_mut().expect("validated above");
-    // Slide one step: admit pane `end − slide`, evict pane `start − slide`.
-    let newest = end - slide;
-    run.back.push(newest);
-    if let Some(pane) = kp.panes.get(&newest) {
-        merge_combined(&mut run.back_agg, &pane.partials, pane.rows);
-    }
-    if run.front.is_empty() {
-        // Flip: turn the back into front entries caching suffix combines
-        // (walk newest → oldest; each entry = pane ⊕ previous suffix).
-        let mut suffix: Option<Combined> = None;
-        for &p in run.back.iter().rev() {
-            let mut entry: Combined = match kp.panes.get(&p) {
-                // quill-lint: allow(hot-path-alloc, reason = "two-stack flip: amortized one copy per pane per flip, not per event")
-                Some(pane) => (pane.partials.clone(), pane.rows),
-                None => (template.to_vec(), 0),
-            };
-            if let Some((sfx, srows)) = &suffix {
-                for (a, b) in entry.0.iter_mut().zip(sfx) {
-                    a.merge(b);
-                }
-                entry.1 += srows;
-            }
-            // quill-lint: allow(hot-path-alloc, reason = "suffix cache of the flip; same amortized bound as above")
-            suffix = Some(entry.clone());
-            run.front.push((p, entry));
-        }
-        run.back.clear();
-        run.back_agg = None;
-    }
-    let evicted = run.front.pop();
-    debug_assert_eq!(
-        evicted.as_ref().map(|(p, _)| *p),
-        Some(start - slide),
-        "front top must be the expired pane"
-    );
-    let result = match run.front.last() {
-        Some((_, (sfx, srows))) => {
-            let mut out = (sfx.clone(), *srows);
-            if let Some((b, brows)) = &run.back_agg {
-                for (a, x) in out.0.iter_mut().zip(b) {
-                    a.merge(x);
-                }
-                out.1 += brows;
-            }
-            Some(out)
-        }
-        None => run.back_agg.clone(),
-    };
-    run.next_end = end.saturating_add(slide);
-    run.epoch = kp.mods;
-    result
-}
-
-/// Fold a later pane into an accumulating combined partial.
-fn merge_combined(acc: &mut Option<Combined>, partials: &[PaneAgg], rows: u64) {
-    match acc {
-        None => *acc = (partials.to_vec(), rows).into(),
-        Some((aggs, n)) => {
-            for (a, b) in aggs.iter_mut().zip(partials) {
-                a.merge(b);
-            }
-            *n += rows;
-        }
+        .to_row();
+        out(StreamElement::Event(Event::new(end, self.out_seq, row)));
     }
 }
 
@@ -1196,16 +715,7 @@ impl Operator for WindowAggregateOp {
 
     fn process(&mut self, el: StreamElement, out: &mut dyn FnMut(StreamElement)) {
         match el {
-            StreamElement::Event(e) => {
-                if self.fiba.is_some() {
-                    self.fold_event_fiba(&e);
-                } else if self.paned.is_some() {
-                    self.fold_event_paned(&e);
-                } else {
-                    self.fold_event(&e);
-                    self.emit_revisions(&e, out);
-                }
-            }
+            StreamElement::Event(e) => self.fold_event(&e, out),
             StreamElement::Watermark(wm) => self.advance_watermark(wm, out),
             StreamElement::Flush => {
                 self.advance_watermark(Timestamp::MAX, out);
@@ -1344,6 +854,92 @@ mod tests {
     }
 
     #[test]
+    fn revise_with_bounded_lateness_holds_no_state_past_the_horizon() {
+        // Sliding windows, an order-statistic aggregate, two keys: a window
+        // is revisable until the watermark passes `end + 15`, an event past
+        // that is dropped, and once every horizon has passed nothing is left.
+        let mut w = WindowAggregateOp::new(
+            WindowSpec::sliding(20u64, 10u64),
+            vec![
+                AggregateSpec::new(AggregateKind::Sum, 1, "sum"),
+                AggregateSpec::new(AggregateKind::Median, 1, "med"),
+            ],
+            Some(0),
+            LatePolicy::Revise {
+                allowed_lateness: 15,
+            },
+        )
+        .unwrap();
+        let mk = |ts: u64, seq: u64, k: &str, v: f64| {
+            StreamElement::Event(Event::new(
+                ts,
+                seq,
+                Row::new([Value::str(k), Value::Float(v)]),
+            ))
+        };
+        let row = |r: &WindowResult| {
+            (
+                r.key.as_str().unwrap().to_string(),
+                r.window.start.raw(),
+                r.revision,
+                r.count,
+                r.aggregates[0].as_f64().unwrap(),
+                r.aggregates[1].as_f64().unwrap(),
+            )
+        };
+        let first = run(
+            &mut w,
+            vec![
+                mk(5, 1, "a", 1.0),  // [0,20)
+                mk(12, 2, "a", 2.0), // [0,20) and [10,30)
+                mk(14, 3, "b", 7.0), // [0,20) and [10,30)
+                StreamElement::Watermark(Timestamp(30)),
+                mk(8, 4, "a", 3.0), // late into emitted [0,20): revision 1
+            ],
+        );
+        assert_eq!(
+            first.iter().map(row).collect::<Vec<_>>(),
+            vec![
+                ("a".into(), 0, 0, 2, 3.0, 1.5),
+                ("b".into(), 0, 0, 1, 7.0, 7.0),
+                ("a".into(), 10, 0, 1, 2.0, 2.0),
+                ("b".into(), 10, 0, 1, 7.0, 7.0),
+                ("a".into(), 0, 1, 3, 6.0, 2.0),
+            ]
+        );
+        assert_eq!(w.open_windows(), 4, "all four windows are still revisable");
+        let second = run(
+            &mut w,
+            vec![
+                StreamElement::Watermark(Timestamp(36)), // [0,20) expires: 20 + 15 < 36
+                mk(9, 5, "a", 9.0),                      // only in [0,20): dropped
+                mk(15, 6, "a", 4.0), // [0,20) is gone, [10,30) takes it: revision 1
+            ],
+        );
+        // The revision sees exactly the events of [10,30) — 12 and 15 — so
+        // the expiry evicted 5 and 8 and nothing else.
+        assert_eq!(
+            second.iter().map(row).collect::<Vec<_>>(),
+            vec![("a".into(), 10, 1, 2, 6.0, 3.0)]
+        );
+        assert_eq!(w.stats().late_dropped, 1);
+        assert_eq!(w.open_windows(), 2);
+        assert_eq!(w.fiba.keys.len(), 2);
+        let last = run(
+            &mut w,
+            vec![
+                StreamElement::Watermark(Timestamp(46)), // [10,30) expires: 30 + 15 < 46
+                StreamElement::Flush,
+            ],
+        );
+        assert!(last.is_empty());
+        assert_eq!(w.open_windows(), 0);
+        assert!(w.fiba.keys.is_empty(), "bounded lateness, bounded memory");
+        assert_eq!((w.stats().windows_emitted, w.stats().revisions), (4, 2));
+        assert_eq!(w.stats().accepted, 5);
+    }
+
+    #[test]
     fn keyed_aggregation_separates_groups() {
         let mut w = WindowAggregateOp::new(
             WindowSpec::tumbling(10u64),
@@ -1459,185 +1055,58 @@ mod tests {
         .is_err());
     }
 
-    fn approx_eq(a: &WindowResult, b: &WindowResult) {
-        assert_eq!(a.window, b.window);
-        assert_eq!(a.key, b.key);
-        assert_eq!(a.count, b.count);
-        for (x, y) in a.aggregates.iter().zip(&b.aggregates) {
-            match (x, y) {
-                (Value::Float(x), Value::Float(y)) => assert!(
-                    (x - y).abs() <= 1e-9 * x.abs().max(1.0),
-                    "float aggregate diverged: {x} vs {y}"
-                ),
-                (x, y) => assert_eq!(x, y),
-            }
-        }
-    }
-
     #[test]
     fn sliding_sum_variance_share_pane_state() {
-        // Acceptance: sliding Sum/Variance must not recompute from raw
-        // window contents on emit — exactly one aggregate fold per event on
-        // the shared-pane path, vs. one per covering window instance on the
-        // per-window path.
-        let mk = || {
-            WindowAggregateOp::new(
-                WindowSpec::sliding(100u64, 20u64),
-                vec![
-                    AggregateSpec::new(AggregateKind::Sum, 0, "s"),
-                    AggregateSpec::new(AggregateKind::Variance, 0, "v"),
-                ],
-                None,
-                LatePolicy::Drop,
-            )
-            .unwrap()
-        };
-        let mut paned = mk();
-        assert!(paned.shares_panes());
-        let mut legacy = mk().with_shared_panes(false);
-        assert!(!legacy.shares_panes());
+        // Sliding Sum/Variance must not recompute from raw window contents on
+        // emit, nor fold an event into each of its length/slide = 5 windows:
+        // exactly one fold of the event's pane partials per event, shared by
+        // every window that covers it.
+        let specs = vec![
+            AggregateSpec::new(AggregateKind::Sum, 0, "s"),
+            AggregateSpec::new(AggregateKind::Variance, 0, "v"),
+        ];
+        let mut w = WindowAggregateOp::new(
+            WindowSpec::sliding(100u64, 20u64),
+            specs.clone(),
+            None,
+            LatePolicy::Drop,
+        )
+        .unwrap();
         let n = 500u64;
+        let value = |i: u64| (i % 13) as f64;
         let input: Vec<StreamElement> = (0..n)
-            .map(|i| ev(i * 3, i, (i % 13) as f64))
+            .map(|i| ev(i * 3, i, value(i)))
             .chain([StreamElement::Flush])
             .collect();
-        let rp = run(&mut paned, input.clone());
-        let rl = run(&mut legacy, input);
+        let results = run(&mut w, input);
         assert_eq!(
-            paned.stats().agg_inserts,
+            w.stats().agg_inserts,
             n,
-            "pane path must fold each event exactly once"
+            "each event must be folded exactly once"
         );
-        assert!(
-            legacy.stats().agg_inserts > 4 * n,
-            "per-window path folds each event into ~length/slide instances, got {}",
-            legacy.stats().agg_inserts
-        );
-        assert_eq!(rp.len(), rl.len());
-        for (a, b) in rp.iter().zip(&rl) {
-            approx_eq(a, b);
+        assert_eq!(w.stats().accepted, n);
+        assert_eq!(w.open_windows(), 0);
+        // Every window equals a sequential fold of its contents: Sum exactly
+        // (integer-valued floats), Variance within the DESIGN.md §17.4
+        // combine-nesting tolerance.
+        assert_eq!(results.len(), 75); // starts 0, 20, …, 1480 cover ts ≤ 1497
+        for r in &results {
+            let members: Vec<(Timestamp, Value)> = (0..n)
+                .filter(|i| r.window.contains(Timestamp(i * 3)))
+                .map(|i| (Timestamp(i * 3), Value::Float(value(i))))
+                .collect();
+            assert_eq!(r.count, members.len() as u64);
+            assert_eq!(r.aggregates[0], specs[0].compute(&members));
+            let (got, want) = (
+                r.aggregates[1].as_f64().unwrap(),
+                specs[1].compute(&members).as_f64().unwrap(),
+            );
+            assert!(
+                (got - want).abs() <= 1e-9 * got.abs().max(want.abs()),
+                "variance diverged in {:?}: {got} vs {want}",
+                r.window
+            );
         }
-        assert_eq!(paned.open_windows(), 0);
-        assert_eq!(paned.stats().accepted, legacy.stats().accepted);
-    }
-
-    #[test]
-    fn pane_path_matches_per_window_under_disorder_and_lateness() {
-        let mk = || {
-            WindowAggregateOp::new(
-                WindowSpec::sliding(40u64, 10u64),
-                vec![
-                    AggregateSpec::new(AggregateKind::Count, 0, "n"),
-                    AggregateSpec::new(AggregateKind::Max, 0, "m"),
-                    AggregateSpec::new(AggregateKind::Last, 0, "l"),
-                ],
-                None,
-                LatePolicy::Drop,
-            )
-            .unwrap()
-        };
-        let mut input = Vec::new();
-        for i in 0..300u64 {
-            // Deterministic disorder: every 7th event jumps far back — far
-            // enough that all its windows are behind the watermark (late),
-            // given the watermark lag of 30..130 plus window length 40.
-            let ts = if i % 7 == 3 {
-                (i * 5).saturating_sub(200)
-            } else {
-                i * 5
-            };
-            input.push(ev(ts, i, (ts % 11) as f64));
-            if i % 20 == 19 {
-                input.push(StreamElement::Watermark(Timestamp(
-                    (i * 5).saturating_sub(30),
-                )));
-            }
-        }
-        input.push(StreamElement::Flush);
-        let mut paned = mk();
-        let mut legacy = mk().with_shared_panes(false);
-        assert!(paned.shares_panes() && !legacy.shares_panes());
-        let rp = run(&mut paned, input.clone());
-        let rl = run(&mut legacy, input);
-        // Count/Max/Last over identical f64s are bit-exact on both paths.
-        assert_eq!(rp, rl);
-        assert_eq!(paned.stats().accepted, legacy.stats().accepted);
-        assert_eq!(paned.stats().late_dropped, legacy.stats().late_dropped);
-        assert_eq!(
-            paned.stats().windows_emitted,
-            legacy.stats().windows_emitted
-        );
-        assert!(
-            paned.stats().late_dropped > 0,
-            "disorder must produce lates"
-        );
-    }
-
-    #[test]
-    fn keyed_pane_path_matches_per_window() {
-        let mk = || {
-            WindowAggregateOp::new(
-                WindowSpec::sliding(30u64, 10u64),
-                vec![AggregateSpec::new(AggregateKind::Mean, 1, "mean")],
-                Some(0),
-                LatePolicy::Drop,
-            )
-            .unwrap()
-        };
-        let mut input: Vec<StreamElement> = (0..200u64)
-            .map(|i| {
-                StreamElement::Event(Event::new(
-                    i * 4,
-                    i,
-                    Row::new([Value::Int((i % 5) as i64), Value::Float((i % 17) as f64)]),
-                ))
-            })
-            .collect();
-        input.push(StreamElement::Flush);
-        let mut paned = mk();
-        let mut legacy = mk().with_shared_panes(false);
-        let rp = run(&mut paned, input.clone());
-        let rl = run(&mut legacy, input);
-        assert_eq!(rp.len(), rl.len());
-        for (a, b) in rp.iter().zip(&rl) {
-            approx_eq(a, b);
-        }
-    }
-
-    #[test]
-    fn pane_path_requires_divisible_overlapping_sliding_and_drop() {
-        let aggs = || vec![AggregateSpec::new(AggregateKind::Sum, 0, "s")];
-        let eligible = WindowAggregateOp::new(
-            WindowSpec::sliding(100u64, 25u64),
-            aggs(),
-            None,
-            LatePolicy::Drop,
-        )
-        .unwrap();
-        assert!(eligible.shares_panes());
-        for (spec, policy) in [
-            (WindowSpec::tumbling(100u64), LatePolicy::Drop),
-            (WindowSpec::sliding(100u64, 30u64), LatePolicy::Drop), // 30 ∤ 100
-            (WindowSpec::sliding(100u64, 100u64), LatePolicy::Drop), // no overlap
-            (
-                WindowSpec::sliding(100u64, 25u64),
-                LatePolicy::Revise {
-                    allowed_lateness: 10,
-                },
-            ),
-        ] {
-            let op = WindowAggregateOp::new(spec, aggs(), None, policy).unwrap();
-            assert!(!op.shares_panes(), "{spec:?} {policy:?}");
-        }
-        // Non-combinable aggregates pin the per-window path too.
-        let median = WindowAggregateOp::new(
-            WindowSpec::sliding(100u64, 25u64),
-            vec![AggregateSpec::new(AggregateKind::Median, 0, "m")],
-            None,
-            LatePolicy::Drop,
-        )
-        .unwrap();
-        assert!(!median.shares_panes());
     }
 
     #[test]
@@ -1683,47 +1152,9 @@ mod tests {
     }
 
     #[test]
-    fn paned_path_traces_finalize_and_late_drops() {
-        let rec = FlightRecorder::new(256);
-        let mut w = op(WindowSpec::sliding(20u64, 10u64), LatePolicy::Drop);
-        assert!(w.shares_panes());
-        w.attach_trace(&rec, 0);
-        let _ = run(
-            &mut w,
-            vec![
-                ev(5, 1, 1.0),
-                ev(15, 2, 2.0),
-                StreamElement::Watermark(Timestamp(40)),
-                ev(3, 3, 9.0), // only window [0,20), finalized at wm=40
-                StreamElement::Flush,
-            ],
-        );
-        let evs = rec.events();
-        let fins: Vec<(u64, u64, u64)> = evs
-            .iter()
-            .filter_map(|t| match &t.kind {
-                TraceKind::WindowFinalize {
-                    start, end, count, ..
-                } => Some((*start, *end, *count)),
-                _ => None,
-            })
-            .collect();
-        assert_eq!(fins, vec![(0, 20, 2), (10, 30, 1)]);
-        let drops: Vec<(u64, Vec<(u64, u64)>)> = evs
-            .iter()
-            .filter_map(|t| match &t.kind {
-                TraceKind::LateDrop { event_seq, windows } => Some((*event_seq, windows.clone())),
-                _ => None,
-            })
-            .collect();
-        assert_eq!(drops, vec![(3, vec![(0, 20)])]);
-        assert_eq!(w.stats().late_dropped, 1);
-    }
-
-    #[test]
     fn spans_record_window_finalize_lag_on_both_paths() {
-        // Per-window path: window [0,10) closes at wm=25 → span [10, 25];
-        // flush-forced window [30,40) records zero lag.
+        // Watermark path: window [0,10) closes at wm=25 → span [10, 25].
+        // Flush path: window [30,40) is forced closed and records zero lag.
         let spans = SpanRecorder::new(64);
         let mut w = op(WindowSpec::tumbling(10u64), LatePolicy::Drop);
         w.attach_spans(&spans, 5);
@@ -1742,23 +1173,6 @@ mod tests {
             .all(|s| s.stage == Stage::WindowFinalize && s.shard == 5));
         let pairs: Vec<(u64, u64)> = rec.iter().map(|s| (s.begin, s.end)).collect();
         assert_eq!(pairs, vec![(10, 25), (40, 40)]);
-
-        // Paned path: same span semantics from the shared-pane emitter.
-        let spans = SpanRecorder::new(64);
-        let mut w = op(WindowSpec::sliding(20u64, 10u64), LatePolicy::Drop);
-        assert!(w.shares_panes());
-        w.attach_spans(&spans, 0);
-        let _ = run(
-            &mut w,
-            vec![
-                ev(5, 1, 1.0),
-                ev(15, 2, 2.0),
-                StreamElement::Watermark(Timestamp(40)),
-                StreamElement::Flush,
-            ],
-        );
-        let pairs: Vec<(u64, u64)> = spans.spans().iter().map(|s| (s.begin, s.end)).collect();
-        assert_eq!(pairs, vec![(20, 40), (30, 40)]);
     }
 
     #[test]
@@ -1773,151 +1187,12 @@ mod tests {
     }
 
     #[test]
-    fn fiba_backend_selection_and_revise_fallback() {
-        // Fiba applies to any tumbling/sliding shape under Drop, including
-        // shapes the pane path rejects (tumbling, misaligned slides) and
-        // non-combinable aggregates.
-        for spec in [
-            WindowSpec::tumbling(10u64),
-            WindowSpec::sliding(100u64, 30u64), // 30 ∤ 100
-            WindowSpec::sliding(20u64, 10u64),
-        ] {
-            let w = op(spec, LatePolicy::Drop).with_window_state(WindowState::Fiba);
-            assert_eq!(w.window_state(), WindowState::Fiba, "{spec:?}");
-            assert!(!w.shares_panes());
-        }
-        let median = WindowAggregateOp::new(
-            WindowSpec::sliding(100u64, 25u64),
-            vec![AggregateSpec::new(AggregateKind::Median, 0, "m")],
-            None,
-            LatePolicy::Drop,
-        )
-        .unwrap()
-        .with_window_state(WindowState::Fiba);
-        assert_eq!(median.window_state(), WindowState::Fiba);
-        // Revise needs retained per-window state → legacy fallback, and
-        // switching back to Legacy restores pane eligibility.
-        let revise = op(
-            WindowSpec::tumbling(10u64),
-            LatePolicy::Revise {
-                allowed_lateness: 5,
-            },
-        )
-        .with_window_state(WindowState::Fiba);
-        assert_eq!(revise.window_state(), WindowState::Legacy);
-        let back = op(WindowSpec::sliding(20u64, 10u64), LatePolicy::Drop)
-            .with_window_state(WindowState::Fiba)
-            .with_window_state(WindowState::Legacy);
-        assert_eq!(back.window_state(), WindowState::Legacy);
-        assert!(back.shares_panes());
-    }
-
-    #[test]
-    fn fiba_matches_legacy_under_disorder_and_lateness() {
-        // Same deterministic disorder as the pane differential above, but on
-        // the FiBA backend with an order-insensitive aggregate mix whose
-        // outputs are bit-exact regardless of combine shape.
-        let mk = || {
-            WindowAggregateOp::new(
-                WindowSpec::sliding(40u64, 10u64),
-                vec![
-                    AggregateSpec::new(AggregateKind::Count, 0, "n"),
-                    AggregateSpec::new(AggregateKind::Max, 0, "m"),
-                    AggregateSpec::new(AggregateKind::Last, 0, "l"),
-                    AggregateSpec::new(AggregateKind::Median, 0, "med"),
-                    AggregateSpec::new(AggregateKind::DistinctCount, 0, "d"),
-                ],
-                None,
-                LatePolicy::Drop,
-            )
-            .unwrap()
-        };
-        let mut input = Vec::new();
-        for i in 0..300u64 {
-            let ts = if i % 7 == 3 {
-                (i * 5).saturating_sub(200)
-            } else {
-                i * 5
-            };
-            input.push(ev(ts, i, (ts % 11) as f64));
-            if i % 20 == 19 {
-                input.push(StreamElement::Watermark(Timestamp(
-                    (i * 5).saturating_sub(30),
-                )));
-            }
-        }
-        input.push(StreamElement::Flush);
-        let mut fiba = mk().with_window_state(WindowState::Fiba);
-        let mut legacy = mk();
-        assert_eq!(fiba.window_state(), WindowState::Fiba);
-        assert_eq!(legacy.window_state(), WindowState::Legacy);
-        let rf = run(&mut fiba, input.clone());
-        let rl = run(&mut legacy, input);
-        assert_eq!(rf, rl);
-        assert_eq!(fiba.stats().accepted, legacy.stats().accepted);
-        assert_eq!(fiba.stats().late_dropped, legacy.stats().late_dropped);
-        assert_eq!(fiba.stats().windows_emitted, legacy.stats().windows_emitted);
-        assert!(fiba.stats().late_dropped > 0, "disorder must produce lates");
-        assert_eq!(fiba.open_windows(), 0, "flush must drain all fiba state");
-    }
-
-    #[test]
-    fn keyed_fiba_matches_legacy_with_misaligned_slide_and_order_stats() {
-        // Misaligned slide (7 ∤ 30) + order statistics: the pane path is
-        // ineligible either way, so this pits FiBA directly against the
-        // per-window reference. Integer-valued floats keep Mean/Quantile
-        // arithmetic bit-identical (same sums, same interpolation formula).
-        let mk = || {
-            WindowAggregateOp::new(
-                WindowSpec::sliding(30u64, 7u64),
-                vec![
-                    AggregateSpec::new(AggregateKind::Mean, 1, "mean"),
-                    AggregateSpec::new(AggregateKind::Median, 1, "med"),
-                    AggregateSpec::new(AggregateKind::Quantile(0.9), 1, "p90"),
-                    AggregateSpec::new(AggregateKind::DistinctCount, 1, "d"),
-                ],
-                Some(0),
-                LatePolicy::Drop,
-            )
-            .unwrap()
-        };
-        let mut input = Vec::new();
-        for i in 0..250u64 {
-            // Mild disorder: every 5th event arrives 31 units back.
-            let ts = if i % 5 == 2 {
-                (i * 3).saturating_sub(31)
-            } else {
-                i * 3
-            };
-            input.push(StreamElement::Event(Event::new(
-                ts,
-                i,
-                Row::new([Value::Int((i % 4) as i64), Value::Float((i % 23) as f64)]),
-            )));
-            if i % 25 == 24 {
-                input.push(StreamElement::Watermark(Timestamp(
-                    (i * 3).saturating_sub(40),
-                )));
-            }
-        }
-        input.push(StreamElement::Flush);
-        let mut fiba = mk().with_window_state(WindowState::Fiba);
-        let mut legacy = mk();
-        let rf = run(&mut fiba, input.clone());
-        let rl = run(&mut legacy, input);
-        assert_eq!(rf, rl);
-        assert_eq!(fiba.stats().accepted, legacy.stats().accepted);
-        assert_eq!(fiba.stats().late_dropped, legacy.stats().late_dropped);
-    }
-
-    #[test]
     fn fiba_path_traces_finalize_late_drops_and_spans() {
-        // Identical scenario to the paned trace/span tests: the FiBA path
-        // must hit the same telemetry hooks with the same payloads.
+        // Sliding windows, one late event: finalize and late-drop trace
+        // events and the finalize spans carry the right payloads.
         let rec = FlightRecorder::new(256);
         let spans = SpanRecorder::new(64);
-        let mut w = op(WindowSpec::sliding(20u64, 10u64), LatePolicy::Drop)
-            .with_window_state(WindowState::Fiba);
+        let mut w = op(WindowSpec::sliding(20u64, 10u64), LatePolicy::Drop);
         w.attach_trace(&rec, 0);
         w.attach_spans(&spans, 0);
         let _ = run(

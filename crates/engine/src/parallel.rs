@@ -243,7 +243,7 @@ fn depth_sum(metrics: &[ShardMetrics]) -> u64 {
 /// may be holding an event with `W1 < ts <= W2` that arrived before `W1`;
 /// eliding `W1` would then fold that event *before* the windows ending in
 /// `(.., W1]` are finalized instead of after, and floating-point aggregates
-/// are sensitive to that interleaving (the two-stacks pane combine nests
+/// are sensitive to that interleaving (the window state's tree combine nests
 /// differently). The router therefore mirrors just the staged *timestamps*
 /// per shard — an event is staged iff `ts >= ` the latest broadcast
 /// watermark, exactly the stage's own rule — and only coalesces a watermark

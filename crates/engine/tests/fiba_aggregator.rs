@@ -1,7 +1,7 @@
 //! FiBA aggregator property battery.
 //!
-//! Three layers of differential evidence that the finger B-tree aggregator
-//! is a drop-in replacement for the legacy window state:
+//! Three layers of differential evidence for the finger B-tree aggregator
+//! and the window operator built on it:
 //!
 //! 1. **Structure vs. a naive sorted-Vec model** — random interleavings of
 //!    in-order / out-of-order inserts, bulk evictions and range queries are
@@ -13,18 +13,25 @@
 //!    and -0.0, and agreement with `f64::total_cmp` on arbitrary bit
 //!    patterns (the order-statistic trees index values through this map).
 //! 3. **Operator-level differential across all 14 aggregate kinds** — the
-//!    FiBA backend against the legacy backend on scrambled streams with
-//!    deep stragglers, exact for every kind except the non-associative
-//!    float reductions (Sum/Mean/Variance/StdDev over arbitrary floats),
-//!    which are gated on the tolerance rule documented in DESIGN.md §17.
+//!    operator against the naive per-window reference in `common` on
+//!    scrambled streams with deep stragglers, exact for every kind except
+//!    the non-associative float reductions (Sum/Mean/Variance/StdDev over
+//!    arbitrary floats), which are gated on the tolerance rule documented in
+//!    DESIGN.md §17.4. `LatePolicy::Revise` is held to the same reference:
+//!    with unbounded lateness the last revision of every window must equal
+//!    the full-information answer.
+
+mod common;
 
 use proptest::prelude::*;
 use quill_engine::aggregate::{AggregateKind, AggregateSpec};
-use quill_engine::fiba::{
-    f64_to_ordered, ordered_to_f64, FibaItem, FibaKey, FibaTree, WindowState,
+use quill_engine::fiba::{f64_to_ordered, ordered_to_f64, FibaItem, FibaKey, FibaTree};
+use quill_engine::operator::{
+    LatePolicy, Operator, WindowAggregateOp, WindowOpStats, WindowResult,
 };
-use quill_engine::operator::{LatePolicy, Operator, WindowAggregateOp, WindowResult};
 use quill_engine::prelude::*;
+use quill_engine::value::Key;
+use std::collections::BTreeMap;
 
 // ---------------------------------------------------------------------------
 // Layer 1: FibaTree vs. a naive sorted-Vec model
@@ -245,9 +252,10 @@ fn all_kinds() -> Vec<AggregateSpec> {
     ]
 }
 
-/// Non-associative float reductions: their combine tree shape differs
-/// between the FiBA and legacy backends, so equality is gated on the
-/// relative tolerance documented in DESIGN.md §17. Everything else —
+/// Non-associative float reductions: the operator combines per-event
+/// partials in a tree shape, the reference folds sequentially, so equality is
+/// gated on the relative tolerance documented in DESIGN.md §17.4. Everything
+/// else —
 /// including Min/Max/Median/Quantile on floats, which only *order* values —
 /// must be bit-exact. Sum and Mean become exact again when every input is
 /// an integer-valued float with an exactly representable sum (addition is
@@ -262,7 +270,7 @@ fn must_be_exact(name: &str, integer_inputs: bool) -> bool {
     }
 }
 
-/// DESIGN.md §17 tolerance rule for non-associative float aggregates.
+/// DESIGN.md §17.4 tolerance rule for non-associative float aggregates.
 const FLOAT_COMBINE_REL_TOL: f64 = 1e-9;
 
 fn values_close(a: &Value, b: &Value) -> bool {
@@ -276,19 +284,18 @@ fn values_close(a: &Value, b: &Value) -> bool {
     }
 }
 
-fn run_backend(
+fn run_op(
     window: WindowSpec,
     aggs: &[AggregateSpec],
     key_field: Option<usize>,
-    state: WindowState,
+    late_policy: LatePolicy,
     input: &[StreamElement],
-) -> Vec<WindowResult> {
-    let mut op = WindowAggregateOp::new(window, aggs.to_vec(), key_field, LatePolicy::Drop)
-        .expect("valid spec")
-        .with_window_state(state);
+) -> (Vec<WindowResult>, WindowOpStats) {
+    let mut op =
+        WindowAggregateOp::new(window, aggs.to_vec(), key_field, late_policy).expect("valid spec");
     let mut out = Vec::new();
-    for el in input {
-        op.process(el.clone(), &mut |o| {
+    for el in input.iter().cloned().chain([StreamElement::Flush]) {
+        op.process(el, &mut |o| {
             if let Some(e) = o.as_event() {
                 if let Some(r) = WindowResult::from_row(&e.row) {
                     out.push(r);
@@ -296,47 +303,73 @@ fn run_backend(
             }
         });
     }
-    op.process(StreamElement::Flush, &mut |o| {
-        if let Some(e) = o.as_event() {
-            if let Some(r) = WindowResult::from_row(&e.row) {
-                out.push(r);
-            }
-        }
-    });
-    out
+    (out, op.stats())
 }
 
-fn assert_backends_agree(
+/// One operator row against the reference's row for the same window: exact
+/// or within tolerance per [`must_be_exact`].
+fn check_row(
+    aggs: &[AggregateSpec],
+    got: &WindowResult,
+    want: &WindowResult,
+    integer_inputs: bool,
+) -> Result<(), String> {
+    if (got.window, &got.key, got.count) != (want.window, &want.key, want.count) {
+        return Err(format!(
+            "expected {:?} key {:?} count {}, got {:?} key {:?} count {}",
+            want.window, want.key, want.count, got.window, got.key, got.count
+        ));
+    }
+    for (spec, (g, w)) in aggs.iter().zip(got.aggregates.iter().zip(&want.aggregates)) {
+        let name = spec.name.as_str();
+        let ok = if must_be_exact(name, integer_inputs) {
+            g == w
+        } else {
+            values_close(g, w)
+        };
+        if !ok {
+            return Err(format!(
+                "{name} diverged in window {:?} key {:?}: {g:?} vs reference {w:?}",
+                got.window, got.key
+            ));
+        }
+    }
+    Ok(())
+}
+
+fn check_against_reference(
+    window: WindowSpec,
+    aggs: &[AggregateSpec],
+    key_field: Option<usize>,
+    input: &[StreamElement],
+    integer_inputs: bool,
+) -> Result<(), String> {
+    let (got, _) = run_op(window, aggs, key_field, LatePolicy::Drop, input);
+    let want = common::reference(window, aggs, key_field, input);
+    if got.len() != want.len() {
+        return Err(format!(
+            "result counts diverged: {} vs reference {}",
+            got.len(),
+            want.len()
+        ));
+    }
+    if got.is_empty() {
+        return Err("stream produced no windows".into());
+    }
+    got.iter()
+        .zip(&want)
+        .try_for_each(|(g, w)| check_row(aggs, g, w, integer_inputs))
+}
+
+fn assert_matches_reference(
     window: WindowSpec,
     aggs: &[AggregateSpec],
     key_field: Option<usize>,
     input: &[StreamElement],
     integer_inputs: bool,
 ) {
-    let fiba = run_backend(window, aggs, key_field, WindowState::Fiba, input);
-    let legacy = run_backend(window, aggs, key_field, WindowState::Legacy, input);
-    assert_eq!(fiba.len(), legacy.len(), "result counts diverged");
-    assert!(!fiba.is_empty(), "stream produced no windows");
-    for (f, l) in fiba.iter().zip(&legacy) {
-        assert_eq!(f.window, l.window);
-        assert_eq!(f.key, l.key);
-        assert_eq!(f.aggregates.len(), l.aggregates.len());
-        for (spec, (fv, lv)) in aggs.iter().zip(f.aggregates.iter().zip(&l.aggregates)) {
-            let name = spec.name.as_str();
-            if must_be_exact(name, integer_inputs) {
-                assert_eq!(
-                    fv, lv,
-                    "{name} diverged in window {:?} key {:?}",
-                    f.window, f.key
-                );
-            } else {
-                assert!(
-                    values_close(fv, lv),
-                    "{name} outside tolerance in window {:?}: {fv:?} vs {lv:?}",
-                    f.window
-                );
-            }
-        }
+    if let Err(why) = check_against_reference(window, aggs, key_field, input, integer_inputs) {
+        panic!("{window}: {why}");
     }
 }
 
@@ -381,12 +414,11 @@ fn all_fourteen_kinds_are_exact_on_integer_valued_floats() {
     for window in [
         WindowSpec::tumbling(40u64),
         WindowSpec::sliding(60u64, 20u64),
-        // Misaligned slide: panes are unavailable to the legacy backend, so
-        // this leg compares FiBA against the per-window sorted-Vec path.
+        // Misaligned slide: the windows share no pane grid.
         WindowSpec::sliding(50u64, 15u64),
     ] {
-        assert_backends_agree(window, &all_kinds(), Some(0), &input, true);
-        assert_backends_agree(window, &all_kinds(), None, &input, true);
+        assert_matches_reference(window, &all_kinds(), Some(0), &input, true);
+        assert_matches_reference(window, &all_kinds(), None, &input, true);
     }
 }
 
@@ -426,12 +458,87 @@ fn float_combine_nesting_stays_within_documented_tolerance() {
             out.push(StreamElement::Watermark(Timestamp(base.saturating_sub(20))));
         }
     }
-    assert_backends_agree(
+    assert_matches_reference(
         WindowSpec::sliding(40u64, 10u64),
         &all_kinds(),
         Some(0),
         &out,
         false,
+    );
+}
+
+#[test]
+fn disorder_and_lateness_stream_matches_reference() {
+    // Every 7th event jumps far enough back that all its windows are behind
+    // the watermark (lag 30..130 plus window length 40): late, dropped and
+    // counted, and absent from every window.
+    let aggs = [
+        AggregateSpec::new(AggregateKind::Count, 0, "n"),
+        AggregateSpec::new(AggregateKind::Max, 0, "m"),
+        AggregateSpec::new(AggregateKind::Last, 0, "l"),
+        AggregateSpec::new(AggregateKind::Median, 0, "med"),
+        AggregateSpec::new(AggregateKind::DistinctCount, 0, "d"),
+    ];
+    let mut input = Vec::new();
+    for i in 0..300u64 {
+        let ts = if i % 7 == 3 {
+            (i * 5).saturating_sub(200)
+        } else {
+            i * 5
+        };
+        input.push(StreamElement::Event(Event::new(
+            ts,
+            i,
+            Row::new([Value::Float((ts % 11) as f64)]),
+        )));
+        if i % 20 == 19 {
+            input.push(StreamElement::Watermark(Timestamp(
+                (i * 5).saturating_sub(30),
+            )));
+        }
+    }
+    let window = WindowSpec::sliding(40u64, 10u64);
+    assert_matches_reference(window, &aggs, None, &input, true);
+    let (_, stats) = run_op(window, &aggs, None, LatePolicy::Drop, &input);
+    assert!(stats.late_dropped > 0, "disorder must produce lates");
+    assert_eq!(stats.accepted + stats.late_dropped, 300);
+}
+
+#[test]
+fn keyed_misaligned_slide_with_order_stats_matches_reference() {
+    // Misaligned slide (7 ∤ 30), order statistics, mild disorder: every 5th
+    // event arrives 31 units back. Integer-valued floats keep Mean/Quantile
+    // arithmetic bit-identical (same sums, same interpolation formula).
+    let aggs = [
+        AggregateSpec::new(AggregateKind::Mean, 1, "mean"),
+        AggregateSpec::new(AggregateKind::Median, 1, "med"),
+        AggregateSpec::new(AggregateKind::Quantile(0.9), 1, "p90"),
+        AggregateSpec::new(AggregateKind::DistinctCount, 1, "d"),
+    ];
+    let mut input = Vec::new();
+    for i in 0..250u64 {
+        let ts = if i % 5 == 2 {
+            (i * 3).saturating_sub(31)
+        } else {
+            i * 3
+        };
+        input.push(StreamElement::Event(Event::new(
+            ts,
+            i,
+            Row::new([Value::Int((i % 4) as i64), Value::Float((i % 23) as f64)]),
+        )));
+        if i % 25 == 24 {
+            input.push(StreamElement::Watermark(Timestamp(
+                (i * 3).saturating_sub(40),
+            )));
+        }
+    }
+    assert_matches_reference(
+        WindowSpec::sliding(30u64, 7u64),
+        &aggs,
+        Some(0),
+        &input,
+        true,
     );
 }
 
@@ -461,25 +568,59 @@ proptest! {
         }
         let key_field = if keyed { Some(0) } else { None };
         let specs = all_kinds();
-        let fiba = run_backend(WindowSpec::sliding(len, slide), &specs, key_field, WindowState::Fiba, &input);
-        let legacy = run_backend(WindowSpec::sliding(len, slide), &specs, key_field, WindowState::Legacy, &input);
         // Integer-valued floats: everything except Variance/StdDev (whose
         // Welford-vs-Chan roundings differ even on integers) is bit-exact.
-        prop_assert_eq!(fiba.len(), legacy.len());
-        for (f, l) in fiba.iter().zip(&legacy) {
-            prop_assert_eq!(&f.window, &l.window);
-            prop_assert_eq!(&f.key, &l.key);
-            for (spec, (fv, lv)) in specs.iter().zip(f.aggregates.iter().zip(&l.aggregates)) {
-                if must_be_exact(&spec.name, true) {
-                    prop_assert_eq!(fv, lv, "{} diverged in {:?}", spec.name, f.window);
-                } else {
-                    prop_assert!(
-                        values_close(fv, lv),
-                        "{} outside tolerance in {:?}: {:?} vs {:?}",
-                        spec.name, f.window, fv, lv
-                    );
-                }
-            }
+        let checked = check_against_reference(WindowSpec::sliding(len, slide), &specs, key_field, &input, true);
+        prop_assert!(checked.is_ok(), "{}", checked.unwrap_err());
+    }
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(48))]
+    #[test]
+    fn revisions_converge_to_the_full_information_answer(
+        raw in proptest::collection::vec((0u64..240, 0i64..40, any::<bool>()), 20..160),
+        len in 1u64..80,
+        slide_frac in 1u64..=4,
+        keyed in any::<bool>(),
+    ) {
+        // K = 0: the watermark follows the largest timestamp seen, so every
+        // out-of-order event is late for whatever closed in between, and
+        // `Revise` with unbounded lateness must make up for all of it.
+        let mut events = Vec::new();
+        let mut input = Vec::new();
+        let mut clock = 0u64;
+        for (i, (ts, v, null)) in raw.iter().enumerate() {
+            clock = clock.max(*ts);
+            let val = if *null { Value::Null } else { Value::Float(*v as f64) };
+            events.push(StreamElement::Event(Event::new(
+                *ts,
+                i as u64,
+                Row::new([Value::Int(v % 4), val, Value::Float((*ts % 19) as f64)]),
+            )));
+            input.extend([events[i].clone(), StreamElement::Watermark(Timestamp(clock))]);
+        }
+        let window = WindowSpec::sliding(len, (len / slide_frac).max(1));
+        let key_field = if keyed { Some(0) } else { None };
+        let specs = all_kinds();
+        let unbounded = LatePolicy::Revise { allowed_lateness: u64::MAX };
+        let (rows, stats) = run_op(window, &specs, key_field, unbounded, &input);
+        prop_assert_eq!(stats.late_dropped, 0);
+        // Revisions of a window count 0, 1, 2, … without gaps; keep the last.
+        let mut last: BTreeMap<(Timestamp, Timestamp, Key), WindowResult> = BTreeMap::new();
+        for r in rows {
+            let id = (r.window.end, r.window.start, Key(r.key.clone()));
+            let expected = last.get(&id).map_or(0, |prev| prev.revision + 1);
+            prop_assert_eq!(r.revision, expected, "revision gap in {:?} key {:?}", r.window, r.key);
+            last.insert(id, r);
+        }
+        prop_assert_eq!(stats.revisions + stats.windows_emitted, last.values().map(|r| r.revision + 1).sum::<u64>());
+        // The last row of every window is the answer with nothing missing.
+        let full = common::reference(window, &specs, key_field, &events);
+        prop_assert_eq!(last.len(), full.len());
+        for (got, want) in last.values().zip(&full) {
+            let checked = check_row(&specs, got, want, true);
+            prop_assert!(checked.is_ok(), "{}", checked.unwrap_err());
         }
     }
 }

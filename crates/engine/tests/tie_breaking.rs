@@ -7,8 +7,9 @@
 //! the threaded and deterministic-inline schedulers; anything less means the
 //! merge order (and therefore downstream consumers) depends on scheduling.
 
+mod common;
+
 use quill_engine::aggregate::{AggregateKind, AggregateSpec};
-use quill_engine::fiba::WindowState;
 use quill_engine::operator::{LatePolicy, Operator, ShardStage, WindowAggregateOp, WindowResult};
 use quill_engine::parallel::{
     run_keyed_parallel_observed, run_keyed_parallel_with, ParallelConfig,
@@ -53,19 +54,21 @@ fn tie_stream() -> Vec<StreamElement> {
     out
 }
 
+fn window() -> WindowSpec {
+    WindowSpec::sliding(60u64, 20u64)
+}
+
+fn aggs() -> Vec<AggregateSpec> {
+    vec![
+        AggregateSpec::new(AggregateKind::First, 1, "first"),
+        AggregateSpec::new(AggregateKind::Last, 1, "last"),
+        AggregateSpec::new(AggregateKind::Sum, 1, "sum"),
+        AggregateSpec::new(AggregateKind::ArgMax(2), 1, "am"),
+    ]
+}
+
 fn make_op() -> WindowAggregateOp {
-    WindowAggregateOp::new(
-        WindowSpec::sliding(60u64, 20u64),
-        vec![
-            AggregateSpec::new(AggregateKind::First, 1, "first"),
-            AggregateSpec::new(AggregateKind::Last, 1, "last"),
-            AggregateSpec::new(AggregateKind::Sum, 1, "sum"),
-            AggregateSpec::new(AggregateKind::ArgMax(2), 1, "am"),
-        ],
-        Some(0),
-        LatePolicy::Drop,
-    )
-    .expect("valid spec")
+    WindowAggregateOp::new(window(), aggs(), Some(0), LatePolicy::Drop).expect("valid spec")
 }
 
 /// Full result sequence (order matters — this is what the merge emits).
@@ -189,43 +192,16 @@ fn shard_local_staging_reproduces_global_staging_ties() {
     }
 }
 
-/// Full result sequence for an explicit window state backend.
-fn results_with_state(cfg: ParallelConfig, state: WindowState) -> Vec<WindowResult> {
-    let (out, _) = run_keyed_parallel_with(tie_stream(), 0, cfg, move || {
-        make_op().with_window_state(state)
-    })
-    .expect("parallel run");
-    out.iter()
-        .filter_map(|e| e.as_event())
-        .filter_map(|e| WindowResult::from_row(&e.row))
-        .collect()
-}
-
-/// Shard-local finalization variant (ShardStage wrapping) for a backend.
-fn staged_results_with_state(cfg: ParallelConfig, state: WindowState) -> Vec<WindowResult> {
-    let (out, _) = run_keyed_parallel_observed(
-        tie_stream(),
-        0,
-        cfg,
-        &Registry::disabled(),
-        &FlightRecorder::disabled(),
-        move |_| ShardStage::new(make_op().with_window_state(state)),
-    )
-    .expect("staged parallel run");
-    out.iter()
-        .filter_map(|e| e.as_event())
-        .filter_map(|e| WindowResult::from_row(&e.row))
-        .collect()
-}
-
 #[test]
-fn fiba_and_legacy_finalize_equal_timestamp_ties_identically() {
-    // The FiBA backend orders equal-timestamp events by `(ts, seq)`; the
-    // legacy backend folds them in arrival order. Within one key on one
-    // shard those coincide, so First/Last/ArgMax on tied timestamps — and
-    // the merged result sequence — must be identical across backends at
-    // every shard count and under both schedulers. The stream's Sum values
-    // are integer-valued floats, so even the float column is bit-exact.
+fn equal_timestamp_ties_finalize_as_the_reference_does() {
+    // The operator combines equal-timestamp events in `(ts, seq)` order; the
+    // naive reference folds each window's contributors in that order one by
+    // one. First/Last/ArgMax on tied timestamps — and the merged result
+    // sequence — must match it at every shard count, under both schedulers,
+    // with and without shard-local staging. The stream's Sum values are
+    // integer-valued floats, so even the float column is bit-exact.
+    let reference = common::reference(window(), &aggs(), Some(0), &tie_stream());
+    assert!(!reference.is_empty(), "test stream produced no windows");
     for shards in [1usize, 2, 4, 8] {
         for deterministic in [false, true] {
             let cfg = || {
@@ -233,18 +209,15 @@ fn fiba_and_legacy_finalize_equal_timestamp_ties_identically() {
                     .with_batch_size(16)
                     .with_deterministic(deterministic)
             };
-            let legacy = results_with_state(cfg(), WindowState::Legacy);
-            let fiba = results_with_state(cfg(), WindowState::Fiba);
-            assert!(!legacy.is_empty(), "test stream produced no windows");
             assert_eq!(
-                fiba, legacy,
-                "backends diverged at shards={shards} deterministic={deterministic}"
+                results_of(cfg()),
+                reference,
+                "diverged at shards={shards} deterministic={deterministic}"
             );
-            let staged_legacy = staged_results_with_state(cfg(), WindowState::Legacy);
-            let staged_fiba = staged_results_with_state(cfg(), WindowState::Fiba);
             assert_eq!(
-                staged_fiba, staged_legacy,
-                "staged backends diverged at shards={shards} deterministic={deterministic}"
+                staged_results_of(cfg()),
+                reference,
+                "staged run diverged at shards={shards} deterministic={deterministic}"
             );
         }
     }

@@ -250,42 +250,6 @@ fn floats_close(x: f64, y: f64) -> bool {
     (x - y).abs() <= 1e-6 * x.abs().max(y.abs()).max(1.0)
 }
 
-/// The DESIGN.md §17 tolerance for the window-state backend differential:
-/// non-associative float reductions may differ between the FiBA and legacy
-/// backends only by combine-nesting round-off, bounded by this relative
-/// tolerance. This is the *one* place the rule is encoded; backend
-/// comparisons must route through [`backend_values_close`] rather than
-/// reintroducing ad-hoc epsilons.
-pub const BACKEND_NESTING_REL_TOL: f64 = 1e-9;
-
-/// Whether `kind` is a non-associative float reduction whose value may
-/// legitimately depend on the combine tree shape (and therefore on the
-/// window state backend). Order statistics, extremes, edges and counts
-/// only *select* or count inputs, so they must be bit-exact.
-pub fn nesting_sensitive(kind: &AggregateKind) -> bool {
-    matches!(
-        kind,
-        AggregateKind::Sum | AggregateKind::Mean | AggregateKind::Variance | AggregateKind::StdDev
-    )
-}
-
-/// Value comparison for the FiBA-vs-legacy backend differential: exact
-/// equality unless [`nesting_sensitive`], in which case floats are gated on
-/// [`BACKEND_NESTING_REL_TOL`] (NaN compares equal to NaN).
-pub fn backend_values_close(kind: &AggregateKind, a: &Value, b: &Value) -> bool {
-    if !nesting_sensitive(kind) {
-        return a == b;
-    }
-    match (a, b) {
-        (Value::Float(x), Value::Float(y)) => {
-            (x.is_nan() && y.is_nan())
-                || x == y
-                || (x - y).abs() <= BACKEND_NESTING_REL_TOL * x.abs().max(y.abs())
-        }
-        _ => a == b,
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -364,52 +328,5 @@ mod tests {
         let aggs = vec![AggregateSpec::new(AggregateKind::ArgMax(1), 0, "am")];
         let out = naive_oracle(&events, WindowSpec::tumbling(10u64), &aggs, None);
         assert_eq!(out[0].aggregates[0], Value::Float(20.0));
-    }
-
-    #[test]
-    fn backend_tolerance_applies_only_to_nesting_sensitive_kinds() {
-        // One ulp apart at magnitude 1e3.
-        let x = 1000.0f64;
-        let y = f64::from_bits(x.to_bits() + 1);
-        assert_ne!(x, y);
-        // Sum may differ by round-off under the documented tolerance...
-        assert!(backend_values_close(
-            &AggregateKind::Sum,
-            &Value::Float(x),
-            &Value::Float(y)
-        ));
-        // ...but a selection aggregate must be bit-exact.
-        assert!(!backend_values_close(
-            &AggregateKind::Median,
-            &Value::Float(x),
-            &Value::Float(y)
-        ));
-        assert!(!backend_values_close(
-            &AggregateKind::Min,
-            &Value::Float(x),
-            &Value::Float(y)
-        ));
-        // The gate is a tolerance, not a blank cheque.
-        assert!(!backend_values_close(
-            &AggregateKind::Sum,
-            &Value::Float(1.0),
-            &Value::Float(1.001)
-        ));
-        // NaN == NaN for sensitive kinds; exact kinds use Value equality.
-        assert!(backend_values_close(
-            &AggregateKind::Mean,
-            &Value::Float(f64::NAN),
-            &Value::Float(f64::NAN)
-        ));
-        assert!(backend_values_close(
-            &AggregateKind::Count,
-            &Value::Int(7),
-            &Value::Int(7)
-        ));
-        assert!(!backend_values_close(
-            &AggregateKind::Count,
-            &Value::Int(7),
-            &Value::Int(8)
-        ));
     }
 }

@@ -183,7 +183,7 @@ pub fn arb_aggregate() -> BoxedStrategy<AggregateKind> {
 }
 
 /// Strategy over window shapes: tumbling, aligned sliding, and sliding with
-/// a slide that does not divide the length (pane-misaligned).
+/// a slide that does not divide the length (misaligned).
 pub fn arb_window() -> BoxedStrategy<WindowSpec> {
     prop_oneof![
         (2u64..=40u64).prop_map(|w| WindowSpec::tumbling(w * 10)),
