@@ -258,15 +258,16 @@ fn check_window(query: &QuerySpec, diags: &mut Vec<Diagnostic>) {
                      {slide})",
                     length.div_ceil(slide)
                 ),
-                "combinable aggregates still fold once per event (one tree insert), but every \
-                 event registers each of its windows, and Median/Quantile/DistinctCount insert \
-                 it into each of them — consider a coarser slide",
+                "every event is folded once whatever the overlap (one tree insert); the overlap \
+                 is paid at emission — that many results cover each event, and \
+                 Median/Quantile/DistinctCount re-collect the window's values for each — \
+                 consider a coarser slide",
             ));
         }
     }
 }
 
-/// Aggregate combinability vs. what the window state does per event.
+/// Aggregate combinability vs. what the window state does per emission.
 fn check_fold_path(query: &QuerySpec, diags: &mut Vec<Diagnostic>) {
     if let WindowSpec::Sliding { length, slide } = query.window {
         if slide < length {
@@ -281,15 +282,15 @@ fn check_fold_path(query: &QuerySpec, diags: &mut Vec<Diagnostic>) {
                     "plan.aggregate.fold-path",
                     Severity::Warn,
                     format!(
-                        "non-combinable aggregate(s) [{}] over sliding windows keep a rank tree \
-                         or distinct set per open window: one insert per event per containing \
-                         window (~{}), O(window) state each",
+                        "non-combinable aggregate(s) [{}] over sliding windows are answered by \
+                         collecting the window's values at every emission: each event is \
+                         visited by ~{} emissions, O(window) work each",
                         non_combinable.join(", "),
                         length.raw().div_ceil(slide.raw().max(1))
                     ),
                     "exact order statistics / distinct counts cannot be combined from \
-                     per-event partials the way sum/mean/min/max are (one tree insert per \
-                     event); accept the cost, or use combinable aggregates",
+                     per-event partials the way sum/mean/min/max are (one range query per \
+                     window); accept the cost, use a coarser slide, or use combinable aggregates",
                 ));
             }
         }

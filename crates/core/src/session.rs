@@ -598,15 +598,32 @@ impl Session {
     /// subscriptions of registered queries. No-op after
     /// [`Session::finish`].
     pub fn push(&mut self, e: Event) {
+        self.push_batch(std::iter::once(e));
+    }
+
+    /// Push a run of arriving events, in order. Results, their order and
+    /// their latency stamps are those of one [`Session::push`] per event —
+    /// each event's results carry the clock as of that event — but the
+    /// per-query counter mirrors ([`QueryStats::window`]) are refreshed once,
+    /// after the last event, instead of once per event per query. No-op
+    /// after [`Session::finish`].
+    pub fn push_batch(&mut self, events: impl IntoIterator<Item = Event>) {
         if self.finished {
             return;
         }
-        self.clock.observe(e.ts);
-        self.run_events.inc();
-        self.events += 1;
-        self.staged.clear();
-        self.strategy.on_event(e, &mut self.staged);
-        self.route();
+        let (mut pushed, mut routed) = (0u64, false);
+        for e in events {
+            self.clock.observe(e.ts);
+            pushed += 1;
+            self.staged.clear();
+            self.strategy.on_event(e, &mut self.staged);
+            routed |= self.route();
+        }
+        self.run_events.add(pushed);
+        self.events += pushed;
+        if routed {
+            self.core.sync_stats();
+        }
     }
 
     /// Apply a per-source heartbeat (a promise that no future event from
@@ -621,7 +638,9 @@ impl Session {
         self.heartbeats += 1;
         self.staged.clear();
         self.strategy.on_heartbeat(source, ts, &mut self.staged);
-        self.route();
+        if self.route() {
+            self.core.sync_stats();
+        }
     }
 
     /// End of stream: release everything buffered, finalize every open
@@ -638,15 +657,16 @@ impl Session {
         self.core.close_all();
     }
 
-    fn route(&mut self) {
-        if self.staged.is_empty() {
-            return;
-        }
+    /// Fan the staged elements out, stamped with the current clock. Returns
+    /// whether there were any: the caller owes the subscriptions a
+    /// `sync_stats` then.
+    fn route(&mut self) -> bool {
         let now = self.clock.clock().unwrap_or(Timestamp::MIN);
+        let routed = !self.staged.is_empty();
         for el in self.staged.drain(..) {
             self.core.process_element(el, now);
         }
-        self.core.sync_stats();
+        routed
     }
 
     /// Whether [`Session::finish`] ran.

@@ -78,7 +78,8 @@ impl AggregateKind {
     /// Whether partial states of this aggregate can be merged into a window
     /// result (`AggregateSpec::build_pane` returns `Some`). Exact order
     /// statistics and distinct counts are not decomposable without retaining
-    /// value sets, so the window operator keeps per-window state for them.
+    /// value sets, so the window operator keeps their field's raw value per
+    /// event and finalizes them from the window's values at emission.
     pub fn combinable(&self) -> bool {
         self.constant_space()
     }
@@ -163,9 +164,10 @@ impl AggregateSpec {
     }
 
     /// Instantiate mergeable partial state, or `None` for kinds whose
-    /// partials cannot be combined (order statistics, distinct counts). The
-    /// window operator stores one per event in its time tree; see
-    /// [`PaneAgg`].
+    /// partials cannot be combined (order statistics, distinct counts; the
+    /// window operator finalizes those with `quantile_sorted` and a
+    /// distinct set over the window's values). The window operator stores
+    /// one per event in its time tree; see [`PaneAgg`].
     pub(crate) fn build_pane(&self) -> Option<PaneAgg> {
         Some(match self.kind {
             AggregateKind::Count => PaneAgg::Count(CountAgg::default()),
@@ -558,7 +560,9 @@ impl QuantileAgg {
     }
 }
 
-/// p-quantile of a sorted slice with linear interpolation between ranks.
+/// p-quantile of a slice sorted by `f64::total_cmp`, with linear
+/// interpolation between ranks: the one finalizer of Median/Quantile, shared
+/// by `QuantileAgg` and the window operator.
 pub(crate) fn quantile_sorted(sorted: &[f64], p: f64) -> Option<f64> {
     if sorted.is_empty() {
         return None;

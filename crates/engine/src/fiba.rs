@@ -2,27 +2,26 @@
 //!
 //! An order-maintaining B-tree over `(timestamp, seq)` keys whose nodes cache
 //! the combined partial aggregate, entry count, and key range of their
-//! subtree. Two *finger* pointers (leftmost / rightmost leaf) make the common
-//! insert positions — appends at the front of eviction or the back of arrival
-//! — reachable without a full root descent: an insert climbs from the nearer
-//! finger only as far as the first ancestor whose cached key range covers the
-//! new key, then descends. For an insertion at distance `d` from the nearest
-//! end the search walks `O(log d)` levels (Tangwongsan/Hirzel/Schneider,
-//! arXiv 1810.11308); cache repair is an eager `O(log n)` walk back to the
-//! root, trading the paper's lazy up-spine scheme for a simpler structure —
-//! what the tree eliminates is a sorted vector's `O(n)` per-straggler data
-//! movement, not the logarithmic repair.
+//! subtree, with two *finger* pointers at the leftmost and rightmost leaf
+//! (Tangwongsan/Hirzel/Schneider, arXiv 1810.11308).
+//!
+//! An insert at or past the largest key — every in-order arrival — is an
+//! *append*: the entry is pushed onto the right-finger leaf and the item is
+//! combined into the cache of every node on the right spine, which is exact
+//! because `combine` is associative and the new entry is the last of each of
+//! those subtrees. Only a full leaf splits, and only the split halves are
+//! re-folded. Any other insert — a straggler — climbs from the nearer finger
+//! as far as the first ancestor whose cached key range covers the key,
+//! descends (`O(log d)` levels for distance `d` from the nearest end), and
+//! re-folds the caches on its leaf-to-root path eagerly, so a query never
+//! sees a pending repair.
 //!
 //! Window slides use [`FibaTree::evict_before`], the bulk eviction of the
 //! FiBA sequel (arXiv 2307.11210) adapted to this layout: whole subtrees left
 //! of the cut are freed without visiting their entries, and the relaxed
 //! invariant allows underfull nodes *only on the leftmost spine* — exactly
-//! the region a prefix eviction can thin out.
-//!
-//! Subtree counts double as an order-statistic index: a tree keyed by the
-//! order-preserving bit image of an `f64` ([`f64_to_ordered`]) supports
-//! `select(k)` in `O(log n)`, which is how Median/Quantile windows avoid a
-//! sorted `Vec`'s `O(n)` memmove per out-of-order insert. See `DESIGN.md` §17.
+//! the region a prefix eviction can thin out. Freed nodes keep their buffers
+//! for the next split. See `DESIGN.md` §17.
 
 use serde::{Deserialize, Serialize};
 
@@ -38,8 +37,7 @@ pub enum WindowState {
     Fiba,
 }
 
-/// Composite tree key: `(timestamp, seq)` for event-time trees, or
-/// `(ordered f64 bits, disambiguator)` for value-indexed trees.
+/// Composite tree key: `(timestamp, seq)`.
 pub type FibaKey = (u64, u64);
 
 /// A partial aggregate stored at tree entries and combined into node caches.
@@ -52,35 +50,17 @@ pub trait FibaItem: Clone {
     fn combine(&mut self, later: &Self);
 
     /// Overwrite `self` with `src`, reusing existing buffers where possible
-    /// (the cache-repair path calls this once per level per insert).
+    /// (the cache-repair path calls this once per level per straggler).
     fn assign_from(&mut self, src: &Self) {
         self.clone_from(src);
     }
-}
 
-/// Unit item for trees used purely as order-statistic indexes.
-impl FibaItem for () {
-    fn combine(&mut self, _later: &Self) {}
-}
-
-/// Map an `f64` to a `u64` whose unsigned order equals `f64::total_cmp`
-/// order (sign-magnitude flip). Bijective, so NaN payloads and `-0.0` round
-/// trip exactly through [`ordered_to_f64`].
-#[inline]
-pub fn f64_to_ordered(x: f64) -> u64 {
-    let b = x.to_bits();
-    if b >> 63 == 1 {
-        !b
-    } else {
-        b | (1 << 63)
+    /// A fresh cache covering just this entry. An item that carries per-entry
+    /// payload no cache needs (`combine` ignores it) leaves it out here and
+    /// in `assign_from`.
+    fn seed(&self) -> Self {
+        self.clone()
     }
-}
-
-/// Inverse of [`f64_to_ordered`].
-#[inline]
-pub fn ordered_to_f64(u: u64) -> f64 {
-    let b = if u >> 63 == 1 { u & !(1 << 63) } else { !u };
-    f64::from_bits(b)
 }
 
 /// Minimum entries (leaf) / children (internal) for nodes *off* the leftmost
@@ -90,6 +70,8 @@ const MIN_FANOUT: usize = 4;
 const MAX_FANOUT: usize = 2 * MIN_FANOUT;
 
 const NIL: u32 = u32::MAX;
+const FIRST_KEY: FibaKey = (0, 0);
+const LAST_KEY: FibaKey = (u64::MAX, u64::MAX);
 
 struct Node<I> {
     parent: u32,
@@ -118,8 +100,8 @@ impl<I> Node<I> {
             children: Vec::new(),
             count: 0,
             agg: None,
-            lo: (0, 0),
-            hi: (0, 0),
+            lo: FIRST_KEY,
+            hi: FIRST_KEY,
         }
     }
 
@@ -127,12 +109,51 @@ impl<I> Node<I> {
     fn is_leaf(&self) -> bool {
         self.children.is_empty()
     }
+
+    fn overfull(&self) -> bool {
+        self.keys.len().max(self.children.len()) > MAX_FANOUT
+    }
+}
+
+/// What a node caches about a run of parts in key order — entries of a leaf
+/// or children of an internal node, each given as `(count, lo, hi, item)`:
+/// total count, first `lo`, last `hi` and the left-to-right combine, built
+/// in `buf`'s allocation when there is one.
+fn summarize<'a, I: FibaItem + 'a>(
+    buf: Option<I>,
+    mut parts: impl Iterator<Item = (u64, FibaKey, FibaKey, &'a I)>,
+) -> (u64, FibaKey, FibaKey, Option<I>) {
+    let Some((mut count, lo, mut hi, first)) = parts.next() else {
+        return (0, FIRST_KEY, FIRST_KEY, None);
+    };
+    let mut agg = match buf {
+        Some(mut a) => {
+            a.assign_from(first);
+            a
+        }
+        None => first.seed(),
+    };
+    for (n, _, h, part) in parts {
+        count += n;
+        hi = h;
+        agg.combine(part);
+    }
+    (count, lo, hi, Some(agg))
+}
+
+/// Fold `part`, covering later keys than anything in `acc`, into `acc`.
+fn absorb<I: FibaItem>(acc: &mut Option<I>, part: &I) {
+    match acc {
+        Some(a) => a.combine(part),
+        None => *acc = Some(part.seed()),
+    }
 }
 
 /// Counters exposed for benchmarks and tests.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct FibaStats {
-    /// Inserts whose finger climb stopped below the root.
+    /// Inserts that never climbed to the root: appends at the right finger
+    /// and stragglers whose finger climb stopped below it.
     pub finger_short_climbs: u64,
     /// Inserts that climbed all the way to the root.
     pub root_climbs: u64,
@@ -214,94 +235,38 @@ impl<I: FibaItem> FibaTree<I> {
         h
     }
 
-    fn alloc(&mut self, node: Node<I>) -> u32 {
+    /// An empty node under `parent`: a freed one, with the buffers it kept,
+    /// when there is one.
+    fn alloc(&mut self, parent: u32) -> u32 {
         match self.free.pop() {
             Some(i) => {
-                self.nodes[i as usize] = node;
+                self.nodes[i as usize].parent = parent;
                 i
             }
             None => {
-                self.nodes.push(node);
+                self.nodes.push(Node::new_leaf(parent));
                 (self.nodes.len() - 1) as u32
             }
         }
     }
 
     /// Recompute `count`, `agg`, `lo`, `hi` of `n` from its entries or
-    /// children. Reuses the existing aggregate buffer via
-    /// [`FibaItem::assign_from`].
+    /// children, reusing the existing aggregate buffer.
     fn recompute(&mut self, n: u32) {
-        let mut agg = self.nodes[n as usize].agg.take();
+        let buf = self.nodes[n as usize].agg.take();
         let node = &self.nodes[n as usize];
-        if node.is_leaf() {
-            let count = node.keys.len() as u64;
-            let (lo, hi) = if count > 0 {
-                (node.keys[0], *node.keys.last().expect("nonempty"))
-            } else {
-                ((0, 0), (0, 0))
-            };
-            let mut first = true;
-            for i in 0..self.nodes[n as usize].items.len() {
-                // Split the borrow: the accumulator is a local, the source
-                // item lives in the arena.
-                let (acc, src) = (&mut agg, &self.nodes[n as usize].items[i]);
-                if first {
-                    match acc {
-                        Some(a) => a.assign_from(src),
-                        // quill-lint: allow(hot-path-alloc, reason = "one-time aggregate buffer allocation when a node first gains entries; reused via assign_from afterwards")
-                        None => *acc = Some(src.clone()),
-                    }
-                    first = false;
-                } else {
-                    acc.as_mut().expect("seeded above").combine(src);
-                }
-            }
-            if first {
-                agg = None;
-            }
-            let node = &mut self.nodes[n as usize];
-            node.count = count;
-            node.lo = lo;
-            node.hi = hi;
-            node.agg = agg;
+        let summary = if node.is_leaf() {
+            let entries = node.keys.iter().zip(&node.items);
+            summarize(buf, entries.map(|(k, item)| (1, *k, *k, item)))
         } else {
-            let children = self.nodes[n as usize].children.clone();
-            let mut count = 0u64;
-            let mut lo = (0, 0);
-            let mut hi = (0, 0);
-            let mut first = true;
-            for &c in &children {
-                let child_count = self.nodes[c as usize].count;
-                if child_count == 0 {
-                    continue;
-                }
-                count += child_count;
-                if first {
-                    lo = self.nodes[c as usize].lo;
-                }
-                hi = self.nodes[c as usize].hi;
-                let (acc, src) = (&mut agg, &self.nodes[c as usize].agg);
-                let src = src.as_ref().expect("nonempty child has an aggregate");
-                if first {
-                    match acc {
-                        Some(a) => a.assign_from(src),
-                        // quill-lint: allow(hot-path-alloc, reason = "one-time aggregate buffer allocation when a node first gains entries; reused via assign_from afterwards")
-                        None => *acc = Some(src.clone()),
-                    }
-                    first = false;
-                } else {
-                    acc.as_mut().expect("seeded above").combine(src);
-                }
-            }
-            if first {
-                agg = None;
-            }
-            let node = &mut self.nodes[n as usize];
-            node.count = count;
-            node.lo = lo;
-            node.hi = hi;
-            node.agg = agg;
-        }
+            let children = node.children.iter().map(|&c| &self.nodes[c as usize]);
+            summarize(
+                buf,
+                children.filter_map(|c| Some((c.count, c.lo, c.hi, c.agg.as_ref()?))),
+            )
+        };
+        let node = &mut self.nodes[n as usize];
+        (node.count, node.lo, node.hi, node.agg) = summary;
     }
 
     /// Find the leaf where `key` belongs, climbing from the nearer finger.
@@ -347,106 +312,123 @@ impl<I: FibaItem> FibaTree<I> {
         cur
     }
 
-    /// Split an overfull node, pushing the right half into the parent
-    /// (creating a new root when `n` was the root).
+    /// Split an overfull node: the right half moves to a new sibling (under a
+    /// new root when `n` was the root) and both halves are re-folded.
     fn split(&mut self, n: u32) {
         self.stats.splits += 1;
         let parent = self.nodes[n as usize].parent;
-        let right = if self.nodes[n as usize].is_leaf() {
-            let mid = self.nodes[n as usize].keys.len() / 2;
-            let keys = self.nodes[n as usize].keys.split_off(mid);
-            let items = self.nodes[n as usize].items.split_off(mid);
-            let mut r = Node::new_leaf(parent);
-            r.keys = keys;
-            r.items = items;
-            self.alloc(r)
-        } else {
-            let mid = self.nodes[n as usize].children.len() / 2;
-            let children = self.nodes[n as usize].children.split_off(mid);
-            let mut r = Node::new_leaf(parent);
-            r.children = children;
-            let ri = self.alloc(r);
-            let moved = self.nodes[ri as usize].children.clone();
-            for c in moved {
-                self.nodes[c as usize].parent = ri;
+        let right = self.alloc(parent);
+        let [left, new] = self
+            .nodes
+            .get_disjoint_mut([n as usize, right as usize])
+            .expect("a fresh node is not the node it splits");
+        if left.is_leaf() {
+            // The rightmost leaf keeps all it may: appends fill the new one.
+            let mid = if n == self.right_finger {
+                left.keys.len() - MIN_FANOUT
+            } else {
+                left.keys.len() / 2
+            };
+            // Exactly a node's worth: doubling would reserve twice that.
+            new.keys.reserve_exact(MAX_FANOUT + 1);
+            new.items.reserve_exact(MAX_FANOUT + 1);
+            new.keys.extend(left.keys.drain(mid..));
+            new.items.extend(left.items.drain(mid..));
+            if n == self.right_finger {
+                self.right_finger = right;
             }
-            ri
-        };
+        } else {
+            let mid = left.children.len() / 2;
+            new.children.extend(left.children.drain(mid..));
+            for i in 0..self.nodes[right as usize].children.len() {
+                let c = self.nodes[right as usize].children[i];
+                self.nodes[c as usize].parent = right;
+            }
+        }
         self.recompute(n);
         self.recompute(right);
         if parent == NIL {
             // Grow a new root above both halves.
-            let mut root = Node::new_leaf(NIL);
-            root.children = vec![n, right];
-            let root_idx = self.alloc(root);
-            self.nodes[n as usize].parent = root_idx;
-            self.nodes[right as usize].parent = root_idx;
-            self.recompute(root_idx);
-            self.root = root_idx;
+            let root = self.alloc(NIL);
+            self.nodes[root as usize].children.extend([n, right]);
+            self.nodes[n as usize].parent = root;
+            self.nodes[right as usize].parent = root;
+            self.recompute(root);
+            self.root = root;
         } else {
-            let pos = self.nodes[parent as usize]
-                .children
+            let siblings = &mut self.nodes[parent as usize].children;
+            let pos = siblings
                 .iter()
                 .position(|&c| c == n)
                 .expect("child listed in its parent");
-            self.nodes[parent as usize].children.insert(pos + 1, right);
+            siblings.insert(pos + 1, right);
         }
     }
 
     /// Insert an entry. Keys need not be unique; an equal key lands after
     /// existing equals (stable order).
     pub fn insert(&mut self, key: FibaKey, item: I) {
-        let leaf = self.locate_leaf(key);
-        {
+        self.len += 1;
+        let tail = self.right_finger;
+        let (count, hi) = {
+            let leaf = &self.nodes[tail as usize];
+            (leaf.count, leaf.hi)
+        };
+        // An empty rightmost leaf is the root of an empty tree.
+        if count == 0 || key >= hi {
+            // Append: the new entry is the last of every subtree on the
+            // right spine, so each cache takes it with one `combine`.
+            self.stats.finger_short_climbs += 1;
+            let mut cur = tail;
+            while cur != NIL {
+                let node = &mut self.nodes[cur as usize];
+                absorb(&mut node.agg, &item);
+                if node.count == 0 {
+                    node.lo = key;
+                }
+                node.count += 1;
+                node.hi = key;
+                cur = node.parent;
+            }
+            let leaf = &mut self.nodes[tail as usize];
+            leaf.keys.push(key);
+            leaf.items.push(item);
+            self.repair_from(tail, false);
+        } else {
+            let leaf = self.locate_leaf(key);
             let node = &mut self.nodes[leaf as usize];
             let pos = node.keys.partition_point(|k| *k <= key);
             node.keys.insert(pos, key);
             node.items.insert(pos, item);
-        }
-        self.len += 1;
-        // Repair (and split where overfull) from the leaf to the root.
-        let mut cur = leaf;
-        let mut split_any = false;
-        loop {
-            let over = if self.nodes[cur as usize].is_leaf() {
-                self.nodes[cur as usize].keys.len() > MAX_FANOUT
-            } else {
-                self.nodes[cur as usize].children.len() > MAX_FANOUT
-            };
-            if over {
-                self.split(cur);
-                split_any = true;
-            } else {
-                self.recompute(cur);
-            }
-            let parent = self.nodes[cur as usize].parent;
-            if parent == NIL {
-                break;
-            }
-            cur = parent;
-        }
-        // Splits move leaves; a plain insert can still extend past the old
-        // fingers on either side.
-        if split_any
-            || self.nodes[self.left_finger as usize].lo > key
-            || self.nodes[self.left_finger as usize].count == 0
-            || self.nodes[self.right_finger as usize].hi < key
-        {
-            self.refresh_fingers();
+            self.repair_from(leaf, true);
         }
     }
 
-    fn refresh_fingers(&mut self) {
-        let mut l = self.root;
-        while !self.nodes[l as usize].is_leaf() {
-            l = self.nodes[l as usize].children[0];
+    /// Walk from `n` towards the root splitting overfull nodes. With
+    /// `refold` (a straggler changed the middle of every subtree above it)
+    /// each node that is not split is recomputed; without (an append already
+    /// updated every cache) the walk ends at the first node with room.
+    fn repair_from(&mut self, mut n: u32, refold: bool) {
+        while n != NIL {
+            if self.nodes[n as usize].overfull() {
+                self.split(n);
+            } else if refold {
+                self.recompute(n);
+            } else {
+                break;
+            }
+            n = self.nodes[n as usize].parent;
         }
-        self.left_finger = l;
-        let mut r = self.root;
-        while !self.nodes[r as usize].is_leaf() {
-            r = *self.nodes[r as usize].children.last().expect("internal");
+    }
+
+    /// The leftmost or rightmost leaf.
+    fn edge_leaf(&self, rightmost: bool) -> u32 {
+        let mut n = self.root;
+        while !self.nodes[n as usize].is_leaf() {
+            let children = &self.nodes[n as usize].children;
+            n = children[if rightmost { children.len() - 1 } else { 0 }];
         }
-        self.right_finger = r;
+        n
     }
 
     /// Combined aggregate and entry count over keys in `[lo, hi]`
@@ -467,30 +449,16 @@ impl<I: FibaItem> FibaTree<I> {
             return;
         }
         if lo <= node.lo && node.hi <= hi {
-            let src = node.agg.as_ref().expect("nonempty subtree");
-            match acc {
-                Some(a) => a.combine(src),
-                None => *acc = Some(src.clone()),
-            }
+            absorb(acc, node.agg.as_ref().expect("nonempty subtree"));
             *count += node.count;
-            return;
-        }
-        if node.is_leaf() {
+        } else if node.is_leaf() {
             // Leaf keys are sorted, so the in-range entries are contiguous.
-            // Seeding the accumulator happens outside the loop: at most one
-            // clone per range query, never one per element.
             let start = node.keys.partition_point(|k| *k < lo);
             let end = node.keys.partition_point(|k| *k <= hi);
-            if start < end {
-                match acc {
-                    Some(a) => a.combine(&node.items[start]),
-                    None => *acc = Some(node.items[start].clone()),
-                }
-                for src in &node.items[start + 1..end] {
-                    acc.as_mut().expect("seeded above").combine(src);
-                }
-                *count += (end - start) as u64;
+            for src in &node.items[start..end] {
+                absorb(acc, src);
             }
+            *count += (end - start) as u64;
         } else {
             for &c in &node.children {
                 self.range_rec(c, lo, hi, acc, count);
@@ -498,89 +466,68 @@ impl<I: FibaItem> FibaTree<I> {
         }
     }
 
-    /// Number of entries with keys in `[lo, hi]` (inclusive), without
-    /// touching aggregates.
-    pub fn count_range(&self, lo: FibaKey, hi: FibaKey) -> u64 {
-        let mut n = 0u64;
-        if self.len > 0 {
-            self.count_rec(self.root, lo, hi, &mut n);
+    /// Smallest key `>= lo`, if any.
+    pub fn first_key_from(&self, lo: FibaKey) -> Option<FibaKey> {
+        let mut cur = self.root;
+        loop {
+            let node = &self.nodes[cur as usize];
+            if node.count == 0 || node.hi < lo {
+                return None;
+            }
+            if node.is_leaf() {
+                return node.keys.iter().copied().find(|k| *k >= lo);
+            }
+            // Some child reaches `lo`, because the node's own `hi` does.
+            let reaches =
+                |&&c: &&u32| self.nodes[c as usize].count > 0 && self.nodes[c as usize].hi >= lo;
+            cur = *node.children.iter().find(reaches)?;
         }
-        n
     }
 
-    fn count_rec(&self, n: u32, lo: FibaKey, hi: FibaKey, acc: &mut u64) {
+    /// Visit every entry with key in `[lo, hi]` (inclusive) in key order.
+    pub fn for_each_range<'a>(
+        &'a self,
+        lo: FibaKey,
+        hi: FibaKey,
+        f: &mut dyn FnMut(FibaKey, &'a I),
+    ) {
+        self.visit(self.root, lo, hi, f);
+    }
+
+    /// Visit every entry in key order.
+    pub fn for_each<'a>(&'a self, f: &mut dyn FnMut(FibaKey, &'a I)) {
+        self.visit(self.root, FIRST_KEY, LAST_KEY, f);
+    }
+
+    fn visit<'a>(&'a self, n: u32, lo: FibaKey, hi: FibaKey, f: &mut dyn FnMut(FibaKey, &'a I)) {
         let node = &self.nodes[n as usize];
         if node.count == 0 || node.hi < lo || hi < node.lo {
             return;
         }
-        if lo <= node.lo && node.hi <= hi {
-            *acc += node.count;
-            return;
-        }
         if node.is_leaf() {
-            *acc += node.keys.iter().filter(|k| lo <= **k && **k <= hi).count() as u64;
-        } else {
-            for &c in &node.children {
-                self.count_rec(c, lo, hi, acc);
-            }
-        }
-    }
-
-    /// Key of the `k`-th entry (0-based) in key order, or `None` when out of
-    /// range. `O(log n)` via subtree counts.
-    pub fn select(&self, k: u64) -> Option<FibaKey> {
-        if k >= self.len {
-            return None;
-        }
-        let mut remaining = k;
-        let mut cur = self.root;
-        loop {
-            let node = &self.nodes[cur as usize];
-            if node.is_leaf() {
-                return Some(node.keys[remaining as usize]);
-            }
-            let mut next = None;
-            for &c in &node.children {
-                let cc = self.nodes[c as usize].count;
-                if remaining < cc {
-                    next = Some(c);
-                    break;
-                }
-                remaining -= cc;
-            }
-            cur = next.expect("counts cover the subtree");
-        }
-    }
-
-    /// Visit every entry in key order.
-    pub fn for_each(&self, f: &mut dyn FnMut(FibaKey, &I)) {
-        if self.len > 0 {
-            self.for_each_rec(self.root, f);
-        }
-    }
-
-    fn for_each_rec(&self, n: u32, f: &mut dyn FnMut(FibaKey, &I)) {
-        let node = &self.nodes[n as usize];
-        if node.is_leaf() {
-            for (k, item) in node.keys.iter().zip(node.items.iter()) {
+            let start = node.keys.partition_point(|k| *k < lo);
+            let end = node.keys.partition_point(|k| *k <= hi);
+            for (k, item) in node.keys[start..end].iter().zip(&node.items[start..end]) {
                 f(*k, item);
             }
         } else {
             for &c in &node.children {
-                self.for_each_rec(c, f);
+                self.visit(c, lo, hi, f);
             }
         }
     }
 
+    /// Free `n` and everything below it. Freed nodes keep their (emptied)
+    /// buffers for [`FibaTree::alloc`] to hand out again.
     fn free_subtree(&mut self, n: u32) {
-        let children = std::mem::take(&mut self.nodes[n as usize].children);
-        for c in children {
+        while let Some(c) = self.nodes[n as usize].children.pop() {
             self.free_subtree(c);
         }
-        self.nodes[n as usize].keys.clear();
-        self.nodes[n as usize].items.clear();
-        self.nodes[n as usize].count = 0;
-        self.nodes[n as usize].agg = None;
+        let node = &mut self.nodes[n as usize];
+        node.keys.clear();
+        node.items.clear();
+        node.count = 0;
+        node.agg = None;
         self.free.push(n);
     }
 
@@ -606,7 +553,8 @@ impl<I: FibaItem> FibaTree<I> {
             self.nodes[old as usize].children.clear();
             self.free_subtree(old);
         }
-        self.refresh_fingers();
+        self.left_finger = self.edge_leaf(false);
+        self.right_finger = self.edge_leaf(true);
         removed
     }
 
@@ -666,19 +614,10 @@ impl<I: FibaItem> FibaTree<I> {
                 self.nodes[self.root as usize].count, self.len
             ));
         }
-        // Fingers must be the extreme leaves.
-        let mut l = self.root;
-        while !self.nodes[l as usize].is_leaf() {
-            l = self.nodes[l as usize].children[0];
-        }
-        if l != self.left_finger {
+        if self.edge_leaf(false) != self.left_finger {
             return Err("left finger is not the leftmost leaf".into());
         }
-        let mut r = self.root;
-        while !self.nodes[r as usize].is_leaf() {
-            r = *self.nodes[r as usize].children.last().expect("internal");
-        }
-        if r != self.right_finger {
+        if self.edge_leaf(true) != self.right_finger {
             return Err("right finger is not the rightmost leaf".into());
         }
         Ok(())
@@ -791,9 +730,8 @@ impl<I: FibaItem> FibaTree<I> {
             }
         } else {
             let mut fresh: Option<I> = None;
-            self.for_each_rec(n, &mut |_, item| match &mut fresh {
-                Some(a) => a.combine(item),
-                None => fresh = Some(item.clone()),
+            self.visit(n, FIRST_KEY, LAST_KEY, &mut |_, item| {
+                absorb(&mut fresh, item)
             });
             let cached = node
                 .agg
@@ -826,7 +764,7 @@ mod tests {
     }
 
     #[test]
-    fn insert_range_and_select_match_a_sorted_model() {
+    fn insert_range_and_visit_match_a_sorted_model() {
         let mut tree = FibaTree::new();
         let mut model: Vec<(FibaKey, i64)> = Vec::new();
         // Deterministic scramble: multiplicative hop around a prime ring.
@@ -854,13 +792,14 @@ mod tests {
                 .count() as u64;
             let (agg, n) = tree.range_agg(lo_k, hi_k);
             assert_eq!(n, n_expect, "count for [{lo},{hi}]");
-            assert_eq!(tree.count_range(lo_k, hi_k), n_expect);
             assert_eq!(agg.map(|a| a.0).unwrap_or(0), expect, "sum for [{lo},{hi}]");
+            let in_range = model.iter().filter(|(k, _)| lo_k <= *k && *k <= hi_k);
+            let mut walked = Vec::new();
+            tree.for_each_range(lo_k, hi_k, &mut |k, item| walked.push((k, item.0)));
+            assert_eq!(walked, in_range.cloned().collect::<Vec<_>>());
+            let next = model.iter().map(|(k, _)| *k).find(|k| *k >= lo_k);
+            assert_eq!(tree.first_key_from(lo_k), next, "first key from {lo}");
         }
-        for k in [0u64, 1, 250, 499] {
-            assert_eq!(tree.select(k), Some(model[k as usize].0));
-        }
-        assert_eq!(tree.select(500), None);
     }
 
     #[test]
@@ -925,46 +864,5 @@ mod tests {
             s.finger_short_climbs > s.root_climbs,
             "expected finger hits to dominate: {s:?}"
         );
-    }
-
-    #[test]
-    fn ordered_f64_bits_preserve_total_order_and_roundtrip() {
-        let vals = [
-            f64::NEG_INFINITY,
-            -1.5,
-            -0.0,
-            0.0,
-            1.0e-300,
-            2.5,
-            f64::INFINITY,
-            f64::NAN,
-            -f64::NAN,
-        ];
-        for &a in &vals {
-            // Bijective roundtrip preserves the exact bit pattern.
-            assert_eq!(ordered_to_f64(f64_to_ordered(a)).to_bits(), a.to_bits());
-            for &b in &vals {
-                assert_eq!(
-                    f64_to_ordered(a).cmp(&f64_to_ordered(b)),
-                    a.total_cmp(&b),
-                    "{a} vs {b}"
-                );
-            }
-        }
-    }
-
-    #[test]
-    fn unit_item_tree_serves_as_an_order_statistic_index() {
-        let mut tree: FibaTree<()> = FibaTree::new();
-        let xs = [3.5f64, -1.0, 3.5, 0.0, -0.0, f64::NAN, 100.0];
-        for (i, &x) in xs.iter().enumerate() {
-            tree.insert((f64_to_ordered(x), i as u64), ());
-        }
-        let mut sorted = xs.to_vec();
-        sorted.sort_by(|a, b| a.total_cmp(b));
-        for (k, want) in sorted.iter().enumerate() {
-            let (bits, _) = tree.select(k as u64).expect("in range");
-            assert_eq!(ordered_to_f64(bits).to_bits(), want.to_bits(), "rank {k}");
-        }
     }
 }

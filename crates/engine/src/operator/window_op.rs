@@ -1,11 +1,10 @@
 //! Keyed windowed aggregation with event-time semantics.
 //!
-//! [`WindowAggregateOp`] routes each event into every window instance its
-//! timestamp belongs to (optionally per grouping key), folds it into the
-//! incremental aggregate state, and emits one result row per (key, window)
-//! when the watermark passes the window's end. Events arriving *after* their
-//! window was already finalized are handled according to [`LatePolicy`]:
-//! counted and dropped, or emitted as revised ("update") results.
+//! [`WindowAggregateOp`] folds each event once into the state of its grouping
+//! key and emits one result row per (key, window) when the watermark passes
+//! the window's end. Events arriving *after* their window was already
+//! finalized are handled according to [`LatePolicy`]: counted and dropped, or
+//! emitted as revised ("update") results.
 //!
 //! This operator is the consumer side of the quality/latency trade-off: the
 //! disorder-control strategies in `quill-core` decide how long to hold
@@ -14,29 +13,35 @@
 //!
 //! ## Window state
 //!
-//! There is one state layout, FiBA ([`crate::fiba`]; DESIGN.md §17 records
-//! the measurements that retired the per-window and shared-pane layouts).
-//! Per key, one finger B-tree over `(ts, seq)` keys holds a combinable
-//! partial per event, so an event is folded *once* whatever the window
-//! shape ([`WindowOpStats::agg_inserts`] counts it); window finalize is a
-//! range query over cached subtree combines, and the slide bulk-evicts
-//! everything no later window can cover. Aggregates whose partials cannot be
-//! combined (Median/Quantile/DistinctCount) keep a value-indexed tree or a
-//! set per open window; subtree counts answer rank queries in `O(log n)`.
+//! There is one state layout, FiBA ([`crate::fiba`]; DESIGN.md §17). Per key,
+//! one finger B-tree over `(ts, seq)` keys holds one item per event: its
+//! partial of every combinable aggregate plus the raw value of every field an
+//! order statistic (Median/Quantile/DistinctCount) reads. An event is folded
+//! *once*, whatever the window shape and the aggregate kinds
+//! ([`WindowOpStats::agg_inserts`] counts it) — an in-order arrival is an
+//! append at the tree's right finger. Window finalize is a range query over
+//! cached subtree combines, plus one in-order visit of the window's entries
+//! when order statistics are asked for; the slide bulk-evicts everything no
+//! later window can cover.
 //!
-//! Under [`LatePolicy::Revise`] an emitted window stays in its key's window
-//! map, with its emission count, until the watermark passes `end +
-//! allowed_lateness`: a late event re-runs the range query and emits the
-//! next revision, and eviction cuts at the start of the oldest window still
-//! tracked instead of one slide past the emitted one.
+//! Which window to emit next is tracked per *key*, not per (window, event):
+//! the emission queue holds each key's earliest unemitted non-empty window.
+//! An event moves its key's entry only when it opens an earlier window than
+//! that, and emitting a window finds its successor from the first event the
+//! tree still holds — windows nothing fell into are never visited.
+//!
+//! Under [`LatePolicy::Revise`] an emitted window stays in its key's
+//! `emitted` map until the watermark passes `end + allowed_lateness`: a late
+//! event re-runs its query and emits the next revision, and eviction cuts at
+//! the start of the oldest window still tracked.
 
-use crate::aggregate::{AggregateKind, AggregateSpec, PaneAgg};
-use crate::error::Result;
+use crate::aggregate::{quantile_sorted, AggregateKind, AggregateSpec, PaneAgg};
+use crate::error::{EngineError, Result};
 use crate::event::{Event, StreamElement};
-use crate::fiba::{f64_to_ordered, ordered_to_f64, FibaItem, FibaTree, WindowState};
+use crate::fiba::{FibaItem, FibaKey, FibaTree, WindowState};
 use crate::operator::Operator;
 use crate::time::Timestamp;
-use crate::value::{Key, Row, Value};
+use crate::value::{Key, KeyView, Row, Value};
 use crate::window::{Window, WindowSpec};
 use quill_telemetry::trace::{FlightRecorder, TraceKind};
 use quill_telemetry::{SpanRecorder, Stage};
@@ -60,15 +65,21 @@ pub enum LatePolicy {
 }
 
 impl LatePolicy {
-    /// Whether a window ending at `end` still takes events at watermark `wm`:
-    /// an open window always does, a closed one only under `Revise` and only
-    /// until its allowed lateness runs out. Monotone in `end`, and once false
-    /// for a window it stays false (watermarks never regress).
-    fn accepts(self, end: u64, wm: u64) -> bool {
+    /// The smallest window end that still takes events at watermark `wm`
+    /// (`None`: no window does). An open window always takes events, a closed
+    /// one only under `Revise` and only until its allowed lateness runs out.
+    /// Non-decreasing in `wm`, so a window that stopped taking events never
+    /// takes one again (watermarks never regress).
+    fn open_from(self, wm: u64) -> Option<u64> {
         match self {
-            LatePolicy::Drop => end > wm,
-            LatePolicy::Revise { allowed_lateness } => end.saturating_add(allowed_lateness) >= wm,
+            LatePolicy::Drop => wm.checked_add(1),
+            LatePolicy::Revise { allowed_lateness } => Some(wm.saturating_sub(allowed_lateness)),
         }
+    }
+
+    /// Whether a window ending at `end` still takes events at watermark `wm`.
+    fn accepts(self, end: u64, wm: u64) -> bool {
+        self.open_from(wm).is_some_and(|min_end| end >= min_end)
     }
 }
 
@@ -86,9 +97,8 @@ pub struct WindowOpStats {
     /// Window results emitted (first emissions, not revisions).
     pub windows_emitted: u64,
     /// Aggregate-state folds performed: one time-tree insert per accepted
-    /// event, plus one per window instance receiving order-statistic values
-    /// (Median/Quantile/DistinctCount). The ratio to `accepted` is `1` when
-    /// every aggregate is combinable and `≈ 1 + length/slide` otherwise.
+    /// event, whatever the window shape and the aggregate kinds — always
+    /// equal to `accepted`.
     pub agg_inserts: u64,
 }
 
@@ -146,136 +156,281 @@ impl WindowResult {
     }
 }
 
-/// One event's combinable partials, stored as the item of the per-key time
-/// tree. Combining in `(ts, seq)` key order is a fold in timestamp order with
-/// arrival order breaking ties (the shard stages deliver equal-timestamp
-/// events in `seq` order), which is what the Edge/Arg tie rules are defined
-/// over.
+/// One event in its key's time tree: a partial of every combinable spec and
+/// the raw value of every order-statistic field. Combining in `(ts, seq)` key
+/// order is a fold in timestamp order with arrival order breaking ties (the
+/// shard stages deliver equal-timestamp events in `seq` order), which is what
+/// the Edge/Arg tie rules are defined over.
 #[derive(Clone)]
-struct EventSlice(Vec<PaneAgg>);
+struct EventSlice {
+    /// One partial per [`Slot::Pane`], in slot order.
+    partials: Box<[PaneAgg]>,
+    /// The event's value of each [`RawField`]. Read from tree entries only:
+    /// node caches combine `partials` and carry no raw values.
+    raw: Box<[Value]>,
+}
 
 impl FibaItem for EventSlice {
     fn combine(&mut self, later: &Self) {
-        for (a, b) in self.0.iter_mut().zip(&later.0) {
+        for (a, b) in self.partials.iter_mut().zip(&later.partials) {
             a.merge(b);
+        }
+    }
+
+    fn assign_from(&mut self, src: &Self) {
+        self.partials.clone_from(&src.partials);
+    }
+
+    fn seed(&self) -> Self {
+        EventSlice {
+            partials: self.partials.clone(),
+            raw: Box::default(),
         }
     }
 }
 
-/// Per-window state for aggregates whose partials cannot be combined.
-enum OrderStat {
-    /// Value-indexed finger B-tree: keys are `(total-order f64 bits, uniq)`,
-    /// so subtree counts answer `select(k)` in O(log n) and an out-of-order
-    /// value insert costs O(log n), not a sorted `Vec`'s O(n) shift.
-    /// Non-numeric values are skipped, like `QuantileAgg`.
-    Rank { p: f64, tree: FibaTree<()> },
-    /// Distinct non-null keys; identical semantics to `DistinctAgg`.
-    Distinct(BTreeSet<Key>),
+/// Where one [`AggregateSpec`]'s output comes from at emission.
+#[derive(Clone, Copy)]
+enum Slot {
+    /// Combinable: `partials[.0]` of the window's range aggregate.
+    Pane(usize),
+    /// Median/Quantile: the `.1`-quantile of the window's numeric values of
+    /// raw field `.0`.
+    Quantile(usize, f64),
+    /// DistinctCount: the distinct non-null values of raw field `.0`.
+    Distinct(usize),
 }
 
-/// What a key remembers about one window besides the events in its time tree.
-struct TrackedWindow {
-    /// One [`OrderStat`] per non-combinable spec, in spec order; empty when
-    /// every spec is combinable.
-    order: Vec<OrderStat>,
-    /// How many times the window has been emitted (0 = still pending). Only
-    /// `Revise` keeps a window past its first emission.
-    emissions: u64,
+/// One row field read by order-statistic specs; every spec on the field
+/// shares one collection of the window's values per emission.
+struct RawField {
+    /// Row index of the field.
+    field: usize,
+    /// Whether a Median/Quantile spec reads the field.
+    quantile: bool,
+    /// Whether a DistinctCount spec reads the field.
+    distinct: bool,
+    /// The window's numeric values in `total_cmp` order (non-numeric values
+    /// are skipped, like `QuantileAgg`); reused across emissions.
+    nums: Vec<f64>,
+}
+
+/// A window as `(end, start)` — the order windows are emitted in.
+type WindowId = (Timestamp, Timestamp);
+
+/// The window grid: `[start, start + length)` for every multiple `start` of
+/// `slide` (`1 <= slide <= length`).
+#[derive(Clone, Copy)]
+struct Grid {
+    length: u64,
+    slide: u64,
+}
+
+impl Grid {
+    /// The window starting at `start`.
+    fn window(self, start: u64) -> WindowId {
+        let end = start.saturating_add(self.length);
+        (Timestamp(end), Timestamp(start))
+    }
+
+    /// Start of the last window containing `t`.
+    fn home(self, t: u64) -> u64 {
+        t / self.slide * self.slide
+    }
+
+    /// Start of the first window containing `t` (windows do not start before
+    /// the stream origin).
+    fn first_start(self, t: u64) -> u64 {
+        let home = self.home(t);
+        let back = (self.length - 1 - (t - home)) / self.slide;
+        home - back.min(home / self.slide) * self.slide
+    }
+
+    /// Start of the first window ending at or after `min_end`.
+    fn first_ending_from(self, min_end: u64) -> u64 {
+        min_end.saturating_sub(self.length).div_ceil(self.slide) * self.slide
+    }
 }
 
 /// Window state for one grouping key.
+#[derive(Default)]
 struct FibaKeyState {
     /// Finger B-tree over `(ts, seq)` holding one [`EventSlice`] per
-    /// accepted event; window finalize is `range_agg` over `[start, end)`.
+    /// accepted event; window finalize is a query over `[start, end)`.
     time: FibaTree<EventSlice>,
-    /// Per `(end, start)` window that needs more than the time tree: every
-    /// window with order-statistic specs until it is emitted, and under
-    /// `Revise` every window until its allowed lateness runs out. Stays empty
-    /// under `Drop` when every spec is combinable.
-    windows: BTreeMap<(Timestamp, Timestamp), TrackedWindow>,
-    /// Disambiguator for equal value bits in [`OrderStat::Rank`] trees.
-    uniq: u64,
+    /// The key's earliest unemitted window holding an event — its entry in
+    /// [`FibaState::pending`].
+    next: Option<WindowId>,
+    /// `Revise` only: emission count of every emitted window still inside
+    /// its allowed lateness. Stays empty under `Drop`.
+    emitted: BTreeMap<WindowId, u64>,
+}
+
+impl FibaKeyState {
+    /// Take one event whose accepting windows start at `first..=home(t)`.
+    /// Returns `(old, new)` when the key's pending window moves down to
+    /// `new`: the first of those windows not emitted yet, if it precedes the
+    /// pending one.
+    fn admit(
+        &mut self,
+        at: FibaKey,
+        item: EventSlice,
+        first: u64,
+        grid: Grid,
+    ) -> Option<(Option<WindowId>, WindowId)> {
+        self.time.insert(at, item);
+        let (mut start, home) = (first, grid.home(at.0));
+        for (&(_, emitted), _) in self.emitted.range(grid.window(first)..=grid.window(home)) {
+            if emitted.raw() == start {
+                if start == home {
+                    return None; // every window it reaches is a revision
+                }
+                start += grid.slide;
+            }
+        }
+        let new = grid.window(start);
+        // `new.0 <= at.0`: the end saturated at `u64::MAX` and the event sits
+        // on it, inside no window.
+        if new.0.raw() <= at.0 || self.next.is_some_and(|next| next <= new) {
+            return None;
+        }
+        Some((self.next.replace(new), new))
+    }
+
+    /// The earliest unemitted window starting at or after `from` that holds
+    /// an event: the first window of the first such event, unless it was
+    /// emitted already (`Revise`), in which case the search resumes past it.
+    fn successor(&self, mut from: u64, grid: Grid) -> Option<WindowId> {
+        loop {
+            let (t0, _) = self.time.first_key_from((from, 0))?;
+            let w = grid.window(from.max(grid.first_start(t0)));
+            if w.0.raw() <= t0 {
+                return None; // an event on a saturated end, as in `admit`
+            }
+            if !self.emitted.contains_key(&w) {
+                return Some(w);
+            }
+            from = w.1.raw().saturating_add(grid.slide);
+        }
+    }
 }
 
 /// The operator's window state (see the module docs).
 struct FibaState {
-    length: u64,
-    slide: u64,
-    /// Fresh combinable partials, one per combinable spec (tree item shape).
-    template: Vec<PaneAgg>,
-    /// Per spec: `Some(index into template)` for combinable kinds, `None`
-    /// for order-statistic/distinct kinds (served from [`OrderStat`]s).
-    slots: Vec<Option<usize>>,
+    grid: Grid,
+    /// Fresh combinable partials, one per [`Slot::Pane`] (tree item shape).
+    template: Box<[PaneAgg]>,
+    /// Per spec, where its output comes from.
+    slots: Vec<Slot>,
+    /// The fields order-statistic specs read (tree item shape).
+    raw: Vec<RawField>,
     keys: BTreeMap<Key, FibaKeyState>,
-    /// Registered-but-unemitted `(end, start, key)` windows, drained in
-    /// emission order as the watermark advances.
+    /// Every key's `next` window as `(end, start, key)`, drained in emission
+    /// order as the watermark advances.
     pending: BTreeSet<(Timestamp, Timestamp, Key)>,
     /// `Revise` only: emitted windows still inside their allowed lateness,
     /// in the order they expire.
     retained: BTreeSet<(Timestamp, Timestamp, Key)>,
+    /// Inserts into `pending` and removals other than the drain's pops (of
+    /// which there is at most one per insert).
+    #[cfg(test)]
+    pending_ops: u64,
 }
 
 impl FibaState {
-    /// `Revise`: a window of `key` just left the key's window map. The map
-    /// now holds exactly the key's open or revisable windows, so events
-    /// before the oldest one's start fall in no window that can be asked for
-    /// again — bulk-evict them, and drop the key with its last window.
-    fn evict_untracked(&mut self, key: &Key) {
+    /// Move `key`'s entry in `pending` from `old` to `new`.
+    fn requeue(&mut self, key: Key, old: Option<WindowId>, new: WindowId) {
+        #[cfg(test)]
+        {
+            self.pending_ops += 1 + u64::from(old.is_some());
+        }
+        let key = match old {
+            Some((end, start)) => {
+                let entry = (end, start, key);
+                self.pending.remove(&entry);
+                entry.2
+            }
+            None => key,
+        };
+        self.pending.insert((new.0, new.1, key));
+    }
+
+    /// `key`'s pending window `w` was just popped and emitted: keep it
+    /// revisable while `retain`, queue the key's next window and let go of
+    /// what no tracked window covers.
+    fn advance(&mut self, key: Key, w: WindowId, retain: bool) {
+        let Some(ks) = self.keys.get_mut(&key) else {
+            return;
+        };
+        if retain {
+            ks.emitted.insert(w, 1);
+            self.retained.insert((w.0, w.1, key.clone()));
+        }
+        ks.next = ks.successor(w.1.raw().saturating_add(self.grid.slide), self.grid);
+        let next = ks.next;
+        self.settle(&key);
+        if let Some(next) = next {
+            self.requeue(key, None, next);
+        }
+    }
+
+    /// Bulk-evict what no tracked window of `key` — its `next` and its
+    /// `emitted` ones — can ask for again: everything before the oldest one's
+    /// start (later unemitted windows start after `next`). A key with no
+    /// tracked window is dropped whole.
+    fn settle(&mut self, key: &Key) {
         let Some(ks) = self.keys.get_mut(key) else {
             return;
         };
-        match ks.windows.first_key_value() {
-            Some((&(_, start), _)) => {
-                ks.time.evict_before((start.raw(), 0));
-            }
-            None => {
-                self.keys.remove(key);
-            }
+        let tracked = ks.next.iter().chain(ks.emitted.keys().next());
+        if let Some(start) = tracked.map(|w| w.1.raw()).min() {
+            ks.time.evict_before((start, 0));
+        } else {
+            self.keys.remove(key);
         }
     }
-}
 
-/// Fresh [`OrderStat`] states for every non-combinable spec, in spec order.
-fn build_order_stats(aggs: &[AggregateSpec]) -> Vec<OrderStat> {
-    aggs.iter()
-        .filter_map(|a| match a.kind {
-            AggregateKind::Median => Some(OrderStat::Rank {
-                p: 0.5,
-                tree: FibaTree::new(),
-            }),
-            AggregateKind::Quantile(p) => Some(OrderStat::Rank {
-                p: p.clamp(0.0, 1.0),
-                tree: FibaTree::new(),
-            }),
-            AggregateKind::DistinctCount => Some(OrderStat::Distinct(BTreeSet::new())),
-            _ => None,
-        })
-        .collect()
-}
-
-/// Finalize a rank tree exactly as `aggregate::quantile_sorted` would
-/// finalize the equivalent sorted slice: same clamp, same index arithmetic,
-/// same interpolation expression — bit-identical output by construction.
-fn rank_quantile(tree: &FibaTree<()>, p: f64) -> Value {
-    let n = tree.len();
-    if n == 0 {
-        return Value::Null;
-    }
-    let value_at = |k: u64| -> f64 {
-        match tree.select(k) {
-            Some((bits, _)) => ordered_to_f64(bits),
-            None => f64::NAN, // unreachable: k < n by construction
+    /// Entry count and one output per spec, in spec order, for `key`'s
+    /// entries in `[lo, hi]`: combinable kinds from the range aggregate, the
+    /// rest from one in-order visit that collects each raw field's values.
+    /// Median/Quantile finalize as `QuantileAgg` does (`quantile_sorted` over
+    /// the `total_cmp`-sorted numeric values), DistinctCount as `DistinctAgg`
+    /// (non-null values, [`Key`] order).
+    fn answer(&mut self, key: &Key, lo: FibaKey, hi: FibaKey) -> (u64, Vec<Value>) {
+        // Defensive: a queued window always has its key, but answer with an
+        // empty result rather than lose the window.
+        let tree = self.keys.get(key).map(|ks| &ks.time);
+        let (combined, count) = tree.map_or((None, 0), |t| t.range_agg(lo, hi));
+        let raw = &mut self.raw;
+        let mut distinct: Vec<BTreeSet<&dyn KeyView>> =
+            raw.iter().map(|_| BTreeSet::new()).collect();
+        if let Some(tree) = tree.filter(|_| !raw.is_empty()) {
+            raw.iter_mut().for_each(|r| r.nums.clear());
+            tree.for_each_range(lo, hi, &mut |_, item| {
+                for ((r, seen), v) in raw.iter_mut().zip(&mut distinct).zip(&item.raw) {
+                    if r.quantile {
+                        r.nums.extend(v.as_f64());
+                    }
+                    if r.distinct && !v.is_null() {
+                        seen.insert(v);
+                    }
+                }
+            });
+            raw.iter_mut()
+                .for_each(|r| r.nums.sort_unstable_by(f64::total_cmp));
         }
-    };
-    if n == 1 {
-        return Value::Float(value_at(0));
+        let finalize = |slot: &Slot| match *slot {
+            Slot::Pane(j) => match &combined {
+                Some(slice) => slice.partials[j].finalize(),
+                None => self.template[j].finalize(),
+            },
+            Slot::Quantile(j, p) => {
+                quantile_sorted(&raw[j].nums, p).map_or(Value::Null, Value::Float)
+            }
+            Slot::Distinct(j) => Value::Int(distinct[j].len() as i64),
+        };
+        (count, self.slots.iter().map(finalize).collect())
     }
-    let rank = p.clamp(0.0, 1.0) * (n - 1) as f64;
-    let lo = rank.floor() as u64;
-    let hi = (rank.ceil() as u64).min(n - 1);
-    let frac = rank - lo as f64;
-    let (x_lo, x_hi) = (value_at(lo), value_at(hi));
-    Value::Float(x_lo + (x_hi - x_lo) * frac)
 }
 
 /// Pop the first `(end, start, key)` of `set` if its window end satisfies
@@ -289,45 +444,6 @@ fn pop_first_if(
     } else {
         None
     }
-}
-
-/// One output per spec, in spec order: combinable kinds from the range
-/// query's combined partials, the rest from the window's [`OrderStat`]s.
-fn finalize_window(
-    aggs: &[AggregateSpec],
-    slots: &[Option<usize>],
-    template: &[PaneAgg],
-    combined: Option<&EventSlice>,
-    order: &[OrderStat],
-) -> Vec<Value> {
-    let mut aggregates = Vec::with_capacity(aggs.len());
-    let mut oi = 0;
-    for (spec, slot) in aggs.iter().zip(slots) {
-        match slot {
-            Some(j) => aggregates.push(match combined {
-                Some(slice) => slice.0[*j].finalize(),
-                // Defensive: a registered window always covers ≥ 1
-                // accepted event, but emit an empty result rather than
-                // lose the window.
-                None => template[*j].finalize(),
-            }),
-            None => {
-                let v = match order.get(oi) {
-                    Some(OrderStat::Rank { p, tree }) => rank_quantile(tree, *p),
-                    Some(OrderStat::Distinct(set)) => Value::Int(set.len() as i64),
-                    // Defensive, as above: match each kind's empty-state
-                    // finalize.
-                    None => match spec.kind {
-                        AggregateKind::DistinctCount => Value::Int(0),
-                        _ => Value::Null,
-                    },
-                };
-                aggregates.push(v);
-                oi += 1;
-            }
-        }
-    }
-    aggregates
 }
 
 /// Keyed sliding/tumbling window aggregation operator.
@@ -367,31 +483,60 @@ impl WindowAggregateOp {
             a.validate()?;
         }
         if aggs.is_empty() {
-            return Err(crate::error::EngineError::InvalidAggregate(
+            return Err(EngineError::InvalidAggregate(
                 "window aggregation requires at least one aggregate".into(),
             ));
         }
-        // Combinable kinds get a slot in the per-event tree item; the rest
-        // are served from per-window `OrderStat`s.
+        // The tree item shape: a partial per combinable spec, a raw value
+        // per distinct field the other specs read.
         let mut template = Vec::new();
+        let mut raw: Vec<RawField> = Vec::new();
         let mut slots = Vec::with_capacity(aggs.len());
         for a in &aggs {
-            match a.build_pane() {
-                Some(p) => {
-                    slots.push(Some(template.len()));
-                    template.push(p);
-                }
-                None => slots.push(None),
+            if let Some(pane) = a.build_pane() {
+                slots.push(Slot::Pane(template.len()));
+                template.push(pane);
+                continue;
             }
+            let j = raw.iter().position(|r| r.field == a.field);
+            let j = j.unwrap_or_else(|| {
+                raw.push(RawField {
+                    field: a.field,
+                    quantile: false,
+                    distinct: false,
+                    nums: Vec::new(),
+                });
+                raw.len() - 1
+            });
+            let slot = match a.kind {
+                AggregateKind::Median => Slot::Quantile(j, 0.5),
+                AggregateKind::Quantile(p) => Slot::Quantile(j, p),
+                AggregateKind::DistinctCount => Slot::Distinct(j),
+                kind => {
+                    return Err(EngineError::InvalidAggregate(format!(
+                        "{kind} has neither a combinable partial nor an order-statistic finalizer"
+                    )))
+                }
+            };
+            match slot {
+                Slot::Distinct(_) => raw[j].distinct = true,
+                _ => raw[j].quantile = true,
+            }
+            slots.push(slot);
         }
         let fiba = FibaState {
-            length: spec.length().raw(),
-            slide: spec.slide().raw(),
-            template,
+            grid: Grid {
+                length: spec.length().raw(),
+                slide: spec.slide().raw(),
+            },
+            template: template.into(),
             slots,
+            raw,
             keys: BTreeMap::new(),
             pending: BTreeSet::new(),
             retained: BTreeSet::new(),
+            #[cfg(test)]
+            pending_ops: 0,
         };
         Ok(WindowAggregateOp {
             name: format!("window-agg({spec})"),
@@ -443,35 +588,32 @@ impl WindowAggregateOp {
         self.stats
     }
 
-    /// Number of (key, window) states currently held: registered windows not
-    /// yet emitted, plus — under `Revise` — emitted windows still inside
-    /// their allowed lateness.
+    /// Keys with an unemitted window holding an event (each counted once,
+    /// however many of its windows are open), plus — under `Revise` — emitted
+    /// windows still inside their allowed lateness.
     pub fn open_windows(&self) -> usize {
         self.fiba.pending.len() + self.fiba.retained.len()
     }
 
-    fn key_of(&self, row: &Row) -> Key {
-        match self.key_field {
-            Some(i) => Key(row.get(i).clone()),
-            None => Key(Value::Null),
-        }
-    }
-
-    /// Ingest: one `(ts, seq)` insert into the key's time tree carrying the
-    /// event's combinable partials, plus — per window that still accepts the
-    /// event — registering it as pending and folding order-statistic values
-    /// into its rank trees / distinct sets. Under `Revise`, a window that was
-    /// already emitted is re-queried and emitted again as the next revision.
+    /// Ingest: one `(ts, seq)` insert into the key's time tree, carrying the
+    /// event's combinable partials and order-statistic field values, and —
+    /// only when the event opens a window earlier than the key's pending one
+    /// — a move of the key's entry in the emission queue. Under `Revise`,
+    /// every already-emitted window the event reaches is re-queried and
+    /// emitted again as its next revision.
     fn fold_event(&mut self, e: &Event, out: &mut dyn FnMut(StreamElement)) {
-        let key = self.key_of(&e.row);
         let wm = self.watermark.raw();
-        let policy = self.late_policy;
         let fs = &mut self.fiba;
+        let grid = fs.grid;
         let t = e.ts.raw();
-        let home = t / fs.slide * fs.slide;
-        // The last window containing `t` ends at `home + length`; if that
-        // one no longer accepts the event, none does.
-        if !policy.accepts(home.saturating_add(fs.length), wm) {
+        let home = grid.window(grid.home(t));
+        // The last window containing `t` is its home window; if that one no
+        // longer takes the event, none does.
+        let Some(min_end) = self
+            .late_policy
+            .open_from(wm)
+            .filter(|min_end| home.0.raw() >= *min_end)
+        else {
             self.stats.late_dropped += 1;
             if self.trace.is_enabled() {
                 let missed: Vec<(u64, u64)> = self
@@ -490,82 +632,56 @@ impl WindowAggregateOp {
                 );
             }
             return;
-        }
-        // Build the event's slice of combinable partials and insert it once,
-        // keyed `(ts, seq)`: an in-order arrival lands at the right finger in
-        // O(1) amortized, a straggler in O(log n) — never an O(n) shift.
+        };
         let mut partials = fs.template.clone();
         for (slot, spec) in fs.slots.iter().zip(&self.aggs) {
-            if let Some(j) = *slot {
+            if let Slot::Pane(j) = *slot {
                 partials[j].insert_row(e.ts, e.row.get(spec.field), &e.row);
             }
         }
-        let ks = fs.keys.entry(key.clone()).or_insert_with(|| FibaKeyState {
-            time: FibaTree::new(),
-            windows: BTreeMap::new(),
-            uniq: 0,
-        });
-        ks.time.insert((t, e.seq), EventSlice(partials));
+        let raw = fs.raw.iter().map(|r| e.row.get(r.field).clone()).collect();
+        let item = EventSlice { partials, raw };
         self.stats.agg_inserts += 1;
         self.stats.accepted += 1;
-        let has_order = fs.slots.iter().any(|s| s.is_none());
-        let revise = policy != LatePolicy::Drop;
-        // Already-emitted windows this event reaches (`Revise` only; never
-        // allocates under `Drop`).
-        let mut revised: Vec<Window> = Vec::new();
-        for w in self.spec.assign(e.ts) {
-            if !policy.accepts(w.end.raw(), wm) {
-                continue; // closed for good: already emitted, stays final
+        // The windows taking the event start at `first..=home`.
+        let first = grid.first_start(t).max(grid.first_ending_from(min_end));
+        let key = self.key_field.map_or(&Value::Null, |i| e.row.get(i));
+        // The key is looked up by reference and cloned on first sight and
+        // when its pending window moves.
+        let moved = match fs.keys.get_mut(key as &dyn KeyView) {
+            Some(ks) => ks.admit((t, e.seq), item, first, grid),
+            None => {
+                let mut ks = FibaKeyState::default();
+                let moved = ks.admit((t, e.seq), item, first, grid);
+                fs.keys.insert(Key(key.clone()), ks);
+                moved
             }
-            let tracked = (has_order || revise).then(|| {
-                ks.windows
-                    .entry((w.end, w.start))
-                    .or_insert_with(|| TrackedWindow {
-                        order: build_order_stats(&self.aggs),
-                        emissions: 0,
-                    })
-            });
-            match &tracked {
-                Some(tw) if tw.emissions > 0 => revised.push(w),
-                _ => {
-                    // quill-lint: allow(hot-path-alloc, reason = "BTreeSet registration needs an owned key per assigned window; a key is one small Value")
-                    fs.pending.insert((w.end, w.start, key.clone()));
-                }
-            }
-            let Some(tw) = tracked.filter(|_| has_order) else {
-                continue;
-            };
-            self.stats.agg_inserts += 1;
-            let mut oi = 0;
-            for (slot, spec) in fs.slots.iter().zip(&self.aggs) {
-                if slot.is_some() {
-                    continue;
-                }
-                match tw.order.get_mut(oi) {
-                    Some(OrderStat::Rank { tree, .. }) => {
-                        if let Some(x) = e.row.get(spec.field).as_f64() {
-                            let u = ks.uniq;
-                            ks.uniq += 1;
-                            // `uniq` grows in insertion order, so equal value
-                            // bits keep insert-after-equals order — exactly
-                            // the array QuantileAgg's sorted insert produces.
-                            tree.insert((f64_to_ordered(x), u), ());
-                        }
-                    }
-                    Some(OrderStat::Distinct(set)) => {
-                        let v = e.row.get(spec.field);
-                        if !v.is_null() {
-                            // quill-lint: allow(hot-path-alloc, reason = "distinct-count semantics require an owned copy of each new value")
-                            set.insert(Key(v.clone()));
-                        }
-                    }
-                    None => {}
-                }
-                oi += 1;
-            }
+        };
+        if let Some((old, new)) = moved {
+            fs.requeue(Key(key.clone()), old, new);
         }
-        for w in revised {
-            self.emit_window(w.end, w.start, &key, out);
+        // `Revise`: the emitted windows among those are re-answered at once
+        // (nothing is retained under `Drop`, and an empty range collects
+        // without allocating).
+        if fs.retained.is_empty() {
+            return;
+        }
+        let reached = grid.window(first)..=home;
+        let revised: Vec<(WindowId, u64)> = fs
+            .keys
+            .get_mut(key as &dyn KeyView)
+            .into_iter()
+            .flat_map(|ks| ks.emitted.range_mut(reached.clone()))
+            .map(|(w, emissions)| {
+                *emissions += 1;
+                (*w, *emissions - 1)
+            })
+            .collect();
+        if !revised.is_empty() {
+            let key = Key(key.clone());
+            for (w, revision) in revised {
+                self.emit_window(w, &key, revision, out);
+            }
         }
     }
 
@@ -575,97 +691,42 @@ impl WindowAggregateOp {
             return;
         }
         self.watermark = wm;
-        // Emit every pending window up to the watermark; the set is already
-        // in emission order.
+        let policy = self.late_policy;
+        // Emit every pending window up to the watermark. Each key's windows
+        // come up in order and the queue merges the keys, so emission is in
+        // `(end, start, key)` order.
         while let Some((end, start, key)) = pop_first_if(&mut self.fiba.pending, |end| end <= wm) {
-            self.emit_window(end, start, &key, out);
+            self.emit_window((end, start), &key, 0, out);
+            let retain = policy.accepts(end.raw(), wm.raw());
+            self.fiba.advance(key, (end, start), retain);
         }
         // `Revise`: forget emitted windows whose allowed lateness just ran
         // out (the set is empty under `Drop`).
-        let (policy, fs) = (self.late_policy, &mut self.fiba);
+        let fs = &mut self.fiba;
         let expired = |end: Timestamp| !policy.accepts(end.raw(), wm.raw());
         while let Some((end, start, key)) = pop_first_if(&mut fs.retained, expired) {
             if let Some(ks) = fs.keys.get_mut(&key) {
-                ks.windows.remove(&(end, start));
+                ks.emitted.remove(&(end, start));
             }
-            fs.evict_untracked(&key);
+            fs.settle(&key);
         }
         out(StreamElement::Watermark(wm));
     }
 
-    /// Answer window `[start, end)` of `key` with a range query and emit the
-    /// row: the first emission when the watermark closes the window, revision
-    /// *n* when a late event reaches it afterwards. A window that can still
-    /// take events (`Revise`, inside its allowed lateness) stays tracked;
-    /// otherwise it is forgotten and whatever no later window of the key can
-    /// cover is bulk-evicted.
+    /// Answer window `[start, end)` of `key` from its time tree and emit the
+    /// row: the first emission (`revision` 0) when the watermark closes the
+    /// window, revision *n* when a late event reaches it afterwards.
     fn emit_window(
         &mut self,
-        end: Timestamp,
-        start: Timestamp,
+        (end, start): WindowId,
         key: &Key,
+        revision: u64,
         out: &mut dyn FnMut(StreamElement),
     ) {
-        let policy = self.late_policy;
-        let retain = policy.accepts(end.raw(), self.watermark.raw());
-        let fs = &mut self.fiba;
         let (s, e) = (start.raw(), end.raw());
-        let mut count = 0u64;
-        let mut revision = 0u64;
-        let aggregates = match fs.keys.get_mut(key) {
-            Some(ks) => {
-                // Registered windows have `end ≥ 1` (start ≥ 0, length ≥ 1),
-                // so the inclusive upper bound `(end − 1, MAX)` cannot
-                // underflow.
-                let (combined, n) = ks.time.range_agg((s, 0), (e - 1, u64::MAX));
-                count = n;
-                let mut forgotten;
-                let tracked = if retain {
-                    ks.windows.get_mut(&(end, start))
-                } else {
-                    forgotten = ks.windows.remove(&(end, start));
-                    forgotten.as_mut()
-                };
-                let order: &[OrderStat] = match tracked {
-                    Some(tw) => {
-                        revision = tw.emissions;
-                        tw.emissions += 1;
-                        &tw.order
-                    }
-                    None => &[],
-                };
-                let aggregates = finalize_window(
-                    &self.aggs,
-                    &fs.slots,
-                    &fs.template,
-                    combined.as_ref(),
-                    order,
-                );
-                match policy {
-                    LatePolicy::Drop => {
-                        // Bulk eviction: entries before the next possible
-                        // window start of this key (`start + slide`) can
-                        // never be covered again. Pending windows of this key
-                        // all end after `end`, hence start at or after
-                        // `start + slide` on the slide grid.
-                        ks.time.evict_before((s.saturating_add(fs.slide), 0));
-                        if ks.time.is_empty() && ks.windows.is_empty() {
-                            fs.keys.remove(key);
-                        }
-                    }
-                    LatePolicy::Revise { .. } if retain => {
-                        if revision == 0 {
-                            fs.retained.insert((end, start, key.clone()));
-                        }
-                    }
-                    LatePolicy::Revise { .. } => fs.evict_untracked(key),
-                }
-                aggregates
-            }
-            // Defensive: a registered window always has its key, but emit an
-            // empty result rather than lose the window.
-            None => finalize_window(&self.aggs, &fs.slots, &fs.template, None, &[]),
-        };
+        // A window ends at `start + length >= 1`, so the inclusive upper
+        // bound `(end - 1, MAX)` cannot underflow.
+        let (count, aggregates) = self.fiba.answer(key, (s, 0), (e - 1, u64::MAX));
         self.out_seq += 1;
         if revision > 0 {
             self.stats.revisions += 1;
@@ -1107,6 +1168,77 @@ mod tests {
                 r.window
             );
         }
+    }
+
+    /// Keyed stream with 15 % stragglers up to 3 000 behind, a watermark
+    /// trailing the clock by 100 every 50 units.
+    fn straggler_stream(events: u64, keys: u64) -> Vec<StreamElement> {
+        let mut input = Vec::new();
+        for i in 0..events {
+            let clock = i * 2;
+            let ts = match i % 20 {
+                3 | 11 | 17 => clock.saturating_sub(1_000 + (i * 7) % 2_000),
+                _ => clock,
+            };
+            let row = Row::new([Value::Int((i % keys) as i64), Value::Float((i % 97) as f64)]);
+            input.push(StreamElement::Event(Event::new(ts, i, row)));
+            if clock % 50 == 0 {
+                input.push(StreamElement::Watermark(Timestamp(
+                    clock.saturating_sub(100),
+                )));
+            }
+        }
+        input.push(StreamElement::Flush);
+        input
+    }
+
+    #[test]
+    fn order_statistics_fold_once_whatever_the_overlap() {
+        // Forty overlapping windows per event, two order statistics: still
+        // one tree insert per accepted event, and no per-window state.
+        let mut w = WindowAggregateOp::new(
+            WindowSpec::sliding(10_000u64, 250u64),
+            vec![
+                AggregateSpec::new(AggregateKind::Median, 1, "med"),
+                AggregateSpec::new(AggregateKind::Quantile(0.9), 1, "p90"),
+            ],
+            Some(0),
+            LatePolicy::Drop,
+        )
+        .unwrap();
+        let results = run(&mut w, straggler_stream(20_000, 4));
+        let stats = w.stats();
+        assert_eq!(stats.agg_inserts, stats.accepted);
+        assert_eq!(stats.accepted + stats.late_dropped, 20_000);
+        assert!(stats.accepted > 19_000 && !results.is_empty());
+        assert_eq!(w.open_windows(), 0);
+        assert!(w.fiba.keys.is_empty());
+    }
+
+    #[test]
+    fn pending_queue_moves_per_key_and_slide_not_per_event() {
+        // 20 000 events × 40 windows each used to mean 800 000 insertions
+        // into the emission queue. Now a key enters it once and each of its
+        // emitted windows re-inserts it at most once; only a straggler
+        // opening an earlier window than the queued one moves an entry.
+        let keys = 4;
+        let mut w = WindowAggregateOp::new(
+            WindowSpec::sliding(10_000u64, 250u64),
+            vec![AggregateSpec::new(AggregateKind::Sum, 1, "sum")],
+            Some(0),
+            LatePolicy::Drop,
+        )
+        .unwrap();
+        let results = run(&mut w, straggler_stream(20_000, keys));
+        let emitted = w.stats().windows_emitted;
+        assert_eq!(results.len() as u64, emitted);
+        // Window starts 0, 250, …, 39 750: 160 per key.
+        assert_eq!(emitted, keys * 160);
+        let ops = w.fiba.pending_ops;
+        assert!(
+            ops <= emitted + 2 * keys,
+            "{ops} queue insertions for {emitted} windows of {keys} keys"
+        );
     }
 
     #[test]

@@ -196,6 +196,50 @@ impl Ord for Key {
         self.0.total_cmp(&other.0)
     }
 }
+/// A value seen in [`Key`] order. `Key: Borrow<dyn KeyView>`, so an ordered
+/// map or set of `Key`s is searched with a row's own `&Value` — no `Key` has
+/// to be cloned into existence for a lookup — and `&dyn KeyView` is itself an
+/// `Ord` element for sets of borrowed values.
+pub trait KeyView {
+    /// The value being ordered.
+    fn value(&self) -> &Value;
+}
+
+impl KeyView for Value {
+    fn value(&self) -> &Value {
+        self
+    }
+}
+
+impl KeyView for Key {
+    fn value(&self) -> &Value {
+        &self.0
+    }
+}
+
+impl<'a> std::borrow::Borrow<dyn KeyView + 'a> for Key {
+    fn borrow(&self) -> &(dyn KeyView + 'a) {
+        self
+    }
+}
+
+impl PartialEq for dyn KeyView + '_ {
+    fn eq(&self, other: &Self) -> bool {
+        self.cmp(other) == std::cmp::Ordering::Equal
+    }
+}
+impl Eq for dyn KeyView + '_ {}
+impl PartialOrd for dyn KeyView + '_ {
+    fn partial_cmp(&self, other: &Self) -> Option<std::cmp::Ordering> {
+        Some(self.cmp(other))
+    }
+}
+impl Ord for dyn KeyView + '_ {
+    fn cmp(&self, other: &Self) -> std::cmp::Ordering {
+        self.value().total_cmp(other.value())
+    }
+}
+
 /// Hash a [`Value`] consistently with [`Key`]'s equality (`total_cmp`):
 /// ints hash as their `f64` bit pattern so `Int(3)` and `Float(3.0)` — equal
 /// keys — collide, and floats hash by bits. Borrows the value, so hot paths

@@ -9,23 +9,25 @@
 //!    order-*recording* aggregate (concatenation), so a matching range
 //!    aggregate proves both membership and left-to-right combine order, not
 //!    just a commutative summary.
-//! 2. **Ordered-f64 key encoding** — bit-exact round-trips for NaN, ±inf
-//!    and -0.0, and agreement with `f64::total_cmp` on arbitrary bit
-//!    patterns (the order-statistic trees index values through this map).
-//! 3. **Operator-level differential across all 14 aggregate kinds** — the
+//! 2. **Operator-level differential across all 14 aggregate kinds** — the
 //!    operator against the naive per-window reference in `common` on
 //!    scrambled streams with deep stragglers, exact for every kind except
 //!    the non-associative float reductions (Sum/Mean/Variance/StdDev over
 //!    arbitrary floats), which are gated on the tolerance rule documented in
 //!    DESIGN.md §17.4. `LatePolicy::Revise` is held to the same reference:
 //!    with unbounded lateness the last revision of every window must equal
-//!    the full-information answer.
+//!    the full-information answer, and every revision of an order-statistic
+//!    window the fold of what had arrived by then.
+//! 3. **Order statistics from the time tree** — Median/Quantile/DistinctCount
+//!    sharing a field with each other and with combinable kinds, and over
+//!    NaN, `-0.0`, infinities, non-numeric and null values, bit for bit
+//!    against the same fold; one tree insert per accepted event throughout.
 
 mod common;
 
 use proptest::prelude::*;
 use quill_engine::aggregate::{AggregateKind, AggregateSpec};
-use quill_engine::fiba::{f64_to_ordered, ordered_to_f64, FibaItem, FibaKey, FibaTree};
+use quill_engine::fiba::{FibaItem, FibaKey, FibaTree};
 use quill_engine::operator::{
     LatePolicy, Operator, WindowAggregateOp, WindowOpStats, WindowResult,
 };
@@ -84,8 +86,9 @@ impl Model {
         (before - self.entries.len()) as u64
     }
 
-    fn select(&self, k: u64) -> Option<FibaKey> {
-        self.entries.get(k as usize).map(|(key, _)| *key)
+    fn range(&self, lo: FibaKey, hi: FibaKey) -> Vec<(FibaKey, Trace)> {
+        let inside = |(k, _): &&(FibaKey, Trace)| *k >= lo && *k <= hi;
+        self.entries.iter().filter(inside).cloned().collect()
     }
 }
 
@@ -96,10 +99,9 @@ enum TreeOp {
     Insert(u64),
     /// Bulk-evict everything strictly below `(cut, 0)`.
     Evict(u64),
-    /// Inclusive range aggregate + count over `[lo, lo + span]`.
+    /// Inclusive range aggregate + count, in-order visit and first key over
+    /// `[lo, lo + span]`.
     Range(u64, u64),
-    /// Rank lookup.
-    Select(u64),
 }
 
 fn tree_ops() -> impl Strategy<Value = Vec<TreeOp>> {
@@ -115,12 +117,19 @@ fn tree_ops() -> impl Strategy<Value = Vec<TreeOp>> {
         (0u64..64).prop_map(TreeOp::Evict),
         (0u64..64, 0u64..32).prop_map(|(lo, span)| TreeOp::Range(lo, span)),
         (0u64..64, 0u64..32).prop_map(|(lo, span)| TreeOp::Range(lo, span)),
-        (0u64..300).prop_map(TreeOp::Select),
     ];
     proptest::collection::vec(op, 1..250)
 }
 
+/// Cases per property: the pinned count, or `PROPTEST_CASES` when set
+/// (`scripts/check.sh` soaks this suite with 2 000).
+fn cases(pinned: u32) -> ProptestConfig {
+    let soak = std::env::var("PROPTEST_CASES").ok();
+    ProptestConfig::with_cases(soak.and_then(|n| n.parse().ok()).unwrap_or(pinned))
+}
+
 proptest! {
+    #![proptest_config(cases(48))]
     #[test]
     fn tree_matches_sorted_vec_model_under_random_interleavings(ops in tree_ops()) {
         let mut tree: FibaTree<Trace> = FibaTree::new();
@@ -145,22 +154,23 @@ proptest! {
                     let got = tree.range_agg((lo, 0), (hi, u64::MAX));
                     let want = model.range_agg((lo, 0), (hi, u64::MAX));
                     prop_assert_eq!(&got, &want);
-                    prop_assert_eq!(tree.count_range((lo, 0), (hi, u64::MAX)), want.1);
-                }
-                TreeOp::Select(k) => {
-                    prop_assert_eq!(tree.select(k), model.select(k));
+                    let inside = model.range((lo, 0), (hi, u64::MAX));
+                    let mut walked = Vec::new();
+                    tree.for_each_range((lo, 0), (hi, u64::MAX), &mut |k, item| {
+                        walked.push((k, item.clone()))
+                    });
+                    prop_assert_eq!(&walked, &inside);
+                    let from = model.entries.iter().map(|(k, _)| *k).find(|k| *k >= (lo, 0));
+                    prop_assert_eq!(tree.first_key_from((lo, 0)), from);
                 }
             }
             prop_assert_eq!(tree.len(), model.entries.len() as u64);
         }
-        // Exhaustive end-state checks: traversal order, every rank, the full
-        // range, min/max, eviction accounting, and structural invariants.
+        // Exhaustive end-state checks: traversal order, the full range,
+        // min/max, eviction accounting, and structural invariants.
         let mut walked = Vec::new();
         tree.for_each(&mut |k, item| walked.push((k, item.clone())));
         prop_assert_eq!(&walked, &model.entries);
-        for k in 0..model.entries.len() as u64 + 2 {
-            prop_assert_eq!(tree.select(k), model.select(k));
-        }
         let full = tree.range_agg((0, 0), (u64::MAX, u64::MAX));
         prop_assert_eq!(&full, &model.range_agg((0, 0), (u64::MAX, u64::MAX)));
         prop_assert_eq!(tree.min_key(), model.entries.first().map(|(k, _)| *k));
@@ -171,65 +181,7 @@ proptest! {
 }
 
 // ---------------------------------------------------------------------------
-// Layer 2: ordered-f64 key encoding (NaN / ±inf / -0.0 bit-exactness)
-// ---------------------------------------------------------------------------
-
-#[test]
-fn ordered_f64_roundtrip_is_bit_exact_for_special_values() {
-    let specials = [
-        f64::NAN,
-        -f64::NAN,
-        f64::INFINITY,
-        f64::NEG_INFINITY,
-        0.0,
-        -0.0,
-        f64::MIN_POSITIVE,
-        -f64::MIN_POSITIVE,
-        f64::MAX,
-        f64::MIN,
-        1.5,
-        -1.5,
-    ];
-    for x in specials {
-        let back = ordered_to_f64(f64_to_ordered(x));
-        assert_eq!(
-            back.to_bits(),
-            x.to_bits(),
-            "round-trip changed the bit pattern of {x:?}"
-        );
-    }
-    // total_cmp order: -NaN < -inf < -1.5 < -0.0 < +0.0 < 1.5 < +inf < +NaN.
-    let ordered = [
-        -f64::NAN,
-        f64::NEG_INFINITY,
-        -1.5,
-        -0.0,
-        0.0,
-        1.5,
-        f64::INFINITY,
-        f64::NAN,
-    ];
-    for pair in ordered.windows(2) {
-        assert!(
-            f64_to_ordered(pair[0]) < f64_to_ordered(pair[1]),
-            "{:?} !< {:?} in the ordered encoding",
-            pair[0],
-            pair[1]
-        );
-    }
-}
-
-proptest! {
-    #[test]
-    fn ordered_f64_agrees_with_total_cmp_on_arbitrary_bits(a in any::<u64>(), b in any::<u64>()) {
-        let (x, y) = (f64::from_bits(a), f64::from_bits(b));
-        prop_assert_eq!(f64_to_ordered(x).cmp(&f64_to_ordered(y)), x.total_cmp(&y));
-        prop_assert_eq!(ordered_to_f64(f64_to_ordered(x)).to_bits(), x.to_bits());
-    }
-}
-
-// ---------------------------------------------------------------------------
-// Layer 3: operator-level differential across all 14 aggregate kinds
+// Layer 2: operator-level differential across all 14 aggregate kinds
 // ---------------------------------------------------------------------------
 
 /// All 14 aggregate kinds over field 1, with field 2 as the Arg* companion.
@@ -284,6 +236,15 @@ fn values_close(a: &Value, b: &Value) -> bool {
     }
 }
 
+/// Exact means exact: floats by bit pattern (so NaN matches itself and
+/// `-0.0` does not match `0.0`), everything else by `==`.
+fn bit_equal(a: &Value, b: &Value) -> bool {
+    match (a, b) {
+        (Value::Float(x), Value::Float(y)) => x.to_bits() == y.to_bits(),
+        _ => a == b,
+    }
+}
+
 fn run_op(
     window: WindowSpec,
     aggs: &[AggregateSpec],
@@ -323,7 +284,7 @@ fn check_row(
     for (spec, (g, w)) in aggs.iter().zip(got.aggregates.iter().zip(&want.aggregates)) {
         let name = spec.name.as_str();
         let ok = if must_be_exact(name, integer_inputs) {
-            g == w
+            bit_equal(g, w)
         } else {
             values_close(g, w)
         };
@@ -543,7 +504,7 @@ fn keyed_misaligned_slide_with_order_stats_matches_reference() {
 }
 
 proptest! {
-    #![proptest_config(ProptestConfig::with_cases(64))]
+    #![proptest_config(cases(64))]
     #[test]
     fn backends_agree_on_random_streams(
         raw in proptest::collection::vec((0u64..240, 0i64..40, any::<bool>()), 20..200),
@@ -576,7 +537,7 @@ proptest! {
 }
 
 proptest! {
-    #![proptest_config(ProptestConfig::with_cases(48))]
+    #![proptest_config(cases(48))]
     #[test]
     fn revisions_converge_to_the_full_information_answer(
         raw in proptest::collection::vec((0u64..240, 0i64..40, any::<bool>()), 20..160),
@@ -623,4 +584,180 @@ proptest! {
             prop_assert!(checked.is_ok(), "{}", checked.unwrap_err());
         }
     }
+}
+
+// ---------------------------------------------------------------------------
+// Layer 3: order statistics from the time tree
+// ---------------------------------------------------------------------------
+
+#[test]
+fn order_statistics_share_fields_with_each_other_and_with_combinable_kinds() {
+    // Field 1 feeds three quantiles, a distinct count and two combinable
+    // kinds; field 2 a median and a distinct count of its own. One tree
+    // insert per accepted event, whatever the mix and the window shape.
+    let aggs = [
+        AggregateSpec::new(AggregateKind::Sum, 1, "sum"),
+        AggregateSpec::new(AggregateKind::Median, 1, "median"),
+        AggregateSpec::new(AggregateKind::Quantile(0.1), 1, "p10"),
+        AggregateSpec::new(AggregateKind::Max, 1, "max"),
+        AggregateSpec::new(AggregateKind::Quantile(0.9), 1, "p90"),
+        AggregateSpec::new(AggregateKind::DistinctCount, 1, "distinct"),
+        AggregateSpec::new(AggregateKind::Median, 2, "by_median"),
+        AggregateSpec::new(AggregateKind::DistinctCount, 2, "by_distinct"),
+    ];
+    let input = scrambled_stream(400, 5);
+    for window in [
+        WindowSpec::tumbling(40u64),
+        WindowSpec::sliding(60u64, 20u64),
+        WindowSpec::sliding(50u64, 15u64),
+    ] {
+        for key_field in [Some(0), None] {
+            assert_matches_reference(window, &aggs, key_field, &input, true);
+            let (_, stats) = run_op(window, &aggs, key_field, LatePolicy::Drop, &input);
+            assert_eq!(stats.agg_inserts, stats.accepted, "{window}");
+            assert!(stats.late_dropped > 0 && stats.accepted > 300, "{window}");
+        }
+    }
+    // Order statistics alone: the tree item carries no partial at all.
+    let alone = [aggs[1].clone(), aggs[4].clone()];
+    assert_matches_reference(
+        WindowSpec::sliding(60u64, 20u64),
+        &alone,
+        Some(0),
+        &input,
+        true,
+    );
+}
+
+#[test]
+fn special_values_finalize_bit_for_bit_as_the_naive_fold_does() {
+    // Both NaN signs, both zeros, infinities, an int and the float equal to
+    // it, a string, a bool and nulls: quantiles sort by `total_cmp` and skip
+    // what is not numeric, distinct counts compare by `Key` and skip nulls.
+    let specials = [
+        Value::Float(f64::NAN),
+        Value::Float(-0.0),
+        Value::Int(3),
+        Value::Null,
+        Value::Float(f64::INFINITY),
+        Value::str("x"),
+        Value::Float(0.0),
+        Value::Float(-f64::NAN),
+        Value::Float(3.0),
+        Value::Bool(true),
+        Value::Float(f64::NEG_INFINITY),
+        Value::Float(-2.5),
+        Value::Null,
+    ];
+    let aggs = [
+        AggregateSpec::new(AggregateKind::Median, 1, "median"),
+        AggregateSpec::new(AggregateKind::Quantile(0.0), 1, "p0"),
+        AggregateSpec::new(AggregateKind::Quantile(0.3), 1, "p30"),
+        AggregateSpec::new(AggregateKind::Quantile(1.0), 1, "p100"),
+        AggregateSpec::new(AggregateKind::DistinctCount, 1, "distinct"),
+        AggregateSpec::new(AggregateKind::Count, 1, "count"),
+        AggregateSpec::new(AggregateKind::Min, 1, "min"),
+    ];
+    let mut input = Vec::new();
+    for i in 0..360u64 {
+        // Strides coprime to the cycle length: every window sees a different
+        // mix, some none of a kind at all.
+        let v = specials[((i * 7 + i / 13) % specials.len() as u64) as usize].clone();
+        let ts = if i % 6 == 4 {
+            (i * 2).saturating_sub(35)
+        } else {
+            i * 2
+        };
+        input.push(StreamElement::Event(Event::new(
+            ts,
+            i,
+            Row::new([Value::Int((i % 3) as i64), v]),
+        )));
+        if i % 17 == 16 {
+            input.push(StreamElement::Watermark(Timestamp(
+                (i * 2).saturating_sub(20),
+            )));
+        }
+    }
+    for window in [WindowSpec::tumbling(6u64), WindowSpec::sliding(24u64, 8u64)] {
+        assert_matches_reference(window, &aggs, Some(0), &input, true);
+        assert_matches_reference(window, &aggs, None, &input, true);
+    }
+    // The battery compares; this pins that it compared something special.
+    let tumbling = WindowSpec::tumbling(6u64);
+    let (mut rows, _) = run_op(tumbling, &aggs, None, LatePolicy::Drop, &input);
+    rows.extend(run_op(tumbling, &aggs, Some(0), LatePolicy::Drop, &input).0);
+    let nan_medians = rows
+        .iter()
+        .filter(|r| r.aggregates[0].as_f64().is_some_and(f64::is_nan));
+    assert!(nan_medians.count() > 0, "some window's median is NaN");
+    // `-0.0` sorts below `0.0`; the interpolation `lo + (hi - lo) * frac`
+    // turns a lone `-0.0` rank into `0.0`, in the fold as in the operator.
+    let zero_p0_over_negative_zero = |r: &&WindowResult| {
+        bit_equal(&r.aggregates[1], &Value::Float(0.0))
+            && bit_equal(&r.aggregates[6], &Value::Float(-0.0))
+    };
+    assert!(rows.iter().any(|r| zero_p0_over_negative_zero(&r)));
+    assert!(rows
+        .iter()
+        .any(|r| r.aggregates[0] == Value::Null && r.count > 0));
+}
+
+#[test]
+fn every_revision_of_an_order_statistic_window_refolds_what_has_arrived() {
+    // K = 0 and unbounded lateness: each out-of-order event revises every
+    // emitted window it falls into, at once. Revision n of a window must be
+    // the naive fold of the window's events seen so far — the collection is
+    // redone from the time tree, not patched.
+    let aggs = [
+        AggregateSpec::new(AggregateKind::Median, 1, "median"),
+        AggregateSpec::new(AggregateKind::Quantile(0.8), 1, "p80"),
+        AggregateSpec::new(AggregateKind::DistinctCount, 1, "distinct"),
+        AggregateSpec::new(AggregateKind::Last, 1, "last"),
+    ];
+    let window = WindowSpec::sliding(30u64, 10u64);
+    let policy = LatePolicy::Revise {
+        allowed_lateness: u64::MAX,
+    };
+    let mut op = WindowAggregateOp::new(window, aggs.to_vec(), Some(0), policy).expect("valid");
+    let mut seen: Vec<StreamElement> = Vec::new();
+    let (mut clock, mut revisions) = (0u64, 0u64);
+    for i in 0..160u64 {
+        let ts = match i % 5 {
+            1 => (i * 3).saturating_sub(25),
+            3 => (i * 3).saturating_sub(7),
+            _ => i * 3,
+        };
+        clock = clock.max(ts);
+        let v = Value::Float(((i * 31) % 17) as f64 - 8.0);
+        let event = Event::new(ts, i, Row::new([Value::Int((i % 2) as i64), v]));
+        seen.push(StreamElement::Event(event.clone()));
+        let mut rows = Vec::new();
+        for el in [
+            StreamElement::Event(event),
+            StreamElement::Watermark(Timestamp(clock)),
+        ] {
+            op.process(el, &mut |o| {
+                rows.extend(o.as_event().and_then(|e| WindowResult::from_row(&e.row)));
+            });
+        }
+        // No watermark in `seen`: the reference keeps every event.
+        let full = common::reference(window, &aggs, Some(0), &seen);
+        for got in rows {
+            let same = |w: &&WindowResult| w.window == got.window && w.key == got.key;
+            let mut want = full
+                .iter()
+                .find(same)
+                .expect("emitted window exists")
+                .clone();
+            want.revision = got.revision;
+            revisions += u64::from(got.revision > 0);
+            if let Err(why) = check_row(&aggs, &got, &want, true) {
+                panic!("after event {i}, revision {}: {why}", got.revision);
+            }
+        }
+    }
+    assert!(revisions > 50, "the stream must revise: {revisions}");
+    assert_eq!(op.stats().revisions, revisions);
+    assert_eq!(op.stats().agg_inserts, op.stats().accepted);
 }

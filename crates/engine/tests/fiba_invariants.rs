@@ -2,10 +2,12 @@
 //!
 //! A seeded operation fuzz drives `FibaTree` through adversarial insert /
 //! bulk-evict mixes (appends, prepends, tie storms, deep stragglers,
-//! uniform noise) and calls [`FibaTree::check_invariants`] after **every**
-//! mutation: B-tree arity bounds, finger validity, parent partial-aggregate
-//! consistency and subtree counts. A flat mirror vector checks the
-//! observable behaviour (length, order, aggregates, rank selection) so a
+//! uniform noise, and the regimes of the right-finger append path: long
+//! runs, ties at the finger, appends onto a just-emptied tree) and calls
+//! [`FibaTree::check_invariants`] after **every** mutation: B-tree arity
+//! bounds, finger validity, parent partial-aggregate consistency and subtree
+//! counts. A flat mirror vector checks the observable behaviour (length,
+//! order, range aggregates, range visits, first-key search) so a
 //! structurally valid but semantically wrong tree cannot pass.
 //!
 //! This suite runs in the CI `sim` job alongside the quill-sim
@@ -69,115 +71,271 @@ impl Mirror {
     }
 }
 
-fn check(tree: &FibaTree<Sum>, seed: u64, step: usize, what: &str) {
-    if let Err(e) = tree.check_invariants(&|a, b| a == b) {
-        panic!("seed {seed} step {step} after {what}: {e}");
+/// A tree and its mirror, driven in lockstep: every mutation re-checks the
+/// structural invariants and the length, every probe compares the range
+/// aggregate, the in-order range visit and the first-key search.
+struct Harness {
+    tree: FibaTree<Sum>,
+    mirror: Mirror,
+    rng: XorShift,
+    seed: u64,
+    seq: u64,
+    step: usize,
+}
+
+impl Harness {
+    fn new(seed: u64) -> Harness {
+        Harness {
+            tree: FibaTree::new(),
+            mirror: Mirror {
+                entries: Vec::new(),
+            },
+            rng: XorShift(seed | 1),
+            seed,
+            seq: 0,
+            step: 0,
+        }
+    }
+
+    fn min_ts(&self) -> u64 {
+        self.mirror.entries.first().map_or(0, |(k, _)| k.0)
+    }
+
+    fn max_ts(&self) -> u64 {
+        self.mirror.entries.last().map_or(0, |(k, _)| k.0)
+    }
+
+    fn checked(&mut self, what: &str) {
+        let (seed, step) = (self.seed, self.step);
+        if let Err(e) = self.tree.check_invariants(&|a, b| a == b) {
+            panic!("seed {seed} step {step} after {what}: {e}");
+        }
+        assert_eq!(
+            self.tree.len(),
+            self.mirror.entries.len() as u64,
+            "seed {seed} step {step}: length diverged after {what}"
+        );
+        self.step += 1;
+    }
+
+    /// Insert at `ts` under the next sequence number.
+    fn insert(&mut self, ts: u64) {
+        self.seq += 1;
+        self.insert_key((ts, self.seq));
+    }
+
+    fn insert_key(&mut self, key: (u64, u64)) {
+        let w = self.rng.next() % 1_000;
+        self.tree.insert(key, Sum(w));
+        self.mirror.insert(key, w);
+        self.checked("insert");
+    }
+
+    fn evict(&mut self, cut: (u64, u64)) {
+        let (seed, step) = (self.seed, self.step);
+        assert_eq!(
+            self.tree.evict_before(cut),
+            self.mirror.evict_before(cut),
+            "seed {seed} step {step}: eviction count diverged at cut {cut:?}"
+        );
+        self.checked("evict_before");
+    }
+
+    fn probe(&mut self, lo: (u64, u64), hi: (u64, u64)) {
+        let at = format!("seed {} step {}", self.seed, self.step);
+        let (got, got_n) = self.tree.range_agg(lo, hi);
+        let (want, want_n) = self.mirror.range_sum(lo, hi);
+        assert_eq!(got.map(|s| s.0), want, "{at}: range_agg");
+        assert_eq!(got_n, want_n, "{at}: range count");
+        let mut walked = Vec::new();
+        self.tree
+            .for_each_range(lo, hi, &mut |k, item| walked.push((k, item.0)));
+        let inside = |(k, _): &&((u64, u64), u64)| *k >= lo && *k <= hi;
+        let want: Vec<_> = self.mirror.entries.iter().filter(inside).copied().collect();
+        assert_eq!(walked, want, "{at}: for_each_range");
+        assert_eq!(
+            self.tree.first_key_from(lo),
+            self.mirror
+                .entries
+                .iter()
+                .map(|(k, _)| *k)
+                .find(|k| *k >= lo),
+            "{at}: first_key_from"
+        );
+        self.step += 1;
+    }
+
+    /// A random range over (and a little beyond) the live span.
+    fn probe_somewhere(&mut self) {
+        let lo_ts = self.min_ts() + self.rng.next() % (self.max_ts() - self.min_ts() + 5);
+        let hi_ts = lo_ts + self.rng.next() % 60;
+        self.probe((lo_ts, 0), (hi_ts, u64::MAX));
+    }
+
+    /// End-state: traversal order and the full-range aggregate must match
+    /// the mirror exactly.
+    fn finish(self) {
+        let Harness {
+            tree, mirror, seed, ..
+        } = self;
+        let mut walked = Vec::new();
+        tree.for_each(&mut |k, item| walked.push((k, item.0)));
+        assert_eq!(walked, mirror.entries, "seed {seed}: final traversal order");
+        let (total, n) = tree.range_agg((0, 0), (u64::MAX, u64::MAX));
+        let (want_total, want_n) = mirror.range_sum((0, 0), (u64::MAX, u64::MAX));
+        assert_eq!(total.map(|s| s.0), want_total, "seed {seed}: final total");
+        assert_eq!(n, want_n, "seed {seed}: final count");
+        assert_eq!(tree.min_key(), mirror.entries.first().map(|(k, _)| *k));
+        assert_eq!(tree.max_key(), mirror.entries.last().map(|(k, _)| *k));
     }
 }
 
+/// The general mix: appends, prepends, tie storms, deep stragglers and
+/// uniform noise against random-rank evictions and probes.
 fn fuzz_one_seed(seed: u64, steps: usize) {
-    let mut rng = XorShift(seed | 1);
-    let mut tree: FibaTree<Sum> = FibaTree::new();
-    let mut mirror = Mirror {
-        entries: Vec::new(),
-    };
-    let mut seq = 0u64;
-    let mut min_ts = 0u64;
-    let mut max_ts = 0u64;
-
-    for step in 0..steps {
-        let roll = rng.next() % 100;
-        if roll < 70 || tree.is_empty() {
+    let mut h = Harness::new(seed);
+    while h.step < steps {
+        let roll = h.rng.next() % 100;
+        let (min_ts, max_ts) = (h.min_ts(), h.max_ts());
+        if roll < 70 || h.tree.is_empty() {
             // Insert, with the ts drawn from one of five adversarial
             // regimes chosen per step.
-            let ts = match rng.next() % 5 {
+            let ts = match h.rng.next() % 5 {
                 // In-order append near the right finger.
-                0 => max_ts + rng.next() % 3,
+                0 => max_ts + h.rng.next() % 3,
                 // Prepend near the left finger.
-                1 => min_ts.saturating_sub(rng.next() % 3),
+                1 => min_ts.saturating_sub(h.rng.next() % 3),
                 // Tie storm: reuse an existing timestamp exactly.
-                2 if !mirror.entries.is_empty() => {
-                    let at = (rng.next() % mirror.entries.len() as u64) as usize;
-                    mirror.entries[at].0 .0
+                2 if !h.mirror.entries.is_empty() => {
+                    let at = (h.rng.next() % h.mirror.entries.len() as u64) as usize;
+                    h.mirror.entries[at].0 .0
                 }
                 // Deep straggler: far behind the current maximum.
-                3 => max_ts.saturating_sub(50 + rng.next() % 200),
+                3 => max_ts.saturating_sub(50 + h.rng.next() % 200),
                 // Uniform noise over the live span.
-                _ => min_ts + rng.next() % (max_ts - min_ts + 10),
+                _ => min_ts + h.rng.next() % (max_ts - min_ts + 10),
             };
-            min_ts = min_ts.min(ts);
-            max_ts = max_ts.max(ts);
-            let key = (ts, seq);
-            seq += 1;
-            let w = rng.next() % 1_000;
-            tree.insert(key, Sum(w));
-            mirror.insert(key, w);
-            check(&tree, seed, step, "insert");
+            h.insert(ts);
         } else if roll < 85 {
             // Bulk eviction at a random rank's key (plus occasionally past
             // the end, which must empty the tree).
-            let cut = if mirror.entries.is_empty() || rng.next().is_multiple_of(8) {
+            let cut = if h.rng.next().is_multiple_of(8) {
                 (max_ts + 1, 0)
             } else {
-                let at = (rng.next() % mirror.entries.len() as u64) as usize;
-                mirror.entries[at].0
+                let at = (h.rng.next() % h.mirror.entries.len() as u64) as usize;
+                h.mirror.entries[at].0
             };
-            let dropped = tree.evict_before(cut);
-            assert_eq!(
-                dropped,
-                mirror.evict_before(cut),
-                "seed {seed} step {step}: eviction count diverged at cut {cut:?}"
-            );
-            check(&tree, seed, step, "evict_before");
-            min_ts = mirror.entries.first().map_or(max_ts, |(k, _)| k.0);
+            h.evict(cut);
         } else {
-            // Read-only probes: random range aggregate + rank selection.
-            let lo_ts = min_ts + rng.next() % (max_ts - min_ts + 5);
-            let hi_ts = lo_ts + rng.next() % 60;
-            let (lo, hi) = ((lo_ts, 0), (hi_ts, u64::MAX));
-            let (got, got_n) = tree.range_agg(lo, hi);
-            let (want, want_n) = mirror.range_sum(lo, hi);
-            assert_eq!(got.map(|s| s.0), want, "seed {seed} step {step}: range_agg");
-            assert_eq!(got_n, want_n, "seed {seed} step {step}: range count");
-            let k = rng.next() % (mirror.entries.len() as u64 + 2);
-            assert_eq!(
-                tree.select(k),
-                mirror.entries.get(k as usize).map(|(key, _)| *key),
-                "seed {seed} step {step}: select({k})"
-            );
+            h.probe_somewhere();
         }
-        assert_eq!(
-            tree.len(),
-            mirror.entries.len() as u64,
-            "seed {seed} step {step}: length diverged"
-        );
     }
-
-    // End-state: traversal order and the full-range aggregate must match
-    // the mirror exactly.
-    let mut walked = Vec::new();
-    tree.for_each(&mut |k, item| walked.push((k, item.0)));
-    assert_eq!(walked, mirror.entries, "seed {seed}: final traversal order");
-    let (total, n) = tree.range_agg((0, 0), (u64::MAX, u64::MAX));
-    let (want_total, want_n) = mirror.range_sum((0, 0), (u64::MAX, u64::MAX));
-    assert_eq!(total.map(|s| s.0), want_total, "seed {seed}: final total");
-    assert_eq!(n, want_n, "seed {seed}: final count");
-    assert_eq!(tree.min_key(), mirror.entries.first().map(|(k, _)| *k));
-    assert_eq!(tree.max_key(), mirror.entries.last().map(|(k, _)| *k));
+    h.finish();
 }
 
-#[test]
-fn invariants_hold_after_every_mutation_across_seeds() {
-    for seed in [
+/// The regimes that live on the append path: long in-order runs (timestamp
+/// ties and exact duplicates of the largest key included) broken by single
+/// stragglers, and evictions that leave the right finger nearly or wholly
+/// empty straight before the next append.
+fn fuzz_append_path(seed: u64, steps: usize) {
+    let mut h = Harness::new(seed);
+    while h.step < steps {
+        match h.rng.next() % 10 {
+            // An append run; every third key or so ties with the finger.
+            0..=5 => {
+                for _ in 0..1 + h.rng.next() % 40 {
+                    let ts = h.max_ts() + h.rng.next() % 3 / 2;
+                    h.insert(ts);
+                }
+            }
+            // The largest key again, bit for bit: `key == hi`.
+            6 => {
+                if let Some(&(key, _)) = h.mirror.entries.last() {
+                    h.insert_key(key);
+                }
+            }
+            // One straggler somewhere behind, then straight back to appends.
+            7 => {
+                let depth = h.rng.next() % (h.max_ts() - h.min_ts() + 1);
+                h.insert(h.max_ts() - depth);
+            }
+            // Evict down to the last few entries, to the largest key alone
+            // (with its ties), or everything; append at once.
+            8 => {
+                let cut = match h.rng.next() % 3 {
+                    0 => (h.max_ts() + 1, 0),
+                    1 => (h.max_ts(), 0),
+                    _ => {
+                        let keep = 1 + (h.rng.next() % 12) as usize;
+                        let at = h.mirror.entries.len().saturating_sub(keep);
+                        h.mirror.entries.get(at).map_or((0, 0), |(k, _)| *k)
+                    }
+                };
+                h.evict(cut);
+                let ts = h.max_ts().max(cut.0) + h.rng.next() % 2;
+                h.insert(ts);
+            }
+            _ => h.probe_somewhere(),
+        }
+    }
+    h.finish();
+}
+
+/// The pinned seeds, plus `QUILL_FIBA_FUZZ_SEEDS` derived ones (the
+/// `scripts/check.sh` soak sets it; plain `cargo test` runs the pinned six).
+fn seeds() -> impl Iterator<Item = u64> {
+    let extra = std::env::var("QUILL_FIBA_FUZZ_SEEDS")
+        .ok()
+        .and_then(|n| n.parse::<u64>().ok())
+        .unwrap_or(0);
+    let pinned = [
         0x5eed_0001,
         0x5eed_0002,
         0xdead_beef,
         0x0bad_cafe,
         0x1234_5678,
         0xfeed_f00d,
-    ] {
+    ];
+    let derived = (0..extra).map(|i| 0x9e37_79b9_7f4a_7c15u64.wrapping_mul(i + 1));
+    pinned.into_iter().chain(derived)
+}
+
+#[test]
+fn invariants_hold_after_every_mutation_across_seeds() {
+    for seed in seeds() {
         fuzz_one_seed(seed, 3_000);
     }
+}
+
+#[test]
+fn append_path_holds_invariants_through_runs_ties_stragglers_and_evictions() {
+    for seed in seeds() {
+        fuzz_append_path(seed, 3_000);
+    }
+}
+
+#[test]
+fn append_only_growth_holds_invariants_across_root_splits() {
+    // Nothing but appends: every split is a right-spine split, and each new
+    // level is a root split that must leave both fingers and every cache
+    // exact without a single `recompute` of the unsplit ancestors.
+    let mut h = Harness::new(0xa99e_11d5);
+    let mut heights = vec![h.tree.height()];
+    for i in 0..1_200u64 {
+        h.insert(i / 2);
+        if h.tree.height() != *heights.last().expect("seeded") {
+            heights.push(h.tree.height());
+            h.probe((0, 0), (u64::MAX, u64::MAX));
+            h.probe((i / 4, 0), (i / 3, u64::MAX));
+        }
+    }
+    assert!(heights.len() >= 4, "three root splits or more: {heights:?}");
+    assert_eq!(
+        h.tree.stats().root_climbs,
+        0,
+        "no append climbs to the root"
+    );
+    h.finish();
 }
 
 #[test]

@@ -580,13 +580,24 @@ fn core_loop(shared: &Arc<Shared>, rx: &Receiver<Batch>) {
             Ok(batch) => {
                 shared.depth_sub(batch.len() as u64);
                 let mut session = shared.session.lock();
-                for frame in batch {
-                    match frame {
+                // Each run of data frames up to the next heartbeat is one
+                // `push_batch`.
+                let mut frames = batch.into_iter();
+                loop {
+                    let mut heartbeat = None;
+                    session.push_batch(std::iter::from_fn(|| match frames.next()? {
                         Frame::Data { ts, values } => {
-                            session.push(Event::new(ts, seq, wire::row_from_values(values)));
                             seq += 1;
+                            Some(Event::new(ts, seq - 1, wire::row_from_values(values)))
                         }
-                        Frame::Heartbeat { ts, source } => session.heartbeat(&Key(source), ts),
+                        Frame::Heartbeat { ts, source } => {
+                            heartbeat = Some((source, ts));
+                            None
+                        }
+                    }));
+                    match heartbeat {
+                        Some((source, ts)) => session.heartbeat(&Key(source), ts),
+                        None => break,
                     }
                 }
             }

@@ -197,18 +197,16 @@ fn check_against_oracle(
     let mut full = 0u64;
     let mut emitted: HashSet<(u64, u64, String)> = HashSet::new();
     for r in results {
-        if r.revision != 0 {
-            continue;
-        }
         let id = (r.window.end.raw(), r.window.start.raw(), r.key.to_string());
-        // Under LatePolicy::Drop a (window, key) pair is final on first
-        // emission; a second revision-0 result means the operator re-opened
-        // a closed window (e.g. an off-by-one in the close comparison).
-        if !emitted.insert(id.clone()) {
+        // Every execution here runs LatePolicy::Drop, under which a (window,
+        // key) pair is final on first emission: a second result for it — as
+        // a revision or as revision 0 again — means the operator re-opened a
+        // closed window (e.g. an off-by-one in the close comparison).
+        if r.revision != 0 || !emitted.insert(id.clone()) {
             return Err(Mismatch::new(
                 "duplicate-emission",
                 exec,
-                format!("window {id:?} emitted twice at revision 0"),
+                format!("window {id:?} emitted again (revision {})", r.revision),
             ));
         }
         let Some(nw) = truth.get(&id) else {

@@ -71,6 +71,83 @@ fn session_matches_batch_execute_per_strategy() {
     }
 }
 
+/// Everything a consumer can observe of one query, in comparable form.
+fn observed(handle: &QueryHandle) -> impl PartialEq + std::fmt::Debug {
+    let s = handle.stats();
+    let quantiles = [0.5, 0.99].map(|q| handle.latency_quantile(q));
+    (
+        (s.emitted, s.overflow_dropped, s.pending, s.window),
+        (s.mean_latency.to_bits(), s.slo_breaches, s.closed),
+        quantiles,
+    )
+}
+
+#[test]
+fn push_batch_is_element_identical_to_one_push_per_event() {
+    // Two sessions over the same stream, one fed an event at a time and one
+    // in runs of 1..=97 events. After every run: the same results in the
+    // same order, the same latency stamps (they feed `mean_latency` and the
+    // quantiles) and the same `QueryStats`. The punctuated strategy also
+    // takes a heartbeat between runs, which releases buffered events, and
+    // the stream is cut by `finish` two thirds in — the rest is a no-op on
+    // both sides.
+    fn punctuated() -> Box<dyn DisorderControl> {
+        Box::new(PunctuatedBuffer::new(netmon::HOST_FIELD, 1).with_source_slack(150u64))
+    }
+    let stream = netmon::generate(&NetmonConfig::default(), 6_000, 41);
+    let cut = stream.events.len() * 2 / 3;
+    for build in strategy_builders()
+        .into_iter()
+        .chain([punctuated as fn() -> _])
+    {
+        let name = build().name();
+        let config = QueryConfig::default()
+            .with_result_capacity(64)
+            .with_latency_slo(450);
+        let (mut single, mut batched) = (Session::new(build()), Session::new(build()));
+        let register = |session: &mut Session| -> Vec<QueryHandle> {
+            let with = |q| session.register_with(q, config.clone()).expect("registers");
+            queries().iter().map(with).collect()
+        };
+        let (singles, batches) = (register(&mut single), register(&mut batched));
+        let (mut at, mut run, mut finished_at) = (0, 1, 0);
+        while at < stream.events.len() {
+            if at >= cut && !single.finished() {
+                single.finish();
+                batched.finish();
+                finished_at = at as u64;
+            }
+            let events = &stream.events[at..(at + run).min(stream.events.len())];
+            events.iter().for_each(|e| single.push(e.clone()));
+            batched.push_batch(events.iter().cloned());
+            let last = events.last().expect("non-empty run");
+            let source = Key(last.row.get(netmon::HOST_FIELD).clone());
+            single.heartbeat(&source, last.ts);
+            batched.heartbeat(&source, last.ts);
+            for (a, b) in singles.iter().zip(&batches) {
+                assert_eq!(observed(a), observed(b), "{name}: stats after event {at}");
+                // Poll every third run only, so queues also overflow.
+                if run % 3 == 0 {
+                    assert_eq!(a.poll(), b.poll(), "{name}: results after event {at}");
+                }
+            }
+            at += events.len();
+            run = run % 97 + 1;
+        }
+        assert!(single.finished() && batched.finished());
+        let (a, b) = (single.stats(), batched.stats());
+        assert_eq!((a.events, a.results), (b.events, b.results), "{name}");
+        assert_eq!(
+            a.events, finished_at,
+            "{name}: pushes after finish are dropped"
+        );
+        for (a, b) in singles.iter().zip(&batches) {
+            assert_eq!(a.poll(), b.poll(), "{name}: residual results");
+            assert!(observed(a) == observed(b) && a.is_closed(), "{name}");
+        }
+    }
+}
+
 #[test]
 fn session_matches_execute_shared_fanout() {
     let stream = netmon::generate(&NetmonConfig::default(), 5_000, 23);
