@@ -5,8 +5,18 @@
 //! batch-style: they consume a finished event vector. A [`Session`] is the
 //! resident counterpart — one shared [`DisorderControl`] core (one buffer,
 //! one watermark sequence) with queries registered and deregistered **at
-//! runtime**, each observing the staged stream through its own window
-//! operator and a bounded result subscription ([`QueryHandle`]).
+//! runtime**, each observing the staged stream through a window operator and
+//! a bounded result subscription ([`QueryHandle`]) of its own.
+//!
+//! The quality target sizes the shared buffer; it never changes what a
+//! window operator computes. So queries of equal *shape* — window, key field
+//! and the `(kind, field)` of each aggregate — registered between the same
+//! two staged elements run on **one** operator ([`Session::operators`]):
+//! the event is folded once and each result is parsed once and handed to
+//! every subscriber's queue behind an `Arc`. Output names, completeness
+//! target, queue bound and SLO stay per subscriber, and nothing a subscriber
+//! can observe (results, order, latency stamps, [`QueryStats`]) differs from
+//! running alone.
 //!
 //! The session is the execution heart of the `quill-serve` daemon: the
 //! server is a network shell that feeds [`Session::push`] /
@@ -36,6 +46,7 @@ use crate::plan::{analyze_plan, DelayProfile, Diagnostic, Severity};
 use crate::runner::{ExecOptions, QuerySpec};
 use crate::strategy::DisorderControl;
 use parking_lot::Mutex;
+use quill_engine::aggregate::AggregateSpec;
 use quill_engine::error::{EngineError, Result};
 use quill_engine::event::{ClockTracker, Event, StreamElement};
 use quill_engine::operator::{
@@ -155,7 +166,9 @@ pub struct QueryStats {
 /// Shared per-subscription state between the session (producer side) and
 /// its [`QueryHandle`]s (consumer side).
 pub(crate) struct SubState {
-    queue: VecDeque<WindowResult>,
+    /// Shared with every other subscriber of the same operator: a result is
+    /// parsed and allocated once per operator, not once per query.
+    queue: VecDeque<Arc<WindowResult>>,
     capacity: usize,
     overflow_dropped: u64,
     emitted: u64,
@@ -167,7 +180,7 @@ pub(crate) struct SubState {
 }
 
 impl SubState {
-    fn push(&mut self, r: WindowResult) {
+    fn push(&mut self, r: Arc<WindowResult>) {
         self.emitted += 1;
         if self.queue.len() >= self.capacity {
             self.queue.pop_front();
@@ -189,6 +202,14 @@ impl SubState {
     }
 }
 
+/// Drain a subscription. The lock is released before the results are
+/// unwrapped (this was the last queue holding them) or copied (another
+/// subscriber of the operator has yet to poll them).
+fn drain_results(state: &Mutex<SubState>) -> Vec<WindowResult> {
+    let drained: Vec<Arc<WindowResult>> = state.lock().queue.drain(..).collect();
+    drained.into_iter().map(Arc::unwrap_or_clone).collect()
+}
+
 /// Consumer-side handle to one registered query: poll results, read stats.
 /// Clones share the subscription; the handle stays valid (and pollable for
 /// residual results) after deregistration or session finish.
@@ -207,7 +228,7 @@ impl QueryHandle {
 
     /// Drain every pending result, in emission order.
     pub fn poll(&self) -> Vec<WindowResult> {
-        self.state.lock().queue.drain(..).collect()
+        drain_results(&self.state)
     }
 
     /// Current counters (exact: the session refreshes them whenever the
@@ -251,27 +272,51 @@ pub struct QueryInfo {
     pub stats: QueryStats,
 }
 
-/// One registered query inside the fan-out core.
-struct Slot {
+/// One subscriber: everything that is per query rather than per operator.
+struct Member {
     id: QueryId,
     spec: QuerySpec,
     required_completeness: Option<f64>,
-    op: WindowAggregateOp,
     state: Arc<Mutex<SubState>>,
 }
 
-/// The multi-query fan-out core: N window operators observing one staged
-/// stream. [`Session`] wraps it for resident use;
+/// One window operator and the queries of its shape (`members[0].spec`;
+/// never empty) that subscribe to its result stream.
+struct Group {
+    op: WindowAggregateOp,
+    /// No element processed yet, so a query of this shape may still join: it
+    /// would have fed its own operator exactly what this one will see.
+    fresh: bool,
+    members: Vec<Member>,
+}
+
+/// Whether two queries compute the same thing: window, key and the
+/// `(kind, field)` list. Output names are not part of a [`WindowResult`].
+fn same_shape(a: &QuerySpec, b: &QuerySpec) -> bool {
+    let fold = |s: &AggregateSpec| (s.kind, s.field);
+    a.window == b.window
+        && a.key_field == b.key_field
+        && a.aggregates
+            .iter()
+            .map(fold)
+            .eq(b.aggregates.iter().map(fold))
+}
+
+/// The multi-query fan-out core: one window operator per distinct query
+/// shape observing one staged stream, each delivering its results to every
+/// subscriber of that shape. [`Session`] wraps it for resident use;
 /// [`crate::shared::execute_shared`]'s sequential path replays a
 /// [`crate::runner::StagedStream`] through it, so batch and resident
 /// execution share the per-element fan-out code.
 pub(crate) struct MultiQueryCore {
-    slots: Vec<Slot>,
+    groups: Vec<Group>,
     next_id: u64,
+    /// Results delivered: one per emission per subscriber.
     results_count: Counter,
-    /// First-emission windows across all queries — the session-level analogue
-    /// of the parallel executor's distinct-merge-key counter, exported under
-    /// the same `quill.merge.windows` name.
+    /// First-emission windows, one per emission per *operator* — the
+    /// session-level analogue of the parallel executor's distinct-merge-key
+    /// counter, exported under the same `quill.merge.windows` name.
+    /// `quill.run.results` over this is the sharing factor.
     windows_count: Counter,
     results_total: u64,
     spans: SpanRecorder,
@@ -280,7 +325,7 @@ pub(crate) struct MultiQueryCore {
 impl MultiQueryCore {
     pub(crate) fn new(telemetry: &Registry) -> MultiQueryCore {
         MultiQueryCore {
-            slots: Vec::new(),
+            groups: Vec::new(),
             next_id: 0,
             results_count: telemetry.counter("quill.run.results"),
             windows_count: telemetry.counter("quill.merge.windows"),
@@ -302,6 +347,10 @@ impl MultiQueryCore {
     }
 
     /// Add one query; validation errors propagate before any state changes.
+    /// It subscribes to the operator of an equal-shape group that has seen
+    /// no element yet, and otherwise gets an operator of its own: joining one
+    /// that is already running would hand a late subscriber windows holding
+    /// events staged before it arrived.
     pub(crate) fn register(
         &mut self,
         spec: &QuerySpec,
@@ -310,12 +359,24 @@ impl MultiQueryCore {
         latency_slo: Option<u64>,
         latency: LatencyRecorder,
     ) -> Result<(QueryId, Arc<Mutex<SubState>>)> {
-        let op = WindowAggregateOp::new(
-            spec.window,
-            spec.aggregates.clone(),
-            spec.key_field,
-            LatePolicy::Drop,
-        )?;
+        let joinable = |g: &Group| g.fresh && same_shape(&g.members[0].spec, spec);
+        let at = match self.groups.iter().position(joinable) {
+            Some(at) => at,
+            None => {
+                let op = WindowAggregateOp::new(
+                    spec.window,
+                    spec.aggregates.clone(),
+                    spec.key_field,
+                    LatePolicy::Drop,
+                )?;
+                self.groups.push(Group {
+                    op,
+                    fresh: true,
+                    members: Vec::new(),
+                });
+                self.groups.len() - 1
+            }
+        };
         let id = QueryId(self.next_id);
         self.next_id += 1;
         let state = Arc::new(Mutex::new(SubState {
@@ -329,75 +390,96 @@ impl MultiQueryCore {
             slo_breaches: 0,
             closed: false,
         }));
-        self.slots.push(Slot {
+        self.groups[at].members.push(Member {
             id,
             spec: spec.clone(),
             required_completeness,
-            op,
             state: Arc::clone(&state),
         });
         Ok((id, state))
     }
 
-    fn remove(&mut self, id: QueryId) -> Option<Slot> {
-        let at = self.slots.iter().position(|s| s.id == id)?;
-        Some(self.slots.remove(at))
+    /// Remove one subscriber, returning it with its operator's counters; the
+    /// operator goes with its last subscriber.
+    fn remove(&mut self, id: QueryId) -> Option<(Member, WindowOpStats)> {
+        let (g, m) = self.groups.iter().enumerate().find_map(|(g, group)| {
+            let m = group.members.iter().position(|m| m.id == id)?;
+            Some((g, m))
+        })?;
+        let member = self.groups[g].members.remove(m);
+        let window = self.groups[g].op.stats();
+        if self.groups[g].members.is_empty() {
+            self.groups.remove(g);
+        }
+        Some((member, window))
     }
 
+    /// Every subscriber with its operator, group by group.
+    fn members(&self) -> impl Iterator<Item = (&Member, &WindowAggregateOp)> {
+        self.groups
+            .iter()
+            .flat_map(|g| g.members.iter().map(move |m| (m, &g.op)))
+    }
+
+    /// Registered queries.
     pub(crate) fn len(&self) -> usize {
-        self.slots.len()
+        self.groups.iter().map(|g| g.members.len()).sum()
     }
 
-    /// Fan one staged element out to every registered operator. `now` is the
-    /// clock results emitted by this element are stamped with (the latency
-    /// of a result is `now - window.end`). The element is taken by value:
-    /// the last (and in the common single-query case, only) operator
-    /// receives it without a copy.
+    /// Fan one staged element out to every operator and each operator's
+    /// results to its subscribers. `now` is the clock results emitted by this
+    /// element are stamped with (the latency of a result is
+    /// `now - window.end`). The element is taken by value: the last (and in
+    /// the common single-shape case, only) operator receives it without a
+    /// copy.
+    ///
+    /// A result is queued the moment its window is emitted, not when the
+    /// operator returns: closing a window also evicts its events, and a
+    /// consumer polling meanwhile should not wait for that.
     pub(crate) fn process_element(&mut self, el: StreamElement, now: Timestamp) {
         let MultiQueryCore {
-            slots,
+            groups,
             results_count,
             windows_count,
             results_total,
             spans,
             ..
         } = self;
-        let fan_out = slots.len();
+        let fan_out = groups.len();
         let mut pending = Some(el);
-        for (i, slot) in slots.iter_mut().enumerate() {
+        for (i, group) in groups.iter_mut().enumerate() {
             let Some(cur) = pending.take() else { break };
             if i + 1 < fan_out {
-                // quill-lint: allow(hot-path-alloc, reason = "N-query fan-out needs N-1 copies; single-query sessions move the element with zero clones")
+                // quill-lint: allow(hot-path-alloc, reason = "one copy per distinct query shape after the first, not per query; a single-shape session moves the element with zero clones")
                 pending = Some(cur.clone());
             }
-            let Slot { id, op, state, .. } = slot;
-            let mut sub = None;
+            let Group { op, fresh, members } = group;
+            *fresh = false;
             op.process(cur, &mut |o| {
-                if let StreamElement::Event(out_ev) = o {
-                    if let Some(r) = WindowResult::from_row(&out_ev.row) {
-                        results_count.inc();
-                        *results_total += 1;
-                        if r.revision == 0 {
-                            windows_count.inc();
-                        }
-                        let lat = now.delta_since(r.window.end);
-                        if spans.is_enabled() {
-                            let end = now.raw().max(r.window.end.raw());
-                            spans.record_for_query(
-                                Stage::Deliver,
-                                r.window.end.raw(),
-                                end,
-                                0,
-                                id.0,
-                            );
-                        }
-                        let q = sub.get_or_insert_with(|| state.lock());
-                        q.latency.record(lat);
-                        if q.latency_slo.is_some_and(|slo| lat.raw() > slo) {
-                            q.slo_breaches += 1;
-                        }
-                        q.push(r);
+                let StreamElement::Event(out_ev) = o else {
+                    return;
+                };
+                let Some(r) = WindowResult::from_row(&out_ev.row) else {
+                    return;
+                };
+                if r.revision == 0 {
+                    windows_count.inc();
+                }
+                results_count.add(members.len() as u64);
+                *results_total += members.len() as u64;
+                let lat = now.delta_since(r.window.end);
+                let end = now.raw().max(r.window.end.raw());
+                let r = Arc::new(r);
+                for Member { id, state, .. } in members.iter() {
+                    if spans.is_enabled() {
+                        spans.record_for_query(Stage::Deliver, r.window.end.raw(), end, 0, id.0);
                     }
+                    let mut q = state.lock();
+                    q.latency.record(lat);
+                    if q.latency_slo.is_some_and(|slo| lat.raw() > slo) {
+                        q.slo_breaches += 1;
+                    }
+                    q.push(Arc::clone(&r));
                 }
             });
         }
@@ -405,30 +487,26 @@ impl MultiQueryCore {
 
     /// Refresh every subscription's operator-counter mirror.
     pub(crate) fn sync_stats(&mut self) {
-        for slot in &self.slots {
-            slot.state.lock().window = slot.op.stats();
+        for (m, op) in self.members() {
+            m.state.lock().window = op.stats();
         }
     }
 
     fn close_all(&mut self) {
-        self.sync_stats();
-        for slot in &self.slots {
-            slot.state.lock().closed = true;
+        for (m, op) in self.members() {
+            let mut sub = m.state.lock();
+            sub.window = op.stats();
+            sub.closed = true;
         }
     }
 
     /// Consume the core, yielding each query's drained results and latency
     /// summary in registration order (batch-path extraction).
     pub(crate) fn into_outputs(self) -> Vec<(Vec<WindowResult>, Summary)> {
-        self.slots
-            .into_iter()
-            .map(|slot| {
-                let mut sub = slot.state.lock();
-                let results: Vec<WindowResult> = sub.queue.drain(..).collect();
-                let latency = sub.latency.summary();
-                (results, latency)
-            })
-            .collect()
+        let mut members: Vec<Member> = self.groups.into_iter().flat_map(|g| g.members).collect();
+        members.sort_by_key(|m| m.id);
+        let output = |m: Member| (drain_results(&m.state), m.state.lock().latency.summary());
+        members.into_iter().map(output).collect()
     }
 }
 
@@ -441,8 +519,8 @@ pub struct SessionStats {
     pub heartbeats: u64,
     /// Queries currently registered.
     pub queries: usize,
-    /// Results emitted across all queries over the session's lifetime
-    /// (deregistered queries included).
+    /// Results delivered over the session's lifetime, one per emission per
+    /// subscriber (deregistered queries included).
     pub results: u64,
     /// The slack currently in force.
     pub current_k: TimeDelta,
@@ -471,6 +549,7 @@ pub struct Session {
     telemetry: Registry,
     run_events: Counter,
     queries_gauge: Gauge,
+    operators_gauge: Gauge,
     delay_profile: Option<DelayProfile>,
     events: u64,
     heartbeats: u64,
@@ -486,6 +565,7 @@ impl Session {
             core: MultiQueryCore::new(&telemetry),
             run_events: telemetry.counter("quill.run.events"),
             queries_gauge: telemetry.gauge("quill.session.queries"),
+            operators_gauge: telemetry.gauge("quill.session.operators"),
             telemetry,
             strategy,
             clock: ClockTracker::new(),
@@ -499,7 +579,11 @@ impl Session {
 
     /// Record telemetry into `registry`: the strategy's `quill.buffer.*`
     /// instruments, `quill.run.events` / `quill.run.results` /
-    /// `quill.merge.windows` counters and a `quill.session.queries` gauge.
+    /// `quill.merge.windows` counters and the `quill.session.queries` /
+    /// `quill.session.operators` gauges. `quill.run.results` counts results
+    /// *delivered* (one per subscriber), `quill.merge.windows` first emissions
+    /// per *operator*: with every query on one shape their ratio is the
+    /// number of queries each fold served.
     /// Builder-style; attach before the first event.
     pub fn with_telemetry(mut self, registry: &Registry) -> Session {
         self.telemetry = registry.clone();
@@ -507,6 +591,7 @@ impl Session {
         self.core.instrument(registry);
         self.run_events = registry.counter("quill.run.events");
         self.queries_gauge = registry.gauge("quill.session.queries");
+        self.operators_gauge = registry.gauge("quill.session.operators");
         self
     }
 
@@ -570,7 +655,7 @@ impl Session {
             cfg.latency_slo,
             LatencyRecorder::new(),
         )?;
-        self.queries_gauge.set_u64(self.core.len() as u64);
+        self.set_gauges();
         Ok(QueryHandle {
             id,
             state,
@@ -584,14 +669,19 @@ impl Session {
     /// # Errors
     /// [`EngineError::InvalidPipeline`] for an unknown id.
     pub fn deregister(&mut self, id: QueryId) -> Result<QueryStats> {
-        let slot = self.core.remove(id).ok_or_else(|| {
+        let (member, window) = self.core.remove(id).ok_or_else(|| {
             EngineError::InvalidPipeline(format!("unknown query id {id} in session"))
         })?;
-        self.queries_gauge.set_u64(self.core.len() as u64);
-        let mut sub = slot.state.lock();
-        sub.window = slot.op.stats();
+        self.set_gauges();
+        let mut sub = member.state.lock();
+        sub.window = window;
         sub.closed = true;
         Ok(sub.stats())
+    }
+
+    fn set_gauges(&self) {
+        self.queries_gauge.set_u64(self.core.len() as u64);
+        self.operators_gauge.set_u64(self.operators() as u64);
     }
 
     /// Push one arriving event; any unlocked results land on the
@@ -701,18 +791,27 @@ impl Session {
 
     /// Ids of all currently registered queries, in registration order.
     pub fn query_ids(&self) -> Vec<QueryId> {
-        self.core.slots.iter().map(|s| s.id).collect()
+        let mut ids: Vec<QueryId> = self.core.members().map(|(m, _)| m.id).collect();
+        ids.sort();
+        ids
+    }
+
+    /// Window operators currently running: queries of equal shape (window,
+    /// key field, aggregate kinds and fields) registered between the same two
+    /// pushes share one, so this is at most the number of queries.
+    pub fn operators(&self) -> usize {
+        self.core.groups.len()
     }
 
     /// Describe one registered query (spec, target, live counters).
     pub fn query_info(&self, id: QueryId) -> Option<QueryInfo> {
-        let slot = self.core.slots.iter().find(|s| s.id == id)?;
-        let mut stats = slot.state.lock().stats();
-        stats.window = slot.op.stats();
+        let (m, op) = self.core.members().find(|(m, _)| m.id == id)?;
+        let mut stats = m.state.lock().stats();
+        stats.window = op.stats();
         Some(QueryInfo {
-            id: slot.id,
-            spec: slot.spec.clone(),
-            required_completeness: slot.required_completeness,
+            id: m.id,
+            spec: m.spec.clone(),
+            required_completeness: m.required_completeness,
             stats,
         })
     }

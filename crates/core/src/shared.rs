@@ -1,8 +1,9 @@
 //! Shared execution of multiple continuous queries over one buffered stream.
 //!
 //! In practice many continuous queries subscribe to the same stream; the
-//! ordering buffer is paid once and its watermarks fan out to every query's
-//! window operator. The slack must then satisfy the *strictest* quality
+//! ordering buffer is paid once and its watermarks fan out to one window
+//! operator per distinct query shape (the sequential path; see
+//! [`crate::session`]). The slack must then satisfy the *strictest* quality
 //! target among the subscribers — [`strictest_completeness`] picks it — and
 //! looser queries simply enjoy surplus quality. This mirrors the
 //! multi-query sharing angle of the original system demo.
@@ -63,10 +64,11 @@ pub fn strictest_completeness(targets: &[f64]) -> Option<f64> {
 }
 
 /// Run several queries over one stream sharing a single disorder-control
-/// strategy (one buffer, one watermark sequence, N window operators), per
-/// `opts`: each query's windowing runs sequentially or on the keyed-parallel
-/// executor, and an enabled telemetry registry observes the shared buffer
-/// once rather than once per query.
+/// strategy (one buffer, one watermark sequence), per `opts`: windowing runs
+/// sequentially — one operator per distinct query shape, its results
+/// delivered to every query of that shape — or per query on the
+/// keyed-parallel executor, and an enabled telemetry registry observes the
+/// shared buffer once rather than once per query.
 ///
 /// Note that with `opts.parallel` set, the per-shard executor counters
 /// accumulate across queries (each query fans the staged stream out again),

@@ -43,7 +43,9 @@ use crate::error::{ServeError, ServeResult};
 use crate::http;
 use crate::wire::{self, Frame};
 use parking_lot::Mutex;
-use quill_core::prelude::{QueryConfig, QueryHandle, QueryId, QuerySpec, Session, SessionStats};
+use quill_core::prelude::{
+    QueryConfig, QueryHandle, QueryId, QueryInfo, QuerySpec, Session, SessionStats,
+};
 use quill_engine::event::Event;
 use quill_engine::operator::WindowResult;
 use quill_engine::value::Key;
@@ -241,18 +243,22 @@ impl Shared {
     }
 
     /// Describe every registered query as `(info, dsl)` pairs.
-    pub(crate) fn list_queries(&self) -> Vec<(quill_core::prelude::QueryInfo, String)> {
+    pub(crate) fn list_queries(&self) -> Vec<(QueryInfo, String)> {
         let session = self.session.lock();
-        session
-            .query_ids()
-            .into_iter()
-            .filter_map(|id| session.query_info(id))
-            .map(|info| {
-                let dsl = query_to_dsl(&info.spec, info.required_completeness);
-                (info, dsl)
-            })
-            .collect()
+        let ids = session.query_ids();
+        let infos = ids.into_iter().filter_map(|id| session.query_info(id));
+        infos.map(with_dsl).collect()
     }
+
+    /// Describe one registered query.
+    pub(crate) fn query(&self, id: QueryId) -> Option<(QueryInfo, String)> {
+        self.session.lock().query_info(id).map(with_dsl)
+    }
+}
+
+fn with_dsl(info: QueryInfo) -> (QueryInfo, String) {
+    let dsl = query_to_dsl(&info.spec, info.required_completeness);
+    (info, dsl)
 }
 
 /// A running server: join handles plus the shared state. Obtained from

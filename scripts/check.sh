@@ -50,4 +50,12 @@ echo "==> quill-sim differential soak (QUILL_SIM_CASES=${QUILL_SIM_CASES:-16})"
 QUILL_SIM_CASES="${QUILL_SIM_CASES:-16}" \
     cargo test --release -q -p quill-sim --test differential
 
+# The benchmark is a package of its own with path dependencies on crates/,
+# and a crates/ change may not edit it: compile its binary and its tests
+# against this checkout, so that a public-API break fails here and not in
+# the pipeline. Same target directory as benchmark/run.sh.
+echo "==> benchmark builds against the workspace (cargo test --no-run)"
+CARGO_TARGET_DIR=.bench_build cargo test --release --offline \
+    --manifest-path benchmark/Cargo.toml --no-run
+
 echo "All checks passed."

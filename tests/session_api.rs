@@ -1,7 +1,9 @@
 //! The session API's equivalence contract, across crates: a resident
 //! [`Session`] fed by `push` must produce element-identical results to the
 //! batch paths (`execute`, `execute_shared`) for queries registered before
-//! the first event, under every strategy family.
+//! the first event, under every strategy family — and queries of equal shape
+//! sharing one window operator must each observe exactly what they would
+//! have observed alone.
 
 use quill_core::prelude::*;
 use quill_gen::workload::netmon::{self, NetmonConfig};
@@ -364,14 +366,317 @@ fn session_telemetry_reports_merge_windows_and_query_gauge() {
     let registry = Registry::new();
     let mut session = Session::new(Box::new(FixedKSlack::new(300u64))).with_telemetry(&registry);
     let q = &queries()[0];
-    let _a = session.register(q).expect("registers");
-    let _b = session.register(&queries()[1]).expect("registers");
+    let a = session.register(q).expect("registers");
+    let b = session.register(&queries()[1]).expect("registers");
+    let c = session.register(&renamed(q, "again")).expect("registers");
     for e in &stream.events {
         session.push(e.clone());
     }
     session.finish();
     let snap = registry.snapshot();
-    assert!(snap.counter("quill.merge.windows") > 0, "windows merged");
     assert_eq!(snap.counter("quill.run.events"), 2_000);
-    assert_eq!(snap.gauge("quill.session.queries"), Some(2.0));
+    assert_eq!(snap.gauge("quill.session.queries"), Some(3.0));
+    assert_eq!(snap.gauge("quill.session.operators"), Some(2.0));
+    // Windows are counted where they are folded, results where they are
+    // delivered: `a` and `c` are one operator and two subscribers.
+    let emitted = [&a, &b, &c].map(|h| h.stats().emitted);
+    assert_eq!(emitted[0], emitted[2]);
+    assert_eq!(
+        snap.counter("quill.merge.windows"),
+        emitted[0] + emitted[1],
+        "first emissions per operator"
+    );
+    assert_eq!(
+        snap.counter("quill.run.results"),
+        emitted.iter().sum::<u64>(),
+        "results per subscriber"
+    );
+    assert_eq!(session.stats().results, emitted.iter().sum::<u64>());
+}
+
+// ---- Sharing is invisible -------------------------------------------------
+//
+// Queries of equal shape registered between the same two pushes run on one
+// window operator. Nothing a subscriber can observe may tell.
+
+/// `query` with every output column renamed: the same shape.
+fn renamed(query: &QuerySpec, tag: &str) -> QuerySpec {
+    let mut q = query.clone();
+    for a in &mut q.aggregates {
+        a.name = format!("{}_{tag}", a.name);
+    }
+    q
+}
+
+fn punctuated() -> Box<dyn DisorderControl> {
+    Box::new(PunctuatedBuffer::new(netmon::HOST_FIELD, 1).with_source_slack(150u64))
+}
+
+/// One subscriber and when its consumer polls: after every `poll_every`-th
+/// run of events, or only at the end of the stream for `0`.
+struct Sub {
+    spec: QuerySpec,
+    cfg: QueryConfig,
+    poll_every: usize,
+}
+
+/// Three shapes — combinable keyed, combinable global, order statistic — with
+/// four subscribers each that differ in everything a group must not split on
+/// or leak across: output names, target, queue bound, SLO, polling rhythm.
+fn subscribers() -> Vec<Sub> {
+    let mut shapes = queries();
+    shapes.push(QuerySpec::new(
+        WindowSpec::sliding(2_000u64, 500u64),
+        vec![
+            AggregateSpec::new(AggregateKind::Quantile(0.5), netmon::BYTES_FIELD, "p50"),
+            AggregateSpec::new(AggregateKind::Max, netmon::BYTES_FIELD, "max"),
+        ],
+        Some(netmon::HOST_FIELD),
+    ));
+    let d = QueryConfig::default;
+    let configs = [
+        (d().with_result_capacity(1), 0),
+        (d().with_result_capacity(64).with_latency_slo(450), 5),
+        (d().with_required_completeness(0.9).with_latency_slo(100), 1),
+        (d().with_required_completeness(0.99), 2),
+    ];
+    let mut subs = Vec::new();
+    for (i, (cfg, poll_every)) in configs.into_iter().enumerate() {
+        // Interleave the shapes so that a group's members are not adjacent.
+        for shape in &shapes {
+            subs.push(Sub {
+                spec: renamed(shape, &i.to_string()),
+                cfg: cfg.clone(),
+                poll_every,
+            });
+        }
+    }
+    subs
+}
+
+/// What one subscriber saw: every result it polled, in order, its counters
+/// before the final poll (so `pending` counts) and after, and how many
+/// results its queue evicted.
+type Seen = (Vec<WindowResult>, String, u64);
+
+/// Run `events` through a session holding `subs`, in runs of 1..=61 events
+/// with a heartbeat after each (it moves the punctuated strategy only).
+fn drive(build: fn() -> Box<dyn DisorderControl>, subs: &[&Sub], events: &[Event]) -> Vec<Seen> {
+    let mut session = Session::new(build());
+    let register = |s: &&Sub| session.register_with(&s.spec, s.cfg.clone());
+    let handles: Result<Vec<QueryHandle>> = subs.iter().map(register).collect();
+    let handles = handles.expect("registers");
+    let mut polled: Vec<Vec<WindowResult>> = vec![Vec::new(); subs.len()];
+    let (mut at, mut run) = (0, 1);
+    while at < events.len() {
+        let batch = &events[at..(at + run).min(events.len())];
+        session.push_batch(batch.iter().cloned());
+        let last = batch.last().expect("non-empty run");
+        session.heartbeat(&Key(last.row.get(netmon::HOST_FIELD).clone()), last.ts);
+        for ((sub, handle), polled) in subs.iter().zip(&handles).zip(&mut polled) {
+            if sub.poll_every != 0 && run % sub.poll_every == 0 {
+                polled.extend(handle.poll());
+            }
+        }
+        at += batch.len();
+        run = run % 61 + 1;
+    }
+    session.finish();
+    let seen = |(handle, mut polled): (&QueryHandle, Vec<WindowResult>)| {
+        let before = format!("{:?}", observed(handle));
+        polled.extend(handle.poll());
+        let dropped = handle.stats().overflow_dropped;
+        (polled, format!("{before} {:?}", observed(handle)), dropped)
+    };
+    handles.iter().zip(polled).map(seen).collect()
+}
+
+#[test]
+fn sharing_is_invisible_to_every_subscriber() {
+    let stream = netmon::generate(&NetmonConfig::default(), 4_000, 53);
+    let subs = subscribers();
+    for build in strategy_builders()
+        .into_iter()
+        .chain([punctuated as fn() -> _])
+    {
+        let name = build().name();
+        let all: Vec<&Sub> = subs.iter().collect();
+        let together = drive(build, &all, &stream.events);
+        for (i, (sub, shared)) in subs.iter().zip(&together).enumerate() {
+            let alone = drive(build, &[sub], &stream.events);
+            assert!(!shared.0.is_empty(), "{name}: subscriber {i} saw results");
+            assert_eq!(shared.0, alone[0].0, "{name}: results of subscriber {i}");
+            assert_eq!(shared.1, alone[0].1, "{name}: counters of subscriber {i}");
+        }
+        // The one-slot queue overflowed and the often-polled one did not —
+        // on the same operator.
+        assert!(together[0].2 > 0 && together[6].2 == 0, "{name}");
+    }
+    let mut session = Session::new(Box::new(FixedKSlack::new(400u64)));
+    for sub in &subs {
+        session.register_with(&sub.spec, sub.cfg.clone()).unwrap();
+    }
+    assert_eq!(session.stats().queries, 12);
+    assert_eq!(session.operators(), 3, "one operator per distinct shape");
+}
+
+#[test]
+fn only_equal_shapes_share_an_operator() {
+    let agg = |kind, field| vec![AggregateSpec::new(kind, field, "out")];
+    let bytes = netmon::BYTES_FIELD;
+    let host = Some(netmon::HOST_FIELD);
+    let base = QuerySpec::new(
+        WindowSpec::tumbling(1_000u64),
+        agg(AggregateKind::Quantile(0.5), bytes),
+        host,
+    );
+    let with = |edit: fn(&mut QuerySpec)| {
+        let mut q = base.clone();
+        edit(&mut q);
+        q
+    };
+    let different = [
+        with(|q| q.aggregates[0].kind = AggregateKind::Quantile(0.9)),
+        with(|q| q.aggregates[0].kind = AggregateKind::Median),
+        with(|q| q.aggregates[0].field = netmon::HOST_FIELD),
+        with(|q| q.key_field = None),
+        with(|q| q.key_field = Some(netmon::BYTES_FIELD)),
+        with(|q| q.window = WindowSpec::sliding(1_000u64, 1_000u64)),
+        with(|q| q.window = WindowSpec::tumbling(2_000u64)),
+        with(|q| {
+            let again = q.aggregates[0].clone();
+            q.aggregates.push(again)
+        }),
+    ];
+    let mut session = Session::new(Box::new(FixedKSlack::new(400u64)));
+    session.register(&base).unwrap();
+    for (i, q) in different.iter().enumerate() {
+        session.register(q).unwrap();
+        assert_eq!(session.operators(), i + 2, "variant {i} must not share");
+    }
+    // Names, targets, queue bounds and SLOs do not make a shape.
+    let cfg = QueryConfig::default()
+        .with_required_completeness(0.9)
+        .with_result_capacity(3)
+        .with_latency_slo(7);
+    session.register_with(&renamed(&base, "x"), cfg).unwrap();
+    session.register(&renamed(&different[7], "y")).unwrap();
+    assert_eq!(session.operators(), different.len() + 1);
+    assert_eq!(session.stats().queries, different.len() + 3);
+    // Ids stay in registration order whatever the grouping.
+    let ids: Vec<u64> = session.query_ids().iter().map(QueryId::raw).collect();
+    assert_eq!(ids, (0..11).collect::<Vec<u64>>());
+}
+
+#[test]
+fn a_query_joins_only_an_operator_that_has_seen_nothing() {
+    let stream = netmon::generate(&NetmonConfig::default(), 4_000, 37);
+    let (head, tail) = stream.events.split_at(1_500);
+    let query = &queries()[0];
+    let mut session = Session::new(Box::new(FixedKSlack::new(300u64)));
+    let early = session.register(query).expect("registers");
+    session.push_batch(head.iter().cloned());
+    // Two same-shape queries arrive between the same two pushes: they share
+    // with each other, not with the operator that is 1 500 events in.
+    let late = session
+        .register(&renamed(query, "late"))
+        .expect("registers");
+    let later = session
+        .register(&renamed(query, "later"))
+        .expect("registers");
+    assert_eq!(session.operators(), 2);
+    session.push_batch(tail.iter().cloned());
+    session.finish();
+
+    // The late subscriber is exactly a query that was alone from that point.
+    let mut solo = Session::new(Box::new(FixedKSlack::new(300u64)));
+    solo.push_batch(head.iter().cloned());
+    let alone = solo.register(query).expect("registers");
+    solo.push_batch(tail.iter().cloned());
+    solo.finish();
+    assert_eq!(observed(&late), observed(&alone));
+    assert_eq!(observed(&late), observed(&later));
+    assert!(
+        late.stats().window.accepted < early.stats().window.accepted,
+        "the late subscriber saw fewer events"
+    );
+    let results = late.poll();
+    assert_eq!(results, alone.poll());
+    assert_eq!(results, later.poll());
+    assert!(results.len() < early.poll().len());
+
+    // The rule is about staged elements, not pushes: while a silent source
+    // holds every event back, nothing has reached any operator, and a query
+    // registered after two pushes still joins — and misses nothing.
+    let mut held = Session::new(Box::new(PunctuatedBuffer::new(0, 2)));
+    let first = held.register(query).expect("registers");
+    for (seq, ts) in [(0u64, 150u64), (1, 250)] {
+        let row = Row::new([Value::Int(1), Value::Int(7), Value::Float(1.0)]);
+        held.push(Event::new(ts, seq, row));
+    }
+    let second = held.register(&renamed(query, "second")).expect("registers");
+    assert_eq!(held.operators(), 1);
+    held.heartbeat(&Key(Value::Int(2)), Timestamp(1_240));
+    held.finish();
+    assert_eq!(first.stats().window.accepted, 2);
+    assert_eq!(first.poll(), second.poll());
+}
+
+#[test]
+fn deregistering_a_member_freezes_it_and_leaves_the_others_alone() {
+    let stream = netmon::generate(&NetmonConfig::default(), 3_000, 5);
+    let (head, tail) = stream.events.split_at(1_500);
+    let query = &queries()[1];
+    let registry = Registry::new();
+    let mut session = Session::new(Box::new(FixedKSlack::new(300u64))).with_telemetry(&registry);
+    let keeper = session.register(query).expect("registers");
+    let leaver = session.register(&renamed(query, "l")).expect("registers");
+    let idle = session.register(&renamed(query, "i")).expect("registers");
+    assert_eq!((session.operators(), session.stats().queries), (1, 3));
+    session.push_batch(head.iter().cloned());
+
+    // Polling one member drains that member only.
+    let pending = idle.stats().pending;
+    assert!(pending > 0);
+    assert_eq!(leaver.poll().len(), pending);
+    assert_eq!(idle.stats().pending, pending);
+    assert_eq!(keeper.stats().pending, pending);
+
+    let last = session.deregister(leaver.id()).expect("deregisters");
+    assert!(last.closed && leaver.is_closed());
+    assert_eq!(
+        last.window,
+        keeper.stats().window,
+        "the operator's counters"
+    );
+    assert_eq!((session.operators(), session.stats().queries), (1, 2));
+    assert!(session.query_info(leaver.id()).is_none());
+    session.push_batch(tail.iter().cloned());
+    let frozen = leaver.stats();
+    assert_eq!(
+        (frozen.emitted, frozen.window, frozen.pending),
+        (last.emitted, last.window, 0),
+        "a deregistered member receives and counts nothing further"
+    );
+
+    session.deregister(idle.id()).expect("deregisters");
+    assert_eq!(session.operators(), 1, "the keeper still needs it");
+    session.finish();
+    let batch = execute(
+        &stream.events,
+        &mut FixedKSlack::new(300u64),
+        query,
+        &ExecOptions::default(),
+    )
+    .expect("batch");
+    assert_eq!(keeper.poll(), batch.results, "the survivor missed nothing");
+    assert!(idle.poll().len() < batch.results.len());
+
+    // The operator goes with its last subscriber.
+    session.deregister(keeper.id()).expect("deregisters");
+    assert_eq!((session.operators(), session.stats().queries), (0, 0));
+    assert_eq!(
+        registry.snapshot().gauge("quill.session.operators"),
+        Some(0.0)
+    );
 }
