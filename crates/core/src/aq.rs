@@ -255,7 +255,15 @@ impl AqKSlack {
             self.controller.update(q_req - measured)
         };
         let q_eff = (q_req + margin).clamp(0.0, 1.0);
-        let candidate = self.estimator.quantile(q_eff).unwrap_or(TimeDelta::ZERO);
+        // One walk of the estimator answers K's candidate and, when someone
+        // is watching, the three gauges with it.
+        let [candidate, p50, p95, p99] = if self.telemetry.enabled {
+            self.estimator.quantiles([q_eff, 0.5, 0.95, 0.99])
+        } else {
+            let [candidate] = self.estimator.quantiles([q_eff]);
+            [candidate, None, None, None]
+        }
+        .map(|d| d.unwrap_or(TimeDelta::ZERO));
         let current = self.buf.k();
         // Grow immediately; shrink at most max_shrink per step.
         let mut reason = KChangeReason::Adapt;
@@ -299,16 +307,9 @@ impl AqKSlack {
             t.margin.set(margin);
             t.measured_completeness.set(measured);
             t.effective_quantile.set(q_eff);
-            // Estimator quantiles are computed only when someone is
-            // watching — they cost a sort/scan on the sliding estimator.
-            for (q, g) in [(0.5, &t.est_p50), (0.95, &t.est_p95), (0.99, &t.est_p99)] {
-                g.set(
-                    self.estimator
-                        .quantile(q)
-                        .unwrap_or(TimeDelta::ZERO)
-                        .as_f64(),
-                );
-            }
+            t.est_p50.set(p50.as_f64());
+            t.est_p95.set(p95.as_f64());
+            t.est_p99.set(p99.as_f64());
         }
     }
 }

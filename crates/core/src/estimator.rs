@@ -68,6 +68,15 @@ impl DistEstimator {
         }
     }
 
+    /// Several quantiles at once, in the order asked: one cumulative walk of
+    /// the sliding estimator instead of one per quantile.
+    pub fn quantiles<const N: usize>(&self, qs: [f64; N]) -> [Option<TimeDelta>; N] {
+        match self {
+            DistEstimator::Exact(e) => e.quantiles(qs),
+            DistEstimator::Histogram(h) => qs.map(|q| h.quantile(q)),
+        }
+    }
+
     /// Largest delay ever observed.
     pub fn max_ever(&self) -> TimeDelta {
         match self {
@@ -213,20 +222,33 @@ impl DelayEstimator {
     /// smallest delay `d` such that at least `⌈q·n⌉` samples are `<= d`.
     /// `None` when empty.
     pub fn quantile(&self, q: f64) -> Option<TimeDelta> {
+        self.quantiles([q])[0]
+    }
+
+    /// [`DelayEstimator::quantile`] of every `qs[i]`, in the order asked,
+    /// from one cumulative walk of the sorted sample: the walk stops at the
+    /// largest quantile asked for instead of starting over for each.
+    pub fn quantiles<const N: usize>(&self, qs: [f64; N]) -> [Option<TimeDelta>; N] {
+        let mut out = [None; N];
         let n = self.window.len();
         if n == 0 {
-            return None;
+            return out;
         }
-        let q = q.clamp(0.0, 1.0);
-        let target = ((q * n as f64).ceil() as usize).clamp(1, n);
+        let targets = qs.map(|q| ((q.clamp(0.0, 1.0) * n as f64).ceil() as usize).clamp(1, n));
+        let mut order: [usize; N] = std::array::from_fn(|i| i);
+        order.sort_unstable_by_key(|&i| targets[i]);
+        let mut pending = order.iter().peekable();
         let mut acc = 0usize;
         for (&d, &c) in &self.sorted {
             acc += c;
-            if acc >= target {
-                return Some(TimeDelta(d));
+            while let Some(&i) = pending.next_if(|&&i| acc >= targets[i]) {
+                out[i] = Some(TimeDelta(d));
+            }
+            if pending.peek().is_none() {
+                break;
             }
         }
-        self.max_in_window()
+        out
     }
 
     /// Empirical CDF: fraction of windowed delays `<= d`.
@@ -269,6 +291,29 @@ mod tests {
         assert_eq!(e.quantile(0.5), Some(TimeDelta(30)));
         assert_eq!(e.quantile(0.9), Some(TimeDelta(50)));
         assert_eq!(e.quantile(1.0), Some(TimeDelta(50)));
+    }
+
+    #[test]
+    fn quantiles_answer_like_one_walk_each_in_the_order_asked() {
+        let mut e = DelayEstimator::new(256);
+        for i in 0..1_000u64 {
+            e.observe(TimeDelta(i * 7919 % 113 + (i % 5) * (i % 3)));
+        }
+        let qs = [0.97, 0.5, 0.0, 0.95, 1.0, 0.99, 0.5, 1.7, -0.2, 0.013];
+        assert_eq!(e.quantiles(qs), qs.map(|q| e.quantile(q)));
+        assert_eq!(e.quantiles::<0>([]), []);
+        assert_eq!(DelayEstimator::new(8).quantiles([0.5, 0.9]), [None, None]);
+        for kind in [
+            EstimatorKind::SlidingWindow,
+            EstimatorKind::DecayingHistogram {
+                precision_bits: 5,
+                decay_every: 300,
+            },
+        ] {
+            let mut d = DistEstimator::new(kind, 64);
+            (0..500u64).for_each(|i| d.observe(TimeDelta(i * 31 % 97)));
+            assert_eq!(d.quantiles(qs), qs.map(|q| d.quantile(q)), "{kind:?}");
+        }
     }
 
     #[test]

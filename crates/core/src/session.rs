@@ -318,6 +318,9 @@ pub(crate) struct MultiQueryCore {
     /// counter, exported under the same `quill.merge.windows` name.
     /// `quill.run.results` over this is the sharing factor.
     windows_count: Counter,
+    /// Events held in window state, summed over the operators
+    /// (`quill.window.entries`); refreshed by `sync_stats`.
+    entries_gauge: Gauge,
     results_total: u64,
     spans: SpanRecorder,
 }
@@ -329,6 +332,7 @@ impl MultiQueryCore {
             next_id: 0,
             results_count: telemetry.counter("quill.run.results"),
             windows_count: telemetry.counter("quill.merge.windows"),
+            entries_gauge: telemetry.gauge("quill.window.entries"),
             results_total: 0,
             spans: SpanRecorder::disabled(),
         }
@@ -338,6 +342,7 @@ impl MultiQueryCore {
     fn instrument(&mut self, telemetry: &Registry) {
         self.results_count = telemetry.counter("quill.run.results");
         self.windows_count = telemetry.counter("quill.merge.windows");
+        self.entries_gauge = telemetry.gauge("quill.window.entries");
     }
 
     /// Record query-tagged [`Stage::Deliver`] spans into `spans`
@@ -485,18 +490,20 @@ impl MultiQueryCore {
         }
     }
 
-    /// Refresh every subscription's operator-counter mirror.
+    /// Refresh every subscription's operator-counter mirror and the
+    /// held-entries gauge.
     pub(crate) fn sync_stats(&mut self) {
         for (m, op) in self.members() {
             m.state.lock().window = op.stats();
         }
+        let held = self.groups.iter().map(|g| g.op.held_events());
+        self.entries_gauge.set(held.sum::<u64>() as f64);
     }
 
     fn close_all(&mut self) {
-        for (m, op) in self.members() {
-            let mut sub = m.state.lock();
-            sub.window = op.stats();
-            sub.closed = true;
+        self.sync_stats();
+        for (m, _) in self.members() {
+            m.state.lock().closed = true;
         }
     }
 
@@ -580,7 +587,9 @@ impl Session {
     /// Record telemetry into `registry`: the strategy's `quill.buffer.*`
     /// instruments, `quill.run.events` / `quill.run.results` /
     /// `quill.merge.windows` counters and the `quill.session.queries` /
-    /// `quill.session.operators` gauges. `quill.run.results` counts results
+    /// `quill.session.operators` / `quill.window.entries` gauges (the last:
+    /// events held in window state over all operators, refreshed once per
+    /// pushed batch). `quill.run.results` counts results
     /// *delivered* (one per subscriber), `quill.merge.windows` first emissions
     /// per *operator*: with every query on one shape their ratio is the
     /// number of queries each fold served.

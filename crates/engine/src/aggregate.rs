@@ -165,9 +165,9 @@ impl AggregateSpec {
 
     /// Instantiate mergeable partial state, or `None` for kinds whose
     /// partials cannot be combined (order statistics, distinct counts; the
-    /// window operator finalizes those with `quantile_sorted` and a
-    /// distinct set over the window's values). The window operator stores
-    /// one per event in its time tree; see [`PaneAgg`].
+    /// window operator finalizes those with `quantile_of_ranks` and a
+    /// distinct set over the window's values). The window operator keeps
+    /// one per tree node, never per event; see [`PaneAgg`].
     pub(crate) fn build_pane(&self) -> Option<PaneAgg> {
         Some(match self.kind {
             AggregateKind::Count => PaneAgg::Count(CountAgg::default()),
@@ -185,6 +185,15 @@ impl AggregateSpec {
                 return None
             }
         })
+    }
+
+    /// The second row field the partial reads: the `by` field of
+    /// ArgMin/ArgMax, and `field` again for every other kind.
+    pub(crate) fn by_field(&self) -> usize {
+        match self.kind {
+            AggregateKind::ArgMin(by) | AggregateKind::ArgMax(by) => by,
+            _ => self.field,
+        }
     }
 
     /// Reference implementation: compute the aggregate from the raw window
@@ -238,14 +247,14 @@ pub trait Aggregator: Send {
 /// Mergeable partial aggregate state over a *pane*: a run of events
 /// contiguous in `(ts, seq)` order, as small as one event.
 ///
-/// The window operator folds each event into exactly one partial — the item
-/// it inserts into the key's finger B-tree ([`crate::fiba`]) — and assembles
-/// window results by merging the partials the tree caches per subtree,
-/// instead of re-folding raw events into every overlapping window. Each
-/// variant wraps the corresponding incremental aggregator and adds a `merge`
-/// operation combining two disjoint partials; merges always fold the *later*
-/// pane into the *earlier* one, so tie-breaking matches event-time order.
-#[derive(Clone)]
+/// The window operator stores each event once, as an entry of the key's
+/// finger B-tree ([`crate::fiba`]), and partials only in the tree's node
+/// caches: a window result merges the partials cached per subtree instead of
+/// re-folding raw events into every overlapping window. Each variant wraps
+/// the corresponding incremental aggregator and adds a `merge` operation
+/// combining two disjoint partials; merges always fold the *later* pane into
+/// the *earlier* one, so tie-breaking matches event-time order.
+#[derive(Debug, Clone)]
 pub(crate) enum PaneAgg {
     Count(CountAgg),
     Sum(SumAgg),
@@ -258,8 +267,9 @@ pub(crate) enum PaneAgg {
 
 impl PaneAgg {
     /// Fold one event into the partial (same contract as
-    /// [`Aggregator::insert_row`]).
-    pub(crate) fn insert_row(&mut self, ts: Timestamp, v: &Value, row: &Row) {
+    /// [`Aggregator::insert_row`]): `v` is the value of the spec's field and
+    /// `by` that of [`AggregateSpec::by_field`].
+    pub(crate) fn insert(&mut self, ts: Timestamp, v: &Value, by: &Value) {
         match self {
             PaneAgg::Count(a) => a.insert(ts, v),
             PaneAgg::Sum(a) => a.insert(ts, v),
@@ -267,8 +277,18 @@ impl PaneAgg {
             PaneAgg::Extreme(a) => a.insert(ts, v),
             PaneAgg::Moments(a) => a.insert(ts, v),
             PaneAgg::Edge(a) => a.insert(ts, v),
-            PaneAgg::Arg(a) => a.insert_row(ts, v, row),
+            PaneAgg::Arg(a) => a.insert_by(ts, v, by),
         }
+    }
+
+    /// Merge the one-event partial of a *later* event: `identity` (a fresh
+    /// partial of this spec) takes the event on the stack and is merged in.
+    /// Not an `insert` — Welford's update and the moments merge round
+    /// differently, and a cache must not depend on which of the two built it.
+    pub(crate) fn absorb(&mut self, identity: &PaneAgg, ts: Timestamp, v: &Value, by: &Value) {
+        let mut one = identity.clone();
+        one.insert(ts, v, by);
+        self.merge(&one);
     }
 
     /// Merge a *later* pane's partial into this one. Both sides must come
@@ -302,7 +322,7 @@ impl PaneAgg {
     }
 }
 
-#[derive(Clone, Default)]
+#[derive(Debug, Clone, Default)]
 pub(crate) struct CountAgg {
     n: u64,
     seen: u64,
@@ -330,7 +350,7 @@ impl Aggregator for CountAgg {
     }
 }
 
-#[derive(Clone, Default)]
+#[derive(Debug, Clone, Default)]
 pub(crate) struct SumAgg {
     sum: f64,
     n: u64,
@@ -365,7 +385,7 @@ impl Aggregator for SumAgg {
     }
 }
 
-#[derive(Clone, Default)]
+#[derive(Debug, Clone, Default)]
 pub(crate) struct MeanAgg {
     sum: f64,
     n: u64,
@@ -401,7 +421,7 @@ impl Aggregator for MeanAgg {
 }
 
 /// Min/Max over the total value order.
-#[derive(Clone)]
+#[derive(Debug, Clone)]
 pub(crate) struct ExtremeAgg {
     max: bool,
     best: Option<Value>,
@@ -472,7 +492,7 @@ impl Aggregator for ExtremeAgg {
 
 /// Welford-style running moments for variance / standard deviation
 /// (population). Numerically stable under long windows.
-#[derive(Clone)]
+#[derive(Debug, Clone)]
 pub(crate) struct MomentsAgg {
     stddev: bool,
     n: u64,
@@ -561,21 +581,55 @@ impl QuantileAgg {
 }
 
 /// p-quantile of a slice sorted by `f64::total_cmp`, with linear
-/// interpolation between ranks: the one finalizer of Median/Quantile, shared
-/// by `QuantileAgg` and the window operator.
+/// interpolation between ranks: the finalizer of `QuantileAgg`.
 pub(crate) fn quantile_sorted(sorted: &[f64], p: f64) -> Option<f64> {
-    if sorted.is_empty() {
+    quantile_of_ranks(sorted.len(), p, |rank| sorted[rank])
+}
+
+/// The one Median/Quantile formula, over `n` values whose rank-`r` order
+/// statistic `at(r)` returns; `at` is asked for non-decreasing ranks, the
+/// lower then the upper.
+pub(crate) fn quantile_of_ranks(n: usize, p: f64, mut at: impl FnMut(usize) -> f64) -> Option<f64> {
+    if n == 0 {
         return None;
     }
-    let n = sorted.len();
     if n == 1 {
-        return Some(sorted[0]);
+        return Some(at(0));
     }
     let rank = p.clamp(0.0, 1.0) * (n - 1) as f64;
     let lo = rank.floor() as usize;
     let hi = rank.ceil() as usize;
     let frac = rank - lo as f64;
-    Some(sorted[lo] + (sorted[hi.min(n - 1)] - sorted[lo]) * frac)
+    let (lo, hi) = (at(lo), at(hi.min(n - 1)));
+    Some(lo + (hi - lo) * frac)
+}
+
+/// Order statistics of an unsorted slice by selection, for callers that read
+/// a few ranks and would waste a full sort: `at(r)` is what
+/// `sort_unstable_by(f64::total_cmp)` would leave at index `r` — bit for bit,
+/// since `total_cmp`-equal floats are identical. Each call partitions only
+/// what lies past the highest rank answered so far (the very next rank is
+/// that tail's minimum), so a rank may be asked again but a *new* rank must
+/// not be lower than one already answered: ascending quantiles qualify.
+pub(crate) struct RankSelect<'a> {
+    vals: &'a mut [f64],
+    /// One past the highest rank answered: everything from here on is no
+    /// smaller than it and in no particular order.
+    settled: usize,
+}
+
+impl<'a> RankSelect<'a> {
+    pub(crate) fn new(vals: &'a mut [f64]) -> Self {
+        RankSelect { vals, settled: 0 }
+    }
+
+    pub(crate) fn at(&mut self, rank: usize) -> f64 {
+        if rank >= self.settled {
+            self.vals[self.settled..].select_nth_unstable_by(rank - self.settled, f64::total_cmp);
+            self.settled = rank + 1;
+        }
+        self.vals[rank]
+    }
 }
 
 impl Aggregator for QuantileAgg {
@@ -626,7 +680,7 @@ impl Aggregator for DistinctAgg {
 /// First/Last by event timestamp. For equal timestamps, the earliest (resp.
 /// latest) *insertion* wins, matching the reference implementation which
 /// feeds values in (ts, insertion) order.
-#[derive(Clone)]
+#[derive(Debug, Clone)]
 pub(crate) struct EdgeAgg {
     last: bool,
     best: Option<(Timestamp, Value)>,
@@ -697,7 +751,7 @@ impl Aggregator for EdgeAgg {
 }
 
 /// ArgMin/ArgMax: report one field's value at the extremum of another.
-#[derive(Clone)]
+#[derive(Debug, Clone)]
 pub(crate) struct ArgAgg {
     max: bool,
     by: usize,
@@ -737,17 +791,10 @@ impl ArgAgg {
             }
         }
     }
-}
 
-impl Aggregator for ArgAgg {
-    fn insert(&mut self, _ts: Timestamp, _v: &Value) {
-        // Row-less insertion cannot see the `by` field; count only. The
-        // engine's window operators always use `insert_row`.
+    /// Fold one event given the value of its `by` field.
+    fn insert_by(&mut self, ts: Timestamp, v: &Value, by_val: &Value) {
         self.seen += 1;
-    }
-    fn insert_row(&mut self, ts: Timestamp, v: &Value, row: &Row) {
-        self.seen += 1;
-        let by_val = row.get(self.by);
         if by_val.is_null() {
             return;
         }
@@ -766,6 +813,17 @@ impl Aggregator for ArgAgg {
         if better {
             self.best = Some((by_val.clone(), ts, v.clone()));
         }
+    }
+}
+
+impl Aggregator for ArgAgg {
+    fn insert(&mut self, _ts: Timestamp, _v: &Value) {
+        // Row-less insertion cannot see the `by` field; count only. The
+        // engine's window operators always use `insert_row`.
+        self.seen += 1;
+    }
+    fn insert_row(&mut self, ts: Timestamp, v: &Value, row: &Row) {
+        self.insert_by(ts, v, row.get(self.by));
     }
     fn finalize(&self) -> Value {
         self.best
@@ -984,7 +1042,7 @@ mod pane_tests {
             let pane = panes
                 .entry(t / slide * slide)
                 .or_insert_with(|| spec.build_pane().expect("combinable kind"));
-            pane.insert_row(Timestamp(*t), row.get(spec.field), row);
+            pane.insert(Timestamp(*t), row.get(spec.field), row.get(spec.by_field()));
         }
         let mut merged: Option<PaneAgg> = None;
         for (_, p) in panes {

@@ -1,15 +1,20 @@
 //! Finger B-tree aggregator (FiBA) window state.
 //!
-//! An order-maintaining B-tree over `(timestamp, seq)` keys whose nodes cache
-//! the combined partial aggregate, entry count, and key range of their
-//! subtree, with two *finger* pointers at the leftmost and rightmost leaf
-//! (Tangwongsan/Hirzel/Schneider, arXiv 1810.11308).
+//! An order-maintaining B-tree over `(timestamp, seq)` keys with two *finger*
+//! pointers at the leftmost and rightmost leaf (Tangwongsan/Hirzel/Schneider,
+//! arXiv 1810.11308). A leaf **stores entries** — a key plus a fixed number
+//! of values, inline in two arrays per leaf, no heap block per entry; every
+//! node **caches** the partial aggregate, entry count and key range of its
+//! subtree. Partials exist only in those caches and in a range query's
+//! accumulator: a [`FibaFold`] says how one entry becomes a partial
+//! (`seed`), how partials combine, and `absorb ≡ combine ∘ seed` folds an
+//! entry into a partial without materialising the one in between.
 //!
 //! An insert at or past the largest key — every in-order arrival — is an
-//! *append*: the entry is pushed onto the right-finger leaf and the item is
-//! combined into the cache of every node on the right spine, which is exact
-//! because `combine` is associative and the new entry is the last of each of
-//! those subtrees. Only a full leaf splits, and only the split halves are
+//! *append*: the entry is pushed onto the right-finger leaf and absorbed into
+//! the cache of every node on the right spine, which is exact because
+//! `combine` is associative and the new entry is the last of each of those
+//! subtrees. Only a full leaf splits, and only the split halves are
 //! re-folded. Any other insert — a straggler — climbs from the nearer finger
 //! as far as the first ancestor whose cached key range covers the key,
 //! descends (`O(log d)` levels for distance `d` from the nearest end), and
@@ -18,10 +23,11 @@
 //!
 //! Window slides use [`FibaTree::evict_before`], the bulk eviction of the
 //! FiBA sequel (arXiv 2307.11210) adapted to this layout: whole subtrees left
-//! of the cut are freed without visiting their entries, and the relaxed
-//! invariant allows underfull nodes *only on the leftmost spine* — exactly
-//! the region a prefix eviction can thin out. Freed nodes keep their buffers
-//! for the next split. See `DESIGN.md` §17.
+//! of the cut are freed without visiting their entries. The relaxed invariant
+//! allows underfull nodes *only on the two spines*: the leftmost is what a
+//! prefix eviction thins out, and the rightmost leaf starts from the one
+//! entry that overflowed its full left sibling, so in-order leaves stay full.
+//! Freed nodes keep their buffers for the next split. See `DESIGN.md` §17.
 
 use serde::{Deserialize, Serialize};
 
@@ -40,63 +46,66 @@ pub enum WindowState {
 /// Composite tree key: `(timestamp, seq)`.
 pub type FibaKey = (u64, u64);
 
-/// A partial aggregate stored at tree entries and combined into node caches.
+/// What a tree stores per entry and caches per node.
 ///
 /// `combine` must be associative over key order: the tree always combines a
 /// subtree's partials left-to-right, so `later` covers keys sorting after
-/// everything already in `self`.
-pub trait FibaItem: Clone {
-    /// Fold `later` (covering strictly later keys) into `self`.
-    fn combine(&mut self, later: &Self);
+/// everything already in `acc`.
+pub trait FibaFold {
+    /// One stored value; an entry is its key and the tree's `width` of these.
+    type Val: Clone;
+    /// A partial aggregate over a run of entries in key order.
+    type Agg: Clone;
 
-    /// Overwrite `self` with `src`, reusing existing buffers where possible
-    /// (the cache-repair path calls this once per level per straggler).
-    fn assign_from(&mut self, src: &Self) {
-        self.clone_from(src);
-    }
+    /// The partial covering exactly this entry.
+    fn seed(&self, key: FibaKey, vals: &[Self::Val]) -> Self::Agg;
 
-    /// A fresh cache covering just this entry. An item that carries per-entry
-    /// payload no cache needs (`combine` ignores it) leaves it out here and
-    /// in `assign_from`.
-    fn seed(&self) -> Self {
-        self.clone()
+    /// Fold `later` (covering strictly later keys) into `acc`.
+    fn combine(&self, acc: &mut Self::Agg, later: &Self::Agg);
+
+    /// Fold an entry later than everything in `acc` into it. *Defined* as
+    /// `combine(acc, &seed(key, vals))`; override only to build the one-entry
+    /// partial without a heap allocation, never to compute anything else —
+    /// caches are rebuilt from entries through this, so a shortcut with other
+    /// roundings would make results depend on the repair history.
+    fn absorb(&self, acc: &mut Self::Agg, key: FibaKey, vals: &[Self::Val]) {
+        self.combine(acc, &self.seed(key, vals));
     }
 }
 
-/// Minimum entries (leaf) / children (internal) for nodes *off* the leftmost
-/// spine; the spine may run underfull after bulk evictions.
-const MIN_FANOUT: usize = 4;
-/// Nodes split once they exceed this many entries/children.
-const MAX_FANOUT: usize = 2 * MIN_FANOUT;
+/// Production minimum of entries (leaf) / children (internal) for nodes off
+/// the two spines; a node splits once it exceeds twice that. Picked from the
+/// recorded sweep of {4, 8, 16, 32} in DESIGN.md §17.2.
+pub const MIN_FANOUT: usize = 16;
 
 const NIL: u32 = u32::MAX;
 const FIRST_KEY: FibaKey = (0, 0);
 const LAST_KEY: FibaKey = (u64::MAX, u64::MAX);
 
-struct Node<I> {
+struct Node<V, A> {
     parent: u32,
     /// Leaf: sorted entry keys. Internal: empty (children route by range).
     keys: Vec<FibaKey>,
-    /// Leaf: per-entry items, parallel to `keys`.
-    items: Vec<I>,
+    /// Leaf: the entries' values, `width` per key, in key order.
+    vals: Vec<V>,
     /// Internal: child node indices in key order. Empty for leaves.
     children: Vec<u32>,
     /// Entries in this subtree.
     count: u64,
-    /// Combined items of this subtree in key order (`None` iff empty).
-    agg: Option<I>,
+    /// Combined partial of this subtree in key order (`None` iff empty).
+    agg: Option<A>,
     /// Smallest key in this subtree (valid when `count > 0`).
     lo: FibaKey,
     /// Largest key in this subtree (valid when `count > 0`).
     hi: FibaKey,
 }
 
-impl<I> Node<I> {
-    fn new_leaf(parent: u32) -> Node<I> {
+impl<V, A> Node<V, A> {
+    fn new_leaf(parent: u32) -> Node<V, A> {
         Node {
             parent,
             keys: Vec::new(),
-            items: Vec::new(),
+            vals: Vec::new(),
             children: Vec::new(),
             count: 0,
             agg: None,
@@ -110,42 +119,38 @@ impl<I> Node<I> {
         self.children.is_empty()
     }
 
-    fn overfull(&self) -> bool {
-        self.keys.len().max(self.children.len()) > MAX_FANOUT
+    /// A leaf's entries at positions `from..to`, `width` values each.
+    fn entries(
+        &self,
+        width: usize,
+        from: usize,
+        to: usize,
+    ) -> impl Iterator<Item = (FibaKey, &[V])> {
+        let keys = self.keys[from..to].iter().copied();
+        keys.zip(self.vals[from * width..to * width].chunks_exact(width))
+    }
+
+    /// The positions of a leaf's entries with keys in `[lo, hi]` — contiguous,
+    /// because leaf keys are sorted.
+    fn span(&self, lo: FibaKey, hi: FibaKey) -> (usize, usize) {
+        let from = self.keys.partition_point(|k| *k < lo);
+        (from, self.keys.partition_point(|k| *k <= hi))
     }
 }
 
-/// What a node caches about a run of parts in key order — entries of a leaf
-/// or children of an internal node, each given as `(count, lo, hi, item)`:
-/// total count, first `lo`, last `hi` and the left-to-right combine, built
-/// in `buf`'s allocation when there is one.
-fn summarize<'a, I: FibaItem + 'a>(
-    buf: Option<I>,
-    mut parts: impl Iterator<Item = (u64, FibaKey, FibaKey, &'a I)>,
-) -> (u64, FibaKey, FibaKey, Option<I>) {
-    let Some((mut count, lo, mut hi, first)) = parts.next() else {
-        return (0, FIRST_KEY, FIRST_KEY, None);
-    };
-    let mut agg = match buf {
-        Some(mut a) => {
-            a.assign_from(first);
-            a
-        }
-        None => first.seed(),
-    };
-    for (n, _, h, part) in parts {
-        count += n;
-        hi = h;
-        agg.combine(part);
-    }
-    (count, lo, hi, Some(agg))
-}
-
-/// Fold `part`, covering later keys than anything in `acc`, into `acc`.
-fn absorb<I: FibaItem>(acc: &mut Option<I>, part: &I) {
+/// Fold an entry, later than anything in `acc`, into `acc`.
+fn absorb_entry<F: FibaFold>(fold: &F, acc: &mut Option<F::Agg>, key: FibaKey, vals: &[F::Val]) {
     match acc {
-        Some(a) => a.combine(part),
-        None => *acc = Some(part.seed()),
+        Some(a) => fold.absorb(a, key, vals),
+        None => *acc = Some(fold.seed(key, vals)),
+    }
+}
+
+/// Fold a cached partial, covering later keys than anything in `acc`, into it.
+fn absorb_cache<F: FibaFold>(fold: &F, acc: &mut Option<F::Agg>, part: &F::Agg) {
+    match acc {
+        Some(a) => fold.combine(a, part),
+        None => *acc = Some(part.clone()),
     }
 }
 
@@ -164,36 +169,39 @@ pub struct FibaStats {
     pub evicted: u64,
 }
 
-/// A finger B-tree aggregator: ordered map from [`FibaKey`] to partial
-/// aggregates with cached subtree combines, counts, and key ranges.
-pub struct FibaTree<I: FibaItem> {
-    nodes: Vec<Node<I>>,
+/// A finger B-tree aggregator: ordered multimap from [`FibaKey`] to entries of
+/// `width` values, with cached subtree partials, counts and key ranges. `MIN`
+/// is the minimum fan-out ([`MIN_FANOUT`] in production; the test suites also
+/// run a small one, whose trees are deep). The fold is passed to every call
+/// that builds a partial, so one descriptor serves all of an operator's trees.
+pub struct FibaTree<F: FibaFold, const MIN: usize = MIN_FANOUT> {
+    nodes: Vec<Node<F::Val, F::Agg>>,
     free: Vec<u32>,
     root: u32,
     /// Leftmost leaf.
     left_finger: u32,
     /// Rightmost leaf.
     right_finger: u32,
+    /// Values per entry.
+    width: usize,
     len: u64,
     stats: FibaStats,
 }
 
-impl<I: FibaItem> Default for FibaTree<I> {
-    fn default() -> Self {
-        Self::new()
-    }
-}
+impl<F: FibaFold, const MIN: usize> FibaTree<F, MIN> {
+    /// Nodes split once they exceed this many entries/children.
+    pub const MAX: usize = 2 * MIN;
 
-impl<I: FibaItem> FibaTree<I> {
-    /// An empty tree.
-    pub fn new() -> FibaTree<I> {
-        let root = Node::new_leaf(NIL);
+    /// An empty tree whose entries carry `width >= 1` values each.
+    pub fn new(width: usize) -> Self {
+        assert!(width > 0, "an entry stores at least one value");
         FibaTree {
-            nodes: vec![root],
+            nodes: vec![Node::new_leaf(NIL)],
             free: Vec::new(),
             root: 0,
             left_finger: 0,
             right_finger: 0,
+            width,
             len: 0,
             stats: FibaStats::default(),
         }
@@ -235,6 +243,21 @@ impl<I: FibaItem> FibaTree<I> {
         h
     }
 
+    /// Bytes the tree has allocated: the node arena and every node's key,
+    /// value and child arrays at their capacity (freed nodes keep theirs),
+    /// plus `cache_heap` — what one cached `Agg` owns on the heap — for every
+    /// node in use.
+    pub fn state_bytes(&self, cache_heap: usize) -> usize {
+        let arrays = |n: &Node<F::Val, F::Agg>| {
+            n.keys.capacity() * size_of::<FibaKey>()
+                + n.vals.capacity() * size_of::<F::Val>()
+                + n.children.capacity() * size_of::<u32>()
+        };
+        self.nodes.capacity() * size_of::<Node<F::Val, F::Agg>>()
+            + self.nodes.iter().map(arrays).sum::<usize>()
+            + (self.nodes.len() - self.free.len()) * cache_heap
+    }
+
     /// An empty node under `parent`: a freed one, with the buffers it kept,
     /// when there is one.
     fn alloc(&mut self, parent: u32) -> u32 {
@@ -250,23 +273,34 @@ impl<I: FibaItem> FibaTree<I> {
         }
     }
 
-    /// Recompute `count`, `agg`, `lo`, `hi` of `n` from its entries or
-    /// children, reusing the existing aggregate buffer.
-    fn recompute(&mut self, n: u32) {
-        let buf = self.nodes[n as usize].agg.take();
+    fn overfull(&self, n: u32) -> bool {
         let node = &self.nodes[n as usize];
-        let summary = if node.is_leaf() {
-            let entries = node.keys.iter().zip(&node.items);
-            summarize(buf, entries.map(|(k, item)| (1, *k, *k, item)))
-        } else {
-            let children = node.children.iter().map(|&c| &self.nodes[c as usize]);
-            summarize(
-                buf,
-                children.filter_map(|c| Some((c.count, c.lo, c.hi, c.agg.as_ref()?))),
-            )
-        };
+        node.keys.len().max(node.children.len()) > Self::MAX
+    }
+
+    /// Rebuild `count`, `agg`, `lo`, `hi` of `n` from its entries (absorbed
+    /// one by one) or its children's caches (combined).
+    fn recompute(&mut self, fold: &F, n: u32) {
+        let node = &self.nodes[n as usize];
+        let mut agg = None;
+        let (mut count, mut lo, mut hi) = (0, FIRST_KEY, FIRST_KEY);
+        if let (Some(&first), Some(&last)) = (node.keys.first(), node.keys.last()) {
+            for (key, vals) in node.entries(self.width, 0, node.keys.len()) {
+                absorb_entry(fold, &mut agg, key, vals);
+            }
+            (count, lo, hi) = (node.keys.len() as u64, first, last);
+        }
+        for child in node.children.iter().map(|&c| &self.nodes[c as usize]) {
+            let Some(part) = &child.agg else { continue };
+            absorb_cache(fold, &mut agg, part);
+            if count == 0 {
+                lo = child.lo;
+            }
+            count += child.count;
+            hi = child.hi;
+        }
         let node = &mut self.nodes[n as usize];
-        (node.count, node.lo, node.hi, node.agg) = summary;
+        (node.count, node.lo, node.hi, node.agg) = (count, lo, hi, agg);
     }
 
     /// Find the leaf where `key` belongs, climbing from the nearer finger.
@@ -314,7 +348,7 @@ impl<I: FibaItem> FibaTree<I> {
 
     /// Split an overfull node: the right half moves to a new sibling (under a
     /// new root when `n` was the root) and both halves are re-folded.
-    fn split(&mut self, n: u32) {
+    fn split(&mut self, fold: &F, n: u32) {
         self.stats.splits += 1;
         let parent = self.nodes[n as usize].parent;
         let right = self.alloc(parent);
@@ -323,17 +357,19 @@ impl<I: FibaItem> FibaTree<I> {
             .get_disjoint_mut([n as usize, right as usize])
             .expect("a fresh node is not the node it splits");
         if left.is_leaf() {
-            // The rightmost leaf keeps all it may: appends fill the new one.
+            // The rightmost leaf stays full and hands on only its last
+            // entry: appends fill the new one, which the right spine's
+            // relaxed minimum lets start that small.
             let mid = if n == self.right_finger {
-                left.keys.len() - MIN_FANOUT
+                left.keys.len() - 1
             } else {
                 left.keys.len() / 2
             };
             // Exactly a node's worth: doubling would reserve twice that.
-            new.keys.reserve_exact(MAX_FANOUT + 1);
-            new.items.reserve_exact(MAX_FANOUT + 1);
+            new.keys.reserve_exact(Self::MAX + 1);
+            new.vals.reserve_exact((Self::MAX + 1) * self.width);
             new.keys.extend(left.keys.drain(mid..));
-            new.items.extend(left.items.drain(mid..));
+            new.vals.extend(left.vals.drain(mid * self.width..));
             if n == self.right_finger {
                 self.right_finger = right;
             }
@@ -345,15 +381,15 @@ impl<I: FibaItem> FibaTree<I> {
                 self.nodes[c as usize].parent = right;
             }
         }
-        self.recompute(n);
-        self.recompute(right);
+        self.recompute(fold, n);
+        self.recompute(fold, right);
         if parent == NIL {
             // Grow a new root above both halves.
             let root = self.alloc(NIL);
             self.nodes[root as usize].children.extend([n, right]);
             self.nodes[n as usize].parent = root;
             self.nodes[right as usize].parent = root;
-            self.recompute(root);
+            self.recompute(fold, root);
             self.root = root;
         } else {
             let siblings = &mut self.nodes[parent as usize].children;
@@ -365,9 +401,10 @@ impl<I: FibaItem> FibaTree<I> {
         }
     }
 
-    /// Insert an entry. Keys need not be unique; an equal key lands after
-    /// existing equals (stable order).
-    pub fn insert(&mut self, key: FibaKey, item: I) {
+    /// Insert an entry of `width` values. Keys need not be unique; an equal
+    /// key lands after existing equals (stable order).
+    pub fn insert(&mut self, fold: &F, key: FibaKey, vals: &[F::Val]) {
+        assert_eq!(vals.len(), self.width, "entry width");
         self.len += 1;
         let tail = self.right_finger;
         let (count, hi) = {
@@ -377,12 +414,12 @@ impl<I: FibaItem> FibaTree<I> {
         // An empty rightmost leaf is the root of an empty tree.
         if count == 0 || key >= hi {
             // Append: the new entry is the last of every subtree on the
-            // right spine, so each cache takes it with one `combine`.
+            // right spine, so each cache absorbs it.
             self.stats.finger_short_climbs += 1;
             let mut cur = tail;
             while cur != NIL {
                 let node = &mut self.nodes[cur as usize];
-                absorb(&mut node.agg, &item);
+                absorb_entry(fold, &mut node.agg, key, vals);
                 if node.count == 0 {
                     node.lo = key;
                 }
@@ -392,15 +429,16 @@ impl<I: FibaItem> FibaTree<I> {
             }
             let leaf = &mut self.nodes[tail as usize];
             leaf.keys.push(key);
-            leaf.items.push(item);
-            self.repair_from(tail, false);
+            leaf.vals.extend_from_slice(vals);
+            self.repair_from(fold, tail, false);
         } else {
             let leaf = self.locate_leaf(key);
             let node = &mut self.nodes[leaf as usize];
             let pos = node.keys.partition_point(|k| *k <= key);
             node.keys.insert(pos, key);
-            node.items.insert(pos, item);
-            self.repair_from(leaf, true);
+            let at = pos * self.width;
+            node.vals.splice(at..at, vals.iter().cloned());
+            self.repair_from(fold, leaf, true);
         }
     }
 
@@ -408,12 +446,12 @@ impl<I: FibaItem> FibaTree<I> {
     /// `refold` (a straggler changed the middle of every subtree above it)
     /// each node that is not split is recomputed; without (an append already
     /// updated every cache) the walk ends at the first node with room.
-    fn repair_from(&mut self, mut n: u32, refold: bool) {
+    fn repair_from(&mut self, fold: &F, mut n: u32, refold: bool) {
         while n != NIL {
-            if self.nodes[n as usize].overfull() {
-                self.split(n);
+            if self.overfull(n) {
+                self.split(fold, n);
             } else if refold {
-                self.recompute(n);
+                self.recompute(fold, n);
             } else {
                 break;
             }
@@ -431,37 +469,43 @@ impl<I: FibaItem> FibaTree<I> {
         n
     }
 
-    /// Combined aggregate and entry count over keys in `[lo, hi]`
-    /// (inclusive). Whole subtrees inside the range contribute their cached
-    /// aggregate without descending.
-    pub fn range_agg(&self, lo: FibaKey, hi: FibaKey) -> (Option<I>, u64) {
-        let mut acc: Option<I> = None;
+    /// Combined partial and entry count over keys in `[lo, hi]` (inclusive).
+    /// Whole subtrees inside the range contribute their cached partial
+    /// without descending; boundary leaves absorb their in-range entries.
+    pub fn range_agg(&self, fold: &F, lo: FibaKey, hi: FibaKey) -> (Option<F::Agg>, u64) {
+        let mut acc = None;
         let mut count = 0u64;
         if self.len > 0 {
-            self.range_rec(self.root, lo, hi, &mut acc, &mut count);
+            self.range_rec(fold, self.root, lo, hi, &mut acc, &mut count);
         }
         (acc, count)
     }
 
-    fn range_rec(&self, n: u32, lo: FibaKey, hi: FibaKey, acc: &mut Option<I>, count: &mut u64) {
+    fn range_rec(
+        &self,
+        fold: &F,
+        n: u32,
+        lo: FibaKey,
+        hi: FibaKey,
+        acc: &mut Option<F::Agg>,
+        count: &mut u64,
+    ) {
         let node = &self.nodes[n as usize];
         if node.count == 0 || node.hi < lo || hi < node.lo {
             return;
         }
         if lo <= node.lo && node.hi <= hi {
-            absorb(acc, node.agg.as_ref().expect("nonempty subtree"));
+            absorb_cache(fold, acc, node.agg.as_ref().expect("nonempty subtree"));
             *count += node.count;
         } else if node.is_leaf() {
-            // Leaf keys are sorted, so the in-range entries are contiguous.
-            let start = node.keys.partition_point(|k| *k < lo);
-            let end = node.keys.partition_point(|k| *k <= hi);
-            for src in &node.items[start..end] {
-                absorb(acc, src);
+            let (from, to) = node.span(lo, hi);
+            for (key, vals) in node.entries(self.width, from, to) {
+                absorb_entry(fold, acc, key, vals);
             }
-            *count += (end - start) as u64;
+            *count += (to - from) as u64;
         } else {
             for &c in &node.children {
-                self.range_rec(c, lo, hi, acc, count);
+                self.range_rec(fold, c, lo, hi, acc, count);
             }
         }
     }
@@ -484,32 +528,37 @@ impl<I: FibaItem> FibaTree<I> {
         }
     }
 
-    /// Visit every entry with key in `[lo, hi]` (inclusive) in key order.
+    /// Visit every entry with key in `[lo, hi]` (inclusive) in key order,
+    /// its values read in place from the leaf arrays.
     pub fn for_each_range<'a>(
         &'a self,
         lo: FibaKey,
         hi: FibaKey,
-        f: &mut dyn FnMut(FibaKey, &'a I),
+        f: &mut dyn FnMut(FibaKey, &'a [F::Val]),
     ) {
         self.visit(self.root, lo, hi, f);
     }
 
     /// Visit every entry in key order.
-    pub fn for_each<'a>(&'a self, f: &mut dyn FnMut(FibaKey, &'a I)) {
+    pub fn for_each<'a>(&'a self, f: &mut dyn FnMut(FibaKey, &'a [F::Val])) {
         self.visit(self.root, FIRST_KEY, LAST_KEY, f);
     }
 
-    fn visit<'a>(&'a self, n: u32, lo: FibaKey, hi: FibaKey, f: &mut dyn FnMut(FibaKey, &'a I)) {
+    fn visit<'a>(
+        &'a self,
+        n: u32,
+        lo: FibaKey,
+        hi: FibaKey,
+        f: &mut dyn FnMut(FibaKey, &'a [F::Val]),
+    ) {
         let node = &self.nodes[n as usize];
         if node.count == 0 || node.hi < lo || hi < node.lo {
             return;
         }
         if node.is_leaf() {
-            let start = node.keys.partition_point(|k| *k < lo);
-            let end = node.keys.partition_point(|k| *k <= hi);
-            for (k, item) in node.keys[start..end].iter().zip(&node.items[start..end]) {
-                f(*k, item);
-            }
+            let (from, to) = node.span(lo, hi);
+            node.entries(self.width, from, to)
+                .for_each(|(key, vals)| f(key, vals));
         } else {
             for &c in &node.children {
                 self.visit(c, lo, hi, f);
@@ -525,7 +574,7 @@ impl<I: FibaItem> FibaTree<I> {
         }
         let node = &mut self.nodes[n as usize];
         node.keys.clear();
-        node.items.clear();
+        node.vals.clear();
         node.count = 0;
         node.agg = None;
         self.free.push(n);
@@ -535,11 +584,11 @@ impl<I: FibaItem> FibaTree<I> {
     /// cut are freed without visiting their entries; only the boundary path
     /// is repaired. Returns the number of entries removed. Nodes on the
     /// leftmost spine may be left underfull (the relaxed FiBA invariant).
-    pub fn evict_before(&mut self, cut: FibaKey) -> u64 {
+    pub fn evict_before(&mut self, fold: &F, cut: FibaKey) -> u64 {
         if self.len == 0 || self.nodes[self.root as usize].lo >= cut {
             return 0;
         }
-        let removed = self.evict_rec(self.root, cut);
+        let removed = self.evict_rec(fold, self.root, cut);
         self.len -= removed;
         self.stats.evicted += removed;
         // Collapse single-child root chains so height tracks the population.
@@ -558,12 +607,13 @@ impl<I: FibaItem> FibaTree<I> {
         removed
     }
 
-    fn evict_rec(&mut self, n: u32, cut: FibaKey) -> u64 {
+    fn evict_rec(&mut self, fold: &F, n: u32, cut: FibaKey) -> u64 {
         let mut removed = 0u64;
         if self.nodes[n as usize].is_leaf() {
-            let drop = self.nodes[n as usize].keys.partition_point(|k| *k < cut);
-            self.nodes[n as usize].keys.drain(..drop);
-            self.nodes[n as usize].items.drain(..drop);
+            let node = &mut self.nodes[n as usize];
+            let drop = node.keys.partition_point(|k| *k < cut);
+            node.keys.drain(..drop);
+            node.vals.drain(..drop * self.width);
             removed = drop as u64;
         } else {
             // Free whole children strictly left of the cut.
@@ -582,7 +632,7 @@ impl<I: FibaItem> FibaTree<I> {
             // Recurse into the (new) boundary child.
             if let Some(&c) = self.nodes[n as usize].children.first() {
                 if self.nodes[c as usize].count > 0 && self.nodes[c as usize].lo < cut {
-                    removed += self.evict_rec(c, cut);
+                    removed += self.evict_rec(fold, c, cut);
                     if self.nodes[c as usize].count == 0
                         && self.nodes[n as usize].children.len() > 1
                     {
@@ -592,22 +642,26 @@ impl<I: FibaItem> FibaTree<I> {
                 }
             }
         }
-        self.recompute(n);
+        self.recompute(fold, n);
         removed
     }
 
     /// Structural invariant check, used by the fuzz battery. Verifies parent
-    /// pointers, uniform leaf depth, arity bounds (underfull only on the
-    /// leftmost spine), sorted disjoint key ranges, cached counts and
-    /// ranges, finger validity, and — via `item_eq` — that every cached
-    /// subtree aggregate equals a from-scratch recombination of its entries.
-    pub fn check_invariants(&self, item_eq: &dyn Fn(&I, &I) -> bool) -> Result<(), String> {
+    /// pointers, uniform leaf depth, arity bounds (underfull only on the two
+    /// spines), sorted disjoint key ranges, cached counts and ranges, finger
+    /// validity, and — via `agg_eq` — that every cached subtree partial equals
+    /// a from-scratch fold of its entries.
+    pub fn check_invariants(
+        &self,
+        fold: &F,
+        agg_eq: &dyn Fn(&F::Agg, &F::Agg) -> bool,
+    ) -> Result<(), String> {
         let root = &self.nodes[self.root as usize];
         if root.parent != NIL {
             return Err("root has a parent".into());
         }
         let mut leaf_depth = None;
-        self.check_node(self.root, 0, true, &mut leaf_depth, item_eq)?;
+        self.check_node(fold, self.root, 0, (true, true), &mut leaf_depth, agg_eq)?;
         if self.nodes[self.root as usize].count != self.len {
             return Err(format!(
                 "root count {} != tree len {}",
@@ -623,16 +677,19 @@ impl<I: FibaItem> FibaTree<I> {
         Ok(())
     }
 
+    /// `spines`: whether `n` lies on the leftmost / rightmost spine.
     fn check_node(
         &self,
+        fold: &F,
         n: u32,
         depth: usize,
-        on_left_spine: bool,
+        spines: (bool, bool),
         leaf_depth: &mut Option<usize>,
-        item_eq: &dyn Fn(&I, &I) -> bool,
+        agg_eq: &dyn Fn(&F::Agg, &F::Agg) -> bool,
     ) -> Result<(), String> {
         let node = &self.nodes[n as usize];
-        let is_root = n == self.root;
+        let may_be_underfull = n == self.root || spines.0 || spines.1;
+        let (max, min) = (Self::MAX, MIN);
         if node.is_leaf() {
             match leaf_depth {
                 None => *leaf_depth = Some(depth),
@@ -641,18 +698,15 @@ impl<I: FibaItem> FibaTree<I> {
                 }
                 _ => {}
             }
-            if node.keys.len() != node.items.len() {
-                return Err("leaf keys/items length mismatch".into());
+            if node.keys.len() * self.width != node.vals.len() {
+                return Err("leaf keys/values length mismatch".into());
             }
-            if node.keys.len() > MAX_FANOUT {
-                return Err(format!(
-                    "leaf holds {} > {MAX_FANOUT} entries",
-                    node.keys.len()
-                ));
+            if node.keys.len() > max {
+                return Err(format!("leaf holds {} > {max} entries", node.keys.len()));
             }
-            if !is_root && !on_left_spine && node.keys.len() < MIN_FANOUT {
+            if !may_be_underfull && node.keys.len() < min {
                 return Err(format!(
-                    "off-spine leaf holds {} < {MIN_FANOUT} entries",
+                    "off-spine leaf holds {} < {min} entries",
                     node.keys.len()
                 ));
             }
@@ -667,19 +721,14 @@ impl<I: FibaItem> FibaTree<I> {
                 return Err("leaf lo/hi cache wrong".into());
             }
         } else {
-            if node.children.len() > MAX_FANOUT {
-                return Err(format!(
-                    "internal holds {} > {MAX_FANOUT} children",
-                    node.children.len()
-                ));
+            let arity = node.children.len();
+            if arity > max {
+                return Err(format!("internal holds {arity} > {max} children"));
             }
-            if !is_root && !on_left_spine && node.children.len() < MIN_FANOUT {
-                return Err(format!(
-                    "off-spine internal holds {} < {MIN_FANOUT} children",
-                    node.children.len()
-                ));
+            if !may_be_underfull && arity < min {
+                return Err(format!("off-spine internal holds {arity} < {min} children"));
             }
-            if is_root && node.children.len() < 2 {
+            if n == self.root && arity < 2 {
                 return Err("internal root with fewer than 2 children".into());
             }
             let mut count = 0u64;
@@ -689,7 +738,8 @@ impl<I: FibaItem> FibaTree<I> {
                 if child.parent != n {
                     return Err("child parent pointer wrong".into());
                 }
-                self.check_node(c, depth + 1, on_left_spine && i == 0, leaf_depth, item_eq)?;
+                let below = (spines.0 && i == 0, spines.1 && i + 1 == arity);
+                self.check_node(fold, c, depth + 1, below, leaf_depth, agg_eq)?;
                 count += child.count;
                 if child.count > 0 {
                     if let Some(ph) = prev_hi {
@@ -722,24 +772,24 @@ impl<I: FibaItem> FibaTree<I> {
                 }
             }
         }
-        // Aggregate cache: recombine from scratch and compare.
+        // Partial cache: fold the subtree's entries from scratch and compare.
         let node = &self.nodes[n as usize];
         if node.count == 0 {
             if node.agg.is_some() {
-                return Err("empty subtree caches an aggregate".into());
+                return Err("empty subtree caches a partial".into());
             }
         } else {
-            let mut fresh: Option<I> = None;
-            self.visit(n, FIRST_KEY, LAST_KEY, &mut |_, item| {
-                absorb(&mut fresh, item)
+            let mut fresh = None;
+            self.visit(n, FIRST_KEY, LAST_KEY, &mut |key, vals| {
+                absorb_entry(fold, &mut fresh, key, vals)
             });
             let cached = node
                 .agg
                 .as_ref()
-                .ok_or("nonempty subtree missing aggregate")?;
-            let fresh = fresh.expect("nonempty subtree combined");
-            if !item_eq(cached, &fresh) {
-                return Err("cached subtree aggregate differs from recombination".into());
+                .ok_or("nonempty subtree missing partial")?;
+            let fresh = fresh.expect("nonempty subtree folded");
+            if !agg_eq(cached, &fresh) {
+                return Err("cached subtree partial differs from a fold of its entries".into());
             }
         }
         Ok(())
@@ -750,31 +800,35 @@ impl<I: FibaItem> FibaTree<I> {
 mod tests {
     use super::*;
 
-    /// Sum item: checks combine plumbing with exact integer arithmetic.
-    #[derive(Clone, Debug, PartialEq)]
-    struct SumItem(i64);
-    impl FibaItem for SumItem {
-        fn combine(&mut self, later: &Self) {
-            self.0 += later.0;
+    /// Sum fold: checks combine plumbing with exact integer arithmetic.
+    struct Sum;
+    impl FibaFold for Sum {
+        type Val = i64;
+        type Agg = i64;
+        fn seed(&self, _: FibaKey, vals: &[i64]) -> i64 {
+            vals[0]
+        }
+        fn combine(&self, acc: &mut i64, later: &i64) {
+            *acc += later;
         }
     }
 
-    fn eq(a: &SumItem, b: &SumItem) -> bool {
+    fn eq(a: &i64, b: &i64) -> bool {
         a == b
     }
 
     #[test]
     fn insert_range_and_visit_match_a_sorted_model() {
-        let mut tree = FibaTree::new();
+        let mut tree = FibaTree::<Sum>::new(1);
         let mut model: Vec<(FibaKey, i64)> = Vec::new();
         // Deterministic scramble: multiplicative hop around a prime ring.
         for i in 0..500u64 {
             let k = (i * 373) % 1009;
-            tree.insert((k, i), SumItem(k as i64));
+            tree.insert(&Sum, (k, i), &[k as i64]);
             model.push(((k, i), k as i64));
         }
         model.sort_by_key(|(k, _)| *k);
-        tree.check_invariants(&eq).expect("invariants");
+        tree.check_invariants(&Sum, &eq).expect("invariants");
         assert_eq!(tree.len(), 500);
         assert_eq!(tree.min_key(), Some(model[0].0));
         assert_eq!(tree.max_key(), Some(model.last().unwrap().0));
@@ -790,12 +844,12 @@ mod tests {
                 .iter()
                 .filter(|(k, _)| lo_k <= *k && *k <= hi_k)
                 .count() as u64;
-            let (agg, n) = tree.range_agg(lo_k, hi_k);
+            let (agg, n) = tree.range_agg(&Sum, lo_k, hi_k);
             assert_eq!(n, n_expect, "count for [{lo},{hi}]");
-            assert_eq!(agg.map(|a| a.0).unwrap_or(0), expect, "sum for [{lo},{hi}]");
+            assert_eq!(agg.unwrap_or(0), expect, "sum for [{lo},{hi}]");
             let in_range = model.iter().filter(|(k, _)| lo_k <= *k && *k <= hi_k);
             let mut walked = Vec::new();
-            tree.for_each_range(lo_k, hi_k, &mut |k, item| walked.push((k, item.0)));
+            tree.for_each_range(lo_k, hi_k, &mut |k, item| walked.push((k, item[0])));
             assert_eq!(walked, in_range.cloned().collect::<Vec<_>>());
             let next = model.iter().map(|(k, _)| *k).find(|k| *k >= lo_k);
             assert_eq!(tree.first_key_from(lo_k), next, "first key from {lo}");
@@ -804,29 +858,31 @@ mod tests {
 
     #[test]
     fn bulk_eviction_drops_exactly_the_prefix() {
-        let mut tree = FibaTree::new();
+        let mut tree = FibaTree::<Sum>::new(1);
         for i in 0..300u64 {
-            tree.insert((i, 0), SumItem(1));
+            tree.insert(&Sum, (i, 0), &[1]);
         }
-        let removed = tree.evict_before((120, 0));
+        let removed = tree.evict_before(&Sum, (120, 0));
         assert_eq!(removed, 120);
         assert_eq!(tree.len(), 180);
         assert_eq!(tree.min_key(), Some((120, 0)));
-        tree.check_invariants(&eq).expect("invariants after evict");
+        tree.check_invariants(&Sum, &eq)
+            .expect("invariants after evict");
         // Evicting before the minimum is a no-op.
-        assert_eq!(tree.evict_before((50, 0)), 0);
+        assert_eq!(tree.evict_before(&Sum, (50, 0)), 0);
         // Evict everything.
-        assert_eq!(tree.evict_before((1000, 0)), 180);
+        assert_eq!(tree.evict_before(&Sum, (1000, 0)), 180);
         assert!(tree.is_empty());
-        tree.check_invariants(&eq).expect("invariants when empty");
+        tree.check_invariants(&Sum, &eq)
+            .expect("invariants when empty");
         // The tree keeps working after a full eviction.
-        tree.insert((7, 7), SumItem(7));
-        assert_eq!(tree.range_agg((0, 0), (u64::MAX, u64::MAX)).1, 1);
+        tree.insert(&Sum, (7, 7), &[7]);
+        assert_eq!(tree.range_agg(&Sum, (0, 0), (u64::MAX, u64::MAX)).1, 1);
     }
 
     #[test]
     fn interleaved_inserts_and_evictions_hold_invariants() {
-        let mut tree = FibaTree::new();
+        let mut tree = FibaTree::<Sum>::new(1);
         let mut model: Vec<(FibaKey, i64)> = Vec::new();
         let mut x = 12345u64;
         for step in 0..2000u64 {
@@ -835,27 +891,28 @@ mod tests {
             x ^= x >> 7;
             x ^= x << 17;
             let k = x % 10_000;
-            tree.insert((k, step), SumItem(1));
+            tree.insert(&Sum, (k, step), &[1]);
             model.push(((k, step), 1));
             if step % 97 == 96 {
                 let cut = (x % 8000, 0);
-                tree.evict_before(cut);
+                tree.evict_before(&Sum, cut);
                 model.retain(|(key, _)| *key >= cut);
-                tree.check_invariants(&eq).expect("invariants mid-fuzz");
+                tree.check_invariants(&Sum, &eq)
+                    .expect("invariants mid-fuzz");
             }
             assert_eq!(tree.len(), model.len() as u64, "step {step}");
         }
         let total: i64 = model.iter().map(|(_, v)| v).sum();
-        let (agg, n) = tree.range_agg((0, 0), (u64::MAX, u64::MAX));
+        let (agg, n) = tree.range_agg(&Sum, (0, 0), (u64::MAX, u64::MAX));
         assert_eq!(n, model.len() as u64);
-        assert_eq!(agg.unwrap().0, total);
+        assert_eq!(agg.unwrap(), total);
     }
 
     #[test]
     fn appends_stay_near_the_right_finger() {
-        let mut tree = FibaTree::new();
+        let mut tree = FibaTree::<Sum>::new(1);
         for i in 0..4096u64 {
-            tree.insert((i, 0), SumItem(1));
+            tree.insert(&Sum, (i, 0), &[1]);
         }
         let s = tree.stats();
         // In-order appends should overwhelmingly resolve below the root once

@@ -14,15 +14,19 @@
 //! ## Window state
 //!
 //! There is one state layout, FiBA ([`crate::fiba`]; DESIGN.md §17). Per key,
-//! one finger B-tree over `(ts, seq)` keys holds one item per event: its
-//! partial of every combinable aggregate plus the raw value of every field an
-//! order statistic (Median/Quantile/DistinctCount) reads. An event is folded
+//! one finger B-tree over `(ts, seq)` keys holds one *entry* per event: the
+//! values of the distinct row fields the specs read (each spec's field, the
+//! `by` field of ArgMin/ArgMax), copied out of the row into the leaf's arrays
+//! — 16 + 24 × fields bytes, no heap block per event, the same layout for all
+//! fourteen kinds. Partials of the combinable kinds live only in the tree's
+//! node caches, built by folding entries (`EntryFold`). An event is stored
 //! *once*, whatever the window shape and the aggregate kinds
 //! ([`WindowOpStats::agg_inserts`] counts it) — an in-order arrival is an
 //! append at the tree's right finger. Window finalize is a range query over
 //! cached subtree combines, plus one in-order visit of the window's entries
-//! when order statistics are asked for; the slide bulk-evicts everything no
-//! later window can cover.
+//! when order statistics (Median/Quantile/DistinctCount) are asked for, which
+//! read their values in place; the slide bulk-evicts everything no later
+//! window can cover.
 //!
 //! Which window to emit next is tracked per *key*, not per (window, event):
 //! the emission queue holds each key's earliest unemitted non-empty window.
@@ -35,10 +39,10 @@
 //! event re-runs its query and emits the next revision, and eviction cuts at
 //! the start of the oldest window still tracked.
 
-use crate::aggregate::{quantile_sorted, AggregateKind, AggregateSpec, PaneAgg};
+use crate::aggregate::{quantile_of_ranks, AggregateKind, AggregateSpec, PaneAgg, RankSelect};
 use crate::error::{EngineError, Result};
 use crate::event::{Event, StreamElement};
-use crate::fiba::{FibaItem, FibaKey, FibaTree, WindowState};
+use crate::fiba::{FibaFold, FibaKey, FibaTree, WindowState};
 use crate::operator::Operator;
 use crate::time::Timestamp;
 use crate::value::{Key, KeyView, Row, Value};
@@ -156,35 +160,43 @@ impl WindowResult {
     }
 }
 
-/// One event in its key's time tree: a partial of every combinable spec and
-/// the raw value of every order-statistic field. Combining in `(ts, seq)` key
-/// order is a fold in timestamp order with arrival order breaking ties (the
-/// shard stages deliver equal-timestamp events in `seq` order), which is what
-/// the Edge/Arg tie rules are defined over.
-#[derive(Clone)]
-struct EventSlice {
-    /// One partial per [`Slot::Pane`], in slot order.
-    partials: Box<[PaneAgg]>,
-    /// The event's value of each [`RawField`]. Read from tree entries only:
-    /// node caches combine `partials` and carry no raw values.
-    raw: Box<[Value]>,
+/// How the time trees fold. An entry is the event's `(ts, seq)` key and its
+/// value of every entry column; a node cache is one partial per combinable
+/// spec. Folding in `(ts, seq)` key order is a fold in timestamp order with
+/// arrival order breaking ties (the shard stages deliver equal-timestamp
+/// events in `seq` order), which is what the Edge/Arg tie rules are defined
+/// over.
+struct EntryFold {
+    /// Fresh partials, one per [`Slot::Pane`] in slot order: the identity
+    /// every one-entry partial starts from.
+    template: Box<[PaneAgg]>,
+    /// Per partial, the entry columns of its spec's field and `by` field.
+    cols: Vec<(usize, usize)>,
 }
 
-impl FibaItem for EventSlice {
-    fn combine(&mut self, later: &Self) {
-        for (a, b) in self.partials.iter_mut().zip(&later.partials) {
+impl FibaFold for EntryFold {
+    type Val = Value;
+    type Agg = Box<[PaneAgg]>;
+
+    fn seed(&self, (ts, _): FibaKey, vals: &[Value]) -> Box<[PaneAgg]> {
+        let mut one = self.template.clone();
+        for (a, &(v, by)) in one.iter_mut().zip(&self.cols) {
+            a.insert(Timestamp(ts), &vals[v], &vals[by]);
+        }
+        one
+    }
+
+    fn combine(&self, acc: &mut Box<[PaneAgg]>, later: &Box<[PaneAgg]>) {
+        for (a, b) in acc.iter_mut().zip(later.iter()) {
             a.merge(b);
         }
     }
 
-    fn assign_from(&mut self, src: &Self) {
-        self.partials.clone_from(&src.partials);
-    }
-
-    fn seed(&self) -> Self {
-        EventSlice {
-            partials: self.partials.clone(),
-            raw: Box::default(),
+    /// `combine ∘ seed` partial by partial, each one-entry partial on the
+    /// stack instead of in a boxed slice.
+    fn absorb(&self, acc: &mut Box<[PaneAgg]>, (ts, _): FibaKey, vals: &[Value]) {
+        for ((a, fresh), &(v, by)) in acc.iter_mut().zip(&self.template).zip(&self.cols) {
+            a.absorb(fresh, Timestamp(ts), &vals[v], &vals[by]);
         }
     }
 }
@@ -192,26 +204,27 @@ impl FibaItem for EventSlice {
 /// Where one [`AggregateSpec`]'s output comes from at emission.
 #[derive(Clone, Copy)]
 enum Slot {
-    /// Combinable: `partials[.0]` of the window's range aggregate.
+    /// Combinable: partial `.0` of the window's range aggregate.
     Pane(usize),
-    /// Median/Quantile: the `.1`-quantile of the window's numeric values of
-    /// raw field `.0`.
-    Quantile(usize, f64),
+    /// Median/Quantile: written by the spec's [`RawField`], which knows its
+    /// quantile and position.
+    Quantile,
     /// DistinctCount: the distinct non-null values of raw field `.0`.
     Distinct(usize),
 }
 
-/// One row field read by order-statistic specs; every spec on the field
+/// One entry column read by order-statistic specs; every spec on the field
 /// shares one collection of the window's values per emission.
 struct RawField {
-    /// Row index of the field.
-    field: usize,
-    /// Whether a Median/Quantile spec reads the field.
-    quantile: bool,
+    /// The field's entry column.
+    col: usize,
+    /// The Median/Quantile specs on the field as `(quantile, spec position)`,
+    /// ascending.
+    ps: Vec<(f64, usize)>,
     /// Whether a DistinctCount spec reads the field.
     distinct: bool,
-    /// The window's numeric values in `total_cmp` order (non-numeric values
-    /// are skipped, like `QuantileAgg`); reused across emissions.
+    /// The window's numeric values (non-numeric ones are skipped, like
+    /// `QuantileAgg`); reused across emissions.
     nums: Vec<f64>,
 }
 
@@ -253,11 +266,10 @@ impl Grid {
 }
 
 /// Window state for one grouping key.
-#[derive(Default)]
 struct FibaKeyState {
-    /// Finger B-tree over `(ts, seq)` holding one [`EventSlice`] per
-    /// accepted event; window finalize is a query over `[start, end)`.
-    time: FibaTree<EventSlice>,
+    /// Finger B-tree over `(ts, seq)` holding one entry per accepted event;
+    /// window finalize is a query over `[start, end)`.
+    time: FibaTree<EntryFold>,
     /// The key's earliest unemitted window holding an event — its entry in
     /// [`FibaState::pending`].
     next: Option<WindowId>,
@@ -267,18 +279,25 @@ struct FibaKeyState {
 }
 
 impl FibaKeyState {
-    /// Take one event whose accepting windows start at `first..=home(t)`.
+    fn new(width: usize) -> Self {
+        FibaKeyState {
+            time: FibaTree::new(width),
+            next: None,
+            emitted: BTreeMap::new(),
+        }
+    }
+
+    /// Queue one event, just inserted at `at`, whose accepting windows start
+    /// at `first..=home(t)`.
     /// Returns `(old, new)` when the key's pending window moves down to
     /// `new`: the first of those windows not emitted yet, if it precedes the
     /// pending one.
     fn admit(
         &mut self,
         at: FibaKey,
-        item: EventSlice,
         first: u64,
         grid: Grid,
     ) -> Option<(Option<WindowId>, WindowId)> {
-        self.time.insert(at, item);
         let (mut start, home) = (first, grid.home(at.0));
         for (&(_, emitted), _) in self.emitted.range(grid.window(first)..=grid.window(home)) {
             if emitted.raw() == start {
@@ -318,13 +337,19 @@ impl FibaKeyState {
 /// The operator's window state (see the module docs).
 struct FibaState {
     grid: Grid,
-    /// Fresh combinable partials, one per [`Slot::Pane`] (tree item shape).
-    template: Box<[PaneAgg]>,
+    /// The entry layout: the row index of every entry column — the distinct
+    /// fields the specs read.
+    fields: Vec<usize>,
+    /// The next entry, copied out of its event's row (reused).
+    entry: Vec<Value>,
+    fold: EntryFold,
     /// Per spec, where its output comes from.
     slots: Vec<Slot>,
-    /// The fields order-statistic specs read (tree item shape).
+    /// The entry columns order-statistic specs read.
     raw: Vec<RawField>,
     keys: BTreeMap<Key, FibaKeyState>,
+    /// Entries in all the trees of `keys`.
+    held: u64,
     /// Every key's `next` window as `(end, start, key)`, drained in emission
     /// order as the watermark advances.
     pending: BTreeSet<(Timestamp, Timestamp, Key)>,
@@ -383,32 +408,33 @@ impl FibaState {
             return;
         };
         let tracked = ks.next.iter().chain(ks.emitted.keys().next());
-        if let Some(start) = tracked.map(|w| w.1.raw()).min() {
-            ks.time.evict_before((start, 0));
-        } else {
-            self.keys.remove(key);
-        }
+        self.held -= match tracked.map(|w| w.1.raw()).min() {
+            Some(start) => ks.time.evict_before(&self.fold, (start, 0)),
+            None => self.keys.remove(key).map_or(0, |ks| ks.time.len()),
+        };
     }
 
     /// Entry count and one output per spec, in spec order, for `key`'s
     /// entries in `[lo, hi]`: combinable kinds from the range aggregate, the
-    /// rest from one in-order visit that collects each raw field's values.
-    /// Median/Quantile finalize as `QuantileAgg` does (`quantile_sorted` over
-    /// the `total_cmp`-sorted numeric values), DistinctCount as `DistinctAgg`
-    /// (non-null values, [`Key`] order).
+    /// rest from one in-order visit that reads each raw column in place.
+    /// Median/Quantile finalize as `QuantileAgg` does (`quantile_of_ranks`
+    /// over the numeric values' `total_cmp` order, its ranks selected rather
+    /// than the values sorted), DistinctCount as `DistinctAgg` (non-null
+    /// values, [`Key`] order).
     fn answer(&mut self, key: &Key, lo: FibaKey, hi: FibaKey) -> (u64, Vec<Value>) {
         // Defensive: a queued window always has its key, but answer with an
         // empty result rather than lose the window.
         let tree = self.keys.get(key).map(|ks| &ks.time);
-        let (combined, count) = tree.map_or((None, 0), |t| t.range_agg(lo, hi));
+        let (combined, count) = tree.map_or((None, 0), |t| t.range_agg(&self.fold, lo, hi));
         let raw = &mut self.raw;
+        raw.iter_mut().for_each(|r| r.nums.clear());
         let mut distinct: Vec<BTreeSet<&dyn KeyView>> =
             raw.iter().map(|_| BTreeSet::new()).collect();
         if let Some(tree) = tree.filter(|_| !raw.is_empty()) {
-            raw.iter_mut().for_each(|r| r.nums.clear());
-            tree.for_each_range(lo, hi, &mut |_, item| {
-                for ((r, seen), v) in raw.iter_mut().zip(&mut distinct).zip(&item.raw) {
-                    if r.quantile {
+            tree.for_each_range(lo, hi, &mut |_, vals| {
+                for (r, seen) in raw.iter_mut().zip(&mut distinct) {
+                    let v = &vals[r.col];
+                    if !r.ps.is_empty() {
                         r.nums.extend(v.as_f64());
                     }
                     if r.distinct && !v.is_null() {
@@ -416,20 +442,24 @@ impl FibaState {
                     }
                 }
             });
-            raw.iter_mut()
-                .for_each(|r| r.nums.sort_unstable_by(f64::total_cmp));
         }
+        let partials = combined.as_ref().unwrap_or(&self.fold.template);
         let finalize = |slot: &Slot| match *slot {
-            Slot::Pane(j) => match &combined {
-                Some(slice) => slice.partials[j].finalize(),
-                None => self.template[j].finalize(),
-            },
-            Slot::Quantile(j, p) => {
-                quantile_sorted(&raw[j].nums, p).map_or(Value::Null, Value::Float)
-            }
+            Slot::Pane(j) => partials[j].finalize(),
+            Slot::Quantile => Value::Null,
             Slot::Distinct(j) => Value::Int(distinct[j].len() as i64),
         };
-        (count, self.slots.iter().map(finalize).collect())
+        let mut out: Vec<Value> = self.slots.iter().map(finalize).collect();
+        for r in raw.iter_mut() {
+            let n = r.nums.len();
+            let mut ranks = RankSelect::new(&mut r.nums);
+            for &(p, spec) in &r.ps {
+                if let Some(q) = quantile_of_ranks(n, p, |rank| ranks.at(rank)) {
+                    out[spec] = Value::Float(q);
+                }
+            }
+        }
+        (count, out)
     }
 }
 
@@ -450,7 +480,6 @@ fn pop_first_if(
 pub struct WindowAggregateOp {
     name: String,
     spec: WindowSpec,
-    aggs: Vec<AggregateSpec>,
     key_field: Option<usize>,
     late_policy: LatePolicy,
     fiba: FibaState,
@@ -487,52 +516,74 @@ impl WindowAggregateOp {
                 "window aggregation requires at least one aggregate".into(),
             ));
         }
-        // The tree item shape: a partial per combinable spec, a raw value
-        // per distinct field the other specs read.
+        // The entry layout: one column per distinct field the specs read.
+        // Node caches: a partial per combinable spec.
+        let mut fields: Vec<usize> = Vec::new();
+        let mut column = |field: usize| {
+            let known = fields.iter().position(|f| *f == field);
+            known.unwrap_or_else(|| {
+                fields.push(field);
+                fields.len() - 1
+            })
+        };
         let mut template = Vec::new();
+        let mut cols = Vec::new();
         let mut raw: Vec<RawField> = Vec::new();
         let mut slots = Vec::with_capacity(aggs.len());
         for a in &aggs {
+            let col = column(a.field);
             if let Some(pane) = a.build_pane() {
                 slots.push(Slot::Pane(template.len()));
                 template.push(pane);
+                cols.push((col, column(a.by_field())));
                 continue;
             }
-            let j = raw.iter().position(|r| r.field == a.field);
+            let j = raw.iter().position(|r| r.col == col);
             let j = j.unwrap_or_else(|| {
                 raw.push(RawField {
-                    field: a.field,
-                    quantile: false,
+                    col,
+                    ps: Vec::new(),
                     distinct: false,
                     nums: Vec::new(),
                 });
                 raw.len() - 1
             });
-            let slot = match a.kind {
-                AggregateKind::Median => Slot::Quantile(j, 0.5),
-                AggregateKind::Quantile(p) => Slot::Quantile(j, p),
-                AggregateKind::DistinctCount => Slot::Distinct(j),
+            let p = match a.kind {
+                AggregateKind::Median => 0.5,
+                AggregateKind::Quantile(p) => p,
+                AggregateKind::DistinctCount => {
+                    raw[j].distinct = true;
+                    slots.push(Slot::Distinct(j));
+                    continue;
+                }
                 kind => {
                     return Err(EngineError::InvalidAggregate(format!(
                         "{kind} has neither a combinable partial nor an order-statistic finalizer"
                     )))
                 }
             };
-            match slot {
-                Slot::Distinct(_) => raw[j].distinct = true,
-                _ => raw[j].quantile = true,
-            }
-            slots.push(slot);
+            raw[j].ps.push((p, slots.len()));
+            slots.push(Slot::Quantile);
+        }
+        // Ascending, so each field's quantiles select over a shrinking tail.
+        for r in &mut raw {
+            r.ps.sort_by(|a, b| a.0.total_cmp(&b.0));
         }
         let fiba = FibaState {
             grid: Grid {
                 length: spec.length().raw(),
                 slide: spec.slide().raw(),
             },
-            template: template.into(),
+            entry: Vec::with_capacity(fields.len()),
+            fields,
+            fold: EntryFold {
+                template: template.into(),
+                cols,
+            },
             slots,
             raw,
             keys: BTreeMap::new(),
+            held: 0,
             pending: BTreeSet::new(),
             retained: BTreeSet::new(),
             #[cfg(test)]
@@ -541,7 +592,6 @@ impl WindowAggregateOp {
         Ok(WindowAggregateOp {
             name: format!("window-agg({spec})"),
             spec,
-            aggs,
             key_field,
             late_policy,
             fiba,
@@ -588,6 +638,22 @@ impl WindowAggregateOp {
         self.stats
     }
 
+    /// Events currently held in window state: the entries of every key's
+    /// time tree. What K, the window length and one slide hold back; the
+    /// `quill.window.entries` gauge sums it over a session's operators.
+    pub fn held_events(&self) -> u64 {
+        self.fiba.held
+    }
+
+    /// Bytes the time trees have allocated: node arenas, leaf key/value
+    /// arrays and child arrays at capacity, and the boxed partials of the
+    /// node caches. Walks every node — a diagnostic, not a gauge.
+    pub fn state_bytes(&self) -> usize {
+        let cache = self.fiba.fold.template.len() * size_of::<PaneAgg>();
+        let trees = self.fiba.keys.values();
+        trees.map(|ks| ks.time.state_bytes(cache)).sum()
+    }
+
     /// Keys with an unemitted window holding an event (each counted once,
     /// however many of its windows are open), plus — under `Revise` — emitted
     /// windows still inside their allowed lateness.
@@ -595,10 +661,10 @@ impl WindowAggregateOp {
         self.fiba.pending.len() + self.fiba.retained.len()
     }
 
-    /// Ingest: one `(ts, seq)` insert into the key's time tree, carrying the
-    /// event's combinable partials and order-statistic field values, and —
-    /// only when the event opens a window earlier than the key's pending one
-    /// — a move of the key's entry in the emission queue. Under `Revise`,
+    /// Ingest: one `(ts, seq)` insert into the key's time tree of the values
+    /// the specs read, copied out of the row, and — only when the event opens
+    /// a window earlier than the key's pending one — a move of the key's
+    /// entry in the emission queue. Under `Revise`,
     /// every already-emitted window the event reaches is re-queried and
     /// emitted again as its next revision.
     fn fold_event(&mut self, e: &Event, out: &mut dyn FnMut(StreamElement)) {
@@ -633,14 +699,10 @@ impl WindowAggregateOp {
             }
             return;
         };
-        let mut partials = fs.template.clone();
-        for (slot, spec) in fs.slots.iter().zip(&self.aggs) {
-            if let Slot::Pane(j) = *slot {
-                partials[j].insert_row(e.ts, e.row.get(spec.field), &e.row);
-            }
-        }
-        let raw = fs.raw.iter().map(|r| e.row.get(r.field).clone()).collect();
-        let item = EventSlice { partials, raw };
+        fs.entry.clear();
+        fs.entry
+            .extend(fs.fields.iter().map(|&f| e.row.get(f).clone()));
+        fs.held += 1;
         self.stats.agg_inserts += 1;
         self.stats.accepted += 1;
         // The windows taking the event start at `first..=home`.
@@ -648,15 +710,15 @@ impl WindowAggregateOp {
         let key = self.key_field.map_or(&Value::Null, |i| e.row.get(i));
         // The key is looked up by reference and cloned on first sight and
         // when its pending window moves.
-        let moved = match fs.keys.get_mut(key as &dyn KeyView) {
-            Some(ks) => ks.admit((t, e.seq), item, first, grid),
+        let ks = match fs.keys.get_mut(key as &dyn KeyView) {
+            Some(ks) => ks,
             None => {
-                let mut ks = FibaKeyState::default();
-                let moved = ks.admit((t, e.seq), item, first, grid);
-                fs.keys.insert(Key(key.clone()), ks);
-                moved
+                let fresh = FibaKeyState::new(fs.fields.len());
+                fs.keys.entry(Key(key.clone())).or_insert(fresh)
             }
         };
+        ks.time.insert(&fs.fold, (t, e.seq), &fs.entry);
+        let moved = ks.admit((t, e.seq), first, grid);
         if let Some((old, new)) = moved {
             fs.requeue(Key(key.clone()), old, new);
         }
@@ -1239,6 +1301,132 @@ mod tests {
             ops <= emitted + 2 * keys,
             "{ops} queue insertions for {emitted} windows of {keys} keys"
         );
+    }
+
+    #[test]
+    fn a_held_event_costs_its_entry_not_a_heap_block() {
+        // sliding:1000:250;mean:0,max:0;key=1 — one entry column (both specs
+        // read field 0), so an entry is 16 + 24 bytes in its leaf's arrays.
+        // 50 000 in-order events over 4 keys, 12 a time unit, K = 100: the
+        // trees hold a window, K and a slide of them.
+        let mut w = WindowAggregateOp::new(
+            WindowSpec::sliding(1_000u64, 250u64),
+            vec![
+                AggregateSpec::new(AggregateKind::Mean, 0, "mean"),
+                AggregateSpec::new(AggregateKind::Max, 0, "max"),
+            ],
+            Some(1),
+            LatePolicy::Drop,
+        )
+        .unwrap();
+        let mut accepted = 0u64;
+        for i in 0..50_000u64 {
+            let ts = i / 12;
+            let row = Row::new([Value::Float((i % 97) as f64), Value::Int((i % 4) as i64)]);
+            w.process(StreamElement::Event(Event::new(ts, i, row)), &mut |_| {});
+            accepted += 1;
+            if i % 600 == 0 {
+                w.process(
+                    StreamElement::Watermark(Timestamp(ts.saturating_sub(100))),
+                    &mut |_| {},
+                );
+            }
+        }
+        assert_eq!(w.stats().accepted, accepted);
+        let held = w.held_events();
+        let in_trees: u64 = w.fiba.keys.values().map(|ks| ks.time.len()).sum();
+        assert_eq!(held, in_trees, "the counter tracks inserts and evictions");
+        assert!(
+            (9_000..=16_000).contains(&held),
+            "between a window less a slide and a window plus K: {held}"
+        );
+        let per_event = w.state_bytes() as f64 / held as f64;
+        // The budget DESIGN.md §17.2 states: 40 B of entry in leaves that
+        // in-order arrival leaves full, plus node headers, caches, the
+        // arena's spare capacity and — the largest share, ≈ 15 B here, just
+        // after a slide — the freed leaves that keep their arrays for the
+        // next splits. Measured 67 B; the parent's layout was ≈ 300 B.
+        assert!(per_event <= 80.0, "{per_event:.1} B per held event");
+        w.process(StreamElement::Flush, &mut |_| {});
+        assert_eq!((w.held_events(), w.state_bytes()), (0, 0));
+    }
+
+    #[test]
+    fn absorb_is_combine_of_seed_bit_for_bit_for_every_combinable_kind() {
+        // A cache built by absorbing entries one by one (appends, leaf
+        // re-folds) must equal one built by combining their one-entry
+        // partials, state for state: otherwise a result would depend on
+        // which repairs its tree happened to go through.
+        let values = [
+            Value::Float(0.0),
+            Value::Float(-0.0),
+            Value::Int(3),
+            Value::Float(3.0),
+            Value::Float(f64::INFINITY),
+            Value::Float(0.1),
+            Value::Null,
+            Value::Float(f64::NEG_INFINITY),
+            Value::Float(f64::NAN),
+            Value::Int(i64::MAX),
+            Value::Float(-2.5e-310),
+            Value::str("x"),
+            Value::Float(1.0e16),
+            Value::Int(-7),
+            Value::Float(-f64::NAN),
+        ];
+        for kind in [
+            AggregateKind::Count,
+            AggregateKind::Sum,
+            AggregateKind::Mean,
+            AggregateKind::Min,
+            AggregateKind::Max,
+            AggregateKind::StdDev,
+            AggregateKind::Variance,
+            AggregateKind::First,
+            AggregateKind::Last,
+            AggregateKind::ArgMin(1),
+            AggregateKind::ArgMax(1),
+        ] {
+            let spec = AggregateSpec::new(kind, 0, "a");
+            let w = WindowAggregateOp::new(
+                WindowSpec::tumbling(10u64),
+                vec![spec],
+                None,
+                LatePolicy::Drop,
+            )
+            .unwrap();
+            let fold = &w.fiba.fold;
+            let width = w.fiba.fields.len();
+            // Every rotation of the value list as the fold order, the `by`
+            // column (ArgMin/ArgMax) running the other way, timestamps tied
+            // in pairs.
+            for shift in 0..values.len() {
+                let entry = |i: usize| {
+                    let v = values[(i + shift) % values.len()].clone();
+                    let by = values[(2 * values.len() - i - shift) % values.len()].clone();
+                    ((i as u64 / 2, i as u64), [v, by])
+                };
+                let (key, vals) = entry(0);
+                let mut absorbed = fold.seed(key, &vals[..width]);
+                let mut combined = absorbed.clone();
+                for i in 1..values.len() {
+                    let (key, vals) = entry(i);
+                    fold.absorb(&mut absorbed, key, &vals[..width]);
+                    fold.combine(&mut combined, &fold.seed(key, &vals[..width]));
+                    assert_eq!(
+                        format!("{absorbed:?}"),
+                        format!("{combined:?}"),
+                        "{kind} after {i} entries from rotation {shift}"
+                    );
+                    let (a, c) = (absorbed[0].finalize(), combined[0].finalize());
+                    let same_bits = match (&a, &c) {
+                        (Value::Float(x), Value::Float(y)) => x.to_bits() == y.to_bits(),
+                        _ => a == c,
+                    };
+                    assert!(same_bits, "{kind}: {a:?} vs {c:?}");
+                }
+            }
+        }
     }
 
     #[test]

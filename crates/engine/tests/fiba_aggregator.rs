@@ -5,10 +5,10 @@
 //!
 //! 1. **Structure vs. a naive sorted-Vec model** — random interleavings of
 //!    in-order / out-of-order inserts, bulk evictions and range queries are
-//!    replayed against a flat sorted vector. The tree item is an
-//!    order-*recording* aggregate (concatenation), so a matching range
-//!    aggregate proves both membership and left-to-right combine order, not
-//!    just a commutative summary.
+//!    replayed against a flat sorted vector, at a small fan-out (deep trees)
+//!    and the production one. The fold is order-*recording* (concatenation),
+//!    so a matching range aggregate proves both membership and left-to-right
+//!    combine order, not just a commutative summary.
 //! 2. **Operator-level differential across all 14 aggregate kinds** — the
 //!    operator against the naive per-window reference in `common` on
 //!    scrambled streams with deep stragglers, exact for every kind except
@@ -27,7 +27,7 @@ mod common;
 
 use proptest::prelude::*;
 use quill_engine::aggregate::{AggregateKind, AggregateSpec};
-use quill_engine::fiba::{FibaItem, FibaKey, FibaTree};
+use quill_engine::fiba::{FibaFold, FibaKey, FibaTree, MIN_FANOUT};
 use quill_engine::operator::{
     LatePolicy, Operator, WindowAggregateOp, WindowOpStats, WindowResult,
 };
@@ -39,56 +39,55 @@ use std::collections::BTreeMap;
 // Layer 1: FibaTree vs. a naive sorted-Vec model
 // ---------------------------------------------------------------------------
 
-/// Order-recording aggregate: combining concatenates the key lists, so the
-/// subtree caches are only consistent if every node combines its children
-/// strictly left-to-right. Any mis-ordered repair, stale cache, or wrong
-/// routing shows up as a permuted (not merely different) aggregate.
-#[derive(Clone, Debug, PartialEq)]
-struct Trace(Vec<FibaKey>);
+/// Order-recording fold: an entry stores its own key as two values, a partial
+/// is the list of keys it covers and combining concatenates, so the subtree
+/// caches are only consistent if every node combines its children strictly
+/// left-to-right and every entry's values stay with its key. Any mis-ordered
+/// repair, stale cache, wrong routing or slipped value stride shows up as a
+/// permuted (not merely different) aggregate.
+struct Trace;
 
-impl FibaItem for Trace {
-    fn combine(&mut self, later: &Self) {
-        self.0.extend_from_slice(&later.0);
+impl FibaFold for Trace {
+    type Val = u64;
+    type Agg = Vec<FibaKey>;
+    fn seed(&self, key: FibaKey, vals: &[u64]) -> Vec<FibaKey> {
+        assert_eq!(vals, [key.0, key.1], "an entry's values moved with its key");
+        vec![key]
+    }
+    fn combine(&self, acc: &mut Vec<FibaKey>, later: &Vec<FibaKey>) {
+        acc.extend_from_slice(later);
     }
 }
 
-/// The reference model: a flat vector kept in stable `(ts, seq)` order with
-/// the same insert tie-breaking as the tree (new entries go after equals).
+/// The reference model: a flat vector of keys in stable `(ts, seq)` order
+/// with the same insert tie-breaking as the tree (new entries go after
+/// equals).
 #[derive(Default)]
 struct Model {
-    entries: Vec<(FibaKey, Trace)>,
+    entries: Vec<FibaKey>,
 }
 
 impl Model {
-    fn insert(&mut self, key: FibaKey, item: Trace) {
-        let at = self.entries.partition_point(|(k, _)| *k <= key);
-        self.entries.insert(at, (key, item));
+    fn insert(&mut self, key: FibaKey) {
+        let at = self.entries.partition_point(|k| *k <= key);
+        self.entries.insert(at, key);
     }
 
-    fn range_agg(&self, lo: FibaKey, hi: FibaKey) -> (Option<Trace>, u64) {
-        let mut acc: Option<Trace> = None;
-        let mut n = 0u64;
-        for (k, item) in &self.entries {
-            if *k >= lo && *k <= hi {
-                n += 1;
-                match &mut acc {
-                    None => acc = Some(item.clone()),
-                    Some(a) => a.combine(item),
-                }
-            }
-        }
-        (acc, n)
+    fn range(&self, lo: FibaKey, hi: FibaKey) -> Vec<FibaKey> {
+        let inside = |k: &&FibaKey| **k >= lo && **k <= hi;
+        self.entries.iter().filter(inside).copied().collect()
+    }
+
+    fn range_agg(&self, lo: FibaKey, hi: FibaKey) -> (Option<Vec<FibaKey>>, u64) {
+        let inside = self.range(lo, hi);
+        let n = inside.len() as u64;
+        (Some(inside).filter(|_| n > 0), n)
     }
 
     fn evict_before(&mut self, cut: FibaKey) -> u64 {
         let before = self.entries.len();
-        self.entries.retain(|(k, _)| *k >= cut);
+        self.entries.retain(|k| *k >= cut);
         (before - self.entries.len()) as u64
-    }
-
-    fn range(&self, lo: FibaKey, hi: FibaKey) -> Vec<(FibaKey, Trace)> {
-        let inside = |(k, _): &&(FibaKey, Trace)| *k >= lo && *k <= hi;
-        self.entries.iter().filter(inside).cloned().collect()
     }
 }
 
@@ -128,55 +127,64 @@ fn cases(pinned: u32) -> ProptestConfig {
     ProptestConfig::with_cases(soak.and_then(|n| n.parse().ok()).unwrap_or(pinned))
 }
 
+/// Replay `ops` against a tree of minimum fan-out `MIN` and the model.
+fn replay_against_model<const MIN: usize>(ops: &[TreeOp]) -> Result<(), TestCaseError> {
+    let mut tree: FibaTree<Trace, MIN> = FibaTree::new(2);
+    let mut model = Model::default();
+    let mut seq = 0u64;
+    let mut evicted_total = 0u64;
+    for op in ops {
+        match *op {
+            TreeOp::Insert(ts) => {
+                let key = (ts, seq);
+                seq += 1;
+                tree.insert(&Trace, key, &[ts, key.1]);
+                model.insert(key);
+            }
+            TreeOp::Evict(cut) => {
+                let dropped = tree.evict_before(&Trace, (cut, 0));
+                prop_assert_eq!(dropped, model.evict_before((cut, 0)));
+                evicted_total += dropped;
+            }
+            TreeOp::Range(lo, span) => {
+                let (lo, hi) = ((lo, 0), (lo + span, u64::MAX));
+                prop_assert_eq!(tree.range_agg(&Trace, lo, hi), model.range_agg(lo, hi));
+                let mut walked = Vec::new();
+                tree.for_each_range(lo, hi, &mut |k, vals| {
+                    assert_eq!(vals, [k.0, k.1]);
+                    walked.push(k)
+                });
+                prop_assert_eq!(walked, model.range(lo, hi));
+                let from = model.entries.iter().copied().find(|k| *k >= lo);
+                prop_assert_eq!(tree.first_key_from(lo), from);
+            }
+        }
+        prop_assert_eq!(tree.len(), model.entries.len() as u64);
+    }
+    // Exhaustive end-state checks: traversal order, the full range,
+    // min/max, eviction accounting, and structural invariants.
+    let mut walked = Vec::new();
+    tree.for_each(&mut |k, _| walked.push(k));
+    prop_assert_eq!(&walked, &model.entries);
+    let everything = ((0, 0), (u64::MAX, u64::MAX));
+    let full = tree.range_agg(&Trace, everything.0, everything.1);
+    prop_assert_eq!(full, model.range_agg(everything.0, everything.1));
+    prop_assert_eq!(tree.min_key(), model.entries.first().copied());
+    prop_assert_eq!(tree.max_key(), model.entries.last().copied());
+    prop_assert_eq!(tree.stats().evicted, evicted_total);
+    tree.check_invariants(&Trace, &|a, b| a == b)
+        .expect("structural invariants");
+    Ok(())
+}
+
 proptest! {
     #![proptest_config(cases(48))]
     #[test]
     fn tree_matches_sorted_vec_model_under_random_interleavings(ops in tree_ops()) {
-        let mut tree: FibaTree<Trace> = FibaTree::new();
-        let mut model = Model::default();
-        let mut seq = 0u64;
-        let mut evicted_total = 0u64;
-        for op in &ops {
-            match *op {
-                TreeOp::Insert(ts) => {
-                    let key = (ts, seq);
-                    seq += 1;
-                    tree.insert(key, Trace(vec![key]));
-                    model.insert(key, Trace(vec![key]));
-                }
-                TreeOp::Evict(cut) => {
-                    let dropped = tree.evict_before((cut, 0));
-                    prop_assert_eq!(dropped, model.evict_before((cut, 0)));
-                    evicted_total += dropped;
-                }
-                TreeOp::Range(lo, span) => {
-                    let hi = lo + span;
-                    let got = tree.range_agg((lo, 0), (hi, u64::MAX));
-                    let want = model.range_agg((lo, 0), (hi, u64::MAX));
-                    prop_assert_eq!(&got, &want);
-                    let inside = model.range((lo, 0), (hi, u64::MAX));
-                    let mut walked = Vec::new();
-                    tree.for_each_range((lo, 0), (hi, u64::MAX), &mut |k, item| {
-                        walked.push((k, item.clone()))
-                    });
-                    prop_assert_eq!(&walked, &inside);
-                    let from = model.entries.iter().map(|(k, _)| *k).find(|k| *k >= (lo, 0));
-                    prop_assert_eq!(tree.first_key_from((lo, 0)), from);
-                }
-            }
-            prop_assert_eq!(tree.len(), model.entries.len() as u64);
-        }
-        // Exhaustive end-state checks: traversal order, the full range,
-        // min/max, eviction accounting, and structural invariants.
-        let mut walked = Vec::new();
-        tree.for_each(&mut |k, item| walked.push((k, item.clone())));
-        prop_assert_eq!(&walked, &model.entries);
-        let full = tree.range_agg((0, 0), (u64::MAX, u64::MAX));
-        prop_assert_eq!(&full, &model.range_agg((0, 0), (u64::MAX, u64::MAX)));
-        prop_assert_eq!(tree.min_key(), model.entries.first().map(|(k, _)| *k));
-        prop_assert_eq!(tree.max_key(), model.entries.last().map(|(k, _)| *k));
-        prop_assert_eq!(tree.stats().evicted, evicted_total);
-        tree.check_invariants(&|a, b| a == b).expect("structural invariants");
+        // A deep tree (up to 250 entries at fan-out 4–8: four levels) and the
+        // production one (two).
+        replay_against_model::<4>(&ops)?;
+        replay_against_model::<MIN_FANOUT>(&ops)?;
     }
 }
 

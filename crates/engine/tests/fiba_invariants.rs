@@ -10,19 +10,31 @@
 //! order, range aggregates, range visits, first-key search) so a
 //! structurally valid but semantically wrong tree cannot pass.
 //!
+//! Every test runs at two fan-outs: [`DEEP`], where a few hundred entries
+//! make a 4–5 level tree and root splits and multi-level repairs are routine,
+//! and the production [`MIN_FANOUT`], where the same runs build 2-level trees.
+//!
 //! This suite runs in the CI `sim` job alongside the quill-sim
 //! differential battery.
 
-use quill_engine::fiba::{FibaItem, FibaTree};
+use quill_engine::fiba::{FibaFold, FibaKey, FibaTree, MIN_FANOUT};
 
-/// Exact (wrapping) integer sum: parent partial-aggregate consistency is
-/// checked with `==`, so the item must be associative and drift-free.
-#[derive(Clone, Debug, PartialEq)]
-struct Sum(u64);
+/// The small fan-out of the two every test runs at: deep trees.
+const DEEP: usize = 4;
 
-impl FibaItem for Sum {
-    fn combine(&mut self, later: &Self) {
-        self.0 = self.0.wrapping_add(later.0);
+/// Exact (wrapping) integer sum of one-value entries: parent
+/// partial-aggregate consistency is checked with `==`, so the fold must be
+/// associative and drift-free.
+struct Sum;
+
+impl FibaFold for Sum {
+    type Val = u64;
+    type Agg = u64;
+    fn seed(&self, _: FibaKey, vals: &[u64]) -> u64 {
+        vals[0]
+    }
+    fn combine(&self, acc: &mut u64, later: &u64) {
+        *acc = acc.wrapping_add(*later);
     }
 }
 
@@ -74,19 +86,21 @@ impl Mirror {
 /// A tree and its mirror, driven in lockstep: every mutation re-checks the
 /// structural invariants and the length, every probe compares the range
 /// aggregate, the in-order range visit and the first-key search.
-struct Harness {
-    tree: FibaTree<Sum>,
+struct Harness<const MIN: usize> {
+    tree: FibaTree<Sum, MIN>,
     mirror: Mirror,
     rng: XorShift,
     seed: u64,
     seq: u64,
     step: usize,
+    /// Re-check the structural invariants every this many steps.
+    check_every: usize,
 }
 
-impl Harness {
-    fn new(seed: u64) -> Harness {
+impl<const MIN: usize> Harness<MIN> {
+    fn new(seed: u64) -> Self {
         Harness {
-            tree: FibaTree::new(),
+            tree: FibaTree::new(1),
             mirror: Mirror {
                 entries: Vec::new(),
             },
@@ -94,6 +108,7 @@ impl Harness {
             seed,
             seq: 0,
             step: 0,
+            check_every: 1,
         }
     }
 
@@ -107,8 +122,10 @@ impl Harness {
 
     fn checked(&mut self, what: &str) {
         let (seed, step) = (self.seed, self.step);
-        if let Err(e) = self.tree.check_invariants(&|a, b| a == b) {
-            panic!("seed {seed} step {step} after {what}: {e}");
+        if step.is_multiple_of(self.check_every) {
+            if let Err(e) = self.tree.check_invariants(&Sum, &|a, b| a == b) {
+                panic!("seed {seed} step {step} after {what}: {e}");
+            }
         }
         assert_eq!(
             self.tree.len(),
@@ -126,7 +143,7 @@ impl Harness {
 
     fn insert_key(&mut self, key: (u64, u64)) {
         let w = self.rng.next() % 1_000;
-        self.tree.insert(key, Sum(w));
+        self.tree.insert(&Sum, key, &[w]);
         self.mirror.insert(key, w);
         self.checked("insert");
     }
@@ -134,7 +151,7 @@ impl Harness {
     fn evict(&mut self, cut: (u64, u64)) {
         let (seed, step) = (self.seed, self.step);
         assert_eq!(
-            self.tree.evict_before(cut),
+            self.tree.evict_before(&Sum, cut),
             self.mirror.evict_before(cut),
             "seed {seed} step {step}: eviction count diverged at cut {cut:?}"
         );
@@ -143,13 +160,13 @@ impl Harness {
 
     fn probe(&mut self, lo: (u64, u64), hi: (u64, u64)) {
         let at = format!("seed {} step {}", self.seed, self.step);
-        let (got, got_n) = self.tree.range_agg(lo, hi);
+        let (got, got_n) = self.tree.range_agg(&Sum, lo, hi);
         let (want, want_n) = self.mirror.range_sum(lo, hi);
-        assert_eq!(got.map(|s| s.0), want, "{at}: range_agg");
+        assert_eq!(got, want, "{at}: range_agg");
         assert_eq!(got_n, want_n, "{at}: range count");
         let mut walked = Vec::new();
         self.tree
-            .for_each_range(lo, hi, &mut |k, item| walked.push((k, item.0)));
+            .for_each_range(lo, hi, &mut |k, vals| walked.push((k, vals[0])));
         let inside = |(k, _): &&((u64, u64), u64)| *k >= lo && *k <= hi;
         let want: Vec<_> = self.mirror.entries.iter().filter(inside).copied().collect();
         assert_eq!(walked, want, "{at}: for_each_range");
@@ -179,11 +196,11 @@ impl Harness {
             tree, mirror, seed, ..
         } = self;
         let mut walked = Vec::new();
-        tree.for_each(&mut |k, item| walked.push((k, item.0)));
+        tree.for_each(&mut |k, vals| walked.push((k, vals[0])));
         assert_eq!(walked, mirror.entries, "seed {seed}: final traversal order");
-        let (total, n) = tree.range_agg((0, 0), (u64::MAX, u64::MAX));
+        let (total, n) = tree.range_agg(&Sum, (0, 0), (u64::MAX, u64::MAX));
         let (want_total, want_n) = mirror.range_sum((0, 0), (u64::MAX, u64::MAX));
-        assert_eq!(total.map(|s| s.0), want_total, "seed {seed}: final total");
+        assert_eq!(total, want_total, "seed {seed}: final total");
         assert_eq!(n, want_n, "seed {seed}: final count");
         assert_eq!(tree.min_key(), mirror.entries.first().map(|(k, _)| *k));
         assert_eq!(tree.max_key(), mirror.entries.last().map(|(k, _)| *k));
@@ -192,8 +209,8 @@ impl Harness {
 
 /// The general mix: appends, prepends, tie storms, deep stragglers and
 /// uniform noise against random-rank evictions and probes.
-fn fuzz_one_seed(seed: u64, steps: usize) {
-    let mut h = Harness::new(seed);
+fn fuzz_one_seed<const MIN: usize>(seed: u64, steps: usize) {
+    let mut h = Harness::<MIN>::new(seed);
     while h.step < steps {
         let roll = h.rng.next() % 100;
         let (min_ts, max_ts) = (h.min_ts(), h.max_ts());
@@ -237,8 +254,8 @@ fn fuzz_one_seed(seed: u64, steps: usize) {
 /// ties and exact duplicates of the largest key included) broken by single
 /// stragglers, and evictions that leave the right finger nearly or wholly
 /// empty straight before the next append.
-fn fuzz_append_path(seed: u64, steps: usize) {
-    let mut h = Harness::new(seed);
+fn fuzz_append_path<const MIN: usize>(seed: u64, steps: usize) {
+    let mut h = Harness::<MIN>::new(seed);
     while h.step < steps {
         match h.rng.next() % 10 {
             // An append run; every third key or so ties with the finger.
@@ -303,25 +320,33 @@ fn seeds() -> impl Iterator<Item = u64> {
 #[test]
 fn invariants_hold_after_every_mutation_across_seeds() {
     for seed in seeds() {
-        fuzz_one_seed(seed, 3_000);
+        fuzz_one_seed::<DEEP>(seed, 3_000);
+        fuzz_one_seed::<MIN_FANOUT>(seed, 3_000);
     }
 }
 
 #[test]
 fn append_path_holds_invariants_through_runs_ties_stragglers_and_evictions() {
     for seed in seeds() {
-        fuzz_append_path(seed, 3_000);
+        fuzz_append_path::<DEEP>(seed, 3_000);
+        fuzz_append_path::<MIN_FANOUT>(seed, 3_000);
     }
 }
 
-#[test]
-fn append_only_growth_holds_invariants_across_root_splits() {
-    // Nothing but appends: every split is a right-spine split, and each new
-    // level is a root split that must leave both fingers and every cache
-    // exact without a single `recompute` of the unsplit ancestors.
-    let mut h = Harness::new(0xa99e_11d5);
+/// Nothing but appends: every split is a right-spine split, and each new
+/// level is a root split that must leave both fingers and every cache exact
+/// without a single `recompute` of the unsplit ancestors. The run is sized
+/// in the fan-out: a full leaf hands on one entry, so leaves hold `2 * MIN`;
+/// an internal node hands on half its children, so once there is a third
+/// level its root gains a child per `MIN` leaves and splits at `2 * MIN + 1`
+/// — a fourth level after about `2 * MIN * (2 * MIN * MIN + MIN)` appends.
+/// Invariants (a re-fold of every subtree) are checked every mutation on the
+/// deep tree and every sixteenth on the wide one, whose run is 64 times longer.
+fn append_only_growth<const MIN: usize>() {
+    let mut h = Harness::<MIN>::new(0xa99e_11d5);
+    h.check_every = MIN * MIN / 16;
     let mut heights = vec![h.tree.height()];
-    for i in 0..1_200u64 {
+    for i in 0..5 * (MIN as u64).pow(3) {
         h.insert(i / 2);
         if h.tree.height() != *heights.last().expect("seeded") {
             heights.push(h.tree.height());
@@ -335,22 +360,29 @@ fn append_only_growth_holds_invariants_across_root_splits() {
         0,
         "no append climbs to the root"
     );
+    h.check_every = 1;
+    h.checked("the last append");
     h.finish();
 }
 
 #[test]
-fn pure_append_and_pure_prepend_keep_fingers_valid() {
-    // Degenerate regimes that stress one spine at a time: the finger
-    // fast-path must stay valid while the opposite spine goes stale-cold.
-    let mut tree: FibaTree<Sum> = FibaTree::new();
+fn append_only_growth_holds_invariants_across_root_splits() {
+    append_only_growth::<DEEP>();
+    append_only_growth::<MIN_FANOUT>();
+}
+
+/// Degenerate regimes that stress one spine at a time: the finger fast-path
+/// must stay valid while the opposite spine goes stale-cold.
+fn pure_append_and_pure_prepend<const MIN: usize>() {
+    let mut tree: FibaTree<Sum, MIN> = FibaTree::new(1);
     for i in 0..2_000u64 {
-        tree.insert((i, i), Sum(i));
+        tree.insert(&Sum, (i, i), &[i]);
         if i % 97 == 0 {
-            tree.check_invariants(&|a, b| a == b)
+            tree.check_invariants(&Sum, &|a, b| a == b)
                 .unwrap_or_else(|e| panic!("append step {i}: {e}"));
         }
     }
-    tree.check_invariants(&|a, b| a == b)
+    tree.check_invariants(&Sum, &|a, b| a == b)
         .expect("after appends");
     let appends_cheap = tree.stats().finger_short_climbs;
     assert!(
@@ -358,50 +390,57 @@ fn pure_append_and_pure_prepend_keep_fingers_valid() {
         "appends should overwhelmingly take the finger fast path, got {appends_cheap}"
     );
 
-    let mut tree: FibaTree<Sum> = FibaTree::new();
+    let mut tree: FibaTree<Sum, MIN> = FibaTree::new(1);
     for i in 0..2_000u64 {
-        tree.insert((u64::MAX - i, i), Sum(i));
+        tree.insert(&Sum, (u64::MAX - i, i), &[i]);
         if i % 97 == 0 {
-            tree.check_invariants(&|a, b| a == b)
+            tree.check_invariants(&Sum, &|a, b| a == b)
                 .unwrap_or_else(|e| panic!("prepend step {i}: {e}"));
         }
     }
-    tree.check_invariants(&|a, b| a == b)
+    tree.check_invariants(&Sum, &|a, b| a == b)
         .expect("after prepends");
 }
 
 #[test]
-fn repeated_grow_shrink_cycles_do_not_degrade_structure() {
-    // Arena reuse under churn: grow to ~1k entries, evict ~90%, repeat.
-    // Heights must stay logarithmic and invariants must hold at every
-    // boundary.
-    let mut tree: FibaTree<Sum> = FibaTree::new();
+fn pure_append_and_pure_prepend_keep_fingers_valid() {
+    pure_append_and_pure_prepend::<DEEP>();
+    pure_append_and_pure_prepend::<MIN_FANOUT>();
+}
+
+/// Arena reuse under churn: grow to ~1k entries, evict ~90%, repeat. Heights
+/// must stay logarithmic (`max_height` for ~1 100 entries at this fan-out)
+/// and invariants must hold at every boundary.
+fn grow_shrink_cycles<const MIN: usize>(max_height: usize) {
+    let mut tree: FibaTree<Sum, MIN> = FibaTree::new(1);
     let mut rng = XorShift(0xc0ff_ee00_c0ff_ee01);
     let mut seq = 0u64;
     let mut low = 0u64;
     for cycle in 0..20 {
         for _ in 0..1_000 {
             let ts = low + rng.next() % 500;
-            tree.insert((ts, seq), Sum(1));
+            tree.insert(&Sum, (ts, seq), &[1]);
             seq += 1;
         }
-        tree.check_invariants(&|a, b| a == b)
+        tree.check_invariants(&Sum, &|a, b| a == b)
             .unwrap_or_else(|e| panic!("cycle {cycle} after growth: {e}"));
         assert!(
-            tree.height() <= 7,
+            tree.height() <= max_height,
             "cycle {cycle}: height {} is not logarithmic for {} entries",
             tree.height(),
             tree.len()
         );
         low += 450;
-        tree.evict_before((low, 0));
-        tree.check_invariants(&|a, b| a == b)
+        tree.evict_before(&Sum, (low, 0));
+        tree.check_invariants(&Sum, &|a, b| a == b)
             .unwrap_or_else(|e| panic!("cycle {cycle} after eviction: {e}"));
     }
-    let (total, n) = tree.range_agg((0, 0), (u64::MAX, u64::MAX));
-    assert_eq!(
-        total.map(|s| s.0),
-        Some(n),
-        "unit weights must sum to the count"
-    );
+    let (total, n) = tree.range_agg(&Sum, (0, 0), (u64::MAX, u64::MAX));
+    assert_eq!(total, Some(n), "unit weights must sum to the count");
+}
+
+#[test]
+fn repeated_grow_shrink_cycles_do_not_degrade_structure() {
+    grow_shrink_cycles::<DEEP>(7);
+    grow_shrink_cycles::<MIN_FANOUT>(4);
 }

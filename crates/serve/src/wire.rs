@@ -168,10 +168,11 @@ fn put_value(out: &mut Vec<u8>, v: &Value) {
         }
         Value::Str(s) => {
             out.push(0x03);
-            let bytes = s.as_bytes();
-            let len = bytes.len().min(u16::MAX as usize) as u16;
-            out.extend_from_slice(&len.to_be_bytes());
-            out.extend_from_slice(&bytes[..len as usize]);
+            // A longer string is cut at the last char boundary that fits the
+            // u16 length: a cut inside a character would not decode.
+            let len = s.floor_char_boundary(u16::MAX as usize);
+            out.extend_from_slice(&(len as u16).to_be_bytes());
+            out.extend_from_slice(&s.as_bytes()[..len]);
         }
         Value::Bool(b) => {
             out.push(0x04);
@@ -489,6 +490,22 @@ mod tests {
             assert_eq!(len, bytes.len() - 4);
             assert_eq!(decode_payload(&bytes[4..]).unwrap(), f);
         }
+    }
+
+    #[test]
+    fn an_overlong_string_is_cut_on_a_char_boundary_and_still_decodes() {
+        // 80 000 bytes of two-byte characters: byte 65 535 falls inside one.
+        let long = "é".repeat(40_000);
+        let frame = Frame::Data {
+            ts: Timestamp(1),
+            values: vec![Value::str(long.as_str()), Value::Int(9)],
+        };
+        let bytes = encode_frame(&frame);
+        let Frame::Data { values, .. } = decode_payload(&bytes[4..]).expect("decodes") else {
+            panic!("a data frame");
+        };
+        assert_eq!(values[0], Value::str(&long[..65_534]));
+        assert_eq!(values[1], Value::Int(9));
     }
 
     #[test]

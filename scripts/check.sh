@@ -36,9 +36,10 @@ echo "==> cargo test -q"
 cargo test -q
 
 # FiBA soak: plain `cargo test` runs both suites at their pinned 48-64
-# cases and six fuzz seeds in well under a second; here they get 2 000
-# proptest cases each and QUILL_FIBA_FUZZ_SEEDS more op-fuzz seeds, in
-# release.
+# cases and six fuzz seeds in a few seconds; here they get 2 000 proptest
+# cases each and QUILL_FIBA_FUZZ_SEEDS more op-fuzz seeds, in release. Both
+# suites drive the tree at two fan-outs — a small one, whose trees are deep,
+# and the production MIN_FANOUT — so the soak covers both.
 echo "==> FiBA battery soak (PROPTEST_CASES=2000, QUILL_FIBA_FUZZ_SEEDS=${QUILL_FIBA_FUZZ_SEEDS:-64})"
 PROPTEST_CASES=2000 QUILL_FIBA_FUZZ_SEEDS="${QUILL_FIBA_FUZZ_SEEDS:-64}" \
     cargo test --release -q -p quill-engine --test fiba_invariants --test fiba_aggregator

@@ -309,11 +309,19 @@ fn trace_endpoint_serves_chrome_trace_with_pipeline_spans() {
 
     // The trace round-trips through the Chrome-trace parser and carries
     // both wall-domain shell spans and logical-domain session spans.
-    let (head, trace) = http_request(http, "GET", "/trace", "");
-    assert!(head.starts_with("HTTP/1.1 200"), "{head}");
-    let parsed = quill_telemetry::span::parse_chrome_trace(&trace).expect("trace JSON parses");
-    let stages: std::collections::BTreeSet<String> =
-        parsed.events.iter().map(|e| e.name.clone()).collect();
+    // The reader thread records its `connection` span after handing off the
+    // last batch, which is all `wait_events` waits for: give it a moment.
+    let mut stages = std::collections::BTreeSet::new();
+    for _ in 0..200 {
+        let (head, trace) = http_request(http, "GET", "/trace", "");
+        assert!(head.starts_with("HTTP/1.1 200"), "{head}");
+        let parsed = quill_telemetry::span::parse_chrome_trace(&trace).expect("trace JSON parses");
+        stages = parsed.events.iter().map(|e| e.name.clone()).collect();
+        if stages.contains("connection") {
+            break;
+        }
+        std::thread::sleep(Duration::from_millis(5));
+    }
     for stage in [
         "connection",
         "ingest_decode",

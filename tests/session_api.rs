@@ -372,8 +372,17 @@ fn session_telemetry_reports_merge_windows_and_query_gauge() {
     for e in &stream.events {
         session.push(e.clone());
     }
+    // Held in window state: what the operators accepted and have not slid
+    // past yet. Nothing after the flush.
+    let held = registry.snapshot().gauge("quill.window.entries");
+    let accepted = a.stats().window.accepted + b.stats().window.accepted;
+    assert!(
+        held.is_some_and(|n| n > 0.0 && n <= accepted as f64),
+        "{held:?}"
+    );
     session.finish();
     let snap = registry.snapshot();
+    assert_eq!(snap.gauge("quill.window.entries"), Some(0.0));
     assert_eq!(snap.counter("quill.run.events"), 2_000);
     assert_eq!(snap.gauge("quill.session.queries"), Some(3.0));
     assert_eq!(snap.gauge("quill.session.operators"), Some(2.0));
