@@ -3,7 +3,8 @@
 //! Event-time latency (R-F3) is testbed-independent; this experiment checks
 //! that the disorder-control layer itself is cheap: tuples/second through
 //! the full strategy + windowed-aggregation stack, per strategy, on one
-//! workload. (Micro-benchmarks with criterion live in `benches/`.) Expected
+//! workload. (Per-layer costs — `buffer.stage_*`, `window.*`, `runner.*`,
+//! `parallel.*` — are the quill-e2e benchmark's, in `benchmark/`.) Expected
 //! shape: all strategies within a small factor of each other — buffering and
 //! adaptation logic are not the bottleneck relative to aggregation.
 

@@ -3,7 +3,7 @@
 //! The experiment harness: one module per reconstructed table/figure (see
 //! DESIGN.md §5), each regenerating its rows/series from scratch via the
 //! public APIs of the other crates. The `experiments` binary drives them;
-//! criterion micro-benchmarks live under `benches/`.
+//! per-layer wall-clock costs are the quill-e2e benchmark's (`benchmark/`).
 
 #![deny(missing_docs)]
 #![forbid(unsafe_code)]

@@ -369,6 +369,7 @@ impl SlackBuffer {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use quill_engine::operator::{Operator, ShardStage};
     use quill_engine::prelude::{Row, Value};
 
     fn ev(ts: u64, seq: u64) -> Event {
@@ -682,6 +683,62 @@ mod tests {
             .map(|s| (s.begin, s.end))
             .collect();
         assert_eq!(hollow_pairs, pairs);
+    }
+
+    /// Records every element a wrapped operator is fed.
+    struct RecordOp(Vec<StreamElement>);
+
+    impl Operator for RecordOp {
+        fn name(&self) -> &str {
+            "record"
+        }
+        fn process(&mut self, el: StreamElement, _out: &mut dyn FnMut(StreamElement)) {
+            self.0.push(el);
+        }
+    }
+
+    fn through_stage(stream: &[StreamElement]) -> Vec<StreamElement> {
+        let mut stage = ShardStage::new(RecordOp(Vec::new()));
+        for el in stream {
+            stage.process(el.clone(), &mut |_| {});
+        }
+        stage.into_inner().0
+    }
+
+    #[test]
+    fn shard_stage_is_the_identity_over_a_fully_staged_stream() {
+        // What licenses wrapping every shard's operator in a ShardStage even
+        // when the strategy keeps full staging: the stage's late rule is the
+        // buffer's (`ts < watermark`) and it releases in the same `(ts, seq)`
+        // order, so on an already-staged stream it changes nothing.
+        let arrivals = vec![
+            ev(10, 0),
+            ev(5, 1), // ts == the current watermark 5: held, not late
+            ev(20, 2),
+            ev(15, 3), // equal-ts run at the watermark 15, released in seq order
+            ev(15, 4),
+            ev(12, 5), // late pass behind 15
+            ev(15, 6),
+            ev(21, 7),
+            ev(30, 8),
+            ev(30, 9),
+            ev(3, 10), // late pass behind 25
+        ];
+        let mut full = SlackBuffer::new(5u64);
+        let staged = feed(&mut full, arrivals.clone());
+        assert_eq!(
+            full.stats().late_passed,
+            2,
+            "fixture must exercise late passes"
+        );
+        assert!(staged.last().is_some_and(StreamElement::is_flush));
+        assert_eq!(through_stage(&staged), staged);
+
+        // And what the stage is for: a control-only buffer's unordered
+        // stream comes out of it as the fully staged one.
+        let mut hollow = SlackBuffer::new(5u64);
+        hollow.set_control_only();
+        assert_eq!(through_stage(&feed(&mut hollow, arrivals)), staged);
     }
 
     #[test]

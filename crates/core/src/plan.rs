@@ -504,16 +504,6 @@ fn check_options(opts: &ExecOptions, diags: &mut Vec<Diagnostic>) {
             "use ExecOptions::parallel(config) or drop with_expected_keys",
         ));
     }
-    if opts.global_staging && opts.parallel.is_none() {
-        diags.push(Diagnostic::new(
-            "plan.options.global-staging-sequential",
-            Severity::Warn,
-            "global staging is pinned but execution is sequential: sequential runs always \
-             stage globally, so the flag changes nothing",
-            "use ExecOptions::parallel(config) to compare staging dataflows, or drop \
-             with_global_staging",
-        ));
-    }
 }
 
 #[cfg(test)]
@@ -668,17 +658,6 @@ mod tests {
         let opts = ExecOptions::parallel(ParallelConfig::new(2)).with_expected_keys(4);
         let diags = analyze_plan(&q, &StrategyKind::FixedK(50), &opts);
         assert!(!rules(&diags).contains(&"plan.options.expected-keys-without-parallel"));
-    }
-
-    #[test]
-    fn global_staging_without_parallel_warns() {
-        let q = query(WindowSpec::tumbling(100u64), AggregateKind::Sum, None);
-        let opts = ExecOptions::sequential().with_global_staging(true);
-        let diags = analyze_plan(&q, &StrategyKind::FixedK(50), &opts);
-        assert!(rules(&diags).contains(&"plan.options.global-staging-sequential"));
-        let opts = ExecOptions::parallel(ParallelConfig::new(2)).with_global_staging(true);
-        let diags = analyze_plan(&q, &StrategyKind::FixedK(50), &opts);
-        assert!(!rules(&diags).contains(&"plan.options.global-staging-sequential"));
     }
 
     #[test]

@@ -6,19 +6,22 @@
 //! result quality vs. the in-order oracle, K and buffer-occupancy time
 //! series, wall-clock processing time, and (when an enabled
 //! [`quill_telemetry::Registry`] is supplied via [`ExecOptions`]) periodic
-//! telemetry snapshots. [`ExecOptions`] selects sequential execution or the
-//! batched keyed-parallel executor. For resident, push-mode execution with
-//! runtime query registration, see [`crate::session::Session`].
+//! telemetry snapshots. [`ExecOptions`] selects sequential execution — on
+//! the fan-out core a [`crate::session::Session`] runs, which is also the
+//! surface for resident, push-mode execution with runtime query
+//! registration — or the batched keyed-parallel executor.
 
 use crate::plan::{analyze_plan, DelayProfile, Diagnostic, Severity};
+use crate::session::MultiQueryCore;
+use crate::shared::{SharedQueryOutput, SharedRunOutput};
 use crate::strategy::DisorderControl;
 use quill_engine::aggregate::{AggregateKind, AggregateSpec};
 use quill_engine::error::{EngineError, Result};
 use quill_engine::event::{ClockTracker, Event, StreamElement};
 use quill_engine::operator::{
-    LatePolicy, Operator, ShardStage, WindowAggregateOp, WindowOpStats, WindowResult,
+    LatePolicy, ShardStage, WindowAggregateOp, WindowOpStats, WindowResult,
 };
-use quill_engine::parallel::{run_keyed_parallel_traced, ParallelConfig};
+use quill_engine::parallel::{run_keyed_parallel, ParallelConfig};
 use quill_engine::time::{TimeDelta, Timestamp};
 use quill_engine::window::WindowSpec;
 use quill_metrics::quality_eval::{oracle_results, score, QualityReport};
@@ -204,12 +207,14 @@ impl QuerySpecBuilder {
 /// | [`with_required_completeness`](ExecOptions::with_required_completeness) | flags windows below the target; builds post-mortems | enabled trace (for post-mortems) | `plan.options.completeness-without-trace` (warn); `plan.options.completeness-range` (deny) outside (0, 1] |
 /// | [`with_delay_profile`](ExecOptions::with_delay_profile) | enables quality-feasibility checks | a quality target somewhere (options or strategy) | `plan.options.delay-profile-unused` (advice) |
 /// | [`with_expected_keys`](ExecOptions::with_expected_keys) | shard-saturation check | parallel execution | `plan.options.expected-keys-without-parallel` (warn); `plan.options.expected-keys-zero` (deny) for 0 |
-/// | [`with_global_staging`](ExecOptions::with_global_staging) | pins the legacy global-staging dataflow | parallel execution | `plan.options.global-staging-sequential` (warn) |
 /// | [`parallel`](ExecOptions::parallel) | keyed-parallel executor | — | `plan.parallel.*` rules |
 #[derive(Debug, Clone, Default)]
 pub struct ExecOptions {
     /// `Some(config)` fans the windowing work out on the batched
-    /// keyed-parallel executor; `None` runs single-threaded.
+    /// keyed-parallel executor, each shard ordering and finalizing its own
+    /// keys' windows behind a [`ShardStage`] while the strategy runs
+    /// control-only ([`DisorderControl::split_for_shard_staging`]):
+    /// element-identical output, no global reorder. `None` runs sequentially.
     pub parallel: Option<ParallelConfig>,
     /// Telemetry registry instruments record into.
     /// [`Registry::disabled`] (the default) makes every instrument a no-op.
@@ -244,16 +249,6 @@ pub struct ExecOptions {
     /// Approximate number of distinct keys expected on the stream; lets the
     /// plan analyzer flag shard counts that can never be saturated.
     pub expected_key_cardinality: Option<u64>,
-    /// Force the legacy *global* staging dataflow for parallel runs: the
-    /// disorder-control buffer orders the whole stream before fan-out. The
-    /// default (`false`) uses **shard-local window finalization** whenever
-    /// the strategy supports [`DisorderControl::split_for_shard_staging`]:
-    /// the strategy runs control-only (clock / watermark / K decisions and
-    /// accounting unchanged), events reach their shard unordered, and each
-    /// shard re-orders and finalizes its own keys' windows behind a
-    /// [`ShardStage`] — element-identical output with no global reorder on
-    /// the hot path. Sequential runs ignore this flag.
-    pub global_staging: bool,
 }
 
 impl ExecOptions {
@@ -315,14 +310,6 @@ impl ExecOptions {
     /// analyzer only; execution is unaffected).
     pub fn with_expected_keys(mut self, keys: u64) -> ExecOptions {
         self.expected_key_cardinality = Some(keys);
-        self
-    }
-
-    /// Force the legacy global-staging dataflow for parallel runs (see
-    /// [`ExecOptions::global_staging`]). Output is element-identical either
-    /// way; this exists for comparison benchmarks and differential tests.
-    pub fn with_global_staging(mut self, global: bool) -> ExecOptions {
-        self.global_staging = global;
         self
     }
 }
@@ -493,11 +480,11 @@ pub fn stage_strategy(
     }
 }
 
-/// Sum window-operator counters across per-shard operator instances.
-pub(crate) fn sum_window_stats(ops: &[WindowAggregateOp]) -> WindowOpStats {
+/// Sum window-operator counters across the shards' operators.
+fn sum_window_stats(stages: &[ShardStage<WindowAggregateOp>]) -> WindowOpStats {
     let mut total = WindowOpStats::default();
-    for op in ops {
-        let s = op.stats();
+    for stage in stages {
+        let s = stage.inner().stats();
         total.accepted += s.accepted;
         total.late_dropped += s.late_dropped;
         total.revisions += s.revisions;
@@ -507,6 +494,190 @@ pub(crate) fn sum_window_stats(ops: &[WindowAggregateOp]) -> WindowOpStats {
     total
 }
 
+/// What [`run_batch`] measured: a shared run's output, plus what only
+/// [`execute`] reports.
+pub(crate) struct BatchRun {
+    pub(crate) shared: SharedRunOutput,
+    /// Window-operator counters per query (summed over shards), in order.
+    pub(crate) window_stats: Vec<WindowOpStats>,
+    pub(crate) k_series: TimeSeries,
+    pub(crate) buffer_series: TimeSeries,
+}
+
+/// The one batch driver behind [`execute`] and
+/// [`crate::shared::execute_shared`]: validate and vet every query, stage
+/// the strategy once, window the staged stream — on the multi-query core a
+/// [`crate::session::Session`] runs, or per query on the keyed-parallel
+/// executor — then derive latency, `quill.run.*` counters and quality the
+/// same way for both.
+pub(crate) fn run_batch(
+    events: &[Event],
+    strategy: &mut dyn DisorderControl,
+    queries: &[QuerySpec],
+    opts: &ExecOptions,
+) -> Result<BatchRun> {
+    // Validate up front so the per-shard operator factory can't fail.
+    for q in queries {
+        WindowAggregateOp::new(
+            q.window,
+            q.aggregates.clone(),
+            q.key_field,
+            LatePolicy::Drop,
+        )?;
+    }
+    // Static plan analysis per query: any deny-level finding refuses the run
+    // before the buffer sees an event; the rest ride along, deduplicated.
+    let mut plan: Vec<Diagnostic> = Vec::new();
+    for q in queries {
+        for d in vet_plan(q, strategy, opts)? {
+            if !plan.contains(&d) {
+                plan.push(d);
+            }
+        }
+    }
+    // Registered before staging, so every periodic snapshot carries them.
+    let results_count = opts.telemetry.counter("quill.run.results");
+    let latency_hist = opts.telemetry.histogram("quill.run.latency");
+
+    let start = std::time::Instant::now();
+    if opts.parallel.is_some() {
+        // Shard-local window finalization: ask the strategy to go
+        // control-only before it sees any event. One that declines (a custom
+        // strategy) hands the shard stages an already-staged stream, on which
+        // a `ShardStage` is the identity.
+        strategy.split_for_shard_staging();
+    }
+    let mut staged = stage_strategy(events, strategy, opts);
+    let mut elements = std::mem::take(&mut staged.elements);
+    let windowed: Vec<(Vec<WindowResult>, WindowOpStats)> = match opts.parallel {
+        None => {
+            // Latency and the `quill.run.*` counts are derived below, as for
+            // parallel runs, so the core gets no registry and its own latency
+            // stamps go unused.
+            let mut core = MultiQueryCore::new(&Registry::disabled());
+            core.observe_operators(&opts.trace, &opts.spans);
+            for q in queries {
+                core.register(q, opts.required_completeness, usize::MAX, None)?;
+            }
+            for el in elements {
+                core.process_element(el, Timestamp::MIN);
+            }
+            core.into_results()
+        }
+        Some(config) => {
+            let last = queries.len().saturating_sub(1);
+            let mut windowed = Vec::with_capacity(queries.len());
+            for (qi, q) in queries.iter().enumerate() {
+                let input = if qi == last {
+                    std::mem::take(&mut elements)
+                } else {
+                    elements.clone()
+                };
+                windowed.push(window_parallel(input, q, config, opts)?);
+            }
+            windowed
+        }
+    };
+    let wall_micros = start.elapsed().as_micros();
+
+    let late_dropped = opts.telemetry.counter("quill.run.late_dropped");
+    let (per_query, window_stats) = queries
+        .iter()
+        .zip(windowed)
+        .enumerate()
+        .map(|(query_index, (q, (results, stats)))| {
+            let mut latency = LatencyRecorder::with_samples();
+            for r in &results {
+                let emitted_at = staged.emission_clock(r.window.end);
+                let lat = emitted_at.delta_since(r.window.end);
+                latency_hist.record(lat.raw());
+                latency.record(lat);
+                if opts.spans.is_enabled() {
+                    // Delivery: complete at the window's end, handed to the
+                    // caller at the clock of the watermark that closed it —
+                    // the latency the paper trades against quality.
+                    opts.spans.record_for_query(
+                        Stage::Deliver,
+                        r.window.end.raw(),
+                        emitted_at.raw().max(r.window.end.raw()),
+                        0,
+                        query_index as u64,
+                    );
+                }
+            }
+            results_count.add(results.len() as u64);
+            late_dropped.add(stats.late_dropped);
+            let oracle = oracle_results(events, q.window, &q.aggregates, q.key_field);
+            let out = SharedQueryOutput {
+                query_index,
+                latency: latency.summary(),
+                quality: score(&results, &oracle),
+                results,
+            };
+            (out, stats)
+        })
+        .unzip();
+    // Force the end-of-run snapshot so it covers the executor and result
+    // instruments recorded after staging, even when the last periodic tick
+    // coincided with the final event.
+    if opts.telemetry.is_enabled() {
+        staged.reporter.force();
+    }
+    Ok(BatchRun {
+        shared: SharedRunOutput {
+            strategy: strategy.name(),
+            per_query,
+            wall_micros,
+            snapshots: staged.reporter.finish(),
+            plan,
+        },
+        window_stats,
+        k_series: staged.k_series,
+        buffer_series: staged.buffer_series,
+    })
+}
+
+/// Window one query's staged stream on the keyed-parallel executor, each
+/// shard's operator behind a [`ShardStage`]. Unkeyed queries route on the
+/// (out-of-range ⇒ Null) key, so every event lands on one shard.
+fn window_parallel(
+    elements: Vec<StreamElement>,
+    query: &QuerySpec,
+    config: ParallelConfig,
+    opts: &ExecOptions,
+) -> Result<(Vec<WindowResult>, WindowOpStats)> {
+    let (out, stages) = run_keyed_parallel(
+        elements,
+        query.key_field.unwrap_or(usize::MAX),
+        config,
+        &opts.telemetry,
+        &opts.trace,
+        &opts.spans,
+        |shard| {
+            let shard = shard as u32;
+            let mut op = WindowAggregateOp::new(
+                query.window,
+                query.aggregates.clone(),
+                query.key_field,
+                LatePolicy::Drop,
+            )
+            // quill-lint: allow(no-panic, reason = "the identical WindowAggregateOp::new call was validated at the top of run_batch()")
+            .expect("query validated above");
+            op.attach_trace(&opts.trace, shard);
+            op.attach_spans(&opts.spans, shard);
+            let mut stage = ShardStage::new(op);
+            stage.attach_spans(&opts.spans, shard);
+            stage
+        },
+    )?;
+    let results = out
+        .iter()
+        .filter_map(|el| el.as_event())
+        .filter_map(|e| WindowResult::from_row(&e.row))
+        .collect();
+    Ok((results, sum_window_stats(&stages)))
+}
+
 /// Execute `query` over `events` (already in arrival order) under
 /// `strategy`, per `opts`: sequentially or on the batched keyed-parallel
 /// executor, optionally recording telemetry. Quality is scored against the
@@ -514,13 +685,14 @@ pub(crate) fn sum_window_stats(ops: &[WindowAggregateOp]) -> WindowOpStats {
 ///
 /// The released stream is staged first — recording the clock at each
 /// watermark release — then the windowing work runs over the staged stream:
-/// through one operator (sequential) or fanned out across
-/// [`ParallelConfig::shards`] shard threads (parallel). Per-result latency
-/// is reconstructed from the recorded watermark clocks: a window result is
-/// emitted at the first watermark that passes its end, which is exactly when
-/// interleaved execution would have emitted it. Unkeyed queries
-/// (`key_field == None`) still run in parallel mode — every event routes to
-/// one shard — but only keyed queries benefit from parallelism.
+/// on the multi-query core a [`crate::session::Session`] runs (sequential)
+/// or fanned out across [`ParallelConfig::shards`] shards (parallel).
+/// Per-result latency is reconstructed from the recorded watermark clocks:
+/// a window result is emitted at the first watermark that passes its end,
+/// which is exactly when interleaved execution would have emitted it.
+/// Unkeyed queries (`key_field == None`) still run in parallel mode — every
+/// event routes to one shard — but only keyed queries benefit from
+/// parallelism.
 ///
 /// With an enabled [`Registry`] in `opts`, the run additionally records
 /// `quill.run.events` / `quill.run.results` / `quill.run.late_dropped`
@@ -537,181 +709,49 @@ pub fn execute(
     query: &QuerySpec,
     opts: &ExecOptions,
 ) -> Result<RunOutput> {
-    // Validate up front so the per-shard operator factory below can't fail.
-    WindowAggregateOp::new(
-        query.window,
-        query.aggregates.clone(),
-        query.key_field,
-        LatePolicy::Drop,
-    )?;
-    // Static plan analysis: refuse infeasible plans before any event is
-    // buffered; carry the non-fatal findings on the output.
-    let plan = vet_plan(query, strategy, opts)?;
-    let results_count = opts.telemetry.counter("quill.run.results");
-    let latency_hist = opts.telemetry.histogram("quill.run.latency");
-
-    let start = std::time::Instant::now();
-    // Shard-local window finalization: for parallel runs (unless the caller
-    // pinned global staging) ask the strategy to switch into control-only
-    // staging *before* it sees any event. When it agrees, staging below
-    // emits events unordered with the identical watermark sequence, and the
-    // per-shard operators are wrapped in a `ShardStage` that re-orders each
-    // shard's own keys.
-    let shard_local = match opts.parallel {
-        Some(_) if !opts.global_staging => strategy.split_for_shard_staging(),
-        _ => false,
-    };
-    let mut staged = stage_strategy(events, strategy, opts);
-    let elements = std::mem::take(&mut staged.elements);
-
-    let (results, window_stats) = match opts.parallel {
-        None => {
-            let mut op = WindowAggregateOp::new(
-                query.window,
-                query.aggregates.clone(),
-                query.key_field,
-                LatePolicy::Drop,
-            )?;
-            op.attach_trace(&opts.trace, 0);
-            op.attach_spans(&opts.spans, 0);
-            let mut results: Vec<WindowResult> = Vec::new();
-            for el in elements {
-                op.process(el, &mut |o| {
-                    if let StreamElement::Event(out_ev) = o {
-                        if let Some(r) = WindowResult::from_row(&out_ev.row) {
-                            results.push(r);
-                        }
-                    }
-                });
-            }
-            (results, op.stats())
-        }
-        Some(config) => {
-            // Unkeyed queries route on the (out-of-range ⇒ Null) key so
-            // every event lands on one shard.
-            let key_field = query.key_field.unwrap_or(usize::MAX);
-            let make_window_op = |shard: usize| {
-                let mut op = WindowAggregateOp::new(
-                    query.window,
-                    query.aggregates.clone(),
-                    query.key_field,
-                    LatePolicy::Drop,
-                )
-                // quill-lint: allow(no-panic, reason = "the identical WindowAggregateOp::new call was validated at the top of execute()")
-                .expect("query validated above");
-                op.attach_trace(&opts.trace, shard as u32);
-                op.attach_spans(&opts.spans, shard as u32);
-                op
-            };
-            let (out, ops) = if shard_local {
-                let (out, staged_ops) = run_keyed_parallel_traced(
-                    elements,
-                    key_field,
-                    config,
-                    &opts.telemetry,
-                    &opts.trace,
-                    &opts.spans,
-                    |shard| {
-                        let mut stage = ShardStage::new(make_window_op(shard));
-                        stage.attach_spans(&opts.spans, shard as u32);
-                        stage
-                    },
-                )?;
-                let ops: Vec<WindowAggregateOp> =
-                    staged_ops.into_iter().map(ShardStage::into_inner).collect();
-                (out, ops)
-            } else {
-                run_keyed_parallel_traced(
-                    elements,
-                    key_field,
-                    config,
-                    &opts.telemetry,
-                    &opts.trace,
-                    &opts.spans,
-                    make_window_op,
-                )?
-            };
-            let results: Vec<WindowResult> = out
-                .iter()
-                .filter_map(|el| el.as_event())
-                .filter_map(|e| WindowResult::from_row(&e.row))
-                .collect();
-            (results, sum_window_stats(&ops))
-        }
-    };
-    let wall_micros = start.elapsed().as_micros();
-
-    let mut latency = LatencyRecorder::with_samples();
-    let record_deliver = opts.spans.is_enabled();
-    for r in &results {
-        let emitted_at = staged.emission_clock(r.window.end);
-        let lat = emitted_at.delta_since(r.window.end);
-        latency_hist.record(lat.raw());
-        latency.record(lat);
-        if record_deliver {
-            // Delivery: the window became complete at its end; the result
-            // reached the caller at the clock of the watermark that closed
-            // it. This is the end-to-end latency the paper trades against
-            // quality, as a per-result span.
-            opts.spans
-                .record(Stage::Deliver, r.window.end.raw(), emitted_at.raw(), 0);
-        }
-    }
-    results_count.add(results.len() as u64);
-    opts.telemetry
-        .counter("quill.run.late_dropped")
-        .add(window_stats.late_dropped);
-
-    let oracle = oracle_results(events, query.window, &query.aggregates, query.key_field);
-    let quality = score(&results, &oracle);
+    let run = run_batch(events, strategy, std::slice::from_ref(query), opts)?;
+    let (out, window_stats) = (run.shared.per_query.into_iter())
+        .zip(run.window_stats)
+        .next()
+        .ok_or_else(|| EngineError::ExecutorFailure("batch run lost its query".into()))?;
     // Join the flight-recorder ring with the per-window quality outcomes:
     // one provenance record per scored window, and the causal trace slice
     // for every window that missed its completeness target.
     let (provenance, post_mortems) = if opts.trace.is_enabled() {
         let builder = ProvenanceBuilder::new(opts.trace.events());
-        let mut provenance = Vec::with_capacity(quality.per_window.len());
-        let mut post_mortems = Vec::new();
-        for w in &quality.per_window {
-            let rec = builder.record_for(
-                w.window.start.raw(),
-                w.window.end.raw(),
-                &w.key,
-                w.completeness,
-                opts.required_completeness,
-            );
-            if rec.violated {
-                post_mortems.push(builder.post_mortem(&rec));
-            }
-            provenance.push(rec);
-        }
+        let provenance: Vec<ProvenanceRecord> = (out.quality.per_window.iter())
+            .map(|w| {
+                builder.record_for(
+                    w.window.start.raw(),
+                    w.window.end.raw(),
+                    &w.key,
+                    w.completeness,
+                    opts.required_completeness,
+                )
+            })
+            .collect();
+        let violated = provenance.iter().filter(|r| r.violated);
+        let post_mortems = violated.map(|r| builder.post_mortem(r)).collect();
         (provenance, post_mortems)
     } else {
         (Vec::new(), Vec::new())
     };
-    // Force the end-of-run snapshot so it covers the executor and result
-    // instruments recorded after staging, even when the last periodic tick
-    // coincided with the final event.
-    if opts.telemetry.is_enabled() {
-        staged.reporter.force();
-    }
-    let snapshots = staged.reporter.finish();
-
     Ok(RunOutput {
-        strategy: strategy.name(),
-        latency: latency.summary(),
-        quality,
-        mean_k: staged.k_series.mean(),
-        k_series: staged.k_series,
-        buffer_series: staged.buffer_series,
+        strategy: run.shared.strategy,
+        latency: out.latency,
+        quality: out.quality,
+        mean_k: run.k_series.mean(),
+        k_series: run.k_series,
+        buffer_series: run.buffer_series,
         buffer: strategy.buffer_stats(),
         window_stats,
-        wall_micros,
+        wall_micros: run.shared.wall_micros,
         events: events.len() as u64,
-        results,
-        snapshots,
+        results: out.results,
+        snapshots: run.shared.snapshots,
         provenance,
         post_mortems,
-        plan,
+        plan: run.shared.plan,
     })
 }
 

@@ -21,9 +21,10 @@
 //! The session is the execution heart of the `quill-serve` daemon: the
 //! server is a network shell that feeds [`Session::push`] /
 //! [`Session::heartbeat`] and drains [`QueryHandle::poll`]. The same
-//! internal fan-out core (`MultiQueryCore`) drives `execute_shared`'s
-//! sequential path, so batch and resident execution share one code path and
-//! produce element-identical results for the same staged stream.
+//! internal fan-out core (`MultiQueryCore`) windows the staged stream of a
+//! sequential `execute` / `execute_shared`, so batch and resident execution
+//! share one code path and produce element-identical results for the same
+//! staged stream.
 //!
 //! ```
 //! use quill_core::prelude::*;
@@ -54,7 +55,8 @@ use quill_engine::operator::{
 };
 use quill_engine::time::{TimeDelta, Timestamp};
 use quill_engine::value::Key;
-use quill_metrics::{LatencyRecorder, Summary};
+use quill_metrics::LatencyRecorder;
+use quill_telemetry::trace::FlightRecorder;
 use quill_telemetry::{Counter, Gauge, Registry, SpanRecorder, Stage};
 use std::collections::VecDeque;
 use std::fmt;
@@ -304,8 +306,9 @@ fn same_shape(a: &QuerySpec, b: &QuerySpec) -> bool {
 
 /// The multi-query fan-out core: one window operator per distinct query
 /// shape observing one staged stream, each delivering its results to every
-/// subscriber of that shape. [`Session`] wraps it for resident use;
-/// [`crate::shared::execute_shared`]'s sequential path replays a
+/// subscriber of that shape. [`Session`] wraps it for resident use; the
+/// sequential batch driver behind [`crate::runner::execute`] and
+/// [`crate::shared::execute_shared`] replays a
 /// [`crate::runner::StagedStream`] through it, so batch and resident
 /// execution share the per-element fan-out code.
 pub(crate) struct MultiQueryCore {
@@ -323,6 +326,10 @@ pub(crate) struct MultiQueryCore {
     entries_gauge: Gauge,
     results_total: u64,
     spans: SpanRecorder,
+    /// What the operators built by `register` record into; disabled unless
+    /// a batch run attached the caller's (`observe_operators`).
+    op_trace: FlightRecorder,
+    op_spans: SpanRecorder,
 }
 
 impl MultiQueryCore {
@@ -335,6 +342,8 @@ impl MultiQueryCore {
             entries_gauge: telemetry.gauge("quill.window.entries"),
             results_total: 0,
             spans: SpanRecorder::disabled(),
+            op_trace: FlightRecorder::disabled(),
+            op_spans: SpanRecorder::disabled(),
         }
     }
 
@@ -351,6 +360,16 @@ impl MultiQueryCore {
         self.spans = spans.clone();
     }
 
+    /// Make every operator registered from now on record its trace events
+    /// and stage spans (`WindowFinalize`, `LateDrop`) into `trace` / `spans`,
+    /// as the batch entry points promise for
+    /// [`ExecOptions::trace`](crate::runner::ExecOptions::trace). A
+    /// [`Session`] never calls this, so what it records does not change.
+    pub(crate) fn observe_operators(&mut self, trace: &FlightRecorder, spans: &SpanRecorder) {
+        self.op_trace = trace.clone();
+        self.op_spans = spans.clone();
+    }
+
     /// Add one query; validation errors propagate before any state changes.
     /// It subscribes to the operator of an equal-shape group that has seen
     /// no element yet, and otherwise gets an operator of its own: joining one
@@ -362,18 +381,19 @@ impl MultiQueryCore {
         required_completeness: Option<f64>,
         result_capacity: usize,
         latency_slo: Option<u64>,
-        latency: LatencyRecorder,
     ) -> Result<(QueryId, Arc<Mutex<SubState>>)> {
         let joinable = |g: &Group| g.fresh && same_shape(&g.members[0].spec, spec);
         let at = match self.groups.iter().position(joinable) {
             Some(at) => at,
             None => {
-                let op = WindowAggregateOp::new(
+                let mut op = WindowAggregateOp::new(
                     spec.window,
                     spec.aggregates.clone(),
                     spec.key_field,
                     LatePolicy::Drop,
                 )?;
+                op.attach_trace(&self.op_trace, 0);
+                op.attach_spans(&self.op_spans, 0);
                 self.groups.push(Group {
                     op,
                     fresh: true,
@@ -390,7 +410,7 @@ impl MultiQueryCore {
             overflow_dropped: 0,
             emitted: 0,
             window: WindowOpStats::default(),
-            latency,
+            latency: LatencyRecorder::new(),
             latency_slo,
             slo_breaches: 0,
             closed: false,
@@ -507,13 +527,15 @@ impl MultiQueryCore {
         }
     }
 
-    /// Consume the core, yielding each query's drained results and latency
-    /// summary in registration order (batch-path extraction).
-    pub(crate) fn into_outputs(self) -> Vec<(Vec<WindowResult>, Summary)> {
-        let mut members: Vec<Member> = self.groups.into_iter().flat_map(|g| g.members).collect();
-        members.sort_by_key(|m| m.id);
-        let output = |m: Member| (drain_results(&m.state), m.state.lock().latency.summary());
-        members.into_iter().map(output).collect()
+    /// Consume the core, yielding each query's drained results and its
+    /// operator's counters in registration order (batch-path extraction).
+    pub(crate) fn into_results(self) -> Vec<(Vec<WindowResult>, WindowOpStats)> {
+        let mut out: Vec<(QueryId, Vec<WindowResult>, WindowOpStats)> = self
+            .members()
+            .map(|(m, op)| (m.id, drain_results(&m.state), op.stats()))
+            .collect();
+        out.sort_by_key(|(id, ..)| *id);
+        out.into_iter().map(|(_, r, s)| (r, s)).collect()
     }
 }
 
@@ -662,7 +684,6 @@ impl Session {
             cfg.required_completeness,
             cfg.result_capacity,
             cfg.latency_slo,
-            LatencyRecorder::new(),
         )?;
         self.set_gauges();
         Ok(QueryHandle {

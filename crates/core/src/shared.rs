@@ -2,25 +2,23 @@
 //!
 //! In practice many continuous queries subscribe to the same stream; the
 //! ordering buffer is paid once and its watermarks fan out to one window
-//! operator per distinct query shape (the sequential path; see
-//! [`crate::session`]). The slack must then satisfy the *strictest* quality
-//! target among the subscribers — [`strictest_completeness`] picks it — and
-//! looser queries simply enjoy surplus quality. This mirrors the
-//! multi-query sharing angle of the original system demo.
+//! operator per distinct query shape (sequentially, on the core a
+//! [`crate::session::Session`] runs). The slack must then satisfy the
+//! *strictest* quality target among the subscribers —
+//! [`strictest_completeness`] picks it — and looser queries simply enjoy
+//! surplus quality. This mirrors the multi-query sharing angle of the
+//! original system demo. [`execute_shared`] is [`crate::runner::execute`]'s
+//! batch driver over a query slice.
 
 use crate::plan::Diagnostic;
-use crate::runner::{stage_strategy, vet_plan, ExecOptions, QuerySpec};
-use crate::session::MultiQueryCore;
+use crate::runner::{run_batch, ExecOptions, QuerySpec};
 use crate::strategy::DisorderControl;
 use quill_engine::error::Result;
-use quill_engine::event::{Event, StreamElement};
-use quill_engine::operator::{LatePolicy, WindowAggregateOp, WindowResult};
-use quill_engine::parallel::run_keyed_parallel_traced;
-use quill_engine::time::Timestamp;
-use quill_metrics::quality_eval::{oracle_results, score, QualityReport};
-use quill_metrics::{LatencyRecorder, Summary};
-use quill_telemetry::trace::FlightRecorder;
-use quill_telemetry::{Snapshot, Stage};
+use quill_engine::event::Event;
+use quill_engine::operator::WindowResult;
+use quill_metrics::quality_eval::QualityReport;
+use quill_metrics::Summary;
+use quill_telemetry::Snapshot;
 
 /// Per-query measurement of a shared run.
 #[derive(Debug, Clone)]
@@ -68,7 +66,10 @@ pub fn strictest_completeness(targets: &[f64]) -> Option<f64> {
 /// sequentially — one operator per distinct query shape, its results
 /// delivered to every query of that shape — or per query on the
 /// keyed-parallel executor, and an enabled telemetry registry observes the
-/// shared buffer once rather than once per query.
+/// shared buffer once rather than once per query. Every window operator
+/// records into [`ExecOptions::trace`] and [`ExecOptions::spans`], and each
+/// result's [`Stage::Deliver`](quill_telemetry::Stage::Deliver) span is
+/// tagged with its query's index.
 ///
 /// Note that with `opts.parallel` set, the per-shard executor counters
 /// accumulate across queries (each query fans the staged stream out again),
@@ -82,148 +83,7 @@ pub fn execute_shared(
     queries: &[QuerySpec],
     opts: &ExecOptions,
 ) -> Result<SharedRunOutput> {
-    // Validate every query up front so per-shard factories below can't fail.
-    for q in queries {
-        WindowAggregateOp::new(
-            q.window,
-            q.aggregates.clone(),
-            q.key_field,
-            LatePolicy::Drop,
-        )?;
-    }
-    // Static plan analysis per query: any deny-level finding refuses the
-    // whole shared run before the buffer sees an event.
-    let mut plan: Vec<Diagnostic> = Vec::new();
-    for q in queries {
-        for d in vet_plan(q, strategy, opts)? {
-            if !plan.contains(&d) {
-                plan.push(d);
-            }
-        }
-    }
-    let results_count = opts.telemetry.counter("quill.run.results");
-
-    let start = std::time::Instant::now();
-    let mut staged = stage_strategy(events, strategy, opts);
-
-    // Per-query (results, latency summary), in query order.
-    let all_results: Vec<(Vec<WindowResult>, Summary)> = match opts.parallel {
-        None => {
-            // The sequential path replays the staged stream through the same
-            // multi-query fan-out core a resident `crate::session::Session`
-            // runs on: the `now` supplied per element is the recorded clock
-            // at that watermark's release, so latency stamping is identical
-            // to interleaved execution.
-            let mut core = MultiQueryCore::new(&opts.telemetry);
-            core.attach_spans(&opts.spans);
-            for q in queries {
-                core.register(
-                    q,
-                    opts.required_completeness,
-                    usize::MAX,
-                    None,
-                    LatencyRecorder::with_samples(),
-                )?;
-            }
-            let mut wm_at = 0usize;
-            for el in std::mem::take(&mut staged.elements) {
-                let now = match &el {
-                    StreamElement::Watermark(_) => {
-                        let (_, clock) = staged.wm_clock[wm_at];
-                        wm_at += 1;
-                        clock
-                    }
-                    StreamElement::Flush => staged.final_clock,
-                    // Events never emit results under `LatePolicy::Drop`, so
-                    // their `now` is irrelevant.
-                    StreamElement::Event(_) => Timestamp::MIN,
-                };
-                core.process_element(el, now);
-            }
-            core.into_outputs()
-        }
-        Some(config) => {
-            let mut outs = Vec::with_capacity(queries.len());
-            for (qi, q) in queries.iter().enumerate() {
-                let key_field = q.key_field.unwrap_or(usize::MAX);
-                let (out, _ops) = run_keyed_parallel_traced(
-                    staged.elements.clone(),
-                    key_field,
-                    config,
-                    &opts.telemetry,
-                    &FlightRecorder::disabled(),
-                    &opts.spans,
-                    |shard| {
-                        let mut op = WindowAggregateOp::new(
-                            q.window,
-                            q.aggregates.clone(),
-                            q.key_field,
-                            LatePolicy::Drop,
-                        )
-                        // quill-lint: allow(no-panic, reason = "the identical WindowAggregateOp::new call was validated at the top of execute_shared()")
-                        .expect("query validated above");
-                        op.attach_spans(&opts.spans, shard as u32);
-                        op
-                    },
-                )?;
-                let results: Vec<WindowResult> = out
-                    .iter()
-                    .filter_map(|el| el.as_event())
-                    .filter_map(|e| WindowResult::from_row(&e.row))
-                    .collect();
-                results_count.add(results.len() as u64);
-                let record_deliver = opts.spans.is_enabled();
-                let mut latency = LatencyRecorder::with_samples();
-                for r in &results {
-                    let emitted_at = staged.emission_clock(r.window.end);
-                    latency.record(emitted_at.delta_since(r.window.end));
-                    if record_deliver {
-                        // Query-tagged delivery span so shared-run timelines
-                        // attribute each result to its subscriber.
-                        opts.spans.record_for_query(
-                            Stage::Deliver,
-                            r.window.end.raw(),
-                            emitted_at.raw(),
-                            0,
-                            qi as u64,
-                        );
-                    }
-                }
-                outs.push((results, latency.summary()));
-            }
-            outs
-        }
-    };
-    let wall_micros = start.elapsed().as_micros();
-
-    let per_query = queries
-        .iter()
-        .zip(all_results)
-        .enumerate()
-        .map(|(i, (q, (results, latency)))| {
-            let oracle = oracle_results(events, q.window, &q.aggregates, q.key_field);
-            SharedQueryOutput {
-                query_index: i,
-                latency,
-                quality: score(&results, &oracle),
-                results,
-            }
-        })
-        .collect();
-    // Force the end-of-run snapshot so it covers the per-query result
-    // instruments recorded after staging.
-    if opts.telemetry.is_enabled() {
-        staged.reporter.force();
-    }
-    let snapshots = staged.reporter.finish();
-
-    Ok(SharedRunOutput {
-        strategy: strategy.name(),
-        per_query,
-        wall_micros,
-        snapshots,
-        plan,
-    })
+    Ok(run_batch(events, strategy, queries, opts)?.shared)
 }
 
 #[cfg(test)]
@@ -231,10 +91,11 @@ mod tests {
     use super::*;
     use crate::aq::AqKSlack;
     use crate::runner::execute;
-    use crate::strategy::FixedKSlack;
+    use crate::strategy::{DropAll, FixedKSlack};
     use quill_engine::aggregate::{AggregateKind, AggregateSpec};
     use quill_engine::parallel::ParallelConfig;
     use quill_engine::prelude::{Row, Value, WindowSpec};
+    use quill_telemetry::trace::{FlightRecorder, TraceKind};
     use rand::rngs::StdRng;
     use rand::{Rng, SeedableRng};
 
@@ -313,6 +174,47 @@ mod tests {
                 seq.per_query[i].results.len(),
                 par.per_query[i].results.len()
             );
+        }
+    }
+
+    #[test]
+    fn traced_shared_run_records_every_operator_in_both_modes() {
+        // An in-order stream, then one straggler far behind the clock: with
+        // K = 0 it passes the buffer late and each query's operator drops it.
+        let row = || Row::new([Value::Float(1.0)]);
+        let mut evs: Vec<Event> = (0..200u64).map(|i| Event::new(i * 10, i, row())).collect();
+        evs.push(Event::new(5u64, 200, row()));
+        let qs = queries();
+        for opts in [
+            ExecOptions::sequential(),
+            ExecOptions::parallel(ParallelConfig::new(4)),
+        ] {
+            let mode = format!("{:?}", opts.parallel);
+            let trace = FlightRecorder::with_default_capacity();
+            let shared =
+                execute_shared(&evs, &mut DropAll::new(), &qs, &opts.with_trace(&trace)).unwrap();
+            let recorded = trace.events();
+            // The two queries' windows differ in length, which tells their
+            // finalizations apart: one per emitted result of each query.
+            for (q, out) in qs.iter().zip(&shared.per_query) {
+                let finalized = recorded
+                    .iter()
+                    .filter(|t| {
+                        matches!(t.kind, TraceKind::WindowFinalize { start, end, .. }
+                            if end - start == q.window.length().raw())
+                    })
+                    .count();
+                assert!(!out.results.is_empty());
+                assert_eq!(finalized, out.results.len(), "{mode}");
+            }
+            let dropped: Vec<u64> = recorded
+                .iter()
+                .filter_map(|t| match t.kind {
+                    TraceKind::LateDrop { event_seq, .. } => Some(event_seq),
+                    _ => None,
+                })
+                .collect();
+            assert_eq!(dropped, vec![200, 200], "{mode}");
         }
     }
 

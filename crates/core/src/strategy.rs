@@ -84,10 +84,12 @@ pub trait DisorderControl: Send {
     /// watermark sequence full staging would emit, and per-shard stages
     /// downstream re-apply the ordering for their own keys. Returns `true`
     /// if the strategy supports the split; `false` (the default) keeps full
-    /// staging. Must be called before the first event. Supportable whenever
-    /// the strategy's K / watermark decisions depend only on arrival order
-    /// and event fields — never on held buffer contents; every built-in
-    /// strategy qualifies.
+    /// staging, whose output — each event behind the last watermark or
+    /// released in `(ts, seq)` order ahead of a watermark covering it — the
+    /// per-shard stages pass through unchanged. Must be called before the
+    /// first event. Supportable whenever the strategy's K / watermark
+    /// decisions depend only on arrival order and event fields — never on
+    /// held buffer contents; every built-in strategy qualifies.
     fn split_for_shard_staging(&mut self) -> bool {
         false
     }

@@ -70,9 +70,7 @@ pub mod prelude {
         merge_by_arrival, CountWindowOp, FilterOp, IntervalJoin, LatePolicy, MapOp, Operator,
         ProjectOp, SessionOpStats, SessionWindowOp, WindowAggregateOp, WindowOpStats, WindowResult,
     };
-    pub use crate::parallel::{
-        run_keyed_parallel, run_keyed_parallel_with, shard_of, ParallelConfig,
-    };
+    pub use crate::parallel::{run_keyed_parallel, shard_of, ParallelConfig};
     pub use crate::pipeline::Pipeline;
     pub use crate::time::{TimeDelta, Timestamp};
     pub use crate::value::{hash_value, Field, FieldType, Key, Row, Schema, Value};

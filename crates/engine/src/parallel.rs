@@ -5,8 +5,8 @@
 //! runs an independent operator instance on its own thread. Results are
 //! merged deterministically, so the parallel run is observationally
 //! identical (as a set, and in (window, key) order) to the single-threaded
-//! one — asserted by tests and a proptest, and used by the scalability
-//! bench.
+//! one — asserted by tests, a proptest and the `quill-sim` matrix.
+//! [`run_keyed_parallel`] is the one entry point.
 //!
 //! The executor is batched and allocation-lean:
 //!
@@ -25,10 +25,10 @@
 //!   over one shared unbounded channel as they are produced instead of
 //!   holding their whole output until join; segments concatenate per shard
 //!   in FIFO order, so each shard's run is preserved exactly.
-//! * **Single-shard bypass** — `shards == 1` skips channels, threads and
-//!   routing buffers entirely and runs the operator inline; the output
-//!   still goes through the same merge so ordering (and merge telemetry)
-//!   semantics are unchanged.
+//! * **Inline scheduler** — with [`ParallelConfig::deterministic`] set, or
+//!   with `shards == 1`, no thread or channel exists: the caller thread runs
+//!   each flushed batch through its shard's operator at once, behind the
+//!   same router and in front of the same merge.
 //! * **Ordered merge** — each shard's [`WindowAggregateOp`] already emits in
 //!   `(window.end, window.start, key)` order, so the global order is
 //!   recovered by a batch-at-a-time galloping merge of the per-shard runs:
@@ -63,7 +63,7 @@ use std::hash::Hasher;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 
-/// Tuning knobs for [`run_keyed_parallel_with`].
+/// Tuning knobs for [`run_keyed_parallel`].
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct ParallelConfig {
     /// Number of worker shards (threads). Must be > 0.
@@ -81,7 +81,8 @@ pub struct ParallelConfig {
     /// identical — this is the deterministic shard-scheduler seam the
     /// `quill-sim` differential harness sweeps to prove the merged output is
     /// independent of worker scheduling (and to run thousands of small cases
-    /// without thread-spawn overhead).
+    /// without thread-spawn overhead). A single shard always runs inline:
+    /// one worker thread would only add a channel hop.
     pub deterministic: bool,
 }
 
@@ -148,40 +149,12 @@ impl Default for ParallelConfig {
 /// coherent with [`Key`] equality (`Int(3)` and `Float(3.0)` land on the
 /// same shard).
 pub fn shard_of(key: &Value, shards: usize) -> usize {
+    if shards <= 1 {
+        return 0;
+    }
     let mut h = FxHasher::new();
     hash_value(key, &mut h);
-    (h.finish() % shards.max(1) as u64) as usize
-}
-
-/// Run a keyed operator data-parallel over `config.shards` threads, routing
-/// events in batches, and return the merged output together with the
-/// per-shard operator instances (for stats aggregation).
-///
-/// * `elements` — the (already disorder-controlled) input stream;
-/// * `key_field` — the row index events are partitioned by;
-/// * `config` — shard count and batching parameters;
-/// * `make_op` — factory producing one operator instance per shard (each
-///   must behave identically on its key subset).
-///
-/// Events are routed by key hash; watermarks and flush are broadcast to all
-/// shards as batch delimiters. Returns all output *events* (window results)
-/// in deterministic `(window.end, window.start, key)` order, plus the
-/// operators in shard order.
-///
-/// # Errors
-/// [`EngineError::ExecutorFailure`] if a worker panics or dies early;
-/// [`EngineError::InvalidPipeline`] for a zero shard count, batch size or
-/// channel capacity.
-pub fn run_keyed_parallel_with<O>(
-    elements: Vec<StreamElement>,
-    key_field: usize,
-    config: ParallelConfig,
-    make_op: impl Fn() -> O,
-) -> Result<(Vec<StreamElement>, Vec<O>)>
-where
-    O: Operator + 'static,
-{
-    run_keyed_parallel_instrumented(elements, key_field, config, &Registry::disabled(), make_op)
+    (h.finish() % shards as u64) as usize
 }
 
 /// Per-shard executor telemetry: routed-event/batch counters, a derived
@@ -328,95 +301,54 @@ impl ShardRouter {
     }
 }
 
-/// Like [`run_keyed_parallel_with`], but recording executor telemetry into
-/// `telemetry`: per shard `quill.shard.<i>.events` / `.batches` counters
-/// and a `.queue_depth` gauge, `quill.executor.send_stalls` (sends issued
-/// while the shard's channel was at capacity, i.e. backpressure), and
-/// `quill.merge.elements` / `quill.merge.fallback_sorts` for the output
-/// merge. With a disabled registry this *is* `run_keyed_parallel_with` —
-/// every instrument update folds to a branch on `None`.
+/// Run a keyed operator data-parallel over `config.shards` shards, routing
+/// events in batches, and return the merged output together with the
+/// per-shard operator instances (for stats aggregation).
+///
+/// * `elements` — the (already disorder-controlled) input stream;
+/// * `key_field` — the row index events are partitioned by;
+/// * `config` — shard count, batching and scheduler;
+/// * `telemetry`, `trace`, `spans` — what the executor records into (see
+///   below); pass [`Registry::disabled`], [`FlightRecorder::disabled`] and
+///   [`SpanRecorder::disabled`] to record nothing — every hook then folds
+///   to a branch on `None`;
+/// * `make_op` — factory producing the operator of shard `i` (each must
+///   behave identically on its key subset; the index lets an operator tag
+///   its own trace events and spans).
+///
+/// Events are routed by key hash; watermarks and flush are broadcast to all
+/// shards as batch delimiters. Returns all output *events* (window results)
+/// in deterministic `(window.end, window.start, key)` order, plus the
+/// operators in shard order. The output does not depend on the scheduler:
+/// worker threads, or the inline scheduler ([`ParallelConfig::deterministic`],
+/// and always at one shard).
+///
+/// Recorded:
+///
+/// * telemetry — per shard `quill.shard.<i>.events` / `.batches` /
+///   `.finalized_windows` counters and a `.queue_depth` gauge,
+///   `quill.executor.send_stalls` (sends issued while the shard's channel
+///   was at capacity, i.e. backpressure), the cross-shard
+///   `quill.executor.queue_depth` and `quill.executor.result_queue_depth`
+///   gauges, and `quill.merge.elements` / `.windows` / `.fallback_sorts` for
+///   the output merge (the inline scheduler has no channels, so its stall
+///   counter and depth gauges stay at zero);
+/// * trace — [`TraceKind::SendStall`] whenever a batch send finds the
+///   shard's channel at capacity (timestamped with the batch's first event
+///   time) and one [`TraceKind::MergeProgress`] for the output merge, on the
+///   [`MERGE_SHARD`] pseudo-shard;
+/// * spans (logical clock) — [`Stage::Route`] per flushed shard batch over
+///   the earliest to latest event timestamp in it, and one [`Stage::Merge`]
+///   on [`MERGE_SHARD`] over the merged window-end range. Downstream stage
+///   spans ([`Stage::ShardStage`], [`Stage::WindowFinalize`]) come from the
+///   per-shard operators via their `attach_spans` hooks — pass the same
+///   recorder to the factory.
 ///
 /// # Errors
-/// Same as [`run_keyed_parallel_with`].
-pub fn run_keyed_parallel_instrumented<O>(
-    elements: Vec<StreamElement>,
-    key_field: usize,
-    config: ParallelConfig,
-    telemetry: &Registry,
-    make_op: impl Fn() -> O,
-) -> Result<(Vec<StreamElement>, Vec<O>)>
-where
-    O: Operator + 'static,
-{
-    run_keyed_parallel_observed(
-        elements,
-        key_field,
-        config,
-        telemetry,
-        &FlightRecorder::disabled(),
-        move |_shard| make_op(),
-    )
-}
-
-/// Like [`run_keyed_parallel_instrumented`], but additionally recording
-/// flight-recorder trace events into `trace` and passing the shard index to
-/// the operator factory (so each shard's operator can tag its own trace
-/// events):
-///
-/// * [`TraceKind::SendStall`] whenever a batch send finds the shard's
-///   channel at capacity (timestamped with the batch's first event time);
-/// * [`TraceKind::MergeProgress`] once for the output merge, on the
-///   [`MERGE_SHARD`] pseudo-shard.
-///
-/// Executor telemetry additionally gains `quill.executor.queue_depth`, an
-/// explicit cross-shard aggregate gauge (sum of every
-/// `quill.shard.<i>.queue_depth`), updated on each flush. With a disabled
-/// registry *and* a disabled recorder this is exactly
-/// [`run_keyed_parallel_with`].
-///
-/// # Errors
-/// Same as [`run_keyed_parallel_with`].
-pub fn run_keyed_parallel_observed<O>(
-    elements: Vec<StreamElement>,
-    key_field: usize,
-    config: ParallelConfig,
-    telemetry: &Registry,
-    trace: &FlightRecorder,
-    make_op: impl Fn(usize) -> O,
-) -> Result<(Vec<StreamElement>, Vec<O>)>
-where
-    O: Operator + 'static,
-{
-    run_keyed_parallel_traced(
-        elements,
-        key_field,
-        config,
-        telemetry,
-        trace,
-        &SpanRecorder::disabled(),
-        make_op,
-    )
-}
-
-/// Like [`run_keyed_parallel_observed`], but additionally recording pipeline
-/// spans into `spans` (logical clock domain):
-///
-/// * [`Stage::Route`] — one span per flushed shard batch, `begin` = the
-///   earliest and `end` = the latest event timestamp in the batch (the
-///   event-time extent the router grouped into one channel send);
-/// * [`Stage::Merge`] — one span for the output merge on the
-///   [`MERGE_SHARD`] pseudo-shard spanning the merged window-end range.
-///
-/// Downstream stage spans ([`Stage::ShardStage`], [`Stage::WindowFinalize`])
-/// come from the per-shard operators via their `attach_spans` hooks — pass
-/// the same recorder to the factory. With a disabled recorder this is
-/// exactly [`run_keyed_parallel_observed`]: every span call folds to a
-/// branch on `None`.
-///
-/// # Errors
-/// Same as [`run_keyed_parallel_with`].
-#[allow(clippy::too_many_arguments)]
-pub fn run_keyed_parallel_traced<O>(
+/// [`EngineError::ExecutorFailure`] if a worker panics or dies early;
+/// [`EngineError::InvalidPipeline`] for a zero shard count, batch size or
+/// channel capacity.
+pub fn run_keyed_parallel<O>(
     elements: Vec<StreamElement>,
     key_field: usize,
     config: ParallelConfig,
@@ -429,11 +361,8 @@ where
     O: Operator + 'static,
 {
     config.validate()?;
-    if config.shards == 1 {
-        return run_keyed_single(elements, config, telemetry, trace, spans, make_op);
-    }
-    if config.deterministic {
-        return run_keyed_parallel_inline(
+    if config.deterministic || config.shards == 1 {
+        return run_inline(
             elements, key_field, config, telemetry, trace, spans, make_op,
         );
     }
@@ -574,66 +503,19 @@ where
     ))
 }
 
-/// Single-shard bypass: no channels, no threads, no routing buffers — the
-/// operator runs inline on the caller thread over the element stream, and
-/// its output goes through [`merge_shard_outputs`] as a one-run merge so
-/// ordering semantics (including the unsorted-run fallback) and merge
-/// telemetry are identical to the multi-shard paths.
-fn run_keyed_single<O>(
-    elements: Vec<StreamElement>,
-    config: ParallelConfig,
-    telemetry: &Registry,
-    trace: &FlightRecorder,
-    spans: &SpanRecorder,
-    make_op: impl Fn(usize) -> O,
-) -> Result<(Vec<StreamElement>, Vec<O>)>
-where
-    O: Operator + 'static,
-{
-    debug_assert_eq!(config.shards, 1);
-    let m = ShardMetrics::new(telemetry, 0, false);
-    let mut op = make_op(0);
-    let mut outs: Vec<StreamElement> = Vec::new();
-    let routed = !elements.is_empty();
-    if spans.is_enabled() {
-        // The whole stream is one logical batch: one Route span over its
-        // event-time extent, mirroring the per-batch spans of the routed
-        // paths.
-        record_route_span(spans, &elements, 0);
-    }
-    for el in elements {
-        if matches!(el, StreamElement::Event(_)) {
-            m.events.inc();
-        }
-        op.process(el, &mut |o| {
-            if matches!(o, StreamElement::Event(_)) {
-                m.finalized.inc();
-                outs.push(o);
-            }
-        });
-    }
-    if routed {
-        // The whole stream is one logical batch.
-        m.batches.inc();
-    }
-    Ok((
-        merge_shard_outputs(vec![outs], telemetry, trace, spans),
-        vec![op],
-    ))
-}
-
-/// Deterministic inline variant of [`run_keyed_parallel_observed`]: the same
-/// routing (key hash, batch accumulation, punctuation broadcast as batch
-/// delimiter) and the same output merge, but every shard's operator runs on
-/// the caller thread — a flushed batch is processed immediately, shards in
-/// shard order. Each operator therefore consumes exactly the batch sequence
-/// the threaded path would deliver it, which makes the merged output equal
-/// by construction and the whole run independent of thread scheduling.
+/// The inline scheduler of [`run_keyed_parallel`]: the same routing (key
+/// hash, batch accumulation, punctuation broadcast as batch delimiter) and
+/// the same output merge, but every shard's operator runs on the caller
+/// thread — a flushed batch is processed immediately, shards in shard
+/// order. Each operator therefore consumes exactly the batch sequence the
+/// threaded path would deliver it, which makes the merged output equal by
+/// construction and the whole run independent of thread scheduling. At one
+/// shard this is the whole executor: no thread, no channel.
 ///
-/// Telemetry: per-shard `.events` / `.batches` counters and the merge
-/// instruments record as in the threaded path; `quill.executor.send_stalls`
-/// and the queue-depth gauges stay at zero (there are no channels).
-fn run_keyed_parallel_inline<O>(
+/// Telemetry: per-shard `.events` / `.batches` / `.finalized_windows`
+/// counters and the merge instruments record as in the threaded path;
+/// `quill.executor.send_stalls` and the queue-depth gauges stay at zero.
+fn run_inline<O>(
     elements: Vec<StreamElement>,
     key_field: usize,
     config: ParallelConfig,
@@ -720,22 +602,6 @@ fn record_route_span(spans: &SpanRecorder, batch: &[StreamElement], shard: u32) 
     if lo != u64::MAX {
         spans.record(Stage::Route, lo, hi, shard);
     }
-}
-
-/// Run a keyed operator data-parallel over `shards` threads with default
-/// batching. See [`run_keyed_parallel_with`] for semantics.
-///
-/// # Errors
-/// [`EngineError::ExecutorFailure`] if a worker panics;
-/// [`EngineError::InvalidPipeline`] for zero shards.
-pub fn run_keyed_parallel(
-    elements: Vec<StreamElement>,
-    key_field: usize,
-    shards: usize,
-    make_op: impl Fn() -> Box<dyn Operator>,
-) -> Result<Vec<StreamElement>> {
-    run_keyed_parallel_with(elements, key_field, ParallelConfig::new(shards), make_op)
-        .map(|(out, _ops)| out)
 }
 
 fn flush_batch(
@@ -986,8 +852,21 @@ mod tests {
         .expect("valid op")
     }
 
-    fn make_op() -> Box<dyn Operator> {
-        Box::new(window_op())
+    /// The executor with nothing recorded.
+    fn run<O: Operator + 'static>(
+        elements: Vec<StreamElement>,
+        config: ParallelConfig,
+        make_op: impl Fn() -> O,
+    ) -> Result<(Vec<StreamElement>, Vec<O>)> {
+        run_keyed_parallel(
+            elements,
+            0,
+            config,
+            &Registry::disabled(),
+            &FlightRecorder::disabled(),
+            &SpanRecorder::disabled(),
+            |_| make_op(),
+        )
     }
 
     fn input(n: u64, keys: i64) -> Vec<StreamElement> {
@@ -1015,7 +894,7 @@ mod tests {
     fn parallel_matches_sequential_as_ordered_results() {
         let elements = input(3_000, 17);
         // Sequential reference.
-        let mut seq_op = make_op();
+        let mut seq_op = window_op();
         let mut seq_out = Vec::new();
         for el in elements.clone() {
             seq_op.process(el, &mut |o| {
@@ -1028,8 +907,8 @@ mod tests {
         seq_results.sort_by_key(|r| (r.window.end, r.window.start, Key(r.key.clone())));
 
         for shards in [1usize, 2, 4, 8] {
-            let par_out =
-                run_keyed_parallel(elements.clone(), 0, shards, make_op).expect("parallel run");
+            let (par_out, _) = run(elements.clone(), ParallelConfig::new(shards), window_op)
+                .expect("parallel run");
             let par_results = results_of(&par_out);
             assert_eq!(par_results, seq_results, "shards={shards}");
         }
@@ -1038,18 +917,16 @@ mod tests {
     #[test]
     fn batch_size_does_not_change_results() {
         let elements = input(2_000, 13);
-        let reference = run_keyed_parallel_with(
+        let reference = run(
             elements.clone(),
-            0,
             ParallelConfig::new(4).with_batch_size(1),
             window_op,
         )
         .expect("batch=1 run")
         .0;
         for batch in [7usize, 256, 1024, 100_000] {
-            let out = run_keyed_parallel_with(
+            let out = run(
                 elements.clone(),
-                0,
                 ParallelConfig::new(4)
                     .with_batch_size(batch)
                     .with_channel_capacity(2),
@@ -1066,19 +943,32 @@ mod tests {
         let elements = input(2_000, 13);
         for shards in [1usize, 3, 4, 8] {
             let cfg = ParallelConfig::new(shards).with_batch_size(32);
-            let threaded = run_keyed_parallel_with(elements.clone(), 0, cfg, window_op)
+            let threaded = run(elements.clone(), cfg, window_op)
                 .expect("threaded run")
                 .0;
-            let inline = run_keyed_parallel_with(
-                elements.clone(),
-                0,
-                cfg.with_deterministic(true),
-                window_op,
-            )
-            .expect("inline run")
-            .0;
+            let inline = run(elements.clone(), cfg.with_deterministic(true), window_op)
+                .expect("inline run")
+                .0;
             assert_eq!(inline, threaded, "shards={shards}");
         }
+    }
+
+    /// The executor recording into `reg` only.
+    fn run_instrumented(
+        elements: Vec<StreamElement>,
+        config: ParallelConfig,
+        reg: &Registry,
+    ) -> (Vec<StreamElement>, Vec<WindowAggregateOp>) {
+        run_keyed_parallel(
+            elements,
+            0,
+            config,
+            reg,
+            &FlightRecorder::disabled(),
+            &SpanRecorder::disabled(),
+            |_| window_op(),
+        )
+        .expect("run")
     }
 
     #[test]
@@ -1086,8 +976,7 @@ mod tests {
         let reg = Registry::new();
         let n = 1_000u64;
         let cfg = ParallelConfig::new(4).with_deterministic(true);
-        let (out, ops) =
-            run_keyed_parallel_instrumented(input(n, 8), 0, cfg, &reg, window_op).expect("run");
+        let (out, ops) = run_instrumented(input(n, 8), cfg, &reg);
         let snap = reg.snapshot();
         assert_eq!(snap.counter_family_sum("quill.shard.", ".events"), n);
         assert_eq!(snap.counter("quill.merge.elements"), out.len() as u64);
@@ -1098,8 +987,7 @@ mod tests {
     #[test]
     fn returned_ops_carry_shard_stats() {
         let n = 1_000u64;
-        let (_, ops) = run_keyed_parallel_with(input(n, 8), 0, ParallelConfig::new(4), window_op)
-            .expect("parallel run");
+        let (_, ops) = run(input(n, 8), ParallelConfig::new(4), window_op).expect("parallel run");
         assert_eq!(ops.len(), 4);
         let accepted: u64 = ops.iter().map(|op| op.stats().accepted).sum();
         assert_eq!(accepted, n, "every event lands on exactly one shard");
@@ -1123,7 +1011,7 @@ mod tests {
     #[test]
     fn zero_shards_rejected() {
         assert!(matches!(
-            run_keyed_parallel(vec![], 0, 0, make_op),
+            run(vec![], ParallelConfig::new(0), window_op),
             Err(EngineError::InvalidPipeline(_))
         ));
     }
@@ -1136,7 +1024,7 @@ mod tests {
             ParallelConfig::new(0),
         ] {
             assert!(matches!(
-                run_keyed_parallel_with(vec![], 0, cfg, window_op),
+                run(vec![], cfg, window_op),
                 Err(EngineError::InvalidPipeline(_))
             ));
         }
@@ -1146,7 +1034,7 @@ mod tests {
     fn watermarks_are_broadcast_so_all_shards_emit() {
         // Without Flush broadcast, shards would hold their windows forever.
         let elements = input(500, 8);
-        let out = run_keyed_parallel(elements, 0, 4, make_op).expect("parallel run");
+        let (out, _) = run(elements, ParallelConfig::new(4), window_op).expect("parallel run");
         let results = results_of(&out);
         let keys: std::collections::HashSet<String> =
             results.iter().map(|r| r.key.to_string()).collect();
@@ -1162,8 +1050,7 @@ mod tests {
         let cfg = ParallelConfig::new(4)
             .with_batch_size(64)
             .with_channel_capacity(2);
-        let (out, _ops) =
-            run_keyed_parallel_instrumented(input(n, 8), 0, cfg, &reg, window_op).expect("run");
+        let (out, _ops) = run_instrumented(input(n, 8), cfg, &reg);
         let snap = reg.snapshot();
         assert_eq!(
             snap.counter_family_sum("quill.shard.", ".events"),
@@ -1199,37 +1086,35 @@ mod tests {
 
     #[test]
     fn single_shard_bypass_matches_multi_shard_output() {
-        // Regression for the shards=1, batch_size=1 pathology: the bypass
-        // must skip channels/threads entirely yet emit the exact element
-        // sequence the multi-shard merge produces, with the same merge
-        // telemetry so dashboards don't go dark at shards=1.
+        // A single shard bypasses threads and channels (threaded scheduler
+        // requested, the inline one runs) — even at batch_size 1, the
+        // pathological case for channel traffic — yet it emits the exact
+        // result sequence the multi-shard merge produces, with the same
+        // merge telemetry so dashboards don't go dark at shards=1.
         let elements = input(2_000, 13);
-        let multi = run_keyed_parallel_with(
+        let (multi, _) = run(
             elements.clone(),
-            0,
             ParallelConfig::new(4).with_batch_size(64),
             window_op,
         )
-        .expect("4-shard run")
-        .0;
+        .expect("4-shard run");
 
         let reg = Registry::new();
-        let cfg = ParallelConfig::new(1).with_batch_size(1);
         let (out, ops) =
-            run_keyed_parallel_instrumented(elements, 0, cfg, &reg, window_op).expect("bypass run");
+            run_instrumented(elements, ParallelConfig::new(1).with_batch_size(1), &reg);
         // Result `seq` numbers are per-operator, so compare the parsed window
         // results in merged order: same windows, same aggregates, same order.
         assert_eq!(
             results_of(&out),
             results_of(&multi),
-            "bypass results must match the multi-shard merge, in order"
+            "one shard must match the multi-shard merge, in order"
         );
         assert_eq!(ops.len(), 1);
 
         let snap = reg.snapshot();
         assert_eq!(snap.counter("quill.shard.0.events"), 2_000);
-        // The whole stream is one logical batch in the bypass.
-        assert_eq!(snap.counter("quill.shard.0.batches"), 1);
+        // One batch per event at batch_size 1, plus the one Flush closes.
+        assert_eq!(snap.counter("quill.shard.0.batches"), 2_001);
         assert_eq!(
             snap.counter("quill.shard.0.finalized_windows"),
             out.len() as u64
@@ -1265,12 +1150,13 @@ mod tests {
         let cfg = ParallelConfig::new(4)
             .with_batch_size(16)
             .with_channel_capacity(1);
-        let (out, _ops) = run_keyed_parallel_observed(
+        let (out, _ops) = run_keyed_parallel(
             input(n, 8),
             0,
             cfg,
             &Registry::disabled(),
             &trace,
+            &SpanRecorder::disabled(),
             |shard| {
                 let mut op = window_op();
                 op.attach_trace(&trace, shard as u32);
@@ -1317,7 +1203,7 @@ mod tests {
         let cfg = ParallelConfig::new(4)
             .with_batch_size(16)
             .with_channel_capacity(2);
-        let (out, _ops) = run_keyed_parallel_traced(
+        let (out, _ops) = run_keyed_parallel(
             input(n, 8),
             0,
             cfg,
@@ -1356,7 +1242,7 @@ mod tests {
         assert_eq!(merges[0].end, *ends.iter().max().expect("results"));
         // Deterministic inline scheduling records the same span *set* shape.
         let det_spans = SpanRecorder::new(8192);
-        run_keyed_parallel_traced(
+        run_keyed_parallel(
             input(n, 8),
             0,
             cfg.with_deterministic(true),
@@ -1378,21 +1264,13 @@ mod tests {
 
     #[test]
     fn disabled_spans_keep_observed_semantics() {
-        // run_keyed_parallel_observed delegates with a disabled recorder:
-        // output must be identical to the traced run.
+        // A disabled recorder is how a caller opts out of spans: the output
+        // must be identical to the spanned run.
         let elements = input(500, 5);
         let cfg = ParallelConfig::new(3).with_batch_size(32);
-        let (observed, _) = run_keyed_parallel_observed(
-            elements.clone(),
-            0,
-            cfg,
-            &Registry::disabled(),
-            &FlightRecorder::disabled(),
-            |_| window_op(),
-        )
-        .expect("observed");
+        let (observed, _) = run(elements.clone(), cfg, window_op).expect("observed");
         let spans = SpanRecorder::new(1024);
-        let (traced, _) = run_keyed_parallel_traced(
+        let (traced, _) = run_keyed_parallel(
             elements,
             0,
             cfg,
@@ -1426,8 +1304,7 @@ mod tests {
         }
         let elements = input(100, 5);
         let (out, _) =
-            run_keyed_parallel_with(elements, 0, ParallelConfig::new(3), || Backwards(0))
-                .expect("parallel run");
+            run(elements, ParallelConfig::new(3), || Backwards(0)).expect("parallel run");
         assert_eq!(out.len(), 100);
         let ts: Vec<u64> = out
             .iter()

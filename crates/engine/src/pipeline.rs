@@ -1,19 +1,13 @@
 //! Pipeline assembly and execution.
 //!
-//! A [`Pipeline`] is a linear chain of operators. Two executors are
-//! provided: a single-threaded push executor (deterministic, used by the
-//! experiment harness so runs are reproducible) and a multi-threaded
-//! executor that runs each operator on its own thread connected by bounded
-//! crossbeam channels (used to measure pipeline-parallel throughput).
-//! Both produce identical output sequences for the same input, which an
-//! integration test asserts.
+//! A [`Pipeline`] is a linear chain of operators, run by a single-threaded
+//! push executor (deterministic, so experiment runs are reproducible).
+//! Parallelism in quill is by key, not by stage: see
+//! [`crate::parallel::run_keyed_parallel`].
 
-use crate::error::{EngineError, Result};
 use crate::event::StreamElement;
 use crate::operator::{FilterOp, MapOp, Operator, ProjectOp, WindowAggregateOp};
 use crate::value::Row;
-use crossbeam::channel;
-use quill_telemetry::Registry;
 
 /// A linear chain of push-based operators.
 #[derive(Default)]
@@ -117,128 +111,6 @@ impl Pipeline {
         self.run_into(source, &mut |el| out.push(el));
         out
     }
-
-    /// Run with one thread per operator, connected by bounded channels of
-    /// the given capacity (in batches) with the default batch size.
-    /// Consumes the pipeline (operators move to their threads). Returns the
-    /// collected output.
-    ///
-    /// # Errors
-    /// [`EngineError::ExecutorFailure`] if any worker thread panics.
-    pub fn run_parallel(
-        self,
-        source: Vec<StreamElement>,
-        channel_capacity: usize,
-    ) -> Result<Vec<StreamElement>> {
-        self.run_parallel_batched(source, channel_capacity, 128)
-    }
-
-    /// Like [`Pipeline::run_parallel`], but with an explicit batch size:
-    /// elements cross stage boundaries as `Vec<StreamElement>` chunks of up
-    /// to `batch_size` elements, amortising channel synchronisation.
-    /// Punctuation (watermarks, flush) delimits batches — it forces the
-    /// pending chunk out immediately, so downstream stages never see a
-    /// watermark lag its events. Output order is identical to the
-    /// single-threaded executor.
-    ///
-    /// # Errors
-    /// [`EngineError::ExecutorFailure`] if any worker thread panics;
-    /// [`EngineError::InvalidPipeline`] for a zero capacity or batch size.
-    pub fn run_parallel_batched(
-        self,
-        source: Vec<StreamElement>,
-        channel_capacity: usize,
-        batch_size: usize,
-    ) -> Result<Vec<StreamElement>> {
-        self.run_parallel_instrumented(source, channel_capacity, batch_size, &Registry::disabled())
-    }
-
-    /// Like [`Pipeline::run_parallel_batched`], but recording per-stage
-    /// telemetry into `telemetry`: `quill.pipeline.stage.<i>.batches` and
-    /// `quill.pipeline.stage.<i>.elements` counters (elements entering each
-    /// stage, batches it received) plus `quill.pipeline.source.batches`.
-    /// With a disabled registry the instrument updates are no-op branches.
-    ///
-    /// # Errors
-    /// Same as [`Pipeline::run_parallel_batched`].
-    pub fn run_parallel_instrumented(
-        self,
-        source: Vec<StreamElement>,
-        channel_capacity: usize,
-        batch_size: usize,
-        telemetry: &Registry,
-    ) -> Result<Vec<StreamElement>> {
-        if channel_capacity == 0 {
-            return Err(EngineError::InvalidPipeline(
-                "channel capacity must be > 0".into(),
-            ));
-        }
-        if batch_size == 0 {
-            return Err(EngineError::InvalidPipeline(
-                "batch size must be > 0".into(),
-            ));
-        }
-        let mut handles = Vec::new();
-        // Source channel.
-        let (src_tx, mut rx) = channel::bounded::<Vec<StreamElement>>(channel_capacity);
-        let src_batches = telemetry.counter("quill.pipeline.source.batches");
-        handles.push(std::thread::spawn(move || {
-            let mut buf = Vec::with_capacity(batch_size);
-            for el in source {
-                let delimit = !matches!(el, StreamElement::Event(_));
-                buf.push(el);
-                if buf.len() >= batch_size || delimit {
-                    src_batches.inc();
-                    if src_tx.send(std::mem::take(&mut buf)).is_err() {
-                        return;
-                    }
-                }
-            }
-            if !buf.is_empty() {
-                src_batches.inc();
-                let _ = src_tx.send(buf);
-            }
-        }));
-        for (stage, mut op) in self.ops.into_iter().enumerate() {
-            let (tx, next_rx) = channel::bounded::<Vec<StreamElement>>(channel_capacity);
-            let op_rx = rx;
-            let stage_batches = telemetry.counter(&format!("quill.pipeline.stage.{stage}.batches"));
-            let stage_elements =
-                telemetry.counter(&format!("quill.pipeline.stage.{stage}.elements"));
-            handles.push(std::thread::spawn(move || {
-                let mut out_buf: Vec<StreamElement> = Vec::with_capacity(batch_size);
-                'stage: for batch in op_rx {
-                    stage_batches.inc();
-                    stage_elements.add(batch.len() as u64);
-                    for el in batch {
-                        let mut failed = false;
-                        op.process(el, &mut |o| {
-                            let delimit = !matches!(o, StreamElement::Event(_));
-                            out_buf.push(o);
-                            if (out_buf.len() >= batch_size || delimit)
-                                && tx.send(std::mem::take(&mut out_buf)).is_err()
-                            {
-                                failed = true;
-                            }
-                        });
-                        if failed {
-                            break 'stage;
-                        }
-                    }
-                }
-                if !out_buf.is_empty() {
-                    let _ = tx.send(out_buf);
-                }
-            }));
-            rx = next_rx;
-        }
-        let out: Vec<StreamElement> = rx.into_iter().flatten().collect();
-        for h in handles {
-            h.join()
-                .map_err(|_| EngineError::ExecutorFailure("worker thread panicked".into()))?;
-        }
-        Ok(out)
-    }
 }
 
 #[cfg(test)]
@@ -292,15 +164,6 @@ mod tests {
     }
 
     #[test]
-    fn parallel_matches_single_threaded() {
-        let mut p1 = test_pipeline();
-        let expected = p1.run_collect(source(200));
-        let p2 = test_pipeline();
-        let got = p2.run_parallel(source(200), 16).unwrap();
-        assert_eq!(expected, got);
-    }
-
-    #[test]
     fn empty_pipeline_is_identity() {
         let mut p = Pipeline::new();
         assert!(p.is_empty());
@@ -315,79 +178,6 @@ mod tests {
         assert_eq!(names[0], "even");
         assert_eq!(names[1], "x10");
         assert!(names[2].starts_with("window-agg"));
-    }
-
-    #[test]
-    fn parallel_batched_matches_single_threaded() {
-        let mut p1 = test_pipeline();
-        let expected = p1.run_collect(source(200));
-        for batch in [1usize, 3, 64, 1000] {
-            let got = test_pipeline()
-                .run_parallel_batched(source(200), 4, batch)
-                .unwrap();
-            assert_eq!(expected, got, "batch={batch}");
-        }
-    }
-
-    #[test]
-    fn instrumented_parallel_records_per_stage_counts() {
-        let reg = Registry::new();
-        let expected = test_pipeline().run_collect(source(200));
-        let got = test_pipeline()
-            .run_parallel_instrumented(source(200), 4, 16, &reg)
-            .unwrap();
-        assert_eq!(expected, got);
-        let snap = reg.snapshot();
-        assert!(snap.counter("quill.pipeline.source.batches") > 0);
-        // Stage 0 sees everything the source sent: 200 events + Flush.
-        assert_eq!(snap.counter("quill.pipeline.stage.0.elements"), 201);
-        // The filter halves the event count for stage 1 (100 evens + Flush).
-        assert_eq!(snap.counter("quill.pipeline.stage.1.elements"), 101);
-    }
-
-    #[test]
-    fn zero_capacity_rejected() {
-        let p = Pipeline::new();
-        assert!(matches!(
-            p.run_parallel(vec![], 0),
-            Err(EngineError::InvalidPipeline(_))
-        ));
-        assert!(matches!(
-            Pipeline::new().run_parallel_batched(vec![], 4, 0),
-            Err(EngineError::InvalidPipeline(_))
-        ));
-    }
-
-    #[test]
-    fn traced_window_stage_records_finalizes_through_parallel_pipeline() {
-        use quill_telemetry::trace::{FlightRecorder, TraceKind};
-        // A window stage keeps its attached recorder when it moves to a
-        // worker thread; one WindowFinalize per emitted result.
-        let rec = FlightRecorder::new(1024);
-        let mut op = WindowAggregateOp::new(
-            WindowSpec::tumbling(10u64),
-            vec![AggregateSpec::new(AggregateKind::Sum, 0, "sum")],
-            None,
-            LatePolicy::Drop,
-        )
-        .unwrap();
-        op.attach_trace(&rec, 0);
-        let out = Pipeline::new()
-            .window_aggregate(op)
-            .run_parallel_batched(source(50), 4, 8)
-            .unwrap();
-        let results = out
-            .iter()
-            .filter_map(|e| e.as_event())
-            .filter(|e| WindowResult::from_row(&e.row).is_some())
-            .count();
-        let fins = rec
-            .events()
-            .iter()
-            .filter(|t| matches!(t.kind, TraceKind::WindowFinalize { .. }))
-            .count();
-        assert_eq!(results, 5);
-        assert_eq!(fins, results);
     }
 
     #[test]

@@ -5,9 +5,11 @@
 use proptest::prelude::*;
 use quill_engine::aggregate::{AggregateKind, AggregateSpec};
 use quill_engine::operator::{LatePolicy, Operator, WindowAggregateOp, WindowResult};
-use quill_engine::parallel::{run_keyed_parallel_with, ParallelConfig};
+use quill_engine::parallel::{run_keyed_parallel, ParallelConfig};
 use quill_engine::prelude::*;
 use quill_engine::value::Key;
+use quill_telemetry::trace::FlightRecorder;
+use quill_telemetry::{Registry, SpanRecorder};
 
 /// Every aggregate kind, including the order-sensitive and non-combinable
 /// ones. `ArgMin`/`ArgMax` rank by row field 2.
@@ -104,11 +106,14 @@ fn check_identical(
     let reference = sequential_reference(&elements, &make_op);
     for shards in [1usize, 2, 4, 8] {
         for batch in [1usize, 7, 1024] {
-            let (out, _) = run_keyed_parallel_with(
+            let (out, _) = run_keyed_parallel(
                 elements.clone(),
                 0,
                 ParallelConfig::new(shards).with_batch_size(batch),
-                make_op,
+                &Registry::disabled(),
+                &FlightRecorder::disabled(),
+                &SpanRecorder::disabled(),
+                |_| make_op(),
             )
             .expect("parallel run");
             let got: Vec<WindowResult> = out

@@ -11,13 +11,11 @@ mod common;
 
 use quill_engine::aggregate::{AggregateKind, AggregateSpec};
 use quill_engine::operator::{LatePolicy, Operator, ShardStage, WindowAggregateOp, WindowResult};
-use quill_engine::parallel::{
-    run_keyed_parallel_observed, run_keyed_parallel_with, ParallelConfig,
-};
+use quill_engine::parallel::{run_keyed_parallel, ParallelConfig};
 use quill_engine::prelude::*;
 use quill_engine::value::Key;
 use quill_telemetry::trace::FlightRecorder;
-use quill_telemetry::Registry;
+use quill_telemetry::{Registry, SpanRecorder};
 
 /// Tie-heavy keyed stream: every timestamp is a multiple of 10, each `(ts,
 /// key)` pair occurs several times with distinct values, and periodic
@@ -71,13 +69,30 @@ fn make_op() -> WindowAggregateOp {
     WindowAggregateOp::new(window(), aggs(), Some(0), LatePolicy::Drop).expect("valid spec")
 }
 
-/// Full result sequence (order matters — this is what the merge emits).
-fn results_of(cfg: ParallelConfig) -> Vec<WindowResult> {
-    let (out, _) = run_keyed_parallel_with(tie_stream(), 0, cfg, make_op).expect("parallel run");
+/// The merged result sequence of `make_op`'s shards over the tie stream.
+fn merged_results<O: Operator + 'static>(
+    cfg: ParallelConfig,
+    make_op: impl Fn() -> O,
+) -> Vec<WindowResult> {
+    let (out, _) = run_keyed_parallel(
+        tie_stream(),
+        0,
+        cfg,
+        &Registry::disabled(),
+        &FlightRecorder::disabled(),
+        &SpanRecorder::disabled(),
+        |_| make_op(),
+    )
+    .expect("parallel run");
     out.iter()
         .filter_map(|e| e.as_event())
         .filter_map(|e| WindowResult::from_row(&e.row))
         .collect()
+}
+
+/// Full result sequence (order matters — this is what the merge emits).
+fn results_of(cfg: ParallelConfig) -> Vec<WindowResult> {
+    merged_results(cfg, make_op)
 }
 
 #[test]
@@ -128,26 +143,14 @@ fn deterministic_inline_scheduler_reproduces_threaded_merge() {
 /// stream exactly as a control-only disorder strategy would forward it —
 /// events in arrival order with the watermark sequence interleaved.
 fn staged_results_of(cfg: ParallelConfig) -> Vec<WindowResult> {
-    let (out, _) = run_keyed_parallel_observed(
-        tie_stream(),
-        0,
-        cfg,
-        &Registry::disabled(),
-        &FlightRecorder::disabled(),
-        |_| ShardStage::new(make_op()),
-    )
-    .expect("staged parallel run");
-    out.iter()
-        .filter_map(|e| e.as_event())
-        .filter_map(|e| WindowResult::from_row(&e.row))
-        .collect()
+    merged_results(cfg, || ShardStage::new(make_op()))
 }
 
 #[test]
-fn shard_local_staging_reproduces_global_staging_ties() {
-    // Global-staging reference: one ShardStage re-orders the whole stream
-    // (exactly what a global SlackBuffer delivers), then one operator
-    // finalizes every key. Tie-heavy late events exercise the late-pass
+fn shard_local_staging_reproduces_the_single_stage_reference_ties() {
+    // Reference: one ShardStage re-orders the whole stream (exactly what a
+    // fully staging SlackBuffer delivers), then one operator finalizes every
+    // key. Tie-heavy late events exercise the late-pass
     // forwarding inside the stage.
     let mut stage = ShardStage::new(make_op());
     let mut reference = Vec::new();
@@ -175,7 +178,7 @@ fn shard_local_staging_reproduces_global_staging_ties() {
             sorted.sort_by_key(|r| (r.window.end, r.window.start, Key(r.key.clone())));
             assert_eq!(
                 sorted, reference,
-                "shard-local finalization diverged from global staging at \
+                "shard-local finalization diverged from the single-stage reference at \
                  shards={shards} deterministic={deterministic}"
             );
             // The merged sequence itself must also be identical across shard

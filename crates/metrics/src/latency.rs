@@ -5,8 +5,8 @@
 //! timestamp seen) at the moment its result was emitted: it is exactly how
 //! long the disorder-control buffer delayed the result beyond the earliest
 //! possible emission point. Measuring in event time makes runs reproducible
-//! and testbed-independent; wall-clock overhead is measured separately by
-//! the criterion benches.
+//! and testbed-independent; wall-clock cost is measured separately, by the
+//! `f7` experiment and the quill-e2e benchmark's per-layer metrics.
 
 use crate::stats::{StreamingStats, Summary};
 use crate::LogHistogram;

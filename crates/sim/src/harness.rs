@@ -15,9 +15,12 @@
 //! 4. **Executor invariance** — sequential, inline-deterministic parallel
 //!    (shards × batch sizes), and threaded parallel all produce identical
 //!    results, quality reports, and accounting.
-//! 5. **Telemetry reconciliation** — per-shard counters sum to the run's
+//! 5. **Shape sharing** — in one `execute_shared` run, two subscribers of
+//!    the case's query (one operator) and one of the same query at another
+//!    window length each get exactly what they get from a solo `execute`.
+//! 6. **Telemetry reconciliation** — per-shard counters sum to the run's
 //!    event accounting.
-//! 6. **Strategy-independent laws** (run once per suite, on the Oracle
+//! 7. **Strategy-independent laws** (run once per suite, on the Oracle
 //!    case): full buffering reproduces the oracle exactly, and execution is
 //!    invariant under input permutation once K exceeds the disorder bound.
 //!
@@ -380,25 +383,15 @@ fn check_parallel_equivalence(
     shards: usize,
     batch: usize,
     deterministic: bool,
-    global_staging: bool,
 ) -> Result<RunOutput, Mismatch> {
     let exec = format!(
-        "parallel-{shards}x{batch}{}{}",
-        if deterministic {
-            "-inline"
-        } else {
-            "-threaded"
-        },
-        if global_staging { "-global" } else { "" }
+        "parallel-{shards}x{batch}-{}",
+        if deterministic { "inline" } else { "threaded" }
     );
     let cfg = ParallelConfig::new(shards)
         .with_batch_size(batch)
         .with_deterministic(deterministic);
-    let par = run(
-        case,
-        &ExecOptions::parallel(cfg).with_global_staging(global_staging),
-        &exec,
-    )?;
+    let par = run(case, &ExecOptions::parallel(cfg), &exec)?;
     if sorted_results(&par.results) != seq_sorted {
         return Err(Mismatch::new(
             "parallel-results",
@@ -447,6 +440,56 @@ fn check_parallel_equivalence(
         ));
     }
     Ok(par)
+}
+
+/// Shape sharing: `execute_shared(&[q, q, q'])`, where `q'` is the case's
+/// query at another window length — two operators, three subscribers — must
+/// hand every subscriber the results, quality and latency of its solo
+/// `execute` (`seq` for `q`). Returns the executions it ran.
+fn check_shared_subscribers(case: &SimCase, seq: &RunOutput) -> Result<u64, Mismatch> {
+    let exec = "shared-3q";
+    let query = case.query();
+    let mut longer = query.clone();
+    longer.window = match query.window {
+        WindowSpec::Tumbling { length } => WindowSpec::tumbling(length.raw() * 2),
+        WindowSpec::Sliding { length, slide } => {
+            WindowSpec::sliding(length.raw() + slide.raw(), slide)
+        }
+    };
+    let mut s = case.strategy.build();
+    let shared = execute_shared(
+        &case.events,
+        s.as_mut(),
+        &[query.clone(), query, longer.clone()],
+        &ExecOptions::sequential(),
+    )
+    .map_err(|e| Mismatch::new("execute-error", exec, e.to_string()))?;
+    let mut s = case.strategy.build();
+    let longer_solo = execute(
+        &case.events,
+        s.as_mut(),
+        &longer,
+        &ExecOptions::sequential(),
+    )
+    .map_err(|e| Mismatch::new("execute-error", "sequential-longer", e.to_string()))?;
+    for (i, solo) in [seq, seq, &longer_solo].into_iter().enumerate() {
+        let sub = &shared.per_query[i];
+        let what = if sub.results != solo.results {
+            "results"
+        } else if sub.quality != solo.quality {
+            "quality report"
+        } else if sub.latency.mean.to_bits() != solo.latency.mean.to_bits() {
+            "latency mean"
+        } else {
+            continue;
+        };
+        return Err(Mismatch::new(
+            "shared-subscriber",
+            exec,
+            format!("subscriber {i}: {what} differ from its solo run"),
+        ));
+    }
+    Ok(2)
 }
 
 /// Shard telemetry counters must reconcile with the run's own accounting.
@@ -618,18 +661,13 @@ pub fn check_case(case: &SimCase) -> Result<CaseStats, Mismatch> {
     check_quality_agreement(&seq, &naive, "sequential")?;
 
     let seq_sorted = sorted_results(&seq.results);
-    // Default parallel path: shard-local window finalization (the strategy
-    // runs control-only; each shard stages and finalizes its own keys).
+    // Parallel runs finalize windows shard-locally (the strategy runs
+    // control-only; each shard stages and finalizes its own keys).
     for (shards, batch) in [(1usize, 1usize), (2, 7), (4, 64), (8, 256)] {
-        check_parallel_equivalence(case, &seq, &seq_sorted, shards, batch, true, false)?;
+        check_parallel_equivalence(case, &seq, &seq_sorted, shards, batch, true)?;
         stats.executions += 1;
     }
-    // The older global-staging dataflow must stay equivalent too.
-    for (shards, batch) in [(2usize, 7usize), (8, 256)] {
-        check_parallel_equivalence(case, &seq, &seq_sorted, shards, batch, true, true)?;
-        stats.executions += 1;
-    }
-    let threaded = check_parallel_equivalence(case, &seq, &seq_sorted, 4, 32, false, false)?;
+    let threaded = check_parallel_equivalence(case, &seq, &seq_sorted, 4, 32, false)?;
     stats.executions += 1;
 
     // Scheduler independence: the deterministic inline path and the threaded
@@ -651,17 +689,7 @@ pub fn check_case(case: &SimCase) -> Result<CaseStats, Mismatch> {
         ));
     }
 
-    // Staging independence: shard-local finalization and global staging
-    // must emit the identical result sequence, not just the multiset.
-    let global_threaded = check_parallel_equivalence(case, &seq, &seq_sorted, 4, 32, false, true)?;
-    stats.executions += 1;
-    if global_threaded.results != threaded.results {
-        return Err(Mismatch::new(
-            "staging-dependence",
-            "parallel-4x32",
-            "shard-local and global staging emitted different result sequences".to_string(),
-        ));
-    }
+    stats.executions += check_shared_subscribers(case, &seq)?;
 
     check_telemetry(case)?;
     stats.executions += 1;

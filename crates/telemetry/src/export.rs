@@ -86,7 +86,6 @@ pub fn help_text(name: &str) -> &'static str {
         ("quill.estimator.", "Delay distribution estimator"),
         ("quill.shard.", "Keyed-parallel executor shard"),
         ("quill.merge.", "Cross-shard result merge"),
-        ("quill.pipeline.", "Pipeline stage"),
         ("quill.run.", "Whole-run accounting"),
         ("quill.session.", "Resident session"),
         ("quill.serve.", "quill-serve daemon"),

@@ -16,8 +16,8 @@
 //! * **Zero-cost when disabled.** [`Registry::disabled`] yields the same
 //!   handle types backed by nothing: every update is a branch on a `None`
 //!   that the optimiser folds away. Code is instrumented unconditionally
-//!   and pays only when someone is watching (the bound is verified by
-//!   `parallel-bench`).
+//!   and pays only when someone is watching (the quill-e2e benchmark's
+//!   `telemetry.on_cost_ns_per_event` layer measures what watching costs).
 //! * **Snapshots are plain data.** [`Registry::snapshot`] materialises the
 //!   current instrument values into sorted maps; [`Snapshot::delta_since`]
 //!   turns two cumulative snapshots into a per-interval view. The
@@ -27,8 +27,7 @@
 //!   `quill.buffer.*` (ordering buffer), `quill.controller.*` (AQ-K-slack
 //!   control loop), `quill.estimator.*` (delay distribution),
 //!   `quill.shard.<i>.*` (parallel executor shards), `quill.merge.*`
-//!   (result merge), `quill.pipeline.stage.<i>.*` (pipeline stages),
-//!   `quill.span.<stage>` (per-stage latency attribution from the
+//!   (result merge), `quill.span.<stage>` (per-stage latency attribution from the
 //!   [`span`] layer), and `quill.run.*` (whole-run accounting). Exporters
 //!   sanitise names for their target format.
 

@@ -11,8 +11,9 @@
 //! lock (ring order *is* seq order), and a
 //! [`SpanRecorder::disabled`] recorder makes every hook a branch on a
 //! `None` the optimiser folds away — instrumentation stays in place
-//! unconditionally and costs nothing when nobody is watching (the bound is
-//! verified by `parallel-bench`).
+//! unconditionally and costs nothing when nobody is watching (the quill-e2e
+//! benchmark's `bench.trace_overhead_pct` layer measures what an enabled
+//! recorder costs).
 //!
 //! ## Clock domains
 //!

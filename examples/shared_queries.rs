@@ -111,33 +111,28 @@ fn main() {
     );
 
     section("keyed data-parallel execution (4 shards)");
-    // Order the stream once, then fan out by host across threads.
+    // One control-only buffer, then each host's events are ordered and
+    // windowed on the shard that owns the host.
+    let per_host = QuerySpec::new(
+        WindowSpec::tumbling(1_000u64),
+        vec![AggregateSpec::new(
+            AggregateKind::Sum,
+            netmon::BYTES_FIELD,
+            "bytes",
+        )],
+        Some(netmon::HOST_FIELD),
+    );
     let mut buffer = AqKSlack::for_completeness(0.99);
-    let mut elements = Vec::new();
-    for e in &stream.events {
-        buffer.on_event(e.clone(), &mut elements);
-    }
-    buffer.finish(&mut elements);
-    let t0 = std::time::Instant::now();
-    let out = run_keyed_parallel(elements, netmon::HOST_FIELD, 4, || {
-        Box::new(
-            WindowAggregateOp::new(
-                WindowSpec::tumbling(1_000u64),
-                vec![AggregateSpec::new(
-                    AggregateKind::Sum,
-                    netmon::BYTES_FIELD,
-                    "bytes",
-                )],
-                Some(netmon::HOST_FIELD),
-                LatePolicy::Drop,
-            )
-            .expect("valid op"),
-        )
-    })
-    .expect("parallel run");
+    let out = execute(
+        &stream.events,
+        &mut buffer,
+        &per_host,
+        &ExecOptions::parallel(ParallelConfig::new(4)),
+    )
+    .expect("valid query");
     println!(
         "  {} window results across 4 shards in {:.1} ms",
-        out.len(),
-        t0.elapsed().as_secs_f64() * 1000.0
+        out.results.len(),
+        out.wall_micros as f64 / 1000.0
     );
 }

@@ -133,30 +133,28 @@ fn full_pipeline_with_preprocessing_stages() {
 
 #[test]
 fn single_threaded_and_parallel_executors_agree_end_to_end() {
+    // One strategy, staged once per run: the sequential core sees the fully
+    // ordered stream, the parallel executor a control-only one that each
+    // shard re-orders for itself. Float aggregates over sliding windows make
+    // any difference in fold order visible.
     let stream = quill_gen::workload::synthetic::exponential(5_000, 10, 80.0, 33);
-    let build = || {
-        Pipeline::new().window_aggregate(
-            WindowAggregateOp::new(
-                WindowSpec::sliding(500u64, 100u64),
-                vec![
-                    AggregateSpec::new(AggregateKind::Mean, 0, "mean"),
-                    AggregateSpec::new(AggregateKind::StdDev, 0, "sd"),
-                ],
-                None,
-                LatePolicy::Drop,
-            )
-            .expect("valid op"),
-        )
+    let query = QuerySpec::new(
+        WindowSpec::sliding(500u64, 100u64),
+        vec![
+            AggregateSpec::new(AggregateKind::Mean, 0, "mean"),
+            AggregateSpec::new(AggregateKind::StdDev, 0, "sd"),
+        ],
+        None,
+    );
+    let run = |opts: ExecOptions| {
+        let mut strategy = FixedKSlack::new(300u64);
+        execute(&stream.events, &mut strategy, &query, &opts).expect("valid query")
     };
-    // Order the stream through a fixed buffer first so watermarks exist.
-    let mut strategy = FixedKSlack::new(300u64);
-    let mut elements = Vec::new();
-    for e in &stream.events {
-        strategy.on_event(e.clone(), &mut elements);
-    }
-    strategy.finish(&mut elements);
-
-    let seq = build().run_collect(elements.clone());
-    let par = build().run_parallel(elements, 64).expect("parallel run");
-    assert_eq!(seq, par);
+    let seq = run(ExecOptions::sequential());
+    let par = run(ExecOptions::parallel(
+        ParallelConfig::new(4).with_batch_size(64),
+    ));
+    assert!(!seq.results.is_empty());
+    assert_eq!(seq.results, par.results);
+    assert_eq!(seq.quality, par.quality);
 }

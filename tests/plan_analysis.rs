@@ -295,17 +295,6 @@ mod warn_and_advice_paths {
             PlanSeverity::Warn,
         );
     }
-
-    #[test]
-    fn global_staging_on_sequential_run_warns() {
-        let opts = ExecOptions::sequential().with_global_staging(true);
-        let out = run_with(&mean_query(100), &mut MpKSlack::bounded(500u64), &opts);
-        assert_finding(
-            &out,
-            "plan.options.global-staging-sequential",
-            PlanSeverity::Warn,
-        );
-    }
 }
 
 /// Plan diagnostics flow end-to-end into the `quill-inspect` renderer.

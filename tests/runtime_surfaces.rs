@@ -1,59 +1,10 @@
 //! Coverage for runtime surfaces the other integration suites touch only
-//! incidentally: the parallel pipeline executor under load, the keyed
-//! data-parallel runner composed with strategies, report rendering of real
-//! experiment output, and latency-recorder consistency between its exact
-//! and histogram paths.
+//! incidentally: the keyed data-parallel executor composed with strategies,
+//! report rendering of real experiment output, and latency-recorder
+//! consistency between its exact and histogram paths.
 
 use quill_core::prelude::*;
 use quill_metrics::{LatencyRecorder, Table};
-
-#[test]
-fn pipeline_parallel_executor_equals_sequential_on_workload_data() {
-    let stream = quill_gen::workload::stock::generate(
-        &quill_gen::workload::stock::StockConfig::default(),
-        8_000,
-        5,
-    );
-    let mut strategy = FixedKSlack::new(400u64);
-    let mut elements = Vec::new();
-    for e in &stream.events {
-        strategy.on_event(e.clone(), &mut elements);
-    }
-    strategy.finish(&mut elements);
-
-    let build = || {
-        Pipeline::new()
-            .filter("volume>10", |r: &Row| {
-                r.f64(quill_gen::workload::stock::VOLUME_FIELD)
-                    .unwrap_or(0.0)
-                    > 10.0
-            })
-            .window_aggregate(
-                WindowAggregateOp::new(
-                    WindowSpec::tumbling(2_000u64),
-                    vec![
-                        AggregateSpec::new(
-                            AggregateKind::Mean,
-                            quill_gen::workload::stock::PRICE_FIELD,
-                            "mean_price",
-                        ),
-                        AggregateSpec::new(
-                            AggregateKind::ArgMax(quill_gen::workload::stock::VOLUME_FIELD),
-                            quill_gen::workload::stock::PRICE_FIELD,
-                            "price_at_peak_volume",
-                        ),
-                    ],
-                    Some(quill_gen::workload::stock::SYMBOL_FIELD),
-                    LatePolicy::Drop,
-                )
-                .expect("valid op"),
-            )
-    };
-    let seq = build().run_collect(elements.clone());
-    let par = build().run_parallel(elements, 32).expect("parallel run");
-    assert_eq!(seq, par);
-    assert!(seq.iter().filter(|e| e.as_event().is_some()).count() > 50);
-}
 
 #[test]
 fn keyed_parallel_composes_with_aq_strategy() {
@@ -69,25 +20,26 @@ fn keyed_parallel_composes_with_aq_strategy() {
     }
     strategy.finish(&mut elements);
 
-    let make_op = || -> Box<dyn Operator> {
-        Box::new(
-            WindowAggregateOp::new(
-                WindowSpec::tumbling(5_000u64),
-                vec![AggregateSpec::new(
-                    AggregateKind::Mean,
-                    quill_gen::workload::soccer::SPEED_FIELD,
-                    "speed",
-                )],
-                Some(quill_gen::workload::soccer::PLAYER_FIELD),
-                LatePolicy::Drop,
-            )
-            .expect("valid op"),
+    let make_op = |_shard| {
+        WindowAggregateOp::new(
+            WindowSpec::tumbling(5_000u64),
+            vec![AggregateSpec::new(
+                AggregateKind::Mean,
+                quill_gen::workload::soccer::SPEED_FIELD,
+                "speed",
+            )],
+            Some(quill_gen::workload::soccer::PLAYER_FIELD),
+            LatePolicy::Drop,
         )
+        .expect("valid op")
     };
-    let out = run_keyed_parallel(
+    let (out, _) = run_keyed_parallel(
         elements,
         quill_gen::workload::soccer::PLAYER_FIELD,
-        3,
+        ParallelConfig::new(3),
+        &Registry::disabled(),
+        &FlightRecorder::disabled(),
+        &quill_telemetry::SpanRecorder::disabled(),
         make_op,
     )
     .expect("parallel run");
