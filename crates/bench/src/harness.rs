@@ -204,6 +204,17 @@ pub fn delay_quantile(delays: &[u64], q: f64) -> u64 {
     sorted[idx]
 }
 
+/// The hindsight `K*_S(q)`: the smallest constant slack at which a fraction
+/// `q` of a stream's tuples reach their first window of slide `slide` —
+/// [`DelayEstimator::window_slack`] over every delay of the stream.
+pub fn hindsight_window_slack(delays: &[u64], q: f64, slide: TimeDelta) -> u64 {
+    let mut est = DelayEstimator::new(delays.len());
+    for &d in delays {
+        est.observe(TimeDelta(d));
+    }
+    est.window_slack(q, slide).map_or(0, |k| k.raw())
+}
+
 /// Build the named baseline strategy. `delays` lets calibrated baselines
 /// (fixed-K at an offline-computed quantile) be constructed.
 pub fn make_strategy(spec: &StrategySpec, delays: &[u64]) -> Box<dyn DisorderControl> {
@@ -308,6 +319,15 @@ mod tests {
                 a.validate().expect("valid aggregate");
             }
         }
+    }
+
+    #[test]
+    fn hindsight_window_slack_is_the_quantile_without_a_slide() {
+        let d = vec![0, 100, 200, 300];
+        assert_eq!(hindsight_window_slack(&d, 0.9, TimeDelta::ZERO), 300);
+        // G(K) = 600 − 3K on [0, 100] against a budget of 0.1·4·1000.
+        assert_eq!(hindsight_window_slack(&d, 0.9, TimeDelta(1_000)), 67);
+        assert_eq!(hindsight_window_slack(&[], 0.9, TimeDelta(1_000)), 0);
     }
 
     #[test]

@@ -6,15 +6,21 @@
 //!
 //! 1. **Delay estimation.** Every arriving event's delay (stream clock minus
 //!    its timestamp) feeds a sliding-window [`crate::estimator::DelayEstimator`].
-//! 2. **Open-loop model.** A tuple is reflected in its window's first result
-//!    iff its delay ≤ K, so for required completeness `q` the minimal slack
-//!    is the empirical quantile `K̂ = F⁻¹(q)`. Error targets are first
-//!    translated to an effective completeness via the online
+//! 2. **Open-loop model.** The window operator takes a tuple until the
+//!    *first* window containing it closes, not until the watermark passes
+//!    its timestamp. So a tuple of delay `D` reaches every result it belongs
+//!    to iff `D < K + (e₁ − ts)`, with `e₁ − ts` uniform on `(0, S]` for the
+//!    smallest registered slide `S` ([`DisorderControl::set_min_slide`]).
+//!    For required completeness `q` the minimal slack is
+//!    `K̂ = min{K : C_S(K) ≥ q}`, `C_S(K) = 1 − E[min(S, (D − K)⁺)] / S`
+//!    ([`crate::estimator::DelayEstimator::window_slack`]); with no window
+//!    registered (`S = 0`) that is the quantile `F⁻¹(q)`. Error targets are
+//!    first translated to an effective completeness via the online
 //!    [`SensitivityModel`].
 //! 3. **Closed loop.** A PI controller on the *measured* completeness error
-//!    (target − fraction of recent events that were released in order)
-//!    adjusts the quantile setpoint by a margin, absorbing estimation error
-//!    and non-stationarity.
+//!    (target − fraction of recent events that arrived before their first
+//!    window closed) adjusts the completeness setpoint by a margin,
+//!    absorbing estimation error and non-stationarity.
 //! 4. **Asymmetric smoothing.** K rises immediately (bursts must not cause
 //!    violations) but shrinks by at most a configured fraction per
 //!    adaptation step (hysteresis against transient calm).
@@ -49,17 +55,18 @@ pub struct AqConfig {
     /// behaves like MP-K-slack (maximum observed delay) to gather a sample
     /// safely.
     pub warmup: u64,
-    /// Size of the sliding window of on-time indicators that measures
-    /// achieved tuple completeness for the feedback loop.
+    /// Size of the sliding window of on-time indicators (arrived before the
+    /// first window containing the tuple closed) that measures achieved
+    /// tuple completeness for the feedback loop.
     pub quality_window: usize,
-    /// PI proportional gain (on completeness error, in quantile units).
+    /// PI proportional gain (on completeness error, in completeness units).
     pub kp: f64,
     /// PI integral gain.
     pub ki: f64,
-    /// Most the controller may *lower* the quantile setpoint (negative
+    /// Most the controller may *lower* the completeness setpoint (negative
     /// margin = trade quality headroom for latency).
     pub margin_min: f64,
-    /// Most the controller may *raise* the quantile setpoint.
+    /// Most the controller may *raise* the completeness setpoint.
     pub margin_max: f64,
     /// Max fraction by which K may shrink per adaptation step (0 = frozen,
     /// 1 = unrestricted). Growth is never restricted.
@@ -95,7 +102,11 @@ impl AqConfig {
             kp: 0.4,
             ki: 0.08,
             margin_min: -0.01,
-            margin_max: 0.05,
+            // From a sweep on the benchmark's aq_disorder_1q streams
+            // (DESIGN §4): near q = 1, C_S is flat, so K* runs to the
+            // sample maximum. +0.05 let bursts push the setpoint there and
+            // K spike (mean 1 240 vs 124 at +0.01), for no quality gained.
+            margin_max: 0.01,
             max_shrink: 0.3,
             k_min: TimeDelta::ZERO,
             k_max: TimeDelta(u64::MAX / 4),
@@ -136,7 +147,7 @@ pub struct AqStats {
     pub bound_hits: u64,
     /// Last measured completeness fed to the controller.
     pub measured_completeness: f64,
-    /// Last effective quantile setpoint (target + margin).
+    /// Last effective completeness setpoint (target + margin).
     pub effective_quantile: f64,
 }
 
@@ -163,7 +174,9 @@ pub struct AqKSlack {
     estimator: DistEstimator,
     controller: PiController,
     sensitivity: SensitivityModel,
-    /// Sliding on-time indicators (true = released in order).
+    /// Smallest slide among the windows fed (zero: none registered).
+    slide: TimeDelta,
+    /// Sliding on-time indicators (true = made its first window).
     ontime: VecDeque<bool>,
     ontime_count: usize,
     events_seen: u64,
@@ -187,6 +200,7 @@ impl AqKSlack {
             estimator: DistEstimator::new(cfg.estimator, cfg.sample_capacity),
             controller,
             sensitivity: SensitivityModel::new(),
+            slide: TimeDelta::ZERO,
             ontime: VecDeque::with_capacity(cfg.quality_window.max(1)),
             ontime_count: 0,
             buf: SlackBuffer::new(0u64),
@@ -217,11 +231,12 @@ impl AqKSlack {
     }
 
     /// The completeness the *open-loop model* predicts for the slack
-    /// currently in force: the estimated delay CDF at K. Useful for
-    /// dashboards ("what is this buffer buying me right now?") and for
-    /// checking model calibration against measured quality.
+    /// currently in force: `C_S(K)` at the slide in force (the delay CDF at
+    /// K when no window is registered). Useful for dashboards ("what is this
+    /// buffer buying me right now?") and for checking model calibration
+    /// against measured quality.
     pub fn predicted_completeness(&self) -> f64 {
-        self.estimator.cdf(self.buf.k())
+        self.estimator.window_completeness(self.buf.k(), self.slide)
     }
 
     fn record_ontime(&mut self, ontime: bool) {
@@ -255,15 +270,10 @@ impl AqKSlack {
             self.controller.update(q_req - measured)
         };
         let q_eff = (q_req + margin).clamp(0.0, 1.0);
-        // One walk of the estimator answers K's candidate and, when someone
-        // is watching, the three gauges with it.
-        let [candidate, p50, p95, p99] = if self.telemetry.enabled {
-            self.estimator.quantiles([q_eff, 0.5, 0.95, 0.99])
-        } else {
-            let [candidate] = self.estimator.quantiles([q_eff]);
-            [candidate, None, None, None]
-        }
-        .map(|d| d.unwrap_or(TimeDelta::ZERO));
+        let candidate = self
+            .estimator
+            .window_slack(q_eff, self.slide)
+            .unwrap_or(TimeDelta::ZERO);
         let current = self.buf.k();
         // Grow immediately; shrink at most max_shrink per step.
         let mut reason = KChangeReason::Adapt;
@@ -300,6 +310,10 @@ impl AqKSlack {
         self.stats.measured_completeness = measured;
         self.stats.effective_quantile = q_eff;
         if self.telemetry.enabled {
+            let [p50, p95, p99] = self
+                .estimator
+                .quantiles([0.5, 0.95, 0.99])
+                .map(|d| d.unwrap_or(TimeDelta::ZERO));
             let t = &self.telemetry;
             t.adaptations.inc();
             t.k.set(next.as_f64());
@@ -348,6 +362,10 @@ impl DisorderControl for AqKSlack {
         }
     }
 
+    fn set_min_slide(&mut self, slide: Option<TimeDelta>) {
+        self.slide = slide.unwrap_or(TimeDelta::ZERO);
+    }
+
     fn on_event(&mut self, e: Event, out: &mut Vec<StreamElement>) {
         self.events_seen += 1;
         // Delay against the clock before this event advances it.
@@ -358,8 +376,17 @@ impl DisorderControl for AqKSlack {
                 self.sensitivity.observe(v);
             }
         }
-        // On-time = the buffer can still order this event correctly.
-        self.record_ontime(e.ts >= self.buf.watermark());
+        // On time = the first window containing the event, taken to end at
+        // the next multiple of the slide past its timestamp, is still open
+        // (ends after the watermark). With no window: the timestamp itself
+        // is not behind the watermark.
+        let s = self.slide.raw();
+        let last_open = if s == 0 {
+            e.ts.raw()
+        } else {
+            (e.ts.raw() - e.ts.raw() % s).saturating_add(s - 1)
+        };
+        self.record_ontime(last_open >= self.buf.watermark().raw());
 
         if self.events_seen <= self.cfg.warmup {
             // Warm-up: MP behaviour (K = max observed delay) while the
@@ -428,7 +455,18 @@ mod tests {
 
     /// Feed a synthetic stream with exponential-ish delays and return the
     /// strategy for inspection.
-    fn feed_stream(mut s: AqKSlack, n: u64, mean_delay: f64, seed: u64) -> AqKSlack {
+    fn feed_stream(s: AqKSlack, n: u64, mean_delay: f64, seed: u64) -> AqKSlack {
+        feed_stream_with(s, n, mean_delay, seed, |_| {})
+    }
+
+    /// [`feed_stream`], handing `on_k` the K in force after every event.
+    fn feed_stream_with(
+        mut s: AqKSlack,
+        n: u64,
+        mean_delay: f64,
+        seed: u64,
+        mut on_k: impl FnMut(TimeDelta),
+    ) -> AqKSlack {
         let mut rng = StdRng::seed_from_u64(seed);
         // Source timestamps every 10 units; arrival = ts + delay; feed in
         // arrival order.
@@ -448,8 +486,69 @@ mod tests {
                 &mut out,
             );
             out.clear();
+            on_k(s.current_k());
         }
         s
+    }
+
+    #[test]
+    fn with_no_window_k_is_the_quantile_sequence_of_before() {
+        // FNV-1a over the K in force after every event, recorded on the
+        // commit before the slide-aware model (K = F⁻¹(q_eff), on time =
+        // `ts >= watermark`) with the same margins: the old default 0.05 and
+        // today's 0.01.
+        let pinned = [
+            (
+                (0.95, 20_000, 100.0, 1),
+                [9745357777908838930, 8372065279358624658],
+            ),
+            (
+                (0.9, 20_000, 100.0, 3),
+                [7570454792510492986, 2075029297649131834],
+            ),
+            (
+                (0.999, 15_000, 100.0, 2),
+                [9030404777851240785, 7220470730690694737],
+            ),
+            (
+                (0.95, 30_000, 80.0, 4),
+                [2008150496501317314, 6766608110894345922],
+            ),
+        ];
+        assert_eq!(AqConfig::completeness(0.95).margin_max, 0.01);
+        for ((q, n, mean, seed), hashes) in pinned {
+            for (margin_max, want) in [0.05, 0.01].into_iter().zip(hashes) {
+                let mut cfg = AqConfig::completeness(q);
+                cfg.margin_max = margin_max;
+                let mut s = AqKSlack::new(cfg);
+                s.set_min_slide(Some(TimeDelta(250)));
+                s.set_min_slide(None);
+                let mut h: u64 = 0xcbf2_9ce4_8422_2325;
+                feed_stream_with(s, n, mean, seed, |k| {
+                    for b in k.raw().to_le_bytes() {
+                        h = (h ^ u64::from(b)).wrapping_mul(0x0000_0100_0000_01b3);
+                    }
+                });
+                assert_eq!(h, want, "q={q} seed={seed} margin_max={margin_max}");
+            }
+        }
+    }
+
+    #[test]
+    fn a_registered_slide_buys_headroom_and_lowers_k() {
+        let plain = feed_stream(AqKSlack::for_completeness(0.95), 20_000, 100.0, 12);
+        let mut s = AqKSlack::for_completeness(0.95);
+        s.set_min_slide(Some(TimeDelta(1_000)));
+        let slid = feed_stream(s, 20_000, 100.0, 12);
+        assert!(
+            slid.current_k().as_f64() < plain.current_k().as_f64() * 0.7,
+            "K with slide {} vs without {}",
+            slid.current_k().raw(),
+            plain.current_k().raw()
+        );
+        // The first-window on-time rate still tracks the target.
+        let measured = slid.aq_stats().measured_completeness;
+        assert!(measured >= 0.93, "measured {measured}");
     }
 
     #[test]
@@ -740,9 +839,9 @@ mod prediction_tests {
     use rand::rngs::StdRng;
     use rand::{Rng, SeedableRng};
 
-    #[test]
-    fn predicted_completeness_is_calibrated_in_steady_state() {
+    fn feed_uniform(slide: Option<TimeDelta>) -> AqKSlack {
         let mut s = AqKSlack::for_completeness(0.9);
+        s.set_min_slide(slide);
         let mut rng = StdRng::seed_from_u64(99);
         let mut arrivals: Vec<(u64, u64)> = (0..20_000u64)
             .map(|i| {
@@ -759,6 +858,12 @@ mod prediction_tests {
             );
             out.clear();
         }
+        s
+    }
+
+    #[test]
+    fn predicted_completeness_is_calibrated_in_steady_state() {
+        let s = feed_uniform(None);
         let predicted = s.predicted_completeness();
         let measured = s.aq_stats().measured_completeness;
         assert!(
@@ -766,5 +871,22 @@ mod prediction_tests {
             "open-loop prediction {predicted} vs measured {measured}"
         );
         assert!(predicted >= 0.85, "prediction {predicted} far below target");
+
+        // With a slide registered the prediction is C_S(K), and what it
+        // predicts is the first-window on-time rate the loop measures.
+        let s = feed_uniform(Some(TimeDelta(250)));
+        let predicted = s.predicted_completeness();
+        let measured = s.aq_stats().measured_completeness;
+        assert!(
+            (predicted - measured).abs() < 0.03,
+            "C_S prediction {predicted} vs measured {measured}"
+        );
+        let cdf = s
+            .estimator
+            .window_completeness(s.current_k(), TimeDelta::ZERO);
+        assert!(
+            predicted > cdf + 0.05,
+            "C_S {predicted} should exceed the tuple CDF at K {cdf}"
+        );
     }
 }

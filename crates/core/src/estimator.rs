@@ -3,10 +3,19 @@
 //! [`DelayEstimator`] maintains a sliding sample of the most recent `W`
 //! delays in a sorted multiset, supporting O(log n) insertion/eviction and
 //! quantile queries by cumulative walk. The estimator is the open-loop half
-//! of AQ-K-slack: for a completeness target `q`, the smallest slack that
-//! meets it in expectation is the `q`-quantile of the delay distribution,
-//! `K̂ = F⁻¹(q)` — because a tuple is reflected in its window's first result
-//! iff its delay is at most the slack in force when it arrived.
+//! of AQ-K-slack: for a completeness target `q`, it answers the smallest
+//! slack that meets it in expectation.
+//!
+//! A tuple of delay `D` (stream clock minus timestamp at arrival) is not
+//! late when its timestamp passes the watermark `clock − K`, but when the
+//! *first window* it belongs to has closed: it still reaches every result it
+//! belongs to iff `D < K + (e₁ − ts)`, where `e₁` is that window's end. For
+//! slide `S`, `e₁ − ts` is uniform on `(0, S]`, so the fraction of tuples
+//! that make their results at slack `K` is
+//! `C_S(K) = 1 − E[min(S, (D − K)⁺)] / S`, and
+//! [`DelayEstimator::window_slack`] answers `K* = min{K : C_S(K) ≥ q}`.
+//! With no window (`S = 0`) this is the `q`-quantile `F⁻¹(q)`, the model
+//! that sizes a tuple by its own timestamp.
 
 use quill_engine::prelude::TimeDelta;
 use quill_metrics::LogHistogram;
@@ -85,13 +94,85 @@ impl DistEstimator {
         }
     }
 
-    /// Estimated fraction of delays `<= d` (the open-loop completeness a
-    /// slack of `d` would buy).
-    pub fn cdf(&self, d: TimeDelta) -> f64 {
+    /// The smallest slack whose `C_S` reaches `q` at slide `s`; see
+    /// [`DelayEstimator::window_slack`].
+    pub fn window_slack(&self, q: f64, s: TimeDelta) -> Option<TimeDelta> {
         match self {
-            DistEstimator::Exact(e) => e.cdf(d),
-            DistEstimator::Histogram(h) => h.cdf(d),
+            DistEstimator::Exact(e) => e.window_slack(q, s),
+            DistEstimator::Histogram(h) => h.window_slack(q, s),
         }
+    }
+
+    /// `C_S(k)` at slide `s` — at `s = 0`, the estimated fraction of delays
+    /// `<= k`; see [`DelayEstimator::window_completeness`].
+    pub fn window_completeness(&self, k: TimeDelta, s: TimeDelta) -> f64 {
+        match self {
+            DistEstimator::Exact(e) => e.window_completeness(k, s),
+            DistEstimator::Histogram(h) => h.window_completeness(k, s),
+        }
+    }
+}
+
+/// `G(k) = Σ c·min(s, (d − k)⁺)` over `(d, c)` pairs given in descending `d`
+/// order: the tuples' total overrun past their first window, in units of
+/// time. `C_S(k) = 1 − G(k) / (n·s)`.
+fn overrun(desc: impl Iterator<Item = (u64, u64)>, k: u64, s: u64) -> u128 {
+    desc.take_while(|&(d, _)| d > k)
+        .map(|(d, c)| u128::from(c) * u128::from((d - k).min(s)))
+        .sum()
+}
+
+/// `min{k : G(k) ≤ (1 − q)·n·s}` for `s > 0`, over the `(d, c)` pairs of an
+/// `n`-delay sample in descending `d` order, in one walk down from the
+/// largest delay. `G` is piecewise linear between the breakpoints `d` (where
+/// a delay's term starts to grow as `k` falls) and `d − s` (where it stops,
+/// at `s`), so the walk carries `G` and its slope from one breakpoint to the
+/// next and solves the segment in which `G` crosses the budget.
+fn min_window_slack<I>(desc: I, n: u64, q: f64, s: u64) -> u64
+where
+    I: Iterator<Item = (u64, u64)> + Clone,
+{
+    let budget = (1.0 - q.clamp(0.0, 1.0)) * n as f64 * s as f64;
+    let fits = |g: u128| g as f64 <= budget;
+    let mut grows = desc.clone().peekable();
+    // Delays below `s` never saturate at a non-negative slack.
+    let mut saturates = desc
+        .map_while(|(d, c)| Some((d.checked_sub(s)?, c)))
+        .peekable();
+    let Some(&(mut x, _)) = grows.peek() else {
+        return 0;
+    };
+    // G(x) and the number of delays whose term grows below x.
+    let (mut g, mut slope) = (0u128, 0u128);
+    loop {
+        while let Some((_, c)) = grows.next_if(|&(d, _)| d == x) {
+            slope += u128::from(c);
+        }
+        while let Some((_, c)) = saturates.next_if(|&(p, _)| p == x) {
+            slope -= u128::from(c);
+        }
+        let next = grows.peek().map(|p| p.0).max(saturates.peek().map(|p| p.0));
+        let next = next.unwrap_or(0);
+        // On (next, x], G(k) = g + slope·(x − k).
+        let at = move |m: u64| g + slope * u128::from(m);
+        if !fits(at(x - next)) {
+            // `at(0) = g` fits, so the largest fitting step m is in
+            // [0, x − next); the float division may land one off it.
+            let mut m = ((budget - g as f64) / slope as f64) as u64;
+            m = m.min(x - next - 1);
+            while m > 0 && !fits(at(m)) {
+                m -= 1;
+            }
+            while m + 1 < x - next && fits(at(m + 1)) {
+                m += 1;
+            }
+            return x - m;
+        }
+        if next == x {
+            return x;
+        }
+        g = at(x - next);
+        x = next;
     }
 }
 
@@ -146,6 +227,32 @@ impl HistogramEstimator {
     /// Fraction of (decayed) observations `<= d`.
     pub fn cdf(&self, d: TimeDelta) -> f64 {
         self.hist.cdf(d.raw())
+    }
+
+    /// [`DelayEstimator::window_slack`] over the buckets, each bucket's mass
+    /// at the value [`HistogramEstimator::quantile`] reports for it: exact for
+    /// the bucketed distribution, within the precision for the delays.
+    pub fn window_slack(&self, q: f64, s: TimeDelta) -> Option<TimeDelta> {
+        if s == TimeDelta::ZERO || self.hist.count() == 0 {
+            return self.quantile(q);
+        }
+        let desc = self.hist.buckets().rev();
+        Some(TimeDelta(min_window_slack(
+            desc,
+            self.hist.count(),
+            q,
+            s.raw(),
+        )))
+    }
+
+    /// [`DelayEstimator::window_completeness`] over the buckets.
+    pub fn window_completeness(&self, k: TimeDelta, s: TimeDelta) -> f64 {
+        let n = self.hist.count();
+        if s == TimeDelta::ZERO || n == 0 {
+            return self.cdf(k);
+        }
+        let g = overrun(self.hist.buckets().rev(), k.raw(), s.raw());
+        1.0 - g as f64 / (n as f64 * s.as_f64())
     }
 }
 
@@ -262,6 +369,41 @@ impl DelayEstimator {
         cnt as f64 / n as f64
     }
 
+    /// The windowed delays as `(delay, count)`, largest first.
+    fn descending(&self) -> impl Iterator<Item = (u64, u64)> + Clone + '_ {
+        self.sorted.iter().rev().map(|(&d, &c)| (d, c as u64))
+    }
+
+    /// The smallest slack `K` at which at least a fraction `q` of tuples
+    /// reach their first window of slide `s` before it closes:
+    /// `min{K : C_S(K) ≥ q}`, in one descending walk of the sample. `s = 0`
+    /// (no window) is [`DelayEstimator::quantile`]. Never above the quantile:
+    /// every tuple but one at the very end of its window has headroom past
+    /// its timestamp. `None` when empty.
+    pub fn window_slack(&self, q: f64, s: TimeDelta) -> Option<TimeDelta> {
+        if s == TimeDelta::ZERO || self.is_empty() {
+            return self.quantile(q);
+        }
+        let n = self.window.len() as u64;
+        Some(TimeDelta(min_window_slack(
+            self.descending(),
+            n,
+            q,
+            s.raw(),
+        )))
+    }
+
+    /// `C_S(k)`: the expected fraction of tuples that reach their first
+    /// window of slide `s` at slack `k`; [`DelayEstimator::cdf`] at `s = 0`.
+    /// 1.0 when empty.
+    pub fn window_completeness(&self, k: TimeDelta, s: TimeDelta) -> f64 {
+        if s == TimeDelta::ZERO || self.is_empty() {
+            return self.cdf(k);
+        }
+        let g = overrun(self.descending(), k.raw(), s.raw());
+        1.0 - g as f64 / (self.window.len() as f64 * s.as_f64())
+    }
+
     /// Mean of the windowed delays (0 when empty).
     pub fn mean(&self) -> f64 {
         if self.window.is_empty() {
@@ -360,6 +502,24 @@ mod tests {
                 assert!(e.cdf(TimeDelta(k.raw() - 1)) < q + 1e-9);
             }
         }
+    }
+
+    #[test]
+    fn window_slack_solves_the_crossing_segment() {
+        let e = est(&[0, 100, 200, 300], 100);
+        let s = TimeDelta(1_000);
+        // G(K) = 600 − 3K on [0, 100]; the budget is (1 − 0.9)·4·1000 = 400.
+        assert_eq!(e.window_slack(0.9, s), Some(TimeDelta(67)));
+        assert_eq!(e.quantile(0.9), Some(TimeDelta(300)));
+        assert_eq!(e.window_slack(0.9, TimeDelta::ZERO), e.quantile(0.9));
+        // A tuple at the very end of its window has no headroom, so q = 1
+        // still needs the largest delay; G(0) = 600 fits a budget of 1000.
+        assert_eq!(e.window_slack(1.0, s), Some(TimeDelta(300)));
+        assert_eq!(e.window_slack(0.75, s), Some(TimeDelta::ZERO));
+        let c = e.window_completeness(TimeDelta(67), s);
+        assert!((c - (1.0 - 399.0 / 4_000.0)).abs() < 1e-12, "{c}");
+        assert_eq!(e.window_completeness(TimeDelta(67), TimeDelta::ZERO), 0.25);
+        assert_eq!(DelayEstimator::new(4).window_slack(0.9, s), None);
     }
 
     #[test]

@@ -539,6 +539,7 @@ pub(crate) fn run_batch(
     let results_count = opts.telemetry.counter("quill.run.results");
     let latency_hist = opts.telemetry.histogram("quill.run.latency");
 
+    strategy.set_min_slide(queries.iter().map(|q| q.window.slide()).min());
     let start = std::time::Instant::now();
     if opts.parallel.is_some() {
         // Shard-local window finalization: ask the strategy to go

@@ -98,9 +98,10 @@ impl fmt::Display for QueryId {
 pub struct QueryConfig {
     /// Completeness target this subscriber requires, consulted by the plan
     /// analyzer at registration (a target the strategy provably cannot meet
-    /// is refused) and reported via [`Session::query_info`]. The session's
-    /// shared buffer must be sized for the *strictest* subscriber — see
-    /// [`crate::shared::strictest_completeness`].
+    /// is refused) and reported via [`Session::query_info`], so that windows
+    /// below it can be flagged. It does not size the shared buffer: `K`
+    /// follows the strategy's own target at the smallest registered slide
+    /// ([`DisorderControl::set_min_slide`]).
     pub required_completeness: Option<f64>,
     /// Bound on the pending-result queue between the session and
     /// [`QueryHandle::poll`]. When full, the **oldest** pending result is
@@ -451,6 +452,14 @@ impl MultiQueryCore {
         self.groups.iter().map(|g| g.members.len()).sum()
     }
 
+    /// Smallest window slide among the registered queries.
+    fn min_slide(&self) -> Option<TimeDelta> {
+        self.groups
+            .iter()
+            .map(|g| g.members[0].spec.window.slide())
+            .min()
+    }
+
     /// Fan one staged element out to every operator and each operator's
     /// results to its subscribers. `now` is the clock results emitted by this
     /// element are stamped with (the latency of a result is
@@ -685,7 +694,7 @@ impl Session {
             cfg.result_capacity,
             cfg.latency_slo,
         )?;
-        self.set_gauges();
+        self.registrations_changed();
         Ok(QueryHandle {
             id,
             state,
@@ -702,16 +711,19 @@ impl Session {
         let (member, window) = self.core.remove(id).ok_or_else(|| {
             EngineError::InvalidPipeline(format!("unknown query id {id} in session"))
         })?;
-        self.set_gauges();
+        self.registrations_changed();
         let mut sub = member.state.lock();
         sub.window = window;
         sub.closed = true;
         Ok(sub.stats())
     }
 
-    fn set_gauges(&self) {
+    /// After a register or deregister: refresh the gauges and tell the
+    /// strategy the smallest slide now registered.
+    fn registrations_changed(&mut self) {
         self.queries_gauge.set_u64(self.core.len() as u64);
         self.operators_gauge.set_u64(self.operators() as u64);
+        self.strategy.set_min_slide(self.core.min_slide());
     }
 
     /// Push one arriving event; any unlocked results land on the

@@ -3,12 +3,15 @@
 //! In practice many continuous queries subscribe to the same stream; the
 //! ordering buffer is paid once and its watermarks fan out to one window
 //! operator per distinct query shape (sequentially, on the core a
-//! [`crate::session::Session`] runs). The slack must then satisfy the
-//! *strictest* quality target among the subscribers —
-//! [`strictest_completeness`] picks it — and looser queries simply enjoy
-//! surplus quality. This mirrors the multi-query sharing angle of the
-//! original system demo. [`execute_shared`] is [`crate::runner::execute`]'s
-//! batch driver over a query slice.
+//! [`crate::session::Session`] runs). One slack serves every subscriber: it
+//! follows the strategy's own quality target, sized for the smallest slide
+//! among the queries ([`DisorderControl::set_min_slide`]), and a query's
+//! per-query completeness target only flags its windows that fall below
+//! it. A caller who wants the strictest subscriber's target to bind builds
+//! the strategy for it — [`strictest_completeness`] picks it — and looser
+//! queries then enjoy surplus quality. This mirrors the multi-query sharing
+//! angle of the original system demo. [`execute_shared`] is
+//! [`crate::runner::execute`]'s batch driver over a query slice.
 
 use crate::plan::Diagnostic;
 use crate::runner::{run_batch, ExecOptions, QuerySpec};
@@ -94,7 +97,7 @@ mod tests {
     use crate::strategy::{DropAll, FixedKSlack};
     use quill_engine::aggregate::{AggregateKind, AggregateSpec};
     use quill_engine::parallel::ParallelConfig;
-    use quill_engine::prelude::{Row, Value, WindowSpec};
+    use quill_engine::prelude::{Row, StreamElement, TimeDelta, Value, WindowSpec};
     use quill_telemetry::trace::{FlightRecorder, TraceKind};
     use rand::rngs::StdRng;
     use rand::{Rng, SeedableRng};
@@ -216,6 +219,49 @@ mod tests {
                 .collect();
             assert_eq!(dropped, vec![200, 200], "{mode}");
         }
+    }
+
+    #[test]
+    fn the_smallest_slide_of_the_query_slice_reaches_the_strategy() {
+        /// Fixed K that records every smallest slide it is handed.
+        struct Recorder(FixedKSlack, Vec<Option<TimeDelta>>);
+        impl DisorderControl for Recorder {
+            fn name(&self) -> String {
+                "recorder".into()
+            }
+            fn set_min_slide(&mut self, slide: Option<TimeDelta>) {
+                self.1.push(slide);
+            }
+            fn on_event(&mut self, e: Event, out: &mut Vec<StreamElement>) {
+                self.0.on_event(e, out);
+            }
+            fn finish(&mut self, out: &mut Vec<StreamElement>) {
+                self.0.finish(out);
+            }
+            fn current_k(&self) -> TimeDelta {
+                self.0.current_k()
+            }
+            fn buffer_stats(&self) -> crate::buffer::BufferStats {
+                self.0.buffer_stats()
+            }
+        }
+        let count = || vec![AggregateSpec::new(AggregateKind::Count, 0, "n")];
+        let qs = [
+            QuerySpec::new(WindowSpec::sliding(1_000u64, 250u64), count(), None),
+            QuerySpec::new(WindowSpec::tumbling(1_000u64), count(), None),
+        ];
+        let evs = events(500, 7);
+        for opts in [
+            ExecOptions::sequential(),
+            ExecOptions::parallel(ParallelConfig::new(2)),
+        ] {
+            let mut s = Recorder(FixedKSlack::new(50u64), Vec::new());
+            execute_shared(&evs, &mut s, &qs, &opts).unwrap();
+            assert_eq!(s.1, vec![Some(TimeDelta(250))]);
+        }
+        let mut s = Recorder(FixedKSlack::new(50u64), Vec::new());
+        execute_shared(&evs, &mut s, &[], &ExecOptions::sequential()).unwrap();
+        assert_eq!(s.1, vec![None]);
     }
 
     #[test]

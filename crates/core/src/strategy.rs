@@ -43,6 +43,15 @@ pub trait DisorderControl: Send {
     /// releasing watermark). Default: no spans.
     fn attach_spans(&mut self, _spans: &quill_telemetry::SpanRecorder) {}
 
+    /// Tell the strategy the smallest slide among the windows its stream
+    /// feeds (`None`: no window registered). A tuple then reaches its
+    /// results as long as the first window it belongs to is open, which is
+    /// up to one slide past its timestamp, and a quality-driven strategy can
+    /// size `K` for that. [`crate::session::Session`] calls this after every
+    /// registration change, the batch entry points once before staging.
+    /// Default: ignored.
+    fn set_min_slide(&mut self, _slide: Option<TimeDelta>) {}
+
     /// Feed one arriving event; ordered releases and watermarks are appended
     /// to `out`.
     fn on_event(&mut self, e: Event, out: &mut Vec<StreamElement>);

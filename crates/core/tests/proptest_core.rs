@@ -11,7 +11,47 @@ fn arrivals() -> impl Strategy<Value = Vec<(u64, u64)>> {
     prop::collection::vec((0u64..5_000, 0u64..2_000), 1..300)
 }
 
+/// Cases per property: the default 48, or `PROPTEST_CASES` when set
+/// (`scripts/check.sh` soaks this suite with 2 000).
+fn cases() -> ProptestConfig {
+    let soak = std::env::var("PROPTEST_CASES").ok();
+    ProptestConfig::with_cases(soak.and_then(|n| n.parse().ok()).unwrap_or(48))
+}
+
+/// `C_S(k)` of a delay sample by its definition — the mean over tuples of
+/// `1 − min(s, (d − k)⁺) / s` — and the empirical CDF at `s = 0`.
+fn brute_completeness(sample: &[u64], k: u64, s: u64) -> f64 {
+    let n = sample.len() as f64;
+    if s == 0 {
+        return sample.iter().filter(|&&d| d <= k).count() as f64 / n;
+    }
+    let overrun: u64 = sample.iter().map(|&d| d.saturating_sub(k).min(s)).sum();
+    1.0 - overrun as f64 / (n * s as f64)
+}
+
+/// The order properties of `window_slack` every estimator must satisfy:
+/// `s = 0` is the quantile, and K* falls with the slide and rises with the
+/// target.
+fn check_window_slack_order(
+    est: &DistEstimator,
+    q: f64,
+    q2: f64,
+    s: u64,
+    s2: u64,
+) -> Result<(), TestCaseError> {
+    let ws = |q: f64, s: u64| est.window_slack(q, TimeDelta(s));
+    prop_assert_eq!(ws(q, 0), est.quantile(q));
+    let (lo, hi) = (s.min(s2), s.max(s2));
+    prop_assert!(ws(q, hi) <= ws(q, lo), "rises with the slide");
+    prop_assert!(ws(q, lo) <= ws(q, 0), "above the quantile");
+    let (qa, qb) = (q.min(q2), q.max(q2));
+    prop_assert!(ws(qa, s) <= ws(qb, s), "falls with the target");
+    Ok(())
+}
+
 proptest! {
+    #![proptest_config(cases())]
+
     #[test]
     fn slack_buffer_invariants_hold_under_arbitrary_k_changes(seq in arrivals()) {
         let mut buf = SlackBuffer::new(seq[0].1);
@@ -98,6 +138,64 @@ proptest! {
         prop_assert_eq!(est.quantile(q), Some(TimeDelta(expected)));
         // CDF/quantile coherence.
         prop_assert!(est.cdf(TimeDelta(expected)) >= q - 1e-9);
+    }
+
+    #[test]
+    fn window_slack_is_the_minimal_slack_meeting_the_target(
+        delays in prop::collection::vec(0u64..5_000, 1..150),
+        cap in 1usize..200,
+        q in 0.0f64..=1.0,
+        q2 in 0.0f64..=1.0,
+        s in 1u64..3_000,
+        s2 in 0u64..3_000,
+    ) {
+        let mut est = DistEstimator::new(EstimatorKind::SlidingWindow, cap);
+        for &d in &delays {
+            est.observe(TimeDelta(d));
+        }
+        let window = &delays[delays.len().saturating_sub(cap)..];
+        let k = est.window_slack(q, TimeDelta(s)).expect("non-empty").raw();
+        let c = brute_completeness(window, k, s);
+        prop_assert!(c >= q - 1e-9, "C_S({k}) = {c} < {q}");
+        if k > 0 {
+            let below = brute_completeness(window, k - 1, s);
+            prop_assert!(below < q + 1e-9, "C_S({}) = {below} already meets {q}", k - 1);
+        }
+        for probe in [k, k / 2, k + s / 2] {
+            let model = est.window_completeness(TimeDelta(probe), TimeDelta(s));
+            prop_assert!((model - brute_completeness(window, probe, s)).abs() < 1e-9);
+        }
+        check_window_slack_order(&est, q, q2, s, s2)?;
+    }
+
+    #[test]
+    fn histogram_window_slack_holds_within_its_precision(
+        delays in prop::collection::vec(0u64..50_000, 1..150),
+        bits in 2u32..9,
+        q in 0.0f64..=1.0,
+        q2 in 0.0f64..=1.0,
+        s in 1u64..3_000,
+        s2 in 0u64..3_000,
+    ) {
+        // No decay: the histogram holds exactly the sample, each delay
+        // rounded down into its bucket by less than a 2^-bits fraction.
+        let kind = EstimatorKind::DecayingHistogram { precision_bits: bits, decay_every: u64::MAX };
+        let mut est = DistEstimator::new(kind, 0);
+        for &d in &delays {
+            est.observe(TimeDelta(d));
+        }
+        let k = est.window_slack(q, TimeDelta(s)).expect("non-empty").raw();
+        // Rounding down only helps, so the sample needs at least K_h, and
+        // at most K_h plus the largest rounding error.
+        if k > 0 {
+            let below = brute_completeness(&delays, k - 1, s);
+            prop_assert!(below < q + 1e-9, "C_S({}) = {below} already meets {q}", k - 1);
+        }
+        let max = *delays.iter().max().expect("non-empty");
+        let slack = (max as f64 / f64::from(1u32 << bits)).ceil() as u64;
+        let c = brute_completeness(&delays, k + slack, s);
+        prop_assert!(c >= q - 1e-9, "C_S({} + {slack}) = {c} < {q}", k);
+        check_window_slack_order(&est, q, q2, s, s2)?;
     }
 
     #[test]

@@ -77,9 +77,11 @@ pub fn drive(s: &mut dyn DisorderControl, events: &[Event]) -> Vec<StreamElement
     out
 }
 
-/// Fraction of tuples released on time (ahead of the buffer watermark) by
-/// the staging strategy of a finished run.
+/// Fraction of tuples the window operator of a finished run took rather
+/// than dropped as too late. Under tumbling windows, where a tuple's first
+/// window is its only one, that is the fraction of tuples that made their
+/// results — the quantity AQ's completeness target is stated over. A tuple
+/// the buffer passed late still counts if its window was open.
 pub fn tuple_completeness(out: &RunOutput) -> f64 {
-    let total = out.buffer.released + out.buffer.late_passed;
-    1.0 - out.buffer.late_passed as f64 / total.max(1) as f64
+    1.0 - out.window_stats.late_dropped as f64 / out.events.max(1) as f64
 }

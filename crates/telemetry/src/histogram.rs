@@ -124,6 +124,17 @@ impl LogHistogram {
         Some(self.max)
     }
 
+    /// Non-empty buckets in ascending order as `(value, count)`, where
+    /// `value` is the bucket's lower edge clamped to the observed range —
+    /// the value [`LogHistogram::quantile`] reports for that bucket.
+    pub fn buckets(&self) -> impl DoubleEndedIterator<Item = (u64, u64)> + Clone + '_ {
+        self.counts
+            .iter()
+            .enumerate()
+            .filter(|&(_, &c)| c > 0)
+            .map(|(i, &c)| (self.bucket_low(i).clamp(self.min, self.max), c))
+    }
+
     /// Fraction of observations ≤ `v` (1.0 when empty, mirroring
     /// `ecdf_sorted`). Bucket-granular.
     pub fn cdf(&self, v: u64) -> f64 {
@@ -236,6 +247,20 @@ mod tests {
             last = c;
         }
         assert_eq!(h.cdf(1_000_000), 1.0);
+    }
+
+    #[test]
+    fn buckets_report_quantile_values_and_counts() {
+        let mut h = LogHistogram::new(4);
+        for v in [3u64, 3, 40, 41, 1000] {
+            h.record(v);
+        }
+        let b: Vec<(u64, u64)> = h.buckets().collect();
+        assert_eq!(b.iter().map(|&(_, c)| c).sum::<u64>(), h.count());
+        assert!(b.windows(2).all(|w| w[0].0 <= w[1].0));
+        assert_eq!(b[0], (3, 2));
+        assert_eq!(b.last().map(|&(v, _)| v), h.quantile(1.0));
+        assert_eq!(b.len(), 3, "40 and 41 share a bucket at 4 bits: {b:?}");
     }
 
     #[test]

@@ -44,6 +44,12 @@ echo "==> FiBA battery soak (PROPTEST_CASES=2000, QUILL_FIBA_FUZZ_SEEDS=${QUILL_
 PROPTEST_CASES=2000 QUILL_FIBA_FUZZ_SEEDS="${QUILL_FIBA_FUZZ_SEEDS:-64}" \
     cargo test --release -q -p quill-engine --test fiba_invariants --test fiba_aggregator
 
+# Core soak: the slack buffer, the controller and the estimator — the
+# slide-aware `window_slack` against a brute-force C_S for both estimator
+# kinds — at 2 000 cases instead of the pinned 48.
+echo "==> quill-core property soak (PROPTEST_CASES=2000)"
+PROPTEST_CASES=2000 cargo test --release -q -p quill-core --test proptest_core
+
 # Differential simulation soak: QUILL_SIM_CASES seeds through the full
 # strategy × executor sweep against the naive oracle. Scale the seed count
 # up for a longer soak, e.g. QUILL_SIM_CASES=256 ./scripts/check.sh.

@@ -61,6 +61,48 @@ fn targets_hold_under_heavy_tailed_delays() {
 }
 
 #[test]
+fn sliding_windows_meet_the_target_below_the_hindsight_quantile() {
+    // A tuple makes its results while its first window is open, up to one
+    // slide past its timestamp: AQ spends that headroom instead of K, and
+    // must still meet q per window while waiting less than a fixed K at the
+    // stream's own F⁻¹(q), chosen in hindsight.
+    let stream = synthetic::exponential(50_000, 10, 100.0, 1008);
+    let query = QuerySpec::new(
+        WindowSpec::sliding(1_000u64, 250u64),
+        vec![AggregateSpec::new(AggregateKind::Mean, 0, "mean")],
+        None,
+    );
+    let q = 0.95;
+    let mut clock = 0u64;
+    let mut delays: Vec<u64> = stream
+        .events
+        .iter()
+        .map(|e| {
+            clock = clock.max(e.ts.raw());
+            clock - e.ts.raw()
+        })
+        .collect();
+    delays.sort_unstable();
+    let f_inv = delays[(q * delays.len() as f64).ceil() as usize - 1];
+    let run = |s: &mut dyn DisorderControl| {
+        execute(&stream.events, s, &query, &ExecOptions::sequential()).expect("valid query")
+    };
+    let aq = run(&mut AqKSlack::for_completeness(q));
+    let hindsight = run(&mut FixedKSlack::new(f_inv));
+    assert!(
+        aq.quality.mean_completeness >= q,
+        "window completeness {:.4} below q={q}",
+        aq.quality.mean_completeness
+    );
+    assert!(
+        aq.latency.mean < hindsight.latency.mean,
+        "AQ latency {} not below Fixed(F⁻¹({q}) = {f_inv}) latency {}",
+        aq.latency.mean,
+        hindsight.latency.mean
+    );
+}
+
+#[test]
 fn latency_scales_with_the_delay_quantile_not_the_max() {
     // Structural property: for q = 0.9 on exp(100), AQ's mean latency must
     // be within a small factor of F⁻¹(0.9) ≈ 230, and far below the max

@@ -504,6 +504,22 @@ fn drive(build: fn() -> Box<dyn DisorderControl>, subs: &[&Sub], events: &[Event
 fn sharing_is_invisible_to_every_subscriber() {
     let stream = netmon::generate(&NetmonConfig::default(), 4_000, 53);
     let subs = subscribers();
+    // "Alone" means alone on its operator under the same registered windows:
+    // AQ sizes K for the smallest slide registered (500 here), so each solo
+    // run also registers a query of a shape no subscriber has at that slide.
+    let pacer = Sub {
+        spec: QuerySpec::new(
+            WindowSpec::tumbling(500u64),
+            vec![AggregateSpec::new(
+                AggregateKind::Min,
+                netmon::BYTES_FIELD,
+                "pace",
+            )],
+            None,
+        ),
+        cfg: QueryConfig::default(),
+        poll_every: 0,
+    };
     for build in strategy_builders()
         .into_iter()
         .chain([punctuated as fn() -> _])
@@ -512,7 +528,7 @@ fn sharing_is_invisible_to_every_subscriber() {
         let all: Vec<&Sub> = subs.iter().collect();
         let together = drive(build, &all, &stream.events);
         for (i, (sub, shared)) in subs.iter().zip(&together).enumerate() {
-            let alone = drive(build, &[sub], &stream.events);
+            let alone = drive(build, &[sub, &pacer], &stream.events);
             assert!(!shared.0.is_empty(), "{name}: subscriber {i} saw results");
             assert_eq!(shared.0, alone[0].0, "{name}: results of subscriber {i}");
             assert_eq!(shared.1, alone[0].1, "{name}: counters of subscriber {i}");
@@ -688,4 +704,56 @@ fn deregistering_a_member_freezes_it_and_leaves_the_others_alone() {
         registry.snapshot().gauge("quill.session.operators"),
         Some(0.0)
     );
+}
+
+/// A fixed-K strategy that records every smallest slide it is handed.
+struct SlideRecorder {
+    inner: FixedKSlack,
+    seen: std::sync::Arc<std::sync::Mutex<Vec<Option<TimeDelta>>>>,
+}
+
+impl DisorderControl for SlideRecorder {
+    fn name(&self) -> String {
+        "slide-recorder".into()
+    }
+    fn set_min_slide(&mut self, slide: Option<TimeDelta>) {
+        self.seen.lock().unwrap().push(slide);
+    }
+    fn on_event(&mut self, e: Event, out: &mut Vec<StreamElement>) {
+        self.inner.on_event(e, out);
+    }
+    fn finish(&mut self, out: &mut Vec<StreamElement>) {
+        self.inner.finish(out);
+    }
+    fn current_k(&self) -> TimeDelta {
+        self.inner.current_k()
+    }
+    fn buffer_stats(&self) -> BufferStats {
+        self.inner.buffer_stats()
+    }
+}
+
+#[test]
+fn the_smallest_registered_slide_reaches_the_strategy() {
+    let seen = std::sync::Arc::default();
+    let mut session = Session::new(Box::new(SlideRecorder {
+        inner: FixedKSlack::new(50u64),
+        seen: std::sync::Arc::clone(&seen),
+    }));
+    let count = || vec![AggregateSpec::new(AggregateKind::Count, 0, "n")];
+    let sliding = QuerySpec::new(WindowSpec::sliding(1_000u64, 250u64), count(), None);
+    let tumbling = QuerySpec::new(WindowSpec::tumbling(1_000u64), count(), None);
+    let last = || *seen.lock().unwrap().last().expect("called");
+    let s = session.register(&sliding).expect("registers");
+    let t = session.register(&tumbling).expect("registers");
+    assert_eq!(last(), Some(TimeDelta(250)));
+    session.deregister(s.id()).expect("deregisters");
+    assert_eq!(last(), Some(TimeDelta(1_000)));
+    session.deregister(t.id()).expect("deregisters");
+    assert_eq!(last(), None);
+    // Once per registration change, and a refused registration is none.
+    assert!(session
+        .register(&QuerySpec::new(WindowSpec::tumbling(0u64), count(), None))
+        .is_err());
+    assert_eq!(seen.lock().unwrap().len(), 4);
 }
