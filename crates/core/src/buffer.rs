@@ -18,10 +18,12 @@
 //!   re-ordered anymore; they are handed back as *late passes* (forwarded
 //!   downstream out of order, where the window operator accounts for them).
 
+use quill_engine::event::Staged;
 use quill_engine::prelude::{Event, StreamElement, TimeDelta, Timestamp};
 use quill_telemetry::trace::{FlightRecorder, TraceKind};
 use quill_telemetry::{Counter, Gauge, Registry, SpanRecorder, Stage};
-use std::collections::BTreeMap;
+use std::cmp::Reverse;
+use std::collections::BinaryHeap;
 
 /// Counters describing a buffer's lifetime behaviour.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
@@ -65,7 +67,8 @@ struct BufferTelemetry {
 #[derive(Debug)]
 pub struct SlackBuffer {
     k: TimeDelta,
-    buf: BTreeMap<(Timestamp, u64), Event>,
+    /// Held events, a `(ts, seq)` min-heap.
+    buf: BinaryHeap<Reverse<Staged>>,
     clock: Timestamp,
     saw_event: bool,
     /// Exclusive upper bound of everything released so far: next release
@@ -74,10 +77,9 @@ pub struct SlackBuffer {
     /// Control-only staging: events are forwarded immediately in arrival
     /// order (unordered) while the clock / watermark / K machinery, stats,
     /// telemetry, and trace behave exactly as in full mode. `pending` then
-    /// tracks only per-timestamp counts of what a full buffer would hold.
+    /// holds only the timestamps of what a full buffer would hold.
     control_only: bool,
-    pending: BTreeMap<Timestamp, u64>,
-    pending_len: usize,
+    pending: BinaryHeap<Reverse<Timestamp>>,
     stats: BufferStats,
     telemetry: BufferTelemetry,
     trace: FlightRecorder,
@@ -89,13 +91,12 @@ impl SlackBuffer {
     pub fn new(k: impl Into<TimeDelta>) -> SlackBuffer {
         SlackBuffer {
             k: k.into(),
-            buf: BTreeMap::new(),
+            buf: BinaryHeap::new(),
             clock: Timestamp::MIN,
             saw_event: false,
             watermark: Timestamp::MIN,
             control_only: false,
-            pending: BTreeMap::new(),
-            pending_len: 0,
+            pending: BinaryHeap::new(),
             stats: BufferStats::default(),
             telemetry: BufferTelemetry::default(),
             trace: FlightRecorder::disabled(),
@@ -126,13 +127,14 @@ impl SlackBuffer {
         self.trace = trace.clone();
     }
 
-    /// Attach a span recorder (cloned; clones share the ring). Every event
-    /// release records a [`Stage::BufferResidency`] span from the event's
-    /// timestamp to the watermark releasing it — the event-time latency the
-    /// disorder-control buffer imposed on that event. Late passes record
-    /// nothing (they were never held), and a flush release ends at the
+    /// Attach a span recorder (cloned; clones share the ring). Every
+    /// watermark advance that releases at least one event records one
+    /// [`Stage::BufferResidency`] span from the oldest released event's
+    /// timestamp to that watermark — the longest event-time wait the
+    /// disorder-control buffer imposed in that release. Late passes record
+    /// nothing (they were never held), and the flush release ends at the
     /// stream clock (the flush carries no event time of its own). A disabled
-    /// recorder costs one branch per release batch.
+    /// recorder costs one branch per release.
     pub fn attach_spans(&mut self, spans: &SpanRecorder) {
         self.spans = spans.clone();
     }
@@ -176,11 +178,8 @@ impl SlackBuffer {
     /// Number of events currently held (in control-only mode: the number a
     /// full buffer would hold).
     pub fn len(&self) -> usize {
-        if self.control_only {
-            self.pending_len
-        } else {
-            self.buf.len()
-        }
+        // One of the two is empty: the mode picks which one holds.
+        self.buf.len() + self.pending.len()
     }
 
     /// Whether the buffer holds no events.
@@ -236,11 +235,10 @@ impl SlackBuffer {
             // Forward the payload right away (arrival order), but account
             // for it as buffered until the watermark passes its timestamp —
             // the event must precede any watermark this arrival triggers.
-            *self.pending.entry(e.ts).or_insert(0) += 1;
-            self.pending_len += 1;
+            self.pending.push(Reverse(e.ts));
             out.push(StreamElement::Event(e));
         } else {
-            self.buf.insert((e.ts, e.seq), e);
+            self.buf.push(Reverse(Staged(e)));
         }
         self.stats.max_buffered = self.stats.max_buffered.max(self.len());
         self.stats.size_integral += self.len() as u128;
@@ -262,43 +260,8 @@ impl SlackBuffer {
         }
         // Release events with ts <= safe (inclusive: a future event with the
         // same timestamp has a larger seq and still sorts after, so emitting
-        // the boundary timestamp preserves order). Keep keys with ts > safe.
-        let mut released = 0u64;
-        let record_spans = self.spans.is_enabled();
-        if self.control_only {
-            let keep = self
-                .pending
-                .split_off(&Timestamp(safe.raw().saturating_add(1)));
-            for (ts, n) in std::mem::replace(&mut self.pending, keep) {
-                released += n;
-                if record_spans {
-                    // One residency span per pending event, same as full
-                    // mode — the payloads were forwarded early but a full
-                    // buffer would have held each until this watermark.
-                    for _ in 0..n {
-                        self.spans
-                            .record(Stage::BufferResidency, ts.raw(), safe.raw(), 0);
-                    }
-                }
-            }
-            self.pending_len -= released as usize;
-            self.stats.released += released;
-            self.telemetry.released.add(released);
-        } else {
-            let keep = self
-                .buf
-                .split_off(&(Timestamp(safe.raw().saturating_add(1)), 0));
-            for (_, e) in std::mem::replace(&mut self.buf, keep) {
-                self.stats.released += 1;
-                self.telemetry.released.inc();
-                released += 1;
-                if record_spans {
-                    self.spans
-                        .record(Stage::BufferResidency, e.ts.raw(), safe.raw(), 0);
-                }
-                out.push(StreamElement::Event(e));
-            }
-        }
+        // the boundary timestamp preserves order).
+        let released = self.release(safe, safe, out);
         if self.trace.is_enabled() {
             self.trace.record(
                 safe.raw(),
@@ -316,39 +279,42 @@ impl SlackBuffer {
         out.push(StreamElement::Watermark(safe));
     }
 
-    /// End of stream: release everything in order and emit `Flush`.
-    pub fn finish(&mut self, out: &mut Vec<StreamElement>) {
-        let mut released = 0u64;
-        let record_spans = self.spans.is_enabled();
+    /// Pop every held event with `ts <= upto` in `(ts, seq)` order, onto
+    /// `out` in full mode and only from the accounting in control-only
+    /// mode. A release of at least one event adds to the counters once and
+    /// records one residency span, from the oldest released timestamp to
+    /// `end`. Returns how many were released.
+    fn release(&mut self, upto: Timestamp, end: Timestamp, out: &mut Vec<StreamElement>) -> u64 {
+        let held = self.len();
+        let oldest = match (self.buf.peek(), self.pending.peek()) {
+            (Some(Reverse(Staged(e))), _) => e.ts,
+            (None, Some(&Reverse(ts))) => ts,
+            (None, None) => return 0,
+        };
         if self.control_only {
-            released = self.pending_len as u64;
-            if record_spans {
-                for (ts, n) in std::mem::take(&mut self.pending) {
-                    for _ in 0..n {
-                        self.spans
-                            .record(Stage::BufferResidency, ts.raw(), self.clock.raw(), 0);
-                    }
-                }
-            } else {
-                self.pending.clear();
+            while self.pending.peek().is_some_and(|&Reverse(ts)| ts <= upto) {
+                self.pending.pop();
             }
-            self.pending_len = 0;
-            self.stats.released += released;
-            self.telemetry.released.add(released);
         } else {
-            for (_, e) in std::mem::take(&mut self.buf) {
-                self.stats.released += 1;
-                self.telemetry.released.inc();
-                released += 1;
-                if record_spans {
-                    // Flush carries no event time: residency ends at the
-                    // stream clock (the latest timestamp the buffer saw).
-                    self.spans
-                        .record(Stage::BufferResidency, e.ts.raw(), self.clock.raw(), 0);
-                }
+            while let Some(e) = Staged::pop_through(&mut self.buf, upto) {
                 out.push(StreamElement::Event(e));
             }
         }
+        let released = (held - self.len()) as u64;
+        if released > 0 {
+            self.stats.released += released;
+            self.telemetry.released.add(released);
+            self.spans
+                .record(Stage::BufferResidency, oldest.raw(), end.raw(), 0);
+        }
+        released
+    }
+
+    /// End of stream: release everything in order and emit `Flush`.
+    pub fn finish(&mut self, out: &mut Vec<StreamElement>) {
+        // Flush carries no event time: residency ends at the stream clock
+        // (the latest timestamp the buffer saw).
+        let released = self.release(Timestamp::MAX, self.clock, out);
         if self.trace.is_enabled() {
             self.trace.record(
                 self.clock.raw(),
@@ -653,36 +619,36 @@ mod tests {
 
     #[test]
     fn spans_attribute_buffer_residency_per_release() {
-        let spans = SpanRecorder::new(64);
-        let mut b = SlackBuffer::new(5u64);
-        b.attach_spans(&spans);
-        let mut out = Vec::new();
-        b.insert(ev(10, 0), &mut out);
-        b.insert(ev(20, 1), &mut out); // watermark 15 releases ts=10
-        b.insert(ev(8, 2), &mut out); // late pass: no residency span
-        b.finish(&mut out); // flush releases ts=20 at clock 20
-        let rec = spans.spans();
-        assert!(rec.iter().all(|s| s.stage == Stage::BufferResidency));
-        let pairs: Vec<(u64, u64)> = rec.iter().map(|s| (s.begin, s.end)).collect();
-        assert_eq!(pairs, vec![(10, 15), (20, 20)]);
-
-        // Control-only mode attributes the identical residency per event,
-        // even though payloads were forwarded at arrival.
-        let hollow_spans = SpanRecorder::new(64);
-        let mut hollow = SlackBuffer::new(5u64);
-        hollow.set_control_only();
-        hollow.attach_spans(&hollow_spans);
-        let mut out = Vec::new();
-        hollow.insert(ev(10, 0), &mut out);
-        hollow.insert(ev(20, 1), &mut out);
-        hollow.insert(ev(8, 2), &mut out);
-        hollow.finish(&mut out);
-        let hollow_pairs: Vec<(u64, u64)> = hollow_spans
-            .spans()
-            .iter()
-            .map(|s| (s.begin, s.end))
-            .collect();
-        assert_eq!(hollow_pairs, pairs);
+        let arrivals = [
+            ev(12, 0), // watermark 7: an advance that releases nothing
+            ev(10, 1),
+            ev(11, 2),
+            ev(20, 3), // watermark 15 releases 10, 11, 12: one span from 10
+            ev(8, 4),  // late pass: no residency span
+            ev(18, 5),
+            ev(21, 6), // watermark 16 releases nothing
+        ];
+        let residency = |control_only: bool| {
+            let spans = SpanRecorder::new(64);
+            let mut b = SlackBuffer::new(5u64);
+            if control_only {
+                b.set_control_only();
+            }
+            b.attach_spans(&spans);
+            // The flush releases 18, 20, 21: one span ending at clock 21.
+            let released = released_ts(&feed(&mut b, arrivals.to_vec()));
+            assert_eq!(b.stats().released, 6);
+            let rec = spans.spans();
+            assert!(rec.iter().all(|s| s.stage == Stage::BufferResidency));
+            let pairs: Vec<(u64, u64)> = rec.iter().map(|s| (s.begin, s.end)).collect();
+            (pairs, released)
+        };
+        let (pairs, released) = residency(false);
+        assert_eq!(released, vec![10, 11, 12, 8, 18, 20, 21]);
+        assert_eq!(pairs, vec![(10, 15), (18, 21)]);
+        // Control-only mode records the identical spans, even though the
+        // payloads were forwarded at arrival.
+        assert_eq!(residency(true).0, pairs);
     }
 
     /// Records every element a wrapped operator is fed.

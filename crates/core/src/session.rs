@@ -635,8 +635,9 @@ impl Session {
         self
     }
 
-    /// Record pipeline spans into `spans`: [`Stage::BufferResidency`] per
-    /// released event from the strategy's slack buffer and a query-tagged
+    /// Record pipeline spans into `spans`: one [`Stage::BufferResidency`]
+    /// per release from the strategy's slack buffer (oldest released
+    /// timestamp → releasing watermark) and a query-tagged
     /// [`Stage::Deliver`] span per emitted result (window end → emission
     /// clock, both on the logical event-time clock). Builder-style; attach
     /// before the first event.

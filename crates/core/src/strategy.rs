@@ -38,9 +38,9 @@ pub trait DisorderControl: Send {
     fn attach_trace(&mut self, _trace: &FlightRecorder) {}
 
     /// Attach a pipeline span recorder. Buffer-backed strategies wire their
-    /// [`SlackBuffer`] so every release records a
-    /// [`quill_telemetry::Stage::BufferResidency`] span (event timestamp →
-    /// releasing watermark). Default: no spans.
+    /// [`SlackBuffer`] so every release records one
+    /// [`quill_telemetry::Stage::BufferResidency`] span (oldest released
+    /// timestamp → releasing watermark). Default: no spans.
     fn attach_spans(&mut self, _spans: &quill_telemetry::SpanRecorder) {}
 
     /// Tell the strategy the smallest slide among the windows its stream

@@ -5,10 +5,29 @@
 
 use proptest::prelude::*;
 use quill_core::prelude::*;
+use quill_engine::operator::ShardStage;
 
 /// Arbitrary arrival sequence: (timestamp, K to set before the insert).
 fn arrivals() -> impl Strategy<Value = Vec<(u64, u64)>> {
     prop::collection::vec((0u64..5_000, 0u64..2_000), 1..300)
+}
+
+/// Arrivals whose `(ts, seq)` keys repeat: (timestamp, seq, K to set
+/// before the insert), over narrow ranges so that duplicates are common.
+fn duplicate_arrivals() -> impl Strategy<Value = Vec<(u64, u64, u64)>> {
+    prop::collection::vec((0u64..200, 0u64..6, 0u64..100), 1..200)
+}
+
+/// Collects every element a wrapped operator is fed.
+struct Collect(Vec<StreamElement>);
+
+impl Operator for Collect {
+    fn name(&self) -> &str {
+        "collect"
+    }
+    fn process(&mut self, el: StreamElement, _out: &mut dyn FnMut(StreamElement)) {
+        self.0.push(el);
+    }
 }
 
 /// Cases per property: the default 48, or `PROPTEST_CASES` when set
@@ -98,6 +117,45 @@ proptest! {
             buf.stats().released + buf.stats().late_passed,
             seq.len() as u64
         );
+    }
+
+    #[test]
+    fn slack_buffer_keeps_events_whose_order_keys_repeat(seq in duplicate_arrivals()) {
+        let mut full = SlackBuffer::new(seq[0].2);
+        let mut hollow = SlackBuffer::new(seq[0].2);
+        hollow.set_control_only();
+        let (mut out, mut control) = (Vec::new(), Vec::new());
+        for (i, &(ts, s, k)) in seq.iter().enumerate() {
+            full.set_k(k);
+            hollow.set_k(k);
+            // The payload names the arrival; timestamp and seq repeat.
+            let e = Event::new(ts, s, Row::new([Value::Int(i as i64)]));
+            full.insert(e.clone(), &mut out);
+            hollow.insert(e, &mut control);
+            let st = full.stats();
+            prop_assert_eq!(st.inserted, st.released + full.len() as u64, "step {}", i);
+        }
+        full.finish(&mut out);
+        hollow.finish(&mut control);
+        let st = full.stats();
+        prop_assert_eq!(full.len(), 0);
+        prop_assert_eq!(st.inserted, st.released);
+        prop_assert_eq!(st, hollow.stats());
+
+        // Every arrival comes out exactly once.
+        let mut ids: Vec<i64> = out
+            .iter()
+            .filter_map(|el| el.as_event()?.row.get(0).as_i64())
+            .collect();
+        ids.sort_unstable();
+        prop_assert_eq!(ids, (0..seq.len() as i64).collect::<Vec<_>>());
+
+        // A shard stage over the control-only stream delivers the same.
+        let mut stage = ShardStage::new(Collect(Vec::new()));
+        for el in control {
+            stage.process(el, &mut |_| {});
+        }
+        prop_assert_eq!(stage.into_inner().0, out);
     }
 
     #[test]

@@ -10,7 +10,8 @@
 use crate::time::{TimeDelta, Timestamp};
 use crate::value::Row;
 use serde::{Deserialize, Serialize};
-use std::cmp::Ordering;
+use std::cmp::{Ordering, Reverse};
+use std::collections::binary_heap::{BinaryHeap, PeekMut};
 
 /// A single data tuple with its event-time timestamp and arrival sequence
 /// number.
@@ -47,6 +48,41 @@ impl Event {
     #[inline]
     pub fn time_cmp(&self, other: &Event) -> Ordering {
         self.order_key().cmp(&other.order_key())
+    }
+}
+
+/// An event ordered by [`Event::order_key`] alone, so that a
+/// `BinaryHeap<Reverse<Staged>>` is a `(ts, seq)` min-heap and the payload
+/// never takes part in a comparison. The disorder-control buffer and the
+/// per-shard staging stage hold their events in one.
+#[derive(Debug)]
+pub struct Staged(pub Event);
+
+impl Staged {
+    /// Pop the `(ts, seq)`-smallest event of `heap` if its `ts <= upto`.
+    pub fn pop_through(heap: &mut BinaryHeap<Reverse<Staged>>, upto: Timestamp) -> Option<Event> {
+        let top = heap.peek_mut()?;
+        (top.0 .0.ts <= upto).then(|| PeekMut::pop(top).0 .0)
+    }
+}
+
+impl PartialEq for Staged {
+    fn eq(&self, other: &Staged) -> bool {
+        self.0.order_key() == other.0.order_key()
+    }
+}
+
+impl Eq for Staged {}
+
+impl PartialOrd for Staged {
+    fn partial_cmp(&self, other: &Staged) -> Option<Ordering> {
+        Some(self.cmp(other))
+    }
+}
+
+impl Ord for Staged {
+    fn cmp(&self, other: &Staged) -> Ordering {
+        self.0.time_cmp(&other.0)
     }
 }
 

@@ -17,9 +17,11 @@
 //! subtrees. Only a full leaf splits, and only the split halves are
 //! re-folded. Any other insert — a straggler — climbs from the nearer finger
 //! as far as the first ancestor whose cached key range covers the key,
-//! descends (`O(log d)` levels for distance `d` from the nearest end), and
-//! re-folds the caches on its leaf-to-root path eagerly, so a query never
-//! sees a pending repair.
+//! descends (`O(log d)` levels for distance `d` from the nearest end), bumps
+//! the counts and key ranges on its leaf-to-root path (routing reads them)
+//! and marks the path's partials *stale*. A stale partial is re-folded once,
+//! when a range query, an eviction or a split next reads it, however many
+//! stragglers landed below it in between.
 //!
 //! Window slides use [`FibaTree::evict_before`], the bulk eviction of the
 //! FiBA sequel (arXiv 2307.11210) adapted to this layout: whole subtrees left
@@ -65,9 +67,13 @@ pub trait FibaFold {
 
     /// Fold an entry later than everything in `acc` into it. *Defined* as
     /// `combine(acc, &seed(key, vals))`; override only to build the one-entry
-    /// partial without a heap allocation, never to compute anything else —
-    /// caches are rebuilt from entries through this, so a shortcut with other
-    /// roundings would make results depend on the repair history.
+    /// partial without a heap allocation, never to compute anything else.
+    /// A cache is the combine of its entries' one-entry partials in key
+    /// order; the repair history picks only how they nest (appends absorbed
+    /// one by one, leaves re-folded, child caches combined). Counts,
+    /// extrema, first/last and arg-extrema do not see the nesting; float
+    /// sums and moments can differ in their last bits, and a shortcut with
+    /// roundings of its own would widen that.
     fn absorb(&self, acc: &mut Self::Agg, key: FibaKey, vals: &[Self::Val]) {
         self.combine(acc, &self.seed(key, vals));
     }
@@ -92,12 +98,17 @@ struct Node<V, A> {
     children: Vec<u32>,
     /// Entries in this subtree.
     count: u64,
-    /// Combined partial of this subtree in key order (`None` iff empty).
+    /// Combined partial of this subtree in key order (`None` iff empty),
+    /// unless `stale`.
     agg: Option<A>,
     /// Smallest key in this subtree (valid when `count > 0`).
     lo: FibaKey,
     /// Largest key in this subtree (valid when `count > 0`).
     hi: FibaKey,
+    /// `agg` misses a straggler inserted below. A stale node's ancestors
+    /// are stale, so a fresh node's whole subtree is fresh. `count`, `lo`
+    /// and `hi` are exact either way.
+    stale: bool,
 }
 
 impl<V, A> Node<V, A> {
@@ -111,6 +122,7 @@ impl<V, A> Node<V, A> {
             agg: None,
             lo: FIRST_KEY,
             hi: FIRST_KEY,
+            stale: false,
         }
     }
 
@@ -154,6 +166,13 @@ fn absorb_cache<F: FibaFold>(fold: &F, acc: &mut Option<F::Agg>, part: &F::Agg) 
     }
 }
 
+/// How much of a subtree a key range covers.
+enum Cover {
+    None,
+    Whole,
+    Part,
+}
+
 /// Counters exposed for benchmarks and tests.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct FibaStats {
@@ -167,6 +186,9 @@ pub struct FibaStats {
     /// Entries removed by `evict_before` (bulk, without per-entry visits
     /// for whole subtrees).
     pub evicted: u64,
+    /// Node caches rebuilt from their entries or children: split halves,
+    /// eviction boundaries, and stale caches a read refreshed.
+    pub refolds: u64,
 }
 
 /// A finger B-tree aggregator: ordered multimap from [`FibaKey`] to entries of
@@ -279,8 +301,16 @@ impl<F: FibaFold, const MIN: usize> FibaTree<F, MIN> {
     }
 
     /// Rebuild `count`, `agg`, `lo`, `hi` of `n` from its entries (absorbed
-    /// one by one) or its children's caches (combined).
+    /// one by one) or its children's caches (combined), refreshing the
+    /// stale children first; `n`'s whole subtree is fresh afterwards.
     fn recompute(&mut self, fold: &F, n: u32) {
+        self.stats.refolds += 1;
+        for i in 0..self.nodes[n as usize].children.len() {
+            let c = self.nodes[n as usize].children[i];
+            if self.nodes[c as usize].stale {
+                self.recompute(fold, c);
+            }
+        }
         let node = &self.nodes[n as usize];
         let mut agg = None;
         let (mut count, mut lo, mut hi) = (0, FIRST_KEY, FIRST_KEY);
@@ -301,6 +331,7 @@ impl<F: FibaFold, const MIN: usize> FibaTree<F, MIN> {
         }
         let node = &mut self.nodes[n as usize];
         (node.count, node.lo, node.hi, node.agg) = (count, lo, hi, agg);
+        node.stale = false;
     }
 
     /// Find the leaf where `key` belongs, climbing from the nearer finger.
@@ -347,7 +378,8 @@ impl<F: FibaFold, const MIN: usize> FibaTree<F, MIN> {
     }
 
     /// Split an overfull node: the right half moves to a new sibling (under a
-    /// new root when `n` was the root) and both halves are re-folded.
+    /// new root when `n` was the root) and both halves are re-folded. The
+    /// parent's caches stay valid: it covers the same entries as before.
     fn split(&mut self, fold: &F, n: u32) {
         self.stats.splits += 1;
         let parent = self.nodes[n as usize].parent;
@@ -412,14 +444,17 @@ impl<F: FibaFold, const MIN: usize> FibaTree<F, MIN> {
             (leaf.count, leaf.hi)
         };
         // An empty rightmost leaf is the root of an empty tree.
-        if count == 0 || key >= hi {
+        let leaf = if count == 0 || key >= hi {
             // Append: the new entry is the last of every subtree on the
-            // right spine, so each cache absorbs it.
+            // right spine, so each fresh cache absorbs it; a stale one is
+            // re-folded before it is read anyway.
             self.stats.finger_short_climbs += 1;
             let mut cur = tail;
             while cur != NIL {
                 let node = &mut self.nodes[cur as usize];
-                absorb_entry(fold, &mut node.agg, key, vals);
+                if !node.stale {
+                    absorb_entry(fold, &mut node.agg, key, vals);
+                }
                 if node.count == 0 {
                     node.lo = key;
                 }
@@ -430,31 +465,32 @@ impl<F: FibaFold, const MIN: usize> FibaTree<F, MIN> {
             let leaf = &mut self.nodes[tail as usize];
             leaf.keys.push(key);
             leaf.vals.extend_from_slice(vals);
-            self.repair_from(fold, tail, false);
+            tail
         } else {
+            // Straggler: it lands mid-subtree on its whole path, so every
+            // partial there is stale. Counts and key ranges stay exact,
+            // because `locate_leaf` routes on them.
             let leaf = self.locate_leaf(key);
             let node = &mut self.nodes[leaf as usize];
             let pos = node.keys.partition_point(|k| *k <= key);
             node.keys.insert(pos, key);
             let at = pos * self.width;
             node.vals.splice(at..at, vals.iter().cloned());
-            self.repair_from(fold, leaf, true);
-        }
-    }
-
-    /// Walk from `n` towards the root splitting overfull nodes. With
-    /// `refold` (a straggler changed the middle of every subtree above it)
-    /// each node that is not split is recomputed; without (an append already
-    /// updated every cache) the walk ends at the first node with room.
-    fn repair_from(&mut self, fold: &F, mut n: u32, refold: bool) {
-        while n != NIL {
-            if self.overfull(n) {
-                self.split(fold, n);
-            } else if refold {
-                self.recompute(fold, n);
-            } else {
-                break;
+            let mut cur = leaf;
+            while cur != NIL {
+                let node = &mut self.nodes[cur as usize];
+                node.count += 1;
+                node.lo = node.lo.min(key);
+                node.hi = node.hi.max(key);
+                node.stale = true;
+                cur = node.parent;
             }
+            leaf
+        };
+        // Split overfull nodes upwards; the walk ends at the first with room.
+        let mut n = leaf;
+        while n != NIL && self.overfull(n) {
+            self.split(fold, n);
             n = self.nodes[n as usize].parent;
         }
     }
@@ -471,8 +507,9 @@ impl<F: FibaFold, const MIN: usize> FibaTree<F, MIN> {
 
     /// Combined partial and entry count over keys in `[lo, hi]` (inclusive).
     /// Whole subtrees inside the range contribute their cached partial
-    /// without descending; boundary leaves absorb their in-range entries.
-    pub fn range_agg(&self, fold: &F, lo: FibaKey, hi: FibaKey) -> (Option<F::Agg>, u64) {
+    /// without descending, re-folded first if stale; boundary leaves absorb
+    /// their in-range entries.
+    pub fn range_agg(&mut self, fold: &F, lo: FibaKey, hi: FibaKey) -> (Option<F::Agg>, u64) {
         let mut acc = None;
         let mut count = 0u64;
         if self.len > 0 {
@@ -482,7 +519,7 @@ impl<F: FibaFold, const MIN: usize> FibaTree<F, MIN> {
     }
 
     fn range_rec(
-        &self,
+        &mut self,
         fold: &F,
         n: u32,
         lo: FibaKey,
@@ -490,23 +527,42 @@ impl<F: FibaFold, const MIN: usize> FibaTree<F, MIN> {
         acc: &mut Option<F::Agg>,
         count: &mut u64,
     ) {
+        match self.cover(n, lo, hi) {
+            Cover::None => {}
+            Cover::Whole => {
+                if self.nodes[n as usize].stale {
+                    self.recompute(fold, n);
+                }
+                let node = &self.nodes[n as usize];
+                absorb_cache(fold, acc, node.agg.as_ref().expect("nonempty subtree"));
+                *count += node.count;
+            }
+            Cover::Part if self.nodes[n as usize].is_leaf() => {
+                let node = &self.nodes[n as usize];
+                let (from, to) = node.span(lo, hi);
+                for (key, vals) in node.entries(self.width, from, to) {
+                    absorb_entry(fold, acc, key, vals);
+                }
+                *count += (to - from) as u64;
+            }
+            Cover::Part => {
+                for i in 0..self.nodes[n as usize].children.len() {
+                    let c = self.nodes[n as usize].children[i];
+                    self.range_rec(fold, c, lo, hi, acc, count);
+                }
+            }
+        }
+    }
+
+    /// How much of `n`'s subtree `[lo, hi]` covers.
+    fn cover(&self, n: u32, lo: FibaKey, hi: FibaKey) -> Cover {
         let node = &self.nodes[n as usize];
         if node.count == 0 || node.hi < lo || hi < node.lo {
-            return;
-        }
-        if lo <= node.lo && node.hi <= hi {
-            absorb_cache(fold, acc, node.agg.as_ref().expect("nonempty subtree"));
-            *count += node.count;
-        } else if node.is_leaf() {
-            let (from, to) = node.span(lo, hi);
-            for (key, vals) in node.entries(self.width, from, to) {
-                absorb_entry(fold, acc, key, vals);
-            }
-            *count += (to - from) as u64;
+            Cover::None
+        } else if lo <= node.lo && node.hi <= hi {
+            Cover::Whole
         } else {
-            for &c in &node.children {
-                self.range_rec(fold, c, lo, hi, acc, count);
-            }
+            Cover::Part
         }
     }
 
@@ -551,10 +607,10 @@ impl<F: FibaFold, const MIN: usize> FibaTree<F, MIN> {
         hi: FibaKey,
         f: &mut dyn FnMut(FibaKey, &'a [F::Val]),
     ) {
-        let node = &self.nodes[n as usize];
-        if node.count == 0 || node.hi < lo || hi < node.lo {
+        if let Cover::None = self.cover(n, lo, hi) {
             return;
         }
+        let node = &self.nodes[n as usize];
         if node.is_leaf() {
             let (from, to) = node.span(lo, hi);
             node.entries(self.width, from, to)
@@ -577,6 +633,7 @@ impl<F: FibaFold, const MIN: usize> FibaTree<F, MIN> {
         node.vals.clear();
         node.count = 0;
         node.agg = None;
+        node.stale = false;
         self.free.push(n);
     }
 
@@ -648,9 +705,10 @@ impl<F: FibaFold, const MIN: usize> FibaTree<F, MIN> {
 
     /// Structural invariant check, used by the fuzz battery. Verifies parent
     /// pointers, uniform leaf depth, arity bounds (underfull only on the two
-    /// spines), sorted disjoint key ranges, cached counts and ranges, finger
-    /// validity, and — via `agg_eq` — that every cached subtree partial equals
-    /// a from-scratch fold of its entries.
+    /// spines), sorted disjoint key ranges, every node's cached count and
+    /// range, finger validity, that a stale node's parent is stale, and —
+    /// via `agg_eq` — that every fresh node's partial equals a from-scratch
+    /// fold of its entries.
     pub fn check_invariants(
         &self,
         fold: &F,
@@ -772,24 +830,64 @@ impl<F: FibaFold, const MIN: usize> FibaTree<F, MIN> {
                 }
             }
         }
-        // Partial cache: fold the subtree's entries from scratch and compare.
+        let node = &self.nodes[n as usize];
+        if !node.stale {
+            return self.check_cache(fold, n, agg_eq);
+        }
+        if node.parent != NIL && !self.nodes[node.parent as usize].stale {
+            return Err("stale node under a fresh parent".into());
+        }
+        Ok(())
+    }
+
+    /// `n`'s cached partial against a from-scratch fold of its entries.
+    fn check_cache(
+        &self,
+        fold: &F,
+        n: u32,
+        agg_eq: &dyn Fn(&F::Agg, &F::Agg) -> bool,
+    ) -> Result<(), String> {
         let node = &self.nodes[n as usize];
         if node.count == 0 {
             if node.agg.is_some() {
                 return Err("empty subtree caches a partial".into());
             }
-        } else {
-            let mut fresh = None;
-            self.visit(n, FIRST_KEY, LAST_KEY, &mut |key, vals| {
-                absorb_entry(fold, &mut fresh, key, vals)
-            });
-            let cached = node
-                .agg
-                .as_ref()
-                .ok_or("nonempty subtree missing partial")?;
-            let fresh = fresh.expect("nonempty subtree folded");
-            if !agg_eq(cached, &fresh) {
-                return Err("cached subtree partial differs from a fold of its entries".into());
+            return Ok(());
+        }
+        let mut refolded = None;
+        self.visit(n, FIRST_KEY, LAST_KEY, &mut |key, vals| {
+            absorb_entry(fold, &mut refolded, key, vals)
+        });
+        let cached = node
+            .agg
+            .as_ref()
+            .ok_or("nonempty subtree missing partial")?;
+        let refolded = refolded.expect("nonempty subtree folded");
+        if !agg_eq(cached, &refolded) {
+            return Err("cached subtree partial differs from a fold of its entries".into());
+        }
+        Ok(())
+    }
+
+    /// The read side of the deferred repair, used by the fuzz battery after
+    /// a [`FibaTree::range_agg`] over `[lo, hi]`: every node whose cache
+    /// that query read is fresh and equals a from-scratch fold.
+    pub fn check_range_read(
+        &self,
+        fold: &F,
+        lo: FibaKey,
+        hi: FibaKey,
+        agg_eq: &dyn Fn(&F::Agg, &F::Agg) -> bool,
+    ) -> Result<(), String> {
+        let mut todo = vec![self.root];
+        while let Some(n) = todo.pop() {
+            match self.cover(n, lo, hi) {
+                Cover::None => {}
+                Cover::Whole if self.nodes[n as usize].stale => {
+                    return Err("a range query read a stale cache".into());
+                }
+                Cover::Whole => self.check_cache(fold, n, agg_eq)?,
+                Cover::Part => todo.extend(&self.nodes[n as usize].children),
             }
         }
         Ok(())
@@ -906,6 +1004,41 @@ mod tests {
         let (agg, n) = tree.range_agg(&Sum, (0, 0), (u64::MAX, u64::MAX));
         assert_eq!(n, model.len() as u64);
         assert_eq!(agg.unwrap(), total);
+    }
+
+    #[test]
+    fn stragglers_between_two_queries_refold_their_path_once() {
+        // 64 full leaves and a rightmost leaf holding one entry, at 10·i.
+        let mut tree = FibaTree::<Sum>::new(1);
+        let n = 64 * FibaTree::<Sum>::MAX as u64 + 1;
+        for i in 0..n {
+            tree.insert(&Sum, (10 * i, 0), &[1]);
+        }
+        let height = tree.height() as u64;
+        assert!(height >= 3, "a leaf with two ancestors or more");
+        let all = (FIRST_KEY, LAST_KEY);
+        assert_eq!(tree.range_agg(&Sum, all.0, all.1), (Some(n as i64), n));
+        let (before, splits) = (tree.stats().refolds, tree.stats().splits);
+        // Five stragglers just behind the largest key: the rightmost leaf
+        // takes them all without splitting.
+        let last = 10 * (n - 1);
+        for k in 1..=5 {
+            tree.insert(&Sum, (last - k, k), &[1]);
+        }
+        assert_eq!(tree.stats().refolds, before, "inserts defer the repair");
+        assert_eq!(tree.stats().splits, splits);
+        tree.check_invariants(&Sum, &eq).expect("stale path");
+        let total = (Some(n as i64 + 5), n + 5);
+        assert_eq!(tree.range_agg(&Sum, all.0, all.1), total);
+        assert_eq!(
+            tree.stats().refolds,
+            before + height,
+            "the leaf and each ancestor once"
+        );
+        tree.check_range_read(&Sum, all.0, all.1, &eq)
+            .expect("fresh after the read");
+        assert_eq!(tree.range_agg(&Sum, all.0, all.1), total);
+        assert_eq!(tree.stats().refolds, before + height, "nothing left stale");
     }
 
     #[test]

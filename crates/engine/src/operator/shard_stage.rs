@@ -23,31 +23,10 @@
 use std::cmp::Reverse;
 use std::collections::BinaryHeap;
 
-use crate::event::{Event, StreamElement};
+use crate::event::{Staged, StreamElement};
 use crate::operator::Operator;
 use crate::time::Timestamp;
 use quill_telemetry::{SpanRecorder, Stage};
-
-/// Heap entry ordered by `(ts, seq)` only — `seq` is unique per stream, so
-/// the order is total and the payload never participates in comparisons.
-struct Staged(Event);
-
-impl PartialEq for Staged {
-    fn eq(&self, other: &Staged) -> bool {
-        (self.0.ts, self.0.seq) == (other.0.ts, other.0.seq)
-    }
-}
-impl Eq for Staged {}
-impl PartialOrd for Staged {
-    fn partial_cmp(&self, other: &Staged) -> Option<std::cmp::Ordering> {
-        Some(self.cmp(other))
-    }
-}
-impl Ord for Staged {
-    fn cmp(&self, other: &Staged) -> std::cmp::Ordering {
-        (self.0.ts, self.0.seq).cmp(&(other.0.ts, other.0.seq))
-    }
-}
 
 /// Per-shard ordering stage wrapped around an inner operator.
 pub struct ShardStage<O> {
@@ -106,13 +85,7 @@ impl<O: Operator> ShardStage<O> {
     fn drain_to(&mut self, wm: Timestamp, out: &mut dyn FnMut(StreamElement)) {
         let mut first: Option<u64> = None;
         let mut last = 0u64;
-        while let Some(Reverse(top)) = self.buf.peek() {
-            if top.0.ts > wm {
-                break;
-            }
-            let Some(Reverse(Staged(e))) = self.buf.pop() else {
-                break;
-            };
+        while let Some(e) = Staged::pop_through(&mut self.buf, wm) {
             if self.spans.is_enabled() {
                 first.get_or_insert(e.ts.raw());
                 last = e.ts.raw();
@@ -163,6 +136,7 @@ impl<O: Operator> Operator for ShardStage<O> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::event::Event;
     use crate::value::{Row, Value};
 
     /// Records every element the inner operator sees.

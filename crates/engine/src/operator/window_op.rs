@@ -424,8 +424,11 @@ impl FibaState {
     fn answer(&mut self, key: &Key, lo: FibaKey, hi: FibaKey) -> (u64, Vec<Value>) {
         // Defensive: a queued window always has its key, but answer with an
         // empty result rather than lose the window.
-        let tree = self.keys.get(key).map(|ks| &ks.time);
-        let (combined, count) = tree.map_or((None, 0), |t| t.range_agg(&self.fold, lo, hi));
+        let mut tree = self.keys.get_mut(key).map(|ks| &mut ks.time);
+        let (combined, count) = tree
+            .as_mut()
+            .map_or((None, 0), |t| t.range_agg(&self.fold, lo, hi));
+        let tree = tree.map(|t| &*t);
         let raw = &mut self.raw;
         raw.iter_mut().for_each(|r| r.nums.clear());
         let mut distinct: Vec<BTreeSet<&dyn KeyView>> =

@@ -149,6 +149,10 @@ fn replay_against_model<const MIN: usize>(ops: &[TreeOp]) -> Result<(), TestCase
             TreeOp::Range(lo, span) => {
                 let (lo, hi) = ((lo, 0), (lo + span, u64::MAX));
                 prop_assert_eq!(tree.range_agg(&Trace, lo, hi), model.range_agg(lo, hi));
+                tree.check_range_read(&Trace, lo, hi, &|a, b| a == b)
+                    .expect("the caches a range query read are fresh and exact");
+                tree.check_invariants(&Trace, &|a, b| a == b)
+                    .expect("structural invariants after a range query");
                 let mut walked = Vec::new();
                 tree.for_each_range(lo, hi, &mut |k, vals| {
                     assert_eq!(vals, [k.0, k.1]);

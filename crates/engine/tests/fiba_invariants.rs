@@ -2,11 +2,14 @@
 //!
 //! A seeded operation fuzz drives `FibaTree` through adversarial insert /
 //! bulk-evict mixes (appends, prepends, tie storms, deep stragglers,
-//! uniform noise, and the regimes of the right-finger append path: long
-//! runs, ties at the finger, appends onto a just-emptied tree) and calls
+//! uniform noise, the regimes of the right-finger append path: long runs,
+//! ties at the finger, appends onto a just-emptied tree, and the deferred
+//! repair's: straggler bursts between range queries and evictions) and calls
 //! [`FibaTree::check_invariants`] after **every** mutation: B-tree arity
-//! bounds, finger validity, parent partial-aggregate consistency and subtree
-//! counts. A flat mirror vector checks the observable behaviour (length,
+//! bounds, finger validity, subtree counts and ranges, the stale-closure
+//! rule and every fresh partial against a re-fold. Every range query is
+//! followed by [`FibaTree::check_range_read`]: each cache it read is fresh
+//! and exact. A flat mirror vector checks the observable behaviour (length,
 //! order, range aggregates, range visits, first-key search) so a
 //! structurally valid but semantically wrong tree cannot pass.
 //!
@@ -164,6 +167,9 @@ impl<const MIN: usize> Harness<MIN> {
         let (want, want_n) = self.mirror.range_sum(lo, hi);
         assert_eq!(got, want, "{at}: range_agg");
         assert_eq!(got_n, want_n, "{at}: range count");
+        if let Err(e) = self.tree.check_range_read(&Sum, lo, hi, &|a, b| a == b) {
+            panic!("{at}: after range_agg: {e}");
+        }
         let mut walked = Vec::new();
         self.tree
             .for_each_range(lo, hi, &mut |k, vals| walked.push((k, vals[0])));
@@ -193,7 +199,10 @@ impl<const MIN: usize> Harness<MIN> {
     /// the mirror exactly.
     fn finish(self) {
         let Harness {
-            tree, mirror, seed, ..
+            mut tree,
+            mirror,
+            seed,
+            ..
         } = self;
         let mut walked = Vec::new();
         tree.for_each(&mut |k, vals| walked.push((k, vals[0])));
@@ -298,6 +307,53 @@ fn fuzz_append_path<const MIN: usize>(seed: u64, steps: usize) {
     h.finish();
 }
 
+/// The deferred repair's regime: bursts of stragglers into one region of a
+/// standing tree (each leaves its leaf-to-root path stale), queries that
+/// read some of the stale caches and not others, a few appends onto stale
+/// spines, and evictions that cut through stale subtrees.
+fn fuzz_query_stragglers<const MIN: usize>(seed: u64, steps: usize) {
+    let mut h = Harness::<MIN>::new(seed);
+    for ts in 0..40 * MIN as u64 {
+        h.insert(2 * ts);
+    }
+    while h.step < steps {
+        let (min_ts, max_ts) = (h.min_ts(), h.max_ts());
+        let span = max_ts - min_ts + 1;
+        let at = min_ts + h.rng.next() % span;
+        for _ in 0..1 + h.rng.next() % 8 {
+            let ts = at + h.rng.next() % (MIN as u64);
+            h.insert(ts.min(max_ts));
+        }
+        match h.rng.next() % 6 {
+            // The whole tree: every stale cache is read.
+            0 => h.probe((0, 0), (u64::MAX, u64::MAX)),
+            // A window around the burst, or anywhere.
+            1 | 2 => {
+                let lo = at.saturating_sub(h.rng.next() % span);
+                let hi = at + h.rng.next() % span;
+                h.probe((lo, 0), (hi, u64::MAX));
+            }
+            3 => h.probe_somewhere(),
+            // Appends onto a possibly stale right spine.
+            4 => {
+                for _ in 0..1 + h.rng.next() % (2 * MIN as u64) {
+                    let ts = h.max_ts() + h.rng.next() % 3;
+                    h.insert(ts);
+                }
+            }
+            // A slide: cut somewhere in the oldest quarter.
+            _ => {
+                let cut = min_ts + h.rng.next() % (span / 4 + 1);
+                h.evict((cut, 0));
+                if h.tree.is_empty() {
+                    h.insert(cut);
+                }
+            }
+        }
+    }
+    h.finish();
+}
+
 /// The pinned seeds, plus `QUILL_FIBA_FUZZ_SEEDS` derived ones (the
 /// `scripts/check.sh` soak sets it; plain `cargo test` runs the pinned six).
 fn seeds() -> impl Iterator<Item = u64> {
@@ -330,6 +386,14 @@ fn append_path_holds_invariants_through_runs_ties_stragglers_and_evictions() {
     for seed in seeds() {
         fuzz_append_path::<DEEP>(seed, 3_000);
         fuzz_append_path::<MIN_FANOUT>(seed, 3_000);
+    }
+}
+
+#[test]
+fn deferred_repair_holds_invariants_through_queries_stragglers_and_evictions() {
+    for seed in seeds() {
+        fuzz_query_stragglers::<DEEP>(seed, 3_000);
+        fuzz_query_stragglers::<MIN_FANOUT>(seed, 3_000);
     }
 }
 

@@ -70,7 +70,9 @@ pub fn help_text(name: &str) -> &'static str {
         return match rest {
             "ingest_decode" => "Span durations: wire bytes to parsed events (ingest decode)",
             "route" => "Span durations: routing/enqueue of events toward their shard",
-            "buffer_residency" => "Span durations: event residency in the disorder-control buffer",
+            "buffer_residency" => {
+                "Span durations: oldest released event's residency in the disorder-control buffer, per release"
+            }
             "shard_stage" => "Span durations: event residency in shard-local re-ordering",
             "window_finalize" => "Span durations: window end to the watermark that closed it",
             "merge" => "Span durations: cross-shard result merge",

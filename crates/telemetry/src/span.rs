@@ -72,9 +72,10 @@ pub enum Stage {
     /// (wall time, measures backpressure blocking) or the parallel
     /// executor's keyed router (logical time).
     Route,
-    /// An event's residency in the disorder-control slack buffer: from its
-    /// own timestamp to the watermark that released it — exactly the
-    /// buffer-induced event-time latency the paper trades against quality.
+    /// One release of the disorder-control slack buffer: from the oldest
+    /// released event's timestamp to the watermark that released it — the
+    /// longest buffer-induced event-time latency in that release, which is
+    /// what the paper trades against quality.
     BufferResidency,
     /// An event's residency in a shard-local re-ordering stage
     /// ([`ShardStage`](../quill_engine) wrapping a shard's window

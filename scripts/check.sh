@@ -39,12 +39,15 @@ cargo test -q
 # cases and six fuzz seeds in a few seconds; here they get 2 000 proptest
 # cases each and QUILL_FIBA_FUZZ_SEEDS more op-fuzz seeds, in release. Both
 # suites drive the tree at two fan-outs — a small one, whose trees are deep,
-# and the production MIN_FANOUT — so the soak covers both.
+# and the production MIN_FANOUT — so the soak covers both. Both interleave
+# range queries with stragglers and evictions (the deferred cache repair's
+# regime) and check after every query that the caches it read were fresh.
 echo "==> FiBA battery soak (PROPTEST_CASES=2000, QUILL_FIBA_FUZZ_SEEDS=${QUILL_FIBA_FUZZ_SEEDS:-64})"
 PROPTEST_CASES=2000 QUILL_FIBA_FUZZ_SEEDS="${QUILL_FIBA_FUZZ_SEEDS:-64}" \
     cargo test --release -q -p quill-engine --test fiba_invariants --test fiba_aggregator
 
-# Core soak: the slack buffer, the controller and the estimator — the
+# Core soak: the slack buffer (repeated `(ts, seq)` keys included), the
+# controller and the estimator — the
 # slide-aware `window_slack` against a brute-force C_S for both estimator
 # kinds — at 2 000 cases instead of the pinned 48.
 echo "==> quill-core property soak (PROPTEST_CASES=2000)"
