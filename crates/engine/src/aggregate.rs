@@ -139,7 +139,10 @@ impl AggregateSpec {
         Ok(())
     }
 
-    /// Instantiate fresh incremental state.
+    /// Instantiate fresh incremental state. The reference implementations
+    /// ([`AggregateSpec::compute`], [`AggregateSpec::compute_rows`]) fold
+    /// through it; the window operator folds through mergeable partials
+    /// instead.
     pub fn build(&self) -> Box<dyn Aggregator> {
         match self.kind {
             AggregateKind::Count => Box::new(CountAgg::default()),
@@ -157,7 +160,7 @@ impl AggregateSpec {
             // Arg aggregates receive the full row via `insert_row` (see
             // `Aggregator::insert_row`); plain `insert` sees only the
             // reported field and cannot resolve the `by` field, so the
-            // windowed operator feeds arg aggregates through `insert_row`.
+            // reference path feeds arg aggregates through `insert_row`.
             AggregateKind::ArgMin(by) => Box::new(ArgAgg::new(false, by)),
             AggregateKind::ArgMax(by) => Box::new(ArgAgg::new(true, by)),
         }
@@ -237,8 +240,9 @@ pub trait Aggregator: Send {
     /// Number of values folded in (for completeness accounting).
     fn count(&self) -> u64;
     /// Fold one value with access to its full row. Only arg-aggregates need
-    /// the row; the default delegates to [`Aggregator::insert`]. Window
-    /// operators call this method so arg-aggregates work transparently.
+    /// the row; the default delegates to [`Aggregator::insert`].
+    /// [`AggregateSpec::compute_rows`] calls this method so arg-aggregates
+    /// work transparently.
     fn insert_row(&mut self, ts: Timestamp, v: &Value, _row: &Row) {
         self.insert(ts, v);
     }
@@ -819,7 +823,7 @@ impl ArgAgg {
 impl Aggregator for ArgAgg {
     fn insert(&mut self, _ts: Timestamp, _v: &Value) {
         // Row-less insertion cannot see the `by` field; count only. The
-        // engine's window operators always use `insert_row`.
+        // full-row reference path always uses `insert_row`.
         self.seen += 1;
     }
     fn insert_row(&mut self, ts: Timestamp, v: &Value, row: &Row) {

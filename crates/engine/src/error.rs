@@ -9,7 +9,7 @@ use std::fmt;
 /// Convenience alias used across the engine.
 pub type Result<T, E = EngineError> = std::result::Result<T, E>;
 
-/// Errors raised while building or executing a pipeline.
+/// Errors raised while building or executing a query.
 #[derive(Debug, Clone, PartialEq)]
 pub enum EngineError {
     /// A schema declared the same field name twice.
@@ -36,7 +36,8 @@ pub enum EngineError {
     InvalidWindow(String),
     /// An aggregate was configured with invalid parameters.
     InvalidAggregate(String),
-    /// A pipeline was structurally invalid (no source, cycle, ...).
+    /// An executor or session configuration was invalid (zero shards, an
+    /// unknown query id, a missing window, ...).
     InvalidPipeline(String),
     /// A worker thread in the parallel executor panicked or disconnected.
     ExecutorFailure(String),

@@ -12,10 +12,10 @@
 //! * [`event::StreamElement::Watermark`]`(t)` promises that no later event
 //!   has `ts < t`; window operators emit results when the watermark passes a
 //!   window's end.
-//! * Queries are [`pipeline::Pipeline`]s of [`operator::Operator`]s:
-//!   map/filter/project, keyed sliding/tumbling [window
-//!   aggregation](operator::WindowAggregateOp), [interval
-//!   joins](operator::IntervalJoin) and stream [merging](operator::merge_by_arrival).
+//! * A query is one keyed sliding/tumbling [window
+//!   aggregation](operator::WindowAggregateOp), an [`operator::Operator`]
+//!   driven one element at a time; [`parallel::run_keyed_parallel`] runs
+//!   one per key shard behind a [`operator::ShardStage`].
 //!
 //! ## Quick example
 //!
@@ -23,24 +23,27 @@
 //! use quill_engine::prelude::*;
 //!
 //! // Tumbling 10-unit windows, sum of field 0.
-//! let agg = WindowAggregateOp::new(
+//! let mut agg = WindowAggregateOp::new(
 //!     WindowSpec::tumbling(10u64),
 //!     vec![AggregateSpec::new(AggregateKind::Sum, 0, "sum")],
 //!     None,
 //!     LatePolicy::Drop,
 //! ).unwrap();
-//! let mut pipeline = Pipeline::new().window_aggregate(agg);
 //!
 //! let input = vec![
 //!     StreamElement::Event(Event::new(1, 0, Row::new([Value::Float(2.0)]))),
 //!     StreamElement::Event(Event::new(5, 1, Row::new([Value::Float(3.0)]))),
 //!     StreamElement::Flush,
 //! ];
-//! let out = pipeline.run_collect(input);
-//! let results: Vec<WindowResult> = out.iter()
-//!     .filter_map(|e| e.as_event())
-//!     .filter_map(|e| WindowResult::from_row(&e.row))
-//!     .collect();
+//! let mut results = Vec::new();
+//! for el in input {
+//!     agg.process(el, &mut |out| {
+//!         if let Some(r) = out.as_event().and_then(|e| WindowResult::from_row(&e.row)) {
+//!             results.push(r);
+//!         }
+//!     });
+//! }
+//! assert_eq!(results.len(), 1);
 //! assert_eq!(results[0].aggregates[0], Value::Float(5.0));
 //! ```
 
@@ -54,7 +57,6 @@ pub mod fiba;
 pub mod hash;
 pub mod operator;
 pub mod parallel;
-pub mod pipeline;
 pub mod time;
 pub mod value;
 pub mod window;
@@ -67,11 +69,9 @@ pub mod prelude {
     pub use crate::fiba::{FibaStats, FibaTree, WindowState};
     pub use crate::hash::FxHasher;
     pub use crate::operator::{
-        merge_by_arrival, CountWindowOp, FilterOp, IntervalJoin, LatePolicy, MapOp, Operator,
-        ProjectOp, SessionOpStats, SessionWindowOp, WindowAggregateOp, WindowOpStats, WindowResult,
+        LatePolicy, Operator, WindowAggregateOp, WindowOpStats, WindowResult,
     };
     pub use crate::parallel::{run_keyed_parallel, shard_of, ParallelConfig};
-    pub use crate::pipeline::Pipeline;
     pub use crate::time::{TimeDelta, Timestamp};
     pub use crate::value::{hash_value, Field, FieldType, Key, Row, Schema, Value};
     pub use crate::window::{Window, WindowSpec};

@@ -5,214 +5,20 @@
 //! watermark contract: after forwarding `Watermark(t)` they must never emit
 //! an event with `ts < t`.
 
-pub mod count_op;
-pub mod join;
-pub mod session;
 pub mod shard_stage;
-pub mod union;
 pub mod window_op;
 
 use crate::event::StreamElement;
 
-pub use count_op::CountWindowOp;
-pub use join::IntervalJoin;
-pub use session::{SessionOpStats, SessionWindowOp};
 pub use shard_stage::ShardStage;
-pub use union::merge_by_arrival;
 pub use window_op::{LatePolicy, WindowAggregateOp, WindowOpStats, WindowResult};
 
 /// A push-based stream operator.
 pub trait Operator: Send {
-    /// Human-readable operator name (used in pipeline descriptions).
+    /// Human-readable operator name (used in diagnostics).
     fn name(&self) -> &str;
 
     /// Process one element, pushing outputs through `out` (possibly none,
     /// possibly many). `Flush` must be forwarded after any final outputs.
     fn process(&mut self, el: StreamElement, out: &mut dyn FnMut(StreamElement));
-}
-
-impl Operator for Box<dyn Operator> {
-    fn name(&self) -> &str {
-        (**self).name()
-    }
-
-    fn process(&mut self, el: StreamElement, out: &mut dyn FnMut(StreamElement)) {
-        (**self).process(el, out)
-    }
-}
-
-/// Stateless 1:1 transformation of event rows. Watermarks and flush pass
-/// through untouched.
-pub struct MapOp<F> {
-    name: String,
-    f: F,
-}
-
-impl<F> MapOp<F>
-where
-    F: FnMut(crate::value::Row) -> crate::value::Row + Send,
-{
-    /// Build a map operator from a row transformation.
-    pub fn new(name: impl Into<String>, f: F) -> Self {
-        MapOp {
-            name: name.into(),
-            f,
-        }
-    }
-}
-
-impl<F> Operator for MapOp<F>
-where
-    F: FnMut(crate::value::Row) -> crate::value::Row + Send,
-{
-    fn name(&self) -> &str {
-        &self.name
-    }
-
-    fn process(&mut self, el: StreamElement, out: &mut dyn FnMut(StreamElement)) {
-        match el {
-            StreamElement::Event(mut e) => {
-                e.row = (self.f)(e.row);
-                out(StreamElement::Event(e));
-            }
-            other => out(other),
-        }
-    }
-}
-
-/// Stateless filter over event rows; punctuation passes through.
-pub struct FilterOp<F> {
-    name: String,
-    pred: F,
-}
-
-impl<F> FilterOp<F>
-where
-    F: FnMut(&crate::value::Row) -> bool + Send,
-{
-    /// Build a filter operator from a predicate.
-    pub fn new(name: impl Into<String>, pred: F) -> Self {
-        FilterOp {
-            name: name.into(),
-            pred,
-        }
-    }
-}
-
-impl<F> Operator for FilterOp<F>
-where
-    F: FnMut(&crate::value::Row) -> bool + Send,
-{
-    fn name(&self) -> &str {
-        &self.name
-    }
-
-    fn process(&mut self, el: StreamElement, out: &mut dyn FnMut(StreamElement)) {
-        match el {
-            StreamElement::Event(e) => {
-                if (self.pred)(&e.row) {
-                    out(StreamElement::Event(e));
-                }
-            }
-            other => out(other),
-        }
-    }
-}
-
-/// Column projection: keeps the listed column indices, in the listed order.
-pub struct ProjectOp {
-    name: String,
-    indices: Vec<usize>,
-}
-
-impl ProjectOp {
-    /// Build a projection onto the given column indices.
-    pub fn new(indices: impl Into<Vec<usize>>) -> Self {
-        ProjectOp {
-            name: "project".into(),
-            indices: indices.into(),
-        }
-    }
-}
-
-impl Operator for ProjectOp {
-    fn name(&self) -> &str {
-        &self.name
-    }
-
-    fn process(&mut self, el: StreamElement, out: &mut dyn FnMut(StreamElement)) {
-        match el {
-            StreamElement::Event(mut e) => {
-                e.row = e.row.project(&self.indices);
-                out(StreamElement::Event(e));
-            }
-            other => out(other),
-        }
-    }
-}
-
-#[cfg(test)]
-mod tests {
-    use super::*;
-    use crate::event::Event;
-    use crate::time::Timestamp;
-    use crate::value::{Row, Value};
-
-    fn drive(op: &mut dyn Operator, input: Vec<StreamElement>) -> Vec<StreamElement> {
-        let mut outs = Vec::new();
-        for el in input {
-            op.process(el, &mut |o| outs.push(o));
-        }
-        outs
-    }
-
-    fn ev(ts: u64, v: i64) -> StreamElement {
-        StreamElement::Event(Event::new(ts, ts, Row::new([Value::Int(v)])))
-    }
-
-    #[test]
-    fn map_transforms_rows_and_passes_punctuation() {
-        let mut op = MapOp::new("double", |r: Row| {
-            let v = r.get(0).as_i64().unwrap_or(0);
-            Row::new([Value::Int(v * 2)])
-        });
-        let outs = drive(
-            &mut op,
-            vec![
-                ev(1, 10),
-                StreamElement::Watermark(Timestamp(5)),
-                StreamElement::Flush,
-            ],
-        );
-        assert_eq!(outs.len(), 3);
-        assert_eq!(outs[0].as_event().unwrap().row.get(0), &Value::Int(20));
-        assert_eq!(outs[1], StreamElement::Watermark(Timestamp(5)));
-        assert!(outs[2].is_flush());
-    }
-
-    #[test]
-    fn filter_drops_events_only() {
-        let mut op = FilterOp::new("pos", |r: &Row| r.get(0).as_i64().unwrap_or(0) > 0);
-        let outs = drive(
-            &mut op,
-            vec![ev(1, -1), ev(2, 3), StreamElement::Watermark(Timestamp(9))],
-        );
-        assert_eq!(outs.len(), 2);
-        assert_eq!(outs[0].as_event().unwrap().row.get(0), &Value::Int(3));
-        assert_eq!(outs[1], StreamElement::Watermark(Timestamp(9)));
-    }
-
-    #[test]
-    fn project_reorders_columns() {
-        let mut op = ProjectOp::new(vec![1, 0]);
-        let mut outs = Vec::new();
-        op.process(
-            StreamElement::Event(Event::new(1, 1, Row::new([Value::Int(1), Value::str("a")]))),
-            &mut |o| outs.push(o),
-        );
-        assert_eq!(
-            outs[0].as_event().unwrap().row,
-            Row::new([Value::str("a"), Value::Int(1)])
-        );
-    }
 }

@@ -419,11 +419,6 @@ impl Row {
             self.0[i] = v;
         }
     }
-
-    /// Project onto the given column indices (missing indices become null).
-    pub fn project(&self, indices: &[usize]) -> Row {
-        Row(indices.iter().map(|&i| self.get(i).clone()).collect())
-    }
 }
 
 impl fmt::Display for Row {
@@ -510,10 +505,6 @@ mod tests {
     #[test]
     fn row_projection_and_access() {
         let r = Row::new([Value::Int(1), Value::str("a"), Value::Float(3.0)]);
-        assert_eq!(
-            r.project(&[2, 0]),
-            Row::new([Value::Float(3.0), Value::Int(1)])
-        );
         assert_eq!(r.get(99), &Value::Null);
         assert_eq!(r.f64(2), Some(3.0));
         let r2 = r.clone().with(true);

@@ -2,10 +2,9 @@
 //!
 //! Windows are half-open event-time intervals `[start, end)`. A
 //! [`WindowSpec`] describes how events map to windows; [`WindowSpec::assign`]
-//! returns every window a timestamp belongs to. Count- and session-based
-//! windows are stateful and handled by the aggregation operator directly; the
-//! time-based specs here are pure functions of the timestamp, which is what
-//! makes out-of-order insertion possible (a late event can still be routed to
+//! returns every window a timestamp belongs to. Only time-based windows
+//! exist: each spec is a pure function of the timestamp, which is what makes
+//! out-of-order insertion possible (a late event can still be routed to
 //! its correct — possibly already-emitted — window).
 
 use crate::error::{EngineError, Result};

@@ -71,7 +71,6 @@ const DETERMINISTIC_FILES: &[&str] = &[
     "crates/core/src/controller.rs",
     "crates/core/src/buffer.rs",
     "crates/core/src/punctuated.rs",
-    "crates/core/src/online.rs",
     "crates/core/src/quality.rs",
     "crates/core/src/session.rs",
 ];
@@ -654,6 +653,18 @@ mod tests {
     }
 
     #[test]
+    fn every_scoped_path_exists_in_the_workspace() {
+        let root = Path::new(env!("CARGO_MANIFEST_DIR")).join("../..");
+        for rel in HOT_PATH_FILES
+            .iter()
+            .chain(DETERMINISTIC_FILES)
+            .chain(TELEMETRY_CONSTRUCTION_FILES)
+        {
+            assert!(root.join(rel).is_file(), "stale scope path {rel}");
+        }
+    }
+
+    #[test]
     fn wall_clock_in_serve_needs_a_scoped_allow() {
         let bare = "fn f() -> std::time::Instant { std::time::Instant::now() }\n";
         let diags = lint_source("crates/serve/src/http.rs", bare);
@@ -713,7 +724,7 @@ mod tests {
     #[test]
     fn unknown_rule_annotation_is_a_finding() {
         let src = "// quill-lint: allow(no-such-rule, reason = \"x\")\n";
-        let diags = lint_source("crates/core/src/online.rs", src);
+        let diags = lint_source("crates/core/src/aq.rs", src);
         assert_eq!(diags.len(), 1);
         assert_eq!(diags[0].rule, RULE_ALLOW_SYNTAX);
     }

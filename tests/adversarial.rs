@@ -236,31 +236,3 @@ fn punctuated_buffer_with_unknown_source_field_degrades_gracefully() {
         execute(&events, &mut s, &sum_query(100), &ExecOptions::sequential()).expect("valid query");
     assert_eq!(out.buffer.released + out.buffer.late_passed, 200);
 }
-
-#[test]
-fn session_gap_larger_than_stream_span_yields_one_session() {
-    let mut op = SessionWindowOp::new(
-        1_000_000u64,
-        vec![AggregateSpec::new(AggregateKind::Count, 0, "n")],
-        None,
-    )
-    .expect("valid op");
-    let mut results = Vec::new();
-    for i in 0..100u64 {
-        op.process(
-            StreamElement::Event(Event::new(i * 100, i, Row::new([Value::Float(1.0)]))),
-            &mut |o| {
-                if let StreamElement::Event(e) = o {
-                    results.extend(WindowResult::from_row(&e.row));
-                }
-            },
-        );
-    }
-    op.process(StreamElement::Flush, &mut |o| {
-        if let StreamElement::Event(e) = o {
-            results.extend(WindowResult::from_row(&e.row));
-        }
-    });
-    assert_eq!(results.len(), 1);
-    assert_eq!(results[0].count, 100);
-}

@@ -1,5 +1,6 @@
-//! End-to-end: generated workloads through disorder control, windowed
-//! aggregation and quality scoring, across all crates.
+//! End-to-end: generated workloads through `execute` — disorder control,
+//! windowed aggregation and quality scoring, across all crates. Any input
+//! preprocessing (filtering, rescaling) is done on the events before a run.
 
 use quill_core::prelude::*;
 use quill_gen::workload::standard_suite;
@@ -88,36 +89,24 @@ fn rich_queries_run_under_all_strategies() {
 
 #[test]
 fn full_pipeline_with_preprocessing_stages() {
-    // Filter + map in front of the window aggregation, fed by a strategy:
-    // glue the strategy output through a Pipeline manually.
-    let events = uniform_disordered(10_000, 10, 300, 9);
-    let mut strategy = AqKSlack::for_completeness(0.95);
-    let mut elements = Vec::new();
-    for e in &events {
-        strategy.on_event(e.clone(), &mut elements);
-    }
-    strategy.finish(&mut elements);
-
-    let mut pipeline = Pipeline::new()
-        .filter("drop-small", |r: &Row| r.f64(0).unwrap_or(0.0) >= 100.0)
-        .map("halve", |r: Row| {
-            Row::new([Value::Float(r.f64(0).unwrap_or(0.0) / 2.0)])
+    // Filter + halve the input, then run a max query over it under AQ.
+    let events: Vec<Event> = uniform_disordered(10_000, 10, 300, 9)
+        .into_iter()
+        .filter(|e| e.row.f64(0).unwrap_or(0.0) >= 100.0)
+        .map(|mut e| {
+            e.row = Row::new([Value::Float(e.row.f64(0).unwrap_or(0.0) / 2.0)]);
+            e
         })
-        .window_aggregate(
-            WindowAggregateOp::new(
-                WindowSpec::tumbling(1_000u64),
-                vec![AggregateSpec::new(AggregateKind::Max, 0, "max")],
-                None,
-                LatePolicy::Drop,
-            )
-            .expect("valid op"),
-        );
-    let out = pipeline.run_collect(elements);
-    let results: Vec<WindowResult> = out
-        .iter()
-        .filter_map(|e| e.as_event())
-        .filter_map(|e| WindowResult::from_row(&e.row))
         .collect();
+    let query = QuerySpec::new(
+        WindowSpec::tumbling(1_000u64),
+        vec![AggregateSpec::new(AggregateKind::Max, 0, "max")],
+        None,
+    );
+    let mut strategy = AqKSlack::for_completeness(0.95);
+    let results = execute(&events, &mut strategy, &query, &ExecOptions::sequential())
+        .expect("valid query")
+        .results;
     assert!(!results.is_empty());
     // Max per window is (window_end - 10) / 2 for complete windows.
     for r in results.iter().take(5) {

@@ -1,15 +1,15 @@
-//! Engine-level query integration: multi-stage pipelines, keyed windows,
-//! joins and merges over generated data.
+//! Engine-level query integration: the window operator driven directly,
+//! keyed over generated data and revising under heavy disorder.
 
 use quill_engine::prelude::*;
-use quill_gen::workload::{soccer, stock};
+use quill_gen::workload::stock;
 use quill_integration::uniform_disordered;
 
 #[test]
 fn keyed_sliding_windows_over_stock_stream() {
     let cfg = stock::StockConfig::default();
     let stream = stock::generate(&cfg, 10_000, 55);
-    let op = WindowAggregateOp::new(
+    let mut op = WindowAggregateOp::new(
         WindowSpec::sliding(4_000u64, 2_000u64),
         vec![
             AggregateSpec::new(AggregateKind::Mean, stock::PRICE_FIELD, "mean_price"),
@@ -26,13 +26,14 @@ fn keyed_sliding_windows_over_stock_stream() {
         quill_core::prelude::DisorderControl::on_event(&mut buffer, e.clone(), &mut elements);
     }
     quill_core::prelude::DisorderControl::finish(&mut buffer, &mut elements);
-    let mut pipeline = Pipeline::new().window_aggregate(op);
-    let out = pipeline.run_collect(elements);
-    let results: Vec<WindowResult> = out
-        .iter()
-        .filter_map(|e| e.as_event())
-        .filter_map(|e| WindowResult::from_row(&e.row))
-        .collect();
+    let mut results = Vec::new();
+    for el in elements {
+        op.process(el, &mut |o| {
+            if let StreamElement::Event(e) = o {
+                results.extend(WindowResult::from_row(&e.row));
+            }
+        });
+    }
     assert!(!results.is_empty());
     // Every result's count is positive and the keyed mean is a sane price.
     for r in &results {
@@ -43,93 +44,6 @@ fn keyed_sliding_windows_over_stock_stream() {
     // Hot symbol 0 must appear in many windows (Zipf skew).
     let hot = results.iter().filter(|r| r.key == Value::Int(0)).count();
     assert!(hot >= results.len() / (cfg.symbols * 2));
-}
-
-#[test]
-fn interval_join_correlates_two_sensor_streams() {
-    // Join each player's readings with themselves offset in time: left
-    // stream = player positions, right = same players 1s later; every left
-    // event should find its +1s sibling within the bound.
-    let stream = soccer::generate(&soccer::SoccerConfig::default(), 2_000, 66);
-    let left: Vec<StreamElement> = stream
-        .events
-        .iter()
-        .cloned()
-        .map(StreamElement::Event)
-        .chain([StreamElement::Flush])
-        .collect();
-    let right: Vec<StreamElement> = stream
-        .events
-        .iter()
-        .cloned()
-        .map(|mut e| {
-            e.ts += TimeDelta(1_000);
-            StreamElement::Event(e)
-        })
-        .chain([StreamElement::Flush])
-        .collect();
-    let join = IntervalJoin::new(soccer::PLAYER_FIELD, soccer::PLAYER_FIELD, 0u64, 1_000u64);
-    let (out, stats) = join.run(left, right);
-    assert!(stats.matches > 0);
-    // All matched rows concatenate both schemas.
-    let width = stream.schema.len() * 2;
-    for e in out.iter().filter_map(|e| e.as_event()).take(20) {
-        assert_eq!(e.row.len(), width);
-        // Same player on both sides.
-        assert_eq!(
-            e.row.get(soccer::PLAYER_FIELD),
-            e.row.get(soccer::PLAYER_FIELD + stream.schema.len())
-        );
-    }
-}
-
-#[test]
-fn merge_by_arrival_feeds_window_operator_correctly() {
-    // Two half-rate sources with interleaved seqs; merged stream must give
-    // identical window counts to a single-source run.
-    let events = uniform_disordered(2_000, 5, 100, 44);
-    let a: Vec<StreamElement> = events
-        .iter()
-        .filter(|e| e.seq % 2 == 0)
-        .cloned()
-        .map(StreamElement::Event)
-        .chain([StreamElement::Flush])
-        .collect();
-    let b: Vec<StreamElement> = events
-        .iter()
-        .filter(|e| e.seq % 2 == 1)
-        .cloned()
-        .map(StreamElement::Event)
-        .chain([StreamElement::Flush])
-        .collect();
-    let merged = merge_by_arrival(vec![a, b]);
-    let count_windows = |input: Vec<StreamElement>| {
-        let mut op = WindowAggregateOp::new(
-            WindowSpec::tumbling(500u64),
-            vec![AggregateSpec::new(AggregateKind::Count, 0, "n")],
-            None,
-            LatePolicy::Drop,
-        )
-        .expect("valid op");
-        let mut results = Vec::new();
-        for el in input {
-            op.process(el, &mut |o| {
-                if let StreamElement::Event(e) = o {
-                    if let Some(r) = WindowResult::from_row(&e.row) {
-                        results.push((r.window, r.count));
-                    }
-                }
-            });
-        }
-        results
-    };
-    let direct: Vec<StreamElement> = events
-        .iter()
-        .cloned()
-        .map(StreamElement::Event)
-        .chain([StreamElement::Flush])
-        .collect();
-    assert_eq!(count_windows(merged), count_windows(direct));
 }
 
 #[test]
