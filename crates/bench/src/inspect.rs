@@ -634,7 +634,7 @@ mod tests {
         use quill_telemetry::{ClockDomain, SpanRecorder};
         let rec = SpanRecorder::new(64);
         rec.record(Stage::Route, 0, 100, 0);
-        rec.record(Stage::ShardStage, 10, 90, 1);
+        rec.record(Stage::WindowFinalize, 10, 90, 1);
         rec.record_for_query(Stage::Deliver, 100, 150, 0, 7);
         let spans = rec.spans();
         let jsonl: String = spans.iter().map(|s| s.to_json_line() + "\n").collect();

@@ -435,15 +435,6 @@ impl DisorderControl for AqKSlack {
             k_max: (self.cfg.k_max.raw() < u64::MAX / 4).then(|| self.cfg.k_max.raw()),
         }
     }
-
-    fn split_for_shard_staging(&mut self) -> bool {
-        // Every adaptive input — observed delay, on-time classification,
-        // sensitivity samples, the PI loop — is computed from the arriving
-        // event and the buffer's clock/watermark before insertion, never
-        // from held payloads, so the control loop is unchanged.
-        self.buf.set_control_only();
-        true
-    }
 }
 
 #[cfg(test)]

@@ -7,7 +7,7 @@
 //!
 //! The user states a result-quality target (window completeness or maximum
 //! relative aggregate error); the [`aq::AqKSlack`] strategy continuously
-//! sizes the input ordering buffer so the target is met with minimal result
+//! sizes the input slack buffer so the target is met with minimal result
 //! latency, adapting to non-stationary delays. Baselines
 //! ([`strategy::DropAll`], [`strategy::FixedKSlack`], [`strategy::MpKSlack`],
 //! [`strategy::OracleBuffer`]) share the same [`buffer::SlackBuffer`]

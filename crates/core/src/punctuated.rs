@@ -136,13 +136,6 @@ impl DisorderControl for PunctuatedBuffer {
     fn buffer_stats(&self) -> BufferStats {
         self.buf.stats()
     }
-
-    fn split_for_shard_staging(&mut self) -> bool {
-        // Per-source progress and the combined watermark are derived from
-        // event fields alone; the slack buffer is only the release gate.
-        self.buf.set_control_only();
-        true
-    }
 }
 
 #[cfg(test)]
@@ -158,10 +151,12 @@ mod tests {
         )
     }
 
-    fn released_ts(out: &[StreamElement]) -> Vec<u64> {
+    fn watermarks(out: &[StreamElement]) -> Vec<u64> {
         out.iter()
-            .filter_map(|e| e.as_event())
-            .map(|e| e.ts.raw())
+            .filter_map(|e| match e {
+                StreamElement::Watermark(w) => Some(w.raw()),
+                _ => None,
+            })
             .collect()
     }
 
@@ -171,12 +166,14 @@ mod tests {
         let mut out = Vec::new();
         s.on_event(ev(100, 0, 1), &mut out);
         s.on_event(ev(200, 1, 1), &mut out);
-        // Only source 1 seen: nothing released.
-        assert!(released_ts(&out).is_empty());
+        // Only source 1 seen: no watermark, both events held.
+        assert!(watermarks(&out).is_empty());
+        assert_eq!(s.buffer_stats().released, 0);
         assert_eq!(s.sources_seen(), 1);
         s.on_event(ev(150, 2, 2), &mut out);
         // Now wm = min(200, 150) = 150 → releases ts <= 150.
-        assert_eq!(released_ts(&out), vec![100, 150]);
+        assert_eq!(watermarks(&out), vec![150]);
+        assert_eq!(s.buffer_stats().released, 2);
     }
 
     #[test]
@@ -189,7 +186,8 @@ mod tests {
         out.clear();
         s.on_event(ev(20, 3, 2), &mut out);
         // wm = min(1000, 20) = 20: ts=20 released, ts=1000 held.
-        assert_eq!(released_ts(&out), vec![20]);
+        assert_eq!(watermarks(&out), vec![20]);
+        assert_eq!(s.buffer_stats().released, 3);
     }
 
     #[test]
@@ -206,10 +204,7 @@ mod tests {
         }
         s.finish(&mut out);
         assert_eq!(s.buffer_stats().late_passed, 0);
-        let ts = released_ts(&out);
-        let mut sorted = ts.clone();
-        sorted.sort_unstable();
-        assert_eq!(ts, sorted);
+        assert_eq!(s.buffer_stats().released, 200);
     }
 
     #[test]
@@ -227,16 +222,18 @@ mod tests {
         let mut out = Vec::new();
         s.on_event(ev(100, 0, 1), &mut out);
         s.on_event(ev(200, 1, 1), &mut out);
-        assert!(released_ts(&out).is_empty(), "source 2 unseen");
+        assert!(watermarks(&out).is_empty(), "source 2 unseen");
         // A heartbeat from source 2 vouches for its progress: wm = min(200,
         // 150) = 150 without any event from it, releasing ts <= 150.
         s.on_heartbeat(&Key(Value::Int(2)), Timestamp(150), &mut out);
-        assert_eq!(released_ts(&out), vec![100]);
+        assert_eq!(watermarks(&out), vec![150]);
+        assert_eq!(s.buffer_stats().released, 1);
         assert_eq!(s.sources_seen(), 2);
         // A heartbeat ahead of the clock saturates at the clock.
         s.on_heartbeat(&Key(Value::Int(2)), Timestamp(10_000), &mut out);
         s.on_heartbeat(&Key(Value::Int(1)), Timestamp(10_000), &mut out);
-        assert_eq!(released_ts(&out), vec![100, 200]);
+        assert_eq!(watermarks(&out), vec![150, 200]);
+        assert_eq!(s.buffer_stats().released, 2);
     }
 
     #[test]

@@ -18,9 +18,7 @@ use crate::strategy::DisorderControl;
 use quill_engine::aggregate::{AggregateKind, AggregateSpec};
 use quill_engine::error::{EngineError, Result};
 use quill_engine::event::{ClockTracker, Event, StreamElement};
-use quill_engine::operator::{
-    LatePolicy, ShardStage, WindowAggregateOp, WindowOpStats, WindowResult,
-};
+use quill_engine::operator::{LatePolicy, WindowAggregateOp, WindowOpStats, WindowResult};
 use quill_engine::parallel::{run_keyed_parallel, ParallelConfig};
 use quill_engine::time::{TimeDelta, Timestamp};
 use quill_engine::window::WindowSpec;
@@ -211,10 +209,9 @@ impl QuerySpecBuilder {
 #[derive(Debug, Clone, Default)]
 pub struct ExecOptions {
     /// `Some(config)` fans the windowing work out on the batched
-    /// keyed-parallel executor, each shard ordering and finalizing its own
-    /// keys' windows behind a [`ShardStage`] while the strategy runs
-    /// control-only ([`DisorderControl::split_for_shard_staging`]):
-    /// element-identical output, no global reorder. `None` runs sequentially.
+    /// keyed-parallel executor, each shard inserting its own keys' events on
+    /// arrival and finalizing their windows: element-identical output to the
+    /// sequential run. `None` runs sequentially.
     pub parallel: Option<ParallelConfig>,
     /// Telemetry registry instruments record into.
     /// [`Registry::disabled`] (the default) makes every instrument a no-op.
@@ -231,8 +228,8 @@ pub struct ExecOptions {
     /// [`ExecOptions::required_completeness`].
     pub trace: FlightRecorder,
     /// Pipeline span recorder every stage records begin/end spans into, on
-    /// the logical (event-time) clock: buffer residency, routing, shard
-    /// staging, window finalization, merge, and result delivery.
+    /// the logical (event-time) clock: buffer residency, routing, window
+    /// finalization, merge, and result delivery.
     /// [`SpanRecorder::disabled`] (the default) makes every hook a branch.
     /// Drain with [`SpanRecorder::take`] for timeline export, or call
     /// [`SpanRecorder::instrument`] first so per-stage duration histograms
@@ -371,15 +368,13 @@ impl RunOutput {
     }
 }
 
-/// Strategy output staged for windowing, plus everything measured while
-/// draining the strategy. Public as a test surface: the `quill-sim`
-/// differential harness stages strategies directly to check watermark
-/// monotonicity, conservation and release ordering independently of the
-/// windowing layer.
+/// Strategy output staged for windowing — every event in arrival order,
+/// interleaved with the watermarks the strategy emitted — plus everything
+/// measured while draining the strategy.
 pub struct StagedStream {
-    /// Released events and watermarks, in release order.
+    /// Forwarded events and watermarks, in emission order.
     pub elements: Vec<StreamElement>,
-    /// `(watermark, clock at release)` pairs, in release order.
+    /// `(watermark, clock at emission)` pairs, in emission order.
     pub wm_clock: Vec<(Timestamp, Timestamp)>,
     /// Clock after the last arrival.
     pub final_clock: Timestamp,
@@ -407,8 +402,7 @@ impl StagedStream {
 /// and [`crate::shared::execute_shared`]: the strategy is inherently
 /// sequential (it decides watermarks from arrival order), so its output is
 /// staged once and the windowing work — sequential, parallel, or multi-query
-/// — runs over the staged stream. Public as a test surface for the
-/// `quill-sim` differential harness (see [`StagedStream`]).
+/// — runs over the staged stream.
 pub fn stage_strategy(
     events: &[Event],
     strategy: &mut dyn DisorderControl,
@@ -481,10 +475,10 @@ pub fn stage_strategy(
 }
 
 /// Sum window-operator counters across the shards' operators.
-fn sum_window_stats(stages: &[ShardStage<WindowAggregateOp>]) -> WindowOpStats {
+fn sum_window_stats(ops: &[WindowAggregateOp]) -> WindowOpStats {
     let mut total = WindowOpStats::default();
-    for stage in stages {
-        let s = stage.inner().stats();
+    for op in ops {
+        let s = op.stats();
         total.accepted += s.accepted;
         total.late_dropped += s.late_dropped;
         total.revisions += s.revisions;
@@ -541,13 +535,6 @@ pub(crate) fn run_batch(
 
     strategy.set_min_slide(queries.iter().map(|q| q.window.slide()).min());
     let start = std::time::Instant::now();
-    if opts.parallel.is_some() {
-        // Shard-local window finalization: ask the strategy to go
-        // control-only before it sees any event. One that declines (a custom
-        // strategy) hands the shard stages an already-staged stream, on which
-        // a `ShardStage` is the identity.
-        strategy.split_for_shard_staging();
-    }
     let mut staged = stage_strategy(events, strategy, opts);
     let mut elements = std::mem::take(&mut staged.elements);
     let windowed: Vec<(Vec<WindowResult>, WindowOpStats)> = match opts.parallel {
@@ -638,16 +625,16 @@ pub(crate) fn run_batch(
     })
 }
 
-/// Window one query's staged stream on the keyed-parallel executor, each
-/// shard's operator behind a [`ShardStage`]. Unkeyed queries route on the
-/// (out-of-range ⇒ Null) key, so every event lands on one shard.
+/// Window one query's staged stream on the keyed-parallel executor, one
+/// operator per shard. Unkeyed queries route on the (out-of-range ⇒ Null)
+/// key, so every event lands on one shard.
 fn window_parallel(
     elements: Vec<StreamElement>,
     query: &QuerySpec,
     config: ParallelConfig,
     opts: &ExecOptions,
 ) -> Result<(Vec<WindowResult>, WindowOpStats)> {
-    let (out, stages) = run_keyed_parallel(
+    let (out, ops) = run_keyed_parallel(
         elements,
         query.key_field.unwrap_or(usize::MAX),
         config,
@@ -666,9 +653,7 @@ fn window_parallel(
             .expect("query validated above");
             op.attach_trace(&opts.trace, shard);
             op.attach_spans(&opts.spans, shard);
-            let mut stage = ShardStage::new(op);
-            stage.attach_spans(&opts.spans, shard);
-            stage
+            op
         },
     )?;
     let results = out
@@ -676,7 +661,7 @@ fn window_parallel(
         .filter_map(|el| el.as_event())
         .filter_map(|e| WindowResult::from_row(&e.row))
         .collect();
-    Ok((results, sum_window_stats(&stages)))
+    Ok((results, sum_window_stats(&ops)))
 }
 
 /// Execute `query` over `events` (already in arrival order) under
@@ -684,8 +669,8 @@ fn window_parallel(
 /// executor, optionally recording telemetry. Quality is scored against the
 /// exact in-order oracle.
 ///
-/// The released stream is staged first — recording the clock at each
-/// watermark release — then the windowing work runs over the staged stream:
+/// The strategy's output is staged first — recording the clock at each
+/// watermark — then the windowing work runs over the staged stream:
 /// on the multi-query core a [`crate::session::Session`] runs (sequential)
 /// or fanned out across [`ParallelConfig::shards`] shards (parallel).
 /// Per-result latency is reconstructed from the recorded watermark clocks:
@@ -1199,12 +1184,10 @@ mod tests {
         .unwrap();
         let recorded = spans.spans();
         // Shard-local finalization exercises the full in-process pipeline:
-        // buffer residency (control-only), routing, shard staging, window
-        // finalization, merge, delivery.
+        // buffer residency, routing, window finalization, merge, delivery.
         for stage in [
             Stage::BufferResidency,
             Stage::Route,
-            Stage::ShardStage,
             Stage::WindowFinalize,
             Stage::Merge,
             Stage::Deliver,

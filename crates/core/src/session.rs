@@ -375,7 +375,9 @@ impl MultiQueryCore {
     /// It subscribes to the operator of an equal-shape group that has seen
     /// no element yet, and otherwise gets an operator of its own: joining one
     /// that is already running would hand a late subscriber windows holding
-    /// events staged before it arrived.
+    /// events pushed before it arrived. Every event reaches the operators in
+    /// the push that carries it, so a new query sees exactly the events
+    /// pushed after it registers.
     pub(crate) fn register(
         &mut self,
         spec: &QuerySpec,
@@ -562,7 +564,8 @@ pub struct SessionStats {
     pub results: u64,
     /// The slack currently in force.
     pub current_k: TimeDelta,
-    /// Events currently held in the ordering buffer.
+    /// Events pushed whose timestamp the watermark has not passed yet (they
+    /// already sit in window state; the buffer holds only their count).
     pub buffered: u64,
     /// The stream clock (max event timestamp observed).
     pub clock: Option<Timestamp>,
@@ -574,11 +577,12 @@ pub struct SessionStats {
 /// strategy. See the [module docs](self) for the model and an example.
 ///
 /// Mid-stream registration is first-class: a query registered after events
-/// flowed only observes elements staged from then on — its first windows may
-/// be partial, exactly as a newly subscribed consumer expects. Results,
-/// ordering and latency stamping for queries registered before the first
-/// event are element-identical to the batch paths (proved in the
-/// `session_api` integration tests).
+/// flowed observes exactly the events pushed from then on, since every push
+/// reaches the operators at once — its first windows may be partial, exactly
+/// as a newly subscribed consumer expects. Results, ordering and latency
+/// stamping for queries registered before the first event are
+/// element-identical to the batch paths (proved in the `session_api`
+/// integration tests).
 pub struct Session {
     strategy: Box<dyn DisorderControl>,
     core: MultiQueryCore,
@@ -761,8 +765,8 @@ impl Session {
 
     /// Apply a per-source heartbeat (a promise that no future event from
     /// `source` has a timestamp below `ts`): progress-driven strategies like
-    /// [`crate::punctuated::PunctuatedBuffer`] advance their watermark and
-    /// release buffered events; delay-driven strategies ignore it. No-op
+    /// [`crate::punctuated::PunctuatedBuffer`] advance their watermark,
+    /// which may close windows; delay-driven strategies ignore it. No-op
     /// after [`Session::finish`].
     pub fn heartbeat(&mut self, source: &Key, ts: Timestamp) {
         if self.finished {
@@ -776,9 +780,9 @@ impl Session {
         }
     }
 
-    /// End of stream: release everything buffered, finalize every open
-    /// window (the strategy's `Flush` acts as the final watermark), and
-    /// close all subscriptions. Idempotent.
+    /// End of stream: finalize every open window (the strategy's `Flush`
+    /// acts as the final watermark), and close all subscriptions.
+    /// Idempotent.
     pub fn finish(&mut self) {
         if self.finished {
             return;

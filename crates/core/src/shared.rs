@@ -1,7 +1,7 @@
 //! Shared execution of multiple continuous queries over one buffered stream.
 //!
 //! In practice many continuous queries subscribe to the same stream; the
-//! ordering buffer is paid once and its watermarks fan out to one window
+//! slack buffer is paid once and its watermarks fan out to one window
 //! operator per distinct query shape (sequentially, on the core a
 //! [`crate::session::Session`] runs). One slack serves every subscriber: it
 //! follows the strategy's own quality target, sized for the smallest slide

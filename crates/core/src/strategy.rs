@@ -1,10 +1,10 @@
 //! The disorder-control strategy interface and baseline strategies.
 //!
 //! A [`DisorderControl`] sits between the arriving (out-of-order) stream and
-//! the query pipeline: it decides how long to hold events, releases them in
-//! timestamp order, and punctuates the output with watermarks that drive
-//! window emission. The strategies differ **only** in how they choose the
-//! slack bound `K` over time:
+//! the query pipeline: it forwards every event as it arrives and punctuates
+//! the stream with watermarks, deciding how long event time stays open
+//! before a window over it is final. The strategies differ **only** in how
+//! they choose the slack bound `K` over time:
 //!
 //! | strategy | K | guarantees | cost |
 //! |---|---|---|---|
@@ -52,17 +52,17 @@ pub trait DisorderControl: Send {
     /// Default: ignored.
     fn set_min_slide(&mut self, _slide: Option<TimeDelta>) {}
 
-    /// Feed one arriving event; ordered releases and watermarks are appended
-    /// to `out`.
+    /// Feed one arriving event: it is appended to `out` at once, followed by
+    /// any watermark its arrival lets through.
     fn on_event(&mut self, e: Event, out: &mut Vec<StreamElement>);
 
     /// Apply an out-of-band per-source heartbeat: a promise that no future
     /// event from `source` carries a timestamp below `ts` (Srivastava &
     /// Widom-style punctuation). Progress-driven strategies
     /// ([`crate::punctuated::PunctuatedBuffer`]) advance their combined
-    /// watermark and append any unlocked releases to `out`; delay-driven
-    /// strategies ignore heartbeats (the default no-op), because their K is
-    /// a function of observed arrival delays, not source progress.
+    /// watermark and append it to `out`; delay-driven strategies ignore
+    /// heartbeats (the default no-op), because their K is a function of
+    /// observed arrival delays, not source progress.
     fn on_heartbeat(
         &mut self,
         _source: &quill_engine::value::Key,
@@ -85,22 +85,6 @@ pub trait DisorderControl: Send {
     /// Default: [`StrategyKind::Custom`] (the analyzer assumes nothing).
     fn kind(&self) -> StrategyKind {
         StrategyKind::Custom
-    }
-
-    /// Switch the strategy into *control-only* staging for shard-local
-    /// window finalization: [`DisorderControl::on_event`] then forwards
-    /// events unordered (arrival order) interleaved with the exact same
-    /// watermark sequence full staging would emit, and per-shard stages
-    /// downstream re-apply the ordering for their own keys. Returns `true`
-    /// if the strategy supports the split; `false` (the default) keeps full
-    /// staging, whose output — each event behind the last watermark or
-    /// released in `(ts, seq)` order ahead of a watermark covering it — the
-    /// per-shard stages pass through unchanged. Must be called before the
-    /// first event. Supportable whenever the strategy's K / watermark
-    /// decisions depend only on arrival order and event fields — never on
-    /// held buffer contents; every built-in strategy qualifies.
-    fn split_for_shard_staging(&mut self) -> bool {
-        false
     }
 }
 
@@ -170,10 +154,6 @@ impl DisorderControl for DropAll {
     fn kind(&self) -> StrategyKind {
         StrategyKind::DropAll
     }
-    fn split_for_shard_staging(&mut self) -> bool {
-        self.buf.set_control_only();
-        true
-    }
 }
 
 /// Classic fixed K-slack (Babcock et al.): a constant, user-chosen slack.
@@ -221,10 +201,6 @@ impl DisorderControl for FixedKSlack {
     }
     fn kind(&self) -> StrategyKind {
         StrategyKind::FixedK(self.k.raw())
-    }
-    fn split_for_shard_staging(&mut self) -> bool {
-        self.buf.set_control_only();
-        true
     }
 }
 
@@ -322,16 +298,11 @@ impl DisorderControl for MpKSlack {
             cap: (self.cap != TimeDelta::MAX).then(|| self.cap.raw()),
         }
     }
-    fn split_for_shard_staging(&mut self) -> bool {
-        // The ratchet reads only the clock and the arriving timestamp, so
-        // control-only staging leaves every K decision unchanged.
-        self.buf.set_control_only();
-        true
-    }
 }
 
-/// Infinite buffer: holds everything until end of stream, then releases the
-/// exact in-order sequence. The quality oracle / offline reference.
+/// Infinite slack: no watermark until end of stream, so no event is ever
+/// late and every window sees all of its tuples. The quality oracle /
+/// offline reference.
 pub struct OracleBuffer {
     buf: SlackBuffer,
 }
@@ -380,10 +351,6 @@ impl DisorderControl for OracleBuffer {
     fn kind(&self) -> StrategyKind {
         StrategyKind::Oracle
     }
-    fn split_for_shard_staging(&mut self) -> bool {
-        self.buf.set_control_only();
-        true
-    }
 }
 
 #[cfg(test)]
@@ -424,14 +391,20 @@ mod tests {
     fn fixed_k_reorders_up_to_k() {
         let mut s = FixedKSlack::new(10u64);
         let out = run(&mut s, vec![ev(10, 0), ev(5, 1), ev(20, 2), ev(3, 3)]);
-        // ts=5 fits in K=10; ts=3 arrives after clock=20 (delay 17 > 10) and
-        // after watermark 10 → late pass.
-        let ts = event_ts(&out);
+        // ts=5 fits in K=10, so it precedes the first watermark (20 − 10);
+        // ts=3 arrives after it (delay 17 > 10) → late pass.
+        assert_eq!(
+            out,
+            vec![
+                StreamElement::Event(ev(10, 0)),
+                StreamElement::Event(ev(5, 1)),
+                StreamElement::Event(ev(20, 2)),
+                StreamElement::Watermark(Timestamp(10)),
+                StreamElement::Event(ev(3, 3)),
+                StreamElement::Flush,
+            ]
+        );
         assert_eq!(s.buffer_stats().late_passed, 1);
-        // In-order portion: 5, 10 before 20.
-        let pos = |v: u64| ts.iter().position(|&t| t == v).unwrap();
-        assert!(pos(5) < pos(10));
-        assert!(pos(10) < pos(20));
         assert!(s.name().contains("10"));
     }
 
@@ -476,13 +449,13 @@ mod tests {
     fn oracle_emits_exact_sorted_sequence() {
         let mut s = OracleBuffer::new();
         let out = run(&mut s, vec![ev(10, 0), ev(5, 1), ev(20, 2), ev(1, 3)]);
-        assert_eq!(event_ts(&out), vec![1, 5, 10, 20]);
+        // No watermark before Flush: every event is on time, so each window
+        // folds its exact tuple set, whatever the arrival order.
+        assert_eq!(event_ts(&out), vec![10, 5, 20, 1]);
+        assert!(!out.iter().any(|e| matches!(e, StreamElement::Watermark(_))));
+        assert!(out.last().is_some_and(StreamElement::is_flush));
         assert_eq!(s.buffer_stats().late_passed, 0);
-        // Nothing until finish.
-        let mut s2 = OracleBuffer::new();
-        let mut out2 = Vec::new();
-        s2.on_event(ev(10, 0), &mut out2);
-        assert!(event_ts(&out2).is_empty());
+        assert_eq!(s.buffer_stats().released, 4);
     }
 
     #[test]

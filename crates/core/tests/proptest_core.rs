@@ -5,7 +5,6 @@
 
 use proptest::prelude::*;
 use quill_core::prelude::*;
-use quill_engine::operator::ShardStage;
 
 /// Arbitrary arrival sequence: (timestamp, K to set before the insert).
 fn arrivals() -> impl Strategy<Value = Vec<(u64, u64)>> {
@@ -16,18 +15,6 @@ fn arrivals() -> impl Strategy<Value = Vec<(u64, u64)>> {
 /// before the insert), over narrow ranges so that duplicates are common.
 fn duplicate_arrivals() -> impl Strategy<Value = Vec<(u64, u64, u64)>> {
     prop::collection::vec((0u64..200, 0u64..6, 0u64..100), 1..200)
-}
-
-/// Collects every element a wrapped operator is fed.
-struct Collect(Vec<StreamElement>);
-
-impl Operator for Collect {
-    fn name(&self) -> &str {
-        "collect"
-    }
-    fn process(&mut self, el: StreamElement, _out: &mut dyn FnMut(StreamElement)) {
-        self.0.push(el);
-    }
 }
 
 /// Cases per property: the default 48, or `PROPTEST_CASES` when set
@@ -77,20 +64,25 @@ proptest! {
         let mut out = Vec::new();
         for (i, &(ts, k)) in seq.iter().enumerate() {
             buf.set_k(k);
+            let before = out.len();
             buf.insert(Event::new(ts, i as u64, Row::empty()), &mut out);
+            // (1) The insert forwards its event first, ahead of any
+            // watermark it emits.
+            let first = out.get(before).and_then(|e| e.as_event()).map(|e| e.seq);
+            prop_assert_eq!(first, Some(i as u64), "event {} not forwarded first", i);
+            prop_assert!(out[before + 1..]
+                .iter()
+                .all(|e| matches!(e, StreamElement::Watermark(_))));
         }
         buf.finish(&mut out);
 
-        // (1) Every event exactly once.
-        let mut seqs: Vec<u64> =
+        // (1) So the output events are the input, in arrival order.
+        let seqs: Vec<u64> =
             out.iter().filter_map(|e| e.as_event()).map(|e| e.seq).collect();
-        seqs.sort_unstable();
         prop_assert_eq!(seqs, (0..seq.len() as u64).collect::<Vec<_>>());
 
-        // (2) Watermarks never regress; (3) non-late releases are in
-        // (ts, seq) order; (4) late accounting matches.
+        // (2) Watermarks never regress; (3) late accounting matches.
         let mut wm = 0u64;
-        let mut last: Option<(u64, u64)> = None;
         let mut late = 0u64;
         for el in &out {
             match el {
@@ -98,18 +90,8 @@ proptest! {
                     prop_assert!(t.raw() >= wm);
                     wm = t.raw();
                 }
-                StreamElement::Event(e) => {
-                    if e.ts.raw() < wm {
-                        late += 1;
-                    } else {
-                        let key = (e.ts.raw(), e.seq);
-                        if let Some(prev) = last {
-                            prop_assert!(key >= prev, "release order violated");
-                        }
-                        last = Some(key);
-                    }
-                }
-                StreamElement::Flush => {}
+                StreamElement::Event(e) if e.ts.raw() < wm => late += 1,
+                _ => {}
             }
         }
         prop_assert_eq!(late, buf.stats().late_passed);
@@ -121,58 +103,26 @@ proptest! {
 
     #[test]
     fn slack_buffer_keeps_events_whose_order_keys_repeat(seq in duplicate_arrivals()) {
-        let mut full = SlackBuffer::new(seq[0].2);
-        let mut hollow = SlackBuffer::new(seq[0].2);
-        hollow.set_control_only();
-        let (mut out, mut control) = (Vec::new(), Vec::new());
+        let mut buf = SlackBuffer::new(seq[0].2);
+        let mut out = Vec::new();
         for (i, &(ts, s, k)) in seq.iter().enumerate() {
-            full.set_k(k);
-            hollow.set_k(k);
+            buf.set_k(k);
             // The payload names the arrival; timestamp and seq repeat.
-            let e = Event::new(ts, s, Row::new([Value::Int(i as i64)]));
-            full.insert(e.clone(), &mut out);
-            hollow.insert(e, &mut control);
-            let st = full.stats();
-            prop_assert_eq!(st.inserted, st.released + full.len() as u64, "step {}", i);
+            buf.insert(Event::new(ts, s, Row::new([Value::Int(i as i64)])), &mut out);
+            let st = buf.stats();
+            prop_assert_eq!(st.inserted, st.released + buf.len() as u64, "step {}", i);
         }
-        full.finish(&mut out);
-        hollow.finish(&mut control);
-        let st = full.stats();
-        prop_assert_eq!(full.len(), 0);
+        buf.finish(&mut out);
+        let st = buf.stats();
+        prop_assert_eq!(buf.len(), 0);
         prop_assert_eq!(st.inserted, st.released);
-        prop_assert_eq!(st, hollow.stats());
 
-        // Every arrival comes out exactly once.
-        let mut ids: Vec<i64> = out
+        // Every arrival comes out exactly once, in arrival order.
+        let ids: Vec<i64> = out
             .iter()
             .filter_map(|el| el.as_event()?.row.get(0).as_i64())
             .collect();
-        ids.sort_unstable();
         prop_assert_eq!(ids, (0..seq.len() as i64).collect::<Vec<_>>());
-
-        // A shard stage over the control-only stream delivers the same.
-        let mut stage = ShardStage::new(Collect(Vec::new()));
-        for el in control {
-            stage.process(el, &mut |_| {});
-        }
-        prop_assert_eq!(stage.into_inner().0, out);
-    }
-
-    #[test]
-    fn infinite_slack_reproduces_sorted_input(ts in prop::collection::vec(0u64..10_000, 1..200)) {
-        let mut buf = SlackBuffer::new(TimeDelta::MAX);
-        let mut out = Vec::new();
-        for (i, &t) in ts.iter().enumerate() {
-            buf.insert(Event::new(t, i as u64, Row::empty()), &mut out);
-        }
-        buf.finish(&mut out);
-        let got: Vec<(u64, u64)> =
-            out.iter().filter_map(|e| e.as_event()).map(|e| (e.ts.raw(), e.seq)).collect();
-        let mut expected: Vec<(u64, u64)> =
-            ts.iter().enumerate().map(|(i, &t)| (t, i as u64)).collect();
-        expected.sort_unstable();
-        prop_assert_eq!(got, expected);
-        prop_assert_eq!(buf.stats().late_passed, 0);
     }
 
     #[test]

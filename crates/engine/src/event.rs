@@ -10,8 +10,7 @@
 use crate::time::{TimeDelta, Timestamp};
 use crate::value::Row;
 use serde::{Deserialize, Serialize};
-use std::cmp::{Ordering, Reverse};
-use std::collections::binary_heap::{BinaryHeap, PeekMut};
+use std::cmp::Ordering;
 
 /// A single data tuple with its event-time timestamp and arrival sequence
 /// number.
@@ -51,41 +50,6 @@ impl Event {
     }
 }
 
-/// An event ordered by [`Event::order_key`] alone, so that a
-/// `BinaryHeap<Reverse<Staged>>` is a `(ts, seq)` min-heap and the payload
-/// never takes part in a comparison. The disorder-control buffer and the
-/// per-shard staging stage hold their events in one.
-#[derive(Debug)]
-pub struct Staged(pub Event);
-
-impl Staged {
-    /// Pop the `(ts, seq)`-smallest event of `heap` if its `ts <= upto`.
-    pub fn pop_through(heap: &mut BinaryHeap<Reverse<Staged>>, upto: Timestamp) -> Option<Event> {
-        let top = heap.peek_mut()?;
-        (top.0 .0.ts <= upto).then(|| PeekMut::pop(top).0 .0)
-    }
-}
-
-impl PartialEq for Staged {
-    fn eq(&self, other: &Staged) -> bool {
-        self.0.order_key() == other.0.order_key()
-    }
-}
-
-impl Eq for Staged {}
-
-impl PartialOrd for Staged {
-    fn partial_cmp(&self, other: &Staged) -> Option<Ordering> {
-        Some(self.cmp(other))
-    }
-}
-
-impl Ord for Staged {
-    fn cmp(&self, other: &Staged) -> Ordering {
-        self.0.time_cmp(&other.0)
-    }
-}
-
 /// One element of a stream in arrival order.
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
 pub enum StreamElement {
@@ -112,16 +76,6 @@ impl StreamElement {
         match self {
             StreamElement::Event(e) => Some(e),
             _ => None,
-        }
-    }
-
-    /// The watermark this element implies: events imply nothing, watermarks
-    /// themselves, `Flush` implies `Timestamp::MAX`.
-    pub fn implied_watermark(&self) -> Option<Timestamp> {
-        match self {
-            StreamElement::Event(_) => None,
-            StreamElement::Watermark(t) => Some(*t),
-            StreamElement::Flush => Some(Timestamp::MAX),
         }
     }
 
@@ -276,24 +230,11 @@ mod tests {
     }
 
     #[test]
-    fn implied_watermarks() {
-        assert_eq!(StreamElement::Event(ev(1, 1)).implied_watermark(), None);
-        assert_eq!(
-            StreamElement::Watermark(Timestamp(7)).implied_watermark(),
-            Some(Timestamp(7))
-        );
-        assert_eq!(
-            StreamElement::Flush.implied_watermark(),
-            Some(Timestamp::MAX)
-        );
-        assert!(StreamElement::Flush.is_flush());
-    }
-
-    #[test]
     fn element_event_accessors() {
         let el: StreamElement = ev(1, 1).into();
         assert!(el.as_event().is_some());
         assert_eq!(el.into_event().unwrap().ts, Timestamp(1));
         assert!(StreamElement::Flush.into_event().is_none());
+        assert!(StreamElement::Flush.is_flush());
     }
 }

@@ -15,7 +15,7 @@
 //! * A query is one keyed sliding/tumbling [window
 //!   aggregation](operator::WindowAggregateOp), an [`operator::Operator`]
 //!   driven one element at a time; [`parallel::run_keyed_parallel`] runs
-//!   one per key shard behind a [`operator::ShardStage`].
+//!   one per key shard.
 //!
 //! ## Quick example
 //!

@@ -5,12 +5,10 @@
 //! watermark contract: after forwarding `Watermark(t)` they must never emit
 //! an event with `ts < t`.
 
-pub mod shard_stage;
 pub mod window_op;
 
 use crate::event::StreamElement;
 
-pub use shard_stage::ShardStage;
 pub use window_op::{LatePolicy, WindowAggregateOp, WindowOpStats, WindowResult};
 
 /// A push-based stream operator.

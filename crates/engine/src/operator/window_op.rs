@@ -163,9 +163,9 @@ impl WindowResult {
 /// How the time trees fold. An entry is the event's `(ts, seq)` key and its
 /// value of every entry column; a node cache is one partial per combinable
 /// spec. Folding in `(ts, seq)` key order is a fold in timestamp order with
-/// arrival order breaking ties (the shard stages deliver equal-timestamp
-/// events in `seq` order), which is what the Edge/Arg tie rules are defined
-/// over.
+/// arrival order breaking ties (`seq` is the arrival position), whatever
+/// order the entries were inserted in, which is what the Edge/Arg tie rules
+/// are defined over.
 struct EntryFold {
     /// Fresh partials, one per [`Slot::Pane`] in slot order: the identity
     /// every one-entry partial starts from.
@@ -1154,7 +1154,13 @@ mod tests {
         w.process(StreamElement::Watermark(Timestamp(20)), &mut |o| {
             outs.push(o)
         });
-        let wms: Vec<Timestamp> = outs.iter().filter_map(|o| o.implied_watermark()).collect();
+        let wms: Vec<Timestamp> = outs
+            .iter()
+            .filter_map(|o| match o {
+                StreamElement::Watermark(t) => Some(*t),
+                _ => None,
+            })
+            .collect();
         assert_eq!(wms, vec![Timestamp(10), Timestamp(20)]);
     }
 

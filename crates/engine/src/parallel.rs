@@ -13,11 +13,10 @@
 //! * **Batched routing** — events travel to shards as `Vec<StreamElement>`
 //!   chunks over bounded channels ([`ParallelConfig::batch_size`] per chunk)
 //!   instead of one channel send per event. Watermarks are appended to
-//!   *every* shard's pending batch, and a watermark that neither follows a
-//!   shard event nor releases one the shard still holds staged *coalesces*
-//!   (the trailing watermark is replaced in place) — see the internal
-//!   `ShardRouter` for why the release guard is load-bearing. `Flush`
-//!   still forces every pending batch out.
+//!   *every* shard's pending batch, and a watermark that lands directly
+//!   behind another one *coalesces* (replaces it in place) — see the
+//!   internal `ShardRouter` for why that is exact. `Flush` still forces
+//!   every pending batch out.
 //! * **Shard routing** — [`shard_of`] hashes the key `Value` in place with a
 //!   seeded [`FxHasher`]: no `Key` clone, no per-event `DefaultHasher`
 //!   construction, stable across runs/threads/platforms.
@@ -40,11 +39,11 @@
 //!   the merge falls back to one stable sort over order keys that are
 //!   computed *once per element* (no per-comparison `String` allocation).
 //!
-//! Shard-local window finalization (staging inside each shard via
-//! [`ShardStage`](crate::operator::ShardStage), merging finalized window
-//! results instead of re-ordering events) is built on these primitives by
-//! `quill-core`'s runner: the disorder-control strategy runs in
-//! control-only mode and each shard re-orders only its own keys.
+//! Shard-local window finalization is built on these primitives by
+//! `quill-core`'s runner: the disorder-control strategy forwards every event
+//! on arrival, each shard's operator inserts its own keys' events into its
+//! window state in that order, and the merge combines finalized window
+//! results — nothing re-orders events.
 //!
 //! [`WindowAggregateOp`]: crate::operator::WindowAggregateOp
 
@@ -52,13 +51,10 @@ use crate::error::{EngineError, Result};
 use crate::event::StreamElement;
 use crate::hash::FxHasher;
 use crate::operator::{Operator, WindowResult};
-use crate::time::Timestamp;
 use crate::value::{hash_value, Key, Value};
 use crossbeam::channel;
 use quill_telemetry::trace::{FlightRecorder, TraceKind, MERGE_SHARD};
 use quill_telemetry::{Counter, Gauge, Registry, SpanRecorder, Stage};
-use std::cmp::Reverse;
-use std::collections::BinaryHeap;
 use std::hash::Hasher;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
@@ -210,32 +206,20 @@ fn depth_sum(metrics: &[ShardMetrics]) -> u64 {
 ///
 /// Events go to their key's shard; watermarks are broadcast but do *not*
 /// force a flush, and a watermark `W2` landing directly behind another
-/// watermark `W1` in a shard's pending batch replaces it in place —
-/// *provided `W2` releases nothing the shard still holds staged*. Under
-/// shard-local finalization a [`ShardStage`](crate::operator::ShardStage)
-/// may be holding an event with `W1 < ts <= W2` that arrived before `W1`;
-/// eliding `W1` would then fold that event *before* the windows ending in
-/// `(.., W1]` are finalized instead of after, and floating-point aggregates
-/// are sensitive to that interleaving (the window state's tree combine nests
-/// differently). The router therefore mirrors just the staged *timestamps*
-/// per shard — an event is staged iff `ts >= ` the latest broadcast
-/// watermark, exactly the stage's own rule — and only coalesces a watermark
-/// run when the replacement drains nothing from that mirror. An event
-/// routed between two watermarks pins the earlier one anyway (it is no
-/// longer trailing), so every shard event is still preceded by exactly the
-/// watermarks that preceded it globally. With the guard, the elided and
-/// unelided streams produce bit-identical operator state: between `W1` and
-/// its replacement the inner operator would have performed zero folds, and
-/// watermark handling without interleaved folds is idempotent and monotone.
-/// `Flush` is broadcast and flushes every pending batch immediately, ending
-/// the stream.
+/// watermark `W1` in a shard's pending batch replaces it in place. That is
+/// exact because no stage holds events back: each event reaches its shard's
+/// operator in the batch that routes it, so with no event between `W1` and
+/// `W2` the operator inserts nothing between them, and watermark handling
+/// without interleaved inserts is idempotent and monotone — finalizing at
+/// `W1` then `W2` queries the same windows in the same order as finalizing
+/// at `W2`. An event routed between two watermarks pins the earlier one (it
+/// is no longer trailing), so every shard event is still preceded by exactly
+/// the watermarks that preceded it globally, and each key's window state
+/// sees the same inserts and range queries under any shard count. `Flush`
+/// is broadcast and flushes every pending batch immediately, ending the
+/// stream.
 struct ShardRouter {
     bufs: Vec<Vec<StreamElement>>,
-    /// Min-heap per shard of routed event timestamps a downstream stage
-    /// would still be holding (not yet passed by a broadcast watermark).
-    staged_ts: Vec<BinaryHeap<Reverse<Timestamp>>>,
-    /// Latest broadcast watermark — the stage's lateness threshold.
-    wm_hi: Timestamp,
     batch_size: usize,
 }
 
@@ -245,8 +229,6 @@ impl ShardRouter {
             bufs: (0..shards)
                 .map(|_| Vec::with_capacity(batch_size))
                 .collect(),
-            staged_ts: (0..shards).map(|_| BinaryHeap::new()).collect(),
-            wm_hi: Timestamp::MIN,
             batch_size,
         }
     }
@@ -254,50 +236,26 @@ impl ShardRouter {
     /// Append an event to its shard's pending batch; `true` means the batch
     /// reached `batch_size` and must be flushed now.
     fn push_event(&mut self, shard: usize, el: StreamElement) -> bool {
-        if let StreamElement::Event(e) = &el {
-            // Late events (ts < wm_hi) are forwarded straight through the
-            // stage, never held — only staged timestamps guard coalescing.
-            if e.ts >= self.wm_hi {
-                self.staged_ts[shard].push(Reverse(e.ts));
-            }
-        }
         let buf = &mut self.bufs[shard];
         buf.push(el);
         buf.len() >= self.batch_size
     }
 
-    /// Broadcast punctuation to every shard's pending batch, coalescing
-    /// adjacent watermarks where sound; `true` means every batch must be
-    /// flushed now (`Flush` — the stream is over).
+    /// Broadcast punctuation to every shard's pending batch, a watermark
+    /// replacing a trailing one; `true` means every batch must be flushed
+    /// now (`Flush` — the stream is over).
     fn push_punctuation(&mut self, el: &StreamElement) -> bool {
-        if let StreamElement::Watermark(w) = el {
-            for (buf, staged) in self.bufs.iter_mut().zip(&mut self.staged_ts) {
-                // Timestamps this watermark drains from the shard's stage.
-                let mut releases = false;
-                while staged.peek().is_some_and(|Reverse(t)| *t <= *w) {
-                    staged.pop();
-                    releases = true;
-                }
-                if !releases {
-                    if let Some(last) = buf.last_mut() {
-                        if matches!(&*last, StreamElement::Watermark(prev) if *prev <= *w) {
-                            // quill-lint: allow(hot-path-alloc, reason = "punctuation broadcast: one copy per shard, and watermarks are sparse relative to events")
-                            *last = el.clone();
-                            continue;
-                        }
-                    }
-                }
-                // quill-lint: allow(hot-path-alloc, reason = "punctuation broadcast: one copy per shard, and watermarks are sparse relative to events")
-                buf.push(el.clone());
-            }
-            self.wm_hi = self.wm_hi.max(*w);
-            return false;
-        }
         for buf in &mut self.bufs {
-            // quill-lint: allow(hot-path-alloc, reason = "Flush broadcast: one copy per shard, once per stream")
+            if matches!(
+                (el, buf.last()),
+                (StreamElement::Watermark(w), Some(StreamElement::Watermark(prev))) if prev <= w
+            ) {
+                buf.pop();
+            }
+            // quill-lint: allow(hot-path-alloc, reason = "punctuation broadcast: one copy per shard; watermarks are sparse relative to events and Flush comes once")
             buf.push(el.clone());
         }
-        true
+        el.is_flush()
     }
 }
 
@@ -339,10 +297,9 @@ impl ShardRouter {
 ///   [`MERGE_SHARD`] pseudo-shard;
 /// * spans (logical clock) — [`Stage::Route`] per flushed shard batch over
 ///   the earliest to latest event timestamp in it, and one [`Stage::Merge`]
-///   on [`MERGE_SHARD`] over the merged window-end range. Downstream stage
-///   spans ([`Stage::ShardStage`], [`Stage::WindowFinalize`]) come from the
-///   per-shard operators via their `attach_spans` hooks — pass the same
-///   recorder to the factory.
+///   on [`MERGE_SHARD`] over the merged window-end range. Downstream
+///   [`Stage::WindowFinalize`] spans come from the per-shard operators via
+///   their `attach_spans` hooks — pass the same recorder to the factory.
 ///
 /// # Errors
 /// [`EngineError::ExecutorFailure`] if a worker panics or dies early;
@@ -1315,40 +1272,30 @@ mod tests {
     }
 
     #[test]
-    fn watermark_coalescing_is_blocked_by_staged_releases() {
-        // Regression (differential seed 53): an event with W1 < ts <= W2
-        // routed *before* W1 sits staged in the shard; replacing W1 with W2
-        // would fold it before the windows ending in (.., W1] finalize
-        // instead of after, perturbing float combine nesting. Both
-        // watermarks must survive in the batch.
+    fn trailing_watermarks_coalesce_until_an_event_pins_them() {
         let ev = |ts: u64, seq: u64| {
             StreamElement::Event(Event::new(ts, seq, Row::new([Value::Int(0)])))
         };
-        let mut router = ShardRouter::new(1, 1024);
+        let wm = |t: u64| StreamElement::Watermark(Timestamp(t));
+        let mut router = ShardRouter::new(2, 1024);
+        // The event at 50 sits in the operator before W40 arrives, so no
+        // stage releases it at W60: W40, W60 and W70 collapse to W70.
         assert!(!router.push_event(0, ev(50, 0)));
-        router.push_punctuation(&StreamElement::Watermark(Timestamp(40)));
-        // ts 50 is still staged and 40 < 50 <= 60: W1=40 must stay pinned.
-        router.push_punctuation(&StreamElement::Watermark(Timestamp(60)));
-        // Nothing staged in (60, 70]: this one coalesces in place.
-        router.push_punctuation(&StreamElement::Watermark(Timestamp(70)));
-        assert_eq!(
-            router.bufs[0],
-            vec![
-                ev(50, 0),
-                StreamElement::Watermark(Timestamp(40)),
-                StreamElement::Watermark(Timestamp(70)),
-            ]
-        );
-        // An event arriving behind the broadcast watermark is a late pass —
-        // it never stages, so it must not pin later watermarks either.
+        for t in [40, 60, 70] {
+            assert!(!router.push_punctuation(&wm(t)));
+        }
+        assert_eq!(router.bufs[0], vec![ev(50, 0), wm(70)]);
+        assert_eq!(router.bufs[1], vec![wm(70)]);
+        // An event between two watermarks pins the one before it, on its
+        // own shard only.
         assert!(!router.push_event(0, ev(10, 1)));
-        router.push_punctuation(&StreamElement::Watermark(Timestamp(80)));
-        router.push_punctuation(&StreamElement::Watermark(Timestamp(90)));
-        assert_eq!(router.bufs[0].len(), 5, "late event appended exactly once");
-        assert_eq!(
-            router.bufs[0].last(),
-            Some(&StreamElement::Watermark(Timestamp(90))),
-            "watermarks after a late pass still coalesce"
-        );
+        for t in [80, 90] {
+            assert!(!router.push_punctuation(&wm(t)));
+        }
+        assert_eq!(router.bufs[0], vec![ev(50, 0), wm(70), ev(10, 1), wm(90)]);
+        assert_eq!(router.bufs[1], vec![wm(90)]);
+        // Flush never replaces a watermark, and asks for every batch.
+        assert!(router.push_punctuation(&StreamElement::Flush));
+        assert_eq!(router.bufs[1], vec![wm(90), StreamElement::Flush]);
     }
 }

@@ -10,7 +10,7 @@
 mod common;
 
 use quill_engine::aggregate::{AggregateKind, AggregateSpec};
-use quill_engine::operator::{LatePolicy, Operator, ShardStage, WindowAggregateOp, WindowResult};
+use quill_engine::operator::{LatePolicy, WindowAggregateOp, WindowResult};
 use quill_engine::parallel::{run_keyed_parallel, ParallelConfig};
 use quill_engine::prelude::*;
 use quill_engine::value::Key;
@@ -69,11 +69,8 @@ fn make_op() -> WindowAggregateOp {
     WindowAggregateOp::new(window(), aggs(), Some(0), LatePolicy::Drop).expect("valid spec")
 }
 
-/// The merged result sequence of `make_op`'s shards over the tie stream.
-fn merged_results<O: Operator + 'static>(
-    cfg: ParallelConfig,
-    make_op: impl Fn() -> O,
-) -> Vec<WindowResult> {
+/// Full result sequence (order matters — this is what the merge emits).
+fn results_of(cfg: ParallelConfig) -> Vec<WindowResult> {
     let (out, _) = run_keyed_parallel(
         tie_stream(),
         0,
@@ -88,11 +85,6 @@ fn merged_results<O: Operator + 'static>(
         .filter_map(|e| e.as_event())
         .filter_map(|e| WindowResult::from_row(&e.row))
         .collect()
-}
-
-/// Full result sequence (order matters — this is what the merge emits).
-fn results_of(cfg: ParallelConfig) -> Vec<WindowResult> {
-    merged_results(cfg, make_op)
 }
 
 #[test]
@@ -138,89 +130,26 @@ fn deterministic_inline_scheduler_reproduces_threaded_merge() {
     }
 }
 
-/// Result sequence from the shard-local finalization path: each shard's
-/// window operator is wrapped in a [`ShardStage`] and fed the *unordered*
-/// stream exactly as a control-only disorder strategy would forward it —
-/// events in arrival order with the watermark sequence interleaved.
-fn staged_results_of(cfg: ParallelConfig) -> Vec<WindowResult> {
-    merged_results(cfg, || ShardStage::new(make_op()))
-}
-
-#[test]
-fn shard_local_staging_reproduces_the_single_stage_reference_ties() {
-    // Reference: one ShardStage re-orders the whole stream (exactly what a
-    // fully staging SlackBuffer delivers), then one operator finalizes every
-    // key. Tie-heavy late events exercise the late-pass
-    // forwarding inside the stage.
-    let mut stage = ShardStage::new(make_op());
-    let mut reference = Vec::new();
-    for el in tie_stream() {
-        stage.process(el, &mut |o| {
-            if let Some(e) = o.as_event() {
-                if let Some(r) = WindowResult::from_row(&e.row) {
-                    reference.push(r);
-                }
-            }
-        });
-    }
-    reference.sort_by_key(|r| (r.window.end, r.window.start, Key(r.key.clone())));
-    assert!(!reference.is_empty(), "staged stream produced no windows");
-
-    let mut merged_order: Option<Vec<WindowResult>> = None;
-    for shards in [1usize, 2, 4, 8] {
-        for deterministic in [false, true] {
-            let got = staged_results_of(
-                ParallelConfig::new(shards)
-                    .with_batch_size(16)
-                    .with_deterministic(deterministic),
-            );
-            let mut sorted = got.clone();
-            sorted.sort_by_key(|r| (r.window.end, r.window.start, Key(r.key.clone())));
-            assert_eq!(
-                sorted, reference,
-                "shard-local finalization diverged from the single-stage reference at \
-                 shards={shards} deterministic={deterministic}"
-            );
-            // The merged sequence itself must also be identical across shard
-            // counts and schedulers, not just as a sorted set.
-            match &merged_order {
-                None => merged_order = Some(got),
-                Some(first) => assert_eq!(
-                    &got, first,
-                    "merged sequence depends on shards={shards} \
-                     deterministic={deterministic}"
-                ),
-            }
-        }
-    }
-}
-
 #[test]
 fn equal_timestamp_ties_finalize_as_the_reference_does() {
     // The operator combines equal-timestamp events in `(ts, seq)` order; the
     // naive reference folds each window's contributors in that order one by
     // one. First/Last/ArgMax on tied timestamps — and the merged result
     // sequence — must match it at every shard count, under both schedulers,
-    // with and without shard-local staging. The stream's Sum values are
-    // integer-valued floats, so even the float column is bit-exact.
+    // though each operator takes the unordered stream as it arrives. The
+    // stream's Sum values are integer-valued floats, so even the float
+    // column is bit-exact.
     let reference = common::reference(window(), &aggs(), Some(0), &tie_stream());
     assert!(!reference.is_empty(), "test stream produced no windows");
     for shards in [1usize, 2, 4, 8] {
         for deterministic in [false, true] {
-            let cfg = || {
-                ParallelConfig::new(shards)
-                    .with_batch_size(16)
-                    .with_deterministic(deterministic)
-            };
+            let cfg = ParallelConfig::new(shards)
+                .with_batch_size(16)
+                .with_deterministic(deterministic);
             assert_eq!(
-                results_of(cfg()),
+                results_of(cfg),
                 reference,
                 "diverged at shards={shards} deterministic={deterministic}"
-            );
-            assert_eq!(
-                staged_results_of(cfg()),
-                reference,
-                "staged run diverged at shards={shards} deterministic={deterministic}"
             );
         }
     }

@@ -661,8 +661,8 @@ pub fn check_case(case: &SimCase) -> Result<CaseStats, Mismatch> {
     check_quality_agreement(&seq, &naive, "sequential")?;
 
     let seq_sorted = sorted_results(&seq.results);
-    // Parallel runs finalize windows shard-locally (the strategy runs
-    // control-only; each shard stages and finalizes its own keys).
+    // Parallel runs finalize windows shard-locally (each shard inserts its
+    // own keys' events on arrival and finalizes their windows).
     for (shards, batch) in [(1usize, 1usize), (2, 7), (4, 64), (8, 256)] {
         check_parallel_equivalence(case, &seq, &seq_sorted, shards, batch, true)?;
         stats.executions += 1;

@@ -73,7 +73,6 @@ pub fn help_text(name: &str) -> &'static str {
             "buffer_residency" => {
                 "Span durations: oldest released event's residency in the disorder-control buffer, per release"
             }
-            "shard_stage" => "Span durations: event residency in shard-local re-ordering",
             "window_finalize" => "Span durations: window end to the watermark that closed it",
             "merge" => "Span durations: cross-shard result merge",
             "deliver" => "Span durations: window end to result delivery",
@@ -83,7 +82,7 @@ pub fn help_text(name: &str) -> &'static str {
         };
     }
     for (prefix, help) in [
-        ("quill.buffer.", "Disorder-control ordering buffer"),
+        ("quill.buffer.", "Disorder-control slack buffer"),
         ("quill.controller.", "AQ-K-slack control loop"),
         ("quill.estimator.", "Delay distribution estimator"),
         ("quill.shard.", "Keyed-parallel executor shard"),

@@ -24,7 +24,7 @@
 //!   [`reporter::TelemetryReporter`] emits snapshots every N events and/or
 //!   M milliseconds.
 //! * **Naming scheme.** Dotted, lowercase paths by subsystem:
-//!   `quill.buffer.*` (ordering buffer), `quill.controller.*` (AQ-K-slack
+//!   `quill.buffer.*` (slack buffer), `quill.controller.*` (AQ-K-slack
 //!   control loop), `quill.estimator.*` (delay distribution),
 //!   `quill.shard.<i>.*` (parallel executor shards), `quill.merge.*`
 //!   (result merge), `quill.span.<stage>` (per-stage latency attribution from the

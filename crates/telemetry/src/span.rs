@@ -77,10 +77,6 @@ pub enum Stage {
     /// longest buffer-induced event-time latency in that release, which is
     /// what the paper trades against quality.
     BufferResidency,
-    /// An event's residency in a shard-local re-ordering stage
-    /// ([`ShardStage`](../quill_engine) wrapping a shard's window
-    /// operator).
-    ShardStage,
     /// A window's finalization lag: from the window end to the watermark
     /// that closed it.
     WindowFinalize,
@@ -97,11 +93,10 @@ pub enum Stage {
 
 impl Stage {
     /// Every stage, in serialization order.
-    pub const ALL: [Stage; 9] = [
+    pub const ALL: [Stage; 8] = [
         Stage::IngestDecode,
         Stage::Route,
         Stage::BufferResidency,
-        Stage::ShardStage,
         Stage::WindowFinalize,
         Stage::Merge,
         Stage::Deliver,
@@ -116,7 +111,6 @@ impl Stage {
             Stage::IngestDecode => "ingest_decode",
             Stage::Route => "route",
             Stage::BufferResidency => "buffer_residency",
-            Stage::ShardStage => "shard_stage",
             Stage::WindowFinalize => "window_finalize",
             Stage::Merge => "merge",
             Stage::Deliver => "deliver",
@@ -136,12 +130,11 @@ impl Stage {
             Stage::IngestDecode => 0,
             Stage::Route => 1,
             Stage::BufferResidency => 2,
-            Stage::ShardStage => 3,
-            Stage::WindowFinalize => 4,
-            Stage::Merge => 5,
-            Stage::Deliver => 6,
-            Stage::Connection => 7,
-            Stage::Query => 8,
+            Stage::WindowFinalize => 3,
+            Stage::Merge => 4,
+            Stage::Deliver => 5,
+            Stage::Connection => 6,
+            Stage::Query => 7,
         }
     }
 }

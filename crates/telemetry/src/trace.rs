@@ -104,7 +104,7 @@ pub enum TraceKind {
         /// The watermark it arrived behind.
         watermark: u64,
     },
-    /// The ordering buffer released events and advanced its watermark.
+    /// The slack buffer released held events and advanced its watermark.
     /// `at` is the new watermark.
     BufferEmit {
         /// Events released by this advance.

@@ -111,8 +111,8 @@ fn main() {
     );
 
     section("keyed data-parallel execution (4 shards)");
-    // One control-only buffer, then each host's events are ordered and
-    // windowed on the shard that owns the host.
+    // One slack buffer, then each host's events are windowed on the shard
+    // that owns the host.
     let per_host = QuerySpec::new(
         WindowSpec::tumbling(1_000u64),
         vec![AggregateSpec::new(

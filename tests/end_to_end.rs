@@ -122,10 +122,10 @@ fn full_pipeline_with_preprocessing_stages() {
 
 #[test]
 fn single_threaded_and_parallel_executors_agree_end_to_end() {
-    // One strategy, staged once per run: the sequential core sees the fully
-    // ordered stream, the parallel executor a control-only one that each
-    // shard re-orders for itself. Float aggregates over sliding windows make
-    // any difference in fold order visible.
+    // One strategy, staged once per run: the sequential core and every
+    // shard insert events in arrival order, and a shard sees only its keys
+    // and fewer watermarks. Float aggregates over sliding windows make any
+    // difference in fold order visible.
     let stream = quill_gen::workload::synthetic::exponential(5_000, 10, 80.0, 33);
     let query = QuerySpec::new(
         WindowSpec::sliding(500u64, 100u64),

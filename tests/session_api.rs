@@ -198,11 +198,16 @@ fn midstream_registration_sees_only_later_elements() {
     }
     session.finish();
 
+    // Every push reaches the operators at once, so the late subscriber
+    // takes exactly the 2 000 events pushed after it registered — none the
+    // slack was still holding back.
+    let tail = late.stats().window;
+    assert_eq!(tail.accepted + tail.late_dropped, 2_000);
     let early_results = early.poll();
     let late_results = late.poll();
     assert!(
         late_results.len() < early_results.len(),
-        "late subscriber must miss already-staged windows ({} vs {})",
+        "late subscriber must miss already-pushed windows ({} vs {})",
         late_results.len(),
         early_results.len()
     );
@@ -630,21 +635,24 @@ fn a_query_joins_only_an_operator_that_has_seen_nothing() {
     assert_eq!(results, later.poll());
     assert!(results.len() < early.poll().len());
 
-    // The rule is about staged elements, not pushes: while a silent source
-    // holds every event back, nothing has reached any operator, and a query
-    // registered after two pushes still joins — and misses nothing.
+    // A push reaches the operators even while no watermark has passed it:
+    // with a silent source holding the watermark back, a query registered
+    // after two pushes still gets an operator of its own and misses both.
     let mut held = Session::new(Box::new(PunctuatedBuffer::new(0, 2)));
     let first = held.register(query).expect("registers");
     for (seq, ts) in [(0u64, 150u64), (1, 250)] {
         let row = Row::new([Value::Int(1), Value::Int(7), Value::Float(1.0)]);
         held.push(Event::new(ts, seq, row));
     }
+    assert_eq!(held.stats().buffered, 2, "no watermark has passed them");
     let second = held.register(&renamed(query, "second")).expect("registers");
-    assert_eq!(held.operators(), 1);
+    assert_eq!(held.operators(), 2);
     held.heartbeat(&Key(Value::Int(2)), Timestamp(1_240));
     held.finish();
     assert_eq!(first.stats().window.accepted, 2);
-    assert_eq!(first.poll(), second.poll());
+    assert_eq!(first.poll().len(), 1);
+    assert_eq!(second.stats().window.accepted, 0);
+    assert!(second.poll().is_empty());
 }
 
 #[test]
