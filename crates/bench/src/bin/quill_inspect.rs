@@ -1,27 +1,27 @@
-//! `quill-inspect` — render a flight-recorder trace, violation
-//! post-mortem, plan-diagnostics or pipeline-span JSONL file as a
-//! human-readable report.
+//! `quill-inspect` — render a span record, violation post-mortem or
+//! plan-diagnostics JSONL file as a human-readable report.
 //!
 //! ```text
-//! quill-inspect <trace.jsonl> [--top N]
+//! quill-inspect <records.jsonl> [--top N]
 //! quill-inspect timeline <spans.jsonl | trace.json> [--check]
 //! ```
 //!
-//! The default mode sniffs flat traces (`write_trace_jsonl`), post-mortem
+//! The default mode sniffs span files (`write_spans_jsonl`), post-mortem
 //! files (`write_post_mortems_jsonl`) and plan diagnostics. The `timeline`
-//! mode renders pipeline spans — either span JSON-lines
-//! (`write_spans_jsonl`) or a Chrome-trace JSON export (`GET /trace`) —
-//! and with `--check` only validates the Chrome-trace structure (the smoke
-//! tests gate on it).
+//! mode is the latency-attribution view — over span JSON-lines or a
+//! Chrome-trace JSON export (`GET /trace`) — and with `--check` only
+//! validates the Chrome-trace structure (the smoke tests gate on it).
 //!
-//! Malformed input is reported with the file, the offending line number
-//! and the record itself, and exits with status 2 (status 1 is reserved
-//! for usage/IO errors).
+//! Malformed input is reported as `file:line: what`, followed by the
+//! record itself, and exits with status 2 (status 1 is reserved for
+//! usage/IO errors).
 
-use quill_bench::inspect::{check_chrome_trace, locate_error, render_report, render_timeline};
+use quill_bench::inspect::{
+    check_chrome_trace, describe_malformed, render_report, render_timeline,
+};
 use std::process::ExitCode;
 
-const USAGE: &str = "usage: quill-inspect <trace.jsonl> [--top N]\n\
+const USAGE: &str = "usage: quill-inspect <records.jsonl> [--top N]\n\
                      \x20      quill-inspect timeline <spans.jsonl | trace.json> [--check]";
 
 /// Exit status for malformed (but readable) input.
@@ -36,13 +36,7 @@ fn read(path: &str) -> Result<String, ExitCode> {
 
 /// Report a parse failure with file, line and the offending record.
 fn report_malformed(path: &str, text: &str, err: &str) -> ExitCode {
-    match locate_error(text, err) {
-        Some((line, record)) => {
-            eprintln!("{path}:{line}: {err}");
-            eprintln!("  offending record: {record}");
-        }
-        None => eprintln!("{path}: {err}"),
-    }
+    eprintln!("{}", describe_malformed(path, text, err));
     ExitCode::from(MALFORMED)
 }
 

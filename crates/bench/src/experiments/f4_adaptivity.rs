@@ -21,20 +21,24 @@ pub fn run(ctx: &ExperimentCtx) -> Vec<Artifact> {
 
     // The AQ run records live telemetry: controller gauges and estimator
     // quantiles snapshotted 8 times across the run, persisted below as a
-    // JSON-lines artifact. It also carries a bounded flight recorder, so
-    // `results/f4_trace.jsonl` holds the (newest 8192) structured trace
-    // events — every controller K decision with its trigger reason, late
-    // arrivals with their lateness, buffer emissions and window
-    // finalizations — renderable with `quill-inspect`.
+    // JSON-lines artifact. It also records its span stream into a ring
+    // that cannot wrap, and `results/f4_trace.jsonl` keeps the controller's
+    // story from it — every K decision with its trigger reason and every
+    // late arrival with its lateness — renderable with `quill-inspect`.
     let telemetry = Registry::new();
-    let trace = FlightRecorder::new(8192);
+    let spans = SpanRecorder::new(usize::MAX);
     let aq_opts = ExecOptions::sequential()
         .with_telemetry(&telemetry)
         .with_snapshot_every((ctx.events as u64 / 8).max(1))
-        .with_trace(&trace);
+        .with_spans(&spans);
     let mut aq = AqKSlack::for_completeness(0.95);
     let aq_out = execute(&stream.events, &mut aq, &query, &aq_opts).expect("valid query");
-    let trace_lines: Vec<String> = trace.events().iter().map(|e| e.to_json_line()).collect();
+    let trace_lines: Vec<String> = spans
+        .spans()
+        .iter()
+        .filter(|s| matches!(s.stage, Stage::KChange | Stage::LateArrival))
+        .map(Span::to_json_line)
+        .collect();
     let mut mp = MpKSlack::new();
     let mp_out =
         execute(&stream.events, &mut mp, &query, &ExecOptions::sequential()).expect("valid query");
@@ -172,7 +176,7 @@ pub fn run(ctx: &ExperimentCtx) -> Vec<Artifact> {
         },
         Artifact::Jsonl {
             id: "f4_trace".into(),
-            title: "R-F4: AQ flight-recorder trace (render with quill-inspect)".into(),
+            title: "R-F4: AQ span records (render with quill-inspect)".into(),
             lines: trace_lines,
         },
         Artifact::Jsonl {
@@ -229,8 +233,8 @@ mod tests {
         };
         assert!(!lines.is_empty(), "no telemetry snapshots recorded");
         assert!(lines.last().unwrap().contains("quill.controller.k"));
-        // The flight-recorder trace rode along too: every line parses and
-        // the controller's adaptive K decisions are on record.
+        // The span records rode along too: every line parses and the
+        // controller's adaptive K decisions are on record.
         let trace_lines = arts
             .iter()
             .find_map(|a| match a {
@@ -240,7 +244,7 @@ mod tests {
             .expect("f4_trace artifact");
         assert!(!trace_lines.is_empty());
         for l in trace_lines {
-            quill_telemetry::trace::parse_trace_line(l).expect("well-formed trace line");
+            Span::parse_json_line(l).expect("well-formed span line");
         }
         assert!(
             trace_lines.iter().any(|l| l.contains("\"k_change\"")),

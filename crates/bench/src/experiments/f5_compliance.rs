@@ -42,20 +42,20 @@ pub fn run(ctx: &ExperimentCtx) -> Vec<Artifact> {
     let mut aq = AqKSlack::for_completeness(TARGET);
     let aq_out =
         execute(&stream.events, &mut aq, &query, &ExecOptions::sequential()).expect("valid query");
-    // The fixed baseline carries a flight recorder and the quality target:
-    // after the delay step its calm-calibrated K misses the target, and
-    // every violated window gets a post-mortem — the causal trace slice
-    // (late arrivals, the drops, the K decision in force, the finalize).
-    // The first few are persisted as `results/f5_postmortems.jsonl` for
-    // `quill-inspect`.
-    let fx_trace = FlightRecorder::with_default_capacity();
+    // The fixed baseline records its span stream, into a ring that cannot
+    // wrap, and carries the quality target: after the delay step its
+    // calm-calibrated K misses the target, and every violated window gets a
+    // post-mortem — the causal slice of the stream (late arrivals, the
+    // drops, the K decision in force, the finalize). The first few are
+    // persisted as `results/f5_postmortems.jsonl` for `quill-inspect`.
+    let fx_spans = SpanRecorder::new(usize::MAX);
     let mut fx = FixedKSlack::new(k_fixed);
     let fx_out = execute(
         &stream.events,
         &mut fx,
         &query,
         &ExecOptions::sequential()
-            .with_trace(&fx_trace)
+            .with_spans(&fx_spans)
             .with_required_completeness(TARGET),
     )
     .expect("valid query");
@@ -160,7 +160,7 @@ mod tests {
             _ => panic!("expected post-mortem jsonl artifact"),
         };
         assert!(!pm_lines.is_empty(), "fixed baseline violated no windows?");
-        let pms = quill_telemetry::trace::parse_post_mortems(&pm_lines.join("\n")).expect("parses");
+        let pms = parse_post_mortems(&pm_lines.join("\n")).expect("parses");
         assert!(!pms.is_empty() && pms.len() <= MAX_POSTMORTEMS);
         for pm in &pms {
             assert!(pm.record.violated);

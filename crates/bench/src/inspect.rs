@@ -1,80 +1,68 @@
-//! Human-readable rendering of flight-recorder traces, violation
-//! post-mortems and static plan diagnostics — the library behind the
-//! `quill-inspect` binary.
+//! Human-readable rendering of span record streams, violation post-mortems
+//! and static plan diagnostics — the library behind the `quill-inspect`
+//! binary.
 //!
-//! Three input shapes are accepted (all JSON-lines):
+//! Three input shapes are accepted (all JSON-lines, one dialect for records):
 //!
-//! * a **flat trace** — [`TraceEvent`] lines as written by
-//!   `write_trace_jsonl` (e.g. the `f4_trace` artifact);
-//! * a **post-mortem file** — alternating [`ProvenanceRecord`] headers and
-//!   their causal slices, as written by `write_post_mortems_jsonl` (e.g.
-//!   the `f5_postmortems` artifact);
+//! * a **span file** — [`Span`] lines as written by `write_spans_jsonl`
+//!   (e.g. the `f4_trace` artifact);
+//! * a **post-mortem file** — [`ProvenanceRecord`] headers, each followed
+//!   by its causal slice of span lines, as written by
+//!   `write_post_mortems_jsonl` (e.g. the `f5_postmortems` artifact);
 //! * a **plan-diagnostics file** — [`PlanDiagnostic`] lines as written by
 //!   `Diagnostic::to_jsonl_line` (the pre-execution static analysis).
 //!
 //! [`render_report`] sniffs the shape from the first line and renders a
 //! report with a summary, the controller decision log, the top-K latest
 //! tuples, and (for post-mortem files) one annotated timeline per violated
-//! window.
+//! window. [`render_timeline`] is the latency-attribution view over span
+//! lines or a Chrome-trace export.
 
 use quill_core::plan::{parse_plan_jsonl, Diagnostic as PlanDiagnostic, Severity};
-use quill_telemetry::span::{self, attribute, Span, NO_QUERY};
-use quill_telemetry::trace::{
-    parse_post_mortems, parse_trace_line, PostMortem, ProvenanceRecord, TraceEvent, TraceKind,
-    TraceLine, MERGE_SHARD,
-};
+use quill_telemetry::span::{self, attribute, Span, MERGE_SHARD, NO_QUERY};
+use quill_telemetry::trace::{parse_post_mortems, PostMortem, ProvenanceRecord};
 use quill_telemetry::Stage;
 use std::collections::BTreeMap;
 use std::fmt::Write as _;
 
-/// Render a trace or post-mortem JSONL document as a human-readable report.
-/// `top_k` bounds the "latest tuples" leaderboard.
+/// Parse span JSON-lines, skipping blank lines; errors name the line.
+fn parse_span_lines(text: &str) -> Result<Vec<Span>, String> {
+    let mut spans = Vec::new();
+    for (i, line) in text.lines().enumerate() {
+        if !line.trim().is_empty() {
+            spans.push(Span::parse_json_line(line).map_err(|e| format!("line {}: {e}", i + 1))?);
+        }
+    }
+    Ok(spans)
+}
+
+/// Render a span, post-mortem or plan-diagnostics JSONL document as a
+/// human-readable report. `top_k` bounds the "latest tuples" leaderboard.
 ///
 /// # Errors
-/// Returns a message naming the first malformed line.
+/// Returns a message naming the first malformed line (`line N: …`).
 pub fn render_report(text: &str, top_k: usize) -> Result<String, String> {
-    let first = text.lines().find(|l| !l.trim().is_empty());
-    let Some(first) = first else {
+    let Some(first) = text.lines().find(|l| !l.trim().is_empty()) else {
         return Ok("(empty trace)\n".into());
     };
     if first.contains("\"rule\":") {
         let diags = parse_plan_jsonl(text)?;
         return Ok(render_plan_diagnostics(&diags));
     }
-    let first_no = 1 + text.lines().position(|l| !l.trim().is_empty()).unwrap_or(0);
-    match parse_trace_line(first).map_err(|e| format!("line {first_no}: {e}"))? {
-        TraceLine::Provenance(_) => {
-            let pms = parse_post_mortems(text)?;
-            Ok(render_post_mortems(&pms, top_k))
-        }
-        TraceLine::Event(_) => {
-            let mut events = Vec::new();
-            for (i, line) in text.lines().enumerate() {
-                if line.trim().is_empty() {
-                    continue;
-                }
-                match parse_trace_line(line).map_err(|e| format!("line {}: {e}", i + 1))? {
-                    TraceLine::Event(ev) => events.push(ev),
-                    TraceLine::Provenance(_) => {
-                        return Err(format!(
-                            "line {}: provenance record inside a flat trace",
-                            i + 1
-                        ))
-                    }
-                }
-            }
-            Ok(render_flat_trace(&events, top_k))
-        }
+    if first.contains("\"kind\":\"provenance\"") {
+        let pms = parse_post_mortems(text)?;
+        return Ok(render_post_mortems(&pms, top_k));
     }
+    Ok(render_span_report(&parse_span_lines(text)?, top_k))
 }
 
-/// Report over a flat event trace: summary, controller log, late leaders.
-fn render_flat_trace(events: &[TraceEvent], top_k: usize) -> String {
+/// Report over a span file: summary, controller log, late leaders.
+fn render_span_report(spans: &[Span], top_k: usize) -> String {
     let mut out = String::new();
-    let _ = writeln!(out, "== Flight-recorder trace ==");
-    render_summary(&mut out, events);
-    render_controller_log(&mut out, events);
-    render_late_leaders(&mut out, events, top_k);
+    let _ = writeln!(out, "== Span records ==");
+    render_summary(&mut out, spans);
+    render_controller_log(&mut out, spans);
+    render_late_leaders(&mut out, spans, top_k);
     out
 }
 
@@ -86,13 +74,13 @@ fn render_post_mortems(pms: &[PostMortem], top_k: usize) -> String {
     let _ = writeln!(out, "violations: {}", pms.len());
     // Union of causal slices, deduplicated by sequence number so shared
     // controller decisions are reported once.
-    let mut by_seq: BTreeMap<u64, &TraceEvent> = BTreeMap::new();
+    let mut by_seq: BTreeMap<u64, Span> = BTreeMap::new();
     for pm in pms {
-        for ev in &pm.slice {
-            by_seq.insert(ev.seq, ev);
+        for s in &pm.slice {
+            by_seq.insert(s.seq, *s);
         }
     }
-    let union: Vec<TraceEvent> = by_seq.into_values().cloned().collect();
+    let union: Vec<Span> = by_seq.into_values().collect();
     render_summary(&mut out, &union);
     render_controller_log(&mut out, &union);
     render_late_leaders(&mut out, &union, top_k);
@@ -148,14 +136,7 @@ pub fn render_timeline(text: &str) -> Result<String, String> {
     if first.contains("\"traceEvents\"") || text.trim_start().starts_with("{\"displayTimeUnit\"") {
         return render_chrome_timeline(text);
     }
-    let mut spans = Vec::new();
-    for (i, line) in text.lines().enumerate() {
-        if line.trim().is_empty() {
-            continue;
-        }
-        spans.push(Span::parse_json_line(line).map_err(|e| format!("line {}: {e}", i + 1))?);
-    }
-    Ok(render_span_timeline(&spans))
+    Ok(render_span_timeline(&parse_span_lines(text)?))
 }
 
 /// Validate a Chrome-trace JSON document structurally (the `--check` mode
@@ -289,105 +270,91 @@ fn render_chrome_timeline(text: &str) -> Result<String, String> {
     Ok(out)
 }
 
-/// Resolve the `line N` reference in a parse-error message to the
-/// offending record, so CLI callers can echo it (file, line *and* record).
-pub fn locate_error<'a>(text: &'a str, err: &str) -> Option<(usize, &'a str)> {
-    let at = err.find("line ")?;
-    let rest = &err[at + "line ".len()..];
-    let digits: String = rest.chars().take_while(char::is_ascii_digit).collect();
-    let n: usize = digits.parse().ok()?;
-    Some((n, text.lines().nth(n.checked_sub(1)?)?))
+/// The message for a malformed input file: `path:N: <what>` (the `line N:`
+/// a parse error starts with becomes the location) followed by the
+/// offending record when the error names one.
+pub fn describe_malformed(path: &str, text: &str, err: &str) -> String {
+    let located = err.strip_prefix("line ").and_then(|rest| {
+        let (n, what) = rest.split_once(": ")?;
+        let n: usize = n.parse().ok()?;
+        Some((n, what, text.lines().nth(n.checked_sub(1)?)?))
+    });
+    match located {
+        Some((n, what, record)) => format!("{path}:{n}: {what}\n  offending record: {record}"),
+        None => format!("{path}: {err}"),
+    }
 }
 
-fn render_summary(out: &mut String, events: &[TraceEvent]) {
+fn render_summary(out: &mut String, spans: &[Span]) {
     let _ = writeln!(out, "\n-- Summary --");
-    if events.is_empty() {
-        let _ = writeln!(out, "no trace events");
+    if spans.is_empty() {
+        let _ = writeln!(out, "no records");
         return;
     }
-    let mut kinds: BTreeMap<&'static str, u64> = BTreeMap::new();
+    let mut stages: BTreeMap<Stage, u64> = BTreeMap::new();
     let mut shards: BTreeMap<u32, u64> = BTreeMap::new();
-    for ev in events {
-        *kinds.entry(ev.kind.label()).or_default() += 1;
-        *shards.entry(ev.shard).or_default() += 1;
+    for s in spans {
+        *stages.entry(s.stage).or_default() += 1;
+        *shards.entry(s.shard).or_default() += 1;
     }
     let _ = writeln!(
         out,
-        "events: {}  (seq {}..={})",
-        events.len(),
-        events.first().map_or(0, |e| e.seq),
-        events.last().map_or(0, |e| e.seq),
+        "records: {}  (seq {}..={})",
+        spans.len(),
+        spans.first().map_or(0, |s| s.seq),
+        spans.last().map_or(0, |s| s.seq),
     );
-    for (kind, n) in &kinds {
-        let _ = writeln!(out, "  {kind:<16} {n}");
+    for (stage, n) in &stages {
+        let _ = writeln!(out, "  {:<16} {n}", stage.as_str());
     }
     let shard_list: Vec<String> = shards
         .iter()
-        .map(|(s, n)| {
-            if *s == MERGE_SHARD {
-                format!("merge:{n}")
-            } else {
-                format!("{s}:{n}")
-            }
-        })
+        .map(|(s, n)| format!("{}:{n}", shard_name(*s)))
         .collect();
-    let _ = writeln!(out, "shards (id:events): {}", shard_list.join(" "));
+    let _ = writeln!(out, "shards (id:records): {}", shard_list.join(" "));
 }
 
-fn render_controller_log(out: &mut String, events: &[TraceEvent]) {
+fn render_controller_log(out: &mut String, spans: &[Span]) {
     let _ = writeln!(out, "\n-- Controller decision log --");
     let mut any = false;
-    for ev in events {
-        if let TraceKind::KChange {
-            old_k,
-            new_k,
-            reason,
-        } = &ev.kind
-        {
-            any = true;
-            let _ = writeln!(
-                out,
-                "seq={:<6} t={:<10} shard={:<3} K {} -> {}  ({reason})",
-                ev.seq,
-                ev.at,
-                shard_name(ev.shard),
-                fmt_k(*old_k),
-                fmt_k(*new_k),
-            );
-        }
+    for s in spans.iter().filter(|s| s.stage == Stage::KChange) {
+        any = true;
+        let _ = writeln!(
+            out,
+            "seq={:<6} t={:<10} shard={:<3} {}",
+            s.seq,
+            s.begin,
+            shard_name(s.shard),
+            describe_k_change(s),
+        );
     }
     if !any {
         let _ = writeln!(out, "(no K changes recorded)");
     }
 }
 
-fn render_late_leaders(out: &mut String, events: &[TraceEvent], top_k: usize) {
+fn render_late_leaders(out: &mut String, spans: &[Span], top_k: usize) {
     let _ = writeln!(out, "\n-- Top {top_k} latest tuples --");
-    let mut lates: Vec<(&TraceEvent, u64, u64)> = events
+    let mut lates: Vec<&Span> = spans
         .iter()
-        .filter_map(|ev| match ev.kind {
-            TraceKind::LateArrival {
-                lateness,
-                watermark,
-            } => Some((ev, lateness, watermark)),
-            _ => None,
-        })
+        .filter(|s| s.stage == Stage::LateArrival)
         .collect();
     if lates.is_empty() {
         let _ = writeln!(out, "(no late arrivals recorded)");
         return;
     }
     // Worst first; ties broken by arrival order for determinism.
-    lates.sort_by_key(|&(ev, lateness, _)| (std::cmp::Reverse(lateness), ev.seq));
-    for (ev, lateness, watermark) in lates.into_iter().take(top_k) {
+    lates.sort_by_key(|s| (std::cmp::Reverse(s.duration()), s.seq));
+    for s in lates.into_iter().take(top_k) {
         let _ = writeln!(
             out,
-            "t={:<10} lateness={:<8} behind watermark {} (seq={}, shard={})",
-            ev.at,
-            lateness,
-            watermark,
-            ev.seq,
-            shard_name(ev.shard),
+            "t={:<10} lateness={:<8} behind watermark {} (input #{}, seq={}, shard={})",
+            s.begin,
+            s.duration(),
+            s.end,
+            s.detail[0],
+            s.seq,
+            shard_name(s.shard),
         );
     }
 }
@@ -425,57 +392,54 @@ fn render_violation_timeline(out: &mut String, pm: &PostMortem) {
         }
     }
     let _ = writeln!(out, "timeline:");
-    for ev in &pm.slice {
-        let _ = writeln!(out, "  {}", describe_event(ev, r));
+    for s in &pm.slice {
+        let _ = writeln!(out, "  {}", describe_record(s, r));
     }
 }
 
-/// One-line story for a trace event, annotated against the violated window.
-fn describe_event(ev: &TraceEvent, r: &ProvenanceRecord) -> String {
-    let head = format!("seq={:<6} t={:<10}", ev.seq, ev.at);
-    match &ev.kind {
-        TraceKind::LateArrival {
-            lateness,
-            watermark,
-        } => format!(
-            "{head} late arrival: {lateness} behind watermark {watermark} (shard {})",
-            shard_name(ev.shard)
+fn describe_k_change(s: &Span) -> String {
+    let reason = s.reason.map_or("?", |r| r.as_str());
+    format!(
+        "K {} -> {}  ({reason})",
+        fmt_k(s.detail[0]),
+        fmt_k(s.detail[1])
+    )
+}
+
+/// One-line story for a record of a post-mortem slice (late arrivals,
+/// drops, K changes, the finalize), annotated against the violated window.
+fn describe_record(s: &Span, r: &ProvenanceRecord) -> String {
+    let head = format!("seq={:<6} t={:<10}", s.seq, s.begin);
+    let shard = shard_name(s.shard);
+    match s.stage {
+        Stage::LateArrival => format!(
+            "{head} late arrival: input #{} {} behind watermark {} (shard {shard})",
+            s.detail[0],
+            s.duration(),
+            s.end
         ),
-        TraceKind::BufferEmit {
-            released,
-            watermark,
-        } => format!("{head} buffer released {released} events, watermark -> {watermark}"),
-        TraceKind::KChange {
-            old_k,
-            new_k,
-            reason,
-        } => format!("{head} K {} -> {} ({reason})", fmt_k(*old_k), fmt_k(*new_k)),
-        TraceKind::WindowFinalize {
-            start, end, count, ..
-        } => {
-            let marker = if *start == r.start && *end == r.end {
+        Stage::KChange => format!("{head} {}", describe_k_change(s)),
+        Stage::WindowFinalize => {
+            let (start, end) = (s.detail[0], s.begin);
+            let marker = if (start, end) == (r.start, r.end) {
                 " <- this window"
             } else {
                 ""
             };
-            format!("{head} window [{start}, {end}) finalized with {count} tuples{marker}")
-        }
-        TraceKind::LateDrop { event_seq, windows } => {
-            let hit = windows.contains(&(r.start, r.end));
-            let marker = if hit { " <- lost from this window" } else { "" };
             format!(
-                "{head} event #{event_seq} dropped, missed {} window(s){marker}",
-                windows.len()
+                "{head} window [{start}, {end}) finalized at watermark {}{marker}",
+                s.end
             )
         }
-        TraceKind::SendStall { depth } => format!(
-            "{head} shard {} channel full ({depth} batches in flight)",
-            shard_name(ev.shard)
-        ),
-        TraceKind::MergeProgress { elements, fallback } => format!(
-            "{head} merged {elements} elements{}",
-            if *fallback { " (fallback sort)" } else { "" }
-        ),
+        Stage::LateDrop => {
+            let marker = if (r.start..r.end).contains(&s.begin) {
+                " <- lost from this window"
+            } else {
+                ""
+            };
+            format!("{head} input #{} dropped late{marker}", s.detail[0])
+        }
+        stage => format!("{head} {stage} [{}, {}] (shard {shard})", s.begin, s.end),
     }
 }
 
@@ -499,63 +463,31 @@ fn fmt_k(k: u64) -> String {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use quill_telemetry::trace::{
-        post_mortems_to_lines, FlightRecorder, KChangeReason, ProvenanceBuilder,
-    };
+    use quill_telemetry::span::key_tag;
+    use quill_telemetry::trace::{post_mortems_to_lines, ProvenanceBuilder};
+    use quill_telemetry::{KChangeReason, SpanRecorder};
 
-    /// A small deterministic ring with one violated window [100, 200).
-    fn violation_trace() -> FlightRecorder {
-        let rec = FlightRecorder::new(128);
-        rec.record(
-            0,
-            0,
-            TraceKind::KChange {
-                old_k: 0,
-                new_k: 0,
-                reason: KChangeReason::Initial,
-            },
-        );
-        rec.record(
-            95,
-            0,
-            TraceKind::KChange {
-                old_k: 0,
-                new_k: 95,
-                reason: KChangeReason::Ratchet,
-            },
-        );
-        rec.record(
-            150,
-            0,
-            TraceKind::LateArrival {
-                lateness: 145,
-                watermark: 295,
-            },
-        );
-        rec.record(
-            150,
-            0,
-            TraceKind::LateDrop {
-                event_seq: 21,
-                windows: vec![(100, 200)],
-            },
-        );
-        rec.record(
-            200,
-            0,
-            TraceKind::WindowFinalize {
-                start: 100,
-                end: 200,
-                key: "null".into(),
-                count: 10,
-            },
-        );
+    /// A small deterministic stream with one violated window [100, 200).
+    fn violation_trace() -> SpanRecorder {
+        let rec = SpanRecorder::new(128);
+        rec.record_k_change(0, 0, 0, KChangeReason::Initial);
+        rec.record_k_change(95, 0, 95, KChangeReason::Ratchet);
+        rec.record_detail(Stage::LateArrival, 150, 295, 0, [21, 0]);
+        rec.record_detail(Stage::LateDrop, 150, 150, 0, [21, 0]);
+        rec.record_detail(Stage::WindowFinalize, 200, 200, 0, [100, key_tag("null")]);
         rec
     }
 
+    fn jsonl(rec: &SpanRecorder) -> String {
+        rec.spans()
+            .iter()
+            .map(|s| s.to_json_line() + "\n")
+            .collect()
+    }
+
     fn postmortem_text() -> String {
-        let builder = ProvenanceBuilder::new(violation_trace().events());
-        let rec = builder.record_for(100, 200, "null", 10.0 / 11.0, Some(0.97));
+        let builder = ProvenanceBuilder::new(violation_trace().spans());
+        let rec = builder.record_for(100, 200, "null", 10, 10.0 / 11.0, Some(0.97));
         assert!(rec.violated);
         let pm = builder.post_mortem(&rec);
         let mut text = post_mortems_to_lines(&[pm]).join("\n");
@@ -574,21 +506,18 @@ mod tests {
         assert!(report.contains("lateness=145"));
         assert!(report.contains("<- lost from this window"));
         assert!(report.contains("<- this window"));
+        assert!(report.contains("10 contributed"));
     }
 
     #[test]
     fn renders_flat_trace_with_summary() {
-        let lines: Vec<String> = violation_trace()
-            .events()
-            .iter()
-            .map(|e| e.to_json_line())
-            .collect();
-        let report = render_report(&lines.join("\n"), 3).expect("renders");
-        assert!(report.contains("Flight-recorder trace"));
+        let report = render_report(&jsonl(&violation_trace()), 3).expect("renders");
+        assert!(report.contains("Span records"), "{report}");
         assert!(report.contains("k_change"));
         assert!(report.contains("late_arrival"));
         assert!(report.contains("Top 3 latest tuples"));
         assert!(report.contains("K 0 -> 95"));
+        assert!(report.contains("lateness=145"));
     }
 
     #[test]
@@ -598,10 +527,24 @@ mod tests {
         let err = render_report("{\"bogus\":true}", 5).unwrap_err();
         assert!(!err.is_empty());
         // A valid first line followed by garbage names the offending line.
-        let mut text = violation_trace().events()[0].to_json_line();
+        let mut text = violation_trace().spans()[0].to_json_line();
         text.push_str("\nnot json\n");
         let err = render_report(&text, 5).unwrap_err();
         assert!(err.contains("line 2"), "{err}");
+        // What `quill-inspect` prints: the location once, the byte as a
+        // character, and the end of the line by name.
+        let garbage = "garbage\n";
+        let err = render_report(garbage, 5).unwrap_err();
+        assert_eq!(
+            describe_malformed("garbage.jsonl", garbage, &err),
+            "garbage.jsonl:1: expected '{', got 'g'\n  offending record: garbage"
+        );
+        let cut = "{\"seq\":1\n";
+        let err = render_report(cut, 5).unwrap_err();
+        assert_eq!(
+            describe_malformed("cut.jsonl", cut, &err),
+            "cut.jsonl:1: expected ',' or '}', got end of line\n  offending record: {\"seq\":1"
+        );
     }
 
     #[test]
@@ -631,14 +574,13 @@ mod tests {
 
     #[test]
     fn timeline_renders_span_jsonl_and_chrome_traces() {
-        use quill_telemetry::{ClockDomain, SpanRecorder};
+        use quill_telemetry::ClockDomain;
         let rec = SpanRecorder::new(64);
         rec.record(Stage::Route, 0, 100, 0);
         rec.record(Stage::WindowFinalize, 10, 90, 1);
         rec.record_for_query(Stage::Deliver, 100, 150, 0, 7);
         let spans = rec.spans();
-        let jsonl: String = spans.iter().map(|s| s.to_json_line() + "\n").collect();
-        let report = render_timeline(&jsonl).expect("renders span jsonl");
+        let report = render_timeline(&jsonl(&rec)).expect("renders span jsonl");
         assert!(report.contains("Pipeline span timeline"), "{report}");
         assert!(report.contains("route"), "{report}");
         assert!(report.contains("query 7: 1 results"), "{report}");
@@ -669,33 +611,30 @@ mod tests {
 
     #[test]
     fn timeline_errors_name_the_offending_line() {
-        let rec = quill_telemetry::SpanRecorder::new(8);
+        let rec = SpanRecorder::new(8);
         rec.record(Stage::Route, 0, 10, 0);
         let mut text = rec.spans()[0].to_json_line();
         text.push_str("\n{\"not\":\"a span\"}\n");
         let err = render_timeline(&text).unwrap_err();
         assert!(err.contains("line 2"), "{err}");
-        let (line, record) = locate_error(&text, &err).expect("locates");
-        assert_eq!(line, 2);
-        assert!(record.contains("not"), "{record}");
+        let message = describe_malformed("spans.jsonl", &text, &err);
+        assert!(message.starts_with("spans.jsonl:2: missing"), "{message}");
+        assert!(
+            message.ends_with("offending record: {\"not\":\"a span\"}"),
+            "{message}"
+        );
         assert!(check_chrome_trace("[1,2").is_err());
-        assert!(locate_error("one line", "no location info").is_none());
+        assert_eq!(
+            describe_malformed("x", "one line", "no location info"),
+            "x: no location info"
+        );
     }
 
     #[test]
     fn infinite_k_renders_as_inf() {
-        let rec = FlightRecorder::new(8);
-        rec.record(
-            0,
-            0,
-            TraceKind::KChange {
-                old_k: 0,
-                new_k: u64::MAX,
-                reason: KChangeReason::Initial,
-            },
-        );
-        let lines: Vec<String> = rec.events().iter().map(|e| e.to_json_line()).collect();
-        let report = render_report(&lines.join("\n"), 1).expect("renders");
+        let rec = SpanRecorder::new(8);
+        rec.record_k_change(0, 0, u64::MAX, KChangeReason::Initial);
+        let report = render_report(&jsonl(&rec), 1).expect("renders");
         assert!(report.contains("K 0 -> inf"));
     }
 }

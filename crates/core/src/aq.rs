@@ -34,8 +34,7 @@ use crate::estimator::{DistEstimator, EstimatorKind};
 use crate::quality::{QualityTarget, SensitivityModel};
 use crate::strategy::DisorderControl;
 use quill_engine::prelude::{Event, StreamElement, TimeDelta};
-use quill_telemetry::trace::{FlightRecorder, KChangeReason, TraceKind};
-use quill_telemetry::{Counter, Gauge, Registry};
+use quill_telemetry::{Counter, Gauge, KChangeReason, Registry, SpanRecorder};
 use std::collections::VecDeque;
 
 /// Tuning parameters of AQ-K-slack. The defaults are the values used across
@@ -182,7 +181,6 @@ pub struct AqKSlack {
     events_seen: u64,
     stats: AqStats,
     telemetry: AqTelemetry,
-    trace: FlightRecorder,
 }
 
 impl AqKSlack {
@@ -210,7 +208,6 @@ impl AqKSlack {
                 ..AqStats::default()
             },
             telemetry: AqTelemetry::default(),
-            trace: FlightRecorder::disabled(),
             cfg,
         }
     }
@@ -294,18 +291,8 @@ impl AqKSlack {
             reason = KChangeReason::BoundClamped;
             next = next.max(self.cfg.k_min).min(self.cfg.k_max);
         }
-        if self.trace.is_enabled() && next != current {
-            self.trace.record(
-                self.buf.clock().raw(),
-                0,
-                TraceKind::KChange {
-                    old_k: current.raw(),
-                    new_k: next.raw(),
-                    reason,
-                },
-            );
-        }
-        self.buf.set_k(next);
+        let clock = self.buf.clock();
+        self.buf.change_k(next, reason, clock);
         self.stats.adaptations += 1;
         self.stats.measured_completeness = measured;
         self.stats.effective_quantile = q_eff;
@@ -345,13 +332,7 @@ impl DisorderControl for AqKSlack {
         };
     }
 
-    fn attach_trace(&mut self, trace: &FlightRecorder) {
-        self.buf.attach_trace(trace);
-        self.trace = trace.clone();
-        crate::strategy::record_initial_k(trace, self.buf.k().raw());
-    }
-
-    fn attach_spans(&mut self, spans: &quill_telemetry::SpanRecorder) {
+    fn attach_spans(&mut self, spans: &SpanRecorder) {
         self.buf.attach_spans(spans);
     }
 
@@ -396,18 +377,8 @@ impl DisorderControl for AqKSlack {
                 .max_ever()
                 .min(self.cfg.k_max)
                 .max(self.cfg.k_min);
-            if self.trace.is_enabled() && k != self.buf.k() {
-                self.trace.record(
-                    self.buf.clock().raw(),
-                    0,
-                    TraceKind::KChange {
-                        old_k: self.buf.k().raw(),
-                        new_k: k.raw(),
-                        reason: KChangeReason::Warmup,
-                    },
-                );
-            }
-            self.buf.set_k(k);
+            let clock = self.buf.clock();
+            self.buf.change_k(k, KChangeReason::Warmup, clock);
         } else if self.events_seen.is_multiple_of(self.cfg.adapt_every) {
             self.adapt();
         }
@@ -731,22 +702,22 @@ mod tests {
 
     #[test]
     fn trace_records_k_decisions_with_reasons() {
-        use quill_telemetry::trace::{KChangeReason, TraceKind};
-        let trace = quill_telemetry::FlightRecorder::new(8192);
+        use quill_telemetry::Stage;
+        let spans = SpanRecorder::new(1 << 16);
         let mut cfg = AqConfig::completeness(0.9);
         cfg.warmup = 10;
         cfg.adapt_every = 5;
         let mut s = AqKSlack::new(cfg);
-        s.attach_trace(&trace);
+        s.attach_spans(&spans);
         let s = feed_stream(s, 5_000, 100.0, 11);
-        let reasons: Vec<KChangeReason> = trace
-            .events()
+        assert_eq!(spans.dropped(), 0);
+        let changes: Vec<_> = spans
+            .spans()
             .into_iter()
-            .filter_map(|t| match t.kind {
-                TraceKind::KChange { reason, .. } => Some(reason),
-                _ => None,
-            })
+            .filter(|sp| sp.stage == Stage::KChange)
             .collect();
+        let reasons: Vec<KChangeReason> = changes.iter().filter_map(|sp| sp.reason).collect();
+        assert_eq!(reasons.len(), changes.len());
         assert_eq!(reasons.first(), Some(&KChangeReason::Initial));
         assert!(reasons.contains(&KChangeReason::Warmup), "{reasons:?}");
         assert!(
@@ -756,16 +727,9 @@ mod tests {
             "{reasons:?}"
         );
         // Every recorded change actually changed K (except the initial).
-        for t in trace.events() {
-            if let TraceKind::KChange {
-                old_k,
-                new_k,
-                reason,
-            } = t.kind
-            {
-                if reason != KChangeReason::Initial {
-                    assert_ne!(old_k, new_k);
-                }
+        for sp in &changes {
+            if sp.reason != Some(KChangeReason::Initial) {
+                assert_ne!(sp.detail[0], sp.detail[1]);
             }
         }
         assert!(s.aq_stats().adaptations > 0);

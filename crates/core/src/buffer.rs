@@ -23,8 +23,7 @@
 //!   window operator accounts for them.
 
 use quill_engine::prelude::{Event, StreamElement, TimeDelta, Timestamp};
-use quill_telemetry::trace::{FlightRecorder, TraceKind};
-use quill_telemetry::{Counter, Gauge, Registry, SpanRecorder, Stage};
+use quill_telemetry::{Counter, Gauge, KChangeReason, Registry, SpanRecorder, Stage};
 use std::cmp::Reverse;
 use std::collections::BinaryHeap;
 
@@ -80,7 +79,6 @@ pub struct SlackBuffer {
     pending: BinaryHeap<Reverse<Timestamp>>,
     stats: BufferStats,
     telemetry: BufferTelemetry,
-    trace: FlightRecorder,
     spans: SpanRecorder,
 }
 
@@ -95,7 +93,6 @@ impl SlackBuffer {
             pending: BinaryHeap::new(),
             stats: BufferStats::default(),
             telemetry: BufferTelemetry::default(),
-            trace: FlightRecorder::disabled(),
             spans: SpanRecorder::disabled(),
         }
     }
@@ -115,24 +112,22 @@ impl SlackBuffer {
         };
     }
 
-    /// Attach a flight recorder (cloned; clones share the ring). The buffer
-    /// records a [`TraceKind::LateArrival`] for every event forwarded behind
-    /// the watermark and a [`TraceKind::BufferEmit`] for every watermark
-    /// advance. A disabled recorder costs one branch per hook.
-    pub fn attach_trace(&mut self, trace: &FlightRecorder) {
-        self.trace = trace.clone();
-    }
-
-    /// Attach a span recorder (cloned; clones share the ring). Every
-    /// watermark advance that releases at least one event records one
-    /// [`Stage::BufferResidency`] span from the oldest released event's
-    /// timestamp to that watermark — the longest event-time wait the
-    /// disorder-control buffer imposed in that release. Late passes record
-    /// nothing (they were never held), and the flush release ends at the
-    /// stream clock (the flush carries no event time of its own). A disabled
-    /// recorder costs one branch per release.
+    /// Attach a span recorder (cloned; clones share the ring) and record
+    /// the K in force now as an [`KChangeReason::Initial`]
+    /// [`Stage::KChange`], so every stream names the slack from the start.
+    /// From then on every watermark advance records one
+    /// [`Stage::BufferResidency`] span from the oldest event it released to
+    /// the watermark — the longest event-time wait the buffer imposed in
+    /// that release — carrying the released count and the watermark (an
+    /// advance that released nothing has zero extent; the flush ends at the
+    /// stream clock and emits watermark `u64::MAX`). Every late pass records
+    /// a [`Stage::LateArrival`] span from its timestamp to the watermark it
+    /// arrived behind, and [`SlackBuffer::change_k`] a [`Stage::KChange`].
+    /// A disabled recorder costs one branch per hook.
     pub fn attach_spans(&mut self, spans: &SpanRecorder) {
         self.spans = spans.clone();
+        let k = self.k.raw();
+        self.spans.record_k_change(0, k, k, KChangeReason::Initial);
     }
 
     /// Current slack bound.
@@ -174,6 +169,17 @@ impl SlackBuffer {
         self.k = k.into();
     }
 
+    /// [`SlackBuffer::set_k`] as a controller decision: when K moves,
+    /// record a [`Stage::KChange`] at event time `at` naming `reason`.
+    pub fn change_k(&mut self, k: impl Into<TimeDelta>, reason: KChangeReason, at: Timestamp) {
+        let k = k.into();
+        if k != self.k {
+            self.spans
+                .record_k_change(at.raw(), self.k.raw(), k.raw(), reason);
+        }
+        self.k = k;
+    }
+
     /// Insert one arriving event: forward it to `out` at once, then append
     /// the watermark its arrival lets through, if any. An event behind the
     /// emitted watermark is a late pass and is not counted as held.
@@ -187,16 +193,9 @@ impl SlackBuffer {
         if e.ts < self.watermark {
             self.stats.late_passed += 1;
             self.telemetry.late_passed.inc();
-            if self.trace.is_enabled() {
-                self.trace.record(
-                    e.ts.raw(),
-                    0,
-                    TraceKind::LateArrival {
-                        lateness: self.watermark.delta_since(e.ts).raw(),
-                        watermark: self.watermark.raw(),
-                    },
-                );
-            }
+            let (ts, wm) = (e.ts.raw(), self.watermark.raw());
+            self.spans
+                .record_detail(Stage::LateArrival, ts, wm, 0, [e.seq, 0]);
             out.push(StreamElement::Event(e));
             // The clock may still have advanced; later events could now be
             // releasable.
@@ -227,17 +226,7 @@ impl SlackBuffer {
         }
         // Release events with ts <= safe (inclusive: an event at the
         // boundary timestamp is still on time, since late means ts < safe).
-        let released = self.release(safe, safe);
-        if self.trace.is_enabled() {
-            self.trace.record(
-                safe.raw(),
-                0,
-                TraceKind::BufferEmit {
-                    released,
-                    watermark: safe.raw(),
-                },
-            );
-        }
+        self.release(safe, safe, safe.raw());
         self.watermark = safe;
         self.telemetry
             .watermark_lag
@@ -245,43 +234,32 @@ impl SlackBuffer {
         out.push(StreamElement::Watermark(safe));
     }
 
-    /// Stop holding every event with `ts <= upto`. A release of at least one
-    /// event adds to the counters once and records one residency span, from
-    /// the oldest released timestamp to `end`. Returns how many were
-    /// released.
-    fn release(&mut self, upto: Timestamp, end: Timestamp) -> u64 {
-        let Some(&Reverse(oldest)) = self.pending.peek() else {
-            return 0;
-        };
+    /// The watermark advance to `watermark`: stop holding every event with
+    /// `ts <= upto`, add the release to the counters, and record one
+    /// residency span from the oldest released timestamp (or `end` when
+    /// nothing was released) to `end`.
+    fn release(&mut self, upto: Timestamp, end: Timestamp, watermark: u64) {
         let held = self.len();
-        while self.pending.peek().is_some_and(|&Reverse(ts)| ts <= upto) {
+        let mut begin = end;
+        while let Some(&Reverse(ts)) = self.pending.peek().filter(|r| r.0 <= upto) {
+            begin = begin.min(ts);
             self.pending.pop();
         }
         let released = (held - self.len()) as u64;
         if released > 0 {
             self.stats.released += released;
             self.telemetry.released.add(released);
-            self.spans
-                .record(Stage::BufferResidency, oldest.raw(), end.raw(), 0);
         }
-        released
+        let detail = [released, watermark];
+        self.spans
+            .record_detail(Stage::BufferResidency, begin.raw(), end.raw(), 0, detail);
     }
 
     /// End of stream: release everything and emit `Flush`.
     pub fn finish(&mut self, out: &mut Vec<StreamElement>) {
         // Flush carries no event time: residency ends at the stream clock
         // (the latest timestamp the buffer saw).
-        let released = self.release(Timestamp::MAX, self.clock);
-        if self.trace.is_enabled() {
-            self.trace.record(
-                self.clock.raw(),
-                0,
-                TraceKind::BufferEmit {
-                    released,
-                    watermark: u64::MAX,
-                },
-            );
-        }
+        self.release(Timestamp::MAX, self.clock, u64::MAX);
         self.watermark = Timestamp::MAX;
         self.telemetry.depth.set_u64(0);
         self.telemetry.watermark_lag.set_u64(0);
@@ -293,6 +271,7 @@ impl SlackBuffer {
 mod tests {
     use super::*;
     use quill_engine::prelude::{Row, Value};
+    use quill_telemetry::Span;
 
     fn ev(ts: u64, seq: u64) -> Event {
         Event::new(ts, seq, Row::new([Value::Int(ts as i64)]))
@@ -434,31 +413,29 @@ mod tests {
 
     #[test]
     fn trace_records_late_arrivals_and_emits() {
-        let trace = FlightRecorder::new(64);
+        let spans = SpanRecorder::new(64);
         let mut b = SlackBuffer::new(5u64);
-        b.attach_trace(&trace);
+        b.attach_spans(&spans);
         let mut out = Vec::new();
-        b.insert(ev(20, 0), &mut out); // watermark 15 → one BufferEmit
+        b.insert(ev(20, 0), &mut out); // watermark 15 → one advance
         b.insert(ev(8, 1), &mut out); // lateness 7 behind watermark 15
         b.finish(&mut out);
-        let events = trace.events();
-        assert!(events.iter().any(|t| matches!(
-            t.kind,
-            TraceKind::LateArrival {
-                lateness: 7,
-                watermark: 15
-            }
-        ) && t.at == 8));
-        assert!(events
+        let recorded = spans.spans();
+        let k = recorded[0];
+        assert_eq!(
+            (k.stage, k.detail, k.reason),
+            (Stage::KChange, [5, 5], Some(KChangeReason::Initial))
+        );
+        assert!(recorded.iter().any(|s| s.stage == Stage::LateArrival
+            && (s.begin, s.end, s.duration(), s.detail[0]) == (8, 15, 7, 1)));
+        // One residency record per watermark advance, carrying the
+        // watermark: 15, then the flush's u64::MAX.
+        let advances: Vec<u64> = recorded
             .iter()
-            .any(|t| matches!(t.kind, TraceKind::BufferEmit { watermark: 15, .. })));
-        assert!(events.iter().any(|t| matches!(
-            t.kind,
-            TraceKind::BufferEmit {
-                watermark: u64::MAX,
-                ..
-            }
-        )));
+            .filter(|s| s.stage == Stage::BufferResidency)
+            .map(|s| s.detail[1])
+            .collect();
+        assert_eq!(advances, vec![15, u64::MAX]);
     }
 
     #[test]
@@ -480,10 +457,24 @@ mod tests {
         assert_eq!(b.stats().released, 6);
         // Every event was forwarded on arrival; the spans time the holds.
         assert_eq!(forwarded, vec![12, 10, 11, 20, 8, 18, 21]);
-        let rec = spans.spans();
-        assert!(rec.iter().all(|s| s.stage == Stage::BufferResidency));
-        let pairs: Vec<(u64, u64)> = rec.iter().map(|s| (s.begin, s.end)).collect();
-        assert_eq!(pairs, vec![(10, 15), (18, 21)]);
+        let rec: Vec<Span> = spans
+            .spans()
+            .into_iter()
+            .filter(|s| s.stage == Stage::BufferResidency)
+            .collect();
+        let timed: Vec<(u64, u64, u64)> = rec
+            .iter()
+            .filter(|s| s.is_timed())
+            .map(|s| (s.begin, s.end, s.detail[0]))
+            .collect();
+        assert_eq!(timed, vec![(10, 15, 3), (18, 21, 3)]);
+        // The advances that released nothing are on record with zero extent.
+        let empty: Vec<(u64, u64)> = rec
+            .iter()
+            .filter(|s| !s.is_timed())
+            .map(|s| (s.begin, s.end))
+            .collect();
+        assert_eq!(empty, vec![(7, 7), (16, 16)]);
     }
 
     #[test]

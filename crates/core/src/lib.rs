@@ -81,10 +81,13 @@ pub mod prelude {
     pub use crate::strategy::{DisorderControl, DropAll, FixedKSlack, MpKSlack, OracleBuffer};
     pub use quill_engine::parallel::ParallelConfig;
     pub use quill_engine::prelude::*;
+    pub use quill_telemetry::span::write_spans_jsonl;
     pub use quill_telemetry::trace::{
-        parse_post_mortems, post_mortems_to_lines, write_post_mortems_jsonl, write_trace_jsonl,
-        FlightRecorder, KChangeReason, PostMortem, ProvenanceBuilder, ProvenanceRecord, TraceEvent,
-        TraceKind,
+        parse_post_mortems, post_mortems_to_lines, write_post_mortems_jsonl, PostMortem,
+        ProvenanceBuilder, ProvenanceRecord,
     };
-    pub use quill_telemetry::{Registry, ReporterConfig, Snapshot, TelemetryReporter};
+    pub use quill_telemetry::{
+        KChangeReason, Registry, ReporterConfig, Snapshot, Span, SpanRecorder, Stage,
+        TelemetryReporter,
+    };
 }

@@ -467,14 +467,13 @@ fn check_options(opts: &ExecOptions, diags: &mut Vec<Diagnostic>) {
                 format!("required_completeness {q} outside (0, 1]"),
                 "pass a fraction in (0, 1], e.g. with_required_completeness(0.95)",
             ));
-        } else if !opts.trace.is_enabled() {
+        } else if !opts.spans.is_enabled() {
             diags.push(Diagnostic::new(
-                "plan.options.completeness-without-trace",
+                "plan.options.completeness-without-spans",
                 Severity::Warn,
-                "required_completeness is set but tracing is disabled: violations are \
-                 only flagged in the provenance layer, which needs an enabled \
-                 FlightRecorder",
-                "attach one via ExecOptions::with_trace(&recorder) or drop the target",
+                "required_completeness is set but span recording is disabled: violations \
+                 are only flagged in the provenance layer, which reads the span records",
+                "attach a recorder via ExecOptions::with_spans(&recorder) or drop the target",
             ));
         }
     }

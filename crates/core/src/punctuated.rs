@@ -75,11 +75,6 @@ impl DisorderControl for PunctuatedBuffer {
         self.buf.instrument(telemetry);
     }
 
-    fn attach_trace(&mut self, trace: &quill_telemetry::FlightRecorder) {
-        self.buf.attach_trace(trace);
-        crate::strategy::record_initial_k(trace, self.buf.k().raw());
-    }
-
     fn attach_spans(&mut self, spans: &quill_telemetry::SpanRecorder) {
         self.buf.attach_spans(spans);
     }

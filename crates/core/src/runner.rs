@@ -24,7 +24,7 @@ use quill_engine::time::{TimeDelta, Timestamp};
 use quill_engine::window::WindowSpec;
 use quill_metrics::quality_eval::{oracle_results, score, QualityReport};
 use quill_metrics::{LatencyRecorder, Summary, TimeSeries};
-use quill_telemetry::trace::{FlightRecorder, PostMortem, ProvenanceBuilder, ProvenanceRecord};
+use quill_telemetry::trace::{PostMortem, ProvenanceBuilder, ProvenanceRecord};
 use quill_telemetry::{Registry, ReporterConfig, Snapshot, SpanRecorder, Stage, TelemetryReporter};
 
 /// The continuous query to execute.
@@ -200,9 +200,8 @@ impl QuerySpecBuilder {
 /// |---|---|---|---|
 /// | [`with_telemetry`](ExecOptions::with_telemetry) | instruments record into the registry | — | — |
 /// | [`with_snapshot_every`](ExecOptions::with_snapshot_every) | periodic registry snapshots | enabled telemetry | `plan.options.snapshot-without-telemetry` (warn) |
-/// | [`with_trace`](ExecOptions::with_trace) | structured trace ring, provenance records | — | — |
-/// | [`with_spans`](ExecOptions::with_spans) | pipeline stage spans (logical clock), per-stage latency attribution | — | — |
-/// | [`with_required_completeness`](ExecOptions::with_required_completeness) | flags windows below the target; builds post-mortems | enabled trace (for post-mortems) | `plan.options.completeness-without-trace` (warn); `plan.options.completeness-range` (deny) outside (0, 1] |
+/// | [`with_spans`](ExecOptions::with_spans) | one record stream (logical clock): stage spans, K changes, late arrivals and drops; per-stage latency attribution; provenance records | — | — |
+/// | [`with_required_completeness`](ExecOptions::with_required_completeness) | flags windows below the target; builds post-mortems | enabled spans (for post-mortems) | `plan.options.completeness-without-spans` (warn); `plan.options.completeness-range` (deny) outside (0, 1] |
 /// | [`with_delay_profile`](ExecOptions::with_delay_profile) | enables quality-feasibility checks | a quality target somewhere (options or strategy) | `plan.options.delay-profile-unused` (advice) |
 /// | [`with_expected_keys`](ExecOptions::with_expected_keys) | shard-saturation check | parallel execution | `plan.options.expected-keys-without-parallel` (warn); `plan.options.expected-keys-zero` (deny) for 0 |
 /// | [`parallel`](ExecOptions::parallel) | keyed-parallel executor | — | `plan.parallel.*` rules |
@@ -219,25 +218,22 @@ pub struct ExecOptions {
     /// Take a telemetry snapshot every this many input events (0 = only the
     /// final end-of-run snapshot). Ignored when telemetry is disabled.
     pub snapshot_every_events: u64,
-    /// Flight recorder the strategy, buffer and window operators record
-    /// structured [`quill_telemetry::TraceEvent`]s into.
-    /// [`FlightRecorder::disabled`] (the default) makes every hook a branch.
+    /// The record stream every stage records into, on the logical
+    /// (event-time) clock: buffer residency per watermark advance, late
+    /// arrivals, K changes with their reason, routing and send stalls,
+    /// window finalizations and late drops, the merge, and result delivery.
+    /// [`SpanRecorder::disabled`] (the default) makes every hook a branch.
     /// With an enabled recorder, [`RunOutput::provenance`] carries one
     /// record per scored window and [`RunOutput::post_mortems`] the causal
-    /// trace slice of every window that violated
-    /// [`ExecOptions::required_completeness`].
-    pub trace: FlightRecorder,
-    /// Pipeline span recorder every stage records begin/end spans into, on
-    /// the logical (event-time) clock: buffer residency, routing, window
-    /// finalization, merge, and result delivery.
-    /// [`SpanRecorder::disabled`] (the default) makes every hook a branch.
-    /// Drain with [`SpanRecorder::take`] for timeline export, or call
+    /// slice of every window that violated
+    /// [`ExecOptions::required_completeness`]. Drain with
+    /// [`SpanRecorder::take`] for timeline export, or call
     /// [`SpanRecorder::instrument`] first so per-stage duration histograms
     /// (`quill.span.<stage>`) land in `telemetry`.
     pub spans: SpanRecorder,
     /// Per-window completeness target used to flag violations in the
     /// provenance layer. `None` (the default) means no window is considered
-    /// violated. Only consulted when `trace` is enabled.
+    /// violated. Only consulted when `spans` is enabled.
     pub required_completeness: Option<f64>,
     /// Statically declared transport-delay regime, enabling the plan
     /// analyzer's quality-feasibility checks ([`crate::plan::analyze_plan`]).
@@ -274,21 +270,15 @@ impl ExecOptions {
         self
     }
 
-    /// Record trace events into `trace` (cloned; clones share the ring).
-    pub fn with_trace(mut self, trace: &FlightRecorder) -> ExecOptions {
-        self.trace = trace.clone();
-        self
-    }
-
-    /// Record pipeline stage spans into `spans` (cloned; clones share the
-    /// ring). See [`ExecOptions::spans`].
+    /// Record the run's record stream into `spans` (cloned; clones share
+    /// the ring). See [`ExecOptions::spans`].
     pub fn with_spans(mut self, spans: &SpanRecorder) -> ExecOptions {
         self.spans = spans.clone();
         self
     }
 
     /// Flag windows whose completeness falls below `q` as violations in the
-    /// provenance layer (builds their post-mortems when tracing).
+    /// provenance layer (builds their post-mortems when recording spans).
     pub fn with_required_completeness(mut self, q: f64) -> ExecOptions {
         self.required_completeness = Some(q);
         self
@@ -345,11 +335,11 @@ pub struct RunOutput {
     /// its counters cover the whole run.
     pub snapshots: Vec<Snapshot>,
     /// Per-window provenance records, in quality-report order (empty unless
-    /// [`ExecOptions::trace`] is enabled).
+    /// [`ExecOptions::spans`] is enabled).
     pub provenance: Vec<ProvenanceRecord>,
     /// Post-mortems for every window that violated
-    /// [`ExecOptions::required_completeness`] (empty unless tracing with a
-    /// target set).
+    /// [`ExecOptions::required_completeness`] (empty unless recording spans
+    /// with a target set).
     pub post_mortems: Vec<PostMortem>,
     /// Advisory and warn-level plan diagnostics from the pre-execution
     /// static analysis ([`crate::plan::analyze_plan`]); deny-level findings
@@ -409,7 +399,6 @@ pub fn stage_strategy(
     opts: &ExecOptions,
 ) -> StagedStream {
     strategy.instrument(&opts.telemetry);
-    strategy.attach_trace(&opts.trace);
     strategy.attach_spans(&opts.spans);
     let run_events = opts.telemetry.counter("quill.run.events");
     let mut reporter = TelemetryReporter::new(
@@ -543,7 +532,7 @@ pub(crate) fn run_batch(
             // parallel runs, so the core gets no registry and its own latency
             // stamps go unused.
             let mut core = MultiQueryCore::new(&Registry::disabled());
-            core.observe_operators(&opts.trace, &opts.spans);
+            core.observe_operators(&opts.spans);
             for q in queries {
                 core.register(q, opts.required_completeness, usize::MAX, None)?;
             }
@@ -639,7 +628,6 @@ fn window_parallel(
         query.key_field.unwrap_or(usize::MAX),
         config,
         &opts.telemetry,
-        &opts.trace,
         &opts.spans,
         |shard| {
             let shard = shard as u32;
@@ -651,7 +639,6 @@ fn window_parallel(
             )
             // quill-lint: allow(no-panic, reason = "the identical WindowAggregateOp::new call was validated at the top of run_batch()")
             .expect("query validated above");
-            op.attach_trace(&opts.trace, shard);
             op.attach_spans(&opts.spans, shard);
             op
         },
@@ -700,17 +687,18 @@ pub fn execute(
         .zip(run.window_stats)
         .next()
         .ok_or_else(|| EngineError::ExecutorFailure("batch run lost its query".into()))?;
-    // Join the flight-recorder ring with the per-window quality outcomes:
-    // one provenance record per scored window, and the causal trace slice
-    // for every window that missed its completeness target.
-    let (provenance, post_mortems) = if opts.trace.is_enabled() {
-        let builder = ProvenanceBuilder::new(opts.trace.events());
+    // Join the record stream with the per-window quality outcomes: one
+    // provenance record per scored window, and the causal slice for every
+    // window that missed its completeness target.
+    let (provenance, post_mortems) = if opts.spans.is_enabled() {
+        let builder = ProvenanceBuilder::new(opts.spans.spans());
         let provenance: Vec<ProvenanceRecord> = (out.quality.per_window.iter())
             .map(|w| {
                 builder.record_for(
                     w.window.start.raw(),
                     w.window.end.raw(),
                     &w.key,
+                    w.count,
                     w.completeness,
                     opts.required_completeness,
                 )
@@ -1073,20 +1061,19 @@ mod tests {
 
     #[test]
     fn traced_run_yields_provenance_and_post_mortems() {
-        use quill_telemetry::trace::TraceKind;
         let mk = |ts: u64, seq: u64| Event::new(ts, seq, Row::new([Value::Float(1.0)]));
         let mut events: Vec<Event> = (0..20u64).map(|i| mk(i * 10, i)).collect();
         // One straggler for window [0,100), arriving after the clock passed
         // 190 — with K=0 it is late at the buffer and dropped at the window.
         events.push(mk(5, 20));
-        let trace = FlightRecorder::with_default_capacity();
+        let spans = SpanRecorder::with_default_capacity();
         let mut s = DropAll::new();
         let out = execute(
             &events,
             &mut s,
             &sum_query(),
             &ExecOptions::sequential()
-                .with_trace(&trace)
+                .with_spans(&spans)
                 .with_required_completeness(1.0),
         )
         .unwrap();
@@ -1103,17 +1090,17 @@ mod tests {
         assert_eq!(out.post_mortems.len(), 1);
         let pm = &out.post_mortems[0];
         assert_eq!((pm.record.start, pm.record.end), (0, 100));
-        assert!(pm.slice.iter().any(
-            |t| matches!(&t.kind, TraceKind::LateDrop { windows, .. } if windows.contains(&(0, 100)))
-        ));
+        // The drop at ts 5 counts for [0, 100).
         assert!(pm
             .slice
             .iter()
-            .any(|t| matches!(t.kind, TraceKind::WindowFinalize { .. })));
+            .any(|t| t.stage == Stage::LateDrop && (0..100).contains(&t.begin)));
+        assert!(pm.slice.iter().any(|t| t.stage == Stage::WindowFinalize));
     }
 
     #[test]
     fn disabled_trace_produces_no_provenance() {
+        // No span recorder, no provenance: the target alone builds nothing.
         let events = disordered_events(500, 100, 14);
         let mut s = FixedKSlack::new(20u64);
         let out = execute(
@@ -1135,14 +1122,14 @@ mod tests {
             vec![AggregateSpec::new(AggregateKind::Sum, 1, "sum")],
             Some(0),
         );
-        let trace = FlightRecorder::with_default_capacity();
+        let spans = SpanRecorder::with_default_capacity();
         let mut s = FixedKSlack::new(30u64); // well under the 150 delay bound
         let out = execute(
             &events,
             &mut s,
             &query,
             &ExecOptions::parallel(ParallelConfig::new(4))
-                .with_trace(&trace)
+                .with_spans(&spans)
                 .with_required_completeness(0.99),
         )
         .unwrap();
@@ -1155,10 +1142,15 @@ mod tests {
             out.post_mortems.len(),
             out.provenance.iter().filter(|r| r.violated).count()
         );
-        // Per-window dropped counts come from shard-tagged LateDrop events;
-        // their total matches the operator counters.
+        // Per-window dropped counts come from shard-tagged LateDrop records.
         let dropped: u64 = out.provenance.iter().map(|r| r.dropped).sum();
         assert!(dropped > 0);
+        // Contributions are the results' own counts.
+        let contributed: u64 = out.provenance.iter().map(|r| r.contributing).sum();
+        assert_eq!(
+            contributed,
+            out.results.iter().map(|r| r.count).sum::<u64>()
+        );
     }
 
     #[test]

@@ -56,7 +56,6 @@ use quill_engine::operator::{
 use quill_engine::time::{TimeDelta, Timestamp};
 use quill_engine::value::Key;
 use quill_metrics::LatencyRecorder;
-use quill_telemetry::trace::FlightRecorder;
 use quill_telemetry::{Counter, Gauge, Registry, SpanRecorder, Stage};
 use std::collections::VecDeque;
 use std::fmt;
@@ -68,7 +67,7 @@ pub const DEFAULT_RESULT_CAPACITY: usize = 16_384;
 
 /// Plan-analyzer rules that do not apply in session context (the session
 /// tracks per-query targets itself, without the batch provenance layer).
-const SESSION_IRRELEVANT_RULES: &[&str] = &["plan.options.completeness-without-trace"];
+const SESSION_IRRELEVANT_RULES: &[&str] = &["plan.options.completeness-without-spans"];
 
 /// Identifier of a query registered in a [`Session`], unique within it for
 /// the session's lifetime (never reused after deregistration).
@@ -329,7 +328,6 @@ pub(crate) struct MultiQueryCore {
     spans: SpanRecorder,
     /// What the operators built by `register` record into; disabled unless
     /// a batch run attached the caller's (`observe_operators`).
-    op_trace: FlightRecorder,
     op_spans: SpanRecorder,
 }
 
@@ -343,7 +341,6 @@ impl MultiQueryCore {
             entries_gauge: telemetry.gauge("quill.window.entries"),
             results_total: 0,
             spans: SpanRecorder::disabled(),
-            op_trace: FlightRecorder::disabled(),
             op_spans: SpanRecorder::disabled(),
         }
     }
@@ -361,13 +358,12 @@ impl MultiQueryCore {
         self.spans = spans.clone();
     }
 
-    /// Make every operator registered from now on record its trace events
-    /// and stage spans (`WindowFinalize`, `LateDrop`) into `trace` / `spans`,
-    /// as the batch entry points promise for
-    /// [`ExecOptions::trace`](crate::runner::ExecOptions::trace). A
+    /// Make every operator registered from now on record its
+    /// `WindowFinalize` and `LateDrop` records into `spans`, as the batch
+    /// entry points promise for
+    /// [`ExecOptions::spans`](crate::runner::ExecOptions::spans). A
     /// [`Session`] never calls this, so what it records does not change.
-    pub(crate) fn observe_operators(&mut self, trace: &FlightRecorder, spans: &SpanRecorder) {
-        self.op_trace = trace.clone();
+    pub(crate) fn observe_operators(&mut self, spans: &SpanRecorder) {
         self.op_spans = spans.clone();
     }
 
@@ -395,7 +391,6 @@ impl MultiQueryCore {
                     spec.key_field,
                     LatePolicy::Drop,
                 )?;
-                op.attach_trace(&self.op_trace, 0);
                 op.attach_spans(&self.op_spans, 0);
                 self.groups.push(Group {
                     op,
@@ -639,12 +634,13 @@ impl Session {
         self
     }
 
-    /// Record pipeline spans into `spans`: one [`Stage::BufferResidency`]
-    /// per release from the strategy's slack buffer (oldest released
-    /// timestamp → releasing watermark) and a query-tagged
-    /// [`Stage::Deliver`] span per emitted result (window end → emission
-    /// clock, both on the logical event-time clock). Builder-style; attach
-    /// before the first event.
+    /// Record the session's record stream into `spans`, on the logical
+    /// event-time clock: from the strategy's slack buffer one
+    /// [`Stage::BufferResidency`] per watermark advance (oldest released
+    /// timestamp → watermark), one [`Stage::LateArrival`] per late pass and
+    /// one [`Stage::KChange`] per K decision (the initial K included), and a
+    /// query-tagged [`Stage::Deliver`] span per emitted result (window end →
+    /// emission clock). Builder-style; attach before the first event.
     pub fn with_spans(mut self, spans: &SpanRecorder) -> Session {
         self.strategy.attach_spans(spans);
         self.core.attach_spans(spans);

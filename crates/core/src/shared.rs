@@ -70,7 +70,7 @@ pub fn strictest_completeness(targets: &[f64]) -> Option<f64> {
 /// delivered to every query of that shape — or per query on the
 /// keyed-parallel executor, and an enabled telemetry registry observes the
 /// shared buffer once rather than once per query. Every window operator
-/// records into [`ExecOptions::trace`] and [`ExecOptions::spans`], and each
+/// records into [`ExecOptions::spans`], and each
 /// result's [`Stage::Deliver`](quill_telemetry::Stage::Deliver) span is
 /// tagged with its query's index.
 ///
@@ -98,7 +98,7 @@ mod tests {
     use quill_engine::aggregate::{AggregateKind, AggregateSpec};
     use quill_engine::parallel::ParallelConfig;
     use quill_engine::prelude::{Row, StreamElement, TimeDelta, Value, WindowSpec};
-    use quill_telemetry::trace::{FlightRecorder, TraceKind};
+    use quill_telemetry::{SpanRecorder, Stage};
     use rand::rngs::StdRng;
     use rand::{Rng, SeedableRng};
 
@@ -193,18 +193,19 @@ mod tests {
             ExecOptions::parallel(ParallelConfig::new(4)),
         ] {
             let mode = format!("{:?}", opts.parallel);
-            let trace = FlightRecorder::with_default_capacity();
+            let spans = SpanRecorder::with_default_capacity();
             let shared =
-                execute_shared(&evs, &mut DropAll::new(), &qs, &opts.with_trace(&trace)).unwrap();
-            let recorded = trace.events();
+                execute_shared(&evs, &mut DropAll::new(), &qs, &opts.with_spans(&spans)).unwrap();
+            let recorded = spans.spans();
             // The two queries' windows differ in length, which tells their
-            // finalizations apart: one per emitted result of each query.
+            // finalizations (window end minus start) apart: one per emitted
+            // result of each query.
             for (q, out) in qs.iter().zip(&shared.per_query) {
                 let finalized = recorded
                     .iter()
-                    .filter(|t| {
-                        matches!(t.kind, TraceKind::WindowFinalize { start, end, .. }
-                            if end - start == q.window.length().raw())
+                    .filter(|s| {
+                        s.stage == Stage::WindowFinalize
+                            && s.begin - s.detail[0] == q.window.length().raw()
                     })
                     .count();
                 assert!(!out.results.is_empty());
@@ -212,10 +213,8 @@ mod tests {
             }
             let dropped: Vec<u64> = recorded
                 .iter()
-                .filter_map(|t| match t.kind {
-                    TraceKind::LateDrop { event_seq, .. } => Some(event_seq),
-                    _ => None,
-                })
+                .filter(|s| s.stage == Stage::LateDrop)
+                .map(|s| s.detail[0])
                 .collect();
             assert_eq!(dropped, vec![200, 200], "{mode}");
         }

@@ -17,8 +17,7 @@
 use crate::buffer::{BufferStats, SlackBuffer};
 use crate::plan::StrategyKind;
 use quill_engine::prelude::{Event, StreamElement, TimeDelta};
-use quill_telemetry::trace::{FlightRecorder, KChangeReason, TraceKind};
-use quill_telemetry::Registry;
+use quill_telemetry::{KChangeReason, Registry, SpanRecorder};
 
 /// A pluggable disorder-control strategy.
 pub trait DisorderControl: Send {
@@ -30,18 +29,12 @@ pub trait DisorderControl: Send {
     /// `quill.controller.*` / `quill.estimator.*`. Default: no telemetry.
     fn instrument(&mut self, _telemetry: &Registry) {}
 
-    /// Attach a flight recorder. Buffer-backed strategies wire their
-    /// [`SlackBuffer`] (late arrivals, emits) and record an
-    /// [`KChangeReason::Initial`] K-change so every trace names the K in
-    /// force from the start; adaptive strategies additionally record each
-    /// K decision with its trigger reason. Default: no tracing.
-    fn attach_trace(&mut self, _trace: &FlightRecorder) {}
-
-    /// Attach a pipeline span recorder. Buffer-backed strategies wire their
-    /// [`SlackBuffer`] so every release records one
-    /// [`quill_telemetry::Stage::BufferResidency`] span (oldest released
-    /// timestamp → releasing watermark). Default: no spans.
-    fn attach_spans(&mut self, _spans: &quill_telemetry::SpanRecorder) {}
+    /// Attach a span recorder. Buffer-backed strategies wire their
+    /// [`SlackBuffer`] ([`SlackBuffer::attach_spans`]: the initial K, one
+    /// residency span per watermark advance, one late-arrival span per late
+    /// pass), and adaptive strategies record each K decision with its
+    /// trigger reason through [`SlackBuffer::change_k`]. Default: no spans.
+    fn attach_spans(&mut self, _spans: &SpanRecorder) {}
 
     /// Tell the strategy the smallest slide among the windows its stream
     /// feeds (`None`: no window registered). A tuple then reaches its
@@ -88,22 +81,6 @@ pub trait DisorderControl: Send {
     }
 }
 
-/// Record the strategy's starting K so a trace always names the slack in
-/// force before the first adaptive decision.
-pub(crate) fn record_initial_k(trace: &FlightRecorder, k: u64) {
-    if trace.is_enabled() {
-        trace.record(
-            0,
-            0,
-            TraceKind::KChange {
-                old_k: k,
-                new_k: k,
-                reason: KChangeReason::Initial,
-            },
-        );
-    }
-}
-
 /// K = 0: release every event instantly; any disorder reaches the query as
 /// late events. The zero-latency / lowest-quality endpoint.
 pub struct DropAll {
@@ -129,11 +106,7 @@ impl DisorderControl for DropAll {
     fn instrument(&mut self, telemetry: &Registry) {
         self.buf.instrument(telemetry);
     }
-    fn attach_trace(&mut self, trace: &FlightRecorder) {
-        self.buf.attach_trace(trace);
-        record_initial_k(trace, 0);
-    }
-    fn attach_spans(&mut self, spans: &quill_telemetry::SpanRecorder) {
+    fn attach_spans(&mut self, spans: &SpanRecorder) {
         self.buf.attach_spans(spans);
     }
     fn name(&self) -> String {
@@ -177,11 +150,7 @@ impl DisorderControl for FixedKSlack {
     fn instrument(&mut self, telemetry: &Registry) {
         self.buf.instrument(telemetry);
     }
-    fn attach_trace(&mut self, trace: &FlightRecorder) {
-        self.buf.attach_trace(trace);
-        record_initial_k(trace, self.k.raw());
-    }
-    fn attach_spans(&mut self, spans: &quill_telemetry::SpanRecorder) {
+    fn attach_spans(&mut self, spans: &SpanRecorder) {
         self.buf.attach_spans(spans);
     }
     fn name(&self) -> String {
@@ -212,7 +181,6 @@ pub struct MpKSlack {
     buf: SlackBuffer,
     max_delay: TimeDelta,
     cap: TimeDelta,
-    trace: FlightRecorder,
 }
 
 impl MpKSlack {
@@ -222,7 +190,6 @@ impl MpKSlack {
             buf: SlackBuffer::new(0u64),
             max_delay: TimeDelta::ZERO,
             cap: TimeDelta::MAX,
-            trace: FlightRecorder::disabled(),
         }
     }
 
@@ -233,7 +200,6 @@ impl MpKSlack {
             buf: SlackBuffer::new(0u64),
             max_delay: TimeDelta::ZERO,
             cap: cap.into(),
-            trace: FlightRecorder::disabled(),
         }
     }
 }
@@ -248,12 +214,7 @@ impl DisorderControl for MpKSlack {
     fn instrument(&mut self, telemetry: &Registry) {
         self.buf.instrument(telemetry);
     }
-    fn attach_trace(&mut self, trace: &FlightRecorder) {
-        self.buf.attach_trace(trace);
-        self.trace = trace.clone();
-        record_initial_k(trace, self.max_delay.raw());
-    }
-    fn attach_spans(&mut self, spans: &quill_telemetry::SpanRecorder) {
+    fn attach_spans(&mut self, spans: &SpanRecorder) {
         self.buf.attach_spans(spans);
     }
     fn name(&self) -> String {
@@ -267,20 +228,9 @@ impl DisorderControl for MpKSlack {
         // Delay measured against the clock *before* this event advances it.
         let delay = self.buf.clock().delta_since(e.ts);
         if delay > self.max_delay {
-            let old = self.max_delay;
             self.max_delay = delay.min(self.cap);
-            self.buf.set_k(self.max_delay);
-            if self.trace.is_enabled() && self.max_delay != old {
-                self.trace.record(
-                    e.ts.raw(),
-                    0,
-                    TraceKind::KChange {
-                        old_k: old.raw(),
-                        new_k: self.max_delay.raw(),
-                        reason: KChangeReason::Ratchet,
-                    },
-                );
-            }
+            self.buf
+                .change_k(self.max_delay, KChangeReason::Ratchet, e.ts);
         }
         self.buf.insert(e, out);
     }
@@ -326,11 +276,7 @@ impl DisorderControl for OracleBuffer {
     fn instrument(&mut self, telemetry: &Registry) {
         self.buf.instrument(telemetry);
     }
-    fn attach_trace(&mut self, trace: &FlightRecorder) {
-        self.buf.attach_trace(trace);
-        record_initial_k(trace, u64::MAX);
-    }
-    fn attach_spans(&mut self, spans: &quill_telemetry::SpanRecorder) {
+    fn attach_spans(&mut self, spans: &SpanRecorder) {
         self.buf.attach_spans(spans);
     }
     fn name(&self) -> String {
@@ -460,30 +406,24 @@ mod tests {
 
     #[test]
     fn mp_ratchet_is_traced_with_reason() {
-        let trace = FlightRecorder::new(64);
+        let spans = SpanRecorder::new(64);
         let mut s = MpKSlack::new();
-        s.attach_trace(&trace);
+        s.attach_spans(&spans);
         let mut out = Vec::new();
         s.on_event(ev(100, 0), &mut out);
         s.on_event(ev(40, 1), &mut out); // delay 60 → ratchet
         s.on_event(ev(90, 2), &mut out); // delay 10 → no change
-        let changes: Vec<_> = trace
-            .events()
+        let changes: Vec<_> = spans
+            .spans()
             .into_iter()
-            .filter_map(|t| match t.kind {
-                TraceKind::KChange {
-                    old_k,
-                    new_k,
-                    reason,
-                } => Some((old_k, new_k, reason, t.at)),
-                _ => None,
-            })
+            .filter(|sp| sp.stage == quill_telemetry::Stage::KChange)
+            .map(|sp| (sp.detail[0], sp.detail[1], sp.reason, sp.begin))
             .collect();
         assert_eq!(
             changes,
             vec![
-                (0, 0, KChangeReason::Initial, 0),
-                (0, 60, KChangeReason::Ratchet, 40),
+                (0, 0, Some(KChangeReason::Initial), 0),
+                (0, 60, Some(KChangeReason::Ratchet), 40),
             ]
         );
     }

@@ -10,7 +10,6 @@
 use crate::time::{TimeDelta, Timestamp};
 use crate::value::Row;
 use serde::{Deserialize, Serialize};
-use std::cmp::Ordering;
 
 /// A single data tuple with its event-time timestamp and arrival sequence
 /// number.
@@ -41,12 +40,6 @@ impl Event {
     #[inline]
     pub fn order_key(&self) -> (Timestamp, u64) {
         (self.ts, self.seq)
-    }
-
-    /// Compare events in event-time order (ties broken by arrival order).
-    #[inline]
-    pub fn time_cmp(&self, other: &Event) -> Ordering {
-        self.order_key().cmp(&other.order_key())
     }
 }
 
@@ -175,12 +168,6 @@ impl ClockTracker {
     }
 }
 
-/// Sort a batch of events into event-time order (stable in arrival order for
-/// equal timestamps). Used by oracles and tests as the ground-truth ordering.
-pub fn sort_by_event_time(events: &mut [Event]) {
-    events.sort_by(|a, b| a.time_cmp(b));
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -220,13 +207,6 @@ mod tests {
         let s = DisorderStats::default();
         assert_eq!(s.disorder_ratio(), 0.0);
         assert_eq!(s.mean_delay(), 0.0);
-    }
-
-    #[test]
-    fn sort_is_stable_on_ties() {
-        let mut v = vec![ev(5, 2), ev(5, 1), ev(3, 3)];
-        sort_by_event_time(&mut v);
-        assert_eq!(v.iter().map(|e| e.seq).collect::<Vec<_>>(), vec![3, 1, 2]);
     }
 
     #[test]

@@ -47,7 +47,7 @@ use crate::operator::Operator;
 use crate::time::Timestamp;
 use crate::value::{Key, KeyView, Row, Value};
 use crate::window::{Window, WindowSpec};
-use quill_telemetry::trace::{FlightRecorder, TraceKind};
+use quill_telemetry::span::key_tag;
 use quill_telemetry::{SpanRecorder, Stage};
 use serde::{Deserialize, Serialize};
 use std::collections::{BTreeMap, BTreeSet};
@@ -482,14 +482,12 @@ fn pop_first_if(
 /// Keyed sliding/tumbling window aggregation operator.
 pub struct WindowAggregateOp {
     name: String,
-    spec: WindowSpec,
     key_field: Option<usize>,
     late_policy: LatePolicy,
     fiba: FibaState,
     watermark: Timestamp,
     out_seq: u64,
     stats: WindowOpStats,
-    trace: FlightRecorder,
     spans: SpanRecorder,
     shard: u32,
 }
@@ -594,33 +592,25 @@ impl WindowAggregateOp {
         };
         Ok(WindowAggregateOp {
             name: format!("window-agg({spec})"),
-            spec,
             key_field,
             late_policy,
             fiba,
             watermark: Timestamp::MIN,
             out_seq: 0,
             stats: WindowOpStats::default(),
-            trace: FlightRecorder::disabled(),
             spans: SpanRecorder::disabled(),
             shard: 0,
         })
     }
 
-    /// Attach a flight recorder; subsequent window finalizations and late
-    /// drops are recorded as [`TraceKind::WindowFinalize`] /
-    /// [`TraceKind::LateDrop`] events tagged with `shard` (0 for sequential
-    /// execution). Disabled recorders cost one branch per hook.
-    pub fn attach_trace(&mut self, trace: &FlightRecorder, shard: u32) {
-        self.trace = trace.clone();
-        self.shard = shard;
-    }
-
-    /// Attach a span recorder; each window finalization records a
+    /// Attach a span recorder, tagging records with `shard` (0 for
+    /// sequential execution). Each window finalization records a
     /// [`Stage::WindowFinalize`] span from the window's end to the watermark
     /// that closed it — the event-time lag between a window becoming
-    /// complete and the operator proving it complete. Disabled recorders
-    /// cost one branch per finalization.
+    /// complete and the operator proving it complete — carrying the window
+    /// start and the key's [`key_tag`]; each dropped late event records a
+    /// [`Stage::LateDrop`] instant at its timestamp carrying its input seq.
+    /// Disabled recorders cost one branch per hook.
     pub fn attach_spans(&mut self, spans: &SpanRecorder, shard: u32) {
         self.spans = spans.clone();
         self.shard = shard;
@@ -684,22 +674,8 @@ impl WindowAggregateOp {
             .filter(|min_end| home.0.raw() >= *min_end)
         else {
             self.stats.late_dropped += 1;
-            if self.trace.is_enabled() {
-                let missed: Vec<(u64, u64)> = self
-                    .spec
-                    .assign(e.ts)
-                    .into_iter()
-                    .map(|w| (w.start.raw(), w.end.raw()))
-                    .collect();
-                self.trace.record(
-                    e.ts.raw(),
-                    self.shard,
-                    TraceKind::LateDrop {
-                        event_seq: e.seq,
-                        windows: missed,
-                    },
-                );
-            }
+            self.spans
+                .record_detail(Stage::LateDrop, t, t, self.shard, [e.seq, 0]);
             return;
         };
         fs.entry.clear();
@@ -797,18 +773,6 @@ impl WindowAggregateOp {
             self.stats.revisions += 1;
         } else {
             self.stats.windows_emitted += 1;
-            if self.trace.is_enabled() {
-                self.trace.record(
-                    e,
-                    self.shard,
-                    TraceKind::WindowFinalize {
-                        start: s,
-                        end: e,
-                        key: key.0.to_string(),
-                        count,
-                    },
-                );
-            }
             if self.spans.is_enabled() {
                 // Window complete at `end`, proven complete at the watermark
                 // that drained it (Flush sets it to MAX, which carries no
@@ -818,8 +782,13 @@ impl WindowAggregateOp {
                 } else {
                     self.watermark.raw()
                 };
-                self.spans
-                    .record(Stage::WindowFinalize, e, closed, self.shard);
+                self.spans.record_detail(
+                    Stage::WindowFinalize,
+                    e,
+                    closed,
+                    self.shard,
+                    [s, key_tag(&key.0)],
+                );
             }
         }
         let row = WindowResult {
@@ -855,6 +824,7 @@ impl Operator for WindowAggregateOp {
 mod tests {
     use super::*;
     use crate::aggregate::AggregateKind;
+    use quill_telemetry::Span;
 
     fn op(spec: WindowSpec, policy: LatePolicy) -> WindowAggregateOp {
         WindowAggregateOp::new(
@@ -1440,10 +1410,10 @@ mod tests {
 
     #[test]
     fn trace_records_finalize_and_late_drops() {
-        let rec = FlightRecorder::new(64);
+        let rec = SpanRecorder::new(64);
         let mut w = op(WindowSpec::tumbling(10u64), LatePolicy::Drop);
-        w.attach_trace(&rec, 3);
-        let _ = run(
+        w.attach_spans(&rec, 3);
+        let results = run(
             &mut w,
             vec![
                 ev(5, 1, 1.0),
@@ -1452,32 +1422,28 @@ mod tests {
                 StreamElement::Flush,
             ],
         );
-        let evs = rec.events();
-        let fins: Vec<&quill_telemetry::trace::TraceEvent> = evs
+        let recorded = rec.spans();
+        let fins: Vec<&Span> = recorded
             .iter()
-            .filter(|t| matches!(t.kind, TraceKind::WindowFinalize { .. }))
+            .filter(|s| s.stage == Stage::WindowFinalize)
             .collect();
         assert_eq!(fins.len(), 1);
         assert_eq!(fins[0].shard, 3);
-        match &fins[0].kind {
-            TraceKind::WindowFinalize {
-                start,
-                end,
-                key,
-                count,
-            } => {
-                assert_eq!((*start, *end, key.as_str(), *count), (0, 10, "null", 1));
-            }
-            _ => unreachable!(),
-        }
-        let drops: Vec<(u64, Vec<(u64, u64)>)> = evs
+        // Window [0, 10) of key null, finalized with its one tuple.
+        assert_eq!((fins[0].detail[0], fins[0].begin), (0, 10));
+        assert_eq!(fins[0].detail[1], key_tag("null"));
+        let counts: Vec<(u64, u64, u64)> = results
             .iter()
-            .filter_map(|t| match &t.kind {
-                TraceKind::LateDrop { event_seq, windows } => Some((*event_seq, windows.clone())),
-                _ => None,
-            })
+            .map(|r| (r.window.start.raw(), r.window.end.raw(), r.count))
             .collect();
-        assert_eq!(drops, vec![(2, vec![(0, 10)])]);
+        assert_eq!(counts, vec![(0, 10, 1)]);
+        // The drop names input seq 2 at ts 3, which counts for [0, 10).
+        let drops: Vec<(u64, u64)> = recorded
+            .iter()
+            .filter(|s| s.stage == Stage::LateDrop)
+            .map(|s| (s.detail[0], s.begin))
+            .collect();
+        assert_eq!(drops, vec![(2, 3)]);
     }
 
     #[test]
@@ -1517,14 +1483,12 @@ mod tests {
 
     #[test]
     fn fiba_path_traces_finalize_late_drops_and_spans() {
-        // Sliding windows, one late event: finalize and late-drop trace
-        // events and the finalize spans carry the right payloads.
-        let rec = FlightRecorder::new(256);
+        // Sliding windows, one late event: the finalize and late-drop
+        // records carry the right payloads and the finalize lags.
         let spans = SpanRecorder::new(64);
         let mut w = op(WindowSpec::sliding(20u64, 10u64), LatePolicy::Drop);
-        w.attach_trace(&rec, 0);
         w.attach_spans(&spans, 0);
-        let _ = run(
+        let results = run(
             &mut w,
             vec![
                 ev(5, 1, 1.0),
@@ -1534,26 +1498,22 @@ mod tests {
                 StreamElement::Flush,
             ],
         );
-        let evs = rec.events();
-        let fins: Vec<(u64, u64, u64)> = evs
+        let recorded = spans.spans();
+        let fins: Vec<&Span> = recorded
             .iter()
-            .filter_map(|t| match &t.kind {
-                TraceKind::WindowFinalize {
-                    start, end, count, ..
-                } => Some((*start, *end, *count)),
-                _ => None,
-            })
+            .filter(|s| s.stage == Stage::WindowFinalize)
             .collect();
-        assert_eq!(fins, vec![(0, 20, 2), (10, 30, 1)]);
-        let drops: Vec<(u64, Vec<(u64, u64)>)> = evs
+        let bounds: Vec<(u64, u64)> = fins.iter().map(|s| (s.detail[0], s.begin)).collect();
+        assert_eq!(bounds, vec![(0, 20), (10, 30)]);
+        let counts: Vec<u64> = results.iter().map(|r| r.count).collect();
+        assert_eq!(counts, vec![2, 1]);
+        let drops: Vec<(u64, u64)> = recorded
             .iter()
-            .filter_map(|t| match &t.kind {
-                TraceKind::LateDrop { event_seq, windows } => Some((*event_seq, windows.clone())),
-                _ => None,
-            })
+            .filter(|s| s.stage == Stage::LateDrop)
+            .map(|s| (s.detail[0], s.begin))
             .collect();
-        assert_eq!(drops, vec![(3, vec![(0, 20)])]);
-        let pairs: Vec<(u64, u64)> = spans.spans().iter().map(|s| (s.begin, s.end)).collect();
+        assert_eq!(drops, vec![(3, 3)]);
+        let pairs: Vec<(u64, u64)> = fins.iter().map(|s| (s.begin, s.end)).collect();
         assert_eq!(pairs, vec![(20, 40), (30, 40)]);
     }
 }

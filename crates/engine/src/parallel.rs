@@ -53,7 +53,7 @@ use crate::hash::FxHasher;
 use crate::operator::{Operator, WindowResult};
 use crate::value::{hash_value, Key, Value};
 use crossbeam::channel;
-use quill_telemetry::trace::{FlightRecorder, TraceKind, MERGE_SHARD};
+use quill_telemetry::span::MERGE_SHARD;
 use quill_telemetry::{Counter, Gauge, Registry, SpanRecorder, Stage};
 use std::hash::Hasher;
 use std::sync::atomic::{AtomicU64, Ordering};
@@ -173,7 +173,7 @@ struct ShardMetrics {
 
 impl ShardMetrics {
     /// `observe` enables the done-counter handshake with the worker (needed
-    /// by either telemetry or tracing; without it `depth()` is always 0).
+    /// by either telemetry or spans; without it `depth()` is always 0).
     fn new(telemetry: &Registry, shard: usize, observe: bool) -> ShardMetrics {
         ShardMetrics {
             shard: shard as u32,
@@ -266,13 +266,12 @@ impl ShardRouter {
 /// * `elements` — the (already disorder-controlled) input stream;
 /// * `key_field` — the row index events are partitioned by;
 /// * `config` — shard count, batching and scheduler;
-/// * `telemetry`, `trace`, `spans` — what the executor records into (see
-///   below); pass [`Registry::disabled`], [`FlightRecorder::disabled`] and
-///   [`SpanRecorder::disabled`] to record nothing — every hook then folds
-///   to a branch on `None`;
+/// * `telemetry`, `spans` — what the executor records into (see below);
+///   pass [`Registry::disabled`] and [`SpanRecorder::disabled`] to record
+///   nothing — every hook then folds to a branch on `None`;
 /// * `make_op` — factory producing the operator of shard `i` (each must
 ///   behave identically on its key subset; the index lets an operator tag
-///   its own trace events and spans).
+///   its own records).
 ///
 /// Events are routed by key hash; watermarks and flush are broadcast to all
 /// shards as batch delimiters. Returns all output *events* (window results)
@@ -291,15 +290,15 @@ impl ShardRouter {
 ///   gauges, and `quill.merge.elements` / `.windows` / `.fallback_sorts` for
 ///   the output merge (the inline scheduler has no channels, so its stall
 ///   counter and depth gauges stay at zero);
-/// * trace — [`TraceKind::SendStall`] whenever a batch send finds the
-///   shard's channel at capacity (timestamped with the batch's first event
-///   time) and one [`TraceKind::MergeProgress`] for the output merge, on the
-///   [`MERGE_SHARD`] pseudo-shard;
 /// * spans (logical clock) — [`Stage::Route`] per flushed shard batch over
-///   the earliest to latest event timestamp in it, and one [`Stage::Merge`]
-///   on [`MERGE_SHARD`] over the merged window-end range. Downstream
-///   [`Stage::WindowFinalize`] spans come from the per-shard operators via
-///   their `attach_spans` hooks — pass the same recorder to the factory.
+///   the earliest to latest event timestamp in it, a [`Stage::SendStall`]
+///   instant whenever a batch send finds the shard's channel at capacity
+///   (at the batch's first event time, carrying the in-flight depth), and
+///   one [`Stage::Merge`] on [`MERGE_SHARD`] over the merged window-end
+///   range, carrying the element count and whether the fallback sort ran.
+///   Downstream [`Stage::WindowFinalize`] / [`Stage::LateDrop`] records come
+///   from the per-shard operators via their `attach_spans` hooks — pass the
+///   same recorder to the factory.
 ///
 /// # Errors
 /// [`EngineError::ExecutorFailure`] if a worker panics or dies early;
@@ -310,7 +309,6 @@ pub fn run_keyed_parallel<O>(
     key_field: usize,
     config: ParallelConfig,
     telemetry: &Registry,
-    trace: &FlightRecorder,
     spans: &SpanRecorder,
     make_op: impl Fn(usize) -> O,
 ) -> Result<(Vec<StreamElement>, Vec<O>)>
@@ -319,12 +317,10 @@ where
 {
     config.validate()?;
     if config.deterministic || config.shards == 1 {
-        return run_inline(
-            elements, key_field, config, telemetry, trace, spans, make_op,
-        );
+        return run_inline(elements, key_field, config, telemetry, spans, make_op);
     }
     let shards = config.shards;
-    let observe = telemetry.is_enabled() || trace.is_enabled();
+    let observe = telemetry.is_enabled() || spans.is_enabled();
     let mut metrics: Vec<ShardMetrics> = (0..shards)
         .map(|s| ShardMetrics::new(telemetry, s, observe))
         .collect();
@@ -406,7 +402,6 @@ where
                         &config,
                         &mut metrics[shard],
                         &send_stalls,
-                        trace,
                         spans,
                     )?;
                     if telemetry.is_enabled() {
@@ -417,7 +412,7 @@ where
             _ => {
                 if router.push_punctuation(&el) {
                     for ((tx, buf), m) in txs.iter().zip(&mut router.bufs).zip(&mut metrics) {
-                        flush_batch(tx, buf, &config, m, &send_stalls, trace, spans)?;
+                        flush_batch(tx, buf, &config, m, &send_stalls, spans)?;
                     }
                     if telemetry.is_enabled() {
                         agg_depth.set_u64(depth_sum(&metrics));
@@ -427,7 +422,7 @@ where
         }
     }
     for ((tx, buf), m) in txs.iter().zip(&mut router.bufs).zip(&mut metrics) {
-        flush_batch(tx, buf, &config, m, &send_stalls, trace, spans)?;
+        flush_batch(tx, buf, &config, m, &send_stalls, spans)?;
     }
     drop(txs);
 
@@ -454,10 +449,7 @@ where
     }
     agg_depth.set_u64(0);
     result_depth.set_u64(0);
-    Ok((
-        merge_shard_outputs(shard_outs, telemetry, trace, spans),
-        ops,
-    ))
+    Ok((merge_shard_outputs(shard_outs, telemetry, spans), ops))
 }
 
 /// The inline scheduler of [`run_keyed_parallel`]: the same routing (key
@@ -477,7 +469,6 @@ fn run_inline<O>(
     key_field: usize,
     config: ParallelConfig,
     telemetry: &Registry,
-    trace: &FlightRecorder,
     spans: &SpanRecorder,
     make_op: impl Fn(usize) -> O,
 ) -> Result<(Vec<StreamElement>, Vec<O>)>
@@ -540,7 +531,7 @@ where
         let mut buf = std::mem::take(slot);
         drain(shard, &mut buf, &mut ops, &mut outs);
     }
-    Ok((merge_shard_outputs(outs, telemetry, trace, spans), ops))
+    Ok((merge_shard_outputs(outs, telemetry, spans), ops))
 }
 
 /// Record one [`Stage::Route`] span for a flushed shard batch: `begin` is
@@ -567,7 +558,6 @@ fn flush_batch(
     config: &ParallelConfig,
     metrics: &mut ShardMetrics,
     send_stalls: &Counter,
-    trace: &FlightRecorder,
     spans: &SpanRecorder,
 ) -> Result<()> {
     if buf.is_empty() {
@@ -582,12 +572,12 @@ fn flush_batch(
         let depth = metrics.depth();
         if depth >= config.channel_capacity as u64 {
             send_stalls.inc();
-            if trace.is_enabled() {
+            if spans.is_enabled() {
                 let at = buf
                     .iter()
                     .find_map(|el| el.as_event())
                     .map_or(0, |e| e.ts.raw());
-                trace.record(at, metrics.shard, TraceKind::SendStall { depth });
+                spans.record_detail(Stage::SendStall, at, at, metrics.shard, [depth, 0]);
             }
         }
         metrics.batches.inc();
@@ -657,7 +647,6 @@ fn merge_key(el: &StreamElement) -> MergeKey {
 fn merge_shard_outputs(
     shard_outs: Vec<Vec<StreamElement>>,
     telemetry: &Registry,
-    trace: &FlightRecorder,
     spans: &SpanRecorder,
 ) -> Vec<StreamElement> {
     let total: usize = shard_outs.iter().map(Vec::len).sum();
@@ -666,6 +655,9 @@ fn merge_shard_outputs(
         .into_iter()
         .map(|outs| outs.into_iter().map(|el| (merge_key(&el), el)).collect())
         .collect();
+    let sorted = keyed
+        .iter()
+        .all(|run| run.windows(2).all(|w| w[0].0 <= w[1].0));
     if spans.is_enabled() && total > 0 {
         // One Merge span on the pseudo-shard spanning the merged window-end
         // range (the event-time extent the merge interleaves).
@@ -680,20 +672,10 @@ fn merge_shard_outputs(
             }
         }
         if lo != u64::MAX {
-            spans.record(Stage::Merge, lo, hi, MERGE_SHARD);
+            let detail = [total as u64, u64::from(!sorted)];
+            spans.record_detail(Stage::Merge, lo, hi, MERGE_SHARD, detail);
         }
     }
-    let sorted = keyed
-        .iter()
-        .all(|run| run.windows(2).all(|w| w[0].0 <= w[1].0));
-    trace.record(
-        0,
-        MERGE_SHARD,
-        TraceKind::MergeProgress {
-            elements: total as u64,
-            fallback: !sorted,
-        },
-    );
     let count_windows = telemetry.is_enabled();
     let mut windows = 0u64;
     let mut prev_key: Option<MergeKey> = None;
@@ -795,6 +777,7 @@ mod tests {
     use crate::time::Timestamp;
     use crate::value::Row;
     use crate::window::WindowSpec;
+    use quill_telemetry::Span;
 
     fn window_op() -> WindowAggregateOp {
         WindowAggregateOp::new(
@@ -820,7 +803,6 @@ mod tests {
             0,
             config,
             &Registry::disabled(),
-            &FlightRecorder::disabled(),
             &SpanRecorder::disabled(),
             |_| make_op(),
         )
@@ -916,15 +898,9 @@ mod tests {
         config: ParallelConfig,
         reg: &Registry,
     ) -> (Vec<StreamElement>, Vec<WindowAggregateOp>) {
-        run_keyed_parallel(
-            elements,
-            0,
-            config,
-            reg,
-            &FlightRecorder::disabled(),
-            &SpanRecorder::disabled(),
-            |_| window_op(),
-        )
+        run_keyed_parallel(elements, 0, config, reg, &SpanRecorder::disabled(), |_| {
+            window_op()
+        })
         .expect("run")
     }
 
@@ -1102,7 +1078,7 @@ mod tests {
 
     #[test]
     fn observed_run_records_trace_events_without_telemetry() {
-        let trace = FlightRecorder::new(8192);
+        let spans = SpanRecorder::new(8192);
         let n = 1_000u64;
         let cfg = ParallelConfig::new(4)
             .with_batch_size(16)
@@ -1112,45 +1088,40 @@ mod tests {
             0,
             cfg,
             &Registry::disabled(),
-            &trace,
-            &SpanRecorder::disabled(),
+            &spans,
             |shard| {
                 let mut op = window_op();
-                op.attach_trace(&trace, shard as u32);
+                op.attach_spans(&spans, shard as u32);
                 op
             },
         )
         .expect("observed run");
-        let evs = trace.events();
-        // Every event lands in exactly one finalized window; counts add up.
-        let fin_count: u64 = evs
+        let recorded = spans.spans();
+        // One finalize per result, and every event lands in exactly one of
+        // those windows.
+        let fins: Vec<&Span> = recorded
             .iter()
-            .filter_map(|t| match t.kind {
-                TraceKind::WindowFinalize { count, .. } => Some(count),
-                _ => None,
-            })
-            .sum();
-        assert_eq!(fin_count, n);
+            .filter(|s| s.stage == Stage::WindowFinalize)
+            .collect();
+        assert_eq!(fins.len(), out.len());
+        assert_eq!(results_of(&out).iter().map(|r| r.count).sum::<u64>(), n);
         // Finalizations are tagged with real shard ids, not a single shard.
-        let fin_shards: std::collections::HashSet<u32> = evs
-            .iter()
-            .filter(|t| matches!(t.kind, TraceKind::WindowFinalize { .. }))
-            .map(|t| t.shard)
-            .collect();
+        let fin_shards: std::collections::HashSet<u32> = fins.iter().map(|s| s.shard).collect();
         assert!(fin_shards.len() > 1, "8 keys over 4 shards span shards");
-        // The merge reports once, on the pseudo-shard, fast path.
-        let merges: Vec<(u32, u64, bool)> = evs
+        // A stall names the batches in flight on a one-batch channel.
+        assert!(recorded
             .iter()
-            .filter_map(|t| match t.kind {
-                TraceKind::MergeProgress { elements, fallback } => {
-                    Some((t.shard, elements, fallback))
-                }
-                _ => None,
-            })
+            .filter(|s| s.stage == Stage::SendStall)
+            .all(|s| s.begin == s.end && s.detail[0] >= 1 && s.shard < 4));
+        // The merge reports once, on the pseudo-shard, fast path.
+        let merges: Vec<(u32, [u64; 2])> = recorded
+            .iter()
+            .filter(|s| s.stage == Stage::Merge)
+            .map(|s| (s.shard, s.detail))
             .collect();
-        assert_eq!(merges, vec![(MERGE_SHARD, out.len() as u64, false)]);
+        assert_eq!(merges, vec![(MERGE_SHARD, [out.len() as u64, 0])]);
         // Sequence numbers interleave deterministically (strictly monotone).
-        assert!(evs.windows(2).all(|w| w[0].seq < w[1].seq));
+        assert!(recorded.windows(2).all(|w| w[0].seq < w[1].seq));
     }
 
     #[test]
@@ -1165,7 +1136,6 @@ mod tests {
             0,
             cfg,
             &Registry::disabled(),
-            &FlightRecorder::disabled(),
             &spans,
             |_shard| window_op(),
         )
@@ -1204,7 +1174,6 @@ mod tests {
             0,
             cfg.with_deterministic(true),
             &Registry::disabled(),
-            &FlightRecorder::disabled(),
             &det_spans,
             |_shard| window_op(),
         )
@@ -1227,16 +1196,11 @@ mod tests {
         let cfg = ParallelConfig::new(3).with_batch_size(32);
         let (observed, _) = run(elements.clone(), cfg, window_op).expect("observed");
         let spans = SpanRecorder::new(1024);
-        let (traced, _) = run_keyed_parallel(
-            elements,
-            0,
-            cfg,
-            &Registry::disabled(),
-            &FlightRecorder::disabled(),
-            &spans,
-            |_| window_op(),
-        )
-        .expect("traced");
+        let (traced, _) =
+            run_keyed_parallel(elements, 0, cfg, &Registry::disabled(), &spans, |_| {
+                window_op()
+            })
+            .expect("traced");
         assert_eq!(results_of(&traced), results_of(&observed));
         assert!(!spans.is_empty(), "enabled recorder captured spans");
     }

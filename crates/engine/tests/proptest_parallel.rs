@@ -8,7 +8,6 @@ use quill_engine::operator::{LatePolicy, Operator, WindowAggregateOp, WindowResu
 use quill_engine::parallel::{run_keyed_parallel, ParallelConfig};
 use quill_engine::prelude::*;
 use quill_engine::value::Key;
-use quill_telemetry::trace::FlightRecorder;
 use quill_telemetry::{Registry, SpanRecorder};
 
 /// Every aggregate kind, including the order-sensitive and non-combinable
@@ -111,7 +110,6 @@ fn check_identical(
                 0,
                 ParallelConfig::new(shards).with_batch_size(batch),
                 &Registry::disabled(),
-                &FlightRecorder::disabled(),
                 &SpanRecorder::disabled(),
                 |_| make_op(),
             )

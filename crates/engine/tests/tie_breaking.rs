@@ -14,7 +14,6 @@ use quill_engine::operator::{LatePolicy, WindowAggregateOp, WindowResult};
 use quill_engine::parallel::{run_keyed_parallel, ParallelConfig};
 use quill_engine::prelude::*;
 use quill_engine::value::Key;
-use quill_telemetry::trace::FlightRecorder;
 use quill_telemetry::{Registry, SpanRecorder};
 
 /// Tie-heavy keyed stream: every timestamp is a multiple of 10, each `(ts,
@@ -76,7 +75,6 @@ fn results_of(cfg: ParallelConfig) -> Vec<WindowResult> {
         0,
         cfg,
         &Registry::disabled(),
-        &FlightRecorder::disabled(),
         &SpanRecorder::disabled(),
         |_| make_op(),
     )

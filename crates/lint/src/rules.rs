@@ -78,7 +78,6 @@ const DETERMINISTIC_FILES: &[&str] = &[
 /// Files allowed to construct trace events / spans / enabled instruments
 /// directly (L3 exemptions): the recorders and registry themselves.
 const TELEMETRY_CONSTRUCTION_FILES: &[&str] = &[
-    "crates/telemetry/src/trace.rs",
     "crates/telemetry/src/span.rs",
     "crates/telemetry/src/lib.rs",
 ];
@@ -333,7 +332,7 @@ impl<'a> FileLinter<'a> {
         }
     }
 
-    /// L3: trace events and enabled instruments are only constructed inside
+    /// L3: span records and enabled instruments are only constructed inside
     /// the telemetry crate; everything else goes through guarded handles.
     fn rule_guarded_telemetry(&mut self) {
         if TELEMETRY_CONSTRUCTION_FILES.contains(&self.rel) {
@@ -345,23 +344,6 @@ impl<'a> FileLinter<'a> {
             }
             let line = self.tokens[i].line;
             let name = self.tokens[i].text.as_str();
-            if name == "TraceEvent"
-                && (self.text(i + 1) == Some("{")
-                    || (self.text(i + 1) == Some(":")
-                        && self.text(i + 2) == Some(":")
-                        && self.text(i + 3) == Some("new")))
-            {
-                self.push(
-                    RULE_GUARDED_TELEMETRY,
-                    line,
-                    "direct `TraceEvent` construction bypasses the enabled-guarded \
-                     flight recorder"
-                        .into(),
-                    "record through `FlightRecorder::record(at, shard, TraceKind::…)` so \
-                     disabled tracing stays zero-cost and seq-stamping stays consistent"
-                        .into(),
-                );
-            }
             if name == "Span"
                 && (self.text(i + 1) == Some("{")
                     || (self.text(i + 1) == Some(":")
@@ -372,8 +354,9 @@ impl<'a> FileLinter<'a> {
                     RULE_GUARDED_TELEMETRY,
                     line,
                     "direct `Span` construction bypasses the enabled-guarded span recorder".into(),
-                    "record through `SpanRecorder::record/record_for_query/record_child` so \
-                     disabled span tracing stays zero-cost and seq-stamping stays consistent"
+                    "record through `SpanRecorder::record/record_for_query/record_detail/\
+                     record_k_change` so disabled span recording stays zero-cost and \
+                     seq-stamping stays consistent"
                         .into(),
                 );
             }
@@ -732,8 +715,8 @@ mod tests {
     #[test]
     fn span_construction_outside_telemetry_is_flagged() {
         for src in [
-            "fn f() { let s = Span { seq: 0, id: 1, parent: 0, stage, begin: 0, end: 1, \
-             shard: 0, query: 0 }; }",
+            "fn f() { let s = Span { seq: 0, stage, begin: 0, end: 1, shard: 0, query: 0, \
+             detail: [0; 2], reason: None }; }",
             "fn f() { let s = Span::new(); }",
             "fn f() { let r = SpanRecorder(Some(inner)); }",
         ] {

@@ -4,14 +4,15 @@
 #![forbid(unsafe_code)]
 
 fn emit(at: u64) {
-    let _ev = TraceEvent {
+    let _span = Span {
         seq: 0,
-        at,
+        stage: Stage::BufferResidency,
+        begin: at,
+        end: at,
         shard: 0,
-        kind: TraceKind::BufferEmit {
-            released: 1,
-            watermark: at,
-        },
+        query: 0,
+        detail: [1, at],
+        reason: None,
     };
     let _counter = Counter(Some(Default::default()));
 }

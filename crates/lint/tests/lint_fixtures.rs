@@ -74,12 +74,9 @@ fn l3_guarded_telemetry_fires_outside_telemetry_crate() {
         .iter()
         .filter(|d| d.rule == RULE_GUARDED_TELEMETRY)
         .collect();
-    assert_eq!(hits.len(), 2, "{diags:?}"); // TraceEvent literal + Counter(Some
+    assert_eq!(hits.len(), 2, "{diags:?}"); // Span literal + Counter(Some
                                             // The same constructions inside the telemetry crate are the one legal site.
-    let diags = lint_source(
-        "crates/telemetry/src/trace.rs",
-        &fixture("telemetry_bad.rs"),
-    );
+    let diags = lint_source("crates/telemetry/src/span.rs", &fixture("telemetry_bad.rs"));
     assert!(
         !rules(&diags).contains(&RULE_GUARDED_TELEMETRY),
         "{diags:?}"

@@ -84,6 +84,9 @@ pub struct WindowQuality {
     pub window: Window,
     /// Stringified key (for reporting).
     pub key: String,
+    /// Tuples the run's result folded (`produced.count`); 0 if the window
+    /// was never emitted.
+    pub count: u64,
     /// `produced.count / true.count`, clamped to `[0, 1]`; 0 if the window
     /// was never emitted.
     pub completeness: f64,
@@ -181,6 +184,7 @@ pub fn score(produced: &[WindowResult], oracle: &[WindowResult]) -> QualityRepor
             truth.window.end.raw(),
         );
         let found = produced_map.get(&keyed);
+        let count = found.map_or(0, |p| p.count);
         let (completeness, rel_errors, emitted) = match found {
             Some(p) => {
                 let completeness = if truth.count == 0 {
@@ -213,6 +217,7 @@ pub fn score(produced: &[WindowResult], oracle: &[WindowResult]) -> QualityRepor
         per_window.push(WindowQuality {
             window: truth.window,
             key: truth.key.to_string(),
+            count,
             completeness,
             rel_errors,
             emitted,

@@ -20,7 +20,8 @@ fn usage() -> ! {
          \n\
          SPEC: dropall | fixed:<k> | mp[:<cap>] | aq:<q> | punct:<field>:<sources>[:<slack>]\n\
          DSL:  <window>;<aggregates>[;key=<f>][;completeness=<q>][;capacity=<n>][;slo=<lat>]\n\
-         --span-capacity: span ring size behind GET /trace (0 disables tracing)"
+         --span-capacity: span ring size behind GET /trace (default {}; 0 disables tracing)",
+        quill_serve::config::SERVE_SPAN_CAPACITY
     );
     std::process::exit(2);
 }

@@ -168,9 +168,16 @@ pub struct ServeConfig {
     /// Per-connection transport policy.
     pub conn: ConnConfig,
     /// Ring capacity of the pipeline span recorders backing `GET /trace`
-    /// (`0` disables span tracing entirely — the zero-cost path).
+    /// (`0` disables span tracing entirely — the zero-cost path); default
+    /// [`SERVE_SPAN_CAPACITY`].
     pub span_capacity: usize,
 }
+
+/// Default ring capacity of the daemon's two span recorders: 4 096
+/// records, 0.23 MB each. The logical ring records every late arrival and
+/// K decision, so on a disordered stream it is full within seconds and its
+/// capacity is resident memory; `GET /trace` shows the most recent records.
+pub const SERVE_SPAN_CAPACITY: usize = 4_096;
 
 impl Default for ServeConfig {
     fn default() -> ServeConfig {
@@ -180,7 +187,7 @@ impl Default for ServeConfig {
             strategy: StrategySpec::Fixed(500),
             queue_capacity: 4096,
             conn: ConnConfig::default(),
-            span_capacity: quill_telemetry::span::DEFAULT_SPAN_CAPACITY,
+            span_capacity: SERVE_SPAN_CAPACITY,
         }
     }
 }

@@ -492,14 +492,21 @@ fn check_shared_subscribers(case: &SimCase, seq: &RunOutput) -> Result<u64, Mism
     Ok(2)
 }
 
-/// Shard telemetry counters must reconcile with the run's own accounting.
+/// Shard telemetry counters and the span record stream (per stage) must
+/// reconcile with the run's own accounting.
 fn check_telemetry(case: &SimCase) -> Result<(), Mismatch> {
     let exec = "telemetry-2x16-threaded";
     let reg = Registry::new();
+    // A ring that cannot wrap, so every record is still there to count.
+    let spans = SpanRecorder::new(usize::MAX);
     let cfg = ParallelConfig::new(2).with_batch_size(16);
-    let opts = ExecOptions::parallel(cfg).with_telemetry(&reg);
+    let opts = ExecOptions::parallel(cfg)
+        .with_telemetry(&reg)
+        .with_spans(&spans);
     let out = run(case, &opts, exec)?;
     let snap = reg.snapshot();
+    let recorded = spans.spans();
+    let records = |stage: Stage| recorded.iter().filter(move |s| s.stage == stage);
     let n = case.events.len() as u64;
     let staged = out.buffer.released + out.buffer.late_passed;
     // Distinct (end, start, key) triples among the results — what the merge
@@ -542,6 +549,28 @@ fn check_telemetry(case: &SimCase) -> Result<(), Mismatch> {
             "quill.run.late_dropped",
             snap.counter("quill.run.late_dropped"),
             out.window_stats.late_dropped,
+        ),
+        // The record stream reconciles per stage with the counters.
+        ("spans dropped", spans.dropped(), 0),
+        (
+            "window_finalize records",
+            records(Stage::WindowFinalize).count() as u64,
+            out.window_stats.windows_emitted,
+        ),
+        (
+            "late_drop records",
+            records(Stage::LateDrop).count() as u64,
+            out.window_stats.late_dropped,
+        ),
+        (
+            "late_arrival records",
+            records(Stage::LateArrival).count() as u64,
+            out.buffer.late_passed,
+        ),
+        (
+            "sum(buffer_residency released)",
+            records(Stage::BufferResidency).map(|s| s.detail[0]).sum(),
+            out.buffer.released,
         ),
     ];
     for (name, got, want) in checks {

@@ -78,6 +78,7 @@ pub fn help_text(name: &str) -> &'static str {
             "deliver" => "Span durations: window end to result delivery",
             "connection" => "Span durations: ingest connection lifetimes",
             "query" => "Span durations: registered query lifetimes",
+            "late_arrival" => "Span durations: late arrivals' lateness behind the watermark",
             _ => "Span durations for a pipeline stage",
         };
     }

@@ -28,7 +28,8 @@
 //!   control loop), `quill.estimator.*` (delay distribution),
 //!   `quill.shard.<i>.*` (parallel executor shards), `quill.merge.*`
 //!   (result merge), `quill.span.<stage>` (per-stage latency attribution from the
-//!   [`span`] layer), and `quill.run.*` (whole-run accounting). Exporters
+//!   [`span`] record stream, whose [`trace`] views explain quality
+//!   violations), and `quill.run.*` (whole-run accounting). Exporters
 //!   sanitise names for their target format.
 
 #![deny(missing_docs)]
@@ -36,14 +37,14 @@
 
 pub mod export;
 pub mod histogram;
+mod json;
 pub mod reporter;
 pub mod span;
 pub mod trace;
 
 pub use histogram::LogHistogram;
 pub use reporter::{ReporterConfig, TelemetryReporter};
-pub use span::{ClockDomain, Span, SpanRecorder, Stage};
-pub use trace::{FlightRecorder, TraceEvent, TraceKind};
+pub use span::{ClockDomain, KChangeReason, Span, SpanRecorder, Stage};
 
 use parking_lot::Mutex;
 use std::collections::BTreeMap;

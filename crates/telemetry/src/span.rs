@@ -1,68 +1,88 @@
-//! Pipeline span tracing with end-to-end latency attribution.
+//! The record stream: pipeline spans, quality incidents and latency
+//! attribution in one ring.
 //!
-//! The [`crate::Registry`] counts things and the
-//! [`crate::trace::FlightRecorder`] records that incidents happened; this
-//! module records *how long pipeline stages took and how they nest*. A
-//! [`Span`] is one closed interval of a clock — begin and end stamps, the
-//! [`Stage`] it covers, the shard that produced it, an optional owning
-//! query, and an optional parent span for causal nesting. Spans accumulate
-//! in a bounded ring ([`SpanRecorder`]) exactly like the flight recorder:
-//! clones share the ring, sequence numbers are assigned under the ring
-//! lock (ring order *is* seq order), and a
-//! [`SpanRecorder::disabled`] recorder makes every hook a branch on a
+//! The [`crate::Registry`] counts things; this module records *what
+//! happened, when, and how long it took*. A [`Span`] is one fixed-width
+//! record: begin and end stamps on one clock, the [`Stage`] it belongs to,
+//! the shard that produced it, an optional owning query, and two detail
+//! words plus a [`KChangeReason`] byte whose meaning the stage fixes (see
+//! [`Stage`]). Stages with an extent time a pipeline segment (buffer
+//! residency, window finalization lag, delivery latency); instant stages
+//! (`k_change`, `late_drop`, `send_stall`) have `begin == end` and mark a
+//! decision or incident. Records accumulate in a bounded ring
+//! ([`SpanRecorder`]): clones share it, sequence numbers are assigned under
+//! the ring lock (ring order *is* seq order, across shard threads too), and
+//! a [`SpanRecorder::disabled`] recorder makes every hook a branch on a
 //! `None` the optimiser folds away — instrumentation stays in place
 //! unconditionally and costs nothing when nobody is watching (the quill-e2e
 //! benchmark's `bench.trace_overhead_pct` layer measures what an enabled
 //! recorder costs).
 //!
+//! Everything else is a view over a drained `Vec<Span>`: per-stage
+//! attribution ([`attribute`]), the Chrome trace export, and per-window
+//! provenance and post-mortems ([`crate::trace`]).
+//!
 //! ## Clock domains
 //!
 //! Deterministic pipeline code (strategies, buffers, the session, the
 //! parallel executor) must not read wall clocks — the `no-wall-clock` lint
-//! enforces it — so those spans are stamped with *logical* time: event-time
-//! units of the stream itself (an event's timestamp, the watermark that
-//! released it). The serve layer, which legitimately deals in real time,
-//! records a second, separate ring in wall microseconds. A recorder is
-//! pinned to one [`ClockDomain`] at construction and every span in a ring
-//! shares it, so exports can label the time axis honestly instead of
-//! mixing incomparable units.
+//! enforces it — so those records are stamped with *logical* time:
+//! event-time units of the stream itself (an event's timestamp, the
+//! watermark that released it). The serve layer, which legitimately deals
+//! in real time, records a second, separate ring in wall microseconds. A
+//! recorder is pinned to one [`ClockDomain`] at construction and every
+//! record in a ring shares it, so exports can label the time axis honestly
+//! instead of mixing incomparable units.
 //!
 //! ## Attribution
 //!
 //! [`SpanRecorder::instrument`] attaches one `quill.span.<stage>` registry
-//! histogram per stage; every recorded span also records its duration
-//! there, *before* ring eviction, so the per-stage latency attribution on
-//! `/metrics` covers the whole run even when the ring has wrapped.
-//! [`attribute`] computes the same per-stage totals from a drained ring.
+//! histogram per stage with an extent; every timed record also records its
+//! duration there, *before* ring eviction, so the per-stage latency
+//! attribution on `/metrics` covers the whole run even when the ring has
+//! wrapped. [`attribute`] computes the same per-stage totals from a drained
+//! ring.
 //!
 //! ## Export
 //!
-//! Spans serialize to JSON-lines ([`Span::to_json_line`] /
-//! [`Span::parse_json_line`], exact round-trip) and to the Chrome trace
-//! event format ([`to_chrome_trace`]) that Perfetto and `chrome://tracing`
-//! load directly; [`parse_chrome_trace`] parses that JSON back
-//! structurally so exports can be validated without an external viewer.
+//! Records serialize to JSON-lines ([`Span::to_json_line`] /
+//! [`Span::parse_json_line`], exact round-trip, the detail words under
+//! their stage's names) and to the Chrome trace event format
+//! ([`to_chrome_trace`]) that Perfetto and `chrome://tracing` load
+//! directly; [`parse_chrome_trace`] parses that JSON back structurally so
+//! exports can be validated without an external viewer.
 
-use crate::trace::Fields;
+use crate::json::{json_string, obj_get, Fields, JsonParser, Jv};
 use crate::{Histogram, Registry};
 use parking_lot::Mutex;
 use std::collections::VecDeque;
 use std::fmt::Write as _;
 use std::path::Path;
-use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 
 /// Default ring capacity for an enabled span recorder.
 pub const DEFAULT_SPAN_CAPACITY: usize = 65_536;
 
-/// `query` value of a span that belongs to no particular query.
+/// `query` value of a record that belongs to no particular query.
 pub const NO_QUERY: u64 = u64::MAX;
 
-/// `parent` value of a root span (span ids start at 1).
-pub const NO_PARENT: u64 = 0;
+/// Shard id of records produced outside any shard (the result merge).
+pub const MERGE_SHARD: u32 = u32::MAX;
 
-/// The pipeline stage a span covers. Each variant is one segment of the
-/// path an event takes from the wire to a delivered window result.
+/// What a record covers. Each variant is one segment of the path an event
+/// takes from the wire to a delivered window result, or one incident on
+/// the quality path. The stage fixes what the two detail words hold
+/// ([`Stage::detail_names`]; 0 where a word is unnamed):
+///
+/// | stage | begin → end | detail 0 | detail 1 |
+/// |---|---|---|---|
+/// | `BufferResidency` | oldest released ts → watermark (stream clock at the flush) | events released | watermark emitted (`u64::MAX` at the flush) |
+/// | `WindowFinalize` | window end → watermark that closed it | window start | [`key_tag`] of the key |
+/// | `Merge` | smallest → largest merged window end | elements merged | 1 if the fallback sort ran |
+/// | `LateArrival` | event ts → the watermark it arrived behind | input seq | — |
+/// | `KChange` | decision time (instant) | K before | K after (plus the [`KChangeReason`]) |
+/// | `LateDrop` | event ts (instant) | input seq | — |
+/// | `SendStall` | first event ts of the stalled batch (instant) | batches in flight | — |
 #[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord)]
 pub enum Stage {
     /// Wire bytes to parsed events on one ingest connection (serve layer,
@@ -72,10 +92,11 @@ pub enum Stage {
     /// (wall time, measures backpressure blocking) or the parallel
     /// executor's keyed router (logical time).
     Route,
-    /// One release of the disorder-control slack buffer: from the oldest
-    /// released event's timestamp to the watermark that released it — the
-    /// longest buffer-induced event-time latency in that release, which is
-    /// what the paper trades against quality.
+    /// One watermark advance of the disorder-control slack buffer: from the
+    /// oldest event it released to the watermark — the longest
+    /// buffer-induced event-time latency in that release, which is what the
+    /// paper trades against quality. An advance that released nothing has
+    /// zero extent and is not timed.
     BufferResidency,
     /// A window's finalization lag: from the window end to the watermark
     /// that closed it.
@@ -89,11 +110,21 @@ pub enum Stage {
     Connection,
     /// One query's registered lifetime (serve layer, wall time).
     Query,
+    /// An event arrived behind the emitted watermark and passed the buffer
+    /// late: from its timestamp to that watermark (its lateness).
+    LateArrival,
+    /// A strategy changed the slack bound K (instant).
+    KChange,
+    /// The window operator dropped a late event (instant). A drop at `ts`
+    /// counts for window `[s, e)` iff `s <= ts < e`.
+    LateDrop,
+    /// The parallel router found a shard channel at capacity (instant).
+    SendStall,
 }
 
 impl Stage {
     /// Every stage, in serialization order.
-    pub const ALL: [Stage; 8] = [
+    pub const ALL: [Stage; 12] = [
         Stage::IngestDecode,
         Stage::Route,
         Stage::BufferResidency,
@@ -102,6 +133,10 @@ impl Stage {
         Stage::Deliver,
         Stage::Connection,
         Stage::Query,
+        Stage::LateArrival,
+        Stage::KChange,
+        Stage::LateDrop,
+        Stage::SendStall,
     ];
 
     /// Stable serialization token (also the `quill.span.<stage>` histogram
@@ -116,6 +151,10 @@ impl Stage {
             Stage::Deliver => "deliver",
             Stage::Connection => "connection",
             Stage::Query => "query",
+            Stage::LateArrival => "late_arrival",
+            Stage::KChange => "k_change",
+            Stage::LateDrop => "late_drop",
+            Stage::SendStall => "send_stall",
         }
     }
 
@@ -124,22 +163,84 @@ impl Stage {
         Stage::ALL.into_iter().find(|st| st.as_str() == s)
     }
 
+    /// Whether records of this stage mark a moment rather than time an
+    /// extent. Instants feed no `quill.span.*` histogram.
+    pub fn is_instant(self) -> bool {
+        matches!(self, Stage::KChange | Stage::LateDrop | Stage::SendStall)
+    }
+
+    /// Serialization names of the two detail words (`None`: the stage
+    /// leaves that word 0). See the table on [`Stage`].
+    pub fn detail_names(self) -> [Option<&'static str>; 2] {
+        match self {
+            Stage::BufferResidency => [Some("released"), Some("watermark")],
+            Stage::WindowFinalize => [Some("start"), Some("key_tag")],
+            Stage::Merge => [Some("elements"), Some("fallback")],
+            Stage::LateArrival | Stage::LateDrop => [Some("input_seq"), None],
+            Stage::KChange => [Some("old_k"), Some("new_k")],
+            Stage::SendStall => [Some("depth"), None],
+            _ => [None, None],
+        }
+    }
+
     /// Dense index into per-stage tables.
     fn index(self) -> usize {
-        match self {
-            Stage::IngestDecode => 0,
-            Stage::Route => 1,
-            Stage::BufferResidency => 2,
-            Stage::WindowFinalize => 3,
-            Stage::Merge => 4,
-            Stage::Deliver => 5,
-            Stage::Connection => 6,
-            Stage::Query => 7,
-        }
+        self as usize
     }
 }
 
 impl std::fmt::Display for Stage {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        f.write_str(self.as_str())
+    }
+}
+
+/// Why a disorder-control strategy changed K.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum KChangeReason {
+    /// The K a strategy starts with (recorded once when spans attach).
+    Initial,
+    /// AQ warm-up: K follows the maximum observed delay while the delay
+    /// sample fills.
+    Warmup,
+    /// A regular AQ adaptation step moved K to the estimator quantile.
+    Adapt,
+    /// The AQ shrink rate-limiter held K above the model's candidate.
+    ShrinkLimited,
+    /// The candidate was clamped at `k_min`/`k_max`.
+    BoundClamped,
+    /// MP-style ratchet: a new maximum delay raised K.
+    Ratchet,
+}
+
+impl KChangeReason {
+    /// Stable serialization token.
+    pub fn as_str(self) -> &'static str {
+        match self {
+            KChangeReason::Initial => "initial",
+            KChangeReason::Warmup => "warmup",
+            KChangeReason::Adapt => "adapt",
+            KChangeReason::ShrinkLimited => "shrink_limited",
+            KChangeReason::BoundClamped => "bound_clamped",
+            KChangeReason::Ratchet => "ratchet",
+        }
+    }
+
+    /// Parse a serialization token.
+    pub fn parse(s: &str) -> Option<KChangeReason> {
+        Some(match s {
+            "initial" => KChangeReason::Initial,
+            "warmup" => KChangeReason::Warmup,
+            "adapt" => KChangeReason::Adapt,
+            "shrink_limited" => KChangeReason::ShrinkLimited,
+            "bound_clamped" => KChangeReason::BoundClamped,
+            "ratchet" => KChangeReason::Ratchet,
+            _ => return None,
+        })
+    }
+}
+
+impl std::fmt::Display for KChangeReason {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         f.write_str(self.as_str())
     }
@@ -175,27 +276,49 @@ impl ClockDomain {
     }
 }
 
-/// One closed stage interval. `begin <= end` is not enforced — durations
+/// A 64-bit tag for a grouping key's display form (FNV-1a over its
+/// bytes), so a `WindowFinalize` record names its key without owning a
+/// string. [`crate::trace::ProvenanceBuilder`] tags the stringified keys of
+/// quality reports the same way.
+pub fn key_tag(key: impl std::fmt::Display) -> u64 {
+    struct Fnv(u64);
+    impl std::fmt::Write for Fnv {
+        fn write_str(&mut self, s: &str) -> std::fmt::Result {
+            for b in s.bytes() {
+                self.0 = (self.0 ^ u64::from(b)).wrapping_mul(0x0100_0000_01b3);
+            }
+            Ok(())
+        }
+    }
+    let mut h = Fnv(0xcbf2_9ce4_8422_2325);
+    let _ = write!(h, "{key}");
+    h.0
+}
+
+/// One record of the stream: a stage interval (or instant) with two
+/// stage-defined detail words. `begin <= end` is not enforced — durations
 /// saturate at 0 instead, so a clock oddity can never panic the hot path.
-#[derive(Debug, Clone, PartialEq, Eq)]
+/// Holds no heap-owning field, so the ring is a flat array of 56-byte
+/// records.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct Span {
     /// Monotone sequence number, assigned under the ring lock.
     pub seq: u64,
-    /// Span id, unique within a recorder (ids start at 1).
-    pub id: u64,
-    /// Parent span id, [`NO_PARENT`] for roots.
-    pub parent: u64,
-    /// The pipeline stage covered.
+    /// The stage covered.
     pub stage: Stage,
     /// Interval start, in the recorder's clock domain.
     pub begin: u64,
-    /// Interval end, in the recorder's clock domain.
+    /// Interval end, in the recorder's clock domain (`begin` for instants).
     pub end: u64,
-    /// Shard that produced the span (0 for pre-fan-out components,
-    /// [`crate::trace::MERGE_SHARD`] for the merge).
+    /// Shard that produced the record (0 for pre-fan-out components,
+    /// [`MERGE_SHARD`] for the merge).
     pub shard: u32,
     /// Owning query id, [`NO_QUERY`] when not query-scoped.
     pub query: u64,
+    /// The two detail words the stage defines ([`Stage::detail_names`]).
+    pub detail: [u64; 2],
+    /// Why K changed, on [`Stage::KChange`] records (`None` elsewhere).
+    pub reason: Option<KChangeReason>,
 }
 
 impl Span {
@@ -204,16 +327,22 @@ impl Span {
         self.end.saturating_sub(self.begin)
     }
 
+    /// Whether the record times work that latency attribution counts:
+    /// instants never do, nor a buffer advance that released nothing.
+    pub fn is_timed(&self) -> bool {
+        let idle_advance = self.stage == Stage::BufferResidency && self.detail[0] == 0;
+        !(self.stage.is_instant() || idle_advance)
+    }
+
     /// Render as one JSON object on a single line. `query` is omitted for
-    /// [`NO_QUERY`] spans.
+    /// [`NO_QUERY`] records, the detail words appear under their stage's
+    /// names, and `reason` only on K changes.
     pub fn to_json_line(&self) -> String {
-        let mut out = String::with_capacity(96);
+        let mut out = String::with_capacity(112);
         let _ = write!(
             out,
-            "{{\"seq\":{},\"id\":{},\"parent\":{},\"stage\":\"{}\",\"begin\":{},\"end\":{},\"shard\":{}",
+            "{{\"seq\":{},\"stage\":\"{}\",\"begin\":{},\"end\":{},\"shard\":{}",
             self.seq,
-            self.id,
-            self.parent,
             self.stage.as_str(),
             self.begin,
             self.end,
@@ -221,6 +350,14 @@ impl Span {
         );
         if self.query != NO_QUERY {
             let _ = write!(out, ",\"query\":{}", self.query);
+        }
+        for (name, value) in self.stage.detail_names().iter().zip(self.detail) {
+            if let Some(name) = name {
+                let _ = write!(out, ",\"{name}\":{value}");
+            }
+        }
+        if let Some(reason) = self.reason {
+            let _ = write!(out, ",\"reason\":\"{reason}\"");
         }
         out.push('}');
         out
@@ -231,19 +368,34 @@ impl Span {
     /// # Errors
     /// A message naming the malformed or missing field.
     pub fn parse_json_line(line: &str) -> Result<Span, String> {
-        let fields = Fields::parse(line)?;
+        Span::from_fields(&Fields::parse(line)?)
+    }
+
+    pub(crate) fn from_fields(fields: &Fields) -> Result<Span, String> {
         let stage_tok = fields.str("stage")?;
         let stage =
-            Stage::parse(&stage_tok).ok_or_else(|| format!("unknown span stage {stage_tok:?}"))?;
+            Stage::parse(stage_tok).ok_or_else(|| format!("unknown span stage {stage_tok:?}"))?;
+        let mut detail = [0; 2];
+        for (word, name) in detail.iter_mut().zip(stage.detail_names()) {
+            if let Some(name) = name {
+                *word = fields.u64(name)?;
+            }
+        }
+        let reason = match fields.opt_str("reason") {
+            None => None,
+            Some(s) => Some(
+                KChangeReason::parse(s).ok_or_else(|| format!("unknown k-change reason {s:?}"))?,
+            ),
+        };
         Ok(Span {
             seq: fields.u64("seq")?,
-            id: fields.u64("id")?,
-            parent: fields.u64("parent")?,
             stage,
             begin: fields.u64("begin")?,
             end: fields.u64("end")?,
-            shard: fields.u64("shard")? as u32,
+            shard: u32::try_from(fields.u64("shard")?).map_err(|_| "shard is not a u32")?,
             query: fields.opt_u64("query")?.unwrap_or(NO_QUERY),
+            detail,
+            reason,
         })
     }
 }
@@ -261,19 +413,17 @@ struct SpanInner {
     capacity: usize,
     domain: ClockDomain,
     ring: Mutex<SpanRing>,
-    /// Ids are allocated outside the ring lock, so concurrent begin/record
-    /// pairs never serialize on the ring just to name themselves.
-    next_id: AtomicU64,
     /// Per-stage attribution histograms (no-ops until
-    /// [`SpanRecorder::instrument`]), indexed by [`Stage::index`].
+    /// [`SpanRecorder::instrument`], and always for instants), indexed by
+    /// [`Stage::index`].
     stage_hists: Mutex<Vec<Histogram>>,
 }
 
-/// A lock-cheap, bounded recorder of pipeline [`Span`]s. Clone it freely —
-/// clones share the ring. [`SpanRecorder::disabled`] (also `Default`) is
-/// the zero-cost variant: every `record_*` call is a branch on `None`.
+/// A lock-cheap, bounded recorder of [`Span`]s. Clone it freely — clones
+/// share the ring. [`SpanRecorder::disabled`] (also `Default`) is the
+/// zero-cost variant: every `record*` call is a branch on `None`.
 ///
-/// When the ring is full the oldest span is overwritten and
+/// When the ring is full the oldest record is overwritten and
 /// [`SpanRecorder::dropped`] counts it; attribution histograms are updated
 /// before eviction, so `/metrics` latency attribution covers the whole run
 /// regardless of ring capacity.
@@ -281,7 +431,7 @@ struct SpanInner {
 pub struct SpanRecorder(Option<Arc<SpanInner>>);
 
 impl SpanRecorder {
-    /// An enabled logical-clock recorder holding at most `capacity` spans
+    /// An enabled logical-clock recorder holding at most `capacity` records
     /// (min 1).
     pub fn new(capacity: usize) -> SpanRecorder {
         SpanRecorder::with_domain(capacity, ClockDomain::Logical)
@@ -293,7 +443,6 @@ impl SpanRecorder {
             capacity: capacity.max(1),
             domain,
             ring: Mutex::new(SpanRing::default()),
-            next_id: AtomicU64::new(1),
             stage_hists: Mutex::new(vec![Histogram::noop(); Stage::ALL.len()]),
         })))
     }
@@ -313,7 +462,7 @@ impl SpanRecorder {
         SpanRecorder(None)
     }
 
-    /// Whether `record_*` calls actually record.
+    /// Whether `record*` calls actually record.
     pub fn is_enabled(&self) -> bool {
         self.0.is_some()
     }
@@ -326,105 +475,127 @@ impl SpanRecorder {
             .map_or(ClockDomain::Logical, |inner| inner.domain)
     }
 
-    /// Attach per-stage `quill.span.<stage>` histograms from `registry`;
-    /// subsequent spans record their durations there (latency attribution
-    /// on `/metrics`). A disabled registry detaches them again.
+    /// Attach per-stage `quill.span.<stage>` histograms from `registry` for
+    /// every stage with an extent; subsequent timed records add their
+    /// durations there (latency attribution on `/metrics`). A disabled
+    /// registry detaches them again.
     pub fn instrument(&self, registry: &Registry) {
         if let Some(inner) = &self.0 {
             let mut hists = inner.stage_hists.lock();
-            for stage in Stage::ALL {
+            for stage in Stage::ALL.into_iter().filter(|s| !s.is_instant()) {
                 hists[stage.index()] = registry.histogram(&format!("quill.span.{stage}"));
             }
         }
     }
 
-    /// Record a root span owned by no query. Returns the span id (0 when
-    /// disabled), usable as a `parent` for children.
+    /// Record a span owned by no query.
     #[inline]
-    pub fn record(&self, stage: Stage, begin: u64, end: u64, shard: u32) -> u64 {
-        self.record_child(NO_PARENT, stage, begin, end, shard, NO_QUERY)
+    pub fn record(&self, stage: Stage, begin: u64, end: u64, shard: u32) {
+        self.record_detail(stage, begin, end, shard, [0; 2]);
     }
 
-    /// Record a root span owned by `query`.
+    /// Record a span owned by `query`.
     #[inline]
-    pub fn record_for_query(
-        &self,
-        stage: Stage,
-        begin: u64,
-        end: u64,
-        shard: u32,
-        query: u64,
-    ) -> u64 {
-        self.record_child(NO_PARENT, stage, begin, end, shard, query)
+    pub fn record_for_query(&self, stage: Stage, begin: u64, end: u64, shard: u32, query: u64) {
+        if self.is_enabled() {
+            self.push(Span {
+                seq: 0,
+                stage,
+                begin,
+                end,
+                shard,
+                query,
+                detail: [0; 2],
+                reason: None,
+            });
+        }
     }
 
-    /// Record a span below `parent` ([`NO_PARENT`] for a root). The
+    /// Record a record owned by no query with its two detail words (their
+    /// meaning is the stage's; see [`Stage`]).
+    #[inline]
+    pub fn record_detail(&self, stage: Stage, begin: u64, end: u64, shard: u32, detail: [u64; 2]) {
+        if self.is_enabled() {
+            self.push(Span {
+                seq: 0,
+                stage,
+                begin,
+                end,
+                shard,
+                query: NO_QUERY,
+                detail,
+                reason: None,
+            });
+        }
+    }
+
+    /// Record a [`Stage::KChange`] instant at event time `at` on shard 0.
+    #[inline]
+    pub fn record_k_change(&self, at: u64, old_k: u64, new_k: u64, reason: KChangeReason) {
+        if self.is_enabled() {
+            self.push(Span {
+                seq: 0,
+                stage: Stage::KChange,
+                begin: at,
+                end: at,
+                shard: 0,
+                query: NO_QUERY,
+                detail: [old_k, new_k],
+                reason: Some(reason),
+            });
+        }
+    }
+
+    /// Stamp `span` with the next sequence number and append it. The
     /// sequence number is assigned under the ring lock, so ring order
-    /// equals seq order even across threads; the duration is folded into
-    /// the stage's attribution histogram before any ring eviction.
-    pub fn record_child(
-        &self,
-        parent: u64,
-        stage: Stage,
-        begin: u64,
-        end: u64,
-        shard: u32,
-        query: u64,
-    ) -> u64 {
+    /// equals seq order even across threads; a timed record's duration is
+    /// folded into its stage's attribution histogram before any eviction.
+    fn push(&self, mut span: Span) {
         let Some(inner) = &self.0 else {
-            return 0;
+            return;
         };
-        let id = inner.next_id.fetch_add(1, Ordering::Relaxed);
-        let hist = inner.stage_hists.lock()[stage.index()].clone();
-        hist.record(end.saturating_sub(begin));
+        if span.is_timed() {
+            let hist = inner.stage_hists.lock()[span.stage.index()].clone();
+            hist.record(span.duration());
+        }
         let mut ring = inner.ring.lock();
-        let seq = ring.next_seq;
+        span.seq = ring.next_seq;
         ring.next_seq += 1;
         if ring.buf.len() >= inner.capacity {
             ring.buf.pop_front();
             ring.dropped += 1;
         }
-        ring.buf.push_back(Span {
-            seq,
-            id,
-            parent,
-            stage,
-            begin,
-            end,
-            shard,
-            query,
-        });
-        id
+        ring.buf.push_back(span);
     }
 
-    /// Spans currently held, oldest first (seq order). Empty when
+    /// Records currently held, oldest first (seq order). Empty when
     /// disabled.
     pub fn spans(&self) -> Vec<Span> {
         self.0.as_ref().map_or_else(Vec::new, |inner| {
-            inner.ring.lock().buf.iter().cloned().collect()
+            inner.ring.lock().buf.iter().copied().collect()
         })
     }
 
-    /// Drain the ring: every held span, oldest first, leaving it empty.
+    /// Drain the ring: every held record, oldest first, leaving it empty.
     pub fn take(&self) -> Vec<Span> {
         self.0
             .as_ref()
             .map_or_else(Vec::new, |inner| inner.ring.lock().buf.drain(..).collect())
     }
 
-    /// Spans overwritten because the ring was full.
+    /// Records overwritten because the ring was full.
     pub fn dropped(&self) -> u64 {
         self.0.as_ref().map_or(0, |inner| inner.ring.lock().dropped)
     }
 
-    /// Spans currently held.
+    /// Records currently held.
     pub fn len(&self) -> usize {
         self.0
             .as_ref()
             .map_or(0, |inner| inner.ring.lock().buf.len())
     }
 
-    /// Whether no spans are held.
+    /// Whether no records are held.
     pub fn is_empty(&self) -> bool {
         self.len() == 0
     }
@@ -440,7 +611,7 @@ impl SpanRecorder {
 pub struct StageAttribution {
     /// The stage.
     pub stage: Stage,
-    /// Spans recorded for it.
+    /// Timed records for it.
     pub count: u64,
     /// Sum of their durations.
     pub total: u64,
@@ -448,8 +619,10 @@ pub struct StageAttribution {
     pub max: u64,
 }
 
-/// Fold `spans` into one [`StageAttribution`] per stage present, in
-/// [`Stage::ALL`] order. Stages with no spans are omitted.
+/// Fold the timed records of `spans` ([`Span::is_timed`], exactly what the
+/// `quill.span.*` histograms see) into one [`StageAttribution`] per stage
+/// present, in [`Stage::ALL`] order. Stages with no timed record are
+/// omitted.
 pub fn attribute(spans: &[Span]) -> Vec<StageAttribution> {
     let mut table: Vec<StageAttribution> = Stage::ALL
         .into_iter()
@@ -460,7 +633,7 @@ pub fn attribute(spans: &[Span]) -> Vec<StageAttribution> {
             max: 0,
         })
         .collect();
-    for s in spans {
+    for s in spans.iter().filter(|s| s.is_timed()) {
         let slot = &mut table[s.stage.index()];
         slot.count += 1;
         slot.total += s.duration();
@@ -470,7 +643,7 @@ pub fn attribute(spans: &[Span]) -> Vec<StageAttribution> {
     table
 }
 
-/// Write spans as JSON-lines via temp-file + atomic rename.
+/// Write records as JSON-lines via temp-file + atomic rename.
 ///
 /// # Errors
 /// Propagates I/O failures.
@@ -481,12 +654,13 @@ pub fn write_spans_jsonl(path: &Path, spans: &[Span]) -> std::io::Result<()> {
 // ---------------------------------------------------------------------------
 // Chrome trace event format (Perfetto / chrome://tracing).
 
-/// Render labelled span groups as one Chrome trace JSON object. Each part
+/// Render labelled record groups as one Chrome trace JSON object. Each part
 /// becomes its own process (pid = position + 1) named by its label and
 /// clock domain via `process_name` metadata events, so mixed-domain
 /// exports (serve wall spans next to session logical spans) stay visually
-/// separated instead of sharing an axis dishonestly. Span `ts`/`dur` map
-/// to the trace's microsecond fields unscaled; shards become thread ids.
+/// separated instead of sharing an axis dishonestly. Record `ts`/`dur` map
+/// to the trace's microsecond fields unscaled (instants get `dur` 0);
+/// shards become thread ids, and the named detail words ride in `args`.
 pub fn to_chrome_trace_parts(parts: &[(&str, ClockDomain, Vec<Span>)]) -> String {
     let mut out = String::from("{\"displayTimeUnit\":\"ms\",\"traceEvents\":[");
     let mut first = true;
@@ -500,23 +674,29 @@ pub fn to_chrome_trace_parts(parts: &[(&str, ClockDomain, Vec<Span>)]) -> String
             out,
             "\n{{\"name\":\"process_name\",\"ph\":\"M\",\"pid\":{pid},\"tid\":0,\
              \"args\":{{\"name\":{}}}}}",
-            crate::trace::json_string(&format!("{label} ({})", domain.as_str()))
+            json_string(&format!("{label} ({})", domain.as_str()))
         );
         for s in spans {
             let _ = write!(
                 out,
                 ",\n{{\"name\":\"{}\",\"cat\":\"quill\",\"ph\":\"X\",\"ts\":{},\"dur\":{},\
-                 \"pid\":{pid},\"tid\":{},\"args\":{{\"id\":{},\"parent\":{},\"seq\":{}",
+                 \"pid\":{pid},\"tid\":{},\"args\":{{\"seq\":{}",
                 s.stage.as_str(),
                 s.begin,
                 s.duration(),
                 s.shard,
-                s.id,
-                s.parent,
                 s.seq
             );
             if s.query != NO_QUERY {
                 let _ = write!(out, ",\"query\":{}", s.query);
+            }
+            for (name, value) in s.stage.detail_names().iter().zip(s.detail) {
+                if let Some(name) = name {
+                    let _ = write!(out, ",\"{name}\":{value}");
+                }
+            }
+            if let Some(reason) = s.reason {
+                let _ = write!(out, ",\"reason\":\"{reason}\"");
             }
             out.push_str("}}");
         }
@@ -525,7 +705,7 @@ pub fn to_chrome_trace_parts(parts: &[(&str, ClockDomain, Vec<Span>)]) -> String
     out
 }
 
-/// Render one span group as a Chrome trace JSON object (see
+/// Render one record group as a Chrome trace JSON object (see
 /// [`to_chrome_trace_parts`]).
 pub fn to_chrome_trace(spans: &[Span], domain: ClockDomain) -> String {
     to_chrome_trace_parts(&[("quill pipeline", domain, spans.to_vec())])
@@ -623,226 +803,20 @@ pub fn parse_chrome_trace(text: &str) -> Result<ChromeTrace, String> {
     })
 }
 
-fn obj_get<'a>(fields: &'a [(String, Jv)], key: &str) -> Option<&'a Jv> {
-    fields.iter().find(|(k, _)| k == key).map(|(_, v)| v)
-}
-
-/// A parsed JSON value; numbers keep their raw text so u64::MAX survives.
-#[derive(Debug, Clone, PartialEq)]
-enum Jv {
-    Obj(Vec<(String, Jv)>),
-    Arr(Vec<Jv>),
-    Str(String),
-    Num(String),
-    Bool(bool),
-    Null,
-}
-
-/// A minimal recursive-descent JSON parser: full value grammar (objects,
-/// arrays, strings with escapes, numbers, booleans, null), no extensions.
-/// The flat parser in `trace.rs` stays intentionally smaller; Chrome
-/// traces nest (`args` objects inside array elements), so they need the
-/// real thing.
-struct JsonParser<'a> {
-    b: &'a [u8],
-    i: usize,
-}
-
-impl<'a> JsonParser<'a> {
-    fn parse(text: &'a str) -> Result<Jv, String> {
-        let mut p = JsonParser {
-            b: text.as_bytes(),
-            i: 0,
-        };
-        p.skip_ws();
-        let v = p.value()?;
-        p.skip_ws();
-        if p.i != p.b.len() {
-            return Err(format!("trailing characters at byte {}", p.i));
-        }
-        Ok(v)
-    }
-
-    fn peek(&self) -> Option<u8> {
-        self.b.get(self.i).copied()
-    }
-
-    fn bump(&mut self) -> Option<u8> {
-        let c = self.peek();
-        if c.is_some() {
-            self.i += 1;
-        }
-        c
-    }
-
-    fn skip_ws(&mut self) {
-        while matches!(self.peek(), Some(b' ' | b'\t' | b'\n' | b'\r')) {
-            self.i += 1;
-        }
-    }
-
-    fn expect(&mut self, c: u8) -> Result<(), String> {
-        match self.bump() {
-            Some(got) if got == c => Ok(()),
-            got => Err(format!(
-                "expected {:?} at byte {}, got {got:?}",
-                c as char, self.i
-            )),
-        }
-    }
-
-    fn literal(&mut self, lit: &str) -> Result<(), String> {
-        if self.b[self.i..].starts_with(lit.as_bytes()) {
-            self.i += lit.len();
-            Ok(())
-        } else {
-            Err(format!("expected literal {lit:?} at byte {}", self.i))
-        }
-    }
-
-    fn value(&mut self) -> Result<Jv, String> {
-        match self.peek() {
-            Some(b'{') => self.object(),
-            Some(b'[') => self.array(),
-            Some(b'"') => Ok(Jv::Str(self.string()?)),
-            Some(b't') => {
-                self.literal("true")?;
-                Ok(Jv::Bool(true))
-            }
-            Some(b'f') => {
-                self.literal("false")?;
-                Ok(Jv::Bool(false))
-            }
-            Some(b'n') => {
-                self.literal("null")?;
-                Ok(Jv::Null)
-            }
-            Some(b'-' | b'0'..=b'9') => self.number(),
-            other => Err(format!("unexpected {other:?} at byte {}", self.i)),
-        }
-    }
-
-    fn object(&mut self) -> Result<Jv, String> {
-        self.expect(b'{')?;
-        let mut fields = Vec::new();
-        self.skip_ws();
-        if self.peek() == Some(b'}') {
-            self.i += 1;
-            return Ok(Jv::Obj(fields));
-        }
-        loop {
-            self.skip_ws();
-            let key = self.string()?;
-            self.skip_ws();
-            self.expect(b':')?;
-            self.skip_ws();
-            let val = self.value()?;
-            fields.push((key, val));
-            self.skip_ws();
-            match self.bump() {
-                Some(b',') => continue,
-                Some(b'}') => return Ok(Jv::Obj(fields)),
-                other => return Err(format!("expected ',' or '}}', got {other:?}")),
-            }
-        }
-    }
-
-    fn array(&mut self) -> Result<Jv, String> {
-        self.expect(b'[')?;
-        let mut items = Vec::new();
-        self.skip_ws();
-        if self.peek() == Some(b']') {
-            self.i += 1;
-            return Ok(Jv::Arr(items));
-        }
-        loop {
-            self.skip_ws();
-            items.push(self.value()?);
-            self.skip_ws();
-            match self.bump() {
-                Some(b',') => continue,
-                Some(b']') => return Ok(Jv::Arr(items)),
-                other => return Err(format!("expected ',' or ']', got {other:?}")),
-            }
-        }
-    }
-
-    fn string(&mut self) -> Result<String, String> {
-        self.expect(b'"')?;
-        let mut out = String::new();
-        loop {
-            match self.bump() {
-                None => return Err("unterminated string".into()),
-                Some(b'"') => return Ok(out),
-                Some(b'\\') => match self.bump() {
-                    Some(b'"') => out.push('"'),
-                    Some(b'\\') => out.push('\\'),
-                    Some(b'/') => out.push('/'),
-                    Some(b'b') => out.push('\u{8}'),
-                    Some(b'f') => out.push('\u{c}'),
-                    Some(b'n') => out.push('\n'),
-                    Some(b'r') => out.push('\r'),
-                    Some(b't') => out.push('\t'),
-                    Some(b'u') => {
-                        if self.i + 4 > self.b.len() {
-                            return Err("truncated \\u escape".into());
-                        }
-                        let hex = std::str::from_utf8(&self.b[self.i..self.i + 4])
-                            .map_err(|_| "non-utf8 \\u escape".to_string())?;
-                        let code = u32::from_str_radix(hex, 16)
-                            .map_err(|_| format!("bad \\u escape {hex:?}"))?;
-                        self.i += 4;
-                        out.push(char::from_u32(code).unwrap_or('\u{fffd}'));
-                    }
-                    other => return Err(format!("bad escape {other:?}")),
-                },
-                Some(c) if c < 0x80 => out.push(c as char),
-                Some(first) => {
-                    let len = match first {
-                        0xc0..=0xdf => 2,
-                        0xe0..=0xef => 3,
-                        _ => 4,
-                    };
-                    let end = (self.i - 1 + len).min(self.b.len());
-                    let chunk = std::str::from_utf8(&self.b[self.i - 1..end])
-                        .map_err(|_| "invalid utf-8 in string".to_string())?;
-                    out.push_str(chunk);
-                    self.i = end;
-                }
-            }
-        }
-    }
-
-    fn number(&mut self) -> Result<Jv, String> {
-        let start = self.i;
-        while matches!(
-            self.peek(),
-            Some(b'0'..=b'9' | b'-' | b'+' | b'.' | b'e' | b'E')
-        ) {
-            self.i += 1;
-        }
-        if self.i == start {
-            return Err("expected a number".into());
-        }
-        Ok(Jv::Num(
-            std::str::from_utf8(&self.b[start..self.i])
-                .map_err(|_| "non-utf8 number".to_string())?
-                .to_string(),
-        ))
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::trace::MERGE_SHARD;
 
     fn sample_recorder() -> SpanRecorder {
         let rec = SpanRecorder::new(128);
-        let root = rec.record(Stage::BufferResidency, 10, 60, 0);
-        rec.record_child(root, Stage::WindowFinalize, 100, 160, 1, NO_QUERY);
+        rec.record_detail(Stage::BufferResidency, 10, 60, 0, [3, 60]);
+        rec.record_detail(Stage::WindowFinalize, 100, 160, 1, [0, key_tag("a\"b")]);
         rec.record_for_query(Stage::Deliver, 100, 175, 0, 3);
-        rec.record(Stage::Merge, 100, 200, MERGE_SHARD);
+        rec.record_detail(Stage::Merge, 100, 200, MERGE_SHARD, [7, 1]);
+        rec.record_detail(Stage::LateArrival, 42, 190, 0, [9, 0]);
+        rec.record_k_change(95, 0, u64::MAX, KChangeReason::Ratchet);
+        rec.record_detail(Stage::LateDrop, 42, 42, 2, [9, 0]);
+        rec.record_detail(Stage::SendStall, 7, 7, 1, [64, 0]);
         rec
     }
 
@@ -850,28 +824,48 @@ mod tests {
     fn disabled_recorder_is_inert() {
         let rec = SpanRecorder::disabled();
         assert!(!rec.is_enabled());
-        assert_eq!(rec.record(Stage::Route, 0, 5, 0), 0);
-        assert_eq!(
-            rec.record_child(7, Stage::Deliver, 0, 5, 0, 1),
-            0,
-            "disabled recorders hand out id 0"
-        );
+        rec.record(Stage::Route, 0, 5, 0);
+        rec.record_for_query(Stage::Deliver, 0, 5, 0, 1);
+        rec.record_k_change(1, 0, 5, KChangeReason::Adapt);
         assert!(rec.spans().is_empty());
         assert_eq!(rec.len(), 0);
+        assert_eq!(rec.dropped(), 0);
         assert_eq!(rec.capacity(), 0);
         assert_eq!(rec.domain(), ClockDomain::Logical);
     }
 
+    /// Every record costs a full ring 56 bytes of resident memory: six
+    /// words, the shard, the stage and the reason byte. `quill-serve`'s
+    /// rings are full within seconds on a disordered stream, against a
+    /// daemon peak RSS of 5–10 MB that the benchmark bounds at 10 %: a
+    /// wider record would show up there.
     #[test]
-    fn spans_carry_parent_links_and_seq_order() {
-        let rec = sample_recorder();
-        let spans = rec.spans();
-        assert_eq!(spans.len(), 4);
+    fn a_record_fits_in_56_bytes() {
+        assert!(std::mem::size_of::<Span>() <= 56);
+    }
+
+    #[test]
+    fn records_carry_seq_order_and_stage_details() {
+        let spans = sample_recorder().spans();
+        assert_eq!(spans.len(), 8);
         assert!(spans.windows(2).all(|w| w[0].seq < w[1].seq));
-        assert_eq!(spans[1].parent, spans[0].id);
-        assert_eq!(spans[0].parent, NO_PARENT);
+        assert_eq!(spans[1].detail, [0, key_tag("a\"b")]);
         assert_eq!(spans[2].query, 3);
         assert_eq!(spans[3].shard, MERGE_SHARD);
+        let k = spans[5];
+        assert_eq!((k.stage, k.begin, k.end), (Stage::KChange, 95, 95));
+        assert_eq!(k.detail, [0, u64::MAX]);
+        assert_eq!(k.reason, Some(KChangeReason::Ratchet));
+        assert!(spans
+            .iter()
+            .all(|s| s.stage == Stage::KChange || s.reason.is_none()));
+    }
+
+    #[test]
+    fn key_tags_follow_the_display_form() {
+        assert_eq!(key_tag("null"), key_tag(format_args!("{}", "null")));
+        assert_ne!(key_tag("7"), key_tag("8"));
+        assert_eq!(key_tag(7), key_tag("7"));
     }
 
     #[test]
@@ -884,12 +878,38 @@ mod tests {
         assert_eq!(rec.dropped(), 3);
         let spans = rec.spans();
         assert_eq!(spans[0].begin, 3, "oldest spans evicted first");
+        let seqs: Vec<u64> = spans.iter().map(|s| s.seq).collect();
+        assert_eq!(seqs, vec![3, 4], "the ring keeps the newest records");
+    }
+
+    #[test]
+    fn seq_order_is_global_across_threads() {
+        let rec = SpanRecorder::new(4096);
+        let handles: Vec<_> = (0..4u32)
+            .map(|shard| {
+                let rec = rec.clone();
+                std::thread::spawn(move || {
+                    for i in 0..100u64 {
+                        rec.record_detail(Stage::SendStall, i, i, shard, [i, 0]);
+                    }
+                })
+            })
+            .collect();
+        for h in handles {
+            h.join().expect("recorder thread");
+        }
+        let spans = rec.spans();
+        assert_eq!(spans.len(), 400);
+        assert!(
+            spans.windows(2).all(|w| w[0].seq < w[1].seq),
+            "ring order must equal seq order"
+        );
     }
 
     #[test]
     fn take_drains_the_ring() {
         let rec = sample_recorder();
-        assert_eq!(rec.take().len(), 4);
+        assert_eq!(rec.take().len(), 8);
         assert!(rec.is_empty());
     }
 
@@ -897,8 +917,9 @@ mod tests {
     fn clones_share_the_ring() {
         let rec = SpanRecorder::new(16);
         let clone = rec.clone();
-        clone.record(Stage::Route, 0, 5, 0);
+        clone.record(Stage::Route, 0, 5, 1);
         assert_eq!(rec.len(), 1);
+        assert_eq!(rec.spans()[0].shard, 1);
     }
 
     #[test]
@@ -907,24 +928,40 @@ mod tests {
         let rec = SpanRecorder::new(2); // smaller than the span count
         rec.instrument(&reg);
         for i in 0..10u64 {
-            rec.record(Stage::BufferResidency, 0, 7, 0);
+            rec.record_detail(Stage::BufferResidency, 0, 7, 0, [1, 7]);
+            rec.record_detail(Stage::BufferResidency, 7, 7, 0, [0, 7]); // released nothing
             rec.record(Stage::Deliver, 0, i, 0);
+            rec.record_detail(Stage::LateArrival, 0, 4, 0, [i, 0]);
+            rec.record_k_change(i, 0, 1, KChangeReason::Adapt);
         }
         let snap = reg.snapshot();
         let buf = snap.histograms["quill.span.buffer_residency"];
         assert_eq!(buf.count, 10, "histograms must survive ring eviction");
         assert_eq!(buf.mean, 7.0);
         assert_eq!(snap.histograms["quill.span.deliver"].count, 10);
+        assert_eq!(snap.histograms["quill.span.late_arrival"].count, 10);
+        for instant in ["k_change", "late_drop", "send_stall"] {
+            assert!(
+                !snap
+                    .histograms
+                    .contains_key(&format!("quill.span.{instant}")),
+                "instants feed no histogram"
+            );
+        }
     }
 
     #[test]
     fn json_lines_round_trip_exactly() {
-        let rec = sample_recorder();
-        for span in rec.spans() {
+        for span in sample_recorder().spans() {
             let line = span.to_json_line();
             let back = Span::parse_json_line(&line).expect("parse own line");
             assert_eq!(back, span, "line: {line}");
         }
+        let k = sample_recorder().spans()[5].to_json_line();
+        assert!(
+            k.contains("\"old_k\":0,\"new_k\":18446744073709551615,\"reason\":\"ratchet\""),
+            "{k}"
+        );
     }
 
     #[test]
@@ -940,7 +977,17 @@ mod tests {
     fn parse_rejects_malformed_span_lines() {
         assert!(Span::parse_json_line("{}").is_err());
         assert!(Span::parse_json_line(
-            "{\"seq\":0,\"id\":1,\"parent\":0,\"stage\":\"nope\",\"begin\":0,\"end\":1,\"shard\":0}"
+            "{\"seq\":0,\"stage\":\"nope\",\"begin\":0,\"end\":1,\"shard\":0}"
+        )
+        .is_err());
+        // A stage's named detail words are required.
+        assert!(Span::parse_json_line(
+            "{\"seq\":0,\"stage\":\"late_drop\",\"begin\":0,\"end\":0,\"shard\":0}"
+        )
+        .is_err());
+        assert!(Span::parse_json_line(
+            "{\"seq\":0,\"stage\":\"k_change\",\"begin\":0,\"end\":0,\"shard\":0,\
+             \"old_k\":0,\"new_k\":1,\"reason\":\"nope\"}"
         )
         .is_err());
         assert!(Span::parse_json_line("not json").is_err());
@@ -950,6 +997,7 @@ mod tests {
     fn stage_tokens_round_trip() {
         for stage in Stage::ALL {
             assert_eq!(Stage::parse(stage.as_str()), Some(stage));
+            assert_eq!(Stage::ALL[stage.index()], stage);
         }
         assert_eq!(Stage::parse("bogus"), None);
         for domain in [ClockDomain::Logical, ClockDomain::WallMicros] {
@@ -965,7 +1013,8 @@ mod tests {
         assert_eq!(get(Stage::BufferResidency).total, 50);
         assert_eq!(get(Stage::Deliver).count, 1);
         assert_eq!(get(Stage::Merge).max, 100);
-        assert!(attr.iter().all(|a| a.count > 0));
+        assert_eq!(get(Stage::LateArrival).total, 148);
+        assert!(attr.iter().all(|a| a.count > 0 && !a.stage.is_instant()));
     }
 
     #[test]
@@ -987,6 +1036,7 @@ mod tests {
         let meta: Vec<&ChromeEvent> = trace.events.iter().filter(|e| e.ph == "M").collect();
         assert_eq!(meta.len(), 1);
         assert_eq!(meta[0].name, "process_name");
+        assert!(text.contains("\"reason\":\"ratchet\""));
     }
 
     #[test]

@@ -75,28 +75,29 @@ fn main() {
         );
     }
 
-    // Re-run with a bounded flight recorder and the quality target attached:
+    // Re-run with a bounded span recorder and the quality target attached:
     // every violated window yields a post-mortem — its provenance record
-    // plus the causal trace slice (late arrivals, drops, the K decision in
-    // force at the finalize). Persist them with `write_post_mortems_jsonl`
-    // and render the file with `cargo run --bin quill-inspect -- <file>`.
-    section("flight recorder: explaining the worst violated window (aq)");
-    let trace = FlightRecorder::with_default_capacity();
+    // plus the causal slice of the record stream (late arrivals, drops, the
+    // K decision in force at the finalize). Persist them with
+    // `write_post_mortems_jsonl` and render the file with
+    // `cargo run --bin quill-inspect -- <file>`.
+    section("span records: explaining the worst violated window (aq)");
+    let spans = SpanRecorder::with_default_capacity();
     let mut aq_traced = AqKSlack::for_completeness(0.95);
     let traced = execute(
         &stream.events,
         &mut aq_traced,
         &query,
         &ExecOptions::sequential()
-            .with_trace(&trace)
+            .with_spans(&spans)
             .with_required_completeness(0.95),
     )
     .expect("valid query");
     println!(
-        "  {} windows scored, {} missed the 0.95 target, {} trace events on the ring",
+        "  {} windows scored, {} missed the 0.95 target, {} records on the ring",
         traced.provenance.len(),
         traced.post_mortems.len(),
-        trace.events().len()
+        spans.len()
     );
     if let Some(pm) = traced.post_mortems.iter().min_by(|a, b| {
         a.record
@@ -117,7 +118,7 @@ fn main() {
         );
         if let (Some(k), Some(seq)) = (r.k_at_finalize, r.k_decision_seq) {
             println!(
-                "  K in force at finalize: {k} (decision seq {seq}); causal slice holds {} events",
+                "  K in force at finalize: {k} (decision seq {seq}); causal slice holds {} records",
                 pm.slice.len()
             );
         }

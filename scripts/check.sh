@@ -67,6 +67,25 @@ echo "==> quill-inspect timeline --check (crates/bench/fixtures/pipeline_trace.j
 cargo run --release -q -p quill-bench --bin quill-inspect -- \
     timeline crates/bench/fixtures/pipeline_trace.json --check
 
+# quill-inspect's default mode over the two shapes the one record stream is
+# written in, freshly generated: f4's span records must show an `adapt`
+# controller decision, and f5's post-mortem file its five violations.
+echo "==> quill-inspect renders fresh f4 span records and f5 post-mortems"
+tmp=$(mktemp -d)
+trap 'rm -rf "$tmp"' EXIT
+cargo run --release -q -p quill-bench --bin experiments -- \
+    --exp f4,f5 --quick --out "$tmp" > /dev/null
+f4_report=$(cargo run --release -q -p quill-bench --bin quill-inspect -- "$tmp/f4_trace.jsonl")
+if ! grep -q '(adapt)$' <<<"$f4_report"; then
+    echo "error: the f4 report shows no adapt controller decision" >&2
+    exit 1
+fi
+f5_report=$(cargo run --release -q -p quill-bench --bin quill-inspect -- "$tmp/f5_postmortems.jsonl")
+if ! grep -qx 'violations: 5' <<<"$f5_report"; then
+    echo "error: the f5 report does not print 'violations: 5'" >&2
+    exit 1
+fi
+
 # The benchmark is a package of its own with path dependencies on crates/,
 # and a crates/ change may not edit it: compile its binary and its tests
 # against this checkout, so that a public-API break fails here and not in

@@ -58,11 +58,11 @@ fn fixed_k_below_delay_bound_is_rejected_and_sufficient_k_accepted() {
         out.quality.mean_completeness
     );
     // The accepted plan still reports its non-fatal findings (completeness
-    // target configured without a flight recorder).
+    // target configured without a span recorder).
     assert!(out
         .plan
         .iter()
-        .any(|d| d.rule == "plan.options.completeness-without-trace"));
+        .any(|d| d.rule == "plan.options.completeness-without-spans"));
     assert!(out.plan.iter().all(|d| d.severity < PlanSeverity::Deny));
 }
 
@@ -207,7 +207,7 @@ mod warn_and_advice_paths {
         let opts = ExecOptions::sequential()
             .with_delay_profile(DelayProfile::Bounded { max_delay: 100 })
             .with_required_completeness(0.9)
-            .with_trace(&FlightRecorder::new(64));
+            .with_spans(&SpanRecorder::new(64));
         let out = run_with(&mean_query(100), &mut DropAll::new(), &opts);
         assert_finding(&out, "plan.quality.at-risk", PlanSeverity::Warn);
     }
@@ -257,7 +257,7 @@ mod warn_and_advice_paths {
         let out = run_with(&mean_query(100), &mut MpKSlack::bounded(500u64), &opts);
         assert_finding(
             &out,
-            "plan.options.completeness-without-trace",
+            "plan.options.completeness-without-spans",
             PlanSeverity::Warn,
         );
     }

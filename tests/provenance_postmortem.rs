@@ -22,7 +22,7 @@ use quill_bench::inspect::render_report;
 use quill_core::prelude::*;
 use quill_engine::aggregate::{AggregateKind, AggregateSpec};
 use quill_engine::prelude::{Row, Value, WindowSpec};
-use quill_telemetry::trace::{KChangeReason, TraceKind};
+use quill_telemetry::span::key_tag;
 
 fn ev(ts: u64, seq: u64) -> Event {
     Event::new(ts, seq, Row::new([Value::Float(1.0)]))
@@ -45,14 +45,14 @@ fn sum_query() -> QuerySpec {
 }
 
 fn traced_run() -> RunOutput {
-    let trace = FlightRecorder::with_default_capacity();
+    let spans = SpanRecorder::with_default_capacity();
     let mut mp = MpKSlack::new();
     execute(
         &seeded_stream(),
         &mut mp,
         &sum_query(),
         &ExecOptions::sequential()
-            .with_trace(&trace)
+            .with_spans(&spans)
             .with_required_completeness(0.95),
     )
     .expect("valid query")
@@ -96,37 +96,25 @@ fn post_mortem_names_the_late_tuples_and_the_preceding_k_decision() {
     let finalize_seq = rec.finalize_seq.expect("finalized window");
     assert!(rec.k_decision_seq.expect("K decision on record") < finalize_seq);
 
-    // The causal slice materializes the actual events: L2's late arrival,
-    // the drop that names this window and input seq 41, the ratchet, and
-    // the finalize itself.
-    assert!(pm.slice.iter().any(|t| matches!(
-        t.kind,
-        TraceKind::LateArrival {
-            lateness: 145,
-            watermark: 295
-        }
-    ) && t.at == 150));
-    assert!(pm.slice.iter().any(|t| matches!(
-        &t.kind,
-        TraceKind::LateDrop { event_seq: 41, windows } if windows.contains(&(100, 200))
-    )));
-    assert!(pm.slice.iter().any(|t| matches!(
-        t.kind,
-        TraceKind::KChange {
-            old_k: 0,
-            new_k: 95,
-            reason: KChangeReason::Ratchet
-        }
-    ) && t.seq < finalize_seq));
-    assert!(pm.slice.iter().any(|t| matches!(
-        &t.kind,
-        TraceKind::WindowFinalize {
-            start: 100,
-            end: 200,
-            count: 10,
-            ..
-        }
-    )));
+    // The causal slice materializes the actual records: L2's late arrival
+    // (ts 150, 145 behind the 295 watermark), the drop of input seq 41 at
+    // ts 150 — inside, so lost from, this window — the 0→95 ratchet, and
+    // the finalize of window [100, 200) itself.
+    assert!(pm.slice.iter().any(
+        |s| s.stage == Stage::LateArrival && (s.begin, s.end, s.duration()) == (150, 295, 145)
+    ));
+    assert!(pm
+        .slice
+        .iter()
+        .any(|s| s.stage == Stage::LateDrop && s.detail[0] == 41 && (100..200).contains(&s.begin)));
+    assert!(pm.slice.iter().any(|s| s.stage == Stage::KChange
+        && s.detail == [0, 95]
+        && s.reason == Some(KChangeReason::Ratchet)
+        && s.seq < finalize_seq));
+    assert!(pm.slice.iter().any(|s| s.stage == Stage::WindowFinalize
+        && s.seq == finalize_seq
+        && (s.detail[0], s.begin) == (100, 200)
+        && s.detail[1] == key_tag("null")));
 }
 
 #[test]

@@ -38,8 +38,7 @@ fn keyed_parallel_composes_with_aq_strategy() {
         quill_gen::workload::soccer::PLAYER_FIELD,
         ParallelConfig::new(3),
         &Registry::disabled(),
-        &FlightRecorder::disabled(),
-        &quill_telemetry::SpanRecorder::disabled(),
+        &SpanRecorder::disabled(),
         make_op,
     )
     .expect("parallel run");
