@@ -537,7 +537,7 @@ pub(crate) fn run_batch(
                 core.register(q, opts.required_completeness, usize::MAX, None)?;
             }
             for el in elements {
-                core.process_element(el, Timestamp::MIN);
+                core.process_element(&el, Timestamp::MIN);
             }
             core.into_results()
         }

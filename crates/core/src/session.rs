@@ -50,9 +50,7 @@ use parking_lot::Mutex;
 use quill_engine::aggregate::AggregateSpec;
 use quill_engine::error::{EngineError, Result};
 use quill_engine::event::{ClockTracker, Event, StreamElement};
-use quill_engine::operator::{
-    LatePolicy, Operator, WindowAggregateOp, WindowOpStats, WindowResult,
-};
+use quill_engine::operator::{LatePolicy, WindowAggregateOp, WindowOpStats, WindowResult};
 use quill_engine::time::{TimeDelta, Timestamp};
 use quill_engine::value::Key;
 use quill_metrics::LatencyRecorder;
@@ -460,14 +458,12 @@ impl MultiQueryCore {
     /// Fan one staged element out to every operator and each operator's
     /// results to its subscribers. `now` is the clock results emitted by this
     /// element are stamped with (the latency of a result is
-    /// `now - window.end`). The element is taken by value: the last (and in
-    /// the common single-shape case, only) operator receives it without a
-    /// copy.
+    /// `now - window.end`). Every operator reads the same borrowed element.
     ///
     /// A result is queued the moment its window is emitted, not when the
     /// operator returns: closing a window also evicts its events, and a
     /// consumer polling meanwhile should not wait for that.
-    pub(crate) fn process_element(&mut self, el: StreamElement, now: Timestamp) {
+    pub(crate) fn process_element(&mut self, el: &StreamElement, now: Timestamp) {
         let MultiQueryCore {
             groups,
             results_count,
@@ -476,17 +472,9 @@ impl MultiQueryCore {
             spans,
             ..
         } = self;
-        let fan_out = groups.len();
-        let mut pending = Some(el);
-        for (i, group) in groups.iter_mut().enumerate() {
-            let Some(cur) = pending.take() else { break };
-            if i + 1 < fan_out {
-                // quill-lint: allow(hot-path-alloc, reason = "one copy per distinct query shape after the first, not per query; a single-shape session moves the element with zero clones")
-                pending = Some(cur.clone());
-            }
-            let Group { op, fresh, members } = group;
+        for Group { op, fresh, members } in groups.iter_mut() {
             *fresh = false;
-            op.process(cur, &mut |o| {
+            op.process_ref(el, &mut |o| {
                 let StreamElement::Event(out_ev) = o else {
                     return;
                 };
@@ -796,9 +784,10 @@ impl Session {
     fn route(&mut self) -> bool {
         let now = self.clock.clock().unwrap_or(Timestamp::MIN);
         let routed = !self.staged.is_empty();
-        for el in self.staged.drain(..) {
+        for el in &self.staged {
             self.core.process_element(el, now);
         }
+        self.staged.clear();
         routed
     }
 

@@ -10,22 +10,25 @@
 //! (`seed`), how partials combine, and `absorb ≡ combine ∘ seed` folds an
 //! entry into a partial without materialising the one in between.
 //!
-//! An insert at or past the largest key — every in-order arrival — is an
-//! *append*: the entry is pushed onto the right-finger leaf and absorbed into
-//! the cache of every node on the right spine, which is exact because
-//! `combine` is associative and the new entry is the last of each of those
-//! subtrees. Only a full leaf splits, and only the split halves are
-//! re-folded. Any other insert — a straggler — climbs from the nearer finger
-//! as far as the first ancestor whose cached key range covers the key,
-//! descends (`O(log d)` levels for distance `d` from the nearest end), bumps
-//! the counts and key ranges on its leaf-to-root path (routing reads them)
-//! and marks the path's partials *stale*. A stale partial is re-folded once,
-//! when a range query, an eviction or a split next reads it, however many
-//! stragglers landed below it in between.
+//! One repair rule: **a node's cached partial is folded only when a range
+//! query reads it.** Nothing that writes to the tree combines a partial. An
+//! insert finds its leaf — the right finger for a key at or past the largest
+//! (an *append*), the left finger for a key inside its range, otherwise by
+//! climbing from the right finger as far as the first ancestor whose key
+//! range reaches down to the key and descending from there (`O(log d)`
+//! levels for distance `d` from the right end) — places the entry,
+//! updates the counts and key ranges on its leaf-to-root path (routing reads
+//! them) and marks the path's partials *stale*. A split or an eviction gives
+//! the nodes it reshapes exact counts and ranges and marks them and their
+//! ancestors stale the same way. A stale partial is re-folded once, when a
+//! range query next reads it, however many inserts, splits and evictions
+//! touched it in between — so how a cache nests its entries depends on the
+//! tree's shape alone, never on when it was read.
 //!
 //! Window slides use [`FibaTree::evict_before`], the bulk eviction of the
 //! FiBA sequel (arXiv 2307.11210) adapted to this layout: whole subtrees left
-//! of the cut are freed without visiting their entries. The relaxed invariant
+//! of the cut are freed without visiting their entries, and no entry left
+//! standing is re-folded until a query asks. The relaxed invariant
 //! allows underfull nodes *only on the two spines*: the leftmost is what a
 //! prefix eviction thins out, and the rightmost leaf starts from the one
 //! entry that overflowed its full left sibling, so in-order leaves stay full.
@@ -69,11 +72,12 @@ pub trait FibaFold {
     /// `combine(acc, &seed(key, vals))`; override only to build the one-entry
     /// partial without a heap allocation, never to compute anything else.
     /// A cache is the combine of its entries' one-entry partials in key
-    /// order; the repair history picks only how they nest (appends absorbed
-    /// one by one, leaves re-folded, child caches combined). Counts,
-    /// extrema, first/last and arg-extrema do not see the nesting; float
-    /// sums and moments can differ in their last bits, and a shortcut with
-    /// roundings of its own would widen that.
+    /// order, nested as the tree is shaped: a leaf absorbs its entries one
+    /// by one, an internal node combines its children's caches, and a range
+    /// query absorbs the entries of its boundary leaves. Counts, extrema,
+    /// first/last and arg-extrema do not see the nesting; float sums and
+    /// moments differ in their last bits between two shapes of the same
+    /// entries, and a shortcut with roundings of its own would widen that.
     fn absorb(&self, acc: &mut Self::Agg, key: FibaKey, vals: &[Self::Val]) {
         self.combine(acc, &self.seed(key, vals));
     }
@@ -99,15 +103,16 @@ struct Node<V, A> {
     /// Entries in this subtree.
     count: u64,
     /// Combined partial of this subtree in key order (`None` iff empty),
-    /// unless `stale`.
+    /// unless `stale`: then an out-of-date partial, or `None` after a split
+    /// or an eviction reshaped the node.
     agg: Option<A>,
     /// Smallest key in this subtree (valid when `count > 0`).
     lo: FibaKey,
     /// Largest key in this subtree (valid when `count > 0`).
     hi: FibaKey,
-    /// `agg` misses a straggler inserted below. A stale node's ancestors
-    /// are stale, so a fresh node's whole subtree is fresh. `count`, `lo`
-    /// and `hi` are exact either way.
+    /// The subtree changed since `agg` was last folded. A stale node's
+    /// ancestors are stale, so a fresh node's whole subtree is fresh.
+    /// `count`, `lo` and `hi` are exact either way.
     stale: bool,
 }
 
@@ -186,16 +191,17 @@ pub struct FibaStats {
     /// Entries removed by `evict_before` (bulk, without per-entry visits
     /// for whole subtrees).
     pub evicted: u64,
-    /// Node caches rebuilt from their entries or children: split halves,
-    /// eviction boundaries, and stale caches a read refreshed.
+    /// Node caches rebuilt from their entries or children. Only a range
+    /// query rebuilds one: each stale cache it reads, and the stale caches
+    /// below those, once each.
     pub refolds: u64,
 }
 
 /// A finger B-tree aggregator: ordered multimap from [`FibaKey`] to entries of
 /// `width` values, with cached subtree partials, counts and key ranges. `MIN`
 /// is the minimum fan-out ([`MIN_FANOUT`] in production; the test suites also
-/// run a small one, whose trees are deep). The fold is passed to every call
-/// that builds a partial, so one descriptor serves all of an operator's trees.
+/// run a small one, whose trees are deep). The fold is passed to the reads
+/// that build partials, so one descriptor serves all of an operator's trees.
 pub struct FibaTree<F: FibaFold, const MIN: usize = MIN_FANOUT> {
     nodes: Vec<Node<F::Val, F::Agg>>,
     free: Vec<u32>,
@@ -268,16 +274,17 @@ impl<F: FibaFold, const MIN: usize> FibaTree<F, MIN> {
     /// Bytes the tree has allocated: the node arena and every node's key,
     /// value and child arrays at their capacity (freed nodes keep theirs),
     /// plus `cache_heap` — what one cached `Agg` owns on the heap — for every
-    /// node in use.
+    /// node that holds a partial.
     pub fn state_bytes(&self, cache_heap: usize) -> usize {
         let arrays = |n: &Node<F::Val, F::Agg>| {
             n.keys.capacity() * size_of::<FibaKey>()
                 + n.vals.capacity() * size_of::<F::Val>()
                 + n.children.capacity() * size_of::<u32>()
         };
+        let caches = self.nodes.iter().filter(|n| n.agg.is_some()).count();
         self.nodes.capacity() * size_of::<Node<F::Val, F::Agg>>()
             + self.nodes.iter().map(arrays).sum::<usize>()
-            + (self.nodes.len() - self.free.len()) * cache_heap
+            + caches * cache_heap
     }
 
     /// An empty node under `parent`: a freed one, with the buffers it kept,
@@ -300,9 +307,10 @@ impl<F: FibaFold, const MIN: usize> FibaTree<F, MIN> {
         node.keys.len().max(node.children.len()) > Self::MAX
     }
 
-    /// Rebuild `count`, `agg`, `lo`, `hi` of `n` from its entries (absorbed
-    /// one by one) or its children's caches (combined), refreshing the
-    /// stale children first; `n`'s whole subtree is fresh afterwards.
+    /// Re-fold `n`'s partial from its entries (absorbed one by one) or its
+    /// children's caches (combined), re-folding the stale children first;
+    /// `n`'s whole subtree is fresh afterwards. Only a range query's read
+    /// comes here.
     fn recompute(&mut self, fold: &F, n: u32) {
         self.stats.refolds += 1;
         for i in 0..self.nodes[n as usize].children.len() {
@@ -313,49 +321,72 @@ impl<F: FibaFold, const MIN: usize> FibaTree<F, MIN> {
         }
         let node = &self.nodes[n as usize];
         let mut agg = None;
-        let (mut count, mut lo, mut hi) = (0, FIRST_KEY, FIRST_KEY);
-        if let (Some(&first), Some(&last)) = (node.keys.first(), node.keys.last()) {
-            for (key, vals) in node.entries(self.width, 0, node.keys.len()) {
-                absorb_entry(fold, &mut agg, key, vals);
-            }
-            (count, lo, hi) = (node.keys.len() as u64, first, last);
+        for (key, vals) in node.entries(self.width, 0, node.keys.len()) {
+            absorb_entry(fold, &mut agg, key, vals);
         }
         for child in node.children.iter().map(|&c| &self.nodes[c as usize]) {
-            let Some(part) = &child.agg else { continue };
-            absorb_cache(fold, &mut agg, part);
-            if count == 0 {
-                lo = child.lo;
+            if let Some(part) = &child.agg {
+                absorb_cache(fold, &mut agg, part);
             }
-            count += child.count;
-            hi = child.hi;
         }
         let node = &mut self.nodes[n as usize];
-        (node.count, node.lo, node.hi, node.agg) = (count, lo, hi, agg);
+        node.agg = agg;
         node.stale = false;
     }
 
-    /// Find the leaf where `key` belongs, climbing from the nearer finger.
+    /// Give `n` exact `count`, `lo` and `hi` from its entries or its
+    /// children, drop its partial, and mark it and its ancestors stale: the
+    /// bookkeeping half of repairing a node a split or an eviction reshaped.
+    /// The folding half waits for a read.
+    fn recount(&mut self, n: u32) {
+        let node = &self.nodes[n as usize];
+        let (count, lo, hi) = match (node.keys.first(), node.keys.last()) {
+            (Some(&first), Some(&last)) => (node.keys.len() as u64, first, last),
+            _ => {
+                let parts = || {
+                    let children = node.children.iter().map(|&c| &self.nodes[c as usize]);
+                    children.filter(|c| c.count > 0)
+                };
+                (
+                    parts().map(|c| c.count).sum(),
+                    parts().next().map_or(FIRST_KEY, |c| c.lo),
+                    parts().next_back().map_or(FIRST_KEY, |c| c.hi),
+                )
+            }
+        };
+        let node = &mut self.nodes[n as usize];
+        (node.count, node.lo, node.hi, node.agg) = (count, lo, hi, None);
+        self.mark_stale(n);
+    }
+
+    /// Mark `n` and its ancestors stale, up to the first that already is:
+    /// the ancestors of a stale node are stale.
+    fn mark_stale(&mut self, mut n: u32) {
+        while n != NIL && !self.nodes[n as usize].stale {
+            self.nodes[n as usize].stale = true;
+            n = self.nodes[n as usize].parent;
+        }
+    }
+
+    /// Find the leaf where `key` belongs: the left finger when the key lies
+    /// inside its range, otherwise by a climb from the right finger.
     fn locate_leaf(&mut self, key: FibaKey) -> u32 {
         if self.nodes[self.root as usize].is_leaf() {
             return self.root;
         }
-        // Pick the finger whose end of the key space is nearer. The parent
-        // chain of a finger is the tree's spine on that side, so nothing
-        // beyond a spine node's range exists on its outer side — the climb
-        // only needs to clear the *inner* bound.
-        let from_left = {
-            let lf = &self.nodes[self.left_finger as usize];
-            lf.count > 0 && key <= lf.hi
-        };
-        let mut cur = if from_left {
-            self.left_finger
-        } else {
-            self.right_finger
-        };
+        // A key inside the left finger's range belongs in the left finger.
+        let lf = &self.nodes[self.left_finger as usize];
+        if lf.count > 0 && key <= lf.hi {
+            self.stats.finger_short_climbs += 1;
+            return self.left_finger;
+        }
+        // Otherwise climb from the right finger. Its parent chain is the
+        // right spine, so nothing right of a spine node's range exists — the
+        // climb only needs to clear the node's `lo`.
+        let mut cur = self.right_finger;
         while cur != self.root {
             let n = &self.nodes[cur as usize];
-            let covered = if from_left { key <= n.hi } else { key >= n.lo };
-            if n.count > 0 && covered {
+            if n.count > 0 && key >= n.lo {
                 break;
             }
             cur = n.parent;
@@ -365,22 +396,27 @@ impl<F: FibaFold, const MIN: usize> FibaTree<F, MIN> {
         } else {
             self.stats.finger_short_climbs += 1;
         }
-        // Descend: first child whose cached range can hold the key.
+        // Descend into the first child whose range reaches the key (the
+        // last child when none does). The climb started on the right, so
+        // scan from the right: the first child that reaches the key follows
+        // the last one that does not, because siblings' ranges are sorted.
         while !self.nodes[cur as usize].is_leaf() {
-            let n = &self.nodes[cur as usize];
-            let mut i = 0;
-            while i + 1 < n.children.len() && self.nodes[n.children[i] as usize].hi < key {
-                i += 1;
-            }
-            cur = n.children[i];
+            let children = &self.nodes[cur as usize].children;
+            let reaches = |i: usize| self.nodes[children[i] as usize].hi >= key;
+            let i = (0..children.len() - 1)
+                .rev()
+                .find(|&i| !reaches(i))
+                .map_or(0, |i| i + 1);
+            cur = children[i];
         }
         cur
     }
 
     /// Split an overfull node: the right half moves to a new sibling (under a
-    /// new root when `n` was the root) and both halves are re-folded. The
-    /// parent's caches stay valid: it covers the same entries as before.
-    fn split(&mut self, fold: &F, n: u32) {
+    /// new root when `n` was the root) and both halves are recounted. The
+    /// parent's count and range stay exact: it covers the same entries as
+    /// before.
+    fn split(&mut self, n: u32) {
         self.stats.splits += 1;
         let parent = self.nodes[n as usize].parent;
         let right = self.alloc(parent);
@@ -413,15 +449,15 @@ impl<F: FibaFold, const MIN: usize> FibaTree<F, MIN> {
                 self.nodes[c as usize].parent = right;
             }
         }
-        self.recompute(fold, n);
-        self.recompute(fold, right);
+        self.recount(n);
+        self.recount(right);
         if parent == NIL {
             // Grow a new root above both halves.
             let root = self.alloc(NIL);
             self.nodes[root as usize].children.extend([n, right]);
             self.nodes[n as usize].parent = root;
             self.nodes[right as usize].parent = root;
-            self.recompute(fold, root);
+            self.recount(root);
             self.root = root;
         } else {
             let siblings = &mut self.nodes[parent as usize].children;
@@ -435,62 +471,42 @@ impl<F: FibaFold, const MIN: usize> FibaTree<F, MIN> {
 
     /// Insert an entry of `width` values. Keys need not be unique; an equal
     /// key lands after existing equals (stable order).
-    pub fn insert(&mut self, fold: &F, key: FibaKey, vals: &[F::Val]) {
+    pub fn insert(&mut self, key: FibaKey, vals: &[F::Val]) {
         assert_eq!(vals.len(), self.width, "entry width");
         self.len += 1;
-        let tail = self.right_finger;
-        let (count, hi) = {
-            let leaf = &self.nodes[tail as usize];
-            (leaf.count, leaf.hi)
-        };
-        // An empty rightmost leaf is the root of an empty tree.
-        let leaf = if count == 0 || key >= hi {
-            // Append: the new entry is the last of every subtree on the
-            // right spine, so each fresh cache absorbs it; a stale one is
-            // re-folded before it is read anyway.
+        // An append — at or past the largest key, or into an empty tree,
+        // whose root is its rightmost leaf — lands on the right finger.
+        let tail = &self.nodes[self.right_finger as usize];
+        let leaf = if tail.count == 0 || key >= tail.hi {
             self.stats.finger_short_climbs += 1;
-            let mut cur = tail;
-            while cur != NIL {
-                let node = &mut self.nodes[cur as usize];
-                if !node.stale {
-                    absorb_entry(fold, &mut node.agg, key, vals);
-                }
-                if node.count == 0 {
-                    node.lo = key;
-                }
-                node.count += 1;
-                node.hi = key;
-                cur = node.parent;
-            }
-            let leaf = &mut self.nodes[tail as usize];
-            leaf.keys.push(key);
-            leaf.vals.extend_from_slice(vals);
-            tail
+            self.right_finger
         } else {
-            // Straggler: it lands mid-subtree on its whole path, so every
-            // partial there is stale. Counts and key ranges stay exact,
-            // because `locate_leaf` routes on them.
-            let leaf = self.locate_leaf(key);
-            let node = &mut self.nodes[leaf as usize];
-            let pos = node.keys.partition_point(|k| *k <= key);
-            node.keys.insert(pos, key);
-            let at = pos * self.width;
-            node.vals.splice(at..at, vals.iter().cloned());
-            let mut cur = leaf;
-            while cur != NIL {
-                let node = &mut self.nodes[cur as usize];
-                node.count += 1;
-                node.lo = node.lo.min(key);
-                node.hi = node.hi.max(key);
-                node.stale = true;
-                cur = node.parent;
-            }
-            leaf
+            self.locate_leaf(key)
         };
+        let width = self.width;
+        let node = &mut self.nodes[leaf as usize];
+        let pos = node.keys.partition_point(|k| *k <= key);
+        node.keys.insert(pos, key);
+        node.vals.extend_from_slice(vals);
+        node.vals[pos * width..].rotate_right(width);
+        // Every partial on the path now misses the entry; counts and key
+        // ranges stay exact, because `locate_leaf` routes on them.
+        let mut cur = leaf;
+        while cur != NIL {
+            let node = &mut self.nodes[cur as usize];
+            (node.lo, node.hi) = if node.count == 0 {
+                (key, key)
+            } else {
+                (node.lo.min(key), node.hi.max(key))
+            };
+            node.count += 1;
+            node.stale = true;
+            cur = node.parent;
+        }
         // Split overfull nodes upwards; the walk ends at the first with room.
         let mut n = leaf;
         while n != NIL && self.overfull(n) {
-            self.split(fold, n);
+            self.split(n);
             n = self.nodes[n as usize].parent;
         }
     }
@@ -639,13 +655,14 @@ impl<F: FibaFold, const MIN: usize> FibaTree<F, MIN> {
 
     /// Bulk-evict every entry with key `< cut`. Whole subtrees left of the
     /// cut are freed without visiting their entries; only the boundary path
-    /// is repaired. Returns the number of entries removed. Nodes on the
-    /// leftmost spine may be left underfull (the relaxed FiBA invariant).
-    pub fn evict_before(&mut self, fold: &F, cut: FibaKey) -> u64 {
+    /// is recounted, and left stale for the next read to re-fold. Returns
+    /// the number of entries removed. Nodes on the leftmost spine may be left
+    /// underfull (the relaxed FiBA invariant).
+    pub fn evict_before(&mut self, cut: FibaKey) -> u64 {
         if self.len == 0 || self.nodes[self.root as usize].lo >= cut {
             return 0;
         }
-        let removed = self.evict_rec(fold, self.root, cut);
+        let removed = self.evict_rec(self.root, cut);
         self.len -= removed;
         self.stats.evicted += removed;
         // Collapse single-child root chains so height tracks the population.
@@ -664,7 +681,7 @@ impl<F: FibaFold, const MIN: usize> FibaTree<F, MIN> {
         removed
     }
 
-    fn evict_rec(&mut self, fold: &F, n: u32, cut: FibaKey) -> u64 {
+    fn evict_rec(&mut self, n: u32, cut: FibaKey) -> u64 {
         let mut removed = 0u64;
         if self.nodes[n as usize].is_leaf() {
             let node = &mut self.nodes[n as usize];
@@ -689,7 +706,7 @@ impl<F: FibaFold, const MIN: usize> FibaTree<F, MIN> {
             // Recurse into the (new) boundary child.
             if let Some(&c) = self.nodes[n as usize].children.first() {
                 if self.nodes[c as usize].count > 0 && self.nodes[c as usize].lo < cut {
-                    removed += self.evict_rec(fold, c, cut);
+                    removed += self.evict_rec(c, cut);
                     if self.nodes[c as usize].count == 0
                         && self.nodes[n as usize].children.len() > 1
                     {
@@ -699,7 +716,7 @@ impl<F: FibaFold, const MIN: usize> FibaTree<F, MIN> {
                 }
             }
         }
-        self.recompute(fold, n);
+        self.recount(n);
         removed
     }
 
@@ -869,7 +886,7 @@ impl<F: FibaFold, const MIN: usize> FibaTree<F, MIN> {
         Ok(())
     }
 
-    /// The read side of the deferred repair, used by the fuzz battery after
+    /// The read side of fold-on-read, used by the fuzz battery after
     /// a [`FibaTree::range_agg`] over `[lo, hi]`: every node whose cache
     /// that query read is fresh and equals a from-scratch fold.
     pub fn check_range_read(
@@ -922,7 +939,7 @@ mod tests {
         // Deterministic scramble: multiplicative hop around a prime ring.
         for i in 0..500u64 {
             let k = (i * 373) % 1009;
-            tree.insert(&Sum, (k, i), &[k as i64]);
+            tree.insert((k, i), &[k as i64]);
             model.push(((k, i), k as i64));
         }
         model.sort_by_key(|(k, _)| *k);
@@ -958,23 +975,23 @@ mod tests {
     fn bulk_eviction_drops_exactly_the_prefix() {
         let mut tree = FibaTree::<Sum>::new(1);
         for i in 0..300u64 {
-            tree.insert(&Sum, (i, 0), &[1]);
+            tree.insert((i, 0), &[1]);
         }
-        let removed = tree.evict_before(&Sum, (120, 0));
+        let removed = tree.evict_before((120, 0));
         assert_eq!(removed, 120);
         assert_eq!(tree.len(), 180);
         assert_eq!(tree.min_key(), Some((120, 0)));
         tree.check_invariants(&Sum, &eq)
             .expect("invariants after evict");
         // Evicting before the minimum is a no-op.
-        assert_eq!(tree.evict_before(&Sum, (50, 0)), 0);
+        assert_eq!(tree.evict_before((50, 0)), 0);
         // Evict everything.
-        assert_eq!(tree.evict_before(&Sum, (1000, 0)), 180);
+        assert_eq!(tree.evict_before((1000, 0)), 180);
         assert!(tree.is_empty());
         tree.check_invariants(&Sum, &eq)
             .expect("invariants when empty");
         // The tree keeps working after a full eviction.
-        tree.insert(&Sum, (7, 7), &[7]);
+        tree.insert((7, 7), &[7]);
         assert_eq!(tree.range_agg(&Sum, (0, 0), (u64::MAX, u64::MAX)).1, 1);
     }
 
@@ -989,11 +1006,11 @@ mod tests {
             x ^= x >> 7;
             x ^= x << 17;
             let k = x % 10_000;
-            tree.insert(&Sum, (k, step), &[1]);
+            tree.insert((k, step), &[1]);
             model.push(((k, step), 1));
             if step % 97 == 96 {
                 let cut = (x % 8000, 0);
-                tree.evict_before(&Sum, cut);
+                tree.evict_before(cut);
                 model.retain(|(key, _)| *key >= cut);
                 tree.check_invariants(&Sum, &eq)
                     .expect("invariants mid-fuzz");
@@ -1012,7 +1029,7 @@ mod tests {
         let mut tree = FibaTree::<Sum>::new(1);
         let n = 64 * FibaTree::<Sum>::MAX as u64 + 1;
         for i in 0..n {
-            tree.insert(&Sum, (10 * i, 0), &[1]);
+            tree.insert((10 * i, 0), &[1]);
         }
         let height = tree.height() as u64;
         assert!(height >= 3, "a leaf with two ancestors or more");
@@ -1023,7 +1040,7 @@ mod tests {
         // takes them all without splitting.
         let last = 10 * (n - 1);
         for k in 1..=5 {
-            tree.insert(&Sum, (last - k, k), &[1]);
+            tree.insert((last - k, k), &[1]);
         }
         assert_eq!(tree.stats().refolds, before, "inserts defer the repair");
         assert_eq!(tree.stats().splits, splits);
@@ -1041,11 +1058,83 @@ mod tests {
         assert_eq!(tree.stats().refolds, before + height, "nothing left stale");
     }
 
+    /// Sum that counts every call that builds or combines a partial.
+    #[derive(Default)]
+    struct Counted {
+        calls: std::cell::Cell<u64>,
+    }
+    impl FibaFold for Counted {
+        type Val = i64;
+        type Agg = i64;
+        fn seed(&self, _: FibaKey, vals: &[i64]) -> i64 {
+            self.calls.set(self.calls.get() + 1);
+            vals[0]
+        }
+        fn combine(&self, acc: &mut i64, later: &i64) {
+            self.calls.set(self.calls.get() + 1);
+            *acc += later;
+        }
+        fn absorb(&self, acc: &mut i64, _: FibaKey, vals: &[i64]) {
+            self.calls.set(self.calls.get() + 1);
+            *acc += vals[0];
+        }
+    }
+
+    /// Appends through leaf and root splits, near-finger stragglers, a
+    /// straggler burst that splits a leaf mid-tree, and an eviction: none
+    /// folds a partial. The next whole-tree query re-folds every stale node
+    /// once, and the one after it folds nothing.
+    fn writes_never_fold<const MIN: usize>() {
+        let fold = Counted::default();
+        let mut tree = FibaTree::<Counted, MIN>::new(1);
+        let max = FibaTree::<Counted, MIN>::MAX as u64;
+        let n = 2 * max * max;
+        for i in 0..n {
+            tree.insert((10 * i, 0), &[1]);
+        }
+        assert!(tree.height() >= 3, "root splits: height {}", tree.height());
+        let last = 10 * (n - 1);
+        for k in 1..=max {
+            tree.insert((last - k % 10, k), &[1]);
+        }
+        let splits = tree.stats().splits;
+        for k in 0..=max {
+            tree.insert((10 * (n / 2) + 1, k), &[1]);
+        }
+        assert!(tree.stats().splits > splits, "a mid-tree leaf split");
+        assert_eq!(tree.evict_before((10 * (n / 4), 0)), n / 4);
+        assert_eq!(fold.calls.get(), 0, "a write folded a partial");
+        assert_eq!(tree.stats().refolds, 0);
+        let stale = tree.nodes.iter().filter(|node| node.stale).count() as u64;
+        assert!(stale > 0);
+        let total = n - n / 4 + 2 * max + 1;
+        let all = (FIRST_KEY, LAST_KEY);
+        assert_eq!(
+            tree.range_agg(&fold, all.0, all.1),
+            (Some(total as i64), total)
+        );
+        assert_eq!(tree.stats().refolds, stale, "each stale node once");
+        assert!(tree.nodes.iter().all(|node| !node.stale));
+        let calls = fold.calls.get();
+        assert_eq!(
+            tree.range_agg(&fold, all.0, all.1),
+            (Some(total as i64), total)
+        );
+        assert_eq!(tree.stats().refolds, stale, "nothing left to re-fold");
+        assert_eq!(fold.calls.get(), calls, "a fresh root answers alone");
+    }
+
+    #[test]
+    fn an_insert_a_split_or_an_eviction_never_folds() {
+        writes_never_fold::<4>();
+        writes_never_fold::<MIN_FANOUT>();
+    }
+
     #[test]
     fn appends_stay_near_the_right_finger() {
         let mut tree = FibaTree::<Sum>::new(1);
         for i in 0..4096u64 {
-            tree.insert(&Sum, (i, 0), &[1]);
+            tree.insert((i, 0), &[1]);
         }
         let s = tree.stats();
         // In-order appends should overwhelmingly resolve below the root once

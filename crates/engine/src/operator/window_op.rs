@@ -409,7 +409,7 @@ impl FibaState {
         };
         let tracked = ks.next.iter().chain(ks.emitted.keys().next());
         self.held -= match tracked.map(|w| w.1.raw()).min() {
-            Some(start) => ks.time.evict_before(&self.fold, (start, 0)),
+            Some(start) => ks.time.evict_before((start, 0)),
             None => self.keys.remove(key).map_or(0, |ks| ks.time.len()),
         };
     }
@@ -696,7 +696,7 @@ impl WindowAggregateOp {
                 fs.keys.entry(Key(key.clone())).or_insert(fresh)
             }
         };
-        ks.time.insert(&fs.fold, (t, e.seq), &fs.entry);
+        ks.time.insert((t, e.seq), &fs.entry);
         let moved = ks.admit((t, e.seq), first, grid);
         if let Some((old, new)) = moved {
             fs.requeue(Key(key.clone()), old, new);
@@ -801,6 +801,20 @@ impl WindowAggregateOp {
         .to_row();
         out(StreamElement::Event(Event::new(end, self.out_seq, row)));
     }
+
+    /// [`Operator::process`] on a borrowed element: the operator copies what
+    /// it keeps out of the row, so one element can be fanned out to many
+    /// operators without a copy per operator.
+    pub fn process_ref(&mut self, el: &StreamElement, out: &mut dyn FnMut(StreamElement)) {
+        match el {
+            StreamElement::Event(e) => self.fold_event(e, out),
+            StreamElement::Watermark(wm) => self.advance_watermark(*wm, out),
+            StreamElement::Flush => {
+                self.advance_watermark(Timestamp::MAX, out);
+                out(StreamElement::Flush);
+            }
+        }
+    }
 }
 
 impl Operator for WindowAggregateOp {
@@ -809,14 +823,7 @@ impl Operator for WindowAggregateOp {
     }
 
     fn process(&mut self, el: StreamElement, out: &mut dyn FnMut(StreamElement)) {
-        match el {
-            StreamElement::Event(e) => self.fold_event(&e, out),
-            StreamElement::Watermark(wm) => self.advance_watermark(wm, out),
-            StreamElement::Flush => {
-                self.advance_watermark(Timestamp::MAX, out);
-                out(StreamElement::Flush);
-            }
-        }
+        self.process_ref(&el, out);
     }
 }
 
@@ -1332,10 +1339,10 @@ mod tests {
 
     #[test]
     fn absorb_is_combine_of_seed_bit_for_bit_for_every_combinable_kind() {
-        // A cache built by absorbing entries one by one (appends, leaf
-        // re-folds) must equal one built by combining their one-entry
-        // partials, state for state: otherwise a result would depend on
-        // which repairs its tree happened to go through.
+        // A partial built by absorbing entries one by one (a leaf's re-fold,
+        // a range query's boundary leaves) must equal one built by combining
+        // their one-entry partials, state for state: otherwise a result
+        // would depend on where the tree's node boundaries happen to fall.
         let values = [
             Value::Float(0.0),
             Value::Float(-0.0),

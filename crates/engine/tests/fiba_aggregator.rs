@@ -138,11 +138,11 @@ fn replay_against_model<const MIN: usize>(ops: &[TreeOp]) -> Result<(), TestCase
             TreeOp::Insert(ts) => {
                 let key = (ts, seq);
                 seq += 1;
-                tree.insert(&Trace, key, &[ts, key.1]);
+                tree.insert(key, &[ts, key.1]);
                 model.insert(key);
             }
             TreeOp::Evict(cut) => {
-                let dropped = tree.evict_before(&Trace, (cut, 0));
+                let dropped = tree.evict_before((cut, 0));
                 prop_assert_eq!(dropped, model.evict_before((cut, 0)));
                 evicted_total += dropped;
             }

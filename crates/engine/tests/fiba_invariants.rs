@@ -3,15 +3,18 @@
 //! A seeded operation fuzz drives `FibaTree` through adversarial insert /
 //! bulk-evict mixes (appends, prepends, tie storms, deep stragglers,
 //! uniform noise, the regimes of the right-finger append path: long runs,
-//! ties at the finger, appends onto a just-emptied tree, and the deferred
-//! repair's: straggler bursts between range queries and evictions) and calls
+//! ties at the finger, appends onto a just-emptied tree, and fold-on-read's:
+//! straggler bursts between range queries and evictions) and calls
 //! [`FibaTree::check_invariants`] after **every** mutation: B-tree arity
 //! bounds, finger validity, subtree counts and ranges, the stale-closure
 //! rule and every fresh partial against a re-fold. Every range query is
 //! followed by [`FibaTree::check_range_read`]: each cache it read is fresh
 //! and exact. A flat mirror vector checks the observable behaviour (length,
 //! order, range aggregates, range visits, first-key search) so a
-//! structurally valid but semantically wrong tree cannot pass.
+//! structurally valid but semantically wrong tree cannot pass. A second
+//! fuzz feeds two trees the same writes over a float sum whose rounding
+//! depends on grouping and queries one of them far more often: their
+//! answers must agree bit for bit.
 //!
 //! Every test runs at two fan-outs: [`DEEP`], where a few hundred entries
 //! make a 4–5 level tree and root splits and multi-level repairs are routine,
@@ -146,7 +149,7 @@ impl<const MIN: usize> Harness<MIN> {
 
     fn insert_key(&mut self, key: (u64, u64)) {
         let w = self.rng.next() % 1_000;
-        self.tree.insert(&Sum, key, &[w]);
+        self.tree.insert(key, &[w]);
         self.mirror.insert(key, w);
         self.checked("insert");
     }
@@ -154,7 +157,7 @@ impl<const MIN: usize> Harness<MIN> {
     fn evict(&mut self, cut: (u64, u64)) {
         let (seed, step) = (self.seed, self.step);
         assert_eq!(
-            self.tree.evict_before(&Sum, cut),
+            self.tree.evict_before(cut),
             self.mirror.evict_before(cut),
             "seed {seed} step {step}: eviction count diverged at cut {cut:?}"
         );
@@ -307,7 +310,7 @@ fn fuzz_append_path<const MIN: usize>(seed: u64, steps: usize) {
     h.finish();
 }
 
-/// The deferred repair's regime: bursts of stragglers into one region of a
+/// Fold-on-read's regime: bursts of stragglers into one region of a
 /// standing tree (each leaves its leaf-to-root path stale), queries that
 /// read some of the stale caches and not others, a few appends onto stale
 /// spines, and evictions that cut through stale subtrees.
@@ -397,9 +400,88 @@ fn deferred_repair_holds_invariants_through_queries_stragglers_and_evictions() {
     }
 }
 
+/// f64 sum: how partials are grouped decides the rounding (`1e16 + 1.0`
+/// loses the `1.0`, `1.0 + 1.0 + 1e16` does not), so two trees agree bit for
+/// bit only where their caches nest alike.
+struct FloatSum;
+
+impl FibaFold for FloatSum {
+    type Val = f64;
+    type Agg = f64;
+    fn seed(&self, _: FibaKey, vals: &[f64]) -> f64 {
+        vals[0]
+    }
+    fn combine(&self, acc: &mut f64, later: &f64) {
+        *acc += later;
+    }
+}
+
+/// Two trees fed the same appends, near and deep stragglers and evictions:
+/// one answers a range query after every operation, the other only at the
+/// checkpoints, where both answer the same queries and must agree bit for
+/// bit. A cache's nesting may depend on the tree's shape, never on when it
+/// was read.
+fn read_timing_cannot_change_a_result<const MIN: usize>(seed: u64, steps: usize) {
+    const VALUES: [f64; 6] = [1.0e16, 1.0, -1.0e16, 0.1, 3.0, -1.0];
+    let mut rng = XorShift(seed | 1);
+    let mut often: FibaTree<FloatSum, MIN> = FibaTree::new(1);
+    let mut seldom: FibaTree<FloatSum, MIN> = FibaTree::new(1);
+    let (mut seq, mut floor) = (0u64, 0u64);
+    let bits = |(agg, n): (Option<f64>, u64)| (agg.map(f64::to_bits), n);
+    for step in 0..steps {
+        let min_ts = often.min_key().map_or(floor, |k| k.0);
+        let max_ts = often.max_key().map_or(floor, |k| k.0);
+        let span = max_ts - min_ts + 1;
+        let roll = rng.next() % 10;
+        if roll < 8 {
+            let ts = match roll {
+                0..=4 => max_ts + rng.next() % 3,
+                5 | 6 => max_ts.saturating_sub(rng.next() % 8).max(min_ts),
+                _ => min_ts + rng.next() % span,
+            };
+            let v = VALUES[(rng.next() % VALUES.len() as u64) as usize];
+            seq += 1;
+            often.insert((ts, seq), &[v]);
+            seldom.insert((ts, seq), &[v]);
+        } else if roll == 8 {
+            floor = min_ts + rng.next() % (span / 4 + 1);
+            assert_eq!(
+                often.evict_before((floor, 0)),
+                seldom.evict_before((floor, 0))
+            );
+        }
+        let ranges = [
+            (0, u64::MAX),
+            (min_ts + rng.next() % span, max_ts),
+            (min_ts, min_ts + rng.next() % span),
+        ];
+        if roll == 9 || step + 1 == steps {
+            for (lo, hi) in ranges {
+                let (lo, hi) = ((lo, 0), (hi, u64::MAX));
+                assert_eq!(
+                    bits(often.range_agg(&FloatSum, lo, hi)),
+                    bits(seldom.range_agg(&FloatSum, lo, hi)),
+                    "seed {seed} step {step} fan-out {MIN}: [{lo:?}, {hi:?}]"
+                );
+            }
+        } else {
+            let (lo, hi) = ranges[(rng.next() % 3) as usize];
+            often.range_agg(&FloatSum, (lo, 0), (hi, u64::MAX));
+        }
+    }
+}
+
+#[test]
+fn read_timing_cannot_change_a_float_result() {
+    for seed in seeds() {
+        read_timing_cannot_change_a_result::<DEEP>(seed, 3_000);
+        read_timing_cannot_change_a_result::<MIN_FANOUT>(seed, 3_000);
+    }
+}
+
 /// Nothing but appends: every split is a right-spine split, and each new
-/// level is a root split that must leave both fingers and every cache exact
-/// without a single `recompute` of the unsplit ancestors. The run is sized
+/// level is a root split that must leave both fingers, every count and key
+/// range exact and every cache a later query reads exact. The run is sized
 /// in the fan-out: a full leaf hands on one entry, so leaves hold `2 * MIN`;
 /// an internal node hands on half its children, so once there is a third
 /// level its root gains a child per `MIN` leaves and splits at `2 * MIN + 1`
@@ -440,7 +522,7 @@ fn append_only_growth_holds_invariants_across_root_splits() {
 fn pure_append_and_pure_prepend<const MIN: usize>() {
     let mut tree: FibaTree<Sum, MIN> = FibaTree::new(1);
     for i in 0..2_000u64 {
-        tree.insert(&Sum, (i, i), &[i]);
+        tree.insert((i, i), &[i]);
         if i % 97 == 0 {
             tree.check_invariants(&Sum, &|a, b| a == b)
                 .unwrap_or_else(|e| panic!("append step {i}: {e}"));
@@ -456,7 +538,7 @@ fn pure_append_and_pure_prepend<const MIN: usize>() {
 
     let mut tree: FibaTree<Sum, MIN> = FibaTree::new(1);
     for i in 0..2_000u64 {
-        tree.insert(&Sum, (u64::MAX - i, i), &[i]);
+        tree.insert((u64::MAX - i, i), &[i]);
         if i % 97 == 0 {
             tree.check_invariants(&Sum, &|a, b| a == b)
                 .unwrap_or_else(|e| panic!("prepend step {i}: {e}"));
@@ -483,7 +565,7 @@ fn grow_shrink_cycles<const MIN: usize>(max_height: usize) {
     for cycle in 0..20 {
         for _ in 0..1_000 {
             let ts = low + rng.next() % 500;
-            tree.insert(&Sum, (ts, seq), &[1]);
+            tree.insert((ts, seq), &[1]);
             seq += 1;
         }
         tree.check_invariants(&Sum, &|a, b| a == b)
@@ -495,7 +577,7 @@ fn grow_shrink_cycles<const MIN: usize>(max_height: usize) {
             tree.len()
         );
         low += 450;
-        tree.evict_before(&Sum, (low, 0));
+        tree.evict_before((low, 0));
         tree.check_invariants(&Sum, &|a, b| a == b)
             .unwrap_or_else(|e| panic!("cycle {cycle} after eviction: {e}"));
     }

@@ -18,7 +18,7 @@ cargo run -q -p quill-lint -- --workspace \
 # The allow budget: a suppression is a debt, and the count only goes down.
 # Lower the number when a change removes allows; raising it needs a reason
 # in review.
-allow_budget=49
+allow_budget=48
 allows=$(grep -r 'quill-lint: allow' crates | wc -l)
 echo "==> quill-lint allow budget ($allows of $allow_budget)"
 if [ "$allows" -gt "$allow_budget" ]; then
@@ -40,8 +40,11 @@ cargo test -q
 # cases each and QUILL_FIBA_FUZZ_SEEDS more op-fuzz seeds, in release. Both
 # suites drive the tree at two fan-outs — a small one, whose trees are deep,
 # and the production MIN_FANOUT — so the soak covers both. Both interleave
-# range queries with stragglers and evictions (the deferred cache repair's
-# regime) and check after every query that the caches it read were fresh.
+# range queries with appends, stragglers and evictions, which only mark
+# caches stale (a cache is folded only when a query reads it), and check
+# after every query that the caches it read were fresh and exact; the
+# read-timing fuzz also checks, per seed, that querying after every write or
+# only at checkpoints gives bit-identical float results.
 echo "==> FiBA battery soak (PROPTEST_CASES=2000, QUILL_FIBA_FUZZ_SEEDS=${QUILL_FIBA_FUZZ_SEEDS:-64})"
 PROPTEST_CASES=2000 QUILL_FIBA_FUZZ_SEEDS="${QUILL_FIBA_FUZZ_SEEDS:-64}" \
     cargo test --release -q -p quill-engine --test fiba_invariants --test fiba_aggregator
