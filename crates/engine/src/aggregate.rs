@@ -168,8 +168,9 @@ impl AggregateSpec {
 
     /// Instantiate mergeable partial state, or `None` for kinds whose
     /// partials cannot be combined (order statistics, distinct counts; the
-    /// window operator finalizes those with `quantile_of_ranks` and a
-    /// distinct set over the window's values). The window operator keeps
+    /// window operator finalizes those with `quantile_of_ranks` over a
+    /// per-key rank index and a distinct set over the window's values). The
+    /// window operator keeps
     /// one per tree node, never per event; see [`PaneAgg`].
     pub(crate) fn build_pane(&self) -> Option<PaneAgg> {
         Some(match self.kind {
@@ -606,34 +607,6 @@ pub(crate) fn quantile_of_ranks(n: usize, p: f64, mut at: impl FnMut(usize) -> f
     let frac = rank - lo as f64;
     let (lo, hi) = (at(lo), at(hi.min(n - 1)));
     Some(lo + (hi - lo) * frac)
-}
-
-/// Order statistics of an unsorted slice by selection, for callers that read
-/// a few ranks and would waste a full sort: `at(r)` is what
-/// `sort_unstable_by(f64::total_cmp)` would leave at index `r` — bit for bit,
-/// since `total_cmp`-equal floats are identical. Each call partitions only
-/// what lies past the highest rank answered so far (the very next rank is
-/// that tail's minimum), so a rank may be asked again but a *new* rank must
-/// not be lower than one already answered: ascending quantiles qualify.
-pub(crate) struct RankSelect<'a> {
-    vals: &'a mut [f64],
-    /// One past the highest rank answered: everything from here on is no
-    /// smaller than it and in no particular order.
-    settled: usize,
-}
-
-impl<'a> RankSelect<'a> {
-    pub(crate) fn new(vals: &'a mut [f64]) -> Self {
-        RankSelect { vals, settled: 0 }
-    }
-
-    pub(crate) fn at(&mut self, rank: usize) -> f64 {
-        if rank >= self.settled {
-            self.vals[self.settled..].select_nth_unstable_by(rank - self.settled, f64::total_cmp);
-            self.settled = rank + 1;
-        }
-        self.vals[rank]
-    }
 }
 
 impl Aggregator for QuantileAgg {

@@ -5,6 +5,7 @@
 //! watermark contract: after forwarding `Watermark(t)` they must never emit
 //! an event with `ts < t`.
 
+mod rank_index;
 pub mod window_op;
 
 use crate::event::StreamElement;

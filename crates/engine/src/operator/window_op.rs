@@ -23,10 +23,11 @@
 //! *once*, whatever the window shape and the aggregate kinds
 //! ([`WindowOpStats::agg_inserts`] counts it) — an in-order arrival is an
 //! append at the tree's right finger. Window finalize is a range query over
-//! cached subtree combines, plus one in-order visit of the window's entries
-//! when order statistics (Median/Quantile/DistinctCount) are asked for, which
-//! read their values in place; the slide bulk-evicts everything no later
-//! window can cover.
+//! cached subtree combines. Median and Quantile are answered from a per-key
+//! rank index of the numeric values the tree holds, less the few entries
+//! the tree holds outside the window; DistinctCount visits the window's
+//! entries in place. The slide bulk-evicts everything no later window can
+//! cover, and takes the evicted entries out of the rank index.
 //!
 //! Which window to emit next is tracked per *key*, not per (window, event):
 //! the emission queue holds each key's earliest unemitted non-empty window.
@@ -39,10 +40,11 @@
 //! event re-runs its query and emits the next revision, and eviction cuts at
 //! the start of the oldest window still tracked.
 
-use crate::aggregate::{quantile_of_ranks, AggregateKind, AggregateSpec, PaneAgg, RankSelect};
+use crate::aggregate::{quantile_of_ranks, AggregateKind, AggregateSpec, PaneAgg};
 use crate::error::{EngineError, Result};
 use crate::event::{Event, StreamElement};
 use crate::fiba::{FibaFold, FibaKey, FibaTree, WindowState};
+use crate::operator::rank_index::{float, image, RankIndex};
 use crate::operator::Operator;
 use crate::time::Timestamp;
 use crate::value::{Key, KeyView, Row, Value};
@@ -206,26 +208,25 @@ impl FibaFold for EntryFold {
 enum Slot {
     /// Combinable: partial `.0` of the window's range aggregate.
     Pane(usize),
-    /// Median/Quantile: written by the spec's [`RawField`], which knows its
+    /// Median/Quantile: written by the spec's [`RankField`], which knows its
     /// quantile and position.
     Quantile,
-    /// DistinctCount: the distinct non-null values of raw field `.0`.
+    /// DistinctCount: the distinct non-null values of entry column
+    /// `distinct[.0]`.
     Distinct(usize),
 }
 
-/// One entry column read by order-statistic specs; every spec on the field
-/// shares one collection of the window's values per emission.
-struct RawField {
+/// One entry column read by Median/Quantile specs. Every key holds one
+/// `RankIndex` per such column, of the numeric values (non-numeric ones are
+/// skipped, like `QuantileAgg`) of exactly the entries its tree holds.
+struct RankField {
     /// The field's entry column.
     col: usize,
-    /// The Median/Quantile specs on the field as `(quantile, spec position)`,
-    /// ascending.
+    /// The Median/Quantile specs on the field as `(quantile, spec position)`.
     ps: Vec<(f64, usize)>,
-    /// Whether a DistinctCount spec reads the field.
-    distinct: bool,
-    /// The window's numeric values (non-numeric ones are skipped, like
-    /// `QuantileAgg`); reused across emissions.
-    nums: Vec<f64>,
+    /// The images of the numeric values the tree holds outside the window
+    /// being answered, sorted; reused across emissions.
+    nums: Vec<u64>,
 }
 
 /// A window as `(end, start)` — the order windows are emitted in.
@@ -270,6 +271,9 @@ struct FibaKeyState {
     /// Finger B-tree over `(ts, seq)` holding one entry per accepted event;
     /// window finalize is a query over `[start, end)`.
     time: FibaTree<EntryFold>,
+    /// One per [`RankField`]: the numeric values of that column over exactly
+    /// the entries `time` holds.
+    ranks: Vec<RankIndex>,
     /// The key's earliest unemitted window holding an event — its entry in
     /// [`FibaState::pending`].
     next: Option<WindowId>,
@@ -279,9 +283,10 @@ struct FibaKeyState {
 }
 
 impl FibaKeyState {
-    fn new(width: usize) -> Self {
+    fn new(width: usize, rank_fields: usize) -> Self {
         FibaKeyState {
             time: FibaTree::new(width),
+            ranks: (0..rank_fields).map(|_| RankIndex::default()).collect(),
             next: None,
             emitted: BTreeMap::new(),
         }
@@ -345,8 +350,10 @@ struct FibaState {
     fold: EntryFold,
     /// Per spec, where its output comes from.
     slots: Vec<Slot>,
-    /// The entry columns order-statistic specs read.
-    raw: Vec<RawField>,
+    /// The entry columns Median/Quantile specs read.
+    rank_fields: Vec<RankField>,
+    /// The entry columns DistinctCount specs read.
+    distinct: Vec<usize>,
     keys: BTreeMap<Key, FibaKeyState>,
     /// Entries in all the trees of `keys`.
     held: u64,
@@ -401,46 +408,63 @@ impl FibaState {
 
     /// Bulk-evict what no tracked window of `key` — its `next` and its
     /// `emitted` ones — can ask for again: everything before the oldest one's
-    /// start (later unemitted windows start after `next`). A key with no
-    /// tracked window is dropped whole.
+    /// start (later unemitted windows start after `next`), whose values
+    /// leave the key's rank indexes first. A key with no tracked window is
+    /// dropped whole, its indexes with it.
     fn settle(&mut self, key: &Key) {
         let Some(ks) = self.keys.get_mut(key) else {
             return;
         };
         let tracked = ks.next.iter().chain(ks.emitted.keys().next());
-        self.held -= match tracked.map(|w| w.1.raw()).min() {
-            Some(start) => ks.time.evict_before((start, 0)),
-            None => self.keys.remove(key).map_or(0, |ks| ks.time.len()),
+        let Some(start) = tracked.map(|w| w.1.raw()).min() else {
+            self.held -= self.keys.remove(key).map_or(0, |ks| ks.time.len());
+            return;
         };
+        if start > 0 && !ks.ranks.is_empty() {
+            let (fields, ranks) = (&self.rank_fields, &mut ks.ranks);
+            ks.time
+                .for_each_range((0, 0), (start - 1, u64::MAX), &mut |_, vals| {
+                    for (f, index) in fields.iter().zip(ranks.iter_mut()) {
+                        if let Some(x) = vals[f.col].as_f64() {
+                            index.remove(image(x));
+                        }
+                    }
+                });
+        }
+        self.held -= ks.time.evict_before((start, 0));
     }
 
     /// Entry count and one output per spec, in spec order, for `key`'s
-    /// entries in `[lo, hi]`: combinable kinds from the range aggregate, the
-    /// rest from one in-order visit that reads each raw column in place.
-    /// Median/Quantile finalize as `QuantileAgg` does (`quantile_of_ranks`
-    /// over the numeric values' `total_cmp` order, its ranks selected rather
-    /// than the values sorted), DistinctCount as `DistinctAgg` (non-null
-    /// values, [`Key`] order).
-    fn answer(&mut self, key: &Key, lo: FibaKey, hi: FibaKey) -> (u64, Vec<Value>) {
+    /// window `[s, e)`: combinable kinds from the range aggregate,
+    /// Median/Quantile from the key's rank indexes, DistinctCount from one
+    /// in-order visit of the window that reads its columns in place
+    /// (non-null values in [`Key`] order, as `DistinctAgg` counts them).
+    ///
+    /// A rank index holds the numeric values of every entry the tree holds,
+    /// so the window's values are the index less those of the entries
+    /// outside `[s, e)` — under `Drop`, at a first emission, only what
+    /// arrived past `e`. Two range visits collect them, and each rank
+    /// `quantile_of_ranks` reads is selected from the difference: the ranks
+    /// are of the `total_cmp` order and the interpolation is `QuantileAgg`'s,
+    /// so the output is the sequential fold's bit for bit.
+    fn answer(&mut self, key: &Key, (s, e): (u64, u64)) -> (u64, Vec<Value>) {
+        // A window ends at `start + length >= 1`, so `e - 1` cannot underflow.
+        let (lo, hi) = ((s, 0), (e - 1, u64::MAX));
         // Defensive: a queued window always has its key, but answer with an
         // empty result rather than lose the window.
-        let mut tree = self.keys.get_mut(key).map(|ks| &mut ks.time);
-        let (combined, count) = tree
+        let mut ks = self.keys.get_mut(key);
+        let (combined, count) = ks
             .as_mut()
-            .map_or((None, 0), |t| t.range_agg(&self.fold, lo, hi));
-        let tree = tree.map(|t| &*t);
-        let raw = &mut self.raw;
-        raw.iter_mut().for_each(|r| r.nums.clear());
+            .map_or((None, 0), |ks| ks.time.range_agg(&self.fold, lo, hi));
+        let ks = ks.map(|ks| &*ks);
+        let cols = &self.distinct;
         let mut distinct: Vec<BTreeSet<&dyn KeyView>> =
-            raw.iter().map(|_| BTreeSet::new()).collect();
-        if let Some(tree) = tree.filter(|_| !raw.is_empty()) {
-            tree.for_each_range(lo, hi, &mut |_, vals| {
-                for (r, seen) in raw.iter_mut().zip(&mut distinct) {
-                    let v = &vals[r.col];
-                    if !r.ps.is_empty() {
-                        r.nums.extend(v.as_f64());
-                    }
-                    if r.distinct && !v.is_null() {
+            cols.iter().map(|_| BTreeSet::new()).collect();
+        if let Some(ks) = ks.filter(|_| !cols.is_empty()) {
+            ks.time.for_each_range(lo, hi, &mut |_, vals| {
+                for (&col, seen) in cols.iter().zip(&mut distinct) {
+                    let v = &vals[col];
+                    if !v.is_null() {
                         seen.insert(v);
                     }
                 }
@@ -453,11 +477,28 @@ impl FibaState {
             Slot::Distinct(j) => Value::Int(distinct[j].len() as i64),
         };
         let mut out: Vec<Value> = self.slots.iter().map(finalize).collect();
-        for r in raw.iter_mut() {
-            let n = r.nums.len();
-            let mut ranks = RankSelect::new(&mut r.nums);
-            for &(p, spec) in &r.ps {
-                if let Some(q) = quantile_of_ranks(n, p, |rank| ranks.at(rank)) {
+        let Some(ks) = ks.filter(|_| !self.rank_fields.is_empty()) else {
+            return (count, out);
+        };
+        let fields = &mut self.rank_fields;
+        fields.iter_mut().for_each(|f| f.nums.clear());
+        let mut outside = |_: FibaKey, vals: &[Value]| {
+            for f in fields.iter_mut() {
+                f.nums.extend(vals[f.col].as_f64().map(image));
+            }
+        };
+        if s > 0 {
+            ks.time
+                .for_each_range((0, 0), (s - 1, u64::MAX), &mut outside);
+        }
+        ks.time
+            .for_each_range((e, 0), (u64::MAX, u64::MAX), &mut outside);
+        for (f, index) in fields.iter_mut().zip(&ks.ranks) {
+            f.nums.sort_unstable();
+            let n = index.len().saturating_sub(f.nums.len());
+            let at = |rank: usize| index.select_without(rank, &f.nums).map_or(f64::NAN, float);
+            for &(p, spec) in &f.ps {
+                if let Some(q) = quantile_of_ranks(n, p, at) {
                     out[spec] = Value::Float(q);
                 }
             }
@@ -529,7 +570,8 @@ impl WindowAggregateOp {
         };
         let mut template = Vec::new();
         let mut cols = Vec::new();
-        let mut raw: Vec<RawField> = Vec::new();
+        let mut rank_fields: Vec<RankField> = Vec::new();
+        let mut distinct = Vec::new();
         let mut slots = Vec::with_capacity(aggs.len());
         for a in &aggs {
             let col = column(a.field);
@@ -539,22 +581,12 @@ impl WindowAggregateOp {
                 cols.push((col, column(a.by_field())));
                 continue;
             }
-            let j = raw.iter().position(|r| r.col == col);
-            let j = j.unwrap_or_else(|| {
-                raw.push(RawField {
-                    col,
-                    ps: Vec::new(),
-                    distinct: false,
-                    nums: Vec::new(),
-                });
-                raw.len() - 1
-            });
             let p = match a.kind {
                 AggregateKind::Median => 0.5,
                 AggregateKind::Quantile(p) => p,
                 AggregateKind::DistinctCount => {
-                    raw[j].distinct = true;
-                    slots.push(Slot::Distinct(j));
+                    slots.push(Slot::Distinct(distinct.len()));
+                    distinct.push(col);
                     continue;
                 }
                 kind => {
@@ -563,12 +595,17 @@ impl WindowAggregateOp {
                     )))
                 }
             };
-            raw[j].ps.push((p, slots.len()));
+            let j = rank_fields.iter().position(|f| f.col == col);
+            let j = j.unwrap_or_else(|| {
+                rank_fields.push(RankField {
+                    col,
+                    ps: Vec::new(),
+                    nums: Vec::new(),
+                });
+                rank_fields.len() - 1
+            });
+            rank_fields[j].ps.push((p, slots.len()));
             slots.push(Slot::Quantile);
-        }
-        // Ascending, so each field's quantiles select over a shrinking tail.
-        for r in &mut raw {
-            r.ps.sort_by(|a, b| a.0.total_cmp(&b.0));
         }
         let fiba = FibaState {
             grid: Grid {
@@ -582,7 +619,8 @@ impl WindowAggregateOp {
                 cols,
             },
             slots,
-            raw,
+            rank_fields,
+            distinct,
             keys: BTreeMap::new(),
             held: 0,
             pending: BTreeSet::new(),
@@ -638,13 +676,17 @@ impl WindowAggregateOp {
         self.fiba.held
     }
 
-    /// Bytes the time trees have allocated: node arenas, leaf key/value
-    /// arrays and child arrays at capacity, and the boxed partials of the
-    /// node caches. Walks every node — a diagnostic, not a gauge.
+    /// Bytes the window state has allocated: per key, the time tree (node
+    /// arenas, leaf key/value arrays and child arrays at capacity, the boxed
+    /// partials of the node caches) and the rank indexes. Walks every node —
+    /// a diagnostic, not a gauge.
     pub fn state_bytes(&self) -> usize {
         let cache = self.fiba.fold.template.len() * size_of::<PaneAgg>();
-        let trees = self.fiba.keys.values();
-        trees.map(|ks| ks.time.state_bytes(cache)).sum()
+        let key_bytes = |ks: &FibaKeyState| {
+            let ranks: usize = ks.ranks.iter().map(RankIndex::state_bytes).sum();
+            ks.time.state_bytes(cache) + ks.ranks.capacity() * size_of::<RankIndex>() + ranks
+        };
+        self.fiba.keys.values().map(key_bytes).sum()
     }
 
     /// Keys with an unemitted window holding an event (each counted once,
@@ -692,11 +734,16 @@ impl WindowAggregateOp {
         let ks = match fs.keys.get_mut(key as &dyn KeyView) {
             Some(ks) => ks,
             None => {
-                let fresh = FibaKeyState::new(fs.fields.len());
+                let fresh = FibaKeyState::new(fs.fields.len(), fs.rank_fields.len());
                 fs.keys.entry(Key(key.clone())).or_insert(fresh)
             }
         };
         ks.time.insert((t, e.seq), &fs.entry);
+        for (f, index) in fs.rank_fields.iter().zip(&mut ks.ranks) {
+            if let Some(x) = fs.entry[f.col].as_f64() {
+                index.insert(image(x));
+            }
+        }
         let moved = ks.admit((t, e.seq), first, grid);
         if let Some((old, new)) = moved {
             fs.requeue(Key(key.clone()), old, new);
@@ -765,9 +812,7 @@ impl WindowAggregateOp {
         out: &mut dyn FnMut(StreamElement),
     ) {
         let (s, e) = (start.raw(), end.raw());
-        // A window ends at `start + length >= 1`, so the inclusive upper
-        // bound `(end - 1, MAX)` cannot underflow.
-        let (count, aggregates) = self.fiba.answer(key, (s, 0), (e - 1, u64::MAX));
+        let (count, aggregates) = self.fiba.answer(key, (s, e));
         self.out_seq += 1;
         if revision > 0 {
             self.stats.revisions += 1;
@@ -1289,28 +1334,22 @@ mod tests {
         );
     }
 
-    #[test]
-    fn a_held_event_costs_its_entry_not_a_heap_block() {
-        // sliding:1000:250;mean:0,max:0;key=1 — one entry column (both specs
-        // read field 0), so an entry is 16 + 24 bytes in its leaf's arrays.
-        // 50 000 in-order events over 4 keys, 12 a time unit, K = 100: the
-        // trees hold a window, K and a slide of them.
+    /// State bytes per held event of `sliding:1000:250` over `aggs`, keyed by
+    /// field 1, after 50 000 in-order events over 4 keys, 12 a time unit,
+    /// K = 100: the trees hold a window, K and a slide of them. A flush must
+    /// leave nothing allocated.
+    fn bytes_per_held_event(aggs: Vec<AggregateSpec>) -> f64 {
         let mut w = WindowAggregateOp::new(
             WindowSpec::sliding(1_000u64, 250u64),
-            vec![
-                AggregateSpec::new(AggregateKind::Mean, 0, "mean"),
-                AggregateSpec::new(AggregateKind::Max, 0, "max"),
-            ],
+            aggs,
             Some(1),
             LatePolicy::Drop,
         )
         .unwrap();
-        let mut accepted = 0u64;
         for i in 0..50_000u64 {
             let ts = i / 12;
             let row = Row::new([Value::Float((i % 97) as f64), Value::Int((i % 4) as i64)]);
             w.process(StreamElement::Event(Event::new(ts, i, row)), &mut |_| {});
-            accepted += 1;
             if i % 600 == 0 {
                 w.process(
                     StreamElement::Watermark(Timestamp(ts.saturating_sub(100))),
@@ -1318,7 +1357,7 @@ mod tests {
                 );
             }
         }
-        assert_eq!(w.stats().accepted, accepted);
+        assert_eq!(w.stats().accepted, 50_000);
         let held = w.held_events();
         let in_trees: u64 = w.fiba.keys.values().map(|ks| ks.time.len()).sum();
         assert_eq!(held, in_trees, "the counter tracks inserts and evictions");
@@ -1327,14 +1366,118 @@ mod tests {
             "between a window less a slide and a window plus K: {held}"
         );
         let per_event = w.state_bytes() as f64 / held as f64;
+        w.process(StreamElement::Flush, &mut |_| {});
+        assert_eq!((w.held_events(), w.state_bytes()), (0, 0));
+        per_event
+    }
+
+    #[test]
+    fn a_held_event_costs_its_entry_not_a_heap_block() {
+        // mean:0,max:0 — one entry column (both specs read field 0), so an
+        // entry is 16 + 24 bytes in its leaf's arrays.
+        let per_event = bytes_per_held_event(vec![
+            AggregateSpec::new(AggregateKind::Mean, 0, "mean"),
+            AggregateSpec::new(AggregateKind::Max, 0, "max"),
+        ]);
         // The budget DESIGN.md §17.2 states: 40 B of entry in leaves that
         // in-order arrival leaves full, plus node headers, caches, the
         // arena's spare capacity and — the largest share, ≈ 15 B here, just
         // after a slide — the freed leaves that keep their arrays for the
         // next splits. Measured 67 B; the parent's layout was ≈ 300 B.
         assert!(per_event <= 80.0, "{per_event:.1} B per held event");
+    }
+
+    #[test]
+    fn a_held_order_statistic_event_adds_one_rank_index_slot() {
+        // median:0,q0.9:0 — the same 40 B entry and no cached partial, plus
+        // the event's 8 B value image in its key's rank index, whose 64-slot
+        // chunks run half to wholly full. Measured 77 B.
+        let per_event = bytes_per_held_event(vec![
+            AggregateSpec::new(AggregateKind::Median, 0, "med"),
+            AggregateSpec::new(AggregateKind::Quantile(0.9), 0, "p90"),
+        ]);
+        assert!(per_event <= 90.0, "{per_event:.1} B per held event");
+    }
+
+    /// Every key's rank indexes against the numeric values its tree holds.
+    fn assert_indexes_follow_trees(w: &WindowAggregateOp, after: usize) {
+        let fs = &w.fiba;
+        for (key, ks) in &fs.keys {
+            assert_eq!(ks.ranks.len(), fs.rank_fields.len());
+            for (f, index) in fs.rank_fields.iter().zip(&ks.ranks) {
+                let mut held = Vec::new();
+                ks.time
+                    .for_each(&mut |_, vals| held.extend(vals[f.col].as_f64().map(image)));
+                held.sort_unstable();
+                assert!(
+                    index.iter().eq(held.iter().copied()),
+                    "key {key:?}, column {}, after element {after}",
+                    f.col
+                );
+            }
+        }
+    }
+
+    #[test]
+    fn the_rank_index_follows_the_tree() {
+        // Appends; stragglers 15 behind (into open windows), 50 behind (a
+        // revision of an emitted window) and 90 behind (past the lateness:
+        // dropped); slide evictions and `Revise` expiry; a key that stops at
+        // element 300 and is dropped whole; Flush. After every element each
+        // key's index holds exactly the numeric values its tree holds.
+        let mut w = WindowAggregateOp::new(
+            WindowSpec::sliding(40u64, 10u64),
+            vec![
+                AggregateSpec::new(AggregateKind::Median, 1, "med"),
+                AggregateSpec::new(AggregateKind::Quantile(0.9), 1, "p90"),
+                AggregateSpec::new(AggregateKind::Quantile(0.2), 2, "p20"),
+                AggregateSpec::new(AggregateKind::Sum, 2, "sum"),
+            ],
+            Some(0),
+            LatePolicy::Revise {
+                allowed_lateness: 25,
+            },
+        )
+        .unwrap();
+        let mut input = Vec::new();
+        for i in 0..600u64 {
+            let ts = match i % 10 {
+                3 => i.saturating_sub(15),
+                6 => i.saturating_sub(50),
+                8 => i.saturating_sub(90),
+                _ => i,
+            };
+            let key = if i < 300 { i % 3 } else { i % 2 };
+            let v = match i % 7 {
+                0 => Value::Null,
+                1 => Value::str("x"),
+                2 => Value::Float(f64::NAN),
+                _ => Value::Int((i % 13) as i64),
+            };
+            let row = Row::new([Value::Int(key as i64), v, Value::Float((i % 5) as f64)]);
+            input.push(StreamElement::Event(Event::new(ts, i, row)));
+            if i % 4 == 0 {
+                input.push(StreamElement::Watermark(Timestamp(i.saturating_sub(5))));
+            }
+        }
+        let stopped = Key(Value::Int(2));
+        let mut seen_stopped = false;
+        for (n, el) in input.into_iter().enumerate() {
+            w.process(el, &mut |_| {});
+            assert_indexes_follow_trees(&w, n);
+            seen_stopped |= w.fiba.keys.contains_key(&stopped);
+        }
+        assert!(seen_stopped && !w.fiba.keys.contains_key(&stopped));
+        let stats = w.stats();
+        assert!(stats.revisions > 0 && stats.late_dropped > 0, "{stats:?}");
+        assert!(w.fiba.keys.values().any(|ks| ks.ranks[0].len() > 0));
         w.process(StreamElement::Flush, &mut |_| {});
-        assert_eq!((w.held_events(), w.state_bytes()), (0, 0));
+        assert!(w
+            .fiba
+            .keys
+            .values()
+            .all(|ks| ks.ranks.iter().all(|r| r.len() == 0)));
+        assert!(w.fiba.keys.is_empty());
     }
 
     #[test]

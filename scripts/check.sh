@@ -57,6 +57,15 @@ PROPTEST_CASES=2000 QUILL_FIBA_FUZZ_SEEDS="${QUILL_FIBA_FUZZ_SEEDS:-64}" \
 echo "==> quill-core property soak (PROPTEST_CASES=2000)"
 PROPTEST_CASES=2000 cargo test --release -q -p quill-core --test proptest_core
 
+# Order-statistic soak: every Median, Quantile and DistinctCount result,
+# revisions included, against `AggregateSpec::compute` over the window's
+# members, bit for bit — keyed sliding windows up to 40 per event, near and
+# deep stragglers, `Drop` and `Revise`, NaN/±0/±inf/i64::MAX/null/string
+# values — at 2 000 cases (the suite's other properties keep their pinned
+# count).
+echo "==> quill-engine order-statistic soak (PROPTEST_CASES=2000)"
+PROPTEST_CASES=2000 cargo test --release -q -p quill-engine --test proptest_engine
+
 # Differential simulation soak: QUILL_SIM_CASES seeds through the full
 # strategy × executor sweep against the naive oracle. Scale the seed count
 # up for a longer soak, e.g. QUILL_SIM_CASES=256 ./scripts/check.sh.
