@@ -259,9 +259,9 @@ fn check_window(query: &QuerySpec, diags: &mut Vec<Diagnostic>) {
                     length.div_ceil(slide)
                 ),
                 "every event is folded once whatever the overlap (one tree insert); the overlap \
-                 is paid at emission — that many results cover each event, and \
-                 Median/Quantile/DistinctCount re-collect the window's values for each — \
-                 consider a coarser slide",
+                 is paid at emission — that many results cover each event, and DistinctCount \
+                 re-visits the window's values for each (Median/Quantile select from a per-key \
+                 rank index instead) — consider a coarser slide",
             ));
         }
     }
@@ -282,9 +282,11 @@ fn check_fold_path(query: &QuerySpec, diags: &mut Vec<Diagnostic>) {
                     "plan.aggregate.fold-path",
                     Severity::Warn,
                     format!(
-                        "non-combinable aggregate(s) [{}] over sliding windows are answered by \
-                         collecting the window's values at every emission: each event is \
-                         visited by ~{} emissions, O(window) work each",
+                        "non-combinable aggregate(s) [{}] over sliding windows are answered \
+                         without a cached partial at each of the ~{} emissions that cover an \
+                         event: Median/Quantile select from a per-key rank index after visiting \
+                         the held entries outside the window, DistinctCount visits the whole \
+                         window",
                         non_combinable.join(", "),
                         length.raw().div_ceil(slide.raw().max(1))
                     ),
@@ -415,17 +417,15 @@ fn check_parallel(query: &QuerySpec, opts: &ExecOptions, diags: &mut Vec<Diagnos
     let Some(config) = opts.parallel else {
         return;
     };
-    if config.shards == 0 || config.batch_size == 0 || config.channel_capacity == 0 {
+    if config.shards == 0 || config.batch_size == 0 {
         diags.push(Diagnostic::new(
             "plan.parallel.config",
             Severity::Deny,
             format!(
-                "degenerate parallel configuration: shards={}, batch_size={}, \
-                 channel_capacity={} (all must be > 0)",
-                config.shards, config.batch_size, config.channel_capacity
+                "degenerate parallel configuration: shards={}, batch_size={} (both must be > 0)",
+                config.shards, config.batch_size
             ),
-            "use ParallelConfig::new(shards) and adjust batching via with_batch_size / \
-             with_channel_capacity",
+            "use ParallelConfig::new(shards) and adjust batching via with_batch_size",
         ));
         return;
     }

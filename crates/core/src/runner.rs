@@ -1169,7 +1169,7 @@ mod tests {
             &events,
             &mut s,
             &query,
-            &ExecOptions::parallel(ParallelConfig::new(4).with_deterministic(true))
+            &ExecOptions::parallel(ParallelConfig::new(4))
                 .with_telemetry(&telemetry)
                 .with_spans(&spans),
         )
@@ -1223,7 +1223,7 @@ mod tests {
         );
         let mut s1 = FixedKSlack::new(160u64);
         let mut s2 = FixedKSlack::new(160u64);
-        let opts = ExecOptions::parallel(ParallelConfig::new(2).with_deterministic(true));
+        let opts = ExecOptions::parallel(ParallelConfig::new(2));
         let plain = execute(&events, &mut s1, &query, &opts).unwrap();
         let spans = SpanRecorder::with_default_capacity();
         let spanned = execute(&events, &mut s2, &query, &opts.with_spans(&spans)).unwrap();

@@ -2,42 +2,32 @@
 //!
 //! Keyed window aggregation partitions cleanly by grouping key: each shard
 //! owns a disjoint key subset, receives every watermark (broadcast), and
-//! runs an independent operator instance on its own thread. Results are
-//! merged deterministically, so the parallel run is observationally
-//! identical (as a set, and in (window, key) order) to the single-threaded
-//! one — asserted by tests, a proptest and the `quill-sim` matrix.
-//! [`run_keyed_parallel`] is the one entry point.
-//!
-//! The executor is batched and allocation-lean:
+//! runs an independent operator instance. Results are merged
+//! deterministically, so the parallel run is observationally identical (as a
+//! set, and in (window, key) order) to the single-threaded one — asserted by
+//! tests, a proptest and the `quill-sim` matrix. [`run_keyed_parallel`] is
+//! the one entry point.
 //!
 //! * **Batched routing** — events travel to shards as `Vec<StreamElement>`
-//!   chunks over bounded channels ([`ParallelConfig::batch_size`] per chunk)
-//!   instead of one channel send per event. Watermarks are appended to
-//!   *every* shard's pending batch, and a watermark that lands directly
-//!   behind another one *coalesces* (replaces it in place) — see the
-//!   internal `ShardRouter` for why that is exact. `Flush` still forces
-//!   every pending batch out.
+//!   chunks ([`ParallelConfig::batch_size`] per chunk) instead of one hand-off
+//!   per event. Watermarks are appended to *every* shard's pending batch, and
+//!   a watermark that lands directly behind another one *coalesces*
+//!   (replaces it in place) — see the internal `ShardRouter` for why that is
+//!   exact. `Flush` forces every pending batch out.
 //! * **Shard routing** — [`shard_of`] hashes the key `Value` in place with a
 //!   seeded [`FxHasher`]: no `Key` clone, no per-event `DefaultHasher`
 //!   construction, stable across runs/threads/platforms.
-//! * **Result channel** — workers ship finished result-run segments back
-//!   over one shared unbounded channel as they are produced instead of
-//!   holding their whole output until join; segments concatenate per shard
-//!   in FIFO order, so each shard's run is preserved exactly.
-//! * **Inline scheduler** — with [`ParallelConfig::deterministic`] set, or
-//!   with `shards == 1`, no thread or channel exists: the caller thread runs
-//!   each flushed batch through its shard's operator at once, behind the
-//!   same router and in front of the same merge.
-//! * **Ordered merge** — each shard's [`WindowAggregateOp`] already emits in
-//!   `(window.end, window.start, key)` order, so the global order is
-//!   recovered by a batch-at-a-time galloping merge of the per-shard runs:
-//!   pick the run whose head is smallest (ties broken by shard index),
-//!   binary-search how far it may run before the next run's head, and copy
-//!   that whole prefix at once — O(total) moves with O(log) comparisons per
-//!   *chunk* rather than a heap operation per *element*. If a shard's run
-//!   is not sorted — e.g. a revising operator interleaves revision rows —
-//!   the merge falls back to one stable sort over order keys that are
-//!   computed *once per element* (no per-comparison `String` allocation).
+//! * **One lane per shard** — the shard count alone picks where a flushed
+//!   batch goes: at one shard, straight into the operator on the caller
+//!   thread; otherwise to a worker thread that owns the shard's operator,
+//!   behind a bounded channel of 64 batches. Either way the
+//!   operator sees the same batch sequence, and each worker hands back its
+//!   operator and its whole result run when it is joined.
+//! * **Ordered merge** — each shard's [`WindowAggregateOp`] emits in
+//!   `(window.end, window.start, key)` order; the runs, concatenated in shard
+//!   order, go through one stable sort on that key, computed once per
+//!   element. Equal keys therefore come out in shard order, then emission
+//!   order, and the std sort takes each already-sorted run as one run.
 //!
 //! Shard-local window finalization is built on these primitives by
 //! `quill-core`'s runner: the disorder-control strategy forwards every event
@@ -58,32 +48,25 @@ use quill_telemetry::{Counter, Gauge, Registry, SpanRecorder, Stage};
 use std::hash::Hasher;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
+use std::thread::JoinHandle;
+
+/// Capacity, in batches, of each worker's input channel. Bounds in-flight
+/// memory to roughly `shards × CHANNEL_CAPACITY × batch_size` events.
+const CHANNEL_CAPACITY: usize = 64;
 
 /// Tuning knobs for [`run_keyed_parallel`].
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct ParallelConfig {
-    /// Number of worker shards (threads). Must be > 0.
+    /// Number of shards. One shard runs on the caller thread; more run one
+    /// worker thread each. Must be > 0.
     pub shards: usize,
-    /// Events per routed batch. `1` degenerates to per-event sends; larger
-    /// batches amortise channel synchronisation. Must be > 0.
+    /// Events per routed batch. `1` degenerates to per-event hand-offs;
+    /// larger batches amortise channel synchronisation. Must be > 0.
     pub batch_size: usize,
-    /// Bounded channel capacity, in *batches*, per shard. Bounds memory to
-    /// roughly `shards × channel_capacity × batch_size` in-flight events.
-    /// Must be > 0.
-    pub channel_capacity: usize,
-    /// Run the shards inline on the caller thread, in shard order, instead
-    /// of spawning worker threads. Routing, batching and the output merge
-    /// are byte-for-byte the code the threaded path runs, so the output is
-    /// identical — this is the deterministic shard-scheduler seam the
-    /// `quill-sim` differential harness sweeps to prove the merged output is
-    /// independent of worker scheduling (and to run thousands of small cases
-    /// without thread-spawn overhead). A single shard always runs inline:
-    /// one worker thread would only add a channel hop.
-    pub deterministic: bool,
 }
 
 impl ParallelConfig {
-    /// Config with the given shard count and default batching parameters.
+    /// Config with the given shard count and the default batch size.
     pub fn new(shards: usize) -> ParallelConfig {
         ParallelConfig {
             shards,
@@ -97,20 +80,6 @@ impl ParallelConfig {
         self
     }
 
-    /// Set the per-shard channel capacity (in batches).
-    pub fn with_channel_capacity(mut self, capacity: usize) -> ParallelConfig {
-        self.channel_capacity = capacity;
-        self
-    }
-
-    /// Toggle deterministic inline execution (no worker threads; shards run
-    /// on the caller thread in shard order). Output is identical to the
-    /// threaded path by construction.
-    pub fn with_deterministic(mut self, deterministic: bool) -> ParallelConfig {
-        self.deterministic = deterministic;
-        self
-    }
-
     fn validate(&self) -> Result<()> {
         if self.shards == 0 {
             return Err(EngineError::InvalidPipeline("shards must be > 0".into()));
@@ -118,11 +87,6 @@ impl ParallelConfig {
         if self.batch_size == 0 {
             return Err(EngineError::InvalidPipeline(
                 "batch_size must be > 0".into(),
-            ));
-        }
-        if self.channel_capacity == 0 {
-            return Err(EngineError::InvalidPipeline(
-                "channel_capacity must be > 0".into(),
             ));
         }
         Ok(())
@@ -134,8 +98,6 @@ impl Default for ParallelConfig {
         ParallelConfig {
             shards: 4,
             batch_size: 256,
-            channel_capacity: 64,
-            deterministic: false,
         }
     }
 }
@@ -153,56 +115,32 @@ pub fn shard_of(key: &Value, shards: usize) -> usize {
     (h.finish() % shards as u64) as usize
 }
 
-/// Per-shard executor telemetry: routed-event/batch counters, a derived
-/// queue-depth gauge (batches sent minus batches the worker finished — the
-/// stub channel has no `len()`), and a shared done-counter the worker
-/// bumps. All `None`-backed no-ops when the registry is disabled.
+/// Per-shard executor telemetry: routed-event/batch/finalized counters and
+/// the queue-depth gauge. All `None`-backed no-ops when the registry is
+/// disabled.
 struct ShardMetrics {
     shard: u32,
     events: Counter,
     batches: Counter,
-    /// Window results this shard finalized (`quill.shard.<i>.finalized_windows`);
-    /// cloned into the worker thread, bumped once per output event.
+    /// Window results this shard finalized (`quill.shard.<i>.finalized_windows`).
     finalized: Counter,
     queue_depth: Gauge,
-    /// Batches the worker thread has fully processed (shared with it).
-    done: Option<Arc<AtomicU64>>,
-    /// Batches the router has sent to this shard.
-    sent: u64,
 }
 
 impl ShardMetrics {
-    /// `observe` enables the done-counter handshake with the worker (needed
-    /// by either telemetry or spans; without it `depth()` is always 0).
-    fn new(telemetry: &Registry, shard: usize, observe: bool) -> ShardMetrics {
+    fn new(telemetry: &Registry, shard: usize) -> ShardMetrics {
         ShardMetrics {
             shard: shard as u32,
             events: telemetry.counter(&format!("quill.shard.{shard}.events")),
             batches: telemetry.counter(&format!("quill.shard.{shard}.batches")),
             finalized: telemetry.counter(&format!("quill.shard.{shard}.finalized_windows")),
             queue_depth: telemetry.gauge(&format!("quill.shard.{shard}.queue_depth")),
-            done: observe.then(|| Arc::new(AtomicU64::new(0))),
-            sent: 0,
         }
     }
-
-    /// In-flight batches right now (0 when observation is disabled).
-    fn depth(&self) -> u64 {
-        self.done
-            .as_ref()
-            .map_or(0, |d| self.sent.saturating_sub(d.load(Ordering::Relaxed)))
-    }
 }
 
-/// Sum of per-shard in-flight batch depths (the explicit cross-shard
-/// aggregate behind `quill.executor.queue_depth`).
-fn depth_sum(metrics: &[ShardMetrics]) -> u64 {
-    metrics.iter().map(ShardMetrics::depth).sum()
-}
-
-/// Per-shard pending batches with watermark coalescing — the one routing
-/// policy both the threaded and the deterministic inline executors use, so
-/// each shard consumes the identical batch sequence under either scheduler.
+/// Per-shard pending batches with watermark coalescing — the routing policy
+/// every shard count runs.
 ///
 /// Events go to their key's shard; watermarks are broadcast but do *not*
 /// force a flush, and a watermark `W2` landing directly behind another
@@ -259,13 +197,141 @@ impl ShardRouter {
     }
 }
 
+/// Where one shard's flushed batches go.
+enum Lane<O> {
+    /// The only shard: its operator runs each batch on the caller thread.
+    Inline { op: O, outs: Vec<StreamElement> },
+    /// A worker thread owning the shard's operator, fed over a bounded
+    /// channel; joining it returns the operator and its result run.
+    Worker {
+        tx: channel::Sender<Vec<StreamElement>>,
+        handle: JoinHandle<(O, Vec<StreamElement>)>,
+        /// Batches the worker has fully processed, shared with it; `None`
+        /// when nothing observes the queue depth.
+        done: Option<Arc<AtomicU64>>,
+        /// Batches sent to the worker.
+        sent: u64,
+    },
+}
+
+impl<O: Operator + 'static> Lane<O> {
+    /// Spawn a worker thread that runs `op` over every batch it receives.
+    fn worker(mut op: O, finalized: Counter, observe: bool) -> Lane<O> {
+        let (tx, rx) = channel::bounded::<Vec<StreamElement>>(CHANNEL_CAPACITY);
+        let done = observe.then(|| Arc::new(AtomicU64::new(0)));
+        let processed = done.clone();
+        let handle = std::thread::spawn(move || {
+            let mut outs = Vec::new();
+            for batch in rx {
+                process_batch(&mut op, batch, &mut outs, &finalized);
+                if let Some(d) = &processed {
+                    d.fetch_add(1, Ordering::Relaxed);
+                }
+            }
+            (op, outs)
+        });
+        Lane::Worker {
+            tx,
+            handle,
+            done,
+            sent: 0,
+        }
+    }
+
+    /// Batches in flight right now (always 0 inline or unobserved).
+    fn depth(&self) -> u64 {
+        match self {
+            Lane::Worker {
+                done: Some(d),
+                sent,
+                ..
+            } => sent.saturating_sub(d.load(Ordering::Relaxed)),
+            _ => 0,
+        }
+    }
+
+    /// Hand `buf`, the shard's pending batch, to this lane, leaving it
+    /// empty. A worker lane first checks for backpressure: a send that finds
+    /// the channel full counts a `send_stalls` and records a
+    /// [`Stage::SendStall`].
+    fn hand_off(
+        &mut self,
+        buf: &mut Vec<StreamElement>,
+        batch_size: usize,
+        m: &ShardMetrics,
+        send_stalls: &Counter,
+        spans: &SpanRecorder,
+    ) -> Result<()> {
+        if buf.is_empty() {
+            return Ok(());
+        }
+        if spans.is_enabled() {
+            record_route_span(spans, buf, m.shard);
+        }
+        m.batches.inc();
+        let depth = self.depth();
+        match self {
+            Lane::Inline { op, outs } => process_batch(op, buf.drain(..), outs, &m.finalized),
+            Lane::Worker { tx, sent, .. } => {
+                if depth >= CHANNEL_CAPACITY as u64 {
+                    send_stalls.inc();
+                    if spans.is_enabled() {
+                        let at = buf
+                            .iter()
+                            .find_map(|el| el.as_event())
+                            .map_or(0, |e| e.ts.raw());
+                        spans.record_detail(Stage::SendStall, at, at, m.shard, [depth, 0]);
+                    }
+                }
+                let batch = std::mem::replace(buf, Vec::with_capacity(batch_size));
+                tx.send(batch)
+                    .map_err(|_| EngineError::ExecutorFailure("shard died".into()))?;
+                *sent += 1;
+                m.queue_depth.set_u64(depth + 1);
+            }
+        }
+        Ok(())
+    }
+
+    /// The shard's operator and result run, once its input has ended.
+    fn into_output(self) -> Result<(O, Vec<StreamElement>)> {
+        match self {
+            Lane::Inline { op, outs } => Ok((op, outs)),
+            Lane::Worker { tx, handle, .. } => {
+                drop(tx);
+                handle
+                    .join()
+                    .map_err(|_| EngineError::ExecutorFailure("shard thread panicked".into()))
+            }
+        }
+    }
+}
+
+/// Run one batch through a shard's operator, keeping only its data output
+/// (punctuation is re-derived after the merge).
+fn process_batch<O: Operator>(
+    op: &mut O,
+    batch: impl IntoIterator<Item = StreamElement>,
+    outs: &mut Vec<StreamElement>,
+    finalized: &Counter,
+) {
+    for el in batch {
+        op.process(el, &mut |o| {
+            if matches!(o, StreamElement::Event(_)) {
+                finalized.inc();
+                outs.push(o);
+            }
+        });
+    }
+}
+
 /// Run a keyed operator data-parallel over `config.shards` shards, routing
 /// events in batches, and return the merged output together with the
 /// per-shard operator instances (for stats aggregation).
 ///
 /// * `elements` — the (already disorder-controlled) input stream;
 /// * `key_field` — the row index events are partitioned by;
-/// * `config` — shard count, batching and scheduler;
+/// * `config` — shard count and batch size;
 /// * `telemetry`, `spans` — what the executor records into (see below);
 ///   pass [`Registry::disabled`] and [`SpanRecorder::disabled`] to record
 ///   nothing — every hook then folds to a branch on `None`;
@@ -276,9 +342,8 @@ impl ShardRouter {
 /// Events are routed by key hash; watermarks and flush are broadcast to all
 /// shards as batch delimiters. Returns all output *events* (window results)
 /// in deterministic `(window.end, window.start, key)` order, plus the
-/// operators in shard order. The output does not depend on the scheduler:
-/// worker threads, or the inline scheduler ([`ParallelConfig::deterministic`],
-/// and always at one shard).
+/// operators in shard order. One shard runs on the caller thread, more on
+/// one worker thread each; the output is the same.
 ///
 /// Recorded:
 ///
@@ -286,24 +351,22 @@ impl ShardRouter {
 ///   `.finalized_windows` counters and a `.queue_depth` gauge,
 ///   `quill.executor.send_stalls` (sends issued while the shard's channel
 ///   was at capacity, i.e. backpressure), the cross-shard
-///   `quill.executor.queue_depth` and `quill.executor.result_queue_depth`
-///   gauges, and `quill.merge.elements` / `.windows` / `.fallback_sorts` for
-///   the output merge (the inline scheduler has no channels, so its stall
+///   `quill.executor.queue_depth` gauge, and `quill.merge.elements` /
+///   `.windows` for the output merge (one shard has no channel, so its stall
 ///   counter and depth gauges stay at zero);
 /// * spans (logical clock) — [`Stage::Route`] per flushed shard batch over
 ///   the earliest to latest event timestamp in it, a [`Stage::SendStall`]
 ///   instant whenever a batch send finds the shard's channel at capacity
 ///   (at the batch's first event time, carrying the in-flight depth), and
 ///   one [`Stage::Merge`] on [`MERGE_SHARD`] over the merged window-end
-///   range, carrying the element count and whether the fallback sort ran.
-///   Downstream [`Stage::WindowFinalize`] / [`Stage::LateDrop`] records come
-///   from the per-shard operators via their `attach_spans` hooks — pass the
-///   same recorder to the factory.
+///   range, carrying the element count. Downstream
+///   [`Stage::WindowFinalize`] / [`Stage::LateDrop`] records come from the
+///   per-shard operators via their `attach_spans` hooks — pass the same
+///   recorder to the factory.
 ///
 /// # Errors
 /// [`EngineError::ExecutorFailure`] if a worker panics or dies early;
-/// [`EngineError::InvalidPipeline`] for a zero shard count, batch size or
-/// channel capacity.
+/// [`EngineError::InvalidPipeline`] for a zero shard count or batch size.
 pub fn run_keyed_parallel<O>(
     elements: Vec<StreamElement>,
     key_field: usize,
@@ -316,227 +379,78 @@ where
     O: Operator + 'static,
 {
     config.validate()?;
-    if config.deterministic || config.shards == 1 {
-        return run_inline(elements, key_field, config, telemetry, spans, make_op);
-    }
-    let shards = config.shards;
-    let observe = telemetry.is_enabled() || spans.is_enabled();
-    let mut metrics: Vec<ShardMetrics> = (0..shards)
-        .map(|s| ShardMetrics::new(telemetry, s, observe))
-        .collect();
-    let send_stalls = telemetry.counter("quill.executor.send_stalls");
-    let agg_depth = telemetry.gauge("quill.executor.queue_depth");
-    let result_depth = telemetry.gauge("quill.executor.result_queue_depth");
-    // Workers ship finished result-run segments back as they are produced.
-    // Unbounded on purpose: a bounded result channel could deadlock against
-    // the bounded input channels (router blocked sending input, worker
-    // blocked sending results). Memory stays bounded by the output size,
-    // which the caller materialises anyway.
-    let (result_tx, result_rx) = channel::unbounded::<(usize, Vec<StreamElement>)>();
-    let result_pending = observe.then(|| Arc::new(AtomicU64::new(0)));
-    // Ship segments at a floor of 256 results so tiny input batch sizes
-    // (stress configs) don't degenerate into per-result channel traffic.
-    let result_batch = config.batch_size.max(256);
-    let mut txs = Vec::with_capacity(shards);
-    let mut handles = Vec::with_capacity(shards);
-    for (s, m) in metrics.iter().enumerate() {
-        let (tx, rx) = channel::bounded::<Vec<StreamElement>>(config.channel_capacity);
-        let mut op = make_op(s);
-        // quill-lint: allow(hot-path-alloc, reason = "executor startup: runs once per shard, not per event")
-        let done = m.done.clone();
-        // quill-lint: allow(hot-path-alloc, reason = "executor startup: runs once per shard, not per event")
-        let finalized = m.finalized.clone();
-        // quill-lint: allow(hot-path-alloc, reason = "executor startup: runs once per shard, not per event")
-        let result_tx = result_tx.clone();
-        // quill-lint: allow(hot-path-alloc, reason = "executor startup: runs once per shard, not per event")
-        let pending = result_pending.clone();
-        handles.push(std::thread::spawn(move || {
-            // quill-lint: allow(hot-path-alloc, reason = "one output buffer per worker thread, allocated at spawn")
-            let mut outs: Vec<StreamElement> = Vec::new();
-            for batch in rx {
-                for el in batch {
-                    op.process(el, &mut |o| {
-                        // Punctuation is re-derived after the merge; keep
-                        // only data.
-                        if matches!(o, StreamElement::Event(_)) {
-                            finalized.inc();
-                            outs.push(o);
-                        }
-                    });
-                }
-                if let Some(d) = &done {
-                    d.fetch_add(1, Ordering::Relaxed);
-                }
-                if outs.len() >= result_batch {
-                    if let Some(p) = &pending {
-                        p.fetch_add(1, Ordering::Relaxed);
-                    }
-                    let _ = result_tx.send((s, std::mem::take(&mut outs)));
-                }
-            }
-            if !outs.is_empty() {
-                if let Some(p) = &pending {
-                    p.fetch_add(1, Ordering::Relaxed);
-                }
-                let _ = result_tx.send((s, outs));
-            }
-            op
-        }));
-        txs.push(tx);
-    }
-    drop(result_tx);
-
-    // Route. Events accumulate in per-shard buffers flushed at batch_size;
-    // watermarks are broadcast (and coalesced) without forcing a flush;
-    // Flush forces every pending batch out.
-    let mut router = ShardRouter::new(shards, config.batch_size);
-    for el in elements {
-        match &el {
-            StreamElement::Event(e) => {
-                let shard = shard_of(e.row.get(key_field), shards);
-                metrics[shard].events.inc();
-                if router.push_event(shard, el) {
-                    flush_batch(
-                        &txs[shard],
-                        &mut router.bufs[shard],
-                        &config,
-                        &mut metrics[shard],
-                        &send_stalls,
-                        spans,
-                    )?;
-                    if telemetry.is_enabled() {
-                        agg_depth.set_u64(depth_sum(&metrics));
-                    }
-                }
-            }
-            _ => {
-                if router.push_punctuation(&el) {
-                    for ((tx, buf), m) in txs.iter().zip(&mut router.bufs).zip(&mut metrics) {
-                        flush_batch(tx, buf, &config, m, &send_stalls, spans)?;
-                    }
-                    if telemetry.is_enabled() {
-                        agg_depth.set_u64(depth_sum(&metrics));
-                    }
-                }
-            }
-        }
-    }
-    for ((tx, buf), m) in txs.iter().zip(&mut router.bufs).zip(&mut metrics) {
-        flush_batch(tx, buf, &config, m, &send_stalls, spans)?;
-    }
-    drop(txs);
-
-    // Drain result segments until every worker hangs up, concatenating each
-    // shard's segments in FIFO order (crossbeam preserves per-sender order,
-    // so this reconstructs each shard's run exactly).
-    let mut shard_outs: Vec<Vec<StreamElement>> = (0..shards).map(|_| Vec::new()).collect();
-    for (s, mut segment) in result_rx {
-        if let Some(p) = &result_pending {
-            let left = p.fetch_sub(1, Ordering::Relaxed).saturating_sub(1);
-            if telemetry.is_enabled() {
-                result_depth.set_u64(left);
-            }
-        }
-        shard_outs[s].append(&mut segment);
-    }
-    let mut ops = Vec::with_capacity(shards);
-    for (h, m) in handles.into_iter().zip(&metrics) {
-        let op = h
-            .join()
-            .map_err(|_| EngineError::ExecutorFailure("shard thread panicked".into()))?;
-        m.queue_depth.set_u64(0);
-        ops.push(op);
-    }
-    agg_depth.set_u64(0);
-    result_depth.set_u64(0);
-    Ok((merge_shard_outputs(shard_outs, telemetry, spans), ops))
-}
-
-/// The inline scheduler of [`run_keyed_parallel`]: the same routing (key
-/// hash, batch accumulation, punctuation broadcast as batch delimiter) and
-/// the same output merge, but every shard's operator runs on the caller
-/// thread — a flushed batch is processed immediately, shards in shard
-/// order. Each operator therefore consumes exactly the batch sequence the
-/// threaded path would deliver it, which makes the merged output equal by
-/// construction and the whole run independent of thread scheduling. At one
-/// shard this is the whole executor: no thread, no channel.
-///
-/// Telemetry: per-shard `.events` / `.batches` / `.finalized_windows`
-/// counters and the merge instruments record as in the threaded path;
-/// `quill.executor.send_stalls` and the queue-depth gauges stay at zero.
-fn run_inline<O>(
-    elements: Vec<StreamElement>,
-    key_field: usize,
-    config: ParallelConfig,
-    telemetry: &Registry,
-    spans: &SpanRecorder,
-    make_op: impl Fn(usize) -> O,
-) -> Result<(Vec<StreamElement>, Vec<O>)>
-where
-    O: Operator + 'static,
-{
     let shards = config.shards;
     let metrics: Vec<ShardMetrics> = (0..shards)
-        .map(|s| ShardMetrics::new(telemetry, s, false))
+        .map(|s| ShardMetrics::new(telemetry, s))
         .collect();
-    let mut ops: Vec<O> = (0..shards).map(&make_op).collect();
-    let mut outs: Vec<Vec<StreamElement>> = (0..shards).map(|_| Vec::new()).collect();
-    let mut router = ShardRouter::new(shards, config.batch_size);
-    let drain = |shard: usize,
-                 buf: &mut Vec<StreamElement>,
-                 ops: &mut Vec<O>,
-                 outs: &mut Vec<Vec<StreamElement>>| {
-        if buf.is_empty() {
-            return;
-        }
-        metrics[shard].batches.inc();
-        if spans.is_enabled() {
-            record_route_span(spans, buf, shard as u32);
-        }
-        let out = &mut outs[shard];
-        for el in buf.drain(..) {
-            ops[shard].process(el, &mut |o| {
-                // Same rule as the worker threads: punctuation is re-derived
-                // after the merge; keep only data.
-                if matches!(o, StreamElement::Event(_)) {
-                    metrics[shard].finalized.inc();
-                    out.push(o);
-                }
-            });
-        }
+    let send_stalls = telemetry.counter("quill.executor.send_stalls");
+    let queue_depth = telemetry.gauge("quill.executor.queue_depth");
+    let mut lanes: Vec<Lane<O>> = if shards == 1 {
+        vec![Lane::Inline {
+            op: make_op(0),
+            outs: Vec::new(),
+        }]
+    } else {
+        let observe = telemetry.is_enabled() || spans.is_enabled();
+        metrics
+            .iter()
+            .enumerate()
+            .map(|(s, m)| Lane::worker(make_op(s), m.finalized.clone(), observe))
+            .collect()
     };
+    let flush =
+        |lanes: &mut [Lane<O>], bufs: &mut [Vec<StreamElement>], shard: usize| -> Result<()> {
+            lanes[shard].hand_off(
+                &mut bufs[shard],
+                config.batch_size,
+                &metrics[shard],
+                &send_stalls,
+                spans,
+            )?;
+            if telemetry.is_enabled() {
+                queue_depth.set_u64(lanes.iter().map(Lane::depth).sum());
+            }
+            Ok(())
+        };
+
+    let mut router = ShardRouter::new(shards, config.batch_size);
     for el in elements {
         match &el {
             StreamElement::Event(e) => {
                 let shard = shard_of(e.row.get(key_field), shards);
                 metrics[shard].events.inc();
                 if router.push_event(shard, el) {
-                    let mut buf = std::mem::take(&mut router.bufs[shard]);
-                    drain(shard, &mut buf, &mut ops, &mut outs);
-                    router.bufs[shard] = buf;
+                    flush(&mut lanes, &mut router.bufs, shard)?;
                 }
             }
             _ => {
                 if router.push_punctuation(&el) {
-                    for (shard, slot) in router.bufs.iter_mut().enumerate() {
-                        let mut buf = std::mem::take(slot);
-                        drain(shard, &mut buf, &mut ops, &mut outs);
-                        *slot = buf;
+                    for shard in 0..shards {
+                        flush(&mut lanes, &mut router.bufs, shard)?;
                     }
                 }
             }
         }
     }
-    for (shard, slot) in router.bufs.iter_mut().enumerate() {
-        let mut buf = std::mem::take(slot);
-        drain(shard, &mut buf, &mut ops, &mut outs);
+    for shard in 0..shards {
+        flush(&mut lanes, &mut router.bufs, shard)?;
     }
-    Ok((merge_shard_outputs(outs, telemetry, spans), ops))
+
+    let mut ops = Vec::with_capacity(shards);
+    let mut runs = Vec::with_capacity(shards);
+    for (lane, m) in lanes.into_iter().zip(&metrics) {
+        let (op, outs) = lane.into_output()?;
+        m.queue_depth.set_u64(0);
+        ops.push(op);
+        runs.push(outs);
+    }
+    queue_depth.set_u64(0);
+    Ok((merge_shard_outputs(runs, telemetry, spans), ops))
 }
 
 /// Record one [`Stage::Route`] span for a flushed shard batch: `begin` is
 /// the earliest and `end` the latest event timestamp in the batch (the
-/// event-time extent routed in one channel send). Batches holding only
+/// event-time extent routed in one hand-off). Batches holding only
 /// punctuation record nothing — there is no event-time extent to attribute.
 fn record_route_span(spans: &SpanRecorder, batch: &[StreamElement], shard: u32) {
     let mut lo = u64::MAX;
@@ -550,46 +464,6 @@ fn record_route_span(spans: &SpanRecorder, batch: &[StreamElement], shard: u32) 
     if lo != u64::MAX {
         spans.record(Stage::Route, lo, hi, shard);
     }
-}
-
-fn flush_batch(
-    tx: &channel::Sender<Vec<StreamElement>>,
-    buf: &mut Vec<StreamElement>,
-    config: &ParallelConfig,
-    metrics: &mut ShardMetrics,
-    send_stalls: &Counter,
-    spans: &SpanRecorder,
-) -> Result<()> {
-    if buf.is_empty() {
-        return Ok(());
-    }
-    if spans.is_enabled() {
-        record_route_span(spans, buf, metrics.shard);
-    }
-    if metrics.done.is_some() {
-        // Backpressure: the bounded send below will block until the worker
-        // drains a batch.
-        let depth = metrics.depth();
-        if depth >= config.channel_capacity as u64 {
-            send_stalls.inc();
-            if spans.is_enabled() {
-                let at = buf
-                    .iter()
-                    .find_map(|el| el.as_event())
-                    .map_or(0, |e| e.ts.raw());
-                spans.record_detail(Stage::SendStall, at, at, metrics.shard, [depth, 0]);
-            }
-        }
-        metrics.batches.inc();
-    }
-    let batch = std::mem::replace(buf, Vec::with_capacity(config.batch_size));
-    tx.send(batch)
-        .map_err(|_| EngineError::ExecutorFailure("shard died".into()))?;
-    if metrics.done.is_some() {
-        metrics.sent += 1;
-        metrics.queue_depth.set_u64(metrics.depth());
-    }
-    Ok(())
 }
 
 /// Global output order: window end, window start, key. Computed once per
@@ -626,146 +500,46 @@ fn merge_key(el: &StreamElement) -> MergeKey {
     }
 }
 
-/// Merge per-shard output runs into one deterministically ordered stream.
-///
-/// Fast path: every run is already sorted by [`MergeKey`] (non-strictly —
-/// revisions of the same window compare equal), so the global order is
-/// recovered by a batch-at-a-time *galloping* merge: repeatedly pick the run
-/// whose head is smallest under `(key, shard)`, binary-search how far that
-/// run may gallop before the smallest other head would sort first, and move
-/// the whole prefix into the output at once. Ties reproduce the classic
-/// heap merge exactly — equal keys emit in shard-index order — but a run
-/// with no contention (the common case when shards own disjoint keys and
-/// windows cluster) is copied in O(1) comparisons per chunk instead of one
-/// heap rebalance per element. Fallback: one stable sort over the cached
-/// keys, preserving within-shard emission order.
+/// Merge per-shard output runs into one deterministically ordered stream:
+/// the runs, concatenated in shard order, sorted stably by [`MergeKey`].
+/// Equal keys come out in shard order, then in emission order (a revising
+/// operator's rows for one window keep theirs), and an unsorted run comes
+/// out sorted. Each shard's run is normally sorted already, and the std
+/// stable sort merges such runs rather than re-sorting them.
 ///
 /// Telemetry: `quill.merge.elements` counts merged elements,
 /// `quill.merge.windows` counts distinct merge keys among them (window
-/// revisions collapse onto their window), `quill.merge.fallback_sorts`
-/// counts sort-path activations.
+/// revisions collapse onto their window).
 fn merge_shard_outputs(
     shard_outs: Vec<Vec<StreamElement>>,
     telemetry: &Registry,
     spans: &SpanRecorder,
 ) -> Vec<StreamElement> {
-    let total: usize = shard_outs.iter().map(Vec::len).sum();
-    telemetry.counter("quill.merge.elements").add(total as u64);
-    let keyed: Vec<Vec<(MergeKey, StreamElement)>> = shard_outs
+    let mut keyed: Vec<(MergeKey, StreamElement)> = shard_outs
         .into_iter()
-        .map(|outs| outs.into_iter().map(|el| (merge_key(&el), el)).collect())
+        .flatten()
+        .map(|el| (merge_key(&el), el))
         .collect();
-    let sorted = keyed
-        .iter()
-        .all(|run| run.windows(2).all(|w| w[0].0 <= w[1].0));
-    if spans.is_enabled() && total > 0 {
+    keyed.sort_by(|a, b| a.0.cmp(&b.0));
+    let total = keyed.len() as u64;
+    telemetry.counter("quill.merge.elements").add(total);
+    if telemetry.is_enabled() {
+        let windows = keyed.chunk_by(|a, b| a.0 == b.0).count();
+        telemetry.counter("quill.merge.windows").add(windows as u64);
+    }
+    if spans.is_enabled() {
         // One Merge span on the pseudo-shard spanning the merged window-end
         // range (the event-time extent the merge interleaves).
-        let mut lo = u64::MAX;
-        let mut hi = 0u64;
-        for run in &keyed {
-            for (k, _) in run {
-                if k.0 != u64::MAX {
-                    lo = lo.min(k.0);
-                    hi = hi.max(k.0);
-                }
-            }
-        }
-        if lo != u64::MAX {
-            let detail = [total as u64, u64::from(!sorted)];
-            spans.record_detail(Stage::Merge, lo, hi, MERGE_SHARD, detail);
+        let mut ends = keyed
+            .iter()
+            .map(|(k, _)| k.0)
+            .filter(|&end| end != u64::MAX);
+        if let Some(lo) = ends.next() {
+            let hi = ends.next_back().unwrap_or(lo);
+            spans.record_detail(Stage::Merge, lo, hi, MERGE_SHARD, [total, 0]);
         }
     }
-    let count_windows = telemetry.is_enabled();
-    let mut windows = 0u64;
-    let mut prev_key: Option<MergeKey> = None;
-    let mut out = Vec::with_capacity(total);
-    if sorted {
-        // Split keys (kept addressable for binary search) from payloads
-        // (consumed front to back without cloning).
-        let mut key_runs: Vec<Vec<MergeKey>> = Vec::with_capacity(keyed.len());
-        let mut el_runs: Vec<std::vec::IntoIter<StreamElement>> = Vec::with_capacity(keyed.len());
-        for run in keyed {
-            let (keys, els): (Vec<MergeKey>, Vec<StreamElement>) = run.into_iter().unzip();
-            key_runs.push(keys);
-            el_runs.push(els.into_iter());
-        }
-        let mut idxs = vec![0usize; key_runs.len()];
-        loop {
-            // The run whose head sorts first under (key, shard) — the same
-            // total order the heap merge used.
-            let mut best: Option<(usize, &MergeKey)> = None;
-            let mut bound: Option<(usize, &MergeKey)> = None;
-            for (s, keys) in key_runs.iter().enumerate() {
-                if idxs[s] < keys.len() {
-                    let k = &keys[idxs[s]];
-                    match best {
-                        None => best = Some((s, k)),
-                        Some((bs, bk)) if (k, s) < (bk, bs) => {
-                            bound = best;
-                            best = Some((s, k));
-                        }
-                        _ => match bound {
-                            None => bound = Some((s, k)),
-                            Some((os, ok)) if (k, s) < (ok, os) => bound = Some((s, k)),
-                            _ => {}
-                        },
-                    }
-                }
-            }
-            let Some((s, _)) = best else { break };
-            let start = idxs[s];
-            let keys = &key_runs[s];
-            let take = match bound {
-                // Sole remaining run: gallop to its end.
-                None => keys.len() - start,
-                Some((bs, bk)) => {
-                    // Emit while (key, s) < (bk, bs): for s < bs that is
-                    // key <= bk (equal keys break toward the lower shard),
-                    // otherwise strictly key < bk.
-                    if s < bs {
-                        keys[start..].partition_point(|k| k <= bk)
-                    } else {
-                        keys[start..].partition_point(|k| k < bk)
-                    }
-                }
-            };
-            debug_assert!(take >= 1, "the minimal head must always be emittable");
-            if count_windows {
-                for k in &keys[start..start + take] {
-                    if prev_key.as_ref() != Some(k) {
-                        windows += 1;
-                        // quill-lint: allow(hot-path-alloc, reason = "cloned only on key change — once per window, not per element")
-                        prev_key = Some(k.clone());
-                    }
-                }
-            }
-            out.extend(el_runs[s].by_ref().take(take));
-            idxs[s] = start + take;
-        }
-    } else {
-        telemetry.counter("quill.merge.fallback_sorts").inc();
-        let mut flat: Vec<(MergeKey, usize, StreamElement)> = keyed
-            .into_iter()
-            .enumerate()
-            .flat_map(|(shard, run)| run.into_iter().map(move |(k, el)| (k, shard, el)))
-            .collect();
-        flat.sort_by(|a, b| (&a.0, a.1).cmp(&(&b.0, b.1)));
-        if count_windows {
-            for (k, _, _) in &flat {
-                if prev_key.as_ref() != Some(k) {
-                    windows += 1;
-                    // quill-lint: allow(hot-path-alloc, reason = "cloned only on key change — once per window, not per element")
-                    prev_key = Some(k.clone());
-                }
-            }
-        }
-        out.extend(flat.into_iter().map(|(_, _, el)| el));
-    }
-    if count_windows {
-        telemetry.counter("quill.merge.windows").add(windows);
-    }
-    out
+    keyed.into_iter().map(|(_, el)| el).collect()
 }
 
 #[cfg(test)]
@@ -776,7 +550,7 @@ mod tests {
     use crate::operator::{LatePolicy, WindowAggregateOp};
     use crate::time::Timestamp;
     use crate::value::Row;
-    use crate::window::WindowSpec;
+    use crate::window::{Window, WindowSpec};
     use quill_telemetry::Span;
 
     fn window_op() -> WindowAggregateOp {
@@ -866,29 +640,12 @@ mod tests {
         for batch in [7usize, 256, 1024, 100_000] {
             let out = run(
                 elements.clone(),
-                ParallelConfig::new(4)
-                    .with_batch_size(batch)
-                    .with_channel_capacity(2),
+                ParallelConfig::new(4).with_batch_size(batch),
                 window_op,
             )
             .expect("batched run")
             .0;
             assert_eq!(out, reference, "batch_size={batch}");
-        }
-    }
-
-    #[test]
-    fn deterministic_inline_matches_threaded() {
-        let elements = input(2_000, 13);
-        for shards in [1usize, 3, 4, 8] {
-            let cfg = ParallelConfig::new(shards).with_batch_size(32);
-            let threaded = run(elements.clone(), cfg, window_op)
-                .expect("threaded run")
-                .0;
-            let inline = run(elements.clone(), cfg.with_deterministic(true), window_op)
-                .expect("inline run")
-                .0;
-            assert_eq!(inline, threaded, "shards={shards}");
         }
     }
 
@@ -902,19 +659,6 @@ mod tests {
             window_op()
         })
         .expect("run")
-    }
-
-    #[test]
-    fn inline_mode_counts_shard_events() {
-        let reg = Registry::new();
-        let n = 1_000u64;
-        let cfg = ParallelConfig::new(4).with_deterministic(true);
-        let (out, ops) = run_instrumented(input(n, 8), cfg, &reg);
-        let snap = reg.snapshot();
-        assert_eq!(snap.counter_family_sum("quill.shard.", ".events"), n);
-        assert_eq!(snap.counter("quill.merge.elements"), out.len() as u64);
-        let accepted: u64 = ops.iter().map(|op| op.stats().accepted).sum();
-        assert_eq!(accepted, n);
     }
 
     #[test]
@@ -953,7 +697,6 @@ mod tests {
     fn degenerate_config_rejected() {
         for cfg in [
             ParallelConfig::new(4).with_batch_size(0),
-            ParallelConfig::new(4).with_channel_capacity(0),
             ParallelConfig::new(0),
         ] {
             assert!(matches!(
@@ -980,9 +723,7 @@ mod tests {
     fn instrumented_run_records_shard_and_merge_metrics() {
         let reg = Registry::new();
         let n = 1_000u64;
-        let cfg = ParallelConfig::new(4)
-            .with_batch_size(64)
-            .with_channel_capacity(2);
+        let cfg = ParallelConfig::new(4).with_batch_size(64);
         let (out, _ops) = run_instrumented(input(n, 8), cfg, &reg);
         let snap = reg.snapshot();
         assert_eq!(
@@ -992,7 +733,6 @@ mod tests {
         );
         assert!(snap.counter_family_sum("quill.shard.", ".batches") >= 4);
         assert_eq!(snap.counter("quill.merge.elements"), out.len() as u64);
-        assert_eq!(snap.counter("quill.merge.fallback_sorts"), 0);
         // Workers drained everything before join, so depth gauges end at 0.
         for s in 0..4 {
             assert_eq!(
@@ -1004,8 +744,6 @@ mod tests {
         // (drained) per-shard gauges.
         assert_eq!(snap.gauge("quill.executor.queue_depth"), Some(0.0));
         assert_eq!(snap.gauge_family_sum("quill.shard.", ".queue_depth"), 0.0);
-        // Result-channel segments were all drained before the merge.
-        assert_eq!(snap.gauge("quill.executor.result_queue_depth"), Some(0.0));
         // Every merged element was finalized by exactly one shard, and the
         // window counter matches the distinct merge keys in the output.
         assert_eq!(
@@ -1019,11 +757,11 @@ mod tests {
 
     #[test]
     fn single_shard_bypass_matches_multi_shard_output() {
-        // A single shard bypasses threads and channels (threaded scheduler
-        // requested, the inline one runs) — even at batch_size 1, the
-        // pathological case for channel traffic — yet it emits the exact
-        // result sequence the multi-shard merge produces, with the same
-        // merge telemetry so dashboards don't go dark at shards=1.
+        // A single shard runs on the caller thread, with no channel — even at
+        // batch_size 1, the pathological case for channel traffic — yet it
+        // emits the exact result sequence the multi-shard merge produces,
+        // with the same merge telemetry so dashboards don't go dark at
+        // shards=1.
         let elements = input(2_000, 13);
         let (multi, _) = run(
             elements.clone(),
@@ -1054,9 +792,8 @@ mod tests {
         );
         // The one-run merge still records its instruments.
         assert_eq!(snap.counter("quill.merge.elements"), out.len() as u64);
-        assert_eq!(snap.counter("quill.merge.fallback_sorts"), 0);
         assert!(snap.counter("quill.merge.windows") > 0);
-        // No channels exist on this path, so nothing can stall.
+        // No channel exists on this path, so nothing can stall.
         assert_eq!(snap.counter("quill.executor.send_stalls"), 0);
     }
 
@@ -1066,8 +803,8 @@ mod tests {
         // gauge; writes must not collide on a single shared name, and the
         // family sum must see every shard.
         let reg = Registry::new();
-        let m0 = ShardMetrics::new(&reg, 0, true);
-        let m1 = ShardMetrics::new(&reg, 1, true);
+        let m0 = ShardMetrics::new(&reg, 0);
+        let m1 = ShardMetrics::new(&reg, 1);
         m0.queue_depth.set_u64(3);
         m1.queue_depth.set_u64(5);
         let snap = reg.snapshot();
@@ -1080,9 +817,7 @@ mod tests {
     fn observed_run_records_trace_events_without_telemetry() {
         let spans = SpanRecorder::new(8192);
         let n = 1_000u64;
-        let cfg = ParallelConfig::new(4)
-            .with_batch_size(16)
-            .with_channel_capacity(1);
+        let cfg = ParallelConfig::new(4).with_batch_size(16);
         let (out, _ops) = run_keyed_parallel(
             input(n, 8),
             0,
@@ -1108,12 +843,12 @@ mod tests {
         // Finalizations are tagged with real shard ids, not a single shard.
         let fin_shards: std::collections::HashSet<u32> = fins.iter().map(|s| s.shard).collect();
         assert!(fin_shards.len() > 1, "8 keys over 4 shards span shards");
-        // A stall names the batches in flight on a one-batch channel.
+        // A stall names the batches in flight on a full channel.
         assert!(recorded
             .iter()
             .filter(|s| s.stage == Stage::SendStall)
             .all(|s| s.begin == s.end && s.detail[0] >= 1 && s.shard < 4));
-        // The merge reports once, on the pseudo-shard, fast path.
+        // The merge reports once, on the pseudo-shard, with its element count.
         let merges: Vec<(u32, [u64; 2])> = recorded
             .iter()
             .filter(|s| s.stage == Stage::Merge)
@@ -1126,66 +861,47 @@ mod tests {
 
     #[test]
     fn traced_run_records_route_and_merge_spans() {
-        let spans = SpanRecorder::new(8192);
         let n = 1_000u64;
-        let cfg = ParallelConfig::new(4)
-            .with_batch_size(16)
-            .with_channel_capacity(2);
-        let (out, _ops) = run_keyed_parallel(
-            input(n, 8),
-            0,
-            cfg,
-            &Registry::disabled(),
-            &spans,
-            |_shard| window_op(),
-        )
-        .expect("traced run");
-        let recorded = spans.spans();
-        // Route spans: one per flushed batch, shard-tagged, with a sane
-        // event-time extent (begin <= end, within the input's ts range).
-        let routes: Vec<_> = recorded
-            .iter()
-            .filter(|s| s.stage == Stage::Route)
-            .collect();
-        assert!(routes.len() >= 4, "at least one batch per shard");
-        for r in routes {
-            assert!(r.begin <= r.end);
-            assert!(r.end < n * 3);
-            assert!(r.shard < 4);
-        }
-        // Exactly one Merge span, on the pseudo-shard, spanning the merged
-        // window-end range.
-        let merges: Vec<_> = recorded
-            .iter()
-            .filter(|s| s.stage == Stage::Merge)
-            .collect();
-        assert_eq!(merges.len(), 1);
-        assert_eq!(merges[0].shard, MERGE_SHARD);
-        let ends: Vec<u64> = results_of(&out)
-            .iter()
-            .map(|r| r.window.end.raw())
-            .collect();
-        assert_eq!(merges[0].begin, *ends.iter().min().expect("results"));
-        assert_eq!(merges[0].end, *ends.iter().max().expect("results"));
-        // Deterministic inline scheduling records the same span *set* shape.
-        let det_spans = SpanRecorder::new(8192);
-        run_keyed_parallel(
-            input(n, 8),
-            0,
-            cfg.with_deterministic(true),
-            &Registry::disabled(),
-            &det_spans,
-            |_shard| window_op(),
-        )
-        .expect("inline traced run");
-        assert_eq!(
-            det_spans
-                .spans()
+        for shards in [4usize, 1] {
+            let spans = SpanRecorder::new(8192);
+            let cfg = ParallelConfig::new(shards).with_batch_size(16);
+            let (out, _ops) = run_keyed_parallel(
+                input(n, 8),
+                0,
+                cfg,
+                &Registry::disabled(),
+                &spans,
+                |_shard| window_op(),
+            )
+            .expect("traced run");
+            let recorded = spans.spans();
+            // Route spans: one per flushed batch, shard-tagged, with a sane
+            // event-time extent (begin <= end, within the input's ts range).
+            let routes: Vec<_> = recorded
+                .iter()
+                .filter(|s| s.stage == Stage::Route)
+                .collect();
+            assert!(routes.len() >= shards, "at least one batch per shard");
+            for r in routes {
+                assert!(r.begin <= r.end);
+                assert!(r.end < n * 3);
+                assert!((r.shard as usize) < shards);
+            }
+            // Exactly one Merge span, on the pseudo-shard, spanning the
+            // merged window-end range.
+            let merges: Vec<_> = recorded
                 .iter()
                 .filter(|s| s.stage == Stage::Merge)
-                .count(),
-            1
-        );
+                .collect();
+            assert_eq!(merges.len(), 1, "shards={shards}");
+            assert_eq!(merges[0].shard, MERGE_SHARD);
+            let ends: Vec<u64> = results_of(&out)
+                .iter()
+                .map(|r| r.window.end.raw())
+                .collect();
+            assert_eq!(merges[0].begin, *ends.iter().min().expect("results"));
+            assert_eq!(merges[0].end, *ends.iter().max().expect("results"));
+        }
     }
 
     #[test]
@@ -1206,9 +922,9 @@ mod tests {
     }
 
     #[test]
-    fn merge_fallback_handles_unsorted_shard_runs() {
+    fn merge_sorts_unsorted_shard_runs() {
         // An operator that emits events with descending timestamps breaks
-        // the sortedness invariant; the fallback must still produce a
+        // the per-shard sortedness; the merge must still produce one
         // deterministic global order.
         struct Backwards(u64);
         impl Operator for Backwards {
@@ -1232,7 +948,45 @@ mod tests {
             .filter_map(|e| e.as_event())
             .map(|e| e.ts.raw())
             .collect();
-        assert!(ts.windows(2).all(|w| w[0] <= w[1]), "fallback sorts output");
+        assert!(ts.windows(2).all(|w| w[0] <= w[1]), "merge sorts output");
+    }
+
+    #[test]
+    fn merge_orders_by_key_then_shard_then_emission() {
+        // A window result row for window [start, end) of `key`, tagged by its
+        // count so the merged order can be read back.
+        let row = |start: u64, end: u64, key: i64, tag: u64| {
+            let r = WindowResult {
+                key: Value::Int(key),
+                window: Window::new(Timestamp(start), Timestamp(end)),
+                count: tag,
+                revision: 0,
+                aggregates: Vec::new(),
+            };
+            StreamElement::Event(Event::new(end, tag, r.to_row()))
+        };
+        let tags = |out: Vec<StreamElement>| -> Vec<u64> {
+            results_of(&out).iter().map(|r| r.count).collect()
+        };
+        let merge =
+            |runs| merge_shard_outputs(runs, &Registry::disabled(), &SpanRecorder::disabled());
+        // Sorted runs. Window [0, 10) of key 1 is on both shards: shard 0's
+        // row first. Shard 0 emits [10, 20) of key 2 twice (a revision):
+        // emission order, not tag order. Shard 1's equal row comes after
+        // both, though it was emitted first on its shard.
+        let shard0 = vec![row(0, 10, 1, 9), row(10, 20, 2, 2), row(10, 20, 2, 1)];
+        let shard1 = vec![row(0, 10, 1, 3), row(10, 20, 2, 50)];
+        assert_eq!(
+            tags(merge(vec![shard0.clone(), shard1.clone()])),
+            vec![9, 3, 2, 1, 50]
+        );
+        // An unsorted run comes out sorted, and the ties above keep their
+        // order.
+        let shard2 = vec![row(20, 30, 0, 200), row(0, 5, 0, 100)];
+        assert_eq!(
+            tags(merge(vec![shard0, shard1, shard2])),
+            vec![100, 9, 3, 2, 1, 50, 200]
+        );
     }
 
     #[test]

@@ -3,9 +3,10 @@
 //! Streams whose timestamps cluster onto a coarse quantum produce many
 //! `(window end, window start)` merge-key ties — across keys on different
 //! shards, and within one key on one shard. The merged result sequence must
-//! be byte-identical across 1/2/4/8 shards, across batch sizes, and between
-//! the threaded and deterministic-inline schedulers; anything less means the
-//! merge order (and therefore downstream consumers) depends on scheduling.
+//! be byte-identical across 1/2/4/8 shards (one shard runs inline on the
+//! caller thread, more on worker threads) and across batch sizes; anything
+//! less means the merge order (and therefore downstream consumers) depends
+//! on scheduling.
 
 mod common;
 
@@ -116,40 +117,18 @@ fn merge_order_is_sorted_by_window_then_key() {
 }
 
 #[test]
-fn deterministic_inline_scheduler_reproduces_threaded_merge() {
-    for shards in [1usize, 2, 4, 8] {
-        let threaded = results_of(ParallelConfig::new(shards).with_batch_size(32));
-        let inline = results_of(
-            ParallelConfig::new(shards)
-                .with_batch_size(32)
-                .with_deterministic(true),
-        );
-        assert_eq!(inline, threaded, "schedulers diverged at shards={shards}");
-    }
-}
-
-#[test]
 fn equal_timestamp_ties_finalize_as_the_reference_does() {
     // The operator combines equal-timestamp events in `(ts, seq)` order; the
     // naive reference folds each window's contributors in that order one by
     // one. First/Last/ArgMax on tied timestamps — and the merged result
-    // sequence — must match it at every shard count, under both schedulers,
-    // though each operator takes the unordered stream as it arrives. The
-    // stream's Sum values are integer-valued floats, so even the float
-    // column is bit-exact.
+    // sequence — must match it at every shard count, though each operator
+    // takes the unordered stream as it arrives. The stream's Sum values are
+    // integer-valued floats, so even the float column is bit-exact.
     let reference = common::reference(window(), &aggs(), Some(0), &tie_stream());
     assert!(!reference.is_empty(), "test stream produced no windows");
     for shards in [1usize, 2, 4, 8] {
-        for deterministic in [false, true] {
-            let cfg = ParallelConfig::new(shards)
-                .with_batch_size(16)
-                .with_deterministic(deterministic);
-            assert_eq!(
-                results_of(cfg),
-                reference,
-                "diverged at shards={shards} deterministic={deterministic}"
-            );
-        }
+        let cfg = ParallelConfig::new(shards).with_batch_size(16);
+        assert_eq!(results_of(cfg), reference, "diverged at shards={shards}");
     }
 }
 

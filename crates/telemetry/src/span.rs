@@ -78,7 +78,7 @@ pub const MERGE_SHARD: u32 = u32::MAX;
 /// |---|---|---|---|
 /// | `BufferResidency` | oldest released ts → watermark (stream clock at the flush) | events released | watermark emitted (`u64::MAX` at the flush) |
 /// | `WindowFinalize` | window end → watermark that closed it | window start | [`key_tag`] of the key |
-/// | `Merge` | smallest → largest merged window end | elements merged | 1 if the fallback sort ran |
+/// | `Merge` | smallest → largest merged window end | elements merged | — |
 /// | `LateArrival` | event ts → the watermark it arrived behind | input seq | — |
 /// | `KChange` | decision time (instant) | K before | K after (plus the [`KChangeReason`]) |
 /// | `LateDrop` | event ts (instant) | input seq | — |
@@ -175,7 +175,7 @@ impl Stage {
         match self {
             Stage::BufferResidency => [Some("released"), Some("watermark")],
             Stage::WindowFinalize => [Some("start"), Some("key_tag")],
-            Stage::Merge => [Some("elements"), Some("fallback")],
+            Stage::Merge => [Some("elements"), None],
             Stage::LateArrival | Stage::LateDrop => [Some("input_seq"), None],
             Stage::KChange => [Some("old_k"), Some("new_k")],
             Stage::SendStall => [Some("depth"), None],
@@ -812,7 +812,7 @@ mod tests {
         rec.record_detail(Stage::BufferResidency, 10, 60, 0, [3, 60]);
         rec.record_detail(Stage::WindowFinalize, 100, 160, 1, [0, key_tag("a\"b")]);
         rec.record_for_query(Stage::Deliver, 100, 175, 0, 3);
-        rec.record_detail(Stage::Merge, 100, 200, MERGE_SHARD, [7, 1]);
+        rec.record_detail(Stage::Merge, 100, 200, MERGE_SHARD, [7, 0]);
         rec.record_detail(Stage::LateArrival, 42, 190, 0, [9, 0]);
         rec.record_k_change(95, 0, u64::MAX, KChangeReason::Ratchet);
         rec.record_detail(Stage::LateDrop, 42, 42, 2, [9, 0]);

@@ -382,7 +382,7 @@ mod tests {
         );
         rec.record_detail(Stage::LateDrop, 148, 148, 0, [7, 0]);
         rec.record_detail(Stage::SendStall, 160, 160, MERGE_SHARD, [64, 0]);
-        rec.record_detail(Stage::Merge, 100, 200, MERGE_SHARD, [1234, 1]);
+        rec.record_detail(Stage::Merge, 100, 200, MERGE_SHARD, [1234, 0]);
     }
 
     #[test]
