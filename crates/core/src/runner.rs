@@ -499,7 +499,8 @@ pub(crate) fn run_batch(
     queries: &[QuerySpec],
     opts: &ExecOptions,
 ) -> Result<BatchRun> {
-    // Validate up front so the per-shard operator factory can't fail.
+    // Validate up front: an invalid query is refused before the strategy
+    // sees an event.
     for q in queries {
         WindowAggregateOp::new(
             q.window,
@@ -623,31 +624,23 @@ fn window_parallel(
     config: ParallelConfig,
     opts: &ExecOptions,
 ) -> Result<(Vec<WindowResult>, WindowOpStats)> {
-    let (out, ops) = run_keyed_parallel(
+    let (results, ops) = run_keyed_parallel(
         elements,
         query.key_field.unwrap_or(usize::MAX),
         config,
         &opts.telemetry,
         &opts.spans,
         |shard| {
-            let shard = shard as u32;
             let mut op = WindowAggregateOp::new(
                 query.window,
                 query.aggregates.clone(),
                 query.key_field,
                 LatePolicy::Drop,
-            )
-            // quill-lint: allow(no-panic, reason = "the identical WindowAggregateOp::new call was validated at the top of run_batch()")
-            .expect("query validated above");
-            op.attach_spans(&opts.spans, shard);
-            op
+            )?;
+            op.attach_spans(&opts.spans, shard as u32);
+            Ok(op)
         },
     )?;
-    let results = out
-        .iter()
-        .filter_map(|el| el.as_event())
-        .filter_map(|e| WindowResult::from_row(&e.row))
-        .collect();
     Ok((results, sum_window_stats(&ops)))
 }
 

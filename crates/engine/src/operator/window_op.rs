@@ -1,8 +1,8 @@
 //! Keyed windowed aggregation with event-time semantics.
 //!
 //! [`WindowAggregateOp`] folds each event once into the state of its grouping
-//! key and emits one result row per (key, window) when the watermark passes
-//! the window's end. Events arriving *after* their window was already
+//! key and emits one [`WindowResult`] per (key, window) when the watermark
+//! passes the window's end. Events arriving *after* their window was already
 //! finalized are handled according to [`LatePolicy`]: counted and dropped, or
 //! emitted as revised ("update") results.
 //!
@@ -47,7 +47,7 @@ use crate::fiba::{FibaFold, FibaKey, FibaTree, WindowState};
 use crate::operator::rank_index::{float, image, RankIndex};
 use crate::operator::Operator;
 use crate::time::Timestamp;
-use crate::value::{Key, KeyView, Row, Value};
+use crate::value::{Key, KeyView, Value};
 use crate::window::{Window, WindowSpec};
 use quill_telemetry::span::key_tag;
 use quill_telemetry::{SpanRecorder, Stage};
@@ -59,10 +59,10 @@ use std::collections::{BTreeMap, BTreeSet};
 pub enum LatePolicy {
     /// Count the event in [`WindowOpStats::late_dropped`] and discard it.
     Drop,
-    /// Re-open the window, fold the event in, and emit a *revision* row
-    /// (flagged via the `revision` column of [`WindowResult`]). State for
-    /// revised windows is retained until `allowed_lateness` past the window
-    /// end, then discarded.
+    /// Re-open the window, fold the event in, and emit a *revision*
+    /// (flagged by [`WindowResult::revision`]). State for revised windows is
+    /// retained until `allowed_lateness` past the window end, then
+    /// discarded.
     Revise {
         /// How long past the window end (in time units) revisions are
         /// accepted before state is dropped for good.
@@ -108,9 +108,10 @@ pub struct WindowOpStats {
     pub agg_inserts: u64,
 }
 
-/// Parsed view of a result row emitted by [`WindowAggregateOp`].
-///
-/// Result row layout: `[key, start, end, count, revision, agg...]`.
+/// One result of [`WindowAggregateOp`]: a (key, window) answer, first
+/// emitted when the watermark passes the window's end and, under
+/// [`LatePolicy::Revise`], again as a revision for every late event that
+/// reaches it.
 #[derive(Debug, Clone, PartialEq)]
 pub struct WindowResult {
     /// Grouping key (`Null` for global aggregation).
@@ -123,43 +124,6 @@ pub struct WindowResult {
     pub revision: u64,
     /// One output per [`AggregateSpec`], in spec order.
     pub aggregates: Vec<Value>,
-}
-
-impl WindowResult {
-    /// Number of leading metadata columns before the aggregate outputs.
-    pub const META_COLS: usize = 5;
-
-    /// Serialize to the operator's row layout.
-    pub fn to_row(&self) -> Row {
-        let mut vals = Vec::with_capacity(Self::META_COLS + self.aggregates.len());
-        vals.push(self.key.clone());
-        vals.push(Value::Int(self.window.start.raw() as i64));
-        vals.push(Value::Int(self.window.end.raw() as i64));
-        vals.push(Value::Int(self.count as i64));
-        vals.push(Value::Int(self.revision as i64));
-        vals.extend(self.aggregates.iter().cloned());
-        vals.into_iter().collect()
-    }
-
-    /// Parse from the operator's row layout. Returns `None` if the row is
-    /// too short to be a window result.
-    pub fn from_row(row: &Row) -> Option<WindowResult> {
-        if row.len() < Self::META_COLS {
-            return None;
-        }
-        // Window bounds are stored as i64 bit-casts of the u64 timestamps
-        // (`to_row` uses `as i64`); `as u64` restores them losslessly even
-        // for values beyond i64::MAX.
-        let start = row.get(1).as_i64()? as u64;
-        let end = row.get(2).as_i64()? as u64;
-        Some(WindowResult {
-            key: row.get(0).clone(),
-            window: Window::new(Timestamp(start), Timestamp(end)),
-            count: row.get(3).as_i64()?.max(0) as u64,
-            revision: row.get(4).as_i64()?.max(0) as u64,
-            aggregates: row.values()[Self::META_COLS..].to_vec(),
-        })
-    }
 }
 
 /// How the time trees fold. An entry is the event's `(ts, seq)` key and its
@@ -522,12 +486,10 @@ fn pop_first_if(
 
 /// Keyed sliding/tumbling window aggregation operator.
 pub struct WindowAggregateOp {
-    name: String,
     key_field: Option<usize>,
     late_policy: LatePolicy,
     fiba: FibaState,
     watermark: Timestamp,
-    out_seq: u64,
     stats: WindowOpStats,
     spans: SpanRecorder,
     shard: u32,
@@ -629,12 +591,10 @@ impl WindowAggregateOp {
             pending_ops: 0,
         };
         Ok(WindowAggregateOp {
-            name: format!("window-agg({spec})"),
             key_field,
             late_policy,
             fiba,
             watermark: Timestamp::MIN,
-            out_seq: 0,
             stats: WindowOpStats::default(),
             spans: SpanRecorder::disabled(),
             shard: 0,
@@ -702,7 +662,7 @@ impl WindowAggregateOp {
     /// entry in the emission queue. Under `Revise`,
     /// every already-emitted window the event reaches is re-queried and
     /// emitted again as its next revision.
-    fn fold_event(&mut self, e: &Event, out: &mut dyn FnMut(StreamElement)) {
+    fn fold_event(&mut self, e: &Event, out: &mut dyn FnMut(WindowResult)) {
         let wm = self.watermark.raw();
         let fs = &mut self.fiba;
         let grid = fs.grid;
@@ -773,7 +733,7 @@ impl WindowAggregateOp {
         }
     }
 
-    fn advance_watermark(&mut self, wm: Timestamp, out: &mut dyn FnMut(StreamElement)) {
+    fn advance_watermark(&mut self, wm: Timestamp, out: &mut dyn FnMut(WindowResult)) {
         if wm <= self.watermark {
             // Watermarks never regress; equal watermarks are idempotent.
             return;
@@ -798,22 +758,20 @@ impl WindowAggregateOp {
             }
             fs.settle(&key);
         }
-        out(StreamElement::Watermark(wm));
     }
 
     /// Answer window `[start, end)` of `key` from its time tree and emit the
-    /// row: the first emission (`revision` 0) when the watermark closes the
+    /// result: the first emission (`revision` 0) when the watermark closes the
     /// window, revision *n* when a late event reaches it afterwards.
     fn emit_window(
         &mut self,
         (end, start): WindowId,
         key: &Key,
         revision: u64,
-        out: &mut dyn FnMut(StreamElement),
+        out: &mut dyn FnMut(WindowResult),
     ) {
         let (s, e) = (start.raw(), end.raw());
         let (count, aggregates) = self.fiba.answer(key, (s, e));
-        self.out_seq += 1;
         if revision > 0 {
             self.stats.revisions += 1;
         } else {
@@ -836,38 +794,30 @@ impl WindowAggregateOp {
                 );
             }
         }
-        let row = WindowResult {
+        out(WindowResult {
             key: key.0.clone(),
             window: Window::new(start, end),
             count,
             revision,
             aggregates,
-        }
-        .to_row();
-        out(StreamElement::Event(Event::new(end, self.out_seq, row)));
+        });
     }
 
-    /// [`Operator::process`] on a borrowed element: the operator copies what
-    /// it keeps out of the row, so one element can be fanned out to many
-    /// operators without a copy per operator.
-    pub fn process_ref(&mut self, el: &StreamElement, out: &mut dyn FnMut(StreamElement)) {
+    /// Process one element, handing each result it emits to `out`. The
+    /// element is borrowed: the operator copies what it keeps out of the row,
+    /// so one element can be fanned out to many operators without a copy per
+    /// operator. `Flush` is the watermark `Timestamp::MAX`.
+    pub fn process_ref(&mut self, el: &StreamElement, out: &mut dyn FnMut(WindowResult)) {
         match el {
             StreamElement::Event(e) => self.fold_event(e, out),
             StreamElement::Watermark(wm) => self.advance_watermark(*wm, out),
-            StreamElement::Flush => {
-                self.advance_watermark(Timestamp::MAX, out);
-                out(StreamElement::Flush);
-            }
+            StreamElement::Flush => self.advance_watermark(Timestamp::MAX, out),
         }
     }
 }
 
 impl Operator for WindowAggregateOp {
-    fn name(&self) -> &str {
-        &self.name
-    }
-
-    fn process(&mut self, el: StreamElement, out: &mut dyn FnMut(StreamElement)) {
+    fn process(&mut self, el: StreamElement, out: &mut dyn FnMut(WindowResult)) {
         self.process_ref(&el, out);
     }
 }
@@ -876,6 +826,7 @@ impl Operator for WindowAggregateOp {
 mod tests {
     use super::*;
     use crate::aggregate::AggregateKind;
+    use crate::value::Row;
     use quill_telemetry::Span;
 
     fn op(spec: WindowSpec, policy: LatePolicy) -> WindowAggregateOp {
@@ -893,14 +844,11 @@ mod tests {
     }
 
     fn run(op: &mut WindowAggregateOp, input: Vec<StreamElement>) -> Vec<WindowResult> {
-        let mut outs = Vec::new();
-        for el in input {
-            op.process(el, &mut |o| outs.push(o));
+        let mut results = Vec::new();
+        for el in &input {
+            op.process_ref(el, &mut |r| results.push(r));
         }
-        outs.iter()
-            .filter_map(|o| o.as_event())
-            .filter_map(|e| WindowResult::from_row(&e.row))
-            .collect()
+        results
     }
 
     #[test]
@@ -1164,38 +1112,32 @@ mod tests {
     }
 
     #[test]
-    fn watermarks_are_forwarded_and_never_regress() {
+    fn a_watermark_never_regresses() {
+        // A lower watermark is ignored, so the event at 7 behind it is late
+        // for the closed [0,10) instead of re-opening it; an equal one is
+        // idempotent.
         let mut w = op(WindowSpec::tumbling(10u64), LatePolicy::Drop);
-        let mut outs = Vec::new();
-        w.process(StreamElement::Watermark(Timestamp(10)), &mut |o| {
-            outs.push(o)
-        });
-        w.process(StreamElement::Watermark(Timestamp(5)), &mut |o| {
-            outs.push(o)
-        });
-        w.process(StreamElement::Watermark(Timestamp(20)), &mut |o| {
-            outs.push(o)
-        });
-        let wms: Vec<Timestamp> = outs
+        let results = run(
+            &mut w,
+            vec![
+                ev(5, 1, 1.0),
+                StreamElement::Watermark(Timestamp(10)),
+                StreamElement::Watermark(Timestamp(5)),
+                ev(7, 2, 2.0),
+                ev(15, 3, 4.0),
+                StreamElement::Watermark(Timestamp(10)),
+                StreamElement::Watermark(Timestamp(20)),
+            ],
+        );
+        let got: Vec<(u64, u64, Value)> = results
             .iter()
-            .filter_map(|o| match o {
-                StreamElement::Watermark(t) => Some(*t),
-                _ => None,
-            })
+            .map(|r| (r.window.end.raw(), r.count, r.aggregates[0].clone()))
             .collect();
-        assert_eq!(wms, vec![Timestamp(10), Timestamp(20)]);
-    }
-
-    #[test]
-    fn result_row_roundtrip() {
-        let r = WindowResult {
-            key: Value::str("k"),
-            window: Window::new(Timestamp(0), Timestamp(10)),
-            count: 3,
-            revision: 1,
-            aggregates: vec![Value::Float(1.5), Value::Int(2)],
-        };
-        assert_eq!(WindowResult::from_row(&r.to_row()), Some(r));
+        assert_eq!(
+            got,
+            vec![(10, 1, Value::Float(1.0)), (20, 1, Value::Float(4.0))]
+        );
+        assert_eq!(w.stats().late_dropped, 1);
     }
 
     #[test]
@@ -1349,10 +1291,10 @@ mod tests {
         for i in 0..50_000u64 {
             let ts = i / 12;
             let row = Row::new([Value::Float((i % 97) as f64), Value::Int((i % 4) as i64)]);
-            w.process(StreamElement::Event(Event::new(ts, i, row)), &mut |_| {});
+            w.process_ref(&StreamElement::Event(Event::new(ts, i, row)), &mut |_| {});
             if i % 600 == 0 {
-                w.process(
-                    StreamElement::Watermark(Timestamp(ts.saturating_sub(100))),
+                w.process_ref(
+                    &StreamElement::Watermark(Timestamp(ts.saturating_sub(100))),
                     &mut |_| {},
                 );
             }
@@ -1366,7 +1308,7 @@ mod tests {
             "between a window less a slide and a window plus K: {held}"
         );
         let per_event = w.state_bytes() as f64 / held as f64;
-        w.process(StreamElement::Flush, &mut |_| {});
+        w.process_ref(&StreamElement::Flush, &mut |_| {});
         assert_eq!((w.held_events(), w.state_bytes()), (0, 0));
         per_event
     }
@@ -1463,7 +1405,7 @@ mod tests {
         let stopped = Key(Value::Int(2));
         let mut seen_stopped = false;
         for (n, el) in input.into_iter().enumerate() {
-            w.process(el, &mut |_| {});
+            w.process_ref(&el, &mut |_| {});
             assert_indexes_follow_trees(&w, n);
             seen_stopped |= w.fiba.keys.contains_key(&stopped);
         }
@@ -1471,7 +1413,7 @@ mod tests {
         let stats = w.stats();
         assert!(stats.revisions > 0 && stats.late_dropped > 0, "{stats:?}");
         assert!(w.fiba.keys.values().any(|ks| ks.ranks[0].len() > 0));
-        w.process(StreamElement::Flush, &mut |_| {});
+        w.process_ref(&StreamElement::Flush, &mut |_| {});
         assert!(w
             .fiba
             .keys

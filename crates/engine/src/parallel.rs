@@ -23,11 +23,12 @@
 //!   behind a bounded channel of 64 batches. Either way the
 //!   operator sees the same batch sequence, and each worker hands back its
 //!   operator and its whole result run when it is joined.
-//! * **Ordered merge** — each shard's [`WindowAggregateOp`] emits in
-//!   `(window.end, window.start, key)` order; the runs, concatenated in shard
-//!   order, go through one stable sort on that key, computed once per
-//!   element. Equal keys therefore come out in shard order, then emission
-//!   order, and the std sort takes each already-sorted run as one run.
+//! * **Ordered merge** — each shard's [`WindowAggregateOp`] emits its
+//!   [`WindowResult`]s in `(window.end, window.start, key)` order; the runs,
+//!   concatenated in shard order, go through one stable sort that compares
+//!   those fields in place. Equal windows of equal keys therefore come out
+//!   in shard order, then emission order, and the std sort takes each
+//!   already-sorted run as one run.
 //!
 //! Shard-local window finalization is built on these primitives by
 //! `quill-core`'s runner: the disorder-control strategy forwards every event
@@ -40,8 +41,8 @@
 use crate::error::{EngineError, Result};
 use crate::event::StreamElement;
 use crate::hash::FxHasher;
-use crate::operator::{Operator, WindowResult};
-use crate::value::{hash_value, Key, Value};
+use crate::operator::{WindowAggregateOp, WindowResult};
+use crate::value::{hash_value, Value};
 use crossbeam::channel;
 use quill_telemetry::span::MERGE_SHARD;
 use quill_telemetry::{Counter, Gauge, Registry, SpanRecorder, Stage};
@@ -104,8 +105,8 @@ impl Default for ParallelConfig {
 
 /// Stable shard assignment for a key: hashes the borrowed `Value` with a
 /// seeded [`FxHasher`] — no clone, no hasher key-schedule per call, and
-/// coherent with [`Key`] equality (`Int(3)` and `Float(3.0)` land on the
-/// same shard).
+/// coherent with [`Key`](crate::value::Key) equality (`Int(3)` and
+/// `Float(3.0)` land on the same shard).
 pub fn shard_of(key: &Value, shards: usize) -> usize {
     if shards <= 1 {
         return 0;
@@ -198,14 +199,17 @@ impl ShardRouter {
 }
 
 /// Where one shard's flushed batches go.
-enum Lane<O> {
+enum Lane {
     /// The only shard: its operator runs each batch on the caller thread.
-    Inline { op: O, outs: Vec<StreamElement> },
+    Inline {
+        op: Box<WindowAggregateOp>,
+        results: Vec<WindowResult>,
+    },
     /// A worker thread owning the shard's operator, fed over a bounded
     /// channel; joining it returns the operator and its result run.
     Worker {
         tx: channel::Sender<Vec<StreamElement>>,
-        handle: JoinHandle<(O, Vec<StreamElement>)>,
+        handle: JoinHandle<(WindowAggregateOp, Vec<WindowResult>)>,
         /// Batches the worker has fully processed, shared with it; `None`
         /// when nothing observes the queue depth.
         done: Option<Arc<AtomicU64>>,
@@ -214,21 +218,21 @@ enum Lane<O> {
     },
 }
 
-impl<O: Operator + 'static> Lane<O> {
+impl Lane {
     /// Spawn a worker thread that runs `op` over every batch it receives.
-    fn worker(mut op: O, finalized: Counter, observe: bool) -> Lane<O> {
+    fn worker(mut op: WindowAggregateOp, finalized: Counter, observe: bool) -> Lane {
         let (tx, rx) = channel::bounded::<Vec<StreamElement>>(CHANNEL_CAPACITY);
         let done = observe.then(|| Arc::new(AtomicU64::new(0)));
         let processed = done.clone();
         let handle = std::thread::spawn(move || {
-            let mut outs = Vec::new();
+            let mut results = Vec::new();
             for batch in rx {
-                process_batch(&mut op, batch, &mut outs, &finalized);
+                process_batch(&mut op, &batch, &mut results, &finalized);
                 if let Some(d) = &processed {
                     d.fetch_add(1, Ordering::Relaxed);
                 }
             }
-            (op, outs)
+            (op, results)
         });
         Lane::Worker {
             tx,
@@ -271,7 +275,10 @@ impl<O: Operator + 'static> Lane<O> {
         m.batches.inc();
         let depth = self.depth();
         match self {
-            Lane::Inline { op, outs } => process_batch(op, buf.drain(..), outs, &m.finalized),
+            Lane::Inline { op, results } => {
+                process_batch(op, buf, results, &m.finalized);
+                buf.clear();
+            }
             Lane::Worker { tx, sent, .. } => {
                 if depth >= CHANNEL_CAPACITY as u64 {
                     send_stalls.inc();
@@ -294,9 +301,9 @@ impl<O: Operator + 'static> Lane<O> {
     }
 
     /// The shard's operator and result run, once its input has ended.
-    fn into_output(self) -> Result<(O, Vec<StreamElement>)> {
+    fn into_output(self) -> Result<(WindowAggregateOp, Vec<WindowResult>)> {
         match self {
-            Lane::Inline { op, outs } => Ok((op, outs)),
+            Lane::Inline { op, results } => Ok((*op, results)),
             Lane::Worker { tx, handle, .. } => {
                 drop(tx);
                 handle
@@ -307,27 +314,24 @@ impl<O: Operator + 'static> Lane<O> {
     }
 }
 
-/// Run one batch through a shard's operator, keeping only its data output
-/// (punctuation is re-derived after the merge).
-fn process_batch<O: Operator>(
-    op: &mut O,
-    batch: impl IntoIterator<Item = StreamElement>,
-    outs: &mut Vec<StreamElement>,
+/// Run one batch through a shard's operator, appending its results.
+fn process_batch(
+    op: &mut WindowAggregateOp,
+    batch: &[StreamElement],
+    results: &mut Vec<WindowResult>,
     finalized: &Counter,
 ) {
     for el in batch {
-        op.process(el, &mut |o| {
-            if matches!(o, StreamElement::Event(_)) {
-                finalized.inc();
-                outs.push(o);
-            }
+        op.process_ref(el, &mut |r| {
+            finalized.inc();
+            results.push(r);
         });
     }
 }
 
-/// Run a keyed operator data-parallel over `config.shards` shards, routing
-/// events in batches, and return the merged output together with the
-/// per-shard operator instances (for stats aggregation).
+/// Run a keyed window query data-parallel over `config.shards` shards,
+/// routing events in batches, and return the merged results together with
+/// the per-shard operator instances (for stats aggregation).
 ///
 /// * `elements` — the (already disorder-controlled) input stream;
 /// * `key_field` — the row index events are partitioned by;
@@ -335,15 +339,16 @@ fn process_batch<O: Operator>(
 /// * `telemetry`, `spans` — what the executor records into (see below);
 ///   pass [`Registry::disabled`] and [`SpanRecorder::disabled`] to record
 ///   nothing — every hook then folds to a branch on `None`;
-/// * `make_op` — factory producing the operator of shard `i` (each must
-///   behave identically on its key subset; the index lets an operator tag
-///   its own records).
+/// * `make_op` — factory building the operator of shard `i` (every shard
+///   runs the same query on its key subset; the index lets an operator tag
+///   its own records). Every shard's operator is built before any event is
+///   routed.
 ///
 /// Events are routed by key hash; watermarks and flush are broadcast to all
-/// shards as batch delimiters. Returns all output *events* (window results)
-/// in deterministic `(window.end, window.start, key)` order, plus the
-/// operators in shard order. One shard runs on the caller thread, more on
-/// one worker thread each; the output is the same.
+/// shards as batch delimiters. Returns every window result in deterministic
+/// `(window.end, window.start, key)` order, plus the operators in shard
+/// order. One shard runs on the caller thread, more on one worker thread
+/// each; the output is the same.
 ///
 /// Recorded:
 ///
@@ -359,59 +364,56 @@ fn process_batch<O: Operator>(
 ///   instant whenever a batch send finds the shard's channel at capacity
 ///   (at the batch's first event time, carrying the in-flight depth), and
 ///   one [`Stage::Merge`] on [`MERGE_SHARD`] over the merged window-end
-///   range, carrying the element count. Downstream
+///   range, carrying the result count. Downstream
 ///   [`Stage::WindowFinalize`] / [`Stage::LateDrop`] records come from the
 ///   per-shard operators via their `attach_spans` hooks — pass the same
 ///   recorder to the factory.
 ///
 /// # Errors
-/// [`EngineError::ExecutorFailure`] if a worker panics or dies early;
-/// [`EngineError::InvalidPipeline`] for a zero shard count or batch size.
-pub fn run_keyed_parallel<O>(
+/// The factory's first error; [`EngineError::ExecutorFailure`] if a worker
+/// panics or dies early; [`EngineError::InvalidPipeline`] for a zero shard
+/// count or batch size.
+pub fn run_keyed_parallel(
     elements: Vec<StreamElement>,
     key_field: usize,
     config: ParallelConfig,
     telemetry: &Registry,
     spans: &SpanRecorder,
-    make_op: impl Fn(usize) -> O,
-) -> Result<(Vec<StreamElement>, Vec<O>)>
-where
-    O: Operator + 'static,
-{
+    make_op: impl Fn(usize) -> Result<WindowAggregateOp>,
+) -> Result<(Vec<WindowResult>, Vec<WindowAggregateOp>)> {
     config.validate()?;
     let shards = config.shards;
+    let ops = (0..shards).map(make_op).collect::<Result<Vec<_>>>()?;
     let metrics: Vec<ShardMetrics> = (0..shards)
         .map(|s| ShardMetrics::new(telemetry, s))
         .collect();
     let send_stalls = telemetry.counter("quill.executor.send_stalls");
     let queue_depth = telemetry.gauge("quill.executor.queue_depth");
-    let mut lanes: Vec<Lane<O>> = if shards == 1 {
-        vec![Lane::Inline {
-            op: make_op(0),
-            outs: Vec::new(),
-        }]
-    } else {
-        let observe = telemetry.is_enabled() || spans.is_enabled();
-        metrics
-            .iter()
-            .enumerate()
-            .map(|(s, m)| Lane::worker(make_op(s), m.finalized.clone(), observe))
-            .collect()
+    let observe = telemetry.is_enabled() || spans.is_enabled();
+    let mut lanes: Vec<Lane> = ops
+        .into_iter()
+        .zip(&metrics)
+        .map(|(op, m)| match shards {
+            1 => Lane::Inline {
+                op: Box::new(op),
+                results: Vec::new(),
+            },
+            _ => Lane::worker(op, m.finalized.clone(), observe),
+        })
+        .collect();
+    let flush = |lanes: &mut [Lane], bufs: &mut [Vec<StreamElement>], shard: usize| -> Result<()> {
+        lanes[shard].hand_off(
+            &mut bufs[shard],
+            config.batch_size,
+            &metrics[shard],
+            &send_stalls,
+            spans,
+        )?;
+        if telemetry.is_enabled() {
+            queue_depth.set_u64(lanes.iter().map(Lane::depth).sum());
+        }
+        Ok(())
     };
-    let flush =
-        |lanes: &mut [Lane<O>], bufs: &mut [Vec<StreamElement>], shard: usize| -> Result<()> {
-            lanes[shard].hand_off(
-                &mut bufs[shard],
-                config.batch_size,
-                &metrics[shard],
-                &send_stalls,
-                spans,
-            )?;
-            if telemetry.is_enabled() {
-                queue_depth.set_u64(lanes.iter().map(Lane::depth).sum());
-            }
-            Ok(())
-        };
 
     let mut router = ShardRouter::new(shards, config.batch_size);
     for el in elements {
@@ -439,10 +441,10 @@ where
     let mut ops = Vec::with_capacity(shards);
     let mut runs = Vec::with_capacity(shards);
     for (lane, m) in lanes.into_iter().zip(&metrics) {
-        let (op, outs) = lane.into_output()?;
+        let (op, results) = lane.into_output()?;
         m.queue_depth.set_u64(0);
         ops.push(op);
-        runs.push(outs);
+        runs.push(results);
     }
     queue_depth.set_u64(0);
     Ok((merge_shard_outputs(runs, telemetry, spans), ops))
@@ -466,80 +468,46 @@ fn record_route_span(spans: &SpanRecorder, batch: &[StreamElement], shard: u32) 
     }
 }
 
-/// Global output order: window end, window start, key. Computed once per
-/// element — comparisons are allocation-free (`Key` compares the `Value` in
-/// place; no `String` per comparison).
-type MergeKey = (u64, u64, Key);
-
-fn merge_key(el: &StreamElement) -> MergeKey {
-    match el {
-        StreamElement::Event(e) => {
-            // Read the window-result metadata columns directly (same layout
-            // checks as [`WindowResult::from_row`]) instead of materialising
-            // a full `WindowResult`, which would clone the aggregates vec
-            // for every merged element.
-            let meta = if e.row.len() >= WindowResult::META_COLS {
-                match (
-                    e.row.get(1).as_i64(),
-                    e.row.get(2).as_i64(),
-                    e.row.get(3).as_i64(),
-                    e.row.get(4).as_i64(),
-                ) {
-                    (Some(start), Some(end), Some(_), Some(_)) => Some((end as u64, start as u64)),
-                    _ => None,
-                }
-            } else {
-                None
-            };
-            match meta {
-                Some((end, start)) => (end, start, Key(e.row.get(0).clone())),
-                None => (e.ts.raw(), e.seq, Key(Value::Null)),
-            }
-        }
-        _ => (u64::MAX, u64::MAX, Key(Value::Null)),
-    }
+/// The merge's total order: window end, window start, then key in
+/// [`Key`](crate::value::Key) order (`Value::total_cmp`), all compared in
+/// place.
+fn merge_order(a: &WindowResult, b: &WindowResult) -> std::cmp::Ordering {
+    (a.window.end, a.window.start)
+        .cmp(&(b.window.end, b.window.start))
+        .then_with(|| a.key.total_cmp(&b.key))
 }
 
-/// Merge per-shard output runs into one deterministically ordered stream:
-/// the runs, concatenated in shard order, sorted stably by [`MergeKey`].
-/// Equal keys come out in shard order, then in emission order (a revising
-/// operator's rows for one window keep theirs), and an unsorted run comes
-/// out sorted. Each shard's run is normally sorted already, and the std
-/// stable sort merges such runs rather than re-sorting them.
+/// Merge per-shard result runs into one deterministically ordered run: the
+/// runs, concatenated in shard order, stable-sorted in place by
+/// [`merge_order`]. Equal windows of equal keys come out in shard order, then
+/// in emission order (a revising operator's results for one window keep
+/// theirs), and an unsorted run comes out sorted. Each shard's run is
+/// normally sorted already, and the std stable sort merges such runs rather
+/// than re-sorting them.
 ///
-/// Telemetry: `quill.merge.elements` counts merged elements,
-/// `quill.merge.windows` counts distinct merge keys among them (window
+/// Telemetry: `quill.merge.elements` counts merged results,
+/// `quill.merge.windows` the distinct (window, key) pairs among them (window
 /// revisions collapse onto their window).
 fn merge_shard_outputs(
-    shard_outs: Vec<Vec<StreamElement>>,
+    runs: Vec<Vec<WindowResult>>,
     telemetry: &Registry,
     spans: &SpanRecorder,
-) -> Vec<StreamElement> {
-    let mut keyed: Vec<(MergeKey, StreamElement)> = shard_outs
-        .into_iter()
-        .flatten()
-        .map(|el| (merge_key(&el), el))
-        .collect();
-    keyed.sort_by(|a, b| a.0.cmp(&b.0));
-    let total = keyed.len() as u64;
+) -> Vec<WindowResult> {
+    let mut merged: Vec<WindowResult> = runs.into_iter().flatten().collect();
+    merged.sort_by(merge_order);
+    let total = merged.len() as u64;
     telemetry.counter("quill.merge.elements").add(total);
     if telemetry.is_enabled() {
-        let windows = keyed.chunk_by(|a, b| a.0 == b.0).count();
+        let windows = merged.chunk_by(|a, b| merge_order(a, b).is_eq()).count();
         telemetry.counter("quill.merge.windows").add(windows as u64);
     }
-    if spans.is_enabled() {
+    if let (true, Some(lo), Some(hi)) = (spans.is_enabled(), merged.first(), merged.last()) {
         // One Merge span on the pseudo-shard spanning the merged window-end
         // range (the event-time extent the merge interleaves).
-        let mut ends = keyed
-            .iter()
-            .map(|(k, _)| k.0)
-            .filter(|&end| end != u64::MAX);
-        if let Some(lo) = ends.next() {
-            let hi = ends.next_back().unwrap_or(lo);
-            spans.record_detail(Stage::Merge, lo, hi, MERGE_SHARD, [total, 0]);
-        }
+        let (lo, hi) = (lo.window.end.raw(), hi.window.end.raw());
+        spans.record_detail(Stage::Merge, lo, hi, MERGE_SHARD, [total, 0]);
     }
-    keyed.into_iter().map(|(_, el)| el).collect()
+    merged
 }
 
 #[cfg(test)]
@@ -549,7 +517,7 @@ mod tests {
     use crate::event::Event;
     use crate::operator::{LatePolicy, WindowAggregateOp};
     use crate::time::Timestamp;
-    use crate::value::Row;
+    use crate::value::{Key, Row};
     use crate::window::{Window, WindowSpec};
     use quill_telemetry::Span;
 
@@ -567,19 +535,35 @@ mod tests {
     }
 
     /// The executor with nothing recorded.
-    fn run<O: Operator + 'static>(
+    fn run(
         elements: Vec<StreamElement>,
         config: ParallelConfig,
-        make_op: impl Fn() -> O,
-    ) -> Result<(Vec<StreamElement>, Vec<O>)> {
+        make_op: impl Fn() -> WindowAggregateOp,
+    ) -> Result<(Vec<WindowResult>, Vec<WindowAggregateOp>)> {
         run_keyed_parallel(
             elements,
             0,
             config,
             &Registry::disabled(),
             &SpanRecorder::disabled(),
-            |_| make_op(),
+            |_| Ok(make_op()),
         )
+    }
+
+    /// `op` run over `elements` on the caller thread, its results in
+    /// emission order.
+    fn sequential(mut op: WindowAggregateOp, elements: &[StreamElement]) -> Vec<WindowResult> {
+        let mut results = Vec::new();
+        for el in elements {
+            op.process_ref(el, &mut |r| results.push(r));
+        }
+        results
+    }
+
+    /// The order the merge promises: `(end, start, key)`, ties in emission
+    /// order.
+    fn sort_for_merge(results: &mut [WindowResult]) {
+        results.sort_by_key(|r| (r.window.end, r.window.start, Key(r.key.clone())));
     }
 
     fn input(n: u64, keys: i64) -> Vec<StreamElement> {
@@ -596,34 +580,63 @@ mod tests {
         v
     }
 
-    fn results_of(out: &[StreamElement]) -> Vec<WindowResult> {
-        out.iter()
-            .filter_map(|e| e.as_event())
-            .filter_map(|e| WindowResult::from_row(&e.row))
-            .collect()
-    }
-
     #[test]
     fn parallel_matches_sequential_as_ordered_results() {
         let elements = input(3_000, 17);
-        // Sequential reference.
-        let mut seq_op = window_op();
-        let mut seq_out = Vec::new();
-        for el in elements.clone() {
-            seq_op.process(el, &mut |o| {
-                if matches!(o, StreamElement::Event(_)) {
-                    seq_out.push(o);
-                }
-            });
-        }
-        let mut seq_results = results_of(&seq_out);
-        seq_results.sort_by_key(|r| (r.window.end, r.window.start, Key(r.key.clone())));
-
+        let mut seq_results = sequential(window_op(), &elements);
+        sort_for_merge(&mut seq_results);
         for shards in [1usize, 2, 4, 8] {
-            let (par_out, _) = run(elements.clone(), ParallelConfig::new(shards), window_op)
+            let (par_results, _) = run(elements.clone(), ParallelConfig::new(shards), window_op)
                 .expect("parallel run");
-            let par_results = results_of(&par_out);
             assert_eq!(par_results, seq_results, "shards={shards}");
+        }
+    }
+
+    #[test]
+    fn revisions_come_out_in_merge_order_then_emission_order() {
+        // Sliding windows under `Revise`, with stragglers that revise emitted
+        // windows (some more than once) and stragglers past the allowed
+        // lateness: every shard count gives the sequential results
+        // stable-sorted by (end, start, key), each window's revisions in the
+        // order they were emitted.
+        let revising = || {
+            WindowAggregateOp::new(
+                WindowSpec::sliding(40u64, 20u64),
+                vec![
+                    AggregateSpec::new(AggregateKind::Sum, 1, "sum"),
+                    AggregateSpec::new(AggregateKind::Median, 1, "med"),
+                ],
+                Some(0),
+                LatePolicy::Revise {
+                    allowed_lateness: 30,
+                },
+            )
+            .expect("valid op")
+        };
+        let mut elements = Vec::new();
+        for i in 0..1_200u64 {
+            let ts = match i % 9 {
+                2 => i.saturating_sub(25),
+                5 => i.saturating_sub(45),
+                7 => i.saturating_sub(120),
+                _ => i,
+            };
+            let row = Row::new([Value::Int((i % 5) as i64), Value::Float((i % 11) as f64)]);
+            elements.push(StreamElement::Event(Event::new(ts, i, row)));
+            if i % 6 == 0 {
+                elements.push(StreamElement::Watermark(Timestamp(i.saturating_sub(10))));
+            }
+        }
+        elements.push(StreamElement::Flush);
+        let mut want = sequential(revising(), &elements);
+        assert!(want.iter().any(|r| r.revision > 1), "windows revised twice");
+        sort_for_merge(&mut want);
+        for shards in [1usize, 2, 4] {
+            let (got, ops) =
+                run(elements.clone(), ParallelConfig::new(shards), revising).expect("parallel run");
+            assert_eq!(got, want, "shards={shards}");
+            let dropped: u64 = ops.iter().map(|op| op.stats().late_dropped).sum();
+            assert!(dropped > 0, "stragglers past the lateness are dropped");
         }
     }
 
@@ -654,9 +667,9 @@ mod tests {
         elements: Vec<StreamElement>,
         config: ParallelConfig,
         reg: &Registry,
-    ) -> (Vec<StreamElement>, Vec<WindowAggregateOp>) {
+    ) -> (Vec<WindowResult>, Vec<WindowAggregateOp>) {
         run_keyed_parallel(elements, 0, config, reg, &SpanRecorder::disabled(), |_| {
-            window_op()
+            Ok(window_op())
         })
         .expect("run")
     }
@@ -710,8 +723,7 @@ mod tests {
     fn watermarks_are_broadcast_so_all_shards_emit() {
         // Without Flush broadcast, shards would hold their windows forever.
         let elements = input(500, 8);
-        let (out, _) = run(elements, ParallelConfig::new(4), window_op).expect("parallel run");
-        let results = results_of(&out);
+        let (results, _) = run(elements, ParallelConfig::new(4), window_op).expect("parallel run");
         let keys: std::collections::HashSet<String> =
             results.iter().map(|r| r.key.to_string()).collect();
         assert_eq!(keys.len(), 8, "all key groups must produce results");
@@ -744,15 +756,19 @@ mod tests {
         // (drained) per-shard gauges.
         assert_eq!(snap.gauge("quill.executor.queue_depth"), Some(0.0));
         assert_eq!(snap.gauge_family_sum("quill.shard.", ".queue_depth"), 0.0);
-        // Every merged element was finalized by exactly one shard, and the
-        // window counter matches the distinct merge keys in the output.
+        // Every merged result was finalized by exactly one shard, and the
+        // window counter matches the distinct (window, key) pairs in the
+        // output.
         assert_eq!(
             snap.counter_family_sum("quill.shard.", ".finalized_windows"),
             out.len() as u64
         );
-        let mut keys: Vec<MergeKey> = out.iter().map(merge_key).collect();
-        keys.dedup();
-        assert_eq!(snap.counter("quill.merge.windows"), keys.len() as u64);
+        let mut windows: Vec<_> = out
+            .iter()
+            .map(|r| (r.window.end, r.window.start, Key(r.key.clone())))
+            .collect();
+        windows.dedup();
+        assert_eq!(snap.counter("quill.merge.windows"), windows.len() as u64);
     }
 
     #[test]
@@ -773,11 +789,8 @@ mod tests {
         let reg = Registry::new();
         let (out, ops) =
             run_instrumented(elements, ParallelConfig::new(1).with_batch_size(1), &reg);
-        // Result `seq` numbers are per-operator, so compare the parsed window
-        // results in merged order: same windows, same aggregates, same order.
         assert_eq!(
-            results_of(&out),
-            results_of(&multi),
+            out, multi,
             "one shard must match the multi-shard merge, in order"
         );
         assert_eq!(ops.len(), 1);
@@ -827,7 +840,7 @@ mod tests {
             |shard| {
                 let mut op = window_op();
                 op.attach_spans(&spans, shard as u32);
-                op
+                Ok(op)
             },
         )
         .expect("observed run");
@@ -839,7 +852,7 @@ mod tests {
             .filter(|s| s.stage == Stage::WindowFinalize)
             .collect();
         assert_eq!(fins.len(), out.len());
-        assert_eq!(results_of(&out).iter().map(|r| r.count).sum::<u64>(), n);
+        assert_eq!(out.iter().map(|r| r.count).sum::<u64>(), n);
         // Finalizations are tagged with real shard ids, not a single shard.
         let fin_shards: std::collections::HashSet<u32> = fins.iter().map(|s| s.shard).collect();
         assert!(fin_shards.len() > 1, "8 keys over 4 shards span shards");
@@ -871,7 +884,7 @@ mod tests {
                 cfg,
                 &Registry::disabled(),
                 &spans,
-                |_shard| window_op(),
+                |_shard| Ok(window_op()),
             )
             .expect("traced run");
             let recorded = spans.spans();
@@ -895,10 +908,7 @@ mod tests {
                 .collect();
             assert_eq!(merges.len(), 1, "shards={shards}");
             assert_eq!(merges[0].shard, MERGE_SHARD);
-            let ends: Vec<u64> = results_of(&out)
-                .iter()
-                .map(|r| r.window.end.raw())
-                .collect();
+            let ends: Vec<u64> = out.iter().map(|r| r.window.end.raw()).collect();
             assert_eq!(merges[0].begin, *ends.iter().min().expect("results"));
             assert_eq!(merges[0].end, *ends.iter().max().expect("results"));
         }
@@ -914,65 +924,30 @@ mod tests {
         let spans = SpanRecorder::new(1024);
         let (traced, _) =
             run_keyed_parallel(elements, 0, cfg, &Registry::disabled(), &spans, |_| {
-                window_op()
+                Ok(window_op())
             })
             .expect("traced");
-        assert_eq!(results_of(&traced), results_of(&observed));
+        assert_eq!(traced, observed);
         assert!(!spans.is_empty(), "enabled recorder captured spans");
     }
 
     #[test]
-    fn merge_sorts_unsorted_shard_runs() {
-        // An operator that emits events with descending timestamps breaks
-        // the per-shard sortedness; the merge must still produce one
-        // deterministic global order.
-        struct Backwards(u64);
-        impl Operator for Backwards {
-            fn name(&self) -> &str {
-                "backwards"
-            }
-            fn process(&mut self, el: StreamElement, out: &mut dyn FnMut(StreamElement)) {
-                if let StreamElement::Event(mut e) = el {
-                    self.0 += 1;
-                    e.ts = Timestamp(1_000_000 - self.0);
-                    out(StreamElement::Event(e));
-                }
-            }
-        }
-        let elements = input(100, 5);
-        let (out, _) =
-            run(elements, ParallelConfig::new(3), || Backwards(0)).expect("parallel run");
-        assert_eq!(out.len(), 100);
-        let ts: Vec<u64> = out
-            .iter()
-            .filter_map(|e| e.as_event())
-            .map(|e| e.ts.raw())
-            .collect();
-        assert!(ts.windows(2).all(|w| w[0] <= w[1]), "merge sorts output");
-    }
-
-    #[test]
     fn merge_orders_by_key_then_shard_then_emission() {
-        // A window result row for window [start, end) of `key`, tagged by its
-        // count so the merged order can be read back.
-        let row = |start: u64, end: u64, key: i64, tag: u64| {
-            let r = WindowResult {
-                key: Value::Int(key),
-                window: Window::new(Timestamp(start), Timestamp(end)),
-                count: tag,
-                revision: 0,
-                aggregates: Vec::new(),
-            };
-            StreamElement::Event(Event::new(end, tag, r.to_row()))
+        // A result for window [start, end) of `key`, tagged by its count so
+        // the merged order can be read back.
+        let row = |start: u64, end: u64, key: i64, tag: u64| WindowResult {
+            key: Value::Int(key),
+            window: Window::new(Timestamp(start), Timestamp(end)),
+            count: tag,
+            revision: 0,
+            aggregates: Vec::new(),
         };
-        let tags = |out: Vec<StreamElement>| -> Vec<u64> {
-            results_of(&out).iter().map(|r| r.count).collect()
-        };
+        let tags = |out: Vec<WindowResult>| -> Vec<u64> { out.iter().map(|r| r.count).collect() };
         let merge =
             |runs| merge_shard_outputs(runs, &Registry::disabled(), &SpanRecorder::disabled());
         // Sorted runs. Window [0, 10) of key 1 is on both shards: shard 0's
-        // row first. Shard 0 emits [10, 20) of key 2 twice (a revision):
-        // emission order, not tag order. Shard 1's equal row comes after
+        // result first. Shard 0 emits [10, 20) of key 2 twice (a revision):
+        // emission order, not tag order. Shard 1's equal result comes after
         // both, though it was emitted first on its shard.
         let shard0 = vec![row(0, 10, 1, 9), row(10, 20, 2, 2), row(10, 20, 2, 1)];
         let shard1 = vec![row(0, 10, 1, 3), row(10, 20, 2, 50)];

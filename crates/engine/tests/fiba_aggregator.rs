@@ -28,9 +28,7 @@ mod common;
 use proptest::prelude::*;
 use quill_engine::aggregate::{AggregateKind, AggregateSpec};
 use quill_engine::fiba::{FibaFold, FibaKey, FibaTree, MIN_FANOUT};
-use quill_engine::operator::{
-    LatePolicy, Operator, WindowAggregateOp, WindowOpStats, WindowResult,
-};
+use quill_engine::operator::{LatePolicy, WindowAggregateOp, WindowOpStats, WindowResult};
 use quill_engine::prelude::*;
 use quill_engine::value::Key;
 use std::collections::BTreeMap;
@@ -267,14 +265,8 @@ fn run_op(
     let mut op =
         WindowAggregateOp::new(window, aggs.to_vec(), key_field, late_policy).expect("valid spec");
     let mut out = Vec::new();
-    for el in input.iter().cloned().chain([StreamElement::Flush]) {
-        op.process(el, &mut |o| {
-            if let Some(e) = o.as_event() {
-                if let Some(r) = WindowResult::from_row(&e.row) {
-                    out.push(r);
-                }
-            }
-        });
+    for el in input.iter().chain([&StreamElement::Flush]) {
+        op.process_ref(el, &mut |r| out.push(r));
     }
     (out, op.stats())
 }
@@ -749,9 +741,7 @@ fn every_revision_of_an_order_statistic_window_refolds_what_has_arrived() {
             StreamElement::Event(event),
             StreamElement::Watermark(Timestamp(clock)),
         ] {
-            op.process(el, &mut |o| {
-                rows.extend(o.as_event().and_then(|e| WindowResult::from_row(&e.row)));
-            });
+            op.process_ref(&el, &mut |r| rows.push(r));
         }
         // No watermark in `seen`: the reference keeps every event.
         let full = common::reference(window, &aggs, Some(0), &seen);

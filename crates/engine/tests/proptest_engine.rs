@@ -3,7 +3,7 @@
 
 use proptest::prelude::*;
 use quill_engine::aggregate::{AggregateKind, AggregateSpec};
-use quill_engine::operator::{LatePolicy, Operator, WindowAggregateOp, WindowResult};
+use quill_engine::operator::{LatePolicy, WindowAggregateOp};
 use quill_engine::prelude::*;
 
 /// The values the order-statistic property draws from: both NaN signs,
@@ -181,24 +181,12 @@ proptest! {
             .expect("valid op");
         let mut results = Vec::new();
         for (seq, &ts) in tss.iter().enumerate() {
-            op.process(
-                StreamElement::Event(Event::new(ts, seq as u64, Row::new([Value::Int(1)]))),
-                &mut |o| {
-                    if let StreamElement::Event(e) = o {
-                        if let Some(r) = WindowResult::from_row(&e.row) {
-                            results.push(r);
-                        }
-                    }
-                },
+            op.process_ref(
+                &StreamElement::Event(Event::new(ts, seq as u64, Row::new([Value::Int(1)]))),
+                &mut |r| results.push(r),
             );
         }
-        op.process(StreamElement::Flush, &mut |o| {
-            if let StreamElement::Event(e) = o {
-                if let Some(r) = WindowResult::from_row(&e.row) {
-                    results.push(r);
-                }
-            }
-        });
+        op.process_ref(&StreamElement::Flush, &mut |r| results.push(r));
         // Brute force: count per aligned window.
         let mut expected: std::collections::BTreeMap<u64, u64> = Default::default();
         for &ts in &tss {
@@ -304,9 +292,7 @@ proptest! {
                     StreamElement::Flush => {}
                 }
                 let mut rows = Vec::new();
-                op.process_ref(el, &mut |o| {
-                    rows.extend(o.as_event().and_then(|e| WindowResult::from_row(&e.row)));
-                });
+                op.process_ref(el, &mut |r| rows.push(r));
                 for r in rows {
                     let members: Vec<(Timestamp, Value)> = arrived
                         .iter()

@@ -4,7 +4,7 @@
 
 use proptest::prelude::*;
 use quill_engine::aggregate::{AggregateKind, AggregateSpec};
-use quill_engine::operator::{LatePolicy, Operator, WindowAggregateOp, WindowResult};
+use quill_engine::operator::{LatePolicy, WindowAggregateOp, WindowResult};
 use quill_engine::parallel::{run_keyed_parallel, ParallelConfig};
 use quill_engine::prelude::*;
 use quill_engine::value::Key;
@@ -86,13 +86,7 @@ fn sequential_reference(
     let mut op = make_op();
     let mut results = Vec::new();
     for el in elements {
-        op.process(el.clone(), &mut |o| {
-            if let StreamElement::Event(e) = o {
-                if let Some(r) = WindowResult::from_row(&e.row) {
-                    results.push(r);
-                }
-            }
-        });
+        op.process_ref(el, &mut |r| results.push(r));
     }
     results.sort_by_key(|r| (r.window.end, r.window.start, Key(r.key.clone())));
     results
@@ -111,15 +105,10 @@ fn check_identical(
                 ParallelConfig::new(shards).with_batch_size(batch),
                 &Registry::disabled(),
                 &SpanRecorder::disabled(),
-                |_| make_op(),
+                |_| Ok(make_op()),
             )
             .expect("parallel run");
-            let got: Vec<WindowResult> = out
-                .iter()
-                .filter_map(|e| e.as_event())
-                .filter_map(|e| WindowResult::from_row(&e.row))
-                .collect();
-            prop_assert_eq!(&got, &reference, "shards={} batch={}", shards, batch);
+            prop_assert_eq!(&out, &reference, "shards={} batch={}", shards, batch);
         }
     }
     Ok(())

@@ -77,13 +77,10 @@ fn results_of(cfg: ParallelConfig) -> Vec<WindowResult> {
         cfg,
         &Registry::disabled(),
         &SpanRecorder::disabled(),
-        |_| make_op(),
+        |_| Ok(make_op()),
     )
     .expect("parallel run");
-    out.iter()
-        .filter_map(|e| e.as_event())
-        .filter_map(|e| WindowResult::from_row(&e.row))
-        .collect()
+    out
 }
 
 #[test]

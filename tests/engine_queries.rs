@@ -27,12 +27,8 @@ fn keyed_sliding_windows_over_stock_stream() {
     }
     quill_core::prelude::DisorderControl::finish(&mut buffer, &mut elements);
     let mut results = Vec::new();
-    for el in elements {
-        op.process(el, &mut |o| {
-            if let StreamElement::Event(e) = o {
-                results.extend(WindowResult::from_row(&e.row));
-            }
-        });
+    for el in &elements {
+        op.process_ref(el, &mut |r| results.push(r));
     }
     assert!(!results.is_empty());
     // Every result's count is positive and the keyed mean is a sane price.
@@ -64,15 +60,9 @@ fn revise_policy_converges_to_oracle_counts() {
     let drive = |el: StreamElement,
                  op: &mut WindowAggregateOp,
                  latest: &mut std::collections::BTreeMap<Window, u64>| {
-        let mut outs = Vec::new();
-        op.process(el, &mut |o| outs.push(o));
-        for o in outs {
-            if let StreamElement::Event(e) = o {
-                if let Some(r) = WindowResult::from_row(&e.row) {
-                    latest.insert(r.window, r.count);
-                }
-            }
-        }
+        op.process_ref(&el, &mut |r| {
+            latest.insert(r.window, r.count);
+        });
     };
     // K = 0 ordering: feed raw arrival order with per-event watermarks.
     let mut clock = 0u64;

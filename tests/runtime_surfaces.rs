@@ -31,9 +31,8 @@ fn keyed_parallel_composes_with_aq_strategy() {
             Some(quill_gen::workload::soccer::PLAYER_FIELD),
             LatePolicy::Drop,
         )
-        .expect("valid op")
     };
-    let (out, _) = run_keyed_parallel(
+    let (results, _) = run_keyed_parallel(
         elements,
         quill_gen::workload::soccer::PLAYER_FIELD,
         ParallelConfig::new(3),
@@ -42,11 +41,6 @@ fn keyed_parallel_composes_with_aq_strategy() {
         make_op,
     )
     .expect("parallel run");
-    let results: Vec<WindowResult> = out
-        .iter()
-        .filter_map(|e| e.as_event())
-        .filter_map(|e| WindowResult::from_row(&e.row))
-        .collect();
     // Every player represented; counts sum close to the accepted total.
     let players: std::collections::HashSet<String> =
         results.iter().map(|r| r.key.to_string()).collect();
