@@ -1,21 +1,21 @@
 //! Aggregate functions over window contents.
 //!
-//! An [`AggregateSpec`] names an aggregate and the field it reads;
-//! [`AggregateSpec::build`] instantiates per-window incremental state (an
-//! [`Aggregator`]). Every aggregate also has a *reference implementation*
-//! ([`AggregateSpec::compute`]) that recomputes the result from the raw
-//! window contents; the incremental and reference paths are checked against
-//! each other by property tests, and the reference path is what the in-order
-//! oracle uses to score result quality.
+//! An [`AggregateSpec`] names an aggregate and the field it reads. The
+//! window operator folds the combinable kinds through mergeable partials
+//! (`PaneAgg`, one per tree-node cache) and answers Median/Quantile and
+//! DistinctCount from the window's values at emission
+//! (`quantile_of_ranks` is the one quantile formula). The engine has no
+//! second, reference implementation: the exact answer every result is held
+//! to — by the tests and by the quality score — is the naive oracle in
+//! `quill_metrics::oracle`, which shares no code with this module.
 //!
 //! Nulls and non-numeric values are skipped by numeric aggregates (SQL
 //! semantics); `count` counts all non-null values.
 
 use crate::error::{EngineError, Result};
 use crate::time::Timestamp;
-use crate::value::{Key, Row, Value};
+use crate::value::Value;
 use serde::{Deserialize, Serialize};
-use std::collections::BTreeSet;
 use std::fmt;
 
 /// The aggregate function to apply to one field within each window.
@@ -42,10 +42,11 @@ pub enum AggregateKind {
     Quantile(f64),
     /// Number of distinct non-null values.
     DistinctCount,
-    /// Value with the smallest event-time timestamp (arrival ties broken by
-    /// insertion order).
+    /// Value with the smallest event-time timestamp (ties: the lowest
+    /// `seq`).
     First,
-    /// Value with the largest event-time timestamp.
+    /// Value with the largest event-time timestamp (ties: the highest
+    /// `seq`).
     Last,
     /// Value of this spec's field at the row where the *other* field
     /// (the payload of this variant) is minimal. Ties: first in event time.
@@ -134,33 +135,6 @@ impl AggregateSpec {
         Ok(())
     }
 
-    /// Instantiate fresh incremental state. The reference implementations
-    /// ([`AggregateSpec::compute`], [`AggregateSpec::compute_rows`]) fold
-    /// through it; the window operator folds through mergeable partials
-    /// instead.
-    pub fn build(&self) -> Box<dyn Aggregator> {
-        match self.kind {
-            AggregateKind::Count => Box::new(CountAgg::default()),
-            AggregateKind::Sum => Box::new(SumAgg::default()),
-            AggregateKind::Mean => Box::new(MeanAgg::default()),
-            AggregateKind::Min => Box::new(ExtremeAgg::new(false)),
-            AggregateKind::Max => Box::new(ExtremeAgg::new(true)),
-            AggregateKind::StdDev => Box::new(MomentsAgg::new(true)),
-            AggregateKind::Variance => Box::new(MomentsAgg::new(false)),
-            AggregateKind::Median => Box::new(QuantileAgg::new(0.5)),
-            AggregateKind::Quantile(p) => Box::new(QuantileAgg::new(p)),
-            AggregateKind::DistinctCount => Box::new(DistinctAgg::default()),
-            AggregateKind::First => Box::new(EdgeAgg::new(false)),
-            AggregateKind::Last => Box::new(EdgeAgg::new(true)),
-            // Arg aggregates receive the full row via `insert_row` (see
-            // `Aggregator::insert_row`); plain `insert` sees only the
-            // reported field and cannot resolve the `by` field, so the
-            // reference path feeds arg aggregates through `insert_row`.
-            AggregateKind::ArgMin(by) => Box::new(ArgAgg::new(false, by)),
-            AggregateKind::ArgMax(by) => Box::new(ArgAgg::new(true, by)),
-        }
-    }
-
     /// Instantiate mergeable partial state, or `None` for kinds whose
     /// partials cannot be combined (order statistics, distinct counts; the
     /// window operator finalizes those with `quantile_of_ranks` over a
@@ -178,8 +152,8 @@ impl AggregateSpec {
             AggregateKind::Variance => PaneAgg::Moments(MomentsAgg::new(false)),
             AggregateKind::First => PaneAgg::Edge(EdgeAgg::new(false)),
             AggregateKind::Last => PaneAgg::Edge(EdgeAgg::new(true)),
-            AggregateKind::ArgMin(by) => PaneAgg::Arg(ArgAgg::new(false, by)),
-            AggregateKind::ArgMax(by) => PaneAgg::Arg(ArgAgg::new(true, by)),
+            AggregateKind::ArgMin(_) => PaneAgg::Arg(ArgAgg::new(false)),
+            AggregateKind::ArgMax(_) => PaneAgg::Arg(ArgAgg::new(true)),
             AggregateKind::Median | AggregateKind::Quantile(_) | AggregateKind::DistinctCount => {
                 return None
             }
@@ -194,54 +168,6 @@ impl AggregateSpec {
             _ => self.field,
         }
     }
-
-    /// Reference implementation: compute the aggregate from the raw window
-    /// contents in one pass. `values` is `(event timestamp, field value)` in
-    /// any order. Arg-aggregates need the full rows — use
-    /// [`AggregateSpec::compute_rows`] for them (this method returns `Null`
-    /// for arg kinds since the `by` field is unavailable).
-    pub fn compute(&self, values: &[(Timestamp, Value)]) -> Value {
-        let mut agg = self.build();
-        // The reference path must be insertion-order independent for every
-        // aggregate except First/Last, which are defined by timestamp; feed
-        // in timestamp order so ties resolve identically to sorted input.
-        let mut sorted: Vec<&(Timestamp, Value)> = values.iter().collect();
-        sorted.sort_by_key(|(ts, _)| *ts);
-        for (ts, v) in sorted {
-            agg.insert(*ts, v);
-        }
-        agg.finalize()
-    }
-
-    /// Full-row reference implementation: like [`AggregateSpec::compute`]
-    /// but with access to whole rows, supporting arg-aggregates. Used by the
-    /// in-order oracle.
-    pub fn compute_rows(&self, rows: &[(Timestamp, &Row)]) -> Value {
-        let mut agg = self.build();
-        let mut sorted: Vec<&(Timestamp, &Row)> = rows.iter().collect();
-        sorted.sort_by_key(|(ts, _)| *ts);
-        for (ts, row) in sorted {
-            agg.insert_row(*ts, row.get(self.field), row);
-        }
-        agg.finalize()
-    }
-}
-
-/// Incremental per-window aggregate state.
-pub trait Aggregator: Send {
-    /// Fold one value (with its event timestamp) into the state.
-    fn insert(&mut self, ts: Timestamp, v: &Value);
-    /// Produce the current result. `Null` when no qualifying values arrived.
-    fn finalize(&self) -> Value;
-    /// Number of values folded in (for completeness accounting).
-    fn count(&self) -> u64;
-    /// Fold one value with access to its full row. Only arg-aggregates need
-    /// the row; the default delegates to [`Aggregator::insert`].
-    /// [`AggregateSpec::compute_rows`] calls this method so arg-aggregates
-    /// work transparently.
-    fn insert_row(&mut self, ts: Timestamp, v: &Value, _row: &Row) {
-        self.insert(ts, v);
-    }
 }
 
 /// Mergeable partial aggregate state over a *pane*: a run of events
@@ -251,7 +177,7 @@ pub trait Aggregator: Send {
 /// finger B-tree ([`crate::fiba`]), and partials only in the tree's node
 /// caches: a window result merges the partials cached per subtree instead of
 /// re-folding raw events into every overlapping window. Each variant wraps
-/// the corresponding incremental aggregator and adds a `merge` operation
+/// one aggregate's state, with an `insert` folding one event and a `merge`
 /// combining two disjoint partials; merges always fold the *later* pane into
 /// the *earlier* one, so tie-breaking matches event-time order.
 #[derive(Debug, Clone)]
@@ -266,18 +192,17 @@ pub(crate) enum PaneAgg {
 }
 
 impl PaneAgg {
-    /// Fold one event into the partial (same contract as
-    /// [`Aggregator::insert_row`]): `v` is the value of the spec's field and
-    /// `by` that of [`AggregateSpec::by_field`].
+    /// Fold one event into the partial: `v` is the value of the spec's field
+    /// and `by` that of [`AggregateSpec::by_field`].
     pub(crate) fn insert(&mut self, ts: Timestamp, v: &Value, by: &Value) {
         match self {
-            PaneAgg::Count(a) => a.insert(ts, v),
-            PaneAgg::Sum(a) => a.insert(ts, v),
-            PaneAgg::Mean(a) => a.insert(ts, v),
-            PaneAgg::Extreme(a) => a.insert(ts, v),
-            PaneAgg::Moments(a) => a.insert(ts, v),
+            PaneAgg::Count(a) => a.insert(v),
+            PaneAgg::Sum(a) => a.insert(v),
+            PaneAgg::Mean(a) => a.insert(v),
+            PaneAgg::Extreme(a) => a.insert(v),
+            PaneAgg::Moments(a) => a.insert(v),
             PaneAgg::Edge(a) => a.insert(ts, v),
-            PaneAgg::Arg(a) => a.insert_by(ts, v, by),
+            PaneAgg::Arg(a) => a.insert(ts, v, by),
         }
     }
 
@@ -307,8 +232,8 @@ impl PaneAgg {
         }
     }
 
-    /// Produce the current result (same contract as
-    /// [`Aggregator::finalize`]).
+    /// Produce the current result; `Null` when no qualifying value arrived
+    /// (`Int(0)` for Count).
     pub(crate) fn finalize(&self) -> Value {
         match self {
             PaneAgg::Count(a) => a.finalize(),
@@ -325,28 +250,21 @@ impl PaneAgg {
 #[derive(Debug, Clone, Default)]
 pub(crate) struct CountAgg {
     n: u64,
-    seen: u64,
 }
 
 impl CountAgg {
-    fn merge(&mut self, o: &CountAgg) {
-        self.n += o.n;
-        self.seen += o.seen;
-    }
-}
-
-impl Aggregator for CountAgg {
-    fn insert(&mut self, _ts: Timestamp, v: &Value) {
-        self.seen += 1;
+    fn insert(&mut self, v: &Value) {
         if !v.is_null() {
             self.n += 1;
         }
     }
+
+    fn merge(&mut self, o: &CountAgg) {
+        self.n += o.n;
+    }
+
     fn finalize(&self) -> Value {
         Value::Int(self.n as i64)
-    }
-    fn count(&self) -> u64 {
-        self.seen
     }
 }
 
@@ -354,25 +272,21 @@ impl Aggregator for CountAgg {
 pub(crate) struct SumAgg {
     sum: f64,
     n: u64,
-    seen: u64,
 }
 
 impl SumAgg {
-    fn merge(&mut self, o: &SumAgg) {
-        self.sum += o.sum;
-        self.n += o.n;
-        self.seen += o.seen;
-    }
-}
-
-impl Aggregator for SumAgg {
-    fn insert(&mut self, _ts: Timestamp, v: &Value) {
-        self.seen += 1;
+    fn insert(&mut self, v: &Value) {
         if let Some(x) = v.as_f64() {
             self.sum += x;
             self.n += 1;
         }
     }
+
+    fn merge(&mut self, o: &SumAgg) {
+        self.sum += o.sum;
+        self.n += o.n;
+    }
+
     fn finalize(&self) -> Value {
         if self.n == 0 {
             Value::Null
@@ -380,43 +294,33 @@ impl Aggregator for SumAgg {
             Value::Float(self.sum)
         }
     }
-    fn count(&self) -> u64 {
-        self.seen
-    }
 }
 
 #[derive(Debug, Clone, Default)]
 pub(crate) struct MeanAgg {
     sum: f64,
     n: u64,
-    seen: u64,
 }
 
 impl MeanAgg {
-    fn merge(&mut self, o: &MeanAgg) {
-        self.sum += o.sum;
-        self.n += o.n;
-        self.seen += o.seen;
-    }
-}
-
-impl Aggregator for MeanAgg {
-    fn insert(&mut self, _ts: Timestamp, v: &Value) {
-        self.seen += 1;
+    fn insert(&mut self, v: &Value) {
         if let Some(x) = v.as_f64() {
             self.sum += x;
             self.n += 1;
         }
     }
+
+    fn merge(&mut self, o: &MeanAgg) {
+        self.sum += o.sum;
+        self.n += o.n;
+    }
+
     fn finalize(&self) -> Value {
         if self.n == 0 {
             Value::Null
         } else {
             Value::Float(self.sum / self.n as f64)
         }
-    }
-    fn count(&self) -> u64 {
-        self.seen
     }
 }
 
@@ -425,49 +329,18 @@ impl Aggregator for MeanAgg {
 pub(crate) struct ExtremeAgg {
     max: bool,
     best: Option<Value>,
-    seen: u64,
 }
 
 impl ExtremeAgg {
     fn new(max: bool) -> Self {
-        ExtremeAgg {
-            max,
-            best: None,
-            seen: 0,
-        }
+        ExtremeAgg { max, best: None }
     }
 
-    /// Merge a later partial: its extremum replaces ours only when strictly
-    /// better, so `total_cmp`-equal values keep the earlier pane's
-    /// representative (deterministic in event-time order).
-    fn merge(&mut self, o: &ExtremeAgg) {
-        self.seen += o.seen;
-        if let Some(ov) = &o.best {
-            let better = match &self.best {
-                None => true,
-                Some(b) => {
-                    let ord = ov.total_cmp(b);
-                    if self.max {
-                        ord == std::cmp::Ordering::Greater
-                    } else {
-                        ord == std::cmp::Ordering::Less
-                    }
-                }
-            };
-            if better {
-                self.best = Some(ov.clone());
-            }
-        }
-    }
-}
-
-impl Aggregator for ExtremeAgg {
-    fn insert(&mut self, _ts: Timestamp, v: &Value) {
-        self.seen += 1;
-        if v.is_null() {
-            return;
-        }
-        let better = match &self.best {
+    /// Whether `v` replaces the current extremum: only when strictly better,
+    /// so `total_cmp`-equal values keep the earlier representative
+    /// (deterministic in event-time order).
+    fn beats(&self, v: &Value) -> bool {
+        match &self.best {
             None => true,
             Some(b) => {
                 let ord = v.total_cmp(b);
@@ -477,16 +350,27 @@ impl Aggregator for ExtremeAgg {
                     ord == std::cmp::Ordering::Less
                 }
             }
-        };
-        if better {
+        }
+    }
+
+    fn insert(&mut self, v: &Value) {
+        if !v.is_null() && self.beats(v) {
             self.best = Some(v.clone());
         }
     }
+
+    /// Merge a later partial: its extremum replaces ours only when strictly
+    /// better.
+    fn merge(&mut self, o: &ExtremeAgg) {
+        if let Some(ov) = &o.best {
+            if self.beats(ov) {
+                self.best = Some(ov.clone());
+            }
+        }
+    }
+
     fn finalize(&self) -> Value {
         self.best.clone().unwrap_or(Value::Null)
-    }
-    fn count(&self) -> u64 {
-        self.seen
     }
 }
 
@@ -498,7 +382,6 @@ pub(crate) struct MomentsAgg {
     n: u64,
     mean: f64,
     m2: f64,
-    seen: u64,
 }
 
 impl MomentsAgg {
@@ -508,14 +391,21 @@ impl MomentsAgg {
             n: 0,
             mean: 0.0,
             m2: 0.0,
-            seen: 0,
+        }
+    }
+
+    fn insert(&mut self, v: &Value) {
+        if let Some(x) = v.as_f64() {
+            self.n += 1;
+            let d = x - self.mean;
+            self.mean += d / self.n as f64;
+            self.m2 += d * (x - self.mean);
         }
     }
 
     /// Chan et al.'s parallel-moments combine: exact counts, and mean/M2
     /// merged without revisiting raw values.
     fn merge(&mut self, o: &MomentsAgg) {
-        self.seen += o.seen;
         if o.n == 0 {
             return;
         }
@@ -533,18 +423,7 @@ impl MomentsAgg {
         self.mean += delta * nb / n;
         self.n += o.n;
     }
-}
 
-impl Aggregator for MomentsAgg {
-    fn insert(&mut self, _ts: Timestamp, v: &Value) {
-        self.seen += 1;
-        if let Some(x) = v.as_f64() {
-            self.n += 1;
-            let d = x - self.mean;
-            self.mean += d / self.n as f64;
-            self.m2 += d * (x - self.mean);
-        }
-    }
     fn finalize(&self) -> Value {
         if self.n == 0 {
             return Value::Null;
@@ -552,38 +431,6 @@ impl Aggregator for MomentsAgg {
         let var = (self.m2 / self.n as f64).max(0.0);
         Value::Float(if self.stddev { var.sqrt() } else { var })
     }
-    fn count(&self) -> u64 {
-        self.seen
-    }
-}
-
-/// Exact quantile over incrementally maintained *sorted* state: each ingest
-/// binary-searches the insertion point (`O(log n)` compare + `O(n)` shift of
-/// plain `f64`s — a fast `memmove`), so finalize is O(1) instead of the old
-/// clone-and-sort (`O(n)` allocation + `O(n log n)` compares per emission,
-/// which dominated Median/Quantile windows that finalize more often than
-/// they grow).
-struct QuantileAgg {
-    p: f64,
-    /// Values in ascending `total_cmp` order at all times.
-    sorted: Vec<f64>,
-    seen: u64,
-}
-
-impl QuantileAgg {
-    fn new(p: f64) -> Self {
-        QuantileAgg {
-            p: p.clamp(0.0, 1.0),
-            sorted: Vec::new(),
-            seen: 0,
-        }
-    }
-}
-
-/// p-quantile of a slice sorted by `f64::total_cmp`, with linear
-/// interpolation between ranks: the finalizer of `QuantileAgg`.
-pub(crate) fn quantile_sorted(sorted: &[f64], p: f64) -> Option<f64> {
-    quantile_of_ranks(sorted.len(), p, |rank| sorted[rank])
 }
 
 /// The one Median/Quantile formula, over `n` values whose rank-`r` order
@@ -604,100 +451,23 @@ pub(crate) fn quantile_of_ranks(n: usize, p: f64, mut at: impl FnMut(usize) -> f
     Some(lo + (hi - lo) * frac)
 }
 
-impl Aggregator for QuantileAgg {
-    fn insert(&mut self, _ts: Timestamp, v: &Value) {
-        self.seen += 1;
-        if let Some(x) = v.as_f64() {
-            // Insert after any total_cmp-equal values: equal f64s are
-            // bit-identical, so this yields exactly the array a stable
-            // sort of the raw buffer would.
-            let at = self
-                .sorted
-                .partition_point(|y| y.total_cmp(&x) != std::cmp::Ordering::Greater);
-            self.sorted.insert(at, x);
-        }
-    }
-    fn finalize(&self) -> Value {
-        match quantile_sorted(&self.sorted, self.p) {
-            Some(q) => Value::Float(q),
-            None => Value::Null,
-        }
-    }
-    fn count(&self) -> u64 {
-        self.seen
-    }
-}
-
-#[derive(Default)]
-struct DistinctAgg {
-    set: BTreeSet<Key>,
-    seen: u64,
-}
-
-impl Aggregator for DistinctAgg {
-    fn insert(&mut self, _ts: Timestamp, v: &Value) {
-        self.seen += 1;
-        if !v.is_null() {
-            self.set.insert(Key(v.clone()));
-        }
-    }
-    fn finalize(&self) -> Value {
-        Value::Int(self.set.len() as i64)
-    }
-    fn count(&self) -> u64 {
-        self.seen
-    }
-}
-
-/// First/Last by event timestamp. For equal timestamps, the earliest (resp.
-/// latest) *insertion* wins, matching the reference implementation which
-/// feeds values in (ts, insertion) order.
+/// First/Last by event timestamp. Events are inserted, and panes merged, in
+/// `(ts, seq)` order, so on equal timestamps First keeps the earliest and
+/// Last takes the latest.
 #[derive(Debug, Clone)]
 pub(crate) struct EdgeAgg {
     last: bool,
     best: Option<(Timestamp, Value)>,
-    seen: u64,
 }
 
 impl EdgeAgg {
     fn new(last: bool) -> Self {
-        EdgeAgg {
-            last,
-            best: None,
-            seen: 0,
-        }
+        EdgeAgg { last, best: None }
     }
 
-    /// Merge a later pane's partial. Panes are merged in `(ts, seq)` order,
-    /// so on equal timestamps the earlier pane holds the earlier arrival and
-    /// keeps the tie, exactly as the insert-order rule would.
-    fn merge(&mut self, o: &EdgeAgg) {
-        self.seen += o.seen;
-        if let Some((ots, ov)) = &o.best {
-            let take = match &self.best {
-                None => true,
-                Some((bt, _)) => {
-                    if self.last {
-                        *ots >= *bt
-                    } else {
-                        *ots < *bt
-                    }
-                }
-            };
-            if take {
-                self.best = Some((*ots, ov.clone()));
-            }
-        }
-    }
-}
-
-impl Aggregator for EdgeAgg {
-    fn insert(&mut self, ts: Timestamp, v: &Value) {
-        self.seen += 1;
-        if v.is_null() {
-            return;
-        }
-        let take = match &self.best {
+    /// Whether a value at `ts` replaces the current edge.
+    fn takes(&self, ts: Timestamp) -> bool {
+        match &self.best {
             None => true,
             Some((bt, _)) => {
                 if self.last {
@@ -706,19 +476,30 @@ impl Aggregator for EdgeAgg {
                     ts < *bt
                 }
             }
-        };
-        if take {
+        }
+    }
+
+    fn insert(&mut self, ts: Timestamp, v: &Value) {
+        if !v.is_null() && self.takes(ts) {
             self.best = Some((ts, v.clone()));
         }
     }
+
+    /// Merge a later pane's partial: on equal timestamps the earlier pane
+    /// holds the earlier event, exactly as the insert rule would.
+    fn merge(&mut self, o: &EdgeAgg) {
+        if let Some((ots, ov)) = &o.best {
+            if self.takes(*ots) {
+                self.best = Some((*ots, ov.clone()));
+            }
+        }
+    }
+
     fn finalize(&self) -> Value {
         self.best
             .as_ref()
             .map(|(_, v)| v.clone())
             .unwrap_or(Value::Null)
-    }
-    fn count(&self) -> u64 {
-        self.seen
     }
 }
 
@@ -726,101 +507,88 @@ impl Aggregator for EdgeAgg {
 #[derive(Debug, Clone)]
 pub(crate) struct ArgAgg {
     max: bool,
-    by: usize,
     best: Option<(Value, Timestamp, Value)>,
-    seen: u64,
 }
 
 impl ArgAgg {
-    fn new(max: bool, by: usize) -> ArgAgg {
-        ArgAgg {
-            max,
-            by,
-            best: None,
-            seen: 0,
-        }
+    fn new(max: bool) -> ArgAgg {
+        ArgAgg { max, best: None }
     }
 
-    /// Merge a later pane's partial with the same extremum/tie rule as
-    /// `insert_row`: strictly better `by` wins; equal `by` resolves to the
-    /// earliest event time.
-    fn merge(&mut self, o: &ArgAgg) {
-        self.seen += o.seen;
-        if let Some((oby, ots, ov)) = &o.best {
-            let better = match &self.best {
-                None => true,
-                Some((best_by, best_ts, _)) => {
-                    use std::cmp::Ordering::*;
-                    match oby.total_cmp(best_by) {
-                        Greater => self.max,
-                        Less => !self.max,
-                        Equal => *ots < *best_ts,
-                    }
+    /// Whether `by` at `ts` replaces the current extremum: a strictly better
+    /// `by` wins; an equal `by` resolves to the earliest event time.
+    fn beats(&self, by: &Value, ts: Timestamp) -> bool {
+        match &self.best {
+            None => true,
+            Some((best_by, best_ts, _)) => {
+                use std::cmp::Ordering::*;
+                match by.total_cmp(best_by) {
+                    Greater => self.max,
+                    Less => !self.max,
+                    Equal => ts < *best_ts,
                 }
-            };
-            if better {
-                self.best = Some((oby.clone(), *ots, ov.clone()));
             }
         }
     }
 
     /// Fold one event given the value of its `by` field.
-    fn insert_by(&mut self, ts: Timestamp, v: &Value, by_val: &Value) {
-        self.seen += 1;
-        if by_val.is_null() {
-            return;
-        }
-        let better = match &self.best {
-            None => true,
-            Some((best_by, best_ts, _)) => {
-                use std::cmp::Ordering::*;
-                match by_val.total_cmp(best_by) {
-                    Greater => self.max,
-                    Less => !self.max,
-                    // Ties: earliest event time wins.
-                    Equal => ts < *best_ts,
-                }
-            }
-        };
-        if better {
-            self.best = Some((by_val.clone(), ts, v.clone()));
+    fn insert(&mut self, ts: Timestamp, v: &Value, by: &Value) {
+        if !by.is_null() && self.beats(by, ts) {
+            self.best = Some((by.clone(), ts, v.clone()));
         }
     }
-}
 
-impl Aggregator for ArgAgg {
-    fn insert(&mut self, _ts: Timestamp, _v: &Value) {
-        // Row-less insertion cannot see the `by` field; count only. The
-        // full-row reference path always uses `insert_row`.
-        self.seen += 1;
+    /// Merge a later pane's partial with the same extremum/tie rule as
+    /// `insert`.
+    fn merge(&mut self, o: &ArgAgg) {
+        if let Some((oby, ots, ov)) = &o.best {
+            if self.beats(oby, *ots) {
+                self.best = Some((oby.clone(), *ots, ov.clone()));
+            }
+        }
     }
-    fn insert_row(&mut self, ts: Timestamp, v: &Value, row: &Row) {
-        self.insert_by(ts, v, row.get(self.by));
-    }
+
     fn finalize(&self) -> Value {
         self.best
             .as_ref()
             .map(|(_, _, v)| v.clone())
             .unwrap_or(Value::Null)
     }
-    fn count(&self) -> u64 {
-        self.seen
-    }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::event::{Event, StreamElement};
+    use crate::operator::{LatePolicy, WindowAggregateOp};
+    use crate::value::Row;
+    use crate::window::WindowSpec;
 
-    fn run(kind: AggregateKind, vals: &[Value]) -> Value {
+    /// `kind` (over field 0; arg kinds name their `by` field) as the window
+    /// operator folds it over one tumbling window holding `rows`, given as
+    /// `(ts, row)` in arrival order.
+    pub(super) fn one_window(kind: AggregateKind, rows: &[(u64, Row)]) -> Value {
         let spec = AggregateSpec::new(kind, 0, "out");
-        let tv: Vec<(Timestamp, Value)> = vals
-            .iter()
-            .cloned()
-            .enumerate()
-            .map(|(i, v)| (Timestamp(i as u64), v))
+        let window = WindowSpec::tumbling(1_000u64);
+        let mut op =
+            WindowAggregateOp::new(window, vec![spec], None, LatePolicy::Drop).expect("valid op");
+        for (seq, (ts, row)) in (0u64..).zip(rows) {
+            let el = StreamElement::Event(Event::new(*ts, seq, row.clone()));
+            op.process_ref(&el, &mut |_| {});
+        }
+        let mut out = Vec::new();
+        op.process_ref(&StreamElement::Flush, &mut |r| out.push(r));
+        assert_eq!(out.len(), 1, "one window");
+        out.remove(0).aggregates.remove(0)
+    }
+
+    /// `kind` over one value per timestamp 0, 1, 2, ….
+    fn run(kind: AggregateKind, vals: &[Value]) -> Value {
+        let rows: Vec<(u64, Row)> = (0u64..)
+            .zip(vals)
+            .map(|(t, v)| (t, Row::new([v.clone()])))
             .collect();
-        spec.compute(&tv)
+        one_window(kind, &rows)
     }
 
     fn floats(vs: &[f64]) -> Vec<Value> {
@@ -829,50 +597,31 @@ mod tests {
 
     #[test]
     fn count_skips_nulls() {
-        assert_eq!(
-            run(
-                AggregateKind::Count,
-                &[Value::Int(1), Value::Null, Value::Int(2)]
-            ),
-            Value::Int(2)
-        );
+        let vals = [Value::Int(1), Value::Null, Value::Int(2)];
+        assert_eq!(run(AggregateKind::Count, &vals), Value::Int(2));
     }
 
     #[test]
     fn sum_and_mean() {
-        assert_eq!(
-            run(AggregateKind::Sum, &floats(&[1.0, 2.0, 3.0])),
-            Value::Float(6.0)
-        );
-        assert_eq!(
-            run(AggregateKind::Mean, &floats(&[1.0, 2.0, 3.0])),
-            Value::Float(2.0)
-        );
+        let vals = floats(&[1.0, 2.0, 3.0]);
+        assert_eq!(run(AggregateKind::Sum, &vals), Value::Float(6.0));
+        assert_eq!(run(AggregateKind::Mean, &vals), Value::Float(2.0));
         assert_eq!(run(AggregateKind::Sum, &[Value::Null]), Value::Null);
     }
 
     #[test]
     fn sum_mixes_int_and_float() {
-        assert_eq!(
-            run(AggregateKind::Sum, &[Value::Int(1), Value::Float(2.5)]),
-            Value::Float(3.5)
-        );
+        let vals = [Value::Int(1), Value::Float(2.5)];
+        assert_eq!(run(AggregateKind::Sum, &vals), Value::Float(3.5));
     }
 
     #[test]
     fn min_max_over_total_order() {
-        assert_eq!(
-            run(AggregateKind::Min, &floats(&[3.0, 1.0, 2.0])),
-            Value::Float(1.0)
-        );
-        assert_eq!(
-            run(AggregateKind::Max, &floats(&[3.0, 1.0, 2.0])),
-            Value::Float(3.0)
-        );
-        assert_eq!(
-            run(AggregateKind::Max, &[Value::Int(2), Value::Float(2.5)]),
-            Value::Float(2.5)
-        );
+        let vals = floats(&[3.0, 1.0, 2.0]);
+        assert_eq!(run(AggregateKind::Min, &vals), Value::Float(1.0));
+        assert_eq!(run(AggregateKind::Max, &vals), Value::Float(3.0));
+        let mixed = [Value::Int(2), Value::Float(2.5)];
+        assert_eq!(run(AggregateKind::Max, &mixed), Value::Float(2.5));
     }
 
     #[test]
@@ -891,14 +640,10 @@ mod tests {
 
     #[test]
     fn median_odd_and_even() {
-        assert_eq!(
-            run(AggregateKind::Median, &floats(&[5.0, 1.0, 3.0])),
-            Value::Float(3.0)
-        );
-        assert_eq!(
-            run(AggregateKind::Median, &floats(&[4.0, 1.0, 3.0, 2.0])),
-            Value::Float(2.5)
-        );
+        let odd = floats(&[5.0, 1.0, 3.0]);
+        assert_eq!(run(AggregateKind::Median, &odd), Value::Float(3.0));
+        let even = floats(&[4.0, 1.0, 3.0, 2.0]);
+        assert_eq!(run(AggregateKind::Median, &even), Value::Float(2.5));
     }
 
     #[test]
@@ -909,6 +654,68 @@ mod tests {
         match run(AggregateKind::Quantile(0.5), &vs) {
             Value::Float(v) => assert!((v - 25.0).abs() < 1e-9),
             other => panic!("expected float, got {other:?}"),
+        }
+    }
+
+    #[test]
+    fn distinct_count() {
+        let vals = [Value::Int(1), Value::Int(1), Value::Int(2), Value::Null];
+        assert_eq!(run(AggregateKind::DistinctCount, &vals), Value::Int(2));
+        // Int 1 and Float 1.0 coincide under the key order.
+        let same = [Value::Int(1), Value::Float(1.0)];
+        assert_eq!(run(AggregateKind::DistinctCount, &same), Value::Int(1));
+    }
+
+    #[test]
+    fn first_last_by_timestamp_not_arrival() {
+        // Arrival order: ts=5 then ts=2 — first by event time is ts=2.
+        let rows = [
+            (5u64, Row::new([Value::Int(50)])),
+            (2, Row::new([Value::Int(20)])),
+        ];
+        assert_eq!(one_window(AggregateKind::First, &rows), Value::Int(20));
+        assert_eq!(one_window(AggregateKind::Last, &rows), Value::Int(50));
+    }
+
+    #[test]
+    fn incremental_matches_reference_for_order_independence() {
+        // Scrambled and timestamp-ordered arrival fold to the same
+        // population standard deviation, the closed-form one.
+        let vals = [(7u64, 3.0), (1, 9.0), (4, 2.0), (2, 7.5)];
+        let scrambled: Vec<(u64, Row)> = vals
+            .iter()
+            .map(|&(t, v)| (t, Row::new([Value::Float(v)])))
+            .collect();
+        let mut ordered = scrambled.clone();
+        ordered.sort_by_key(|(t, _)| *t);
+        let mean = vals.iter().map(|(_, v)| v).sum::<f64>() / 4.0;
+        let var = vals.iter().map(|(_, v)| (v - mean).powi(2)).sum::<f64>() / 4.0;
+        let a = one_window(AggregateKind::StdDev, &scrambled);
+        let b = one_window(AggregateKind::StdDev, &ordered);
+        match (a, b) {
+            (Value::Float(x), Value::Float(y)) => {
+                assert!((x - y).abs() < 1e-9);
+                assert!((x - var.sqrt()).abs() < 1e-9);
+            }
+            other => panic!("expected floats, got {other:?}"),
+        }
+    }
+
+    #[test]
+    fn empty_window_results() {
+        // A window with no qualifying value (its one value is null), and for
+        // the combinable kinds a partial that folded nothing.
+        for (kind, want) in [
+            (AggregateKind::Count, Value::Int(0)),
+            (AggregateKind::Sum, Value::Null),
+            (AggregateKind::Median, Value::Null),
+            (AggregateKind::Min, Value::Null),
+            (AggregateKind::DistinctCount, Value::Int(0)),
+        ] {
+            assert_eq!(run(kind, &[Value::Null]), want, "{kind}");
+            if let Some(pane) = AggregateSpec::new(kind, 0, "out").build_pane() {
+                assert_eq!(pane.finalize(), want, "{kind}");
+            }
         }
     }
 
@@ -926,87 +733,27 @@ mod tests {
             .validate()
             .is_ok());
     }
-
-    #[test]
-    fn distinct_count() {
-        assert_eq!(
-            run(
-                AggregateKind::DistinctCount,
-                &[Value::Int(1), Value::Int(1), Value::Int(2), Value::Null]
-            ),
-            Value::Int(2)
-        );
-        // Int 1 and Float 1.0 coincide under the key order.
-        assert_eq!(
-            run(
-                AggregateKind::DistinctCount,
-                &[Value::Int(1), Value::Float(1.0)]
-            ),
-            Value::Int(1)
-        );
-    }
-
-    #[test]
-    fn first_last_by_timestamp_not_arrival() {
-        let spec = AggregateSpec::new(AggregateKind::First, 0, "f");
-        // Arrival order: ts=5 then ts=2 — first by event time is ts=2.
-        let vals = vec![
-            (Timestamp(5), Value::Int(50)),
-            (Timestamp(2), Value::Int(20)),
-        ];
-        assert_eq!(spec.compute(&vals), Value::Int(20));
-        let spec = AggregateSpec::new(AggregateKind::Last, 0, "l");
-        assert_eq!(spec.compute(&vals), Value::Int(50));
-    }
-
-    #[test]
-    fn incremental_matches_reference_for_order_independence() {
-        // Insert in scrambled order through the incremental path and compare
-        // with the sorted reference.
-        let spec = AggregateSpec::new(AggregateKind::StdDev, 0, "s");
-        let vals: Vec<(Timestamp, Value)> = [(7u64, 3.0), (1, 9.0), (4, 2.0), (2, 7.5)]
-            .iter()
-            .map(|&(t, v)| (Timestamp(t), Value::Float(v)))
-            .collect();
-        let mut agg = spec.build();
-        for (t, v) in &vals {
-            agg.insert(*t, v);
-        }
-        let (a, b) = (agg.finalize(), spec.compute(&vals));
-        match (a, b) {
-            (Value::Float(x), Value::Float(y)) => assert!((x - y).abs() < 1e-9),
-            other => panic!("expected floats, got {other:?}"),
-        }
-    }
-
-    #[test]
-    fn empty_window_results() {
-        assert_eq!(run(AggregateKind::Count, &[]), Value::Int(0));
-        assert_eq!(run(AggregateKind::Sum, &[]), Value::Null);
-        assert_eq!(run(AggregateKind::Median, &[]), Value::Null);
-        assert_eq!(run(AggregateKind::Min, &[]), Value::Null);
-        assert_eq!(run(AggregateKind::DistinctCount, &[]), Value::Int(0));
-    }
 }
 
 #[cfg(test)]
 mod pane_tests {
+    use super::tests::one_window;
     use super::*;
+    use crate::value::Row;
 
     /// Split `(ts, row)` data into panes of width `slide`, fold each event
     /// into its home pane's partial, merge partials in ascending pane order,
-    /// and compare with feeding the same data sequentially (in ts order)
-    /// into the plain incremental aggregator.
+    /// and compare with inserting the same data (in ts order) into one
+    /// partial.
     fn merged_vs_sequential(
         spec: &AggregateSpec,
         data: &[(u64, Row)],
         slide: u64,
     ) -> (Value, Value) {
+        let fresh = || spec.build_pane().expect("combinable kind");
         let mut panes: std::collections::BTreeMap<u64, PaneAgg> = Default::default();
         for (t, row) in data {
-            let pane = panes
-                .entry(t / slide * slide)
-                .or_insert_with(|| spec.build_pane().expect("combinable kind"));
+            let pane = panes.entry(t / slide * slide).or_insert_with(fresh);
             pane.insert(Timestamp(*t), row.get(spec.field), row.get(spec.by_field()));
         }
         let mut merged: Option<PaneAgg> = None;
@@ -1016,15 +763,13 @@ mod pane_tests {
                 Some(m) => m.merge(&p),
             }
         }
-        let merged = merged
-            .unwrap_or_else(|| spec.build_pane().expect("combinable kind"))
-            .finalize();
+        let merged = merged.unwrap_or_else(fresh).finalize();
 
-        let mut seq = spec.build();
+        let mut seq = fresh();
         let mut ordered: Vec<&(u64, Row)> = data.iter().collect();
         ordered.sort_by_key(|(t, _)| *t);
         for (t, row) in ordered {
-            seq.insert_row(Timestamp(*t), row.get(spec.field), row);
+            seq.insert(Timestamp(*t), row.get(spec.field), row.get(spec.by_field()));
         }
         (merged, seq.finalize())
     }
@@ -1072,7 +817,7 @@ mod pane_tests {
         let mut a = MomentsAgg::new(false);
         let mut b = MomentsAgg::new(false);
         for x in [1.0, 2.0, 3.0] {
-            b.insert(Timestamp(0), &Value::Float(x));
+            b.insert(&Value::Float(x));
         }
         a.merge(&b); // empty ⊕ populated copies
         let mut c = MomentsAgg::new(false);
@@ -1113,56 +858,66 @@ mod pane_tests {
 
     #[test]
     fn quantile_state_stays_sorted_under_disordered_inserts() {
-        let mut agg = QuantileAgg::new(0.5);
-        for x in [5.0, -1.0, 3.0, 3.0, 100.0, 0.0, 3.0] {
-            agg.insert(Timestamp(0), &Value::Float(x));
+        // Values arrive out of value order and out of timestamp order; the
+        // order-statistic state answers every rank k of the seven with the
+        // k-th smallest (quantile k/6 lands exactly on rank k).
+        let vals = [5.0, -1.0, 3.0, 3.0, 100.0, 0.0, 3.0];
+        let rows: Vec<(u64, Row)> = [9u64, 3, 7, 1, 4, 8, 2]
+            .into_iter()
+            .zip(vals)
+            .map(|(t, v)| (t, Row::new([Value::Float(v)])))
+            .collect();
+        let mut sorted = vals;
+        sorted.sort_by(f64::total_cmp);
+        for (k, want) in sorted.iter().enumerate() {
+            let got = one_window(AggregateKind::Quantile(k as f64 / 6.0), &rows);
+            assert_eq!(got, Value::Float(*want), "rank {k}");
         }
-        assert!(agg.sorted.windows(2).all(|w| w[0] <= w[1]));
-        assert_eq!(agg.finalize(), Value::Float(3.0));
+        assert_eq!(one_window(AggregateKind::Median, &rows), Value::Float(3.0));
     }
 }
 
 #[cfg(test)]
 mod arg_tests {
+    use super::tests::one_window;
     use super::*;
+    use crate::value::Row;
 
-    fn row(report: f64, by: f64) -> Row {
-        Row::new([Value::Float(report), Value::Float(by)])
+    fn row(report: f64, by: Value) -> Row {
+        Row::new([Value::Float(report), by])
     }
 
     #[test]
     fn argmax_reports_companion_field() {
-        // Report field 0 at the max of field 1.
-        let spec = AggregateSpec::new(AggregateKind::ArgMax(1), 0, "at_peak");
+        // Report field 0 at the max (min) of field 1.
         let rows = [
-            (Timestamp(1), row(10.0, 5.0)),
-            (Timestamp(2), row(20.0, 50.0)), // peak of `by`
-            (Timestamp(3), row(30.0, 7.0)),
+            (1u64, row(10.0, Value::Float(5.0))),
+            (2, row(20.0, Value::Float(50.0))), // peak of `by`
+            (3, row(30.0, Value::Float(7.0))),
         ];
-        let refs: Vec<(Timestamp, &Row)> = rows.iter().map(|(t, r)| (*t, r)).collect();
-        assert_eq!(spec.compute_rows(&refs), Value::Float(20.0));
-        let spec_min = AggregateSpec::new(AggregateKind::ArgMin(1), 0, "at_trough");
-        assert_eq!(spec_min.compute_rows(&refs), Value::Float(10.0));
+        let at_peak = one_window(AggregateKind::ArgMax(1), &rows);
+        assert_eq!(at_peak, Value::Float(20.0));
+        let at_trough = one_window(AggregateKind::ArgMin(1), &rows);
+        assert_eq!(at_trough, Value::Float(10.0));
     }
 
     #[test]
     fn arg_ties_resolve_to_earliest_event_time() {
-        let spec = AggregateSpec::new(AggregateKind::ArgMax(1), 0, "a");
         let rows = [
-            (Timestamp(5), row(1.0, 9.0)),
-            (Timestamp(2), row(2.0, 9.0)), // same `by`, earlier ts → wins
+            (5u64, row(1.0, Value::Float(9.0))),
+            (2, row(2.0, Value::Float(9.0))), // same `by`, earlier ts → wins
         ];
-        let refs: Vec<(Timestamp, &Row)> = rows.iter().map(|(t, r)| (*t, r)).collect();
-        assert_eq!(spec.compute_rows(&refs), Value::Float(2.0));
+        let at_peak = one_window(AggregateKind::ArgMax(1), &rows);
+        assert_eq!(at_peak, Value::Float(2.0));
     }
 
     #[test]
     fn arg_skips_null_by_values_and_handles_empty() {
+        let rows = [(1u64, row(1.0, Value::Null))];
+        assert_eq!(one_window(AggregateKind::ArgMax(1), &rows), Value::Null);
         let spec = AggregateSpec::new(AggregateKind::ArgMax(1), 0, "a");
-        let rows = [(Timestamp(1), Row::new([Value::Float(1.0), Value::Null]))];
-        let refs: Vec<(Timestamp, &Row)> = rows.iter().map(|(t, r)| (*t, r)).collect();
-        assert_eq!(spec.compute_rows(&refs), Value::Null);
-        assert_eq!(spec.compute_rows(&[]), Value::Null);
+        let empty = spec.build_pane().expect("combinable kind");
+        assert_eq!(empty.finalize(), Value::Null);
     }
 
     #[test]
@@ -1184,10 +939,8 @@ mod arg_tests {
         .expect("valid op");
         let mut results = Vec::new();
         for (ts, price, volume) in [(1u64, 10.0, 1.0), (2, 99.0, 100.0), (3, 11.0, 2.0)] {
-            op.process_ref(
-                &StreamElement::Event(Event::new(ts, ts, row(price, volume))),
-                &mut |_| {},
-            );
+            let row = Row::new([Value::Float(price), Value::Float(volume)]);
+            op.process_ref(&StreamElement::Event(Event::new(ts, ts, row)), &mut |_| {});
         }
         op.process_ref(&StreamElement::Flush, &mut |r| results.push(r));
         assert_eq!(results[0].aggregates[0], Value::Float(99.0));

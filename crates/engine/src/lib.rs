@@ -59,7 +59,7 @@ pub mod window;
 
 /// Convenient glob-import surface.
 pub mod prelude {
-    pub use crate::aggregate::{AggregateKind, AggregateSpec, Aggregator};
+    pub use crate::aggregate::{AggregateKind, AggregateSpec};
     pub use crate::error::{EngineError, Result};
     pub use crate::event::{ClockTracker, DisorderStats, Event, StreamElement};
     pub use crate::fiba::{FibaStats, FibaTree, WindowState};

@@ -182,7 +182,7 @@ enum Slot {
 
 /// One entry column read by Median/Quantile specs. Every key holds one
 /// `RankIndex` per such column, of the numeric values (non-numeric ones are
-/// skipped, like `QuantileAgg`) of exactly the entries its tree holds.
+/// skipped) of exactly the entries its tree holds.
 struct RankField {
     /// The field's entry column.
     col: usize,
@@ -402,15 +402,15 @@ impl FibaState {
     /// window `[s, e)`: combinable kinds from the range aggregate,
     /// Median/Quantile from the key's rank indexes, DistinctCount from one
     /// in-order visit of the window that reads its columns in place
-    /// (non-null values in [`Key`] order, as `DistinctAgg` counts them).
+    /// (the non-null values, distinct in [`Key`] order).
     ///
     /// A rank index holds the numeric values of every entry the tree holds,
     /// so the window's values are the index less those of the entries
     /// outside `[s, e)` — under `Drop`, at a first emission, only what
     /// arrived past `e`. Two range visits collect them, and each rank
-    /// `quantile_of_ranks` reads is selected from the difference: the ranks
-    /// are of the `total_cmp` order and the interpolation is `QuantileAgg`'s,
-    /// so the output is the sequential fold's bit for bit.
+    /// `quantile_of_ranks` reads is selected from the difference in the
+    /// `total_cmp` order, so the output is that of the window's values
+    /// sorted, bit for bit.
     fn answer(&mut self, key: &Key, (s, e): (u64, u64)) -> (u64, Vec<Value>) {
         // A window ends at `start + length >= 1`, so `e - 1` cannot underflow.
         let (lo, hi) = ((s, 0), (e - 1, u64::MAX));
@@ -1182,20 +1182,23 @@ mod tests {
         );
         assert_eq!(w.stats().accepted, n);
         assert_eq!(w.open_windows(), 0);
-        // Every window equals a sequential fold of its contents: Sum exactly
-        // (integer-valued floats), Variance within the DESIGN.md §17.4
+        // Every window equals its contents' sum exactly (integer-valued
+        // floats) and their two-pass variance within the DESIGN.md §17.4
         // combine-nesting tolerance.
         assert_eq!(results.len(), 75); // starts 0, 20, …, 1480 cover ts ≤ 1497
         for r in &results {
-            let members: Vec<(Timestamp, Value)> = (0..n)
+            let members: Vec<f64> = (0..n)
                 .filter(|i| r.window.contains(Timestamp(i * 3)))
-                .map(|i| (Timestamp(i * 3), Value::Float(value(i))))
+                .map(value)
                 .collect();
+            let len = members.len() as f64;
+            let sum: f64 = members.iter().sum();
+            let mean = sum / len;
             assert_eq!(r.count, members.len() as u64);
-            assert_eq!(r.aggregates[0], specs[0].compute(&members));
+            assert_eq!(r.aggregates[0], Value::Float(sum));
             let (got, want) = (
                 r.aggregates[1].as_f64().unwrap(),
-                specs[1].compute(&members).as_f64().unwrap(),
+                members.iter().map(|x| (x - mean) * (x - mean)).sum::<f64>() / len,
             );
             assert!(
                 (got - want).abs() <= 1e-9 * got.abs().max(want.abs()),

@@ -1,17 +1,21 @@
 //! The naive reference the operator-level tests compare
-//! [`WindowAggregateOp`](quill_engine::operator::WindowAggregateOp) against.
+//! [`WindowAggregateOp`](quill_engine::operator::WindowAggregateOp) against:
+//! the watermark filter is here, the per-window fold is
+//! [`quill_metrics::oracle::naive_aggregate`], the same fold that scores
+//! every run.
 
 use quill_engine::aggregate::AggregateSpec;
 use quill_engine::operator::WindowResult;
 use quill_engine::prelude::*;
 use quill_engine::value::Key;
+use quill_metrics::oracle::naive_aggregate;
 use std::collections::BTreeMap;
 
 /// What the window operator must emit for `input` under `LatePolicy::Drop`,
 /// computed the slow way: track the watermark over the input; an event
 /// contributes to window `w` iff `w.end` is still ahead of the watermark when
 /// it arrives; fold each `(key, window)`'s contributors in `(ts, seq)` order
-/// through `AggregateSpec::build()`; emit in `(end, start, key)` order. An
+/// with the oracle's `naive_aggregate`; emit in `(end, start, key)` order. An
 /// input without watermarks yields the full-information answer.
 pub fn reference(
     window: WindowSpec,
@@ -36,18 +40,12 @@ pub fn reference(
     }
     let fold = |((end, start, key), mut events): ((Timestamp, Timestamp, Key), Vec<&Event>)| {
         events.sort_by_key(|e| (e.ts, e.seq));
-        let mut built: Vec<_> = aggs.iter().map(|a| a.build()).collect();
-        for e in &events {
-            for (agg, spec) in built.iter_mut().zip(aggs) {
-                agg.insert_row(e.ts, e.row.get(spec.field), &e.row);
-            }
-        }
         WindowResult {
             key: key.0,
             window: Window::new(start, end),
             count: events.len() as u64,
             revision: 0,
-            aggregates: built.iter().map(|a| a.finalize()).collect(),
+            aggregates: aggs.iter().map(|a| naive_aggregate(a, &events)).collect(),
         }
     };
     members.into_iter().map(fold).collect()

@@ -10,8 +10,11 @@
 //!    so a matching range aggregate proves both membership and left-to-right
 //!    combine order, not just a commutative summary.
 //! 2. **Operator-level differential across all 14 aggregate kinds** — the
-//!    operator against the naive per-window reference in `common` on
-//!    scrambled streams with deep stragglers, exact for every kind except
+//!    operator against the naive per-window reference in `common` (the
+//!    watermark filter there, each window folded by
+//!    `quill_metrics::oracle::naive_aggregate`, which shares no code with
+//!    the engine) on scrambled streams with deep stragglers, exact for every
+//!    kind except
 //!    the non-associative float reductions (Sum/Mean/Variance/StdDev over
 //!    arbitrary floats), which are gated on the tolerance rule documented in
 //!    DESIGN.md §17.4. `LatePolicy::Revise` is held to the same reference:
@@ -21,7 +24,8 @@
 //! 3. **Order statistics from the time tree** — Median/Quantile/DistinctCount
 //!    sharing a field with each other and with combinable kinds, and over
 //!    NaN, `-0.0`, infinities, non-numeric and null values, bit for bit
-//!    against the same fold; one tree insert per accepted event throughout.
+//!    against the oracle's fold; one tree insert per accepted event
+//!    throughout.
 
 mod common;
 
@@ -222,8 +226,9 @@ fn all_kinds() -> Vec<AggregateSpec> {
 /// must be bit-exact. Sum and Mean become exact again when every input is
 /// an integer-valued float with an exactly representable sum (addition is
 /// then exact in every nesting), while Variance/StdDev stay
-/// nesting-sensitive even on integers: Welford inserts and Chan-style
-/// partial merges round their divisions differently.
+/// rounding-sensitive even on integers: the reference's two-pass formula
+/// and the operator's Chan-style partial merges round their divisions
+/// differently.
 fn must_be_exact(name: &str, integer_inputs: bool) -> bool {
     match name {
         "sum" | "mean" => integer_inputs,
@@ -534,7 +539,7 @@ proptest! {
         let key_field = if keyed { Some(0) } else { None };
         let specs = all_kinds();
         // Integer-valued floats: everything except Variance/StdDev (whose
-        // Welford-vs-Chan roundings differ even on integers) is bit-exact.
+        // two-pass-vs-Chan roundings differ even on integers) is bit-exact.
         let checked = check_against_reference(WindowSpec::sliding(len, slide), &specs, key_field, &input, true);
         prop_assert!(checked.is_ok(), "{}", checked.unwrap_err());
     }

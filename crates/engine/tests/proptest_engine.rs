@@ -1,10 +1,13 @@
 //! Property-based tests of engine invariants: window assignment, aggregate
-//! order-independence, and windowed aggregation vs. a brute-force model.
+//! order-independence, the operator's fold vs. the naive oracle's, windowed
+//! aggregation vs. a brute-force model, and every order statistic against
+//! the naive oracle's fold of its window.
 
 use proptest::prelude::*;
 use quill_engine::aggregate::{AggregateKind, AggregateSpec};
 use quill_engine::operator::{LatePolicy, WindowAggregateOp};
 use quill_engine::prelude::*;
+use quill_metrics::oracle::naive_aggregate;
 
 /// The values the order-statistic property draws from: both NaN signs,
 /// both zeros, both infinities, `i64::MAX` (which no `f64` holds exactly), a
@@ -42,6 +45,23 @@ fn bit_equal(a: &Value, b: &Value) -> bool {
 fn cases(pinned: u32) -> ProptestConfig {
     let soak = std::env::var("PROPTEST_CASES").ok();
     ProptestConfig::with_cases(soak.and_then(|n| n.parse().ok()).unwrap_or(pinned))
+}
+
+/// `spec` over field 0 as the window operator folds it over one tumbling
+/// window holding every `(ts, value)`, fed in the given arrival order; `None`
+/// when there is no event (no window is emitted).
+fn engine_fold(spec: &AggregateSpec, arrivals: &[(Timestamp, Value)]) -> Option<Value> {
+    let window = WindowSpec::tumbling(10_000u64);
+    let mut op = WindowAggregateOp::new(window, vec![spec.clone()], None, LatePolicy::Drop)
+        .expect("valid op");
+    for (seq, (ts, v)) in (0u64..).zip(arrivals) {
+        let el = StreamElement::Event(Event::new(*ts, seq, Row::new([v.clone()])));
+        op.process_ref(&el, &mut |_| {});
+    }
+    let mut out = Vec::new();
+    op.process_ref(&StreamElement::Flush, &mut |r| out.push(r));
+    assert!(out.len() <= 1, "one window at most");
+    out.pop().map(|mut r| r.aggregates.remove(0))
 }
 
 fn window_specs() -> impl Strategy<Value = WindowSpec> {
@@ -115,8 +135,8 @@ proptest! {
         values in prop::collection::vec((0u64..10_000, -1000.0f64..1000.0), 1..60),
         rotation in 0usize..59,
     ) {
-        // Rotate the input as a cheap permutation; results must not change
-        // for permutation-invariant aggregates.
+        // Rotate the arrival order as a cheap permutation; the operator's
+        // results must not change for permutation-invariant aggregates.
         for kind in [
             AggregateKind::Count,
             AggregateKind::Sum,
@@ -135,10 +155,10 @@ proptest! {
                 .collect();
             let mut rotated = tv.clone();
             rotated.rotate_left(rotation % tv.len());
-            let a = spec.compute(&tv);
-            let b = spec.compute(&rotated);
+            let a = engine_fold(&spec, &tv);
+            let b = engine_fold(&spec, &rotated);
             match (a, b) {
-                (Value::Float(x), Value::Float(y)) => {
+                (Some(Value::Float(x)), Some(Value::Float(y))) => {
                     prop_assert!((x - y).abs() < 1e-6, "{kind}: {x} != {y}")
                 }
                 (x, y) => prop_assert_eq!(x, y),
@@ -150,21 +170,28 @@ proptest! {
     fn incremental_aggregation_matches_reference(
         values in prop::collection::vec((0u64..10_000, -1000.0f64..1000.0), 0..60),
     ) {
+        // The operator's incremental fold of events in arrival order against
+        // the naive oracle's fold of the same events in `(ts, seq)` order.
+        let events: Vec<Event> = (0u64..)
+            .zip(&values)
+            .map(|(seq, &(t, v))| Event::new(t, seq, Row::new([Value::Float(v)])))
+            .collect();
+        let mut members: Vec<&Event> = events.iter().collect();
+        members.sort_by_key(|e| (e.ts, e.seq));
+        let tv: Vec<(Timestamp, Value)> = events
+            .iter()
+            .map(|e| (e.ts, e.row.get(0).clone()))
+            .collect();
         for kind in [AggregateKind::Sum, AggregateKind::StdDev, AggregateKind::Median] {
             let spec = AggregateSpec::new(kind, 0, "a");
-            let tv: Vec<(Timestamp, Value)> = values
-                .iter()
-                .map(|&(t, v)| (Timestamp(t), Value::Float(v)))
-                .collect();
-            let mut agg = spec.build();
-            for (t, v) in &tv {
-                agg.insert(*t, v);
-            }
-            match (agg.finalize(), spec.compute(&tv)) {
-                (Value::Float(x), Value::Float(y)) => {
-                    prop_assert!((x - y).abs() < 1e-6)
+            let want = naive_aggregate(&spec, &members);
+            match (engine_fold(&spec, &tv), want) {
+                // No event, no window: the oracle's fold of nothing is null.
+                (None, want) => prop_assert_eq!(want, Value::Null),
+                (Some(Value::Float(x)), Value::Float(y)) => {
+                    prop_assert!((x - y).abs() < 1e-6, "{kind}: {x} != {y}")
                 }
-                (x, y) => prop_assert_eq!(x, y),
+                (Some(x), y) => prop_assert_eq!(x, y),
             }
         }
     }
@@ -294,20 +321,21 @@ proptest! {
                 let mut rows = Vec::new();
                 op.process_ref(el, &mut |r| rows.push(r));
                 for r in rows {
-                    let members: Vec<(Timestamp, Value)> = arrived
+                    let mut members: Vec<&Event> = arrived
                         .iter()
                         .filter(|(e, at)| {
                             *e.row.get(0) == r.key && r.window.contains(e.ts) && takes(r.window.end, *at)
                         })
-                        .map(|(e, _)| (e.ts, e.row.get(1).clone()))
+                        .map(|(e, _)| *e)
                         .collect();
+                    members.sort_by_key(|e| (e.ts, e.seq));
                     prop_assert_eq!(
                         r.count,
                         members.len() as u64,
                         "{:?} {} key {:?} revision {}", policy, r.window, r.key, r.revision
                     );
                     for (spec, got) in specs.iter().zip(&r.aggregates) {
-                        let want = spec.compute(&members);
+                        let want = naive_aggregate(spec, &members);
                         prop_assert!(
                             bit_equal(got, &want),
                             "{} under {:?} in {} key {:?} revision {}: {:?}, fold {:?}",

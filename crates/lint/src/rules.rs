@@ -96,10 +96,15 @@ pub(crate) fn is_deterministic(rel: &str) -> bool {
         || DETERMINISTIC_FILES.contains(&rel)
 }
 
-/// The simulation crate (L5 scope): every file, tests included — the whole
-/// crate's contract is byte-identical replay from a case seed.
+/// Files outside `crates/sim` that the simulation replays through as its
+/// ground truth (L5 scope): the naive oracle.
+const SIMULATION_FILES: &[&str] = &["crates/metrics/src/oracle.rs"];
+
+/// The simulation crate and its oracle (L5 scope): every file, tests
+/// included — the whole crate's contract is byte-identical replay from a
+/// case seed.
 fn is_simulation(rel: &str) -> bool {
-    rel.starts_with("crates/sim/")
+    rel.starts_with("crates/sim/") || SIMULATION_FILES.contains(&rel)
 }
 
 /// Whether `rel` is a workspace member crate root subject to L4.
@@ -636,12 +641,20 @@ mod tests {
     }
 
     #[test]
+    fn simulation_scope_covers_the_oracle() {
+        assert!(is_simulation("crates/sim/src/harness.rs"));
+        assert!(is_simulation("crates/metrics/src/oracle.rs"));
+        assert!(!is_simulation("crates/metrics/src/quality_eval.rs"));
+    }
+
+    #[test]
     fn every_scoped_path_exists_in_the_workspace() {
         let root = Path::new(env!("CARGO_MANIFEST_DIR")).join("../..");
         for rel in HOT_PATH_FILES
             .iter()
             .chain(DETERMINISTIC_FILES)
             .chain(TELEMETRY_CONSTRUCTION_FILES)
+            .chain(SIMULATION_FILES)
         {
             assert!(root.join(rel).is_file(), "stale scope path {rel}");
         }

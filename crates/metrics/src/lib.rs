@@ -9,7 +9,10 @@
 //!   `quill-telemetry`, where it also backs registry histograms);
 //! * [`latency`] — per-result latency recording in event-time units;
 //! * [`timeseries`] — `(time, value)` series for adaptivity plots;
-//! * [`quality_eval`] — the in-order oracle plus per-window quality scoring
+//! * [`oracle`] — the one reference implementation: every window's exact
+//!   in-order result recomputed from first principles, sharing no code with
+//!   the engine's aggregates;
+//! * [`quality_eval`] — per-window quality scoring against the oracle
 //!   (completeness, relative aggregate error, violation rates);
 //! * [`report`] — markdown/CSV table rendering used by the experiment
 //!   harness.
@@ -18,6 +21,7 @@
 #![forbid(unsafe_code)]
 
 pub mod latency;
+pub mod oracle;
 pub mod quality_eval;
 pub mod report;
 pub mod stats;

@@ -1,9 +1,9 @@
-//! Ground-truth oracle and result-quality scoring.
+//! Result-quality scoring against the ground-truth oracle.
 //!
-//! The *oracle* computes the exact window results a query would produce if
-//! the stream arrived perfectly in order (equivalently: with an infinite
-//! disorder buffer). Quality of an actual run is scored per window against
-//! the oracle:
+//! The *oracle* ([`oracle_results`], from [`crate::oracle`]) computes the
+//! exact window results a query would produce if the stream arrived
+//! perfectly in order (equivalently: with an infinite disorder buffer).
+//! Quality of an actual run is scored per window against the oracle:
 //!
 //! * **completeness** — fraction of the window's true tuples that the
 //!   emitted (first, non-revised) result reflected;
@@ -13,69 +13,15 @@
 //! completeness 0. Revisions are scored separately: the quality-latency
 //! trade-off studied here concerns the *initial* result.
 
-use quill_engine::aggregate::AggregateSpec;
-use quill_engine::event::Event;
+pub use crate::oracle::oracle_results;
 use quill_engine::operator::WindowResult;
 use quill_engine::value::{Key, Value};
-use quill_engine::window::{Window, WindowSpec};
+use quill_engine::window::Window;
 use serde::{Deserialize, Serialize};
-use std::collections::{BTreeMap, HashMap};
+use std::collections::HashMap;
 
 /// Division guard for relative error against near-zero true values.
 pub const REL_ERROR_EPSILON: f64 = 1e-9;
-
-/// Compute exact in-order results for a windowed aggregation query.
-///
-/// Groups `events` by optional key field and every window their timestamps
-/// fall into, then evaluates each [`AggregateSpec`]'s reference
-/// implementation. Results are ordered by (window end, window start, key),
-/// matching the engine's emission order.
-pub fn oracle_results(
-    events: &[Event],
-    spec: WindowSpec,
-    aggs: &[AggregateSpec],
-    key_field: Option<usize>,
-) -> Vec<WindowResult> {
-    let mut groups: BTreeMap<
-        (
-            quill_engine::time::Timestamp,
-            quill_engine::time::Timestamp,
-            Key,
-        ),
-        Vec<&Event>,
-    > = BTreeMap::new();
-    for e in events {
-        let key = match key_field {
-            Some(i) => Key(e.row.get(i).clone()),
-            None => Key(Value::Null),
-        };
-        for w in spec.assign(e.ts) {
-            groups
-                .entry((w.end, w.start, key.clone()))
-                .or_default()
-                .push(e);
-        }
-    }
-    groups
-        .into_iter()
-        .map(|((end, start, key), evs)| {
-            let aggregates = aggs
-                .iter()
-                .map(|a| {
-                    let rows: Vec<_> = evs.iter().map(|e| (e.ts, &e.row)).collect();
-                    a.compute_rows(&rows)
-                })
-                .collect();
-            WindowResult {
-                key: key.0,
-                window: Window::new(start, end),
-                count: evs.len() as u64,
-                revision: 0,
-                aggregates,
-            }
-        })
-        .collect()
-}
 
 /// Per-window quality score.
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
@@ -247,8 +193,10 @@ pub fn score(produced: &[WindowResult], oracle: &[WindowResult]) -> QualityRepor
 #[cfg(test)]
 mod tests {
     use super::*;
-    use quill_engine::aggregate::AggregateKind;
+    use quill_engine::aggregate::{AggregateKind, AggregateSpec};
+    use quill_engine::event::Event;
     use quill_engine::value::Row;
+    use quill_engine::window::WindowSpec;
 
     fn ev(ts: u64, seq: u64, v: f64) -> Event {
         Event::new(ts, seq, Row::new([Value::Float(v)]))

@@ -33,8 +33,8 @@ use std::path::{Path, PathBuf};
 
 use quill_core::prelude::*;
 
-use crate::oracle::{naive_oracle, values_close, NaiveWindow};
 use crate::spec::{sample_suite, SimCase, StrategySpec};
+use quill_metrics::oracle::{oracle_results, values_close};
 
 /// One confirmed divergence between the engine and the oracle (or between
 /// two executor configurations).
@@ -166,26 +166,29 @@ fn check_staging(case: &SimCase) -> Result<(), Mismatch> {
     Ok(())
 }
 
+/// A result's `(end, start, key)` identity, the key rendered as text.
+fn result_id(r: &WindowResult) -> (u64, u64, String) {
+    (r.window.end.raw(), r.window.start.raw(), r.key.to_string())
+}
+
 /// Produced results vs. oracle truth. Every produced window must exist in
 /// the oracle with `count <= truth`; any fully-seen window must carry the
 /// oracle's exact values. With `expect_complete`, the run must additionally
 /// have produced every oracle window in full.
 fn check_against_oracle(
     results: &[WindowResult],
-    naive: &[NaiveWindow],
+    naive: &[WindowResult],
     aggs: &[AggregateSpec],
     expect_complete: bool,
     exec: &str,
 ) -> Result<u64, Mismatch> {
-    let truth: HashMap<(u64, u64, String), &NaiveWindow> = naive
-        .iter()
-        .map(|w| ((w.end, w.start, w.key.to_string()), w))
-        .collect();
+    let truth: HashMap<(u64, u64, String), &WindowResult> =
+        naive.iter().map(|w| (result_id(w), w)).collect();
     let mut seen = 0u64;
     let mut full = 0u64;
     let mut emitted: HashSet<(u64, u64, String)> = HashSet::new();
     for r in results {
-        let id = (r.window.end.raw(), r.window.start.raw(), r.key.to_string());
+        let id = result_id(r);
         // Every execution here runs LatePolicy::Drop, under which a (window,
         // key) pair is final on first emission: a second result for it — as
         // a revision or as revision 0 again — means the operator re-opened a
@@ -229,9 +232,6 @@ fn check_against_oracle(
             continue; // lossy run; quality agreement covers the accounting
         }
         for (i, spec) in aggs.iter().enumerate() {
-            if nw.has_ts_ties && matches!(spec.kind, AggregateKind::First | AggregateKind::Last) {
-                continue; // insertion-order tiebreak is legitimately order-dependent
-            }
             let got = r.aggregates.get(i).cloned().unwrap_or(Value::Null);
             if !values_close(&got, &nw.aggregates[i]) {
                 return Err(Mismatch::new(
@@ -263,7 +263,7 @@ fn check_against_oracle(
 /// counts and the run's own produced counts.
 fn check_quality_agreement(
     out: &RunOutput,
-    naive: &[NaiveWindow],
+    naive: &[WindowResult],
     exec: &str,
 ) -> Result<(), Mismatch> {
     if out.quality.windows_total as usize != naive.len() {
@@ -291,16 +291,11 @@ fn check_quality_agreement(
     let mut produced: HashMap<(u64, u64, String), u64> = HashMap::new();
     for r in &out.results {
         if r.revision == 0 {
-            produced.insert(
-                (r.window.end.raw(), r.window.start.raw(), r.key.to_string()),
-                r.count,
-            );
+            produced.insert(result_id(r), r.count);
         }
     }
-    let truth: HashMap<(u64, u64, String), u64> = naive
-        .iter()
-        .map(|w| ((w.end, w.start, w.key.to_string()), w.count))
-        .collect();
+    let truth: HashMap<(u64, u64, String), u64> =
+        naive.iter().map(|w| (result_id(w), w.count)).collect();
     let mut mean = 0.0;
     let mut missing = 0u64;
     for w in &out.quality.per_window {
@@ -496,11 +491,7 @@ fn check_telemetry(case: &SimCase) -> Result<(), Mismatch> {
     let staged = out.buffer.released + out.buffer.late_passed;
     // Distinct (end, start, key) triples among the results — what the merge
     // counts as `quill.merge.windows`.
-    let mut wins: Vec<(u64, u64, String)> = out
-        .results
-        .iter()
-        .map(|r| (r.window.end.raw(), r.window.start.raw(), r.key.to_string()))
-        .collect();
+    let mut wins: Vec<(u64, u64, String)> = out.results.iter().map(result_id).collect();
     wins.sort();
     wins.dedup();
     let checks = [
@@ -611,7 +602,7 @@ fn check_permutation_invariance(case: &SimCase) -> Result<u64, Mismatch> {
         (&a, &case.events, "permutation-original"),
         (&b, &shuffled, "permutation-shuffled"),
     ] {
-        let naive = naive_oracle(events, case.window, &case.aggregates, case.key_field);
+        let naive = oracle_results(events, case.window, &case.aggregates, case.key_field);
         check_against_oracle(&out.results, &naive, &case.aggregates, true, exec)?;
     }
     let counts = |out: &RunOutput| -> Vec<(u64, u64, String, u64)> {
@@ -646,7 +637,7 @@ fn check_permutation_invariance(case: &SimCase) -> Result<u64, Mismatch> {
 /// Returns the first [`Mismatch`] found.
 pub fn check_case(case: &SimCase) -> Result<CaseStats, Mismatch> {
     let mut stats = CaseStats::default();
-    let naive = naive_oracle(&case.events, case.window, &case.aggregates, case.key_field);
+    let naive = oracle_results(&case.events, case.window, &case.aggregates, case.key_field);
     let n = case.events.len() as u64;
 
     check_staging(case)?;

@@ -13,9 +13,11 @@
 //! * [`spec`] — seeded random [`spec::SimCase`] generation: query shapes
 //!   covering all aggregate kinds, every strategy family, and streams
 //!   perturbed by the `quill_gen::mutate` adversarial mutators;
-//! * [`oracle`] — an independent naive oracle ([`oracle::naive_oracle`]) that
-//!   fully sorts the stream and recomputes every window from first
-//!   principles, sharing no code with the engine's incremental aggregates;
+//! * [`oracle`] — `quill-metrics`' naive oracle
+//!   ([`oracle::oracle_results`]), re-exported: it fully sorts the stream
+//!   and recomputes every window from first principles, sharing no code
+//!   with the engine's incremental aggregates, and it is also what scores
+//!   every run;
 //! * [`harness`] — the differential battery ([`harness::check_case`]):
 //!   staging invariants, sequential-vs-oracle comparison, shard-count and
 //!   batch-size invariance sweeps, scheduler independence, telemetry
@@ -30,17 +32,19 @@
 //!
 //! Everything is seeded; a failing seed replays bit-for-bit. The crate
 //! deliberately constructs no entropy of its own — the lint rule
-//! `no-nondeterminism` enforces that for every file under `crates/sim`.
+//! `no-nondeterminism` enforces that for every file under `crates/sim` and
+//! for the oracle's file in `quill-metrics`.
 
 #![deny(missing_docs)]
 #![forbid(unsafe_code)]
 
 pub mod harness;
-pub mod oracle;
 pub mod repro;
 pub mod spec;
 pub mod support;
 
 pub use harness::{check_case, run_seed, CaseStats, Mismatch};
-pub use oracle::{naive_oracle, NaiveWindow};
+// The oracle lives in `quill-metrics`; this path stays for callers that
+// import `quill_sim::oracle` (the quill-e2e benchmark's replay).
+pub use quill_metrics::oracle;
 pub use spec::{sample_suite, SimCase, StrategySpec};

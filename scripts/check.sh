@@ -58,8 +58,9 @@ echo "==> quill-core property soak (PROPTEST_CASES=2000)"
 PROPTEST_CASES=2000 cargo test --release -q -p quill-core --test proptest_core
 
 # Order-statistic soak: every Median, Quantile and DistinctCount result,
-# revisions included, against `AggregateSpec::compute` over the window's
-# members, bit for bit — keyed sliding windows up to 40 per event, near and
+# revisions included, against the naive oracle's fold
+# (`quill_metrics::oracle::naive_aggregate`) of the window's members, bit for
+# bit — keyed sliding windows up to 40 per event, near and
 # deep stragglers, `Drop` and `Revise`, NaN/±0/±inf/i64::MAX/null/string
 # values — at 2 000 cases (the suite's other properties keep their pinned
 # count).
