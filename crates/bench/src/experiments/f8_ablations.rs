@@ -38,21 +38,9 @@ pub fn variants() -> Vec<(String, AqConfig)> {
         v.adapt_every = every;
         out.push(variant(&format!("adapt every {every}"), v));
     }
-    let mut v = base.clone();
+    let mut v = base;
     v.max_shrink = 1.0;
     out.push(variant("no shrink hysteresis", v));
-    let mut v = base.clone();
-    v.estimator = quill_core::prelude::EstimatorKind::DecayingHistogram {
-        precision_bits: 7,
-        decay_every: 2048,
-    };
-    out.push(variant("histogram estimator (O(1) mem)", v));
-    let mut v = base;
-    v.estimator = quill_core::prelude::EstimatorKind::DecayingHistogram {
-        precision_bits: 3,
-        decay_every: 2048,
-    };
-    out.push(variant("histogram estimator (coarse, 3 bits)", v));
     out
 }
 

@@ -30,7 +30,7 @@
 
 use crate::buffer::{BufferStats, SlackBuffer};
 use crate::controller::PiController;
-use crate::estimator::{DistEstimator, EstimatorKind};
+use crate::estimator::DelayEstimator;
 use crate::quality::{QualityTarget, SensitivityModel};
 use crate::strategy::DisorderControl;
 use quill_engine::prelude::{Event, StreamElement, TimeDelta};
@@ -43,11 +43,9 @@ use std::collections::VecDeque;
 pub struct AqConfig {
     /// The quality target to meet.
     pub target: QualityTarget,
-    /// Sliding delay-sample size `W` (R-F8 ablation: smaller = noisier K).
+    /// Sliding delay-sample size `W` of the [`DelayEstimator`] (R-F8
+    /// ablation: smaller = noisier K).
     pub sample_capacity: usize,
-    /// Which delay-distribution estimator to use (exact sliding window vs.
-    /// O(1)-memory decaying histogram; R-F8 ablation).
-    pub estimator: EstimatorKind,
     /// Events between adaptation steps.
     pub adapt_every: u64,
     /// Events before the first adaptation; during warm-up the strategy
@@ -94,7 +92,6 @@ impl AqConfig {
         AqConfig {
             target,
             sample_capacity: 4096,
-            estimator: EstimatorKind::SlidingWindow,
             adapt_every: 64,
             warmup: 256,
             quality_window: 1024,
@@ -116,6 +113,16 @@ impl AqConfig {
     /// Validate parameter ranges.
     pub fn validate(&self) -> Result<(), String> {
         self.target.validate()?;
+        for (name, v) in [
+            ("kp", self.kp),
+            ("ki", self.ki),
+            ("margin_min", self.margin_min),
+            ("margin_max", self.margin_max),
+        ] {
+            if !v.is_finite() {
+                return Err(format!("{name}={v} must be finite"));
+            }
+        }
         if self.sample_capacity == 0 {
             return Err("sample_capacity must be > 0".into());
         }
@@ -170,7 +177,7 @@ struct AqTelemetry {
 pub struct AqKSlack {
     cfg: AqConfig,
     buf: SlackBuffer,
-    estimator: DistEstimator,
+    estimator: DelayEstimator,
     controller: PiController,
     sensitivity: SensitivityModel,
     /// Smallest slide among the windows fed (zero: none registered).
@@ -195,7 +202,7 @@ impl AqKSlack {
         }
         let controller = PiController::new(cfg.kp, cfg.ki, cfg.margin_min, cfg.margin_max);
         AqKSlack {
-            estimator: DistEstimator::new(cfg.estimator, cfg.sample_capacity),
+            estimator: DelayEstimator::new(cfg.sample_capacity),
             controller,
             sensitivity: SensitivityModel::new(),
             slide: TimeDelta::ZERO,
@@ -527,6 +534,23 @@ mod tests {
         bad.k_max = TimeDelta(5);
         assert!(bad.validate().is_err());
         assert!(AqConfig::completeness(0.0).validate().is_err());
+    }
+
+    #[test]
+    fn validation_rejects_non_finite_gains_and_margins() {
+        let fields: [fn(&mut AqConfig) -> &mut f64; 4] = [
+            |c| &mut c.kp,
+            |c| &mut c.ki,
+            |c| &mut c.margin_min,
+            |c| &mut c.margin_max,
+        ];
+        for (i, field) in fields.into_iter().enumerate() {
+            for v in [f64::NAN, f64::INFINITY, f64::NEG_INFINITY] {
+                let mut bad = AqConfig::completeness(0.95);
+                *field(&mut bad) = v;
+                assert!(bad.validate().is_err(), "field {i} = {v} accepted");
+            }
+        }
     }
 
     #[test]

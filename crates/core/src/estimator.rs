@@ -18,100 +18,7 @@
 //! that sizes a tuple by its own timestamp.
 
 use quill_engine::prelude::TimeDelta;
-use quill_metrics::LogHistogram;
 use std::collections::{BTreeMap, VecDeque};
-
-/// Which delay-distribution estimator AQ-K-slack uses.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum EstimatorKind {
-    /// Exact quantiles over a sliding sample of the most recent delays
-    /// (O(W) memory, O(log W) updates) — the default.
-    SlidingWindow,
-    /// Approximate quantiles from a log-bucketed histogram with periodic
-    /// exponential decay (O(1) memory regardless of tail length; quantile
-    /// relative error bounded by the precision). The space-frugal
-    /// alternative the R-F8 ablation compares.
-    DecayingHistogram {
-        /// Sub-bucket precision bits (quantile error ≤ `2^-bits`).
-        precision_bits: u32,
-        /// Halve all counts every this many observations (the effective
-        /// memory horizon is ~`2 × decay_every`).
-        decay_every: u64,
-    },
-}
-
-/// A delay estimator of either kind, behind one interface.
-#[derive(Debug, Clone)]
-pub enum DistEstimator {
-    /// Exact sliding-window estimator.
-    Exact(DelayEstimator),
-    /// Decaying-histogram estimator.
-    Histogram(HistogramEstimator),
-}
-
-impl DistEstimator {
-    /// Build from a kind descriptor (`capacity` sizes the sliding window).
-    pub fn new(kind: EstimatorKind, capacity: usize) -> DistEstimator {
-        match kind {
-            EstimatorKind::SlidingWindow => DistEstimator::Exact(DelayEstimator::new(capacity)),
-            EstimatorKind::DecayingHistogram {
-                precision_bits,
-                decay_every,
-            } => DistEstimator::Histogram(HistogramEstimator::new(precision_bits, decay_every)),
-        }
-    }
-
-    /// Observe one delay.
-    pub fn observe(&mut self, d: TimeDelta) {
-        match self {
-            DistEstimator::Exact(e) => e.observe(d),
-            DistEstimator::Histogram(h) => h.observe(d),
-        }
-    }
-
-    /// The `q`-quantile of the estimated distribution.
-    pub fn quantile(&self, q: f64) -> Option<TimeDelta> {
-        match self {
-            DistEstimator::Exact(e) => e.quantile(q),
-            DistEstimator::Histogram(h) => h.quantile(q),
-        }
-    }
-
-    /// Several quantiles at once, in the order asked: one cumulative walk of
-    /// the sliding estimator instead of one per quantile.
-    pub fn quantiles<const N: usize>(&self, qs: [f64; N]) -> [Option<TimeDelta>; N] {
-        match self {
-            DistEstimator::Exact(e) => e.quantiles(qs),
-            DistEstimator::Histogram(h) => qs.map(|q| h.quantile(q)),
-        }
-    }
-
-    /// Largest delay ever observed.
-    pub fn max_ever(&self) -> TimeDelta {
-        match self {
-            DistEstimator::Exact(e) => e.max_ever(),
-            DistEstimator::Histogram(h) => h.max_ever(),
-        }
-    }
-
-    /// The smallest slack whose `C_S` reaches `q` at slide `s`; see
-    /// [`DelayEstimator::window_slack`].
-    pub fn window_slack(&self, q: f64, s: TimeDelta) -> Option<TimeDelta> {
-        match self {
-            DistEstimator::Exact(e) => e.window_slack(q, s),
-            DistEstimator::Histogram(h) => h.window_slack(q, s),
-        }
-    }
-
-    /// `C_S(k)` at slide `s` — at `s = 0`, the estimated fraction of delays
-    /// `<= k`; see [`DelayEstimator::window_completeness`].
-    pub fn window_completeness(&self, k: TimeDelta, s: TimeDelta) -> f64 {
-        match self {
-            DistEstimator::Exact(e) => e.window_completeness(k, s),
-            DistEstimator::Histogram(h) => h.window_completeness(k, s),
-        }
-    }
-}
 
 /// `G(k) = Σ c·min(s, (d − k)⁺)` over `(d, c)` pairs given in descending `d`
 /// order: the tuples' total overrun past their first window, in units of
@@ -176,93 +83,12 @@ where
     }
 }
 
-/// O(1)-memory delay estimator: a log-bucketed histogram whose counts are
-/// halved every `decay_every` observations, so old regimes fade with an
-/// exponential horizon instead of a hard window edge.
-#[derive(Debug, Clone)]
-pub struct HistogramEstimator {
-    hist: LogHistogram,
-    decay_every: u64,
-    since_decay: u64,
-    max_ever: u64,
-}
-
-impl HistogramEstimator {
-    /// Build with the given precision and decay interval (clamped ≥ 1).
-    pub fn new(precision_bits: u32, decay_every: u64) -> HistogramEstimator {
-        HistogramEstimator {
-            hist: LogHistogram::new(precision_bits),
-            decay_every: decay_every.max(1),
-            since_decay: 0,
-            max_ever: 0,
-        }
-    }
-
-    /// Observe one delay.
-    pub fn observe(&mut self, d: TimeDelta) {
-        self.hist.record(d.raw());
-        self.max_ever = self.max_ever.max(d.raw());
-        self.since_decay += 1;
-        if self.since_decay >= self.decay_every {
-            self.hist.halve();
-            self.since_decay = 0;
-        }
-    }
-
-    /// Approximate `q`-quantile.
-    pub fn quantile(&self, q: f64) -> Option<TimeDelta> {
-        self.hist.quantile(q).map(TimeDelta)
-    }
-
-    /// Largest delay ever observed.
-    pub fn max_ever(&self) -> TimeDelta {
-        TimeDelta(self.max_ever)
-    }
-
-    /// Current (decayed) observation mass.
-    pub fn mass(&self) -> u64 {
-        self.hist.count()
-    }
-
-    /// Fraction of (decayed) observations `<= d`.
-    pub fn cdf(&self, d: TimeDelta) -> f64 {
-        self.hist.cdf(d.raw())
-    }
-
-    /// [`DelayEstimator::window_slack`] over the buckets, each bucket's mass
-    /// at the value [`HistogramEstimator::quantile`] reports for it: exact for
-    /// the bucketed distribution, within the precision for the delays.
-    pub fn window_slack(&self, q: f64, s: TimeDelta) -> Option<TimeDelta> {
-        if s == TimeDelta::ZERO || self.hist.count() == 0 {
-            return self.quantile(q);
-        }
-        let desc = self.hist.buckets().rev();
-        Some(TimeDelta(min_window_slack(
-            desc,
-            self.hist.count(),
-            q,
-            s.raw(),
-        )))
-    }
-
-    /// [`DelayEstimator::window_completeness`] over the buckets.
-    pub fn window_completeness(&self, k: TimeDelta, s: TimeDelta) -> f64 {
-        let n = self.hist.count();
-        if s == TimeDelta::ZERO || n == 0 {
-            return self.cdf(k);
-        }
-        let g = overrun(self.hist.buckets().rev(), k.raw(), s.raw());
-        1.0 - g as f64 / (n as f64 * s.as_f64())
-    }
-}
-
 /// Sliding-window delay distribution estimator.
 #[derive(Debug, Clone)]
 pub struct DelayEstimator {
     capacity: usize,
     window: VecDeque<u64>,
     sorted: BTreeMap<u64, usize>,
-    total_seen: u64,
     /// Largest delay ever observed (not just within the window).
     max_ever: u64,
 }
@@ -274,7 +100,6 @@ impl DelayEstimator {
             capacity: capacity.max(1),
             window: VecDeque::with_capacity(capacity.max(1)),
             sorted: BTreeMap::new(),
-            total_seen: 0,
             max_ever: 0,
         }
     }
@@ -282,13 +107,13 @@ impl DelayEstimator {
     /// Observe one delay.
     pub fn observe(&mut self, d: TimeDelta) {
         let d = d.raw();
-        self.total_seen += 1;
         self.max_ever = self.max_ever.max(d);
-        if self.window.len() == self.capacity {
-            let old = self
-                .window
-                .pop_front()
-                .expect("window non-empty at capacity");
+        let evicted = if self.window.len() == self.capacity {
+            self.window.pop_front()
+        } else {
+            None
+        };
+        if let Some(old) = evicted {
             match self.sorted.get_mut(&old) {
                 Some(c) if *c > 1 => *c -= 1,
                 _ => {
@@ -310,19 +135,9 @@ impl DelayEstimator {
         self.window.is_empty()
     }
 
-    /// Total delays observed over the estimator's lifetime.
-    pub fn total_seen(&self) -> u64 {
-        self.total_seen
-    }
-
     /// Largest delay ever observed.
     pub fn max_ever(&self) -> TimeDelta {
         TimeDelta(self.max_ever)
-    }
-
-    /// Largest delay inside the current window.
-    pub fn max_in_window(&self) -> Option<TimeDelta> {
-        self.sorted.keys().next_back().map(|&d| TimeDelta(d))
     }
 
     /// The empirical `q`-quantile of the windowed delay distribution: the
@@ -403,14 +218,6 @@ impl DelayEstimator {
         let g = overrun(self.descending(), k.raw(), s.raw());
         1.0 - g as f64 / (self.window.len() as f64 * s.as_f64())
     }
-
-    /// Mean of the windowed delays (0 when empty).
-    pub fn mean(&self) -> f64 {
-        if self.window.is_empty() {
-            return 0.0;
-        }
-        self.window.iter().map(|&d| d as f64).sum::<f64>() / self.window.len() as f64
-    }
 }
 
 #[cfg(test)]
@@ -445,17 +252,9 @@ mod tests {
         assert_eq!(e.quantiles(qs), qs.map(|q| e.quantile(q)));
         assert_eq!(e.quantiles::<0>([]), []);
         assert_eq!(DelayEstimator::new(8).quantiles([0.5, 0.9]), [None, None]);
-        for kind in [
-            EstimatorKind::SlidingWindow,
-            EstimatorKind::DecayingHistogram {
-                precision_bits: 5,
-                decay_every: 300,
-            },
-        ] {
-            let mut d = DistEstimator::new(kind, 64);
-            (0..500u64).for_each(|i| d.observe(TimeDelta(i * 31 % 97)));
-            assert_eq!(d.quantiles(qs), qs.map(|q| d.quantile(q)), "{kind:?}");
-        }
+        let mut d = DelayEstimator::new(64);
+        (0..500u64).for_each(|i| d.observe(TimeDelta(i * 31 % 97)));
+        assert_eq!(d.quantiles(qs), qs.map(|q| d.quantile(q)));
     }
 
     #[test]
@@ -475,7 +274,6 @@ mod tests {
         // Window is now [100, 100, 100].
         assert_eq!(e.quantile(0.01), Some(TimeDelta(100)));
         assert_eq!(e.max_ever(), TimeDelta(100));
-        assert_eq!(e.total_seen(), 6);
     }
 
     #[test]
@@ -528,17 +326,6 @@ mod tests {
         assert!(e.is_empty());
         assert_eq!(e.quantile(0.5), None);
         assert_eq!(e.cdf(TimeDelta(5)), 1.0);
-        assert_eq!(e.mean(), 0.0);
-        assert_eq!(e.max_in_window(), None);
-    }
-
-    #[test]
-    fn mean_tracks_window_only() {
-        let mut e = DelayEstimator::new(2);
-        e.observe(TimeDelta(1000));
-        e.observe(TimeDelta(10));
-        e.observe(TimeDelta(20));
-        assert_eq!(e.mean(), 15.0);
     }
 
     #[test]
@@ -548,67 +335,5 @@ mod tests {
         e.observe(TimeDelta(9));
         assert_eq!(e.len(), 1);
         assert_eq!(e.quantile(0.5), Some(TimeDelta(9)));
-    }
-}
-
-#[cfg(test)]
-mod hist_tests {
-    use super::*;
-
-    #[test]
-    fn histogram_estimator_tracks_quantiles_of_stationary_stream() {
-        // Decay interval beyond the test length: isolates bucket precision
-        // (recency weighting is covered by the forgetting test below).
-        let mut h = HistogramEstimator::new(7, 1_000_000);
-        let mut e = DelayEstimator::new(100_000);
-        for i in 0..10_000u64 {
-            let d = TimeDelta((i * 7919) % 5_000);
-            h.observe(d);
-            e.observe(d);
-        }
-        for &q in &[0.5, 0.9, 0.99] {
-            let approx = h.quantile(q).unwrap().as_f64();
-            let exact = e.quantile(q).unwrap().as_f64();
-            let rel = (approx - exact).abs() / exact.max(1.0);
-            assert!(rel < 0.05, "q={q}: approx {approx} vs exact {exact}");
-        }
-    }
-
-    #[test]
-    fn histogram_estimator_forgets_old_regime() {
-        let mut h = HistogramEstimator::new(7, 100);
-        for _ in 0..500 {
-            h.observe(TimeDelta(10_000)); // stressed regime
-        }
-        for _ in 0..2_000 {
-            h.observe(TimeDelta(10)); // calm regime, 20 decay periods later
-        }
-        assert!(
-            h.quantile(0.99).unwrap() <= TimeDelta(20),
-            "old regime not forgotten: p99 = {:?}",
-            h.quantile(0.99)
-        );
-        // max_ever is a lifetime statistic, unaffected by decay.
-        assert_eq!(h.max_ever(), TimeDelta(10_000));
-    }
-
-    #[test]
-    fn dist_estimator_dispatch() {
-        let mut exact = DistEstimator::new(EstimatorKind::SlidingWindow, 16);
-        let mut hist = DistEstimator::new(
-            EstimatorKind::DecayingHistogram {
-                precision_bits: 7,
-                decay_every: 64,
-            },
-            16,
-        );
-        for d in [5u64, 10, 20, 40] {
-            exact.observe(TimeDelta(d));
-            hist.observe(TimeDelta(d));
-        }
-        assert_eq!(exact.quantile(1.0), Some(TimeDelta(40)));
-        assert_eq!(hist.quantile(1.0), Some(TimeDelta(40)));
-        assert_eq!(exact.max_ever(), TimeDelta(40));
-        assert_eq!(hist.max_ever(), TimeDelta(40));
     }
 }

@@ -62,7 +62,7 @@ pub mod prelude {
     pub use crate::aq::{AqConfig, AqKSlack, AqStats};
     pub use crate::buffer::{BufferStats, SlackBuffer};
     pub use crate::controller::PiController;
-    pub use crate::estimator::{DelayEstimator, DistEstimator, EstimatorKind, HistogramEstimator};
+    pub use crate::estimator::DelayEstimator;
     pub use crate::plan::{
         analyze_plan, parse_plan_jsonl, DelayProfile, Diagnostic as PlanDiagnostic,
         Severity as PlanSeverity, StrategyKind,
@@ -75,9 +75,7 @@ pub mod prelude {
     pub use crate::session::{
         QueryConfig, QueryHandle, QueryId, QueryInfo, QueryStats, Session, SessionStats,
     };
-    pub use crate::shared::{
-        execute_shared, strictest_completeness, SharedQueryOutput, SharedRunOutput,
-    };
+    pub use crate::shared::{execute_shared, SharedQueryOutput, SharedRunOutput};
     pub use crate::strategy::{DisorderControl, DropAll, FixedKSlack, MpKSlack, OracleBuffer};
     pub use quill_engine::parallel::ParallelConfig;
     pub use quill_engine::prelude::*;

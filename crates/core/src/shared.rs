@@ -8,9 +8,9 @@
 //! among the queries ([`DisorderControl::set_min_slide`]), and a query's
 //! per-query completeness target only flags its windows that fall below
 //! it. A caller who wants the strictest subscriber's target to bind builds
-//! the strategy for it — [`strictest_completeness`] picks it — and looser
-//! queries then enjoy surplus quality. This mirrors the multi-query sharing
-//! angle of the original system demo. [`execute_shared`] is
+//! the strategy for the largest of the targets, and looser queries then
+//! enjoy surplus quality. This mirrors the multi-query sharing angle of the
+//! original system demo. [`execute_shared`] is
 //! [`crate::runner::execute`]'s batch driver over a query slice.
 
 use crate::plan::Diagnostic;
@@ -51,17 +51,6 @@ pub struct SharedRunOutput {
     /// Advisory and warn-level plan diagnostics across all queries
     /// (deduplicated); deny-level findings abort [`execute_shared`] instead.
     pub plan: Vec<Diagnostic>,
-}
-
-/// The completeness target a shared buffer must honour: the maximum over
-/// subscribers (strictest wins). Returns `None` for an empty slice.
-pub fn strictest_completeness(targets: &[f64]) -> Option<f64> {
-    targets.iter().copied().fold(None, |acc, t| {
-        Some(match acc {
-            None => t,
-            Some(a) => a.max(t),
-        })
-    })
 }
 
 /// Run several queries over one stream sharing a single disorder-control
@@ -264,16 +253,10 @@ mod tests {
     }
 
     #[test]
-    fn strictest_target_selection() {
-        assert_eq!(strictest_completeness(&[]), None);
-        assert_eq!(strictest_completeness(&[0.9, 0.99, 0.95]), Some(0.99));
-    }
-
-    #[test]
     fn one_buffer_serves_all_subscribers_at_the_strictest_target() {
         let evs = events(20_000, 2);
         let qs = queries();
-        let q = strictest_completeness(&[0.9, 0.99]).unwrap();
+        let q = f64::max(0.9, 0.99);
         let mut strategy = AqKSlack::for_completeness(q);
         let shared = execute_shared(&evs, &mut strategy, &qs, &ExecOptions::sequential()).unwrap();
         for out in &shared.per_query {

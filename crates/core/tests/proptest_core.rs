@@ -35,11 +35,10 @@ fn brute_completeness(sample: &[u64], k: u64, s: u64) -> f64 {
     1.0 - overrun as f64 / (n * s as f64)
 }
 
-/// The order properties of `window_slack` every estimator must satisfy:
-/// `s = 0` is the quantile, and K* falls with the slide and rises with the
-/// target.
+/// The order properties of `window_slack`: `s = 0` is the quantile, and K*
+/// falls with the slide and rises with the target.
 fn check_window_slack_order(
-    est: &DistEstimator,
+    est: &DelayEstimator,
     q: f64,
     q2: f64,
     s: u64,
@@ -157,7 +156,7 @@ proptest! {
         s in 1u64..3_000,
         s2 in 0u64..3_000,
     ) {
-        let mut est = DistEstimator::new(EstimatorKind::SlidingWindow, cap);
+        let mut est = DelayEstimator::new(cap);
         for &d in &delays {
             est.observe(TimeDelta(d));
         }
@@ -173,36 +172,6 @@ proptest! {
             let model = est.window_completeness(TimeDelta(probe), TimeDelta(s));
             prop_assert!((model - brute_completeness(window, probe, s)).abs() < 1e-9);
         }
-        check_window_slack_order(&est, q, q2, s, s2)?;
-    }
-
-    #[test]
-    fn histogram_window_slack_holds_within_its_precision(
-        delays in prop::collection::vec(0u64..50_000, 1..150),
-        bits in 2u32..9,
-        q in 0.0f64..=1.0,
-        q2 in 0.0f64..=1.0,
-        s in 1u64..3_000,
-        s2 in 0u64..3_000,
-    ) {
-        // No decay: the histogram holds exactly the sample, each delay
-        // rounded down into its bucket by less than a 2^-bits fraction.
-        let kind = EstimatorKind::DecayingHistogram { precision_bits: bits, decay_every: u64::MAX };
-        let mut est = DistEstimator::new(kind, 0);
-        for &d in &delays {
-            est.observe(TimeDelta(d));
-        }
-        let k = est.window_slack(q, TimeDelta(s)).expect("non-empty").raw();
-        // Rounding down only helps, so the sample needs at least K_h, and
-        // at most K_h plus the largest rounding error.
-        if k > 0 {
-            let below = brute_completeness(&delays, k - 1, s);
-            prop_assert!(below < q + 1e-9, "C_S({}) = {below} already meets {q}", k - 1);
-        }
-        let max = *delays.iter().max().expect("non-empty");
-        let slack = (max as f64 / f64::from(1u32 << bits)).ceil() as u64;
-        let c = brute_completeness(&delays, k + slack, s);
-        prop_assert!(c >= q - 1e-9, "C_S({} + {slack}) = {c} < {q}", k);
         check_window_slack_order(&est, q, q2, s, s2)?;
     }
 

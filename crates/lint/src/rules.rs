@@ -58,6 +58,8 @@ const HOT_PATH_FILES: &[&str] = &[
     "crates/engine/src/parallel.rs",
     "crates/core/src/buffer.rs",
     "crates/core/src/strategy.rs",
+    "crates/core/src/estimator.rs",
+    "crates/core/src/controller.rs",
     "crates/core/src/runner.rs",
     "crates/core/src/session.rs",
 ];
@@ -627,6 +629,9 @@ mod tests {
         assert!(is_hot_path("crates/engine/src/parallel.rs"));
         assert!(is_hot_path("crates/core/src/runner.rs"));
         assert!(is_hot_path("crates/core/src/session.rs"));
+        assert!(is_hot_path("crates/core/src/estimator.rs"));
+        assert!(is_hot_path("crates/core/src/controller.rs"));
+        assert!(!is_hot_path("crates/core/src/aq.rs"));
         assert!(!is_hot_path("crates/engine/src/value.rs"));
         assert!(!is_hot_path("crates/gen/src/delay.rs"));
     }

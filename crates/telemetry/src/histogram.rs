@@ -124,28 +124,6 @@ impl LogHistogram {
         Some(self.max)
     }
 
-    /// Non-empty buckets in ascending order as `(value, count)`, where
-    /// `value` is the bucket's lower edge clamped to the observed range —
-    /// the value [`LogHistogram::quantile`] reports for that bucket.
-    pub fn buckets(&self) -> impl DoubleEndedIterator<Item = (u64, u64)> + Clone + '_ {
-        self.counts
-            .iter()
-            .enumerate()
-            .filter(|&(_, &c)| c > 0)
-            .map(|(i, &c)| (self.bucket_low(i).clamp(self.min, self.max), c))
-    }
-
-    /// Fraction of observations ≤ `v` (1.0 when empty, mirroring
-    /// `ecdf_sorted`). Bucket-granular.
-    pub fn cdf(&self, v: u64) -> f64 {
-        if self.total == 0 {
-            return 1.0;
-        }
-        let idx = self.index_of(v).min(self.counts.len() - 1);
-        let acc: u64 = self.counts[..=idx].iter().sum();
-        acc as f64 / self.total as f64
-    }
-
     /// Merge another histogram (must have identical precision).
     pub fn merge(&mut self, other: &LogHistogram) {
         assert_eq!(
@@ -159,21 +137,6 @@ impl LogHistogram {
         self.min = self.min.min(other.min);
         self.max = self.max.max(other.max);
         self.sum += other.sum;
-    }
-
-    /// Exponentially decay the histogram: halve every bucket count
-    /// (rounding down; buckets reaching zero forget their values). Gives a
-    /// fixed-memory estimator an effective horizon when called periodically
-    /// — the recency mechanism of the histogram-based delay estimator.
-    /// `min`/`max` are retained as lifetime bounds.
-    pub fn halve(&mut self) {
-        let mut total = 0u64;
-        for c in &mut self.counts {
-            *c /= 2;
-            total += *c;
-        }
-        self.total = total;
-        self.sum /= 2;
     }
 
     /// Reset all counts.
@@ -235,35 +198,6 @@ mod tests {
     }
 
     #[test]
-    fn cdf_is_monotone_and_normalized() {
-        let mut h = LogHistogram::new(4);
-        for v in [1u64, 10, 100, 1000, 10_000] {
-            h.record(v);
-        }
-        let mut last = 0.0;
-        for x in [0u64, 1, 5, 10, 99, 100, 5000, 1_000_000] {
-            let c = h.cdf(x);
-            assert!(c >= last, "cdf regressed at {x}");
-            last = c;
-        }
-        assert_eq!(h.cdf(1_000_000), 1.0);
-    }
-
-    #[test]
-    fn buckets_report_quantile_values_and_counts() {
-        let mut h = LogHistogram::new(4);
-        for v in [3u64, 3, 40, 41, 1000] {
-            h.record(v);
-        }
-        let b: Vec<(u64, u64)> = h.buckets().collect();
-        assert_eq!(b.iter().map(|&(_, c)| c).sum::<u64>(), h.count());
-        assert!(b.windows(2).all(|w| w[0].0 <= w[1].0));
-        assert_eq!(b[0], (3, 2));
-        assert_eq!(b.last().map(|&(v, _)| v), h.quantile(1.0));
-        assert_eq!(b.len(), 3, "40 and 41 share a bucket at 4 bits: {b:?}");
-    }
-
-    #[test]
     fn mean_is_exact() {
         let mut h = LogHistogram::default();
         for v in [2u64, 4, 9] {
@@ -293,45 +227,6 @@ mod tests {
     }
 
     #[test]
-    fn halve_decays_mass_and_preserves_shape() {
-        let mut h = LogHistogram::new(7);
-        for _ in 0..100 {
-            h.record(10);
-        }
-        for _ in 0..100 {
-            h.record(1000);
-        }
-        let q_before = h.quantile(0.5).unwrap();
-        h.halve();
-        assert_eq!(h.count(), 100);
-        // Median unchanged (both modes halved equally).
-        assert_eq!(h.quantile(0.5).unwrap(), q_before);
-        // Mean approximately preserved.
-        assert!((h.mean() - 505.0).abs() < 10.0);
-        // Repeated halving forgets everything.
-        for _ in 0..8 {
-            h.halve();
-        }
-        assert_eq!(h.count(), 0);
-        assert_eq!(h.quantile(0.5), None);
-    }
-
-    #[test]
-    fn halve_forgets_old_regime_under_new_mass() {
-        let mut h = LogHistogram::new(7);
-        for _ in 0..64 {
-            h.record(10_000); // old regime: huge delays
-        }
-        for _ in 0..7 {
-            h.halve(); // decay the old mass to zero
-        }
-        for _ in 0..50 {
-            h.record(10); // new calm regime
-        }
-        assert_eq!(h.quantile(0.99), Some(10));
-    }
-
-    #[test]
     fn clear_resets() {
         let mut h = LogHistogram::default();
         h.record(42);
@@ -355,6 +250,5 @@ mod tests {
         let h = LogHistogram::default();
         assert_eq!(h.quantile(0.5), None);
         assert_eq!(h.mean(), 0.0);
-        assert_eq!(h.cdf(10), 1.0);
     }
 }

@@ -53,7 +53,7 @@ fn main() {
         None,
     );
     let targets = [0.999, 0.95, 0.9];
-    let strictest = strictest_completeness(&targets).expect("non-empty");
+    let strictest = targets.into_iter().fold(f64::MIN, f64::max);
 
     section(&format!("shared buffer at strictest target q={strictest}"));
     let mut strategy = AqKSlack::for_completeness(strictest);

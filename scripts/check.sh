@@ -52,8 +52,8 @@ PROPTEST_CASES=2000 QUILL_FIBA_FUZZ_SEEDS="${QUILL_FIBA_FUZZ_SEEDS:-64}" \
 # Core soak: the slack buffer (every event forwarded by its own insert, in
 # arrival order and ahead of the watermark that insert emits; repeated
 # `(ts, seq)` keys included), the controller and the estimator — the
-# slide-aware `window_slack` against a brute-force C_S for both estimator
-# kinds — at 2 000 cases instead of the pinned 48.
+# slide-aware `window_slack` against a brute-force C_S — at 2 000 cases
+# instead of the pinned 48.
 echo "==> quill-core property soak (PROPTEST_CASES=2000)"
 PROPTEST_CASES=2000 cargo test --release -q -p quill-core --test proptest_core
 
