@@ -1,13 +1,13 @@
-//! `quill-inspect` — render a span record, violation post-mortem or
-//! plan-diagnostics JSONL file as a human-readable report.
+//! `quill-inspect` — render a span record or violation post-mortem JSONL
+//! file as a human-readable report.
 //!
 //! ```text
 //! quill-inspect <records.jsonl> [--top N]
 //! quill-inspect timeline <spans.jsonl | trace.json> [--check]
 //! ```
 //!
-//! The default mode sniffs span files (`write_spans_jsonl`), post-mortem
-//! files (`write_post_mortems_jsonl`) and plan diagnostics. The `timeline`
+//! The default mode sniffs span files (`write_spans_jsonl`) and post-mortem
+//! files (`write_post_mortems_jsonl`). The `timeline`
 //! mode is the latency-attribution view — over span JSON-lines or a
 //! Chrome-trace JSON export (`GET /trace`) — and with `--check` only
 //! validates the Chrome-trace structure (the smoke tests gate on it).

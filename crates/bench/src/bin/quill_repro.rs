@@ -39,7 +39,7 @@ fn main() -> ExitCode {
     println!(
         "replaying seed {} / strategy {} / {} events",
         case.seed,
-        case.strategy.encode(),
+        case.strategy,
         case.events.len()
     );
     match check_case(&case) {

@@ -9,8 +9,7 @@
 //! gap grows with tail weight.
 
 use crate::harness::{
-    delays_of, fmt_f64, hindsight_window_slack, make_strategy, standard_benches, Artifact,
-    ExperimentCtx, StrategySpec,
+    delays_of, fmt_f64, hindsight_window_slack, standard_benches, Artifact, ExperimentCtx,
 };
 use quill_core::prelude::*;
 use quill_metrics::Table;
@@ -36,19 +35,17 @@ pub fn run(ctx: &ExperimentCtx) -> Vec<Artifact> {
     for b in standard_benches(ctx) {
         let delays = delays_of(&b.stream.events);
         // MP is target-independent: run once per workload.
-        let mut mp = make_strategy(&StrategySpec::Mp, &delays);
         let mp_out = execute(
             &b.stream.events,
-            mp.as_mut(),
+            &mut MpKSlack::new(),
             &b.query,
             &ExecOptions::sequential(),
         )
         .expect("valid query");
         for &q in TARGETS {
-            let mut aq = make_strategy(&StrategySpec::Aq(q), &delays);
             let aq_out = execute(
                 &b.stream.events,
-                aq.as_mut(),
+                &mut AqKSlack::for_completeness(q),
                 &b.query,
                 &ExecOptions::sequential(),
             )

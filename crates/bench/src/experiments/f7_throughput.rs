@@ -8,10 +8,8 @@
 //! shape: all strategies within a small factor of each other — buffering and
 //! adaptation logic are not the bottleneck relative to aggregation.
 
-use crate::harness::{
-    delays_of, fmt_f64, make_strategy, standard_query, Artifact, ExperimentCtx, StrategySpec,
-};
-use quill_core::prelude::{execute, ExecOptions};
+use crate::harness::{delay_quantile, delays_of, fmt_f64, standard_query, Artifact, ExperimentCtx};
+use quill_core::prelude::{execute, ExecOptions, StrategySpec};
 use quill_metrics::Table;
 
 /// Run the experiment.
@@ -21,9 +19,12 @@ pub fn run(ctx: &ExperimentCtx) -> Vec<Artifact> {
     let delays = delays_of(&stream.events);
 
     let specs = [
-        ("drop", StrategySpec::Drop),
-        ("fixed(p95)", StrategySpec::FixedQuantile(0.95)),
-        ("mp", StrategySpec::Mp),
+        ("drop", StrategySpec::DropAll),
+        (
+            "fixed(p95)",
+            StrategySpec::Fixed(delay_quantile(&delays, 0.95)),
+        ),
+        ("mp", StrategySpec::Mp(None)),
         ("aq(0.95)", StrategySpec::Aq(0.95)),
         ("oracle", StrategySpec::Oracle),
     ];
@@ -32,7 +33,7 @@ pub fn run(ctx: &ExperimentCtx) -> Vec<Artifact> {
         ["strategy", "events", "wall ms", "kevents/s", "results"],
     );
     for (label, spec) in specs {
-        let mut s = make_strategy(&spec, &delays);
+        let mut s = spec.build();
         let out = execute(
             &stream.events,
             s.as_mut(),

@@ -8,22 +8,25 @@
 //! "latency" is the whole stream.
 
 use crate::harness::{
-    delays_of, fmt_f64, make_strategy, standard_benches, Artifact, ExperimentCtx, StrategySpec,
+    delay_quantile, delays_of, fmt_f64, source_info, standard_benches, Artifact, ExperimentCtx,
 };
-use quill_core::prelude::{execute, ExecOptions};
+use quill_core::prelude::{execute, ExecOptions, StrategySpec};
 use quill_metrics::Table;
 
 /// The completeness level used for violation accounting.
 pub const TARGET: f64 = 0.95;
 
-/// Strategies compared (Fixed-lo = offline median delay, Fixed-hi = offline
-/// p99 delay).
-pub fn strategies() -> Vec<(&'static str, StrategySpec)> {
+/// Strategies compared on a stream with these `delays` (Fixed-lo = offline
+/// median delay, Fixed-hi = offline p99 delay).
+pub fn strategies(delays: &[u64]) -> Vec<(&'static str, StrategySpec)> {
     vec![
-        ("drop", StrategySpec::Drop),
-        ("fixed-lo", StrategySpec::FixedQuantile(0.5)),
-        ("fixed-hi", StrategySpec::FixedQuantile(0.99)),
-        ("mp", StrategySpec::Mp),
+        ("drop", StrategySpec::DropAll),
+        ("fixed-lo", StrategySpec::Fixed(delay_quantile(delays, 0.5))),
+        (
+            "fixed-hi",
+            StrategySpec::Fixed(delay_quantile(delays, 0.99)),
+        ),
+        ("mp", StrategySpec::Mp(None)),
         ("aq", StrategySpec::Aq(TARGET)),
     ]
 }
@@ -39,23 +42,23 @@ pub fn run(ctx: &ExperimentCtx) -> Vec<Artifact> {
     );
     for b in standard_benches(ctx) {
         let delays = delays_of(&b.stream.events);
-        let mut all = strategies();
+        let mut all = strategies(&delays);
         // Workloads with natural sources also get the punctuation baseline
         // (with a modest per-source slack to compensate intra-source
         // disorder — the median overall delay).
-        if let Some((source_field, sources)) = crate::harness::source_info(b.name) {
-            let slack = crate::harness::delay_quantile(&delays, 0.5);
+        if let Some((source_field, expected_sources)) = source_info(b.name) {
+            let slack = delay_quantile(&delays, 0.5);
             all.push((
                 "punct",
-                StrategySpec::Punct {
+                StrategySpec::Punctuated {
                     source_field,
-                    sources,
+                    expected_sources,
                     slack,
                 },
             ));
         }
         for (label, spec) in all {
-            let mut s = make_strategy(&spec, &delays);
+            let mut s = spec.build();
             let out = execute(
                 &b.stream.events,
                 s.as_mut(),

@@ -1,5 +1,6 @@
 //! Shared experiment plumbing: context, artifacts, standard queries and
-//! strategy factories.
+//! delay calibration. Sweeps name their strategies with
+//! [`quill_core::dsl::StrategySpec`].
 
 use quill_core::prelude::*;
 use quill_engine::aggregate::{AggregateKind, AggregateSpec};
@@ -215,51 +216,6 @@ pub fn hindsight_window_slack(delays: &[u64], q: f64, slide: TimeDelta) -> u64 {
     est.window_slack(q, slide).map_or(0, |k| k.raw())
 }
 
-/// Build the named baseline strategy. `delays` lets calibrated baselines
-/// (fixed-K at an offline-computed quantile) be constructed.
-pub fn make_strategy(spec: &StrategySpec, delays: &[u64]) -> Box<dyn DisorderControl> {
-    match *spec {
-        StrategySpec::Drop => Box::new(DropAll::new()),
-        StrategySpec::FixedK(k) => Box::new(FixedKSlack::new(k)),
-        StrategySpec::FixedQuantile(q) => Box::new(FixedKSlack::new(delay_quantile(delays, q))),
-        StrategySpec::Mp => Box::new(MpKSlack::new()),
-        StrategySpec::Aq(q) => Box::new(AqKSlack::for_completeness(q)),
-        StrategySpec::Oracle => Box::new(OracleBuffer::new()),
-        StrategySpec::Punct {
-            source_field,
-            sources,
-            slack,
-        } => Box::new(PunctuatedBuffer::new(source_field, sources).with_source_slack(slack)),
-    }
-}
-
-/// Declarative strategy choice for experiment sweeps.
-#[derive(Debug, Clone, Copy, PartialEq)]
-pub enum StrategySpec {
-    /// K = 0.
-    Drop,
-    /// Constant K.
-    FixedK(u64),
-    /// Constant K chosen offline as the given delay quantile (hindsight
-    /// calibration — an oracle-assisted baseline).
-    FixedQuantile(f64),
-    /// MP-K-slack.
-    Mp,
-    /// AQ-K-slack with a completeness target.
-    Aq(f64),
-    /// Infinite buffer.
-    Oracle,
-    /// Per-source punctuation baseline (needs a source-id field).
-    Punct {
-        /// Row index of the source id.
-        source_field: usize,
-        /// Number of distinct sources to wait for.
-        sources: usize,
-        /// Per-source slack compensating intra-source disorder.
-        slack: u64,
-    },
-}
-
 /// Augment stock events with a `notional = price × volume` column appended
 /// at the end of each row (used by VWAP-style error-target experiments).
 pub fn with_notional(events: &[Event]) -> Vec<Event> {
@@ -273,11 +229,6 @@ pub fn with_notional(events: &[Event]) -> Vec<Event> {
             e
         })
         .collect()
-}
-
-/// Shorthand for building result rows in tables.
-pub fn row_of(cells: Vec<String>) -> Vec<String> {
-    cells
 }
 
 /// Format helper re-export for experiment modules.
@@ -328,22 +279,6 @@ mod tests {
         // G(K) = 600 − 3K on [0, 100] against a budget of 0.1·4·1000.
         assert_eq!(hindsight_window_slack(&d, 0.9, TimeDelta(1_000)), 67);
         assert_eq!(hindsight_window_slack(&[], 0.9, TimeDelta(1_000)), 0);
-    }
-
-    #[test]
-    fn strategy_factory_builds_all() {
-        let delays = vec![1, 2, 3, 100];
-        for spec in [
-            StrategySpec::Drop,
-            StrategySpec::FixedK(10),
-            StrategySpec::FixedQuantile(0.9),
-            StrategySpec::Mp,
-            StrategySpec::Aq(0.95),
-            StrategySpec::Oracle,
-        ] {
-            let s = make_strategy(&spec, &delays);
-            assert!(!s.name().is_empty());
-        }
     }
 
     #[test]

@@ -1,16 +1,13 @@
-//! Human-readable rendering of span record streams, violation post-mortems
-//! and static plan diagnostics — the library behind the `quill-inspect`
-//! binary.
+//! Human-readable rendering of span record streams and violation
+//! post-mortems — the library behind the `quill-inspect` binary.
 //!
-//! Three input shapes are accepted (all JSON-lines, one dialect for records):
+//! Two input shapes are accepted (both JSON-lines, one dialect for records):
 //!
 //! * a **span file** — [`Span`] lines as written by `write_spans_jsonl`
 //!   (e.g. the `f4_trace` artifact);
 //! * a **post-mortem file** — [`ProvenanceRecord`] headers, each followed
 //!   by its causal slice of span lines, as written by
-//!   `write_post_mortems_jsonl` (e.g. the `f5_postmortems` artifact);
-//! * a **plan-diagnostics file** — [`PlanDiagnostic`] lines as written by
-//!   `Diagnostic::to_jsonl_line` (the pre-execution static analysis).
+//!   `write_post_mortems_jsonl` (e.g. the `f5_postmortems` artifact).
 //!
 //! [`render_report`] sniffs the shape from the first line and renders a
 //! report with a summary, the controller decision log, the top-K latest
@@ -18,7 +15,6 @@
 //! window. [`render_timeline`] is the latency-attribution view over span
 //! lines or a Chrome-trace export.
 
-use quill_core::plan::{parse_plan_jsonl, Diagnostic as PlanDiagnostic, Severity};
 use quill_telemetry::span::{self, attribute, Span, MERGE_SHARD, NO_QUERY};
 use quill_telemetry::trace::{parse_post_mortems, PostMortem, ProvenanceRecord};
 use quill_telemetry::Stage;
@@ -36,8 +32,8 @@ fn parse_span_lines(text: &str) -> Result<Vec<Span>, String> {
     Ok(spans)
 }
 
-/// Render a span, post-mortem or plan-diagnostics JSONL document as a
-/// human-readable report. `top_k` bounds the "latest tuples" leaderboard.
+/// Render a span or post-mortem JSONL document as a human-readable report.
+/// `top_k` bounds the "latest tuples" leaderboard.
 ///
 /// # Errors
 /// Returns a message naming the first malformed line (`line N: …`).
@@ -45,10 +41,6 @@ pub fn render_report(text: &str, top_k: usize) -> Result<String, String> {
     let Some(first) = text.lines().find(|l| !l.trim().is_empty()) else {
         return Ok("(empty trace)\n".into());
     };
-    if first.contains("\"rule\":") {
-        let diags = parse_plan_jsonl(text)?;
-        return Ok(render_plan_diagnostics(&diags));
-    }
     if first.contains("\"kind\":\"provenance\"") {
         let pms = parse_post_mortems(text)?;
         return Ok(render_post_mortems(&pms, top_k));
@@ -86,38 +78,6 @@ fn render_post_mortems(pms: &[PostMortem], top_k: usize) -> String {
     render_late_leaders(&mut out, &union, top_k);
     for pm in pms {
         render_violation_timeline(&mut out, pm);
-    }
-    out
-}
-
-/// Report over static plan diagnostics, grouped by severity (deny first) —
-/// also usable directly on `RunOutput::plan` / `SharedRunOutput::plan`.
-pub fn render_plan_diagnostics(diags: &[PlanDiagnostic]) -> String {
-    let mut out = String::new();
-    let _ = writeln!(out, "== Plan diagnostics ==");
-    if diags.is_empty() {
-        let _ = writeln!(out, "plan is clean: no findings");
-        return out;
-    }
-    let count = |s: Severity| diags.iter().filter(|d| d.severity == s).count();
-    let _ = writeln!(
-        out,
-        "findings: {} ({} deny, {} warn, {} advice)",
-        diags.len(),
-        count(Severity::Deny),
-        count(Severity::Warn),
-        count(Severity::Advice),
-    );
-    for severity in [Severity::Deny, Severity::Warn, Severity::Advice] {
-        let group: Vec<&PlanDiagnostic> = diags.iter().filter(|d| d.severity == severity).collect();
-        if group.is_empty() {
-            continue;
-        }
-        let _ = writeln!(out, "\n-- {severity} --");
-        for d in group {
-            let _ = writeln!(out, "[{}] {}", d.rule, d.message);
-            let _ = writeln!(out, "    help: {}", d.help);
-        }
     }
     out
 }
@@ -545,31 +505,6 @@ mod tests {
             describe_malformed("cut.jsonl", cut, &err),
             "cut.jsonl:1: expected ',' or '}', got end of line\n  offending record: {\"seq\":1"
         );
-    }
-
-    #[test]
-    fn renders_plan_diagnostics_grouped_by_severity() {
-        use quill_core::plan::{analyze_plan, DelayProfile, StrategyKind};
-        use quill_core::prelude::{
-            AggregateKind, AggregateSpec, ExecOptions, QuerySpec, WindowSpec,
-        };
-        let query = QuerySpec::new(
-            WindowSpec::sliding(100u64, 30u64),
-            vec![AggregateSpec::new(AggregateKind::Median, 0, "m")],
-            None,
-        );
-        let opts = ExecOptions::sequential()
-            .with_delay_profile(DelayProfile::Unbounded)
-            .with_required_completeness(1.0);
-        let diags = analyze_plan(&query, &StrategyKind::DropAll, &opts);
-        let text: String = diags.iter().map(|d| d.to_jsonl_line() + "\n").collect();
-        let report = render_report(&text, 5).expect("renders");
-        assert!(report.contains("Plan diagnostics"));
-        assert!(report.contains("-- deny --"));
-        assert!(report.contains("plan.quality.infeasible"));
-        assert!(report.contains("-- warn --"));
-        assert!(report.contains("help:"));
-        assert!(render_plan_diagnostics(&[]).contains("plan is clean"));
     }
 
     #[test]

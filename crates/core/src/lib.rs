@@ -46,6 +46,7 @@
 pub mod aq;
 pub mod buffer;
 pub mod controller;
+pub mod dsl;
 pub mod estimator;
 pub mod plan;
 pub mod punctuated;
@@ -62,10 +63,11 @@ pub mod prelude {
     pub use crate::aq::{AqConfig, AqKSlack, AqStats};
     pub use crate::buffer::{BufferStats, SlackBuffer};
     pub use crate::controller::PiController;
+    pub use crate::dsl::StrategySpec;
     pub use crate::estimator::DelayEstimator;
     pub use crate::plan::{
-        analyze_plan, parse_plan_jsonl, DelayProfile, Diagnostic as PlanDiagnostic,
-        Severity as PlanSeverity, StrategyKind,
+        analyze_plan, DelayProfile, Diagnostic as PlanDiagnostic, Severity as PlanSeverity,
+        StrategyKind,
     };
     pub use crate::punctuated::PunctuatedBuffer;
     pub use crate::quality::{QualityTarget, SensitivityModel};

@@ -73,33 +73,6 @@ impl Diagnostic {
             help: help.into(),
         }
     }
-
-    /// Render as one JSON-lines object (hand-rolled; the workspace is
-    /// dependency-free).
-    pub fn to_jsonl_line(&self) -> String {
-        fn esc(s: &str) -> String {
-            let mut out = String::with_capacity(s.len());
-            for c in s.chars() {
-                match c {
-                    '"' => out.push_str("\\\""),
-                    '\\' => out.push_str("\\\\"),
-                    '\n' => out.push_str("\\n"),
-                    '\t' => out.push_str("\\t"),
-                    '\r' => out.push_str("\\r"),
-                    c if (c as u32) < 0x20 => out.push_str(&format!("\\u{:04x}", c as u32)),
-                    c => out.push(c),
-                }
-            }
-            out
-        }
-        format!(
-            "{{\"rule\":\"{}\",\"severity\":\"{}\",\"message\":\"{}\",\"help\":\"{}\"}}",
-            esc(&self.rule),
-            self.severity,
-            esc(&self.message),
-            esc(&self.help),
-        )
-    }
 }
 
 impl fmt::Display for Diagnostic {
@@ -110,65 +83,6 @@ impl fmt::Display for Diagnostic {
             self.severity, self.rule, self.message, self.help
         )
     }
-}
-
-/// Extract the string value of `"key":"..."` from one JSONL object,
-/// honouring backslash escapes.
-fn json_str_field(line: &str, key: &str) -> Option<String> {
-    let pat = format!("\"{key}\":\"");
-    let at = line.find(&pat)? + pat.len();
-    let mut out = String::new();
-    let mut chars = line[at..].chars();
-    while let Some(c) = chars.next() {
-        match c {
-            '"' => return Some(out),
-            '\\' => match chars.next()? {
-                'n' => out.push('\n'),
-                't' => out.push('\t'),
-                'r' => out.push('\r'),
-                'u' => {
-                    let hex: String = chars.by_ref().take(4).collect();
-                    if let Some(c) = u32::from_str_radix(&hex, 16).ok().and_then(char::from_u32) {
-                        out.push(c);
-                    }
-                }
-                other => out.push(other),
-            },
-            c => out.push(c),
-        }
-    }
-    None
-}
-
-/// Parse plan diagnostics back from JSON lines (round-trip of
-/// [`Diagnostic::to_jsonl_line`]); used by `quill-inspect`.
-///
-/// # Errors
-/// Returns a description of the first malformed line.
-pub fn parse_plan_jsonl(text: &str) -> Result<Vec<Diagnostic>, String> {
-    let mut out = Vec::new();
-    for (i, line) in text.lines().enumerate() {
-        let line = line.trim();
-        if line.is_empty() {
-            continue;
-        }
-        let field = |key: &str| {
-            json_str_field(line, key).ok_or_else(|| format!("line {}: missing `{key}`", i + 1))
-        };
-        let severity = match field("severity")?.as_str() {
-            "advice" => Severity::Advice,
-            "warn" => Severity::Warn,
-            "deny" => Severity::Deny,
-            other => return Err(format!("line {}: unknown severity `{other}`", i + 1)),
-        };
-        out.push(Diagnostic {
-            rule: field("rule")?,
-            severity,
-            message: field("message")?,
-            help: field("help")?,
-        });
-    }
-    Ok(out)
 }
 
 /// Statically known behaviour of a disorder-control strategy, as reported by
@@ -657,21 +571,6 @@ mod tests {
         let opts = ExecOptions::parallel(ParallelConfig::new(2)).with_expected_keys(4);
         let diags = analyze_plan(&q, &StrategyKind::FixedK(50), &opts);
         assert!(!rules(&diags).contains(&"plan.options.expected-keys-without-parallel"));
-    }
-
-    #[test]
-    fn diagnostics_round_trip_through_jsonl() {
-        let q = query(
-            WindowSpec::sliding(100u64, 30u64),
-            AggregateKind::Median,
-            None,
-        );
-        let opts = ExecOptions::parallel(ParallelConfig::new(4)).with_snapshot_every(10);
-        let diags = analyze_plan(&q, &StrategyKind::Oracle, &opts);
-        assert!(!diags.is_empty());
-        let text: String = diags.iter().map(|d| d.to_jsonl_line() + "\n").collect();
-        let parsed = parse_plan_jsonl(&text).unwrap();
-        assert_eq!(parsed, diags);
     }
 
     #[test]

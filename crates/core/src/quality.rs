@@ -74,30 +74,20 @@ impl QualityTarget {
 }
 
 /// Online estimate of how strongly missing tuples perturb the aggregate:
-/// the payload's coefficient of variation (σ/|μ|), floored to keep the
+/// the payload's coefficient of variation (σ/|μ|), floored at 1 to keep the
 /// translation conservative for near-constant payloads.
 #[derive(Debug, Clone)]
 pub struct SensitivityModel {
     stats: StreamingStats,
-    floor: f64,
 }
 
 impl SensitivityModel {
-    /// Default floor of 0.1: even a constant payload is treated as if
-    /// missing 10·ε of the tuples could produce error ε (count-style
-    /// aggregates lose exactly the missing fraction).
+    /// An empty model: even a constant payload is treated as if missing
+    /// ε of the tuples could produce error ε (count-style aggregates lose
+    /// exactly the missing fraction).
     pub fn new() -> SensitivityModel {
         SensitivityModel {
             stats: StreamingStats::new(),
-            floor: 0.1,
-        }
-    }
-
-    /// Custom floor.
-    pub fn with_floor(floor: f64) -> SensitivityModel {
-        SensitivityModel {
-            stats: StreamingStats::new(),
-            floor: floor.max(0.0),
         }
     }
 
@@ -113,12 +103,12 @@ impl SensitivityModel {
         self.stats.count()
     }
 
-    /// The sensitivity factor: `max(cv, floor, 1.0)` — missing a fraction
-    /// `m` of tuples is assumed to move sum/count-like aggregates by up to
-    /// `m` itself (factor 1) and high-dispersion aggregates by `cv·m`.
+    /// The sensitivity factor: `max(cv, 1.0)` — missing a fraction `m` of
+    /// tuples is assumed to move sum/count-like aggregates by up to `m`
+    /// itself (factor 1) and high-dispersion aggregates by `cv·m`.
     pub fn factor(&self) -> f64 {
         if self.stats.count() < 2 {
-            return 1.0f64.max(self.floor);
+            return 1.0;
         }
         let mean = self.stats.mean().abs();
         let cv = if mean < 1e-12 {
@@ -126,7 +116,7 @@ impl SensitivityModel {
         } else {
             self.stats.stddev() / mean
         };
-        cv.max(self.floor).max(1.0)
+        cv.max(1.0)
     }
 }
 

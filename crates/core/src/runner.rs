@@ -12,7 +12,7 @@
 //! registration — or the batched keyed-parallel executor.
 
 use crate::plan::{analyze_plan, DelayProfile, Diagnostic, Severity};
-use crate::session::MultiQueryCore;
+use crate::session::{MultiQueryCore, QueryConfig};
 use crate::shared::{SharedQueryOutput, SharedRunOutput};
 use crate::strategy::DisorderControl;
 use quill_engine::aggregate::{AggregateKind, AggregateSpec};
@@ -28,7 +28,7 @@ use quill_telemetry::trace::{PostMortem, ProvenanceBuilder, ProvenanceRecord};
 use quill_telemetry::{Registry, ReporterConfig, Snapshot, SpanRecorder, Stage, TelemetryReporter};
 
 /// The continuous query to execute.
-#[derive(Debug, Clone)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct QuerySpec {
     /// Window shape.
     pub window: WindowSpec,
@@ -534,8 +534,13 @@ pub(crate) fn run_batch(
             // stamps go unused.
             let mut core = MultiQueryCore::new(&Registry::disabled());
             core.observe_operators(&opts.spans);
+            let config = QueryConfig {
+                required_completeness: opts.required_completeness,
+                result_capacity: usize::MAX,
+                latency_slo: None,
+            };
             for q in queries {
-                core.register(q, opts.required_completeness, usize::MAX, None)?;
+                core.register(q, &config)?;
             }
             for el in elements {
                 core.process_element(&el, Timestamp::MIN);

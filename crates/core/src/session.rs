@@ -91,7 +91,7 @@ impl fmt::Display for QueryId {
 }
 
 /// Per-query registration options.
-#[derive(Debug, Clone)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct QueryConfig {
     /// Completeness target this subscriber requires, consulted by the plan
     /// analyzer at registration (a target the strategy provably cannot meet
@@ -266,8 +266,8 @@ pub struct QueryInfo {
     pub id: QueryId,
     /// The query.
     pub spec: QuerySpec,
-    /// The subscriber's completeness target, if any.
-    pub required_completeness: Option<f64>,
+    /// The options it was registered with.
+    pub config: QueryConfig,
     /// Current counters.
     pub stats: QueryStats,
 }
@@ -276,7 +276,7 @@ pub struct QueryInfo {
 struct Member {
     id: QueryId,
     spec: QuerySpec,
-    required_completeness: Option<f64>,
+    config: QueryConfig,
     state: Arc<Mutex<SubState>>,
 }
 
@@ -375,9 +375,7 @@ impl MultiQueryCore {
     pub(crate) fn register(
         &mut self,
         spec: &QuerySpec,
-        required_completeness: Option<f64>,
-        result_capacity: usize,
-        latency_slo: Option<u64>,
+        config: &QueryConfig,
     ) -> Result<(QueryId, Arc<Mutex<SubState>>)> {
         let joinable = |g: &Group| g.fresh && same_shape(&g.members[0].spec, spec);
         let at = match self.groups.iter().position(joinable) {
@@ -402,19 +400,19 @@ impl MultiQueryCore {
         self.next_id += 1;
         let state = Arc::new(Mutex::new(SubState {
             queue: VecDeque::new(),
-            capacity: result_capacity.max(1),
+            capacity: config.result_capacity.max(1),
             overflow_dropped: 0,
             emitted: 0,
             window: WindowOpStats::default(),
             latency: LatencyRecorder::new(),
-            latency_slo,
+            latency_slo: config.latency_slo,
             slo_breaches: 0,
             closed: false,
         }));
         self.groups[at].members.push(Member {
             id,
             spec: spec.clone(),
-            required_completeness,
+            config: config.clone(),
             state: Arc::clone(&state),
         });
         Ok((id, state))
@@ -671,12 +669,7 @@ impl Session {
                 deny.rule, deny.message, deny.help
             )));
         }
-        let (id, state) = self.core.register(
-            spec,
-            cfg.required_completeness,
-            cfg.result_capacity,
-            cfg.latency_slo,
-        )?;
+        let (id, state) = self.core.register(spec, &cfg)?;
         self.registrations_changed();
         Ok(QueryHandle {
             id,
@@ -837,7 +830,7 @@ impl Session {
         Some(QueryInfo {
             id: m.id,
             spec: m.spec.clone(),
-            required_completeness: m.required_completeness,
+            config: m.config.clone(),
             stats,
         })
     }
@@ -1116,7 +1109,7 @@ mod tests {
         let h = session.register_with(&query(), cfg).unwrap();
         assert_eq!(session.query_ids(), vec![h.id()]);
         let info = session.query_info(h.id()).unwrap();
-        assert_eq!(info.required_completeness, Some(0.9));
+        assert_eq!(info.config.required_completeness, Some(0.9));
         assert_eq!(info.spec.aggregates.len(), 1);
         assert!(session.query_info(QueryId::from_raw(999)).is_none());
     }

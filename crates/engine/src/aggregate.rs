@@ -102,6 +102,46 @@ impl fmt::Display for AggregateKind {
     }
 }
 
+/// Reads every kind back from its [`Display`](fmt::Display) form. Parameters
+/// are not range-checked here: `q1.5` parses, and
+/// [`AggregateSpec::validate`] refuses it.
+impl std::str::FromStr for AggregateKind {
+    type Err = EngineError;
+
+    fn from_str(s: &str) -> Result<AggregateKind> {
+        use AggregateKind::*;
+        let by = |name: &str| {
+            let field = s.strip_prefix(name)?.strip_prefix("(by=")?;
+            field.strip_suffix(')')?.parse::<usize>().ok()
+        };
+        let plain = [
+            Count,
+            Sum,
+            Mean,
+            Min,
+            Max,
+            StdDev,
+            Variance,
+            Median,
+            DistinctCount,
+            First,
+            Last,
+        ];
+        let named = plain.into_iter().find(|kind| kind.to_string() == s);
+        let quantile = s.strip_prefix('q').and_then(|p| p.parse().ok());
+        match (named, quantile, by("argmin"), by("argmax")) {
+            (Some(kind), ..) => Ok(kind),
+            (_, Some(p), ..) => Ok(Quantile(p)),
+            (.., Some(f), _) => Ok(ArgMin(f)),
+            (.., Some(f)) => Ok(ArgMax(f)),
+            _ => Err(EngineError::InvalidSpec(format!(
+                "unknown aggregate `{s}` (count, sum, mean, min, max, stddev, variance, \
+                 median, distinct, first, last, q<p>, argmin(by=<f>), argmax(by=<f>))"
+            ))),
+        }
+    }
+}
+
 /// An aggregate bound to the row field it reads.
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
 pub struct AggregateSpec {

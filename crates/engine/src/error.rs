@@ -45,6 +45,8 @@ pub enum EngineError {
     /// requirements (deny-level diagnostic); execution was refused before
     /// any event was processed.
     PlanRejected(String),
+    /// A strategy spec or query text did not parse (`quill_core::dsl`).
+    InvalidSpec(String),
 }
 
 impl fmt::Display for EngineError {
@@ -73,6 +75,7 @@ impl fmt::Display for EngineError {
             EngineError::InvalidPipeline(msg) => write!(f, "invalid pipeline: {msg}"),
             EngineError::ExecutorFailure(msg) => write!(f, "executor failure: {msg}"),
             EngineError::PlanRejected(msg) => write!(f, "plan rejected: {msg}"),
+            EngineError::InvalidSpec(msg) => write!(f, "invalid spec: {msg}"),
         }
     }
 }

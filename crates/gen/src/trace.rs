@@ -49,14 +49,17 @@ impl From<std::io::Error> for TraceError {
 const MAGIC: &str = "quill-trace v1";
 const NULL_TOKEN: &str = "\\N";
 
-fn escape(s: &str) -> String {
+/// Escape backslash, tab, newline and carriage return so `s` fits in one
+/// tab-separated field of a line ([`unescape`] reverses it).
+pub fn escape(s: &str) -> String {
     s.replace('\\', "\\\\")
         .replace('\t', "\\t")
         .replace('\n', "\\n")
         .replace('\r', "\\r")
 }
 
-fn unescape(s: &str) -> String {
+/// Reverse [`escape`]; an unknown escape is kept as written.
+pub fn unescape(s: &str) -> String {
     let mut out = String::with_capacity(s.len());
     let mut chars = s.chars();
     while let Some(c) = chars.next() {

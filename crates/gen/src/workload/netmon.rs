@@ -52,17 +52,6 @@ impl Default for NetmonConfig {
 }
 
 impl NetmonConfig {
-    /// The drifting variant used by R-F4: delay scale triples linearly over
-    /// the given horizon.
-    pub fn with_linear_drift(mut self, horizon: u64) -> Self {
-        self.drift = Some(DriftShape::Linear {
-            from: 1.0,
-            to: 3.0,
-            horizon,
-        });
-        self
-    }
-
     /// A step change in delay scale at the given time (R-F8 ablation).
     pub fn with_step_drift(mut self, at: u64) -> Self {
         self.drift = Some(DriftShape::Step {

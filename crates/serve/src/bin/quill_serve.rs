@@ -18,7 +18,8 @@ fn usage() -> ! {
          [--queue N] [--query DSL]... [--read-timeout-ms N] [--idle-timeout-ms N] \
          [--span-capacity N]\n\
          \n\
-         SPEC: dropall | fixed:<k> | mp[:<cap>] | aq:<q> | punct:<field>:<sources>[:<slack>]\n\
+         SPEC: dropall | fixed:<k> | mp[:<cap>] | aq:<q> | aqe:<eps>:<field> | oracle |\n\
+         \x20     punct:<field>:<sources>[:<slack>]\n\
          DSL:  <window>;<aggregates>[;key=<f>][;completeness=<q>][;capacity=<n>][;slo=<lat>]\n\
          --span-capacity: span ring size behind GET /trace (default {}; 0 disables tracing)",
         quill_serve::config::SERVE_SPAN_CAPACITY

@@ -1,101 +1,13 @@
-//! Daemon configuration: strategy specs, per-connection policies and the
-//! compact query DSL used for live registration.
+//! Daemon configuration: per-connection policies, the daemon's settings,
+//! and the plan vocabulary it speaks.
 //!
-//! Everything here is parseable from CLI flags / HTTP request bodies and
-//! printable back, so a running daemon's configuration is always
-//! reproducible from text.
+//! The strategy grammar ([`StrategySpec`]) and the query DSL
+//! ([`parse_query`] / [`query_to_dsl`]) live in [`quill_core::dsl`] and are
+//! re-exported here, so a running daemon's configuration is always
+//! reproducible from the same text the simulator and the experiments use.
 
-use crate::error::{ServeError, ServeResult};
-use quill_core::prelude::{
-    AggregateKind, AggregateSpec, AqKSlack, DisorderControl, DropAll, FixedKSlack, MpKSlack,
-    PunctuatedBuffer, QueryConfig, QuerySpec, WindowSpec,
-};
+pub use quill_core::dsl::{parse_query, query_to_dsl, StrategySpec};
 use std::time::Duration;
-
-/// Which disorder-control strategy the session core runs, in a form that
-/// parses from a CLI flag (`--strategy aq:0.95`) and rebuilds fresh
-/// [`DisorderControl`] instances.
-#[derive(Debug, Clone, PartialEq)]
-pub enum StrategySpec {
-    /// `dropall`: K = 0, no reordering.
-    DropAll,
-    /// `fixed:<k>`: constant slack.
-    Fixed(u64),
-    /// `mp` / `mp:<cap>`: max-delay ratchet, optionally capped.
-    Mp(Option<u64>),
-    /// `aq:<q>`: quality-driven adaptive slack targeting completeness `q`.
-    Aq(f64),
-    /// `punct:<source_field>:<expected_sources>[:<slack>]`: per-source
-    /// punctuation (heartbeat-driven watermarks).
-    Punctuated {
-        /// Row index carrying the source id.
-        source_field: usize,
-        /// Distinct sources the combined watermark waits for.
-        expected_sources: usize,
-        /// Extra per-source slack (intra-source disorder compensation).
-        slack: u64,
-    },
-}
-
-impl StrategySpec {
-    /// Parse a spec string (see the variant docs for the grammar).
-    ///
-    /// # Errors
-    /// [`ServeError::Config`] on unknown names or malformed parameters.
-    pub fn parse(s: &str) -> ServeResult<StrategySpec> {
-        let mut parts = s.split(':');
-        let head = parts.next().unwrap_or_default();
-        let rest: Vec<&str> = parts.collect();
-        let bad = |what: &str| ServeError::Config(format!("strategy `{s}`: {what}"));
-        match (head, rest.as_slice()) {
-            ("dropall", []) => Ok(StrategySpec::DropAll),
-            ("fixed", [k]) => Ok(StrategySpec::Fixed(
-                k.parse().map_err(|_| bad("K must be an integer"))?,
-            )),
-            ("mp", []) => Ok(StrategySpec::Mp(None)),
-            ("mp", [cap]) => Ok(StrategySpec::Mp(Some(
-                cap.parse().map_err(|_| bad("cap must be an integer"))?,
-            ))),
-            ("aq", [q]) => {
-                let q: f64 = q.parse().map_err(|_| bad("target must be a float"))?;
-                if !(q > 0.0 && q <= 1.0) {
-                    return Err(bad("completeness target must be in (0, 1]"));
-                }
-                Ok(StrategySpec::Aq(q))
-            }
-            ("punct", [field, sources]) => Ok(StrategySpec::Punctuated {
-                source_field: field.parse().map_err(|_| bad("source field index"))?,
-                expected_sources: sources.parse().map_err(|_| bad("expected sources"))?,
-                slack: 0,
-            }),
-            ("punct", [field, sources, slack]) => Ok(StrategySpec::Punctuated {
-                source_field: field.parse().map_err(|_| bad("source field index"))?,
-                expected_sources: sources.parse().map_err(|_| bad("expected sources"))?,
-                slack: slack.parse().map_err(|_| bad("slack"))?,
-            }),
-            _ => Err(bad("expected dropall | fixed:<k> | mp[:<cap>] | aq:<q> | \
-                 punct:<field>:<sources>[:<slack>]")),
-        }
-    }
-
-    /// Build a fresh strategy instance for a session core.
-    pub fn build(&self) -> Box<dyn DisorderControl> {
-        match *self {
-            StrategySpec::DropAll => Box::new(DropAll::new()),
-            StrategySpec::Fixed(k) => Box::new(FixedKSlack::new(k)),
-            StrategySpec::Mp(None) => Box::new(MpKSlack::new()),
-            StrategySpec::Mp(Some(cap)) => Box::new(MpKSlack::bounded(cap)),
-            StrategySpec::Aq(q) => Box::new(AqKSlack::for_completeness(q)),
-            StrategySpec::Punctuated {
-                source_field,
-                expected_sources,
-                slack,
-            } => Box::new(
-                PunctuatedBuffer::new(source_field, expected_sources).with_source_slack(slack),
-            ),
-        }
-    }
-}
 
 /// Per-connection transport policy (lightflus-style: every socket carries
 /// its own timeout/eviction/limit envelope).
@@ -192,151 +104,10 @@ impl Default for ServeConfig {
     }
 }
 
-/// Parse one aggregate kind name from the query DSL.
-fn parse_agg_kind(s: &str) -> ServeResult<AggregateKind> {
-    Ok(match s {
-        "count" => AggregateKind::Count,
-        "sum" => AggregateKind::Sum,
-        "mean" => AggregateKind::Mean,
-        "min" => AggregateKind::Min,
-        "max" => AggregateKind::Max,
-        "stddev" => AggregateKind::StdDev,
-        "variance" => AggregateKind::Variance,
-        "median" => AggregateKind::Median,
-        "distinct" => AggregateKind::DistinctCount,
-        "first" => AggregateKind::First,
-        "last" => AggregateKind::Last,
-        q if q.starts_with('q') => {
-            let p: f64 = q[1..]
-                .parse()
-                .map_err(|_| ServeError::Config(format!("bad quantile `{q}`")))?;
-            AggregateKind::Quantile(p)
-        }
-        other => {
-            return Err(ServeError::Config(format!(
-                "unknown aggregate `{other}` (count, sum, mean, min, max, stddev, variance, \
-                 median, distinct, first, last, q<p>)"
-            )))
-        }
-    })
-}
-
-/// Parse the compact query DSL used by `POST /queries` bodies and the
-/// `--query` CLI flag:
-///
-/// ```text
-/// <window>;<aggregates>[;key=<field>][;completeness=<q>][;capacity=<n>][;slo=<lat>]
-/// window     = tumbling:<len> | sliding:<len>:<slide>
-/// aggregates = <kind>:<field>:<name> [, ...]
-/// ```
-///
-/// Example: `tumbling:1000;sum:0:bytes,mean:1:lat;key=2;completeness=0.99`.
-///
-/// # Errors
-/// [`ServeError::Config`] describing the offending clause.
-pub fn parse_query(dsl: &str) -> ServeResult<(QuerySpec, QueryConfig)> {
-    let mut window = None;
-    let mut aggregates = Vec::new();
-    let mut key_field = None;
-    let mut cfg = QueryConfig::default();
-    for clause in dsl.split(';').map(str::trim) {
-        if clause.is_empty() {
-            continue;
-        }
-        if let Some(rest) = clause.strip_prefix("tumbling:") {
-            let len: u64 = rest
-                .parse()
-                .map_err(|_| ServeError::Config(format!("bad tumbling length `{rest}`")))?;
-            window = Some(WindowSpec::tumbling(len));
-        } else if let Some(rest) = clause.strip_prefix("sliding:") {
-            let (len, slide) = rest
-                .split_once(':')
-                .ok_or_else(|| ServeError::Config("sliding needs <len>:<slide>".into()))?;
-            let len: u64 = len
-                .parse()
-                .map_err(|_| ServeError::Config(format!("bad sliding length `{len}`")))?;
-            let slide: u64 = slide
-                .parse()
-                .map_err(|_| ServeError::Config(format!("bad slide `{slide}`")))?;
-            window = Some(WindowSpec::sliding(len, slide));
-        } else if let Some(rest) = clause.strip_prefix("key=") {
-            key_field = Some(
-                rest.parse()
-                    .map_err(|_| ServeError::Config(format!("bad key field `{rest}`")))?,
-            );
-        } else if let Some(rest) = clause.strip_prefix("completeness=") {
-            let q: f64 = rest
-                .parse()
-                .map_err(|_| ServeError::Config(format!("bad completeness `{rest}`")))?;
-            cfg = cfg.with_required_completeness(q);
-        } else if let Some(rest) = clause.strip_prefix("capacity=") {
-            let n: usize = rest
-                .parse()
-                .map_err(|_| ServeError::Config(format!("bad capacity `{rest}`")))?;
-            cfg = cfg.with_result_capacity(n);
-        } else if let Some(rest) = clause.strip_prefix("slo=") {
-            let n: u64 = rest
-                .parse()
-                .map_err(|_| ServeError::Config(format!("bad latency SLO `{rest}`")))?;
-            cfg = cfg.with_latency_slo(n);
-        } else if clause.contains(':') {
-            // The aggregate list clause: comma-separated kind:field:name.
-            for agg in clause.split(',').map(str::trim) {
-                let mut it = agg.splitn(3, ':');
-                let (kind, field, name) = (it.next(), it.next(), it.next());
-                let (Some(kind), Some(field), Some(name)) = (kind, field, name) else {
-                    return Err(ServeError::Config(format!(
-                        "aggregate `{agg}` must be <kind>:<field>:<name>"
-                    )));
-                };
-                let field: usize = field
-                    .parse()
-                    .map_err(|_| ServeError::Config(format!("bad field index `{field}`")))?;
-                aggregates.push(AggregateSpec::new(parse_agg_kind(kind)?, field, name));
-            }
-        } else {
-            return Err(ServeError::Config(format!(
-                "unrecognised clause `{clause}`"
-            )));
-        }
-    }
-    let window = window.ok_or_else(|| ServeError::Config("query needs a window clause".into()))?;
-    if aggregates.is_empty() {
-        return Err(ServeError::Config(
-            "query needs at least one aggregate".into(),
-        ));
-    }
-    Ok((QuerySpec::new(window, aggregates, key_field), cfg))
-}
-
-/// Render a query spec back into the DSL (round-trips through
-/// [`parse_query`] for every kind the DSL can name).
-pub fn query_to_dsl(spec: &QuerySpec, required_completeness: Option<f64>) -> String {
-    let mut out = match spec.window {
-        WindowSpec::Tumbling { length } => format!("tumbling:{}", length.raw()),
-        WindowSpec::Sliding { length, slide } => {
-            format!("sliding:{}:{}", length.raw(), slide.raw())
-        }
-    };
-    out.push(';');
-    let aggs: Vec<String> = spec
-        .aggregates
-        .iter()
-        .map(|a| format!("{}:{}:{}", a.kind, a.field, a.name))
-        .collect();
-    out.push_str(&aggs.join(","));
-    if let Some(k) = spec.key_field {
-        out.push_str(&format!(";key={k}"));
-    }
-    if let Some(q) = required_completeness {
-        out.push_str(&format!(";completeness={q}"));
-    }
-    out
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
+    use quill_core::prelude::WindowSpec;
 
     #[test]
     fn strategy_specs_parse_and_build() {
@@ -346,6 +117,8 @@ mod tests {
             ("mp", "mp"),
             ("mp:500", "mp"),
             ("aq:0.95", "aq"),
+            ("aqe:0.05:0", "aq"),
+            ("oracle", "oracle"),
             ("punct:0:2", "punct"),
             ("punct:0:2:50", "punct"),
         ] {
@@ -369,9 +142,9 @@ mod tests {
         assert_eq!(spec.aggregates.len(), 2);
         assert_eq!(spec.key_field, Some(2));
         assert_eq!(cfg.required_completeness, Some(0.99));
-        let dsl = query_to_dsl(&spec, cfg.required_completeness);
+        let dsl = query_to_dsl(&spec, &cfg);
         let (spec2, cfg2) = parse_query(&dsl).unwrap();
-        assert_eq!(dsl, query_to_dsl(&spec2, cfg2.required_completeness));
+        assert_eq!(dsl, query_to_dsl(&spec2, &cfg2));
         assert_eq!(cfg2.required_completeness, Some(0.99));
     }
 

@@ -8,7 +8,9 @@ use std::io;
 /// Anything that can go wrong serving streams.
 #[derive(Debug)]
 pub enum ServeError {
-    /// Invalid configuration (strategy spec, query DSL, CLI flags).
+    /// An unusable request or setting outside the plan text: an unknown
+    /// query id, an unreachable address. (Strategy and query text that does
+    /// not parse is [`EngineError::InvalidSpec`].)
     Config(String),
     /// A malformed wire frame or HTTP request.
     Protocol(String),

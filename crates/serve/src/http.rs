@@ -191,8 +191,8 @@ fn dispatch(
                 (session.strategy_name(), session.finished())
             };
             let body = format!(
-                "{{\"status\":\"ok\",\"strategy\":\"{}\",\"finished\":{finished},\"uptime_ms\":{}}}",
-                json::escape(&strategy),
+                "{{\"status\":\"ok\",\"strategy\":{},\"finished\":{finished},\"uptime_ms\":{}}}",
+                quill_telemetry::json::json_string(&strategy),
                 started.elapsed().as_millis()
             );
             ok_json(stream, &body);

@@ -1,30 +1,14 @@
 //! Minimal JSON rendering for the HTTP control surface.
 //!
 //! The workspace is dependency-free, so responses are built with a small
-//! hand-rolled writer (the same approach as the plan analyzer's JSONL and
-//! the telemetry exporters). Only rendering is needed: requests use the
+//! hand-rolled writer whose strings go through the telemetry exporters' one
+//! escaper, [`json_string`]. Only rendering is needed: requests use the
 //! compact query DSL (`crate::config::parse_query`), not JSON bodies.
 
 use quill_core::prelude::{QueryInfo, QueryStats, SessionStats};
 use quill_engine::operator::WindowResult;
 use quill_engine::prelude::Value;
-
-/// Escape a string for a JSON string literal (no surrounding quotes).
-pub fn escape(s: &str) -> String {
-    let mut out = String::with_capacity(s.len());
-    for c in s.chars() {
-        match c {
-            '"' => out.push_str("\\\""),
-            '\\' => out.push_str("\\\\"),
-            '\n' => out.push_str("\\n"),
-            '\t' => out.push_str("\\t"),
-            '\r' => out.push_str("\\r"),
-            c if (c as u32) < 0x20 => out.push_str(&format!("\\u{:04x}", c as u32)),
-            c => out.push(c),
-        }
-    }
-    out
-}
+use quill_telemetry::json::json_string;
 
 /// Render an f64 as JSON (JSON has no spelling for non-finite values; they
 /// become `null`).
@@ -42,7 +26,7 @@ pub fn value(v: &Value) -> String {
         Value::Null => "null".into(),
         Value::Int(i) => i.to_string(),
         Value::Float(f) => num(*f),
-        Value::Str(s) => format!("\"{}\"", escape(s)),
+        Value::Str(s) => json_string(s),
         Value::Bool(b) => b.to_string(),
     }
 }
@@ -79,14 +63,14 @@ pub fn query_stats(s: &QueryStats) -> String {
 
 /// Render one `/queries` listing entry.
 pub fn query_info(info: &QueryInfo, dsl: &str) -> String {
-    let target = match info.required_completeness {
+    let target = match info.config.required_completeness {
         Some(q) => num(q),
         None => "null".into(),
     };
     format!(
-        "{{\"id\":{},\"query\":\"{}\",\"required_completeness\":{},\"stats\":{}}}",
+        "{{\"id\":{},\"query\":{},\"required_completeness\":{},\"stats\":{}}}",
         info.id.raw(),
-        escape(dsl),
+        json_string(dsl),
         target,
         query_stats(&info.stats)
     )
@@ -119,7 +103,7 @@ pub fn array(items: &[String]) -> String {
 
 /// Render an error object.
 pub fn error(message: &str) -> String {
-    format!("{{\"error\":\"{}\"}}", escape(message))
+    format!("{{\"error\":{}}}", json_string(message))
 }
 
 #[cfg(test)]
@@ -150,7 +134,7 @@ mod tests {
 
     #[test]
     fn control_characters_are_escaped() {
-        assert_eq!(escape("a\nb\t\u{1}"), "a\\nb\\t\\u0001");
+        assert_eq!(json_string("a\nb\t\u{1}"), "\"a\\nb\\t\\u0001\"");
         assert_eq!(error("x\"y"), "{\"error\":\"x\\\"y\"}");
     }
 }

@@ -16,6 +16,10 @@
 //!   ([`http`]).
 //! * **Clients**: [`client::IngestClient`] streams frames with reconnect
 //!   support; `quill-ingest` wraps it as a fixture-sending CLI.
+//! * **Plan text**: strategies and queries are read and listed in
+//!   [`quill_core::dsl`]'s vocabulary — the one the simulator's
+//!   reproducers and the experiments also write — re-exported as
+//!   [`StrategySpec`], [`config::parse_query`] and [`config::query_to_dsl`].
 //!
 //! Start a daemon in-process with [`Server::start`], or from the CLI:
 //!

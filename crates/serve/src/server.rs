@@ -257,7 +257,7 @@ impl Shared {
 }
 
 fn with_dsl(info: QueryInfo) -> (QueryInfo, String) {
-    let dsl = query_to_dsl(&info.spec, info.required_completeness);
+    let dsl = query_to_dsl(&info.spec, &info.config);
     (info, dsl)
 }
 

@@ -1,16 +1,16 @@
 //! Property tests of the daemon's text parsers and its JSON writer (ROADMAP
-//! 6a): the query DSL and the strategy grammar of `config.rs` take arbitrary
-//! bytes and near-miss inputs without panicking and refuse them with
-//! [`ServeError::Config`]; whatever they accept, the engine either runs or
-//! refuses with a typed error; `query_to_dsl ∘ parse_query` is a fixed
-//! point; and `json::escape` always renders a string a JSON reader gives back
-//! unchanged.
+//! 6a): the query DSL and the strategy grammar (`quill_core::dsl`, as the
+//! daemon re-exports them) take arbitrary bytes and near-miss inputs without
+//! panicking and refuse them with [`EngineError::InvalidSpec`]; whatever
+//! they accept, the engine either runs or refuses with a typed error;
+//! `query_to_dsl ∘ parse_query` is a fixed point; and `json_string` always
+//! renders a string a JSON reader gives back unchanged.
 
 use proptest::prelude::*;
 use quill_core::prelude::{EngineError, Event, Row, Session, Value};
 use quill_serve::config::{parse_query, query_to_dsl, StrategySpec};
-use quill_serve::error::ServeError;
 use quill_serve::json;
+use quill_telemetry::json::json_string;
 
 /// Numbers as a hostile client spells them: in range, boundary, overflowing,
 /// signed, fractional, non-finite, empty.
@@ -148,21 +148,21 @@ proptest! {
     ) {
         let text = lossy(&bytes);
         for parsed in [parse_query(&text).err(), StrategySpec::parse(&text).err()] {
-            prop_assert!(matches!(parsed, None | Some(ServeError::Config(_))), "{text:?}: {parsed:?}");
+            prop_assert!(matches!(parsed, None | Some(EngineError::InvalidSpec(_))), "{text:?}: {parsed:?}");
         }
     }
 
     #[test]
     fn a_parsed_query_registers_or_is_refused_with_a_typed_error(dsl in near_miss_query()) {
         match parse_query(&dsl) {
-            Err(e) => prop_assert!(matches!(e, ServeError::Config(_)), "{dsl:?}: {e:?}"),
+            Err(e) => prop_assert!(matches!(e, EngineError::InvalidSpec(_)), "{dsl:?}: {e:?}"),
             Ok((spec, cfg)) => {
                 // Printing what was parsed and parsing that again changes
                 // nothing more.
-                let once = query_to_dsl(&spec, cfg.required_completeness);
+                let once = query_to_dsl(&spec, &cfg);
                 let (spec2, cfg2) = parse_query(&once)
                     .map_err(|e| TestCaseError::fail(format!("{dsl:?} printed {once:?}: {e}")))?;
-                prop_assert_eq!(&once, &query_to_dsl(&spec2, cfg2.required_completeness));
+                prop_assert_eq!(&once, &query_to_dsl(&spec2, &cfg2));
                 if let Err(e) = run(&StrategySpec::Fixed(10), &dsl) {
                     prop_assert!(is_typed_refusal(&e), "{dsl:?}: {e:?}");
                 }
@@ -173,7 +173,7 @@ proptest! {
     #[test]
     fn a_parsed_strategy_builds_and_runs(text in near_miss_strategy()) {
         match StrategySpec::parse(&text) {
-            Err(e) => prop_assert!(matches!(e, ServeError::Config(_)), "{text:?}: {e:?}"),
+            Err(e) => prop_assert!(matches!(e, EngineError::InvalidSpec(_)), "{text:?}: {e:?}"),
             Ok(strategy) => {
                 let ran = run(&strategy, "sliding:100:50;sum:1:s,median:1:m;key=2");
                 prop_assert!(ran.as_ref().map_or_else(is_typed_refusal, |()| true), "{text:?}: {ran:?}");
@@ -190,8 +190,9 @@ proptest! {
         let special = ['"', '\\', '\n', '\r', '\t', '\u{0}', '\u{1f}', '\u{2028}'];
         let mut s = lossy(&bytes);
         s.extend(picks.iter().map(|&i| special[i]));
-        let escaped = json::escape(&s);
-        prop_assert_eq!(unescape(&escaped), Some(s), "{:?}", escaped);
+        let quoted = json_string(&s);
+        let inner = quoted.strip_prefix('"').and_then(|q| q.strip_suffix('"'));
+        prop_assert_eq!(inner.and_then(unescape), Some(s), "{:?}", quoted);
     }
 
     #[test]
@@ -297,9 +298,13 @@ fn hand_probed_edge_inputs_are_pinned() {
         "fixed:-1",
         "mp:",
         "punct:0",
+        "punct:0:2:1:1",
+        "aqe:-1:0",
+        "aqe:0.1",
+        "oracle:1",
     ] {
         assert!(
-            matches!(StrategySpec::parse(s), Err(ServeError::Config(_))),
+            matches!(StrategySpec::parse(s), Err(EngineError::InvalidSpec(_))),
             "{s}"
         );
     }

@@ -33,7 +33,7 @@ use std::path::{Path, PathBuf};
 
 use quill_core::prelude::*;
 
-use crate::spec::{sample_suite, SimCase, StrategySpec};
+use crate::spec::{sample_suite, SimCase};
 use quill_metrics::oracle::{oracle_results, values_close};
 
 /// One confirmed divergence between the engine and the oracle (or between
@@ -809,7 +809,7 @@ mod tests {
 
     #[test]
     fn hand_built_lossy_case_passes_the_battery() {
-        let mut case = tiny_case(StrategySpec::FixedK(20));
+        let mut case = tiny_case(StrategySpec::Fixed(20));
         quill_gen::reseq(&mut case.events);
         check_case(&case).unwrap_or_else(|m| panic!("unexpected mismatch: {m}"));
     }
@@ -836,7 +836,7 @@ mod tests {
                 AggregateSpec::new(AggregateKind::First, 1, "f"),
             ],
             key_field: Some(0),
-            strategy: StrategySpec::FixedK(60),
+            strategy: StrategySpec::Fixed(60),
             events: (0..240u64)
                 .map(|i| {
                     let base = (i / 4) * 10;

@@ -11,8 +11,9 @@
 //! prescribe. `quill-sim` does, case by generated case:
 //!
 //! * [`spec`] — seeded random [`spec::SimCase`] generation: query shapes
-//!   covering all aggregate kinds, every strategy family, and streams
-//!   perturbed by the `quill_gen::mutate` adversarial mutators;
+//!   covering all aggregate kinds, every strategy family (as
+//!   [`quill_core::dsl::StrategySpec`]s), and streams perturbed by the
+//!   `quill_gen::mutate` adversarial mutators;
 //! * [`oracle`] — `quill-metrics`' naive oracle
 //!   ([`oracle::oracle_results`]), re-exported: it fully sorts the stream
 //!   and recomputes every window from first principles, sharing no code
@@ -25,7 +26,8 @@
 //!   within the disorder bound; on failure the case is greedily shrunk and
 //!   written as a self-contained reproducer;
 //! * [`repro`] — the text reproducer format read back by the `quill-repro`
-//!   binary in `quill-bench`;
+//!   binary in `quill-bench`, whose query and strategy lines are the
+//!   daemon's own text ([`quill_core::dsl`]);
 //! * [`support`] — the shared test-support helpers (stream builders, query
 //!   builders, the canonical strategy roster) re-exported to the integration
 //!   test package so they exist in exactly one place.
@@ -47,4 +49,4 @@ pub use harness::{check_case, run_seed, CaseStats, Mismatch};
 // The oracle lives in `quill-metrics`; this path stays for callers that
 // import `quill_sim::oracle` (the quill-e2e benchmark's replay).
 pub use quill_metrics::oracle;
-pub use spec::{sample_suite, SimCase, StrategySpec};
+pub use spec::{sample_suite, SimCase};

@@ -4,67 +4,39 @@
 //! file under `results/failures/`, replayable by the `quill-repro` binary in
 //! `quill-bench`. The format is line-oriented and hand-rolled, following the
 //! same conventions as `quill_gen::trace` (no serialization-format crate is
-//! in the approved dependency set):
+//! in the approved dependency set). The query and the strategy are written
+//! in the daemon's own text ([`quill_core::dsl`]), so a reproducer's plan can
+//! be pasted into `quill-serve --strategy ... --query ...` as it stands:
 //!
 //! ```text
-//! quill-repro v1
+//! quill-repro v2
 //! seed: 42
 //! check: oracle-values
 //! exec: sequential
 //! detail: window (0, 100) aggregate 0 ...
-//! window: sliding 100 30
-//! aggregates: sum@1,q:0.9@1
-//! key_field: 0
-//! strategy: fixedk:50
+//! query: sliding:100:30;sum:1:a0,q0.9:1:a1;key=0
+//! strategy: fixed:50
 //! events:
 //! <seq>\t<ts>\t<value>\t<value>...
 //! ```
 //!
 //! Values are type-tagged (`i:`, `f:`, `s:`, `b:`, or the bare `\N` null
 //! token) so an event line is self-describing; strings escape tabs,
-//! newlines and backslashes exactly like the trace format. Floats print via
-//! `{:?}` for round-trip precision.
+//! newlines and backslashes with the trace format's own escaper. Floats
+//! print via `{:?}` for round-trip precision.
 
 use std::path::{Path, PathBuf};
 
-use quill_engine::aggregate::{AggregateKind, AggregateSpec};
-use quill_engine::prelude::{Event, Row, Value, WindowSpec};
+use quill_core::dsl::{parse_query, query_to_dsl, StrategySpec};
+use quill_core::prelude::QueryConfig;
+use quill_engine::prelude::{Event, Row, Value};
+use quill_gen::trace::{escape, unescape};
 
 use crate::harness::Mismatch;
-use crate::spec::{SimCase, StrategySpec};
+use crate::spec::SimCase;
 
-const MAGIC: &str = "quill-repro v1";
+const MAGIC: &str = "quill-repro v2";
 const NULL_TOKEN: &str = "\\N";
-
-fn escape(s: &str) -> String {
-    s.replace('\\', "\\\\")
-        .replace('\t', "\\t")
-        .replace('\n', "\\n")
-        .replace('\r', "\\r")
-}
-
-fn unescape(s: &str) -> String {
-    let mut out = String::with_capacity(s.len());
-    let mut chars = s.chars();
-    while let Some(c) = chars.next() {
-        if c == '\\' {
-            match chars.next() {
-                Some('t') => out.push('\t'),
-                Some('n') => out.push('\n'),
-                Some('r') => out.push('\r'),
-                Some('\\') => out.push('\\'),
-                Some(other) => {
-                    out.push('\\');
-                    out.push(other);
-                }
-                None => out.push('\\'),
-            }
-        } else {
-            out.push(c);
-        }
-    }
-    out
-}
 
 fn encode_value(v: &Value) -> String {
     match v {
@@ -98,63 +70,7 @@ fn decode_value(tok: &str) -> Result<Value, String> {
     })
 }
 
-fn encode_kind(kind: &AggregateKind) -> String {
-    match kind {
-        AggregateKind::Count => "count".into(),
-        AggregateKind::Sum => "sum".into(),
-        AggregateKind::Mean => "mean".into(),
-        AggregateKind::Min => "min".into(),
-        AggregateKind::Max => "max".into(),
-        AggregateKind::StdDev => "stddev".into(),
-        AggregateKind::Variance => "variance".into(),
-        AggregateKind::Median => "median".into(),
-        AggregateKind::Quantile(p) => format!("q:{p:?}"),
-        AggregateKind::DistinctCount => "distinct".into(),
-        AggregateKind::First => "first".into(),
-        AggregateKind::Last => "last".into(),
-        AggregateKind::ArgMin(by) => format!("argmin:{by}"),
-        AggregateKind::ArgMax(by) => format!("argmax:{by}"),
-    }
-}
-
-fn decode_kind(s: &str) -> Result<AggregateKind, String> {
-    let (head, body) = match s.split_once(':') {
-        Some((h, b)) => (h, Some(b)),
-        None => (s, None),
-    };
-    let need = |what: &str| body.ok_or_else(|| format!("aggregate {head}: missing {what}"));
-    Ok(match head {
-        "count" => AggregateKind::Count,
-        "sum" => AggregateKind::Sum,
-        "mean" => AggregateKind::Mean,
-        "min" => AggregateKind::Min,
-        "max" => AggregateKind::Max,
-        "stddev" => AggregateKind::StdDev,
-        "variance" => AggregateKind::Variance,
-        "median" => AggregateKind::Median,
-        "q" => AggregateKind::Quantile(
-            need("quantile")?
-                .parse()
-                .map_err(|e| format!("bad quantile: {e}"))?,
-        ),
-        "distinct" => AggregateKind::DistinctCount,
-        "first" => AggregateKind::First,
-        "last" => AggregateKind::Last,
-        "argmin" => AggregateKind::ArgMin(
-            need("by-field")?
-                .parse()
-                .map_err(|e| format!("bad argmin field: {e}"))?,
-        ),
-        "argmax" => AggregateKind::ArgMax(
-            need("by-field")?
-                .parse()
-                .map_err(|e| format!("bad argmax field: {e}"))?,
-        ),
-        other => return Err(format!("unknown aggregate kind `{other}`")),
-    })
-}
-
-/// Serialize a case (and the mismatch that condemned it) to the v1 text
+/// Serialize a case (and the mismatch that condemned it) to the v2 text
 /// reproducer format.
 pub fn encode_case(case: &SimCase, mismatch: &Mismatch) -> String {
     let mut out = String::new();
@@ -164,29 +80,9 @@ pub fn encode_case(case: &SimCase, mismatch: &Mismatch) -> String {
     out.push_str(&format!("check: {}\n", mismatch.check));
     out.push_str(&format!("exec: {}\n", mismatch.exec));
     out.push_str(&format!("detail: {}\n", escape(&mismatch.detail)));
-    match case.window {
-        WindowSpec::Tumbling { length } => {
-            out.push_str(&format!("window: tumbling {}\n", length.raw()));
-        }
-        WindowSpec::Sliding { length, slide } => {
-            out.push_str(&format!(
-                "window: sliding {} {}\n",
-                length.raw(),
-                slide.raw()
-            ));
-        }
-    }
-    let aggs: Vec<String> = case
-        .aggregates
-        .iter()
-        .map(|a| format!("{}@{}", encode_kind(&a.kind), a.field))
-        .collect();
-    out.push_str(&format!("aggregates: {}\n", aggs.join(",")));
-    match case.key_field {
-        Some(f) => out.push_str(&format!("key_field: {f}\n")),
-        None => out.push_str("key_field: none\n"),
-    }
-    out.push_str(&format!("strategy: {}\n", case.strategy.encode()));
+    let query = query_to_dsl(&case.query(), &QueryConfig::default());
+    out.push_str(&format!("query: {query}\n"));
+    out.push_str(&format!("strategy: {}\n", case.strategy));
     out.push_str("events:\n");
     for e in &case.events {
         out.push_str(&e.seq.to_string());
@@ -225,49 +121,8 @@ pub fn decode_case(text: &str) -> Result<SimCase, String> {
     let _check = header("check")?;
     let _exec = header("exec")?;
     let _detail = header("detail")?;
-    let window_line = header("window")?;
-    let window = {
-        let parts: Vec<&str> = window_line.split_whitespace().collect();
-        match parts.as_slice() {
-            ["tumbling", len] => WindowSpec::tumbling(
-                len.parse::<u64>()
-                    .map_err(|e| format!("bad window length: {e}"))?,
-            ),
-            ["sliding", len, slide] => WindowSpec::sliding(
-                len.parse::<u64>()
-                    .map_err(|e| format!("bad window length: {e}"))?,
-                slide
-                    .parse::<u64>()
-                    .map_err(|e| format!("bad window slide: {e}"))?,
-            ),
-            other => return Err(format!("bad window spec {other:?}")),
-        }
-    };
-    let aggregates: Vec<AggregateSpec> = header("aggregates")?
-        .split(',')
-        .filter(|s| !s.is_empty())
-        .enumerate()
-        .map(|(i, part)| {
-            let (kind, field) = part
-                .rsplit_once('@')
-                .ok_or_else(|| format!("aggregate `{part}`: missing @field"))?;
-            Ok(AggregateSpec::new(
-                decode_kind(kind)?,
-                field
-                    .parse()
-                    .map_err(|e| format!("bad aggregate field: {e}"))?,
-                format!("a{i}"),
-            ))
-        })
-        .collect::<Result<_, String>>()?;
-    if aggregates.is_empty() {
-        return Err("no aggregates".into());
-    }
-    let key_field = match header("key_field")?.as_str() {
-        "none" => None,
-        f => Some(f.parse().map_err(|e| format!("bad key_field: {e}"))?),
-    };
-    let strategy = StrategySpec::parse(&header("strategy")?)?;
+    let (query, _) = parse_query(&header("query")?).map_err(|e| e.to_string())?;
+    let strategy = StrategySpec::parse(&header("strategy")?).map_err(|e| e.to_string())?;
     match lines.next() {
         Some("events:") => {}
         other => return Err(format!("expected `events:`, got {other:?}")),
@@ -297,9 +152,9 @@ pub fn decode_case(text: &str) -> Result<SimCase, String> {
     }
     Ok(SimCase {
         seed,
-        window,
-        aggregates,
-        key_field,
+        window: query.window,
+        aggregates: query.aggregates,
+        key_field: query.key_field,
         strategy,
         events,
     })
@@ -312,7 +167,7 @@ pub fn decode_case(text: &str) -> Result<SimCase, String> {
 pub fn write_reproducer(dir: &Path, case: &SimCase, mismatch: &Mismatch) -> PathBuf {
     std::fs::create_dir_all(dir)
         .unwrap_or_else(|e| panic!("cannot create failures dir {}: {e}", dir.display()));
-    let head = case.strategy.encode();
+    let head = case.strategy.to_string();
     let head = head.split(':').next().unwrap_or("unknown");
     let path = dir.join(format!("case-{}-{head}.repro", case.seed));
     std::fs::write(&path, encode_case(case, mismatch))
@@ -349,17 +204,12 @@ mod tests {
             let text = encode_case(&case, &dummy_mismatch());
             let back = decode_case(&text).expect("decode");
             assert_eq!(back.seed, case.seed);
-            assert_eq!(back.window, case.window);
-            assert_eq!(back.key_field, case.key_field);
+            assert_eq!(back.query(), case.query());
             assert_eq!(back.strategy, case.strategy);
             assert_eq!(back.events.len(), case.events.len());
             for (a, b) in case.events.iter().zip(&back.events) {
                 assert_eq!((a.ts, a.seq), (b.ts, b.seq));
                 assert_eq!(a.row.values(), b.row.values());
-            }
-            for (a, b) in case.aggregates.iter().zip(&back.aggregates) {
-                assert_eq!(a.kind, b.kind);
-                assert_eq!(a.field, b.field);
             }
         }
     }
@@ -387,7 +237,7 @@ mod tests {
 
     #[test]
     fn truncated_files_are_rejected_with_context() {
-        assert!(decode_case("quill-repro v1\nseed: 1\n").is_err());
+        assert!(decode_case("quill-repro v2\nseed: 1\n").is_err());
         assert!(decode_case("not a repro").is_err());
     }
 

@@ -8,10 +8,8 @@
 //! the case and a failing seed replays bit-for-bit.
 
 use proptest::{prop_oneof, BoxedStrategy, Just, Strategy, TestRng};
-use quill_core::prelude::{
-    AqConfig, AqKSlack, DisorderControl, DropAll, FixedKSlack, MpKSlack, OracleBuffer,
-    PunctuatedBuffer, QuerySpec,
-};
+use quill_core::dsl::StrategySpec;
+use quill_core::prelude::QuerySpec;
 use quill_engine::aggregate::{AggregateKind, AggregateSpec};
 use quill_engine::prelude::{Event, FieldType, Row, Schema, Timestamp, Value, WindowSpec};
 use quill_gen::arrival::ConstantRate;
@@ -20,121 +18,6 @@ use quill_gen::mutate::{self, Mutator};
 use quill_gen::source;
 use rand::rngs::StdRng;
 use rand::SeedableRng;
-
-/// Which disorder-control strategy a case runs, with its parameters — a
-/// plain-data mirror of the `quill-core` strategy constructors so cases can
-/// be encoded into reproducer files and rebuilt from them.
-#[derive(Debug, Clone, PartialEq)]
-pub enum StrategySpec {
-    /// `DropAll`: K = 0, maximal loss, minimal latency.
-    DropAll,
-    /// `FixedKSlack` with the given K.
-    FixedK(u64),
-    /// `MpKSlack`, unbounded.
-    Mp,
-    /// `MpKSlack::bounded` with the given cap.
-    MpBounded(u64),
-    /// `AqKSlack::for_completeness` with the given target (always < 1.0).
-    AqCompleteness(f64),
-    /// `AqKSlack` with a max-relative-error target on aggregate 0.
-    AqError(f64),
-    /// `OracleBuffer`: full buffering, zero loss.
-    Oracle,
-    /// `PunctuatedBuffer` over per-source progress punctuation.
-    Punctuated {
-        /// Row field carrying the source id.
-        source_field: usize,
-        /// Number of distinct sources expected.
-        expected_sources: usize,
-        /// Per-source slack added below the joint watermark.
-        slack: u64,
-    },
-}
-
-impl StrategySpec {
-    /// Construct the live strategy this spec describes.
-    pub fn build(&self) -> Box<dyn DisorderControl> {
-        match *self {
-            StrategySpec::DropAll => Box::new(DropAll::new()),
-            StrategySpec::FixedK(k) => Box::new(FixedKSlack::new(k)),
-            StrategySpec::Mp => Box::new(MpKSlack::new()),
-            StrategySpec::MpBounded(cap) => Box::new(MpKSlack::bounded(cap)),
-            StrategySpec::AqCompleteness(q) => Box::new(AqKSlack::for_completeness(q)),
-            StrategySpec::AqError(eps) => Box::new(AqKSlack::new(AqConfig::max_rel_error(eps, 0))),
-            StrategySpec::Oracle => Box::new(OracleBuffer::new()),
-            StrategySpec::Punctuated {
-                source_field,
-                expected_sources,
-                slack,
-            } => Box::new(
-                PunctuatedBuffer::new(source_field, expected_sources).with_source_slack(slack),
-            ),
-        }
-    }
-
-    /// Compact reversible text form, used in reproducer files.
-    pub fn encode(&self) -> String {
-        match self {
-            StrategySpec::DropAll => "dropall".into(),
-            StrategySpec::FixedK(k) => format!("fixedk:{k}"),
-            StrategySpec::Mp => "mp".into(),
-            StrategySpec::MpBounded(cap) => format!("mpcap:{cap}"),
-            StrategySpec::AqCompleteness(q) => format!("aqc:{q:?}"),
-            StrategySpec::AqError(eps) => format!("aqe:{eps:?}"),
-            StrategySpec::Oracle => "oracle".into(),
-            StrategySpec::Punctuated {
-                source_field,
-                expected_sources,
-                slack,
-            } => format!("punct:{source_field}:{expected_sources}:{slack}"),
-        }
-    }
-
-    /// Parse the [`StrategySpec::encode`] form back.
-    ///
-    /// # Errors
-    /// Returns a description of the malformed field.
-    pub fn parse(s: &str) -> Result<StrategySpec, String> {
-        let mut parts = s.split(':');
-        let head = parts.next().unwrap_or_default();
-        let mut num = |what: &str| -> Result<String, String> {
-            parts
-                .next()
-                .map(str::to_string)
-                .ok_or_else(|| format!("strategy {head}: missing {what}"))
-        };
-        let parsed = match head {
-            "dropall" => StrategySpec::DropAll,
-            "fixedk" => {
-                StrategySpec::FixedK(num("k")?.parse().map_err(|e| format!("fixedk k: {e}"))?)
-            }
-            "mp" => StrategySpec::Mp,
-            "mpcap" => {
-                StrategySpec::MpBounded(num("cap")?.parse().map_err(|e| format!("mpcap cap: {e}"))?)
-            }
-            "aqc" => {
-                StrategySpec::AqCompleteness(num("q")?.parse().map_err(|e| format!("aqc q: {e}"))?)
-            }
-            "aqe" => {
-                StrategySpec::AqError(num("eps")?.parse().map_err(|e| format!("aqe eps: {e}"))?)
-            }
-            "oracle" => StrategySpec::Oracle,
-            "punct" => StrategySpec::Punctuated {
-                source_field: num("source_field")?
-                    .parse()
-                    .map_err(|e| format!("punct source_field: {e}"))?,
-                expected_sources: num("expected_sources")?
-                    .parse()
-                    .map_err(|e| format!("punct expected_sources: {e}"))?,
-                slack: num("slack")?
-                    .parse()
-                    .map_err(|e| format!("punct slack: {e}"))?,
-            },
-            other => return Err(format!("unknown strategy {other:?}")),
-        };
-        Ok(parsed)
-    }
-}
 
 /// One self-contained differential test case.
 #[derive(Debug, Clone)]
@@ -345,11 +228,14 @@ pub fn sample_suite(seed: u64) -> Vec<SimCase> {
 
     let strategies = vec![
         StrategySpec::DropAll,
-        StrategySpec::FixedK((0u64..=600u64).sample(&mut rng)),
-        StrategySpec::Mp,
-        StrategySpec::MpBounded((10u64..=400u64).sample(&mut rng)),
-        StrategySpec::AqCompleteness((80u32..=99u32).sample(&mut rng) as f64 / 100.0),
-        StrategySpec::AqError((1u32..=10u32).sample(&mut rng) as f64 / 100.0),
+        StrategySpec::Fixed((0u64..=600u64).sample(&mut rng)),
+        StrategySpec::Mp(None),
+        StrategySpec::Mp(Some((10u64..=400u64).sample(&mut rng))),
+        StrategySpec::Aq((80u32..=99u32).sample(&mut rng) as f64 / 100.0),
+        StrategySpec::AqError {
+            epsilon: (1u32..=10u32).sample(&mut rng) as f64 / 100.0,
+            field: 0,
+        },
         StrategySpec::Oracle,
         StrategySpec::Punctuated {
             source_field: 0,
@@ -374,6 +260,42 @@ pub fn sample_suite(seed: u64) -> Vec<SimCase> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use proptest::prelude::*;
+    use quill_core::dsl::{parse_query, query_to_dsl};
+    use quill_core::prelude::QueryConfig;
+
+    fn arb_config() -> impl Strategy<Value = QueryConfig> {
+        // Any non-negative finite target, drawn by bit pattern.
+        let finite = (0..=f64::MAX.to_bits()).prop_map(|bits| Some(f64::from_bits(bits)));
+        let completeness = prop_oneof![Just(None), finite];
+        let slo = prop_oneof![Just(None), any::<u64>().prop_map(Some)];
+        (completeness, 1..=usize::MAX, slo).prop_map(|(completeness, capacity, slo)| QueryConfig {
+            required_completeness: completeness,
+            result_capacity: capacity,
+            latency_slo: slo,
+        })
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(512))]
+
+        #[test]
+        fn sampled_queries_read_back_from_the_dsl(
+            window in arb_window(),
+            kinds in prop::collection::vec((arb_aggregate(), any::<usize>()), 1..5),
+            key_field in prop_oneof![Just(None), any::<usize>().prop_map(Some)],
+            config in arb_config(),
+        ) {
+            let aggregates = kinds
+                .into_iter()
+                .enumerate()
+                .map(|(i, (kind, field))| AggregateSpec::new(kind, field, format!("a{i}")))
+                .collect();
+            let query = QuerySpec::new(window, aggregates, key_field);
+            let text = query_to_dsl(&query, &config);
+            prop_assert_eq!(parse_query(&text), Ok((query, config)), "{}", text);
+        }
+    }
 
     #[test]
     fn suites_are_seed_deterministic() {
@@ -395,34 +317,27 @@ mod tests {
     fn every_strategy_family_appears_once_per_suite() {
         let suite = sample_suite(7);
         assert_eq!(suite.len(), 8);
-        let heads: Vec<String> = suite
-            .iter()
-            .map(|c| c.strategy.encode().split(':').next().unwrap().to_string())
-            .collect();
-        assert_eq!(
-            heads,
-            ["dropall", "fixedk", "mp", "mpcap", "aqc", "aqe", "oracle", "punct"]
-        );
+        let heads = [
+            "dropall", "fixed:", "mp", "mp:", "aq:", "aqe:", "oracle", "punct:",
+        ];
+        for (case, head) in suite.iter().zip(heads) {
+            assert!(
+                case.strategy.to_string().starts_with(head),
+                "{}",
+                case.strategy
+            );
+        }
+        assert_eq!(suite[2].strategy, StrategySpec::Mp(None));
     }
 
     #[test]
     fn strategy_specs_round_trip_through_encode() {
-        let specs = vec![
-            StrategySpec::DropAll,
-            StrategySpec::FixedK(123),
-            StrategySpec::Mp,
-            StrategySpec::MpBounded(456),
-            StrategySpec::AqCompleteness(0.93),
-            StrategySpec::AqError(0.07),
-            StrategySpec::Oracle,
-            StrategySpec::Punctuated {
-                source_field: 0,
-                expected_sources: 4,
-                slack: 50,
-            },
-        ];
-        for s in specs {
-            assert_eq!(StrategySpec::parse(&s.encode()).unwrap(), s);
+        // What a reproducer's `strategy:` line holds reads back unchanged.
+        for seed in 0..16 {
+            for case in sample_suite(seed) {
+                let text = case.strategy.to_string();
+                assert_eq!(StrategySpec::parse(&text), Ok(case.strategy), "{text}");
+            }
         }
     }
 

@@ -55,16 +55,13 @@ pub fn rich_query(window: u64) -> QuerySpec {
 /// One representative of every strategy family, with both a tight and a
 /// loose parameterization where the family has a knob.
 pub fn all_strategies() -> Vec<Box<dyn DisorderControl>> {
-    vec![
-        Box::new(DropAll::new()),
-        Box::new(FixedKSlack::new(50u64)),
-        Box::new(FixedKSlack::new(2_000u64)),
-        Box::new(MpKSlack::new()),
-        Box::new(MpKSlack::bounded(500u64)),
-        Box::new(AqKSlack::for_completeness(0.9)),
-        Box::new(AqKSlack::new(AqConfig::max_rel_error(0.05, 0))),
-        Box::new(OracleBuffer::new()),
-    ]
+    let roster = "dropall fixed:50 fixed:2000 mp mp:500 aq:0.9 aqe:0.05:0 oracle";
+    let build = |s| StrategySpec::parse(s).map(|spec| spec.build());
+    roster
+        .split(' ')
+        .map(build)
+        .collect::<Result<_>>()
+        .expect("roster parses")
 }
 
 /// Drive a strategy over events, collecting its raw element output.

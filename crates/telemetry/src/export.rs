@@ -5,6 +5,7 @@
 //! line parser ([`parse_prometheus`]) is included so tests (and tools) can
 //! round-trip exports without an external scraper.
 
+use crate::json::json_string;
 use crate::{HistogramSummary, Snapshot};
 use std::fmt::Write as _;
 
@@ -291,27 +292,6 @@ fn summary_json(h: &HistogramSummary) -> String {
         h.p90,
         h.p99
     )
-}
-
-/// JSON-escape and quote a string.
-fn json_string(s: &str) -> String {
-    let mut out = String::with_capacity(s.len() + 2);
-    out.push('"');
-    for c in s.chars() {
-        match c {
-            '"' => out.push_str("\\\""),
-            '\\' => out.push_str("\\\\"),
-            '\n' => out.push_str("\\n"),
-            '\r' => out.push_str("\\r"),
-            '\t' => out.push_str("\\t"),
-            c if (c as u32) < 0x20 => {
-                let _ = write!(out, "\\u{:04x}", c as u32);
-            }
-            c => out.push(c),
-        }
-    }
-    out.push('"');
-    out
 }
 
 /// Format an f64 so the output is valid JSON / Prometheus: finite values

@@ -1,9 +1,10 @@
-//! A minimal JSON reader and string escaper for the telemetry exports.
+//! A minimal JSON reader for the telemetry exports, and the workspace's one
+//! JSON string escaper ([`json_string`], also used by `quill-serve`).
 //!
 //! The workspace carries no JSON dependency. One recursive-descent parser
 //! serves both shapes the telemetry layer reads back: a whole Chrome-trace
 //! document ([`crate::span::parse_chrome_trace`]) and one flat record per
-//! line (span and provenance JSON-lines, [`Fields`]). Numbers keep their raw
+//! line (span and provenance JSON-lines, `Fields`). Numbers keep their raw
 //! text, so `u64::MAX` survives without an f64 round trip.
 
 use std::fmt::Write as _;
@@ -306,7 +307,7 @@ impl Fields {
 }
 
 /// JSON-escape and quote a string.
-pub(crate) fn json_string(s: &str) -> String {
+pub fn json_string(s: &str) -> String {
     let mut out = String::with_capacity(s.len() + 2);
     out.push('"');
     for c in s.chars() {

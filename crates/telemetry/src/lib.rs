@@ -37,7 +37,7 @@
 
 pub mod export;
 pub mod histogram;
-mod json;
+pub mod json;
 pub mod reporter;
 pub mod span;
 pub mod trace;

@@ -33,12 +33,10 @@ fn main() {
     // 3. Same query, four strategies.
     section("strategy comparison (target completeness for AQ: 95%)");
     let opts = ExecOptions::sequential();
-    let mut drop = DropAll::new();
-    print_run(&execute(&stream.events, &mut drop, &query, &opts).expect("valid query"));
-    let mut fixed = FixedKSlack::new(300u64);
-    print_run(&execute(&stream.events, &mut fixed, &query, &opts).expect("valid query"));
-    let mut mp = MpKSlack::new();
-    print_run(&execute(&stream.events, &mut mp, &query, &opts).expect("valid query"));
+    for spec in ["dropall", "fixed:300", "mp"] {
+        let mut s = StrategySpec::parse(spec).expect("valid strategy").build();
+        print_run(&execute(&stream.events, s.as_mut(), &query, &opts).expect("valid query"));
+    }
     let mut aq = AqKSlack::for_completeness(0.95);
     let aq_out = execute(&stream.events, &mut aq, &query, &opts).expect("valid query");
     print_run(&aq_out);

@@ -36,23 +36,13 @@ fn main() {
     );
 
     section("strategies (dashboard wants 97% complete windows)");
-    let mut drop = DropAll::new();
-    print_run(
-        &execute(
-            &stream.events,
-            &mut drop,
-            &query,
-            &ExecOptions::sequential(),
-        )
-        .expect("valid query"),
-    );
-    let mut mp = MpKSlack::new();
-    print_run(
-        &execute(&stream.events, &mut mp, &query, &ExecOptions::sequential()).expect("valid query"),
-    );
+    let opts = ExecOptions::sequential();
+    for spec in [StrategySpec::DropAll, StrategySpec::Mp(None)] {
+        let mut s = spec.build();
+        print_run(&execute(&stream.events, s.as_mut(), &query, &opts).expect("valid query"));
+    }
     let mut aq = AqKSlack::for_completeness(0.97);
-    let out =
-        execute(&stream.events, &mut aq, &query, &ExecOptions::sequential()).expect("valid query");
+    let out = execute(&stream.events, &mut aq, &query, &opts).expect("valid query");
     print_run(&out);
 
     section("player 0, first complete windows (AQ results)");

@@ -16,13 +16,10 @@ fn sum_query(window: u64) -> QuerySpec {
 }
 
 fn all_strategies() -> Vec<Box<dyn DisorderControl>> {
-    vec![
-        Box::new(DropAll::new()),
-        Box::new(FixedKSlack::new(100u64)),
-        Box::new(MpKSlack::new()),
-        Box::new(AqKSlack::for_completeness(0.95)),
-        Box::new(OracleBuffer::new()),
-    ]
+    let roster = ["dropall", "fixed:100", "mp", "aq:0.95", "oracle"];
+    roster
+        .map(|s| StrategySpec::parse(s).expect("parses").build())
+        .into()
 }
 
 #[test]

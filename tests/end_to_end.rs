@@ -69,14 +69,8 @@ fn aq_latency_sits_between_drop_and_mp() {
 fn rich_queries_run_under_all_strategies() {
     let events = uniform_disordered(5_000, 10, 200, 8);
     let query = rich_query(500);
-    let strategies: Vec<Box<dyn DisorderControl>> = vec![
-        Box::new(DropAll::new()),
-        Box::new(FixedKSlack::new(100u64)),
-        Box::new(MpKSlack::new()),
-        Box::new(AqKSlack::for_completeness(0.9)),
-        Box::new(OracleBuffer::new()),
-    ];
-    for mut s in strategies {
+    for spec in ["dropall", "fixed:100", "mp", "aq:0.9", "oracle"] {
+        let mut s = StrategySpec::parse(spec).expect("parses").build();
         let out =
             execute(&events, s.as_mut(), &query, &ExecOptions::sequential()).expect("valid query");
         assert!(out.quality.windows_total > 0, "{}", out.strategy);

@@ -1,10 +1,9 @@
 //! Static plan analysis acceptance: infeasible plans are rejected *before*
-//! any event is processed, feasible plans carry their non-fatal findings on
-//! the run output, and the diagnostics render through `quill-inspect`.
+//! any event is processed, and feasible plans carry their non-fatal findings
+//! on the run output.
 
 #![forbid(unsafe_code)]
 
-use quill_bench::inspect::render_report;
 use quill_core::prelude::*;
 use quill_engine::aggregate::{AggregateKind, AggregateSpec};
 use quill_integration::{mean_query, uniform_disordered};
@@ -295,24 +294,4 @@ mod warn_and_advice_paths {
             PlanSeverity::Warn,
         );
     }
-}
-
-/// Plan diagnostics flow end-to-end into the `quill-inspect` renderer.
-#[test]
-fn plan_diagnostics_render_through_inspect() {
-    let query = QuerySpec::new(
-        WindowSpec::sliding(100u64, 30u64),
-        vec![AggregateSpec::new(AggregateKind::Median, 0, "median")],
-        None,
-    );
-    let opts = ExecOptions::parallel(ParallelConfig::new(8))
-        .with_expected_keys(2)
-        .with_snapshot_every(64);
-    let diags = analyze_plan(&query, &StrategyKind::FixedK(50), &opts);
-    assert!(diags.len() >= 3, "{diags:?}");
-    let jsonl: String = diags.iter().map(|d| d.to_jsonl_line() + "\n").collect();
-    let report = render_report(&jsonl, 5).expect("renders");
-    assert!(report.contains("Plan diagnostics"), "{report}");
-    assert!(report.contains("plan.aggregate.fold-path"), "{report}");
-    assert!(report.contains("help:"), "{report}");
 }

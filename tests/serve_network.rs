@@ -3,7 +3,10 @@
 //! mid-stream reconnect), and prove the served results are
 //! element-identical to the batch `execute` path.
 
-use quill_core::prelude::{execute, ExecOptions, FixedKSlack, Session};
+use quill_core::prelude::{
+    execute, AggregateKind, AggregateSpec, ExecOptions, FixedKSlack, QueryConfig, QuerySpec,
+    Session, WindowSpec,
+};
 use quill_engine::prelude::{Event, Key, Row, WindowResult};
 use quill_serve::client::{fixture, IngestClient};
 use quill_serve::config::{parse_query, RetryPolicy};
@@ -207,14 +210,7 @@ fn http_surface_registers_queries_and_exposes_metrics() {
     let handle = start_server();
     let http = handle.http_addr();
 
-    let (head, body) = http_request(http, "POST", "/queries", Q_SUM);
-    assert!(head.starts_with("HTTP/1.1 200"), "{head}");
-    assert!(body.starts_with("{\"id\":"), "{body}");
-    let id: u64 = body
-        .trim_start_matches("{\"id\":")
-        .trim_end_matches('}')
-        .parse()
-        .expect("id parses");
+    let id = post_query(http, Q_SUM);
 
     let (_, list) = http_request(http, "GET", "/queries", "");
     assert!(list.contains("tumbling:1000"), "{list}");
@@ -277,6 +273,63 @@ fn http_surface_registers_queries_and_exposes_metrics() {
     handle.shutdown();
 }
 
+/// `POST /queries` with `dsl`, which must register; returns the new id.
+fn post_query(http: std::net::SocketAddr, dsl: &str) -> u64 {
+    let (head, body) = http_request(http, "POST", "/queries", dsl);
+    assert!(
+        head.starts_with("HTTP/1.1 200"),
+        "`{dsl}` refused: {head} {body}"
+    );
+    let id = body
+        .strip_prefix("{\"id\":")
+        .and_then(|b| b.strip_suffix('}'));
+    id.and_then(|id| id.parse().ok()).expect("id parses")
+}
+
+/// The DSL text a `/queries/{id}` listing shows for `id`.
+fn listed_query(http: std::net::SocketAddr, id: u64) -> String {
+    let (_, info) = http_request(http, "GET", &format!("/queries/{id}"), "");
+    let text = info
+        .split("\"query\":\"")
+        .nth(1)
+        .and_then(|s| s.split('"').next());
+    text.unwrap_or_else(|| panic!("no query in {info}"))
+        .to_string()
+}
+
+#[test]
+fn a_listed_query_re_registers_as_the_same_query() {
+    let handle = start_server();
+    let http = handle.http_addr();
+    let argmax = QuerySpec::new(
+        WindowSpec::tumbling(100u64),
+        vec![AggregateSpec::new(AggregateKind::ArgMax(1), 0, "s")],
+        None,
+    );
+    let posted = parse_query("tumbling:100;sum:0:s;capacity=10;slo=500").expect("parses");
+    let registered = [
+        (
+            handle
+                .register_spec(&posted.0, posted.1.clone())
+                .expect("registers"),
+            posted,
+        ),
+        (
+            handle
+                .register_spec(&argmax, QueryConfig::default())
+                .expect("registers"),
+            (argmax, QueryConfig::default()),
+        ),
+    ];
+    for (id, query) in registered {
+        let listed = listed_query(http, id.raw());
+        assert_eq!(parse_query(&listed).as_ref(), Ok(&query), "{listed}");
+        let again = post_query(http, &listed);
+        assert_eq!(listed_query(http, again), listed);
+    }
+    handle.shutdown();
+}
+
 #[test]
 fn trace_endpoint_serves_chrome_trace_with_pipeline_spans() {
     let handle = start_server();
@@ -284,13 +337,7 @@ fn trace_endpoint_serves_chrome_trace_with_pipeline_spans() {
 
     // A query with a deliberately unmeetable latency SLO: every delivered
     // result burns it (K = 500 means results trail window ends by ~500).
-    let (head, body) = http_request(http, "POST", "/queries", "tumbling:1000;sum:0:total;slo=1");
-    assert!(head.starts_with("HTTP/1.1 200"), "{head}");
-    let id: u64 = body
-        .trim_start_matches("{\"id\":")
-        .trim_end_matches('}')
-        .parse()
-        .expect("id parses");
+    let id = post_query(http, "tumbling:1000;sum:0:total;slo=1");
 
     let frames = fixture(800, 11, 200, 0);
     let mut client = IngestClient::connect(handle.ingest_addr().to_string()).expect("connect");

@@ -30,26 +30,27 @@ fn queries() -> Vec<QuerySpec> {
     ]
 }
 
-fn strategy_builders() -> Vec<fn() -> Box<dyn DisorderControl>> {
-    fn fixed() -> Box<dyn DisorderControl> {
-        Box::new(FixedKSlack::new(400u64))
-    }
-    fn mp() -> Box<dyn DisorderControl> {
-        Box::new(MpKSlack::new())
-    }
-    fn aq() -> Box<dyn DisorderControl> {
-        Box::new(AqKSlack::for_completeness(0.95))
-    }
-    vec![fixed, mp, aq]
+fn strategies() -> Vec<StrategySpec> {
+    vec![
+        StrategySpec::Fixed(400),
+        StrategySpec::Mp(None),
+        StrategySpec::Aq(0.95),
+    ]
 }
+
+/// Moved only by heartbeats, so it joins the tests that send them.
+const PUNCTUATED: StrategySpec = StrategySpec::Punctuated {
+    source_field: netmon::HOST_FIELD,
+    expected_sources: 1,
+    slack: 150,
+};
 
 #[test]
 fn session_matches_batch_execute_per_strategy() {
     let stream = netmon::generate(&NetmonConfig::default(), 5_000, 11);
-    for build in strategy_builders() {
-        let name = build().name();
+    for strategy in strategies() {
         for query in &queries() {
-            let mut fresh = build();
+            let mut fresh = strategy.build();
             let batch = execute(
                 &stream.events,
                 fresh.as_mut(),
@@ -58,7 +59,7 @@ fn session_matches_batch_execute_per_strategy() {
             )
             .expect("batch run");
 
-            let mut session = Session::new(build());
+            let mut session = Session::new(strategy.build());
             let handle = session.register(query).expect("registers");
             for e in &stream.events {
                 session.push(e.clone());
@@ -67,7 +68,7 @@ fn session_matches_batch_execute_per_strategy() {
             let served = handle.poll();
             assert_eq!(
                 served, batch.results,
-                "session diverges from execute under {name}"
+                "session diverges from execute under {strategy}"
             );
         }
     }
@@ -93,20 +94,16 @@ fn push_batch_is_element_identical_to_one_push_per_event() {
     // takes a heartbeat between runs, which releases buffered events, and
     // the stream is cut by `finish` two thirds in — the rest is a no-op on
     // both sides.
-    fn punctuated() -> Box<dyn DisorderControl> {
-        Box::new(PunctuatedBuffer::new(netmon::HOST_FIELD, 1).with_source_slack(150u64))
-    }
     let stream = netmon::generate(&NetmonConfig::default(), 6_000, 41);
     let cut = stream.events.len() * 2 / 3;
-    for build in strategy_builders()
-        .into_iter()
-        .chain([punctuated as fn() -> _])
-    {
-        let name = build().name();
+    for strategy in strategies().into_iter().chain([PUNCTUATED]) {
         let config = QueryConfig::default()
             .with_result_capacity(64)
             .with_latency_slo(450);
-        let (mut single, mut batched) = (Session::new(build()), Session::new(build()));
+        let (mut single, mut batched) = (
+            Session::new(strategy.build()),
+            Session::new(strategy.build()),
+        );
         let register = |session: &mut Session| -> Vec<QueryHandle> {
             let with = |q| session.register_with(q, config.clone()).expect("registers");
             queries().iter().map(with).collect()
@@ -127,10 +124,14 @@ fn push_batch_is_element_identical_to_one_push_per_event() {
             single.heartbeat(&source, last.ts);
             batched.heartbeat(&source, last.ts);
             for (a, b) in singles.iter().zip(&batches) {
-                assert_eq!(observed(a), observed(b), "{name}: stats after event {at}");
+                assert_eq!(
+                    observed(a),
+                    observed(b),
+                    "{strategy}: stats after event {at}"
+                );
                 // Poll every third run only, so queues also overflow.
                 if run % 3 == 0 {
-                    assert_eq!(a.poll(), b.poll(), "{name}: results after event {at}");
+                    assert_eq!(a.poll(), b.poll(), "{strategy}: results after event {at}");
                 }
             }
             at += events.len();
@@ -138,14 +139,14 @@ fn push_batch_is_element_identical_to_one_push_per_event() {
         }
         assert!(single.finished() && batched.finished());
         let (a, b) = (single.stats(), batched.stats());
-        assert_eq!((a.events, a.results), (b.events, b.results), "{name}");
+        assert_eq!((a.events, a.results), (b.events, b.results), "{strategy}");
         assert_eq!(
             a.events, finished_at,
-            "{name}: pushes after finish are dropped"
+            "{strategy}: pushes after finish are dropped"
         );
         for (a, b) in singles.iter().zip(&batches) {
-            assert_eq!(a.poll(), b.poll(), "{name}: residual results");
-            assert!(observed(a) == observed(b) && a.is_closed(), "{name}");
+            assert_eq!(a.poll(), b.poll(), "{strategy}: residual results");
+            assert!(observed(a) == observed(b) && a.is_closed(), "{strategy}");
         }
     }
 }
@@ -422,10 +423,6 @@ fn renamed(query: &QuerySpec, tag: &str) -> QuerySpec {
     q
 }
 
-fn punctuated() -> Box<dyn DisorderControl> {
-    Box::new(PunctuatedBuffer::new(netmon::HOST_FIELD, 1).with_source_slack(150u64))
-}
-
 /// One subscriber and when its consumer polls: after every `poll_every`-th
 /// run of events, or only at the end of the stream for `0`.
 struct Sub {
@@ -475,8 +472,8 @@ type Seen = (Vec<WindowResult>, String, u64);
 
 /// Run `events` through a session holding `subs`, in runs of 1..=61 events
 /// with a heartbeat after each (it moves the punctuated strategy only).
-fn drive(build: fn() -> Box<dyn DisorderControl>, subs: &[&Sub], events: &[Event]) -> Vec<Seen> {
-    let mut session = Session::new(build());
+fn drive(strategy: &StrategySpec, subs: &[&Sub], events: &[Event]) -> Vec<Seen> {
+    let mut session = Session::new(strategy.build());
     let register = |s: &&Sub| session.register_with(&s.spec, s.cfg.clone());
     let handles: Result<Vec<QueryHandle>> = subs.iter().map(register).collect();
     let handles = handles.expect("registers");
@@ -525,22 +522,27 @@ fn sharing_is_invisible_to_every_subscriber() {
         cfg: QueryConfig::default(),
         poll_every: 0,
     };
-    for build in strategy_builders()
-        .into_iter()
-        .chain([punctuated as fn() -> _])
-    {
-        let name = build().name();
+    for strategy in strategies().into_iter().chain([PUNCTUATED]) {
         let all: Vec<&Sub> = subs.iter().collect();
-        let together = drive(build, &all, &stream.events);
+        let together = drive(&strategy, &all, &stream.events);
         for (i, (sub, shared)) in subs.iter().zip(&together).enumerate() {
-            let alone = drive(build, &[sub, &pacer], &stream.events);
-            assert!(!shared.0.is_empty(), "{name}: subscriber {i} saw results");
-            assert_eq!(shared.0, alone[0].0, "{name}: results of subscriber {i}");
-            assert_eq!(shared.1, alone[0].1, "{name}: counters of subscriber {i}");
+            let alone = drive(&strategy, &[sub, &pacer], &stream.events);
+            assert!(
+                !shared.0.is_empty(),
+                "{strategy}: subscriber {i} saw results"
+            );
+            assert_eq!(
+                shared.0, alone[0].0,
+                "{strategy}: results of subscriber {i}"
+            );
+            assert_eq!(
+                shared.1, alone[0].1,
+                "{strategy}: counters of subscriber {i}"
+            );
         }
         // The one-slot queue overflowed and the often-polled one did not —
         // on the same operator.
-        assert!(together[0].2 > 0 && together[6].2 == 0, "{name}");
+        assert!(together[0].2 > 0 && together[6].2 == 0, "{strategy}");
     }
     let mut session = Session::new(Box::new(FixedKSlack::new(400u64)));
     for sub in &subs {
