@@ -15,7 +15,7 @@
 //! window. [`render_timeline`] is the latency-attribution view over span
 //! lines or a Chrome-trace export.
 
-use quill_telemetry::span::{self, attribute, Span, MERGE_SHARD, NO_QUERY};
+use quill_telemetry::span::{self, attribute, Span, NO_QUERY};
 use quill_telemetry::trace::{parse_post_mortems, PostMortem, ProvenanceRecord};
 use quill_telemetry::Stage;
 use std::collections::BTreeMap;
@@ -184,7 +184,7 @@ fn render_span_timeline(spans: &[Span]) -> String {
             s.begin,
             s.end,
             s.duration(),
-            shard_name(s.shard),
+            s.shard,
             s.seq
         );
     }
@@ -267,10 +267,7 @@ fn render_summary(out: &mut String, spans: &[Span]) {
     for (stage, n) in &stages {
         let _ = writeln!(out, "  {:<16} {n}", stage.as_str());
     }
-    let shard_list: Vec<String> = shards
-        .iter()
-        .map(|(s, n)| format!("{}:{n}", shard_name(*s)))
-        .collect();
+    let shard_list: Vec<String> = shards.iter().map(|(s, n)| format!("{s}:{n}")).collect();
     let _ = writeln!(out, "shards (id:records): {}", shard_list.join(" "));
 }
 
@@ -284,7 +281,7 @@ fn render_controller_log(out: &mut String, spans: &[Span]) {
             "seq={:<6} t={:<10} shard={:<3} {}",
             s.seq,
             s.begin,
-            shard_name(s.shard),
+            s.shard,
             describe_k_change(s),
         );
     }
@@ -314,7 +311,7 @@ fn render_late_leaders(out: &mut String, spans: &[Span], top_k: usize) {
             s.end,
             s.detail[0],
             s.seq,
-            shard_name(s.shard),
+            s.shard,
         );
     }
 }
@@ -370,7 +367,7 @@ fn describe_k_change(s: &Span) -> String {
 /// drops, K changes, the finalize), annotated against the violated window.
 fn describe_record(s: &Span, r: &ProvenanceRecord) -> String {
     let head = format!("seq={:<6} t={:<10}", s.seq, s.begin);
-    let shard = shard_name(s.shard);
+    let shard = s.shard;
     match s.stage {
         Stage::LateArrival => format!(
             "{head} late arrival: input #{} {} behind watermark {} (shard {shard})",
@@ -400,14 +397,6 @@ fn describe_record(s: &Span, r: &ProvenanceRecord) -> String {
             format!("{head} input #{} dropped late{marker}", s.detail[0])
         }
         stage => format!("{head} {stage} [{}, {}] (shard {shard})", s.begin, s.end),
-    }
-}
-
-fn shard_name(shard: u32) -> String {
-    if shard == MERGE_SHARD {
-        "merge".into()
-    } else {
-        shard.to_string()
     }
 }
 
@@ -511,13 +500,13 @@ mod tests {
     fn timeline_renders_span_jsonl_and_chrome_traces() {
         use quill_telemetry::ClockDomain;
         let rec = SpanRecorder::new(64);
-        rec.record(Stage::Route, 0, 100, 0);
+        rec.record(Stage::IngestDecode, 0, 100, 0);
         rec.record(Stage::WindowFinalize, 10, 90, 1);
         rec.record_for_query(Stage::Deliver, 100, 150, 0, 7);
         let spans = rec.spans();
         let report = render_timeline(&jsonl(&rec)).expect("renders span jsonl");
         assert!(report.contains("Pipeline span timeline"), "{report}");
-        assert!(report.contains("route"), "{report}");
+        assert!(report.contains("ingest_decode"), "{report}");
         assert!(report.contains("query 7: 1 results"), "{report}");
         assert!(report.contains("Longest spans"), "{report}");
 
@@ -533,13 +522,19 @@ mod tests {
 
     #[test]
     fn checked_in_trace_fixture_stays_small_and_valid() {
-        // What CI's `quill-inspect timeline --check` step reads: a real
-        // keyed-parallel run's Chrome trace, cut to under a hundred spans.
+        // What CI's `quill-inspect timeline --check` step reads: the whole
+        // Chrome trace of a small 4-shard keyed-parallel run, under a
+        // hundred spans.
         let fixture = include_str!("../fixtures/pipeline_trace.json");
         let summary = check_chrome_trace(fixture).expect("valid Chrome trace");
-        assert!(summary.contains("(82 spans)"), "{summary}");
+        assert!(summary.contains("(90 spans)"), "{summary}");
         let report = render_timeline(fixture).expect("renders");
-        for stage in ["route", "window_finalize", "merge"] {
+        for stage in [
+            "buffer_residency",
+            "window_finalize",
+            "late_drop",
+            "deliver",
+        ] {
             assert!(report.contains(stage), "{report}");
         }
     }
@@ -547,7 +542,7 @@ mod tests {
     #[test]
     fn timeline_errors_name_the_offending_line() {
         let rec = SpanRecorder::new(8);
-        rec.record(Stage::Route, 0, 10, 0);
+        rec.record(Stage::IngestDecode, 0, 10, 0);
         let mut text = rec.spans()[0].to_json_line();
         text.push_str("\n{\"not\":\"a span\"}\n");
         let err = render_timeline(&text).unwrap_err();

@@ -11,8 +11,8 @@
 //!   plans with [`quill_engine::error::EngineError::PlanRejected`] before
 //!   any event is buffered.
 //! * **Warn** — the plan runs but wastes resources or silently cannot do
-//!   what the options suggest (snapshots without telemetry, more shards
-//!   than keys, order statistics over heavily overlapping windows).
+//!   what the options suggest (snapshots without telemetry, shards on an
+//!   unkeyed query, order statistics over heavily overlapping windows).
 //! * **Advice** — a better configuration exists.
 //!
 //! Delay knowledge is opt-in: the analyzer only reasons about feasibility
@@ -331,15 +331,12 @@ fn check_parallel(query: &QuerySpec, opts: &ExecOptions, diags: &mut Vec<Diagnos
     let Some(config) = opts.parallel else {
         return;
     };
-    if config.shards == 0 || config.batch_size == 0 {
+    if config.shards == 0 {
         diags.push(Diagnostic::new(
             "plan.parallel.config",
             Severity::Deny,
-            format!(
-                "degenerate parallel configuration: shards={}, batch_size={} (both must be > 0)",
-                config.shards, config.batch_size
-            ),
-            "use ParallelConfig::new(shards) and adjust batching via with_batch_size",
+            "degenerate parallel configuration: shards=0 (must be > 0)",
+            "use ParallelConfig::new(shards) with at least one shard",
         ));
         return;
     }
@@ -354,20 +351,6 @@ fn check_parallel(query: &QuerySpec, opts: &ExecOptions, diags: &mut Vec<Diagnos
             ),
             "set QuerySpec::key_field to shard by key, or run sequentially",
         ));
-    }
-    if let Some(keys) = opts.expected_key_cardinality {
-        if query.key_field.is_some() && (config.shards as u64) > keys {
-            diags.push(Diagnostic::new(
-                "plan.parallel.shards-vs-keys",
-                Severity::Warn,
-                format!(
-                    "{} shards exceed the expected key cardinality {keys}: at most {keys} \
-                     shards can ever be busy",
-                    config.shards
-                ),
-                "reduce shards to at most the number of distinct keys",
-            ));
-        }
     }
 }
 
@@ -399,22 +382,6 @@ fn check_options(opts: &ExecOptions, diags: &mut Vec<Diagnostic>) {
              be taken",
             "attach a registry via ExecOptions::with_telemetry(&registry) or drop \
              with_snapshot_every",
-        ));
-    }
-    if opts.expected_key_cardinality == Some(0) {
-        diags.push(Diagnostic::new(
-            "plan.options.expected-keys-zero",
-            Severity::Deny,
-            "expected key cardinality of 0 (a keyed stream has at least one key)",
-            "pass the approximate number of distinct keys, or omit the hint",
-        ));
-    } else if opts.expected_key_cardinality.is_some() && opts.parallel.is_none() {
-        diags.push(Diagnostic::new(
-            "plan.options.expected-keys-without-parallel",
-            Severity::Warn,
-            "expected key cardinality is hinted but execution is sequential: the hint only \
-             feeds the shard-saturation check, which needs a parallel configuration",
-            "use ExecOptions::parallel(config) or drop with_expected_keys",
         ));
     }
 }
@@ -518,17 +485,6 @@ mod tests {
     }
 
     #[test]
-    fn shards_beyond_keys_warn() {
-        let q = query(WindowSpec::tumbling(100u64), AggregateKind::Sum, Some(0));
-        let opts = ExecOptions::parallel(ParallelConfig::new(8)).with_expected_keys(3);
-        let diags = analyze_plan(&q, &StrategyKind::FixedK(50), &opts);
-        assert!(rules(&diags).contains(&"plan.parallel.shards-vs-keys"));
-        let opts = ExecOptions::parallel(ParallelConfig::new(2)).with_expected_keys(3);
-        let diags = analyze_plan(&q, &StrategyKind::FixedK(50), &opts);
-        assert!(!rules(&diags).contains(&"plan.parallel.shards-vs-keys"));
-    }
-
-    #[test]
     fn conflicting_options_warn_or_deny() {
         let q = query(WindowSpec::tumbling(100u64), AggregateKind::Sum, None);
         let opts = ExecOptions::sequential().with_snapshot_every(100);
@@ -560,17 +516,6 @@ mod tests {
         let diags = analyze_plan(&q, &StrategyKind::Mp { cap: None }, &opts);
         assert!(!rules(&diags).contains(&"plan.options.delay-profile-unused"));
         assert!(rules(&diags).contains(&"plan.strategy.unbounded-k"));
-    }
-
-    #[test]
-    fn expected_keys_without_parallel_warns() {
-        let q = query(WindowSpec::tumbling(100u64), AggregateKind::Sum, Some(0));
-        let opts = ExecOptions::sequential().with_expected_keys(4);
-        let diags = analyze_plan(&q, &StrategyKind::FixedK(50), &opts);
-        assert!(rules(&diags).contains(&"plan.options.expected-keys-without-parallel"));
-        let opts = ExecOptions::parallel(ParallelConfig::new(2)).with_expected_keys(4);
-        let diags = analyze_plan(&q, &StrategyKind::FixedK(50), &opts);
-        assert!(!rules(&diags).contains(&"plan.options.expected-keys-without-parallel"));
     }
 
     #[test]

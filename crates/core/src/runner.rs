@@ -9,7 +9,7 @@
 //! telemetry snapshots. [`ExecOptions`] selects sequential execution — on
 //! the fan-out core a [`crate::session::Session`] runs, which is also the
 //! surface for resident, push-mode execution with runtime query
-//! registration — or the batched keyed-parallel executor.
+//! registration — or the keyed-parallel executor.
 
 use crate::plan::{analyze_plan, DelayProfile, Diagnostic, Severity};
 use crate::session::{MultiQueryCore, QueryConfig};
@@ -17,7 +17,7 @@ use crate::shared::{SharedQueryOutput, SharedRunOutput};
 use crate::strategy::DisorderControl;
 use quill_engine::aggregate::{AggregateKind, AggregateSpec};
 use quill_engine::error::{EngineError, Result};
-use quill_engine::event::{ClockTracker, Event, StreamElement};
+use quill_engine::event::{Event, StreamElement};
 use quill_engine::operator::{LatePolicy, WindowAggregateOp, WindowOpStats, WindowResult};
 use quill_engine::parallel::{run_keyed_parallel, ParallelConfig};
 use quill_engine::time::{TimeDelta, Timestamp};
@@ -203,14 +203,13 @@ impl QuerySpecBuilder {
 /// | [`with_spans`](ExecOptions::with_spans) | one record stream (logical clock): stage spans, K changes, late arrivals and drops; per-stage latency attribution; provenance records | — | — |
 /// | [`with_required_completeness`](ExecOptions::with_required_completeness) | flags windows below the target; builds post-mortems | enabled spans (for post-mortems) | `plan.options.completeness-without-spans` (warn); `plan.options.completeness-range` (deny) outside (0, 1] |
 /// | [`with_delay_profile`](ExecOptions::with_delay_profile) | enables quality-feasibility checks | a quality target somewhere (options or strategy) | `plan.options.delay-profile-unused` (advice) |
-/// | [`with_expected_keys`](ExecOptions::with_expected_keys) | shard-saturation check | parallel execution | `plan.options.expected-keys-without-parallel` (warn); `plan.options.expected-keys-zero` (deny) for 0 |
 /// | [`parallel`](ExecOptions::parallel) | keyed-parallel executor | — | `plan.parallel.*` rules |
 #[derive(Debug, Clone, Default)]
 pub struct ExecOptions {
-    /// `Some(config)` fans the windowing work out on the batched
-    /// keyed-parallel executor, each shard inserting its own keys' events on
-    /// arrival and finalizing their windows: element-identical output to the
-    /// sequential run. `None` runs sequentially.
+    /// `Some(config)` fans the windowing work out on the keyed-parallel
+    /// executor, one thread per shard, each inserting its own keys' events
+    /// on arrival and finalizing their windows: element-identical output to
+    /// the sequential run. `None` runs sequentially.
     pub parallel: Option<ParallelConfig>,
     /// Telemetry registry instruments record into.
     /// [`Registry::disabled`] (the default) makes every instrument a no-op.
@@ -220,8 +219,8 @@ pub struct ExecOptions {
     pub snapshot_every_events: u64,
     /// The record stream every stage records into, on the logical
     /// (event-time) clock: buffer residency per watermark advance, late
-    /// arrivals, K changes with their reason, routing and send stalls,
-    /// window finalizations and late drops, the merge, and result delivery.
+    /// arrivals, K changes with their reason, window finalizations and late
+    /// drops, and result delivery.
     /// [`SpanRecorder::disabled`] (the default) makes every hook a branch.
     /// With an enabled recorder, [`RunOutput::provenance`] carries one
     /// record per scored window and [`RunOutput::post_mortems`] the causal
@@ -239,9 +238,6 @@ pub struct ExecOptions {
     /// analyzer's quality-feasibility checks ([`crate::plan::analyze_plan`]).
     /// `None` (the default) keeps those checks silent.
     pub delay_profile: Option<DelayProfile>,
-    /// Approximate number of distinct keys expected on the stream; lets the
-    /// plan analyzer flag shard counts that can never be saturated.
-    pub expected_key_cardinality: Option<u64>,
 }
 
 impl ExecOptions {
@@ -290,13 +286,6 @@ impl ExecOptions {
     /// makes [`execute`] refuse the plan.
     pub fn with_delay_profile(mut self, profile: DelayProfile) -> ExecOptions {
         self.delay_profile = Some(profile);
-        self
-    }
-
-    /// Hint the approximate number of distinct keys on the stream (plan
-    /// analyzer only; execution is unaffected).
-    pub fn with_expected_keys(mut self, keys: u64) -> ExecOptions {
-        self.expected_key_cardinality = Some(keys);
         self
     }
 }
@@ -408,14 +397,12 @@ pub fn stage_strategy(
 
     let mut k_series = TimeSeries::new("k");
     let mut buffer_series = TimeSeries::new("buffered");
-    let mut clock = ClockTracker::new();
+    let mut now = Timestamp::MIN;
     let mut elements: Vec<StreamElement> = Vec::with_capacity(events.len() + 1);
     let mut wm_clock: Vec<(Timestamp, Timestamp)> = Vec::new();
     let mut staged: Vec<StreamElement> = Vec::new();
     for (i, e) in events.iter().enumerate() {
-        clock.observe(e.ts);
-        // quill-lint: allow(no-panic, reason = "observe() on the line above guarantees the clock is set")
-        let now = clock.clock().expect("observed at least one event");
+        now = now.max(e.ts);
         staged.clear();
         strategy.on_event(e.clone(), &mut staged);
         for el in staged.drain(..) {
@@ -445,7 +432,7 @@ pub fn stage_strategy(
     }
     staged.clear();
     strategy.finish(&mut staged);
-    let final_clock = clock.clock().unwrap_or_default();
+    let final_clock = now;
     for el in staged.drain(..) {
         if let StreamElement::Watermark(w) = &el {
             wm_clock.push((*w, final_clock));
@@ -526,7 +513,7 @@ pub(crate) fn run_batch(
     strategy.set_min_slide(queries.iter().map(|q| q.window.slide()).min());
     let start = std::time::Instant::now();
     let mut staged = stage_strategy(events, strategy, opts);
-    let mut elements = std::mem::take(&mut staged.elements);
+    let elements = std::mem::take(&mut staged.elements);
     let windowed: Vec<(Vec<WindowResult>, WindowOpStats)> = match opts.parallel {
         None => {
             // Latency and the `quill.run.*` counts are derived below, as for
@@ -542,25 +529,17 @@ pub(crate) fn run_batch(
             for q in queries {
                 core.register(q, &config)?;
             }
-            for el in elements {
-                core.process_element(&el, Timestamp::MIN);
+            for el in &elements {
+                core.process_element(el, Timestamp::MIN);
             }
             core.into_results()
         }
-        Some(config) => {
-            let last = queries.len().saturating_sub(1);
-            let mut windowed = Vec::with_capacity(queries.len());
-            for (qi, q) in queries.iter().enumerate() {
-                let input = if qi == last {
-                    std::mem::take(&mut elements)
-                } else {
-                    elements.clone()
-                };
-                windowed.push(window_parallel(input, q, config, opts)?);
-            }
-            windowed
-        }
+        Some(config) => (queries.iter())
+            .map(|q| window_parallel(&elements, q, config, opts))
+            .collect::<Result<_>>()?,
     };
+    // Scoring below needs only the results: free the staged stream first.
+    drop(elements);
     let wall_micros = start.elapsed().as_micros();
 
     let late_dropped = opts.telemetry.counter("quill.run.late_dropped");
@@ -624,7 +603,7 @@ pub(crate) fn run_batch(
 /// operator per shard. Unkeyed queries route on the (out-of-range ⇒ Null)
 /// key, so every event lands on one shard.
 fn window_parallel(
-    elements: Vec<StreamElement>,
+    elements: &[StreamElement],
     query: &QuerySpec,
     config: ParallelConfig,
     opts: &ExecOptions,
@@ -633,8 +612,6 @@ fn window_parallel(
         elements,
         query.key_field.unwrap_or(usize::MAX),
         config,
-        &opts.telemetry,
-        &opts.spans,
         |shard| {
             let mut op = WindowAggregateOp::new(
                 query.window,
@@ -650,7 +627,7 @@ fn window_parallel(
 }
 
 /// Execute `query` over `events` (already in arrival order) under
-/// `strategy`, per `opts`: sequentially or on the batched keyed-parallel
+/// `strategy`, per `opts`: sequentially or on the keyed-parallel
 /// executor, optionally recording telemetry. Quality is scored against the
 /// exact in-order oracle.
 ///
@@ -668,8 +645,7 @@ fn window_parallel(
 /// With an enabled [`Registry`] in `opts`, the run additionally records
 /// `quill.run.events` / `quill.run.results` / `quill.run.late_dropped`
 /// counters and a `quill.run.latency` histogram on top of whatever the
-/// strategy ([`DisorderControl::instrument`]) and the parallel executor
-/// record, and [`RunOutput::snapshots`] carries the periodic and final
+/// strategy ([`DisorderControl::instrument`]) records, and [`RunOutput::snapshots`] carries the periodic and final
 /// registry snapshots.
 ///
 /// # Errors
@@ -928,7 +904,7 @@ mod tests {
             &events,
             &mut s_par,
             &query,
-            &ExecOptions::parallel(ParallelConfig::new(4).with_batch_size(7)),
+            &ExecOptions::parallel(ParallelConfig::new(4)),
         )
         .unwrap();
 
@@ -1174,12 +1150,10 @@ mod tests {
         .unwrap();
         let recorded = spans.spans();
         // Shard-local finalization exercises the full in-process pipeline:
-        // buffer residency, routing, window finalization, merge, delivery.
+        // buffer residency, window finalization, delivery.
         for stage in [
             Stage::BufferResidency,
-            Stage::Route,
             Stage::WindowFinalize,
-            Stage::Merge,
             Stage::Deliver,
         ] {
             assert!(

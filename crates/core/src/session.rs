@@ -314,10 +314,9 @@ pub(crate) struct MultiQueryCore {
     next_id: u64,
     /// Results delivered: one per emission per subscriber.
     results_count: Counter,
-    /// First-emission windows, one per emission per *operator* — the
-    /// session-level analogue of the parallel executor's distinct-merge-key
-    /// counter, exported under the same `quill.merge.windows` name.
-    /// `quill.run.results` over this is the sharing factor.
+    /// First-emission windows, one per emission per *operator*
+    /// (`quill.session.windows`). `quill.run.results` over this is the
+    /// sharing factor.
     windows_count: Counter,
     /// Events held in window state, summed over the operators
     /// (`quill.window.entries`); refreshed by `sync_stats`.
@@ -335,7 +334,7 @@ impl MultiQueryCore {
             groups: Vec::new(),
             next_id: 0,
             results_count: telemetry.counter("quill.run.results"),
-            windows_count: telemetry.counter("quill.merge.windows"),
+            windows_count: telemetry.counter("quill.session.windows"),
             entries_gauge: telemetry.gauge("quill.window.entries"),
             results_total: 0,
             spans: SpanRecorder::disabled(),
@@ -346,7 +345,7 @@ impl MultiQueryCore {
     /// Re-bind counters to a different registry (builder-time only).
     fn instrument(&mut self, telemetry: &Registry) {
         self.results_count = telemetry.counter("quill.run.results");
-        self.windows_count = telemetry.counter("quill.merge.windows");
+        self.windows_count = telemetry.counter("quill.session.windows");
         self.entries_gauge = telemetry.gauge("quill.window.entries");
     }
 
@@ -596,13 +595,13 @@ impl Session {
 
     /// Record telemetry into `registry`: the strategy's `quill.buffer.*`
     /// instruments, `quill.run.events` / `quill.run.results` /
-    /// `quill.merge.windows` counters and the `quill.session.queries` /
+    /// `quill.session.windows` counters and the `quill.session.queries` /
     /// `quill.session.operators` / `quill.window.entries` gauges (the last:
     /// events held in window state over all operators, refreshed once per
-    /// pushed batch). `quill.run.results` counts results
-    /// *delivered* (one per subscriber), `quill.merge.windows` first emissions
-    /// per *operator*: with every query on one shape their ratio is the
-    /// number of queries each fold served.
+    /// pushed batch). `quill.run.results` counts results *delivered* (one
+    /// per subscriber), `quill.session.windows` first emissions per
+    /// *operator*: with every query on one shape their ratio is the number
+    /// of queries each fold served.
     /// Builder-style; attach before the first event.
     pub fn with_telemetry(mut self, registry: &Registry) -> Session {
         self.telemetry = registry.clone();
@@ -1010,7 +1009,7 @@ mod tests {
         let snap = registry.snapshot();
         assert_eq!(snap.counter("quill.run.events"), 300);
         assert_eq!(snap.counter("quill.run.results"), handle.stats().emitted);
-        assert!(snap.counter("quill.merge.windows") > 0);
+        assert!(snap.counter("quill.session.windows") > 0);
         assert_eq!(snap.gauge("quill.session.queries"), Some(1.0));
         assert_eq!(
             snap.counter("quill.buffer.inserted") + snap.counter("quill.buffer.late_passed"),

@@ -63,9 +63,8 @@ pub struct SharedRunOutput {
 /// result's [`Stage::Deliver`](quill_telemetry::Stage::Deliver) span is
 /// tagged with its query's index.
 ///
-/// Note that with `opts.parallel` set, the per-shard executor counters
-/// accumulate across queries (each query fans the staged stream out again),
-/// so `quill.shard.*.events` totals `queries × events` rather than `events`.
+/// With `opts.parallel` set, the queries take turns: each windows the one
+/// staged stream, which is never copied, on its own shard threads.
 ///
 /// # Errors
 /// Propagates invalid query specifications and executor failures.
@@ -154,7 +153,7 @@ mod tests {
             &evs,
             &mut s_par,
             &qs,
-            &ExecOptions::parallel(ParallelConfig::new(2).with_batch_size(16)),
+            &ExecOptions::parallel(ParallelConfig::new(2)),
         )
         .unwrap();
         for i in 0..qs.len() {

@@ -39,7 +39,7 @@ pub enum EngineError {
     /// An executor or session configuration was invalid (zero shards, an
     /// unknown query id, a missing window, ...).
     InvalidPipeline(String),
-    /// A worker thread in the parallel executor panicked or disconnected.
+    /// A shard thread of the parallel executor panicked.
     ExecutorFailure(String),
     /// Static plan analysis found the plan unable to meet its stated
     /// requirements (deny-level diagnostic); execution was refused before

@@ -1,6 +1,6 @@
-//! Property test: the batched keyed-parallel executor is observationally
-//! identical to the sequential operator for *every* `AggregateKind`, under
-//! out-of-order input with late events, across shard counts and batch sizes.
+//! Property test: the keyed-parallel executor is observationally identical
+//! to the sequential operator for *every* `AggregateKind`, under
+//! out-of-order input with late events, across shard counts.
 
 use proptest::prelude::*;
 use quill_engine::aggregate::{AggregateKind, AggregateSpec};
@@ -8,7 +8,6 @@ use quill_engine::operator::{LatePolicy, WindowAggregateOp, WindowResult};
 use quill_engine::parallel::{run_keyed_parallel, ParallelConfig};
 use quill_engine::prelude::*;
 use quill_engine::value::Key;
-use quill_telemetry::{Registry, SpanRecorder};
 
 /// Every aggregate kind, including the order-sensitive and non-combinable
 /// ones. `ArgMin`/`ArgMax` rank by row field 2.
@@ -98,18 +97,10 @@ fn check_identical(
 ) -> std::result::Result<(), TestCaseError> {
     let reference = sequential_reference(&elements, &make_op);
     for shards in [1usize, 2, 4, 8] {
-        for batch in [1usize, 7, 1024] {
-            let (out, _) = run_keyed_parallel(
-                elements.clone(),
-                0,
-                ParallelConfig::new(shards).with_batch_size(batch),
-                &Registry::disabled(),
-                &SpanRecorder::disabled(),
-                |_| Ok(make_op()),
-            )
-            .expect("parallel run");
-            prop_assert_eq!(&out, &reference, "shards={} batch={}", shards, batch);
-        }
+        let (out, _) =
+            run_keyed_parallel(&elements, 0, ParallelConfig::new(shards), |_| Ok(make_op()))
+                .expect("parallel run");
+        prop_assert_eq!(&out, &reference, "shards={}", shards);
     }
     Ok(())
 }

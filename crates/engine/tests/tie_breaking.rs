@@ -3,10 +3,9 @@
 //! Streams whose timestamps cluster onto a coarse quantum produce many
 //! `(window end, window start)` merge-key ties — across keys on different
 //! shards, and within one key on one shard. The merged result sequence must
-//! be byte-identical across 1/2/4/8 shards (one shard runs inline on the
-//! caller thread, more on worker threads) and across batch sizes; anything
-//! less means the merge order (and therefore downstream consumers) depends
-//! on scheduling.
+//! be byte-identical across 1/2/4/8 shards (one scoped thread each);
+//! anything less means the merge order (and therefore downstream consumers)
+//! depends on scheduling.
 
 mod common;
 
@@ -15,7 +14,6 @@ use quill_engine::operator::{LatePolicy, WindowAggregateOp, WindowResult};
 use quill_engine::parallel::{run_keyed_parallel, ParallelConfig};
 use quill_engine::prelude::*;
 use quill_engine::value::Key;
-use quill_telemetry::{Registry, SpanRecorder};
 
 /// Tie-heavy keyed stream: every timestamp is a multiple of 10, each `(ts,
 /// key)` pair occurs several times with distinct values, and periodic
@@ -71,15 +69,8 @@ fn make_op() -> WindowAggregateOp {
 
 /// Full result sequence (order matters — this is what the merge emits).
 fn results_of(cfg: ParallelConfig) -> Vec<WindowResult> {
-    let (out, _) = run_keyed_parallel(
-        tie_stream(),
-        0,
-        cfg,
-        &Registry::disabled(),
-        &SpanRecorder::disabled(),
-        |_| Ok(make_op()),
-    )
-    .expect("parallel run");
+    let (out, _) =
+        run_keyed_parallel(&tie_stream(), 0, cfg, |_| Ok(make_op())).expect("parallel run");
     out
 }
 
@@ -88,13 +79,11 @@ fn merge_order_is_identical_across_shard_counts() {
     let reference = results_of(ParallelConfig::new(1));
     assert!(!reference.is_empty(), "test stream produced no windows");
     for shards in [2usize, 4, 8] {
-        for batch in [1usize, 16, 256] {
-            let got = results_of(ParallelConfig::new(shards).with_batch_size(batch));
-            assert_eq!(
-                got, reference,
-                "merged sequence diverged at shards={shards} batch={batch}"
-            );
-        }
+        let got = results_of(ParallelConfig::new(shards));
+        assert_eq!(
+            got, reference,
+            "merged sequence diverged at shards={shards}"
+        );
     }
 }
 
@@ -124,7 +113,7 @@ fn equal_timestamp_ties_finalize_as_the_reference_does() {
     let reference = common::reference(window(), &aggs(), Some(0), &tie_stream());
     assert!(!reference.is_empty(), "test stream produced no windows");
     for shards in [1usize, 2, 4, 8] {
-        let cfg = ParallelConfig::new(shards).with_batch_size(16);
+        let cfg = ParallelConfig::new(shards);
         assert_eq!(results_of(cfg), reference, "diverged at shards={shards}");
     }
 }

@@ -10,7 +10,7 @@ use crate::{HistogramSummary, Snapshot};
 use std::fmt::Write as _;
 
 /// Sanitise a dotted instrument name into a Prometheus metric name:
-/// `quill.shard.0.events` → `quill_shard_0_events`. Prometheus names match
+/// `quill.run.late_dropped` → `quill_run_late_dropped`. Prometheus names match
 /// `[a-zA-Z_:][a-zA-Z0-9_:]*`; anything else becomes `_`.
 pub fn prometheus_name(name: &str) -> String {
     let mut out: String = name
@@ -70,12 +70,10 @@ pub fn help_text(name: &str) -> &'static str {
         // Per-stage latency attribution histograms from the span layer.
         return match rest {
             "ingest_decode" => "Span durations: wire bytes to parsed events (ingest decode)",
-            "route" => "Span durations: routing/enqueue of events toward their shard",
             "buffer_residency" => {
                 "Span durations: oldest released event's residency in the disorder-control buffer, per release"
             }
             "window_finalize" => "Span durations: window end to the watermark that closed it",
-            "merge" => "Span durations: cross-shard result merge",
             "deliver" => "Span durations: window end to result delivery",
             "connection" => "Span durations: ingest connection lifetimes",
             "query" => "Span durations: registered query lifetimes",
@@ -87,12 +85,13 @@ pub fn help_text(name: &str) -> &'static str {
         ("quill.buffer.", "Disorder-control slack buffer"),
         ("quill.controller.", "AQ-K-slack control loop"),
         ("quill.estimator.", "Delay distribution estimator"),
-        ("quill.shard.", "Keyed-parallel executor shard"),
-        ("quill.merge.", "Cross-shard result merge"),
         ("quill.run.", "Whole-run accounting"),
         ("quill.session.", "Resident session"),
         ("quill.serve.", "quill-serve daemon"),
-        ("quill.executor.", "Parallel executor"),
+        (
+            "quill.executor.queue_depth",
+            "quill-serve ingest queue: frames handed to the session core and not yet taken",
+        ),
     ] {
         if name.starts_with(prefix) {
             return help;
@@ -133,7 +132,7 @@ pub fn escape_label_value(v: &str) -> String {
 /// One sample parsed back out of a Prometheus text export.
 #[derive(Debug, Clone, PartialEq)]
 pub struct PromSample {
-    /// Sanitised metric name (e.g. `quill_shard_0_events`).
+    /// Sanitised metric name (e.g. `quill_run_events`).
     pub name: String,
     /// Label pairs in source order (e.g. `[("quantile", "0.5")]`).
     pub labels: Vec<(String, String)>,
@@ -311,9 +310,10 @@ mod tests {
 
     fn sample_snapshot() -> Snapshot {
         let reg = Registry::new();
-        reg.counter("quill.shard.0.events").add(40);
-        reg.counter("quill.shard.1.events").add(60);
+        reg.counter("quill.run.events").add(40);
+        reg.counter("quill.run.results").add(60);
         reg.gauge("quill.controller.k").set(250.5);
+        reg.gauge("quill.executor.queue_depth").set(3.0);
         let h = reg.histogram("quill.run.latency");
         for v in 1..=100u64 {
             h.record(v);
@@ -324,8 +324,8 @@ mod tests {
     #[test]
     fn prometheus_name_sanitizes() {
         assert_eq!(
-            prometheus_name("quill.shard.0.events"),
-            "quill_shard_0_events"
+            prometheus_name("quill.run.late_dropped"),
+            "quill_run_late_dropped"
         );
         assert_eq!(prometheus_name("0weird"), "_0weird");
     }
@@ -341,8 +341,8 @@ mod tests {
                 .find(|s| s.name == name && s.labels.is_empty())
                 .map(|s| s.value)
         };
-        assert_eq!(get("quill_shard_0_events"), Some(40.0));
-        assert_eq!(get("quill_shard_1_events"), Some(60.0));
+        assert_eq!(get("quill_run_events"), Some(40.0));
+        assert_eq!(get("quill_run_results"), Some(60.0));
         assert_eq!(get("quill_controller_k"), Some(250.5));
         assert_eq!(get("quill_run_latency_count"), Some(100.0));
         let p50 = samples
@@ -361,7 +361,7 @@ mod tests {
         let text = to_prometheus(&snap);
         // Every metric family gets both metadata lines, HELP before TYPE.
         for name in [
-            "quill_shard_0_events",
+            "quill_run_events",
             "quill_controller_k",
             "quill_run_latency",
         ] {
@@ -371,6 +371,12 @@ mod tests {
             assert!(typ.is_some(), "missing TYPE for {name}:\n{text}");
             assert!(help < typ, "HELP must precede TYPE for {name}");
         }
+        // The one `quill.executor.*` gauge is the daemon's ingest queue, not
+        // an executor's.
+        assert!(
+            text.contains("# HELP quill_executor_queue_depth quill-serve ingest queue:"),
+            "{text}"
+        );
         // Histograms keep their _sum/_count series alongside the metadata.
         assert!(text.contains("quill_run_latency_sum "), "{text}");
         assert!(text.contains("quill_run_latency_count 100"), "{text}");
@@ -463,7 +469,7 @@ mod tests {
         let opens = line.matches('{').count();
         let closes = line.matches('}').count();
         assert_eq!(opens, closes);
-        assert!(line.contains("\"quill.shard.0.events\":40"));
+        assert!(line.contains("\"quill.run.events\":40"));
         assert!(line.contains("\"quill.controller.k\":250.5"));
         assert!(line.contains("\"count\":100"));
     }

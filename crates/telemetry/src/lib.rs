@@ -26,10 +26,11 @@
 //! * **Naming scheme.** Dotted, lowercase paths by subsystem:
 //!   `quill.buffer.*` (slack buffer), `quill.controller.*` (AQ-K-slack
 //!   control loop), `quill.estimator.*` (delay distribution),
-//!   `quill.shard.<i>.*` (parallel executor shards), `quill.merge.*`
-//!   (result merge), `quill.span.<stage>` (per-stage latency attribution from the
-//!   [`span`] record stream, whose [`trace`] views explain quality
-//!   violations), and `quill.run.*` (whole-run accounting). Exporters
+//!   `quill.span.<stage>` (per-stage latency attribution from the [`span`]
+//!   record stream, whose [`trace`] views explain quality violations),
+//!   `quill.run.*` (whole-run accounting), `quill.window.*` (window state),
+//!   `quill.session.*` (resident session), `quill.serve.*` (the daemon) and
+//!   `quill.executor.queue_depth` (the daemon's ingest queue). Exporters
 //!   sanitise names for their target format.
 
 #![deny(missing_docs)]
@@ -307,30 +308,6 @@ impl Snapshot {
         self.gauges.get(name).copied()
     }
 
-    /// Sum of all counters whose name starts with `prefix` and ends with
-    /// `suffix` (either may be empty). Useful for per-shard families like
-    /// `quill.shard.<i>.events`.
-    pub fn counter_family_sum(&self, prefix: &str, suffix: &str) -> u64 {
-        self.counters
-            .iter()
-            .filter(|(name, _)| name.starts_with(prefix) && name.ends_with(suffix))
-            .map(|(_, v)| v)
-            .sum()
-    }
-
-    /// Sum of all gauges whose name starts with `prefix` and ends with
-    /// `suffix` (either may be empty). The gauge counterpart of
-    /// [`Snapshot::counter_family_sum`], for aggregating shard-labelled
-    /// gauge families like `quill.shard.<i>.queue_depth` explicitly
-    /// instead of letting shards overwrite a shared name.
-    pub fn gauge_family_sum(&self, prefix: &str, suffix: &str) -> f64 {
-        self.gauges
-            .iter()
-            .filter(|(name, _)| name.starts_with(prefix) && name.ends_with(suffix))
-            .map(|(_, v)| v)
-            .sum()
-    }
-
     /// The per-interval view between `prev` (earlier) and `self` (later):
     /// counters and histogram counts are subtracted (saturating, so a
     /// restarted registry never underflows); gauges and histogram quantiles
@@ -432,25 +409,5 @@ mod tests {
         assert_eq!(d.counter("quill.n"), 7);
         assert_eq!(d.gauge("quill.k"), Some(2.0));
         assert_eq!(d.histograms["quill.lat"].count, 2);
-    }
-
-    #[test]
-    fn gauge_family_sum_filters_by_affix() {
-        let reg = Registry::new();
-        reg.gauge("quill.shard.0.queue_depth").set(3.0);
-        reg.gauge("quill.shard.1.queue_depth").set(4.5);
-        reg.gauge("quill.shard.0.other").set(99.0);
-        let snap = reg.snapshot();
-        assert_eq!(snap.gauge_family_sum("quill.shard.", ".queue_depth"), 7.5);
-    }
-
-    #[test]
-    fn counter_family_sum_filters_by_affix() {
-        let reg = Registry::new();
-        reg.counter("quill.shard.0.events").add(3);
-        reg.counter("quill.shard.1.events").add(4);
-        reg.counter("quill.shard.0.batches").add(99);
-        let snap = reg.snapshot();
-        assert_eq!(snap.counter_family_sum("quill.shard.", ".events"), 7);
     }
 }

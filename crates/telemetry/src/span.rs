@@ -8,7 +8,7 @@
 //! words plus a [`KChangeReason`] byte whose meaning the stage fixes (see
 //! [`Stage`]). Stages with an extent time a pipeline segment (buffer
 //! residency, window finalization lag, delivery latency); instant stages
-//! (`k_change`, `late_drop`, `send_stall`) have `begin == end` and mark a
+//! (`k_change`, `late_drop`) have `begin == end` and mark a
 //! decision or incident. Records accumulate in a bounded ring
 //! ([`SpanRecorder`]): clones share it, sequence numbers are assigned under
 //! the ring lock (ring order *is* seq order, across shard threads too), and
@@ -66,9 +66,6 @@ pub const DEFAULT_SPAN_CAPACITY: usize = 65_536;
 /// `query` value of a record that belongs to no particular query.
 pub const NO_QUERY: u64 = u64::MAX;
 
-/// Shard id of records produced outside any shard (the result merge).
-pub const MERGE_SHARD: u32 = u32::MAX;
-
 /// What a record covers. Each variant is one segment of the path an event
 /// takes from the wire to a delivered window result, or one incident on
 /// the quality path. The stage fixes what the two detail words hold
@@ -78,20 +75,14 @@ pub const MERGE_SHARD: u32 = u32::MAX;
 /// |---|---|---|---|
 /// | `BufferResidency` | oldest released ts → watermark (stream clock at the flush) | events released | watermark emitted (`u64::MAX` at the flush) |
 /// | `WindowFinalize` | window end → watermark that closed it | window start | [`key_tag`] of the key |
-/// | `Merge` | smallest → largest merged window end | elements merged | — |
 /// | `LateArrival` | event ts → the watermark it arrived behind | input seq | — |
 /// | `KChange` | decision time (instant) | K before | K after (plus the [`KChangeReason`]) |
 /// | `LateDrop` | event ts (instant) | input seq | — |
-/// | `SendStall` | first event ts of the stalled batch (instant) | batches in flight | — |
 #[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord)]
 pub enum Stage {
     /// Wire bytes to parsed events on one ingest connection (serve layer,
     /// wall time).
     IngestDecode,
-    /// Handing events to the next component: the serve ingest queue
-    /// (wall time, measures backpressure blocking) or the parallel
-    /// executor's keyed router (logical time).
-    Route,
     /// One watermark advance of the disorder-control slack buffer: from the
     /// oldest event it released to the watermark — the longest
     /// buffer-induced event-time latency in that release, which is what the
@@ -101,8 +92,6 @@ pub enum Stage {
     /// A window's finalization lag: from the window end to the watermark
     /// that closed it.
     WindowFinalize,
-    /// The cross-shard result merge.
-    Merge,
     /// Result delivery: from the window end to the clock at which the
     /// result reached the consumer (run output, session queue poll).
     Deliver,
@@ -118,25 +107,20 @@ pub enum Stage {
     /// The window operator dropped a late event (instant). A drop at `ts`
     /// counts for window `[s, e)` iff `s <= ts < e`.
     LateDrop,
-    /// The parallel router found a shard channel at capacity (instant).
-    SendStall,
 }
 
 impl Stage {
     /// Every stage, in serialization order.
-    pub const ALL: [Stage; 12] = [
+    pub const ALL: [Stage; 9] = [
         Stage::IngestDecode,
-        Stage::Route,
         Stage::BufferResidency,
         Stage::WindowFinalize,
-        Stage::Merge,
         Stage::Deliver,
         Stage::Connection,
         Stage::Query,
         Stage::LateArrival,
         Stage::KChange,
         Stage::LateDrop,
-        Stage::SendStall,
     ];
 
     /// Stable serialization token (also the `quill.span.<stage>` histogram
@@ -144,17 +128,14 @@ impl Stage {
     pub fn as_str(self) -> &'static str {
         match self {
             Stage::IngestDecode => "ingest_decode",
-            Stage::Route => "route",
             Stage::BufferResidency => "buffer_residency",
             Stage::WindowFinalize => "window_finalize",
-            Stage::Merge => "merge",
             Stage::Deliver => "deliver",
             Stage::Connection => "connection",
             Stage::Query => "query",
             Stage::LateArrival => "late_arrival",
             Stage::KChange => "k_change",
             Stage::LateDrop => "late_drop",
-            Stage::SendStall => "send_stall",
         }
     }
 
@@ -166,7 +147,7 @@ impl Stage {
     /// Whether records of this stage mark a moment rather than time an
     /// extent. Instants feed no `quill.span.*` histogram.
     pub fn is_instant(self) -> bool {
-        matches!(self, Stage::KChange | Stage::LateDrop | Stage::SendStall)
+        matches!(self, Stage::KChange | Stage::LateDrop)
     }
 
     /// Serialization names of the two detail words (`None`: the stage
@@ -175,10 +156,8 @@ impl Stage {
         match self {
             Stage::BufferResidency => [Some("released"), Some("watermark")],
             Stage::WindowFinalize => [Some("start"), Some("key_tag")],
-            Stage::Merge => [Some("elements"), None],
             Stage::LateArrival | Stage::LateDrop => [Some("input_seq"), None],
             Stage::KChange => [Some("old_k"), Some("new_k")],
-            Stage::SendStall => [Some("depth"), None],
             _ => [None, None],
         }
     }
@@ -310,8 +289,7 @@ pub struct Span {
     pub begin: u64,
     /// Interval end, in the recorder's clock domain (`begin` for instants).
     pub end: u64,
-    /// Shard that produced the record (0 for pre-fan-out components,
-    /// [`MERGE_SHARD`] for the merge).
+    /// Shard that produced the record (0 for pre-fan-out components).
     pub shard: u32,
     /// Owning query id, [`NO_QUERY`] when not query-scoped.
     pub query: u64,
@@ -812,11 +790,10 @@ mod tests {
         rec.record_detail(Stage::BufferResidency, 10, 60, 0, [3, 60]);
         rec.record_detail(Stage::WindowFinalize, 100, 160, 1, [0, key_tag("a\"b")]);
         rec.record_for_query(Stage::Deliver, 100, 175, 0, 3);
-        rec.record_detail(Stage::Merge, 100, 200, MERGE_SHARD, [7, 0]);
+        rec.record(Stage::IngestDecode, 100, 200, 3);
         rec.record_detail(Stage::LateArrival, 42, 190, 0, [9, 0]);
         rec.record_k_change(95, 0, u64::MAX, KChangeReason::Ratchet);
         rec.record_detail(Stage::LateDrop, 42, 42, 2, [9, 0]);
-        rec.record_detail(Stage::SendStall, 7, 7, 1, [64, 0]);
         rec
     }
 
@@ -824,7 +801,7 @@ mod tests {
     fn disabled_recorder_is_inert() {
         let rec = SpanRecorder::disabled();
         assert!(!rec.is_enabled());
-        rec.record(Stage::Route, 0, 5, 0);
+        rec.record(Stage::IngestDecode, 0, 5, 0);
         rec.record_for_query(Stage::Deliver, 0, 5, 0, 1);
         rec.record_k_change(1, 0, 5, KChangeReason::Adapt);
         assert!(rec.spans().is_empty());
@@ -847,11 +824,11 @@ mod tests {
     #[test]
     fn records_carry_seq_order_and_stage_details() {
         let spans = sample_recorder().spans();
-        assert_eq!(spans.len(), 8);
+        assert_eq!(spans.len(), 7);
         assert!(spans.windows(2).all(|w| w[0].seq < w[1].seq));
         assert_eq!(spans[1].detail, [0, key_tag("a\"b")]);
         assert_eq!(spans[2].query, 3);
-        assert_eq!(spans[3].shard, MERGE_SHARD);
+        assert_eq!(spans[3].shard, 3);
         let k = spans[5];
         assert_eq!((k.stage, k.begin, k.end), (Stage::KChange, 95, 95));
         assert_eq!(k.detail, [0, u64::MAX]);
@@ -872,7 +849,7 @@ mod tests {
     fn ring_bounds_memory_and_counts_drops() {
         let rec = SpanRecorder::new(2);
         for i in 0..5u64 {
-            rec.record(Stage::Route, i, i + 1, 0);
+            rec.record(Stage::IngestDecode, i, i + 1, 0);
         }
         assert_eq!(rec.len(), 2);
         assert_eq!(rec.dropped(), 3);
@@ -890,7 +867,7 @@ mod tests {
                 let rec = rec.clone();
                 std::thread::spawn(move || {
                     for i in 0..100u64 {
-                        rec.record_detail(Stage::SendStall, i, i, shard, [i, 0]);
+                        rec.record_detail(Stage::LateDrop, i, i, shard, [i, 0]);
                     }
                 })
             })
@@ -909,7 +886,7 @@ mod tests {
     #[test]
     fn take_drains_the_ring() {
         let rec = sample_recorder();
-        assert_eq!(rec.take().len(), 8);
+        assert_eq!(rec.take().len(), 7);
         assert!(rec.is_empty());
     }
 
@@ -917,7 +894,7 @@ mod tests {
     fn clones_share_the_ring() {
         let rec = SpanRecorder::new(16);
         let clone = rec.clone();
-        clone.record(Stage::Route, 0, 5, 1);
+        clone.record(Stage::IngestDecode, 0, 5, 1);
         assert_eq!(rec.len(), 1);
         assert_eq!(rec.spans()[0].shard, 1);
     }
@@ -940,7 +917,7 @@ mod tests {
         assert_eq!(buf.mean, 7.0);
         assert_eq!(snap.histograms["quill.span.deliver"].count, 10);
         assert_eq!(snap.histograms["quill.span.late_arrival"].count, 10);
-        for instant in ["k_change", "late_drop", "send_stall"] {
+        for instant in ["k_change", "late_drop"] {
             assert!(
                 !snap
                     .histograms
@@ -967,7 +944,7 @@ mod tests {
     #[test]
     fn json_line_omits_query_for_unowned_spans() {
         let rec = SpanRecorder::new(4);
-        rec.record(Stage::Route, 0, 5, 0);
+        rec.record(Stage::IngestDecode, 0, 5, 0);
         let line = rec.spans()[0].to_json_line();
         assert!(!line.contains("query"), "{line}");
         assert_eq!(Span::parse_json_line(&line).unwrap().query, NO_QUERY);
@@ -1012,7 +989,7 @@ mod tests {
         let get = |stage: Stage| attr.iter().find(|a| a.stage == stage).unwrap();
         assert_eq!(get(Stage::BufferResidency).total, 50);
         assert_eq!(get(Stage::Deliver).count, 1);
-        assert_eq!(get(Stage::Merge).max, 100);
+        assert_eq!(get(Stage::IngestDecode).max, 100);
         assert_eq!(get(Stage::LateArrival).total, 148);
         assert!(attr.iter().all(|a| a.count > 0 && !a.stage.is_instant()));
     }

@@ -349,7 +349,6 @@ fn fmt_json_f64(v: f64) -> String {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::span::MERGE_SHARD;
     use crate::SpanRecorder;
 
     fn violation_stream() -> ProvenanceBuilder {
@@ -371,18 +370,16 @@ mod tests {
     /// One record of every kind the quality path leaves in the ring.
     fn record_every_trace_kind(rec: &SpanRecorder) {
         rec.record_detail(Stage::LateArrival, 148, 190, 0, [3, 0]);
-        rec.record_detail(Stage::BufferResidency, 120, 200, MERGE_SHARD, [7, u64::MAX]);
+        rec.record_detail(Stage::BufferResidency, 120, 200, u32::MAX, [7, u64::MAX]);
         rec.record_k_change(150, 0, 185, KChangeReason::Ratchet);
         rec.record_detail(
             Stage::WindowFinalize,
             200,
             210,
-            MERGE_SHARD,
+            u32::MAX,
             [100, key_tag("a\"b\\c")],
         );
         rec.record_detail(Stage::LateDrop, 148, 148, 0, [7, 0]);
-        rec.record_detail(Stage::SendStall, 160, 160, MERGE_SHARD, [64, 0]);
-        rec.record_detail(Stage::Merge, 100, 200, MERGE_SHARD, [1234, 0]);
     }
 
     #[test]
@@ -390,7 +387,7 @@ mod tests {
         let rec = SpanRecorder::new(16);
         record_every_trace_kind(&rec);
         let spans = rec.spans();
-        assert_eq!(spans.len(), 7);
+        assert_eq!(spans.len(), 5);
         for span in spans {
             let line = span.to_json_line();
             assert!(!line.contains('\n'));
@@ -404,15 +401,15 @@ mod tests {
     fn recorder_assigns_monotone_seq_and_bounds_memory() {
         let rec = SpanRecorder::new(4);
         for i in 0..10u64 {
-            rec.record_detail(Stage::SendStall, i, i, 0, [i, 0]);
+            rec.record_detail(Stage::LateDrop, i, i, 0, [i, 0]);
         }
         let spans = rec.spans();
         assert_eq!(spans.len(), 4);
         assert_eq!(rec.dropped(), 6);
         let seqs: Vec<u64> = spans.iter().map(|s| s.seq).collect();
         assert_eq!(seqs, vec![6, 7, 8, 9], "ring keeps the newest records");
-        let depths: Vec<u64> = spans.iter().map(|s| s.detail[0]).collect();
-        assert_eq!(depths, vec![6, 7, 8, 9]);
+        let inputs: Vec<u64> = spans.iter().map(|s| s.detail[0]).collect();
+        assert_eq!(inputs, vec![6, 7, 8, 9]);
     }
 
     #[test]
@@ -506,7 +503,7 @@ mod tests {
         assert!(ProvenanceRecord::parse_json_line("{}").is_err());
         assert!(ProvenanceRecord::parse_json_line("{\"kind\":\"provenance\"}").is_err());
         let span =
-            "{\"seq\":1,\"stage\":\"send_stall\",\"begin\":2,\"end\":2,\"shard\":0,\"depth\":3}";
+            "{\"seq\":1,\"stage\":\"late_drop\",\"begin\":2,\"end\":2,\"shard\":0,\"input_seq\":3}";
         assert!(ProvenanceRecord::parse_json_line(span).is_err());
         let err = parse_post_mortems(span).unwrap_err();
         assert_eq!(err, "line 1: span record before provenance header");

@@ -18,7 +18,7 @@ cargo run -q -p quill-lint -- --workspace \
 # The allow budget: a suppression is a debt, and the count only goes down.
 # Lower the number when a change removes allows; raising it needs a reason
 # in review.
-allow_budget=40
+allow_budget=38
 allows=$(grep -r 'quill-lint: allow' crates | wc -l)
 echo "==> quill-lint allow budget ($allows of $allow_budget)"
 if [ "$allows" -gt "$allow_budget" ]; then

@@ -53,9 +53,9 @@ curl -sf "http://$HTTP_ADDR/stats" | grep -q '"events":20000'
 
 echo "==> scraping /metrics"
 METRICS="$(curl -sf "http://$HTTP_ADDR/metrics")"
-MERGED="$(printf '%s\n' "$METRICS" | awk '$1 == "quill_merge_windows" { print $2 }')"
-echo "    quill_merge_windows=$MERGED"
-[ -n "$MERGED" ] && awk -v m="$MERGED" 'BEGIN { exit !(m > 0) }'
+WINDOWS="$(printf '%s\n' "$METRICS" | awk '$1 == "quill_session_windows" { print $2 }')"
+echo "    quill_session_windows=$WINDOWS"
+[ -n "$WINDOWS" ] && awk -v m="$WINDOWS" 'BEGIN { exit !(m > 0) }'
 printf '%s\n' "$METRICS" | grep -q '^quill_executor_queue_depth '
 printf '%s\n' "$METRICS" | grep -q '^quill_span_deliver_count '
 printf '%s\n' "$METRICS" | grep -q '^quill_span_deliver_sum '

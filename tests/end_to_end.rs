@@ -134,9 +134,7 @@ fn single_threaded_and_parallel_executors_agree_end_to_end() {
         execute(&stream.events, &mut strategy, &query, &opts).expect("valid query")
     };
     let seq = run(ExecOptions::sequential());
-    let par = run(ExecOptions::parallel(
-        ParallelConfig::new(4).with_batch_size(64),
-    ));
+    let par = run(ExecOptions::parallel(ParallelConfig::new(4)));
     assert!(!seq.results.is_empty());
     assert_eq!(seq.results, par.results);
     assert_eq!(seq.quality, par.quality);

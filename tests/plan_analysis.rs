@@ -239,18 +239,6 @@ mod warn_and_advice_paths {
     }
 
     #[test]
-    fn more_shards_than_keys_warns() {
-        let query = QuerySpec::new(
-            WindowSpec::tumbling(100u64),
-            vec![AggregateSpec::new(AggregateKind::Mean, 0, "mean")],
-            Some(0),
-        );
-        let opts = ExecOptions::parallel(ParallelConfig::new(8)).with_expected_keys(2);
-        let out = run_with(&query, &mut MpKSlack::bounded(500u64), &opts);
-        assert_finding(&out, "plan.parallel.shards-vs-keys", PlanSeverity::Warn);
-    }
-
-    #[test]
     fn completeness_target_without_trace_warns() {
         let opts = ExecOptions::sequential().with_required_completeness(0.9);
         let out = run_with(&mean_query(100), &mut MpKSlack::bounded(500u64), &opts);
@@ -281,17 +269,6 @@ mod warn_and_advice_paths {
             &out,
             "plan.options.delay-profile-unused",
             PlanSeverity::Advice,
-        );
-    }
-
-    #[test]
-    fn expected_keys_on_sequential_run_warns() {
-        let opts = ExecOptions::sequential().with_expected_keys(4);
-        let out = run_with(&mean_query(100), &mut MpKSlack::bounded(500u64), &opts);
-        assert_finding(
-            &out,
-            "plan.options.expected-keys-without-parallel",
-            PlanSeverity::Warn,
         );
     }
 }

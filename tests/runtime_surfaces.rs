@@ -33,11 +33,9 @@ fn keyed_parallel_composes_with_aq_strategy() {
         )
     };
     let (results, _) = run_keyed_parallel(
-        elements,
+        &elements,
         quill_gen::workload::soccer::PLAYER_FIELD,
         ParallelConfig::new(3),
-        &Registry::disabled(),
-        &SpanRecorder::disabled(),
         make_op,
     )
     .expect("parallel run");

@@ -242,13 +242,13 @@ fn http_surface_registers_queries_and_exposes_metrics() {
     assert!(results.contains("\"aggregates\""), "{results}");
 
     let (_, metrics) = http_request(http, "GET", "/metrics", "");
-    let merged = metrics
+    let windows = metrics
         .lines()
-        .find(|l| l.starts_with("quill_merge_windows "))
+        .find(|l| l.starts_with("quill_session_windows "))
         .and_then(|l| l.split_whitespace().nth(1))
         .and_then(|v| v.parse::<f64>().ok())
-        .expect("quill_merge_windows exported");
-    assert!(merged > 0.0, "windows were merged: {merged}");
+        .expect("quill_session_windows exported");
+    assert!(windows > 0.0, "windows were emitted: {windows}");
     assert!(
         metrics.contains("quill_executor_queue_depth"),
         "ingest queue depth gauge exported"

@@ -397,7 +397,7 @@ fn session_telemetry_reports_merge_windows_and_query_gauge() {
     let emitted = [&a, &b, &c].map(|h| h.stats().emitted);
     assert_eq!(emitted[0], emitted[2]);
     assert_eq!(
-        snap.counter("quill.merge.windows"),
+        snap.counter("quill.session.windows"),
         emitted[0] + emitted[1],
         "first emissions per operator"
     );
