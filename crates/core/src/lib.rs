@@ -14,10 +14,11 @@
 //! mechanism and differ only in their K policy.
 //!
 //! Execution goes through one facade: [`runner::execute`] (and
-//! [`shared::execute_shared`] for multi-query runs), with
+//! [`runner::execute_shared`] for multi-query runs), with
 //! [`runner::ExecOptions`] selecting sequential vs. keyed-parallel execution
 //! and optionally attaching a [`quill_telemetry::Registry`] for runtime
-//! observability.
+//! observability. The sequential batch run is the loop a
+//! [`session::Session`] runs over pushed events.
 //!
 //! ## Quick example
 //!
@@ -53,7 +54,6 @@ pub mod punctuated;
 pub mod quality;
 pub mod runner;
 pub mod session;
-pub mod shared;
 pub mod strategy;
 
 /// Convenient glob-import surface: the execution facade, query building,
@@ -72,12 +72,12 @@ pub mod prelude {
     pub use crate::punctuated::PunctuatedBuffer;
     pub use crate::quality::{QualityTarget, SensitivityModel};
     pub use crate::runner::{
-        execute, stage_strategy, ExecOptions, QuerySpec, QuerySpecBuilder, RunOutput, StagedStream,
+        execute, execute_shared, ExecOptions, QuerySpec, QuerySpecBuilder, RunOutput,
+        SharedQueryOutput, SharedRunOutput,
     };
     pub use crate::session::{
         QueryConfig, QueryHandle, QueryId, QueryInfo, QueryStats, Session, SessionStats,
     };
-    pub use crate::shared::{execute_shared, SharedQueryOutput, SharedRunOutput};
     pub use crate::strategy::{DisorderControl, DropAll, FixedKSlack, MpKSlack, OracleBuffer};
     pub use quill_engine::parallel::ParallelConfig;
     pub use quill_engine::prelude::*;

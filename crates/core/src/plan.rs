@@ -22,6 +22,7 @@
 
 use crate::quality::QualityTarget;
 use crate::runner::{ExecOptions, QuerySpec};
+use quill_engine::error::{EngineError, Result};
 use quill_engine::window::WindowSpec;
 use std::fmt;
 
@@ -156,6 +157,18 @@ pub fn analyze_plan(
     check_options(opts, &mut diags);
     diags.sort_by(|a, b| b.severity.cmp(&a.severity).then(a.rule.cmp(&b.rule)));
     diags
+}
+
+/// Refuse a plan with a deny-level finding as
+/// [`EngineError::PlanRejected`]; otherwise hand the findings back.
+pub(crate) fn refuse_denied(diags: Vec<Diagnostic>) -> Result<Vec<Diagnostic>> {
+    match diags.iter().find(|d| d.severity == Severity::Deny) {
+        Some(deny) => Err(EngineError::PlanRejected(format!(
+            "[{}] {} (help: {})",
+            deny.rule, deny.message, deny.help
+        ))),
+        None => Ok(diags),
+    }
 }
 
 /// Window/slide arithmetic: per-event fan-out. (Whether the slide divides

@@ -6,18 +6,18 @@
 //! result quality vs. the in-order oracle, K and buffer-occupancy time
 //! series, wall-clock processing time, and (when an enabled
 //! [`quill_telemetry::Registry`] is supplied via [`ExecOptions`]) periodic
-//! telemetry snapshots. [`ExecOptions`] selects sequential execution — on
-//! the fan-out core a [`crate::session::Session`] runs, which is also the
-//! surface for resident, push-mode execution with runtime query
+//! telemetry snapshots. [`execute_shared`] does the same for several
+//! queries sharing one strategy. [`ExecOptions`] selects sequential
+//! execution — the loop a [`crate::session::Session`] runs, which is also
+//! the surface for resident, push-mode execution with runtime query
 //! registration — or the keyed-parallel executor.
 
-use crate::plan::{analyze_plan, DelayProfile, Diagnostic, Severity};
-use crate::session::{MultiQueryCore, QueryConfig};
-use crate::shared::{SharedQueryOutput, SharedRunOutput};
+use crate::plan::{analyze_plan, refuse_denied, DelayProfile, Diagnostic};
+use crate::session::{push_event, release, MultiQueryCore, QueryConfig};
 use crate::strategy::DisorderControl;
 use quill_engine::aggregate::{AggregateKind, AggregateSpec};
 use quill_engine::error::{EngineError, Result};
-use quill_engine::event::{Event, StreamElement};
+use quill_engine::event::{ClockTracker, Event, StreamElement};
 use quill_engine::operator::{LatePolicy, WindowAggregateOp, WindowOpStats, WindowResult};
 use quill_engine::parallel::{run_keyed_parallel, ParallelConfig};
 use quill_engine::time::{TimeDelta, Timestamp};
@@ -25,7 +25,9 @@ use quill_engine::window::WindowSpec;
 use quill_metrics::quality_eval::{oracle_results, score, QualityReport};
 use quill_metrics::{LatencyRecorder, Summary, TimeSeries};
 use quill_telemetry::trace::{PostMortem, ProvenanceBuilder, ProvenanceRecord};
-use quill_telemetry::{Registry, ReporterConfig, Snapshot, SpanRecorder, Stage, TelemetryReporter};
+use quill_telemetry::{
+    Histogram, Registry, ReporterConfig, Snapshot, SpanRecorder, Stage, TelemetryReporter,
+};
 
 /// The continuous query to execute.
 #[derive(Debug, Clone, PartialEq)]
@@ -124,6 +126,12 @@ impl QuerySpec {
             key_field,
         })
     }
+
+    /// A fresh window operator for this query, dropping late events.
+    pub(crate) fn window_op(&self) -> Result<WindowAggregateOp> {
+        let aggregates = self.aggregates.clone();
+        WindowAggregateOp::new(self.window, aggregates, self.key_field, LatePolicy::Drop)
+    }
 }
 
 /// Fluent, validated construction of a [`QuerySpec`] — see
@@ -206,10 +214,12 @@ impl QuerySpecBuilder {
 /// | [`parallel`](ExecOptions::parallel) | keyed-parallel executor | — | `plan.parallel.*` rules |
 #[derive(Debug, Clone, Default)]
 pub struct ExecOptions {
-    /// `Some(config)` fans the windowing work out on the keyed-parallel
-    /// executor, one thread per shard, each inserting its own keys' events
-    /// on arrival and finalizing their windows: element-identical output to
-    /// the sequential run. `None` runs sequentially.
+    /// `Some(config)` stages the strategy's output and fans the windowing
+    /// work out on the keyed-parallel executor, one thread per shard, each
+    /// inserting its own keys' events on arrival and finalizing their
+    /// windows: element-identical output to the sequential run. `None`
+    /// runs sequentially, in the loop a [`crate::session::Session`] runs,
+    /// nothing staged.
     pub parallel: Option<ParallelConfig>,
     /// Telemetry registry instruments record into.
     /// [`Registry::disabled`] (the default) makes every instrument a no-op.
@@ -246,7 +256,9 @@ impl ExecOptions {
         ExecOptions::default()
     }
 
-    /// Parallel execution with the given executor configuration.
+    /// Parallel execution with the given executor configuration: the
+    /// strategy's output is staged whole, then windowed across the shards
+    /// (see the `parallel` field).
     pub fn parallel(config: ParallelConfig) -> ExecOptions {
         ExecOptions {
             parallel: Some(config),
@@ -347,140 +359,116 @@ impl RunOutput {
     }
 }
 
-/// Strategy output staged for windowing — every event in arrival order,
-/// interleaved with the watermarks the strategy emitted — plus everything
-/// measured while draining the strategy.
-pub struct StagedStream {
-    /// Forwarded events and watermarks, in emission order.
-    pub elements: Vec<StreamElement>,
-    /// `(watermark, clock at emission)` pairs, in emission order.
-    pub wm_clock: Vec<(Timestamp, Timestamp)>,
-    /// Clock after the last arrival.
-    pub final_clock: Timestamp,
-    /// K over event time.
-    pub k_series: TimeSeries,
-    /// Buffer occupancy over event time.
-    pub buffer_series: TimeSeries,
-    /// Carried out so the caller can `finish()` *after* the windowing work —
-    /// the final snapshot then covers executor and result instruments too.
-    pub reporter: TelemetryReporter,
+/// Per-query measurement of a shared run.
+#[derive(Debug, Clone)]
+pub struct SharedQueryOutput {
+    /// Index into the input query slice.
+    pub query_index: usize,
+    /// Emitted results in order.
+    pub results: Vec<WindowResult>,
+    /// Per-result latency summary.
+    pub latency: Summary,
+    /// Quality vs. this query's own oracle.
+    pub quality: QualityReport,
 }
 
-impl StagedStream {
-    /// Clock at which a window ending at `end` was emitted: the clock of the
-    /// first released watermark that passed the end; Flush-emitted windows
-    /// use the final clock.
-    pub fn emission_clock(&self, end: Timestamp) -> Timestamp {
-        let at = self.wm_clock.partition_point(|(w, _)| w.raw() < end.raw());
-        self.wm_clock.get(at).map_or(self.final_clock, |&(_, c)| c)
-    }
+/// Outcome of a shared multi-query run.
+#[derive(Debug, Clone)]
+pub struct SharedRunOutput {
+    /// Strategy name.
+    pub strategy: String,
+    /// One entry per input query.
+    pub per_query: Vec<SharedQueryOutput>,
+    /// Wall-clock time for the whole shared run, microseconds.
+    pub wall_micros: u128,
+    /// Telemetry snapshots collected during the run (empty when telemetry is
+    /// disabled).
+    pub snapshots: Vec<Snapshot>,
+    /// Advisory and warn-level plan diagnostics across all queries
+    /// (deduplicated); deny-level findings abort [`execute_shared`] instead.
+    pub plan: Vec<Diagnostic>,
 }
 
-/// Drain `strategy` over `events`, recording watermark release clocks, the
-/// K / buffer-occupancy series, and telemetry ticks. Shared by [`execute`]
-/// and [`crate::shared::execute_shared`]: the strategy is inherently
-/// sequential (it decides watermarks from arrival order), so its output is
-/// staged once and the windowing work — sequential, parallel, or multi-query
-/// — runs over the staged stream.
-pub fn stage_strategy(
+/// The batch loop: per event, [`push_event`] (the step a
+/// [`crate::session::Session`] runs per push), the `quill.run.events` and
+/// reporter ticks and the K / buffer samples; then the strategy's final
+/// elements at the final clock. The reporter comes back unfinished.
+fn drive(
     events: &[Event],
     strategy: &mut dyn DisorderControl,
     opts: &ExecOptions,
-) -> StagedStream {
+    mut sink: impl FnMut(StreamElement, Timestamp),
+) -> (TimeSeries, TimeSeries, TelemetryReporter) {
     strategy.instrument(&opts.telemetry);
     strategy.attach_spans(&opts.spans);
     let run_events = opts.telemetry.counter("quill.run.events");
-    let mut reporter = TelemetryReporter::new(
-        &opts.telemetry,
-        ReporterConfig::every_events(opts.snapshot_every_events),
-    );
-
-    let mut k_series = TimeSeries::new("k");
-    let mut buffer_series = TimeSeries::new("buffered");
-    let mut now = Timestamp::MIN;
-    let mut elements: Vec<StreamElement> = Vec::with_capacity(events.len() + 1);
-    let mut wm_clock: Vec<(Timestamp, Timestamp)> = Vec::new();
-    let mut staged: Vec<StreamElement> = Vec::new();
+    let every = ReporterConfig::every_events(opts.snapshot_every_events);
+    let mut reporter = TelemetryReporter::new(&opts.telemetry, every);
+    let (mut k_series, mut buffer_series) = (TimeSeries::new("k"), TimeSeries::new("buffered"));
+    let (mut clock, mut staged) = (ClockTracker::new(), Vec::new());
     for (i, e) in events.iter().enumerate() {
-        now = now.max(e.ts);
-        staged.clear();
-        strategy.on_event(e.clone(), &mut staged);
-        for el in staged.drain(..) {
-            if let StreamElement::Watermark(w) = &el {
-                wm_clock.push((*w, now));
-            }
-            elements.push(el);
-        }
+        push_event(strategy, &mut clock, &mut staged, e.clone(), &mut sink);
         run_events.inc();
         reporter.observe_events(1);
         if (i as u64).is_multiple_of(SERIES_SAMPLE_EVERY) {
+            let now = clock.clock().unwrap_or(Timestamp::MIN);
+            // The oracle's "infinite" K is left out, for plottability.
             let k = strategy.current_k();
-            // Cap the oracle's "infinite" K for plottability.
-            let k_plot = if k == TimeDelta::MAX {
-                f64::NAN
-            } else {
-                k.as_f64()
-            };
-            if k_plot.is_finite() {
-                k_series.push(now, k_plot);
+            if k != TimeDelta::MAX {
+                k_series.push(now, k.as_f64());
             }
-            buffer_series.push(
-                now,
-                strategy.buffer_stats().inserted as f64 - strategy.buffer_stats().released as f64,
-            );
+            let b = strategy.buffer_stats();
+            buffer_series.push(now, b.inserted as f64 - b.released as f64);
         }
     }
-    staged.clear();
     strategy.finish(&mut staged);
-    let final_clock = now;
-    for el in staged.drain(..) {
-        if let StreamElement::Watermark(w) = &el {
-            wm_clock.push((*w, final_clock));
-        }
-        elements.push(el);
-    }
-
-    StagedStream {
-        elements,
-        wm_clock,
-        final_clock,
-        k_series,
-        buffer_series,
-        reporter,
-    }
+    release(&clock, &mut staged, sink);
+    (k_series, buffer_series, reporter)
 }
 
-/// Sum window-operator counters across the shards' operators.
-fn sum_window_stats(ops: &[WindowAggregateOp]) -> WindowOpStats {
-    let mut total = WindowOpStats::default();
-    for op in ops {
-        let s = op.stats();
-        total.accepted += s.accepted;
-        total.late_dropped += s.late_dropped;
-        total.revisions += s.revisions;
-        total.windows_emitted += s.windows_emitted;
-        total.agg_inserts += s.agg_inserts;
+/// One query's windowed output, before scoring.
+struct Windowed {
+    results: Vec<WindowResult>,
+    /// Exact percentiles: every sample is kept.
+    latency: LatencyRecorder,
+    /// Summed over shards in parallel.
+    stats: WindowOpStats,
+}
+
+impl Windowed {
+    fn new() -> Windowed {
+        Windowed {
+            results: Vec::new(),
+            latency: LatencyRecorder::with_samples(),
+            stats: WindowOpStats::default(),
+        }
     }
-    total
+
+    /// Take one result emitted at clock `now`; its latency is `now` minus
+    /// the window end.
+    fn deliver(&mut self, r: WindowResult, now: Timestamp, hist: &Histogram) {
+        let lat = now.delta_since(r.window.end);
+        hist.record(lat.raw());
+        self.latency.record(lat);
+        self.results.push(r);
+    }
 }
 
 /// What [`run_batch`] measured: a shared run's output, plus what only
 /// [`execute`] reports.
-pub(crate) struct BatchRun {
-    pub(crate) shared: SharedRunOutput,
-    /// Window-operator counters per query (summed over shards), in order.
-    pub(crate) window_stats: Vec<WindowOpStats>,
-    pub(crate) k_series: TimeSeries,
-    pub(crate) buffer_series: TimeSeries,
+struct BatchRun {
+    shared: SharedRunOutput,
+    /// Window-operator counters per query, in order.
+    window_stats: Vec<WindowOpStats>,
+    k_series: TimeSeries,
+    buffer_series: TimeSeries,
 }
 
-/// The one batch driver behind [`execute`] and
-/// [`crate::shared::execute_shared`]: validate and vet every query, stage
-/// the strategy once, window the staged stream — on the multi-query core a
-/// [`crate::session::Session`] runs, or per query on the keyed-parallel
-/// executor — then derive latency, `quill.run.*` counters and quality the
-/// same way for both.
-pub(crate) fn run_batch(
+/// The one batch run behind [`execute`] and [`execute_shared`]: validate
+/// and vet every query, then run [`drive`] once. Sequentially its sink is a
+/// session's multi-query core, drained the moment a result is emitted; in
+/// parallel it stages the strategy's output for the keyed executor.
+fn run_batch(
     events: &[Event],
     strategy: &mut dyn DisorderControl,
     queries: &[QuerySpec],
@@ -489,119 +477,128 @@ pub(crate) fn run_batch(
     // Validate up front: an invalid query is refused before the strategy
     // sees an event.
     for q in queries {
-        WindowAggregateOp::new(
-            q.window,
-            q.aggregates.clone(),
-            q.key_field,
-            LatePolicy::Drop,
-        )?;
+        q.window_op()?;
     }
     // Static plan analysis per query: any deny-level finding refuses the run
     // before the buffer sees an event; the rest ride along, deduplicated.
     let mut plan: Vec<Diagnostic> = Vec::new();
     for q in queries {
-        for d in vet_plan(q, strategy, opts)? {
+        for d in refuse_denied(analyze_plan(q, &strategy.kind(), opts))? {
             if !plan.contains(&d) {
                 plan.push(d);
             }
         }
     }
-    // Registered before staging, so every periodic snapshot carries them.
-    let results_count = opts.telemetry.counter("quill.run.results");
+    // Registered before the loop, so every periodic snapshot carries it.
     let latency_hist = opts.telemetry.histogram("quill.run.latency");
 
     strategy.set_min_slide(queries.iter().map(|q| q.window.slide()).min());
     let start = std::time::Instant::now();
-    let mut staged = stage_strategy(events, strategy, opts);
-    let elements = std::mem::take(&mut staged.elements);
-    let windowed: Vec<(Vec<WindowResult>, WindowOpStats)> = match opts.parallel {
+    let mut windowed: Vec<Windowed> = queries.iter().map(|_| Windowed::new()).collect();
+    let (k_series, buffer_series, mut reporter) = match opts.parallel {
         None => {
-            // Latency and the `quill.run.*` counts are derived below, as for
-            // parallel runs, so the core gets no registry and its own latency
-            // stamps go unused.
-            let mut core = MultiQueryCore::new(&Registry::disabled());
+            let mut core = MultiQueryCore::new(&opts.telemetry);
+            core.attach_spans(&opts.spans);
             core.observe_operators(&opts.spans);
-            let config = QueryConfig {
-                required_completeness: opts.required_completeness,
-                result_capacity: usize::MAX,
-                latency_slo: None,
-            };
-            for q in queries {
-                core.register(q, &config)?;
+            // Unbounded queues: a `Flush` may emit any number at once.
+            let config = QueryConfig::default().with_result_capacity(usize::MAX);
+            // Ids count from 0, so each query's `Deliver` spans carry its
+            // index.
+            let handles = (queries.iter())
+                .map(|q| core.register(q, &config, Vec::new()))
+                .collect::<Result<Vec<_>>>()?;
+            let drove = drive(events, strategy, opts, |el, now| {
+                if core.process_element(&el, now) > 0 {
+                    core.sync_stats();
+                    for (handle, w) in handles.iter().zip(&mut windowed) {
+                        for r in handle.poll() {
+                            w.deliver(r, now, &latency_hist);
+                        }
+                    }
+                }
+            });
+            core.close_all();
+            for (handle, w) in handles.iter().zip(&mut windowed) {
+                w.stats = handle.stats().window;
             }
-            for el in &elements {
-                core.process_element(el, Timestamp::MIN);
-            }
-            core.into_results()
+            drove
         }
-        Some(config) => (queries.iter())
-            .map(|q| window_parallel(&elements, q, config, opts))
-            .collect::<Result<_>>()?,
+        Some(config) => {
+            // Every element in emission order, the clock at each watermark,
+            // and the final clock (the last element's).
+            let (mut elements, mut wm_clock, mut last) = (Vec::new(), Vec::new(), Timestamp::MIN);
+            let drove = drive(events, strategy, opts, |el, now| {
+                if let StreamElement::Watermark(w) = el {
+                    wm_clock.push((w, now));
+                }
+                last = now;
+                elements.push(el);
+            });
+            // A window is emitted at the clock of the first watermark that
+            // reached its end, or flushed at the final clock.
+            let emitted_at = |end: Timestamp| {
+                let at = wm_clock.partition_point(|&(w, _)| w < end);
+                wm_clock.get(at).map_or(last, |&(_, c)| c)
+            };
+            let results_count = opts.telemetry.counter("quill.run.results");
+            for (i, (q, w)) in queries.iter().zip(&mut windowed).enumerate() {
+                let (results, stats) = window_parallel(&elements, q, config, opts)?;
+                results_count.add(results.len() as u64);
+                w.stats = stats;
+                for r in results {
+                    let now = emitted_at(r.window.end);
+                    if opts.spans.is_enabled() {
+                        let end = r.window.end.raw();
+                        let at = now.raw().max(end);
+                        opts.spans
+                            .record_for_query(Stage::Deliver, end, at, 0, i as u64);
+                    }
+                    w.deliver(r, now, &latency_hist);
+                }
+            }
+            drove
+        }
     };
-    // Scoring below needs only the results: free the staged stream first.
-    drop(elements);
     let wall_micros = start.elapsed().as_micros();
 
     let late_dropped = opts.telemetry.counter("quill.run.late_dropped");
-    let (per_query, window_stats) = queries
-        .iter()
-        .zip(windowed)
-        .enumerate()
-        .map(|(query_index, (q, (results, stats)))| {
-            let mut latency = LatencyRecorder::with_samples();
-            for r in &results {
-                let emitted_at = staged.emission_clock(r.window.end);
-                let lat = emitted_at.delta_since(r.window.end);
-                latency_hist.record(lat.raw());
-                latency.record(lat);
-                if opts.spans.is_enabled() {
-                    // Delivery: complete at the window's end, handed to the
-                    // caller at the clock of the watermark that closed it —
-                    // the latency the paper trades against quality.
-                    opts.spans.record_for_query(
-                        Stage::Deliver,
-                        r.window.end.raw(),
-                        emitted_at.raw().max(r.window.end.raw()),
-                        0,
-                        query_index as u64,
-                    );
-                }
-            }
-            results_count.add(results.len() as u64);
-            late_dropped.add(stats.late_dropped);
+    let (per_query, window_stats) = (queries.iter().zip(windowed).enumerate())
+        .map(|(query_index, (q, w))| {
+            late_dropped.add(w.stats.late_dropped);
             let oracle = oracle_results(events, q.window, &q.aggregates, q.key_field);
             let out = SharedQueryOutput {
                 query_index,
-                latency: latency.summary(),
-                quality: score(&results, &oracle),
-                results,
+                latency: w.latency.summary(),
+                quality: score(&w.results, &oracle),
+                results: w.results,
             };
-            (out, stats)
+            (out, w.stats)
         })
         .unzip();
-    // Force the end-of-run snapshot so it covers the executor and result
-    // instruments recorded after staging, even when the last periodic tick
-    // coincided with the final event.
+    // Force the end-of-run snapshot so it covers the instruments recorded
+    // after the last event, even when the last periodic tick coincided
+    // with it.
     if opts.telemetry.is_enabled() {
-        staged.reporter.force();
+        reporter.force();
     }
     Ok(BatchRun {
         shared: SharedRunOutput {
             strategy: strategy.name(),
             per_query,
             wall_micros,
-            snapshots: staged.reporter.finish(),
+            snapshots: reporter.finish(),
             plan,
         },
         window_stats,
-        k_series: staged.k_series,
-        buffer_series: staged.buffer_series,
+        k_series,
+        buffer_series,
     })
 }
 
 /// Window one query's staged stream on the keyed-parallel executor, one
-/// operator per shard. Unkeyed queries route on the (out-of-range ⇒ Null)
-/// key, so every event lands on one shard.
+/// operator per shard; the counters are summed over the shards. Unkeyed
+/// queries route on the (out-of-range ⇒ Null) key, so every event lands on
+/// one shard.
 fn window_parallel(
     elements: &[StreamElement],
     query: &QuerySpec,
@@ -613,17 +610,20 @@ fn window_parallel(
         query.key_field.unwrap_or(usize::MAX),
         config,
         |shard| {
-            let mut op = WindowAggregateOp::new(
-                query.window,
-                query.aggregates.clone(),
-                query.key_field,
-                LatePolicy::Drop,
-            )?;
+            let mut op = query.window_op()?;
             op.attach_spans(&opts.spans, shard as u32);
             Ok(op)
         },
     )?;
-    Ok((results, sum_window_stats(&ops)))
+    let mut total = WindowOpStats::default();
+    for s in ops.iter().map(WindowAggregateOp::stats) {
+        total.accepted += s.accepted;
+        total.late_dropped += s.late_dropped;
+        total.revisions += s.revisions;
+        total.windows_emitted += s.windows_emitted;
+        total.agg_inserts += s.agg_inserts;
+    }
+    Ok((results, total))
 }
 
 /// Execute `query` over `events` (already in arrival order) under
@@ -631,16 +631,17 @@ fn window_parallel(
 /// executor, optionally recording telemetry. Quality is scored against the
 /// exact in-order oracle.
 ///
-/// The strategy's output is staged first — recording the clock at each
-/// watermark — then the windowing work runs over the staged stream:
-/// on the multi-query core a [`crate::session::Session`] runs (sequential)
-/// or fanned out across [`ParallelConfig::shards`] shards (parallel).
-/// Per-result latency is reconstructed from the recorded watermark clocks:
-/// a window result is emitted at the first watermark that passes its end,
-/// which is exactly when interleaved execution would have emitted it.
-/// Unkeyed queries (`key_field == None`) still run in parallel mode — every
-/// event routes to one shard — but only keyed queries benefit from
-/// parallelism.
+/// Sequentially, the run is the loop a [`crate::session::Session`] runs:
+/// per event, the strategy, then every element it releases through the
+/// session's window fan-out core, so a result is emitted — and its latency,
+/// the clock minus the window end, measured — the moment the watermark that
+/// closes its window is released. In parallel, the strategy's output is
+/// staged with the clock at each watermark and windowed across
+/// [`ParallelConfig::shards`] shards; latency is then read off the clock of
+/// the first watermark that reached each window's end, which is the same
+/// clock. Unkeyed queries (`key_field == None`) still run in parallel
+/// mode — every event routes to one shard — but only keyed queries benefit
+/// from parallelism.
 ///
 /// With an enabled [`Registry`] in `opts`, the run additionally records
 /// `quill.run.events` / `quill.run.results` / `quill.run.late_dropped`
@@ -703,21 +704,36 @@ pub fn execute(
     })
 }
 
-/// Run the static plan analysis for one query. Deny-level findings become
-/// [`EngineError::PlanRejected`]; the rest are returned for the output.
-pub(crate) fn vet_plan(
-    query: &QuerySpec,
-    strategy: &dyn DisorderControl,
+/// Run several queries over one stream sharing a single disorder-control
+/// strategy (one buffer, one watermark sequence), per `opts`.
+///
+/// In practice many continuous queries subscribe to the same stream; the
+/// slack buffer is paid once and its watermarks fan out. Sequentially, that
+/// is one window operator per distinct query shape, its results delivered to
+/// every query of that shape, exactly as in a [`crate::session::Session`];
+/// with `opts.parallel` set, the queries take turns, each windowing the one
+/// staged stream, which is never copied, on its own shard threads. One slack
+/// serves every subscriber: it follows the strategy's own quality target,
+/// sized for the smallest slide among the queries
+/// ([`DisorderControl::set_min_slide`]), and a query's completeness target
+/// only flags its windows that fall below it. A caller who wants the
+/// strictest subscriber's target to bind builds the strategy for the
+/// largest of the targets, and looser queries then enjoy surplus quality.
+///
+/// An enabled telemetry registry observes the shared buffer once rather
+/// than once per query. Every window operator records into
+/// [`ExecOptions::spans`], and each result's [`Stage::Deliver`] span is
+/// tagged with its query's index.
+///
+/// # Errors
+/// Propagates invalid query specifications and executor failures.
+pub fn execute_shared(
+    events: &[Event],
+    strategy: &mut dyn DisorderControl,
+    queries: &[QuerySpec],
     opts: &ExecOptions,
-) -> Result<Vec<Diagnostic>> {
-    let diags = analyze_plan(query, &strategy.kind(), opts);
-    if let Some(deny) = diags.iter().find(|d| d.severity == Severity::Deny) {
-        return Err(EngineError::PlanRejected(format!(
-            "[{}] {} (help: {})",
-            deny.rule, deny.message, deny.help
-        )));
-    }
-    Ok(diags)
+) -> Result<SharedRunOutput> {
+    Ok(run_batch(events, strategy, queries, opts)?.shared)
 }
 
 #[cfg(test)]
@@ -1003,9 +1019,12 @@ mod tests {
                 .with_snapshot_every(500),
         )
         .unwrap();
-        // Periodic snapshots at 500/1000/1500/2000 events plus nothing extra
-        // at finish (2000 coincides with the last tick).
-        assert!(out.snapshots.len() >= 4, "got {}", out.snapshots.len());
+        // Periodic snapshots at 500/1000/1500/2000 events, plus the final
+        // one the run forces after the strategy's last elements are windowed.
+        assert_eq!(out.snapshots.len(), 5);
+        // Windows close while the stream runs, so results count mid-run.
+        let first = out.snapshots[0].counter("quill.run.results");
+        assert!(first > 0 && first < out.results.len() as u64, "got {first}");
         let last = out.snapshots.last().unwrap();
         assert_eq!(last.counter("quill.run.events"), 2000);
         assert_eq!(last.counter("quill.run.results"), out.results.len() as u64);
@@ -1135,54 +1154,55 @@ mod tests {
             vec![AggregateSpec::new(AggregateKind::Sum, 1, "sum")],
             Some(0),
         );
-        let spans = SpanRecorder::with_default_capacity();
-        let telemetry = Registry::new();
-        spans.instrument(&telemetry);
-        let mut s = FixedKSlack::new(160u64);
-        let out = execute(
-            &events,
-            &mut s,
-            &query,
-            &ExecOptions::parallel(ParallelConfig::new(4))
-                .with_telemetry(&telemetry)
-                .with_spans(&spans),
-        )
-        .unwrap();
-        let recorded = spans.spans();
-        // Shard-local finalization exercises the full in-process pipeline:
-        // buffer residency, window finalization, delivery.
-        for stage in [
-            Stage::BufferResidency,
-            Stage::WindowFinalize,
-            Stage::Deliver,
+        // Sequentially the core records each Deliver span as it emits the
+        // result; in parallel they are derived from the staged clocks.
+        for opts in [
+            ExecOptions::sequential(),
+            ExecOptions::parallel(ParallelConfig::new(4)),
         ] {
+            let mode = format!("{:?}", opts.parallel);
+            let spans = SpanRecorder::with_default_capacity();
+            let telemetry = Registry::new();
+            spans.instrument(&telemetry);
+            let mut s = FixedKSlack::new(160u64);
+            let opts = opts.with_telemetry(&telemetry).with_spans(&spans);
+            let out = execute(&events, &mut s, &query, &opts).unwrap();
+            let recorded = spans.spans();
+            // The full in-process pipeline: buffer residency, window
+            // finalization, delivery.
+            for stage in [
+                Stage::BufferResidency,
+                Stage::WindowFinalize,
+                Stage::Deliver,
+            ] {
+                assert!(
+                    recorded.iter().any(|sp| sp.stage == stage),
+                    "{mode}: missing {stage} spans"
+                );
+            }
+            // One Deliver span per result, and their durations are exactly
+            // the per-result latencies the summary was built from.
+            let deliver: Vec<u64> = recorded
+                .iter()
+                .filter(|sp| sp.stage == Stage::Deliver)
+                .map(|sp| sp.duration())
+                .collect();
+            assert_eq!(deliver.len(), out.results.len(), "{mode}");
+            let mean = deliver.iter().sum::<u64>() as f64 / deliver.len() as f64;
             assert!(
-                recorded.iter().any(|sp| sp.stage == stage),
-                "missing {stage} spans"
+                (mean - out.latency.mean).abs() < 1e-9,
+                "{mode}: span-derived mean {mean} vs summary {}",
+                out.latency.mean
             );
+            // Attribution histograms landed in the registry.
+            let snap = telemetry.snapshot();
+            let h = snap
+                .histograms
+                .get("quill.span.deliver")
+                .expect("deliver histogram");
+            assert_eq!(h.count, out.results.len() as u64, "{mode}");
+            assert!((h.mean - out.latency.mean).abs() < 1e-9, "{mode}");
         }
-        // One Deliver span per result, and their durations are exactly the
-        // per-result latencies the summary was built from.
-        let deliver: Vec<u64> = recorded
-            .iter()
-            .filter(|sp| sp.stage == Stage::Deliver)
-            .map(|sp| sp.duration())
-            .collect();
-        assert_eq!(deliver.len(), out.results.len());
-        let mean = deliver.iter().sum::<u64>() as f64 / deliver.len() as f64;
-        assert!(
-            (mean - out.latency.mean).abs() < 1e-9,
-            "span-derived mean {mean} vs summary {}",
-            out.latency.mean
-        );
-        // Attribution histograms landed in the registry.
-        let snap = telemetry.snapshot();
-        let h = snap
-            .histograms
-            .get("quill.span.deliver")
-            .expect("deliver histogram");
-        assert_eq!(h.count, out.results.len() as u64);
-        assert!((h.mean - out.latency.mean).abs() < 1e-9);
     }
 
     #[test]
@@ -1205,5 +1225,224 @@ mod tests {
             spanned.quality.mean_completeness
         );
         assert!(!spans.is_empty());
+    }
+
+    fn events(n: u64, seed: u64) -> Vec<Event> {
+        let mut rng = StdRng::seed_from_u64(seed);
+        let mut arrivals: Vec<(u64, u64)> = (0..n)
+            .map(|i| (i * 10 + rng.gen_range(0..200), i * 10))
+            .collect();
+        arrivals.sort();
+        arrivals
+            .into_iter()
+            .enumerate()
+            .map(|(s, (_, ts))| Event::new(ts, s as u64, Row::new([Value::Float(1.0)])))
+            .collect()
+    }
+
+    fn queries() -> Vec<QuerySpec> {
+        vec![
+            QuerySpec::new(
+                WindowSpec::tumbling(500u64),
+                vec![AggregateSpec::new(AggregateKind::Sum, 0, "sum")],
+                None,
+            ),
+            QuerySpec::new(
+                WindowSpec::sliding(1_000u64, 200u64),
+                vec![AggregateSpec::new(AggregateKind::Count, 0, "n")],
+                None,
+            ),
+        ]
+    }
+
+    #[test]
+    fn shared_run_matches_individual_runs() {
+        let evs = events(3_000, 1);
+        let qs = queries();
+        let mut shared_strategy = FixedKSlack::new(150u64);
+        let shared =
+            execute_shared(&evs, &mut shared_strategy, &qs, &ExecOptions::sequential()).unwrap();
+        for (i, q) in qs.iter().enumerate() {
+            let mut solo_strategy = FixedKSlack::new(150u64);
+            let solo = execute(&evs, &mut solo_strategy, q, &ExecOptions::sequential()).unwrap();
+            assert_eq!(shared.per_query[i].results, solo.results, "query {i}");
+            assert_eq!(
+                shared.per_query[i].quality.mean_completeness,
+                solo.quality.mean_completeness
+            );
+            assert!(
+                (shared.per_query[i].latency.mean - solo.latency.mean).abs() < 1e-6,
+                "query {i} latency {} vs {}",
+                shared.per_query[i].latency.mean,
+                solo.latency.mean
+            );
+        }
+    }
+
+    #[test]
+    fn shared_parallel_matches_shared_sequential() {
+        let evs = events(2_000, 5);
+        let qs = queries();
+        let mut s_seq = FixedKSlack::new(150u64);
+        let mut s_par = FixedKSlack::new(150u64);
+        let seq = execute_shared(&evs, &mut s_seq, &qs, &ExecOptions::sequential()).unwrap();
+        let par = execute_shared(
+            &evs,
+            &mut s_par,
+            &qs,
+            &ExecOptions::parallel(ParallelConfig::new(2)),
+        )
+        .unwrap();
+        for i in 0..qs.len() {
+            assert_eq!(
+                seq.per_query[i].quality.mean_completeness,
+                par.per_query[i].quality.mean_completeness
+            );
+            assert_eq!(
+                seq.per_query[i].results.len(),
+                par.per_query[i].results.len()
+            );
+        }
+    }
+
+    #[test]
+    fn traced_shared_run_records_every_operator_in_both_modes() {
+        // An in-order stream, then one straggler far behind the clock: with
+        // K = 0 it passes the buffer late and each query's operator drops it.
+        let row = || Row::new([Value::Float(1.0)]);
+        let mut evs: Vec<Event> = (0..200u64).map(|i| Event::new(i * 10, i, row())).collect();
+        evs.push(Event::new(5u64, 200, row()));
+        let qs = queries();
+        for opts in [
+            ExecOptions::sequential(),
+            ExecOptions::parallel(ParallelConfig::new(4)),
+        ] {
+            let mode = format!("{:?}", opts.parallel);
+            let spans = SpanRecorder::with_default_capacity();
+            let shared =
+                execute_shared(&evs, &mut DropAll::new(), &qs, &opts.with_spans(&spans)).unwrap();
+            let recorded = spans.spans();
+            // The two queries' windows differ in length, which tells their
+            // finalizations (window end minus start) apart: one per emitted
+            // result of each query.
+            for (q, out) in qs.iter().zip(&shared.per_query) {
+                let finalized = recorded
+                    .iter()
+                    .filter(|s| {
+                        s.stage == Stage::WindowFinalize
+                            && s.begin - s.detail[0] == q.window.length().raw()
+                    })
+                    .count();
+                assert!(!out.results.is_empty());
+                assert_eq!(finalized, out.results.len(), "{mode}");
+            }
+            let dropped: Vec<u64> = recorded
+                .iter()
+                .filter(|s| s.stage == Stage::LateDrop)
+                .map(|s| s.detail[0])
+                .collect();
+            assert_eq!(dropped, vec![200, 200], "{mode}");
+        }
+    }
+
+    #[test]
+    fn the_smallest_slide_of_the_query_slice_reaches_the_strategy() {
+        /// Fixed K that records every smallest slide it is handed.
+        struct Recorder(FixedKSlack, Vec<Option<TimeDelta>>);
+        impl DisorderControl for Recorder {
+            fn name(&self) -> String {
+                "recorder".into()
+            }
+            fn set_min_slide(&mut self, slide: Option<TimeDelta>) {
+                self.1.push(slide);
+            }
+            fn on_event(&mut self, e: Event, out: &mut Vec<StreamElement>) {
+                self.0.on_event(e, out);
+            }
+            fn finish(&mut self, out: &mut Vec<StreamElement>) {
+                self.0.finish(out);
+            }
+            fn current_k(&self) -> TimeDelta {
+                self.0.current_k()
+            }
+            fn buffer_stats(&self) -> crate::buffer::BufferStats {
+                self.0.buffer_stats()
+            }
+        }
+        let count = || vec![AggregateSpec::new(AggregateKind::Count, 0, "n")];
+        let qs = [
+            QuerySpec::new(WindowSpec::sliding(1_000u64, 250u64), count(), None),
+            QuerySpec::new(WindowSpec::tumbling(1_000u64), count(), None),
+        ];
+        let evs = events(500, 7);
+        for opts in [
+            ExecOptions::sequential(),
+            ExecOptions::parallel(ParallelConfig::new(2)),
+        ] {
+            let mut s = Recorder(FixedKSlack::new(50u64), Vec::new());
+            execute_shared(&evs, &mut s, &qs, &opts).unwrap();
+            assert_eq!(s.1, vec![Some(TimeDelta(250))]);
+        }
+        let mut s = Recorder(FixedKSlack::new(50u64), Vec::new());
+        execute_shared(&evs, &mut s, &[], &ExecOptions::sequential()).unwrap();
+        assert_eq!(s.1, vec![None]);
+    }
+
+    #[test]
+    fn one_buffer_serves_all_subscribers_at_the_strictest_target() {
+        let evs = events(20_000, 2);
+        let qs = queries();
+        let q = f64::max(0.9, 0.99);
+        let mut strategy = AqKSlack::for_completeness(q);
+        let shared = execute_shared(&evs, &mut strategy, &qs, &ExecOptions::sequential()).unwrap();
+        for out in &shared.per_query {
+            assert!(
+                out.quality.mean_completeness >= 0.9,
+                "query {} under-served: {}",
+                out.query_index,
+                out.quality.mean_completeness
+            );
+        }
+        assert!(shared.wall_micros > 0);
+        assert!(shared.strategy.contains("0.99"));
+    }
+
+    #[test]
+    fn shared_telemetry_counts_the_buffer_once() {
+        let evs = events(1_000, 6);
+        let qs = queries();
+        let telemetry = quill_telemetry::Registry::new();
+        let mut strategy = FixedKSlack::new(150u64);
+        let shared = execute_shared(
+            &evs,
+            &mut strategy,
+            &qs,
+            &ExecOptions::sequential().with_telemetry(&telemetry),
+        )
+        .unwrap();
+        let last = shared.snapshots.last().expect("final snapshot");
+        assert_eq!(last.counter("quill.run.events"), 1_000);
+        assert_eq!(
+            last.counter("quill.buffer.inserted") + last.counter("quill.buffer.late_passed"),
+            1_000
+        );
+        let total_results: usize = shared.per_query.iter().map(|q| q.results.len()).sum();
+        assert_eq!(last.counter("quill.run.results"), total_results as u64);
+    }
+
+    #[test]
+    fn empty_query_set_is_fine() {
+        let evs = events(100, 3);
+        let mut s = FixedKSlack::new(10u64);
+        let shared = execute_shared(&evs, &mut s, &[], &ExecOptions::sequential()).unwrap();
+        assert!(shared.per_query.is_empty());
+    }
+
+    #[test]
+    fn invalid_query_in_set_is_rejected() {
+        let evs = events(10, 4);
+        let mut s = FixedKSlack::new(10u64);
+        let bad = vec![QuerySpec::new(WindowSpec::tumbling(0u64), vec![], None)];
+        assert!(execute_shared(&evs, &mut s, &bad, &ExecOptions::sequential()).is_err());
     }
 }

@@ -1,30 +1,31 @@
 //! Runtime-registrable multi-query sessions: the push-mode execution
 //! surface.
 //!
-//! [`crate::runner::execute`] and [`crate::shared::execute_shared`] are
+//! [`crate::runner::execute`] and [`crate::runner::execute_shared`] are
 //! batch-style: they consume a finished event vector. A [`Session`] is the
 //! resident counterpart — one shared [`DisorderControl`] core (one buffer,
 //! one watermark sequence) with queries registered and deregistered **at
-//! runtime**, each observing the staged stream through a window operator and
-//! a bounded result subscription ([`QueryHandle`]) of its own.
+//! runtime**, each observing the strategy's output through a window
+//! operator and a bounded result subscription ([`QueryHandle`]) of its own.
 //!
 //! The quality target sizes the shared buffer; it never changes what a
 //! window operator computes. So queries of equal *shape* — window, key field
 //! and the `(kind, field)` of each aggregate — registered between the same
-//! two staged elements run on **one** operator ([`Session::operators`]):
-//! the event is folded once and each result is parsed once and handed to
-//! every subscriber's queue behind an `Arc`. Output names, completeness
-//! target, queue bound and SLO stay per subscriber, and nothing a subscriber
-//! can observe (results, order, latency stamps, [`QueryStats`]) differs from
+//! two pushes run on **one** operator ([`Session::operators`]): the event is
+//! folded once and each result is parsed once and handed to every
+//! subscriber's queue behind an `Arc`. Output names, completeness target,
+//! queue bound and SLO stay per subscriber, and nothing a subscriber can
+//! observe (results, order, latency stamps, [`QueryStats`]) differs from
 //! running alone.
 //!
 //! The session is the execution heart of the `quill-serve` daemon: the
 //! server is a network shell that feeds [`Session::push`] /
-//! [`Session::heartbeat`] and drains [`QueryHandle::poll`]. The same
-//! internal fan-out core (`MultiQueryCore`) windows the staged stream of a
-//! sequential `execute` / `execute_shared`, so batch and resident execution
-//! share one code path and produce element-identical results for the same
-//! staged stream.
+//! [`Session::heartbeat`] and drains [`QueryHandle::poll`]. A sequential
+//! `execute` / `execute_shared` runs the same loop: per event, the strategy,
+//! then every element it releases through the same fan-out core
+//! (`MultiQueryCore`) at the clock as of that event (`push_event`). So batch
+//! and resident execution share one code path and produce element-identical
+//! results, latencies and `Deliver` spans for the same events.
 //!
 //! ```
 //! use quill_core::prelude::*;
@@ -43,14 +44,14 @@
 //! assert!(!handle.poll().is_empty());
 //! ```
 
-use crate::plan::{analyze_plan, DelayProfile, Diagnostic, Severity};
+use crate::plan::{analyze_plan, refuse_denied, DelayProfile, Diagnostic};
 use crate::runner::{ExecOptions, QuerySpec};
 use crate::strategy::DisorderControl;
 use parking_lot::Mutex;
 use quill_engine::aggregate::AggregateSpec;
 use quill_engine::error::{EngineError, Result};
 use quill_engine::event::{ClockTracker, Event, StreamElement};
-use quill_engine::operator::{LatePolicy, WindowAggregateOp, WindowOpStats, WindowResult};
+use quill_engine::operator::{WindowAggregateOp, WindowOpStats, WindowResult};
 use quill_engine::time::{TimeDelta, Timestamp};
 use quill_engine::value::Key;
 use quill_metrics::LatencyRecorder;
@@ -202,14 +203,6 @@ impl SubState {
     }
 }
 
-/// Drain a subscription. The lock is released before the results are
-/// unwrapped (this was the last queue holding them) or copied (another
-/// subscriber of the operator has yet to poll them).
-fn drain_results(state: &Mutex<SubState>) -> Vec<WindowResult> {
-    let drained: Vec<Arc<WindowResult>> = state.lock().queue.drain(..).collect();
-    drained.into_iter().map(Arc::unwrap_or_clone).collect()
-}
-
 /// Consumer-side handle to one registered query: poll results, read stats.
 /// Clones share the subscription; the handle stays valid (and pollable for
 /// residual results) after deregistration or session finish.
@@ -226,9 +219,13 @@ impl QueryHandle {
         self.id
     }
 
-    /// Drain every pending result, in emission order.
+    /// Drain every pending result, in emission order. The lock is released
+    /// before the results are unwrapped (this was the last queue holding
+    /// them) or copied (another subscriber of the operator has yet to poll
+    /// them).
     pub fn poll(&self) -> Vec<WindowResult> {
-        drain_results(&self.state)
+        let drained: Vec<Arc<WindowResult>> = self.state.lock().queue.drain(..).collect();
+        drained.into_iter().map(Arc::unwrap_or_clone).collect()
     }
 
     /// Current counters (exact: the session refreshes them whenever the
@@ -303,12 +300,11 @@ fn same_shape(a: &QuerySpec, b: &QuerySpec) -> bool {
 }
 
 /// The multi-query fan-out core: one window operator per distinct query
-/// shape observing one staged stream, each delivering its results to every
-/// subscriber of that shape. [`Session`] wraps it for resident use; the
-/// sequential batch driver behind [`crate::runner::execute`] and
-/// [`crate::shared::execute_shared`] replays a
-/// [`crate::runner::StagedStream`] through it, so batch and resident
-/// execution share the per-element fan-out code.
+/// shape observing one strategy's output, each delivering its results to
+/// every subscriber of that shape. [`Session`] wraps it for resident use,
+/// and the sequential batch run behind [`crate::runner::execute`] and
+/// [`crate::runner::execute_shared`] feeds it the same way, through
+/// [`push_event`].
 pub(crate) struct MultiQueryCore {
     groups: Vec<Group>,
     next_id: u64,
@@ -364,28 +360,25 @@ impl MultiQueryCore {
         self.op_spans = spans.clone();
     }
 
-    /// Add one query; validation errors propagate before any state changes.
-    /// It subscribes to the operator of an equal-shape group that has seen
-    /// no element yet, and otherwise gets an operator of its own: joining one
-    /// that is already running would hand a late subscriber windows holding
-    /// events pushed before it arrived. Every event reaches the operators in
-    /// the push that carries it, so a new query sees exactly the events
-    /// pushed after it registers.
+    /// Add one query, handing its `plan` diagnostics to the returned handle;
+    /// validation errors propagate before any state changes. It subscribes
+    /// to the operator of an equal-shape group that has seen no element yet,
+    /// and otherwise gets an operator of its own: joining one that is
+    /// already running would hand a late subscriber windows holding events
+    /// pushed before it arrived. Every event reaches the operators in the
+    /// push that carries it, so a new query sees exactly the events pushed
+    /// after it registers.
     pub(crate) fn register(
         &mut self,
         spec: &QuerySpec,
         config: &QueryConfig,
-    ) -> Result<(QueryId, Arc<Mutex<SubState>>)> {
+        plan: Vec<Diagnostic>,
+    ) -> Result<QueryHandle> {
         let joinable = |g: &Group| g.fresh && same_shape(&g.members[0].spec, spec);
         let at = match self.groups.iter().position(joinable) {
             Some(at) => at,
             None => {
-                let mut op = WindowAggregateOp::new(
-                    spec.window,
-                    spec.aggregates.clone(),
-                    spec.key_field,
-                    LatePolicy::Drop,
-                )?;
+                let mut op = spec.window_op()?;
                 op.attach_spans(&self.op_spans, 0);
                 self.groups.push(Group {
                     op,
@@ -414,7 +407,11 @@ impl MultiQueryCore {
             config: config.clone(),
             state: Arc::clone(&state),
         });
-        Ok((id, state))
+        Ok(QueryHandle {
+            id,
+            state,
+            plan: Arc::new(plan),
+        })
     }
 
     /// Remove one subscriber, returning it with its operator's counters; the
@@ -459,8 +456,10 @@ impl MultiQueryCore {
     ///
     /// A result is queued the moment its window is emitted, not when the
     /// operator returns: closing a window also evicts its events, and a
-    /// consumer polling meanwhile should not wait for that.
-    pub(crate) fn process_element(&mut self, el: &StreamElement, now: Timestamp) {
+    /// consumer polling meanwhile should not wait for that. Returns how many
+    /// results were delivered (one per emission per subscriber).
+    pub(crate) fn process_element(&mut self, el: &StreamElement, now: Timestamp) -> u64 {
+        let before = self.results_total;
         let MultiQueryCore {
             groups,
             results_count,
@@ -493,6 +492,7 @@ impl MultiQueryCore {
                 }
             });
         }
+        self.results_total - before
     }
 
     /// Refresh every subscription's operator-counter mirror and the
@@ -505,23 +505,44 @@ impl MultiQueryCore {
         self.entries_gauge.set(held.sum::<u64>() as f64);
     }
 
-    fn close_all(&mut self) {
+    /// End of stream: refresh every subscription's counters and close it.
+    pub(crate) fn close_all(&mut self) {
         self.sync_stats();
         for (m, _) in self.members() {
             m.state.lock().closed = true;
         }
     }
+}
 
-    /// Consume the core, yielding each query's drained results and its
-    /// operator's counters in registration order (batch-path extraction).
-    pub(crate) fn into_results(self) -> Vec<(Vec<WindowResult>, WindowOpStats)> {
-        let mut out: Vec<(QueryId, Vec<WindowResult>, WindowOpStats)> = self
-            .members()
-            .map(|(m, op)| (m.id, drain_results(&m.state), op.stats()))
-            .collect();
-        out.sort_by_key(|(id, ..)| *id);
-        out.into_iter().map(|(_, r, s)| (r, s)).collect()
+/// The per-event step of every loop — [`Session::push_batch`] and the
+/// batch runner behind [`crate::runner::execute`]: advance the clock, hand
+/// `e` to the strategy, and route each element it releases to `sink`,
+/// stamped with the clock as of `e`. Returns whether anything was released.
+pub(crate) fn push_event(
+    strategy: &mut dyn DisorderControl,
+    clock: &mut ClockTracker,
+    staged: &mut Vec<StreamElement>,
+    e: Event,
+    sink: impl FnMut(StreamElement, Timestamp),
+) -> bool {
+    clock.observe(e.ts);
+    strategy.on_event(e, staged);
+    release(clock, staged, sink)
+}
+
+/// Hand every element in `staged` to `sink`, in order and stamped with the
+/// current clock, leaving it empty. Returns whether there were any.
+pub(crate) fn release(
+    clock: &ClockTracker,
+    staged: &mut Vec<StreamElement>,
+    mut sink: impl FnMut(StreamElement, Timestamp),
+) -> bool {
+    let now = clock.clock().unwrap_or(Timestamp::MIN);
+    let released = !staged.is_empty();
+    for el in staged.drain(..) {
+        sink(el, now);
     }
+    released
 }
 
 /// Counters for the whole session, snapshot-able at any time.
@@ -662,19 +683,9 @@ impl Session {
         opts.delay_profile = self.delay_profile;
         let mut plan = analyze_plan(spec, &self.strategy.kind(), &opts);
         plan.retain(|d| !SESSION_IRRELEVANT_RULES.contains(&d.rule.as_str()));
-        if let Some(deny) = plan.iter().find(|d| d.severity == Severity::Deny) {
-            return Err(EngineError::PlanRejected(format!(
-                "[{}] {} (help: {})",
-                deny.rule, deny.message, deny.help
-            )));
-        }
-        let (id, state) = self.core.register(spec, &cfg)?;
+        let handle = self.core.register(spec, &cfg, refuse_denied(plan)?)?;
         self.registrations_changed();
-        Ok(QueryHandle {
-            id,
-            state,
-            plan: Arc::new(plan),
-        })
+        Ok(handle)
     }
 
     /// Remove a query. Its handles stay pollable for already-emitted
@@ -720,11 +731,16 @@ impl Session {
         }
         let (mut pushed, mut routed) = (0u64, false);
         for e in events {
-            self.clock.observe(e.ts);
             pushed += 1;
-            self.staged.clear();
-            self.strategy.on_event(e, &mut self.staged);
-            routed |= self.route();
+            routed |= push_event(
+                self.strategy.as_mut(),
+                &mut self.clock,
+                &mut self.staged,
+                e,
+                |el, now| {
+                    self.core.process_element(&el, now);
+                },
+            );
         }
         self.run_events.add(pushed);
         self.events += pushed;
@@ -743,7 +759,6 @@ impl Session {
             return;
         }
         self.heartbeats += 1;
-        self.staged.clear();
         self.strategy.on_heartbeat(source, ts, &mut self.staged);
         if self.route() {
             self.core.sync_stats();
@@ -758,7 +773,6 @@ impl Session {
             return;
         }
         self.finished = true;
-        self.staged.clear();
         self.strategy.finish(&mut self.staged);
         self.route();
         self.core.close_all();
@@ -768,13 +782,9 @@ impl Session {
     /// whether there were any: the caller owes the subscriptions a
     /// `sync_stats` then.
     fn route(&mut self) -> bool {
-        let now = self.clock.clock().unwrap_or(Timestamp::MIN);
-        let routed = !self.staged.is_empty();
-        for el in &self.staged {
-            self.core.process_element(el, now);
-        }
-        self.staged.clear();
-        routed
+        release(&self.clock, &mut self.staged, |el, now| {
+            self.core.process_element(&el, now);
+        })
     }
 
     /// Whether [`Session::finish`] ran.

@@ -12,15 +12,18 @@
 //!    oracle count) carries the oracle's exact aggregate values.
 //! 3. **Quality agreement** — the reported per-window completeness, mean,
 //!    and missing-window count re-derive exactly from oracle truth counts.
-//! 4. **Executor invariance** — sequential and keyed-parallel (1, 2, 4 and
+//! 4. **Session replay** — a [`Session`] fed the case's events delivers
+//!    exactly the sequential run's results, window counters and latency:
+//!    batch `execute` is the loop a `Session` runs.
+//! 5. **Executor invariance** — sequential and keyed-parallel (1, 2, 4 and
 //!    8 shards, one thread each) produce the identical result sequence,
 //!    quality reports, and accounting.
-//! 5. **Shape sharing** — in one `execute_shared` run, two subscribers of
+//! 6. **Shape sharing** — in one `execute_shared` run, two subscribers of
 //!    the case's query (one operator) and one of the same query at another
 //!    window length each get exactly what they get from a solo `execute`.
-//! 6. **Telemetry reconciliation** — the run's registry counters and the
+//! 7. **Telemetry reconciliation** — the run's registry counters and the
 //!    span records per stage match its own accounting.
-//! 7. **Strategy-independent laws** (run once per suite, on the Oracle
+//! 8. **Strategy-independent laws** (run once per suite, on the Oracle
 //!    case): full buffering reproduces the oracle exactly, and execution is
 //!    invariant under input permutation once K exceeds the disorder bound.
 //!
@@ -354,6 +357,32 @@ fn check_quality_agreement(
     Ok(())
 }
 
+/// A [`Session`] over the case's strategy and query, fed every event, must
+/// deliver the sequential run's results in order, with its window counters
+/// and its mean latency (to 1e-9 relative: a running mean against the
+/// batch's summary of its samples).
+fn check_session_replay(case: &SimCase, seq: &RunOutput) -> Result<(), Mismatch> {
+    let mut session = Session::new(case.strategy.build());
+    let handle = (session.register(&case.query()))
+        .map_err(|e| Mismatch::new("execute-error", "session", e.to_string()))?;
+    session.push_batch(case.events.iter().cloned());
+    session.finish();
+    let stats = handle.stats();
+    let (got, want) = (stats.mean_latency, seq.latency.mean);
+    let counters = |w: &WindowOpStats| (w.accepted, w.late_dropped, w.windows_emitted);
+    let what = if handle.poll() != seq.results {
+        "results"
+    } else if counters(&stats.window) != counters(&seq.window_stats) {
+        "window counters"
+    } else if (got - want).abs() > 1e-9 * got.abs().max(want.abs()) {
+        "mean latency"
+    } else {
+        return Ok(());
+    };
+    let detail = format!("{what} differ from the sequential run's");
+    Err(Mismatch::new("session-replay", "session", detail))
+}
+
 /// One parallel run must equal the sequential baseline in results (as a
 /// sequence: under `Drop` the sequential operator emits in the merge's
 /// `(end, start, key)` order), quality, accounting, and latency.
@@ -639,6 +668,9 @@ pub fn check_case(case: &SimCase) -> Result<CaseStats, Mismatch> {
     stats.windows_checked +=
         check_against_oracle(&seq.results, &naive, &case.aggregates, false, "sequential")?;
     check_quality_agreement(&seq, &naive, "sequential")?;
+
+    check_session_replay(case, &seq)?;
+    stats.executions += 1;
 
     // Parallel runs finalize windows shard-locally (each shard inserts its
     // own keys' events on arrival and finalizes their windows), one thread

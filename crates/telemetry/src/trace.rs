@@ -280,21 +280,7 @@ impl ProvenanceBuilder {
             .collect();
         let dropped = late.iter().filter(|s| s.stage == Stage::LateDrop).count() as u64;
         lateness.sort_unstable();
-        // The K decision "in force" at the finalize is causal, not
-        // positional: staged execution records every WindowFinalize after
-        // the whole strategy pass, so cutting at the finalize's position
-        // would always select the run's *final* K. The decision that
-        // actually governed this window is the last K change before the
-        // buffer's watermark first reached the window end — the advance
-        // that made the finalize inevitable. Fall back to the finalize
-        // position when no such advance is on record (evicted from the
-        // ring, or a source without a buffer).
-        let reached = self.advances.partition_point(|&(wm, _)| wm < end);
-        let k_cutoff = self
-            .advances
-            .get(reached)
-            .map(|&(_, seq)| seq)
-            .or(finalize_seq);
+        let k_cutoff = self.k_cutoff(end, finalize_seq);
         let in_force = self
             .k_changes
             .partition_point(|s| k_cutoff.is_none_or(|c| s.seq < c));
@@ -318,14 +304,26 @@ impl ProvenanceBuilder {
         }
     }
 
+    /// Where the K decisions that governed window `[.., end)` stop: at the
+    /// first buffer advance whose watermark reached `end`, else (no such
+    /// advance on record) at the finalize. Causal, not positional: a staged
+    /// run (the keyed-parallel leg) records every WindowFinalize after the
+    /// whole strategy pass, where the finalize's position means the final K.
+    fn k_cutoff(&self, end: u64, finalize_seq: Option<u64>) -> Option<u64> {
+        let reached = self.advances.partition_point(|&(wm, _)| wm < end);
+        let advance = self.advances.get(reached).map(|&(_, seq)| seq);
+        advance.or(finalize_seq)
+    }
+
     /// Materialize the causal slice for a record: the window's late
-    /// arrivals and drops, the K decisions during its lifetime (including
-    /// the one in force at finalize), and the finalize record itself.
+    /// arrivals and drops, the K decisions during its lifetime up to the
+    /// advance that closed it (including the one in force then), and the
+    /// finalize record itself.
     pub fn post_mortem(&self, record: &ProvenanceRecord) -> PostMortem {
-        let fin = record.finalize_seq;
+        let cutoff = self.k_cutoff(record.end, record.finalize_seq);
         let mut slice = self.late_in(record.start, record.end).to_vec();
         slice.extend(self.k_changes.iter().filter(|s| {
-            fin.is_none_or(|f| s.seq <= f)
+            cutoff.is_none_or(|c| s.seq < c)
                 && (s.begin >= record.start || Some(s.seq) == record.k_decision_seq)
         }));
         let tag = key_tag(&record.key);

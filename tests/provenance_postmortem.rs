@@ -16,7 +16,8 @@
 //! `[100, 200)` therefore achieves 10/11 completeness against a 0.95
 //! target, and its post-mortem must name L2's late arrival and the 0→95
 //! ratchet (the last K decision *before* the finalize — not the 95→240
-//! one it triggered afterwards).
+//! one it triggered afterwards), on the sequential run and on the staged
+//! keyed-parallel one alike.
 
 use quill_bench::inspect::render_report;
 use quill_core::prelude::*;
@@ -44,23 +45,29 @@ fn sum_query() -> QuerySpec {
     )
 }
 
-fn traced_run() -> RunOutput {
+fn traced_run(opts: ExecOptions) -> RunOutput {
     let spans = SpanRecorder::with_default_capacity();
     let mut mp = MpKSlack::new();
     execute(
         &seeded_stream(),
         &mut mp,
         &sum_query(),
-        &ExecOptions::sequential()
-            .with_spans(&spans)
-            .with_required_completeness(0.95),
+        &opts.with_spans(&spans).with_required_completeness(0.95),
     )
     .expect("valid query")
 }
 
 #[test]
 fn post_mortem_names_the_late_tuples_and_the_preceding_k_decision() {
-    let out = traced_run();
+    for opts in [
+        ExecOptions::sequential(),
+        ExecOptions::parallel(ParallelConfig::new(2)),
+    ] {
+        check_post_mortem(traced_run(opts));
+    }
+}
+
+fn check_post_mortem(out: RunOutput) {
     assert_eq!(out.provenance.len(), out.quality.per_window.len());
 
     // Both straggler-hit windows violate the 0.95 target; nothing else does.
@@ -115,11 +122,17 @@ fn post_mortem_names_the_late_tuples_and_the_preceding_k_decision() {
         && s.seq == finalize_seq
         && (s.detail[0], s.begin) == (100, 200)
         && s.detail[1] == key_tag("null")));
+    // The 95→240 ratchet came after the window was final, so it is no part
+    // of its causal slice — even where it was recorded before the finalize.
+    assert!(!pm
+        .slice
+        .iter()
+        .any(|s| s.stage == Stage::KChange && s.detail == [95, 240]));
 }
 
 #[test]
 fn post_mortems_round_trip_through_jsonl_and_render() {
-    let out = traced_run();
+    let out = traced_run(ExecOptions::sequential());
     let dir = std::env::temp_dir().join("quill_it_postmortem");
     let _ = std::fs::remove_dir_all(&dir);
     std::fs::create_dir_all(&dir).expect("temp dir");
