@@ -185,9 +185,9 @@ fn check_window(query: &QuerySpec, diags: &mut Vec<Diagnostic>) {
                      {slide})",
                     length.div_ceil(slide)
                 ),
-                "every event is folded once whatever the overlap (one tree insert); the overlap \
+                "every event is folded once whatever the overlap (one pane fold); the overlap \
                  is paid at emission — that many results cover each event, and DistinctCount \
-                 re-visits the window's values for each (Median/Quantile select from a per-key \
+                 re-reads the window's panes for each (Median/Quantile select from a per-key \
                  rank index instead) — consider a coarser slide",
             ));
         }

@@ -2,7 +2,8 @@
 //!
 //! An [`AggregateSpec`] names an aggregate and the field it reads. The
 //! window operator folds the combinable kinds through mergeable partials
-//! (`PaneAgg`, one per tree-node cache) and answers Median/Quantile and
+//! (`PaneAgg`, one per pane of a key's window state) and answers
+//! Median/Quantile and
 //! DistinctCount from the window's values at emission
 //! (`quantile_of_ranks` is the one quantile formula). The engine has no
 //! second, reference implementation: the exact answer every result is held
@@ -179,8 +180,7 @@ impl AggregateSpec {
     /// partials cannot be combined (order statistics, distinct counts; the
     /// window operator finalizes those with `quantile_of_ranks` over a
     /// per-key rank index and a distinct set over the window's values). The
-    /// window operator keeps
-    /// one per tree node, never per event; see [`PaneAgg`].
+    /// window operator keeps one per pane, never per event; see [`PaneAgg`].
     pub(crate) fn build_pane(&self) -> Option<PaneAgg> {
         Some(match self.kind {
             AggregateKind::Count => PaneAgg::Count(CountAgg::default()),
@@ -210,16 +210,18 @@ impl AggregateSpec {
     }
 }
 
-/// Mergeable partial aggregate state over a *pane*: a run of events
-/// contiguous in `(ts, seq)` order, as small as one event.
+/// Mergeable partial aggregate state over a *pane*: the events of one key
+/// whose timestamps fall into one cell of the window grid, as few as one.
 ///
-/// The window operator stores each event once, as an entry of the key's
-/// finger B-tree ([`crate::fiba`]), and partials only in the tree's node
-/// caches: a window result merges the partials cached per subtree instead of
-/// re-folding raw events into every overlapping window. Each variant wraps
-/// one aggregate's state, with an `insert` folding one event and a `merge`
-/// combining two disjoint partials; merges always fold the *later* pane into
-/// the *earlier* one, so tie-breaking matches event-time order.
+/// The window operator folds each event once, into the partials of its pane
+/// (`absorb`, in arrival order), and a window result merges the partials of
+/// its panes in pane order instead of re-folding raw events into every
+/// overlapping window. Each variant wraps one aggregate's state, with an
+/// `insert` folding one event and a `merge` combining two disjoint partials;
+/// merges always fold the *later* pane into the *earlier* one. Every tie
+/// rule (Min/Max representatives, First/Last, ArgMin/ArgMax) compares event
+/// times and falls back to fold order only on equal timestamps, where
+/// arrival order is `seq` order: results follow `(ts, seq)` order.
 #[derive(Debug, Clone)]
 pub(crate) enum PaneAgg {
     Count(CountAgg),
@@ -239,7 +241,7 @@ impl PaneAgg {
             PaneAgg::Count(a) => a.insert(v),
             PaneAgg::Sum(a) => a.insert(v),
             PaneAgg::Mean(a) => a.insert(v),
-            PaneAgg::Extreme(a) => a.insert(v),
+            PaneAgg::Extreme(a) => a.insert(ts, v),
             PaneAgg::Moments(a) => a.insert(v),
             PaneAgg::Edge(a) => a.insert(ts, v),
             PaneAgg::Arg(a) => a.insert(ts, v, by),
@@ -249,7 +251,8 @@ impl PaneAgg {
     /// Merge the one-event partial of a *later* event: `identity` (a fresh
     /// partial of this spec) takes the event on the stack and is merged in.
     /// Not an `insert` — Welford's update and the moments merge round
-    /// differently, and a cache must not depend on which of the two built it.
+    /// differently, and a pane's partial must not depend on which of the two
+    /// built it.
     pub(crate) fn absorb(&mut self, identity: &PaneAgg, ts: Timestamp, v: &Value, by: &Value) {
         let mut one = identity.clone();
         one.insert(ts, v, by);
@@ -368,7 +371,7 @@ impl MeanAgg {
 #[derive(Debug, Clone)]
 pub(crate) struct ExtremeAgg {
     max: bool,
-    best: Option<Value>,
+    best: Option<(Timestamp, Value)>,
 }
 
 impl ExtremeAgg {
@@ -376,41 +379,45 @@ impl ExtremeAgg {
         ExtremeAgg { max, best: None }
     }
 
-    /// Whether `v` replaces the current extremum: only when strictly better,
-    /// so `total_cmp`-equal values keep the earlier representative
-    /// (deterministic in event-time order).
-    fn beats(&self, v: &Value) -> bool {
+    /// Whether `v` at `ts` replaces the current extremum: a strictly better
+    /// value wins; a `total_cmp`-equal one (`Int(3)` and `Float(3.0)`) only
+    /// with a strictly earlier event time, so the representative is the
+    /// earliest in `(ts, seq)` order whatever order the events were folded
+    /// in (a pane folds in arrival order, and arrival order is `seq` order).
+    fn beats(&self, ts: Timestamp, v: &Value) -> bool {
         match &self.best {
             None => true,
-            Some(b) => {
-                let ord = v.total_cmp(b);
-                if self.max {
-                    ord == std::cmp::Ordering::Greater
-                } else {
-                    ord == std::cmp::Ordering::Less
+            Some((best_ts, best)) => {
+                use std::cmp::Ordering::*;
+                match v.total_cmp(best) {
+                    Greater => self.max,
+                    Less => !self.max,
+                    Equal => ts < *best_ts,
                 }
             }
         }
     }
 
-    fn insert(&mut self, v: &Value) {
-        if !v.is_null() && self.beats(v) {
-            self.best = Some(v.clone());
+    fn insert(&mut self, ts: Timestamp, v: &Value) {
+        if !v.is_null() && self.beats(ts, v) {
+            self.best = Some((ts, v.clone()));
         }
     }
 
-    /// Merge a later partial: its extremum replaces ours only when strictly
-    /// better.
+    /// Merge a later partial with the same extremum/tie rule as `insert`.
     fn merge(&mut self, o: &ExtremeAgg) {
-        if let Some(ov) = &o.best {
-            if self.beats(ov) {
-                self.best = Some(ov.clone());
+        if let Some((ots, ov)) = &o.best {
+            if self.beats(*ots, ov) {
+                self.best = Some((*ots, ov.clone()));
             }
         }
     }
 
     fn finalize(&self) -> Value {
-        self.best.clone().unwrap_or(Value::Null)
+        self.best
+            .as_ref()
+            .map(|(_, v)| v.clone())
+            .unwrap_or(Value::Null)
     }
 }
 
@@ -491,8 +498,9 @@ pub(crate) fn quantile_of_ranks(n: usize, p: f64, mut at: impl FnMut(usize) -> f
     Some(lo + (hi - lo) * frac)
 }
 
-/// First/Last by event timestamp. Events are inserted, and panes merged, in
-/// `(ts, seq)` order, so on equal timestamps First keeps the earliest and
+/// First/Last by event timestamp. On equal timestamps the event folded first
+/// came first — within a pane events are folded in arrival (`seq`) order,
+/// and panes are merged in time order — so First keeps the earliest and
 /// Last takes the latest.
 #[derive(Debug, Clone)]
 pub(crate) struct EdgeAgg {
@@ -662,6 +670,25 @@ mod tests {
         assert_eq!(run(AggregateKind::Max, &vals), Value::Float(3.0));
         let mixed = [Value::Int(2), Value::Float(2.5)];
         assert_eq!(run(AggregateKind::Max, &mixed), Value::Float(2.5));
+    }
+
+    #[test]
+    fn equal_extrema_keep_the_earliest_event_time_whatever_the_arrival_order() {
+        // `Int(3)` and `Float(3.0)` are equal in the total order; the
+        // representative is the one at the earlier timestamp, also when it
+        // arrives last into the same pane.
+        let rows = [
+            (5, Row::new([Value::Int(3)])),
+            (9, Row::new([Value::Float(7.0)])),
+            (2, Row::new([Value::Float(3.0)])),
+        ];
+        assert_eq!(one_window(AggregateKind::Min, &rows), Value::Float(3.0));
+        let rows = [
+            (5, Row::new([Value::Float(9.0)])),
+            (2, Row::new([Value::Int(9)])),
+            (2, Row::new([Value::Float(9.0)])),
+        ];
+        assert_eq!(one_window(AggregateKind::Max, &rows), Value::Int(9));
     }
 
     #[test]

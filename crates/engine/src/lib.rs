@@ -49,7 +49,6 @@
 pub mod aggregate;
 pub mod error;
 pub mod event;
-pub mod fiba;
 pub mod hash;
 pub mod operator;
 pub mod parallel;
@@ -62,10 +61,9 @@ pub mod prelude {
     pub use crate::aggregate::{AggregateKind, AggregateSpec};
     pub use crate::error::{EngineError, Result};
     pub use crate::event::{ClockTracker, DisorderStats, Event, StreamElement};
-    pub use crate::fiba::{FibaStats, FibaTree, WindowState};
     pub use crate::hash::FxHasher;
     pub use crate::operator::{
-        LatePolicy, Operator, WindowAggregateOp, WindowOpStats, WindowResult,
+        LatePolicy, Operator, WindowAggregateOp, WindowOpStats, WindowResult, WindowState,
     };
     pub use crate::parallel::{run_keyed_parallel, shard_of, ParallelConfig};
     pub use crate::time::{TimeDelta, Timestamp};

@@ -11,7 +11,7 @@ pub mod window_op;
 
 use crate::event::StreamElement;
 
-pub use window_op::{LatePolicy, WindowAggregateOp, WindowOpStats, WindowResult};
+pub use window_op::{LatePolicy, WindowAggregateOp, WindowOpStats, WindowResult, WindowState};
 
 /// [`WindowAggregateOp::process_ref`] on an owned element. Kept for exactly
 /// one caller, the `quill-e2e` benchmark (`benchmark/src/layers.rs`, the

@@ -13,27 +13,29 @@
 //!
 //! ## Window state
 //!
-//! There is one state layout, FiBA ([`crate::fiba`]; DESIGN.md §17). Per key,
-//! one finger B-tree over `(ts, seq)` keys holds one *entry* per event: the
-//! values of the distinct row fields the specs read (each spec's field, the
-//! `by` field of ArgMin/ArgMax), copied out of the row into the leaf's arrays
-//! — 16 + 24 × fields bytes, no heap block per event, the same layout for all
-//! fourteen kinds. Partials of the combinable kinds live only in the tree's
-//! node caches, built by folding entries (`EntryFold`). An event is stored
-//! *once*, whatever the window shape and the aggregate kinds
-//! ([`WindowOpStats::agg_inserts`] counts it) — an in-order arrival is an
-//! append at the tree's right finger. Window finalize is a range query over
-//! cached subtree combines. Median and Quantile are answered from a per-key
-//! rank index of the numeric values the tree holds, less the few entries
-//! the tree holds outside the window; DistinctCount visits the window's
-//! entries in place. The slide bulk-evicts everything no later window can
-//! cover, and takes the evicted entries out of the rank index.
+//! There is one state layout, the pane state (DESIGN.md §17). Every window
+//! is tumbling or sliding on a fixed grid, so every window is a whole number
+//! of *panes* of width `gcd(length, slide)`, and all timestamps in one pane
+//! belong to the same windows. Per key, the operator holds a pane-ordered run
+//! of its *non-empty* panes — memory follows the held events, never the time
+//! span. A pane holds its event count, one partial per combinable spec
+//! (absorbed in arrival order), the value images of every Median/Quantile
+//! field and the distinct values of every DistinctCount field. An event is
+//! folded *once*, into its pane, whatever the window shape and the aggregate
+//! kinds ([`WindowOpStats::agg_inserts`] counts it): an in-order arrival
+//! lands in the key's last pane, a straggler costs one binary search over
+//! the key's live panes. Window finalize combines the window's pane partials
+//! in pane order. Median and Quantile are answered from a per-key rank index
+//! of the numeric values the panes hold, less those of the panes outside the
+//! window; DistinctCount reads the window's panes. The slide pops whole
+//! panes no later window can cover, and takes their values out of the rank
+//! index.
 //!
 //! Which window to emit next is tracked per *key*, not per (window, event):
 //! the emission queue holds each key's earliest unemitted non-empty window.
 //! An event moves its key's entry only when it opens an earlier window than
-//! that, and emitting a window finds its successor from the first event the
-//! tree still holds — windows nothing fell into are never visited.
+//! that, and emitting a window finds its successor from the first pane the
+//! key still holds — windows nothing fell into are never visited.
 //!
 //! Under [`LatePolicy::Revise`] an emitted window stays in its key's
 //! `emitted` map until the watermark passes `end + allowed_lateness`: a late
@@ -43,16 +45,29 @@
 use crate::aggregate::{quantile_of_ranks, AggregateKind, AggregateSpec, PaneAgg};
 use crate::error::{EngineError, Result};
 use crate::event::{Event, StreamElement};
-use crate::fiba::{FibaFold, FibaKey, FibaTree, WindowState};
 use crate::operator::rank_index::{float, image, RankIndex};
 use crate::operator::Operator;
 use crate::time::Timestamp;
-use crate::value::{Key, KeyView, Value};
+use crate::value::{Key, KeyView, Row, Value};
 use crate::window::{Window, WindowSpec};
 use quill_telemetry::span::key_tag;
 use quill_telemetry::{SpanRecorder, Stage};
 use serde::{Deserialize, Serialize};
-use std::collections::{BTreeMap, BTreeSet};
+use std::collections::{BTreeMap, BTreeSet, VecDeque};
+use std::ops::Range;
+
+/// The window-state layout. The pane state (module docs) is the only one:
+/// this one-variant enum and the no-op
+/// [`WindowAggregateOp::with_window_state`] that takes it survive only
+/// because the `quill-e2e` benchmark (`benchmark/src/layers.rs`) names them,
+/// and a change may not edit the benchmark it is judged by. DESIGN.md §17
+/// records the measured decision.
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq, Serialize, Deserialize)]
+pub enum WindowState {
+    /// Per-key panes of width `gcd(length, slide)`.
+    #[default]
+    Panes,
+}
 
 /// What to do with an event whose window has already been finalized.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
@@ -102,9 +117,9 @@ pub struct WindowOpStats {
     pub revisions: u64,
     /// Window results emitted (first emissions, not revisions).
     pub windows_emitted: u64,
-    /// Aggregate-state folds performed: one time-tree insert per accepted
-    /// event, whatever the window shape and the aggregate kinds — always
-    /// equal to `accepted`.
+    /// Aggregate-state folds performed: one pane fold per accepted event,
+    /// whatever the window shape and the aggregate kinds — always equal to
+    /// `accepted`.
     pub agg_inserts: u64,
 }
 
@@ -126,70 +141,29 @@ pub struct WindowResult {
     pub aggregates: Vec<Value>,
 }
 
-/// How the time trees fold. An entry is the event's `(ts, seq)` key and its
-/// value of every entry column; a node cache is one partial per combinable
-/// spec. Folding in `(ts, seq)` key order is a fold in timestamp order with
-/// arrival order breaking ties (`seq` is the arrival position), whatever
-/// order the entries were inserted in, which is what the Edge/Arg tie rules
-/// are defined over.
-struct EntryFold {
-    /// Fresh partials, one per [`Slot::Pane`] in slot order: the identity
-    /// every one-entry partial starts from.
-    template: Box<[PaneAgg]>,
-    /// Per partial, the entry columns of its spec's field and `by` field.
-    cols: Vec<(usize, usize)>,
-}
-
-impl FibaFold for EntryFold {
-    type Val = Value;
-    type Agg = Box<[PaneAgg]>;
-
-    fn seed(&self, (ts, _): FibaKey, vals: &[Value]) -> Box<[PaneAgg]> {
-        let mut one = self.template.clone();
-        for (a, &(v, by)) in one.iter_mut().zip(&self.cols) {
-            a.insert(Timestamp(ts), &vals[v], &vals[by]);
-        }
-        one
-    }
-
-    fn combine(&self, acc: &mut Box<[PaneAgg]>, later: &Box<[PaneAgg]>) {
-        for (a, b) in acc.iter_mut().zip(later.iter()) {
-            a.merge(b);
-        }
-    }
-
-    /// `combine ∘ seed` partial by partial, each one-entry partial on the
-    /// stack instead of in a boxed slice.
-    fn absorb(&self, acc: &mut Box<[PaneAgg]>, (ts, _): FibaKey, vals: &[Value]) {
-        for ((a, fresh), &(v, by)) in acc.iter_mut().zip(&self.template).zip(&self.cols) {
-            a.absorb(fresh, Timestamp(ts), &vals[v], &vals[by]);
-        }
-    }
-}
-
 /// Where one [`AggregateSpec`]'s output comes from at emission.
 #[derive(Clone, Copy)]
 enum Slot {
-    /// Combinable: partial `.0` of the window's range aggregate.
-    Pane(usize),
+    /// Combinable: partial `.0` of the window's combined pane partials.
+    Partial(usize),
     /// Median/Quantile: written by the spec's [`RankField`], which knows its
     /// quantile and position.
     Quantile,
-    /// DistinctCount: the distinct non-null values of entry column
+    /// DistinctCount: the distinct non-null values of row field
     /// `distinct[.0]`.
     Distinct(usize),
 }
 
-/// One entry column read by Median/Quantile specs. Every key holds one
-/// `RankIndex` per such column, of the numeric values (non-numeric ones are
-/// skipped) of exactly the entries its tree holds.
+/// One row field read by Median/Quantile specs. Every key holds one
+/// `RankIndex` per such field, of the numeric values (non-numeric ones are
+/// skipped) of exactly the events its panes hold.
 struct RankField {
-    /// The field's entry column.
+    /// The row field.
     col: usize,
     /// The Median/Quantile specs on the field as `(quantile, spec position)`.
     ps: Vec<(f64, usize)>,
-    /// The images of the numeric values the tree holds outside the window
-    /// being answered, sorted; reused across emissions.
+    /// The images of the numeric values the panes outside the window being
+    /// answered hold, sorted; reused across emissions.
     nums: Vec<u64>,
 }
 
@@ -197,14 +171,29 @@ struct RankField {
 type WindowId = (Timestamp, Timestamp);
 
 /// The window grid: `[start, start + length)` for every multiple `start` of
-/// `slide` (`1 <= slide <= length`).
+/// `slide` (`1 <= slide <= length`), cut into panes of width
+/// `gcd(length, slide)` — every window start and unsaturated end is a pane
+/// boundary.
 #[derive(Clone, Copy)]
 struct Grid {
     length: u64,
     slide: u64,
+    pane: u64,
 }
 
 impl Grid {
+    fn new(length: u64, slide: u64) -> Grid {
+        let (mut a, mut b) = (length, slide);
+        while b != 0 {
+            (a, b) = (b, a % b);
+        }
+        Grid {
+            length,
+            slide,
+            pane: a,
+        }
+    }
+
     /// The window starting at `start`.
     fn window(self, start: u64) -> WindowId {
         let end = start.saturating_add(self.length);
@@ -228,46 +217,152 @@ impl Grid {
     fn first_ending_from(self, min_end: u64) -> u64 {
         min_end.saturating_sub(self.length).div_ceil(self.slide) * self.slide
     }
+
+    /// The number of the pane holding `t`. `u64::MAX` lies in no window —
+    /// every window end at or past it saturates to it — so it gets a pane of
+    /// its own past the one its width would put it in.
+    fn pane_of(self, t: u64) -> u64 {
+        if t == u64::MAX {
+            (u64::MAX / self.pane).saturating_add(1)
+        } else {
+            t / self.pane
+        }
+    }
+
+    /// The smallest timestamp of pane `p` (`u64::MAX` for the pane of its
+    /// own [`Grid::pane_of`] gives it).
+    fn pane_start(self, p: u64) -> u64 {
+        p.saturating_mul(self.pane)
+    }
+}
+
+/// The events of one key that fell into one pane, folded.
+struct Pane {
+    /// Events in the pane.
+    count: u64,
+    /// One partial per [`Slot::Partial`], the pane's events folded in
+    /// arrival order: the first inserted into a fresh partial, each later
+    /// one absorbed (`combine ∘ seed`).
+    partials: Box<[PaneAgg]>,
+    /// Per [`RankField`], the images of the field's numeric values.
+    images: Box<[Vec<u64>]>,
+    /// Per DistinctCount spec, the distinct non-null values of its field in
+    /// [`Key`] order.
+    distinct: Box<[Vec<Value>]>,
+}
+
+impl Pane {
+    /// Heap bytes: the three boxed slices and every vector at capacity.
+    fn state_bytes(&self) -> usize {
+        let images: usize = self.images.iter().map(Vec::capacity).sum();
+        let distinct: usize = self.distinct.iter().map(Vec::capacity).sum();
+        self.partials.len() * size_of::<PaneAgg>()
+            + self.images.len() * size_of::<Vec<u64>>()
+            + images * size_of::<u64>()
+            + self.distinct.len() * size_of::<Vec<Value>>()
+            + distinct * size_of::<Value>()
+    }
+
+    /// Add `v` to a distinct-value run unless a `Key`-equal value is there:
+    /// the value is cloned once per pane it is new to, not per event.
+    fn note_distinct(run: &mut Vec<Value>, v: &Value) {
+        if let Err(at) = run.binary_search_by(|x| x.total_cmp(v)) {
+            run.insert(at, v.clone());
+        }
+    }
 }
 
 /// Window state for one grouping key.
-struct FibaKeyState {
-    /// Finger B-tree over `(ts, seq)` holding one entry per accepted event;
-    /// window finalize is a query over `[start, end)`.
-    time: FibaTree<EntryFold>,
-    /// One per [`RankField`]: the numeric values of that column over exactly
-    /// the entries `time` holds.
+struct KeyState {
+    /// The key's non-empty panes as `(pane number, pane)`, in pane order.
+    panes: VecDeque<(u64, Pane)>,
+    /// One per [`RankField`]: the numeric values of that field over exactly
+    /// the events `panes` hold.
     ranks: Vec<RankIndex>,
     /// The key's earliest unemitted window holding an event — its entry in
-    /// [`FibaState::pending`].
+    /// [`PaneState::pending`].
     next: Option<WindowId>,
     /// `Revise` only: emission count of every emitted window still inside
     /// its allowed lateness. Stays empty under `Drop`.
     emitted: BTreeMap<WindowId, u64>,
 }
 
-impl FibaKeyState {
-    fn new(width: usize, rank_fields: usize) -> Self {
-        FibaKeyState {
-            time: FibaTree::new(width),
+impl KeyState {
+    fn new(rank_fields: usize) -> Self {
+        KeyState {
+            panes: VecDeque::new(),
             ranks: (0..rank_fields).map(|_| RankIndex::default()).collect(),
             next: None,
             emitted: BTreeMap::new(),
         }
     }
 
-    /// Queue one event, just inserted at `at`, whose accepting windows start
-    /// at `first..=home(t)`.
+    /// Events the key's panes hold.
+    fn held(&self) -> u64 {
+        self.panes.iter().map(|(_, pane)| pane.count).sum()
+    }
+
+    /// Position of the first pane numbered `p` or later.
+    fn pane_from(&self, p: u64) -> usize {
+        self.panes.partition_point(|&(n, _)| n < p)
+    }
+
+    /// Positions of the panes of window `[s, e)`: those starting in it.
+    fn window_panes(&self, grid: Grid, (s, e): (u64, u64)) -> Range<usize> {
+        let lo = self.pane_from(s / grid.pane);
+        let hi = self.panes.partition_point(|&(n, _)| grid.pane_start(n) < e);
+        lo..hi
+    }
+
+    /// Fold one event at `t` into pane `p` — the last pane for an in-order
+    /// arrival, else found by one binary search and opened empty if the key
+    /// holds none — and its values into the key's rank indexes.
+    fn fold(&mut self, layout: &Layout, p: u64, t: u64, row: &Row) {
+        let at = match self.panes.back() {
+            Some(&(last, _)) if last == p => self.panes.len() - 1,
+            _ => self
+                .panes
+                .binary_search_by_key(&p, |&(n, _)| n)
+                .unwrap_or_else(|at| {
+                    self.panes.insert(at, (p, layout.empty_pane()));
+                    at
+                }),
+        };
+        let pane = &mut self.panes[at].1;
+        let ts = Timestamp(t);
+        let parts = pane.partials.iter_mut().zip(&layout.cols);
+        if pane.count == 0 {
+            for (a, &(v, by)) in parts {
+                a.insert(ts, row.get(v), row.get(by));
+            }
+        } else {
+            for ((a, &(v, by)), fresh) in parts.zip(layout.template.iter()) {
+                a.absorb(fresh, ts, row.get(v), row.get(by));
+            }
+        }
+        pane.count += 1;
+        let ranked = layout.rank_fields.iter().zip(&mut self.ranks);
+        for ((f, index), images) in ranked.zip(pane.images.iter_mut()) {
+            if let Some(x) = row.get(f.col).as_f64() {
+                index.insert(image(x));
+                images.push(image(x));
+            }
+        }
+        for (&col, run) in layout.distinct.iter().zip(pane.distinct.iter_mut()) {
+            let v = row.get(col);
+            if !v.is_null() {
+                Pane::note_distinct(run, v);
+            }
+        }
+    }
+
+    /// Queue one event at `t`, just folded, whose accepting windows start at
+    /// `first..=home(t)`.
     /// Returns `(old, new)` when the key's pending window moves down to
     /// `new`: the first of those windows not emitted yet, if it precedes the
     /// pending one.
-    fn admit(
-        &mut self,
-        at: FibaKey,
-        first: u64,
-        grid: Grid,
-    ) -> Option<(Option<WindowId>, WindowId)> {
-        let (mut start, home) = (first, grid.home(at.0));
+    fn admit(&mut self, t: u64, first: u64, grid: Grid) -> Option<(Option<WindowId>, WindowId)> {
+        let (mut start, home) = (first, grid.home(t));
         for (&(_, emitted), _) in self.emitted.range(grid.window(first)..=grid.window(home)) {
             if emitted.raw() == start {
                 if start == home {
@@ -277,20 +372,24 @@ impl FibaKeyState {
             }
         }
         let new = grid.window(start);
-        // `new.0 <= at.0`: the end saturated at `u64::MAX` and the event sits
+        // `new.0 <= t`: the end saturated at `u64::MAX` and the event sits
         // on it, inside no window.
-        if new.0.raw() <= at.0 || self.next.is_some_and(|next| next <= new) {
+        if new.0.raw() <= t || self.next.is_some_and(|next| next <= new) {
             return None;
         }
         Some((self.next.replace(new), new))
     }
 
-    /// The earliest unemitted window starting at or after `from` that holds
-    /// an event: the first window of the first such event, unless it was
-    /// emitted already (`Revise`), in which case the search resumes past it.
+    /// The earliest unemitted window starting at or after `from` (a window
+    /// start, so a pane boundary, unless it saturated at `u64::MAX`) that
+    /// holds an event: the first window of the first pane starting there or
+    /// later — all of a pane's timestamps share their windows — unless it
+    /// was emitted already (`Revise`), in which case the search resumes past
+    /// it.
     fn successor(&self, mut from: u64, grid: Grid) -> Option<WindowId> {
         loop {
-            let (t0, _) = self.time.first_key_from((from, 0))?;
+            let &(p, _) = self.panes.get(self.pane_from(from.div_ceil(grid.pane)))?;
+            let t0 = grid.pane_start(p);
             let w = grid.window(from.max(grid.first_start(t0)));
             if w.0.raw() <= t0 {
                 return None; // an event on a saturated end, as in `admit`
@@ -303,23 +402,40 @@ impl FibaKeyState {
     }
 }
 
-/// The operator's window state (see the module docs).
-struct FibaState {
-    grid: Grid,
-    /// The entry layout: the row index of every entry column — the distinct
-    /// fields the specs read.
-    fields: Vec<usize>,
-    /// The next entry, copied out of its event's row (reused).
-    entry: Vec<Value>,
-    fold: EntryFold,
+/// What the specs read and where their outputs come from: fixed per
+/// operator.
+struct Layout {
+    /// Fresh partials, one per [`Slot::Partial`] in slot order: what a new
+    /// pane's partials start from.
+    template: Box<[PaneAgg]>,
+    /// Per partial, the row fields of its spec's field and `by` field.
+    cols: Vec<(usize, usize)>,
     /// Per spec, where its output comes from.
     slots: Vec<Slot>,
-    /// The entry columns Median/Quantile specs read.
+    /// The row fields Median/Quantile specs read.
     rank_fields: Vec<RankField>,
-    /// The entry columns DistinctCount specs read.
+    /// The row field of each DistinctCount spec.
     distinct: Vec<usize>,
-    keys: BTreeMap<Key, FibaKeyState>,
-    /// Entries in all the trees of `keys`.
+}
+
+impl Layout {
+    /// A pane holding no event yet.
+    fn empty_pane(&self) -> Pane {
+        Pane {
+            count: 0,
+            partials: self.template.clone(),
+            images: self.rank_fields.iter().map(|_| Vec::new()).collect(),
+            distinct: self.distinct.iter().map(|_| Vec::new()).collect(),
+        }
+    }
+}
+
+/// The operator's window state (see the module docs).
+struct PaneState {
+    grid: Grid,
+    layout: Layout,
+    keys: BTreeMap<Key, KeyState>,
+    /// Events in all the panes of `keys`.
     held: u64,
     /// Every key's `next` window as `(end, start, key)`, drained in emission
     /// order as the watermark advances.
@@ -333,7 +449,7 @@ struct FibaState {
     pending_ops: u64,
 }
 
-impl FibaState {
+impl PaneState {
     /// Move `key`'s entry in `pending` from `old` to `new`.
     fn requeue(&mut self, key: Key, old: Option<WindowId>, new: WindowId) {
         #[cfg(test)]
@@ -370,93 +486,95 @@ impl FibaState {
         }
     }
 
-    /// Bulk-evict what no tracked window of `key` — its `next` and its
-    /// `emitted` ones — can ask for again: everything before the oldest one's
-    /// start (later unemitted windows start after `next`), whose values
-    /// leave the key's rank indexes first. A key with no tracked window is
-    /// dropped whole, its indexes with it.
+    /// Pop the panes no tracked window of `key` — its `next` and its
+    /// `emitted` ones — can ask for again: every pane before the oldest
+    /// one's start (later unemitted windows start after `next`), whose
+    /// values leave the key's rank indexes with it. A key with no tracked
+    /// window is dropped whole, its indexes with it.
     fn settle(&mut self, key: &Key) {
         let Some(ks) = self.keys.get_mut(key) else {
             return;
         };
         let tracked = ks.next.iter().chain(ks.emitted.keys().next());
         let Some(start) = tracked.map(|w| w.1.raw()).min() else {
-            self.held -= self.keys.remove(key).map_or(0, |ks| ks.time.len());
+            self.held -= self.keys.remove(key).map_or(0, |ks| ks.held());
             return;
         };
-        if start > 0 && !ks.ranks.is_empty() {
-            let (fields, ranks) = (&self.rank_fields, &mut ks.ranks);
-            ks.time
-                .for_each_range((0, 0), (start - 1, u64::MAX), &mut |_, vals| {
-                    for (f, index) in fields.iter().zip(ranks.iter_mut()) {
-                        if let Some(x) = vals[f.col].as_f64() {
-                            index.remove(image(x));
-                        }
-                    }
-                });
+        let cut = start / self.grid.pane;
+        while let Some((_, pane)) = ks.panes.pop_front_if(|(p, _)| *p < cut) {
+            self.held -= pane.count;
+            for (index, images) in ks.ranks.iter_mut().zip(pane.images.iter()) {
+                for &x in images {
+                    index.remove(x);
+                }
+            }
         }
-        self.held -= ks.time.evict_before((start, 0));
     }
 
-    /// Entry count and one output per spec, in spec order, for `key`'s
-    /// window `[s, e)`: combinable kinds from the range aggregate,
-    /// Median/Quantile from the key's rank indexes, DistinctCount from one
-    /// in-order visit of the window that reads its columns in place
-    /// (the non-null values, distinct in [`Key`] order).
+    /// Event count and one output per spec, in spec order, for `key`'s
+    /// window `[s, e)`: combinable kinds from the window's pane partials
+    /// combined in pane order, Median/Quantile from the key's rank indexes,
+    /// DistinctCount from the union of the window's panes' distinct values.
     ///
-    /// A rank index holds the numeric values of every entry the tree holds,
-    /// so the window's values are the index less those of the entries
-    /// outside `[s, e)` — under `Drop`, at a first emission, only what
-    /// arrived past `e`. Two range visits collect them, and each rank
-    /// `quantile_of_ranks` reads is selected from the difference in the
-    /// `total_cmp` order, so the output is that of the window's values
-    /// sorted, bit for bit.
+    /// A rank index holds the numeric values of every event the panes hold,
+    /// so the window's values are the index less those of the panes outside
+    /// `[s, e)` — under `Drop`, at a first emission, only what arrived past
+    /// `e`. Each rank `quantile_of_ranks` reads is selected from the
+    /// difference in the `total_cmp` order, so the output is that of the
+    /// window's values sorted, bit for bit.
     fn answer(&mut self, key: &Key, (s, e): (u64, u64)) -> (u64, Vec<Value>) {
-        // A window ends at `start + length >= 1`, so `e - 1` cannot underflow.
-        let (lo, hi) = ((s, 0), (e - 1, u64::MAX));
         // Defensive: a queued window always has its key, but answer with an
         // empty result rather than lose the window.
-        let mut ks = self.keys.get_mut(key);
-        let (combined, count) = ks
-            .as_mut()
-            .map_or((None, 0), |ks| ks.time.range_agg(&self.fold, lo, hi));
-        let ks = ks.map(|ks| &*ks);
-        let cols = &self.distinct;
-        let mut distinct: Vec<BTreeSet<&dyn KeyView>> =
-            cols.iter().map(|_| BTreeSet::new()).collect();
-        if let Some(ks) = ks.filter(|_| !cols.is_empty()) {
-            ks.time.for_each_range(lo, hi, &mut |_, vals| {
-                for (&col, seen) in cols.iter().zip(&mut distinct) {
-                    let v = &vals[col];
-                    if !v.is_null() {
-                        seen.insert(v);
-                    }
-                }
+        let layout = &mut self.layout;
+        let Some(ks) = self.keys.get(key) else {
+            let out = layout.slots.iter().map(|slot| match *slot {
+                Slot::Partial(j) => layout.template[j].finalize(),
+                Slot::Quantile => Value::Null,
+                Slot::Distinct(_) => Value::Int(0),
             });
+            return (0, out.collect());
+        };
+        let inside = ks.window_panes(self.grid, (s, e));
+        let window = || ks.panes.range(inside.clone()).map(|(_, pane)| pane);
+        let count = window().map(|pane| pane.count).sum();
+        let mut panes = window();
+        let mut combined = panes
+            .next()
+            .map_or_else(|| layout.template.clone(), |pane| pane.partials.clone());
+        for pane in panes {
+            for (a, b) in combined.iter_mut().zip(pane.partials.iter()) {
+                a.merge(b);
+            }
         }
-        let partials = combined.as_ref().unwrap_or(&self.fold.template);
+        let mut distinct: Vec<BTreeSet<&dyn KeyView>> =
+            layout.distinct.iter().map(|_| BTreeSet::new()).collect();
+        if !distinct.is_empty() {
+            for pane in window() {
+                for (seen, run) in distinct.iter_mut().zip(pane.distinct.iter()) {
+                    seen.extend(run.iter().map(|v| v as &dyn KeyView));
+                }
+            }
+        }
         let finalize = |slot: &Slot| match *slot {
-            Slot::Pane(j) => partials[j].finalize(),
+            Slot::Partial(j) => combined[j].finalize(),
             Slot::Quantile => Value::Null,
             Slot::Distinct(j) => Value::Int(distinct[j].len() as i64),
         };
-        let mut out: Vec<Value> = self.slots.iter().map(finalize).collect();
-        let Some(ks) = ks.filter(|_| !self.rank_fields.is_empty()) else {
+        let mut out: Vec<Value> = layout.slots.iter().map(finalize).collect();
+        if layout.rank_fields.is_empty() {
             return (count, out);
-        };
-        let fields = &mut self.rank_fields;
-        fields.iter_mut().for_each(|f| f.nums.clear());
-        let mut outside = |_: FibaKey, vals: &[Value]| {
-            for f in fields.iter_mut() {
-                f.nums.extend(vals[f.col].as_f64().map(image));
-            }
-        };
-        if s > 0 {
-            ks.time
-                .for_each_range((0, 0), (s - 1, u64::MAX), &mut outside);
         }
-        ks.time
-            .for_each_range((e, 0), (u64::MAX, u64::MAX), &mut outside);
+        let fields = &mut layout.rank_fields;
+        fields.iter_mut().for_each(|f| f.nums.clear());
+        let outside = ks
+            .panes
+            .range(..inside.start)
+            .chain(ks.panes.range(inside.end..));
+        for (_, pane) in outside {
+            for (f, images) in fields.iter_mut().zip(pane.images.iter()) {
+                f.nums.extend_from_slice(images);
+            }
+        }
         for (f, index) in fields.iter_mut().zip(&ks.ranks) {
             f.nums.sort_unstable();
             let n = index.len().saturating_sub(f.nums.len());
@@ -488,7 +606,7 @@ fn pop_first_if(
 pub struct WindowAggregateOp {
     key_field: Option<usize>,
     late_policy: LatePolicy,
-    fiba: FibaState,
+    state: PaneState,
     watermark: Timestamp,
     stats: WindowOpStats,
     spans: SpanRecorder,
@@ -520,27 +638,17 @@ impl WindowAggregateOp {
                 "window aggregation requires at least one aggregate".into(),
             ));
         }
-        // The entry layout: one column per distinct field the specs read.
-        // Node caches: a partial per combinable spec.
-        let mut fields: Vec<usize> = Vec::new();
-        let mut column = |field: usize| {
-            let known = fields.iter().position(|f| *f == field);
-            known.unwrap_or_else(|| {
-                fields.push(field);
-                fields.len() - 1
-            })
-        };
         let mut template = Vec::new();
         let mut cols = Vec::new();
         let mut rank_fields: Vec<RankField> = Vec::new();
         let mut distinct = Vec::new();
         let mut slots = Vec::with_capacity(aggs.len());
         for a in &aggs {
-            let col = column(a.field);
+            let col = a.field;
             if let Some(pane) = a.build_pane() {
-                slots.push(Slot::Pane(template.len()));
+                slots.push(Slot::Partial(template.len()));
                 template.push(pane);
-                cols.push((col, column(a.by_field())));
+                cols.push((col, a.by_field()));
                 continue;
             }
             let p = match a.kind {
@@ -569,20 +677,15 @@ impl WindowAggregateOp {
             rank_fields[j].ps.push((p, slots.len()));
             slots.push(Slot::Quantile);
         }
-        let fiba = FibaState {
-            grid: Grid {
-                length: spec.length().raw(),
-                slide: spec.slide().raw(),
-            },
-            entry: Vec::with_capacity(fields.len()),
-            fields,
-            fold: EntryFold {
+        let state = PaneState {
+            grid: Grid::new(spec.length().raw(), spec.slide().raw()),
+            layout: Layout {
                 template: template.into(),
                 cols,
+                slots,
+                rank_fields,
+                distinct,
             },
-            slots,
-            rank_fields,
-            distinct,
             keys: BTreeMap::new(),
             held: 0,
             pending: BTreeSet::new(),
@@ -593,7 +696,7 @@ impl WindowAggregateOp {
         Ok(WindowAggregateOp {
             key_field,
             late_policy,
-            fiba,
+            state,
             watermark: Timestamp::MIN,
             stats: WindowOpStats::default(),
             spans: SpanRecorder::disabled(),
@@ -614,12 +717,12 @@ impl WindowAggregateOp {
         self.shard = shard;
     }
 
-    /// Does nothing: FiBA is the only window state. Kept for exactly one
-    /// caller, the `quill-e2e` benchmark (`benchmark/src/layers.rs`, the
-    /// `window.fold_ns_per_event` layer), which passes its freshly built
-    /// operator through here with `WindowState::default()` and may not be
-    /// edited by the changes it judges. Nothing inside the workspace calls
-    /// this.
+    /// Does nothing: the pane state is the only window state. Kept for
+    /// exactly one caller, the `quill-e2e` benchmark
+    /// (`benchmark/src/layers.rs`, the `window.fold_ns_per_event` layer),
+    /// which passes its freshly built operator through here with
+    /// `WindowState::default()` and may not be edited by the changes it
+    /// judges. Nothing inside the workspace calls this.
     pub fn with_window_state(self, _: WindowState) -> Self {
         self
     }
@@ -629,42 +732,44 @@ impl WindowAggregateOp {
         self.stats
     }
 
-    /// Events currently held in window state: the entries of every key's
-    /// time tree. What K, the window length and one slide hold back; the
+    /// Events currently held in window state: the events of every key's
+    /// panes. What K, the window length and one slide hold back; the
     /// `quill.window.entries` gauge sums it over a session's operators.
     pub fn held_events(&self) -> u64 {
-        self.fiba.held
+        self.state.held
     }
 
-    /// Bytes the window state has allocated: per key, the time tree (node
-    /// arenas, leaf key/value arrays and child arrays at capacity, the boxed
-    /// partials of the node caches) and the rank indexes. Walks every node —
-    /// a diagnostic, not a gauge.
+    /// Bytes the window state has allocated: per key, its pane run at
+    /// capacity, every pane's heap blocks (partials, value images, distinct
+    /// values) and the rank indexes. Walks every pane — a diagnostic, not a
+    /// gauge.
     pub fn state_bytes(&self) -> usize {
-        let cache = self.fiba.fold.template.len() * size_of::<PaneAgg>();
-        let key_bytes = |ks: &FibaKeyState| {
+        let key_bytes = |ks: &KeyState| {
+            let panes: usize = ks.panes.iter().map(|(_, pane)| pane.state_bytes()).sum();
             let ranks: usize = ks.ranks.iter().map(RankIndex::state_bytes).sum();
-            ks.time.state_bytes(cache) + ks.ranks.capacity() * size_of::<RankIndex>() + ranks
+            ks.panes.capacity() * size_of::<(u64, Pane)>()
+                + panes
+                + ks.ranks.capacity() * size_of::<RankIndex>()
+                + ranks
         };
-        self.fiba.keys.values().map(key_bytes).sum()
+        self.state.keys.values().map(key_bytes).sum()
     }
 
     /// Keys with an unemitted window holding an event (each counted once,
     /// however many of its windows are open), plus — under `Revise` — emitted
     /// windows still inside their allowed lateness.
     pub fn open_windows(&self) -> usize {
-        self.fiba.pending.len() + self.fiba.retained.len()
+        self.state.pending.len() + self.state.retained.len()
     }
 
-    /// Ingest: one `(ts, seq)` insert into the key's time tree of the values
-    /// the specs read, copied out of the row, and — only when the event opens
-    /// a window earlier than the key's pending one — a move of the key's
-    /// entry in the emission queue. Under `Revise`,
-    /// every already-emitted window the event reaches is re-queried and
-    /// emitted again as its next revision.
+    /// Ingest: one fold into the event's pane of its key (and its values
+    /// into the key's rank indexes) and — only when the event opens a window
+    /// earlier than the key's pending one — a move of the key's entry in the
+    /// emission queue. Under `Revise`, every already-emitted window the
+    /// event reaches is re-answered and emitted again as its next revision.
     fn fold_event(&mut self, e: &Event, out: &mut dyn FnMut(WindowResult)) {
         let wm = self.watermark.raw();
-        let fs = &mut self.fiba;
+        let fs = &mut self.state;
         let grid = fs.grid;
         let t = e.ts.raw();
         let home = grid.window(grid.home(t));
@@ -680,9 +785,6 @@ impl WindowAggregateOp {
                 .record_detail(Stage::LateDrop, t, t, self.shard, [e.seq, 0]);
             return;
         };
-        fs.entry.clear();
-        fs.entry
-            .extend(fs.fields.iter().map(|&f| e.row.get(f).clone()));
         fs.held += 1;
         self.stats.agg_inserts += 1;
         self.stats.accepted += 1;
@@ -694,18 +796,12 @@ impl WindowAggregateOp {
         let ks = match fs.keys.get_mut(key as &dyn KeyView) {
             Some(ks) => ks,
             None => {
-                let fresh = FibaKeyState::new(fs.fields.len(), fs.rank_fields.len());
+                let fresh = KeyState::new(fs.layout.rank_fields.len());
                 fs.keys.entry(Key(key.clone())).or_insert(fresh)
             }
         };
-        ks.time.insert((t, e.seq), &fs.entry);
-        for (f, index) in fs.rank_fields.iter().zip(&mut ks.ranks) {
-            if let Some(x) = fs.entry[f.col].as_f64() {
-                index.insert(image(x));
-            }
-        }
-        let moved = ks.admit((t, e.seq), first, grid);
-        if let Some((old, new)) = moved {
+        ks.fold(&fs.layout, grid.pane_of(t), t, &e.row);
+        if let Some((old, new)) = ks.admit(t, first, grid) {
             fs.requeue(Key(key.clone()), old, new);
         }
         // `Revise`: the emitted windows among those are re-answered at once
@@ -743,14 +839,14 @@ impl WindowAggregateOp {
         // Emit every pending window up to the watermark. Each key's windows
         // come up in order and the queue merges the keys, so emission is in
         // `(end, start, key)` order.
-        while let Some((end, start, key)) = pop_first_if(&mut self.fiba.pending, |end| end <= wm) {
+        while let Some((end, start, key)) = pop_first_if(&mut self.state.pending, |end| end <= wm) {
             self.emit_window((end, start), &key, 0, out);
             let retain = policy.accepts(end.raw(), wm.raw());
-            self.fiba.advance(key, (end, start), retain);
+            self.state.advance(key, (end, start), retain);
         }
         // `Revise`: forget emitted windows whose allowed lateness just ran
         // out (the set is empty under `Drop`).
-        let fs = &mut self.fiba;
+        let fs = &mut self.state;
         let expired = |end: Timestamp| !policy.accepts(end.raw(), wm.raw());
         while let Some((end, start, key)) = pop_first_if(&mut fs.retained, expired) {
             if let Some(ks) = fs.keys.get_mut(&key) {
@@ -760,7 +856,7 @@ impl WindowAggregateOp {
         }
     }
 
-    /// Answer window `[start, end)` of `key` from its time tree and emit the
+    /// Answer window `[start, end)` of `key` from its panes and emit the
     /// result: the first emission (`revision` 0) when the watermark closes the
     /// window, revision *n* when a late event reaches it afterwards.
     fn emit_window(
@@ -771,7 +867,7 @@ impl WindowAggregateOp {
         out: &mut dyn FnMut(WindowResult),
     ) {
         let (s, e) = (start.raw(), end.raw());
-        let (count, aggregates) = self.fiba.answer(key, (s, e));
+        let (count, aggregates) = self.state.answer(key, (s, e));
         if revision > 0 {
             self.stats.revisions += 1;
         } else {
@@ -1020,7 +1116,7 @@ mod tests {
         );
         assert_eq!(w.stats().late_dropped, 1);
         assert_eq!(w.open_windows(), 2);
-        assert_eq!(w.fiba.keys.len(), 2);
+        assert_eq!(w.state.keys.len(), 2);
         let last = run(
             &mut w,
             vec![
@@ -1030,7 +1126,7 @@ mod tests {
         );
         assert!(last.is_empty());
         assert_eq!(w.open_windows(), 0);
-        assert!(w.fiba.keys.is_empty(), "bounded lateness, bounded memory");
+        assert!(w.state.keys.is_empty(), "bounded lateness, bounded memory");
         assert_eq!((w.stats().windows_emitted, w.stats().revisions), (4, 2));
         assert_eq!(w.stats().accepted, 5);
     }
@@ -1233,7 +1329,7 @@ mod tests {
     #[test]
     fn order_statistics_fold_once_whatever_the_overlap() {
         // Forty overlapping windows per event, two order statistics: still
-        // one tree insert per accepted event, and no per-window state.
+        // one pane fold per accepted event, and no per-window state.
         let mut w = WindowAggregateOp::new(
             WindowSpec::sliding(10_000u64, 250u64),
             vec![
@@ -1250,7 +1346,7 @@ mod tests {
         assert_eq!(stats.accepted + stats.late_dropped, 20_000);
         assert!(stats.accepted > 19_000 && !results.is_empty());
         assert_eq!(w.open_windows(), 0);
-        assert!(w.fiba.keys.is_empty());
+        assert!(w.state.keys.is_empty());
     }
 
     #[test]
@@ -1272,7 +1368,7 @@ mod tests {
         assert_eq!(results.len() as u64, emitted);
         // Window starts 0, 250, …, 39 750: 160 per key.
         assert_eq!(emitted, keys * 160);
-        let ops = w.fiba.pending_ops;
+        let ops = w.state.pending_ops;
         assert!(
             ops <= emitted + 2 * keys,
             "{ops} queue insertions for {emitted} windows of {keys} keys"
@@ -1281,7 +1377,7 @@ mod tests {
 
     /// State bytes per held event of `sliding:1000:250` over `aggs`, keyed by
     /// field 1, after 50 000 in-order events over 4 keys, 12 a time unit,
-    /// K = 100: the trees hold a window, K and a slide of them. A flush must
+    /// K = 100: the panes hold a window, K and a slide of them. A flush must
     /// leave nothing allocated.
     fn bytes_per_held_event(aggs: Vec<AggregateSpec>) -> f64 {
         let mut w = WindowAggregateOp::new(
@@ -1304,8 +1400,8 @@ mod tests {
         }
         assert_eq!(w.stats().accepted, 50_000);
         let held = w.held_events();
-        let in_trees: u64 = w.fiba.keys.values().map(|ks| ks.time.len()).sum();
-        assert_eq!(held, in_trees, "the counter tracks inserts and evictions");
+        let in_panes: u64 = w.state.keys.values().map(KeyState::held).sum();
+        assert_eq!(held, in_panes, "the counter tracks folds and evictions");
         assert!(
             (9_000..=16_000).contains(&held),
             "between a window less a slide and a window plus K: {held}"
@@ -1318,45 +1414,158 @@ mod tests {
 
     #[test]
     fn a_held_event_costs_its_entry_not_a_heap_block() {
-        // mean:0,max:0 — one entry column (both specs read field 0), so an
-        // entry is 16 + 24 bytes in its leaf's arrays.
+        // mean:0,max:0 — combinable only, so a held event costs nothing of
+        // its own: its key's pane of 250 time units (750 events here) holds
+        // one partial per spec, and a key holds about four panes. Measured
+        // 0.37 B; the finger B-tree the panes replaced held 67 B per event.
         let per_event = bytes_per_held_event(vec![
             AggregateSpec::new(AggregateKind::Mean, 0, "mean"),
             AggregateSpec::new(AggregateKind::Max, 0, "max"),
         ]);
-        // The budget DESIGN.md §17.2 states: 40 B of entry in leaves that
-        // in-order arrival leaves full, plus node headers, caches, the
-        // arena's spare capacity and — the largest share, ≈ 15 B here, just
-        // after a slide — the freed leaves that keep their arrays for the
-        // next splits. Measured 67 B; the parent's layout was ≈ 300 B.
-        assert!(per_event <= 80.0, "{per_event:.1} B per held event");
+        assert!(per_event <= 1.0, "{per_event:.2} B per held event");
     }
 
     #[test]
     fn a_held_order_statistic_event_adds_one_rank_index_slot() {
-        // median:0,q0.9:0 — the same 40 B entry and no cached partial, plus
-        // the event's 8 B value image in its key's rank index, whose 64-slot
-        // chunks run half to wholly full. Measured 77 B.
+        // median:0,q0.9:0 — one rank field, so a held event is its 8 B value
+        // image twice: in its pane's image run (a vector grown by doubling)
+        // and in its key's rank index, whose 64-slot chunks run half to
+        // wholly full. Measured 26 B; the tree held 77 B.
         let per_event = bytes_per_held_event(vec![
             AggregateSpec::new(AggregateKind::Median, 0, "med"),
             AggregateSpec::new(AggregateKind::Quantile(0.9), 0, "p90"),
         ]);
-        assert!(per_event <= 90.0, "{per_event:.1} B per held event");
+        assert!(per_event <= 32.0, "{per_event:.1} B per held event");
     }
 
-    /// Every key's rank indexes against the numeric values its tree holds.
-    fn assert_indexes_follow_trees(w: &WindowAggregateOp, after: usize) {
-        let fs = &w.fiba;
+    #[test]
+    fn sparse_and_far_future_events_hold_state_per_event_not_per_time_unit() {
+        // `sliding:1000:333` has panes of width gcd(1000, 333) = 1. A key
+        // that receives one event every ten windows, and one event 10^12
+        // past the rest, hold one pane per event: neither the gaps nor the
+        // span allocate anything.
+        let aggs = vec![
+            AggregateSpec::new(AggregateKind::Sum, 0, "sum"),
+            AggregateSpec::new(AggregateKind::Median, 0, "med"),
+            AggregateSpec::new(AggregateKind::DistinctCount, 0, "n"),
+        ];
+        let mut w = WindowAggregateOp::new(
+            WindowSpec::sliding(1_000u64, 333u64),
+            aggs,
+            None,
+            LatePolicy::Drop,
+        )
+        .unwrap();
+        assert_eq!(w.state.grid.pane, 1);
+        let mut max_per_event = 0.0f64;
+        for i in 0..200u64 {
+            let ts = i * 10_000 + 7;
+            w.process_ref(&ev(ts, i, i as f64), &mut |_| {});
+            // Closes every window of the event before, none of this one's.
+            w.process_ref(&StreamElement::Watermark(Timestamp(ts - 1)), &mut |_| {});
+            let held = w.held_events();
+            assert_eq!(held, 1, "after event {i}");
+            max_per_event = max_per_event.max(w.state_bytes() as f64 / held as f64);
+        }
+        w.process_ref(&ev(1_000_000_000_000, 200, 1.0), &mut |_| {});
+        let held = w.held_events();
+        let per_event = w.state_bytes() as f64 / held as f64;
+        let panes: usize = w.state.keys.values().map(|ks| ks.panes.len()).sum();
+        assert_eq!(panes as u64, held, "one pane per held event");
+        // A pane's Sum partial, image run and distinct run, the key's pane
+        // slots and its rank index, whose one 64-slot chunk (512 B) is most
+        // of it. Measured 716 B (two events) and at most 1 192 B (one).
+        assert!(
+            per_event <= 1_200.0 && max_per_event <= 1_200.0,
+            "{per_event:.0} / {max_per_event:.0} B per held event"
+        );
+        let mut results = Vec::new();
+        w.process_ref(&StreamElement::Flush, &mut |r| results.push(r));
+        assert_eq!(w.state_bytes(), 0);
+        // Three windows of the far-future event, each holding it alone.
+        let last: Vec<(u64, u64)> = results
+            .iter()
+            .rev()
+            .take(3)
+            .map(|r| (r.window.start.raw(), r.count))
+            .collect();
+        assert_eq!(
+            last,
+            vec![
+                (999_999_999_999 / 333 * 333, 1),
+                (999_999_999_999 / 333 * 333 - 333, 1),
+                (999_999_999_999 / 333 * 333 - 666, 1),
+            ]
+        );
+    }
+
+    #[test]
+    fn timestamps_at_the_top_of_the_time_range_fill_the_windows_they_lie_in() {
+        // Window ends past `u64::MAX` saturate to it, so the last windows
+        // are shorter and an event at `u64::MAX` lies in none. Pane widths
+        // 2 (which does not divide `u64::MAX`), 3 (which does) and 1.
+        let top = u64::MAX;
+        let stamps = [top - 12, top - 7, top - 3, top - 2, top - 1, top, top];
+        for spec in [
+            WindowSpec::sliding(10u64, 4u64),
+            WindowSpec::sliding(9u64, 6u64),
+            WindowSpec::sliding(5u64, 1u64),
+        ] {
+            let mut w = WindowAggregateOp::new(
+                spec,
+                vec![AggregateSpec::new(AggregateKind::Count, 0, "n")],
+                None,
+                LatePolicy::Drop,
+            )
+            .unwrap();
+            let input = (0u64..)
+                .zip(stamps)
+                .map(|(seq, ts)| ev(ts, seq, 1.0))
+                .chain([StreamElement::Flush])
+                .collect();
+            let got: Vec<(u64, u64)> = run(&mut w, input)
+                .iter()
+                .map(|r| (r.window.start.raw(), r.count))
+                .collect();
+            let (length, slide) = (spec.length().raw(), spec.slide().raw());
+            let first = (top - 12 - length) / slide * slide;
+            let mut want: Vec<(u64, u64, u64)> =
+                std::iter::successors(Some(first), |s| s.checked_add(slide))
+                    .filter_map(|s| {
+                        let e = s.saturating_add(length);
+                        let n = stamps.iter().filter(|&&t| s <= t && t < e).count() as u64;
+                        (n > 0).then_some((e, s, n))
+                    })
+                    .collect();
+            want.sort_unstable();
+            let want: Vec<(u64, u64)> = want.into_iter().map(|(_, s, n)| (s, n)).collect();
+            assert_eq!(got, want, "{spec}");
+            assert_eq!(w.stats().accepted, stamps.len() as u64, "{spec}");
+            assert_eq!((w.held_events(), w.open_windows()), (0, 0), "{spec}");
+        }
+    }
+
+    /// Every key's rank indexes against the numeric values its panes hold.
+    fn assert_indexes_follow_panes(w: &WindowAggregateOp, after: usize) {
+        let fs = &w.state;
         for (key, ks) in &fs.keys {
-            assert_eq!(ks.ranks.len(), fs.rank_fields.len());
-            for (f, index) in fs.rank_fields.iter().zip(&ks.ranks) {
-                let mut held = Vec::new();
-                ks.time
-                    .for_each(&mut |_, vals| held.extend(vals[f.col].as_f64().map(image)));
+            assert!(ks.panes.iter().all(|(_, pane)| pane.count > 0));
+            assert!(ks
+                .panes
+                .iter()
+                .zip(ks.panes.iter().skip(1))
+                .all(|(a, b)| a.0 < b.0));
+            assert_eq!(ks.ranks.len(), fs.layout.rank_fields.len());
+            for (j, (f, index)) in fs.layout.rank_fields.iter().zip(&ks.ranks).enumerate() {
+                let mut held: Vec<u64> = ks
+                    .panes
+                    .iter()
+                    .flat_map(|(_, pane)| pane.images[j].iter().copied())
+                    .collect();
                 held.sort_unstable();
                 assert!(
                     index.iter().eq(held.iter().copied()),
-                    "key {key:?}, column {}, after element {after}",
+                    "key {key:?}, field {}, after element {after}",
                     f.col
                 );
             }
@@ -1364,12 +1573,12 @@ mod tests {
     }
 
     #[test]
-    fn the_rank_index_follows_the_tree() {
+    fn the_rank_index_follows_the_panes() {
         // Appends; stragglers 15 behind (into open windows), 50 behind (a
         // revision of an emitted window) and 90 behind (past the lateness:
         // dropped); slide evictions and `Revise` expiry; a key that stops at
         // element 300 and is dropped whole; Flush. After every element each
-        // key's index holds exactly the numeric values its tree holds.
+        // key's index holds exactly the numeric values its panes hold.
         let mut w = WindowAggregateOp::new(
             WindowSpec::sliding(40u64, 10u64),
             vec![
@@ -1409,28 +1618,28 @@ mod tests {
         let mut seen_stopped = false;
         for (n, el) in input.into_iter().enumerate() {
             w.process_ref(&el, &mut |_| {});
-            assert_indexes_follow_trees(&w, n);
-            seen_stopped |= w.fiba.keys.contains_key(&stopped);
+            assert_indexes_follow_panes(&w, n);
+            seen_stopped |= w.state.keys.contains_key(&stopped);
         }
-        assert!(seen_stopped && !w.fiba.keys.contains_key(&stopped));
+        assert!(seen_stopped && !w.state.keys.contains_key(&stopped));
         let stats = w.stats();
         assert!(stats.revisions > 0 && stats.late_dropped > 0, "{stats:?}");
-        assert!(w.fiba.keys.values().any(|ks| ks.ranks[0].len() > 0));
+        assert!(w.state.keys.values().any(|ks| ks.ranks[0].len() > 0));
         w.process_ref(&StreamElement::Flush, &mut |_| {});
         assert!(w
-            .fiba
+            .state
             .keys
             .values()
             .all(|ks| ks.ranks.iter().all(|r| r.len() == 0)));
-        assert!(w.fiba.keys.is_empty());
+        assert!(w.state.keys.is_empty());
     }
 
     #[test]
     fn absorb_is_combine_of_seed_bit_for_bit_for_every_combinable_kind() {
-        // A partial built by absorbing entries one by one (a leaf's re-fold,
-        // a range query's boundary leaves) must equal one built by combining
-        // their one-entry partials, state for state: otherwise a result
-        // would depend on where the tree's node boundaries happen to fall.
+        // A pane partial built by absorbing events one by one must equal one
+        // built by combining their one-event partials, state for state:
+        // otherwise a result would depend on how the events happen to fall
+        // into panes.
         let values = [
             Value::Float(0.0),
             Value::Float(-0.0),
@@ -1469,30 +1678,34 @@ mod tests {
                 LatePolicy::Drop,
             )
             .unwrap();
-            let fold = &w.fiba.fold;
-            let width = w.fiba.fields.len();
+            let fresh = &w.state.layout.template[0];
+            let seed = |ts: u64, v: &Value, by: &Value| {
+                let mut one = fresh.clone();
+                one.insert(Timestamp(ts), v, by);
+                one
+            };
             // Every rotation of the value list as the fold order, the `by`
-            // column (ArgMin/ArgMax) running the other way, timestamps tied
+            // field (ArgMin/ArgMax) running the other way, timestamps tied
             // in pairs.
             for shift in 0..values.len() {
-                let entry = |i: usize| {
+                let event = |i: usize| {
                     let v = values[(i + shift) % values.len()].clone();
                     let by = values[(2 * values.len() - i - shift) % values.len()].clone();
-                    ((i as u64 / 2, i as u64), [v, by])
+                    (i as u64 / 2, v, by)
                 };
-                let (key, vals) = entry(0);
-                let mut absorbed = fold.seed(key, &vals[..width]);
+                let (ts, v, by) = event(0);
+                let mut absorbed = seed(ts, &v, &by);
                 let mut combined = absorbed.clone();
                 for i in 1..values.len() {
-                    let (key, vals) = entry(i);
-                    fold.absorb(&mut absorbed, key, &vals[..width]);
-                    fold.combine(&mut combined, &fold.seed(key, &vals[..width]));
+                    let (ts, v, by) = event(i);
+                    absorbed.absorb(fresh, Timestamp(ts), &v, &by);
+                    combined.merge(&seed(ts, &v, &by));
                     assert_eq!(
                         format!("{absorbed:?}"),
                         format!("{combined:?}"),
-                        "{kind} after {i} entries from rotation {shift}"
+                        "{kind} after {i} events from rotation {shift}"
                     );
-                    let (a, c) = (absorbed[0].finalize(), combined[0].finalize());
+                    let (a, c) = (absorbed.finalize(), combined.finalize());
                     let same_bits = match (&a, &c) {
                         (Value::Float(x), Value::Float(y)) => x.to_bits() == y.to_bits(),
                         _ => a == c,
@@ -1577,7 +1790,7 @@ mod tests {
     }
 
     #[test]
-    fn fiba_path_traces_finalize_late_drops_and_spans() {
+    fn sliding_windows_trace_finalize_late_drops_and_spans() {
         // Sliding windows, one late event: the finalize and late-drop
         // records carry the right payloads and the finalize lags.
         let spans = SpanRecorder::new(64);

@@ -35,7 +35,7 @@ fn all_kinds() -> Vec<AggregateSpec> {
 }
 
 /// Only combinable kinds: every shard answers its windows from the per-key
-/// time tree alone.
+/// pane partials alone.
 fn combinable_kinds() -> Vec<AggregateSpec> {
     [
         AggregateKind::Sum,
@@ -150,8 +150,8 @@ proptest! {
             WindowAggregateOp::new(spec, combinable_kinds(), Some(0), LatePolicy::Drop)
                 .expect("valid op")
         };
-        // Every kind combinable: each event's pane partials sit once in the
-        // key's time tree, shared by all windows covering it, and no
+        // Every kind combinable: each event is folded once into its key's
+        // pane, whose partials all windows covering it share, and no
         // per-window state is kept.
         check_identical(stream(&rows, wm_every, slack), make)?;
     }

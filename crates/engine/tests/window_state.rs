@@ -1,15 +1,9 @@
-//! FiBA aggregator property battery.
+//! Window-state property battery.
 //!
-//! Three layers of differential evidence for the finger B-tree aggregator
-//! and the window operator built on it:
+//! Two layers of differential evidence for the window operator's pane state
+//! (DESIGN.md §17):
 //!
-//! 1. **Structure vs. a naive sorted-Vec model** — random interleavings of
-//!    in-order / out-of-order inserts, bulk evictions and range queries are
-//!    replayed against a flat sorted vector, at a small fan-out (deep trees)
-//!    and the production one. The fold is order-*recording* (concatenation),
-//!    so a matching range aggregate proves both membership and left-to-right
-//!    combine order, not just a commutative summary.
-//! 2. **Operator-level differential across all 14 aggregate kinds** — the
+//! 1. **Operator-level differential across all 14 aggregate kinds** — the
 //!    operator against the naive per-window reference in `common` (the
 //!    watermark filter there, each window folded by
 //!    `quill_metrics::oracle::naive_aggregate`, which shares no code with
@@ -21,106 +15,20 @@
 //!    with unbounded lateness the last revision of every window must equal
 //!    the full-information answer, and every revision of an order-statistic
 //!    window the fold of what had arrived by then.
-//! 3. **Order statistics from the time tree** — Median/Quantile/DistinctCount
+//! 2. **Order statistics from the pane state** — Median/Quantile/DistinctCount
 //!    sharing a field with each other and with combinable kinds, and over
 //!    NaN, `-0.0`, infinities, non-numeric and null values, bit for bit
-//!    against the oracle's fold; one tree insert per accepted event
+//!    against the oracle's fold; one pane fold per accepted event
 //!    throughout.
 
 mod common;
 
 use proptest::prelude::*;
 use quill_engine::aggregate::{AggregateKind, AggregateSpec};
-use quill_engine::fiba::{FibaFold, FibaKey, FibaTree, MIN_FANOUT};
 use quill_engine::operator::{LatePolicy, WindowAggregateOp, WindowOpStats, WindowResult};
 use quill_engine::prelude::*;
 use quill_engine::value::Key;
 use std::collections::BTreeMap;
-
-// ---------------------------------------------------------------------------
-// Layer 1: FibaTree vs. a naive sorted-Vec model
-// ---------------------------------------------------------------------------
-
-/// Order-recording fold: an entry stores its own key as two values, a partial
-/// is the list of keys it covers and combining concatenates, so the subtree
-/// caches are only consistent if every node combines its children strictly
-/// left-to-right and every entry's values stay with its key. Any mis-ordered
-/// repair, stale cache, wrong routing or slipped value stride shows up as a
-/// permuted (not merely different) aggregate.
-struct Trace;
-
-impl FibaFold for Trace {
-    type Val = u64;
-    type Agg = Vec<FibaKey>;
-    fn seed(&self, key: FibaKey, vals: &[u64]) -> Vec<FibaKey> {
-        assert_eq!(vals, [key.0, key.1], "an entry's values moved with its key");
-        vec![key]
-    }
-    fn combine(&self, acc: &mut Vec<FibaKey>, later: &Vec<FibaKey>) {
-        acc.extend_from_slice(later);
-    }
-}
-
-/// The reference model: a flat vector of keys in stable `(ts, seq)` order
-/// with the same insert tie-breaking as the tree (new entries go after
-/// equals).
-#[derive(Default)]
-struct Model {
-    entries: Vec<FibaKey>,
-}
-
-impl Model {
-    fn insert(&mut self, key: FibaKey) {
-        let at = self.entries.partition_point(|k| *k <= key);
-        self.entries.insert(at, key);
-    }
-
-    fn range(&self, lo: FibaKey, hi: FibaKey) -> Vec<FibaKey> {
-        let inside = |k: &&FibaKey| **k >= lo && **k <= hi;
-        self.entries.iter().filter(inside).copied().collect()
-    }
-
-    fn range_agg(&self, lo: FibaKey, hi: FibaKey) -> (Option<Vec<FibaKey>>, u64) {
-        let inside = self.range(lo, hi);
-        let n = inside.len() as u64;
-        (Some(inside).filter(|_| n > 0), n)
-    }
-
-    fn evict_before(&mut self, cut: FibaKey) -> u64 {
-        let before = self.entries.len();
-        self.entries.retain(|k| *k >= cut);
-        (before - self.entries.len()) as u64
-    }
-}
-
-#[derive(Debug, Clone)]
-enum TreeOp {
-    /// Insert at this timestamp (seq is assigned monotonically at replay, so
-    /// equal timestamps are tie-dense but stably ordered).
-    Insert(u64),
-    /// Bulk-evict everything strictly below `(cut, 0)`.
-    Evict(u64),
-    /// Inclusive range aggregate + count, in-order visit and first key over
-    /// `[lo, lo + span]`.
-    Range(u64, u64),
-}
-
-fn tree_ops() -> impl Strategy<Value = Vec<TreeOp>> {
-    // Timestamps on a narrow band so ties and out-of-order inserts are the
-    // common case, not the exception. The insert arm is repeated to bias
-    // the uniform union toward growth.
-    let op = prop_oneof![
-        (0u64..64).prop_map(TreeOp::Insert),
-        (0u64..64).prop_map(TreeOp::Insert),
-        (0u64..64).prop_map(TreeOp::Insert),
-        (0u64..64).prop_map(TreeOp::Insert),
-        (0u64..64).prop_map(TreeOp::Insert),
-        (0u64..64).prop_map(TreeOp::Evict),
-        (0u64..64, 0u64..32).prop_map(|(lo, span)| TreeOp::Range(lo, span)),
-        (0u64..64, 0u64..32).prop_map(|(lo, span)| TreeOp::Range(lo, span)),
-    ];
-    proptest::collection::vec(op, 1..250)
-}
 
 /// Cases per property: the pinned count, or `PROPTEST_CASES` when set
 /// (`scripts/check.sh` soaks this suite with 2 000).
@@ -129,73 +37,8 @@ fn cases(pinned: u32) -> ProptestConfig {
     ProptestConfig::with_cases(soak.and_then(|n| n.parse().ok()).unwrap_or(pinned))
 }
 
-/// Replay `ops` against a tree of minimum fan-out `MIN` and the model.
-fn replay_against_model<const MIN: usize>(ops: &[TreeOp]) -> Result<(), TestCaseError> {
-    let mut tree: FibaTree<Trace, MIN> = FibaTree::new(2);
-    let mut model = Model::default();
-    let mut seq = 0u64;
-    let mut evicted_total = 0u64;
-    for op in ops {
-        match *op {
-            TreeOp::Insert(ts) => {
-                let key = (ts, seq);
-                seq += 1;
-                tree.insert(key, &[ts, key.1]);
-                model.insert(key);
-            }
-            TreeOp::Evict(cut) => {
-                let dropped = tree.evict_before((cut, 0));
-                prop_assert_eq!(dropped, model.evict_before((cut, 0)));
-                evicted_total += dropped;
-            }
-            TreeOp::Range(lo, span) => {
-                let (lo, hi) = ((lo, 0), (lo + span, u64::MAX));
-                prop_assert_eq!(tree.range_agg(&Trace, lo, hi), model.range_agg(lo, hi));
-                tree.check_range_read(&Trace, lo, hi, &|a, b| a == b)
-                    .expect("the caches a range query read are fresh and exact");
-                tree.check_invariants(&Trace, &|a, b| a == b)
-                    .expect("structural invariants after a range query");
-                let mut walked = Vec::new();
-                tree.for_each_range(lo, hi, &mut |k, vals| {
-                    assert_eq!(vals, [k.0, k.1]);
-                    walked.push(k)
-                });
-                prop_assert_eq!(walked, model.range(lo, hi));
-                let from = model.entries.iter().copied().find(|k| *k >= lo);
-                prop_assert_eq!(tree.first_key_from(lo), from);
-            }
-        }
-        prop_assert_eq!(tree.len(), model.entries.len() as u64);
-    }
-    // Exhaustive end-state checks: traversal order, the full range,
-    // min/max, eviction accounting, and structural invariants.
-    let mut walked = Vec::new();
-    tree.for_each(&mut |k, _| walked.push(k));
-    prop_assert_eq!(&walked, &model.entries);
-    let everything = ((0, 0), (u64::MAX, u64::MAX));
-    let full = tree.range_agg(&Trace, everything.0, everything.1);
-    prop_assert_eq!(full, model.range_agg(everything.0, everything.1));
-    prop_assert_eq!(tree.min_key(), model.entries.first().copied());
-    prop_assert_eq!(tree.max_key(), model.entries.last().copied());
-    prop_assert_eq!(tree.stats().evicted, evicted_total);
-    tree.check_invariants(&Trace, &|a, b| a == b)
-        .expect("structural invariants");
-    Ok(())
-}
-
-proptest! {
-    #![proptest_config(cases(48))]
-    #[test]
-    fn tree_matches_sorted_vec_model_under_random_interleavings(ops in tree_ops()) {
-        // A deep tree (up to 250 entries at fan-out 4–8: four levels) and the
-        // production one (two).
-        replay_against_model::<4>(&ops)?;
-        replay_against_model::<MIN_FANOUT>(&ops)?;
-    }
-}
-
 // ---------------------------------------------------------------------------
-// Layer 2: operator-level differential across all 14 aggregate kinds
+// Layer 1: operator-level differential across all 14 aggregate kinds
 // ---------------------------------------------------------------------------
 
 /// All 14 aggregate kinds over field 1, with field 2 as the Arg* companion.
@@ -219,7 +62,7 @@ fn all_kinds() -> Vec<AggregateSpec> {
 }
 
 /// Non-associative float reductions: the operator combines per-event
-/// partials in a tree shape, the reference folds sequentially, so equality is
+/// partials pane by pane, the reference folds sequentially, so equality is
 /// gated on the relative tolerance documented in DESIGN.md §17.4. Everything
 /// else —
 /// including Min/Max/Median/Quantile on floats, which only *order* values —
@@ -394,7 +237,7 @@ fn all_fourteen_kinds_are_exact_on_integer_valued_floats() {
 
 #[test]
 fn float_combine_nesting_stays_within_documented_tolerance() {
-    // Catastrophic-cancellation values: different combine tree shapes give
+    // Catastrophic-cancellation values: different combine nestings give
     // different roundings, which is exactly what the DESIGN.md §17 tolerance
     // rule exists for. Min/Max/Median/Quantile stay bit-exact even here.
     let mut out = Vec::new();
@@ -596,14 +439,14 @@ proptest! {
 }
 
 // ---------------------------------------------------------------------------
-// Layer 3: order statistics from the time tree
+// Layer 2: order statistics from the pane state
 // ---------------------------------------------------------------------------
 
 #[test]
 fn order_statistics_share_fields_with_each_other_and_with_combinable_kinds() {
     // Field 1 feeds three quantiles, a distinct count and two combinable
-    // kinds; field 2 a median and a distinct count of its own. One tree
-    // insert per accepted event, whatever the mix and the window shape.
+    // kinds; field 2 a median and a distinct count of its own. One pane
+    // fold per accepted event, whatever the mix and the window shape.
     let aggs = [
         AggregateSpec::new(AggregateKind::Sum, 1, "sum"),
         AggregateSpec::new(AggregateKind::Median, 1, "median"),
@@ -627,7 +470,7 @@ fn order_statistics_share_fields_with_each_other_and_with_combinable_kinds() {
             assert!(stats.late_dropped > 0 && stats.accepted > 300, "{window}");
         }
     }
-    // Order statistics alone: the tree item carries no partial at all.
+    // Order statistics alone: a pane carries no partial at all.
     let alone = [aggs[1].clone(), aggs[4].clone()];
     assert_matches_reference(
         WindowSpec::sliding(60u64, 20u64),
@@ -717,7 +560,7 @@ fn every_revision_of_an_order_statistic_window_refolds_what_has_arrived() {
     // K = 0 and unbounded lateness: each out-of-order event revises every
     // emitted window it falls into, at once. Revision n of a window must be
     // the naive fold of the window's events seen so far — the collection is
-    // redone from the time tree, not patched.
+    // redone from the panes, not patched.
     let aggs = [
         AggregateSpec::new(AggregateKind::Median, 1, "median"),
         AggregateSpec::new(AggregateKind::Quantile(0.8), 1, "p80"),

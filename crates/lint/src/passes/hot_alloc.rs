@@ -1,8 +1,8 @@
 //! `hot-path-alloc`: no per-event allocation inside the loops of the
 //! data-path modules.
 //!
-//! Scope: the per-event loops of `crates/engine/src/operator/*`,
-//! `crates/engine/src/fiba.rs`, `crates/engine/src/parallel.rs`,
+//! Scope: the per-event loops of `crates/engine/src/operator/*` (the window
+//! operator and its pane state), `crates/engine/src/parallel.rs`,
 //! `crates/core/src/buffer.rs`, `crates/core/src/session.rs`, and the serve
 //! data path: the reader and core loops of `crates/serve/src/server.rs` and
 //! the frame decoder of `crates/serve/src/wire.rs`. Flagged constructs:
@@ -31,7 +31,6 @@ pub struct HotPathAlloc;
 /// Files whose loops are per-event by contract.
 fn in_scope(rel: &str) -> bool {
     rel.starts_with("crates/engine/src/operator/")
-        || rel == "crates/engine/src/fiba.rs"
         || rel == "crates/engine/src/parallel.rs"
         || rel == "crates/core/src/buffer.rs"
         || rel == "crates/core/src/session.rs"

@@ -289,26 +289,23 @@ fn l9_hot_path_alloc_fires_in_loops_and_exempts_constructors() {
 }
 
 #[test]
-fn l9_hot_path_alloc_covers_the_fiba_window_state() {
-    // The FiBA arena joined the data-path scope: the per-element clone in
-    // `range_fold` fires, while the per-node-split allocation in
-    // `split_leaf` is suppressed by the same reasoned allow the real
-    // module uses.
-    let diags = lint_source("crates/engine/src/fiba.rs", &fixture("hot_alloc_fiba.rs"));
+fn l9_hot_path_alloc_covers_the_window_state() {
+    // The window operator's pane state is in the data-path scope: the
+    // per-event clone in `fold` fires, while the per-pane allocation in
+    // `open_pane` is suppressed by a reasoned allow.
+    let source = fixture("hot_alloc_window_state.rs");
+    let diags = lint_source("crates/engine/src/operator/window_op.rs", &source);
     let hits: Vec<&Diagnostic> = diags
         .iter()
         .filter(|d| d.rule == RULE_HOT_PATH_ALLOC)
         .collect();
     assert_eq!(hits.len(), 1, "{diags:?}");
     assert!(
-        hits[0].message.contains("`.clone()`") && hits[0].message.contains("range_fold"),
+        hits[0].message.contains("`.clone()`") && hits[0].message.contains("fold"),
         "{diags:?}"
     );
     // The same source outside the data-path scope is not linted.
-    let diags = lint_source(
-        "crates/metrics/src/summary.rs",
-        &fixture("hot_alloc_fiba.rs"),
-    );
+    let diags = lint_source("crates/metrics/src/summary.rs", &source);
     assert!(!rules(&diags).contains(&RULE_HOT_PATH_ALLOC), "{diags:?}");
 }
 

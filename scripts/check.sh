@@ -35,19 +35,17 @@ cargo build --release
 echo "==> cargo test -q"
 cargo test -q
 
-# FiBA soak: plain `cargo test` runs both suites at their pinned 48-64
-# cases and six fuzz seeds in a few seconds; here they get 2 000 proptest
-# cases each and QUILL_FIBA_FUZZ_SEEDS more op-fuzz seeds, in release. Both
-# suites drive the tree at two fan-outs — a small one, whose trees are deep,
-# and the production MIN_FANOUT — so the soak covers both. Both interleave
-# range queries with appends, stragglers and evictions, which only mark
-# caches stale (a cache is folded only when a query reads it), and check
-# after every query that the caches it read were fresh and exact; the
-# read-timing fuzz also checks, per seed, that querying after every write or
-# only at checkpoints gives bit-identical float results.
-echo "==> FiBA battery soak (PROPTEST_CASES=2000, QUILL_FIBA_FUZZ_SEEDS=${QUILL_FIBA_FUZZ_SEEDS:-64})"
-PROPTEST_CASES=2000 QUILL_FIBA_FUZZ_SEEDS="${QUILL_FIBA_FUZZ_SEEDS:-64}" \
-    cargo test --release -q -p quill-engine --test fiba_invariants --test fiba_aggregator
+# Operator-battery soak: plain `cargo test` runs both suites at their pinned
+# 48-64 cases in a few seconds; here they get 2 000 cases each, in release.
+# `window_state` holds the window operator's pane state (all fourteen kinds,
+# keyed sliding and misaligned windows, deep stragglers, `Drop` and `Revise`,
+# NaN/±0/±inf/i64::MAX/null/string values) to the naive oracle's fold
+# (`quill_metrics::oracle::naive_aggregate`) of every window's members;
+# `proptest_engine`'s order-statistic property checks every Median, Quantile
+# and DistinctCount result, revisions included, bit for bit against the same
+# fold (the suite's other properties keep their pinned count).
+echo "==> quill-engine operator-battery soak (PROPTEST_CASES=2000)"
+PROPTEST_CASES=2000 cargo test --release -q -p quill-engine --test window_state --test proptest_engine
 
 # Core soak: the slack buffer (every event forwarded by its own insert, in
 # arrival order and ahead of the watermark that insert emits; repeated
@@ -56,16 +54,6 @@ PROPTEST_CASES=2000 QUILL_FIBA_FUZZ_SEEDS="${QUILL_FIBA_FUZZ_SEEDS:-64}" \
 # instead of the pinned 48.
 echo "==> quill-core property soak (PROPTEST_CASES=2000)"
 PROPTEST_CASES=2000 cargo test --release -q -p quill-core --test proptest_core
-
-# Order-statistic soak: every Median, Quantile and DistinctCount result,
-# revisions included, against the naive oracle's fold
-# (`quill_metrics::oracle::naive_aggregate`) of the window's members, bit for
-# bit — keyed sliding windows up to 40 per event, near and
-# deep stragglers, `Drop` and `Revise`, NaN/±0/±inf/i64::MAX/null/string
-# values — at 2 000 cases (the suite's other properties keep their pinned
-# count).
-echo "==> quill-engine order-statistic soak (PROPTEST_CASES=2000)"
-PROPTEST_CASES=2000 cargo test --release -q -p quill-engine --test proptest_engine
 
 # Differential simulation soak: QUILL_SIM_CASES seeds through the full
 # strategy × executor sweep against the naive oracle. Scale the seed count
