@@ -1,7 +1,9 @@
 //! Window-state property battery.
 //!
-//! Two layers of differential evidence for the window operator's pane state
-//! (DESIGN.md §17):
+//! The file keeps the name it had when the window state was a finger B-tree
+//! (FiBA) and a third layer checked that tree; its tests are the operator's
+//! and keep their names. Two layers of differential evidence for the window
+//! operator's pane state (DESIGN.md §17):
 //!
 //! 1. **Operator-level differential across all 14 aggregate kinds** — the
 //!    operator against the naive per-window reference in `common` (the

@@ -37,7 +37,7 @@ cargo test -q
 
 # Operator-battery soak: plain `cargo test` runs both suites at their pinned
 # 48-64 cases in a few seconds; here they get 2 000 cases each, in release.
-# `window_state` holds the window operator's pane state (all fourteen kinds,
+# `fiba_aggregator` holds the window operator's pane state (all fourteen kinds,
 # keyed sliding and misaligned windows, deep stragglers, `Drop` and `Revise`,
 # NaN/±0/±inf/i64::MAX/null/string values) to the naive oracle's fold
 # (`quill_metrics::oracle::naive_aggregate`) of every window's members;
@@ -45,7 +45,7 @@ cargo test -q
 # and DistinctCount result, revisions included, bit for bit against the same
 # fold (the suite's other properties keep their pinned count).
 echo "==> quill-engine operator-battery soak (PROPTEST_CASES=2000)"
-PROPTEST_CASES=2000 cargo test --release -q -p quill-engine --test window_state --test proptest_engine
+PROPTEST_CASES=2000 cargo test --release -q -p quill-engine --test fiba_aggregator --test proptest_engine
 
 # Core soak: the slack buffer (every event forwarded by its own insert, in
 # arrival order and ahead of the watermark that insert emits; repeated
