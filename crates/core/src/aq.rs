@@ -113,15 +113,14 @@ impl AqConfig {
     /// Validate parameter ranges.
     pub fn validate(&self) -> Result<(), String> {
         self.target.validate()?;
-        for (name, v) in [
+        let gains = [
             ("kp", self.kp),
             ("ki", self.ki),
             ("margin_min", self.margin_min),
             ("margin_max", self.margin_max),
-        ] {
-            if !v.is_finite() {
-                return Err(format!("{name}={v} must be finite"));
-            }
+        ];
+        if let Some((name, v)) = gains.into_iter().find(|(_, v)| !v.is_finite()) {
+            return Err(format!("{name}={v} must be finite"));
         }
         if self.sample_capacity == 0 {
             return Err("sample_capacity must be > 0".into());
@@ -163,10 +162,7 @@ pub struct AqStats {
 struct AqTelemetry {
     enabled: bool,
     k: Gauge,
-    error: Gauge,
-    margin: Gauge,
     measured_completeness: Gauge,
-    effective_quantile: Gauge,
     adaptations: Counter,
     est_p50: Gauge,
     est_p95: Gauge,
@@ -311,10 +307,7 @@ impl AqKSlack {
             let t = &self.telemetry;
             t.adaptations.inc();
             t.k.set(next.as_f64());
-            t.error.set(q_req - measured);
-            t.margin.set(margin);
             t.measured_completeness.set(measured);
-            t.effective_quantile.set(q_eff);
             t.est_p50.set(p50.as_f64());
             t.est_p95.set(p95.as_f64());
             t.est_p99.set(p99.as_f64());
@@ -328,10 +321,7 @@ impl DisorderControl for AqKSlack {
         self.telemetry = AqTelemetry {
             enabled: telemetry.is_enabled(),
             k: telemetry.gauge("quill.controller.k"),
-            error: telemetry.gauge("quill.controller.error"),
-            margin: telemetry.gauge("quill.controller.margin"),
             measured_completeness: telemetry.gauge("quill.controller.measured_completeness"),
-            effective_quantile: telemetry.gauge("quill.controller.effective_quantile"),
             adaptations: telemetry.counter("quill.controller.adaptations"),
             est_p50: telemetry.gauge("quill.estimator.p50"),
             est_p95: telemetry.gauge("quill.estimator.p95"),

@@ -62,7 +62,6 @@ struct BufferTelemetry {
     released: Counter,
     late_passed: Counter,
     depth: Gauge,
-    watermark_lag: Gauge,
 }
 
 /// A watermark generator with a dynamically adjustable slack bound.
@@ -98,17 +97,14 @@ impl SlackBuffer {
     }
 
     /// Attach `quill.buffer.*` instruments from `telemetry`: `inserted` /
-    /// `released` / `late_passed` counters, a `depth` gauge (events held
-    /// right now), and a `watermark_lag` gauge (stream clock minus emitted
-    /// watermark — the finality latency currently in force). With a
-    /// disabled registry this is free.
+    /// `released` / `late_passed` counters and a `depth` gauge (events held
+    /// right now). With a disabled registry this is free.
     pub fn instrument(&mut self, telemetry: &Registry) {
         self.telemetry = BufferTelemetry {
             inserted: telemetry.counter("quill.buffer.inserted"),
             released: telemetry.counter("quill.buffer.released"),
             late_passed: telemetry.counter("quill.buffer.late_passed"),
             depth: telemetry.gauge("quill.buffer.depth"),
-            watermark_lag: telemetry.gauge("quill.buffer.watermark_lag"),
         };
     }
 
@@ -197,8 +193,9 @@ impl SlackBuffer {
             self.spans
                 .record_detail(Stage::LateArrival, ts, wm, 0, [e.seq, 0]);
             out.push(StreamElement::Event(e));
-            // The clock may still have advanced; later events could now be
-            // releasable.
+            // A late event cannot advance the clock (`ts < watermark <=
+            // clock`), but a K that shrank since the last insert can
+            // release held events.
             self.drain_ready(out);
             return;
         }
@@ -213,7 +210,8 @@ impl SlackBuffer {
     }
 
     /// Release every held event that the current clock and slack allow,
-    /// advancing the watermark. Appends the new watermark to `out`.
+    /// advancing the watermark. Appends the new watermark to `out` and
+    /// refreshes the `depth` gauge.
     pub fn drain_ready(&mut self, out: &mut Vec<StreamElement>) {
         if !self.saw_event {
             return;
@@ -228,9 +226,7 @@ impl SlackBuffer {
         // boundary timestamp is still on time, since late means ts < safe).
         self.release(safe, safe, safe.raw());
         self.watermark = safe;
-        self.telemetry
-            .watermark_lag
-            .set_u64(self.clock.delta_since(safe).raw());
+        self.telemetry.depth.set_u64(self.len() as u64);
         out.push(StreamElement::Watermark(safe));
     }
 
@@ -262,7 +258,6 @@ impl SlackBuffer {
         self.release(Timestamp::MAX, self.clock, u64::MAX);
         self.watermark = Timestamp::MAX;
         self.telemetry.depth.set_u64(0);
-        self.telemetry.watermark_lag.set_u64(0);
         out.push(StreamElement::Flush);
     }
 }
@@ -409,6 +404,30 @@ mod tests {
         assert_eq!(snap.counter("quill.buffer.released"), s.released);
         assert_eq!(snap.counter("quill.buffer.late_passed"), s.late_passed);
         assert_eq!(snap.gauge("quill.buffer.depth"), Some(0.0));
+    }
+
+    #[test]
+    fn every_release_refreshes_the_depth_gauge() {
+        let reg = Registry::new();
+        let mut b = SlackBuffer::new(100u64);
+        b.instrument(&reg);
+        let mut out = Vec::new();
+        for (seq, ts) in [200, 150, 180].into_iter().enumerate() {
+            b.insert(ev(ts, seq as u64), &mut out); // watermark 100
+        }
+        assert_eq!(reg.snapshot().gauge("quill.buffer.depth"), Some(3.0));
+        // AQ shrinks K just before the insert; the late event releases the
+        // held events the shrink lets through.
+        b.change_k(10u64, KChangeReason::Adapt, b.clock());
+        b.insert(ev(50, 3), &mut out);
+        assert_eq!(b.stats().late_passed, 1);
+        assert_eq!(b.len(), 1);
+        assert_eq!(reg.snapshot().gauge("quill.buffer.depth"), Some(1.0));
+        // A heartbeat drains without an insert (the punctuated strategy).
+        b.set_k(0u64);
+        b.drain_ready(&mut out);
+        assert_eq!(b.len(), 0);
+        assert_eq!(reg.snapshot().gauge("quill.buffer.depth"), Some(0.0));
     }
 
     #[test]

@@ -1,10 +1,25 @@
 //! Online estimation of the tuple-delay distribution.
 //!
-//! [`DelayEstimator`] maintains a sliding sample of the most recent `W`
-//! delays in a sorted multiset, supporting O(log n) insertion/eviction and
-//! quantile queries by cumulative walk. The estimator is the open-loop half
-//! of AQ-K-slack: for a completeness target `q`, it answers the smallest
-//! slack that meets it in expectation.
+//! [`DelayEstimator`] keeps a sliding sample of the most recent `W` delays:
+//! once in arrival order, for eviction, and once as counts indexed by delay
+//! value. A delay below `DENSE` (2¹³) is counted in two Fenwick trees over the
+//! delay value, one of counts and one of count × delay, interleaved in one
+//! array of `DENSE` slots (128 KiB). A larger delay is rare on any stream a
+//! slack can serve and is counted in an ordered overflow map, so the state
+//! stays bounded by the sample whatever a far-future timestamp does.
+//!
+//! Costs, with `D = DENSE`: [`DelayEstimator::observe`] is two point
+//! updates (the new delay and the evicted one), O(log D) each;
+//! [`DelayEstimator::quantile`] is one Fenwick descent per quantile and
+//! [`DelayEstimator::cdf`] one prefix sum; [`DelayEstimator::window_slack`]
+//! is a binary search over `K ∈ [F⁻¹(q) − S, F⁻¹(q)]` of an exact integer
+//! `G(K)` made of two prefix sums, O(log D · log S). A prefix sum at or past
+//! the smallest overflow delay walks the overflow entries above the point
+//! asked, and a descent into the overflow map walks it from its largest
+//! delay; neither happens on a stream whose delays stay below `D`.
+//!
+//! The estimator is the open-loop half of AQ-K-slack: for a completeness
+//! target `q`, it answers the smallest slack that meets it in expectation.
 //!
 //! A tuple of delay `D` (stream clock minus timestamp at arrival) is not
 //! late when its timestamp passes the watermark `clock − K`, but when the
@@ -19,76 +34,25 @@
 
 use quill_engine::prelude::TimeDelta;
 use std::collections::{BTreeMap, VecDeque};
+use std::ops::Bound::{Excluded, Unbounded};
 
-/// `G(k) = Σ c·min(s, (d − k)⁺)` over `(d, c)` pairs given in descending `d`
-/// order: the tuples' total overrun past their first window, in units of
-/// time. `C_S(k) = 1 − G(k) / (n·s)`.
-fn overrun(desc: impl Iterator<Item = (u64, u64)>, k: u64, s: u64) -> u128 {
-    desc.take_while(|&(d, _)| d > k)
-        .map(|(d, c)| u128::from(c) * u128::from((d - k).min(s)))
-        .sum()
-}
-
-/// `min{k : G(k) ≤ (1 − q)·n·s}` for `s > 0`, over the `(d, c)` pairs of an
-/// `n`-delay sample in descending `d` order, in one walk down from the
-/// largest delay. `G` is piecewise linear between the breakpoints `d` (where
-/// a delay's term starts to grow as `k` falls) and `d − s` (where it stops,
-/// at `s`), so the walk carries `G` and its slope from one breakpoint to the
-/// next and solves the segment in which `G` crosses the budget.
-fn min_window_slack<I>(desc: I, n: u64, q: f64, s: u64) -> u64
-where
-    I: Iterator<Item = (u64, u64)> + Clone,
-{
-    let budget = (1.0 - q.clamp(0.0, 1.0)) * n as f64 * s as f64;
-    let fits = |g: u128| g as f64 <= budget;
-    let mut grows = desc.clone().peekable();
-    // Delays below `s` never saturate at a non-negative slack.
-    let mut saturates = desc
-        .map_while(|(d, c)| Some((d.checked_sub(s)?, c)))
-        .peekable();
-    let Some(&(mut x, _)) = grows.peek() else {
-        return 0;
-    };
-    // G(x) and the number of delays whose term grows below x.
-    let (mut g, mut slope) = (0u128, 0u128);
-    loop {
-        while let Some((_, c)) = grows.next_if(|&(d, _)| d == x) {
-            slope += u128::from(c);
-        }
-        while let Some((_, c)) = saturates.next_if(|&(p, _)| p == x) {
-            slope -= u128::from(c);
-        }
-        let next = grows.peek().map(|p| p.0).max(saturates.peek().map(|p| p.0));
-        let next = next.unwrap_or(0);
-        // On (next, x], G(k) = g + slope·(x − k).
-        let at = move |m: u64| g + slope * u128::from(m);
-        if !fits(at(x - next)) {
-            // `at(0) = g` fits, so the largest fitting step m is in
-            // [0, x − next); the float division may land one off it.
-            let mut m = ((budget - g as f64) / slope as f64) as u64;
-            m = m.min(x - next - 1);
-            while m > 0 && !fits(at(m)) {
-                m -= 1;
-            }
-            while m + 1 < x - next && fits(at(m + 1)) {
-                m += 1;
-            }
-            return x - m;
-        }
-        if next == x {
-            return x;
-        }
-        g = at(x - next);
-        x = next;
-    }
-}
+/// Delays below this are counted in the Fenwick trees, larger ones in the
+/// overflow map. A power of two, so a descent starts at the root slot.
+const DENSE: usize = 1 << 13;
 
 /// Sliding-window delay distribution estimator.
 #[derive(Debug, Clone)]
 pub struct DelayEstimator {
     capacity: usize,
     window: VecDeque<u64>,
-    sorted: BTreeMap<u64, usize>,
+    /// The two Fenwick trees over delays `0..DENSE`, 1-based and
+    /// interleaved: `dense[i - 1]` holds `[count, count × delay]` of the
+    /// delays `i - lowbit(i) .. i`, so `dense[DENSE - 1]` holds the totals.
+    dense: Vec<[u64; 2]>,
+    /// Count of each sampled delay `>= DENSE`.
+    overflow: BTreeMap<u64, u64>,
+    /// Sum of the sampled delays `>= DENSE`.
+    overflow_sum: u128,
     /// Largest delay ever observed (not just within the window).
     max_ever: u64,
 }
@@ -99,7 +63,9 @@ impl DelayEstimator {
         DelayEstimator {
             capacity: capacity.max(1),
             window: VecDeque::with_capacity(capacity.max(1)),
-            sorted: BTreeMap::new(),
+            dense: vec![[0; 2]; DENSE],
+            overflow: BTreeMap::new(),
+            overflow_sum: 0,
             max_ever: 0,
         }
     }
@@ -108,21 +74,117 @@ impl DelayEstimator {
     pub fn observe(&mut self, d: TimeDelta) {
         let d = d.raw();
         self.max_ever = self.max_ever.max(d);
-        let evicted = if self.window.len() == self.capacity {
-            self.window.pop_front()
-        } else {
-            None
-        };
-        if let Some(old) = evicted {
-            match self.sorted.get_mut(&old) {
-                Some(c) if *c > 1 => *c -= 1,
-                _ => {
-                    self.sorted.remove(&old);
-                }
+        if self.window.len() == self.capacity {
+            if let Some(old) = self.window.pop_front() {
+                self.tally(old, false);
             }
         }
         self.window.push_back(d);
-        *self.sorted.entry(d).or_insert(0) += 1;
+        self.tally(d, true);
+    }
+
+    /// Count `d` into the sample (`add`) or out of it.
+    fn tally(&mut self, d: u64, add: bool) {
+        if d < DENSE as u64 {
+            // Counts and sums stay exact, so taking one out is adding its
+            // two's complement.
+            let (count, sum) = if add {
+                (1, d)
+            } else {
+                (1u64.wrapping_neg(), d.wrapping_neg())
+            };
+            let mut i = d as usize + 1;
+            while let Some(slot) = self.dense.get_mut(i - 1) {
+                slot[0] = slot[0].wrapping_add(count);
+                slot[1] = slot[1].wrapping_add(sum);
+                i += i & i.wrapping_neg();
+            }
+        } else if add {
+            *self.overflow.entry(d).or_insert(0) += 1;
+            self.overflow_sum += u128::from(d);
+        } else if let Some(c) = self.overflow.get_mut(&d) {
+            *c -= 1;
+            if *c == 0 {
+                self.overflow.remove(&d);
+            }
+            self.overflow_sum -= u128::from(d);
+        }
+    }
+
+    /// Count and sum of the sampled delays below `DENSE`.
+    fn dense_totals(&self) -> [u64; 2] {
+        self.dense[DENSE - 1]
+    }
+
+    /// Count and sum of the sampled delays above `x`.
+    fn above(&self, x: u64) -> (u64, u128) {
+        let [dense_count, dense_sum] = self.dense_totals();
+        let overflow_count = self.window.len() as u64 - dense_count;
+        if self
+            .overflow
+            .first_key_value()
+            .is_some_and(|(&min, _)| x >= min)
+        {
+            return self
+                .overflow
+                .range((Excluded(x), Unbounded))
+                .fold((0, 0), |(n, sum), (&d, &c)| {
+                    (n + c, sum + u128::from(d) * u128::from(c))
+                });
+        }
+        if x >= DENSE as u64 - 1 {
+            return (overflow_count, self.overflow_sum);
+        }
+        let (mut count, mut sum) = (dense_count, dense_sum);
+        let mut i = x as usize + 1;
+        while i > 0 {
+            let [c, s] = self.dense[i - 1];
+            count -= c;
+            sum -= s;
+            i &= i - 1;
+        }
+        (count + overflow_count, u128::from(sum) + self.overflow_sum)
+    }
+
+    /// The `r`-th smallest sampled delay, 1-based; `None` outside `1..=n`.
+    fn select(&self, r: u64) -> Option<u64> {
+        let n = self.window.len() as u64;
+        if r == 0 || r > n {
+            return None;
+        }
+        let [dense_count, _] = self.dense_totals();
+        if r > dense_count {
+            // Down from the largest overflow delay, counting what remains.
+            let mut upto = n;
+            return self.overflow.iter().rev().find_map(|(&d, &c)| {
+                upto -= c;
+                (upto < r).then_some(d)
+            });
+        }
+        // Descend to the largest `pos` with fewer than `r` delays below it:
+        // delay `pos` is the `r`-th.
+        let (mut pos, mut rest, mut step) = (0, r, DENSE);
+        while step > 0 {
+            if let Some(&[c, _]) = self.dense.get(pos + step - 1) {
+                if c < rest {
+                    pos += step;
+                    rest -= c;
+                }
+            }
+            step /= 2;
+        }
+        Some(pos as u64)
+    }
+
+    /// `G(k) = Σ min(s, (d − k)⁺)` over the sampled delays `d`: the tuples'
+    /// total overrun past their first window, in units of time, with
+    /// `C_S(k) = 1 − G(k) / (n·s)`. Delays in `(k, k + s]` overrun by
+    /// `d − k`, larger ones by `s`.
+    fn overrun(&self, k: u64, s: u64) -> u128 {
+        let (past_k, past_k_sum) = self.above(k);
+        let (past_ks, past_ks_sum) = self.above(k.saturating_add(s));
+        (past_k_sum - past_ks_sum) - u128::from(k) * u128::from(past_k - past_ks)
+            + u128::from(s) * u128::from(past_ks)
     }
 
     /// Number of delays currently in the window.
@@ -148,29 +210,13 @@ impl DelayEstimator {
     }
 
     /// [`DelayEstimator::quantile`] of every `qs[i]`, in the order asked,
-    /// from one cumulative walk of the sorted sample: the walk stops at the
-    /// largest quantile asked for instead of starting over for each.
+    /// one Fenwick descent each.
     pub fn quantiles<const N: usize>(&self, qs: [f64; N]) -> [Option<TimeDelta>; N] {
-        let mut out = [None; N];
         let n = self.window.len();
-        if n == 0 {
-            return out;
-        }
-        let targets = qs.map(|q| ((q.clamp(0.0, 1.0) * n as f64).ceil() as usize).clamp(1, n));
-        let mut order: [usize; N] = std::array::from_fn(|i| i);
-        order.sort_unstable_by_key(|&i| targets[i]);
-        let mut pending = order.iter().peekable();
-        let mut acc = 0usize;
-        for (&d, &c) in &self.sorted {
-            acc += c;
-            while let Some(&i) = pending.next_if(|&&i| acc >= targets[i]) {
-                out[i] = Some(TimeDelta(d));
-            }
-            if pending.peek().is_none() {
-                break;
-            }
-        }
-        out
+        qs.map(|q| {
+            let rank = ((q.clamp(0.0, 1.0) * n as f64).ceil() as usize).clamp(1, n.max(1));
+            self.select(rank as u64).map(TimeDelta)
+        })
     }
 
     /// Empirical CDF: fraction of windowed delays `<= d`.
@@ -179,33 +225,51 @@ impl DelayEstimator {
         if n == 0 {
             return 1.0;
         }
-        let d = d.raw();
-        let cnt: usize = self.sorted.range(..=d).map(|(_, &c)| c).sum();
+        let cnt = n as u64 - self.above(d.raw()).0;
         cnt as f64 / n as f64
-    }
-
-    /// The windowed delays as `(delay, count)`, largest first.
-    fn descending(&self) -> impl Iterator<Item = (u64, u64)> + Clone + '_ {
-        self.sorted.iter().rev().map(|(&d, &c)| (d, c as u64))
     }
 
     /// The smallest slack `K` at which at least a fraction `q` of tuples
     /// reach their first window of slide `s` before it closes:
-    /// `min{K : C_S(K) ≥ q}`, in one descending walk of the sample. `s = 0`
-    /// (no window) is [`DelayEstimator::quantile`]. Never above the quantile:
-    /// every tuple but one at the very end of its window has headroom past
-    /// its timestamp. `None` when empty.
+    /// `min{K : C_S(K) ≥ q}`, tested as `G(K) as f64 <= (1 − q)·n·s`. `G`
+    /// falls as `K` grows and is exact in integers, so a binary search over
+    /// `K` finds the smallest `K` that fits; the largest sampled delay
+    /// (where `G = 0`) always does. `s = 0` (no window) is
+    /// [`DelayEstimator::quantile`]. Not above the quantile but for float
+    /// rounding of the budget: every tuple but one at the very end of its
+    /// window has headroom past its timestamp. `None` when empty.
     pub fn window_slack(&self, q: f64, s: TimeDelta) -> Option<TimeDelta> {
         if s == TimeDelta::ZERO || self.is_empty() {
             return self.quantile(q);
         }
-        let n = self.window.len() as u64;
-        Some(TimeDelta(min_window_slack(
-            self.descending(),
-            n,
-            q,
-            s.raw(),
-        )))
+        let (n, s) = (self.window.len() as u64, s.raw());
+        let budget = (1.0 - q.clamp(0.0, 1.0)) * n as f64 * s as f64;
+        let fits = |k: u64| self.overrun(k, s) as f64 <= budget;
+        // For q > 0, K* lies in [F⁻¹(q) − s, F⁻¹(q)]: at F⁻¹(q) at most
+        // n − ⌈q·n⌉ delays overrun, by at most s each; below F⁻¹(q) − s
+        // more than that overrun by s. Both ends are checked, and a failed
+        // check widens the search to the whole sample: the budget's float
+        // rounding can put F⁻¹(q) itself outside it (q·n integral), and at
+        // q = 0 every K fits.
+        let quantile = self.quantile(q)?.raw();
+        let mut hi = if fits(quantile) {
+            quantile
+        } else {
+            self.select(n)?
+        };
+        let mut lo = match quantile.checked_sub(s) {
+            Some(b) if b > 0 && !fits(b - 1) => b,
+            _ => 0,
+        };
+        while lo < hi {
+            let mid = lo + (hi - lo) / 2;
+            if fits(mid) {
+                hi = mid;
+            } else {
+                lo = mid + 1;
+            }
+        }
+        Some(TimeDelta(hi))
     }
 
     /// `C_S(k)`: the expected fraction of tuples that reach their first
@@ -215,7 +279,7 @@ impl DelayEstimator {
         if s == TimeDelta::ZERO || self.is_empty() {
             return self.cdf(k);
         }
-        let g = overrun(self.descending(), k.raw(), s.raw());
+        let g = self.overrun(k.raw(), s.raw());
         1.0 - g as f64 / (self.window.len() as f64 * s.as_f64())
     }
 }
@@ -318,6 +382,40 @@ mod tests {
         assert!((c - (1.0 - 399.0 / 4_000.0)).abs() < 1e-12, "{c}");
         assert_eq!(e.window_completeness(TimeDelta(67), TimeDelta::ZERO), 0.25);
         assert_eq!(DelayEstimator::new(4).window_slack(0.9, s), None);
+    }
+
+    #[test]
+    fn window_slack_checks_its_bracket_where_the_float_budget_rounds_down() {
+        // q·n = 9 is integral and (1 − 0.9)·10·1024 rounds to just below
+        // 1024 = G(F⁻¹(0.9)), so the quantile itself misses the budget and
+        // the search must run past it.
+        let e = est(&[0, 0, 0, 0, 0, 0, 0, 0, 0, 10_000], 10);
+        let s = 1_024;
+        let budget = (1.0 - 0.9) * 10.0 * s as f64;
+        assert_eq!(e.quantile(0.9), Some(TimeDelta::ZERO));
+        let k = e.window_slack(0.9, TimeDelta(s)).unwrap().raw();
+        assert_eq!(k, 8_977);
+        assert!(e.overrun(k, s) as f64 <= budget);
+        assert!(e.overrun(k - 1, s) as f64 > budget);
+    }
+
+    #[test]
+    fn delays_past_the_dense_bound_leave_no_state_once_evicted() {
+        let mut e = DelayEstimator::new(8);
+        for d in [u64::MAX / 2, 1 << 40, DENSE as u64, DENSE as u64 - 1, 3, 3] {
+            e.observe(TimeDelta(d));
+        }
+        assert_eq!(e.overflow.len(), 3);
+        assert_eq!(e.quantile(0.5), Some(TimeDelta(DENSE as u64 - 1)));
+        assert_eq!(e.quantile(0.51), Some(TimeDelta(DENSE as u64)));
+        assert_eq!(e.cdf(TimeDelta(1 << 40)), 5.0 / 6.0);
+        for d in 0..8 {
+            e.observe(TimeDelta(d));
+        }
+        assert!(e.overflow.is_empty());
+        assert_eq!(e.overflow_sum, 0);
+        assert_eq!(e.dense_totals(), [8, 28]);
+        assert_eq!(e.max_ever(), TimeDelta(u64::MAX / 2));
     }
 
     #[test]

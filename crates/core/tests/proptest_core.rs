@@ -17,6 +17,25 @@ fn duplicate_arrivals() -> impl Strategy<Value = Vec<(u64, u64, u64)>> {
     prop::collection::vec((0u64..200, 0u64..6, 0u64..100), 1..200)
 }
 
+/// The estimator's dense bound: delays below it are counted by value,
+/// larger ones in its overflow map.
+const DENSE: u64 = 1 << 13;
+
+/// Delays on both sides of the dense bound: small ones, ones within ±64 of
+/// it, and ones up to `u64::MAX / 4`.
+fn straddling_delays() -> impl Strategy<Value = Vec<u64>> {
+    let delay = prop_oneof![0u64..300, DENSE - 64..DENSE + 64, 0u64..u64::MAX / 4];
+    prop::collection::vec(delay, 1..600)
+}
+
+/// `G(k) = Σ min(s, (d − k)⁺)` of a delay sample, by its definition.
+fn brute_overrun(sample: &[u64], k: u64, s: u64) -> u128 {
+    sample
+        .iter()
+        .map(|&d| u128::from(d.saturating_sub(k).min(s)))
+        .sum()
+}
+
 /// Cases per property: the default 48, or `PROPTEST_CASES` when set
 /// (`scripts/check.sh` soaks this suite with 2 000).
 fn cases() -> ProptestConfig {
@@ -173,6 +192,60 @@ proptest! {
             prop_assert!((model - brute_completeness(window, probe, s)).abs() < 1e-9);
         }
         check_window_slack_order(&est, q, q2, s, s2)?;
+    }
+
+    #[test]
+    fn estimator_answers_like_a_brute_force_sample_across_the_dense_bound(
+        delays in straddling_delays(),
+        cap in 1usize..300,
+        qs in (0.0f64..=1.0, 0.0f64..=1.0, 0.0f64..=1.0, 0.0f64..=1.0),
+        mid_s in 2u64..20_000,
+        probe in 0u64..u64::MAX / 4,
+    ) {
+        let mut est = DelayEstimator::new(cap);
+        for &d in &delays {
+            est.observe(TimeDelta(d));
+        }
+        // Evictions move the largest delay in and out of the overflow map.
+        let window = &delays[delays.len().saturating_sub(cap)..];
+        let mut sorted = window.to_vec();
+        sorted.sort_unstable();
+        let n = sorted.len();
+        let qs = [qs.0, qs.1, qs.2, qs.3, 0.0, 1.0];
+        let expected = qs.map(|q| {
+            let rank = ((q * n as f64).ceil() as usize).clamp(1, n);
+            Some(TimeDelta(sorted[rank - 1]))
+        });
+        prop_assert_eq!(est.quantiles(qs), expected);
+        prop_assert_eq!(est.max_ever(), TimeDelta(delays.iter().copied().max().unwrap_or(0)));
+        prop_assert_eq!(est.len(), n);
+
+        let cdf = |x: u64| sorted.iter().filter(|&&d| d <= x).count() as f64 / n as f64;
+        let mut probes = vec![0, probe, DENSE - 1, DENSE, sorted[n / 2], sorted[n - 1]];
+        for s in [1, mid_s, u64::MAX / 2 + 1] {
+            for &q in &qs {
+                let budget = (1.0 - q) * n as f64 * s as f64;
+                let fits = |k: u64| brute_overrun(window, k, s) as f64 <= budget;
+                let k = est.window_slack(q, TimeDelta(s)).expect("non-empty").raw();
+                prop_assert!(k <= sorted[n - 1], "K {} above the sample", k);
+                prop_assert!(fits(k), "G({}) misses q = {} at s = {}", k, q, s);
+                prop_assert!(k == 0 || !fits(k - 1), "G({}) meets q = {} at s = {}", k - 1, q, s);
+                probes.extend([k, k.saturating_sub(1)]);
+            }
+            prop_assert_eq!(est.window_slack(qs[0], TimeDelta::ZERO), expected[0]);
+            for &x in &probes {
+                let model = est.window_completeness(TimeDelta(x), TimeDelta(s));
+                let brute = 1.0 - brute_overrun(window, x, s) as f64 / (n as f64 * s as f64);
+                prop_assert_eq!(model.to_bits(), brute.to_bits(), "C_S({}) at s = {}", x, s);
+            }
+        }
+        for &x in &probes {
+            prop_assert_eq!(est.cdf(TimeDelta(x)).to_bits(), cdf(x).to_bits(), "cdf({})", x);
+            prop_assert_eq!(
+                est.window_completeness(TimeDelta(x), TimeDelta::ZERO).to_bits(),
+                cdf(x).to_bits()
+            );
+        }
     }
 
     #[test]

@@ -3,9 +3,11 @@
 //!
 //! Scope: the per-event loops of `crates/engine/src/operator/*` (the window
 //! operator and its pane state), `crates/engine/src/parallel.rs`,
-//! `crates/core/src/buffer.rs`, `crates/core/src/session.rs`, and the serve
-//! data path: the reader and core loops of `crates/serve/src/server.rs` and
-//! the frame decoder of `crates/serve/src/wire.rs`. Flagged constructs:
+//! `crates/core/src/buffer.rs`, `crates/core/src/session.rs`, AQ's per-tuple
+//! path (`crates/core/src/aq.rs` and its delay sample,
+//! `crates/core/src/estimator.rs`), and the serve data path: the reader and
+//! core loops of `crates/serve/src/server.rs` and the frame decoder of
+//! `crates/serve/src/wire.rs`. Flagged constructs:
 //! `Vec::new`, `Box::new`, `vec!`, `format!`, `.clone()`, and a
 //! `.drain(..)` chain ending in `.collect()` (a buffer range copied out
 //! into a fresh allocation) — each of these inside a `for`/`while`/`loop`
@@ -34,6 +36,8 @@ fn in_scope(rel: &str) -> bool {
         || rel == "crates/engine/src/parallel.rs"
         || rel == "crates/core/src/buffer.rs"
         || rel == "crates/core/src/session.rs"
+        || rel == "crates/core/src/aq.rs"
+        || rel == "crates/core/src/estimator.rs"
         || rel == "crates/serve/src/server.rs"
         || rel == "crates/serve/src/wire.rs"
 }

@@ -333,6 +333,20 @@ fn l9_hot_path_alloc_covers_the_serve_data_path() {
 }
 
 #[test]
+fn l9_hot_path_alloc_covers_the_aq_per_tuple_path() {
+    // AQ and its delay sample run once per tuple: the fixture's loops fire
+    // there as in the window operator.
+    for path in ["crates/core/src/aq.rs", "crates/core/src/estimator.rs"] {
+        let diags = lint_source(path, &fixture("hot_alloc_bad.rs"));
+        let hits = diags
+            .iter()
+            .filter(|d| d.rule == RULE_HOT_PATH_ALLOC)
+            .count();
+        assert_eq!(hits, 3, "{path}: {diags:?}");
+    }
+}
+
+#[test]
 fn l9_hot_path_alloc_is_scope_limited() {
     // The same loops outside the data-path modules are not linted.
     let diags = lint_source(
