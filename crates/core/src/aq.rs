@@ -22,8 +22,8 @@
 //!    window closed) adjusts the completeness setpoint by a margin,
 //!    absorbing estimation error and non-stationarity.
 //! 4. **Asymmetric smoothing.** K rises immediately (bursts must not cause
-//!    violations) but shrinks by at most a configured fraction per
-//!    adaptation step (hysteresis against transient calm).
+//!    violations) but shrinks by at most a fixed fraction per adaptation
+//!    step (hysteresis against transient calm).
 //!
 //! The buffer's watermark monotonicity makes all K changes sound: shrinking
 //! K releases events earlier; growing K only delays future releases.
@@ -37,8 +37,43 @@ use quill_engine::prelude::{Event, StreamElement, TimeDelta};
 use quill_telemetry::{Counter, Gauge, KChangeReason, Registry, SpanRecorder};
 use std::collections::VecDeque;
 
-/// Tuning parameters of AQ-K-slack. The defaults are the values used across
-/// the reconstructed evaluation; the R-F8 ablations sweep them.
+/// Events between adaptation steps. R-F8 measured the neighbours before
+/// they were retired (netmon + delay step, q = 0.97): every 8 events moved
+/// completeness by −0.08 points for 8× the steps; every 1 024 cost +1.25
+/// points of violations.
+const ADAPT_EVERY: u64 = 64;
+/// Events before the first adaptation. Until then K is the maximum observed
+/// delay (MP-K-slack behaviour) while the sample fills. Set with the
+/// reconstruction and never swept.
+const WARMUP: u64 = 256;
+/// On-time indicators (arrived before the first window containing the tuple
+/// closed) over which the feedback loop measures achieved completeness.
+/// Set with the reconstruction and never swept.
+const QUALITY_WINDOW: usize = 1024;
+/// PI proportional gain on the completeness error (completeness units).
+/// Set with the reconstruction and never swept.
+const KP: f64 = 0.4;
+/// PI integral gain. Set with the reconstruction and never swept.
+const KI: f64 = 0.08;
+/// Most the controller may *lower* the completeness setpoint (trading
+/// quality headroom for latency), the mirror of [`MARGIN_MAX`].
+const MARGIN_MIN: f64 = -0.01;
+/// Most the controller may *raise* the completeness setpoint. From DESIGN
+/// §4's sweep on the benchmark's aq_disorder_1q and fanout_100q streams:
+/// near q = 1, `C_S` is flat, so K* runs to the sample maximum; +0.05 let
+/// bursts push the setpoint there and K spike (mean 1 240 vs 124 at +0.01)
+/// for no quality gained, while below +0.01 fanout's met ratio sinks
+/// towards its bound.
+const MARGIN_MAX: f64 = 0.01;
+/// Most K may shrink per adaptation step, as a fraction of the K in force;
+/// growth is never limited. Neutral on R-F8's netmon, but lifting it
+/// (1.0) lowered fanout_100q's `quality_met_ratio` on each of seeds 1–3
+/// (EXPERIMENTS R-F8).
+const MAX_SHRINK: f64 = 0.3;
+
+/// What a caller of AQ-K-slack chooses: the quality target, the delay-sample
+/// size, hard bounds on K and the open-loop ablation. The control loop's
+/// tuning is fixed (the constants above, DESIGN §4).
 #[derive(Debug, Clone)]
 pub struct AqConfig {
     /// The quality target to meet.
@@ -46,28 +81,6 @@ pub struct AqConfig {
     /// Sliding delay-sample size `W` of the [`DelayEstimator`] (R-F8
     /// ablation: smaller = noisier K).
     pub sample_capacity: usize,
-    /// Events between adaptation steps.
-    pub adapt_every: u64,
-    /// Events before the first adaptation; during warm-up the strategy
-    /// behaves like MP-K-slack (maximum observed delay) to gather a sample
-    /// safely.
-    pub warmup: u64,
-    /// Size of the sliding window of on-time indicators (arrived before the
-    /// first window containing the tuple closed) that measures achieved
-    /// tuple completeness for the feedback loop.
-    pub quality_window: usize,
-    /// PI proportional gain (on completeness error, in completeness units).
-    pub kp: f64,
-    /// PI integral gain.
-    pub ki: f64,
-    /// Most the controller may *lower* the completeness setpoint (negative
-    /// margin = trade quality headroom for latency).
-    pub margin_min: f64,
-    /// Most the controller may *raise* the completeness setpoint.
-    pub margin_max: f64,
-    /// Max fraction by which K may shrink per adaptation step (0 = frozen,
-    /// 1 = unrestricted). Growth is never restricted.
-    pub max_shrink: f64,
     /// Hard lower bound on K.
     pub k_min: TimeDelta,
     /// Hard upper bound on K (bounds worst-case latency and memory).
@@ -92,18 +105,6 @@ impl AqConfig {
         AqConfig {
             target,
             sample_capacity: 4096,
-            adapt_every: 64,
-            warmup: 256,
-            quality_window: 1024,
-            kp: 0.4,
-            ki: 0.08,
-            margin_min: -0.01,
-            // From a sweep on the benchmark's aq_disorder_1q streams
-            // (DESIGN §4): near q = 1, C_S is flat, so K* runs to the
-            // sample maximum. +0.05 let bursts push the setpoint there and
-            // K spike (mean 1 240 vs 124 at +0.01), for no quality gained.
-            margin_max: 0.01,
-            max_shrink: 0.3,
             k_min: TimeDelta::ZERO,
             k_max: TimeDelta(u64::MAX / 4),
             open_loop: false,
@@ -113,26 +114,8 @@ impl AqConfig {
     /// Validate parameter ranges.
     pub fn validate(&self) -> Result<(), String> {
         self.target.validate()?;
-        let gains = [
-            ("kp", self.kp),
-            ("ki", self.ki),
-            ("margin_min", self.margin_min),
-            ("margin_max", self.margin_max),
-        ];
-        if let Some((name, v)) = gains.into_iter().find(|(_, v)| !v.is_finite()) {
-            return Err(format!("{name}={v} must be finite"));
-        }
         if self.sample_capacity == 0 {
             return Err("sample_capacity must be > 0".into());
-        }
-        if self.adapt_every == 0 {
-            return Err("adapt_every must be > 0".into());
-        }
-        if !(0.0..=1.0).contains(&self.max_shrink) {
-            return Err(format!("max_shrink={} outside [0,1]", self.max_shrink));
-        }
-        if self.margin_min > self.margin_max {
-            return Err("margin bounds inverted".into());
         }
         if self.k_min > self.k_max {
             return Err("k bounds inverted".into());
@@ -164,9 +147,7 @@ struct AqTelemetry {
     k: Gauge,
     measured_completeness: Gauge,
     adaptations: Counter,
-    est_p50: Gauge,
     est_p95: Gauge,
-    est_p99: Gauge,
 }
 
 /// The adaptive quality-driven K-slack strategy.
@@ -196,13 +177,12 @@ impl AqKSlack {
         if let Err(e) = cfg.validate() {
             panic!("invalid AqConfig: {e}");
         }
-        let controller = PiController::new(cfg.kp, cfg.ki, cfg.margin_min, cfg.margin_max);
         AqKSlack {
             estimator: DelayEstimator::new(cfg.sample_capacity),
-            controller,
+            controller: PiController::new(KP, KI, MARGIN_MIN, MARGIN_MAX),
             sensitivity: SensitivityModel::new(),
             slide: TimeDelta::ZERO,
-            ontime: VecDeque::with_capacity(cfg.quality_window.max(1)),
+            ontime: VecDeque::with_capacity(QUALITY_WINDOW),
             ontime_count: 0,
             buf: SlackBuffer::new(0u64),
             events_seen: 0,
@@ -240,7 +220,7 @@ impl AqKSlack {
     }
 
     fn record_ontime(&mut self, ontime: bool) {
-        if self.ontime.len() == self.cfg.quality_window.max(1) {
+        if self.ontime.len() == QUALITY_WINDOW {
             if let Some(old) = self.ontime.pop_front() {
                 if old {
                     self.ontime_count -= 1;
@@ -275,12 +255,12 @@ impl AqKSlack {
             .window_slack(q_eff, self.slide)
             .unwrap_or(TimeDelta::ZERO);
         let current = self.buf.k();
-        // Grow immediately; shrink at most max_shrink per step.
+        // Grow immediately; shrink at most MAX_SHRINK per step.
         let mut reason = KChangeReason::Adapt;
         let mut next = if candidate >= current {
             candidate
         } else {
-            let floor = TimeDelta::from_f64(current.as_f64() * (1.0 - self.cfg.max_shrink));
+            let floor = TimeDelta::from_f64(current.as_f64() * (1.0 - MAX_SHRINK));
             if candidate < floor {
                 self.stats.shrinks_limited += 1;
                 reason = KChangeReason::ShrinkLimited;
@@ -300,17 +280,12 @@ impl AqKSlack {
         self.stats.measured_completeness = measured;
         self.stats.effective_quantile = q_eff;
         if self.telemetry.enabled {
-            let [p50, p95, p99] = self
-                .estimator
-                .quantiles([0.5, 0.95, 0.99])
-                .map(|d| d.unwrap_or(TimeDelta::ZERO));
+            let p95 = self.estimator.quantile(0.95).unwrap_or(TimeDelta::ZERO);
             let t = &self.telemetry;
             t.adaptations.inc();
             t.k.set(next.as_f64());
             t.measured_completeness.set(measured);
-            t.est_p50.set(p50.as_f64());
             t.est_p95.set(p95.as_f64());
-            t.est_p99.set(p99.as_f64());
         }
     }
 }
@@ -323,9 +298,7 @@ impl DisorderControl for AqKSlack {
             k: telemetry.gauge("quill.controller.k"),
             measured_completeness: telemetry.gauge("quill.controller.measured_completeness"),
             adaptations: telemetry.counter("quill.controller.adaptations"),
-            est_p50: telemetry.gauge("quill.estimator.p50"),
             est_p95: telemetry.gauge("quill.estimator.p95"),
-            est_p99: telemetry.gauge("quill.estimator.p99"),
         };
     }
 
@@ -366,7 +339,7 @@ impl DisorderControl for AqKSlack {
         };
         self.record_ontime(last_open >= self.buf.watermark().raw());
 
-        if self.events_seen <= self.cfg.warmup {
+        if self.events_seen <= WARMUP {
             // Warm-up: MP behaviour (K = max observed delay) while the
             // sample fills.
             let k = self
@@ -376,7 +349,7 @@ impl DisorderControl for AqKSlack {
                 .max(self.cfg.k_min);
             let clock = self.buf.clock();
             self.buf.change_k(k, KChangeReason::Warmup, clock);
-        } else if self.events_seen.is_multiple_of(self.cfg.adapt_every) {
+        } else if self.events_seen.is_multiple_of(ADAPT_EVERY) {
             self.adapt();
         }
         self.buf.insert(e, out);
@@ -452,44 +425,40 @@ mod tests {
 
     #[test]
     fn with_no_window_k_is_the_quantile_sequence_of_before() {
-        // FNV-1a over the K in force after every event, recorded on the
-        // commit before the slide-aware model (K = F⁻¹(q_eff), on time =
-        // `ts >= watermark`) with the same margins: the old default 0.05 and
-        // today's 0.01.
+        // FNV-1a over the K in force after every event. The four cases with
+        // no window were recorded on the commit before the slide-aware model
+        // (K = F⁻¹(q_eff), on time = `ts >= watermark`); the cases with a
+        // registered slide or an error target on the commit before the
+        // control loop's tuning became constants.
+        let q = AqConfig::completeness;
+        let eps = |e| AqConfig::max_rel_error(e, 0);
         let pinned = [
+            (q(0.95), None, (20_000, 100.0, 1), 8372065279358624658),
+            (q(0.9), None, (20_000, 100.0, 3), 2075029297649131834),
+            (q(0.999), None, (15_000, 100.0, 2), 7220470730690694737),
+            (q(0.95), None, (30_000, 80.0, 4), 6766608110894345922),
+            (q(0.95), Some(250), (20_000, 100.0, 1), 16471464097934644433),
+            (q(0.9), Some(1_000), (20_000, 100.0, 3), 6054693688209611237),
+            (eps(0.1), None, (15_000, 100.0, 7), 17116856573004049801),
             (
-                (0.95, 20_000, 100.0, 1),
-                [9745357777908838930, 8372065279358624658],
-            ),
-            (
-                (0.9, 20_000, 100.0, 3),
-                [7570454792510492986, 2075029297649131834],
-            ),
-            (
-                (0.999, 15_000, 100.0, 2),
-                [9030404777851240785, 7220470730690694737],
-            ),
-            (
-                (0.95, 30_000, 80.0, 4),
-                [2008150496501317314, 6766608110894345922],
+                eps(0.05),
+                Some(250),
+                (15_000, 100.0, 5),
+                3705385071819573542,
             ),
         ];
-        assert_eq!(AqConfig::completeness(0.95).margin_max, 0.01);
-        for ((q, n, mean, seed), hashes) in pinned {
-            for (margin_max, want) in [0.05, 0.01].into_iter().zip(hashes) {
-                let mut cfg = AqConfig::completeness(q);
-                cfg.margin_max = margin_max;
-                let mut s = AqKSlack::new(cfg);
-                s.set_min_slide(Some(TimeDelta(250)));
-                s.set_min_slide(None);
-                let mut h: u64 = 0xcbf2_9ce4_8422_2325;
-                feed_stream_with(s, n, mean, seed, |k| {
-                    for b in k.raw().to_le_bytes() {
-                        h = (h ^ u64::from(b)).wrapping_mul(0x0000_0100_0000_01b3);
-                    }
-                });
-                assert_eq!(h, want, "q={q} seed={seed} margin_max={margin_max}");
-            }
+        for (cfg, slide, (n, mean, seed), want) in pinned {
+            let mut s = AqKSlack::new(cfg);
+            let name = s.name();
+            s.set_min_slide(Some(TimeDelta(250)));
+            s.set_min_slide(slide.map(TimeDelta));
+            let mut h: u64 = 0xcbf2_9ce4_8422_2325;
+            feed_stream_with(s, n, mean, seed, |k| {
+                for b in k.raw().to_le_bytes() {
+                    h = (h ^ u64::from(b)).wrapping_mul(0x0000_0100_0000_01b3);
+                }
+            });
+            assert_eq!(h, want, "{name} slide={slide:?} seed={seed}");
         }
     }
 
@@ -514,10 +483,7 @@ mod tests {
     fn config_validation() {
         assert!(AqConfig::completeness(0.95).validate().is_ok());
         let mut bad = AqConfig::completeness(0.95);
-        bad.adapt_every = 0;
-        assert!(bad.validate().is_err());
-        let mut bad = AqConfig::completeness(0.95);
-        bad.max_shrink = 1.5;
+        bad.sample_capacity = 0;
         assert!(bad.validate().is_err());
         let mut bad = AqConfig::completeness(0.95);
         bad.k_min = TimeDelta(10);
@@ -527,28 +493,11 @@ mod tests {
     }
 
     #[test]
-    fn validation_rejects_non_finite_gains_and_margins() {
-        let fields: [fn(&mut AqConfig) -> &mut f64; 4] = [
-            |c| &mut c.kp,
-            |c| &mut c.ki,
-            |c| &mut c.margin_min,
-            |c| &mut c.margin_max,
-        ];
-        for (i, field) in fields.into_iter().enumerate() {
-            for v in [f64::NAN, f64::INFINITY, f64::NEG_INFINITY] {
-                let mut bad = AqConfig::completeness(0.95);
-                *field(&mut bad) = v;
-                assert!(bad.validate().is_err(), "field {i} = {v} accepted");
-            }
-        }
-    }
-
-    #[test]
     #[should_panic(expected = "invalid AqConfig")]
     fn new_panics_on_invalid() {
         let mut bad = AqConfig::completeness(0.9);
-        bad.margin_min = 1.0;
-        bad.margin_max = 0.0;
+        bad.k_min = TimeDelta(10);
+        bad.k_max = TimeDelta(5);
         let _ = AqKSlack::new(bad);
     }
 
@@ -598,9 +547,7 @@ mod tests {
 
     #[test]
     fn warmup_uses_max_delay() {
-        let mut cfg = AqConfig::completeness(0.5);
-        cfg.warmup = 100;
-        let mut s = AqKSlack::new(cfg);
+        let mut s = AqKSlack::for_completeness(0.5);
         let mut out = Vec::new();
         s.on_event(
             Event::new(1000u64, 0, Row::new([Value::Float(0.0)])),
@@ -610,39 +557,46 @@ mod tests {
             Event::new(400u64, 1, Row::new([Value::Float(0.0)])),
             &mut out,
         );
-        // Still warming up: K = max delay (600), not the median.
+        // In order through the rest of the warm-up: K stays the max delay
+        // (600), not the median (0).
+        for i in 2..WARMUP {
+            s.on_event(
+                Event::new(1000 + i, i, Row::new([Value::Float(0.0)])),
+                &mut out,
+            );
+        }
         assert_eq!(s.current_k(), TimeDelta(600));
         assert_eq!(s.aq_stats().adaptations, 0);
     }
 
     #[test]
     fn shrink_is_rate_limited() {
-        let mut cfg = AqConfig::completeness(0.9);
-        cfg.warmup = 0;
-        cfg.adapt_every = 1;
-        cfg.max_shrink = 0.1;
-        let mut s = AqKSlack::new(cfg);
+        let mut s = AqKSlack::for_completeness(0.9);
         let mut out = Vec::new();
-        // One huge delay pushes K up...
+        // One huge delay during the warm-up pushes K up...
         s.on_event(
             Event::new(10_000u64, 0, Row::new([Value::Float(0.0)])),
             &mut out,
         );
         s.on_event(Event::new(0u64, 1, Row::new([Value::Float(0.0)])), &mut out);
-        let k_high = s.current_k();
-        assert!(k_high.raw() > 0);
-        // ...then orderly traffic shrinks it slowly, ≤10 % per step.
+        assert_eq!(s.current_k(), TimeDelta(10_000));
+        // ...then orderly traffic shrinks it slowly: each adaptation step
+        // keeps K at least (1 − MAX_SHRINK) of the K before it.
         let mut prev = s.current_k().as_f64();
-        for i in 2..40u64 {
+        for i in 2..WARMUP + 10 * ADAPT_EVERY {
             s.on_event(
                 Event::new(10_000 + i * 10, i, Row::new([Value::Float(0.0)])),
                 &mut out,
             );
             let now = s.current_k().as_f64();
-            assert!(now >= prev * 0.899, "shrank too fast: {prev} -> {now}");
+            assert!(
+                now >= (prev * (1.0 - MAX_SHRINK)).floor(),
+                "shrank too fast at event {i}: {prev} -> {now}"
+            );
             prev = now;
         }
         assert!(s.aq_stats().shrinks_limited > 0);
+        assert!(prev < 10_000.0, "K never shrank");
     }
 
     #[test]
@@ -650,11 +604,9 @@ mod tests {
         let mut cfg = AqConfig::completeness(0.99);
         cfg.k_min = TimeDelta(5);
         cfg.k_max = TimeDelta(50);
-        cfg.warmup = 0;
-        cfg.adapt_every = 1;
-        let s = feed_stream(AqKSlack::new(cfg), 5_000, 200.0, 5);
-        let k = s.current_k();
-        assert!(k >= TimeDelta(5) && k <= TimeDelta(50), "K={k}");
+        let s = feed_stream_with(AqKSlack::new(cfg), 5_000, 200.0, 5, |k| {
+            assert!(k >= TimeDelta(5) && k <= TimeDelta(50), "K={k}");
+        });
         assert!(s.aq_stats().bound_hits > 0);
     }
 
@@ -706,10 +658,6 @@ mod tests {
             Some(s.aq_stats().measured_completeness)
         );
         assert!(snap.gauge("quill.estimator.p95").unwrap() > 0.0);
-        assert!(
-            snap.gauge("quill.estimator.p99").unwrap()
-                >= snap.gauge("quill.estimator.p50").unwrap()
-        );
         // The buffer was wired through the same call.
         assert!(snap.counter("quill.buffer.inserted") > 0);
     }
@@ -718,10 +666,7 @@ mod tests {
     fn trace_records_k_decisions_with_reasons() {
         use quill_telemetry::Stage;
         let spans = SpanRecorder::new(1 << 16);
-        let mut cfg = AqConfig::completeness(0.9);
-        cfg.warmup = 10;
-        cfg.adapt_every = 5;
-        let mut s = AqKSlack::new(cfg);
+        let mut s = AqKSlack::for_completeness(0.9);
         s.attach_spans(&spans);
         let s = feed_stream(s, 5_000, 100.0, 11);
         assert_eq!(spans.dropped(), 0);
@@ -759,10 +704,7 @@ mod tests {
 
     #[test]
     fn releases_remain_ordered_under_adaptation() {
-        let mut cfg = AqConfig::completeness(0.9);
-        cfg.warmup = 10;
-        cfg.adapt_every = 5;
-        let mut s = AqKSlack::new(cfg);
+        let mut s = AqKSlack::for_completeness(0.9);
         let mut rng = StdRng::seed_from_u64(8);
         let mut arrivals: Vec<(u64, u64)> = (0..2000u64)
             .map(|i| {

@@ -61,12 +61,6 @@ impl PiController {
     pub fn output(&self) -> f64 {
         self.last_output
     }
-
-    /// Reset integral state (e.g. after a detected regime change).
-    pub fn reset(&mut self) {
-        self.integral = 0.0;
-        self.last_output = 0.0;
-    }
 }
 
 #[cfg(test)]
@@ -121,15 +115,6 @@ mod tests {
             measured = 0.8 + 0.15 * out;
         }
         assert!((measured - 0.95).abs() < 0.005, "converged to {measured}");
-    }
-
-    #[test]
-    fn reset_clears_state() {
-        let mut c = PiController::new(1.0, 1.0, -10.0, 10.0);
-        c.update(2.0);
-        c.reset();
-        assert_eq!(c.output(), 0.0);
-        assert_eq!(c.update(0.0), 0.0);
     }
 
     #[test]

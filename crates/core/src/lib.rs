@@ -87,7 +87,6 @@ pub mod prelude {
         ProvenanceBuilder, ProvenanceRecord,
     };
     pub use quill_telemetry::{
-        KChangeReason, Registry, ReporterConfig, Snapshot, Span, SpanRecorder, Stage,
-        TelemetryReporter,
+        KChangeReason, Registry, Snapshot, Span, SpanRecorder, Stage, TelemetryReporter,
     };
 }

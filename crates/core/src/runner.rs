@@ -25,9 +25,7 @@ use quill_engine::window::WindowSpec;
 use quill_metrics::quality_eval::{oracle_results, score, QualityReport};
 use quill_metrics::{LatencyRecorder, Summary, TimeSeries};
 use quill_telemetry::trace::{PostMortem, ProvenanceBuilder, ProvenanceRecord};
-use quill_telemetry::{
-    Histogram, Registry, ReporterConfig, Snapshot, SpanRecorder, Stage, TelemetryReporter,
-};
+use quill_telemetry::{Histogram, Registry, Snapshot, SpanRecorder, Stage, TelemetryReporter};
 
 /// The continuous query to execute.
 #[derive(Debug, Clone, PartialEq)]
@@ -402,8 +400,7 @@ fn drive(
     strategy.instrument(&opts.telemetry);
     strategy.attach_spans(&opts.spans);
     let run_events = opts.telemetry.counter("quill.run.events");
-    let every = ReporterConfig::every_events(opts.snapshot_every_events);
-    let mut reporter = TelemetryReporter::new(&opts.telemetry, every);
+    let mut reporter = TelemetryReporter::new(&opts.telemetry, opts.snapshot_every_events);
     let (mut k_series, mut buffer_series) = (TimeSeries::new("k"), TimeSeries::new("buffered"));
     let (mut clock, mut staged) = (ClockTracker::new(), Vec::new());
     for (i, e) in events.iter().enumerate() {

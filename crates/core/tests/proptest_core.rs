@@ -286,15 +286,15 @@ proptest! {
 
     #[test]
     fn aq_never_violates_k_bounds_and_accounts_all_events(
-        ts in prop::collection::vec(0u64..20_000, 1..300),
+        // Past AQ's warm-up (256 events) and several adaptation steps (one
+        // every 64 events).
+        ts in prop::collection::vec(0u64..20_000, 600..1_200),
         k_min in 0u64..50,
         k_span in 1u64..500,
     ) {
         let mut cfg = AqConfig::completeness(0.9);
         cfg.k_min = TimeDelta(k_min);
         cfg.k_max = TimeDelta(k_min + k_span);
-        cfg.warmup = 5;
-        cfg.adapt_every = 3;
         let mut s = AqKSlack::new(cfg);
         let mut out = Vec::new();
         for (i, &t) in ts.iter().enumerate() {
@@ -303,6 +303,7 @@ proptest! {
             prop_assert!(k >= TimeDelta(k_min), "K {k} below k_min");
             prop_assert!(k <= TimeDelta(k_min + k_span), "K {k} above k_max");
         }
+        prop_assert!(s.aq_stats().adaptations >= 5);
         s.finish(&mut out);
         let n: u64 = out.iter().filter(|e| e.as_event().is_some()).count() as u64;
         prop_assert_eq!(n, ts.len() as u64);

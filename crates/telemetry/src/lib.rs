@@ -21,8 +21,7 @@
 //! * **Snapshots are plain data.** [`Registry::snapshot`] materialises the
 //!   current instrument values into sorted maps; [`Snapshot::delta_since`]
 //!   turns two cumulative snapshots into a per-interval view. The
-//!   [`reporter::TelemetryReporter`] emits snapshots every N events and/or
-//!   M milliseconds.
+//!   [`reporter::TelemetryReporter`] emits a snapshot every N events.
 //! * **Naming scheme.** Dotted, lowercase paths by subsystem:
 //!   `quill.buffer.*` (slack buffer), `quill.controller.*` (AQ-K-slack
 //!   control loop), `quill.estimator.*` (delay distribution),
@@ -44,7 +43,7 @@ pub mod span;
 pub mod trace;
 
 pub use histogram::LogHistogram;
-pub use reporter::{ReporterConfig, TelemetryReporter};
+pub use reporter::TelemetryReporter;
 pub use span::{ClockDomain, KChangeReason, Span, SpanRecorder, Stage};
 
 use parking_lot::Mutex;

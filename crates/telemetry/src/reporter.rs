@@ -1,40 +1,10 @@
 //! Periodic snapshotting: turn a stream of "N events processed" ticks into
-//! a series of registry snapshots, emitted every N events and/or every M
-//! milliseconds, whichever fires first.
+//! a series of registry snapshots, one every N events.
 
 use crate::{Registry, Snapshot};
 use std::io::Write as _;
 use std::path::Path;
 use std::time::Instant;
-
-/// When the reporter takes a snapshot.
-#[derive(Debug, Clone, Copy)]
-pub struct ReporterConfig {
-    /// Snapshot every this many observed events (0 disables the trigger).
-    pub every_events: u64,
-    /// Snapshot when this many milliseconds elapsed since the last one
-    /// (0 disables the trigger).
-    pub every_millis: u64,
-}
-
-impl Default for ReporterConfig {
-    fn default() -> Self {
-        ReporterConfig {
-            every_events: 10_000,
-            every_millis: 0,
-        }
-    }
-}
-
-impl ReporterConfig {
-    /// Event-count-triggered snapshots only.
-    pub fn every_events(n: u64) -> ReporterConfig {
-        ReporterConfig {
-            every_events: n,
-            every_millis: 0,
-        }
-    }
-}
 
 /// Collects periodic [`Snapshot`]s of a [`Registry`] while a run is in
 /// flight. Drive it with [`observe_events`](TelemetryReporter::observe_events)
@@ -46,23 +16,24 @@ impl ReporterConfig {
 #[derive(Debug)]
 pub struct TelemetryReporter {
     registry: Registry,
-    cfg: ReporterConfig,
+    /// Snapshot every this many observed events (0: only on `force` and
+    /// `finish`).
+    every_events: u64,
     started: Instant,
-    last_snapshot_at: Instant,
     events_seen: u64,
     events_at_last: u64,
     snapshots: Vec<Snapshot>,
 }
 
 impl TelemetryReporter {
-    /// Create a reporter over `registry` (cloned; clones share instruments).
-    pub fn new(registry: &Registry, cfg: ReporterConfig) -> TelemetryReporter {
-        let now = Instant::now();
+    /// Create a reporter over `registry` (cloned; clones share instruments)
+    /// that snapshots every `every_events` observed events (0 disables the
+    /// trigger).
+    pub fn new(registry: &Registry, every_events: u64) -> TelemetryReporter {
         TelemetryReporter {
             registry: registry.clone(),
-            cfg,
-            started: now,
-            last_snapshot_at: now,
+            every_events,
+            started: Instant::now(),
             events_seen: 0,
             events_at_last: 0,
             snapshots: Vec::new(),
@@ -70,26 +41,22 @@ impl TelemetryReporter {
     }
 
     /// Record that `n` more events were processed; returns the snapshot if
-    /// one of the configured triggers fired.
+    /// the event trigger fired.
     pub fn observe_events(&mut self, n: u64) -> Option<&Snapshot> {
         self.events_seen += n;
         if !self.registry.is_enabled() {
             return None;
         }
-        let by_events = self.cfg.every_events > 0
-            && self.events_seen - self.events_at_last >= self.cfg.every_events;
-        let by_time = self.cfg.every_millis > 0
-            && self.last_snapshot_at.elapsed().as_millis() >= self.cfg.every_millis as u128;
-        if by_events || by_time {
+        if self.every_events > 0 && self.events_seen - self.events_at_last >= self.every_events {
             Some(self.take())
         } else {
             None
         }
     }
 
-    /// Take a snapshot unconditionally (no-op returning an empty snapshot
-    /// reference is avoided: disabled registries still record seq/events so
-    /// callers can rely on `snapshots()` sequencing when enabled).
+    /// Take a snapshot now, whatever the trigger says. Over a disabled
+    /// registry the snapshot is empty but still numbered and counted in
+    /// `snapshots()`.
     pub fn force(&mut self) -> &Snapshot {
         self.take()
     }
@@ -121,7 +88,6 @@ impl TelemetryReporter {
         snap.at_events = self.events_seen;
         snap.wall_micros = self.started.elapsed().as_micros();
         self.events_at_last = self.events_seen;
-        self.last_snapshot_at = Instant::now();
         self.snapshots.push(snap);
         self.snapshots.last().expect("just pushed")
     }
@@ -179,7 +145,7 @@ mod tests {
     fn snapshots_fire_on_event_threshold() {
         let reg = Registry::new();
         let c = reg.counter("quill.n");
-        let mut rep = TelemetryReporter::new(&reg, ReporterConfig::every_events(100));
+        let mut rep = TelemetryReporter::new(&reg, 100);
         for _ in 0..5 {
             c.add(30);
             rep.observe_events(30);
@@ -197,7 +163,7 @@ mod tests {
     #[test]
     fn disabled_registry_never_snapshots() {
         let reg = Registry::disabled();
-        let mut rep = TelemetryReporter::new(&reg, ReporterConfig::every_events(1));
+        let mut rep = TelemetryReporter::new(&reg, 1);
         for _ in 0..10 {
             assert!(rep.observe_events(5).is_none());
         }
@@ -207,7 +173,7 @@ mod tests {
     #[test]
     fn finish_skips_redundant_tail_snapshot() {
         let reg = Registry::new();
-        let mut rep = TelemetryReporter::new(&reg, ReporterConfig::every_events(10));
+        let mut rep = TelemetryReporter::new(&reg, 10);
         rep.observe_events(10);
         assert_eq!(rep.snapshots().len(), 1);
         // No events since the last snapshot → finish adds nothing.
@@ -243,7 +209,7 @@ mod tests {
     fn jsonl_writes_one_line_per_snapshot() {
         let reg = Registry::new();
         reg.counter("quill.n").add(1);
-        let mut rep = TelemetryReporter::new(&reg, ReporterConfig::default());
+        let mut rep = TelemetryReporter::new(&reg, 0);
         rep.force();
         reg.counter("quill.n").add(1);
         rep.force();
