@@ -308,7 +308,7 @@ const SERIES_SAMPLE_EVERY: u64 = 32;
 pub struct RunOutput {
     /// Strategy name.
     pub strategy: String,
-    /// All first-emission and revision results, in emission order.
+    /// Every window result, in emission order.
     pub results: Vec<WindowResult>,
     /// Per-result latency summary (event-time units; exact percentiles).
     pub latency: Summary,
@@ -616,7 +616,6 @@ fn window_parallel(
     for s in ops.iter().map(WindowAggregateOp::stats) {
         total.accepted += s.accepted;
         total.late_dropped += s.late_dropped;
-        total.revisions += s.revisions;
         total.windows_emitted += s.windows_emitted;
         total.agg_inserts += s.agg_inserts;
     }

@@ -471,9 +471,7 @@ impl MultiQueryCore {
         for Group { op, fresh, members } in groups.iter_mut() {
             *fresh = false;
             op.process_ref(el, &mut |r| {
-                if r.revision == 0 {
-                    windows_count.inc();
-                }
+                windows_count.inc();
                 results_count.add(members.len() as u64);
                 *results_total += members.len() as u64;
                 let lat = now.delta_since(r.window.end);
@@ -620,9 +618,9 @@ impl Session {
     /// `quill.session.operators` / `quill.window.entries` gauges (the last:
     /// events held in window state over all operators, refreshed once per
     /// pushed batch). `quill.run.results` counts results *delivered* (one
-    /// per subscriber), `quill.session.windows` first emissions per
-    /// *operator*: with every query on one shape their ratio is the number
-    /// of queries each fold served.
+    /// per subscriber), `quill.session.windows` emissions per *operator*:
+    /// with every query on one shape their ratio is the number of queries
+    /// each fold served.
     /// Builder-style; attach before the first event.
     pub fn with_telemetry(mut self, registry: &Registry) -> Session {
         self.telemetry = registry.clone();

@@ -2,9 +2,9 @@
 //!
 //! [`WindowAggregateOp`] folds each event once into the state of its grouping
 //! key and emits one [`WindowResult`] per (key, window) when the watermark
-//! passes the window's end. Events arriving *after* their window was already
-//! finalized are handled according to [`LatePolicy`]: counted and dropped, or
-//! emitted as revised ("update") results.
+//! passes the window's end. Each window is emitted once, final: an event
+//! arriving *after* every window it lies in was finalized is counted and
+//! dropped ([`WindowOpStats::late_dropped`]).
 //!
 //! This operator is the consumer side of the quality/latency trade-off: the
 //! disorder-control strategies in `quill-core` decide how long to hold
@@ -36,11 +36,6 @@
 //! An event moves its key's entry only when it opens an earlier window than
 //! that, and emitting a window finds its successor from the first pane the
 //! key still holds — windows nothing fell into are never visited.
-//!
-//! Under [`LatePolicy::Revise`] an emitted window stays in its key's
-//! `emitted` map until the watermark passes `end + allowed_lateness`: a late
-//! event re-runs its query and emits the next revision, and eviction cuts at
-//! the start of the oldest window still tracked.
 
 use crate::aggregate::{quantile_of_ranks, AggregateKind, AggregateSpec, PaneAgg};
 use crate::error::{EngineError, Result};
@@ -69,39 +64,16 @@ pub enum WindowState {
     Panes,
 }
 
-/// What to do with an event whose window has already been finalized.
+/// What to do with an event whose windows have all been finalized. Dropping
+/// it is the only policy (module docs): this one-variant enum and the
+/// argument of [`WindowAggregateOp::new`] that takes it survive only because
+/// the `quill-e2e` benchmark (`benchmark/src/layers.rs`) names them, and a
+/// change may not edit the benchmark it is judged by. They go with ROADMAP
+/// item 1(a).
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
 pub enum LatePolicy {
     /// Count the event in [`WindowOpStats::late_dropped`] and discard it.
     Drop,
-    /// Re-open the window, fold the event in, and emit a *revision*
-    /// (flagged by [`WindowResult::revision`]). State for revised windows is
-    /// retained until `allowed_lateness` past the window end, then
-    /// discarded.
-    Revise {
-        /// How long past the window end (in time units) revisions are
-        /// accepted before state is dropped for good.
-        allowed_lateness: u64,
-    },
-}
-
-impl LatePolicy {
-    /// The smallest window end that still takes events at watermark `wm`
-    /// (`None`: no window does). An open window always takes events, a closed
-    /// one only under `Revise` and only until its allowed lateness runs out.
-    /// Non-decreasing in `wm`, so a window that stopped taking events never
-    /// takes one again (watermarks never regress).
-    fn open_from(self, wm: u64) -> Option<u64> {
-        match self {
-            LatePolicy::Drop => wm.checked_add(1),
-            LatePolicy::Revise { allowed_lateness } => Some(wm.saturating_sub(allowed_lateness)),
-        }
-    }
-
-    /// Whether a window ending at `end` still takes events at watermark `wm`.
-    fn accepts(self, end: u64, wm: u64) -> bool {
-        self.open_from(wm).is_some_and(|min_end| end >= min_end)
-    }
 }
 
 /// Counters the operator maintains; read them after a run to account for
@@ -111,11 +83,9 @@ pub struct WindowOpStats {
     /// Events folded into at least one open window.
     pub accepted: u64,
     /// Events that arrived after their last window was finalized and were
-    /// dropped (under [`LatePolicy::Drop`], or past allowed lateness).
+    /// dropped.
     pub late_dropped: u64,
-    /// Revision results emitted (under [`LatePolicy::Revise`]).
-    pub revisions: u64,
-    /// Window results emitted (first emissions, not revisions).
+    /// Window results emitted.
     pub windows_emitted: u64,
     /// Aggregate-state folds performed: one pane fold per accepted event,
     /// whatever the window shape and the aggregate kinds — always equal to
@@ -123,10 +93,8 @@ pub struct WindowOpStats {
     pub agg_inserts: u64,
 }
 
-/// One result of [`WindowAggregateOp`]: a (key, window) answer, first
-/// emitted when the watermark passes the window's end and, under
-/// [`LatePolicy::Revise`], again as a revision for every late event that
-/// reaches it.
+/// One result of [`WindowAggregateOp`]: a (key, window) answer, emitted once,
+/// when the watermark passes the window's end.
 #[derive(Debug, Clone, PartialEq)]
 pub struct WindowResult {
     /// Grouping key (`Null` for global aggregation).
@@ -135,7 +103,10 @@ pub struct WindowResult {
     pub window: Window,
     /// Number of events folded into this result.
     pub count: u64,
-    /// 0 for a first emission, `n` for the n-th revision.
+    /// Always 0: the operator emits each window once. Kept because the
+    /// `quill-e2e` benchmark builds results as struct literals; it goes with
+    /// ROADMAP item 1(a). `quality_eval::score` still skips nonzero ones from
+    /// other producers.
     pub revision: u64,
     /// One output per [`AggregateSpec`], in spec order.
     pub aggregates: Vec<Value>,
@@ -282,9 +253,6 @@ struct KeyState {
     /// The key's earliest unemitted window holding an event — its entry in
     /// [`PaneState::pending`].
     next: Option<WindowId>,
-    /// `Revise` only: emission count of every emitted window still inside
-    /// its allowed lateness. Stays empty under `Drop`.
-    emitted: BTreeMap<WindowId, u64>,
 }
 
 impl KeyState {
@@ -293,7 +261,6 @@ impl KeyState {
             panes: VecDeque::new(),
             ranks: (0..rank_fields).map(|_| RankIndex::default()).collect(),
             next: None,
-            emitted: BTreeMap::new(),
         }
     }
 
@@ -357,21 +324,12 @@ impl KeyState {
     }
 
     /// Queue one event at `t`, just folded, whose accepting windows start at
-    /// `first..=home(t)`.
-    /// Returns `(old, new)` when the key's pending window moves down to
-    /// `new`: the first of those windows not emitted yet, if it precedes the
+    /// `first..=home(t)` — none emitted yet, as every accepting window ends
+    /// past the watermark. Returns `(old, new)` when the key's pending window
+    /// moves down to `new`, the first of them, because it precedes the
     /// pending one.
     fn admit(&mut self, t: u64, first: u64, grid: Grid) -> Option<(Option<WindowId>, WindowId)> {
-        let (mut start, home) = (first, grid.home(t));
-        for (&(_, emitted), _) in self.emitted.range(grid.window(first)..=grid.window(home)) {
-            if emitted.raw() == start {
-                if start == home {
-                    return None; // every window it reaches is a revision
-                }
-                start += grid.slide;
-            }
-        }
-        let new = grid.window(start);
+        let new = grid.window(first);
         // `new.0 <= t`: the end saturated at `u64::MAX` and the event sits
         // on it, inside no window.
         if new.0.raw() <= t || self.next.is_some_and(|next| next <= new) {
@@ -380,25 +338,16 @@ impl KeyState {
         Some((self.next.replace(new), new))
     }
 
-    /// The earliest unemitted window starting at or after `from` (a window
-    /// start, so a pane boundary, unless it saturated at `u64::MAX`) that
-    /// holds an event: the first window of the first pane starting there or
-    /// later — all of a pane's timestamps share their windows — unless it
-    /// was emitted already (`Revise`), in which case the search resumes past
-    /// it.
-    fn successor(&self, mut from: u64, grid: Grid) -> Option<WindowId> {
-        loop {
-            let &(p, _) = self.panes.get(self.pane_from(from.div_ceil(grid.pane)))?;
-            let t0 = grid.pane_start(p);
-            let w = grid.window(from.max(grid.first_start(t0)));
-            if w.0.raw() <= t0 {
-                return None; // an event on a saturated end, as in `admit`
-            }
-            if !self.emitted.contains_key(&w) {
-                return Some(w);
-            }
-            from = w.1.raw().saturating_add(grid.slide);
-        }
+    /// The earliest window starting at or after `from` (a window start, so a
+    /// pane boundary, unless it saturated at `u64::MAX`) that holds an event:
+    /// the first window of the first pane starting there or later — all of a
+    /// pane's timestamps share their windows.
+    fn successor(&self, from: u64, grid: Grid) -> Option<WindowId> {
+        let &(p, _) = self.panes.get(self.pane_from(from.div_ceil(grid.pane)))?;
+        let t0 = grid.pane_start(p);
+        let w = grid.window(from.max(grid.first_start(t0)));
+        // `w.0 <= t0`: an event on a saturated end, as in `admit`.
+        (w.0.raw() > t0).then_some(w)
     }
 }
 
@@ -440,9 +389,6 @@ struct PaneState {
     /// Every key's `next` window as `(end, start, key)`, drained in emission
     /// order as the watermark advances.
     pending: BTreeSet<(Timestamp, Timestamp, Key)>,
-    /// `Revise` only: emitted windows still inside their allowed lateness,
-    /// in the order they expire.
-    retained: BTreeSet<(Timestamp, Timestamp, Key)>,
     /// Inserts into `pending` and removals other than the drain's pops (of
     /// which there is at most one per insert).
     #[cfg(test)]
@@ -467,40 +413,22 @@ impl PaneState {
         self.pending.insert((new.0, new.1, key));
     }
 
-    /// `key`'s pending window `w` was just popped and emitted: keep it
-    /// revisable while `retain`, queue the key's next window and let go of
-    /// what no tracked window covers.
-    fn advance(&mut self, key: Key, w: WindowId, retain: bool) {
+    /// `key`'s pending window starting at `start` was just popped and
+    /// emitted: queue the key's next window and pop every pane before that
+    /// one's start (later windows start after it), whose values leave the
+    /// key's rank indexes with it. A key with no next window is dropped
+    /// whole, its indexes with it.
+    fn advance(&mut self, key: Key, start: u64) {
         let Some(ks) = self.keys.get_mut(&key) else {
             return;
         };
-        if retain {
-            ks.emitted.insert(w, 1);
-            self.retained.insert((w.0, w.1, key.clone()));
-        }
-        ks.next = ks.successor(w.1.raw().saturating_add(self.grid.slide), self.grid);
-        let next = ks.next;
-        self.settle(&key);
-        if let Some(next) = next {
-            self.requeue(key, None, next);
-        }
-    }
-
-    /// Pop the panes no tracked window of `key` — its `next` and its
-    /// `emitted` ones — can ask for again: every pane before the oldest
-    /// one's start (later unemitted windows start after `next`), whose
-    /// values leave the key's rank indexes with it. A key with no tracked
-    /// window is dropped whole, its indexes with it.
-    fn settle(&mut self, key: &Key) {
-        let Some(ks) = self.keys.get_mut(key) else {
+        ks.next = ks.successor(start.saturating_add(self.grid.slide), self.grid);
+        let Some(next) = ks.next else {
+            self.held -= ks.held();
+            self.keys.remove(&key);
             return;
         };
-        let tracked = ks.next.iter().chain(ks.emitted.keys().next());
-        let Some(start) = tracked.map(|w| w.1.raw()).min() else {
-            self.held -= self.keys.remove(key).map_or(0, |ks| ks.held());
-            return;
-        };
-        let cut = start / self.grid.pane;
+        let cut = next.1.raw() / self.grid.pane;
         while let Some((_, pane)) = ks.panes.pop_front_if(|(p, _)| *p < cut) {
             self.held -= pane.count;
             for (index, images) in ks.ranks.iter_mut().zip(pane.images.iter()) {
@@ -509,6 +437,7 @@ impl PaneState {
                 }
             }
         }
+        self.requeue(key, None, next);
     }
 
     /// Event count and one output per spec, in spec order, for `key`'s
@@ -518,10 +447,10 @@ impl PaneState {
     ///
     /// A rank index holds the numeric values of every event the panes hold,
     /// so the window's values are the index less those of the panes outside
-    /// `[s, e)` — under `Drop`, at a first emission, only what arrived past
-    /// `e`. Each rank `quantile_of_ranks` reads is selected from the
-    /// difference in the `total_cmp` order, so the output is that of the
-    /// window's values sorted, bit for bit.
+    /// `[s, e)` — at an emission, only what arrived past `e`. Each rank
+    /// `quantile_of_ranks` reads is selected from the difference in the
+    /// `total_cmp` order, so the output is that of the window's values
+    /// sorted, bit for bit.
     fn answer(&mut self, key: &Key, (s, e): (u64, u64)) -> (u64, Vec<Value>) {
         // Defensive: a queued window always has its key, but answer with an
         // empty result rather than lose the window.
@@ -605,7 +534,6 @@ fn pop_first_if(
 /// Keyed sliding/tumbling window aggregation operator.
 pub struct WindowAggregateOp {
     key_field: Option<usize>,
-    late_policy: LatePolicy,
     state: PaneState,
     watermark: Timestamp,
     stats: WindowOpStats,
@@ -620,6 +548,7 @@ impl WindowAggregateOp {
     /// * `aggs` — aggregate functions (validated); at least one required.
     /// * `key_field` — optional row index to group by; `None` aggregates
     ///   globally.
+    /// * `_late_policy` — [`LatePolicy::Drop`], the only policy.
     ///
     /// # Errors
     /// Propagates invalid window or aggregate parameters.
@@ -627,7 +556,7 @@ impl WindowAggregateOp {
         spec: WindowSpec,
         aggs: Vec<AggregateSpec>,
         key_field: Option<usize>,
-        late_policy: LatePolicy,
+        _late_policy: LatePolicy,
     ) -> Result<Self> {
         spec.validate()?;
         for a in &aggs {
@@ -689,13 +618,11 @@ impl WindowAggregateOp {
             keys: BTreeMap::new(),
             held: 0,
             pending: BTreeSet::new(),
-            retained: BTreeSet::new(),
             #[cfg(test)]
             pending_ops: 0,
         };
         Ok(WindowAggregateOp {
             key_field,
-            late_policy,
             state,
             watermark: Timestamp::MIN,
             stats: WindowOpStats::default(),
@@ -756,30 +683,25 @@ impl WindowAggregateOp {
     }
 
     /// Keys with an unemitted window holding an event (each counted once,
-    /// however many of its windows are open), plus — under `Revise` — emitted
-    /// windows still inside their allowed lateness.
+    /// however many of its windows are open).
     pub fn open_windows(&self) -> usize {
-        self.state.pending.len() + self.state.retained.len()
+        self.state.pending.len()
     }
 
     /// Ingest: one fold into the event's pane of its key (and its values
     /// into the key's rank indexes) and — only when the event opens a window
     /// earlier than the key's pending one — a move of the key's entry in the
-    /// emission queue. Under `Revise`, every already-emitted window the
-    /// event reaches is re-answered and emitted again as its next revision.
-    fn fold_event(&mut self, e: &Event, out: &mut dyn FnMut(WindowResult)) {
+    /// emission queue.
+    fn fold_event(&mut self, e: &Event) {
         let wm = self.watermark.raw();
         let fs = &mut self.state;
         let grid = fs.grid;
         let t = e.ts.raw();
         let home = grid.window(grid.home(t));
-        // The last window containing `t` is its home window; if that one no
-        // longer takes the event, none does.
-        let Some(min_end) = self
-            .late_policy
-            .open_from(wm)
-            .filter(|min_end| home.0.raw() >= *min_end)
-        else {
+        // A window takes events while it ends past the watermark. The last
+        // window containing `t` is its home window; if that one no longer
+        // takes the event, none does.
+        let Some(min_end) = wm.checked_add(1).filter(|&min_end| home.0.raw() >= min_end) else {
             self.stats.late_dropped += 1;
             self.spans
                 .record_detail(Stage::LateDrop, t, t, self.shard, [e.seq, 0]);
@@ -804,29 +726,6 @@ impl WindowAggregateOp {
         if let Some((old, new)) = ks.admit(t, first, grid) {
             fs.requeue(Key(key.clone()), old, new);
         }
-        // `Revise`: the emitted windows among those are re-answered at once
-        // (nothing is retained under `Drop`, and an empty range collects
-        // without allocating).
-        if fs.retained.is_empty() {
-            return;
-        }
-        let reached = grid.window(first)..=home;
-        let revised: Vec<(WindowId, u64)> = fs
-            .keys
-            .get_mut(key as &dyn KeyView)
-            .into_iter()
-            .flat_map(|ks| ks.emitted.range_mut(reached.clone()))
-            .map(|(w, emissions)| {
-                *emissions += 1;
-                (*w, *emissions - 1)
-            })
-            .collect();
-        if !revised.is_empty() {
-            let key = Key(key.clone());
-            for (w, revision) in revised {
-                self.emit_window(w, &key, revision, out);
-            }
-        }
     }
 
     fn advance_watermark(&mut self, wm: Timestamp, out: &mut dyn FnMut(WindowResult)) {
@@ -835,66 +734,48 @@ impl WindowAggregateOp {
             return;
         }
         self.watermark = wm;
-        let policy = self.late_policy;
         // Emit every pending window up to the watermark. Each key's windows
         // come up in order and the queue merges the keys, so emission is in
         // `(end, start, key)` order.
         while let Some((end, start, key)) = pop_first_if(&mut self.state.pending, |end| end <= wm) {
-            self.emit_window((end, start), &key, 0, out);
-            let retain = policy.accepts(end.raw(), wm.raw());
-            self.state.advance(key, (end, start), retain);
-        }
-        // `Revise`: forget emitted windows whose allowed lateness just ran
-        // out (the set is empty under `Drop`).
-        let fs = &mut self.state;
-        let expired = |end: Timestamp| !policy.accepts(end.raw(), wm.raw());
-        while let Some((end, start, key)) = pop_first_if(&mut fs.retained, expired) {
-            if let Some(ks) = fs.keys.get_mut(&key) {
-                ks.emitted.remove(&(end, start));
-            }
-            fs.settle(&key);
+            self.emit_window((end, start), &key, out);
+            self.state.advance(key, start.raw());
         }
     }
 
     /// Answer window `[start, end)` of `key` from its panes and emit the
-    /// result: the first emission (`revision` 0) when the watermark closes the
-    /// window, revision *n* when a late event reaches it afterwards.
+    /// result, as the watermark closes the window.
     fn emit_window(
         &mut self,
         (end, start): WindowId,
         key: &Key,
-        revision: u64,
         out: &mut dyn FnMut(WindowResult),
     ) {
         let (s, e) = (start.raw(), end.raw());
         let (count, aggregates) = self.state.answer(key, (s, e));
-        if revision > 0 {
-            self.stats.revisions += 1;
-        } else {
-            self.stats.windows_emitted += 1;
-            if self.spans.is_enabled() {
-                // Window complete at `end`, proven complete at the watermark
-                // that drained it (Flush sets it to MAX, which carries no
-                // event time: zero lag).
-                let closed = if self.watermark == Timestamp::MAX {
-                    e
-                } else {
-                    self.watermark.raw()
-                };
-                self.spans.record_detail(
-                    Stage::WindowFinalize,
-                    e,
-                    closed,
-                    self.shard,
-                    [s, key_tag(&key.0)],
-                );
-            }
+        self.stats.windows_emitted += 1;
+        if self.spans.is_enabled() {
+            // Window complete at `end`, proven complete at the watermark
+            // that drained it (Flush sets it to MAX, which carries no event
+            // time: zero lag).
+            let closed = if self.watermark == Timestamp::MAX {
+                e
+            } else {
+                self.watermark.raw()
+            };
+            self.spans.record_detail(
+                Stage::WindowFinalize,
+                e,
+                closed,
+                self.shard,
+                [s, key_tag(&key.0)],
+            );
         }
         out(WindowResult {
             key: key.0.clone(),
             window: Window::new(start, end),
             count,
-            revision,
+            revision: 0,
             aggregates,
         });
     }
@@ -905,7 +786,7 @@ impl WindowAggregateOp {
     /// operator. `Flush` is the watermark `Timestamp::MAX`.
     pub fn process_ref(&mut self, el: &StreamElement, out: &mut dyn FnMut(WindowResult)) {
         match el {
-            StreamElement::Event(e) => self.fold_event(e, out),
+            StreamElement::Event(e) => self.fold_event(e),
             StreamElement::Watermark(wm) => self.advance_watermark(*wm, out),
             StreamElement::Flush => self.advance_watermark(Timestamp::MAX, out),
         }
@@ -925,12 +806,12 @@ mod tests {
     use crate::value::Row;
     use quill_telemetry::Span;
 
-    fn op(spec: WindowSpec, policy: LatePolicy) -> WindowAggregateOp {
+    fn op(spec: WindowSpec) -> WindowAggregateOp {
         WindowAggregateOp::new(
             spec,
             vec![AggregateSpec::new(AggregateKind::Sum, 0, "sum")],
             None,
-            policy,
+            LatePolicy::Drop,
         )
         .unwrap()
     }
@@ -949,7 +830,7 @@ mod tests {
 
     #[test]
     fn tumbling_sum_emits_on_watermark() {
-        let mut w = op(WindowSpec::tumbling(10u64), LatePolicy::Drop);
+        let mut w = op(WindowSpec::tumbling(10u64));
         let results = run(
             &mut w,
             vec![
@@ -970,7 +851,7 @@ mod tests {
 
     #[test]
     fn out_of_order_event_before_watermark_is_included() {
-        let mut w = op(WindowSpec::tumbling(10u64), LatePolicy::Drop);
+        let mut w = op(WindowSpec::tumbling(10u64));
         let results = run(
             &mut w,
             vec![ev(8, 1, 1.0), ev(2, 2, 2.0), StreamElement::Flush],
@@ -982,7 +863,7 @@ mod tests {
 
     #[test]
     fn late_event_is_dropped_and_counted_under_drop_policy() {
-        let mut w = op(WindowSpec::tumbling(10u64), LatePolicy::Drop);
+        let mut w = op(WindowSpec::tumbling(10u64));
         let results = run(
             &mut w,
             vec![
@@ -996,139 +877,6 @@ mod tests {
         assert_eq!(results[0].aggregates[0], Value::Float(1.0));
         assert_eq!(w.stats().late_dropped, 1);
         assert_eq!(w.stats().accepted, 1);
-    }
-
-    #[test]
-    fn late_event_produces_revision_under_revise_policy() {
-        let mut w = op(
-            WindowSpec::tumbling(10u64),
-            LatePolicy::Revise {
-                allowed_lateness: 100,
-            },
-        );
-        let results = run(
-            &mut w,
-            vec![
-                ev(5, 1, 1.0),
-                StreamElement::Watermark(Timestamp(10)),
-                ev(3, 2, 2.0),
-                StreamElement::Flush,
-            ],
-        );
-        assert_eq!(results.len(), 2);
-        assert_eq!(results[0].revision, 0);
-        assert_eq!(results[0].aggregates[0], Value::Float(1.0));
-        assert_eq!(results[1].revision, 1);
-        assert_eq!(results[1].aggregates[0], Value::Float(3.0));
-        assert_eq!(w.stats().revisions, 1);
-    }
-
-    #[test]
-    fn revise_policy_drops_past_allowed_lateness() {
-        let mut w = op(
-            WindowSpec::tumbling(10u64),
-            LatePolicy::Revise {
-                allowed_lateness: 5,
-            },
-        );
-        let results = run(
-            &mut w,
-            vec![
-                ev(5, 1, 1.0),
-                StreamElement::Watermark(Timestamp(20)), // wm > end+5 → state GC'd
-                ev(3, 2, 2.0),
-                StreamElement::Flush,
-            ],
-        );
-        assert_eq!(results.len(), 1);
-        assert_eq!(w.stats().late_dropped, 1);
-        assert_eq!(w.open_windows(), 0);
-    }
-
-    #[test]
-    fn revise_with_bounded_lateness_holds_no_state_past_the_horizon() {
-        // Sliding windows, an order-statistic aggregate, two keys: a window
-        // is revisable until the watermark passes `end + 15`, an event past
-        // that is dropped, and once every horizon has passed nothing is left.
-        let mut w = WindowAggregateOp::new(
-            WindowSpec::sliding(20u64, 10u64),
-            vec![
-                AggregateSpec::new(AggregateKind::Sum, 1, "sum"),
-                AggregateSpec::new(AggregateKind::Median, 1, "med"),
-            ],
-            Some(0),
-            LatePolicy::Revise {
-                allowed_lateness: 15,
-            },
-        )
-        .unwrap();
-        let mk = |ts: u64, seq: u64, k: &str, v: f64| {
-            StreamElement::Event(Event::new(
-                ts,
-                seq,
-                Row::new([Value::str(k), Value::Float(v)]),
-            ))
-        };
-        let row = |r: &WindowResult| {
-            (
-                r.key.as_str().unwrap().to_string(),
-                r.window.start.raw(),
-                r.revision,
-                r.count,
-                r.aggregates[0].as_f64().unwrap(),
-                r.aggregates[1].as_f64().unwrap(),
-            )
-        };
-        let first = run(
-            &mut w,
-            vec![
-                mk(5, 1, "a", 1.0),  // [0,20)
-                mk(12, 2, "a", 2.0), // [0,20) and [10,30)
-                mk(14, 3, "b", 7.0), // [0,20) and [10,30)
-                StreamElement::Watermark(Timestamp(30)),
-                mk(8, 4, "a", 3.0), // late into emitted [0,20): revision 1
-            ],
-        );
-        assert_eq!(
-            first.iter().map(row).collect::<Vec<_>>(),
-            vec![
-                ("a".into(), 0, 0, 2, 3.0, 1.5),
-                ("b".into(), 0, 0, 1, 7.0, 7.0),
-                ("a".into(), 10, 0, 1, 2.0, 2.0),
-                ("b".into(), 10, 0, 1, 7.0, 7.0),
-                ("a".into(), 0, 1, 3, 6.0, 2.0),
-            ]
-        );
-        assert_eq!(w.open_windows(), 4, "all four windows are still revisable");
-        let second = run(
-            &mut w,
-            vec![
-                StreamElement::Watermark(Timestamp(36)), // [0,20) expires: 20 + 15 < 36
-                mk(9, 5, "a", 9.0),                      // only in [0,20): dropped
-                mk(15, 6, "a", 4.0), // [0,20) is gone, [10,30) takes it: revision 1
-            ],
-        );
-        // The revision sees exactly the events of [10,30) — 12 and 15 — so
-        // the expiry evicted 5 and 8 and nothing else.
-        assert_eq!(
-            second.iter().map(row).collect::<Vec<_>>(),
-            vec![("a".into(), 10, 1, 2, 6.0, 3.0)]
-        );
-        assert_eq!(w.stats().late_dropped, 1);
-        assert_eq!(w.open_windows(), 2);
-        assert_eq!(w.state.keys.len(), 2);
-        let last = run(
-            &mut w,
-            vec![
-                StreamElement::Watermark(Timestamp(46)), // [10,30) expires: 30 + 15 < 46
-                StreamElement::Flush,
-            ],
-        );
-        assert!(last.is_empty());
-        assert_eq!(w.open_windows(), 0);
-        assert!(w.state.keys.is_empty(), "bounded lateness, bounded memory");
-        assert_eq!((w.stats().windows_emitted, w.stats().revisions), (4, 2));
-        assert_eq!(w.stats().accepted, 5);
     }
 
     #[test]
@@ -1191,7 +939,7 @@ mod tests {
 
     #[test]
     fn emission_order_is_by_window_end() {
-        let mut w = op(WindowSpec::sliding(10u64, 5u64), LatePolicy::Drop);
+        let mut w = op(WindowSpec::sliding(10u64, 5u64));
         let results = run(
             &mut w,
             vec![
@@ -1212,7 +960,7 @@ mod tests {
         // A lower watermark is ignored, so the event at 7 behind it is late
         // for the closed [0,10) instead of re-opening it; an equal one is
         // idempotent.
-        let mut w = op(WindowSpec::tumbling(10u64), LatePolicy::Drop);
+        let mut w = op(WindowSpec::tumbling(10u64));
         let results = run(
             &mut w,
             vec![
@@ -1574,11 +1322,11 @@ mod tests {
 
     #[test]
     fn the_rank_index_follows_the_panes() {
-        // Appends; stragglers 15 behind (into open windows), 50 behind (a
-        // revision of an emitted window) and 90 behind (past the lateness:
-        // dropped); slide evictions and `Revise` expiry; a key that stops at
-        // element 300 and is dropped whole; Flush. After every element each
-        // key's index holds exactly the numeric values its panes hold.
+        // Appends; stragglers 15 behind (into open windows), 35 behind (into
+        // their last one or two windows, the earlier ones closed) and 90
+        // behind (dropped); slide evictions; a key that stops at element 300 and is dropped whole;
+        // Flush. After every element each key's index holds exactly the
+        // numeric values its panes hold.
         let mut w = WindowAggregateOp::new(
             WindowSpec::sliding(40u64, 10u64),
             vec![
@@ -1588,16 +1336,14 @@ mod tests {
                 AggregateSpec::new(AggregateKind::Sum, 2, "sum"),
             ],
             Some(0),
-            LatePolicy::Revise {
-                allowed_lateness: 25,
-            },
+            LatePolicy::Drop,
         )
         .unwrap();
         let mut input = Vec::new();
         for i in 0..600u64 {
             let ts = match i % 10 {
                 3 => i.saturating_sub(15),
-                6 => i.saturating_sub(50),
+                6 => i.saturating_sub(35),
                 8 => i.saturating_sub(90),
                 _ => i,
             };
@@ -1623,7 +1369,7 @@ mod tests {
         }
         assert!(seen_stopped && !w.state.keys.contains_key(&stopped));
         let stats = w.stats();
-        assert!(stats.revisions > 0 && stats.late_dropped > 0, "{stats:?}");
+        assert!(stats.late_dropped > 0, "{stats:?}");
         assert!(w.state.keys.values().any(|ks| ks.ranks[0].len() > 0));
         w.process_ref(&StreamElement::Flush, &mut |_| {});
         assert!(w
@@ -1719,7 +1465,7 @@ mod tests {
     #[test]
     fn trace_records_finalize_and_late_drops() {
         let rec = SpanRecorder::new(64);
-        let mut w = op(WindowSpec::tumbling(10u64), LatePolicy::Drop);
+        let mut w = op(WindowSpec::tumbling(10u64));
         w.attach_spans(&rec, 3);
         let results = run(
             &mut w,
@@ -1759,7 +1505,7 @@ mod tests {
         // Watermark path: window [0,10) closes at wm=25 → span [10, 25].
         // Flush path: window [30,40) is forced closed and records zero lag.
         let spans = SpanRecorder::new(64);
-        let mut w = op(WindowSpec::tumbling(10u64), LatePolicy::Drop);
+        let mut w = op(WindowSpec::tumbling(10u64));
         w.attach_spans(&spans, 5);
         let _ = run(
             &mut w,
@@ -1780,7 +1526,7 @@ mod tests {
 
     #[test]
     fn flush_emits_everything() {
-        let mut w = op(WindowSpec::tumbling(10u64), LatePolicy::Drop);
+        let mut w = op(WindowSpec::tumbling(10u64));
         let results = run(
             &mut w,
             vec![ev(5, 1, 1.0), ev(105, 2, 2.0), StreamElement::Flush],
@@ -1794,7 +1540,7 @@ mod tests {
         // Sliding windows, one late event: the finalize and late-drop
         // records carry the right payloads and the finalize lags.
         let spans = SpanRecorder::new(64);
-        let mut w = op(WindowSpec::sliding(20u64, 10u64), LatePolicy::Drop);
+        let mut w = op(WindowSpec::sliding(20u64, 10u64));
         w.attach_spans(&spans, 0);
         let results = run(
             &mut w,

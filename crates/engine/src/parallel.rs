@@ -138,10 +138,10 @@ fn merge_order(a: &WindowResult, b: &WindowResult) -> std::cmp::Ordering {
 }
 
 /// Merge per-shard result runs: concatenated in shard order, stable-sorted
-/// by [`merge_order`]. Equal windows of equal keys come out in shard order,
-/// then emission order (a revising operator's revisions keep theirs). Each
-/// run is normally sorted already, and the std sort merges sorted runs
-/// rather than re-sorting them.
+/// by [`merge_order`]. Ties, which the executor never produces (a key lives
+/// on one shard and each window is emitted once), come out in shard order,
+/// then run order. Each run is normally sorted already, and the std sort
+/// merges sorted runs rather than re-sorting them.
 fn merge_shard_outputs(runs: Vec<Vec<WindowResult>>) -> Vec<WindowResult> {
     let mut merged: Vec<WindowResult> = runs.into_iter().flatten().collect();
     merged.sort_by(merge_order);
@@ -223,13 +223,12 @@ mod tests {
     }
 
     #[test]
-    fn revisions_come_out_in_merge_order_then_emission_order() {
-        // Sliding windows under `Revise`, with stragglers that revise emitted
-        // windows (some more than once) and stragglers past the allowed
-        // lateness: every shard count gives the sequential results
-        // stable-sorted by (end, start, key), each window's revisions in the
-        // order they were emitted.
-        let revising = || {
+    fn straggling_sliding_medians_come_out_in_merge_order() {
+        // Sliding windows and a median, with stragglers at three depths: 25
+        // behind (into open windows), 45 behind (into their last window
+        // only, or dropped) and 120 behind (dropped). Every shard count gives
+        // the sequential results stable-sorted by (end, start, key).
+        let straggling = || {
             WindowAggregateOp::new(
                 WindowSpec::sliding(40u64, 20u64),
                 vec![
@@ -237,9 +236,7 @@ mod tests {
                     AggregateSpec::new(AggregateKind::Median, 1, "med"),
                 ],
                 Some(0),
-                LatePolicy::Revise {
-                    allowed_lateness: 30,
-                },
+                LatePolicy::Drop,
             )
             .expect("valid op")
         };
@@ -258,15 +255,17 @@ mod tests {
             }
         }
         elements.push(StreamElement::Flush);
-        let mut want = sequential(revising(), &elements);
-        assert!(want.iter().any(|r| r.revision > 1), "windows revised twice");
+        let mut want = sequential(straggling(), &elements);
         sort_for_merge(&mut want);
         for shards in [1usize, 2, 4] {
             let (got, ops) =
-                run(&elements, ParallelConfig::new(shards), revising).expect("parallel run");
+                run(&elements, ParallelConfig::new(shards), straggling).expect("parallel run");
             assert_eq!(got, want, "shards={shards}");
             let dropped: u64 = ops.iter().map(|op| op.stats().late_dropped).sum();
-            assert!(dropped > 0, "stragglers past the lateness are dropped");
+            assert!(
+                dropped > 0,
+                "stragglers behind every open window are dropped"
+            );
         }
     }
 
@@ -402,8 +401,8 @@ mod tests {
         };
         let tags = |out: Vec<WindowResult>| -> Vec<u64> { out.iter().map(|r| r.count).collect() };
         // Sorted runs. Window [0, 10) of key 1 is on both shards: shard 0's
-        // result first. Shard 0 emits [10, 20) of key 2 twice (a revision):
-        // emission order, not tag order. Shard 1's equal result comes after
+        // result first. Shard 0 holds two results for [10, 20) of key 2: run
+        // order, not tag order. Shard 1's equal result comes after
         // both, though it was emitted first on its shard.
         let shard0 = vec![row(0, 10, 1, 9), row(10, 20, 2, 2), row(10, 20, 2, 1)];
         let shard1 = vec![row(0, 10, 1, 3), row(10, 20, 2, 50)];

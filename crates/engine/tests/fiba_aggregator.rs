@@ -13,10 +13,7 @@
 //!    kind except
 //!    the non-associative float reductions (Sum/Mean/Variance/StdDev over
 //!    arbitrary floats), which are gated on the tolerance rule documented in
-//!    DESIGN.md §17.4. `LatePolicy::Revise` is held to the same reference:
-//!    with unbounded lateness the last revision of every window must equal
-//!    the full-information answer, and every revision of an order-statistic
-//!    window the fold of what had arrived by then.
+//!    DESIGN.md §17.4.
 //! 2. **Order statistics from the pane state** — Median/Quantile/DistinctCount
 //!    sharing a field with each other and with combinable kinds, and over
 //!    NaN, `-0.0`, infinities, non-numeric and null values, bit for bit
@@ -29,8 +26,6 @@ use proptest::prelude::*;
 use quill_engine::aggregate::{AggregateKind, AggregateSpec};
 use quill_engine::operator::{LatePolicy, WindowAggregateOp, WindowOpStats, WindowResult};
 use quill_engine::prelude::*;
-use quill_engine::value::Key;
-use std::collections::BTreeMap;
 
 /// Cases per property: the pinned count, or `PROPTEST_CASES` when set
 /// (`scripts/check.sh` soaks this suite with 2 000).
@@ -109,11 +104,10 @@ fn run_op(
     window: WindowSpec,
     aggs: &[AggregateSpec],
     key_field: Option<usize>,
-    late_policy: LatePolicy,
     input: &[StreamElement],
 ) -> (Vec<WindowResult>, WindowOpStats) {
-    let mut op =
-        WindowAggregateOp::new(window, aggs.to_vec(), key_field, late_policy).expect("valid spec");
+    let mut op = WindowAggregateOp::new(window, aggs.to_vec(), key_field, LatePolicy::Drop)
+        .expect("valid spec");
     let mut out = Vec::new();
     for el in input.iter().chain([&StreamElement::Flush]) {
         op.process_ref(el, &mut |r| out.push(r));
@@ -159,7 +153,7 @@ fn check_against_reference(
     input: &[StreamElement],
     integer_inputs: bool,
 ) -> Result<(), String> {
-    let (got, _) = run_op(window, aggs, key_field, LatePolicy::Drop, input);
+    let (got, _) = run_op(window, aggs, key_field, input);
     let want = common::reference(window, aggs, key_field, input);
     if got.len() != want.len() {
         return Err(format!(
@@ -314,7 +308,7 @@ fn disorder_and_lateness_stream_matches_reference() {
     }
     let window = WindowSpec::sliding(40u64, 10u64);
     assert_matches_reference(window, &aggs, None, &input, true);
-    let (_, stats) = run_op(window, &aggs, None, LatePolicy::Drop, &input);
+    let (_, stats) = run_op(window, &aggs, None, &input);
     assert!(stats.late_dropped > 0, "disorder must produce lates");
     assert_eq!(stats.accepted + stats.late_dropped, 300);
 }
@@ -390,56 +384,6 @@ proptest! {
     }
 }
 
-proptest! {
-    #![proptest_config(cases(48))]
-    #[test]
-    fn revisions_converge_to_the_full_information_answer(
-        raw in proptest::collection::vec((0u64..240, 0i64..40, any::<bool>()), 20..160),
-        len in 1u64..80,
-        slide_frac in 1u64..=4,
-        keyed in any::<bool>(),
-    ) {
-        // K = 0: the watermark follows the largest timestamp seen, so every
-        // out-of-order event is late for whatever closed in between, and
-        // `Revise` with unbounded lateness must make up for all of it.
-        let mut events = Vec::new();
-        let mut input = Vec::new();
-        let mut clock = 0u64;
-        for (i, (ts, v, null)) in raw.iter().enumerate() {
-            clock = clock.max(*ts);
-            let val = if *null { Value::Null } else { Value::Float(*v as f64) };
-            events.push(StreamElement::Event(Event::new(
-                *ts,
-                i as u64,
-                Row::new([Value::Int(v % 4), val, Value::Float((*ts % 19) as f64)]),
-            )));
-            input.extend([events[i].clone(), StreamElement::Watermark(Timestamp(clock))]);
-        }
-        let window = WindowSpec::sliding(len, (len / slide_frac).max(1));
-        let key_field = if keyed { Some(0) } else { None };
-        let specs = all_kinds();
-        let unbounded = LatePolicy::Revise { allowed_lateness: u64::MAX };
-        let (rows, stats) = run_op(window, &specs, key_field, unbounded, &input);
-        prop_assert_eq!(stats.late_dropped, 0);
-        // Revisions of a window count 0, 1, 2, … without gaps; keep the last.
-        let mut last: BTreeMap<(Timestamp, Timestamp, Key), WindowResult> = BTreeMap::new();
-        for r in rows {
-            let id = (r.window.end, r.window.start, Key(r.key.clone()));
-            let expected = last.get(&id).map_or(0, |prev| prev.revision + 1);
-            prop_assert_eq!(r.revision, expected, "revision gap in {:?} key {:?}", r.window, r.key);
-            last.insert(id, r);
-        }
-        prop_assert_eq!(stats.revisions + stats.windows_emitted, last.values().map(|r| r.revision + 1).sum::<u64>());
-        // The last row of every window is the answer with nothing missing.
-        let full = common::reference(window, &specs, key_field, &events);
-        prop_assert_eq!(last.len(), full.len());
-        for (got, want) in last.values().zip(&full) {
-            let checked = check_row(&specs, got, want, true);
-            prop_assert!(checked.is_ok(), "{}", checked.unwrap_err());
-        }
-    }
-}
-
 // ---------------------------------------------------------------------------
 // Layer 2: order statistics from the pane state
 // ---------------------------------------------------------------------------
@@ -467,7 +411,7 @@ fn order_statistics_share_fields_with_each_other_and_with_combinable_kinds() {
     ] {
         for key_field in [Some(0), None] {
             assert_matches_reference(window, &aggs, key_field, &input, true);
-            let (_, stats) = run_op(window, &aggs, key_field, LatePolicy::Drop, &input);
+            let (_, stats) = run_op(window, &aggs, key_field, &input);
             assert_eq!(stats.agg_inserts, stats.accepted, "{window}");
             assert!(stats.late_dropped > 0 && stats.accepted > 300, "{window}");
         }
@@ -539,8 +483,8 @@ fn special_values_finalize_bit_for_bit_as_the_naive_fold_does() {
     }
     // The battery compares; this pins that it compared something special.
     let tumbling = WindowSpec::tumbling(6u64);
-    let (mut rows, _) = run_op(tumbling, &aggs, None, LatePolicy::Drop, &input);
-    rows.extend(run_op(tumbling, &aggs, Some(0), LatePolicy::Drop, &input).0);
+    let (mut rows, _) = run_op(tumbling, &aggs, None, &input);
+    rows.extend(run_op(tumbling, &aggs, Some(0), &input).0);
     let nan_medians = rows
         .iter()
         .filter(|r| r.aggregates[0].as_f64().is_some_and(f64::is_nan));
@@ -555,61 +499,4 @@ fn special_values_finalize_bit_for_bit_as_the_naive_fold_does() {
     assert!(rows
         .iter()
         .any(|r| r.aggregates[0] == Value::Null && r.count > 0));
-}
-
-#[test]
-fn every_revision_of_an_order_statistic_window_refolds_what_has_arrived() {
-    // K = 0 and unbounded lateness: each out-of-order event revises every
-    // emitted window it falls into, at once. Revision n of a window must be
-    // the naive fold of the window's events seen so far — the collection is
-    // redone from the panes, not patched.
-    let aggs = [
-        AggregateSpec::new(AggregateKind::Median, 1, "median"),
-        AggregateSpec::new(AggregateKind::Quantile(0.8), 1, "p80"),
-        AggregateSpec::new(AggregateKind::DistinctCount, 1, "distinct"),
-        AggregateSpec::new(AggregateKind::Last, 1, "last"),
-    ];
-    let window = WindowSpec::sliding(30u64, 10u64);
-    let policy = LatePolicy::Revise {
-        allowed_lateness: u64::MAX,
-    };
-    let mut op = WindowAggregateOp::new(window, aggs.to_vec(), Some(0), policy).expect("valid");
-    let mut seen: Vec<StreamElement> = Vec::new();
-    let (mut clock, mut revisions) = (0u64, 0u64);
-    for i in 0..160u64 {
-        let ts = match i % 5 {
-            1 => (i * 3).saturating_sub(25),
-            3 => (i * 3).saturating_sub(7),
-            _ => i * 3,
-        };
-        clock = clock.max(ts);
-        let v = Value::Float(((i * 31) % 17) as f64 - 8.0);
-        let event = Event::new(ts, i, Row::new([Value::Int((i % 2) as i64), v]));
-        seen.push(StreamElement::Event(event.clone()));
-        let mut rows = Vec::new();
-        for el in [
-            StreamElement::Event(event),
-            StreamElement::Watermark(Timestamp(clock)),
-        ] {
-            op.process_ref(&el, &mut |r| rows.push(r));
-        }
-        // No watermark in `seen`: the reference keeps every event.
-        let full = common::reference(window, &aggs, Some(0), &seen);
-        for got in rows {
-            let same = |w: &&WindowResult| w.window == got.window && w.key == got.key;
-            let mut want = full
-                .iter()
-                .find(same)
-                .expect("emitted window exists")
-                .clone();
-            want.revision = got.revision;
-            revisions += u64::from(got.revision > 0);
-            if let Err(why) = check_row(&aggs, &got, &want, true) {
-                panic!("after event {i}, revision {}: {why}", got.revision);
-            }
-        }
-    }
-    assert!(revisions > 50, "the stream must revise: {revisions}");
-    assert_eq!(op.stats().revisions, revisions);
-    assert_eq!(op.stats().agg_inserts, op.stats().accepted);
 }

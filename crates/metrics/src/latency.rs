@@ -76,7 +76,7 @@ impl LatencyRecorder {
         self.hist.max()
     }
 
-    /// Full summary. Uses exact raw samples when retained, otherwise the
+    /// Full summary. Uses exact raw samples when kept, otherwise the
     /// histogram approximation.
     pub fn summary(&self) -> Summary {
         if self.keep_samples {

@@ -10,8 +10,10 @@
 //! * **relative error** — per aggregate, `|produced − true| / max(|true|, ε)`.
 //!
 //! Windows the run never emitted (e.g. every tuple arrived too late) score
-//! completeness 0. Revisions are scored separately: the quality-latency
-//! trade-off studied here concerns the *initial* result.
+//! completeness 0. Results flagged as revisions (a nonzero
+//! `WindowResult::revision`, which the window operator never emits) are not
+//! scored: the quality-latency trade-off studied here concerns the *initial*
+//! result.
 
 pub use crate::oracle::oracle_results;
 use quill_engine::operator::WindowResult;

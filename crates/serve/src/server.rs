@@ -192,7 +192,7 @@ impl Shared {
         self.depth_gauge.set_u64(d);
     }
 
-    /// Register a query from its DSL form; the handle is retained for HTTP
+    /// Register a query from its DSL form; the handle is kept for HTTP
     /// result polling.
     pub(crate) fn register_dsl(&self, dsl: &str) -> ServeResult<QueryId> {
         let (spec, cfg) = parse_query(dsl)?;

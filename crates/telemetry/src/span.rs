@@ -690,7 +690,7 @@ pub fn to_chrome_trace(spans: &[Span], domain: ClockDomain) -> String {
 }
 
 /// One event parsed back out of a Chrome trace export. Only the fields the
-/// structural round-trip cares about are retained.
+/// structural round-trip cares about are kept.
 #[derive(Debug, Clone, PartialEq)]
 pub struct ChromeEvent {
     /// Event name (the stage token for `"X"` events).

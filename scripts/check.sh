@@ -38,12 +38,13 @@ cargo test -q
 # Operator-battery soak: plain `cargo test` runs both suites at their pinned
 # 48-64 cases in a few seconds; here they get 2 000 cases each, in release.
 # `fiba_aggregator` holds the window operator's pane state (all fourteen kinds,
-# keyed sliding and misaligned windows, deep stragglers, `Drop` and `Revise`,
-# NaN/±0/±inf/i64::MAX/null/string values) to the naive oracle's fold
+# keyed sliding and misaligned windows, deep stragglers, NaN/±0/±inf/
+# i64::MAX/null/string values) to the naive oracle's fold
 # (`quill_metrics::oracle::naive_aggregate`) of every window's members;
 # `proptest_engine`'s order-statistic property checks every Median, Quantile
-# and DistinctCount result, revisions included, bit for bit against the same
-# fold (the suite's other properties keep their pinned count).
+# and DistinctCount result bit for bit against the same fold, and that each
+# is final: revision 0 and the only result for its (key, window) (the
+# suite's other properties keep their pinned count).
 echo "==> quill-engine operator-battery soak (PROPTEST_CASES=2000)"
 PROPTEST_CASES=2000 cargo test --release -q -p quill-engine --test fiba_aggregator --test proptest_engine
 
@@ -86,6 +87,42 @@ if ! grep -qx 'violations: 5' <<<"$f5_report"; then
     echo "error: the f5 report does not print 'violations: 5'" >&2
     exit 1
 fi
+
+# The checked-in results are regenerated, not kept: a fresh `experiments
+# --exp all` must write every file under results/ that it owns, byte for
+# byte, except the wall-clock fields blanked by `without_wall_clock`.
+# full_run.md, SOAK_serve.json, SMOKE_serve_trace.json, lint_report.* and
+# the sim's failures/ are written by other commands and are not compared.
+without_wall_clock() {
+    case "$(basename "$1")" in
+        f4_telemetry_snapshots.jsonl)
+            sed -E 's/"wall_micros":[0-9]+/"wall_micros":_/g' "$1" ;;
+        f7_throughput.csv)
+            awk -F, -v OFS=, '
+                NR == 1 { for (i = 1; i <= NF; i++) if ($i == "wall ms" || $i == "kevents/s") wall[i] = 1 }
+                NR > 1 { for (i in wall) $i = "_" }
+                { print }' "$1" ;;
+        *) cat "$1" ;;
+    esac
+}
+echo "==> experiments --exp all reproduces results/ (wall-clock fields aside)"
+cargo run --release -q -p quill-bench --bin experiments -- \
+    --exp all --out "$tmp/all" > /dev/null
+stale=0
+for kept in results/*; do
+    name=$(basename "$kept")
+    case "$name" in full_run.md | SOAK_serve.json | SMOKE_serve_trace.json | lint_report.* | failures) continue ;; esac
+    [ -f "$tmp/all/$name" ] || { echo "error: results/$name is not written by experiments --exp all" >&2; stale=1; }
+done
+for fresh in "$tmp"/all/*; do
+    name=$(basename "$fresh")
+    if ! diff <(without_wall_clock "results/$name") <(without_wall_clock "$fresh") > "$tmp/diff" 2>&1; then
+        echo "error: results/$name differs from a fresh experiments --exp all (regenerate it):" >&2
+        head -n 6 "$tmp/diff" >&2
+        stale=1
+    fi
+done
+[ "$stale" -eq 0 ] || exit 1
 
 # The benchmark is a package of its own with path dependencies on crates/,
 # and a crates/ change may not edit it: compile its binary and its tests

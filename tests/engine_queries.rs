@@ -1,9 +1,8 @@
 //! Engine-level query integration: the window operator driven directly,
-//! keyed over generated data and revising under heavy disorder.
+//! keyed over generated data.
 
 use quill_engine::prelude::*;
 use quill_gen::workload::stock;
-use quill_integration::uniform_disordered;
 
 #[test]
 fn keyed_sliding_windows_over_stock_stream() {
@@ -40,55 +39,4 @@ fn keyed_sliding_windows_over_stock_stream() {
     // Hot symbol 0 must appear in many windows (Zipf skew).
     let hot = results.iter().filter(|r| r.key == Value::Int(0)).count();
     assert!(hot >= results.len() / (cfg.symbols * 2));
-}
-
-#[test]
-fn revise_policy_converges_to_oracle_counts() {
-    // With unlimited lateness, first emissions + revisions must end at the
-    // oracle's per-window counts even under heavy disorder and K=0.
-    let events = uniform_disordered(3_000, 10, 1_000, 45);
-    let mut op = WindowAggregateOp::new(
-        WindowSpec::tumbling(500u64),
-        vec![AggregateSpec::new(AggregateKind::Count, 0, "n")],
-        None,
-        LatePolicy::Revise {
-            allowed_lateness: u64::MAX / 2,
-        },
-    )
-    .expect("valid op");
-    let mut latest: std::collections::BTreeMap<Window, u64> = Default::default();
-    let drive = |el: StreamElement,
-                 op: &mut WindowAggregateOp,
-                 latest: &mut std::collections::BTreeMap<Window, u64>| {
-        op.process_ref(&el, &mut |r| {
-            latest.insert(r.window, r.count);
-        });
-    };
-    // K = 0 ordering: feed raw arrival order with per-event watermarks.
-    let mut clock = 0u64;
-    for e in &events {
-        clock = clock.max(e.ts.raw());
-        drive(StreamElement::Event(e.clone()), &mut op, &mut latest);
-        drive(
-            StreamElement::Watermark(Timestamp(clock)),
-            &mut op,
-            &mut latest,
-        );
-    }
-    drive(StreamElement::Flush, &mut op, &mut latest);
-
-    let oracle = quill_metrics::oracle_results(
-        &events,
-        WindowSpec::tumbling(500u64),
-        &[AggregateSpec::new(AggregateKind::Count, 0, "n")],
-        None,
-    );
-    for truth in &oracle {
-        assert_eq!(
-            latest.get(&truth.window),
-            Some(&truth.count),
-            "window {} did not converge",
-            truth.window
-        );
-    }
 }

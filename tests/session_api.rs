@@ -399,7 +399,7 @@ fn session_telemetry_reports_merge_windows_and_query_gauge() {
     assert_eq!(
         snap.counter("quill.session.windows"),
         emitted[0] + emitted[1],
-        "first emissions per operator"
+        "emissions per operator"
     );
     assert_eq!(
         snap.counter("quill.run.results"),
