@@ -6,11 +6,14 @@
 //! ```
 //!
 //! Each experiment prints its table(s) as markdown and writes CSVs to the
-//! output directory (default `results/`). EXPERIMENTS.md records the
-//! expected vs. measured shapes.
+//! output directory (default `results/`); the whole markdown report also
+//! goes to `full_run.md` there. EXPERIMENTS.md records the expected vs.
+//! measured shapes.
 
 use quill_bench::{run_experiment, ExperimentCtx, ALL_EXPERIMENTS};
-use std::path::PathBuf;
+use std::fs::File;
+use std::io::{self, BufWriter, Write};
+use std::path::{Path, PathBuf};
 use std::process::ExitCode;
 
 struct Args {
@@ -72,34 +75,58 @@ fn parse_args() -> Result<Args, String> {
     Ok(Args { exps, ctx })
 }
 
-fn main() -> ExitCode {
-    let args = match parse_args() {
-        Ok(a) => a,
-        Err(e) => {
-            eprintln!("error: {e}");
-            return ExitCode::FAILURE;
-        }
-    };
-    println!(
+/// The markdown report: every line goes to stdout and to
+/// `<out>/full_run.md`.
+struct Report {
+    file: BufWriter<File>,
+}
+
+fn unwritable(e: io::Error) -> String {
+    format!("cannot write full_run.md: {e}")
+}
+
+impl Report {
+    fn create(out_dir: &Path) -> Result<Report, String> {
+        std::fs::create_dir_all(out_dir).map_err(unwritable)?;
+        let file = File::create(out_dir.join("full_run.md")).map_err(unwritable)?;
+        Ok(Report {
+            file: BufWriter::new(file),
+        })
+    }
+
+    fn line(&mut self, text: &str) -> Result<(), String> {
+        println!("{text}");
+        writeln!(self.file, "{text}").map_err(unwritable)
+    }
+}
+
+fn run(args: &Args) -> Result<(), String> {
+    let mut report = Report::create(&args.ctx.out_dir)?;
+    report.line(&format!(
         "# quill reconstructed-experiment suite\n\nevents/workload: {}, seed: {}, output: {}\n",
         args.ctx.events,
         args.ctx.seed,
         args.ctx.out_dir.display()
-    );
+    ))?;
     for id in &args.exps {
         let t0 = std::time::Instant::now();
-        println!("## experiment {id}\n");
-        let artifacts = run_experiment(id, &args.ctx);
-        for a in &artifacts {
-            match a.save_and_render(&args.ctx) {
-                Ok(rendered) => println!("{rendered}"),
-                Err(e) => {
-                    eprintln!("error: failed to save artifact for {id}: {e}");
-                    return ExitCode::FAILURE;
-                }
-            }
+        report.line(&format!("## experiment {id}\n"))?;
+        for a in &run_experiment(id, &args.ctx) {
+            let rendered = (a.save_and_render(&args.ctx))
+                .map_err(|e| format!("failed to save artifact for {id}: {e}"))?;
+            report.line(&rendered)?;
         }
-        println!("({id} took {:.1}s)\n", t0.elapsed().as_secs_f64());
+        report.line(&format!("({id} took {:.1}s)\n", t0.elapsed().as_secs_f64()))?;
     }
-    ExitCode::SUCCESS
+    report.file.flush().map_err(unwritable)
+}
+
+fn main() -> ExitCode {
+    match parse_args().and_then(|args| run(&args)) {
+        Ok(()) => ExitCode::SUCCESS,
+        Err(e) => {
+            eprintln!("error: {e}");
+            ExitCode::FAILURE
+        }
+    }
 }

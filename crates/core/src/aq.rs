@@ -366,16 +366,6 @@ impl DisorderControl for AqKSlack {
     fn buffer_stats(&self) -> BufferStats {
         self.buf.stats()
     }
-
-    fn kind(&self) -> crate::plan::StrategyKind {
-        // The default k_max (u64::MAX / 4) is a numeric guard, not a user
-        // bound — report it as unbounded so the plan analyzer doesn't
-        // reason about a cap nobody chose.
-        crate::plan::StrategyKind::Aq {
-            target: self.cfg.target,
-            k_max: (self.cfg.k_max.raw() < u64::MAX / 4).then(|| self.cfg.k_max.raw()),
-        }
-    }
 }
 
 #[cfg(test)]

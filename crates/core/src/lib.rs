@@ -49,7 +49,6 @@ pub mod buffer;
 pub mod controller;
 pub mod dsl;
 pub mod estimator;
-pub mod plan;
 pub mod punctuated;
 pub mod quality;
 pub mod runner;
@@ -65,10 +64,6 @@ pub mod prelude {
     pub use crate::controller::PiController;
     pub use crate::dsl::StrategySpec;
     pub use crate::estimator::DelayEstimator;
-    pub use crate::plan::{
-        analyze_plan, DelayProfile, Diagnostic as PlanDiagnostic, Severity as PlanSeverity,
-        StrategyKind,
-    };
     pub use crate::punctuated::PunctuatedBuffer;
     pub use crate::quality::{QualityTarget, SensitivityModel};
     pub use crate::runner::{

@@ -12,7 +12,7 @@
 //! the surface for resident, push-mode execution with runtime query
 //! registration — or the keyed-parallel executor.
 
-use crate::plan::{analyze_plan, refuse_denied, DelayProfile, Diagnostic};
+use crate::quality::QualityTarget;
 use crate::session::{push_event, release, MultiQueryCore, QueryConfig};
 use crate::strategy::DisorderControl;
 use quill_engine::aggregate::{AggregateKind, AggregateSpec};
@@ -196,20 +196,18 @@ impl QuerySpecBuilder {
 ///
 /// # Toggle reference
 ///
-/// Options compose; none of them silently overrides another. Combinations
-/// that interact are checked by the static plan analyzer
-/// ([`crate::plan::analyze_plan`]) before execution — conflicting or
-/// ineffective pairings surface as `plan.options.*` diagnostics instead of
-/// being resolved by builder-call ordering.
+/// Options compose; none of them silently overrides another. Two values are
+/// refused before the strategy sees an event: a completeness target outside
+/// (0, 1] ([`EngineError::InvalidSpec`]) and zero shards
+/// ([`EngineError::InvalidPipeline`]).
 ///
-/// | toggle | effect | inert without | plan rule when misused |
-/// |---|---|---|---|
-/// | [`with_telemetry`](ExecOptions::with_telemetry) | instruments record into the registry | — | — |
-/// | [`with_snapshot_every`](ExecOptions::with_snapshot_every) | periodic registry snapshots | enabled telemetry | `plan.options.snapshot-without-telemetry` (warn) |
-/// | [`with_spans`](ExecOptions::with_spans) | one record stream (logical clock): stage spans, K changes, late arrivals and drops; per-stage latency attribution; provenance records | — | — |
-/// | [`with_required_completeness`](ExecOptions::with_required_completeness) | flags windows below the target; builds post-mortems | enabled spans (for post-mortems) | `plan.options.completeness-without-spans` (warn); `plan.options.completeness-range` (deny) outside (0, 1] |
-/// | [`with_delay_profile`](ExecOptions::with_delay_profile) | enables quality-feasibility checks | a quality target somewhere (options or strategy) | `plan.options.delay-profile-unused` (advice) |
-/// | [`parallel`](ExecOptions::parallel) | keyed-parallel executor | — | `plan.parallel.*` rules |
+/// | toggle | effect | inert without |
+/// |---|---|---|
+/// | [`with_telemetry`](ExecOptions::with_telemetry) | instruments record into the registry | — |
+/// | [`with_snapshot_every`](ExecOptions::with_snapshot_every) | periodic registry snapshots | enabled telemetry |
+/// | [`with_spans`](ExecOptions::with_spans) | one record stream (logical clock): stage spans, K changes, late arrivals and drops; per-stage latency attribution; provenance records | — |
+/// | [`with_required_completeness`](ExecOptions::with_required_completeness) | flags windows below the target; builds post-mortems | enabled spans |
+/// | [`parallel`](ExecOptions::parallel) | keyed-parallel executor | — |
 #[derive(Debug, Clone, Default)]
 pub struct ExecOptions {
     /// `Some(config)` stages the strategy's output and fans the windowing
@@ -240,12 +238,9 @@ pub struct ExecOptions {
     pub spans: SpanRecorder,
     /// Per-window completeness target used to flag violations in the
     /// provenance layer. `None` (the default) means no window is considered
-    /// violated. Only consulted when `spans` is enabled.
+    /// violated. Only consulted when `spans` is enabled; a value outside
+    /// (0, 1] is refused before the run starts.
     pub required_completeness: Option<f64>,
-    /// Statically declared transport-delay regime, enabling the plan
-    /// analyzer's quality-feasibility checks ([`crate::plan::analyze_plan`]).
-    /// `None` (the default) keeps those checks silent.
-    pub delay_profile: Option<DelayProfile>,
 }
 
 impl ExecOptions {
@@ -287,15 +282,6 @@ impl ExecOptions {
     /// provenance layer (builds their post-mortems when recording spans).
     pub fn with_required_completeness(mut self, q: f64) -> ExecOptions {
         self.required_completeness = Some(q);
-        self
-    }
-
-    /// Declare the expected transport-delay regime so the plan analyzer can
-    /// check quality-target feasibility before execution. A deny-level
-    /// finding (e.g. completeness 1.0 under [`DelayProfile::Unbounded`])
-    /// makes [`execute`] refuse the plan.
-    pub fn with_delay_profile(mut self, profile: DelayProfile) -> ExecOptions {
-        self.delay_profile = Some(profile);
         self
     }
 }
@@ -340,10 +326,6 @@ pub struct RunOutput {
     /// [`ExecOptions::required_completeness`] (empty unless recording spans
     /// with a target set).
     pub post_mortems: Vec<PostMortem>,
-    /// Advisory and warn-level plan diagnostics from the pre-execution
-    /// static analysis ([`crate::plan::analyze_plan`]); deny-level findings
-    /// never appear here because they abort [`execute`] instead.
-    pub plan: Vec<Diagnostic>,
 }
 
 impl RunOutput {
@@ -382,9 +364,6 @@ pub struct SharedRunOutput {
     /// Telemetry snapshots collected during the run (empty when telemetry is
     /// disabled).
     pub snapshots: Vec<Snapshot>,
-    /// Advisory and warn-level plan diagnostics across all queries
-    /// (deduplicated); deny-level findings abort [`execute_shared`] instead.
-    pub plan: Vec<Diagnostic>,
 }
 
 /// The batch loop: per event, [`push_event`] (the step a
@@ -462,29 +441,24 @@ struct BatchRun {
 }
 
 /// The one batch run behind [`execute`] and [`execute_shared`]: validate
-/// and vet every query, then run [`drive`] once. Sequentially its sink is a
-/// session's multi-query core, drained the moment a result is emitted; in
-/// parallel it stages the strategy's output for the keyed executor.
+/// every query and the options, then run [`drive`] once. Sequentially its
+/// sink is a session's multi-query core, drained the moment a result is
+/// emitted; in parallel it stages the strategy's output for the keyed
+/// executor.
 fn run_batch(
     events: &[Event],
     strategy: &mut dyn DisorderControl,
     queries: &[QuerySpec],
     opts: &ExecOptions,
 ) -> Result<BatchRun> {
-    // Validate up front: an invalid query is refused before the strategy
-    // sees an event.
+    // Validate up front: an invalid query or option is refused before the
+    // strategy sees an event.
     for q in queries {
         q.window_op()?;
     }
-    // Static plan analysis per query: any deny-level finding refuses the run
-    // before the buffer sees an event; the rest ride along, deduplicated.
-    let mut plan: Vec<Diagnostic> = Vec::new();
-    for q in queries {
-        for d in refuse_denied(analyze_plan(q, &strategy.kind(), opts))? {
-            if !plan.contains(&d) {
-                plan.push(d);
-            }
-        }
+    check_completeness(opts.required_completeness)?;
+    if let Some(config) = opts.parallel {
+        config.validate()?;
     }
     // Registered before the loop, so every periodic snapshot carries it.
     let latency_hist = opts.telemetry.histogram("quill.run.latency");
@@ -502,7 +476,7 @@ fn run_batch(
             // Ids count from 0, so each query's `Deliver` spans carry its
             // index.
             let handles = (queries.iter())
-                .map(|q| core.register(q, &config, Vec::new()))
+                .map(|q| core.register(q, &config))
                 .collect::<Result<Vec<_>>>()?;
             let drove = drive(events, strategy, opts, |el, now| {
                 if core.process_element(&el, now) > 0 {
@@ -584,12 +558,21 @@ fn run_batch(
             per_query,
             wall_micros,
             snapshots: reporter.finish(),
-            plan,
         },
         window_stats,
         k_series,
         buffer_series,
     })
+}
+
+/// Refuse a completeness target outside (0, 1], `NaN` included, as
+/// [`EngineError::InvalidSpec`] — the error a strategy spec's out-of-range
+/// target gets.
+pub(crate) fn check_completeness(q: Option<f64>) -> Result<()> {
+    match q {
+        Some(q) => (QualityTarget::Completeness { q }.validate()).map_err(EngineError::InvalidSpec),
+        None => Ok(()),
+    }
 }
 
 /// Window one query's staged stream on the keyed-parallel executor, one
@@ -646,7 +629,10 @@ fn window_parallel(
 /// registry snapshots.
 ///
 /// # Errors
-/// Propagates invalid window/aggregate specifications and executor failures.
+/// Propagates invalid window/aggregate specifications and executor failures;
+/// [`EngineError::InvalidSpec`] for a completeness target outside (0, 1] and
+/// [`EngineError::InvalidPipeline`] for zero shards, both before the
+/// strategy sees an event.
 pub fn execute(
     events: &[Event],
     strategy: &mut dyn DisorderControl,
@@ -696,7 +682,6 @@ pub fn execute(
         snapshots: run.shared.snapshots,
         provenance,
         post_mortems,
-        plan: run.shared.plan,
     })
 }
 
@@ -722,7 +707,7 @@ pub fn execute(
 /// tagged with its query's index.
 ///
 /// # Errors
-/// Propagates invalid query specifications and executor failures.
+/// As [`execute`], for every query.
 pub fn execute_shared(
     events: &[Event],
     strategy: &mut dyn DisorderControl,

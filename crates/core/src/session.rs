@@ -44,8 +44,7 @@
 //! assert!(!handle.poll().is_empty());
 //! ```
 
-use crate::plan::{analyze_plan, refuse_denied, DelayProfile, Diagnostic};
-use crate::runner::{ExecOptions, QuerySpec};
+use crate::runner::{check_completeness, QuerySpec};
 use crate::strategy::DisorderControl;
 use parking_lot::Mutex;
 use quill_engine::aggregate::AggregateSpec;
@@ -63,10 +62,6 @@ use std::sync::Arc;
 /// Default bound on a query's pending-result queue; see
 /// [`QueryConfig::result_capacity`].
 pub const DEFAULT_RESULT_CAPACITY: usize = 16_384;
-
-/// Plan-analyzer rules that do not apply in session context (the session
-/// tracks per-query targets itself, without the batch provenance layer).
-const SESSION_IRRELEVANT_RULES: &[&str] = &["plan.options.completeness-without-spans"];
 
 /// Identifier of a query registered in a [`Session`], unique within it for
 /// the session's lifetime (never reused after deregistration).
@@ -94,12 +89,11 @@ impl fmt::Display for QueryId {
 /// Per-query registration options.
 #[derive(Debug, Clone, PartialEq)]
 pub struct QueryConfig {
-    /// Completeness target this subscriber requires, consulted by the plan
-    /// analyzer at registration (a target the strategy provably cannot meet
-    /// is refused) and reported via [`Session::query_info`], so that windows
-    /// below it can be flagged. It does not size the shared buffer: `K`
-    /// follows the strategy's own target at the smallest registered slide
-    /// ([`DisorderControl::set_min_slide`]).
+    /// Completeness target this subscriber requires, reported via
+    /// [`Session::query_info`] so that windows below it can be flagged; a
+    /// value outside (0, 1] is refused at registration. It does not size the
+    /// shared buffer: `K` follows the strategy's own target at the smallest
+    /// registered slide ([`DisorderControl::set_min_slide`]).
     pub required_completeness: Option<f64>,
     /// Bound on the pending-result queue between the session and
     /// [`QueryHandle::poll`]. When full, the **oldest** pending result is
@@ -210,7 +204,6 @@ impl SubState {
 pub struct QueryHandle {
     id: QueryId,
     state: Arc<Mutex<SubState>>,
-    plan: Arc<Vec<Diagnostic>>,
 }
 
 impl QueryHandle {
@@ -237,11 +230,6 @@ impl QueryHandle {
     /// Approximate result-latency quantile so far.
     pub fn latency_quantile(&self, q: f64) -> Option<u64> {
         self.state.lock().latency.quantile(q)
-    }
-
-    /// Non-fatal plan diagnostics recorded at registration.
-    pub fn plan(&self) -> &[Diagnostic] {
-        &self.plan
     }
 
     /// `true` once the query was deregistered or the session finished.
@@ -360,19 +348,17 @@ impl MultiQueryCore {
         self.op_spans = spans.clone();
     }
 
-    /// Add one query, handing its `plan` diagnostics to the returned handle;
-    /// validation errors propagate before any state changes. It subscribes
-    /// to the operator of an equal-shape group that has seen no element yet,
-    /// and otherwise gets an operator of its own: joining one that is
-    /// already running would hand a late subscriber windows holding events
-    /// pushed before it arrived. Every event reaches the operators in the
-    /// push that carries it, so a new query sees exactly the events pushed
-    /// after it registers.
+    /// Add one query; validation errors propagate before any state changes.
+    /// It subscribes to the operator of an equal-shape group that has seen
+    /// no element yet, and otherwise gets an operator of its own: joining
+    /// one that is already running would hand a late subscriber windows
+    /// holding events pushed before it arrived. Every event reaches the
+    /// operators in the push that carries it, so a new query sees exactly
+    /// the events pushed after it registers.
     pub(crate) fn register(
         &mut self,
         spec: &QuerySpec,
         config: &QueryConfig,
-        plan: Vec<Diagnostic>,
     ) -> Result<QueryHandle> {
         let joinable = |g: &Group| g.fresh && same_shape(&g.members[0].spec, spec);
         let at = match self.groups.iter().position(joinable) {
@@ -407,11 +393,7 @@ impl MultiQueryCore {
             config: config.clone(),
             state: Arc::clone(&state),
         });
-        Ok(QueryHandle {
-            id,
-            state,
-            plan: Arc::new(plan),
-        })
+        Ok(QueryHandle { id, state })
     }
 
     /// Remove one subscriber, returning it with its operator's counters; the
@@ -581,11 +563,9 @@ pub struct Session {
     core: MultiQueryCore,
     clock: ClockTracker,
     staged: Vec<StreamElement>,
-    telemetry: Registry,
     run_events: Counter,
     queries_gauge: Gauge,
     operators_gauge: Gauge,
-    delay_profile: Option<DelayProfile>,
     events: u64,
     heartbeats: u64,
     finished: bool,
@@ -601,11 +581,9 @@ impl Session {
             run_events: telemetry.counter("quill.run.events"),
             queries_gauge: telemetry.gauge("quill.session.queries"),
             operators_gauge: telemetry.gauge("quill.session.operators"),
-            telemetry,
             strategy,
             clock: ClockTracker::new(),
             staged: Vec::new(),
-            delay_profile: None,
             events: 0,
             heartbeats: 0,
             finished: false,
@@ -623,7 +601,6 @@ impl Session {
     /// each fold served.
     /// Builder-style; attach before the first event.
     pub fn with_telemetry(mut self, registry: &Registry) -> Session {
-        self.telemetry = registry.clone();
         self.strategy.instrument(registry);
         self.core.instrument(registry);
         self.run_events = registry.counter("quill.run.events");
@@ -645,43 +622,29 @@ impl Session {
         self
     }
 
-    /// Declare the expected transport-delay regime, enabling the plan
-    /// analyzer's quality-feasibility checks at registration time.
-    pub fn with_delay_profile(mut self, profile: DelayProfile) -> Session {
-        self.delay_profile = Some(profile);
-        self
-    }
-
     /// Register a query with default [`QueryConfig`].
     ///
     /// # Errors
-    /// Propagates invalid window/aggregate specifications; plans the
-    /// analyzer denies are refused with
-    /// [`EngineError::PlanRejected`].
+    /// As [`Session::register_with`].
     pub fn register(&mut self, spec: &QuerySpec) -> Result<QueryHandle> {
         self.register_with(spec, QueryConfig::default())
     }
 
-    /// Register a query with explicit per-query options. The registration
-    /// runs the static plan analyzer ([`analyze_plan`]) against this
-    /// session's strategy and delay profile: deny-level findings refuse the
-    /// registration, the rest ride along on [`QueryHandle::plan`].
+    /// Register a query with explicit per-query options.
     ///
     /// # Errors
-    /// Propagates invalid window/aggregate specifications, refuses denied
-    /// plans, and refuses registration on a finished session.
+    /// Propagates invalid window/aggregate specifications, refuses a
+    /// [`QueryConfig::required_completeness`] outside (0, 1] with
+    /// [`EngineError::InvalidSpec`], and refuses registration on a finished
+    /// session.
     pub fn register_with(&mut self, spec: &QuerySpec, cfg: QueryConfig) -> Result<QueryHandle> {
         if self.finished {
             return Err(EngineError::InvalidPipeline(
                 "cannot register on a finished session".into(),
             ));
         }
-        let mut opts = ExecOptions::sequential().with_telemetry(&self.telemetry);
-        opts.required_completeness = cfg.required_completeness;
-        opts.delay_profile = self.delay_profile;
-        let mut plan = analyze_plan(spec, &self.strategy.kind(), &opts);
-        plan.retain(|d| !SESSION_IRRELEVANT_RULES.contains(&d.rule.as_str()));
-        let handle = self.core.register(spec, &cfg, refuse_denied(plan)?)?;
+        check_completeness(cfg.required_completeness)?;
+        let handle = self.core.register(spec, &cfg)?;
         self.registrations_changed();
         Ok(handle)
     }
@@ -857,7 +820,7 @@ impl fmt::Debug for Session {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::runner::execute;
+    use crate::runner::{execute, ExecOptions};
     use crate::strategy::FixedKSlack;
     use quill_engine::aggregate::{AggregateKind, AggregateSpec};
     use quill_engine::prelude::{Row, Value, WindowSpec};
@@ -953,11 +916,11 @@ mod tests {
         let mut session = Session::new(Box::new(FixedKSlack::new(10u64)));
         let bad = QuerySpec::new(WindowSpec::tumbling(0u64), vec![], None);
         assert!(session.register(&bad).is_err());
-        // Completeness outside (0, 1] is a deny-level plan finding.
+        // Completeness outside (0, 1] is an invalid spec.
         let cfg = QueryConfig::default().with_required_completeness(1.5);
         assert!(matches!(
             session.register_with(&query(), cfg),
-            Err(EngineError::PlanRejected(_))
+            Err(EngineError::InvalidSpec(_))
         ));
         // The session still works after refusals.
         assert!(session.register(&query()).is_ok());

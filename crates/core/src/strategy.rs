@@ -15,7 +15,6 @@
 //! | [`OracleBuffer`] | ∞ | exact results | unbounded latency (offline reference) |
 
 use crate::buffer::{BufferStats, SlackBuffer};
-use crate::plan::StrategyKind;
 use quill_engine::prelude::{Event, StreamElement, TimeDelta};
 use quill_telemetry::{KChangeReason, Registry, SpanRecorder};
 
@@ -72,13 +71,6 @@ pub trait DisorderControl: Send {
 
     /// Buffer occupancy / lateness counters.
     fn buffer_stats(&self) -> BufferStats;
-
-    /// The statically known behaviour class of this strategy, consumed by
-    /// the pre-execution plan analyzer ([`crate::plan::analyze_plan`]).
-    /// Default: [`StrategyKind::Custom`] (the analyzer assumes nothing).
-    fn kind(&self) -> StrategyKind {
-        StrategyKind::Custom
-    }
 }
 
 /// K = 0: release every event instantly; any disorder reaches the query as
@@ -124,9 +116,6 @@ impl DisorderControl for DropAll {
     fn buffer_stats(&self) -> BufferStats {
         self.buf.stats()
     }
-    fn kind(&self) -> StrategyKind {
-        StrategyKind::DropAll
-    }
 }
 
 /// Classic fixed K-slack (Babcock et al.): a constant, user-chosen slack.
@@ -167,9 +156,6 @@ impl DisorderControl for FixedKSlack {
     }
     fn buffer_stats(&self) -> BufferStats {
         self.buf.stats()
-    }
-    fn kind(&self) -> StrategyKind {
-        StrategyKind::FixedK(self.k.raw())
     }
 }
 
@@ -243,11 +229,6 @@ impl DisorderControl for MpKSlack {
     fn buffer_stats(&self) -> BufferStats {
         self.buf.stats()
     }
-    fn kind(&self) -> StrategyKind {
-        StrategyKind::Mp {
-            cap: (self.cap != TimeDelta::MAX).then(|| self.cap.raw()),
-        }
-    }
 }
 
 /// Infinite slack: no watermark until end of stream, so no event is ever
@@ -293,9 +274,6 @@ impl DisorderControl for OracleBuffer {
     }
     fn buffer_stats(&self) -> BufferStats {
         self.buf.stats()
-    }
-    fn kind(&self) -> StrategyKind {
-        StrategyKind::Oracle
     }
 }
 

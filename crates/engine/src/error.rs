@@ -41,10 +41,6 @@ pub enum EngineError {
     InvalidPipeline(String),
     /// A shard thread of the parallel executor panicked.
     ExecutorFailure(String),
-    /// Static plan analysis found the plan unable to meet its stated
-    /// requirements (deny-level diagnostic); execution was refused before
-    /// any event was processed.
-    PlanRejected(String),
     /// A strategy spec or query text did not parse (`quill_core::dsl`).
     InvalidSpec(String),
 }
@@ -74,7 +70,6 @@ impl fmt::Display for EngineError {
             EngineError::InvalidAggregate(msg) => write!(f, "invalid aggregate: {msg}"),
             EngineError::InvalidPipeline(msg) => write!(f, "invalid pipeline: {msg}"),
             EngineError::ExecutorFailure(msg) => write!(f, "executor failure: {msg}"),
-            EngineError::PlanRejected(msg) => write!(f, "plan rejected: {msg}"),
             EngineError::InvalidSpec(msg) => write!(f, "invalid spec: {msg}"),
         }
     }

@@ -30,6 +30,17 @@ impl ParallelConfig {
     pub fn new(shards: usize) -> ParallelConfig {
         ParallelConfig { shards }
     }
+
+    /// Refuse a zero shard count.
+    ///
+    /// # Errors
+    /// [`EngineError::InvalidPipeline`] when `shards` is 0.
+    pub fn validate(&self) -> Result<()> {
+        if self.shards == 0 {
+            return Err(EngineError::InvalidPipeline("shards must be > 0".into()));
+        }
+        Ok(())
+    }
 }
 
 /// Stable shard assignment for a key: hashes the borrowed `Value` with a
@@ -101,10 +112,8 @@ pub fn run_keyed_parallel(
     config: ParallelConfig,
     make_op: impl Fn(usize) -> Result<WindowAggregateOp>,
 ) -> Result<(Vec<WindowResult>, Vec<WindowAggregateOp>)> {
+    config.validate()?;
     let shards = config.shards;
-    if shards == 0 {
-        return Err(EngineError::InvalidPipeline("shards must be > 0".into()));
-    }
     let ops = (0..shards).map(make_op).collect::<Result<Vec<_>>>()?;
     let outputs = std::thread::scope(|scope| {
         let threads: Vec<_> = (ops.into_iter().enumerate())

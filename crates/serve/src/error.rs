@@ -14,7 +14,8 @@ pub enum ServeError {
     Config(String),
     /// A malformed wire frame or HTTP request.
     Protocol(String),
-    /// An engine-level refusal (invalid query, denied plan, unknown id).
+    /// An engine-level refusal (invalid query or completeness target,
+    /// unknown id).
     Engine(EngineError),
     /// Transport failure.
     Io(io::Error),

@@ -377,7 +377,8 @@ impl ServerHandle {
     /// Register a query from DSL text (same grammar as `POST /queries`).
     ///
     /// # Errors
-    /// Malformed DSL, invalid specs and denied plans are refused.
+    /// Malformed DSL and invalid specs, a completeness target outside
+    /// (0, 1] included, are refused.
     pub fn register(&self, dsl: &str) -> ServeResult<QueryId> {
         self.shared.register_dsl(dsl)
     }
@@ -385,7 +386,8 @@ impl ServerHandle {
     /// Register an already-built query spec.
     ///
     /// # Errors
-    /// Invalid specs and denied plans are refused.
+    /// Invalid specs, a completeness target outside (0, 1] included, are
+    /// refused.
     pub fn register_spec(&self, spec: &QuerySpec, cfg: QueryConfig) -> ServeResult<QueryId> {
         self.shared.register_spec(spec, cfg)
     }

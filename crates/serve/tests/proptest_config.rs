@@ -135,7 +135,7 @@ fn is_typed_refusal(e: &EngineError) -> bool {
         e,
         EngineError::InvalidWindow(_)
             | EngineError::InvalidAggregate(_)
-            | EngineError::PlanRejected(_)
+            | EngineError::InvalidSpec(_)
     )
 }
 
@@ -247,13 +247,13 @@ fn unescape(s: &str) -> Option<String> {
 #[test]
 fn hand_probed_edge_inputs_are_pinned() {
     let fixed = StrategySpec::Fixed(10);
-    // `completeness=NaN` parses — it is a float — and the plan analyzer
-    // refuses a requirement outside [0, 1].
+    // `completeness=NaN` parses — it is a float — and registration refuses
+    // a requirement outside (0, 1].
     let (_, cfg) = parse_query("tumbling:100;sum:0:s;completeness=NaN").expect("parses");
     assert!(cfg.required_completeness.is_some_and(f64::is_nan));
     let refused = run(&fixed, "tumbling:100;sum:0:s;completeness=NaN");
     assert!(
-        matches!(refused, Err(EngineError::PlanRejected(_))),
+        matches!(refused, Err(EngineError::InvalidSpec(_))),
         "{refused:?}"
     );
     // Degenerate windows parse and are the engine's to refuse.

@@ -17,12 +17,14 @@ cargo run -q -p quill-lint -- --workspace \
 
 # The allow budget: a suppression is a debt, and the count only goes down.
 # Lower the number when a change removes allows; raising it needs a reason
-# in review.
-allow_budget=38
-allows=$(grep -r 'quill-lint: allow' crates | wc -l)
+# in review. The linter's own docs, unit tests and fixtures under
+# crates/lint/ spell the annotation without suppressing anything, so only
+# the other crates count.
+allow_budget=5
+allows=$(grep -r 'quill-lint: allow' crates | grep -cv '^crates/lint/' || true)
 echo "==> quill-lint allow budget ($allows of $allow_budget)"
 if [ "$allows" -gt "$allow_budget" ]; then
-    echo "error: $allows 'quill-lint: allow' sites under crates/, budget is $allow_budget" >&2
+    echo "error: $allows 'quill-lint: allow' sites under crates/ outside crates/lint/, budget is $allow_budget" >&2
     exit 1
 fi
 
@@ -90,11 +92,22 @@ fi
 
 # The checked-in results are regenerated, not kept: a fresh `experiments
 # --exp all` must write every file under results/ that it owns, byte for
-# byte, except the wall-clock fields blanked by `without_wall_clock`.
-# full_run.md, SOAK_serve.json, SMOKE_serve_trace.json, lint_report.* and
-# the sim's failures/ are written by other commands and are not compared.
+# byte, except the wall-clock fields blanked by `without_wall_clock` (and
+# full_run.md's output directory). SOAK_serve.json, SMOKE_serve_trace.json,
+# lint_report.* and the sim's failures/ are written by other commands and
+# are not compared.
 without_wall_clock() {
     case "$(basename "$1")" in
+        full_run.md)
+            sed -E -e 's/^(events\/workload: .*, output: ).*$/\1_/' \
+                -e 's/^\(([a-z0-9]+) took [0-9.]+s\)$/(\1 took _s)/' "$1" |
+                awk -F'|' -v OFS='|' '
+                    !/^\|/ { header = 0; print; next }
+                    header == 0 {
+                        header = 1; split("", wall)
+                        for (i = 2; i < NF; i++) if ($i ~ /^ *(wall ms|kevents\/s) *$/) wall[i] = 1
+                    }
+                    { for (i in wall) $i = "_"; print }' ;;
         f4_telemetry_snapshots.jsonl)
             sed -E 's/"wall_micros":[0-9]+/"wall_micros":_/g' "$1" ;;
         f7_throughput.csv)
@@ -111,7 +124,7 @@ cargo run --release -q -p quill-bench --bin experiments -- \
 stale=0
 for kept in results/*; do
     name=$(basename "$kept")
-    case "$name" in full_run.md | SOAK_serve.json | SMOKE_serve_trace.json | lint_report.* | failures) continue ;; esac
+    case "$name" in SOAK_serve.json | SMOKE_serve_trace.json | lint_report.* | failures) continue ;; esac
     [ -f "$tmp/all/$name" ] || { echo "error: results/$name is not written by experiments --exp all" >&2; stale=1; }
 done
 for fresh in "$tmp"/all/*; do

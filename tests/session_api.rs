@@ -767,3 +767,80 @@ fn the_smallest_registered_slide_reaches_the_strategy() {
         .is_err());
     assert_eq!(seen.lock().unwrap().len(), 4);
 }
+
+/// A completeness target outside (0, 1], `NaN` included, is refused as an
+/// invalid spec at every entry point before the strategy sees anything: no
+/// event reaches its buffer and it is not even told a slide. A refused
+/// registration leaves the session as it was, so a valid query registers and
+/// runs afterwards; a target of exactly 1.0 runs everywhere. Zero shards are
+/// refused the same way, before any event.
+#[test]
+fn out_of_range_targets_and_zero_shards_are_refused_before_any_event() {
+    let stream = netmon::generate(&NetmonConfig::default(), 2_000, 5);
+    let query = &queries()[0];
+    let recorder = |seen: &std::sync::Arc<_>| SlideRecorder {
+        inner: FixedKSlack::new(100u64),
+        seen: std::sync::Arc::clone(seen),
+    };
+    // One batch run, sole or shared: what it returned and what reached the
+    // strategy's buffer.
+    let batch = |opts: &ExecOptions, strategy: &mut SlideRecorder, shared: bool| {
+        let ran = if shared {
+            let queries = [query.clone(), query.clone()];
+            execute_shared(&stream.events, strategy, &queries, opts).map(drop)
+        } else {
+            execute(&stream.events, strategy, query, opts).map(drop)
+        };
+        (ran, strategy.buffer_stats().inserted)
+    };
+    for q in [f64::NAN, 0.0, -0.1, 1.5, 1.0] {
+        let valid = q == 1.0;
+        for (entry, shared) in [("execute", false), ("execute_shared", true)] {
+            let seen = std::sync::Arc::default();
+            let opts = ExecOptions::sequential().with_required_completeness(q);
+            let (ran, inserted) = batch(&opts, &mut recorder(&seen), shared);
+            if valid {
+                assert!(ran.is_ok(), "{entry}, q = {q}: {ran:?}");
+                assert!(inserted > 0, "{entry}: no event reached the buffer");
+            } else {
+                assert!(
+                    matches!(ran, Err(EngineError::InvalidSpec(_))),
+                    "{entry}, q = {q}: {ran:?}"
+                );
+                assert_eq!(inserted, 0, "{entry}, q = {q}: events reached the buffer");
+                assert!(seen.lock().unwrap().is_empty(), "{entry}, q = {q}");
+            }
+        }
+
+        let seen = std::sync::Arc::default();
+        let mut session = Session::new(Box::new(recorder(&seen)));
+        let cfg = QueryConfig::default().with_required_completeness(q);
+        let registered = session.register_with(query, cfg);
+        if valid {
+            assert!(registered.is_ok(), "register_with, q = {q}: {registered:?}");
+            continue;
+        }
+        assert!(
+            matches!(registered, Err(EngineError::InvalidSpec(_))),
+            "register_with, q = {q}: {registered:?}"
+        );
+        assert!(seen.lock().unwrap().is_empty(), "register_with, q = {q}");
+        assert_eq!(session.stats().queries, 0);
+        let handle = session.register(query).expect("a valid query registers");
+        session.push_batch(stream.events.iter().cloned());
+        session.finish();
+        assert!(!handle.poll().is_empty(), "q = {q}: the session stopped");
+    }
+
+    let seen = std::sync::Arc::default();
+    for shared in [false, true] {
+        let opts = ExecOptions::parallel(ParallelConfig::new(0));
+        let (ran, inserted) = batch(&opts, &mut recorder(&seen), shared);
+        assert!(
+            matches!(ran, Err(EngineError::InvalidPipeline(_))),
+            "zero shards: {ran:?}"
+        );
+        assert_eq!(inserted, 0, "zero shards: events reached the buffer");
+    }
+    assert!(seen.lock().unwrap().is_empty());
+}
