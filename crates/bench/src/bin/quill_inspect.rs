@@ -3,26 +3,23 @@
 //!
 //! ```text
 //! quill-inspect <records.jsonl> [--top N]
-//! quill-inspect timeline <spans.jsonl | trace.json> [--check]
+//! quill-inspect timeline <spans.jsonl>
 //! ```
 //!
-//! The default mode sniffs span files (`write_spans_jsonl`) and post-mortem
-//! files (`write_post_mortems_jsonl`). The `timeline`
-//! mode is the latency-attribution view — over span JSON-lines or a
-//! Chrome-trace JSON export (`GET /trace`) — and with `--check` only
-//! validates the Chrome-trace structure (the smoke tests gate on it).
+//! The default mode sniffs span files (`write_spans_jsonl`, or what
+//! `quill-serve`'s `GET /trace` serves) and post-mortem files
+//! (`write_post_mortems_jsonl`). The `timeline` mode is the
+//! latency-attribution view over span JSON-lines.
 //!
 //! Malformed input is reported as `file:line: what`, followed by the
 //! record itself, and exits with status 2 (status 1 is reserved for
 //! usage/IO errors).
 
-use quill_bench::inspect::{
-    check_chrome_trace, describe_malformed, render_report, render_timeline,
-};
+use quill_bench::inspect::{describe_malformed, render_report, render_timeline};
 use std::process::ExitCode;
 
 const USAGE: &str = "usage: quill-inspect <records.jsonl> [--top N]\n\
-                     \x20      quill-inspect timeline <spans.jsonl | trace.json> [--check]";
+                     \x20      quill-inspect timeline <spans.jsonl>";
 
 /// Exit status for malformed (but readable) input.
 const MALFORMED: u8 = 2;
@@ -91,10 +88,8 @@ fn main() -> ExitCode {
 
 fn timeline_main(args: &[String]) -> ExitCode {
     let mut path: Option<String> = None;
-    let mut check = false;
     for arg in args {
         match arg.as_str() {
-            "--check" => check = true,
             "-h" | "--help" => {
                 println!("{USAGE}");
                 return ExitCode::SUCCESS;
@@ -114,12 +109,7 @@ fn timeline_main(args: &[String]) -> ExitCode {
         Ok(t) => t,
         Err(code) => return code,
     };
-    let rendered = if check {
-        check_chrome_trace(&text)
-    } else {
-        render_timeline(&text)
-    };
-    match rendered {
+    match render_timeline(&text) {
         Ok(report) => {
             print!("{report}");
             ExitCode::SUCCESS

@@ -4,7 +4,8 @@
 //! Two input shapes are accepted (both JSON-lines, one dialect for records):
 //!
 //! * a **span file** — [`Span`] lines as written by `write_spans_jsonl`
-//!   (e.g. the `f4_trace` artifact);
+//!   (e.g. the `f4_trace` artifact) or served by `quill-serve`'s
+//!   `GET /trace`;
 //! * a **post-mortem file** — [`ProvenanceRecord`] headers, each followed
 //!   by its causal slice of span lines, as written by
 //!   `write_post_mortems_jsonl` (e.g. the `f5_postmortems` artifact).
@@ -13,9 +14,9 @@
 //! report with a summary, the controller decision log, the top-K latest
 //! tuples, and (for post-mortem files) one annotated timeline per violated
 //! window. [`render_timeline`] is the latency-attribution view over span
-//! lines or a Chrome-trace export.
+//! lines.
 
-use quill_telemetry::span::{self, attribute, Span, NO_QUERY};
+use quill_telemetry::span::{attribute, Span, NO_QUERY};
 use quill_telemetry::trace::{parse_post_mortems, PostMortem, ProvenanceRecord};
 use quill_telemetry::Stage;
 use std::collections::BTreeMap;
@@ -82,50 +83,17 @@ fn render_post_mortems(pms: &[PostMortem], top_k: usize) -> String {
     out
 }
 
-/// Render a span timeline report from either shape the span layer
-/// exports: span JSON-lines (`write_spans_jsonl`) or a Chrome-trace JSON
-/// object (`GET /trace`, `to_chrome_trace`). The shape is sniffed from the
-/// first non-empty line.
+/// Render a span timeline report from span JSON-lines
+/// (`write_spans_jsonl`, `GET /trace`).
 ///
 /// # Errors
 /// Returns a message naming the first malformed line.
 pub fn render_timeline(text: &str) -> Result<String, String> {
-    let Some(first) = text.lines().find(|l| !l.trim().is_empty()) else {
+    let spans = parse_span_lines(text)?;
+    if spans.is_empty() {
         return Ok("(no spans)\n".into());
-    };
-    if first.contains("\"traceEvents\"") || text.trim_start().starts_with("{\"displayTimeUnit\"") {
-        return render_chrome_timeline(text);
     }
-    Ok(render_span_timeline(&parse_span_lines(text)?))
-}
-
-/// Validate a Chrome-trace JSON document structurally (the `--check` mode
-/// behind the serve smoke test): it must parse, and every complete event
-/// must carry the timeline fields Perfetto needs.
-///
-/// # Errors
-/// A message locating the structural problem.
-pub fn check_chrome_trace(text: &str) -> Result<String, String> {
-    let trace = span::parse_chrome_trace(text)?;
-    let mut pids = std::collections::BTreeSet::new();
-    let mut complete = 0usize;
-    for (i, ev) in trace.events.iter().enumerate() {
-        if ev.ph != "X" {
-            continue;
-        }
-        complete += 1;
-        for (field, present) in [("ts", ev.ts.is_some()), ("dur", ev.dur.is_some())] {
-            if !present {
-                return Err(format!("traceEvents[{i}] ({}) lacks `{field}`", ev.name));
-            }
-        }
-        pids.insert(ev.pid.unwrap_or(0));
-    }
-    Ok(format!(
-        "trace ok: {} events ({complete} spans) across {} process lane(s)\n",
-        trace.events.len(),
-        pids.len()
-    ))
+    Ok(render_span_timeline(&spans))
 }
 
 /// Attribution report over raw spans: per-stage totals, per-query delivery
@@ -133,10 +101,6 @@ pub fn check_chrome_trace(text: &str) -> Result<String, String> {
 fn render_span_timeline(spans: &[Span]) -> String {
     let mut out = String::new();
     let _ = writeln!(out, "== Pipeline span timeline ==");
-    if spans.is_empty() {
-        let _ = writeln!(out, "(no spans)");
-        return out;
-    }
     let lo = spans.iter().map(|s| s.begin).min().unwrap_or(0);
     let hi = spans.iter().map(|s| s.end).max().unwrap_or(0);
     let _ = writeln!(out, "spans: {}  clock extent: [{lo}, {hi}]", spans.len());
@@ -189,45 +153,6 @@ fn render_span_timeline(spans: &[Span]) -> String {
         );
     }
     out
-}
-
-/// Attribution report over an exported Chrome trace: per-process,
-/// per-stage lane totals.
-fn render_chrome_timeline(text: &str) -> Result<String, String> {
-    let trace = span::parse_chrome_trace(text)?;
-    let mut out = String::new();
-    let _ = writeln!(out, "== Chrome-trace timeline ==");
-    let complete: Vec<_> = trace.complete_events().collect();
-    let _ = writeln!(
-        out,
-        "events: {} ({} spans)",
-        trace.events.len(),
-        complete.len()
-    );
-    // (pid, stage) -> (count, total dur, max dur)
-    let mut lanes: BTreeMap<(u64, &str), (u64, u64, u64)> = BTreeMap::new();
-    for ev in &complete {
-        let slot = lanes
-            .entry((ev.pid.unwrap_or(0), ev.name.as_str()))
-            .or_default();
-        slot.0 += 1;
-        let dur = ev.dur.unwrap_or(0);
-        slot.1 += dur;
-        slot.2 = slot.2.max(dur);
-    }
-    let mut last_pid = None;
-    for ((pid, stage), (n, total, max)) in &lanes {
-        if last_pid != Some(*pid) {
-            let _ = writeln!(out, "\n-- process {pid} --");
-            last_pid = Some(*pid);
-        }
-        let _ = writeln!(
-            out,
-            "{stage:<16} count={n:<8} total={total:<12} mean={:<10.1} max={max}",
-            *total as f64 / (*n).max(1) as f64
-        );
-    }
-    Ok(out)
 }
 
 /// The message for a malformed input file: `path:N: <what>` (the `line N:`
@@ -497,52 +422,54 @@ mod tests {
     }
 
     #[test]
-    fn timeline_renders_span_jsonl_and_chrome_traces() {
-        use quill_telemetry::ClockDomain;
+    fn timeline_renders_span_jsonl() {
         let rec = SpanRecorder::new(64);
-        rec.record(Stage::IngestDecode, 0, 100, 0);
+        rec.record_detail(Stage::BufferResidency, 0, 100, 0, [4, 100]);
         rec.record(Stage::WindowFinalize, 10, 90, 1);
         rec.record_for_query(Stage::Deliver, 100, 150, 0, 7);
-        let spans = rec.spans();
         let report = render_timeline(&jsonl(&rec)).expect("renders span jsonl");
         assert!(report.contains("Pipeline span timeline"), "{report}");
-        assert!(report.contains("ingest_decode"), "{report}");
+        assert!(report.contains("buffer_residency"), "{report}");
         assert!(report.contains("query 7: 1 results"), "{report}");
         assert!(report.contains("Longest spans"), "{report}");
-
-        let chrome = span::to_chrome_trace(&spans, ClockDomain::Logical);
-        let report = render_timeline(&chrome).expect("renders chrome trace");
-        assert!(report.contains("Chrome-trace timeline"), "{report}");
-        assert!(report.contains("deliver"), "{report}");
-        let summary = check_chrome_trace(&chrome).expect("valid");
-        assert!(summary.contains("3 spans"), "{summary}");
 
         assert_eq!(render_timeline("\n\n").unwrap(), "(no spans)\n");
     }
 
     #[test]
     fn checked_in_trace_fixture_stays_small_and_valid() {
-        // What CI's `quill-inspect timeline --check` step reads: the whole
-        // Chrome trace of a small 4-shard keyed-parallel run, under a
-        // hundred spans.
-        let fixture = include_str!("../fixtures/pipeline_trace.json");
-        let summary = check_chrome_trace(fixture).expect("valid Chrome trace");
-        assert!(summary.contains("(90 spans)"), "{summary}");
-        let report = render_timeline(fixture).expect("renders");
+        // The fixture is checked in as code: a small 2-shard run's records,
+        // one of every stage the timeline attributes or lists.
+        let rec = SpanRecorder::new(64);
+        for shard in 0..2 {
+            rec.record_detail(Stage::BufferResidency, 0, 50, shard, [3, 50]);
+            rec.record_detail(Stage::WindowFinalize, 100, 160, shard, [0, key_tag(shard)]);
+            rec.record_detail(Stage::LateDrop, 40, 40, shard, [7, 0]);
+            rec.record_for_query(Stage::Deliver, 100, 170, shard, 1);
+        }
+        let text = jsonl(&rec);
+        assert!(text.len() < 1024, "{} bytes", text.len());
+        let timeline = render_timeline(&text).expect("renders");
+        assert!(timeline.contains("spans: 8"), "{timeline}");
+        for stage in ["buffer_residency", "window_finalize", "deliver"] {
+            assert!(timeline.contains(stage), "{timeline}");
+        }
+        // Instants time nothing; the report's summary counts every stage.
+        let report = render_report(&text, 3).expect("renders");
         for stage in [
             "buffer_residency",
             "window_finalize",
             "late_drop",
             "deliver",
         ] {
-            assert!(report.contains(stage), "{report}");
+            assert!(report.contains(&format!("  {stage:<16} 2")), "{report}");
         }
     }
 
     #[test]
     fn timeline_errors_name_the_offending_line() {
         let rec = SpanRecorder::new(8);
-        rec.record(Stage::IngestDecode, 0, 10, 0);
+        rec.record(Stage::Deliver, 0, 10, 0);
         let mut text = rec.spans()[0].to_json_line();
         text.push_str("\n{\"not\":\"a span\"}\n");
         let err = render_timeline(&text).unwrap_err();
@@ -553,7 +480,6 @@ mod tests {
             message.ends_with("offending record: {\"not\":\"a span\"}"),
             "{message}"
         );
-        assert!(check_chrome_trace("[1,2").is_err());
         assert_eq!(
             describe_malformed("x", "one line", "no location info"),
             "x: no location info"

@@ -79,16 +79,16 @@ pub struct ServeConfig {
     pub queue_capacity: usize,
     /// Per-connection transport policy.
     pub conn: ConnConfig,
-    /// Ring capacity of the pipeline span recorders backing `GET /trace`
-    /// (`0` disables span tracing entirely — the zero-cost path); default
+    /// Ring capacity of the span recorder backing `GET /trace` (`0`
+    /// disables span tracing entirely — the zero-cost path); default
     /// [`SERVE_SPAN_CAPACITY`].
     pub span_capacity: usize,
 }
 
-/// Default ring capacity of the daemon's two span recorders: 4 096
-/// records, 0.23 MB each. The logical ring records every late arrival and
-/// K decision, so on a disordered stream it is full within seconds and its
-/// capacity is resident memory; `GET /trace` shows the most recent records.
+/// Default ring capacity of the daemon's span recorder: 4 096 records,
+/// 0.23 MB. The ring records every late arrival and K decision, so on a
+/// disordered stream it is full within seconds and its capacity is
+/// resident memory; `GET /trace` shows the most recent records.
 pub const SERVE_SPAN_CAPACITY: usize = 4_096;
 
 impl Default for ServeConfig {

@@ -6,8 +6,8 @@
 //! |------------------------------|-------------------------------------------|
 //! | `GET /healthz`               | liveness + strategy + uptime              |
 //! | `GET /metrics`               | Prometheus text exposition                |
-//! | `GET /trace`                 | pipeline spans as Chrome-trace JSON       |
-//! |                              | (loadable in Perfetto / `chrome://tracing`)|
+//! | `GET /trace`                 | the span ring as JSON lines, one          |
+//! |                              | `Span::to_json_line` per record           |
 //! | `GET /stats`                 | session counters as JSON                  |
 //! | `GET /queries`               | list registered queries                   |
 //! | `POST /queries`              | register (body = query DSL), returns id   |
@@ -202,17 +202,13 @@ fn dispatch(
             respond(stream, "200 OK", "text/plain; version=0.0.4", &text);
         }
         ("GET", "/trace") => {
-            // Two process lanes: the network shell on wall micros, the
-            // session core on the logical event-time clock.
-            let body = quill_telemetry::span::to_chrome_trace_parts(&[
-                (
-                    "quill-serve",
-                    shared.wall_spans.domain(),
-                    shared.wall_spans.spans(),
-                ),
-                ("session", shared.spans.domain(), shared.spans.spans()),
-            ]);
-            ok_json(stream, &body);
+            // The dialect `write_spans_jsonl` writes, oldest record first.
+            let mut body = String::new();
+            for span in shared.spans.spans() {
+                body.push_str(&span.to_json_line());
+                body.push('\n');
+            }
+            respond(stream, "200 OK", "application/x-ndjson", &body);
         }
         ("GET", "/stats") => ok_json(stream, &json::session_stats(&shared.stats())),
         ("GET", "/queries") => {

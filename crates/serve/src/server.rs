@@ -49,7 +49,7 @@ use quill_core::prelude::{
 use quill_engine::event::Event;
 use quill_engine::operator::WindowResult;
 use quill_engine::value::Key;
-use quill_telemetry::{SpanRecorder, Stage};
+use quill_telemetry::SpanRecorder;
 use std::collections::HashMap;
 use std::io::Read;
 use std::net::{Ipv4Addr, Ipv6Addr, SocketAddr, TcpListener, TcpStream};
@@ -111,21 +111,9 @@ pub(crate) struct Shared {
     heartbeats: quill_telemetry::Counter,
     protocol_errors: quill_telemetry::Counter,
     evicted: quill_telemetry::Counter,
-    /// Logical-clock (event-time) pipeline spans recorded inside the
-    /// session: buffer residency and query-tagged result delivery.
+    /// The session's record stream (event-time stamps): buffer residency,
+    /// K changes, late arrivals and query-tagged result delivery.
     pub(crate) spans: SpanRecorder,
-    /// Wall-clock spans recorded by the network shell: connection
-    /// lifetimes, ingest decode batches and query registration lifetimes.
-    /// Timestamps are microseconds since `epoch`.
-    pub(crate) wall_spans: SpanRecorder,
-    /// Wall-clock origin for `wall_spans` (server start).
-    epoch: std::time::Instant,
-    /// Registration wall time of each live query (`now_micros` at
-    /// register), consumed into a [`Stage::Query`] span at deregister or
-    /// drain.
-    query_started: Mutex<HashMap<u64, u64>>,
-    /// Ordinal stamped onto connection spans as their shard tag.
-    conn_seq: AtomicU64,
     active_readers: AtomicU64,
     /// Stop accepting + ask readers to wind down; core drains then
     /// finishes the session.
@@ -135,32 +123,6 @@ pub(crate) struct Shared {
 }
 
 impl Shared {
-    /// Microseconds since server start — the clock of every wall-domain
-    /// span. Safe for the data path: `elapsed()` never influences
-    /// stream-time decisions.
-    // quill-lint: allow(wall-clock-taint, reason = "wall-domain span clock; readings feed latency telemetry only, never stream-time decisions")
-    pub(crate) fn now_micros(&self) -> u64 {
-        self.epoch.elapsed().as_micros() as u64
-    }
-
-    /// Close the [`Stage::Query`] span of query `id`, if still open.
-    fn close_query_span(&self, id: u64) {
-        if let Some(t0) = self.query_started.lock().remove(&id) {
-            self.wall_spans
-                .record_for_query(Stage::Query, t0, self.now_micros(), 0, id);
-        }
-    }
-
-    /// Close every still-open query span (graceful drain).
-    pub(crate) fn close_all_query_spans(&self) {
-        let open: Vec<(u64, u64)> = self.query_started.lock().drain().collect();
-        let now = self.now_micros();
-        for (id, t0) in open {
-            self.wall_spans
-                .record_for_query(Stage::Query, t0, now, 0, id);
-        }
-    }
-
     pub(crate) fn finish_requested(&self) -> bool {
         self.finish_requested.load(Ordering::SeqCst)
     }
@@ -204,11 +166,6 @@ impl Shared {
         let handle = self.session.lock().register_with(spec, cfg)?;
         let id = handle.id();
         self.handles.lock().insert(id.raw(), handle);
-        if self.wall_spans.is_enabled() {
-            self.query_started
-                .lock()
-                .insert(id.raw(), self.now_micros());
-        }
         Ok(id)
     }
 
@@ -216,7 +173,6 @@ impl Shared {
     pub(crate) fn deregister(&self, id: QueryId) -> ServeResult<quill_core::prelude::QueryStats> {
         let stats = self.session.lock().deregister(id)?;
         self.handles.lock().remove(&id.raw());
-        self.close_query_span(id.raw());
         Ok(stats)
     }
 
@@ -284,16 +240,12 @@ impl Server {
     /// Propagates bind failures.
     pub fn start(config: ServeConfig) -> ServeResult<ServerHandle> {
         let registry = quill_telemetry::Registry::new();
-        let (spans, wall_spans) = if config.span_capacity == 0 {
-            (SpanRecorder::disabled(), SpanRecorder::disabled())
+        let spans = if config.span_capacity == 0 {
+            SpanRecorder::disabled()
         } else {
-            (
-                SpanRecorder::new(config.span_capacity),
-                SpanRecorder::wall(config.span_capacity),
-            )
+            SpanRecorder::new(config.span_capacity)
         };
         spans.instrument(&registry);
-        wall_spans.instrument(&registry);
         let session = Session::new(config.strategy.build())
             .with_telemetry(&registry)
             .with_spans(&spans);
@@ -306,11 +258,6 @@ impl Server {
             session: Mutex::new(session),
             handles: Mutex::new(HashMap::new()),
             spans,
-            wall_spans,
-            // quill-lint: allow(no-wall-clock, reason = "origin of the wall span domain; never read on stream-time decisions")
-            epoch: std::time::Instant::now(),
-            query_started: Mutex::new(HashMap::new()),
-            conn_seq: AtomicU64::new(0),
             ingest_addr,
             http_addr,
             batch_cap,
@@ -474,13 +421,8 @@ fn accept_loop(
         shared
             .conns_gauge
             .set_u64(shared.active_readers.load(Ordering::SeqCst));
-        let conn_no = shared.conn_seq.fetch_add(1, Ordering::SeqCst) as u32;
         let t = std::thread::spawn(move || {
-            let opened = shared.now_micros();
             read_connection(&shared, stream, &tx);
-            shared
-                .wall_spans
-                .record(Stage::Connection, opened, shared.now_micros(), conn_no);
             let left = shared.active_readers.fetch_sub(1, Ordering::SeqCst) - 1;
             shared.conns_gauge.set_u64(left);
         });
@@ -538,15 +480,13 @@ fn read_connection(shared: &Arc<Shared>, mut stream: TcpStream, tx: &SyncSender<
 /// queue is the backpressure path. Returns `false` to drop the connection
 /// (protocol error or core gone).
 fn hand_over(shared: &Shared, decoder: &mut wire::Decoder, tx: &SyncSender<Batch>) -> bool {
-    let spans = shared.wall_spans.is_enabled();
-    let t0 = if spans { shared.now_micros() } else { 0 };
-    let ok = loop {
+    loop {
         let batch = match decoder.decode(shared.batch_cap) {
-            Ok(batch) if batch.is_empty() => break true,
+            Ok(batch) if batch.is_empty() => return true,
             Ok(batch) => batch,
             Err(_) => {
                 shared.protocol_errors.inc();
-                break false;
+                return false;
             }
         };
         let n = batch.len() as u64;
@@ -562,17 +502,9 @@ fn hand_over(shared: &Shared, decoder: &mut wire::Decoder, tx: &SyncSender<Batch
         shared.depth_add(n);
         if tx.send(batch).is_err() {
             shared.depth_sub(n);
-            break false;
+            return false;
         }
-    };
-    if spans {
-        // One decode span per read; includes any backpressure wait on the
-        // ingest queue.
-        shared
-            .wall_spans
-            .record(Stage::IngestDecode, t0, shared.now_micros(), 0);
     }
-    ok
 }
 
 /// The session core: the only thread that pushes into the session. Exits
@@ -620,5 +552,4 @@ fn core_loop(shared: &Arc<Shared>, rx: &Receiver<Batch>) {
         }
     }
     shared.session.lock().finish();
-    shared.close_all_query_spans();
 }

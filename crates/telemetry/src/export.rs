@@ -69,14 +69,11 @@ pub fn help_text(name: &str) -> &'static str {
     if let Some(rest) = name.strip_prefix("quill.span.") {
         // Per-stage latency attribution histograms from the span layer.
         return match rest {
-            "ingest_decode" => "Span durations: wire bytes to parsed events (ingest decode)",
             "buffer_residency" => {
                 "Span durations: oldest released event's residency in the disorder-control buffer, per release"
             }
             "window_finalize" => "Span durations: window end to the watermark that closed it",
             "deliver" => "Span durations: window end to result delivery",
-            "connection" => "Span durations: ingest connection lifetimes",
-            "query" => "Span durations: registered query lifetimes",
             "late_arrival" => "Span durations: late arrivals' lateness behind the watermark",
             _ => "Span durations for a pipeline stage",
         };

@@ -1,19 +1,18 @@
 //! A minimal JSON reader for the telemetry exports, and the workspace's one
 //! JSON string escaper ([`json_string`], also used by `quill-serve`).
 //!
-//! The workspace carries no JSON dependency. One recursive-descent parser
-//! serves both shapes the telemetry layer reads back: a whole Chrome-trace
-//! document ([`crate::span::parse_chrome_trace`]) and one flat record per
-//! line (span and provenance JSON-lines, `Fields`). Numbers keep their raw
-//! text, so `u64::MAX` survives without an f64 round trip.
+//! The workspace carries no JSON dependency. Every record the telemetry
+//! layer reads back (span and provenance JSON-lines, from a file or from
+//! `quill-serve`'s `GET /trace`) is one flat object on one line, so the
+//! reader knows that one shape, `Fields`: string, number, boolean and
+//! null values, no nesting (a nested value is refused with an error naming
+//! its key). Numbers keep their raw text, so `u64::MAX` survives without an
+//! f64 round trip.
 
 use std::fmt::Write as _;
 
-/// A parsed JSON value.
-#[derive(Debug, Clone, PartialEq)]
-pub(crate) enum Jv {
-    Obj(Vec<(String, Jv)>),
-    Arr(Vec<Jv>),
+/// A parsed field value.
+enum Jv {
     Str(String),
     /// Raw number text; converted on access.
     Num(String),
@@ -21,49 +20,19 @@ pub(crate) enum Jv {
     Null,
 }
 
-/// Look up `key` in an object's fields.
-pub(crate) fn obj_get<'a>(fields: &'a [(String, Jv)], key: &str) -> Option<&'a Jv> {
-    fields.iter().find(|(k, _)| k == key).map(|(_, v)| v)
-}
-
-/// Full value grammar (objects, arrays, strings with escapes, numbers,
-/// booleans, null), no extensions.
-pub(crate) struct JsonParser<'a> {
+/// A cursor over one line.
+struct LineReader<'a> {
     b: &'a [u8],
     i: usize,
-    /// How an error names running out of input: "end of line" for one
-    /// record, "end of input" for a document.
-    eof: &'static str,
 }
 
-impl<'a> JsonParser<'a> {
-    /// Parse a whole document.
-    pub(crate) fn parse(text: &'a str) -> Result<Jv, String> {
-        let mut p = JsonParser {
-            b: text.as_bytes(),
-            i: 0,
-            eof: "end of input",
-        };
-        p.skip_ws();
-        let v = p.value()?;
-        p.finish()?;
-        Ok(v)
-    }
-
+impl LineReader<'_> {
     /// Describe the byte an error ran into.
-    fn got(&self, c: Option<u8>) -> String {
+    fn got(c: Option<u8>) -> String {
         match c {
             Some(c) => format!("{:?}", c as char),
-            None => self.eof.to_string(),
+            None => "end of line".to_string(),
         }
-    }
-
-    fn finish(&mut self) -> Result<(), String> {
-        self.skip_ws();
-        if self.i != self.b.len() {
-            return Err(format!("trailing characters at byte {}", self.i));
-        }
-        Ok(())
     }
 
     fn peek(&self) -> Option<u8> {
@@ -87,7 +56,7 @@ impl<'a> JsonParser<'a> {
     fn expect(&mut self, c: u8) -> Result<(), String> {
         match self.bump() {
             Some(got) if got == c => Ok(()),
-            got => Err(format!("expected {:?}, got {}", c as char, self.got(got))),
+            got => Err(format!("expected {:?}, got {}", c as char, Self::got(got))),
         }
     }
 
@@ -100,10 +69,12 @@ impl<'a> JsonParser<'a> {
         }
     }
 
-    fn value(&mut self) -> Result<Jv, String> {
+    /// The value of field `key`: a scalar, never an object or array.
+    fn value(&mut self, key: &str) -> Result<Jv, String> {
         match self.peek() {
-            Some(b'{') => self.object().map(Jv::Obj),
-            Some(b'[') => self.array(),
+            Some(b'{' | b'[') => Err(format!(
+                "field {key:?} holds a nested value; a record is one flat object"
+            )),
             Some(b'"') => Ok(Jv::Str(self.string()?)),
             Some(b't') => {
                 self.literal("true")?;
@@ -118,53 +89,44 @@ impl<'a> JsonParser<'a> {
                 Ok(Jv::Null)
             }
             Some(b'-' | b'0'..=b'9') => self.number(),
-            other => Err(format!("unexpected {} at byte {}", self.got(other), self.i)),
+            other => Err(format!(
+                "unexpected {} at byte {}",
+                Self::got(other),
+                self.i
+            )),
         }
     }
 
+    /// One flat object, then nothing but whitespace to the end of line.
     fn object(&mut self) -> Result<Vec<(String, Jv)>, String> {
+        self.skip_ws();
         self.expect(b'{')?;
         let mut fields = Vec::new();
         self.skip_ws();
         if self.peek() == Some(b'}') {
             self.i += 1;
-            return Ok(fields);
-        }
-        loop {
-            self.skip_ws();
-            let key = self.string()?;
-            self.skip_ws();
-            self.expect(b':')?;
-            self.skip_ws();
-            let val = self.value()?;
-            fields.push((key, val));
-            self.skip_ws();
-            match self.bump() {
-                Some(b',') => continue,
-                Some(b'}') => return Ok(fields),
-                other => return Err(format!("expected ',' or '}}', got {}", self.got(other))),
+        } else {
+            loop {
+                self.skip_ws();
+                let key = self.string()?;
+                self.skip_ws();
+                self.expect(b':')?;
+                self.skip_ws();
+                let val = self.value(&key)?;
+                fields.push((key, val));
+                self.skip_ws();
+                match self.bump() {
+                    Some(b',') => continue,
+                    Some(b'}') => break,
+                    other => return Err(format!("expected ',' or '}}', got {}", Self::got(other))),
+                }
             }
         }
-    }
-
-    fn array(&mut self) -> Result<Jv, String> {
-        self.expect(b'[')?;
-        let mut items = Vec::new();
         self.skip_ws();
-        if self.peek() == Some(b']') {
-            self.i += 1;
-            return Ok(Jv::Arr(items));
+        if self.i != self.b.len() {
+            return Err(format!("trailing characters at byte {}", self.i));
         }
-        loop {
-            self.skip_ws();
-            items.push(self.value()?);
-            self.skip_ws();
-            match self.bump() {
-                Some(b',') => continue,
-                Some(b']') => return Ok(Jv::Arr(items)),
-                other => return Err(format!("expected ',' or ']', got {}", self.got(other))),
-            }
-        }
+        Ok(fields)
     }
 
     fn string(&mut self) -> Result<String, String> {
@@ -194,7 +156,7 @@ impl<'a> JsonParser<'a> {
                         self.i += 4;
                         out.push(char::from_u32(code).unwrap_or('\u{fffd}'));
                     }
-                    other => return Err(format!("bad escape {}", self.got(other))),
+                    other => return Err(format!("bad escape {}", Self::got(other))),
                 },
                 Some(c) if c < 0x80 => out.push(c as char),
                 Some(first) => {
@@ -237,21 +199,18 @@ impl<'a> JsonParser<'a> {
 pub(crate) struct Fields(Vec<(String, Jv)>);
 
 impl Fields {
-    /// Parse one line holding one JSON object.
+    /// Parse one line holding one flat JSON object.
     pub(crate) fn parse(line: &str) -> Result<Fields, String> {
-        let mut p = JsonParser {
+        LineReader {
             b: line.as_bytes(),
             i: 0,
-            eof: "end of line",
-        };
-        p.skip_ws();
-        let fields = p.object()?;
-        p.finish()?;
-        Ok(Fields(fields))
+        }
+        .object()
+        .map(Fields)
     }
 
     fn get(&self, key: &str) -> Option<&Jv> {
-        obj_get(&self.0, key)
+        self.0.iter().find(|(k, _)| k == key).map(|(_, v)| v)
     }
 
     pub(crate) fn opt_u64(&self, key: &str) -> Result<Option<u64>, String> {
@@ -325,4 +284,21 @@ pub fn json_string(s: &str) -> String {
     }
     out.push('"');
     out
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    #[test]
+    fn a_nested_value_is_refused_by_its_key() {
+        let err = Fields::parse("{\"seq\":1,\"x\":[1]}")
+            .err()
+            .expect("refused");
+        assert!(err.contains("\"x\""), "{err}");
+        let err = Fields::parse("{\"args\":{\"a\":1}}")
+            .err()
+            .expect("refused");
+        assert!(err.contains("\"args\""), "{err}");
+    }
 }

@@ -44,7 +44,7 @@ pub mod trace;
 
 pub use histogram::LogHistogram;
 pub use reporter::TelemetryReporter;
-pub use span::{ClockDomain, KChangeReason, Span, SpanRecorder, Stage};
+pub use span::{KChangeReason, Span, SpanRecorder, Stage};
 
 use parking_lot::Mutex;
 use std::collections::BTreeMap;

@@ -19,20 +19,17 @@
 //! recorder costs).
 //!
 //! Everything else is a view over a drained `Vec<Span>`: per-stage
-//! attribution ([`attribute`]), the Chrome trace export, and per-window
-//! provenance and post-mortems ([`crate::trace`]).
+//! attribution ([`attribute`]) and per-window provenance and post-mortems
+//! ([`crate::trace`]).
 //!
-//! ## Clock domains
+//! ## One clock
 //!
-//! Deterministic pipeline code (strategies, buffers, the session, the
-//! parallel executor) must not read wall clocks — the `no-wall-clock` lint
-//! enforces it — so those records are stamped with *logical* time:
-//! event-time units of the stream itself (an event's timestamp, the
-//! watermark that released it). The serve layer, which legitimately deals
-//! in real time, records a second, separate ring in wall microseconds. A
-//! recorder is pinned to one [`ClockDomain`] at construction and every
-//! record in a ring shares it, so exports can label the time axis honestly
-//! instead of mixing incomparable units.
+//! Every record is stamped with *logical* time: event-time units of the
+//! stream itself (an event's timestamp, the watermark that released it).
+//! The pipeline code that records (strategies, buffers, the session, the
+//! window operators) must not read wall clocks — the `no-wall-clock` lint
+//! enforces it — so one ring never mixes incomparable units, in a batch run
+//! or behind `quill-serve`'s `GET /trace` alike.
 //!
 //! ## Attribution
 //!
@@ -45,14 +42,12 @@
 //!
 //! ## Export
 //!
-//! Records serialize to JSON-lines ([`Span::to_json_line`] /
+//! Records serialize to one format, JSON-lines ([`Span::to_json_line`] /
 //! [`Span::parse_json_line`], exact round-trip, the detail words under
-//! their stage's names) and to the Chrome trace event format
-//! ([`to_chrome_trace`]) that Perfetto and `chrome://tracing` load
-//! directly; [`parse_chrome_trace`] parses that JSON back structurally so
-//! exports can be validated without an external viewer.
+//! their stage's names): [`write_spans_jsonl`] writes it for batch runs and
+//! `GET /trace` serves it from the daemon, and `quill-inspect` reads both.
 
-use crate::json::{json_string, obj_get, Fields, JsonParser, Jv};
+use crate::json::Fields;
 use crate::{Histogram, Registry};
 use parking_lot::Mutex;
 use std::collections::VecDeque;
@@ -80,9 +75,6 @@ pub const NO_QUERY: u64 = u64::MAX;
 /// | `LateDrop` | event ts (instant) | input seq | — |
 #[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord)]
 pub enum Stage {
-    /// Wire bytes to parsed events on one ingest connection (serve layer,
-    /// wall time).
-    IngestDecode,
     /// One watermark advance of the disorder-control slack buffer: from the
     /// oldest event it released to the watermark — the longest
     /// buffer-induced event-time latency in that release, which is what the
@@ -95,10 +87,6 @@ pub enum Stage {
     /// Result delivery: from the window end to the clock at which the
     /// result reached the consumer (run output, session queue poll).
     Deliver,
-    /// One ingest connection's lifetime (serve layer, wall time).
-    Connection,
-    /// One query's registered lifetime (serve layer, wall time).
-    Query,
     /// An event arrived behind the emitted watermark and passed the buffer
     /// late: from its timestamp to that watermark (its lateness).
     LateArrival,
@@ -111,28 +99,22 @@ pub enum Stage {
 
 impl Stage {
     /// Every stage, in serialization order.
-    pub const ALL: [Stage; 9] = [
-        Stage::IngestDecode,
+    pub const ALL: [Stage; 6] = [
         Stage::BufferResidency,
         Stage::WindowFinalize,
         Stage::Deliver,
-        Stage::Connection,
-        Stage::Query,
         Stage::LateArrival,
         Stage::KChange,
         Stage::LateDrop,
     ];
 
     /// Stable serialization token (also the `quill.span.<stage>` histogram
-    /// suffix and the Chrome trace event name).
+    /// suffix).
     pub fn as_str(self) -> &'static str {
         match self {
-            Stage::IngestDecode => "ingest_decode",
             Stage::BufferResidency => "buffer_residency",
             Stage::WindowFinalize => "window_finalize",
             Stage::Deliver => "deliver",
-            Stage::Connection => "connection",
-            Stage::Query => "query",
             Stage::LateArrival => "late_arrival",
             Stage::KChange => "k_change",
             Stage::LateDrop => "late_drop",
@@ -225,36 +207,6 @@ impl std::fmt::Display for KChangeReason {
     }
 }
 
-/// Which clock a recorder's begin/end stamps come from.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-pub enum ClockDomain {
-    /// Event-time units of the stream itself (deterministic code).
-    #[default]
-    Logical,
-    /// Microseconds of real time since the recorder's owner started
-    /// (serve layer).
-    WallMicros,
-}
-
-impl ClockDomain {
-    /// Stable serialization token.
-    pub fn as_str(self) -> &'static str {
-        match self {
-            ClockDomain::Logical => "logical",
-            ClockDomain::WallMicros => "wall_micros",
-        }
-    }
-
-    /// Parse a serialization token.
-    pub fn parse(s: &str) -> Option<ClockDomain> {
-        match s {
-            "logical" => Some(ClockDomain::Logical),
-            "wall_micros" => Some(ClockDomain::WallMicros),
-            _ => None,
-        }
-    }
-}
-
 /// A 64-bit tag for a grouping key's display form (FNV-1a over its
 /// bytes), so a `WindowFinalize` record names its key without owning a
 /// string. [`crate::trace::ProvenanceBuilder`] tags the stringified keys of
@@ -285,9 +237,9 @@ pub struct Span {
     pub seq: u64,
     /// The stage covered.
     pub stage: Stage,
-    /// Interval start, in the recorder's clock domain.
+    /// Interval start, in event-time units.
     pub begin: u64,
-    /// Interval end, in the recorder's clock domain (`begin` for instants).
+    /// Interval end, in event-time units (`begin` for instants).
     pub end: u64,
     /// Shard that produced the record (0 for pre-fan-out components).
     pub shard: u32,
@@ -389,7 +341,6 @@ struct SpanRing {
 #[derive(Debug)]
 struct SpanInner {
     capacity: usize,
-    domain: ClockDomain,
     ring: Mutex<SpanRing>,
     /// Per-stage attribution histograms (no-ops until
     /// [`SpanRecorder::instrument`], and always for instants), indexed by
@@ -409,28 +360,16 @@ struct SpanInner {
 pub struct SpanRecorder(Option<Arc<SpanInner>>);
 
 impl SpanRecorder {
-    /// An enabled logical-clock recorder holding at most `capacity` records
-    /// (min 1).
+    /// An enabled recorder holding at most `capacity` records (min 1).
     pub fn new(capacity: usize) -> SpanRecorder {
-        SpanRecorder::with_domain(capacity, ClockDomain::Logical)
-    }
-
-    /// An enabled recorder in the given clock domain.
-    pub fn with_domain(capacity: usize, domain: ClockDomain) -> SpanRecorder {
         SpanRecorder(Some(Arc::new(SpanInner {
             capacity: capacity.max(1),
-            domain,
             ring: Mutex::new(SpanRing::default()),
             stage_hists: Mutex::new(vec![Histogram::noop(); Stage::ALL.len()]),
         })))
     }
 
-    /// An enabled wall-microsecond recorder (serve layer).
-    pub fn wall(capacity: usize) -> SpanRecorder {
-        SpanRecorder::with_domain(capacity, ClockDomain::WallMicros)
-    }
-
-    /// An enabled logical-clock recorder with [`DEFAULT_SPAN_CAPACITY`].
+    /// An enabled recorder with [`DEFAULT_SPAN_CAPACITY`].
     pub fn with_default_capacity() -> SpanRecorder {
         SpanRecorder::new(DEFAULT_SPAN_CAPACITY)
     }
@@ -443,14 +382,6 @@ impl SpanRecorder {
     /// Whether `record*` calls actually record.
     pub fn is_enabled(&self) -> bool {
         self.0.is_some()
-    }
-
-    /// The recorder's clock domain ([`ClockDomain::Logical`] when
-    /// disabled).
-    pub fn domain(&self) -> ClockDomain {
-        self.0
-            .as_ref()
-            .map_or(ClockDomain::Logical, |inner| inner.domain)
     }
 
     /// Attach per-stage `quill.span.<stage>` histograms from `registry` for
@@ -629,158 +560,6 @@ pub fn write_spans_jsonl(path: &Path, spans: &[Span]) -> std::io::Result<()> {
     crate::reporter::write_lines_atomic(path, spans.iter().map(Span::to_json_line))
 }
 
-// ---------------------------------------------------------------------------
-// Chrome trace event format (Perfetto / chrome://tracing).
-
-/// Render labelled record groups as one Chrome trace JSON object. Each part
-/// becomes its own process (pid = position + 1) named by its label and
-/// clock domain via `process_name` metadata events, so mixed-domain
-/// exports (serve wall spans next to session logical spans) stay visually
-/// separated instead of sharing an axis dishonestly. Record `ts`/`dur` map
-/// to the trace's microsecond fields unscaled (instants get `dur` 0);
-/// shards become thread ids, and the named detail words ride in `args`.
-pub fn to_chrome_trace_parts(parts: &[(&str, ClockDomain, Vec<Span>)]) -> String {
-    let mut out = String::from("{\"displayTimeUnit\":\"ms\",\"traceEvents\":[");
-    let mut first = true;
-    for (i, (label, domain, spans)) in parts.iter().enumerate() {
-        let pid = i as u64 + 1;
-        if !first {
-            out.push(',');
-        }
-        first = false;
-        let _ = write!(
-            out,
-            "\n{{\"name\":\"process_name\",\"ph\":\"M\",\"pid\":{pid},\"tid\":0,\
-             \"args\":{{\"name\":{}}}}}",
-            json_string(&format!("{label} ({})", domain.as_str()))
-        );
-        for s in spans {
-            let _ = write!(
-                out,
-                ",\n{{\"name\":\"{}\",\"cat\":\"quill\",\"ph\":\"X\",\"ts\":{},\"dur\":{},\
-                 \"pid\":{pid},\"tid\":{},\"args\":{{\"seq\":{}",
-                s.stage.as_str(),
-                s.begin,
-                s.duration(),
-                s.shard,
-                s.seq
-            );
-            if s.query != NO_QUERY {
-                let _ = write!(out, ",\"query\":{}", s.query);
-            }
-            for (name, value) in s.stage.detail_names().iter().zip(s.detail) {
-                if let Some(name) = name {
-                    let _ = write!(out, ",\"{name}\":{value}");
-                }
-            }
-            if let Some(reason) = s.reason {
-                let _ = write!(out, ",\"reason\":\"{reason}\"");
-            }
-            out.push_str("}}");
-        }
-    }
-    out.push_str("\n]}");
-    out
-}
-
-/// Render one record group as a Chrome trace JSON object (see
-/// [`to_chrome_trace_parts`]).
-pub fn to_chrome_trace(spans: &[Span], domain: ClockDomain) -> String {
-    to_chrome_trace_parts(&[("quill pipeline", domain, spans.to_vec())])
-}
-
-/// One event parsed back out of a Chrome trace export. Only the fields the
-/// structural round-trip cares about are kept.
-#[derive(Debug, Clone, PartialEq)]
-pub struct ChromeEvent {
-    /// Event name (the stage token for `"X"` events).
-    pub name: String,
-    /// Phase: `"X"` for complete spans, `"M"` for metadata.
-    pub ph: String,
-    /// Start, microsecond field (absent on metadata events).
-    pub ts: Option<u64>,
-    /// Duration, microsecond field (absent on metadata events).
-    pub dur: Option<u64>,
-    /// Process id.
-    pub pid: Option<u64>,
-    /// Thread id.
-    pub tid: Option<u64>,
-}
-
-/// A structurally parsed Chrome trace file.
-#[derive(Debug, Clone, PartialEq)]
-pub struct ChromeTrace {
-    /// The `displayTimeUnit` hint, when present.
-    pub display_time_unit: Option<String>,
-    /// Every event in the `traceEvents` array.
-    pub events: Vec<ChromeEvent>,
-}
-
-impl ChromeTrace {
-    /// The complete (`"X"`) events — the actual spans on the timeline.
-    pub fn complete_events(&self) -> impl Iterator<Item = &ChromeEvent> {
-        self.events.iter().filter(|e| e.ph == "X")
-    }
-}
-
-/// Parse a Chrome trace JSON object (the object form with a `traceEvents`
-/// array, as produced by [`to_chrome_trace`] and accepted by Perfetto).
-/// The parser is a small but complete JSON reader, so hand-edited or
-/// third-party traces of the same shape parse too.
-///
-/// # Errors
-/// A message locating the structural problem.
-pub fn parse_chrome_trace(text: &str) -> Result<ChromeTrace, String> {
-    let value = JsonParser::parse(text)?;
-    let Jv::Obj(fields) = &value else {
-        return Err("top level is not a JSON object".into());
-    };
-    let display_time_unit = match obj_get(fields, "displayTimeUnit") {
-        Some(Jv::Str(s)) => Some(s.clone()),
-        Some(_) => return Err("displayTimeUnit is not a string".into()),
-        None => None,
-    };
-    let Some(Jv::Arr(raw_events)) = obj_get(fields, "traceEvents") else {
-        return Err("missing traceEvents array".into());
-    };
-    let mut events = Vec::with_capacity(raw_events.len());
-    for (i, ev) in raw_events.iter().enumerate() {
-        let Jv::Obj(f) = ev else {
-            return Err(format!("traceEvents[{i}] is not an object"));
-        };
-        let name = match obj_get(f, "name") {
-            Some(Jv::Str(s)) => s.clone(),
-            _ => return Err(format!("traceEvents[{i}] has no string name")),
-        };
-        let ph = match obj_get(f, "ph") {
-            Some(Jv::Str(s)) => s.clone(),
-            _ => return Err(format!("traceEvents[{i}] has no string ph")),
-        };
-        let num = |key: &str| -> Result<Option<u64>, String> {
-            match obj_get(f, key) {
-                None => Ok(None),
-                Some(Jv::Num(raw)) => raw
-                    .parse::<u64>()
-                    .map(Some)
-                    .map_err(|_| format!("traceEvents[{i}].{key} is not a u64: {raw:?}")),
-                Some(_) => Err(format!("traceEvents[{i}].{key} is not a number")),
-            }
-        };
-        events.push(ChromeEvent {
-            name,
-            ph,
-            ts: num("ts")?,
-            dur: num("dur")?,
-            pid: num("pid")?,
-            tid: num("tid")?,
-        });
-    }
-    Ok(ChromeTrace {
-        display_time_unit,
-        events,
-    })
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -790,7 +569,7 @@ mod tests {
         rec.record_detail(Stage::BufferResidency, 10, 60, 0, [3, 60]);
         rec.record_detail(Stage::WindowFinalize, 100, 160, 1, [0, key_tag("a\"b")]);
         rec.record_for_query(Stage::Deliver, 100, 175, 0, 3);
-        rec.record(Stage::IngestDecode, 100, 200, 3);
+        rec.record(Stage::WindowFinalize, 100, 200, 3);
         rec.record_detail(Stage::LateArrival, 42, 190, 0, [9, 0]);
         rec.record_k_change(95, 0, u64::MAX, KChangeReason::Ratchet);
         rec.record_detail(Stage::LateDrop, 42, 42, 2, [9, 0]);
@@ -801,19 +580,18 @@ mod tests {
     fn disabled_recorder_is_inert() {
         let rec = SpanRecorder::disabled();
         assert!(!rec.is_enabled());
-        rec.record(Stage::IngestDecode, 0, 5, 0);
+        rec.record(Stage::Deliver, 0, 5, 0);
         rec.record_for_query(Stage::Deliver, 0, 5, 0, 1);
         rec.record_k_change(1, 0, 5, KChangeReason::Adapt);
         assert!(rec.spans().is_empty());
         assert_eq!(rec.len(), 0);
         assert_eq!(rec.dropped(), 0);
         assert_eq!(rec.capacity(), 0);
-        assert_eq!(rec.domain(), ClockDomain::Logical);
     }
 
     /// Every record costs a full ring 56 bytes of resident memory: six
     /// words, the shard, the stage and the reason byte. `quill-serve`'s
-    /// rings are full within seconds on a disordered stream, against a
+    /// ring is full within seconds on a disordered stream, against a
     /// daemon peak RSS of 5–10 MB that the benchmark bounds at 10 %: a
     /// wider record would show up there.
     #[test]
@@ -849,7 +627,7 @@ mod tests {
     fn ring_bounds_memory_and_counts_drops() {
         let rec = SpanRecorder::new(2);
         for i in 0..5u64 {
-            rec.record(Stage::IngestDecode, i, i + 1, 0);
+            rec.record(Stage::Deliver, i, i + 1, 0);
         }
         assert_eq!(rec.len(), 2);
         assert_eq!(rec.dropped(), 3);
@@ -894,7 +672,7 @@ mod tests {
     fn clones_share_the_ring() {
         let rec = SpanRecorder::new(16);
         let clone = rec.clone();
-        clone.record(Stage::IngestDecode, 0, 5, 1);
+        clone.record(Stage::Deliver, 0, 5, 1);
         assert_eq!(rec.len(), 1);
         assert_eq!(rec.spans()[0].shard, 1);
     }
@@ -944,7 +722,7 @@ mod tests {
     #[test]
     fn json_line_omits_query_for_unowned_spans() {
         let rec = SpanRecorder::new(4);
-        rec.record(Stage::IngestDecode, 0, 5, 0);
+        rec.record(Stage::Deliver, 0, 5, 0);
         let line = rec.spans()[0].to_json_line();
         assert!(!line.contains("query"), "{line}");
         assert_eq!(Span::parse_json_line(&line).unwrap().query, NO_QUERY);
@@ -977,9 +755,6 @@ mod tests {
             assert_eq!(Stage::ALL[stage.index()], stage);
         }
         assert_eq!(Stage::parse("bogus"), None);
-        for domain in [ClockDomain::Logical, ClockDomain::WallMicros] {
-            assert_eq!(ClockDomain::parse(domain.as_str()), Some(domain));
-        }
     }
 
     #[test]
@@ -989,72 +764,9 @@ mod tests {
         let get = |stage: Stage| attr.iter().find(|a| a.stage == stage).unwrap();
         assert_eq!(get(Stage::BufferResidency).total, 50);
         assert_eq!(get(Stage::Deliver).count, 1);
-        assert_eq!(get(Stage::IngestDecode).max, 100);
+        assert_eq!(get(Stage::WindowFinalize).max, 100);
         assert_eq!(get(Stage::LateArrival).total, 148);
         assert!(attr.iter().all(|a| a.count > 0 && !a.stage.is_instant()));
-    }
-
-    #[test]
-    fn chrome_trace_round_trips_structurally() {
-        let rec = sample_recorder();
-        let spans = rec.spans();
-        let text = to_chrome_trace(&spans, ClockDomain::Logical);
-        let trace = parse_chrome_trace(&text).expect("parse own export");
-        assert_eq!(trace.display_time_unit.as_deref(), Some("ms"));
-        let complete: Vec<&ChromeEvent> = trace.complete_events().collect();
-        assert_eq!(complete.len(), spans.len());
-        for (ev, span) in complete.iter().zip(&spans) {
-            assert_eq!(ev.name, span.stage.as_str());
-            assert_eq!(ev.ts, Some(span.begin));
-            assert_eq!(ev.dur, Some(span.duration()));
-            assert_eq!(ev.tid, Some(span.shard as u64));
-        }
-        // One metadata event names the process with its clock domain.
-        let meta: Vec<&ChromeEvent> = trace.events.iter().filter(|e| e.ph == "M").collect();
-        assert_eq!(meta.len(), 1);
-        assert_eq!(meta[0].name, "process_name");
-        assert!(text.contains("\"reason\":\"ratchet\""));
-    }
-
-    #[test]
-    fn chrome_trace_parts_separate_pids_per_domain() {
-        let wall = SpanRecorder::wall(16);
-        wall.record(Stage::Connection, 0, 1000, 0);
-        let logical = SpanRecorder::new(16);
-        logical.record(Stage::Deliver, 10, 20, 0);
-        let text = to_chrome_trace_parts(&[
-            ("serve", ClockDomain::WallMicros, wall.spans()),
-            ("session", ClockDomain::Logical, logical.spans()),
-        ]);
-        let trace = parse_chrome_trace(&text).expect("parse own export");
-        let pids: Vec<Option<u64>> = trace.complete_events().map(|e| e.pid).collect();
-        assert_eq!(pids, vec![Some(1), Some(2)]);
-        assert_eq!(trace.events.iter().filter(|e| e.ph == "M").count(), 2);
-    }
-
-    #[test]
-    fn chrome_parser_rejects_structural_damage() {
-        assert!(parse_chrome_trace("[]").is_err());
-        assert!(parse_chrome_trace("{\"traceEvents\":{}}").is_err());
-        assert!(parse_chrome_trace("{\"traceEvents\":[{\"ph\":\"X\"}]}").is_err());
-        assert!(parse_chrome_trace("{\"traceEvents\":[]} trailing").is_err());
-        assert!(parse_chrome_trace("{\"traceEvents\":[]}").is_ok());
-    }
-
-    #[test]
-    fn chrome_parser_handles_foreign_traces() {
-        // Hand-written trace with whitespace, nesting and unknown fields.
-        let text = r#"{
-            "displayTimeUnit": "ms",
-            "otherData": {"version": "x"},
-            "traceEvents": [
-                {"name": "a", "ph": "X", "ts": 1, "dur": 2, "pid": 1, "tid": 7,
-                 "args": {"deep": {"er": [1, 2, null, true]}}}
-            ]
-        }"#;
-        let trace = parse_chrome_trace(text).expect("parse foreign trace");
-        assert_eq!(trace.events.len(), 1);
-        assert_eq!(trace.events[0].tid, Some(7));
     }
 
     #[test]

@@ -1,15 +1,15 @@
 #!/usr/bin/env bash
 # Daemon smoke test: boot quill-serve on ephemeral ports, stream a
 # disordered fixture over TCP (with a mid-stream reconnect), scrape
-# /metrics, pull the pipeline-span timeline from /trace, assert windows
-# were merged, and shut down cleanly.
+# /metrics, pull the span ring from /trace and render it with both
+# quill-inspect modes, assert windows were merged, and shut down cleanly.
 # Run from the repository root: ./scripts/serve_smoke.sh
 set -euo pipefail
 cd "$(dirname "$0")/.."
 
 TIMEOUT="${SERVE_SMOKE_TIMEOUT:-120}"
 LOG="$(mktemp)"
-TRACE="results/SMOKE_serve_trace.json"
+TRACE="results/SMOKE_serve_trace.jsonl"
 trap 'rm -f "$LOG"; [ -n "${SERVER_PID:-}" ] && kill "$SERVER_PID" 2>/dev/null || true' EXIT
 
 echo "==> building quill-serve, quill-ingest and quill-inspect"
@@ -60,10 +60,16 @@ printf '%s\n' "$METRICS" | grep -q '^quill_executor_queue_depth '
 printf '%s\n' "$METRICS" | grep -q '^quill_span_deliver_count '
 printf '%s\n' "$METRICS" | grep -q '^quill_span_deliver_sum '
 
-echo "==> fetching the Chrome-trace timeline from /trace"
+echo "==> fetching the span ring from /trace"
 mkdir -p results
 curl -sf "http://$HTTP_ADDR/trace" >"$TRACE"
-./target/release/quill-inspect timeline "$TRACE" --check
+REPORT="$(./target/release/quill-inspect "$TRACE" --top 3)"
+printf '%s\n' "$REPORT" | sed 's/^/    /'
+# aq:0.95 moves K: the controller decision log must show at least one move.
+printf '%s\n' "$REPORT" | grep -Eq 'K [0-9inf]+ -> [0-9inf]+  \([a-z_]+\)$' || {
+    echo "no controller decision in the live trace"
+    exit 1
+}
 ./target/release/quill-inspect timeline "$TRACE" | sed 's/^/    /'
 
 echo "==> clean shutdown within ${TIMEOUT}s"

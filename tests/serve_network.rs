@@ -330,8 +330,32 @@ fn a_listed_query_re_registers_as_the_same_query() {
     handle.shutdown();
 }
 
+/// Ask for a graceful drain and wait until the session has finished.
+fn finish_and_wait(handle: &ServerHandle) {
+    let (_, _) = http_request(handle.http_addr(), "POST", "/finish", "");
+    for _ in 0..2000 {
+        if handle.stats().finished {
+            return;
+        }
+        std::thread::sleep(Duration::from_millis(5));
+    }
+    panic!("session never finished");
+}
+
+/// `GET /trace`: status line checked, body parsed one span per line.
+fn fetch_trace(http: std::net::SocketAddr) -> (String, Vec<quill_telemetry::Span>) {
+    let (head, body) = http_request(http, "GET", "/trace", "");
+    assert!(head.starts_with("HTTP/1.1 200"), "{head}");
+    assert!(head.contains("application/x-ndjson"), "{head}");
+    let spans = body
+        .lines()
+        .map(|l| quill_telemetry::Span::parse_json_line(l).unwrap_or_else(|e| panic!("{e}: {l}")))
+        .collect();
+    (body, spans)
+}
+
 #[test]
-fn trace_endpoint_serves_chrome_trace_with_pipeline_spans() {
+fn trace_endpoint_serves_span_lines() {
     let handle = start_server();
     let http = handle.http_addr();
 
@@ -346,36 +370,17 @@ fn trace_endpoint_serves_chrome_trace_with_pipeline_spans() {
     }
     client.finish().expect("close");
     wait_events(&handle, frames.len() as u64);
-    let (_, _) = http_request(http, "POST", "/finish", "");
-    for _ in 0..2000 {
-        if handle.stats().finished {
-            break;
-        }
-        std::thread::sleep(Duration::from_millis(5));
-    }
+    finish_and_wait(&handle);
 
-    // The trace round-trips through the Chrome-trace parser and carries
-    // both wall-domain shell spans and logical-domain session spans.
-    // The reader thread records its `connection` span after handing off the
-    // last batch, which is all `wait_events` waits for: give it a moment.
-    let mut stages = std::collections::BTreeSet::new();
-    for _ in 0..200 {
-        let (head, trace) = http_request(http, "GET", "/trace", "");
-        assert!(head.starts_with("HTTP/1.1 200"), "{head}");
-        let parsed = quill_telemetry::span::parse_chrome_trace(&trace).expect("trace JSON parses");
-        stages = parsed.events.iter().map(|e| e.name.clone()).collect();
-        if stages.contains("connection") {
-            break;
-        }
-        std::thread::sleep(Duration::from_millis(5));
-    }
-    for stage in [
-        "connection",
-        "ingest_decode",
-        "buffer_residency",
-        "deliver",
-        "query",
-    ] {
+    // Every line is one span record, in ring (= seq) order, from the
+    // session's one ring.
+    let (_, spans) = fetch_trace(http);
+    assert!(
+        spans.windows(2).all(|w| w[0].seq < w[1].seq),
+        "seq must strictly increase"
+    );
+    let stages: std::collections::BTreeSet<&str> = spans.iter().map(|s| s.stage.as_str()).collect();
+    for stage in ["buffer_residency", "deliver", "k_change"] {
         assert!(stages.contains(stage), "missing {stage} in {stages:?}");
     }
 
@@ -399,6 +404,40 @@ fn trace_endpoint_serves_chrome_trace_with_pipeline_spans() {
 }
 
 #[test]
+fn a_live_trace_feeds_the_full_report() {
+    let config = ServeConfig {
+        strategy: StrategySpec::Aq(0.95),
+        queue_capacity: 256,
+        ..ServeConfig::default()
+    };
+    let handle = Server::start(config).expect("server boots");
+    let http = handle.http_addr();
+    post_query(http, "tumbling:1000;sum:0:total");
+    let frames = fixture(3_000, 5, 400, 0);
+    let mut client = IngestClient::connect(handle.ingest_addr().to_string()).expect("connect");
+    for f in &frames {
+        client.send(f).expect("send");
+    }
+    client.finish().expect("close");
+    wait_events(&handle, frames.len() as u64);
+    finish_and_wait(&handle);
+
+    // What `curl /trace > trace.jsonl; quill-inspect trace.jsonl` prints.
+    let (body, _) = fetch_trace(http);
+    let report = quill_bench::inspect::render_report(&body, 5).expect("the live ring renders");
+    let decisions = report
+        .lines()
+        .filter(|l| l.contains("K ") && l.contains(" -> ") && l.ends_with(')'))
+        .count();
+    assert!(decisions > 0, "no controller decision line:\n{report}");
+    assert!(
+        report.lines().any(|l| l.contains("lateness=")),
+        "no late-arrival leader:\n{report}"
+    );
+    handle.shutdown();
+}
+
+#[test]
 fn zero_span_capacity_disables_trace_collection() {
     let config = ServeConfig {
         strategy: StrategySpec::Fixed(500),
@@ -416,14 +455,8 @@ fn zero_span_capacity_disables_trace_collection() {
     }
     client.finish().expect("close");
     wait_events(&handle, frames.len() as u64);
-    let (head, trace) = http_request(http, "GET", "/trace", "");
-    assert!(head.starts_with("HTTP/1.1 200"), "{head}");
-    let parsed = quill_telemetry::span::parse_chrome_trace(&trace).expect("still valid JSON");
-    assert_eq!(
-        parsed.complete_events().count(),
-        0,
-        "disabled recorders record nothing"
-    );
+    let (body, _) = fetch_trace(http);
+    assert_eq!(body, "", "a disabled recorder records nothing");
     handle.shutdown();
 }
 
