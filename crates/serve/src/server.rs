@@ -14,10 +14,14 @@
 //! ```
 //!
 //! * Each ingest connection gets a reader thread. Whatever one socket read
-//!   delivered is decoded in place by [`wire::Decoder`] and handed to the
-//!   core as **one batch**, data and heartbeats in wire order, as soon as
-//!   it is decoded — there is no flush timer. The queue depth gauge and the
-//!   ingest counters move once per batch.
+//!   delivered (read straight into the decoder's buffer) is decoded in place
+//!   by [`wire::Decoder`] and handed to the core as **one batch**, data and
+//!   heartbeats in wire order, as soon as it is decoded — there is no flush
+//!   timer. The queue depth gauge and the ingest counters move once per
+//!   batch. A batch is one heap block: each data item carries its event's
+//!   row, whose values (two numeric fields, say) sit inside it, and the
+//!   core moves that row into the event. So a numeric event allocates
+//!   nothing on the reader and frees nothing on the core.
 //! * `queue_capacity` bounds the queued *events*: a batch holds at most
 //!   [`batch_shape`]'s cap and the channel that many batches, and their
 //!   product never exceeds the configured bound. Readers block when the
@@ -41,7 +45,7 @@
 use crate::config::{parse_query, query_to_dsl, ServeConfig};
 use crate::error::{ServeError, ServeResult};
 use crate::http;
-use crate::wire::{self, Frame};
+use crate::wire::{self, Item};
 use parking_lot::Mutex;
 use quill_core::prelude::{
     QueryConfig, QueryHandle, QueryId, QueryInfo, QuerySpec, Session, SessionStats,
@@ -51,7 +55,6 @@ use quill_engine::operator::WindowResult;
 use quill_engine::value::Key;
 use quill_telemetry::SpanRecorder;
 use std::collections::HashMap;
-use std::io::Read;
 use std::net::{Ipv4Addr, Ipv6Addr, SocketAddr, TcpListener, TcpStream};
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::mpsc::{Receiver, SyncSender};
@@ -60,8 +63,9 @@ use std::thread::JoinHandle;
 use std::time::Duration;
 
 /// The unit of ingest work: the frames one socket read delivered, in wire
-/// order.
-type Batch = Vec<Frame>;
+/// order, each data frame's values already in its event's row. One heap
+/// block per batch crosses from the reader thread to the core.
+type Batch = Vec<Item>;
 
 /// Largest batch one hand-off may carry, whatever `queue_capacity` says: it
 /// is also the longest the core holds the session lock.
@@ -438,16 +442,14 @@ fn read_connection(shared: &Arc<Shared>, mut stream: TcpStream, tx: &SyncSender<
     let _ = stream.set_read_timeout(Some(conn.read_timeout));
     let _ = stream.set_nodelay(true);
     let mut decoder = wire::Decoder::new(conn.max_frame_len);
-    let mut chunk = [0u8; 4 * 1024];
     let mut idle_ticks: u64 = 0;
     let max_idle = conn.idle_ticks();
 
     loop {
-        match stream.read(&mut chunk) {
+        match decoder.read_from(&mut stream) {
             Ok(0) => break, // EOF: clean close.
-            Ok(n) => {
+            Ok(_) => {
                 idle_ticks = 0;
-                decoder.extend(&chunk[..n]);
                 if !hand_over(shared, &mut decoder, tx) {
                     return;
                 }
@@ -492,7 +494,7 @@ fn hand_over(shared: &Shared, decoder: &mut wire::Decoder, tx: &SyncSender<Batch
         let n = batch.len() as u64;
         let hb = batch
             .iter()
-            .filter(|f| matches!(f, Frame::Heartbeat { .. }))
+            .filter(|item| matches!(item, Item::Heartbeat { .. }))
             .count() as u64;
         shared.ingested.add(n - hb);
         shared.heartbeats.add(hb);
@@ -521,16 +523,16 @@ fn core_loop(shared: &Arc<Shared>, rx: &Receiver<Batch>) {
                 shared.depth_sub(batch.len() as u64);
                 let mut session = shared.session.lock();
                 // Each run of data frames up to the next heartbeat is one
-                // `push_batch`.
-                let mut frames = batch.into_iter();
+                // `push_batch`; each row moves into its event as decoded.
+                let mut items = batch.into_iter();
                 loop {
                     let mut heartbeat = None;
-                    session.push_batch(std::iter::from_fn(|| match frames.next()? {
-                        Frame::Data { ts, values } => {
+                    session.push_batch(std::iter::from_fn(|| match items.next()? {
+                        Item::Data { ts, row } => {
                             seq += 1;
-                            Some(Event::new(ts, seq - 1, wire::row_from_values(values)))
+                            Some(Event::new(ts, seq - 1, row))
                         }
-                        Frame::Heartbeat { ts, source } => {
+                        Item::Heartbeat { ts, source } => {
                             heartbeat = Some((source, ts));
                             None
                         }

@@ -35,12 +35,15 @@
 //! the server's session core in the order batches are handed to it (a
 //! global arrival order across connections), so the wire never carries them.
 //!
-//! [`Decoder`] turns the bytes of successive socket reads into frames
+//! [`Decoder`] turns the bytes of successive socket reads into [`Item`]s
 //! without touching a socket: the server's reader threads drive it, and so
-//! can a test.
+//! can a test. An item is a [`Frame`] whose data values already sit in the
+//! event's [`Row`]; [`parse_line`] and [`decode_payload`] run the same
+//! decoding and hand back a `Frame`.
 
 use crate::error::{ServeError, ServeResult};
 use quill_engine::prelude::{Row, Timestamp, Value};
+use std::io::Read;
 
 /// The 4-byte preamble selecting the binary protocol for a connection.
 pub const BINARY_MAGIC: &[u8; 4] = b"QBIN";
@@ -65,6 +68,39 @@ pub enum Frame {
     },
 }
 
+/// One decoded ingest frame as the session takes it: a data frame's values
+/// are already its event's [`Row`], so a row of up to a few numeric values
+/// costs no heap block of its own.
+#[derive(Debug, Clone, PartialEq)]
+pub enum Item {
+    /// A data event: timestamp plus payload row.
+    Data {
+        /// Event-time timestamp.
+        ts: Timestamp,
+        /// Payload values in field order.
+        row: Row,
+    },
+    /// A per-source heartbeat.
+    Heartbeat {
+        /// Event-time low bound promised by the source.
+        ts: Timestamp,
+        /// The source's key value.
+        source: Value,
+    },
+}
+
+impl From<Item> for Frame {
+    fn from(item: Item) -> Frame {
+        match item {
+            Item::Data { ts, row } => Frame::Data {
+                ts,
+                values: row.into(),
+            },
+            Item::Heartbeat { ts, source } => Frame::Heartbeat { ts, source },
+        }
+    }
+}
+
 /// Parse one scalar token of the text protocol.
 fn parse_value(tok: &str) -> Value {
     if let Ok(i) = tok.parse::<i64>() {
@@ -87,6 +123,17 @@ fn parse_value(tok: &str) -> Value {
 /// # Errors
 /// [`ServeError::Protocol`] naming the malformed token.
 pub fn parse_line(line: &str) -> ServeResult<Option<Frame>> {
+    Ok(line_item(line.as_bytes())?.map(Frame::from))
+}
+
+/// Decode one text line (without its `\n`): [`numeric_line`] when it
+/// applies, the token-by-token parse otherwise.
+fn line_item(line: &[u8]) -> ServeResult<Option<Item>> {
+    if let Some(item) = numeric_line(line) {
+        return Ok(Some(item));
+    }
+    let line =
+        std::str::from_utf8(line).map_err(|_| ServeError::Protocol("non-utf8 text line".into()))?;
     let line = line.trim();
     if line.is_empty() || line.starts_with('#') {
         return Ok(None);
@@ -104,7 +151,7 @@ pub fn parse_line(line: &str) -> ServeResult<Option<Frame>> {
             .next()
             .map(parse_value)
             .ok_or_else(|| ServeError::Protocol(format!("heartbeat needs a source: `{line}`")))?;
-        return Ok(Some(Frame::Heartbeat {
+        return Ok(Some(Item::Heartbeat {
             ts: Timestamp(ts),
             source,
         }));
@@ -112,16 +159,83 @@ pub fn parse_line(line: &str) -> ServeResult<Option<Frame>> {
     let ts: u64 = head
         .parse()
         .map_err(|_| ServeError::Protocol(format!("bad timestamp `{head}` in `{line}`")))?;
-    let values: Vec<Value> = toks.map(parse_value).collect();
-    if values.is_empty() {
+    let row: Row = toks.map(parse_value).collect();
+    if row.is_empty() {
         return Err(ServeError::Protocol(format!(
             "data line has no values: `{line}`"
         )));
     }
-    Ok(Some(Frame::Data {
+    Ok(Some(Item::Data {
         ts: Timestamp(ts),
-        values,
+        row,
     }))
+}
+
+/// The exact powers of ten an `f64` holds: 10²² is the last.
+const POW10: [f64; 23] = [
+    1e0, 1e1, 1e2, 1e3, 1e4, 1e5, 1e6, 1e7, 1e8, 1e9, 1e10, 1e11, 1e12, 1e13, 1e14, 1e15, 1e16,
+    1e17, 1e18, 1e19, 1e20, 1e21, 1e22,
+];
+
+/// The one-pass parse of a data line made of ASCII digits, `.`, `-` and
+/// spaces: a timestamp then integers and plain decimals, read byte by byte
+/// straight into the row. `None` leaves the line to the general path in
+/// [`line_item`], which then gives every answer and error; this path only
+/// takes a line it reads exactly as that path would.
+///
+/// A decimal `m / 10^f` with `m ≤ 2⁵³` and `f ≤ 22` divides two exact
+/// doubles, and IEEE division rounds that quotient correctly (Clinger's fast
+/// case), so the value is bit for bit what `str::parse::<f64>` returns.
+fn numeric_line(line: &[u8]) -> Option<Item> {
+    let mut toks = line.split(|&b| b == b' ').filter(|t| !t.is_empty());
+    let (false, ts, None) = number(toks.next()?)? else {
+        return None;
+    };
+    let mut row = Row::empty();
+    for tok in toks {
+        row.push(match number(tok)? {
+            (false, m, None) => Value::Int(i64::try_from(m).ok()?),
+            (true, m, None) => Value::Int(0i64.checked_sub_unsigned(m)?),
+            (neg, m, Some(frac)) => {
+                if m > 1 << 53 {
+                    return None;
+                }
+                let x = m as f64 / *POW10.get(frac)?;
+                Value::Float(if neg { -x } else { x })
+            }
+        });
+    }
+    (!row.is_empty()).then_some(Item::Data {
+        ts: Timestamp(ts),
+        row,
+    })
+}
+
+/// A token `-?digits` or `-?digits.digits` (either side of the point may be
+/// empty, not both) as `(negative, digits as one integer, digits after the
+/// point)`; `None` for anything else or more digits than a `u64` holds.
+fn number(tok: &[u8]) -> Option<(bool, u64, Option<usize>)> {
+    let (neg, digits) = match tok {
+        [b'-', rest @ ..] => (true, rest),
+        _ => (false, tok),
+    };
+    let mut m: u64 = 0;
+    let mut seen = false;
+    let mut frac: Option<usize> = None;
+    for &b in digits {
+        match b {
+            b'0'..=b'9' => {
+                m = m.checked_mul(10)?.checked_add(u64::from(b - b'0'))?;
+                seen = true;
+                if let Some(f) = &mut frac {
+                    *f += 1;
+                }
+            }
+            b'.' if frac.is_none() => frac = Some(0),
+            _ => return None,
+        }
+    }
+    seen.then_some((neg, m, frac))
 }
 
 /// Render a frame as one text line (round-trips through [`parse_line`] for
@@ -271,21 +385,26 @@ pub fn encode_frame(frame: &Frame) -> Vec<u8> {
 /// # Errors
 /// [`ServeError::Protocol`] on truncation, unknown tags or trailing bytes.
 pub fn decode_payload(payload: &[u8]) -> ServeResult<Frame> {
+    payload_item(payload).map(Frame::from)
+}
+
+/// [`decode_payload`], the values read straight into the row.
+fn payload_item(payload: &[u8]) -> ServeResult<Item> {
     let mut r = Reader {
         buf: payload,
         at: 0,
     };
-    let frame = match r.u8()? {
+    let item = match r.u8()? {
         0x01 => {
             let ts = Timestamp(r.u64()?);
-            let n = r.u16()? as usize;
-            let mut values = Vec::with_capacity(n);
+            let n = r.u16()?;
+            let mut row = Row::empty();
             for _ in 0..n {
-                values.push(r.value()?);
+                row.push(r.value()?);
             }
-            Frame::Data { ts, values }
+            Item::Data { ts, row }
         }
-        0x02 => Frame::Heartbeat {
+        0x02 => Item::Heartbeat {
             ts: Timestamp(r.u64()?),
             source: r.value()?,
         },
@@ -301,7 +420,7 @@ pub fn decode_payload(payload: &[u8]) -> ServeResult<Frame> {
             payload.len() - r.at
         )));
     }
-    Ok(frame)
+    Ok(item)
 }
 
 /// Build an engine row from frame values.
@@ -309,16 +428,23 @@ pub fn row_from_values(values: Vec<Value>) -> Row {
     Row::new(values)
 }
 
-/// Incremental frame decoder for one ingest connection: bytes in, frames
+/// The most one [`Decoder::read_from`] takes from its source.
+const READ_CHUNK: usize = 4 * 1024;
+
+/// Incremental frame decoder for one ingest connection: bytes in, items
 /// out, no socket.
 ///
-/// [`Decoder::extend`] appends what a read delivered; [`Decoder::decode`]
-/// walks the buffered bytes with a cursor, parses each complete frame where
+/// [`Decoder::read_from`] reads a socket straight into the buffer
+/// ([`Decoder::extend`] appends bytes from elsewhere); [`Decoder::decode`]
+/// walks the buffered bytes with a cursor, decodes each complete frame where
 /// it lies and removes everything consumed with one `drain` per call. The
 /// wire mode is decided by the first four bytes ([`BINARY_MAGIC`] or text).
-/// How the byte stream was cut into reads never changes the frames or where
-/// an error falls. The one allocation left per data frame is its
-/// `Vec<Value>`, which becomes the event's row without a copy.
+/// How the byte stream was cut into reads never changes the items or where
+/// an error falls. A call allocates its output once, sized to the frames
+/// the buffer holds; a data frame's values go straight into its [`Row`],
+/// which holds a few values in place, so a numeric event of up to that many
+/// fields adds no allocation. A wider row allocates its spill, and a string
+/// value its text.
 #[derive(Debug)]
 pub struct Decoder {
     buf: Vec<u8>,
@@ -332,7 +458,7 @@ impl Decoder {
     /// `max_frame_len` bytes.
     pub fn new(max_frame_len: usize) -> Decoder {
         Decoder {
-            buf: Vec::with_capacity(8 * 1024),
+            buf: Vec::with_capacity(2 * READ_CHUNK),
             binary: None,
             max_frame_len,
         }
@@ -341,6 +467,20 @@ impl Decoder {
     /// Append the bytes of one read.
     pub fn extend(&mut self, bytes: &[u8]) {
         self.buf.extend_from_slice(bytes);
+    }
+
+    /// Make one `read` of up to 4 KiB from `src` into the buffer, with no
+    /// copy in between, and return its result (`Ok(0)` at the end of the
+    /// stream).
+    ///
+    /// # Errors
+    /// Whatever the read returns; the buffer keeps only what was read.
+    pub fn read_from(&mut self, src: &mut impl Read) -> std::io::Result<usize> {
+        let filled = self.buf.len();
+        self.buf.resize(filled + READ_CHUNK, 0);
+        let read = src.read(&mut self.buf[filled..]);
+        self.buf.truncate(filled + read.as_ref().map_or(0, |&n| n));
+        read
     }
 
     /// The stream ended: a connection too short to have shown the magic is
@@ -366,8 +506,7 @@ impl Decoder {
     /// malformed: an oversized payload or line, non-UTF-8 text, or whatever
     /// [`parse_line`] / [`decode_payload`] refuse. Every frame before it has
     /// been returned by then, and the error repeats on later calls.
-    pub fn decode(&mut self, limit: usize) -> ServeResult<Vec<Frame>> {
-        let mut out = Vec::new();
+    pub fn decode(&mut self, limit: usize) -> ServeResult<Vec<Item>> {
         let mut at = 0;
         if self.binary.is_none() && self.buf.len() >= BINARY_MAGIC.len() {
             let binary = self.buf.starts_with(BINARY_MAGIC);
@@ -376,28 +515,30 @@ impl Decoder {
             }
             self.binary = Some(binary);
         }
-        if let Some(binary) = self.binary {
-            while out.len() < limit {
-                let next = if binary {
-                    next_binary(&self.buf[at..], self.max_frame_len)
-                } else {
-                    next_text(&self.buf[at..], self.max_frame_len)
-                };
-                let (used, frame) = match next {
-                    Ok(next) => next,
-                    Err(e) if out.is_empty() => {
-                        self.buf.drain(..at);
-                        return Err(e);
-                    }
-                    // The frames before it go out first; the next call
-                    // meets the bad one again.
-                    Err(_) => break,
-                };
-                at += used;
-                match frame {
-                    Some(frame) => out.push(frame),
-                    None => break,
+        let Some(binary) = self.binary else {
+            return Ok(Vec::new());
+        };
+        let mut out = Vec::with_capacity(frames_ahead(&self.buf[at..], binary, limit));
+        while out.len() < limit {
+            let next = if binary {
+                next_binary(&self.buf[at..], self.max_frame_len)
+            } else {
+                next_text(&self.buf[at..], self.max_frame_len)
+            };
+            let (used, item) = match next {
+                Ok(next) => next,
+                Err(e) if out.is_empty() => {
+                    self.buf.drain(..at);
+                    return Err(e);
                 }
+                // The frames before it go out first; the next call
+                // meets the bad one again.
+                Err(_) => break,
+            };
+            at += used;
+            match item {
+                Some(item) => out.push(item),
+                None => break,
             }
         }
         self.buf.drain(..at);
@@ -405,9 +546,34 @@ impl Decoder {
     }
 }
 
+/// At most how many frames, up to `limit`, `buf` completes: its newlines
+/// for text, its whole length-prefixed frames for binary. It sizes
+/// [`Decoder::decode`]'s output, and stops counting at `limit`.
+fn frames_ahead(buf: &[u8], binary: bool, limit: usize) -> usize {
+    let mut n = 0;
+    if binary {
+        let mut at = 0usize;
+        while let Some(prefix) = buf.get(at..).and_then(<[u8]>::first_chunk::<4>) {
+            at = at.saturating_add(4 + u32::from_be_bytes(*prefix) as usize);
+            if n == limit || at > buf.len() {
+                break;
+            }
+            n += 1;
+        }
+    } else {
+        for block in buf.chunks(256) {
+            n += block.iter().filter(|&&b| b == b'\n').count();
+            if n >= limit {
+                break;
+            }
+        }
+    }
+    n.min(limit)
+}
+
 /// The next text frame of `buf` and the bytes it (and any blank or comment
 /// lines before it) used; `None` when no complete line with a frame is left.
-fn next_text(buf: &[u8], max_len: usize) -> ServeResult<(usize, Option<Frame>)> {
+fn next_text(buf: &[u8], max_len: usize) -> ServeResult<(usize, Option<Item>)> {
     let mut at = 0;
     loop {
         let rest = &buf[at..];
@@ -418,19 +584,17 @@ fn next_text(buf: &[u8], max_len: usize) -> ServeResult<(usize, Option<Frame>)> 
         let Some(nl) = nl else {
             return Ok((at, None));
         };
-        let line = std::str::from_utf8(&rest[..nl])
-            .map_err(|_| ServeError::Protocol("non-utf8 text line".into()))?;
-        let frame = parse_line(line)?;
+        let item = line_item(&rest[..nl])?;
         at += nl + 1;
-        if frame.is_some() {
-            return Ok((at, frame));
+        if item.is_some() {
+            return Ok((at, item));
         }
     }
 }
 
 /// The next binary frame of `buf` (length prefix + payload) and the bytes it
 /// used; `None` when the frame is not complete yet.
-fn next_binary(buf: &[u8], max_len: usize) -> ServeResult<(usize, Option<Frame>)> {
+fn next_binary(buf: &[u8], max_len: usize) -> ServeResult<(usize, Option<Item>)> {
     let Some(prefix) = buf.first_chunk::<4>() else {
         return Ok((0, None));
     };
@@ -439,7 +603,7 @@ fn next_binary(buf: &[u8], max_len: usize) -> ServeResult<(usize, Option<Frame>)
         return Err(oversized("binary frame", max_len));
     }
     match buf[4..].get(..len) {
-        Some(payload) => Ok((4 + len, Some(decode_payload(payload)?))),
+        Some(payload) => Ok((4 + len, Some(payload_item(payload)?))),
         None => Ok((0, None)),
     }
 }
@@ -532,6 +696,56 @@ mod tests {
         assert!(decode_payload(&ok).is_err(), "trailing bytes");
         let short = &encode_payload(&frames()[0])[..5];
         assert!(decode_payload(short).is_err(), "truncated");
+    }
+
+    #[test]
+    fn read_from_appends_one_read_and_keeps_only_what_was_read() {
+        let bytes: Vec<u8> = (0..3000u64)
+            .flat_map(|i| format!("{i} {i}.5\n").into_bytes())
+            .collect();
+        let mut src = &bytes[..];
+        let mut decoder = Decoder::new(64);
+        let mut items = Vec::new();
+        loop {
+            let n = decoder.read_from(&mut src).expect("a slice reads");
+            assert!(n <= READ_CHUNK);
+            if n == 0 {
+                break;
+            }
+            items.extend(decoder.decode(usize::MAX).expect("own lines"));
+        }
+        assert!(!decoder.has_partial());
+        assert_eq!(items.len(), 3000);
+        assert_eq!(
+            items[2999],
+            Item::Data {
+                ts: Timestamp(2999),
+                row: Row::new([Value::Float(2999.5)]),
+            }
+        );
+
+        struct TimedOut;
+        impl Read for TimedOut {
+            fn read(&mut self, _: &mut [u8]) -> std::io::Result<usize> {
+                Err(std::io::ErrorKind::TimedOut.into())
+            }
+        }
+        decoder.extend(b"7 1");
+        assert!(decoder.read_from(&mut TimedOut).is_err());
+        decoder.close();
+        let frames: Vec<Frame> = decoder
+            .decode(8)
+            .expect("a line")
+            .into_iter()
+            .map(Frame::from)
+            .collect();
+        assert_eq!(
+            frames,
+            vec![Frame::Data {
+                ts: Timestamp(7),
+                values: vec![Value::Int(1)],
+            }]
+        );
     }
 
     #[test]
