@@ -235,7 +235,9 @@ pub(crate) enum PaneAgg {
 
 impl PaneAgg {
     /// Fold one event into the partial: `v` is the value of the spec's field
-    /// and `by` that of [`AggregateSpec::by_field`].
+    /// and `by` that of [`AggregateSpec::by_field`]. Into a fresh partial,
+    /// this builds the one-event partial (`seed`) that [`PaneAgg::absorb`]
+    /// must match when merged.
     pub(crate) fn insert(&mut self, ts: Timestamp, v: &Value, by: &Value) {
         match self {
             PaneAgg::Count(a) => a.insert(v),
@@ -248,15 +250,26 @@ impl PaneAgg {
         }
     }
 
-    /// Merge the one-event partial of a *later* event: `identity` (a fresh
-    /// partial of this spec) takes the event on the stack and is merged in.
-    /// Not an `insert` — Welford's update and the moments merge round
-    /// differently, and a pane's partial must not depend on which of the two
-    /// built it.
-    pub(crate) fn absorb(&mut self, identity: &PaneAgg, ts: Timestamp, v: &Value, by: &Value) {
-        let mut one = identity.clone();
-        one.insert(ts, v, by);
-        self.merge(&one);
+    /// Fold one *later* event in place, bit for bit as merging its
+    /// one-event partial would (`merge(seed)`), without building one: a
+    /// pane's partial must not depend on how its events happen to fall into
+    /// panes. For every kind but Variance/StdDev that merge *is* `insert`:
+    /// Count adds the seed's count; Min/Max, First/Last and ArgMin/ArgMax
+    /// merge by their insert rule; Sum and Mean add the seed's sum `0.0 + x`
+    /// (`0.0` for a non-number), which differs from adding `x` (or nothing)
+    /// only on a `-0.0` sum, and a sum that starts at `+0.0` never becomes
+    /// one (IEEE addition gives `-0.0` only from two `-0.0` operands).
+    /// Variance/StdDev merge a one-event `MomentsAgg` built on the stack:
+    /// Welford's update and the moments merge round differently.
+    pub(crate) fn absorb(&mut self, ts: Timestamp, v: &Value, by: &Value) {
+        match self {
+            PaneAgg::Moments(a) => {
+                let mut one = MomentsAgg::new(a.stddev);
+                one.insert(v);
+                a.merge(&one);
+            }
+            _ => self.insert(ts, v, by),
+        }
     }
 
     /// Merge a *later* pane's partial into this one. Both sides must come

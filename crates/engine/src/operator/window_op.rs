@@ -16,10 +16,11 @@
 //! There is one state layout, the pane state (DESIGN.md §17). Every window
 //! is tumbling or sliding on a fixed grid, so every window is a whole number
 //! of *panes* of width `gcd(length, slide)`, and all timestamps in one pane
-//! belong to the same windows. Per key, the operator holds a pane-ordered run
-//! of its *non-empty* panes — memory follows the held events, never the time
-//! span. A pane holds its event count, one partial per combinable spec
-//! (absorbed in arrival order), the value images of every Median/Quantile
+//! belong to the same windows. Per key — found by one hash probe with the
+//! row's own key value — the operator holds a pane-ordered run of its
+//! *non-empty* panes: memory follows the held events, never the time span.
+//! A pane holds its event count, one partial per combinable spec (absorbed
+//! in place, in arrival order), the value images of every Median/Quantile
 //! field and the distinct values of every DistinctCount field. An event is
 //! folded *once*, into its pane, whatever the window shape and the aggregate
 //! kinds ([`WindowOpStats::agg_inserts`] counts it): an in-order arrival
@@ -40,6 +41,7 @@
 use crate::aggregate::{quantile_of_ranks, AggregateKind, AggregateSpec, PaneAgg};
 use crate::error::{EngineError, Result};
 use crate::event::{Event, StreamElement};
+use crate::hash::KeyHash;
 use crate::operator::rank_index::{float, image, RankIndex};
 use crate::operator::Operator;
 use crate::time::Timestamp;
@@ -48,7 +50,7 @@ use crate::window::{Window, WindowSpec};
 use quill_telemetry::span::key_tag;
 use quill_telemetry::{SpanRecorder, Stage};
 use serde::{Deserialize, Serialize};
-use std::collections::{BTreeMap, BTreeSet, VecDeque};
+use std::collections::{BTreeSet, HashMap, VecDeque};
 use std::ops::Range;
 
 /// The window-state layout. The pane state (module docs) is the only one:
@@ -211,9 +213,9 @@ impl Grid {
 struct Pane {
     /// Events in the pane.
     count: u64,
-    /// One partial per [`Slot::Partial`], the pane's events folded in
-    /// arrival order: the first inserted into a fresh partial, each later
-    /// one absorbed (`combine ∘ seed`).
+    /// One partial per [`Slot::Partial`], the pane's events absorbed into a
+    /// fresh partial in arrival order, each in place as `combine ∘ seed`
+    /// would fold it.
     partials: Box<[PaneAgg]>,
     /// Per [`RankField`], the images of the field's numeric values.
     images: Box<[Vec<u64>]>,
@@ -297,15 +299,8 @@ impl KeyState {
         };
         let pane = &mut self.panes[at].1;
         let ts = Timestamp(t);
-        let parts = pane.partials.iter_mut().zip(&layout.cols);
-        if pane.count == 0 {
-            for (a, &(v, by)) in parts {
-                a.insert(ts, row.get(v), row.get(by));
-            }
-        } else {
-            for ((a, &(v, by)), fresh) in parts.zip(layout.template.iter()) {
-                a.absorb(fresh, ts, row.get(v), row.get(by));
-            }
+        for (a, &(v, by)) in pane.partials.iter_mut().zip(&layout.cols) {
+            a.absorb(ts, row.get(v), row.get(by));
         }
         pane.count += 1;
         let ranked = layout.rank_fields.iter().zip(&mut self.ranks);
@@ -383,7 +378,11 @@ impl Layout {
 struct PaneState {
     grid: Grid,
     layout: Layout,
-    keys: BTreeMap<Key, KeyState>,
+    /// Every key holding a pane, hashed: one probe per folded event, looked
+    /// up with the row's own `&Value`. Nothing reads the keys in order —
+    /// emission order comes from `pending` — so the index need not be
+    /// ordered; its hasher is seeded per operator.
+    keys: HashMap<Key, KeyState, KeyHash>,
     /// Events in all the panes of `keys`.
     held: u64,
     /// Every key's `next` window as `(end, start, key)`, drained in emission
@@ -615,7 +614,7 @@ impl WindowAggregateOp {
                 rank_fields,
                 distinct,
             },
-            keys: BTreeMap::new(),
+            keys: HashMap::with_hasher(KeyHash::new()),
             held: 0,
             pending: BTreeSet::new(),
             #[cfg(test)]
@@ -1382,10 +1381,10 @@ mod tests {
 
     #[test]
     fn absorb_is_combine_of_seed_bit_for_bit_for_every_combinable_kind() {
-        // A pane partial built by absorbing events one by one must equal one
-        // built by combining their one-event partials, state for state:
-        // otherwise a result would depend on how the events happen to fall
-        // into panes.
+        // A pane partial built by absorbing events one by one into a fresh
+        // partial must equal one built by combining their one-event
+        // partials, state for state, from the first event on: otherwise a
+        // result would depend on how the events happen to fall into panes.
         let values = [
             Value::Float(0.0),
             Value::Float(-0.0),
@@ -1439,17 +1438,21 @@ mod tests {
                     let by = values[(2 * values.len() - i - shift) % values.len()].clone();
                     (i as u64 / 2, v, by)
                 };
-                let (ts, v, by) = event(0);
-                let mut absorbed = seed(ts, &v, &by);
-                let mut combined = absorbed.clone();
-                for i in 1..values.len() {
+                let mut absorbed = fresh.clone();
+                let mut combined = fresh.clone();
+                for i in 0..values.len() {
                     let (ts, v, by) = event(i);
-                    absorbed.absorb(fresh, Timestamp(ts), &v, &by);
-                    combined.merge(&seed(ts, &v, &by));
+                    absorbed.absorb(Timestamp(ts), &v, &by);
+                    if i == 0 {
+                        combined = seed(ts, &v, &by);
+                    } else {
+                        combined.merge(&seed(ts, &v, &by));
+                    }
                     assert_eq!(
                         format!("{absorbed:?}"),
                         format!("{combined:?}"),
-                        "{kind} after {i} events from rotation {shift}"
+                        "{kind} after {} events from rotation {shift}",
+                        i + 1
                     );
                     let (a, c) = (absorbed.finalize(), combined.finalize());
                     let same_bits = match (&a, &c) {
@@ -1459,6 +1462,86 @@ mod tests {
                     assert!(same_bits, "{kind}: {a:?} vs {c:?}");
                 }
             }
+        }
+    }
+
+    #[test]
+    fn mixed_type_keys_group_as_key_equality_says_whatever_arrives_first() {
+        // `Int(3)` and `Float(3.0)` are one key (`total_cmp` calls them
+        // equal and they hash alike); `Float(0.0)` and `Float(-0.0)` are
+        // two; NaN, a string, null and both booleans are keys of their own.
+        // Every rotation of the key list, forwards and backwards, changes
+        // which key reaches the index first; the results must still be
+        // those of grouping by `Key` equality, one list scan per event.
+        let keys = [
+            Value::Int(3),
+            Value::Float(3.0),
+            Value::Float(0.0),
+            Value::Float(-0.0),
+            Value::Float(f64::NAN),
+            Value::str("3"),
+            Value::Null,
+            Value::Bool(false),
+            Value::Bool(true),
+            Value::Int(-7),
+        ];
+        for shift in 0..2 * keys.len() {
+            let key_of = |i: usize| {
+                let at = if shift < keys.len() {
+                    i + shift
+                } else {
+                    shift - i % keys.len()
+                };
+                keys[at % keys.len()].clone()
+            };
+            // Three tumbling windows, the events out of order within them.
+            let events: Vec<(u64, Value, f64)> = (0..90)
+                .map(|i| ((i as u64 * 7) % 30, key_of(i), i as f64))
+                .collect();
+            let mut want: Vec<(u64, Key, u64, f64)> = Vec::new();
+            for (ts, k, v) in &events {
+                let (start, k) = (ts / 10 * 10, Key(k.clone()));
+                match want
+                    .iter_mut()
+                    .find(|(s, key, ..)| *s == start && *key == k)
+                {
+                    Some((.., n, sum)) => (*n, *sum) = (*n + 1, *sum + v),
+                    None => want.push((start, k, 1, *v)),
+                }
+            }
+            want.sort_by(|a, b| (a.0, &a.1).cmp(&(b.0, &b.1)));
+            let mut distinct: Vec<Key> = want.iter().map(|(_, k, ..)| k.clone()).collect();
+            distinct.sort();
+            distinct.dedup();
+            assert_eq!(distinct.len(), keys.len() - 1);
+            let mut w = WindowAggregateOp::new(
+                WindowSpec::tumbling(10u64),
+                vec![
+                    AggregateSpec::new(AggregateKind::Count, 1, "n"),
+                    AggregateSpec::new(AggregateKind::Sum, 1, "sum"),
+                ],
+                Some(0),
+                LatePolicy::Drop,
+            )
+            .unwrap();
+            let input = (0u64..)
+                .zip(&events)
+                .map(|(seq, (ts, k, v))| {
+                    let row = Row::new([k.clone(), Value::Float(*v)]);
+                    StreamElement::Event(Event::new(*ts, seq, row))
+                })
+                .chain([StreamElement::Flush])
+                .collect();
+            let got: Vec<(u64, Key, u64, f64)> = run(&mut w, input)
+                .into_iter()
+                .map(|r| {
+                    let sum = r.aggregates[1].as_f64().unwrap();
+                    assert_eq!(r.aggregates[0], Value::Int(r.count as i64));
+                    (r.window.start.raw(), Key(r.key), r.count, sum)
+                })
+                .collect();
+            assert_eq!(got, want, "rotation {shift}");
+            assert!(w.state.keys.is_empty());
         }
     }
 

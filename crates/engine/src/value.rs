@@ -196,9 +196,10 @@ impl Ord for Key {
         self.0.total_cmp(&other.0)
     }
 }
-/// A value seen in [`Key`] order. `Key: Borrow<dyn KeyView>`, so an ordered
-/// map or set of `Key`s is searched with a row's own `&Value` — no `Key` has
-/// to be cloned into existence for a lookup — and `&dyn KeyView` is itself an
+/// A value seen as a [`Key`]. `Key: Borrow<dyn KeyView>`, and `dyn KeyView`
+/// orders, compares and hashes as `Key` does, so a map or set of `Key`s —
+/// ordered or hashed — is searched with a row's own `&Value`: no `Key` has
+/// to be cloned into existence for a lookup. `&dyn KeyView` is itself an
 /// `Ord` element for sets of borrowed values.
 pub trait KeyView {
     /// The value being ordered.
@@ -270,6 +271,12 @@ pub fn hash_value<H: std::hash::Hasher>(v: &Value, state: &mut H) {
 impl std::hash::Hash for Key {
     fn hash<H: std::hash::Hasher>(&self, state: &mut H) {
         hash_value(&self.0, state);
+    }
+}
+
+impl std::hash::Hash for dyn KeyView + '_ {
+    fn hash<H: std::hash::Hasher>(&self, state: &mut H) {
+        hash_value(self.value(), state);
     }
 }
 
@@ -595,10 +602,19 @@ mod tests {
     #[test]
     fn key_equality_and_hash_agree_for_int_float() {
         use std::collections::HashMap;
-        let mut m = HashMap::new();
+        let mut m = HashMap::with_hasher(crate::hash::KeyHash::new());
         m.insert(Key(Value::Int(3)), 1);
-        // 3 and 3.0 are the same key under the numeric total order.
+        m.insert(Key(Value::Float(0.0)), 2);
+        // 3 and 3.0 are the same key under the numeric total order, found
+        // by an owned key and by a borrowed value alike; 0.0 and -0.0 are
+        // two keys.
         assert_eq!(m.get(&Key(Value::Float(3.0))), Some(&1));
+        let get = |v: Value| m.get(&v as &dyn KeyView).copied();
+        assert_eq!(get(Value::Float(3.0)), Some(1));
+        assert_eq!(get(Value::Int(3)), Some(1));
+        assert_eq!(get(Value::Float(0.0)), Some(2));
+        assert_eq!(get(Value::Int(0)), Some(2));
+        assert_eq!(get(Value::Float(-0.0)), None);
     }
 
     #[test]

@@ -134,7 +134,9 @@ impl Histogram {
     #[inline]
     pub fn record(&self, v: u64) {
         if let Some(h) = &self.0 {
-            h.lock().record(v);
+            // Named by type, so the lint's call graph does not take this
+            // for every `record` method in the workspace.
+            LogHistogram::record(&mut h.lock(), v);
         }
     }
 

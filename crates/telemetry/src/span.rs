@@ -330,22 +330,23 @@ impl Span {
     }
 }
 
-/// The bounded ring behind an enabled recorder.
-#[derive(Debug, Default)]
+/// The bounded ring behind an enabled recorder, and the attribution
+/// histograms its timed records feed: one lock covers a whole record.
+#[derive(Debug)]
 struct SpanRing {
     next_seq: u64,
     dropped: u64,
     buf: VecDeque<Span>,
+    /// Per-stage attribution histograms (no-ops until
+    /// [`SpanRecorder::instrument`], and always for instants), indexed by
+    /// [`Stage::index`].
+    stage_hists: [Histogram; Stage::ALL.len()],
 }
 
 #[derive(Debug)]
 struct SpanInner {
     capacity: usize,
     ring: Mutex<SpanRing>,
-    /// Per-stage attribution histograms (no-ops until
-    /// [`SpanRecorder::instrument`], and always for instants), indexed by
-    /// [`Stage::index`].
-    stage_hists: Mutex<Vec<Histogram>>,
 }
 
 /// A lock-cheap, bounded recorder of [`Span`]s. Clone it freely — clones
@@ -364,8 +365,12 @@ impl SpanRecorder {
     pub fn new(capacity: usize) -> SpanRecorder {
         SpanRecorder(Some(Arc::new(SpanInner {
             capacity: capacity.max(1),
-            ring: Mutex::new(SpanRing::default()),
-            stage_hists: Mutex::new(vec![Histogram::noop(); Stage::ALL.len()]),
+            ring: Mutex::new(SpanRing {
+                next_seq: 0,
+                dropped: 0,
+                buf: VecDeque::new(),
+                stage_hists: std::array::from_fn(|_| Histogram::noop()),
+            }),
         })))
     }
 
@@ -390,9 +395,10 @@ impl SpanRecorder {
     /// registry detaches them again.
     pub fn instrument(&self, registry: &Registry) {
         if let Some(inner) = &self.0 {
-            let mut hists = inner.stage_hists.lock();
+            let mut ring = inner.ring.lock();
             for stage in Stage::ALL.into_iter().filter(|s| !s.is_instant()) {
-                hists[stage.index()] = registry.histogram(&format!("quill.span.{stage}"));
+                ring.stage_hists[stage.index()] =
+                    registry.histogram(&format!("quill.span.{stage}"));
             }
         }
     }
@@ -455,19 +461,19 @@ impl SpanRecorder {
         }
     }
 
-    /// Stamp `span` with the next sequence number and append it. The
-    /// sequence number is assigned under the ring lock, so ring order
-    /// equals seq order even across threads; a timed record's duration is
-    /// folded into its stage's attribution histogram before any eviction.
+    /// Stamp `span` with the next sequence number and append it, all under
+    /// the one ring lock. The sequence number is assigned there, so ring
+    /// order equals seq order even across threads; a timed record's
+    /// duration is folded into its stage's attribution histogram before any
+    /// eviction.
     fn push(&self, mut span: Span) {
         let Some(inner) = &self.0 else {
             return;
         };
-        if span.is_timed() {
-            let hist = inner.stage_hists.lock()[span.stage.index()].clone();
-            hist.record(span.duration());
-        }
         let mut ring = inner.ring.lock();
+        if span.is_timed() {
+            ring.stage_hists[span.stage.index()].record(span.duration());
+        }
         span.seq = ring.next_seq;
         ring.next_seq += 1;
         if ring.buf.len() >= inner.capacity {
