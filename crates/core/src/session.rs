@@ -12,11 +12,14 @@
 //! window operator computes. So queries of equal *shape* — window, key field
 //! and the `(kind, field)` of each aggregate — registered between the same
 //! two pushes run on **one** operator ([`Session::operators`]): the event is
-//! folded once and each result is parsed once and handed to every
-//! subscriber's queue behind an `Arc`. Output names, completeness target,
-//! queue bound and SLO stay per subscriber, and nothing a subscriber can
-//! observe (results, order, latency stamps, [`QueryStats`]) differs from
-//! running alone.
+//! folded once, and each result is built once and delivered once, onto the
+//! operator's shared result log, which every subscriber reads through a
+//! cursor of its own. One lock, one latency record and one push per result,
+//! whatever the number of subscribers; [`QueryHandle::poll`] takes what its
+//! subscriber has not read yet. Output names, completeness target, result
+//! bound and SLO stay per subscriber, and nothing a subscriber can observe
+//! (results, order, latency stamps, [`QueryStats`]) differs from running
+//! alone.
 //!
 //! The session is the execution heart of the `quill-serve` daemon: the
 //! server is a network shell that feeds [`Session::push`] /
@@ -95,10 +98,12 @@ pub struct QueryConfig {
     /// shared buffer: `K` follows the strategy's own target at the smallest
     /// registered slide ([`DisorderControl::set_min_slide`]).
     pub required_completeness: Option<f64>,
-    /// Bound on the pending-result queue between the session and
+    /// Bound on the results pending between the session and
     /// [`QueryHandle::poll`]. When full, the **oldest** pending result is
     /// dropped and counted in [`QueryStats::overflow_dropped`] — a slow
-    /// consumer loses history, never blocks the stream.
+    /// consumer loses history, never blocks the stream. The result log an
+    /// operator shares holds at most the largest bound among its
+    /// registered subscribers.
     pub result_capacity: usize,
     /// Result-latency objective in event-time units: a result whose
     /// end-to-end latency (emission clock minus window end) exceeds this
@@ -143,9 +148,9 @@ impl QueryConfig {
 pub struct QueryStats {
     /// Window results emitted to this subscription so far.
     pub emitted: u64,
-    /// Results evicted from a full subscription queue (slow consumer).
+    /// Results evicted past the result bound before a poll (slow consumer).
     pub overflow_dropped: u64,
-    /// Results currently queued, awaiting [`QueryHandle::poll`].
+    /// Results currently pending, awaiting [`QueryHandle::poll`].
     pub pending: usize,
     /// Window-operator counters (accepted / late-dropped / emitted).
     pub window: WindowOpStats,
@@ -158,42 +163,201 @@ pub struct QueryStats {
     pub closed: bool,
 }
 
-/// Shared per-subscription state between the session (producer side) and
-/// its [`QueryHandle`]s (consumer side).
-pub(crate) struct SubState {
-    /// Shared with every other subscriber of the same operator: a result is
-    /// parsed and allocated once per operator, not once per query.
-    queue: VecDeque<Arc<WindowResult>>,
+/// One subscriber's place in its operator's [`Feed`]: everything the
+/// delivery path keeps per query. Every subscriber joined its operator
+/// before the operator processed an element (the join rule, see
+/// [`MultiQueryCore::register`]), so all of them read one result sequence
+/// from its first result on.
+struct Subscriber {
+    /// Sequence number of the first result this subscriber has not polled.
+    cursor: u64,
+    /// How many unpolled results it keeps (the newest ones).
     capacity: usize,
+    /// Results lost to the capacity bound, counted up to the last poll.
     overflow_dropped: u64,
-    emitted: u64,
-    window: WindowOpStats,
-    latency: LatencyRecorder,
     latency_slo: Option<u64>,
     slo_breaches: u64,
     closed: bool,
+    /// Set by [`Feed::detach`] at deregistration: from then on the
+    /// subscriber reads this instead of the feed, and no longer holds any
+    /// result in the log.
+    frozen: Option<Box<Frozen>>,
 }
 
-impl SubState {
-    fn push(&mut self, r: Arc<WindowResult>) {
-        self.emitted += 1;
-        if self.queue.len() >= self.capacity {
-            self.queue.pop_front();
-            self.overflow_dropped += 1;
+impl Subscriber {
+    /// The first result it can still poll once `head` results were
+    /// emitted: its cursor, or the oldest of the newest `capacity` results
+    /// if it fell further behind.
+    fn first_kept(&self, head: u64) -> u64 {
+        self.cursor.max(head.saturating_sub(self.capacity as u64))
+    }
+}
+
+/// What a deregistered subscriber keeps: its unpolled results and the
+/// counters and latency history as they stood when it left.
+struct Frozen {
+    results: Vec<Arc<WindowResult>>,
+    emitted: u64,
+    window: WindowOpStats,
+    latency: LatencyRecorder,
+}
+
+/// The result stream of one window operator, shared by the operator's
+/// subscribers and their [`QueryHandle`]s behind one lock: one log of the
+/// results, one latency record per result, and a cursor per subscriber.
+/// Delivering a result is one lock, one latency record and one push,
+/// whatever the number of subscribers.
+struct Feed {
+    /// The results some attached subscriber may still poll, oldest first:
+    /// `log[0]` is result number `base`.
+    log: VecDeque<Arc<WindowResult>>,
+    base: u64,
+    /// Results emitted so far: the sequence number of the next one.
+    head: u64,
+    /// The largest capacity among attached subscribers, refreshed when one
+    /// joins or leaves: a result that many places behind `head` is lost to
+    /// every one of them.
+    max_capacity: usize,
+    /// The latency of every result, which every attached subscriber shares.
+    latency: LatencyRecorder,
+    /// The operator's counters as of the last `sync_stats`.
+    window: WindowOpStats,
+    /// Indexed by [`QueryHandle`]'s `slot`; never shrinks.
+    subs: Vec<Subscriber>,
+}
+
+impl Feed {
+    fn new() -> Feed {
+        Feed {
+            log: VecDeque::new(),
+            base: 0,
+            head: 0,
+            max_capacity: 0,
+            latency: LatencyRecorder::new(),
+            window: WindowOpStats::default(),
+            subs: Vec::new(),
         }
-        self.queue.push_back(r);
     }
 
-    fn stats(&self) -> QueryStats {
-        QueryStats {
-            emitted: self.emitted,
-            overflow_dropped: self.overflow_dropped,
-            pending: self.queue.len(),
-            window: self.window,
-            mean_latency: self.latency.mean(),
-            slo_breaches: self.slo_breaches,
-            closed: self.closed,
+    /// The subscribers that still read the log.
+    fn attached(&self) -> impl Iterator<Item = &Subscriber> {
+        self.subs.iter().filter(|s| s.frozen.is_none())
+    }
+
+    /// Add a subscriber reading from the next result on; returns its slot.
+    fn attach(&mut self, config: &QueryConfig) -> usize {
+        let capacity = config.result_capacity.max(1);
+        self.max_capacity = self.max_capacity.max(capacity);
+        self.subs.push(Subscriber {
+            cursor: self.head,
+            capacity,
+            overflow_dropped: 0,
+            latency_slo: config.latency_slo,
+            slo_breaches: 0,
+            closed: false,
+            frozen: None,
+        });
+        self.subs.len() - 1
+    }
+
+    /// Hand one result, `lat` late, to every attached subscriber.
+    fn deliver(&mut self, r: Arc<WindowResult>, lat: TimeDelta) {
+        self.latency.record(lat);
+        for s in self.subs.iter_mut().filter(|s| s.frozen.is_none()) {
+            if s.latency_slo.is_some_and(|slo| lat.raw() > slo) {
+                s.slo_breaches += 1;
+            }
         }
+        self.head += 1;
+        self.log.push_back(r);
+        if self.log.len() > self.max_capacity {
+            self.log.pop_front();
+            self.base += 1;
+        }
+    }
+
+    /// The first result some attached subscriber can still poll: the log
+    /// may drop everything before it.
+    fn floor(&self) -> u64 {
+        let kept = self.attached().map(|s| s.first_kept(self.head)).min();
+        kept.unwrap_or(self.head).max(self.base)
+    }
+
+    /// Take every result `slot` has not polled, in emission order, counting
+    /// those it lost to its capacity. The results no other attached
+    /// subscriber still needs leave the log, so the caller holds their last
+    /// copy; the others are shared.
+    fn take(&mut self, slot: usize) -> Vec<Arc<WindowResult>> {
+        let head = self.head;
+        let Some(s) = self.subs.get_mut(slot) else {
+            return Vec::new();
+        };
+        if let Some(f) = &mut s.frozen {
+            return std::mem::take(&mut f.results);
+        }
+        let from = s.first_kept(head);
+        s.overflow_dropped += from - s.cursor;
+        s.cursor = head;
+        // Everything below the floor leaves the log: what this subscriber
+        // takes of it moves out, the rest of its range is shared.
+        let (skip, passed) = (from - self.base, self.floor() - self.base);
+        self.base += passed;
+        let drained = self.log.drain(..passed as usize).skip(skip as usize);
+        let mut out: Vec<Arc<WindowResult>> = drained.collect();
+        let rest = (from.max(self.base) - self.base) as usize;
+        out.extend(self.log.range(rest..).cloned());
+        out
+    }
+
+    /// Deregister `slot`: take its unpolled results out of the log (which
+    /// trims what only it still needed), and freeze its counters and
+    /// latency history at `window` and this moment.
+    fn detach(&mut self, slot: usize, window: WindowOpStats) -> Option<QueryStats> {
+        let results = self.take(slot);
+        let frozen = Frozen {
+            results,
+            emitted: self.head,
+            window,
+            latency: self.latency.clone(),
+        };
+        let s = self.subs.get_mut(slot)?;
+        s.closed = true;
+        s.frozen = Some(Box::new(frozen));
+        self.max_capacity = self.attached().map(|s| s.capacity).max().unwrap_or(0);
+        self.stats(slot)
+    }
+
+    fn stats(&self, slot: usize) -> Option<QueryStats> {
+        let s = self.subs.get(slot)?;
+        Some(match &s.frozen {
+            Some(f) => QueryStats {
+                emitted: f.emitted,
+                overflow_dropped: s.overflow_dropped,
+                pending: f.results.len(),
+                window: f.window,
+                mean_latency: f.latency.mean(),
+                slo_breaches: s.slo_breaches,
+                closed: s.closed,
+            },
+            None => {
+                let from = s.first_kept(self.head);
+                QueryStats {
+                    emitted: self.head,
+                    overflow_dropped: s.overflow_dropped + (from - s.cursor),
+                    pending: (self.head - from) as usize,
+                    window: self.window,
+                    mean_latency: self.latency.mean(),
+                    slo_breaches: s.slo_breaches,
+                    closed: s.closed,
+                }
+            }
+        })
+    }
+
+    /// The latency history `slot` sees: the feed's, or its own frozen copy.
+    fn latency(&self, slot: usize) -> Option<&LatencyRecorder> {
+        let s = self.subs.get(slot)?;
+        Some(s.frozen.as_ref().map_or(&self.latency, |f| &f.latency))
     }
 }
 
@@ -203,7 +367,9 @@ impl SubState {
 #[derive(Clone)]
 pub struct QueryHandle {
     id: QueryId,
-    state: Arc<Mutex<SubState>>,
+    /// The subscriber's index in the feed's records.
+    slot: usize,
+    feed: Arc<Mutex<Feed>>,
 }
 
 impl QueryHandle {
@@ -212,29 +378,35 @@ impl QueryHandle {
         self.id
     }
 
-    /// Drain every pending result, in emission order. The lock is released
-    /// before the results are unwrapped (this was the last queue holding
-    /// them) or copied (another subscriber of the operator has yet to poll
-    /// them).
+    /// Drain every pending result, in emission order: at most the newest
+    /// [`QueryConfig::result_capacity`] results emitted since the last poll
+    /// (older ones count in [`QueryStats::overflow_dropped`]). The results
+    /// are read off the operator's shared log under its lock; after the lock
+    /// is released each is unwrapped (no other subscriber of the operator
+    /// has yet to poll it, so this was its last copy) or copied (one has).
     pub fn poll(&self) -> Vec<WindowResult> {
-        let drained: Vec<Arc<WindowResult>> = self.state.lock().queue.drain(..).collect();
-        drained.into_iter().map(Arc::unwrap_or_clone).collect()
+        let taken = self.feed.lock().take(self.slot);
+        taken.into_iter().map(Arc::unwrap_or_clone).collect()
     }
 
     /// Current counters (exact: the session refreshes them whenever the
     /// query's operator processes staged elements).
     pub fn stats(&self) -> QueryStats {
-        self.state.lock().stats()
+        self.feed.lock().stats(self.slot).unwrap_or_default()
     }
 
     /// Approximate result-latency quantile so far.
     pub fn latency_quantile(&self, q: f64) -> Option<u64> {
-        self.state.lock().latency.quantile(q)
+        self.feed.lock().latency(self.slot)?.quantile(q)
     }
 
     /// `true` once the query was deregistered or the session finished.
     pub fn is_closed(&self) -> bool {
-        self.state.lock().closed
+        self.feed
+            .lock()
+            .subs
+            .get(self.slot)
+            .is_none_or(|s| s.closed)
     }
 }
 
@@ -257,12 +429,13 @@ pub struct QueryInfo {
     pub stats: QueryStats,
 }
 
-/// One subscriber: everything that is per query rather than per operator.
+/// One subscriber as registered: its id, what listings read, its record.
 struct Member {
     id: QueryId,
     spec: QuerySpec,
     config: QueryConfig,
-    state: Arc<Mutex<SubState>>,
+    /// Its record in the group's feed.
+    slot: usize,
 }
 
 /// One window operator and the queries of its shape (`members[0].spec`;
@@ -273,6 +446,8 @@ struct Group {
     /// would have fed its own operator exactly what this one will see.
     fresh: bool,
     members: Vec<Member>,
+    /// The operator's results, as every member's handle reads them.
+    feed: Arc<Mutex<Feed>>,
 }
 
 /// Whether two queries compute the same thing: window, key and the
@@ -370,52 +545,50 @@ impl MultiQueryCore {
                     op,
                     fresh: true,
                     members: Vec::new(),
+                    feed: Arc::new(Mutex::new(Feed::new())),
                 });
                 self.groups.len() - 1
             }
         };
         let id = QueryId(self.next_id);
         self.next_id += 1;
-        let state = Arc::new(Mutex::new(SubState {
-            queue: VecDeque::new(),
-            capacity: config.result_capacity.max(1),
-            overflow_dropped: 0,
-            emitted: 0,
-            window: WindowOpStats::default(),
-            latency: LatencyRecorder::new(),
-            latency_slo: config.latency_slo,
-            slo_breaches: 0,
-            closed: false,
-        }));
-        self.groups[at].members.push(Member {
+        let group = &mut self.groups[at];
+        let slot = group.feed.lock().attach(config);
+        group.members.push(Member {
             id,
             spec: spec.clone(),
             config: config.clone(),
-            state: Arc::clone(&state),
+            slot,
         });
-        Ok(QueryHandle { id, state })
+        Ok(QueryHandle {
+            id,
+            slot,
+            feed: Arc::clone(&group.feed),
+        })
     }
 
-    /// Remove one subscriber, returning it with its operator's counters; the
-    /// operator goes with its last subscriber.
-    fn remove(&mut self, id: QueryId) -> Option<(Member, WindowOpStats)> {
+    /// Remove one subscriber and detach it from its operator's feed, its
+    /// counters frozen at the operator's of this moment; returns its final
+    /// stats. The operator goes with its last subscriber.
+    fn remove(&mut self, id: QueryId) -> Option<QueryStats> {
         let (g, m) = self.groups.iter().enumerate().find_map(|(g, group)| {
             let m = group.members.iter().position(|m| m.id == id)?;
             Some((g, m))
         })?;
-        let member = self.groups[g].members.remove(m);
-        let window = self.groups[g].op.stats();
-        if self.groups[g].members.is_empty() {
+        let group = &mut self.groups[g];
+        let member = group.members.remove(m);
+        let stats = group.feed.lock().detach(member.slot, group.op.stats());
+        if group.members.is_empty() {
             self.groups.remove(g);
         }
-        Some((member, window))
+        stats
     }
 
-    /// Every subscriber with its operator, group by group.
-    fn members(&self) -> impl Iterator<Item = (&Member, &WindowAggregateOp)> {
+    /// Every subscriber with its group, group by group.
+    fn members(&self) -> impl Iterator<Item = (&Member, &Group)> {
         self.groups
             .iter()
-            .flat_map(|g| g.members.iter().map(move |m| (m, &g.op)))
+            .flat_map(|g| g.members.iter().map(move |m| (m, g)))
     }
 
     /// Registered queries.
@@ -436,9 +609,11 @@ impl MultiQueryCore {
     /// element are stamped with (the latency of a result is
     /// `now - window.end`). Every operator reads the same borrowed element.
     ///
-    /// A result is queued the moment its window is emitted, not when the
+    /// A result is delivered the moment its window is emitted, not when the
     /// operator returns: closing a window also evicts its events, and a
-    /// consumer polling meanwhile should not wait for that. Returns how many
+    /// consumer polling meanwhile should not wait for that. Delivery is one
+    /// push onto the operator's feed under one lock, and the `Deliver` spans
+    /// of its subscribers one batch under one ring lock. Returns how many
     /// results were delivered (one per emission per subscriber).
     pub(crate) fn process_element(&mut self, el: &StreamElement, now: Timestamp) -> u64 {
         let before = self.results_total;
@@ -450,46 +625,44 @@ impl MultiQueryCore {
             spans,
             ..
         } = self;
-        for Group { op, fresh, members } in groups.iter_mut() {
+        for Group {
+            op,
+            fresh,
+            members,
+            feed,
+        } in groups.iter_mut()
+        {
             *fresh = false;
             op.process_ref(el, &mut |r| {
                 windows_count.inc();
                 results_count.add(members.len() as u64);
                 *results_total += members.len() as u64;
-                let lat = now.delta_since(r.window.end);
-                let end = now.raw().max(r.window.end.raw());
+                let (end, lat) = (r.window.end.raw(), now.delta_since(r.window.end));
+                let ids = members.iter().map(|m| m.id.0);
+                spans.record_for_queries(Stage::Deliver, end, now.raw().max(end), 0, ids);
                 let r = Arc::new(r);
-                for Member { id, state, .. } in members.iter() {
-                    if spans.is_enabled() {
-                        spans.record_for_query(Stage::Deliver, r.window.end.raw(), end, 0, id.0);
-                    }
-                    let mut q = state.lock();
-                    q.latency.record(lat);
-                    if q.latency_slo.is_some_and(|slo| lat.raw() > slo) {
-                        q.slo_breaches += 1;
-                    }
-                    q.push(Arc::clone(&r));
-                }
+                feed.lock().deliver(r, lat);
             });
         }
         self.results_total - before
     }
 
-    /// Refresh every subscription's operator-counter mirror and the
-    /// held-entries gauge.
+    /// Refresh every operator's counter mirror and the held-entries gauge:
+    /// one lock per operator.
     pub(crate) fn sync_stats(&mut self) {
-        for (m, op) in self.members() {
-            m.state.lock().window = op.stats();
+        for g in &self.groups {
+            g.feed.lock().window = g.op.stats();
         }
         let held = self.groups.iter().map(|g| g.op.held_events());
         self.entries_gauge.set(held.sum::<u64>() as f64);
     }
 
-    /// End of stream: refresh every subscription's counters and close it.
+    /// End of stream: refresh every operator's counters and close every
+    /// subscription.
     pub(crate) fn close_all(&mut self) {
         self.sync_stats();
-        for (m, _) in self.members() {
-            m.state.lock().closed = true;
+        for g in &self.groups {
+            g.feed.lock().subs.iter_mut().for_each(|s| s.closed = true);
         }
     }
 }
@@ -655,14 +828,11 @@ impl Session {
     /// # Errors
     /// [`EngineError::InvalidPipeline`] for an unknown id.
     pub fn deregister(&mut self, id: QueryId) -> Result<QueryStats> {
-        let (member, window) = self.core.remove(id).ok_or_else(|| {
+        let stats = self.core.remove(id).ok_or_else(|| {
             EngineError::InvalidPipeline(format!("unknown query id {id} in session"))
         })?;
         self.registrations_changed();
-        let mut sub = member.state.lock();
-        sub.window = window;
-        sub.closed = true;
-        Ok(sub.stats())
+        Ok(stats)
     }
 
     /// After a register or deregister: refresh the gauges and tell the
@@ -794,9 +964,9 @@ impl Session {
 
     /// Describe one registered query (spec, target, live counters).
     pub fn query_info(&self, id: QueryId) -> Option<QueryInfo> {
-        let (m, op) = self.core.members().find(|(m, _)| m.id == id)?;
-        let mut stats = m.state.lock().stats();
-        stats.window = op.stats();
+        let (m, g) = self.core.members().find(|(m, _)| m.id == id)?;
+        let mut stats = g.feed.lock().stats(m.slot)?;
+        stats.window = g.op.stats();
         Some(QueryInfo {
             id: m.id,
             spec: m.spec.clone(),
@@ -945,6 +1115,49 @@ mod tests {
     }
 
     #[test]
+    fn the_log_keeps_the_largest_live_capacity_and_a_closed_handle_its_own() {
+        let mut session = Session::new(Box::new(FixedKSlack::new(0u64)));
+        let cfg = |c| QueryConfig::default().with_result_capacity(c);
+        let small = session.register_with(&query(), cfg(2)).unwrap();
+        let large = session.register_with(&query(), cfg(5)).unwrap();
+        let logged = || small.feed.lock().log.len();
+        // Event `i` closes window `i - 1`: nobody polls, and the log keeps
+        // the five results the larger bound can still hand out.
+        let push = |session: &mut Session, from: u64, to: u64| {
+            for i in from..to {
+                session.push(Event::new(i * 100, i, Row::new([Value::Float(1.0)])));
+            }
+        };
+        for i in 0..20u64 {
+            push(&mut session, i, i + 1);
+            assert_eq!(logged(), (i as usize).min(5));
+        }
+        // Deregistered, the larger one copies its five out and the log
+        // keeps what the smaller one can still poll.
+        let gone = session.deregister(large.id()).unwrap();
+        assert_eq!(
+            (gone.emitted, gone.pending, gone.overflow_dropped),
+            (19, 5, 14)
+        );
+        assert_eq!(logged(), 2);
+        // A closed handle that is never polled pins nothing.
+        push(&mut session, 20, 40);
+        assert_eq!(logged(), 2);
+        let frozen = large.stats();
+        assert_eq!(
+            (frozen.emitted, frozen.pending, frozen.closed),
+            (19, 5, true)
+        );
+        let kept: Vec<u64> = large.poll().iter().map(|r| r.window.end.raw()).collect();
+        assert_eq!(kept, vec![1500, 1600, 1700, 1800, 1900]);
+        assert!(large.poll().is_empty());
+        assert_eq!(small.poll().len(), 2);
+        assert_eq!(logged(), 0);
+        let s = small.stats();
+        assert_eq!((s.emitted, s.overflow_dropped, s.pending), (39, 37, 0));
+    }
+
+    #[test]
     fn heartbeats_advance_punctuated_watermarks() {
         use crate::punctuated::PunctuatedBuffer;
         let mut session = Session::new(Box::new(PunctuatedBuffer::new(0, 2)));
@@ -1044,6 +1257,7 @@ mod tests {
         let spans = SpanRecorder::with_default_capacity();
         let mut session = Session::new(Box::new(FixedKSlack::new(50u64))).with_spans(&spans);
         let handle = session.register(&query()).unwrap();
+        let other = session.register(&query()).unwrap();
         for e in events(300) {
             session.push(e);
         }
@@ -1054,12 +1268,20 @@ mod tests {
             all.iter().any(|s| s.stage == Stage::BufferResidency),
             "buffer residency is traced through the strategy"
         );
-        let deliver: Vec<_> = all.iter().filter(|s| s.stage == Stage::Deliver).collect();
-        assert_eq!(deliver.len() as u64, stats.emitted);
+        // One record per subscriber per result, in registration order, with
+        // the same extent.
+        let both: Vec<_> = all.iter().filter(|s| s.stage == Stage::Deliver).collect();
+        assert_eq!(both.len() as u64, 2 * stats.emitted);
+        for pair in both.chunks(2) {
+            assert_eq!([pair[0].query, pair[1].query], [0, 1]);
+            assert_eq!((pair[0].begin, pair[0].end), (pair[1].begin, pair[1].end));
+        }
+        let deliver: Vec<_> = both.into_iter().step_by(2).collect();
         assert!(
             deliver.iter().all(|s| s.query == handle.id().raw()),
             "deliver spans are tagged with the registered query id"
         );
+        assert_eq!(other.stats().mean_latency, stats.mean_latency);
         // Span-derived end-to-end latency reconciles exactly with the
         // session's own accounting: both measure emission clock − window
         // end, saturating at zero.

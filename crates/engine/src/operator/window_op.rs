@@ -352,6 +352,10 @@ struct Layout {
     /// Fresh partials, one per [`Slot::Partial`] in slot order: what a new
     /// pane's partials start from.
     template: Box<[PaneAgg]>,
+    /// Where an emission combines the window's pane partials, so a result
+    /// allocates no partials of its own; its contents between emissions
+    /// mean nothing.
+    combined: Box<[PaneAgg]>,
     /// Per partial, the row fields of its spec's field and `by` field.
     cols: Vec<(usize, usize)>,
     /// Per spec, where its output comes from.
@@ -466,9 +470,9 @@ impl PaneState {
         let window = || ks.panes.range(inside.clone()).map(|(_, pane)| pane);
         let count = window().map(|pane| pane.count).sum();
         let mut panes = window();
-        let mut combined = panes
-            .next()
-            .map_or_else(|| layout.template.clone(), |pane| pane.partials.clone());
+        let first = panes.next().map_or(&layout.template, |pane| &pane.partials);
+        let combined = &mut layout.combined;
+        combined.clone_from_slice(first);
         for pane in panes {
             for (a, b) in combined.iter_mut().zip(pane.partials.iter()) {
                 a.merge(b);
@@ -608,6 +612,7 @@ impl WindowAggregateOp {
         let state = PaneState {
             grid: Grid::new(spec.length().raw(), spec.slide().raw()),
             layout: Layout {
+                combined: template.clone().into(),
                 template: template.into(),
                 cols,
                 slots,

@@ -33,10 +33,12 @@
 //!   across connections the order batches were handed over. HTTP
 //!   registration and `/stats` wait for at most one batch: up to 512
 //!   frames, in practice what a 4 KiB read holds (about 125 binary or 260
-//!   text events). The served core costs 0.3–0.5 µs an event with one
-//!   query registered and about 1 µs with a hundred (the `quill-e2e`
-//!   benchmark's `server.saturate_ns_per_event` on a 2-CPU host), so the
-//!   wait is about 0.1 ms either way and at most 0.5 ms at the cap.
+//!   text events). The served path costs 0.4–0.8 µs an event with one
+//!   query registered and 1.2–1.5 µs with a hundred (the `quill-e2e`
+//!   benchmark's `server.saturate_ns_per_event`, decode and delivery
+//!   included, on a 2-CPU host), of which the session's push is about
+//!   0.2–0.4 µs and 0.6 µs (`session.push_ns_per_event`). So the wait is
+//!   0.05–0.2 ms, and at most about 0.8 ms at the cap.
 //! * Both listeners block in `accept`; a finish or exit request wakes its
 //!   loop with a connection to the listener's own address.
 //! * Graceful drain: a finish request stops the acceptor, lets readers

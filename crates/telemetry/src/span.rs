@@ -343,6 +343,26 @@ struct SpanRing {
     stage_hists: [Histogram; Stage::ALL.len()],
 }
 
+impl SpanRing {
+    /// Stamp `span` with the next sequence number and append it, evicting
+    /// the oldest record beyond `capacity`. The caller holds the ring lock,
+    /// so ring order equals seq order even across threads; a timed record's
+    /// duration is folded into its stage's attribution histogram before any
+    /// eviction.
+    fn push(&mut self, capacity: usize, mut span: Span) {
+        if span.is_timed() {
+            self.stage_hists[span.stage.index()].record(span.duration());
+        }
+        span.seq = self.next_seq;
+        self.next_seq += 1;
+        if self.buf.len() >= capacity {
+            self.buf.pop_front();
+            self.dropped += 1;
+        }
+        self.buf.push_back(span);
+    }
+}
+
 #[derive(Debug)]
 struct SpanInner {
     capacity: usize,
@@ -412,17 +432,37 @@ impl SpanRecorder {
     /// Record a span owned by `query`.
     #[inline]
     pub fn record_for_query(&self, stage: Stage, begin: u64, end: u64, shard: u32, query: u64) {
-        if self.is_enabled() {
-            self.push(Span {
-                seq: 0,
-                stage,
-                begin,
-                end,
-                shard,
-                query,
-                detail: [0; 2],
-                reason: None,
-            });
+        self.record_for_queries(stage, begin, end, shard, [query]);
+    }
+
+    /// Record one span per id in `queries`, each owned by its query and all
+    /// with the same stage and extent, under one ring lock: the records are
+    /// those of one [`SpanRecorder::record_for_query`] per id, in order.
+    pub fn record_for_queries(
+        &self,
+        stage: Stage,
+        begin: u64,
+        end: u64,
+        shard: u32,
+        queries: impl IntoIterator<Item = u64>,
+    ) {
+        if let Some(inner) = &self.0 {
+            let mut ring = inner.ring.lock();
+            for query in queries {
+                ring.push(
+                    inner.capacity,
+                    Span {
+                        seq: 0,
+                        stage,
+                        begin,
+                        end,
+                        shard,
+                        query,
+                        detail: [0; 2],
+                        reason: None,
+                    },
+                );
+            }
         }
     }
 
@@ -461,26 +501,11 @@ impl SpanRecorder {
         }
     }
 
-    /// Stamp `span` with the next sequence number and append it, all under
-    /// the one ring lock. The sequence number is assigned there, so ring
-    /// order equals seq order even across threads; a timed record's
-    /// duration is folded into its stage's attribution histogram before any
-    /// eviction.
-    fn push(&self, mut span: Span) {
-        let Some(inner) = &self.0 else {
-            return;
-        };
-        let mut ring = inner.ring.lock();
-        if span.is_timed() {
-            ring.stage_hists[span.stage.index()].record(span.duration());
+    /// Append `span` under the one ring lock.
+    fn push(&self, span: Span) {
+        if let Some(inner) = &self.0 {
+            inner.ring.lock().push(inner.capacity, span);
         }
-        span.seq = ring.next_seq;
-        ring.next_seq += 1;
-        if ring.buf.len() >= inner.capacity {
-            ring.buf.pop_front();
-            ring.dropped += 1;
-        }
-        ring.buf.push_back(span);
     }
 
     /// Records currently held, oldest first (seq order). Empty when
@@ -709,6 +734,38 @@ mod tests {
                 "instants feed no histogram"
             );
         }
+    }
+
+    #[test]
+    fn a_batch_records_what_one_call_per_query_records() {
+        // 64 holds every record; 5 wraps the ring inside each batch.
+        for capacity in [64, 5] {
+            let (batched, single) = (SpanRecorder::new(capacity), SpanRecorder::new(capacity));
+            let (reg_batched, reg_single) = (Registry::new(), Registry::new());
+            batched.instrument(&reg_batched);
+            single.instrument(&reg_single);
+            let ids = [3u64, 0, 7, 9, 1];
+            for round in 0..4u64 {
+                for rec in [&batched, &single] {
+                    rec.record_detail(Stage::BufferResidency, round, 7 + round, 0, [1, 7]);
+                }
+                let (begin, end) = (10 * round, 10 * round + round * round);
+                batched.record_for_queries(Stage::Deliver, begin, end, 1, ids);
+                for id in ids {
+                    single.record_for_query(Stage::Deliver, begin, end, 1, id);
+                }
+            }
+            batched.record_for_queries(Stage::Deliver, 0, 9, 0, []);
+            assert_eq!(batched.spans(), single.spans(), "capacity {capacity}");
+            assert_eq!(batched.dropped(), single.dropped());
+            assert_eq!(batched.len(), capacity.min(24));
+            let (b, s) = (reg_batched.snapshot(), reg_single.snapshot());
+            assert_eq!(b.histograms, s.histograms);
+            assert_eq!(b.histograms["quill.span.deliver"].count, 20);
+        }
+        let disabled = SpanRecorder::disabled();
+        disabled.record_for_queries(Stage::Deliver, 0, 5, 0, [1, 2]);
+        assert!(disabled.is_empty());
     }
 
     #[test]

@@ -844,3 +844,356 @@ fn out_of_range_targets_and_zero_shards_are_refused_before_any_event() {
     }
     assert!(seen.lock().unwrap().is_empty());
 }
+
+/// What one subscriber observed when every subscriber owned its delivery
+/// state: a bounded drop-oldest queue and a latency recorder of its own,
+/// fed each result its operator emitted until it was deregistered. The
+/// shared result log must be indistinguishable from it.
+struct ModelSub {
+    queue: std::collections::VecDeque<WindowResult>,
+    capacity: usize,
+    latency: quill_metrics::LatencyRecorder,
+    slo: Option<u64>,
+    emitted: u64,
+    overflow_dropped: u64,
+    slo_breaches: u64,
+    window: WindowOpStats,
+    closed: bool,
+    /// Deregistered: nothing reaches it any more.
+    gone: bool,
+}
+
+impl ModelSub {
+    fn new(config: &QueryConfig) -> ModelSub {
+        ModelSub {
+            queue: std::collections::VecDeque::new(),
+            capacity: config.result_capacity,
+            latency: quill_metrics::LatencyRecorder::new(),
+            slo: config.latency_slo,
+            emitted: 0,
+            overflow_dropped: 0,
+            slo_breaches: 0,
+            window: WindowOpStats::default(),
+            closed: false,
+            gone: false,
+        }
+    }
+
+    fn deliver(&mut self, r: &WindowResult, lat: u64) {
+        self.emitted += 1;
+        self.latency.record(TimeDelta(lat));
+        if self.slo.is_some_and(|slo| lat > slo) {
+            self.slo_breaches += 1;
+        }
+        if self.queue.len() >= self.capacity {
+            self.queue.pop_front();
+            self.overflow_dropped += 1;
+        }
+        self.queue.push_back(r.clone());
+    }
+
+    fn stats(&self) -> StatsFields {
+        StatsFields {
+            emitted: self.emitted,
+            overflow_dropped: self.overflow_dropped,
+            pending: self.queue.len(),
+            window: self.window,
+            mean_latency_bits: self.latency.mean().to_bits(),
+            slo_breaches: self.slo_breaches,
+            closed: self.closed,
+        }
+    }
+}
+
+/// Every [`QueryStats`] field, the mean compared bit for bit.
+#[derive(Debug, PartialEq)]
+struct StatsFields {
+    emitted: u64,
+    overflow_dropped: u64,
+    pending: usize,
+    window: WindowOpStats,
+    mean_latency_bits: u64,
+    slo_breaches: u64,
+    closed: bool,
+}
+
+impl From<QueryStats> for StatsFields {
+    fn from(s: QueryStats) -> StatsFields {
+        StatsFields {
+            emitted: s.emitted,
+            overflow_dropped: s.overflow_dropped,
+            pending: s.pending,
+            window: s.window,
+            mean_latency_bits: s.mean_latency.to_bits(),
+            slo_breaches: s.slo_breaches,
+            closed: s.closed,
+        }
+    }
+}
+
+/// A disordered keyed stream with a few stragglers behind every window.
+fn model_events(rng: &mut rand::rngs::StdRng, n: u64) -> Vec<Event> {
+    use rand::Rng;
+    (0..n)
+        .map(|seq| {
+            let jitter = if rng.gen_range(0..20u64) == 0 {
+                rng.gen_range(100..400u64)
+            } else {
+                rng.gen_range(0..40u64)
+            };
+            let ts = (seq * 5).saturating_sub(jitter);
+            let row = Row::new([
+                Value::Float(rng.gen_range(0..1_000u64) as f64 / 8.0),
+                Value::Int(rng.gen_range(0..4i64)),
+            ]);
+            Event::new(ts, seq, row)
+        })
+        .collect()
+}
+
+fn model_query() -> QuerySpec {
+    QuerySpec::new(
+        WindowSpec::sliding(100u64, 50u64),
+        vec![
+            AggregateSpec::new(AggregateKind::Sum, 0, "sum"),
+            AggregateSpec::new(AggregateKind::Max, 0, "max"),
+        ],
+        Some(1),
+    )
+}
+
+/// A session whose same-shape subscribers share one operator, and beside it
+/// a reference session with one unbounded subscriber and a span ring, which
+/// tells the model every result the operator emits and its latency.
+struct ModelRun {
+    session: Session,
+    handles: Vec<QueryHandle>,
+    model: Vec<ModelSub>,
+    reference: Session,
+    reference_handle: QueryHandle,
+    spans: quill_telemetry::SpanRecorder,
+    /// Whether a subscriber left with unpolled results.
+    residual: bool,
+}
+
+impl ModelRun {
+    fn new(strategy: &StrategySpec, configs: &[QueryConfig]) -> ModelRun {
+        let mut session = Session::new(strategy.build());
+        let handles: Vec<QueryHandle> = (configs.iter().enumerate())
+            .map(|(i, c)| {
+                let q = renamed(&model_query(), &format!("s{i}"));
+                session.register_with(&q, c.clone()).expect("registers")
+            })
+            .collect();
+        assert_eq!(session.operators(), 1);
+        let spans = quill_telemetry::SpanRecorder::new(1 << 16);
+        let mut reference = Session::new(strategy.build()).with_spans(&spans);
+        let unbounded = QueryConfig::default().with_result_capacity(usize::MAX);
+        let reference_handle = reference
+            .register_with(&model_query(), unbounded)
+            .expect("registers");
+        ModelRun {
+            session,
+            handles,
+            model: configs.iter().map(ModelSub::new).collect(),
+            reference,
+            reference_handle,
+            spans,
+            residual: false,
+        }
+    }
+
+    /// Hand the results the reference emitted since the last call to every
+    /// subscriber still registered, and refresh their counter mirrors.
+    fn catch_up(&mut self) {
+        let results = self.reference_handle.poll();
+        let latencies: Vec<u64> = (self.spans.take().iter())
+            .filter(|s| s.stage == quill_telemetry::Stage::Deliver)
+            .map(|s| s.duration())
+            .collect();
+        assert_eq!(results.len(), latencies.len());
+        let reference = self.reference_handle.stats();
+        for m in self.model.iter_mut().filter(|m| !m.gone) {
+            for (r, &lat) in results.iter().zip(&latencies) {
+                m.deliver(r, lat);
+            }
+            m.window = reference.window;
+            m.closed = reference.closed;
+        }
+    }
+
+    fn push(&mut self, events: &[Event]) {
+        self.session.push_batch(events.iter().cloned());
+        self.reference.push_batch(events.iter().cloned());
+        self.catch_up();
+    }
+
+    fn finish(&mut self) {
+        self.session.finish();
+        self.reference.finish();
+        self.catch_up();
+    }
+
+    fn check_poll(&mut self, i: usize, ctx: &str) {
+        let expected: Vec<WindowResult> = self.model[i].queue.drain(..).collect();
+        assert_eq!(self.handles[i].poll(), expected, "{ctx}: poll {i}");
+    }
+
+    fn check_stats(&self, i: usize, ctx: &str) {
+        let got = StatsFields::from(self.handles[i].stats());
+        assert_eq!(got, self.model[i].stats(), "{ctx}: stats {i}");
+        assert_eq!(self.handles[i].is_closed(), self.model[i].closed);
+    }
+
+    fn check_quantile(&self, i: usize, q: f64, ctx: &str) {
+        assert_eq!(
+            self.handles[i].latency_quantile(q),
+            self.model[i].latency.quantile(q),
+            "{ctx}: q{q} of {i}"
+        );
+    }
+
+    fn deregister(&mut self, i: usize, ctx: &str) {
+        let id = self.handles[i].id();
+        self.residual |= !self.model[i].gone && !self.model[i].queue.is_empty();
+        if self.model[i].gone {
+            assert!(self.session.deregister(id).is_err(), "{ctx}: twice");
+            return;
+        }
+        let stats = self.session.deregister(id).expect("registered");
+        let m = &mut self.model[i];
+        m.gone = true;
+        m.closed = true;
+        assert_eq!(StatsFields::from(stats), m.stats(), "{ctx}: deregister {i}");
+    }
+}
+
+#[test]
+fn a_shared_result_log_delivers_what_per_subscriber_queues_did() {
+    use rand::{Rng, SeedableRng};
+    const CAPACITIES: [usize; 4] = [1, 3, 64, usize::MAX];
+    const SLOS: [Option<u64>; 4] = [None, Some(0), Some(60), Some(200)];
+    // Whether some run overflowed, breached an SLO and left results behind
+    // at a deregistration before the end.
+    let mut seen = [false; 3];
+    for seed in 0..64u64 {
+        let mut rng = rand::rngs::StdRng::seed_from_u64(seed);
+        let strategy = if seed % 2 == 0 {
+            StrategySpec::Fixed(rng.gen_range(0..120u64))
+        } else {
+            StrategySpec::Aq(0.9)
+        };
+        let configs: Vec<QueryConfig> = (0..rng.gen_range(3..6usize))
+            .map(|_| {
+                let mut c = QueryConfig::default()
+                    .with_result_capacity(CAPACITIES[rng.gen_range(0..4usize)]);
+                c.latency_slo = SLOS[rng.gen_range(0..4usize)];
+                c
+            })
+            .collect();
+        let events = model_events(&mut rng, 800);
+        let mut run = ModelRun::new(&strategy, &configs);
+        let subs = configs.len();
+        let mut next = 0;
+        let mut step = 0;
+        while next < events.len() {
+            step += 1;
+            let ctx = format!("seed {seed} step {step} ({strategy:?})");
+            let i = rng.gen_range(0..subs);
+            match rng.gen_range(0..100u32) {
+                0..=39 => {
+                    let end = (next + rng.gen_range(1..40usize)).min(events.len());
+                    run.push(&events[next..end]);
+                    next = end;
+                }
+                40..=59 => run.check_poll(i, &ctx),
+                60..=79 => run.check_stats(i, &ctx),
+                80..=94 => {
+                    run.check_quantile(i, [0.0, 0.5, 0.9, 1.0][rng.gen_range(0..4usize)], &ctx)
+                }
+                _ => run.deregister(i, &ctx),
+            }
+        }
+        let ctx = format!("seed {seed} after finish");
+        for i in 0..subs {
+            run.check_stats(i, &ctx);
+            seen[0] |= run.model[i].overflow_dropped > 0;
+            seen[1] |= run.model[i].slo_breaches > 0;
+        }
+        seen[2] |= run.residual;
+        run.finish();
+        for i in 0..subs {
+            run.check_stats(i, &ctx);
+            run.check_quantile(i, 0.5, &ctx);
+            run.check_poll(i, &ctx);
+            run.check_stats(i, &ctx);
+            run.deregister(i, &ctx);
+            run.check_stats(i, &ctx);
+            run.check_poll(i, &ctx);
+        }
+    }
+    assert_eq!(seen, [true; 3], "overflow, SLO breaches, residual results");
+}
+
+#[test]
+fn a_consumer_thread_polls_the_shared_log_while_the_session_pushes() {
+    use std::sync::atomic::{AtomicBool, Ordering};
+
+    let stream = netmon::generate(&NetmonConfig::default(), 5_000, 5);
+    let query = &queries()[0];
+    let reference = execute(
+        &stream.events,
+        &mut FixedKSlack::new(300u64),
+        query,
+        &ExecOptions::default(),
+    )
+    .expect("batch");
+    let mut session = Session::new(Box::new(FixedKSlack::new(300u64)));
+    let unbounded = QueryConfig::default().with_result_capacity(usize::MAX);
+    let handles: Vec<QueryHandle> = (0..3)
+        .map(|_| {
+            session
+                .register_with(query, unbounded.clone())
+                .expect("registers")
+        })
+        .collect();
+    let bounded = session
+        .register_with(query, QueryConfig::default().with_result_capacity(4))
+        .expect("registers");
+    assert_eq!(session.operators(), 1);
+
+    // One thread polls two unbounded subscribers and the bounded one while
+    // the session delivers; the third unbounded one is polled only at the
+    // end, so the log holds what it has not read all along.
+    let done = AtomicBool::new(false);
+    let (polled, bounded_polled) = std::thread::scope(|scope| {
+        let consumer = scope.spawn(|| {
+            let (mut polled, mut bounded_polled) = (vec![Vec::new(), Vec::new()], 0u64);
+            loop {
+                let last = done.load(Ordering::SeqCst);
+                for (h, seen) in handles.iter().zip(&mut polled) {
+                    seen.extend(h.poll());
+                }
+                bounded_polled += bounded.poll().len() as u64;
+                if last {
+                    return (polled, bounded_polled);
+                }
+                std::thread::yield_now();
+            }
+        });
+        for chunk in stream.events.chunks(125) {
+            session.push_batch(chunk.iter().cloned());
+        }
+        session.finish();
+        done.store(true, Ordering::SeqCst);
+        consumer.join().expect("consumer joins")
+    });
+    for seen in &polled {
+        assert_eq!(seen, &reference.results);
+    }
+    assert_eq!(handles[2].poll(), reference.results);
+    let stats = bounded.stats();
+    assert_eq!(stats.emitted, reference.results.len() as u64);
+    assert_eq!(stats.emitted, bounded_polled + stats.overflow_dropped);
+    assert!(stats.closed && stats.pending == 0);
+}
