@@ -3,7 +3,8 @@
 //! session, stream disordered fixtures from several TCP sources (with
 //! periodic mid-stream reconnects) for a fixed duration, and verify:
 //!
-//! * ingest-queue depth stays bounded (backpressure, not growth),
+//! * the frames decoded but not yet pushed stay bounded (backpressure, not
+//!   growth),
 //! * no reconnect-induced event loss (pushed == sent),
 //! * every query keeps emitting.
 //!
@@ -23,7 +24,6 @@ struct Args {
     queries: usize,
     sources: usize,
     duration: Duration,
-    queue_capacity: usize,
     out: std::path::PathBuf,
 }
 
@@ -32,7 +32,6 @@ fn parse_args() -> Args {
         queries: 1_000,
         sources: 4,
         duration: Duration::from_secs(30),
-        queue_capacity: 4_096,
         out: std::path::PathBuf::from("results/SOAK_serve.json"),
     };
     let mut it = std::env::args().skip(1);
@@ -46,7 +45,6 @@ fn parse_args() -> Args {
             "--queries" => args.queries = value().parse().expect("--queries"),
             "--sources" => args.sources = value().parse().expect("--sources"),
             "--seconds" => args.duration = Duration::from_secs(value().parse().expect("--seconds")),
-            "--queue" => args.queue_capacity = value().parse().expect("--queue"),
             "--out" => args.out = value().into(),
             other => panic!("unknown flag `{other}`"),
         }
@@ -71,7 +69,6 @@ fn main() {
     let args = parse_args();
     let config = ServeConfig {
         strategy: StrategySpec::Aq(0.95),
-        queue_capacity: args.queue_capacity,
         ..ServeConfig::default()
     };
     let mut handle = Server::start(config).expect("server boots");
@@ -107,7 +104,7 @@ fn main() {
     let sent = Arc::new(AtomicU64::new(0));
     // Published by the sampling loop below; senders throttle when they get
     // too far ahead of the session, bounding the drain backlog that would
-    // otherwise accumulate in OS socket buffers beyond the ingest queue.
+    // otherwise accumulate in OS socket buffers.
     let drained = Arc::new(AtomicU64::new(0));
     const MAX_AHEAD: u64 = 100_000;
     let addr = handle.ingest_addr().to_string();
@@ -211,16 +208,15 @@ fn main() {
 
     let max_depth = depth_samples.iter().copied().fold(0.0f64, f64::max);
     let max_conns = conn_samples.iter().copied().fold(0.0f64, f64::max);
-    // The gauge counts queued frames plus the batch each reader blocked in
-    // the backpressure path has counted in before sending. Reconnect churn
-    // keeps several lingering readers alive per source, so the bound is
-    // capacity + peak concurrent connections × batch cap (plus sampling
-    // slack of one more batch per source).
-    let (batch_cap, _) = quill_serve::server::batch_shape(args.queue_capacity);
+    // The gauge counts the frames each reader has decoded and not yet
+    // pushed: at most one batch per connection. Reconnect churn keeps
+    // several lingering readers alive per source, so the bound is peak
+    // concurrent connections × batch cap (plus sampling slack of one more
+    // batch per source).
+    let batch_cap = quill_serve::server::MAX_BATCH as f64;
     assert!(
-        max_depth <= args.queue_capacity as f64 + (max_conns + args.sources as f64) * batch_cap as f64,
-        "queue depth {max_depth} not bounded by capacity {} + connections {max_conns} x batch cap {batch_cap}",
-        args.queue_capacity
+        max_depth <= (max_conns + args.sources as f64) * batch_cap,
+        "queue depth {max_depth} not bounded by connections {max_conns} x batch cap {batch_cap}"
     );
     let emitting = ids
         .iter()
@@ -239,14 +235,13 @@ fn main() {
     let max_rss = rss_samples.iter().copied().max().unwrap_or(0);
     let json = format!(
         "{{\n  \"queries\": {},\n  \"sources\": {},\n  \"seconds\": {},\n  \"events\": {},\n  \
-         \"results\": {},\n  \"queue_capacity\": {},\n  \"max_queue_depth\": {},\n  \
+         \"results\": {},\n  \"max_queue_depth\": {},\n  \
          \"max_connections\": {},\n  \"max_rss_kb\": {},\n  \"emitting_queries\": {}\n}}\n",
         ids.len(),
         args.sources,
         args.duration.as_secs(),
         final_stats.events,
         final_stats.results,
-        args.queue_capacity,
         max_depth,
         max_conns,
         max_rss,

@@ -405,6 +405,15 @@ impl Row {
         values.into_iter().map(Into::into).collect()
     }
 
+    /// A row of two values, written in one store: the shape of a reading
+    /// and its key, which a decoder builds once per event.
+    pub fn pair(a: Value, b: Value) -> Row {
+        Row(Repr::Inline {
+            len: 2,
+            vals: [a, b],
+        })
+    }
+
     /// An empty row.
     pub fn empty() -> Row {
         Row(Repr::Inline {
@@ -661,6 +670,14 @@ mod tests {
         assert_eq!(&wide.values()[..INLINE], full.values());
         assert_eq!(Vec::from(wide.clone()), wide.values().to_vec());
         assert_eq!(Vec::from(full.clone()), full.values().to_vec());
+    }
+
+    #[test]
+    fn a_pair_is_the_two_value_row() {
+        let pair = Row::pair(Value::Float(2.5), Value::Int(7));
+        assert_eq!(pair, Row::new([Value::Float(2.5), Value::Int(7)]));
+        assert!(matches!(pair.0, Repr::Inline { len: 2, .. }));
+        assert_eq!(pair.clone().with(true).len(), 3);
     }
 
     #[test]

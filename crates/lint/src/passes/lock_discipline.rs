@@ -1,11 +1,12 @@
 //! `lock-discipline`: no blocking operation while a `MutexGuard`/`RwLock`
 //! guard is live — directly in the function, or through any call chain.
 //!
-//! The serve daemon's backpressure design makes this the deadlock that
-//! matters: ingest threads block on a bounded `sync_channel` send, and the
-//! core thread blocks acquiring the session lock. A send made *while
-//! holding* a lock the core thread needs closes the cycle. No tier-1 test
-//! provokes it; this pass refuses to let it compile in.
+//! The serve daemon's backpressure design makes this the stall that
+//! matters: ingest reader threads, HTTP handlers and result pollers all
+//! meet on the session lock, and readers block in socket reads between
+//! pushes. A blocking call made *while holding* a lock the others need
+//! stalls them all, and a send or join under it can close a deadlock cycle.
+//! No tier-1 test provokes it; this pass refuses to let it compile in.
 //!
 //! Suppression: a line-level `allow(lock-discipline, ...)` on the blocking
 //! call or the call site suppresses that finding; an allow on a function's

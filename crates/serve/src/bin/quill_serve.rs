@@ -2,7 +2,7 @@
 //!
 //! ```text
 //! quill-serve [--ingest ADDR] [--http ADDR] [--strategy SPEC]
-//!             [--queue N] [--query DSL]... [--read-timeout-ms N]
+//!             [--query DSL]... [--read-timeout-ms N]
 //!             [--idle-timeout-ms N] [--span-capacity N]
 //! ```
 //!
@@ -15,8 +15,7 @@ use std::time::Duration;
 fn usage() -> ! {
     eprintln!(
         "usage: quill-serve [--ingest ADDR] [--http ADDR] [--strategy SPEC] \
-         [--queue N] [--query DSL]... [--read-timeout-ms N] [--idle-timeout-ms N] \
-         [--span-capacity N]\n\
+         [--query DSL]... [--read-timeout-ms N] [--idle-timeout-ms N] [--span-capacity N]\n\
          \n\
          SPEC: dropall | fixed:<k> | mp[:<cap>] | aq:<q> | aqe:<eps>:<field> | oracle |\n\
          \x20     punct:<field>:<sources>[:<slack>]\n\
@@ -47,10 +46,6 @@ fn main() {
                     eprintln!("{e}");
                     usage();
                 }
-            },
-            "--queue" => match value("--queue").parse() {
-                Ok(n) => config.queue_capacity = n,
-                Err(_) => usage(),
             },
             "--query" => queries.push(value("--query")),
             "--read-timeout-ms" => match value("--read-timeout-ms").parse() {

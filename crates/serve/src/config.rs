@@ -71,12 +71,6 @@ pub struct ServeConfig {
     pub http_addr: String,
     /// The shared disorder-control strategy.
     pub strategy: StrategySpec,
-    /// Bound, in events, on the ingest queue between socket readers and the
-    /// session core; the server derives from it how many frames one batch
-    /// may carry and how many batches may wait. A full queue blocks readers,
-    /// which stalls the TCP receive window: backpressure instead of
-    /// unbounded memory.
-    pub queue_capacity: usize,
     /// Per-connection transport policy.
     pub conn: ConnConfig,
     /// Ring capacity of the span recorder backing `GET /trace` (`0`
@@ -97,7 +91,6 @@ impl Default for ServeConfig {
             ingest_addr: "127.0.0.1:0".into(),
             http_addr: "127.0.0.1:0".into(),
             strategy: StrategySpec::Fixed(500),
-            queue_capacity: 4096,
             conn: ConnConfig::default(),
             span_capacity: SERVE_SPAN_CAPACITY,
         }

@@ -9,8 +9,10 @@
 //! * **Ingest**: one TCP port accepting newline-delimited text or
 //!   length-prefixed binary frames ([`wire`]), with per-source heartbeats
 //!   for punctuation-driven strategies, per-connection timeouts and idle
-//!   eviction ([`config::ConnConfig`]), and a bounded queue whose
-//!   backpressure propagates to sources through the TCP receive window.
+//!   eviction ([`config::ConnConfig`]). Each connection's reader pushes
+//!   what it decodes into the session itself; a reader waiting for the
+//!   session lock stops reading, which pushes back on its source through
+//!   the TCP receive window.
 //! * **Control**: an HTTP port exposing Prometheus metrics, live query
 //!   registration/deregistration, result polling and graceful drain
 //!   ([`http`]).

@@ -1,48 +1,43 @@
-//! The daemon: TCP ingest sources feeding one shared session, an HTTP
-//! control/metrics surface, bounded queues with backpressure and graceful
-//! drain.
+//! The daemon: TCP ingest sources pushing into one shared session, an HTTP
+//! control/metrics surface, backpressure through the session lock and
+//! graceful drain.
 //!
 //! # Architecture
 //!
 //! ```text
-//! TCP conn ─┐ reader threads           core thread             HTTP thread
-//! TCP conn ─┼─ read → decode ─► queue of batches ─► Session    /metrics
-//! TCP conn ─┘ (one batch per    (bounded in        (one lock   /queries
-//!              socket read)      events)            per batch) /stats ...
-//!                                                      │
-//!                                                QueryHandles ◄──┘
+//! TCP conn ─┐ reader threads                                 HTTP thread
+//! TCP conn ─┼─ read → decode into ─► lock, push_batch ─► Session   /metrics
+//! TCP conn ─┘ (a reused batch per    (one lock hold per  │         /queries
+//!              connection)            batch)             │         /stats ...
+//!                                                 QueryHandles ◄──┘
 //! ```
 //!
-//! * Each ingest connection gets a reader thread. Whatever one socket read
-//!   delivered (read straight into the decoder's buffer) is decoded in place
-//!   by [`wire::Decoder`] and handed to the core as **one batch**, data and
-//!   heartbeats in wire order, as soon as it is decoded — there is no flush
-//!   timer. The queue depth gauge and the ingest counters move once per
-//!   batch. A batch is one heap block: each data item carries its event's
-//!   row, whose values (two numeric fields, say) sit inside it, and the
-//!   core moves that row into the event. So a numeric event allocates
-//!   nothing on the reader and frees nothing on the core.
-//! * `queue_capacity` bounds the queued *events*: a batch holds at most
-//!   [`batch_shape`]'s cap and the channel that many batches, and their
-//!   product never exceeds the configured bound. Readers block when the
-//!   queue is full, which stalls the TCP receive window: memory stays
-//!   bounded, sources slow down.
-//! * One core thread owns the [`Session`] and is the only event pusher. It
-//!   takes the session lock once per batch and stamps the **global arrival
-//!   sequence** as it pushes: within a connection that is wire order,
-//!   across connections the order batches were handed over. HTTP
-//!   registration and `/stats` wait for at most one batch: up to 512
-//!   frames, in practice what a 4 KiB read holds (about 125 binary or 260
-//!   text events). The served path costs 0.4–0.8 µs an event with one
-//!   query registered and 1.2–1.5 µs with a hundred (the `quill-e2e`
-//!   benchmark's `server.saturate_ns_per_event`, decode and delivery
-//!   included, on a 2-CPU host), of which the session's push is about
-//!   0.2–0.4 µs and 0.6 µs (`session.push_ns_per_event`). So the wait is
-//!   0.05–0.2 ms, and at most about 0.8 ms at the cap.
+//! * Each ingest connection gets a reader thread, which does the whole unit
+//!   of work: whatever one socket read delivered (read straight into the
+//!   decoder's buffer) is decoded in place by [`wire::Decoder`] into the
+//!   connection's reused batch, and the thread then takes the session lock
+//!   and pushes the batch, data and heartbeats in wire order, at most
+//!   [`MAX_BATCH`] frames per lock hold. There is no flush timer, no queue
+//!   and no other pushing thread. The ingest counters and the
+//!   `quill.executor.queue_depth` gauge, which counts frames decoded but not
+//!   yet pushed, move once per batch. Each data item's row moves into its
+//!   event, so a numeric event allocates nothing.
+//! * Backpressure: a reader waiting for the session lock stops reading its
+//!   socket, which closes the TCP receive window. Memory stays bounded at
+//!   one batch per connection; sources slow down.
+//! * The **global arrival sequence** is stamped under the session lock as
+//!   events are pushed: within a connection that is wire order, across
+//!   connections the order in which reads took the lock. HTTP registration
+//!   and `/stats` wait for at most one batch: up to 512 frames, in practice
+//!   what a 4 KiB read holds (about 125 binary or 260 text events). The
+//!   session's push costs about 0.13–0.2 µs an event with one query
+//!   registered and 0.6 µs with a hundred (`session.push_ns_per_event` of
+//!   the `quill-e2e` benchmark on a 2-CPU host), so the wait is 15–75 µs,
+//!   and at most about 0.3 ms at the cap.
 //! * Both listeners block in `accept`; a finish or exit request wakes its
 //!   loop with a connection to the listener's own address.
-//! * Graceful drain: a finish request stops the acceptor, lets readers
-//!   wind down, drains the queue to the last staged element, then calls
+//! * Graceful drain: a finish request stops the acceptor, which lets its
+//!   readers push what they hold and wind down, joins them, then calls
 //!   [`Session::finish`] — every open window is flushed as if a final
 //!   watermark had arrived. Results stay pollable afterwards.
 
@@ -61,29 +56,13 @@ use quill_telemetry::SpanRecorder;
 use std::collections::HashMap;
 use std::net::{Ipv4Addr, Ipv6Addr, SocketAddr, TcpListener, TcpStream};
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
-use std::sync::mpsc::{Receiver, SyncSender};
 use std::sync::Arc;
 use std::thread::JoinHandle;
 use std::time::Duration;
 
-/// The unit of ingest work: the frames one socket read delivered, in wire
-/// order, each data frame's values already in its event's row. One heap
-/// block per batch crosses from the reader thread to the core.
-type Batch = Vec<Item>;
-
-/// Largest batch one hand-off may carry, whatever `queue_capacity` says: it
-/// is also the longest the core holds the session lock.
-const MAX_BATCH: usize = 512;
-
-/// Split `queue_capacity`, a bound on queued events, into `(frames per
-/// batch, batches in the channel)`; the product never exceeds the bound, so
-/// a capacity of 8 still backpressures after 8 events. The depth gauge can
-/// read one batch more per blocked reader, and one for the batch the core
-/// is taking.
-pub fn batch_shape(queue_capacity: usize) -> (usize, usize) {
-    let cap = (queue_capacity / 4).clamp(1, MAX_BATCH);
-    (cap, (queue_capacity / cap).max(1))
-}
+/// Most frames a reader pushes under one hold of the session lock: the
+/// longest HTTP registration and `/stats` wait behind a push.
+pub const MAX_BATCH: usize = 512;
 
 /// Connect to a listener of this process and hang up, so its blocking
 /// `accept` returns and the loop re-reads its stop flag.
@@ -107,11 +86,10 @@ pub(crate) struct Shared {
     /// The bound listener addresses, for [`wake`].
     ingest_addr: SocketAddr,
     http_addr: SocketAddr,
-    /// Most frames one batch may carry ([`batch_shape`]).
-    batch_cap: usize,
-    /// Frames handed to the core and not yet taken by it (mirrored into the
-    /// `quill.executor.queue_depth` gauge).
-    queue_depth: AtomicU64,
+    /// The next arrival sequence number. Read and written only under the
+    /// session lock, so sequence order is push order.
+    arrivals: AtomicU64,
+    /// `quill.executor.queue_depth`: frames decoded and not yet pushed.
     depth_gauge: quill_telemetry::Gauge,
     conns_gauge: quill_telemetry::Gauge,
     conns_total: quill_telemetry::Counter,
@@ -123,8 +101,8 @@ pub(crate) struct Shared {
     /// K changes, late arrivals and query-tagged result delivery.
     pub(crate) spans: SpanRecorder,
     active_readers: AtomicU64,
-    /// Stop accepting + ask readers to wind down; core drains then
-    /// finishes the session.
+    /// Stop accepting + ask readers to wind down; the acceptor joins them
+    /// and finishes the session.
     finish_requested: AtomicBool,
     /// Stop the HTTP loop and the whole server.
     exit_requested: AtomicBool,
@@ -152,14 +130,40 @@ impl Shared {
         }
     }
 
-    fn depth_add(&self, n: u64) {
-        let d = self.queue_depth.fetch_add(n, Ordering::SeqCst) + n;
-        self.depth_gauge.set_u64(d);
-    }
-
-    fn depth_sub(&self, n: u64) {
-        let d = self.queue_depth.fetch_sub(n, Ordering::SeqCst) - n;
-        self.depth_gauge.set_u64(d);
+    /// Push `batch`, emptied, into the session under one lock hold, stamping
+    /// each data frame's arrival sequence; each run of data frames up to the
+    /// next heartbeat is one `push_batch`. The batch leaves the depth gauge
+    /// and enters the ingest counters before the lock is released, so they
+    /// agree with the session's own counters for whoever takes it next.
+    fn push(&self, batch: &mut Vec<Item>) {
+        let frames = batch.len() as u64;
+        self.depth_gauge.add(frames as f64);
+        let mut session = self.session.lock();
+        let mut seq = self.arrivals.load(Ordering::Relaxed);
+        let mut heartbeats = 0;
+        let mut items = batch.drain(..);
+        loop {
+            let mut heartbeat = None;
+            session.push_batch(std::iter::from_fn(|| match items.next()? {
+                Item::Data { ts, row } => {
+                    seq += 1;
+                    Some(Event::new(ts, seq - 1, row))
+                }
+                Item::Heartbeat { ts, source } => {
+                    heartbeat = Some((source, ts));
+                    None
+                }
+            }));
+            let Some((source, ts)) = heartbeat else {
+                break;
+            };
+            session.heartbeat(&Key(source), ts);
+            heartbeats += 1;
+        }
+        self.arrivals.store(seq, Ordering::Relaxed);
+        self.depth_gauge.add(-(frames as f64));
+        self.ingested.add(frames - heartbeats);
+        self.heartbeats.add(heartbeats);
     }
 
     /// Register a query from its DSL form; the handle is kept for HTTP
@@ -232,10 +236,8 @@ pub struct ServerHandle {
     shared: Arc<Shared>,
     ingest_addr: SocketAddr,
     http_addr: SocketAddr,
-    core: Option<JoinHandle<()>>,
     acceptor: Option<JoinHandle<()>>,
     http: Option<JoinHandle<()>>,
-    readers: Arc<Mutex<Vec<JoinHandle<()>>>>,
 }
 
 /// Namespace for starting servers.
@@ -261,15 +263,13 @@ impl Server {
         let http_listener = TcpListener::bind(&config.http_addr)?;
         let ingest_addr = ingest_listener.local_addr()?;
         let http_addr = http_listener.local_addr()?;
-        let (batch_cap, batches) = batch_shape(config.queue_capacity);
         let shared = Arc::new(Shared {
             session: Mutex::new(session),
             handles: Mutex::new(HashMap::new()),
             spans,
             ingest_addr,
             http_addr,
-            batch_cap,
-            queue_depth: AtomicU64::new(0),
+            arrivals: AtomicU64::new(0),
             depth_gauge: registry.gauge("quill.executor.queue_depth"),
             conns_gauge: registry.gauge("quill.serve.connections"),
             conns_total: registry.counter("quill.serve.connections_total"),
@@ -284,17 +284,9 @@ impl Server {
             config: config.clone(),
         });
 
-        let (tx, rx) = std::sync::mpsc::sync_channel::<Batch>(batches);
-        let readers = Arc::new(Mutex::new(Vec::new()));
-
-        let core = {
-            let shared = Arc::clone(&shared);
-            std::thread::spawn(move || core_loop(&shared, &rx))
-        };
         let acceptor = {
             let shared = Arc::clone(&shared);
-            let readers = Arc::clone(&readers);
-            std::thread::spawn(move || accept_loop(&shared, &ingest_listener, tx, &readers))
+            std::thread::spawn(move || accept_loop(&shared, &ingest_listener))
         };
         let http = {
             let shared = Arc::clone(&shared);
@@ -305,10 +297,8 @@ impl Server {
             shared,
             ingest_addr,
             http_addr,
-            core: Some(core),
             acceptor: Some(acceptor),
             http: Some(http),
-            readers,
         })
     }
 }
@@ -379,12 +369,13 @@ impl ServerHandle {
         !self.shared.exit_requested()
     }
 
-    /// Drain and wait until the session has finished (the core thread
-    /// exits once the last staged element is routed).
+    /// Drain and wait until the session has finished (the acceptor exits
+    /// once its readers have pushed their last frame and the session is
+    /// finished).
     pub fn finish(&mut self) {
         self.shared.request_finish();
-        if let Some(core) = self.core.take() {
-            let _ = core.join();
+        if let Some(acceptor) = self.acceptor.take() {
+            let _ = acceptor.join();
         }
     }
 
@@ -392,13 +383,6 @@ impl ServerHandle {
     pub fn shutdown(mut self) -> SessionStats {
         self.finish();
         self.shared.request_exit();
-        if let Some(t) = self.acceptor.take() {
-            let _ = t.join();
-        }
-        let readers: Vec<JoinHandle<()>> = std::mem::take(&mut *self.readers.lock());
-        for r in readers {
-            let _ = r.join();
-        }
         if let Some(t) = self.http.take() {
             let _ = t.join();
         }
@@ -406,14 +390,11 @@ impl ServerHandle {
     }
 }
 
-/// Accept ingest connections until a finish is requested; the request wakes
-/// the blocking `accept` with a connection of its own, which is dropped.
-fn accept_loop(
-    shared: &Arc<Shared>,
-    listener: &TcpListener,
-    tx: SyncSender<Batch>,
-    readers: &Arc<Mutex<Vec<JoinHandle<()>>>>,
-) {
+/// Accept ingest connections until a finish is requested, then join the
+/// readers and finish the session; the request wakes the blocking `accept`
+/// with a connection of its own, which is dropped.
+fn accept_loop(shared: &Arc<Shared>, listener: &TcpListener) {
+    let mut readers: Vec<JoinHandle<()>> = Vec::new();
     while !shared.finish_requested() {
         let Ok((stream, _peer)) = listener.accept() else {
             break;
@@ -421,31 +402,35 @@ fn accept_loop(
         if shared.finish_requested() {
             break;
         }
+        // A reader that has ended is let go, so its thread's resources are
+        // freed now rather than at the drain.
+        readers.retain(|r| !r.is_finished());
         let shared = Arc::clone(shared);
-        // quill-lint: allow(hot-path-alloc, reason = "one channel handle per accepted connection, not per event")
-        let tx = tx.clone();
         shared.active_readers.fetch_add(1, Ordering::SeqCst);
         shared.conns_total.inc();
         shared
             .conns_gauge
             .set_u64(shared.active_readers.load(Ordering::SeqCst));
-        let t = std::thread::spawn(move || {
-            read_connection(&shared, stream, &tx);
+        readers.push(std::thread::spawn(move || {
+            read_connection(&shared, stream);
             let left = shared.active_readers.fetch_sub(1, Ordering::SeqCst) - 1;
             shared.conns_gauge.set_u64(left);
-        });
-        readers.lock().push(t);
+        }));
     }
-    // Dropping `tx` here lets the core observe disconnection once every
-    // reader clone is gone too.
+    for r in readers {
+        let _ = r.join();
+    }
+    shared.session.lock().finish();
 }
 
-/// Read one ingest connection until EOF, error, idle eviction or drain.
-fn read_connection(shared: &Arc<Shared>, mut stream: TcpStream, tx: &SyncSender<Batch>) {
+/// Read one ingest connection until EOF, error, idle eviction or drain,
+/// pushing what each read completes.
+fn read_connection(shared: &Shared, mut stream: TcpStream) {
     let conn = &shared.config.conn;
     let _ = stream.set_read_timeout(Some(conn.read_timeout));
     let _ = stream.set_nodelay(true);
     let mut decoder = wire::Decoder::new(conn.max_frame_len);
+    let mut batch = Vec::new();
     let mut idle_ticks: u64 = 0;
     let max_idle = conn.idle_ticks();
 
@@ -454,7 +439,7 @@ fn read_connection(shared: &Arc<Shared>, mut stream: TcpStream, tx: &SyncSender<
             Ok(0) => break, // EOF: clean close.
             Ok(_) => {
                 idle_ticks = 0;
-                if !hand_over(shared, &mut decoder, tx) {
+                if !hand_over(shared, &mut decoder, &mut batch) {
                     return;
                 }
             }
@@ -478,84 +463,22 @@ fn read_connection(shared: &Arc<Shared>, mut stream: TcpStream, tx: &SyncSender<
         }
     }
     decoder.close();
-    hand_over(shared, &mut decoder, tx);
+    hand_over(shared, &mut decoder, &mut batch);
 }
 
-/// Decode what the decoder holds and hand it to the core, one batch per
-/// read unless the read outgrew the batch cap. A blocking send on a full
-/// queue is the backpressure path. Returns `false` to drop the connection
-/// (protocol error or core gone).
-fn hand_over(shared: &Shared, decoder: &mut wire::Decoder, tx: &SyncSender<Batch>) -> bool {
+/// Decode what the decoder holds into `batch` and push it into the session,
+/// at most [`MAX_BATCH`] frames per lock hold. Waiting for the lock is the
+/// backpressure path. Returns `false` to drop the connection on a protocol
+/// error.
+fn hand_over(shared: &Shared, decoder: &mut wire::Decoder, batch: &mut Vec<Item>) -> bool {
     loop {
-        let batch = match decoder.decode(shared.batch_cap) {
-            Ok(batch) if batch.is_empty() => return true,
-            Ok(batch) => batch,
+        match decoder.decode(batch, MAX_BATCH) {
+            Ok(0) => return true,
+            Ok(_) => shared.push(batch),
             Err(_) => {
                 shared.protocol_errors.inc();
                 return false;
             }
-        };
-        let n = batch.len() as u64;
-        let hb = batch
-            .iter()
-            .filter(|item| matches!(item, Item::Heartbeat { .. }))
-            .count() as u64;
-        shared.ingested.add(n - hb);
-        shared.heartbeats.add(hb);
-        // Count the batch in before sending: the core may receive (and
-        // subtract) the instant the send lands, so adding afterwards would
-        // race the gauge below zero.
-        shared.depth_add(n);
-        if tx.send(batch).is_err() {
-            shared.depth_sub(n);
-            return false;
         }
     }
-}
-
-/// The session core: the only thread that pushes into the session. Exits
-/// after finishing the session once a drain was requested and the queue
-/// has emptied (or every sender disconnected).
-fn core_loop(shared: &Arc<Shared>, rx: &Receiver<Batch>) {
-    let tick = shared.config.conn.read_timeout;
-    // The arrival sequence. Stamped here, it is exactly the order the
-    // session sees events in, and needs no atomic.
-    let mut seq: u64 = 0;
-    loop {
-        match rx.recv_timeout(tick) {
-            Ok(batch) => {
-                shared.depth_sub(batch.len() as u64);
-                let mut session = shared.session.lock();
-                // Each run of data frames up to the next heartbeat is one
-                // `push_batch`; each row moves into its event as decoded.
-                let mut items = batch.into_iter();
-                loop {
-                    let mut heartbeat = None;
-                    session.push_batch(std::iter::from_fn(|| match items.next()? {
-                        Item::Data { ts, row } => {
-                            seq += 1;
-                            Some(Event::new(ts, seq - 1, row))
-                        }
-                        Item::Heartbeat { ts, source } => {
-                            heartbeat = Some((source, ts));
-                            None
-                        }
-                    }));
-                    match heartbeat {
-                        Some((source, ts)) => session.heartbeat(&Key(source), ts),
-                        None => break,
-                    }
-                }
-            }
-            Err(std::sync::mpsc::RecvTimeoutError::Timeout) => {
-                let drained = shared.queue_depth.load(Ordering::SeqCst) == 0
-                    && shared.active_readers.load(Ordering::SeqCst) == 0;
-                if shared.finish_requested() && drained {
-                    break;
-                }
-            }
-            Err(std::sync::mpsc::RecvTimeoutError::Disconnected) => break,
-        }
-    }
-    shared.session.lock().finish();
 }

@@ -32,14 +32,17 @@
 //! ```
 //!
 //! All integers are big-endian. Arrival sequence numbers are assigned by
-//! the server's session core in the order batches are handed to it (a
-//! global arrival order across connections), so the wire never carries them.
+//! the server under the session lock, in the order reads push their frames
+//! (a global arrival order across connections), so the wire never carries
+//! them.
 //!
 //! [`Decoder`] turns the bytes of successive socket reads into [`Item`]s
 //! without touching a socket: the server's reader threads drive it, and so
 //! can a test. An item is a [`Frame`] whose data values already sit in the
 //! event's [`Row`]; [`parse_line`] and [`decode_payload`] run the same
-//! decoding and hand back a `Frame`.
+//! decoding and hand back a `Frame`. Both wire modes read a numeric data
+//! frame on a fast path that builds its row in one pass, and leave every
+//! other frame, and every error, to the exact path.
 
 use crate::error::{ServeError, ServeResult};
 use quill_engine::prelude::{Row, Timestamp, Value};
@@ -388,8 +391,82 @@ pub fn decode_payload(payload: &[u8]) -> ServeResult<Frame> {
     payload_item(payload).map(Frame::from)
 }
 
-/// [`decode_payload`], the values read straight into the row.
+/// [`decode_payload`] without its fast path: every payload is read value by
+/// value, as a string-carrying or malformed one always is. It gives the same
+/// answer and the same error for every payload; it is public so that the two
+/// paths can be checked against each other.
+///
+/// # Errors
+/// As [`decode_payload`].
+pub fn decode_payload_exact(payload: &[u8]) -> ServeResult<Frame> {
+    exact_payload(payload).map(Frame::from)
+}
+
+/// Decode one binary payload: [`numeric_payload`] when it applies, the
+/// value-by-value read otherwise.
 fn payload_item(payload: &[u8]) -> ServeResult<Item> {
+    numeric_payload(payload).map_or_else(|| exact_payload(payload), Ok)
+}
+
+/// The one-pass read of a data payload whose values are nulls, integers,
+/// floats and booleans, straight into the row with no `Result` per value;
+/// a two-value row (a reading and its key) is written in one store.
+/// `None` leaves the payload to [`exact_payload`], which then gives every
+/// answer and error; this path only takes a payload it reads exactly as
+/// that path would.
+fn numeric_payload(payload: &[u8]) -> Option<Item> {
+    let [0x01, rest @ ..] = payload else {
+        return None;
+    };
+    let (ts, rest) = rest.split_first_chunk::<8>()?;
+    let (n, mut rest) = rest.split_first_chunk::<2>()?;
+    let row = match u16::from_be_bytes(*n) {
+        2 => {
+            let (a, tail) = scalar(rest)?;
+            let (b, tail) = scalar(tail)?;
+            rest = tail;
+            Row::pair(a, b)
+        }
+        n => {
+            let mut row = Row::empty();
+            for _ in 0..n {
+                let (v, tail) = scalar(rest)?;
+                row.push(v);
+                rest = tail;
+            }
+            row
+        }
+    };
+    rest.is_empty().then_some(Item::Data {
+        ts: Timestamp(u64::from_be_bytes(*ts)),
+        row,
+    })
+}
+
+/// The fixed-width value at the head of `buf` and the bytes after it;
+/// `None` for a string, an unknown tag or too few bytes.
+fn scalar(buf: &[u8]) -> Option<(Value, &[u8])> {
+    let (&tag, rest) = buf.split_first()?;
+    match tag {
+        0x00 => return Some((Value::Null, rest)),
+        0x04 => {
+            let (&b, rest) = rest.split_first()?;
+            return Some((Value::Bool(b != 0), rest));
+        }
+        _ => {}
+    }
+    let (word, rest) = rest.split_first_chunk::<8>()?;
+    let word = u64::from_be_bytes(*word);
+    let v = match tag {
+        0x01 => Value::Int(word as i64),
+        0x02 => Value::Float(f64::from_bits(word)),
+        _ => return None,
+    };
+    Some((v, rest))
+}
+
+/// [`decode_payload_exact`], the values read straight into the row.
+fn exact_payload(payload: &[u8]) -> ServeResult<Item> {
     let mut r = Reader {
         buf: payload,
         at: 0,
@@ -437,14 +514,14 @@ const READ_CHUNK: usize = 4 * 1024;
 /// [`Decoder::read_from`] reads a socket straight into the buffer
 /// ([`Decoder::extend`] appends bytes from elsewhere); [`Decoder::decode`]
 /// walks the buffered bytes with a cursor, decodes each complete frame where
-/// it lies and removes everything consumed with one `drain` per call. The
-/// wire mode is decided by the first four bytes ([`BINARY_MAGIC`] or text).
-/// How the byte stream was cut into reads never changes the items or where
-/// an error falls. A call allocates its output once, sized to the frames
-/// the buffer holds; a data frame's values go straight into its [`Row`],
-/// which holds a few values in place, so a numeric event of up to that many
-/// fields adds no allocation. A wider row allocates its spill, and a string
-/// value its text.
+/// it lies onto the end of a caller-owned `Vec` and removes everything
+/// consumed with one `drain` per call. The wire mode is decided by the first
+/// four bytes ([`BINARY_MAGIC`] or text). How the byte stream was cut into
+/// reads never changes the items or where an error falls. A data frame's
+/// values go straight into its [`Row`], which holds a few values in place,
+/// so a caller that reuses its `Vec` decodes numeric events of up to that
+/// many fields with no allocation once the `Vec` has grown. A wider row
+/// allocates its spill, and a string value its text.
 #[derive(Debug)]
 pub struct Decoder {
     buf: Vec<u8>,
@@ -498,15 +575,16 @@ impl Decoder {
         !self.buf.is_empty()
     }
 
-    /// Decode up to `limit` complete frames, in wire order. An empty result
-    /// means the next frame needs more bytes.
+    /// Decode up to `limit` complete frames onto the end of `out`, in wire
+    /// order, and return how many; 0 means the next frame needs more bytes.
     ///
     /// # Errors
     /// [`ServeError::Protocol`] when the next frame in the stream is
     /// malformed: an oversized payload or line, non-UTF-8 text, or whatever
     /// [`parse_line`] / [`decode_payload`] refuse. Every frame before it has
-    /// been returned by then, and the error repeats on later calls.
-    pub fn decode(&mut self, limit: usize) -> ServeResult<Vec<Item>> {
+    /// been appended by then, by this call or an earlier one, and the error
+    /// repeats on later calls.
+    pub fn decode(&mut self, out: &mut Vec<Item>, limit: usize) -> ServeResult<usize> {
         let mut at = 0;
         if self.binary.is_none() && self.buf.len() >= BINARY_MAGIC.len() {
             let binary = self.buf.starts_with(BINARY_MAGIC);
@@ -516,96 +594,66 @@ impl Decoder {
             self.binary = Some(binary);
         }
         let Some(binary) = self.binary else {
-            return Ok(Vec::new());
+            return Ok(0);
         };
-        let mut out = Vec::with_capacity(frames_ahead(&self.buf[at..], binary, limit));
-        while out.len() < limit {
-            let next = if binary {
-                next_binary(&self.buf[at..], self.max_frame_len)
+        let start = out.len();
+        let mut failed = None;
+        while out.len() - start < limit {
+            let rest = &self.buf[at..];
+            let used = if binary {
+                binary_frame(rest, self.max_frame_len, out)
             } else {
-                next_text(&self.buf[at..], self.max_frame_len)
+                text_frame(rest, self.max_frame_len, out)
             };
-            let (used, item) = match next {
-                Ok(next) => next,
-                Err(e) if out.is_empty() => {
-                    self.buf.drain(..at);
-                    return Err(e);
+            match used {
+                Ok(0) => break,
+                Ok(used) => at += used,
+                Err(e) => {
+                    failed = Some(e);
+                    break;
                 }
-                // The frames before it go out first; the next call
-                // meets the bad one again.
-                Err(_) => break,
-            };
-            at += used;
-            match item {
-                Some(item) => out.push(item),
-                None => break,
             }
         }
         self.buf.drain(..at);
-        Ok(out)
-    }
-}
-
-/// At most how many frames, up to `limit`, `buf` completes: its newlines
-/// for text, its whole length-prefixed frames for binary. It sizes
-/// [`Decoder::decode`]'s output, and stops counting at `limit`.
-fn frames_ahead(buf: &[u8], binary: bool, limit: usize) -> usize {
-    let mut n = 0;
-    if binary {
-        let mut at = 0usize;
-        while let Some(prefix) = buf.get(at..).and_then(<[u8]>::first_chunk::<4>) {
-            at = at.saturating_add(4 + u32::from_be_bytes(*prefix) as usize);
-            if n == limit || at > buf.len() {
-                break;
-            }
-            n += 1;
-        }
-    } else {
-        for block in buf.chunks(256) {
-            n += block.iter().filter(|&&b| b == b'\n').count();
-            if n >= limit {
-                break;
-            }
-        }
-    }
-    n.min(limit)
-}
-
-/// The next text frame of `buf` and the bytes it (and any blank or comment
-/// lines before it) used; `None` when no complete line with a frame is left.
-fn next_text(buf: &[u8], max_len: usize) -> ServeResult<(usize, Option<Item>)> {
-    let mut at = 0;
-    loop {
-        let rest = &buf[at..];
-        let nl = rest.iter().position(|&b| b == b'\n');
-        if nl.unwrap_or(rest.len()) > max_len {
-            return Err(oversized("text line", max_len));
-        }
-        let Some(nl) = nl else {
-            return Ok((at, None));
-        };
-        let item = line_item(&rest[..nl])?;
-        at += nl + 1;
-        if item.is_some() {
-            return Ok((at, item));
+        match (failed, out.len() - start) {
+            (Some(e), 0) => Err(e),
+            // The frames before it go out first; the next call meets the
+            // bad one again.
+            (_, n) => Ok(n),
         }
     }
 }
 
-/// The next binary frame of `buf` (length prefix + payload) and the bytes it
-/// used; `None` when the frame is not complete yet.
-fn next_binary(buf: &[u8], max_len: usize) -> ServeResult<(usize, Option<Item>)> {
+/// Decode the first line of `buf` onto `out` (a blank or comment line adds
+/// nothing) and return the bytes it used, its newline included; 0 when no
+/// complete line is buffered.
+fn text_frame(buf: &[u8], max_len: usize, out: &mut Vec<Item>) -> ServeResult<usize> {
+    let nl = buf.iter().position(|&b| b == b'\n');
+    if nl.unwrap_or(buf.len()) > max_len {
+        return Err(oversized("text line", max_len));
+    }
+    let Some(nl) = nl else {
+        return Ok(0);
+    };
+    out.extend(line_item(&buf[..nl])?);
+    Ok(nl + 1)
+}
+
+/// Decode the first binary frame of `buf` (length prefix + payload) onto
+/// `out` and return the bytes it used; 0 when the frame is not complete yet.
+fn binary_frame(buf: &[u8], max_len: usize, out: &mut Vec<Item>) -> ServeResult<usize> {
     let Some(prefix) = buf.first_chunk::<4>() else {
-        return Ok((0, None));
+        return Ok(0);
     };
     let len = u32::from_be_bytes(*prefix) as usize;
     if len > max_len {
         return Err(oversized("binary frame", max_len));
     }
-    match buf[4..].get(..len) {
-        Some(payload) => Ok((4 + len, Some(payload_item(payload)?))),
-        None => Ok((0, None)),
-    }
+    let Some(payload) = buf[4..].get(..len) else {
+        return Ok(0);
+    };
+    out.push(payload_item(payload)?);
+    Ok(4 + len)
 }
 
 fn oversized(what: &str, max_len: usize) -> ServeError {
@@ -712,7 +760,7 @@ mod tests {
             if n == 0 {
                 break;
             }
-            items.extend(decoder.decode(usize::MAX).expect("own lines"));
+            decoder.decode(&mut items, usize::MAX).expect("own lines");
         }
         assert!(!decoder.has_partial());
         assert_eq!(items.len(), 3000);
@@ -733,12 +781,9 @@ mod tests {
         decoder.extend(b"7 1");
         assert!(decoder.read_from(&mut TimedOut).is_err());
         decoder.close();
-        let frames: Vec<Frame> = decoder
-            .decode(8)
-            .expect("a line")
-            .into_iter()
-            .map(Frame::from)
-            .collect();
+        let mut items = Vec::new();
+        assert_eq!(decoder.decode(&mut items, 8).expect("a line"), 1);
+        let frames: Vec<Frame> = items.into_iter().map(Frame::from).collect();
         assert_eq!(
             frames,
             vec![Frame::Data {

@@ -1,8 +1,10 @@
 //! Property tests of [`wire::Decoder`]: however a text or QBIN byte stream is
 //! cut into socket reads, and whatever the batch limit, it decodes to the
 //! frames that were encoded, in order, and a bad frame mid-stream is reported
-//! after exactly the frames before it. And of the text fast path: a numeric
-//! line decodes exactly as the general token-by-token parse reads it.
+//! after exactly the frames before it. And of the two fast paths: a numeric
+//! text line decodes exactly as the general token-by-token parse reads it,
+//! and a QBIN payload exactly as the value-by-value read does, errors
+//! included.
 
 use proptest::prelude::*;
 use quill_engine::prelude::{Row, Timestamp, Value};
@@ -101,12 +103,14 @@ fn encode(frames: &[Frame], binary: bool, bad: Option<(usize, Bad)>) -> Vec<u8> 
 fn decode(bytes: &[u8], reads: &[usize], limit: usize) -> (Vec<Frame>, bool) {
     let mut decoder = Decoder::new(MAX_FRAME);
     let mut frames = Vec::new();
+    let mut batch = Vec::new();
     let mut drain = |decoder: &mut Decoder| loop {
-        match decoder.decode(limit) {
-            Ok(batch) if batch.is_empty() => return true,
-            Ok(batch) => {
-                assert!(batch.len() <= limit, "batch over the limit");
-                frames.extend(batch.into_iter().map(Frame::from));
+        match decoder.decode(&mut batch, limit) {
+            Ok(0) => return true,
+            Ok(n) => {
+                assert!(n <= limit, "batch over the limit");
+                assert_eq!(n, batch.len(), "the count is what was appended");
+                frames.extend(batch.drain(..).map(Frame::from));
             }
             Err(_) => return false,
         }
@@ -162,11 +166,12 @@ proptest! {
 #[test]
 fn a_stream_shorter_than_the_magic_is_text_at_eof() {
     let mut decoder = Decoder::new(MAX_FRAME);
+    let mut items = Vec::new();
     decoder.extend(b"7 1");
-    assert!(decoder.decode(8).expect("undecided").is_empty());
+    assert_eq!(decoder.decode(&mut items, 8).expect("undecided"), 0);
     assert!(decoder.has_partial());
     decoder.close();
-    let items = decoder.decode(8).expect("a text line");
+    assert_eq!(decoder.decode(&mut items, 8).expect("a text line"), 1);
     assert_eq!(
         items,
         vec![Item::Data {
@@ -180,14 +185,17 @@ fn a_stream_shorter_than_the_magic_is_text_at_eof() {
 #[test]
 fn an_unterminated_line_is_refused_once_it_outgrows_the_frame_limit() {
     let mut decoder = Decoder::new(MAX_FRAME);
+    let mut items = Vec::new();
     decoder.extend(&[b'1'; MAX_FRAME]);
-    assert!(decoder
-        .decode(8)
-        .expect("still within the limit")
-        .is_empty());
+    assert_eq!(
+        decoder
+            .decode(&mut items, 8)
+            .expect("still within the limit"),
+        0
+    );
     decoder.extend(b"1");
     assert!(
-        decoder.decode(8).is_err(),
+        decoder.decode(&mut items, 8).is_err(),
         "a line that can only be too long"
     );
 }
@@ -351,5 +359,117 @@ fn edge_tokens_parse_as_the_general_path_reads_them() {
         let parsed = wire::parse_line(line);
         assert!(parsed.is_err(), "line `{line}`: {}", exact(&parsed));
         assert_eq!(exact(&parsed), general(line), "line `{line}`");
+    }
+}
+
+/// One encoded QBIN value of any tag the wire defines — strings with valid
+/// and invalid UTF-8 among them — or of a tag it does not. Numeric tags come
+/// up most often, so that whole payloads take the fast path.
+fn any_value_bytes() -> impl Strategy<Value = Vec<u8>> {
+    (0u8..12, any::<u64>(), "[a-z]{0,5}").prop_map(|(pick, word, text)| {
+        let tagged = |tag: u8, body: &[u8]| [&[tag][..], body].concat();
+        match pick {
+            0 => vec![0x00],
+            1..=3 => tagged(0x01, &word.to_be_bytes()),
+            4..=6 => tagged(0x02, &word.to_be_bytes()),
+            7 => {
+                let len = (text.len() as u16).to_be_bytes();
+                tagged(0x03, &[&len[..], text.as_bytes()].concat())
+            }
+            8 => vec![0x03, 0x00, 0x02, 0xff, 0xfe],
+            9 | 10 => tagged(0x04, &[word as u8]),
+            _ => vec![0x05 + (word % 0xfb) as u8],
+        }
+    })
+}
+
+/// A QBIN payload: mostly a data frame whose declared value count (0-4)
+/// matches the values that follow; sometimes a count off by one, a
+/// heartbeat or an unknown frame tag, a payload cut short, or trailing
+/// bytes.
+fn any_payload() -> impl Strategy<Value = Vec<u8>> {
+    (
+        (0u8..8, any::<u8>()),
+        any::<u64>(),
+        prop::collection::vec(any_value_bytes(), 0..5),
+        0u8..10,
+        (0u8..7, any::<usize>()),
+        (0u8..7, prop::collection::vec(any::<u8>(), 1..3)),
+    )
+        .prop_map(
+            |((tag, other), ts, values, skew, (cut, at), (trail, trailing))| {
+                let tag = match tag {
+                    0..=5 => 0x01,
+                    6 => 0x02,
+                    _ => other,
+                };
+                let mut payload = vec![tag];
+                payload.extend(ts.to_be_bytes());
+                if tag != 0x02 {
+                    let n = match skew {
+                        0 => values.len().saturating_sub(1),
+                        1 => values.len() + 1,
+                        _ => values.len(),
+                    };
+                    payload.extend((n as u16).to_be_bytes());
+                }
+                payload.extend(values.concat());
+                if cut == 0 {
+                    payload.truncate(at % (payload.len() + 1));
+                }
+                if trail == 0 {
+                    payload.extend(trailing);
+                }
+                payload
+            },
+        )
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(512))]
+
+    #[test]
+    fn qbin_payloads_decode_as_the_exact_path_reads_them(
+        payloads in prop::collection::vec(any_payload(), 1..12),
+    ) {
+        let read = |p: &[u8], fast: bool| {
+            let frame = if fast { wire::decode_payload(p) } else { wire::decode_payload_exact(p) };
+            exact(&frame.map(Some))
+        };
+        for p in &payloads {
+            prop_assert_eq!(read(p, true), read(p, false), "payload {:02x?}", p);
+        }
+
+        // Streamed, the decoder gives the exact path's frames up to the
+        // first payload it refuses, then that payload's error.
+        let mut expected = Vec::new();
+        for p in &payloads {
+            let frame = read(p, false);
+            let refused = frame.starts_with("error");
+            expected.push(frame);
+            if refused {
+                break;
+            }
+        }
+        let mut bytes = wire::BINARY_MAGIC.to_vec();
+        for p in &payloads {
+            bytes.extend((p.len() as u32).to_be_bytes());
+            bytes.extend(p);
+        }
+        let mut decoder = Decoder::new(MAX_FRAME);
+        decoder.extend(&bytes);
+        let mut batch = Vec::new();
+        let mut got = Vec::new();
+        loop {
+            match decoder.decode(&mut batch, usize::MAX) {
+                Ok(0) => break,
+                Ok(_) => got.extend(batch.drain(..).map(|item| exact(&Ok(Some(Frame::from(item)))))),
+                Err(e) => {
+                    got.push(exact(&Err(e)));
+                    break;
+                }
+            }
+        }
+        prop_assert_eq!(got, expected);
     }
 }

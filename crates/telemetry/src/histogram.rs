@@ -73,12 +73,21 @@ impl LogHistogram {
 
     /// Record one observation.
     pub fn record(&mut self, v: u64) {
+        self.record_n(v, 1);
+    }
+
+    /// Record `n` observations of `v` at once: the state `n` calls of
+    /// [`LogHistogram::record`] leave. `n = 0` records nothing.
+    pub fn record_n(&mut self, v: u64, n: u64) {
+        if n == 0 {
+            return;
+        }
         let idx = self.index_of(v).min(self.counts.len() - 1);
-        self.counts[idx] += 1;
-        self.total += 1;
+        self.counts[idx] += n;
+        self.total += n;
         self.min = self.min.min(v);
         self.max = self.max.max(v);
-        self.sum += v as u128;
+        self.sum += u128::from(v) * u128::from(n);
     }
 
     /// Number of observations.
@@ -158,6 +167,32 @@ impl Default for LogHistogram {
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    #[test]
+    fn record_n_leaves_what_n_records_leave() {
+        for (v, n) in [
+            (0u64, 1u64),
+            (5, 3),
+            (127, 2),
+            (1_000, 7),
+            (u64::MAX, 4),
+            (9, 0),
+        ] {
+            let (mut once, mut each) = (LogHistogram::new(7), LogHistogram::new(7));
+            once.record(42);
+            each.record(42);
+            once.record_n(v, n);
+            for _ in 0..n {
+                each.record(v);
+            }
+            assert_eq!(once.counts, each.counts, "v {v}, n {n}");
+            assert_eq!(
+                (once.total, once.min, once.max, once.sum),
+                (each.total, each.min, each.max, each.sum),
+                "v {v}, n {n}"
+            );
+        }
+    }
 
     #[test]
     fn small_values_are_exact() {

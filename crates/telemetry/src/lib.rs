@@ -111,6 +111,17 @@ impl Gauge {
         self.set(v as f64);
     }
 
+    /// Add `delta` (negative to subtract) in one atomic update, so that
+    /// concurrent adders never lose one another's change.
+    #[inline]
+    pub fn add(&self, delta: f64) {
+        if let Some(g) = &self.0 {
+            let _ = g.fetch_update(Ordering::Relaxed, Ordering::Relaxed, |bits| {
+                Some((f64::from_bits(bits) + delta).to_bits())
+            });
+        }
+    }
+
     /// Current value (0.0 for a no-op handle).
     pub fn get(&self) -> f64 {
         self.0
@@ -133,10 +144,16 @@ impl Histogram {
     /// Record one observation.
     #[inline]
     pub fn record(&self, v: u64) {
+        self.record_n(v, 1);
+    }
+
+    /// Record `n` observations of `v` under one lock.
+    #[inline]
+    pub fn record_n(&self, v: u64, n: u64) {
         if let Some(h) = &self.0 {
             // Named by type, so the lint's call graph does not take this
-            // for every `record` method in the workspace.
-            LogHistogram::record(&mut h.lock(), v);
+            // for every `record_n` method in the workspace.
+            LogHistogram::record_n(&mut h.lock(), v, n);
         }
     }
 

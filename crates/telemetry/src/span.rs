@@ -349,10 +349,15 @@ impl SpanRing {
     /// so ring order equals seq order even across threads; a timed record's
     /// duration is folded into its stage's attribution histogram before any
     /// eviction.
-    fn push(&mut self, capacity: usize, mut span: Span) {
+    fn push(&mut self, capacity: usize, span: Span) {
         if span.is_timed() {
             self.stage_hists[span.stage.index()].record(span.duration());
         }
+        self.append(capacity, span);
+    }
+
+    /// [`SpanRing::push`] without the attribution histogram.
+    fn append(&mut self, capacity: usize, mut span: Span) {
         span.seq = self.next_seq;
         self.next_seq += 1;
         if self.buf.len() >= capacity {
@@ -447,21 +452,26 @@ impl SpanRecorder {
         queries: impl IntoIterator<Item = u64>,
     ) {
         if let Some(inner) = &self.0 {
+            let span = Span {
+                seq: 0,
+                stage,
+                begin,
+                end,
+                shard,
+                query: NO_QUERY,
+                detail: [0; 2],
+                reason: None,
+            };
             let mut ring = inner.ring.lock();
+            let mut n = 0;
             for query in queries {
-                ring.push(
-                    inner.capacity,
-                    Span {
-                        seq: 0,
-                        stage,
-                        begin,
-                        end,
-                        shard,
-                        query,
-                        detail: [0; 2],
-                        reason: None,
-                    },
-                );
+                n += 1;
+                ring.append(inner.capacity, Span { query, ..span });
+            }
+            // The records share one extent: its duration is recorded once,
+            // weighted by their number, under one histogram lock.
+            if span.is_timed() {
+                ring.stage_hists[stage.index()].record_n(span.duration(), n);
             }
         }
     }

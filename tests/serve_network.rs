@@ -10,6 +10,7 @@ use quill_core::prelude::{
 use quill_engine::prelude::{Event, Key, Row, WindowResult};
 use quill_serve::client::{fixture, IngestClient};
 use quill_serve::config::{parse_query, RetryPolicy};
+use quill_serve::server::MAX_BATCH;
 use quill_serve::wire::{self, Frame};
 use quill_serve::{ServeConfig, Server, ServerHandle, StrategySpec};
 use std::io::{Read, Write};
@@ -50,7 +51,6 @@ fn wait_events(handle: &ServerHandle, n: u64) {
 fn start_server() -> ServerHandle {
     let config = ServeConfig {
         strategy: StrategySpec::Fixed(500),
-        queue_capacity: 256,
         ..ServeConfig::default()
     };
     Server::start(config).expect("server boots on ephemeral ports")
@@ -407,7 +407,6 @@ fn trace_endpoint_serves_span_lines() {
 fn a_live_trace_feeds_the_full_report() {
     let config = ServeConfig {
         strategy: StrategySpec::Aq(0.95),
-        queue_capacity: 256,
         ..ServeConfig::default()
     };
     let handle = Server::start(config).expect("server boots");
@@ -441,7 +440,6 @@ fn a_live_trace_feeds_the_full_report() {
 fn zero_span_capacity_disables_trace_collection() {
     let config = ServeConfig {
         strategy: StrategySpec::Fixed(500),
-        queue_capacity: 256,
         span_capacity: 0,
         ..ServeConfig::default()
     };
@@ -486,27 +484,106 @@ fn malformed_queries_and_frames_are_refused_cleanly() {
     handle.shutdown();
 }
 
+/// `frames` as one wire stream, text or QBIN.
+fn encode(frames: &[Frame], binary: bool) -> Vec<u8> {
+    let mut bytes = Vec::new();
+    if binary {
+        bytes.extend_from_slice(wire::BINARY_MAGIC);
+    }
+    for f in frames {
+        if binary {
+            bytes.extend_from_slice(&wire::encode_frame(f));
+        } else {
+            bytes.extend_from_slice(wire::to_line(f).as_bytes());
+            bytes.push(b'\n');
+        }
+    }
+    bytes
+}
+
+/// Write `bytes` to a new ingest connection in writes of `split` bytes and
+/// hang up.
+fn send_split(handle: &ServerHandle, bytes: &[u8], split: usize) {
+    let mut stream = TcpStream::connect(handle.ingest_addr()).expect("connect");
+    stream.set_nodelay(true).expect("nodelay");
+    for chunk in bytes.chunks(split) {
+        stream.write_all(chunk).expect("write");
+    }
+}
+
+/// The `quill.executor.queue_depth` gauge: frames decoded, not yet pushed.
+fn depth(handle: &ServerHandle) -> f64 {
+    handle
+        .registry()
+        .snapshot()
+        .gauge("quill.executor.queue_depth")
+        .unwrap_or(0.0)
+}
+
+/// Wait until the session has taken `frames` data and heartbeat frames,
+/// checking on the way that the depth gauge never exceeds one batch per
+/// connection (an underflow would wrap to ~1.8e19); then it must read 0.
+fn wait_frames_within_depth(handle: &ServerHandle, frames: u64, connections: usize) {
+    for _ in 0..8000 {
+        let d = depth(handle);
+        assert!(
+            d <= (connections * MAX_BATCH) as f64,
+            "queue depth {d} over {connections} batches of {MAX_BATCH}"
+        );
+        let s = handle.stats();
+        if s.events + s.heartbeats >= frames {
+            break;
+        }
+        std::thread::sleep(Duration::from_millis(1));
+    }
+    let s = handle.stats();
+    assert_eq!(s.events + s.heartbeats, frames, "every frame pushed");
+    assert_eq!(depth(handle), 0.0, "queue depth gauge after the drain");
+}
+
 #[test]
 fn fast_source_is_backpressured_not_dropped() {
-    // A tiny queue with a deliberately slow drain would lose events if the
-    // reader shed load; blocking sends mean everything arrives.
+    // Two sources write whole streams as fast as the socket takes them
+    // while HTTP requests contend for the session lock, with 20 queries
+    // making each push slow. A reader waiting for the lock stops reading,
+    // so the sources stall in `write` instead of the daemon buffering or
+    // shedding: each connection holds at most one decoded batch, and every
+    // event arrives.
     let config = ServeConfig {
         strategy: StrategySpec::Fixed(100),
-        queue_capacity: 8,
         ..ServeConfig::default()
     };
     let mut handle = Server::start(config).expect("boot");
-    let id = handle.register("tumbling:100;count:0:n").expect("register");
-    let frames = fixture(3_000, 99, 200, 0);
-    let mut client = IngestClient::connect(handle.ingest_addr().to_string()).expect("connect");
-    for f in &frames {
-        client.send(f).expect("send");
+    let mut ids = Vec::new();
+    for i in 0..20 {
+        let dsl = format!("tumbling:{};count:0:n,sum:0:s;key=1", 100 + 10 * i);
+        ids.push(handle.register(&dsl).expect("register"));
     }
-    client.finish().expect("close");
-    wait_events(&handle, frames.len() as u64);
+    let streams = [
+        encode(&fixture(10_000, 99, 200, 0), false),
+        encode(&fixture(10_000, 98, 200, 0), true),
+    ];
+    std::thread::scope(|scope| {
+        for bytes in &streams {
+            let handle = &handle;
+            scope.spawn(move || send_split(handle, bytes, bytes.len()));
+        }
+        scope.spawn(|| {
+            for _ in 0..10_000 {
+                if handle.stats().events >= 20_000 {
+                    break;
+                }
+                let (head, _) = http_request(handle.http_addr(), "GET", "/stats", "");
+                assert!(head.starts_with("HTTP/1.1 200"), "{head}");
+            }
+        });
+        wait_frames_within_depth(&handle, 20_000, 2);
+    });
     handle.finish();
-    assert_eq!(handle.stats().events, frames.len() as u64, "nothing shed");
-    assert!(!handle.poll(id).expect("poll").is_empty());
+    assert_eq!(handle.stats().events, 20_000, "nothing shed");
+    for id in ids {
+        assert!(!handle.poll(id).expect("poll").is_empty());
+    }
     handle.shutdown();
 }
 
@@ -535,61 +612,24 @@ fn session_push_loop(
     (handle.poll(), stats.events, stats.heartbeats)
 }
 
-/// Serve `frames` written to the socket in one go, so that one read hands
-/// the core many frames, and return what [`session_push_loop`] returns.
-/// While draining, the queue depth gauge must stay within the configured
-/// bound plus one batch in flight at each end (counted in by the blocked
-/// reader, not yet counted out by the core), and end at 0.
+/// Serve `frames`, written to the socket in writes of `split` bytes, and
+/// return what [`session_push_loop`] returns. The depth gauge must stay
+/// within one batch and end at 0.
 fn served(
     strategy: &StrategySpec,
-    queue_capacity: usize,
+    split: usize,
     dsl: &str,
     frames: &[Frame],
     binary: bool,
 ) -> (Vec<WindowResult>, u64, u64) {
     let config = ServeConfig {
         strategy: strategy.clone(),
-        queue_capacity,
         ..ServeConfig::default()
     };
     let mut handle = Server::start(config).expect("boot");
     let id = handle.register(dsl).expect("register");
-    let mut bytes = Vec::new();
-    if binary {
-        bytes.extend_from_slice(wire::BINARY_MAGIC);
-    }
-    for f in frames {
-        if binary {
-            bytes.extend_from_slice(&wire::encode_frame(f));
-        } else {
-            bytes.extend_from_slice(wire::to_line(f).as_bytes());
-            bytes.push(b'\n');
-        }
-    }
-    let mut stream = TcpStream::connect(handle.ingest_addr()).expect("connect");
-    stream.write_all(&bytes).expect("write the whole stream");
-    drop(stream);
-
-    let depth = || {
-        handle
-            .registry()
-            .snapshot()
-            .gauge("quill.executor.queue_depth")
-            .unwrap_or(0.0)
-    };
-    for _ in 0..4000 {
-        let d = depth();
-        assert!(
-            d <= 3.0 * queue_capacity as f64,
-            "queue depth {d} escaped capacity {queue_capacity} (an underflow wraps to ~1.8e19)"
-        );
-        let s = handle.stats();
-        if s.events + s.heartbeats >= frames.len() as u64 {
-            break;
-        }
-        std::thread::sleep(Duration::from_millis(1));
-    }
-    assert_eq!(depth(), 0.0, "queue depth gauge after the drain");
+    send_split(&handle, &encode(frames, binary), split);
+    wait_frames_within_depth(&handle, frames.len() as u64, 1);
     handle.finish();
     let stats = handle.stats();
     let results = handle.poll(id).expect("poll");
@@ -598,7 +638,7 @@ fn served(
 }
 
 #[test]
-fn batched_hand_off_matches_a_session_push_loop_at_every_queue_capacity() {
+fn served_results_match_a_session_push_loop_at_every_write_split() {
     let fixed = StrategySpec::Fixed(100);
     let punctuated = StrategySpec::Punctuated {
         source_field: 1,
@@ -639,14 +679,65 @@ fn batched_hand_off_matches_a_session_push_loop_at_every_queue_capacity() {
         let expected = session_push_loop(strategy, dsl, frames);
         assert!(!expected.0.is_empty(), "fixture produced results");
         assert_eq!(expected.1 + expected.2, frames.len() as u64);
-        for queue_capacity in [1, 8, 4096] {
-            let got = served(strategy, queue_capacity, dsl, frames, *binary);
+        // One byte, a length that cuts every frame somewhere, and the whole
+        // stream in one write.
+        for split in [1, 7, usize::MAX] {
+            let got = served(strategy, split, dsl, frames, *binary);
             assert_eq!(
                 got, expected,
-                "`{dsl}` under {strategy:?}, binary {binary}, queue_capacity {queue_capacity}"
+                "`{dsl}` under {strategy:?}, binary {binary}, writes of {split} bytes"
             );
         }
     }
+}
+
+#[test]
+fn two_connections_with_disjoint_keys_match_one_connection() {
+    // K is larger than the streams' span, so nothing is released before
+    // the drain and no event is late: how the two connections' reads
+    // interleave on the session lock cannot change any window.
+    let strategy = StrategySpec::Fixed(1_000_000);
+    let dsl = "tumbling:250;count:0:n,sum:0:s,max:0:peak;key=1";
+    let keyed = |seed, offset: i64| -> Vec<Frame> {
+        let mut frames = fixture(3_000, seed, 300, 0);
+        for f in &mut frames {
+            if let Frame::Data { values, .. } = f {
+                values[1] = quill_engine::prelude::Value::Int(values[1].as_i64().unwrap() + offset);
+            }
+        }
+        frames
+    };
+    let (a, b) = (keyed(31, 0), keyed(32, 2));
+    let by_key_and_window = |results: &mut Vec<WindowResult>| {
+        results.sort_by(|x, y| x.key.total_cmp(&y.key).then(x.window.cmp(&y.window)));
+    };
+    let both: Vec<Frame> = a.iter().chain(&b).cloned().collect();
+    let (mut expected, events, _) = session_push_loop(&strategy, dsl, &both);
+    assert_eq!(events, 6_000);
+    by_key_and_window(&mut expected);
+
+    let mut handle = Server::start(ServeConfig {
+        strategy,
+        ..ServeConfig::default()
+    })
+    .expect("boot");
+    let id = handle.register(dsl).expect("register");
+    let (a, b) = (encode(&a, false), encode(&b, true));
+    std::thread::scope(|scope| {
+        scope.spawn(|| send_split(&handle, &a, 7));
+        scope.spawn(|| send_split(&handle, &b, 7));
+        wait_frames_within_depth(&handle, 6_000, 2);
+    });
+    handle.finish();
+    assert_eq!(
+        handle.stats().events,
+        6_000,
+        "events counts both connections"
+    );
+    let mut got = handle.poll(id).expect("poll");
+    by_key_and_window(&mut got);
+    assert_eq!(got, expected);
+    handle.shutdown();
 }
 
 #[test]
